@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
+	"strconv"
+	"sync"
 
 	"eventhit/internal/strategy"
 )
@@ -36,6 +39,11 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
 		return err
+	}
+	if l, ok := body.(interface{ Len() int }); ok {
+		// NewRequest sizes only the reader types it knows by name; any other
+		// body that can tell its length would go out chunked without this.
+		req.ContentLength = int64(l.Len())
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
@@ -79,11 +87,72 @@ func decodeResponse(resp *http.Response, out interface{}) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
+// framesBody is a frames POST body encoded into a pooled buffer. The
+// transport may still be reading a request body after Do has returned (a
+// server that answers early), so the buffer goes back to the pool on Close —
+// which the transport calls exactly when it is done with the body — and
+// never earlier.
+type framesBody struct {
+	bytes.Reader
+	buf  *[]byte
+	once sync.Once
+}
+
+var framesBodyPool = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+func (b *framesBody) Close() error {
+	b.once.Do(func() {
+		if cap(*b.buf) <= maxPooledIngestBytes {
+			framesBodyPool.Put(b.buf)
+		}
+	})
+	return nil
+}
+
+// encodeFrames writes frames in the canonical {"frames":[[…],…]} shape the
+// server's scanner takes, each value in the shortest form that parses back
+// to the same float64. Like json.Marshal it refuses NaN and ±Inf, which
+// JSON cannot carry.
+func encodeFrames(frames [][]float64) (*framesBody, error) {
+	buf := framesBodyPool.Get().(*[]byte)
+	b := append((*buf)[:0], `{"frames":[`...)
+	for i, f := range frames {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for j, v := range f {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				framesBodyPool.Put(buf)
+				return nil, fmt.Errorf("serve: frame %d channel %d is not finite", i, j)
+			}
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, "]}"...)
+	*buf = b
+	body := &framesBody{buf: buf}
+	body.Reset(b)
+	return body, nil
+}
+
+// pushFrames posts frames to a frames endpoint.
+func (c *Client) pushFrames(ctx context.Context, path string, frames [][]float64) (FramesResponse, error) {
+	var out FramesResponse
+	body, err := encodeFrames(frames)
+	if err != nil {
+		return out, err
+	}
+	return out, c.do(ctx, http.MethodPost, path, "application/json", body, &out)
+}
+
 // PushFrames sends covariate vectors to the server.
 func (c *Client) PushFrames(ctx context.Context, frames [][]float64) (FramesResponse, error) {
-	var out FramesResponse
-	err := c.post(ctx, "/v1/frames", FramesRequest{Frames: frames}, &out)
-	return out, err
+	return c.pushFrames(ctx, "/v1/frames", frames)
 }
 
 // Predict asks for the marshalling decision at the current anchor.
@@ -131,9 +200,7 @@ func (c *Client) Sessions(ctx context.Context) ([]SessionInfo, error) {
 
 // PushFramesSession is PushFrames scoped to one session.
 func (c *Client) PushFramesSession(ctx context.Context, id string, frames [][]float64) (FramesResponse, error) {
-	var out FramesResponse
-	err := c.post(ctx, "/v1/sessions/"+url.PathEscape(id)+"/frames", FramesRequest{Frames: frames}, &out)
-	return out, err
+	return c.pushFrames(ctx, "/v1/sessions/"+url.PathEscape(id)+"/frames", frames)
 }
 
 // PredictSession is Predict scoped to one session.

@@ -23,17 +23,7 @@ import (
 // so predict requests reach the model path, not just the 409 guard.
 func fuzzServer(f *testing.F) *Server {
 	f.Helper()
-	bw := getBundle(f)
-	srv, err := New(Config{
-		Bundle:            bw.b,
-		EventNames:        []string{"Volleyball Spiking"},
-		PerFrameUSD:       0.001,
-		DefaultConfidence: 0.9,
-		DefaultCoverage:   0.9,
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
+	srv, bw := bareServer(f)
 	var frames [][]float64
 	for t := 100; t < 110; t++ {
 		frames = append(frames, bw.ex.FrameVector(t, nil))

@@ -1,0 +1,239 @@
+package serve
+
+import (
+	"bytes"
+	"strconv"
+	"sync"
+)
+
+// The ingest data path: a frames POST is read into a pooled buffer, scanned
+// by scanFrames straight into a pooled flat []float64, and copied in place
+// into the session's frameRing. scanFrames accepts exactly one shape; every
+// other body is decoded by encoding/json (see handleFrames), which owns all
+// lenient behaviour and every error string.
+
+// maxPooledIngestBytes caps what an ingestBuf may hold when it goes back to
+// the pool: one MaxBodyBytes request must not pin 8 MiB per pool slot.
+const maxPooledIngestBytes = 1 << 20
+
+// ingestBuf is the per-request scratch of handleFrames.
+type ingestBuf struct {
+	body bytes.Buffer
+	vals []float64
+}
+
+var ingestPool = sync.Pool{New: func() interface{} { return new(ingestBuf) }}
+
+func getIngestBuf() *ingestBuf { return ingestPool.Get().(*ingestBuf) }
+
+// putIngestBuf returns b to the pool unless it grew past the cap, in which
+// case it is left to the collector.
+func putIngestBuf(b *ingestBuf) {
+	if b.body.Cap() > maxPooledIngestBytes || cap(b.vals)*8 > maxPooledIngestBytes {
+		return
+	}
+	b.body.Reset()
+	b.vals = b.vals[:0]
+	ingestPool.Put(b)
+}
+
+// at returns b[i], or 0 — which no grammar rule accepts — past the end.
+func at(b []byte, i int) byte {
+	if i < len(b) {
+		return b[i]
+	}
+	return 0
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// skipSpace returns the index of the first byte at or after i that is not
+// JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// scanNumber returns the end of the JSON number starting at i, or i when
+// the bytes there do not match -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
+func scanNumber(b []byte, i int) int {
+	start := i
+	if at(b, i) == '-' {
+		i++
+	}
+	switch c := at(b, i); {
+	case c == '0':
+		i++
+	case '1' <= c && c <= '9':
+		for i++; isDigit(at(b, i)); i++ {
+		}
+	default:
+		return start
+	}
+	if at(b, i) == '.' {
+		i++
+		if !isDigit(at(b, i)) {
+			return start
+		}
+		for i++; isDigit(at(b, i)); i++ {
+		}
+	}
+	if c := at(b, i); c == 'e' || c == 'E' {
+		i++
+		if c := at(b, i); c == '+' || c == '-' {
+			i++
+		}
+		if !isDigit(at(b, i)) {
+			return start
+		}
+		for i++; isDigit(at(b, i)); i++ {
+		}
+	}
+	return i
+}
+
+var framesKey = []byte(`"frames"`)
+
+// scanFrames parses the canonical frames body
+//
+//	{"frames":[[n,…],…]}
+//
+// — JSON whitespace allowed between tokens, the single key spelled exactly
+// "frames", between 1 and MaxFramesPerPush rows of exactly d numbers each,
+// nothing but whitespace after the closing brace — appending the values
+// row-major to dst[:0]. Numbers are checked against the JSON number grammar
+// and converted by strconv.ParseFloat, the conversion encoding/json uses,
+// so every value is bit-identical to what json.Unmarshal would store; a
+// range error declines, which is why an accepted value is always finite.
+//
+// ok false means "not the canonical shape", never "invalid": the caller
+// decodes the body with encoding/json instead. The returned slice is dst's
+// (possibly regrown) backing array either way, so the caller keeps it.
+func scanFrames(b []byte, d int, dst []float64) (vals []float64, rows int, ok bool) {
+	vals = dst[:0]
+	i := skipSpace(b, 0)
+	if at(b, i) != '{' {
+		return vals, 0, false
+	}
+	i = skipSpace(b, i+1)
+	if !bytes.HasPrefix(b[i:], framesKey) {
+		return vals, 0, false
+	}
+	i = skipSpace(b, i+len(framesKey))
+	if at(b, i) != ':' {
+		return vals, 0, false
+	}
+	i = skipSpace(b, i+1)
+	if at(b, i) != '[' {
+		return vals, 0, false
+	}
+	i = skipSpace(b, i+1)
+	for {
+		if at(b, i) != '[' || rows == MaxFramesPerPush {
+			return vals, 0, false
+		}
+		i = skipSpace(b, i+1)
+		for j := 0; j < d; j++ {
+			if j > 0 {
+				if at(b, i) != ',' {
+					return vals, 0, false
+				}
+				i = skipSpace(b, i+1)
+			}
+			end := scanNumber(b, i)
+			if end == i {
+				return vals, 0, false
+			}
+			v, err := strconv.ParseFloat(string(b[i:end]), 64)
+			if err != nil {
+				return vals, 0, false
+			}
+			vals = append(vals, v)
+			i = skipSpace(b, end)
+		}
+		if at(b, i) != ']' {
+			return vals, 0, false
+		}
+		rows++
+		i = skipSpace(b, i+1)
+		if at(b, i) == ',' {
+			i = skipSpace(b, i+1)
+			continue
+		}
+		break
+	}
+	if at(b, i) != ']' {
+		return vals, 0, false
+	}
+	i = skipSpace(b, i+1)
+	if at(b, i) != '}' {
+		return vals, 0, false
+	}
+	if skipSpace(b, i+1) != len(b) {
+		return vals, 0, false
+	}
+	return vals, rows, true
+}
+
+// frameRing is one session's sliding window: the last `rows` frames,
+// row-major in one flat slice that is written in place. Guarded by
+// Server.mu like the rest of the session.
+type frameRing struct {
+	data []float64 // rows*d values
+	d    int       // channels per frame
+	rows int       // capacity in frames (the model window)
+	head int       // row the next frame is written to
+	n    int       // frames buffered, at most rows
+}
+
+func newFrameRing(rows, d int) frameRing {
+	return frameRing{data: make([]float64, rows*d), d: d, rows: rows}
+}
+
+// push appends the frames in flat (row-major, a multiple of d values).
+// Only the last `rows` of them can still be in the window afterwards, so
+// only those are copied.
+func (r *frameRing) push(flat []float64) {
+	k := len(flat) / r.d
+	if k > r.rows {
+		flat = flat[(k-r.rows)*r.d:]
+		k = r.rows
+	}
+	c := copy(r.data[r.head*r.d:], flat)
+	copy(r.data, flat[c:])
+	r.head = (r.head + k) % r.rows
+	r.n = min(r.n+k, r.rows)
+}
+
+// copyTo writes the buffered frames, oldest first, to dst[:n*d].
+func (r *frameRing) copyTo(dst []float64) {
+	dst = dst[:r.n*r.d]
+	oldest := (r.head - r.n + r.rows) % r.rows
+	c := copy(dst, r.data[oldest*r.d:])
+	copy(dst[c:], r.data)
+}
+
+// predictScratch is the per-request working set of predictCore: the window
+// copied out of the session ring plus the per-event label slices. x's rows
+// are fixed views into flat, so a copy into flat is all a request pays.
+type predictScratch struct {
+	flat                         []float64
+	x                            [][]float64
+	label, labelKnown, labelTrue []bool
+}
+
+func newPredictScratch(window, d, k int) *predictScratch {
+	sc := &predictScratch{
+		flat:       make([]float64, window*d),
+		x:          make([][]float64, window),
+		label:      make([]bool, k),
+		labelKnown: make([]bool, k),
+		labelTrue:  make([]bool, k),
+	}
+	for i := range sc.x {
+		sc.x[i] = sc.flat[i*d : (i+1)*d : (i+1)*d]
+	}
+	return sc
+}

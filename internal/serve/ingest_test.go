@@ -1,0 +1,516 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// FuzzParseFrames is the differential check of the ingest scanner against
+// encoding/json: whatever scanFrames accepts, json.Unmarshal must decode to
+// the same rows, value for value by bit pattern. Declining is always
+// allowed — the handler then asks encoding/json — so the property is
+// one-sided; TestFramesHandlerCorpus and TestClientEncodingRoundTrip pin
+// which bodies must NOT be declined.
+func FuzzParseFrames(f *testing.F) {
+	for _, d := range []int{1, 6} {
+		for _, e := range frameCorpus(d) {
+			f.Add([]byte(e.body), d)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte, d int) {
+		if d < 0 || d > 16 {
+			return
+		}
+		vals, rows, ok := scanFrames(body, d, nil)
+		if !ok {
+			return
+		}
+		var req FramesRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("scanner accepted %q, encoding/json says %v", body, err)
+		}
+		if rows < 1 || rows > MaxFramesPerPush || rows != len(req.Frames) || len(vals) != rows*d {
+			t.Fatalf("scanner: %d rows, %d values at d=%d; encoding/json: %d rows (%q)", rows, len(vals), d, len(req.Frames), body)
+		}
+		for i, fr := range req.Frames {
+			if len(fr) != d {
+				t.Fatalf("scanner accepted a row of %d channels at d=%d (%q)", len(fr), d, body)
+			}
+			for j, want := range fr {
+				got := vals[i*d+j]
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("frame %d channel %d: scanner %x, encoding/json %x (%q)", i, j, math.Float64bits(got), math.Float64bits(want), body)
+				}
+				if math.IsNaN(got) || math.IsInf(got, 0) {
+					t.Fatalf("scanner accepted non-finite %v (%q)", got, body)
+				}
+			}
+		}
+	})
+}
+
+// postFrames runs one frames POST in process and returns status and body.
+func postFrames(srv *Server, body io.Reader) (int, string) {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/frames", body))
+	return rec.Code, rec.Body.String()
+}
+
+// TestFramesHandlerCorpus pins, for every corpus body, the status code and
+// the exact response the handler gave before the scanner existed, and which
+// of the two decoders the body takes.
+func TestFramesHandlerCorpus(t *testing.T) {
+	bw := getBundle(t)
+	d := bw.b.Model.Config().InputDim
+	for _, e := range frameCorpus(d) {
+		t.Run(e.name, func(t *testing.T) {
+			if _, _, ok := scanFrames([]byte(e.body), d, nil); ok != e.fast {
+				t.Errorf("scanFrames ok = %v, want %v", ok, e.fast)
+			}
+			srv, _ := bareServer(t)
+			want := fmt.Sprintf("{\"error\":%q}\n", e.err)
+			if e.err == "" {
+				want = fmt.Sprintf("{\"buffered\":%d,\"next\":%d}\n", min(e.rows, srv.window), e.rows)
+			}
+			if code, got := postFrames(srv, strings.NewReader(e.body)); code != e.code || got != want {
+				t.Errorf("got %d %q, want %d %q", code, got, e.code, want)
+			}
+		})
+	}
+}
+
+// TestFramesBodyLimit pins the one documented tightening: a body longer
+// than MaxBodyBytes is 413 whether or not its first JSON value ends inside
+// the limit (the streaming decoder used to accept the latter), and a body
+// of exactly MaxBodyBytes still goes through.
+func TestFramesBodyLimit(t *testing.T) {
+	srv, bw := bareServer(t)
+	d := bw.b.Model.Config().InputDim
+	value := `{"frames":[` + corpusRow(d, "1") + `]}`
+	const tooLarge = "{\"error\":\"invalid JSON: http: request body too large\"}\n"
+	for _, tc := range []struct {
+		name string
+		body string
+		code int
+		want string
+	}{
+		{"padded-to-limit", value + strings.Repeat(" ", MaxBodyBytes-len(value)), 200, "{\"buffered\":1,\"next\":1}\n"},
+		{"value-ends-before-limit", value + strings.Repeat(" ", MaxBodyBytes-len(value)+1), 413, tooLarge},
+		{"value-crosses-limit", `{"frames":[[` + strings.Repeat(" ", MaxBodyBytes) + `1]]}`, 413, tooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if code, got := postFrames(srv, strings.NewReader(tc.body)); code != tc.code || got != tc.want {
+				t.Errorf("got %d %q, want %d %q", code, got, tc.code, tc.want)
+			}
+		})
+	}
+}
+
+// TestIngestPoolCap: a request whose buffers grew past maxPooledIngestBytes
+// must not park them in the pool.
+func TestIngestPoolCap(t *testing.T) {
+	srv, bw := bareServer(t)
+	d := bw.b.Model.Config().InputDim
+	big := `{"frames":[` + corpusRow(d, "1") + `]}` + strings.Repeat(" ", 2*maxPooledIngestBytes)
+	if code, got := postFrames(srv, strings.NewReader(big)); code != 200 {
+		t.Fatalf("big push: %d %s", code, got)
+	}
+	// A Put on this P is what the next Gets on this P see first, so an
+	// oversized buffer that went back would surface here.
+	for i := 0; i < 32; i++ {
+		if ib := getIngestBuf(); ib.body.Cap() > maxPooledIngestBytes || cap(ib.vals)*8 > maxPooledIngestBytes {
+			t.Fatalf("pool handed out a buffer of %d body bytes, %d values", ib.body.Cap(), cap(ib.vals))
+		}
+	}
+	ib := &ingestBuf{vals: make([]float64, 0, maxPooledIngestBytes/8+1)}
+	putIngestBuf(ib)
+	if got := getIngestBuf(); got == ib {
+		t.Fatal("oversized value buffer was pooled")
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing, so allocation
+// counts are the handler's own.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// framesCall returns a reusable in-process POST /v1/frames of n frames.
+func framesCall(t testing.TB, srv *Server, bw *Bundlewrap, n int) func() {
+	t.Helper()
+	frames := make([][]float64, n)
+	for i := range frames {
+		frames[i] = bw.ex.FrameVector(1000+i, nil)
+	}
+	body, err := json.Marshal(FramesRequest{Frames: frames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest("POST", "/v1/frames", nil)
+	req.ContentLength = int64(len(body))
+	rd := bytes.NewReader(body)
+	req.Body = io.NopCloser(rd)
+	w := &discardWriter{h: http.Header{}}
+	return func() {
+		rd.Reset(body)
+		srv.ServeHTTP(w, req)
+	}
+}
+
+// framesHandlerAllocCeiling bounds the allocations of one frames POST —
+// the request wrapper, the response header and the JSON encoder of the
+// acknowledgement — and is the same at every batch size: nothing on the
+// ingest path allocates per frame.
+const framesHandlerAllocCeiling = 6
+
+func TestFramesHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds buffers under the race detector")
+	}
+	srv, bw := bareServer(t)
+	for _, n := range []int{1, 250, MaxFramesPerPush} {
+		call := framesCall(t, srv, bw, n)
+		call() // grow the pooled buffers to this batch size
+		if got := testing.AllocsPerRun(50, call); got > framesHandlerAllocCeiling {
+			t.Errorf("%d frames: %.1f allocs per push, ceiling %d", n, got, framesHandlerAllocCeiling)
+		}
+	}
+}
+
+func BenchmarkFramesHandler(b *testing.B) {
+	srv, bw := bareServer(b)
+	for _, n := range []int{1, 250, MaxFramesPerPush} {
+		b.Run(fmt.Sprintf("frames=%d", n), func(b *testing.B) {
+			call := framesCall(b, srv, bw, n)
+			call()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				call()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/frame")
+		})
+	}
+}
+
+// TestRingMatchesSlidingWindow: for push sizes that straddle the window in
+// every way, the acknowledgement carries min(total, window) and total — the
+// semantics of the old slice-of-frames buffer — the ring holds exactly the
+// last `window` frames of everything pushed, oldest first, and a predict
+// decides on that window.
+func TestRingMatchesSlidingWindow(t *testing.T) {
+	srv, bw := bareServer(t)
+	win, d := srv.window, srv.inputDim
+	sizes := []int{1, win - 1, win, win + 1, MaxFramesPerPush}
+	rng := rand.New(rand.NewSource(7))
+	sess := srv.sessions[DefaultSession]
+	var all [][]float64 // only the tail matters; trimmed as it grows
+	total := 0
+	for step := 0; step < 60; step++ {
+		n := sizes[rng.Intn(len(sizes))]
+		frames := make([][]float64, n)
+		for i := range frames {
+			frames[i] = bw.ex.FrameVector((total+i)%bw.st.N, nil)
+		}
+		body, _ := json.Marshal(FramesRequest{Frames: frames})
+		total += n
+		all = append(all, frames...)
+		if len(all) > win {
+			all = all[len(all)-win:]
+		}
+		want := fmt.Sprintf("{\"buffered\":%d,\"next\":%d}\n", min(total, win), total)
+		if code, got := postFrames(srv, bytes.NewReader(body)); code != 200 || got != want {
+			t.Fatalf("step %d (push %d): got %d %q, want %q", step, n, code, got, want)
+		}
+		got := make([]float64, win*d)
+		sess.ring.copyTo(got)
+		got = got[:sess.ring.n*d]
+		var flat []float64
+		for _, f := range all {
+			flat = append(flat, f...)
+		}
+		if !reflect.DeepEqual(got, flat) {
+			t.Fatalf("step %d (push %d): ring holds %v, want %v", step, n, got, flat)
+		}
+		if total < win {
+			continue
+		}
+		// The same window pushed into a fresh server must decide the same,
+		// relative to its own anchor.
+		ref, _ := bareServer(t)
+		refBody, _ := json.Marshal(FramesRequest{Frames: all})
+		if code, msg := postFrames(ref, bytes.NewReader(refBody)); code != 200 {
+			t.Fatalf("reference push: %d %s", code, msg)
+		}
+		a, b := predictOnce(t, srv), predictOnce(t, ref)
+		if a.Anchor != total-1 {
+			t.Fatalf("step %d: anchor %d, want %d", step, a.Anchor, total-1)
+		}
+		if !reflect.DeepEqual(relative(a), relative(b)) {
+			t.Fatalf("step %d: decisions %+v differ from a fresh server's %+v on the same window", step, a, b)
+		}
+	}
+}
+
+func predictOnce(t testing.TB, srv *Server) PredictResponse {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/predict", nil))
+	var resp PredictResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != 200 || err != nil {
+		t.Fatalf("predict: %d %s (%v)", rec.Code, rec.Body, err)
+	}
+	return resp
+}
+
+// relative rebases a response's frame indices on its anchor.
+func relative(r PredictResponse) []Decision {
+	out := append([]Decision(nil), r.Decisions...)
+	for i := range out {
+		if out[i].Relay {
+			out[i].Start -= r.Anchor
+			out[i].End -= r.Anchor
+		}
+	}
+	return out
+}
+
+// TestConcurrentPushPredictSameSession hammers ONE session with pushes and
+// predicts from several goroutines. The ring is overwritten in place, so a
+// predict that read it after releasing mu would race with the next push —
+// the race detector's half of the test (run with -race -count=10). The
+// other half: every response must equal what a serial replay of the same
+// frame prefix answers at that anchor, i.e. each predict saw exactly frames
+// (anchor-window, anchor].
+func TestConcurrentPushPredictSameSession(t *testing.T) {
+	srv, bw := bareServer(t)
+	win := srv.window
+	const pushers, predictors, totalFrames = 3, 3, 600
+	frameAt := func(i int) []float64 { return bw.ex.FrameVector(500+i, nil) }
+
+	// Pushers take turns under order so "the frame prefix" is well defined;
+	// predicts run against them unsynchronized.
+	var order sync.Mutex
+	next := 0
+	var wg sync.WaitGroup
+	for p := 0; p < pushers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(p)))
+			for {
+				order.Lock()
+				if next >= totalFrames {
+					order.Unlock()
+					return
+				}
+				n := min(1+rng.Intn(win+3), totalFrames-next)
+				frames := make([][]float64, n)
+				for i := range frames {
+					frames[i] = frameAt(next + i)
+				}
+				next += n
+				body, _ := json.Marshal(FramesRequest{Frames: frames})
+				code, msg := postFrames(srv, bytes.NewReader(body))
+				order.Unlock()
+				if code != 200 {
+					t.Errorf("push: %d %s", code, msg)
+					return
+				}
+			}
+		}(p)
+	}
+	done := make(chan struct{})
+	var mu sync.Mutex
+	seen := map[int]PredictResponse{}
+	var pwg sync.WaitGroup
+	for p := 0; p < predictors; p++ {
+		pwg.Add(1)
+		go func() {
+			defer pwg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/predict", nil))
+				if rec.Code == http.StatusConflict {
+					continue // window not full yet
+				}
+				var resp PredictResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != 200 || err != nil {
+					t.Errorf("predict: %d %s (%v)", rec.Code, rec.Body, err)
+					return
+				}
+				mu.Lock()
+				if prev, ok := seen[resp.Anchor]; ok && !reflect.DeepEqual(prev, resp) {
+					t.Errorf("two predicts at anchor %d disagree: %+v vs %+v", resp.Anchor, prev, resp)
+				}
+				seen[resp.Anchor] = resp
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	pwg.Wait()
+	seen[totalFrames-1] = predictOnce(t, srv)
+
+	anchors := make([]int, 0, len(seen))
+	for a := range seen {
+		anchors = append(anchors, a)
+	}
+	sort.Ints(anchors)
+	ref, _ := bareServer(t)
+	pushed := 0
+	for _, a := range anchors {
+		for ; pushed <= a; pushed++ {
+			body, _ := json.Marshal(FramesRequest{Frames: [][]float64{frameAt(pushed)}})
+			if code, msg := postFrames(ref, bytes.NewReader(body)); code != 200 {
+				t.Fatalf("replay push: %d %s", code, msg)
+			}
+		}
+		if want := predictOnce(t, ref); !reflect.DeepEqual(seen[a], want) {
+			t.Errorf("anchor %d: concurrent predict answered %+v, serial replay %+v", a, seen[a], want)
+		}
+	}
+}
+
+// TestClientEncodingRoundTrip: what Client.PushFrames puts on the wire is
+// taken by the scanner (never the fallback) and comes back bit for bit.
+func TestClientEncodingRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const d = 5
+	frames := [][]float64{
+		{0, math.Copysign(0, -1), 1, -1, 0.1},
+		{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 1e21, 1e-7},
+		{1e20, 123456789012345680, 0.30000000000000004, 1.0 / 3, 2.2250738585072014e-308},
+	}
+	for len(frames) < 200 {
+		row := make([]float64, d)
+		for j := range row {
+			for {
+				row[j] = math.Float64frombits(rng.Uint64())
+				if !math.IsNaN(row[j]) && !math.IsInf(row[j], 0) {
+					break
+				}
+			}
+		}
+		frames = append(frames, row)
+	}
+	body, err := encodeFrames(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, _ := io.ReadAll(body)
+	body.Close()
+	vals, rows, ok := scanFrames(wire, d, nil)
+	if !ok || rows != len(frames) {
+		t.Fatalf("scanner declined the client's own encoding (ok=%v rows=%d): %.120s", ok, rows, wire)
+	}
+	for i, f := range frames {
+		for j, want := range f {
+			if got := vals[i*d+j]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("frame %d channel %d: sent %x, scanned %x", i, j, math.Float64bits(want), math.Float64bits(got))
+			}
+		}
+	}
+	// encoding/json reads the same bytes the same way: old servers and the
+	// fallback see what the scanner sees.
+	var req FramesRequest
+	if err := json.Unmarshal(wire, &req); err != nil || !reflect.DeepEqual(req.Frames, frames) {
+		t.Errorf("encoding/json disagrees with the client encoding: %v", err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := encodeFrames([][]float64{{1, bad}}); err == nil || !strings.Contains(err.Error(), "frame 0 channel 1 is not finite") {
+			t.Errorf("encodeFrames(%v) = %v, want a not-finite error", bad, err)
+		}
+	}
+}
+
+// TestClientPushReachesRing drives the client encoder through real HTTP
+// into the session ring.
+func TestClientPushReachesRing(t *testing.T) {
+	srv, bw := bareServer(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := NewClient(ts.URL, ts.Client())
+	frames := relayWindow(bw)
+	frames[0][0] = math.Copysign(0, -1)
+	for i := 0; i < 3; i++ { // the pooled body buffer is reused across calls
+		ack, err := c.PushFrames(tctx, frames)
+		if err != nil || ack.Buffered != srv.window || ack.Next != (i+1)*len(frames) {
+			t.Fatalf("push %d: %+v, %v", i, ack, err)
+		}
+	}
+	got := make([]float64, srv.window*srv.inputDim)
+	srv.sessions[DefaultSession].ring.copyTo(got)
+	for i, f := range frames {
+		for j, want := range f {
+			if g := got[i*srv.inputDim+j]; math.Float64bits(g) != math.Float64bits(want) {
+				t.Errorf("frame %d channel %d: pushed %x, ring holds %x", i, j, math.Float64bits(want), math.Float64bits(g))
+			}
+		}
+	}
+	if _, err := c.PushFrames(tctx, [][]float64{{math.NaN()}}); err == nil {
+		t.Error("NaN frame was sent")
+	}
+	if _, err := c.PushFramesSession(tctx, "nope", frames); err == nil || !strings.Contains(err.Error(), "unknown session") {
+		t.Errorf("push to unknown session: %v", err)
+	}
+}
+
+// TestRequestCounterSeries: the per-endpoint code="200" series is cached by
+// instrument, other codes are resolved per request, and neither changes
+// what /metrics prints — no sample exists before its first request.
+func TestRequestCounterSeries(t *testing.T) {
+	srv, bw := bareServer(t)
+	scrape := func() string {
+		var b strings.Builder
+		if err := srv.metrics.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if body := scrape(); strings.Contains(body, "eventhit_http_requests_total{") {
+		t.Fatalf("request counter sample before any request:\n%s", body)
+	}
+	predictOnce := func() { srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/predict", nil)) }
+	predictOnce() // 409: window not full
+	body, _ := json.Marshal(FramesRequest{Frames: relayWindow(bw)})
+	for i := 0; i < 3; i++ {
+		if code, msg := postFrames(srv, bytes.NewReader(body)); code != 200 {
+			t.Fatalf("push: %d %s", code, msg)
+		}
+	}
+	predictOnce()
+	predictOnce()
+	got := scrape()
+	for _, want := range []string{
+		`eventhit_http_requests_total{code="200",endpoint="/v1/frames"} 3`,
+		`eventhit_http_requests_total{code="200",endpoint="/v1/predict"} 2`,
+		`eventhit_http_requests_total{code="409",endpoint="/v1/predict"} 1`,
+	} {
+		if !strings.Contains(got, want+"\n") {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	if n := strings.Count(got, "eventhit_http_requests_total{"); n != 3 {
+		t.Errorf("%d request counter samples, want 3:\n%s", n, got)
+	}
+}

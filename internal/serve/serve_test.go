@@ -67,7 +67,9 @@ func getBundle(t testing.TB) *Bundlewrap {
 	return fx
 }
 
-func newTestServer(t *testing.T) (*httptest.Server, *Client, *Bundlewrap) {
+// bareServer is an in-process server over the shared bundle with no relay,
+// fleet or adaptation configured.
+func bareServer(t testing.TB) (*Server, *Bundlewrap) {
 	t.Helper()
 	bw := getBundle(t)
 	srv, err := New(Config{
@@ -80,6 +82,12 @@ func newTestServer(t *testing.T) (*httptest.Server, *Client, *Bundlewrap) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return srv, bw
+}
+
+func newTestServer(t *testing.T) (*httptest.Server, *Client, *Bundlewrap) {
+	t.Helper()
+	srv, bw := bareServer(t)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts, NewClient(ts.URL, ts.Client()), bw

@@ -32,7 +32,9 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -157,8 +159,8 @@ type session struct {
 	// is adopted by the others (locally and, through SwapPublisher, across
 	// the cluster).
 	scene     string
-	buf       [][]float64 // ring of the last `window` frames
-	next      int         // absolute index of the next frame to arrive
+	ring      frameRing // the last `window` frames
+	next      int       // absolute index of the next frame to arrive
 	relays    int64
 	frames    int64
 	predicts  int64
@@ -263,6 +265,11 @@ type Server struct {
 	// cannot perturb any seeded output.
 	metrics *obs.Registry
 
+	// scratch pools *predictScratch: the window a predict copies out of its
+	// session's ring under mu, so the request never reads ring memory a
+	// concurrent push is overwriting.
+	scratch sync.Pool
+
 	mux *http.ServeMux
 }
 
@@ -300,6 +307,7 @@ func New(cfg Config) (*Server, error) {
 		metrics:  obs.NewRegistry(),
 		mux:      http.NewServeMux(),
 	}
+	s.scratch.New = func() interface{} { return newPredictScratch(s.window, s.inputDim, s.k) }
 	s.eventSet = cfg.CIEvents
 	if s.eventSet == nil {
 		s.eventSet = make([]int, mc.NumEvents)
@@ -444,7 +452,7 @@ func (s *Server) registerServeMetrics() {
 // the globally installed unit and, when adaptation is on, gets its own
 // monitor and recalibration buffer.
 func (s *Server) newSessionLocked(id, scene string) (*session, error) {
-	sess := &session{id: id, scene: scene}
+	sess := &session{id: id, scene: scene, ring: newFrameRing(s.window, s.inputDim)}
 	sess.unit.Store(s.unit.Load())
 	if s.cfg.Adapt != nil {
 		ad, err := newAdapter(*s.cfg.Adapt, s.cfg.DefaultCoverage, s.k)
@@ -476,13 +484,29 @@ func (w *statusWriter) WriteHeader(code int) {
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	dur := s.metrics.Histogram("eventhit_http_request_duration_seconds",
 		"wall-clock request latency", obs.SecondsBuckets(), obs.Labels{"endpoint": endpoint})
+	requests := func(code int) *obs.Counter {
+		return s.metrics.Counter("eventhit_http_requests_total", "requests served",
+			obs.Labels{"endpoint": endpoint, "code": strconv.Itoa(code)})
+	}
+	// The code="200" series is resolved once per endpoint — on its first 200,
+	// not here, so an endpoint nobody has called exposes no zero sample — and
+	// every other code goes through the registry's get-or-create.
+	var ok atomic.Pointer[obs.Counter]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
 		dur.Observe(time.Since(start).Seconds())
-		s.metrics.Counter("eventhit_http_requests_total", "requests served",
-			obs.Labels{"endpoint": endpoint, "code": strconv.Itoa(sw.code)}).Inc()
+		if sw.code != http.StatusOK {
+			requests(sw.code).Inc()
+			return
+		}
+		c := ok.Load()
+		if c == nil {
+			c = requests(http.StatusOK)
+			ok.Store(c)
+		}
+		c.Inc()
 	}
 }
 
@@ -712,22 +736,23 @@ type FramesResponse struct {
 }
 
 func (s *Server) handleFrames(sess *session, w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	var req FramesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	ib := getIngestBuf()
+	defer putIngestBuf(ib)
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	if n := r.ContentLength; n > 0 {
+		// ReadFrom wants MinRead spare bytes to see EOF; ask for them up
+		// front so a body of known length costs one growth, not a doubling
+		// series. Capped: a declared length commits no more memory than the
+		// pool would keep anyway before the bytes actually arrive.
+		ib.body.Grow(int(min(n, maxPooledIngestBytes)) + bytes.MinRead)
+	}
+	if _, err := ib.body.ReadFrom(body); err != nil {
 		code := http.StatusBadRequest
-		if _, ok := err.(*http.MaxBytesError); ok {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
 			code = http.StatusRequestEntityTooLarge
 		}
 		httpError(w, code, "invalid JSON: %v", err)
-		return
-	}
-	if len(req.Frames) == 0 {
-		httpError(w, http.StatusBadRequest, "no frames")
-		return
-	}
-	if len(req.Frames) > MaxFramesPerPush {
-		httpError(w, http.StatusRequestEntityTooLarge, "batch of %d frames exceeds limit %d", len(req.Frames), MaxFramesPerPush)
 		return
 	}
 	// Resolve through the session's atomic unit, not Config.Bundle: the
@@ -735,31 +760,57 @@ func (s *Server) handleFrames(sess *session, w http.ResponseWriter, r *http.Requ
 	// freezes InputDim server-wide, so this is belt and braces — but it
 	// keeps the request path honest about where the model lives.)
 	d := s.resolveUnit(sess).inputDim
+	var rows int
+	var canonical bool
+	ib.vals, rows, canonical = scanFrames(ib.body.Bytes(), d, ib.vals)
+	if !canonical {
+		if rows, canonical = decodeFramesJSON(w, ib, d); !canonical {
+			return
+		}
+	}
+	s.mu.Lock()
+	sess.ring.push(ib.vals)
+	sess.next += rows
+	resp := FramesResponse{Buffered: sess.ring.n, Next: sess.next}
+	s.mu.Unlock()
+	writeJSON(w, resp)
+}
+
+// decodeFramesJSON is the fallback for a body scanFrames declined:
+// encoding/json decides what the body means, and the checks below what is
+// wrong with it — every lenient behaviour and every error string of the
+// frames endpoint lives here. The Decoder reads the first JSON value only,
+// as this endpoint always has. On success the frames are in ib.vals,
+// row-major; otherwise the error response has been written.
+func decodeFramesJSON(w http.ResponseWriter, ib *ingestBuf, d int) (rows int, ok bool) {
+	var req FramesRequest
+	if err := json.NewDecoder(&ib.body).Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+		return 0, false
+	}
+	if len(req.Frames) == 0 {
+		httpError(w, http.StatusBadRequest, "no frames")
+		return 0, false
+	}
+	if len(req.Frames) > MaxFramesPerPush {
+		httpError(w, http.StatusRequestEntityTooLarge, "batch of %d frames exceeds limit %d", len(req.Frames), MaxFramesPerPush)
+		return 0, false
+	}
+	ib.vals = ib.vals[:0]
 	for i, f := range req.Frames {
 		if len(f) != d {
 			httpError(w, http.StatusBadRequest, "frame %d has %d channels, model expects %d", i, len(f), d)
-			return
+			return 0, false
 		}
 		for j, v := range f {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				httpError(w, http.StatusBadRequest, "frame %d channel %d is not finite", i, j)
-				return
+				return 0, false
 			}
 		}
+		ib.vals = append(ib.vals, f...)
 	}
-	s.mu.Lock()
-	for _, f := range req.Frames {
-		fc := make([]float64, d)
-		copy(fc, f)
-		sess.buf = append(sess.buf, fc)
-		if len(sess.buf) > s.window {
-			sess.buf = sess.buf[1:]
-		}
-		sess.next++
-	}
-	resp := FramesResponse{Buffered: len(sess.buf), Next: sess.next}
-	s.mu.Unlock()
-	writeJSON(w, resp)
+	return len(req.Frames), true
 }
 
 // Decision is one event's marshalling verdict.
@@ -849,22 +900,25 @@ func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Reque
 		cov = f
 	}
 	s.mu.Lock()
-	if len(sess.buf) < s.window {
-		n := len(sess.buf)
+	if n := sess.ring.n; n < s.window {
 		s.mu.Unlock()
 		httpError(w, http.StatusConflict, "window not full: %d of %d frames buffered", n, s.window)
 		return nil, nil
 	}
-	x := make([][]float64, s.window)
-	copy(x, sess.buf)
+	// The ring is written in place, so the window must be copied out before
+	// mu is released; everything below reads the private copy.
+	sc := s.scratch.Get().(*predictScratch)
+	defer s.scratch.Put(sc)
+	sess.ring.copyTo(sc.flat)
 	anchor := sess.next - 1
 	s.mu.Unlock()
+	x := sc.x
 
 	// Resolve the serving unit exactly once: everything below — inference,
 	// relay labeling, recalibration — sees one consistent model+calibration
 	// pair even if a swap lands mid-request.
 	u := s.resolveUnit(sess)
-	rec := dataset.Record{X: x, Label: make([]bool, s.k)}
+	rec := dataset.Record{X: x, Label: sc.label}
 	var pred metrics.Prediction
 	var scores []float64
 	s.predictMu.Lock()
@@ -890,8 +944,9 @@ func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Reque
 	skipped := int64(0)
 	// Ground truth recovered for this horizon, per event: relayed horizons
 	// are labeled by the CI verdict itself; skipped ones by audit relays.
-	labelKnown := make([]bool, s.k)
-	labelTrue := make([]bool, s.k)
+	labelKnown, labelTrue := sc.labelKnown, sc.labelTrue
+	clear(labelKnown)
+	clear(labelTrue)
 	for k := 0; k < s.k; k++ {
 		d := Decision{Event: s.cfg.EventNames[k]}
 		if pred.Occur[k] {

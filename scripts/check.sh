@@ -10,11 +10,15 @@
 #   swap       the hot-swap/adaptation gates under -race: predicts hammer
 #              the server while bundles swap, plus the induced-shift
 #              coverage-restoration scenario run twice for byte determinism
-#   fuzz seeds the checked-in fuzz corpora (testdata/fuzz/) executed as
-#              ordinary tests, no fuzzing engine; use
-#              `go test ./internal/serve/ -fuzz FuzzFrames` or
+#   fuzz seeds the checked-in fuzz corpora (testdata/fuzz/, and the
+#              frames corpus FuzzParseFrames shares with the handler table
+#              test) executed as ordinary tests, no fuzzing engine; use
+#              `go test ./internal/serve/ -fuzz FuzzFrames`,
+#              `go test ./internal/serve/ -fuzz FuzzParseFrames` or
 #              `go test ./internal/scenario/ -fuzz FuzzScenarioParse` to
 #              explore
+#   ingest     the frame ingest path: concurrent push+predict on one session
+#              under -race ten times over (the ring is written in place)
 #   fleet      the scheduler's concurrent-admission + starvation tests under
 #              -race, then regenerate BENCH_fleet.json at two parallelism
 #              levels and require all three byte-identical: the committed
@@ -42,7 +46,12 @@
 #              acceptance tests, the deterministic parity block regenerated
 #              twice and byte-compared, and a benchstat-style perf gate that
 #              times the float vs combined fast hot path and fails if the
-#              speedup drops below a machine-independent 1.5x floor
+#              speedup drops below a machine-independent 1.5x floor, plus
+#              the frames-handler allocation ceiling (same constant at 1,
+#              250 and 4096 frames)
+#   bench      one short run of the repository benchmark (go run ./bench);
+#              a non-zero exit — a workload that failed or did not finish —
+#              fails the gate
 #   cascade    the early-inference ladder under -race, the
 #              BENCH_cascade.json schema + acceptance tests (selected point:
 #              |REC delta| <= 0.02 at >= 30% compute cut, exit rates summing
@@ -78,8 +87,11 @@ echo "== hot swap + online adaptation (race swap-under-load, coverage restoratio
 go test -race ./internal/serve/ -run 'TestSwapUnderConcurrentPredictLoad|TestAdaptationRestoresCoverage|TestAdaptationDeterministic' -count=1
 
 echo "== fuzz seed corpus (run mode) =="
-go test ./internal/serve/ -run 'Fuzz' -count=1
+go test ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus' -count=1
 go test ./internal/scenario/ -run 'Fuzz|TestFuzzSeedCorpus' -count=1
+
+echo "== frame ingest: push+predict on one session (race, x10) =="
+go test -race ./internal/serve/ -run 'TestConcurrentPushPredictSameSession' -count=10
 
 echo "== fleet scheduler (race + golden schema) =="
 go test -race ./internal/fleet/ -count=1
@@ -148,5 +160,16 @@ awk '
         printf "perf gate: float %.0f ns/op vs fast %.0f ns/op -> %.2fx (floor 1.5x)\n", f, q, r
         if (r < 1.5) { print "perf gate: predict fast path below 1.5x over float" > "/dev/stderr"; exit 1 }
     }' "$tmpdir/bench_speed.txt"
+
+echo "== frames handler allocation ceiling (1, 250, 4096 frames) =="
+go test ./internal/serve/ -run 'TestFramesHandlerAllocs' -count=1
+
+echo "== repository benchmark completes (go run ./bench, 3 s per workload) =="
+go run ./bench -seed 1 -seconds 3 >"$tmpdir/bench.txt" 2>&1 || {
+    tail -n 20 "$tmpdir/bench.txt" >&2
+    echo "bench: go run ./bench exited non-zero" >&2
+    exit 1
+}
+tail -n 1 "$tmpdir/bench.txt"
 
 echo "OK"
