@@ -260,8 +260,9 @@ func (s Stats) ComputeFrac() float64 {
 }
 
 // Cascade is a trained, calibrated ladder. It implements
-// strategy.Strategy ("EH-CASC"). Like core.Model, a Cascade is NOT safe
-// for concurrent prediction (rungs reuse forward scratch); its stats
+// strategy.Strategy ("EH-CASC"). A Cascade is NOT safe for concurrent
+// prediction (rungs predict through Model.Predict, whose scratch the model
+// owns); its stats
 // snapshot is independently synchronized so metric scrapes may race with
 // a serving goroutine.
 type Cascade struct {

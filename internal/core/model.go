@@ -107,10 +107,12 @@ type head struct {
 
 // Model is a trained or trainable EventHit network.
 //
-// A Model is NOT safe for concurrent use: layers cache forward activations
-// for backprop, and Predict reuses those caches. Guard concurrent callers
-// with a mutex (internal/serve does) or give each goroutine its own Model
-// (Save/Load make copies cheap).
+// Inference through Exist and Theta only reads the weights and writes the
+// caller's Scratch, so any number of goroutines may share one Model as
+// long as each brings its own Scratch and nothing trains or loads weights
+// meanwhile. Predict, PredictInto and Logits run on a scratch the Model
+// owns, and training caches activations in the layers: those are for one
+// goroutine at a time.
 type Model struct {
 	cfg      Config
 	lstm     *nn.LSTM   // nil unless the encoder is "lstm"
@@ -123,9 +125,13 @@ type Model struct {
 	heads    []*head
 	params   []*nn.Param
 
-	// scratch reused across forward passes
+	// scratch reused across training forward passes
 	zcat    []float64
 	headOut [][]float64
+
+	// sc and logits back Predict, PredictInto and Logits.
+	sc     Scratch
+	logits [][]float64
 }
 
 // New constructs an EventHit model from cfg with freshly initialized
@@ -268,6 +274,129 @@ func (m *Model) encodeForward(x [][]float64) []float64 {
 	return m.meanProj.Forward(mean)
 }
 
+// Scratch is the memory one inference writes: every activation between the
+// covariate window and the head logits. The zero value is ready; it sizes
+// itself to the model it is used with and regrows when a later model is
+// wider (a hot swap may change the hidden widths). One Scratch serves one
+// inference at a time.
+type Scratch struct {
+	buf []float64
+	// owner is the model of the last Exist: Theta reads the activations
+	// that pass left behind, so it must follow on the same pair.
+	owner *Model
+}
+
+// encLen is how many scratch floats the shared encoder needs.
+func (m *Model) encLen() int {
+	switch {
+	case m.lstm != nil:
+		return m.lstm.InferLen()
+	case m.gru != nil:
+		return m.gru.InferLen()
+	case m.conv != nil:
+		return m.cfg.HiddenLSTM
+	}
+	return m.cfg.InputDim + m.cfg.HiddenLSTM
+}
+
+// carve sizes sc for m and returns its three regions: encoder state,
+// [z ; X_n] and the K post-ReLU head hidden vectors.
+func (m *Model) carve(sc *Scratch) (enc, zcat, hid []float64) {
+	ne := m.encLen()
+	nz := ne + m.cfg.HiddenTrunk + m.cfg.InputDim
+	n := nz + m.cfg.NumEvents*m.cfg.HiddenHead
+	if len(sc.buf) < n {
+		sc.buf = make([]float64, n)
+	}
+	return sc.buf[:ne], sc.buf[ne:nz], sc.buf[nz:n]
+}
+
+// relu clamps x to max(0, x) in place, with nn.ReLU's comparison.
+func relu(x []float64) {
+	for i, v := range x {
+		if !(v > 0) {
+			x[i] = 0
+		}
+	}
+}
+
+// hidden runs the shared sub-network and every head's hidden layer with
+// dropout off — rawForward's arithmetic up to the last layer, reading the
+// weights and writing only sc.
+func (m *Model) hidden(x [][]float64, sc *Scratch) {
+	if len(x) != m.cfg.Window {
+		panic(fmt.Sprintf("core: covariates have %d rows, model window is %d", len(x), m.cfg.Window))
+	}
+	enc, zcat, hid := m.carve(sc)
+	sc.owner = m
+	var h []float64
+	switch {
+	case m.lstm != nil:
+		h = m.lstm.Infer(x, enc)
+	case m.gru != nil:
+		h = m.gru.Infer(x, enc)
+	case m.conv != nil:
+		h = enc
+		m.conv.Infer(x, h)
+	default:
+		mean := enc[:m.cfg.InputDim]
+		mathx.Fill(mean, 0)
+		for _, row := range x {
+			mathx.Axpy(1, row, mean)
+		}
+		mathx.Scale(1/float64(len(x)), mean)
+		h = enc[m.cfg.InputDim:]
+		m.meanProj.ApplyRows(h, mean, 0)
+	}
+	z := zcat[:m.cfg.HiddenTrunk]
+	m.trunk.ApplyRows(z, h, 0)
+	relu(z)
+	copy(zcat[m.cfg.HiddenTrunk:], x[len(x)-1])
+	hh := m.cfg.HiddenHead
+	for k, hd := range m.heads {
+		a := hid[k*hh : (k+1)*hh]
+		hd.fc1.ApplyRows(a, zcat, 0)
+		relu(a)
+	}
+}
+
+// headLogits computes rows [lo, lo+len(dst)) of head k's output layer from
+// the hidden vector the last hidden pass left in sc.
+func (m *Model) headLogits(k int, sc *Scratch, lo int, dst []float64) {
+	if sc.owner != m {
+		panic("core: Scratch was last used with another model")
+	}
+	_, _, hid := m.carve(sc)
+	hh := m.cfg.HiddenHead
+	m.heads[k].fc2.ApplyRows(dst, hid[k*hh:(k+1)*hh], lo)
+}
+
+// Exist is the first phase of inference: it runs the network up to every
+// head's hidden layer and writes the K existence probabilities b_k into b.
+// frame is ignored (the float encoder keeps no per-stream state; the
+// parameter matches QuantModel.Exist). What the decision does not read is
+// not computed: Θ_k, 1+H output rows and H sigmoids per head, waits for
+// Theta.
+func (m *Model) Exist(x [][]float64, frame int, sc *Scratch, b []float64) {
+	m.hidden(x, sc)
+	for k := range m.heads {
+		var l [1]float64
+		m.headLogits(k, sc, 0, l[:])
+		b[k] = mathx.Sigmoid(l[0])
+	}
+}
+
+// Theta is the second phase: the H per-frame occurrence probabilities of
+// head k, from the activations the last Exist left in sc. Each value is
+// bit-identical to what a full forward pass computes, whichever heads are
+// asked for and in whatever order.
+func (m *Model) Theta(k int, sc *Scratch, theta []float64) {
+	m.headLogits(k, sc, 1, theta)
+	for v, l := range theta {
+		theta[v] = mathx.Sigmoid(l)
+	}
+}
+
 // Predict runs inference (dropout disabled) on one covariate window and
 // returns probabilities. The Output owns its slices; it survives any later
 // Predict.
@@ -282,25 +411,29 @@ func (m *Model) Predict(x [][]float64) Output {
 // allocates nothing per call. The buffers are overwritten by the next
 // PredictInto with the same out.
 func (m *Model) PredictInto(x [][]float64, out *Output) {
-	m.drop.SetTraining(false)
-	logits := m.rawForward(x)
-	growOutput(out, len(logits), m.cfg.Horizon)
-	for k, lk := range logits {
-		out.B[k] = mathx.Sigmoid(lk[0])
-		th := out.Theta[k]
-		for v := 0; v < m.cfg.Horizon; v++ {
-			th[v] = mathx.Sigmoid(lk[1+v])
-		}
+	growOutput(out, len(m.heads), m.cfg.Horizon)
+	m.Exist(x, 0, &m.sc, out.B)
+	for k := range m.heads {
+		m.Theta(k, &m.sc, out.Theta[k])
 	}
 }
 
 // Logits runs inference and returns the raw per-head logit vectors
 // (length 1+H) before the sigmoid — the quantization parity tests compare
-// these directly. The slices are the layers' scratch: valid until the next
-// forward pass through m.
+// these directly. The slices are the model's scratch: valid until the next
+// Logits through m.
 func (m *Model) Logits(x [][]float64) [][]float64 {
-	m.drop.SetTraining(false)
-	return m.rawForward(x)
+	if m.logits == nil {
+		m.logits = make([][]float64, len(m.heads))
+		for k := range m.logits {
+			m.logits[k] = make([]float64, 1+m.cfg.Horizon)
+		}
+	}
+	m.hidden(x, &m.sc)
+	for k, lk := range m.logits {
+		m.headLogits(k, &m.sc, 0, lk)
+	}
+	return m.logits
 }
 
 // growOutput sizes out for k events over horizon h, reusing capacity.

@@ -15,8 +15,10 @@ import (
 // Accuracy contract: per-logit probability error against the float model
 // is bounded by QuantProbTol — pinned here and enforced on trained models
 // by the core tests and the harness parity sweep (BENCH_speed.json records
-// the measured value). Like Model, a QuantModel is NOT safe for concurrent
-// use (scratch buffers are reused across calls).
+// the measured value). Unlike Model, a QuantModel is single-stream state:
+// its activations and the encoder's frame-keyed projection ring live in the
+// twin itself, so one goroutine at a time may use it (internal/serve keeps
+// a mutex next to the twin it serves).
 type QuantModel struct {
 	cfg   Config
 	lstm  *nn.QuantLSTM
@@ -27,6 +29,7 @@ type QuantModel struct {
 
 type quantHead struct {
 	fc1, fc2 *nn.QuantDense
+	a        []int32 // post-ReLU hidden vector of the last hidden pass (fc1's scratch)
 }
 
 // QuantProbTol is the pinned per-logit probability error bound of the
@@ -72,11 +75,11 @@ func Quantize(m *Model) (*QuantModel, error) {
 // Config returns the source model's configuration.
 func (q *QuantModel) Config() Config { return q.cfg }
 
-// forward runs the fixed-point network and leaves each head's Q12 logits
-// in its fc2 scratch; fn receives them per head. frames true marks x as a
-// window of consecutive stream frames ending at frame `end`, which lets
-// the encoder reuse cached input projections of overlapping windows.
-func (q *QuantModel) forward(x [][]float64, end int, frames bool, fn func(k int, logits []int32)) {
+// hidden runs the fixed-point network up to every head's post-ReLU hidden
+// vector. frames true marks x as a window of consecutive stream frames
+// ending at frame `end`, which lets the encoder reuse cached input
+// projections of overlapping windows.
+func (q *QuantModel) hidden(x [][]float64, end int, frames bool) {
 	if len(x) != q.cfg.Window {
 		panic(fmt.Sprintf("core: covariates have %d rows, model window is %d", len(x), q.cfg.Window))
 	}
@@ -99,13 +102,38 @@ func (q *QuantModel) forward(x [][]float64, end int, frames bool, fn func(k int,
 	}
 	for k := range q.heads {
 		hd := &q.heads[k]
-		a := hd.fc1.ForwardQ(q.zcat)
-		for i, v := range a {
+		hd.a = hd.fc1.ForwardQ(q.zcat)
+		for i, v := range hd.a {
 			if v < 0 {
-				a[i] = 0 // head ReLU
+				hd.a[i] = 0 // head ReLU
 			}
 		}
-		fn(k, hd.fc2.ForwardQ(a))
+	}
+}
+
+// exist writes b_k from output row 0 of every head.
+func (q *QuantModel) exist(b []float64) {
+	for k := range q.heads {
+		hd := &q.heads[k]
+		b[k] = nn.DequantGate(nn.SigmoidQ(hd.fc2.ForwardQRows(hd.a, 0, 1)[0]))
+	}
+}
+
+// Exist mirrors Model.Exist on the fixed-point path for a window of
+// consecutive stream frames ending at `frame` (see PredictFrameInto). sc is
+// not used: the twin's activations live in the QuantModel, which is why it
+// serves one stream at a time.
+func (q *QuantModel) Exist(x [][]float64, frame int, sc *Scratch, b []float64) {
+	q.hidden(x, frame, true)
+	q.exist(b)
+}
+
+// Theta mirrors Model.Theta: head k's H per-frame probabilities from the
+// hidden vector the last Exist or Predict left in the twin.
+func (q *QuantModel) Theta(k int, sc *Scratch, theta []float64) {
+	hd := &q.heads[k]
+	for v, l := range hd.fc2.ForwardQRows(hd.a, 1, 1+q.cfg.Horizon) {
+		theta[v] = nn.DequantGate(nn.SigmoidQ(l))
 	}
 }
 
@@ -135,13 +163,11 @@ func (q *QuantModel) PredictFrameInto(x [][]float64, end int, out *Output) {
 
 func (q *QuantModel) predictInto(x [][]float64, end int, frames bool, out *Output) {
 	growOutput(out, len(q.heads), q.cfg.Horizon)
-	q.forward(x, end, frames, func(k int, logits []int32) {
-		out.B[k] = nn.DequantGate(nn.SigmoidQ(logits[0]))
-		th := out.Theta[k]
-		for v := 0; v < q.cfg.Horizon; v++ {
-			th[v] = nn.DequantGate(nn.SigmoidQ(logits[1+v]))
-		}
-	})
+	q.hidden(x, end, frames)
+	q.exist(out.B)
+	for k := range q.heads {
+		q.Theta(k, nil, out.Theta[k])
+	}
 }
 
 // Logits returns the dequantized per-head logit vectors (length 1+H), the
@@ -149,12 +175,15 @@ func (q *QuantModel) predictInto(x [][]float64, end int, frames bool, out *Outpu
 // returned slices are freshly allocated.
 func (q *QuantModel) Logits(x [][]float64) [][]float64 {
 	out := make([][]float64, len(q.heads))
-	q.forward(x, 0, false, func(k int, logits []int32) {
+	q.hidden(x, 0, false)
+	for k := range q.heads {
+		hd := &q.heads[k]
+		logits := hd.fc2.ForwardQ(hd.a)
 		lk := make([]float64, len(logits))
 		for i, v := range logits {
 			lk[i] = nn.DequantAct(v)
 		}
 		out[k] = lk
-	})
+	}
 	return out
 }

@@ -141,8 +141,8 @@ func NewCascade(env *Env, cfg cascade.Config) (*cascade.Cascade, error) {
 
 // CascadeSweep trains the task once, then evaluates every ladder shape
 // over the decisiveness grid. Ladders are independent pool cells (each
-// cell clones the bundle — core.Model forward caches are not
-// concurrency-safe — and trains its own lowered rungs), so the result is
+// cell clones the bundle — training and Model.Predict write state the
+// model owns — and trains its own lowered rungs), so the result is
 // byte-identical at any harness parallelism. Nil ladder/grid arguments
 // take the package defaults. It fails rather than publishes when no
 // point meets both pinned selection bars.

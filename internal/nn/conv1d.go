@@ -58,6 +58,19 @@ func (c *Conv1D) at(t, d int) float64 {
 // out-width vector. The returned slice is reused by the next Forward; copy
 // it if it must survive that call.
 func (c *Conv1D) Forward(xs [][]float64) []float64 {
+	if c.y == nil { // models loaded from gob predate the scratch field
+		c.y = make([]float64, c.out)
+	}
+	c.Infer(xs, c.y)
+	c.xs = xs
+	c.padded = len(xs)
+	return c.y
+}
+
+// Infer is Forward for inference: it reads the kernels and writes only y
+// (len Out), caching nothing for a Backward, so concurrent callers with
+// their own y may share one layer.
+func (c *Conv1D) Infer(xs [][]float64, y []float64) {
 	if len(xs) == 0 {
 		panic("nn: Conv1D forward on empty sequence")
 	}
@@ -66,14 +79,7 @@ func (c *Conv1D) Forward(xs [][]float64) []float64 {
 			panic(fmt.Sprintf("nn: Conv1D %s input width %d, want %d", c.w.Name, len(x), c.in))
 		}
 	}
-	c.xs = xs
-	c.padded = len(xs)
 	half := c.kernel / 2
-	y := c.y
-	if y == nil { // models loaded from gob predate the scratch field
-		y = make([]float64, c.out)
-		c.y = y
-	}
 	for o := 0; o < c.out; o++ {
 		var sum float64
 		for t := 0; t < len(xs); t++ {
@@ -93,7 +99,6 @@ func (c *Conv1D) Forward(xs [][]float64) []float64 {
 		}
 		y[o] = sum / float64(len(xs))
 	}
-	return y
 }
 
 // Backward accumulates kernel gradients from the pooled-output gradient

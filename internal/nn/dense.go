@@ -44,16 +44,24 @@ func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 // Forward computes W*x + b and caches x for Backward. The returned slice
 // is reused by the next Forward; copy it if it must survive that call.
 func (d *Dense) Forward(x []float64) []float64 {
+	d.ApplyRows(d.y, x, 0)
+	d.x = x
+	return d.y
+}
+
+// ApplyRows computes output rows [lo, lo+len(y)) of W*x + b into y. It
+// reads the weights and writes only y, so any number of goroutines may run
+// it on one layer at once; Forward is ApplyRows over all rows plus the
+// cache Backward needs, so training and inference share one arithmetic.
+func (d *Dense) ApplyRows(y, x []float64, lo int) {
 	if len(x) != d.in {
 		panic(fmt.Sprintf("nn: Dense %s input %d, want %d", d.w.Name, len(x), d.in))
 	}
-	d.x = x
-	y := d.y
-	for o := 0; o < d.out; o++ {
-		row := d.w.W[o*d.in : (o+1)*d.in]
-		y[o] = mathx.Dot(row, x) + d.b.W[o]
+	hi := lo + len(y)
+	mathx.MatVec(y, d.w.W[lo*d.in:hi*d.in], x)
+	for i, b := range d.b.W[lo:hi] {
+		y[i] += b
 	}
-	return y
 }
 
 // Backward accumulates dL/dW and dL/db from dy (= dL/dy) and returns

@@ -27,7 +27,7 @@ type GRU struct {
 
 	// scratch reused across calls so the training hot path allocates
 	// nothing per step
-	a, ac         []float64   // gate / candidate pre-activations (Forward)
+	a, ac, ax     []float64   // gate / candidate pre-activations, input part (Forward)
 	hOut          []float64   // copy of h_n returned by Forward
 	dxs           [][]float64 // per-step input gradients (Backward)
 	dhCur, dhPrev []float64   // BPTT state (Backward)
@@ -47,6 +47,7 @@ func NewGRU(name string, in, hidden int, g *mathx.RNG) *GRU {
 		bc:     NewParam(name+".bc", hidden),
 		a:      make([]float64, 2*hidden),
 		ac:     make([]float64, hidden),
+		ax:     make([]float64, 2*hidden),
 		hOut:   make([]float64, hidden),
 		dhCur:  make([]float64, hidden),
 		dhPrev: make([]float64, hidden),
@@ -96,18 +97,14 @@ func (u *GRU) Forward(xs [][]float64) []float64 {
 			panic(fmt.Sprintf("nn: GRU %s input width %d, want %d", u.wx.Name, len(x), u.in))
 		}
 		hPrev := u.hs[t]
-		for j := 0; j < 2*H; j++ {
-			a[j] = mathx.Dot(u.wx.W[j*u.in:(j+1)*u.in], x) +
-				mathx.Dot(u.wh.W[j*H:(j+1)*H], hPrev) + u.b.W[j]
-		}
+		preact(a, u.ax, u.wx.W, u.wh.W, u.b.W, x, hPrev)
 		for j := 0; j < H; j++ {
 			u.rg[t][j] = mathx.Sigmoid(a[j])
 			u.zg[t][j] = mathx.Sigmoid(a[H+j])
 			u.rhPrev[t][j] = u.rg[t][j] * hPrev[j]
 		}
+		preact(ac, u.ax[:H], u.wxc.W, u.whc.W, u.bc.W, x, u.rhPrev[t])
 		for j := 0; j < H; j++ {
-			ac[j] = mathx.Dot(u.wxc.W[j*u.in:(j+1)*u.in], x) +
-				mathx.Dot(u.whc.W[j*H:(j+1)*H], u.rhPrev[t]) + u.bc.W[j]
 			u.cand[t][j] = math.Tanh(ac[j])
 		}
 		h := u.hs[t+1]
@@ -118,6 +115,37 @@ func (u *GRU) Forward(xs [][]float64) []float64 {
 	}
 	copy(u.hOut, u.hs[T])
 	return u.hOut
+}
+
+// InferLen returns how many floats of scratch Infer needs.
+func (u *GRU) InferLen() int { return 7 * u.hidden }
+
+// Infer is Forward for inference: weights are only read, every activation
+// lives in buf (at least InferLen floats) and nothing is cached for a
+// Backward. The returned h_n aliases buf and is bit-identical to Forward's.
+func (u *GRU) Infer(xs [][]float64, buf []float64) []float64 {
+	if len(xs) == 0 {
+		panic("nn: GRU forward on empty sequence")
+	}
+	H := u.hidden
+	h, a, ax, rh, ac := buf[:H], buf[H:3*H], buf[3*H:5*H], buf[5*H:6*H], buf[6*H:7*H]
+	mathx.Fill(h, 0)
+	for _, x := range xs {
+		if len(x) != u.in {
+			panic(fmt.Sprintf("nn: GRU %s input width %d, want %d", u.wx.Name, len(x), u.in))
+		}
+		preact(a, ax, u.wx.W, u.wh.W, u.b.W, x, h)
+		for j := 0; j < H; j++ {
+			a[H+j] = mathx.Sigmoid(a[H+j]) // update gate z
+			rh[j] = mathx.Sigmoid(a[j]) * h[j]
+		}
+		preact(ac, ax[:H], u.wxc.W, u.whc.W, u.bc.W, x, rh)
+		for j := 0; j < H; j++ {
+			z := a[H+j]
+			h[j] = (1-z)*h[j] + z*math.Tanh(ac[j])
+		}
+	}
+	return h
 }
 
 // Backward runs BPTT given the gradient of the loss w.r.t. the final

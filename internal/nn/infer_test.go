@@ -1,0 +1,128 @@
+package nn
+
+import (
+	"math"
+	"testing"
+
+	"eventhit/internal/mathx"
+)
+
+func randSeq(g *mathx.RNG, t, d int) [][]float64 {
+	xs := make([][]float64, t)
+	for i := range xs {
+		xs[i] = make([]float64, d)
+		for j := range xs[i] {
+			xs[i][j] = g.Float64()*2 - 1
+		}
+	}
+	return xs
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, want %v (bits differ)", what, i, got[i], want[i])
+		}
+	}
+}
+
+// blockWidths straddle the four-row block of mathx.MatVec: remainders 1, 3,
+// 1 (after one block), 0 and 1 (after eight).
+var blockWidths = []int{1, 3, 5, 24, 33}
+
+// TestDenseMatchesRowAtATime pins Forward and ApplyRows to the arithmetic
+// the layer had before the mat-vec was row-blocked: one mathx.Dot per row,
+// then the bias.
+func TestDenseMatchesRowAtATime(t *testing.T) {
+	g := mathx.NewRNG(11)
+	for _, out := range blockWidths {
+		d := NewDense("d", 7, out, g.Split(int64(out)))
+		for i := range d.b.W {
+			d.b.W[i] = g.Float64() - 0.5
+		}
+		x := randSeq(g, 1, 7)[0]
+		want := make([]float64, out)
+		for o := range want {
+			want[o] = mathx.Dot(d.w.W[o*7:(o+1)*7], x) + d.b.W[o]
+		}
+		sameBits(t, "Forward", d.Forward(x), want)
+		for lo := 0; lo < out; lo++ {
+			for hi := lo; hi <= out; hi++ {
+				y := make([]float64, hi-lo)
+				d.ApplyRows(y, x, lo)
+				sameBits(t, "ApplyRows", y, want[lo:hi])
+			}
+		}
+	}
+}
+
+// TestLSTMMatchesRowAtATime replays the recurrence with one mathx.Dot per
+// gate row — the pre-blocking arithmetic — and requires Forward and Infer
+// to agree with it bit for bit.
+func TestLSTMMatchesRowAtATime(t *testing.T) {
+	g := mathx.NewRNG(12)
+	const in, T = 5, 9
+	for _, H := range blockWidths {
+		l := NewLSTM("l", in, H, g.Split(int64(H)))
+		xs := randSeq(g, T, in)
+		h, c, a := make([]float64, H), make([]float64, H), make([]float64, 4*H)
+		for _, x := range xs {
+			for j := range a {
+				a[j] = mathx.Dot(l.wx.W[j*in:(j+1)*in], x) + mathx.Dot(l.wh.W[j*H:(j+1)*H], h) + l.b.W[j]
+			}
+			for j := 0; j < H; j++ {
+				i, f := mathx.Sigmoid(a[j]), mathx.Sigmoid(a[H+j])
+				gg, o := math.Tanh(a[2*H+j]), mathx.Sigmoid(a[3*H+j])
+				c[j] = f*c[j] + i*gg
+				h[j] = o * math.Tanh(c[j])
+			}
+		}
+		sameBits(t, "Forward", l.Forward(xs), h)
+		sameBits(t, "Infer", l.Infer(xs, make([]float64, l.InferLen())), h)
+	}
+}
+
+// TestInferMatchesForward: the read-only inference passes of the other two
+// encoders against their training forward, on a dirty scratch buffer.
+func TestInferMatchesForward(t *testing.T) {
+	g := mathx.NewRNG(13)
+	const in, T = 5, 9
+	for _, H := range blockWidths {
+		xs := randSeq(g, T, in)
+		u := NewGRU("u", in, H, g.Split(int64(H)))
+		buf := make([]float64, u.InferLen())
+		mathx.Fill(buf, math.NaN())
+		sameBits(t, "GRU.Infer", u.Infer(xs, buf), u.Forward(xs))
+		c := NewConv1D("c", in, H, 5, g.Split(int64(100+H)))
+		y := make([]float64, H)
+		c.Infer(xs, y)
+		sameBits(t, "Conv1D.Infer", y, c.Forward(xs))
+	}
+}
+
+// TestQuantDenseRowsMatchFull: any row range of the fixed-point layer holds
+// the integers the full pass computes.
+func TestQuantDenseRowsMatchFull(t *testing.T) {
+	g := mathx.NewRNG(14)
+	const in, out = 6, 21
+	q := QuantizeDense(NewDense("d", in, out, g))
+	x := make([]int32, in)
+	for i := range x {
+		x[i] = QuantAct(g.Float64()*2 - 1)
+	}
+	want := append([]int32(nil), q.ForwardQ(x)...)
+	for lo := 0; lo < out; lo++ {
+		for hi := lo; hi <= out; hi++ {
+			got := q.ForwardQRows(x, lo, hi)
+			for i, v := range got {
+				if v != want[lo+i] {
+					t.Fatalf("rows [%d,%d): row %d = %d, want %d", lo, hi, lo+i, v, want[lo+i])
+				}
+			}
+		}
+	}
+}

@@ -28,7 +28,7 @@ type LSTM struct {
 
 	// scratch reused across calls so the training hot path allocates
 	// nothing per step
-	a                 []float64   // gate pre-activations (Forward)
+	a, ax             []float64   // gate pre-activations, input part (Forward)
 	hOut              []float64   // copy of h_n returned by Forward
 	dxs               [][]float64 // per-step input gradients (Backward)
 	dhCur, dc, dhPrev []float64   // BPTT state (Backward)
@@ -46,6 +46,7 @@ func NewLSTM(name string, in, hidden int, g *mathx.RNG) *LSTM {
 		wh:     NewParam(name+".wh", 4*hidden*hidden),
 		b:      NewParam(name+".b", 4*hidden),
 		a:      make([]float64, 4*hidden),
+		ax:     make([]float64, 4*hidden),
 		hOut:   make([]float64, hidden),
 		dhCur:  make([]float64, hidden),
 		dc:     make([]float64, hidden),
@@ -91,15 +92,8 @@ func (l *LSTM) Forward(xs [][]float64) []float64 {
 
 	a := l.a
 	for t := 0; t < T; t++ {
-		x := xs[t]
-		if len(x) != l.in {
-			panic(fmt.Sprintf("nn: LSTM %s input width %d, want %d", l.wx.Name, len(x), l.in))
-		}
 		hPrev, cPrev := l.hs[t], l.cs[t]
-		for j := 0; j < 4*H; j++ {
-			a[j] = mathx.Dot(l.wx.W[j*l.in:(j+1)*l.in], x) +
-				mathx.Dot(l.wh.W[j*H:(j+1)*H], hPrev) + l.b.W[j]
-		}
+		l.gates(a, l.ax, xs[t], hPrev)
 		h, c := l.hs[t+1], l.cs[t+1]
 		for j := 0; j < H; j++ {
 			i := mathx.Sigmoid(a[j])
@@ -113,6 +107,54 @@ func (l *LSTM) Forward(xs [][]float64) []float64 {
 	}
 	copy(l.hOut, l.hs[T])
 	return l.hOut
+}
+
+// gates fills a with the stacked pre-activations Wx*x + Wh*h + b; ax is
+// 4H floats of scratch for the input part. Weights are only read.
+func (l *LSTM) gates(a, ax, x, h []float64) {
+	if len(x) != l.in {
+		panic(fmt.Sprintf("nn: LSTM %s input width %d, want %d", l.wx.Name, len(x), l.in))
+	}
+	preact(a, ax, l.wx.W, l.wh.W, l.b.W, x, h)
+}
+
+// preact fills a[j] = wx_j.x + wh_j.h + b[j] for the len(a) stacked gate
+// rows of a recurrent layer, summed in exactly that order; ax is len(a)
+// floats of scratch for the input part.
+func preact(a, ax, wx, wh, b, x, h []float64) {
+	mathx.MatVec(ax, wx, x)
+	mathx.MatVec(a, wh, h)
+	for j, bj := range b {
+		a[j] = ax[j] + a[j] + bj
+	}
+}
+
+// InferLen returns how many floats of scratch Infer needs.
+func (l *LSTM) InferLen() int { return 10 * l.hidden }
+
+// Infer is Forward for inference: it reads the weights, keeps every
+// activation in buf (at least InferLen floats) and caches nothing for a
+// Backward, so concurrent callers with their own buf may share one layer.
+// The returned h_n aliases buf and is bit-identical to Forward's.
+func (l *LSTM) Infer(xs [][]float64, buf []float64) []float64 {
+	if len(xs) == 0 {
+		panic("nn: LSTM forward on empty sequence")
+	}
+	H := l.hidden
+	h, c, a, ax := buf[:H], buf[H:2*H], buf[2*H:6*H], buf[6*H:10*H]
+	mathx.Fill(buf[:2*H], 0)
+	for _, x := range xs {
+		l.gates(a, ax, x, h)
+		for j := 0; j < H; j++ {
+			i := mathx.Sigmoid(a[j])
+			f := mathx.Sigmoid(a[H+j])
+			g := math.Tanh(a[2*H+j])
+			o := mathx.Sigmoid(a[3*H+j])
+			c[j] = f*c[j] + i*g
+			h[j] = o * math.Tanh(c[j])
+		}
+	}
+	return h
 }
 
 // Backward runs backpropagation through time given dh, the gradient of the

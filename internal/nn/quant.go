@@ -9,8 +9,9 @@ import (
 // with a per-tensor power-of-two scale, compute dot products in int64,
 // evaluate every sigmoid/tanh through the Q14 LUTs of lut.go, and reuse
 // all scratch so a forward pass allocates nothing. They are inference
-// only: no caches for backprop, no gradient state. Like their float
-// counterparts they are not safe for concurrent use.
+// only: no caches for backprop, no gradient state. Unlike the float layers'
+// Infer/ApplyRows they keep their activations in the layer, so one
+// goroutine at a time may run a quantized layer.
 
 // QuantDense is the int16 inference twin of a Dense layer. Activations in
 // and out are Q12 int32.
@@ -44,16 +45,22 @@ func (q *QuantDense) In() int { return q.in }
 func (q *QuantDense) Out() int { return q.out }
 
 // ForwardQ computes W*x + b over Q12 activations. The returned slice is
-// reused by the next ForwardQ. Rows are processed four at a time so each
-// loaded input element feeds four accumulators — about 2x faster than
-// row-at-a-time on this scalar code path.
-func (q *QuantDense) ForwardQ(x []int32) []int32 {
+// reused by the next ForwardQ.
+func (q *QuantDense) ForwardQ(x []int32) []int32 { return q.ForwardQRows(x, 0, q.out) }
+
+// ForwardQRows is ForwardQ for output rows [lo, hi) only; the returned
+// slice holds those rows and is reused by the next forward. Rows are
+// processed eight (then four) at a time so each loaded input element feeds
+// several accumulators — about 2x faster than row-at-a-time on this scalar
+// code path; integer sums are exact, so the grouping never shows in a
+// result.
+func (q *QuantDense) ForwardQRows(x []int32, lo, hi int) []int32 {
 	if len(x) != q.in {
 		panic(fmt.Sprintf("nn: QuantDense input %d, want %d", len(x), q.in))
 	}
 	in, y := q.in, q.y
-	o := 0
-	for ; o+8 <= q.out; o += 8 {
+	o := lo
+	for ; o+8 <= hi; o += 8 {
 		r0 := q.w[o*in : o*in+in]
 		r1 := q.w[(o+1)*in : (o+1)*in+in]
 		r2 := q.w[(o+2)*in : (o+2)*in+in]
@@ -83,7 +90,7 @@ func (q *QuantDense) ForwardQ(x []int32) []int32 {
 		y[o+6] = roundShift(a6, q.wf) + q.b[o+6]
 		y[o+7] = roundShift(a7, q.wf) + q.b[o+7]
 	}
-	for ; o+4 <= q.out; o += 4 {
+	for ; o+4 <= hi; o += 4 {
 		r0 := q.w[o*in : o*in+in]
 		r1 := q.w[(o+1)*in : (o+1)*in+in]
 		r2 := q.w[(o+2)*in : (o+2)*in+in]
@@ -101,7 +108,7 @@ func (q *QuantDense) ForwardQ(x []int32) []int32 {
 		y[o+2] = roundShift(a2, q.wf) + q.b[o+2]
 		y[o+3] = roundShift(a3, q.wf) + q.b[o+3]
 	}
-	for ; o < q.out; o++ {
+	for ; o < hi; o++ {
 		row := q.w[o*in : o*in+in]
 		var acc int64
 		for k, w := range row {
@@ -109,7 +116,7 @@ func (q *QuantDense) ForwardQ(x []int32) []int32 {
 		}
 		y[o] = roundShift(acc, q.wf) + q.b[o]
 	}
-	return y
+	return y[lo:hi]
 }
 
 // QuantLSTM is the int16 inference twin of an LSTM. Inputs are quantized

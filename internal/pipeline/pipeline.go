@@ -152,7 +152,9 @@ type Report struct {
 	// includes failed attempts and backoff waits, not just the successful
 	// requests' processing time.
 	ScanMS, PredictMS, CIMS float64
-	// CIFrames is the number of frames relayed to the CI.
+	// CIFrames is the number of frames relayed to the CI. Like every CI and
+	// client figure below it is this run's own: a Marshaller run twice
+	// reports each run, not the running total of its meters.
 	CIFrames int64
 	// SpentUSD is the CI bill.
 	SpentUSD float64
@@ -392,9 +394,9 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 	var recs []dataset.Record
 	var preds []metrics.Prediction
 	var outs []RelayOutcome
-	// Baselines for the run counters: the client and CI meters are
-	// cumulative across runs of the same backend, the counters must only
-	// receive this run's delta.
+	// Baselines: the client and CI meters are cumulative across runs of the
+	// same backend; the report and the run counters only take this run's
+	// delta.
 	st0, u0 := m.res.Stats(), m.ci.Usage()
 	var sv0 cloud.Savings
 	if m.cached != nil {
@@ -463,12 +465,12 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 	st := m.res.Stats()
 	u := m.ci.Usage()
 	rep.Frames = rep.Horizons * m.cfg.Horizon
-	rep.CIFrames = u.Frames
-	rep.CIMS = st.BusyMS
-	rep.SpentUSD = u.SpentUSD
-	rep.CIFailedAttempts = st.Failures
-	rep.CIBackoffMS = st.BackoffMS
-	rep.BreakerTrips = st.Trips
+	rep.CIFrames = u.Frames - u0.Frames
+	rep.CIMS = st.BusyMS - st0.BusyMS
+	rep.SpentUSD = u.SpentUSD - u0.SpentUSD
+	rep.CIFailedAttempts = st.Failures - st0.Failures
+	rep.CIBackoffMS = st.BackoffMS - st0.BackoffMS
+	rep.BreakerTrips = st.Trips - st0.Trips
 	if m.cached != nil {
 		sv := m.cached.Savings()
 		rep.CacheHits = sv.Hits - sv0.Hits
@@ -479,8 +481,8 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 	}
 	m.horizonsC.Add(float64(rep.Horizons))
 	m.deferredC.Add(float64(rep.CIDeferred))
-	m.ciFramesC.Add(float64(u.Frames - u0.Frames))
-	m.ciSpentC.Add(u.SpentUSD - u0.SpentUSD)
-	m.ciFailedC.Add(float64(st.Failures - st0.Failures))
+	m.ciFramesC.Add(float64(rep.CIFrames))
+	m.ciSpentC.Add(rep.SpentUSD)
+	m.ciFailedC.Add(float64(rep.CIFailedAttempts))
 	return rep, recs, preds, outs, nil
 }

@@ -329,3 +329,35 @@ func TestNoDegradeAbortsOnExhaustion(t *testing.T) {
 		t.Fatalf("error does not wrap the CI cause: %v", err)
 	}
 }
+
+// TestReportIsPerRun: the CI and client meters behind a Marshaller are
+// cumulative, a Report is not — the same range marshalled twice by one
+// Marshaller reports the same run twice (CIFrames used to come back doubled
+// the second time).
+func TestReportIsPerRun(t *testing.T) {
+	ex, ci, cfg := setup(t)
+	m, err := New(ex, strategy.BF{Horizon: cfg.Horizon}, ci, cfg, EventHitCosts(cfg.Window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, _, err := m.Run(0, 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _, _, err := m.Run(0, 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.CIFrames == 0 || first.SpentUSD == 0 || first.CIMS == 0 {
+		t.Fatalf("run relayed nothing: %+v", first)
+	}
+	// The bill is a difference of two running float totals: equal to the
+	// first run's up to rounding, every other field exactly.
+	if math.Abs(second.SpentUSD-first.SpentUSD) > 1e-9*first.SpentUSD {
+		t.Fatalf("second run spent $%v, first $%v", second.SpentUSD, first.SpentUSD)
+	}
+	second.SpentUSD = first.SpentUSD
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("second run reports\n%+v\nfirst\n%+v", second, first)
+	}
+}

@@ -214,26 +214,3 @@ func (r *frameRing) copyTo(dst []float64) {
 	c := copy(dst, r.data[oldest*r.d:])
 	copy(dst[c:], r.data)
 }
-
-// predictScratch is the per-request working set of predictCore: the window
-// copied out of the session ring plus the per-event label slices. x's rows
-// are fixed views into flat, so a copy into flat is all a request pays.
-type predictScratch struct {
-	flat                         []float64
-	x                            [][]float64
-	label, labelKnown, labelTrue []bool
-}
-
-func newPredictScratch(window, d, k int) *predictScratch {
-	sc := &predictScratch{
-		flat:       make([]float64, window*d),
-		x:          make([][]float64, window),
-		label:      make([]bool, k),
-		labelKnown: make([]bool, k),
-		labelTrue:  make([]bool, k),
-	}
-	for i := range sc.x {
-		sc.x[i] = sc.flat[i*d : (i+1)*d : (i+1)*d]
-	}
-	return sc
-}

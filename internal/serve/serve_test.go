@@ -315,8 +315,9 @@ func TestConcurrentPredicts(t *testing.T) {
 	if _, err := cl.PushFrames(tctx, frames); err != nil {
 		t.Fatal(err)
 	}
-	// Hammer predict from many goroutines; with the predict mutex this
-	// must be race-free (run with -race) and return consistent decisions.
+	// Hammer predict from many goroutines: inference only reads the model
+	// and writes pooled per-request scratch, so this must be race-free (run
+	// with -race) and return consistent decisions.
 	var wg sync.WaitGroup
 	results := make([]PredictResponse, 16)
 	for i := 0; i < 16; i++ {

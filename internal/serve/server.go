@@ -39,6 +39,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -49,7 +50,6 @@ import (
 	"eventhit/internal/conformal"
 	"eventhit/internal/dataset"
 	"eventhit/internal/fleet"
-	"eventhit/internal/metrics"
 	"eventhit/internal/obs"
 	"eventhit/internal/resilience"
 	"eventhit/internal/strategy"
@@ -216,9 +216,6 @@ type Server struct {
 	cacheEps float64
 
 	mu sync.Mutex
-	// predictMu serializes model inference: core.Model caches activations
-	// and is not safe for concurrent Predict calls.
-	predictMu sync.Mutex
 	// sessions and order (creation order, for deterministic listing) are
 	// guarded by mu. The default session exists from construction.
 	sessions map[string]*session
@@ -265,10 +262,14 @@ type Server struct {
 	// cannot perturb any seeded output.
 	metrics *obs.Registry
 
-	// scratch pools *predictScratch: the window a predict copies out of its
-	// session's ring under mu, so the request never reads ring memory a
-	// concurrent push is overwriting.
+	// scratch pools *predictScratch, everything a predict writes before its
+	// commit: the window copied out of the session's ring under mu (a
+	// concurrent push overwrites ring memory), the activations, the decision
+	// and the encoded response. The served model is only read, so predicts
+	// on different sessions run in parallel.
 	scratch sync.Pool
+	// eventJSON[k] is EventNames[k] as a JSON string, escaped once.
+	eventJSON [][]byte
 
 	mux *http.ServeMux
 }
@@ -308,6 +309,10 @@ func New(cfg Config) (*Server, error) {
 		mux:      http.NewServeMux(),
 	}
 	s.scratch.New = func() interface{} { return newPredictScratch(s.window, s.inputDim, s.k) }
+	for _, name := range cfg.EventNames {
+		js, _ := json.Marshal(name) // a string always marshals
+		s.eventJSON = append(s.eventJSON, js)
+	}
 	s.eventSet = cfg.CIEvents
 	if s.eventSet == nil {
 		s.eventSet = make([]int, mc.NumEvents)
@@ -850,15 +855,17 @@ type sharedPublish struct {
 }
 
 func (s *Server) handlePredict(sess *session, w http.ResponseWriter, r *http.Request) {
-	resp, pub := s.predictCore(sess, w, r)
-	if resp == nil {
+	sc := s.scratch.Get().(*predictScratch)
+	defer s.scratch.Put(sc)
+	pub, ok := s.predictCore(sess, w, r, sc)
+	if !ok {
 		return // predictCore already wrote the error
 	}
 	if pub != nil {
 		// Propagate the fresh classifier before answering, with NO server
 		// lock held (predictCore released relayMu on return): sibling
 		// sessions on this server adopt directly; the publisher ships it to
-		// the coordinator for sibling workers. Publishing before writeJSON
+		// the coordinator for sibling workers. Publishing before the response
 		// makes the propagation observable: when the predict response
 		// arrives, scene siblings are already on the new calibration.
 		if _, err := s.AdoptClassifier(pub.scene, pub.cls, pub.except); err == nil {
@@ -870,45 +877,52 @@ func (s *Server) handlePredict(sess *session, w http.ResponseWriter, r *http.Req
 			}
 		}
 	}
-	writeJSON(w, *resp)
+	sc.out = appendPredictResponse(sc.out[:0], &sc.resp, s.eventJSON)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(sc.out)
 }
 
-// predictCore runs one predict request end to end and commits its
-// counters. It returns the response to write (nil when an HTTP error was
-// already written) plus, when this request's adaptation step cut a
-// recalibration swap on a scene-tagged session, the publish work the
-// wrapper performs after every lock is released.
-func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Request) (*PredictResponse, *sharedPublish) {
-	conf, cov := s.cfg.DefaultConfidence, s.cfg.DefaultCoverage
-	// Knob validation uses the positive form !(f > 0 && f <= 1): NaN fails
-	// every comparison, so "confidence=NaN" (which ParseFloat accepts) is
-	// rejected rather than slipping through a `f <= 0 || f > 1` check.
-	if v := r.URL.Query().Get("confidence"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || !(f > 0 && f <= 1) {
-			httpError(w, http.StatusBadRequest, "invalid confidence %q", v)
-			return nil, nil
-		}
-		conf = f
+// predictKnob reads one (0,1] knob from the query. Validation uses the
+// positive form !(f > 0 && f <= 1): NaN fails every comparison, so
+// "confidence=NaN" (which ParseFloat accepts) is rejected rather than
+// slipping through a `f <= 0 || f > 1` check.
+func predictKnob(w http.ResponseWriter, q url.Values, name string, def float64) (float64, bool) {
+	v := q.Get(name)
+	if v == "" {
+		return def, true
 	}
-	if v := r.URL.Query().Get("coverage"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || !(f > 0 && f <= 1) {
-			httpError(w, http.StatusBadRequest, "invalid coverage %q", v)
-			return nil, nil
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil || !(f > 0 && f <= 1) {
+		httpError(w, http.StatusBadRequest, "invalid %s %q", name, v)
+		return 0, false
+	}
+	return f, true
+}
+
+// predictCore runs one predict request end to end on sc and commits its
+// counters, leaving the response in sc.resp. ok is false when an HTTP error
+// was already written. When this request's adaptation step cut a
+// recalibration swap on a scene-tagged session it also returns the publish
+// work the wrapper performs after every lock is released.
+func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Request, sc *predictScratch) (pub *sharedPublish, ok bool) {
+	conf, cov := s.cfg.DefaultConfidence, s.cfg.DefaultCoverage
+	if r.URL.RawQuery != "" {
+		q := r.URL.Query()
+		if conf, ok = predictKnob(w, q, "confidence", conf); !ok {
+			return nil, false
 		}
-		cov = f
+		if cov, ok = predictKnob(w, q, "coverage", cov); !ok {
+			return nil, false
+		}
 	}
 	s.mu.Lock()
 	if n := sess.ring.n; n < s.window {
 		s.mu.Unlock()
 		httpError(w, http.StatusConflict, "window not full: %d of %d frames buffered", n, s.window)
-		return nil, nil
+		return nil, false
 	}
 	// The ring is written in place, so the window must be copied out before
 	// mu is released; everything below reads the private copy.
-	sc := s.scratch.Get().(*predictScratch)
-	defer s.scratch.Put(sc)
 	sess.ring.copyTo(sc.flat)
 	anchor := sess.next - 1
 	s.mu.Unlock()
@@ -918,18 +932,10 @@ func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Reque
 	// relay labeling, recalibration — sees one consistent model+calibration
 	// pair even if a swap lands mid-request.
 	u := s.resolveUnit(sess)
-	rec := dataset.Record{X: x, Label: sc.label}
-	var pred metrics.Prediction
-	var scores []float64
-	s.predictMu.Lock()
-	if sess.ad != nil {
-		// The adaptation loop needs the raw existence scores to buffer for
-		// recalibration alongside the decision.
-		pred, scores = u.bundle.PredictScored(rec, conf, cov)
-	} else {
-		pred = u.bundle.EHCR(conf, cov).Predict(rec)
-	}
-	s.predictMu.Unlock()
+	// Inference holds no server lock: it reads the unit and writes sc. The
+	// raw existence scores feed the adaptation buffer below.
+	scores := u.decide(dataset.Record{X: x}, conf, cov, sc)
+	pred := &sc.pred
 	if s.relay != nil {
 		// Hold relayMu across both the Detect calls and the snapshot commit
 		// below, so the committed CI view always corresponds to the
@@ -937,11 +943,10 @@ func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Reque
 		s.relayMu.Lock()
 		defer s.relayMu.Unlock()
 	}
-	resp := PredictResponse{Anchor: anchor, HorizonEnd: anchor + s.horizon}
-	var pub *sharedPublish
+	resp := &sc.resp
+	resp.Anchor, resp.HorizonEnd, resp.Decisions = anchor, anchor+s.horizon, resp.Decisions[:0]
 	var relays, frames, relayedOK, deferred, admitDef int64
-	var audits, auditFrames int64
-	skipped := int64(0)
+	var audits, auditFrames, skipped int64
 	// Ground truth recovered for this horizon, per event: relayed horizons
 	// are labeled by the CI verdict itself; skipped ones by audit relays.
 	labelKnown, labelTrue := sc.labelKnown, sc.labelTrue
@@ -1031,17 +1036,6 @@ func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Reque
 			}
 		}
 		resp.Decisions = append(resp.Decisions, d)
-		if s.cfg.Trace != nil {
-			if err := s.cfg.Trace.Append(trace.Entry{
-				Anchor: anchor, Horizon: s.horizon,
-				Event: d.Event, EventIndex: k,
-				Relay: d.Relay, Start: d.Start, End: d.End,
-				Confidence: conf, Coverage: cov,
-			}); err != nil {
-				httpError(w, http.StatusInternalServerError, "trace append: %v", err)
-				return nil, nil
-			}
-		}
 	}
 	if sess.ad != nil {
 		// Still under relayMu: feed the monitor and the recalibration
@@ -1111,7 +1105,22 @@ func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Reque
 		}
 	}
 	s.mu.Unlock()
-	return &resp, pub
+	if s.cfg.Trace != nil {
+		// After the commit: a failing trace writer costs the request its
+		// response, never the counters of relays already admitted and billed.
+		for k, d := range resp.Decisions {
+			if err := s.cfg.Trace.Append(trace.Entry{
+				Anchor: anchor, Horizon: s.horizon,
+				Event: d.Event, EventIndex: k,
+				Relay: d.Relay, Start: d.Start, End: d.End,
+				Confidence: conf, Coverage: cov,
+			}); err != nil {
+				httpError(w, http.StatusInternalServerError, "trace append: %v", err)
+				return nil, false
+			}
+		}
+	}
+	return pub, true
 }
 
 // Stats is the GET /v1/stats body, totalled across every session.

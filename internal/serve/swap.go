@@ -28,8 +28,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 
 	"eventhit/internal/conformal"
+	"eventhit/internal/dataset"
 	"eventhit/internal/drift"
 	"eventhit/internal/strategy"
 )
@@ -53,7 +55,11 @@ const (
 // on. Units are immutable once published — a swap builds a new unit and
 // stores the pointer, it never touches a published one.
 type bundleUnit struct {
-	bundle   *strategy.Bundle
+	bundle *strategy.Bundle
+	// qmu guards the quantized twin in bundle (single-stream state); nil on
+	// the float path, where deciding only reads. A pointer: units derived
+	// from this one (a recalibration keeps the twin) share the lock.
+	qmu      *sync.Mutex
 	inputDim int
 	window   int
 	horizon  int
@@ -90,15 +96,17 @@ func (s *Server) newUnit(b *strategy.Bundle, gen uint64, origin string) (*bundle
 		return nil, fmt.Errorf("serve: classifier covers %d events, model has %d", cn, mc.NumEvents)
 	}
 	serving := b
+	var qmu *sync.Mutex
 	if s.cfg.Quantized {
 		qb, err := b.WithQuantized()
 		if err != nil {
 			return nil, fmt.Errorf("serve: quantized twin: %w", err)
 		}
-		serving = qb
+		serving, qmu = qb, new(sync.Mutex)
 	}
 	return &bundleUnit{
 		bundle:   serving,
+		qmu:      qmu,
 		inputDim: mc.InputDim,
 		window:   mc.Window,
 		horizon:  mc.Horizon,
@@ -106,6 +114,16 @@ func (s *Server) newUnit(b *strategy.Bundle, gen uint64, origin string) (*bundle
 		gen:      gen,
 		origin:   origin,
 	}, nil
+}
+
+// decide runs the unit's EHCR decision on rec into sc.pred and returns the
+// raw existence scores (which alias sc). It holds no server lock.
+func (u *bundleUnit) decide(rec dataset.Record, conf, cov float64, sc *predictScratch) []float64 {
+	if u.qmu != nil {
+		u.qmu.Lock()
+		defer u.qmu.Unlock()
+	}
+	return u.bundle.Decide(rec, strategy.EHCRRule(conf, cov), &sc.dec, &sc.pred)
 }
 
 // Swap validates b and atomically installs it as the serving unit of every

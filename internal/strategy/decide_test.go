@@ -1,0 +1,140 @@
+package strategy
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+
+	"eventhit/internal/core"
+	"eventhit/internal/metrics"
+	"eventhit/internal/video"
+)
+
+// seedDecide is the decision as it was computed before inference was split
+// in two: from the full model output, existence for all events at once,
+// then interval decoding and adjustment for those that occur.
+func seedDecide(b *Bundle, out core.Output, r Rule) metrics.Prediction {
+	k := len(out.B)
+	p := metrics.Prediction{Occur: make([]bool, k), OI: make([]video.Interval, k)}
+	occ := core.DecodeExistence(out, b.Tau1)
+	if r.ConformalExistence {
+		occ = b.Classifier.Predict(out.B, r.Confidence)
+	}
+	for j := 0; j < k; j++ {
+		if !occ[j] {
+			continue
+		}
+		p.Occur[j] = true
+		iv, _ := core.DecodeInterval(out.Theta[j], b.Tau2)
+		if r.ConformalInterval {
+			if r.Adaptive {
+				iv = b.Scaled.Adjust(j, iv, r.Coverage, float64(iv.Len()))
+			} else {
+				iv = b.Regressor.Adjust(j, iv, r.Coverage)
+			}
+		}
+		p.OI[j] = iv
+	}
+	return p
+}
+
+// TestDecideMatchesSeedDecision: Decide — and EHCR().Predict and
+// PredictScored, which delegate to it — equals the full-output decision for
+// every variant, on the float model and on the quantized twin, with the
+// paper's τ2 and with a τ2 no offset reaches (the argmax fallback of
+// DecodeInterval). One Scratch and one Prediction are reused across all
+// records, so a stale interval of an earlier record would show.
+func TestDecideMatchesSeedDecision(t *testing.T) {
+	f := getFixture(t)
+	adaptive := EHCRRule(0.9, 0.9)
+	adaptive.Adaptive = true
+	rules := map[string]Rule{
+		"EHO":    {},
+		"EHC":    {ConformalExistence: true, Confidence: 0.9},
+		"EHR":    {ConformalInterval: true, Coverage: 0.9},
+		"EHCR":   EHCRRule(0.9, 0.9),
+		"EHCR-A": adaptive,
+	}
+	for _, tau2 := range []float64{0.5, 0.9999999} {
+		fb := f.bundle.WithTaus(0.5, tau2)
+		qb, err := fb.WithQuantized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := map[string]func(x [][]float64) core.Output{
+			"float": fb.Model.Predict,
+			"quant": qb.Predictor.(*core.QuantModel).Predict,
+		}
+		for engine, b := range map[string]*Bundle{"float": fb, "quant": qb} {
+			var sc Scratch
+			var got metrics.Prediction
+			occurred, absent, fellBack := 0, 0, 0
+			for name, r := range rules {
+				for _, rec := range f.splits.Test[:60] {
+					out := full[engine](rec.X)
+					want := seedDecide(b, out, r)
+					scores := b.Decide(rec, r, &sc, &got)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %s tau2=%v: Decide %+v, seed decision %+v", engine, name, tau2, got, want)
+					}
+					if !reflect.DeepEqual(scores, out.B) {
+						t.Fatalf("%s %s: raw scores %v, model says %v", engine, name, scores, out.B)
+					}
+					for k, occ := range want.Occur {
+						if !occ {
+							absent++
+							continue
+						}
+						occurred++
+						if _, met := core.DecodeInterval(out.Theta[k], b.Tau2); !met {
+							fellBack++
+						}
+					}
+				}
+			}
+			if occurred == 0 || absent == 0 {
+				t.Fatalf("%s tau2=%v: %d occurring, %d absent events — both branches must run", engine, tau2, occurred, absent)
+			}
+			if tau2 > 0.9 && fellBack == 0 {
+				t.Fatalf("%s: tau2=%v never took the argmax fallback", engine, tau2)
+			}
+			ehcr := b.EHCR(0.9, 0.9)
+			for _, rec := range f.splits.Test[:60] {
+				want := seedDecide(b, full[engine](rec.X), rules["EHCR"])
+				if got := ehcr.Predict(rec); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: EHCR().Predict %+v, seed decision %+v", engine, got, want)
+				}
+				if got, _ := b.PredictScored(rec, 0.9, 0.9); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: PredictScored %+v, seed decision %+v", engine, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDecideConcurrentOnSharedBundle: goroutines decide on one float bundle
+// at once, each with its own Scratch (run with -race), and every decision
+// equals the serial one.
+func TestDecideConcurrentOnSharedBundle(t *testing.T) {
+	f := getFixture(t)
+	recs := f.splits.Test[:40]
+	want := PredictAll(f.bundle.EHCR(0.9, 0.9), recs)
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var sc Scratch
+			var p metrics.Prediction
+			for i := range recs {
+				j := (i + g*7) % len(recs)
+				f.bundle.Decide(recs[j], EHCRRule(0.9, 0.9), &sc, &p)
+				if !reflect.DeepEqual(p, want[j]) {
+					t.Errorf("goroutine %d record %d: %+v, serial %+v", g, j, p, want[j])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

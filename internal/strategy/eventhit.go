@@ -29,33 +29,20 @@ type Bundle struct {
 	Tau1, Tau2 float64
 	// Predictor, when non-nil, replaces Model for inference (training and
 	// calibration always use Model). WithQuantized installs the int16
-	// fixed-point twin here; anything honoring Model.Predict's contract
-	// works. Not serialized — Save/Load round-trips rebuild views from the
-	// float weights.
+	// fixed-point twin here. Not serialized — Save/Load round-trips rebuild
+	// views from the float weights.
 	Predictor Predictor
 }
 
-// Predictor is the inference surface of a model: one covariate window in,
-// per-event probabilities out.
+// Predictor is the two-phase inference surface Decide runs on, implemented
+// by *core.Model and *core.QuantModel: Exist scores every event's existence
+// for the covariate window x whose last row is stream frame `frame` (a
+// predictor may use frame identity to reuse work across overlapping
+// windows, never to change a result); Theta then yields the per-frame
+// scores of one head, for the heads the decision goes on to read.
 type Predictor interface {
-	Predict(x [][]float64) core.Output
-}
-
-// intoPredictor is the allocation-free refinement both core model types
-// provide; the strategies use it when available.
-type intoPredictor interface {
-	PredictInto(x [][]float64, out *core.Output)
-}
-
-// frameIntoPredictor is the further refinement of predictors that exploit
-// frame identity: a record's covariate window is the consecutive stream
-// frames ending at the record's frame, which lets the quantized encoder
-// reuse input projections across overlapping windows. Implementations
-// must return outputs identical to PredictInto for any input (the core
-// quant model verifies cached content, so a mismatched window is only a
-// cache miss, never a wrong answer).
-type frameIntoPredictor interface {
-	PredictFrameInto(x [][]float64, frame int, out *core.Output)
+	Exist(x [][]float64, frame int, sc *core.Scratch, b []float64)
+	Theta(k int, sc *core.Scratch, theta []float64)
 }
 
 // predictor returns the active inference engine.
@@ -80,12 +67,13 @@ func (b *Bundle) WithQuantized() (*Bundle, error) {
 	return &out, nil
 }
 
-// Clone returns an independently usable copy of the bundle: the model
-// (whose forward pass caches activations and is therefore not safe to
-// share across concurrent users) is deep-cloned, while the calibration
-// state and thresholds — immutable once built — are shared. Any installed
-// Predictor view is dropped; rebuild it against the clone (e.g. with
-// WithQuantized) if needed.
+// Clone returns a copy of the bundle with its own model: the weights are
+// deep-cloned — for a caller that goes on to train, or that predicts
+// through Model.Predict's model-owned scratch — while the calibration state
+// and thresholds, immutable once built, are shared. Deciding needs no
+// clone: Decide only reads the model. Any installed Predictor view is
+// dropped; rebuild it against the clone (e.g. with WithQuantized) if
+// needed.
 func (b *Bundle) Clone() *Bundle {
 	out := *b
 	out.Model = b.Model.Clone()
@@ -189,19 +177,88 @@ func (b *Bundle) WithTaus(tau1, tau2 float64) *Bundle {
 	return &out
 }
 
-// eh is the shared implementation of the four EventHit variants.
+// Rule is the pair of decoding rules one decision applies — all that tells
+// the EventHit variants apart.
+type Rule struct {
+	// ConformalExistence selects C-CLASSIFY (Eq. 9) at Confidence over the
+	// τ1 threshold (Eq. 4).
+	ConformalExistence bool
+	// ConformalInterval selects C-REGRESS (Eq. 11) at Coverage over the raw
+	// decoded interval (Eq. 6); Adaptive its normalized variant.
+	ConformalInterval, Adaptive bool
+	Confidence, Coverage        float64
+}
+
+// EHCRRule is the rule EHCR applies: C-CLASSIFY at confidence c and
+// C-REGRESS at coverage alpha.
+func EHCRRule(c, alpha float64) Rule {
+	return Rule{ConformalExistence: true, Confidence: c, ConformalInterval: true, Coverage: alpha}
+}
+
+// Scratch is the memory one Decide writes besides its result: the model
+// activations, the raw existence scores and the one Θ vector in flight.
+// The zero value is ready; one Scratch serves one Decide at a time.
+type Scratch struct {
+	core  core.Scratch
+	b     []float64
+	theta []float64
+}
+
+// Decide is the one marshalling decision every EventHit variant and every
+// serving path runs: existence scores, the rule's existence test per event
+// and — only for events found to occur — Θ_k, the decoded interval and its
+// conformal adjustment. An absent event's Θ_k is never read by any rule, so
+// not computing it changes nothing. The decision lands in p, whose slices
+// are reused when long enough; the returned raw scores b_k alias sc and
+// hold until its next Decide.
+//
+// Decide reads the bundle and writes only sc and p, so with the float
+// model any number of goroutines may decide on one bundle at once. A
+// quantized Predictor is single-stream state: serialize its callers.
+func (b *Bundle) Decide(rec dataset.Record, r Rule, sc *Scratch, p *metrics.Prediction) []float64 {
+	cfg := b.Model.Config()
+	k := cfg.NumEvents
+	if cap(sc.b) < k || cap(sc.theta) < cfg.Horizon {
+		sc.b, sc.theta = make([]float64, k), make([]float64, cfg.Horizon)
+	}
+	scores, theta := sc.b[:k], sc.theta[:cfg.Horizon]
+	if cap(p.Occur) < k || cap(p.OI) < k {
+		p.Occur, p.OI = make([]bool, k), make([]video.Interval, k)
+	}
+	p.Occur, p.OI = p.Occur[:k], p.OI[:k]
+	pr := b.predictor()
+	pr.Exist(rec.X, rec.Frame, &sc.core, scores)
+	for j, bj := range scores {
+		if r.ConformalExistence {
+			p.Occur[j] = b.Classifier.PValue(j, bj) >= 1-r.Confidence
+		} else {
+			p.Occur[j] = bj >= b.Tau1
+		}
+		p.OI[j] = video.Interval{}
+		if !p.Occur[j] {
+			continue
+		}
+		pr.Theta(j, &sc.core, theta)
+		iv, _ := core.DecodeInterval(theta, b.Tau2)
+		if r.ConformalInterval {
+			if r.Adaptive {
+				iv = b.Scaled.Adjust(j, iv, r.Coverage, float64(iv.Len()))
+			} else {
+				iv = b.Regressor.Adjust(j, iv, r.Coverage)
+			}
+		}
+		p.OI[j] = iv
+	}
+	return scores
+}
+
+// eh is the shared implementation of the EventHit variants: a rule over a
+// bundle, with the scratch its Predict decides on.
 type eh struct {
-	b *Bundle
-	// useConformalExistence selects C-CLASSIFY (Eq. 9) over the τ1
-	// threshold (Eq. 4); useConformalInterval selects C-REGRESS (Eq. 11)
-	// over the raw decoded interval (Eq. 6).
-	useConformalExistence bool
-	useConformalInterval  bool
-	adaptive              bool    // normalized C-REGRESS (EHCRAdaptive)
-	confidence            float64 // c, for C-CLASSIFY
-	coverage              float64 // α, for C-REGRESS
-	name                  string
-	scratch               core.Output // reused by predict
+	b    *Bundle
+	rule Rule
+	name string
+	sc   Scratch
 }
 
 // EHO uses only EventHit's output: τ1 for existence, τ2 decoding for the
@@ -210,23 +267,18 @@ func (b *Bundle) EHO() Strategy { return &eh{b: b, name: "EHO"} }
 
 // EHC replaces the existence threshold with C-CLASSIFY at confidence c.
 func (b *Bundle) EHC(c float64) Strategy {
-	return &eh{b: b, useConformalExistence: true, confidence: c, name: "EHC"}
+	return &eh{b: b, rule: Rule{ConformalExistence: true, Confidence: c}, name: "EHC"}
 }
 
 // EHR keeps the τ1 existence threshold and widens intervals with C-REGRESS
 // at coverage alpha.
 func (b *Bundle) EHR(alpha float64) Strategy {
-	return &eh{b: b, useConformalInterval: true, coverage: alpha, name: "EHR"}
+	return &eh{b: b, rule: Rule{ConformalInterval: true, Coverage: alpha}, name: "EHR"}
 }
 
 // EHCR combines C-CLASSIFY and C-REGRESS.
 func (b *Bundle) EHCR(c, alpha float64) Strategy {
-	return &eh{
-		b:                     b,
-		useConformalExistence: true, confidence: c,
-		useConformalInterval: true, coverage: alpha,
-		name: "EHCR",
-	}
+	return &eh{b: b, rule: EHCRRule(c, alpha), name: "EHCR"}
 }
 
 // EHCRAdaptive is EHCR with normalized (record-adaptive) conformal
@@ -235,13 +287,9 @@ func (b *Bundle) EHCR(c, alpha float64) Strategy {
 // long fuzzy ones at the same coverage level. An extension beyond the
 // paper (same marginal guarantee).
 func (b *Bundle) EHCRAdaptive(c, alpha float64) Strategy {
-	return &eh{
-		b:                     b,
-		useConformalExistence: true, confidence: c,
-		useConformalInterval: true, coverage: alpha,
-		adaptive: true,
-		name:     "EHCR-A",
-	}
+	r := EHCRRule(c, alpha)
+	r.Adaptive = true
+	return &eh{b: b, rule: r, name: "EHCR-A"}
 }
 
 // Name implements Strategy.
@@ -254,80 +302,26 @@ func (s *eh) Quantized() (Strategy, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := *s
-	out.b = qb
-	out.scratch = core.Output{} // never share scratch across instances
-	return &out, nil
+	return &eh{b: qb, rule: s.rule, name: s.name}, nil
 }
 
-// predict runs the bundle's active predictor, allocation-free when it
-// supports PredictInto and frame-projection-cached when it supports
-// PredictFrameInto. The returned Output's slices are scratch: valid until
-// the next predict on this strategy instance.
-func (s *eh) predict(rec dataset.Record) core.Output {
-	p := s.b.predictor()
-	if fp, ok := p.(frameIntoPredictor); ok {
-		fp.PredictFrameInto(rec.X, rec.Frame, &s.scratch)
-		return s.scratch
-	}
-	if ip, ok := p.(intoPredictor); ok {
-		ip.PredictInto(rec.X, &s.scratch)
-		return s.scratch
-	}
-	return p.Predict(rec.X)
-}
-
-// Predict implements Strategy.
+// Predict implements Strategy. The Prediction owns its slices.
 func (s *eh) Predict(rec dataset.Record) metrics.Prediction {
-	return s.decide(s.predict(rec))
-}
-
-// decide applies the variant's existence and interval rules to a model
-// output (the second half of Predict, split out so PredictScored can reuse
-// it on an output whose raw scores it also returns).
-func (s *eh) decide(out core.Output) metrics.Prediction {
-	k := len(out.B)
-	p := metrics.Prediction{Occur: make([]bool, k), OI: make([]video.Interval, k)}
-	var occ []bool
-	if s.useConformalExistence {
-		occ = s.b.Classifier.Predict(out.B, s.confidence)
-	} else {
-		occ = core.DecodeExistence(out, s.b.Tau1)
-	}
-	for j := 0; j < k; j++ {
-		if !occ[j] {
-			continue
-		}
-		p.Occur[j] = true
-		iv, _ := core.DecodeInterval(out.Theta[j], s.b.Tau2)
-		if s.useConformalInterval {
-			if s.adaptive {
-				iv = s.b.Scaled.Adjust(j, iv, s.coverage, float64(iv.Len()))
-			} else {
-				iv = s.b.Regressor.Adjust(j, iv, s.coverage)
-			}
-		}
-		p.OI[j] = iv
-	}
+	var p metrics.Prediction
+	s.b.Decide(rec, s.rule, &s.sc, &p)
 	return p
 }
 
 // PredictScored runs the EHCR decision (C-CLASSIFY at confidence,
-// C-REGRESS at coverage) and also returns a copy of the raw existence
-// scores b_k the decision was computed from — the values an online
-// recalibration loop buffers against realized labels (drift.Recalibrator).
-// One model forward pass serves both.
+// C-REGRESS at coverage) and also returns the raw existence scores b_k the
+// decision was computed from — the values an online recalibration loop
+// buffers against realized labels (drift.Recalibrator). One model forward
+// pass serves both; the caller owns everything returned.
 func (b *Bundle) PredictScored(rec dataset.Record, confidence, coverage float64) (metrics.Prediction, []float64) {
-	s := &eh{
-		b:                     b,
-		useConformalExistence: true, confidence: confidence,
-		useConformalInterval: true, coverage: coverage,
-		name: "EHCR",
-	}
-	out := s.predict(rec)
-	scores := make([]float64, len(out.B))
-	copy(scores, out.B)
-	return s.decide(out), scores
+	var sc Scratch
+	var p metrics.Prediction
+	scores := b.Decide(rec, EHCRRule(confidence, coverage), &sc, &p)
+	return p, scores
 }
 
 // PredictRuns is the multi-instance extension (§II footnote 1): existence
@@ -337,16 +331,21 @@ func (b *Bundle) PredictScored(rec dataset.Record, confidence, coverage float64)
 // avoids relaying the dead time between two instances that share a
 // horizon. The per-event slice is nil when the event is predicted absent.
 func (b *Bundle) PredictRuns(rec dataset.Record, confidence float64, mergeGap int) [][]video.Interval {
-	out := b.predictor().Predict(rec.X)
-	occ := b.Classifier.Predict(out.B, confidence)
-	runs := make([][]video.Interval, len(out.B))
-	for k := range out.B {
-		if !occ[k] {
+	cfg := b.Model.Config()
+	pr := b.predictor()
+	var sc core.Scratch
+	scores := make([]float64, cfg.NumEvents)
+	theta := make([]float64, cfg.Horizon)
+	pr.Exist(rec.X, rec.Frame, &sc, scores)
+	runs := make([][]video.Interval, len(scores))
+	for k, bk := range scores {
+		if !(b.Classifier.PValue(k, bk) >= 1-confidence) {
 			continue
 		}
-		rs := core.DecodeIntervals(out.Theta[k], b.Tau2, mergeGap)
+		pr.Theta(k, &sc, theta)
+		rs := core.DecodeIntervals(theta, b.Tau2, mergeGap)
 		if len(rs) == 0 {
-			iv, _ := core.DecodeInterval(out.Theta[k], b.Tau2)
+			iv, _ := core.DecodeInterval(theta, b.Tau2)
 			rs = []video.Interval{iv}
 		}
 		runs[k] = rs

@@ -645,8 +645,7 @@ func TestCalibrateMultiEvent(t *testing.T) {
 }
 
 // TestBundleClone: the clone predicts identically but owns its model, so
-// mutating (retraining) the original cannot leak into the clone and the
-// two are safe behind separate inference mutexes.
+// mutating (retraining) the original cannot leak into the clone.
 func TestBundleClone(t *testing.T) {
 	f := getFixture(t)
 	c := f.bundle.Clone()

@@ -19,6 +19,11 @@
 #              explore
 #   ingest     the frame ingest path: concurrent push+predict on one session
 #              under -race ten times over (the ring is written in place)
+#   predict    the lock-free predict path under -race five times over:
+#              goroutines sharing one model in core and strategy, cameras on
+#              distinct sessions with an admin swap (float and quantized) or
+#              a recalibration landing mid-run, every response equal to a
+#              serial replay
 #   fleet      the scheduler's concurrent-admission + starvation tests under
 #              -race, then regenerate BENCH_fleet.json at two parallelism
 #              levels and require all three byte-identical: the committed
@@ -45,10 +50,12 @@
 #   speed      the predict fast-path gates: the BENCH_speed.json schema and
 #              acceptance tests, the deterministic parity block regenerated
 #              twice and byte-compared, and a benchstat-style perf gate that
-#              times the float vs combined fast hot path and fails if the
-#              speedup drops below a machine-independent 1.5x floor, plus
-#              the frames-handler allocation ceiling (same constant at 1,
-#              250 and 4096 frames)
+#              times the float and the combined fast hot path and holds each
+#              to its own ns/op ceiling (both share the row-blocked kernel
+#              and lazy Theta, so a fast / float ratio would say nothing
+#              about either path),
+#              plus the frames-handler (same constant at 1, 250 and 4096
+#              frames) and predict-handler allocation ceilings
 #   bench      one short run of the repository benchmark (go run ./bench);
 #              a non-zero exit — a workload that failed or did not finish —
 #              fails the gate
@@ -92,6 +99,11 @@ go test ./internal/scenario/ -run 'Fuzz|TestFuzzSeedCorpus' -count=1
 
 echo "== frame ingest: push+predict on one session (race, x10) =="
 go test -race ./internal/serve/ -run 'TestConcurrentPushPredictSameSession' -count=10
+
+echo "== lock-free predict path: shared model, distinct sessions, swaps mid-run (race, x5) =="
+go test -race ./internal/core/ -run 'TestConcurrentInferenceSharesModel' -count=5
+go test -race ./internal/strategy/ -run 'TestDecideConcurrentOnSharedBundle' -count=5
+go test -race ./internal/serve/ -run 'TestConcurrentPredictMatchesSerial|TestConcurrentRelayMatchesSerial' -count=5
 
 echo "== fleet scheduler (race + golden schema) =="
 go test -race ./internal/fleet/ -count=1
@@ -148,7 +160,11 @@ go run ./cmd/eventhitbench -exp cascade -quick -seed 1 -parallelism 4 \
 cmp "$tmpdir/cascade_p1.json" "$tmpdir/cascade_p4.json"
 cmp "$tmpdir/cascade_p1.json" BENCH_cascade.json
 
-echo "== predict fast path perf gate (fast >= 1.5x float) =="
+echo "== predict fast path perf gate (float <= 80 us, fast <= 65 us per step) =="
+# Ceilings on the best of two runs, for the 2 GHz-class box the numbers in
+# CHANGES.md come from (float ~50 us, fast ~45 us there; the seed float path
+# took ~97 us, so losing the row-blocked kernel or lazy Theta trips the
+# float line).
 go test -run '^$' -bench 'BenchmarkPredictHot(Float|Fast)$' -benchtime 1s -count 2 . \
     | tee "$tmpdir/bench_speed.txt"
 awk '
@@ -156,13 +172,13 @@ awk '
     /^BenchmarkPredictHotFast/  { v = $3 + 0; if (q == 0 || v < q) q = v }
     END {
         if (f == 0 || q == 0) { print "perf gate: benchmark output missing" > "/dev/stderr"; exit 1 }
-        r = f / q
-        printf "perf gate: float %.0f ns/op vs fast %.0f ns/op -> %.2fx (floor 1.5x)\n", f, q, r
-        if (r < 1.5) { print "perf gate: predict fast path below 1.5x over float" > "/dev/stderr"; exit 1 }
+        printf "perf gate: float %.0f ns/op (ceiling 80000), fast %.0f ns/op (ceiling 65000)\n", f, q
+        if (f > 80000) { print "perf gate: float predict step above 80 us" > "/dev/stderr"; exit 1 }
+        if (q > 65000) { print "perf gate: fast predict step above 65 us" > "/dev/stderr"; exit 1 }
     }' "$tmpdir/bench_speed.txt"
 
-echo "== frames handler allocation ceiling (1, 250, 4096 frames) =="
-go test ./internal/serve/ -run 'TestFramesHandlerAllocs' -count=1
+echo "== handler allocation ceilings (frames at 1, 250, 4096; predict) =="
+go test ./internal/serve/ -run 'TestFramesHandlerAllocs|TestPredictHandlerAllocs' -count=1
 
 echo "== repository benchmark completes (go run ./bench, 3 s per workload) =="
 go run ./bench -seed 1 -seconds 3 >"$tmpdir/bench.txt" 2>&1 || {
