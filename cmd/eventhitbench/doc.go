@@ -1,0 +1,68 @@
+// Command eventhitbench runs entries of the experiment registry
+// (internal/harness.Experiments): the tables and figures of the paper's
+// evaluation (§VI), this repository's extensions, and the producers of the
+// committed BENCH_*.json artifacts.
+//
+// Usage:
+//
+//	eventhitbench -list
+//	eventhitbench -exp table1
+//	eventhitbench -exp fig4 -task TA5 -trials 5
+//	eventhitbench -exp all -quick
+//	eventhitbench -exp fleet
+//	eventhitbench -exp fleet -parallelism 1 -out /tmp/fleet.json
+//
+// With no other flag an experiment runs its canonical configuration (the
+// CONFIG column below); -task, -seed, -quick, -trials, -window and -horizon
+// override it only when given, and sizes no flag reaches — stream and frame
+// counts, budgets, sweep grids — are constants of the registry entry. "all"
+// runs the entries marked all, in table order.
+//
+// An entry with an ARTIFACT writes its JSON result to that file in the
+// working directory (-out redirects it) and refuses to write a result
+// outside the entry's acceptance bounds. Entries marked det are
+// deterministic: the result is byte-identical run to run and at any
+// -parallelism, so `eventhitbench -exp fleet` rewrites the committed
+// BENCH_fleet.json byte for byte; scripts/check.sh regenerates every det
+// entry and compares. speedparity has no file and prints its JSON to
+// stdout. No entry reports a wall-clock number: those come from `go run
+// ./bench` (BENCHMARK.json).
+//
+// Experiments whose trials (or tasks, or sweep settings) are independent
+// run them on -parallelism concurrent workers; results are bit-identical at
+// any setting. -metricsout dumps the process metrics registry after the
+// run.
+//
+// The registry (this table is generated: `go test ./cmd/eventhitbench
+// -update` rewrites it from the code, and the test fails when it drifts):
+//
+//	NAME         ARTIFACT               DET  ALL  CONFIG             DESCRIPTION
+//	table1       -                      -    all  TA1,seed=1         Table I: dataset statistics
+//	table2       -                      -    all  TA1,seed=1         Table II: task definitions
+//	fig4         -                      -    all  TA1,seed=1         Figure 4: REC vs SPL of every strategy on one task
+//	fig4all      -                      -    -    TA1,seed=1         Figure 4 on all sixteen tasks
+//	fig5         -                      -    all  TA1,seed=1         Figure 5: EHC sweep of the confidence c
+//	fig6         -                      -    all  TA1,seed=1         Figure 6: EHR sweep of the coverage alpha
+//	fig7         -                      -    all  TA1,seed=1         Figure 7: sensitivity to window M and horizon H
+//	fig8         -                      -    all  TA1,seed=1         Figure 8: monetary case study
+//	fig9         -                      -    all  TA1,seed=1         Figure 9: REC vs end-to-end FPS
+//	fig10        -                      -    all  TA1,seed=1         Figure 10: stage time shares
+//	resources    -                      -    all  TA1,seed=1         model size and training/inference resources
+//	loss         -                      -    -    TA1,seed=1         training loss curve
+//	ablation     -                      -    all  TA1,seed=1         design-choice ablations
+//	drift        -                      -    all  TA1,seed=1         drift detection and recalibration
+//	multi        -                      -    all  TA1,seed=1         multi-instance horizons on the industrial stream
+//	geom         -                      -    all  TA1,seed=1         covariate-family comparison
+//	validity     -                      -    all  TA1,seed=1         empirical check of Theorems 4.2 and 5.2
+//	operate      -                      -    all  TA1,seed=1         continuous operation under a budget
+//	transfer     -                      -    -    TA1,seed=1         one model across fresh streams
+//	density      -                      -    -    TA1,seed=1         event-density sensitivity
+//	tune         -                      -    -    TA1,seed=1         operating-point tuner
+//	summary      -                      -    -    TA1,seed=1         headline table over all sixteen tasks
+//	resilience   BENCH_resilience.json  det  -    TA10,seed=5,quick  CI fault-rate sweep against the resilient client
+//	fleet        BENCH_fleet.json       det  -    TA10,seed=5,quick  3 streams x 20000 frames on one budgeted CI
+//	cache        BENCH_cache.json       det  -    TA10,seed=5,quick  CI result cache epsilon x TTL sweep, 4 streams x 12000 frames
+//	cluster      BENCH_cluster.json     det  -    TA10,seed=5,quick  fleet sharded over 1/2/4 simulated workers, 8 streams x 12000 frames
+//	cascade      BENCH_cascade.json     det  -    TA1,seed=1,quick   early-inference ladder x exit-policy sweep
+//	speedparity  -                      det  -    TA1,seed=1,quick   float-vs-quantized and incremental-vs-recompute parity block
+package main

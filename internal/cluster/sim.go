@@ -5,7 +5,8 @@
 // scoring are pure functions of (timelines, config) and Go's JSON encoder
 // round-trips float64 exactly, the sharded report is BYTE-identical to the
 // single-process fleet.Run report at any worker count — the determinism
-// bar the whole tier is held to, and the check.sh gate pins.
+// bar the whole tier is held to, and BENCH_cluster.json's report_identical
+// rows pin.
 //
 // The workers here are in-process HTTP servers on loopback: the timeline
 // WIRE format crosses a real serialization boundary (the part that can
@@ -114,33 +115,21 @@ type timelineBatch struct {
 // simWorker is one in-process timeline server: it owns its assigned
 // streams and computes their timelines on demand.
 type simWorker struct {
-	id      string
 	streams []fleet.Stream
 	cfg     fleet.Config
 }
 
 // handleTimelines is POST /v1/cluster/timelines: compute every assigned
-// stream's timeline and return the batch. The phase-A recipe must match
-// fleet.Run exactly — in particular the cache-signing rewrite — or the
-// front's arbitration would see differently keyed requests.
+// stream's timeline with fleet.Run's own phase A and return the batch.
 func (sw *simWorker) handleTimelines(w http.ResponseWriter, _ *http.Request) {
 	batch := timelineBatch{Timelines: make([]WireTimeline, 0, len(sw.streams))}
 	for _, s := range sw.streams {
-		if sw.cfg.Cache != nil {
-			s.Costs.Cache = sw.cfg.Cache
-		}
-		svc := cloud.NewService(s.Source.Stream(), sw.cfg.Pricing, sw.cfg.Latency)
-		m, err := pipeline.New(s.Source, s.Strategy, svc, s.Cfg, s.Costs)
+		cell, err := fleet.Collect(s, sw.cfg)
 		if err != nil {
-			clusterError(w, http.StatusInternalServerError, "stream %s: %v", s.ID, err)
+			clusterError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		tl, err := m.Collect(s.Start, s.End)
-		if err != nil {
-			clusterError(w, http.StatusInternalServerError, "stream %s: %v", s.ID, err)
-			return
-		}
-		batch.Timelines = append(batch.Timelines, toWire(s.ID, tl))
+		batch.Timelines = append(batch.Timelines, toWire(cell.ID, cell.TL))
 	}
 	writeJSON(w, batch)
 }
@@ -185,16 +174,11 @@ func RunSim(streams []fleet.Stream, cfg fleet.Config, workers int) (*SimResult, 
 		return nil, fmt.Errorf("cluster: workers %d < 1", workers)
 	}
 	ids := make([]string, len(streams))
-	byID := make(map[string]int, len(streams))
 	for i, s := range streams {
-		if s.ID == "" {
-			return nil, fmt.Errorf("cluster: stream %d has no ID", i)
-		}
-		if _, dup := byID[s.ID]; dup {
-			return nil, fmt.Errorf("cluster: duplicate stream ID %q", s.ID)
-		}
 		ids[i] = s.ID
-		byID[s.ID] = i
+	}
+	if err := fleet.CheckIDs(len(ids), func(i int) string { return ids[i] }); err != nil {
+		return nil, err
 	}
 	assign, err := AssignStreams(ids, workers)
 	if err != nil {
@@ -221,7 +205,7 @@ func RunSim(streams []fleet.Stream, cfg fleet.Config, workers int) (*SimResult, 
 				mine = append(mine, s)
 			}
 		}
-		sw := &simWorker{id: wid, streams: mine, cfg: cfg}
+		sw := &simWorker{streams: mine, cfg: cfg}
 		mux := http.NewServeMux()
 		mux.HandleFunc("POST /v1/cluster/timelines", sw.handleTimelines)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -14,8 +14,8 @@ import (
 //
 // Accuracy contract: per-logit probability error against the float model
 // is bounded by QuantProbTol — pinned here and enforced on trained models
-// by the core tests and the harness parity sweep (BENCH_speed.json records
-// the measured value). Unlike Model, a QuantModel is single-stream state:
+// by the core tests and the harness parity block (`eventhitbench -exp
+// speedparity` reports the measured value). Unlike Model, a QuantModel is single-stream state:
 // its activations and the encoder's frame-keyed projection ring live in the
 // twin itself, so one goroutine at a time may use it (internal/serve keeps
 // a mutex next to the twin it serves).

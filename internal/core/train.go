@@ -49,8 +49,8 @@ type TrainConfig struct {
 	// ForceParallelism lifts the default clamp of effective workers to
 	// runtime.GOMAXPROCS(0). By default requesting more workers than the
 	// box has cores silently runs with fewer — on a 1-CPU machine the
-	// extra goroutines only pay sharding overhead (BENCH_parallel.json
-	// measured 0.89x) without changing results (the engine is
+	// extra goroutines only pay sharding overhead (0.89x measured)
+	// without changing results (the engine is
 	// bit-deterministic in the worker count). Set this to measure
 	// oversubscription deliberately.
 	ForceParallelism bool

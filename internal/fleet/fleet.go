@@ -252,6 +252,47 @@ type TimelineStream struct {
 	TL pipeline.Timeline
 }
 
+// CheckIDs rejects an empty or repeated stream ID: reports, metrics labels
+// and the cluster tier's stream-to-worker assignment all key on it.
+func CheckIDs(n int, idOf func(i int) string) error {
+	seen := make(map[string]bool, n)
+	for i := 0; i < n; i++ {
+		id := idOf(i)
+		if id == "" {
+			return fmt.Errorf("fleet: stream %d has no ID", i)
+		}
+		if seen[id] {
+			return fmt.Errorf("fleet: duplicate stream ID %q", id)
+		}
+		seen[id] = true
+	}
+	return nil
+}
+
+// Collect is phase A for one stream: its oracle backend and its timeline
+// under cfg. Run calls it on Parallelism workers and the cluster tier's
+// workers call it remotely; sharing it is what keeps a sharded run's
+// requests keyed exactly like the single-process run's.
+func Collect(s Stream, cfg Config) (TimelineStream, error) {
+	if cfg.Cache != nil {
+		// The fleet cache owns the keying: requests must be signed with the
+		// fleet's quantization, not whatever the stream carried. Signing is
+		// pure (no RNG, no clock), so the timeline is unchanged apart from
+		// the Key fields.
+		s.Costs.Cache = cfg.Cache
+	}
+	svc := cloud.NewService(s.Source.Stream(), cfg.Pricing, cfg.Latency)
+	m, err := pipeline.New(s.Source, s.Strategy, svc, s.Cfg, s.Costs)
+	if err != nil {
+		return TimelineStream{}, fmt.Errorf("fleet: stream %s: %w", s.ID, err)
+	}
+	tl, err := m.Collect(s.Start, s.End)
+	if err != nil {
+		return TimelineStream{}, fmt.Errorf("fleet: stream %s: %w", s.ID, err)
+	}
+	return TimelineStream{ID: s.ID, Svc: svc, TL: tl}, nil
+}
+
 // Run admits the streams and marshals them against one shared CI backend.
 // Phase A computes each stream's timeline (records, predictions, relay
 // requests with release times) on Config.Parallelism workers, slotted by
@@ -266,19 +307,10 @@ func Run(streams []Stream, cfg Config) (*Report, error) {
 	}
 	// Fail fast on bad IDs before burning phase-A compute; RunTimelines
 	// re-checks for callers that skip Run.
-	seen := make(map[string]bool, len(streams))
-	for i, s := range streams {
-		if s.ID == "" {
-			return nil, fmt.Errorf("fleet: stream %d has no ID", i)
-		}
-		if seen[s.ID] {
-			return nil, fmt.Errorf("fleet: duplicate stream ID %q", s.ID)
-		}
-		seen[s.ID] = true
+	if err := CheckIDs(len(streams), func(i int) string { return streams[i].ID }); err != nil {
+		return nil, err
 	}
 
-	// Phase A: per-stream oracle backends and timelines, computed
-	// concurrently and slotted by index.
 	cells := make([]TimelineStream, len(streams))
 	errs := make([]error, len(streams))
 	workers := cfg.Parallelism
@@ -299,26 +331,7 @@ func Run(streams []Stream, cfg Config) (*Report, error) {
 				if i >= len(streams) {
 					return
 				}
-				s := streams[i]
-				if cfg.Cache != nil {
-					// The fleet cache owns the keying: requests must be
-					// signed with the fleet's quantization, not whatever the
-					// stream carried. Signing is pure (no RNG, no clock), so
-					// the timeline is unchanged apart from the Key fields.
-					s.Costs.Cache = cfg.Cache
-				}
-				svc := cloud.NewService(s.Source.Stream(), cfg.Pricing, cfg.Latency)
-				m, err := pipeline.New(s.Source, s.Strategy, svc, s.Cfg, s.Costs)
-				if err != nil {
-					errs[i] = fmt.Errorf("fleet: stream %s: %w", s.ID, err)
-					continue
-				}
-				tl, err := m.Collect(s.Start, s.End)
-				if err != nil {
-					errs[i] = fmt.Errorf("fleet: stream %s: %w", s.ID, err)
-					continue
-				}
-				cells[i] = TimelineStream{ID: s.ID, Svc: svc, TL: tl}
+				cells[i], errs[i] = Collect(streams[i], cfg)
 			}
 		}()
 	}
@@ -344,18 +357,13 @@ func RunTimelines(streams []TimelineStream, cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool, len(streams))
-	for i, s := range streams {
-		if s.ID == "" {
-			return nil, fmt.Errorf("fleet: stream %d has no ID", i)
-		}
-		if seen[s.ID] {
-			return nil, fmt.Errorf("fleet: duplicate stream ID %q", s.ID)
-		}
+	if err := CheckIDs(len(streams), func(i int) string { return streams[i].ID }); err != nil {
+		return nil, err
+	}
+	for _, s := range streams {
 		if s.Svc == nil {
 			return nil, fmt.Errorf("fleet: stream %q has no oracle service", s.ID)
 		}
-		seen[s.ID] = true
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()

@@ -5,11 +5,7 @@ import (
 	"io"
 
 	"eventhit/internal/cicache"
-	"eventhit/internal/features"
 	"eventhit/internal/fleet"
-	"eventhit/internal/mathx"
-	"eventhit/internal/pipeline"
-	"eventhit/internal/video"
 )
 
 // CachePoint is one (epsilon, TTL) setting of the cache sweep: the paired
@@ -78,39 +74,10 @@ func CacheFleetPolicy(parallelism int) fleet.Config {
 	return cfg
 }
 
-// cacheStreams builds the sweep workload: n cameras over ceil(n/2) scenes,
-// consecutive pairs watching the SAME scene (identical generation seed,
-// hence identical covariate timelines). Paired cameras release identical
-// relays, which is exactly the repetition a content-addressed cache is
-// for; unpaired content exercises the miss path.
-func cacheStreams(env *Env, opt Options, n, frames int, seed int64, conf, cov float64) ([]fleet.Stream, error) {
-	task := env.Task
-	streams := make([]fleet.Stream, n)
-	for i := range streams {
-		ss := seed + int64(1000*((i/2)+1))
-		st := video.Generate(task.Dataset, mathx.NewRNG(ss).Split(1))
-		ex, err := features.NewExtractor(st, task.EventIdx, opt.Detector, ss)
-		if err != nil {
-			return nil, fmt.Errorf("harness: cache stream %d: %w", i, err)
-		}
-		sb := *env.Bundle
-		sb.Model = env.Bundle.Model.Clone()
-		end := st.N - 1
-		if frames > 0 && frames < end {
-			end = frames
-		}
-		streams[i] = fleet.Stream{
-			ID:       fmt.Sprintf("cam-%02d", i),
-			Source:   ex,
-			Strategy: sb.EHCR(conf, cov),
-			Cfg:      env.Cfg,
-			Costs:    pipeline.EventHitCosts(env.Cfg.Window),
-			Start:    0,
-			End:      end,
-		}
-	}
-	return streams, nil
-}
+// pairedScene puts consecutive camera pairs on the SAME scene: n cameras
+// over ceil(n/2) scenes. Paired cameras release identical relays; unpaired
+// content exercises the miss path.
+func pairedScene(i int) int { return i / 2 }
 
 func meanRealizedREC(rep *fleet.Report) float64 {
 	if len(rep.Streams) == 0 {
@@ -124,7 +91,7 @@ func meanRealizedREC(rep *fleet.Report) float64 {
 }
 
 // CacheSweep trains one bundle on the task, deploys it over the paired
-// workload of cacheStreams, and marshals it through the fleet scheduler
+// workload of pairedScene, and marshals it through the fleet scheduler
 // once uncached (the baseline) and once per (epsilon, TTL) grid cell with
 // the shared CI result cache on. Every cell rebuilds its streams from the
 // same seeds, so the only varying input is the cache config; at Epsilon 0
@@ -144,7 +111,6 @@ func CacheSweep(taskName string, opt Options, n, frames int, fcfg fleet.Config, 
 	if len(ttls) == 0 {
 		ttls = CacheTTLs()
 	}
-	const conf, cov = 0.9, 0.9
 	env, err := NewEnv(task, opt, seed)
 	if err != nil {
 		return nil, err
@@ -161,14 +127,14 @@ func CacheSweep(taskName string, opt Options, n, frames int, fcfg fleet.Config, 
 	}
 	res := &CacheResult{
 		Task: task.Name, Seed: seed, Streams: n, Scenes: (n + 1) / 2,
-		Frames: frames, Confidence: conf, Coverage: cov,
+		Frames: frames, Confidence: fleetConfidence, Coverage: fleetConfidence,
 		Points: make([]CachePoint, len(grid)),
 	}
 	// Cell 0 is the uncached baseline; cells 1.. are the grid. Each cell
 	// rebuilds its streams (extractors are stateful) and runs with a fresh
 	// run-scoped registry (Config.Metrics nil).
 	if err := forEachCell(1+len(grid), func(i int) error {
-		streams, err := cacheStreams(env, opt, n, frames, seed, conf, cov)
+		streams, err := fleetStreams(env, n, frames, seed, pairedScene)
 		if err != nil {
 			return err
 		}
@@ -209,7 +175,7 @@ func CacheSweep(taskName string, opt Options, n, frames int, fcfg fleet.Config, 
 	}
 	if w != nil {
 		t := NewTable(fmt.Sprintf("CI result cache — %d x %s cams over %d scenes, EHCR(c=α=%.2f); baseline $%.2f (%d frames), realized REC %.3f",
-			n, task.Name, res.Scenes, conf, res.BaselineSpentUSD, res.BaselineFrames, res.BaselineRealizedREC),
+			n, task.Name, res.Scenes, fleetConfidence, res.BaselineSpentUSD, res.BaselineFrames, res.BaselineRealizedREC),
 			"epsilon", "TTL", "hits", "bad", "saved frames", "saved $", "billed $", "REC delta")
 		for _, p := range res.Points {
 			t.Addf(p.Epsilon, p.TTLFrames, p.Hits, p.BadHits, p.SavedFrames,

@@ -4,42 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 )
-
-// TestCacheGoldenJSONShape pins the BENCH_cache.json schema: exact field
-// names, order and nesting. Values are fixed by hand so the golden only
-// moves when the schema does.
-func TestCacheGoldenJSONShape(t *testing.T) {
-	res := CacheResult{
-		Task: "TA10", Seed: 5, Streams: 4, Scenes: 2, Frames: 12000,
-		Confidence: 0.9, Coverage: 0.9,
-		BaselineFrames: 400, BaselineSpentUSD: 0.4, BaselineRealizedREC: 0.75,
-		Points: []CachePoint{{
-			Epsilon: 0, TTLFrames: 30000,
-			Hits: 10, Misses: 10, BadHits: 0, Evictions: 0,
-			SavedFrames: 200, SavedUSD: 0.2,
-			Frames: 200, SpentUSD: 0.2,
-			Served: 20, Deferred: 0, Shed: 0,
-			RealizedREC: 0.75, RECDelta: 0,
-		}},
-	}
-	got, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-	golden := filepath.Join("testdata", "cache_golden.json")
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("BENCH_cache.json schema drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
-	}
-}
 
 // TestCacheSweepQuick runs the full sweep on a short paired workload and
 // checks the acceptance properties: the exact-match control saves real

@@ -80,7 +80,7 @@ func ClusterSweep(taskName string, opt Options, n, frames int, fcfg fleet.Config
 		Report  *fleet.Report      `json:"report"`
 		Metrics map[string]float64 `json:"metrics"`
 	}
-	streams, err := fleetStreams(task, opt, env, n, frames, seed)
+	streams, err := fleetStreams(env, n, frames, seed, ownScene)
 	if err != nil {
 		return nil, err
 	}
@@ -95,14 +95,14 @@ func ClusterSweep(taskName string, opt Options, n, frames int, fcfg fleet.Config
 
 	res := &ClusterResult{
 		Task: task.Name, Seed: seed, Streams: n, Frames: frames,
-		Confidence: 0.9, Coverage: 0.9,
+		Confidence: fleetConfidence, Coverage: fleetConfidence,
 		BudgetUSD: fcfg.GlobalBudgetUSD,
 		Report:    *baseRep,
 		Metrics:   baseRep.MetricsSummary(),
 	}
 	var makespan1 float64
 	for _, workers := range workerCounts {
-		streams, err := fleetStreams(task, opt, env, n, frames, seed)
+		streams, err := fleetStreams(env, n, frames, seed, ownScene)
 		if err != nil {
 			return nil, err
 		}

@@ -2,112 +2,8 @@ package harness
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
-
-	"eventhit/internal/fleet"
 )
-
-// clusterGoldenFixture is the hand-built value behind the schema golden.
-func clusterGoldenFixture() ClusterResult {
-	return ClusterResult{
-		Task: "TA10", Seed: 5, Streams: 2, Frames: 1000,
-		Confidence: 0.9, Coverage: 0.9, BudgetUSD: 0.5,
-		Rows: []ClusterRow{{
-			Workers: 2, StreamsPerWorker: 1,
-			BusyMS:     map[string]float64{"w000": 100, "w001": 100},
-			MakespanMS: 100, CapacityFPS: 20000, Speedup: 2,
-			ReportIdentical: true, TotalSpentUSD: 0.04,
-		}},
-		Report: fleet.Report{
-			Streams: []fleet.StreamReport{{
-				ID: "cam-00", Horizons: 3, Relays: 2, Served: 1, Deferred: 1, Shed: 0,
-				Detections: 1, Frames: 40, SpentUSD: 0.04, REC: 1, RealizedREC: 0.5,
-				LocalMS: 100, AvgWaitMS: 5, MaxWaitMS: 5,
-			}},
-			Served: 1, Deferred: 1, Shed: 0,
-			TotalFrames: 40, TotalSpentUSD: 0.04, BudgetUSD: 0.5,
-			Batches: 1, AvgBatchSize: 1, MaxQueueDepth: 2,
-			CacheHits: 0, CacheSavedFrames: 0, CacheSavedUSD: 0, CacheBadHits: 0,
-			MakespanMS: 250,
-		},
-		Metrics: map[string]float64{
-			"eventhit_fleet_ci_frames_total":     40,
-			"eventhit_fleet_served_relays_total": 1,
-		},
-	}
-}
-
-// TestClusterGoldenJSONShape pins the BENCH_cluster.json schema: exact
-// field names, order and nesting. Values are fixed by hand so the golden
-// only moves when the schema does.
-func TestClusterGoldenJSONShape(t *testing.T) {
-	got, err := json.MarshalIndent(clusterGoldenFixture(), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-	golden := filepath.Join("testdata", "cluster_golden.json")
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("BENCH_cluster.json schema drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
-	}
-}
-
-// TestClusterArtifact holds the committed BENCH_cluster.json to the
-// issue's acceptance bar: >= 3x aggregate capacity at 4 workers vs 1,
-// byte-identical reports at every worker count, and spend within the
-// global cap. Regenerate with `go run ./cmd/eventhitcluster -sim`.
-func TestClusterArtifact(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_cluster.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var res ClusterResult
-	if err := dec.Decode(&res); err != nil {
-		t.Fatalf("BENCH_cluster.json does not match the ClusterResult schema: %v", err)
-	}
-	if len(res.Rows) < 2 {
-		t.Fatalf("artifact sweeps %d worker counts, want at least 1 and 4", len(res.Rows))
-	}
-	var cap1, cap4 float64
-	for _, r := range res.Rows {
-		if !r.ReportIdentical {
-			t.Fatalf("%d-worker report not byte-identical to fleet.Run", r.Workers)
-		}
-		if r.TotalSpentUSD > res.BudgetUSD {
-			t.Fatalf("%d workers spent %.4f over the %.4f cap", r.Workers, r.TotalSpentUSD, res.BudgetUSD)
-		}
-		if r.TotalSpentUSD != res.Report.TotalSpentUSD {
-			t.Fatalf("%d-worker spend %.4f differs from baseline %.4f", r.Workers, r.TotalSpentUSD, res.Report.TotalSpentUSD)
-		}
-		if r.MakespanMS <= 0 || r.CapacityFPS <= 0 {
-			t.Fatalf("degenerate capacity row: %+v", r)
-		}
-		if len(r.BusyMS) != r.Workers {
-			t.Fatalf("%d-worker row used %d workers", r.Workers, len(r.BusyMS))
-		}
-		switch r.Workers {
-		case 1:
-			cap1 = r.CapacityFPS
-		case 4:
-			cap4 = r.CapacityFPS
-		}
-	}
-	if cap1 == 0 || cap4 == 0 {
-		t.Fatal("artifact missing the 1-worker or 4-worker row")
-	}
-	if cap4 < 3*cap1 {
-		t.Fatalf("4-worker capacity %.0f fps is under 3x the 1-worker %.0f fps", cap4, cap1)
-	}
-}
 
 // TestClusterSweepQuick runs the sweep end to end at small scale: every
 // sharded run must reproduce the baseline byte for byte and the capacity

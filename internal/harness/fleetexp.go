@@ -32,20 +32,38 @@ type FleetResult struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// fleetStreams builds the n independent camera streams the fleet
-// experiments marshal: one per cell, slotted by index, each with its own
-// model replica (Model.Predict reuses forward caches, and timelines are
-// computed concurrently). The conformal layers are read-only after
-// calibration and stay shared. Rebuild the streams for every run — a used
-// stream carries warmed caches that a byte-identity comparison must not
-// see.
-func fleetStreams(task Task, opt Options, env *Env, n, frames int, seed int64) ([]fleet.Stream, error) {
-	const conf, cov = 0.9, 0.9
+// fleetConfidence is the EHCR(c, alpha) operating point every camera of
+// the fleet, cache and cluster experiments runs at.
+const fleetConfidence = 0.9
+
+// quickFleetPolicy is the scheduler policy behind BENCH_fleet.json and
+// BENCH_cluster.json, sized for Quick() streams: a cap well below the
+// unconstrained spend, and per-stream metering on, so the budget and
+// admission machinery engage.
+func quickFleetPolicy() fleet.Config {
+	cfg := fleet.DefaultConfig()
+	cfg.GlobalBudgetUSD = 0.5
+	cfg.StreamRatePerSec = 600
+	cfg.StreamBurst = 3000
+	return cfg
+}
+
+// fleetStreams builds the n camera streams the fleet experiments marshal:
+// one per cell, slotted by index, each with its own model replica
+// (Model.Predict reuses forward caches, and timelines are computed
+// concurrently). The conformal layers are read-only after calibration and
+// stay shared. Camera i watches scene sceneOf(i): cameras on one scene
+// share its generation seed, hence identical covariate timelines and
+// identical relays — the repetition a content-addressed cache is for.
+// Rebuild the streams for every run — a used stream carries warmed caches
+// that a byte-identity comparison must not see.
+func fleetStreams(env *Env, n, frames int, seed int64, sceneOf func(i int) int) ([]fleet.Stream, error) {
+	task := env.Task
 	streams := make([]fleet.Stream, n)
-	if err := forEachCell(n, func(i int) error {
-		ss := seed + int64(1000*(i+1))
+	err := forEachCell(n, func(i int) error {
+		ss := seed + int64(1000*(sceneOf(i)+1))
 		st := video.Generate(task.Dataset, mathx.NewRNG(ss).Split(1))
-		ex, err := features.NewExtractor(st, task.EventIdx, opt.Detector, ss)
+		ex, err := features.NewExtractor(st, task.EventIdx, env.Opt.Detector, ss)
 		if err != nil {
 			return fmt.Errorf("harness: fleet stream %d: %w", i, err)
 		}
@@ -58,18 +76,19 @@ func fleetStreams(task Task, opt Options, env *Env, n, frames int, seed int64) (
 		streams[i] = fleet.Stream{
 			ID:       fmt.Sprintf("cam-%02d", i),
 			Source:   ex,
-			Strategy: sb.EHCR(conf, cov),
+			Strategy: sb.EHCR(fleetConfidence, fleetConfidence),
 			Cfg:      env.Cfg,
 			Costs:    pipeline.EventHitCosts(env.Cfg.Window),
 			Start:    0,
 			End:      end,
 		}
 		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return streams, nil
+	})
+	return streams, err
 }
+
+// ownScene gives every camera its own scene: n independent streams.
+func ownScene(i int) int { return i }
 
 // Fleet trains one bundle on the task, generates n fresh streams of the
 // task's dataset (distinct seeds — the paper's independent trials, here
@@ -84,13 +103,11 @@ func Fleet(taskName string, opt Options, n, frames int, fcfg fleet.Config, seed 
 	if n <= 0 {
 		n = 4
 	}
-	const conf, cov = 0.9, 0.9
 	env, err := NewEnv(task, opt, seed)
 	if err != nil {
 		return nil, err
 	}
-
-	streams, err := fleetStreams(task, opt, env, n, frames, seed)
+	streams, err := fleetStreams(env, n, frames, seed, ownScene)
 	if err != nil {
 		return nil, err
 	}
@@ -101,13 +118,13 @@ func Fleet(taskName string, opt Options, n, frames int, fcfg fleet.Config, seed 
 	}
 	res := &FleetResult{
 		Task: task.Name, Seed: seed, Streams: n, Frames: frames,
-		Confidence: conf, Coverage: cov,
+		Confidence: fleetConfidence, Coverage: fleetConfidence,
 		Report:  *rep,
 		Metrics: rep.MetricsSummary(),
 	}
 	if w != nil {
 		t := NewTable(fmt.Sprintf("Fleet — %d x %s streams, EHCR(c=α=%.2f), one shared CI (budget $%.2f)",
-			n, task.Name, conf, fcfg.GlobalBudgetUSD),
+			n, task.Name, fleetConfidence, fcfg.GlobalBudgetUSD),
 			"stream", "relays", "served", "deferred", "shed", "REC", "realized", "spent $", "avg wait ms")
 		for _, s := range rep.Streams {
 			t.Addf(s.ID, s.Relays, s.Served, s.Deferred, s.Shed,

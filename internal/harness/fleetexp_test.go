@@ -4,62 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
-
-	"eventhit/internal/fleet"
 )
-
-// quickFleetPolicy is a scheduler policy sized for Quick() streams: a cap
-// well below the unconstrained spend so the budget machinery engages.
-func quickFleetPolicy() fleet.Config {
-	cfg := fleet.DefaultConfig()
-	cfg.GlobalBudgetUSD = 0.5
-	cfg.StreamRatePerSec = 600
-	cfg.StreamBurst = 3000
-	return cfg
-}
-
-// TestFleetGoldenJSONShape pins the BENCH_fleet.json schema: exact field
-// names, order and nesting. Values are fixed by hand so the golden only
-// moves when the schema does.
-func TestFleetGoldenJSONShape(t *testing.T) {
-	res := FleetResult{
-		Task: "TA10", Seed: 7, Streams: 1, Frames: 1000,
-		Confidence: 0.9, Coverage: 0.9,
-		Report: fleet.Report{
-			Streams: []fleet.StreamReport{{
-				ID: "cam-00", Horizons: 3, Relays: 2, Served: 1, Deferred: 1, Shed: 0,
-				Detections: 1, Frames: 40, SpentUSD: 0.04, REC: 1, RealizedREC: 0.5,
-				LocalMS: 100, AvgWaitMS: 5, MaxWaitMS: 5,
-			}},
-			Served: 1, Deferred: 1, Shed: 0,
-			TotalFrames: 40, TotalSpentUSD: 0.04, BudgetUSD: 1,
-			Batches: 1, AvgBatchSize: 1, MaxQueueDepth: 2,
-			CacheHits: 3, CacheSavedFrames: 60, CacheSavedUSD: 0.06, CacheBadHits: 0,
-			MakespanMS: 250,
-		},
-		Metrics: map[string]float64{
-			"eventhit_fleet_cache_hits_total":    3,
-			"eventhit_fleet_ci_frames_total":     40,
-			"eventhit_fleet_served_relays_total": 1,
-		},
-	}
-	got, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-	golden := filepath.Join("testdata", "fleet_golden.json")
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("BENCH_fleet.json schema drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
-	}
-}
 
 func TestFleetExperimentQuick(t *testing.T) {
 	if testing.Short() {

@@ -30,33 +30,19 @@ func SetParallelism(n int) int {
 // Parallelism reports the current cell concurrency.
 func Parallelism() int { return int(cellParallelism.Load()) }
 
-var cellForce atomic.Bool
-
-// ForceParallelism lifts (true) or restores (false) the default clamp of
-// effective cell workers to runtime.GOMAXPROCS(0), returning the previous
-// setting. By default a cell count above the core count runs with
-// GOMAXPROCS workers: results are identical either way (cells are slotted
-// by index), the extra goroutines only add scheduling overhead.
-func ForceParallelism(force bool) bool { return cellForce.Swap(force) }
-
-// EffectiveParallelism reports the worker count forEachCell will actually
-// use for a large grid: Parallelism(), clamped to GOMAXPROCS unless
-// ForceParallelism(true) is in effect.
-func EffectiveParallelism() int {
-	n := Parallelism()
-	if g := runtime.GOMAXPROCS(0); !cellForce.Load() && n > g {
-		n = g
-	}
-	return n
-}
-
 // forEachCell runs fn(0..n-1), each call exactly once, on up to
-// Parallelism() goroutines. All cells run even if some fail; the returned
-// error is the one from the lowest-numbered failing cell, so the outcome
-// does not depend on scheduling. fn must write its result into an
-// index-slotted structure — cells complete in arbitrary order.
+// Parallelism() goroutines, clamped to GOMAXPROCS (cells are slotted by
+// index, so goroutines beyond the core count change nothing but scheduling
+// overhead). All cells run even if some fail; the returned error is the
+// one from the lowest-numbered failing cell, so the outcome does not depend
+// on scheduling. fn must write its result into an index-slotted structure
+// — cells complete in arbitrary order.
 func forEachCell(n int, fn func(i int) error) error {
-	return ForEachCellN(n, EffectiveParallelism(), fn)
+	workers := Parallelism()
+	if g := runtime.GOMAXPROCS(0); workers > g {
+		workers = g
+	}
+	return ForEachCellN(n, workers, fn)
 }
 
 // ForEachCellN is forEachCell with an explicit worker count, for callers

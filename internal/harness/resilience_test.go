@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"eventhit/internal/cloud"
@@ -18,35 +16,6 @@ import (
 // quickRates keeps the sweep cheap in tests: the zero-fault control plus
 // one aggressive setting.
 func quickRates() []float64 { return []float64{0, 0.3} }
-
-// TestResilienceGoldenJSONShape pins the BENCH_resilience.json schema: the
-// exact field names, order and nesting the file promises to downstream
-// consumers. Values are fixed by hand so the golden only moves when the
-// schema does.
-func TestResilienceGoldenJSONShape(t *testing.T) {
-	res := ResilienceResult{
-		Task: "TA10", Seed: 5, Confidence: 0.9, Coverage: 0.9,
-		Points: []ResiliencePoint{{
-			FaultRate: 0.1, REC: 0.5, RealizedREC: 0.25,
-			SpentUSD: 1.5, FPS: 24.5, CIMS: 1000,
-			Relays: 7, Deferred: 2, Retried: 1,
-			FailedAttempts: 3, BackoffMS: 150, BreakerTrips: 1,
-		}},
-	}
-	got, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-	golden := filepath.Join("testdata", "resilience_golden.json")
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("BENCH_resilience.json schema drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
-	}
-}
 
 func TestResilienceExperimentQuick(t *testing.T) {
 	if testing.Short() {

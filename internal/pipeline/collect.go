@@ -67,54 +67,81 @@ type Timeline struct {
 // LocalMS returns the stream-local processing time (scan + predict).
 func (tl Timeline) LocalMS() float64 { return tl.ScanMS + tl.PredMS }
 
-// Collect runs the marshalling loop over [start, end] and captures the
-// relay requests instead of serving them. The stage accounting (scan,
-// predict, the local clock) is identical to RunDetailed's; no CI call is
-// made, nothing is billed, and the Marshaller's resilient client is
-// untouched.
-func (m *Marshaller) Collect(start, end int) (Timeline, error) {
+// clamp narrows [start, end] to the anchors the stream can serve: a full
+// collection window before the first, the last frame after the last.
+func (m *Marshaller) clamp(start, end int) (int, int) {
 	if start < m.cfg.Window-1 {
 		start = m.cfg.Window - 1
 	}
 	if end > m.ex.Stream().N-1 {
 		end = m.ex.Stream().N - 1
 	}
+	return start, end
+}
+
+// step is the one marshalling step both modes share: build the record
+// anchored at t, predict, charge the scan and predict stages (flat
+// Costs.PredictMS, or the ladder's actual rung cost under Costs.Cascade)
+// into tl, and append one relay request per predicted event, keyed when
+// Costs.Cache is set. It returns the requests this horizon released (a
+// suffix of tl.Requests) and the horizon's scan+predict time. What happens
+// to the requests is the caller's business: RunDetailed serves them
+// through the resilient client, Collect leaves them captured in tl.
+func (m *Marshaller) step(t int, tl *Timeline) ([]RelayRequest, float64, error) {
+	rec, err := dataset.BuildRecord(m.ex, t, m.cfg)
+	if err != nil {
+		return nil, 0, fmt.Errorf("pipeline: anchor %d: %w", t, err)
+	}
+	var pred metrics.Prediction
+	predictMS := m.costs.PredictMS
+	if m.casc != nil {
+		pred, predictMS = m.casc.PredictCosted(rec)
+	} else {
+		pred = m.strat.Predict(rec)
+	}
+	scanMS := float64(m.costs.Scan.FramesPerHorizon) * m.costs.Scan.PerFrameMS
+	tl.Horizons++
+	tl.ScanMS += scanMS
+	tl.PredMS += predictMS
+	m.scanH.Observe(scanMS)
+	m.predictH.Observe(predictMS)
+	first := len(tl.Requests)
+	for k, occ := range pred.Occur {
+		if !occ {
+			continue
+		}
+		req := RelayRequest{
+			Seq:         len(tl.Requests),
+			Horizon:     len(tl.Records),
+			Event:       k,
+			EventType:   m.ex.Events()[k],
+			Win:         video.Interval{Start: t + pred.OI[k].Start, End: t + pred.OI[k].End},
+			SlackFrames: pred.OI[k].Start,
+			ReleaseMS:   tl.ScanMS + tl.PredMS,
+		}
+		if m.costs.Cache != nil {
+			req.Key = cicache.SignWindow(rec.X, m.ex.Events(), req.EventType, pred.OI[k], m.costs.Cache.Epsilon)
+			req.Keyed = true
+		}
+		tl.Requests = append(tl.Requests, req)
+	}
+	tl.Records = append(tl.Records, rec)
+	tl.Preds = append(tl.Preds, pred)
+	return tl.Requests[first:], scanMS + predictMS, nil
+}
+
+// Collect runs the marshalling loop over [start, end] and captures the
+// relay requests instead of serving them. The stage accounting (scan,
+// predict, the local clock) is RunDetailed's — both go through step; no CI
+// call is made, nothing is billed, and the Marshaller's resilient client
+// is untouched.
+func (m *Marshaller) Collect(start, end int) (Timeline, error) {
+	start, end = m.clamp(start, end)
 	var tl Timeline
 	for t := start; t+m.cfg.Horizon <= end; t += m.cfg.Horizon {
-		rec, err := dataset.BuildRecord(m.ex, t, m.cfg)
-		if err != nil {
-			return Timeline{}, fmt.Errorf("pipeline: collect anchor %d: %w", t, err)
+		if _, _, err := m.step(t, &tl); err != nil {
+			return Timeline{}, err
 		}
-		pred := m.strat.Predict(rec)
-		tl.Horizons++
-		scanMS := float64(m.costs.Scan.FramesPerHorizon) * m.costs.Scan.PerFrameMS
-		tl.ScanMS += scanMS
-		tl.PredMS += m.costs.PredictMS
-		m.scanH.Observe(scanMS)
-		m.predictH.Observe(m.costs.PredictMS)
-		release := tl.ScanMS + tl.PredMS
-		horizon := len(tl.Records)
-		for k, occ := range pred.Occur {
-			if !occ {
-				continue
-			}
-			req := RelayRequest{
-				Seq:         len(tl.Requests),
-				Horizon:     horizon,
-				Event:       k,
-				EventType:   m.ex.Events()[k],
-				Win:         video.Interval{Start: t + pred.OI[k].Start, End: t + pred.OI[k].End},
-				SlackFrames: pred.OI[k].Start,
-				ReleaseMS:   release,
-			}
-			if m.costs.Cache != nil {
-				req.Key = cicache.SignWindow(rec.X, m.ex.Events(), req.EventType, pred.OI[k], m.costs.Cache.Epsilon)
-				req.Keyed = true
-			}
-			tl.Requests = append(tl.Requests, req)
-		}
-		tl.Records = append(tl.Records, rec)
-		tl.Preds = append(tl.Preds, pred)
 	}
 	tl.Frames = tl.Horizons * m.cfg.Horizon
 	m.horizonsC.Add(float64(tl.Horizons))

@@ -1,9 +1,12 @@
 package pipeline
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"eventhit/internal/cicache"
+	"eventhit/internal/obs"
 	"eventhit/internal/resilience"
 	"eventhit/internal/strategy"
 )
@@ -61,6 +64,73 @@ func TestCollectMatchesRun(t *testing.T) {
 		if r.Win.Len() <= 0 {
 			t.Fatalf("request %d empty window %+v", i, r.Win)
 		}
+	}
+}
+
+// TestCollectAccountingMatchesRunDetailed: both modes go through the one
+// marshalling step, so over the same region they charge the same stages and
+// decide the same horizons under every cost model — flat EHCR costs, keyed
+// (cached) relays, and the cascade's rung-weighted predict cost, which
+// Collect used to replace with the flat figure.
+func TestCollectAccountingMatchesRunDetailed(t *testing.T) {
+	f := getCascade(t)
+	cases := []struct {
+		name  string
+		costs func(Costs) Costs
+		strat func() strategy.Strategy
+	}{
+		{"plain", func(c Costs) Costs { return c },
+			func() strategy.Strategy { return f.bundle.EHCR(0.9, 0.9) }},
+		{"cached", func(c Costs) Costs {
+			cc := cicache.DefaultConfig()
+			c.Cache = &cc
+			return c
+		}, func() strategy.Strategy { return f.bundle.EHCR(0.9, 0.9) }},
+		{"cascade", func(c Costs) Costs {
+			c.Cascade = f.casc
+			return c
+		}, func() strategy.Strategy { return nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ex, ci, cfg := setup(t)
+			costs := tc.costs(EventHitCosts(cfg.Window))
+			costs.Metrics = obs.NewRegistry()
+			mc, err := New(ex, tc.strat(), ci, cfg, costs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tl, err := mc.Collect(0, 30000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mr, err := New(ex, tc.strat(), ci, cfg, costs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, _, preds, outs, err := mr.RunDetailed(0, 30000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tl.Horizons == 0 || tl.Horizons != rep.Horizons {
+				t.Fatalf("horizons: collect %d, run %d", tl.Horizons, rep.Horizons)
+			}
+			if tl.ScanMS != rep.ScanMS || tl.PredMS != rep.PredictMS {
+				t.Fatalf("stage times: collect scan %v pred %v, run scan %v pred %v",
+					tl.ScanMS, tl.PredMS, rep.ScanMS, rep.PredictMS)
+			}
+			if !reflect.DeepEqual(tl.Preds, preds) {
+				t.Fatal("collect and run decided different horizons")
+			}
+			if len(tl.Requests) == 0 || len(tl.Requests) != len(outs) {
+				t.Fatalf("collect captured %d requests, run made %d relays", len(tl.Requests), len(outs))
+			}
+			for _, r := range tl.Requests {
+				if r.Keyed != (costs.Cache != nil) {
+					t.Fatalf("request %d keyed=%v with cache=%v", r.Seq, r.Keyed, costs.Cache != nil)
+				}
+			}
+		})
 	}
 }
 

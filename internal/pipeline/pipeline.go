@@ -30,7 +30,6 @@ import (
 	"eventhit/internal/obs"
 	"eventhit/internal/resilience"
 	"eventhit/internal/strategy"
-	"eventhit/internal/video"
 )
 
 // ScanProfile describes what the filter stage consumes per horizon: how
@@ -384,15 +383,9 @@ func (m *Marshaller) Run(start, end int) (Report, []dataset.Record, []metrics.Pr
 // recall on exactly the horizons whose relays reached the CI (deferred
 // relays deliver no frames and must not count as recalled).
 func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []metrics.Prediction, []RelayOutcome, error) {
-	if start < m.cfg.Window-1 {
-		start = m.cfg.Window - 1
-	}
-	if end > m.ex.Stream().N-1 {
-		end = m.ex.Stream().N - 1
-	}
+	start, end = m.clamp(start, end)
 	var rep Report
-	var recs []dataset.Record
-	var preds []metrics.Prediction
+	var tl Timeline
 	var outs []RelayOutcome
 	// Baselines: the client and CI meters are cumulative across runs of the
 	// same backend; the report and the run counters only take this run's
@@ -403,47 +396,25 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 		sv0 = m.cached.Savings()
 	}
 	for t := start; t+m.cfg.Horizon <= end; t += m.cfg.Horizon {
-		rec, err := dataset.BuildRecord(m.ex, t, m.cfg)
+		reqs, localMS, err := m.step(t, &tl)
 		if err != nil {
-			return Report{}, nil, nil, nil, fmt.Errorf("pipeline: anchor %d: %w", t, err)
+			return Report{}, nil, nil, nil, err
 		}
-		var pred metrics.Prediction
-		predictMS := m.costs.PredictMS
-		if m.casc != nil {
-			// The cascade charges what the ladder walk actually cost this
-			// horizon, not the flat per-horizon figure.
-			pred, predictMS = m.casc.PredictCosted(rec)
-		} else {
-			pred = m.strat.Predict(rec)
-		}
-		rep.Horizons++
-		scanMS := float64(m.costs.Scan.FramesPerHorizon) * m.costs.Scan.PerFrameMS
-		rep.ScanMS += scanMS
-		rep.PredictMS += predictMS
-		m.scanH.Observe(scanMS)
-		m.predictH.Observe(predictMS)
 		// Scan and predict advance the shared clock too, so breaker
 		// cooldowns elapse on the pipeline's timeline, not only during CI
 		// activity.
-		m.clock.Advance(scanMS + predictMS)
-		horizon := len(recs)
-		for k, occ := range pred.Occur {
-			if !occ {
-				continue
-			}
-			abs := video.Interval{Start: t + pred.OI[k].Start, End: t + pred.OI[k].End}
+		m.clock.Advance(localMS)
+		for _, rq := range reqs {
 			var res resilience.Result
-			var err error
-			if m.cached != nil {
-				key := cicache.SignWindow(rec.X, m.ex.Events(), m.ex.Events()[k], pred.OI[k], m.costs.Cache.Epsilon)
-				res, err = m.res.DetectKeyed(key, m.ex.Events()[k], abs)
+			if rq.Keyed {
+				res, err = m.res.DetectKeyed(rq.Key, rq.EventType, rq.Win)
 			} else {
-				res, err = m.res.Detect(m.ex.Events()[k], abs)
+				res, err = m.res.Detect(rq.EventType, rq.Win)
 			}
 			// Deferred calls consumed simulated time too (failed attempts,
 			// backoff); the relay histogram records both outcomes.
 			m.relayH.Observe(res.ElapsedMS)
-			out := RelayOutcome{Horizon: horizon, Event: k, Retried: res.Retried, Deferred: res.Deferred}
+			out := RelayOutcome{Horizon: rq.Horizon, Event: rq.Event, Retried: res.Retried, Deferred: res.Deferred}
 			if err != nil {
 				if !m.costs.Degrade || !res.Deferred {
 					return Report{}, nil, nil, nil, fmt.Errorf("pipeline: CI call: %w", err)
@@ -459,12 +430,12 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 			rep.Detections += out.Detections
 			outs = append(outs, out)
 		}
-		recs = append(recs, rec)
-		preds = append(preds, pred)
 	}
 	st := m.res.Stats()
 	u := m.ci.Usage()
-	rep.Frames = rep.Horizons * m.cfg.Horizon
+	rep.Horizons = tl.Horizons
+	rep.Frames = tl.Horizons * m.cfg.Horizon
+	rep.ScanMS, rep.PredictMS = tl.ScanMS, tl.PredMS
 	rep.CIFrames = u.Frames - u0.Frames
 	rep.CIMS = st.BusyMS - st0.BusyMS
 	rep.SpentUSD = u.SpentUSD - u0.SpentUSD
@@ -484,5 +455,5 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 	m.ciFramesC.Add(float64(rep.CIFrames))
 	m.ciSpentC.Add(rep.SpentUSD)
 	m.ciFailedC.Add(float64(rep.CIFailedAttempts))
-	return rep, recs, preds, outs, nil
+	return rep, tl.Records, tl.Preds, outs, nil
 }

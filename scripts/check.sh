@@ -1,191 +1,90 @@
 #!/usr/bin/env sh
 # check.sh — the full local CI gate. Run from the repository root.
 #
-#   gofmt      formatting drift fails the gate
-#   vet        static analysis
-#   build      every package compiles
-#   race tests the whole suite under the race detector
-#   scrape     the /metrics + /v1/stats consistency tests under -race:
-#              concurrent scrapes while predicts relay to the CI
-#   swap       the hot-swap/adaptation gates under -race: predicts hammer
-#              the server while bundles swap, plus the induced-shift
-#              coverage-restoration scenario run twice for byte determinism
-#   fuzz seeds the checked-in fuzz corpora (testdata/fuzz/, and the
-#              frames corpus FuzzParseFrames shares with the handler table
-#              test) executed as ordinary tests, no fuzzing engine; use
-#              `go test ./internal/serve/ -fuzz FuzzFrames`,
-#              `go test ./internal/serve/ -fuzz FuzzParseFrames` or
-#              `go test ./internal/scenario/ -fuzz FuzzScenarioParse` to
-#              explore
-#   ingest     the frame ingest path: concurrent push+predict on one session
-#              under -race ten times over (the ring is written in place)
-#   predict    the lock-free predict path under -race five times over:
-#              goroutines sharing one model in core and strategy, cameras on
-#              distinct sessions with an admin swap (float and quantized) or
-#              a recalibration landing mid-run, every response equal to a
-#              serial replay
-#   fleet      the scheduler's concurrent-admission + starvation tests under
-#              -race, then regenerate BENCH_fleet.json at two parallelism
-#              levels and require all three byte-identical: the committed
-#              report is provably reproducible on this machine
-#   shuffle    the whole suite once more with randomized test order: no
-#              test may depend on a sibling having run first (this pass
-#              includes the scenario corpus goldens: every committed
-#              regime re-runs at parallelism 1 and 4 and must match its
-#              pinned report byte-for-byte)
-#   scenario   the corpus golden gate through the shipped binary: the
-#              embedded corpus re-runs and byte-compares against the
-#              embedded goldens, failing with a regeneration hint
-#              (eventhitscenario -corpus -regen) on drift
-#   cache      regenerate BENCH_cache.json (the cache epsilon x TTL sweep)
-#              at two parallelism levels, byte-identical to the committed
-#              artifact
-#   cluster    the cluster tier under -race (ring, lease coordinator,
-#              remote cache, front proxy, cross-worker shared swap), the
-#              BENCH_cluster.json schema + acceptance tests, then
-#              regenerate the sweep and byte-compare to the committed
-#              artifact — the sweep itself byte-compares the simulated
-#              cluster report at 1/2/4 workers against single-process
-#              fleet.Run (report_identical rows)
-#   speed      the predict fast-path gates: the BENCH_speed.json schema and
-#              acceptance tests, the deterministic parity block regenerated
-#              twice and byte-compared, and a benchstat-style perf gate that
-#              times the float and the combined fast hot path and holds each
-#              to its own ns/op ceiling (both share the row-blocked kernel
-#              and lazy Theta, so a fast / float ratio would say nothing
-#              about either path),
-#              plus the frames-handler (same constant at 1, 250 and 4096
-#              frames) and predict-handler allocation ceilings
-#   bench      one short run of the repository benchmark (go run ./bench);
-#              a non-zero exit — a workload that failed or did not finish —
-#              fails the gate
-#   cascade    the early-inference ladder under -race, the
-#              BENCH_cascade.json schema + acceptance tests (selected point:
-#              |REC delta| <= 0.02 at >= 30% compute cut, exit rates summing
-#              to 1), then regenerate the sweep at harness parallelism 1 and
-#              4 and require both byte-identical to the committed artifact
+# Every stage runs through `stage NAME cmd...`, which prints one line
+#     NAME  <seconds>s  PASS|FAIL
+# and, on FAIL, the stage's captured output; the first failure ends the gate.
+# Artifact gates are not spelled here: the loop at the bottom asks
+# `eventhitbench -list` for the deterministic experiments and regenerates
+# each at -parallelism 1 and 4. A new artifact is a registry entry
+# (internal/harness/registry.go), not a new stanza.
 set -eu
 
-echo "== gofmt =="
-fmt_out=$(gofmt -l .)
-if [ -n "$fmt_out" ]; then
-    echo "gofmt needed on:" >&2
-    echo "$fmt_out" >&2
-    exit 1
-fi
-
-echo "== go vet =="
-go vet ./...
-
-echo "== go build =="
-go build ./...
-
-echo "== go test -race =="
-go test -race ./...
-
-echo "== go test -shuffle=on =="
-go test -shuffle=on ./...
-
-echo "== metrics scrape under load (race) =="
-go test -race ./internal/serve/ -run 'TestStatsConsistentUnderLoad|TestMetricsEndpoint' -count=1
-go test -race ./internal/obs/ -run 'TestConcurrentUpdatesAndScrapes' -count=1
-
-echo "== hot swap + online adaptation (race swap-under-load, coverage restoration, determinism) =="
-go test -race ./internal/serve/ -run 'TestSwapUnderConcurrentPredictLoad|TestAdaptationRestoresCoverage|TestAdaptationDeterministic' -count=1
-
-echo "== fuzz seed corpus (run mode) =="
-go test ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus' -count=1
-go test ./internal/scenario/ -run 'Fuzz|TestFuzzSeedCorpus' -count=1
-
-echo "== frame ingest: push+predict on one session (race, x10) =="
-go test -race ./internal/serve/ -run 'TestConcurrentPushPredictSameSession' -count=10
-
-echo "== lock-free predict path: shared model, distinct sessions, swaps mid-run (race, x5) =="
-go test -race ./internal/core/ -run 'TestConcurrentInferenceSharesModel' -count=5
-go test -race ./internal/strategy/ -run 'TestDecideConcurrentOnSharedBundle' -count=5
-go test -race ./internal/serve/ -run 'TestConcurrentPredictMatchesSerial|TestConcurrentRelayMatchesSerial' -count=5
-
-echo "== fleet scheduler (race + golden schema) =="
-go test -race ./internal/fleet/ -count=1
-go test ./internal/harness/ -run 'TestFleetGoldenJSONShape|TestFleetExperimentDeterministicAcrossParallelism' -count=1
-
-echo "== BENCH_fleet.json regeneration (byte-identical at parallelism 1 and 4) =="
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
-go run ./cmd/eventhitfleet -quick -streams 3 -frames 20000 -seed 5 \
-    -budget 0.5 -streamrate 600 -streamburst 3000 -parallelism 1 \
-    -out "$tmpdir/fleet_p1.json" >/dev/null
-go run ./cmd/eventhitfleet -quick -streams 3 -frames 20000 -seed 5 \
-    -budget 0.5 -streamrate 600 -streamburst 3000 -parallelism 4 \
-    -out "$tmpdir/fleet_p4.json" >/dev/null
-cmp "$tmpdir/fleet_p1.json" "$tmpdir/fleet_p4.json"
-cmp "$tmpdir/fleet_p1.json" BENCH_fleet.json
 
-echo "== BENCH_cache.json regeneration (byte-identical at parallelism 1 and 4) =="
-go test ./internal/harness/ -run 'TestCacheGoldenJSONShape' -count=1
-go run ./cmd/eventhitfleet -cachesweep -quick -streams 4 -frames 12000 -seed 5 \
-    -parallelism 1 -cacheout "$tmpdir/cache_p1.json" >/dev/null
-go run ./cmd/eventhitfleet -cachesweep -quick -streams 4 -frames 12000 -seed 5 \
-    -parallelism 4 -cacheout "$tmpdir/cache_p4.json" >/dev/null
-cmp "$tmpdir/cache_p1.json" "$tmpdir/cache_p4.json"
-cmp "$tmpdir/cache_p1.json" BENCH_cache.json
-
-echo "== cluster tier (race: ring, leases, remote cache, front, shared swap) =="
-go test -race ./internal/cluster/ -count=1
-go test ./internal/harness/ -run 'TestClusterGoldenJSONShape|TestClusterArtifact|TestClusterSweepQuick' -count=1
-
-echo "== BENCH_cluster.json regeneration (sim report byte-identical at 1/2/4 workers) =="
-go run ./cmd/eventhitcluster -sim -streams 8 -frames 12000 -seed 5 -budget 0.5 \
-    -out "$tmpdir/cluster.json" >/dev/null
-cmp "$tmpdir/cluster.json" BENCH_cluster.json
-
-echo "== scenario corpus golden gate (via the shipped binary) =="
-go run ./cmd/eventhitscenario -corpus
-
-echo "== predict fast path (schema + artifact + parity byte-identity) =="
-go test ./internal/harness/ -run 'TestSpeedGoldenJSONShape|TestSpeedArtifact|TestSpeedParityQuick' -count=1
-go run ./cmd/eventhitbench -exp speedparity -quick -seed 1 > "$tmpdir/speedparity_a.json"
-go run ./cmd/eventhitbench -exp speedparity -quick -seed 1 > "$tmpdir/speedparity_b.json"
-cmp "$tmpdir/speedparity_a.json" "$tmpdir/speedparity_b.json"
-
-echo "== early-inference cascade (race + schema + artifact) =="
-go test -race ./internal/cascade/ -count=1
-go test ./internal/harness/ -run 'TestCascadeGoldenJSONShape|TestCascadeArtifact|TestCascadeSweepQuick' -count=1
-
-echo "== BENCH_cascade.json regeneration (byte-identical at parallelism 1 and 4) =="
-go run ./cmd/eventhitbench -exp cascade -quick -seed 1 -parallelism 1 \
-    -cascadeout "$tmpdir/cascade_p1.json" >/dev/null
-go run ./cmd/eventhitbench -exp cascade -quick -seed 1 -parallelism 4 \
-    -cascadeout "$tmpdir/cascade_p4.json" >/dev/null
-cmp "$tmpdir/cascade_p1.json" "$tmpdir/cascade_p4.json"
-cmp "$tmpdir/cascade_p1.json" BENCH_cascade.json
-
-echo "== predict fast path perf gate (float <= 80 us, fast <= 65 us per step) =="
-# Ceilings on the best of two runs, for the 2 GHz-class box the numbers in
-# CHANGES.md come from (float ~50 us, fast ~45 us there; the seed float path
-# took ~97 us, so losing the row-blocked kernel or lazy Theta trips the
-# float line).
-go test -run '^$' -bench 'BenchmarkPredictHot(Float|Fast)$' -benchtime 1s -count 2 . \
-    | tee "$tmpdir/bench_speed.txt"
-awk '
-    /^BenchmarkPredictHotFloat/ { v = $3 + 0; if (f == 0 || v < f) f = v }
-    /^BenchmarkPredictHotFast/  { v = $3 + 0; if (q == 0 || v < q) q = v }
-    END {
-        if (f == 0 || q == 0) { print "perf gate: benchmark output missing" > "/dev/stderr"; exit 1 }
-        printf "perf gate: float %.0f ns/op (ceiling 80000), fast %.0f ns/op (ceiling 65000)\n", f, q
-        if (f > 80000) { print "perf gate: float predict step above 80 us" > "/dev/stderr"; exit 1 }
-        if (q > 65000) { print "perf gate: fast predict step above 65 us" > "/dev/stderr"; exit 1 }
-    }' "$tmpdir/bench_speed.txt"
-
-echo "== handler allocation ceilings (frames at 1, 250, 4096; predict) =="
-go test ./internal/serve/ -run 'TestFramesHandlerAllocs|TestPredictHandlerAllocs' -count=1
-
-echo "== repository benchmark completes (go run ./bench, 3 s per workload) =="
-go run ./bench -seed 1 -seconds 3 >"$tmpdir/bench.txt" 2>&1 || {
-    tail -n 20 "$tmpdir/bench.txt" >&2
-    echo "bench: go run ./bench exited non-zero" >&2
-    exit 1
+stage() {
+    name=$1
+    shift
+    start=$(date +%s)
+    if "$@" >"$tmpdir/stage.log" 2>&1; then
+        printf '%-20s %4ss  PASS\n' "$name" "$(($(date +%s) - start))"
+    else
+        cat "$tmpdir/stage.log" >&2
+        printf '%-20s %4ss  FAIL\n' "$name" "$(($(date +%s) - start))"
+        exit 1
+    fi
 }
-tail -n 1 "$tmpdir/bench.txt"
+
+gofmt_clean() {
+    out=$(gofmt -l .)
+    [ -z "$out" ] || { echo "gofmt needed on:" "$out"; return 1; }
+}
+
+stage gofmt gofmt_clean
+stage vet go vet ./...
+stage build go build ./...
+stage race go test -race ./...
+# Randomized test order: no test may depend on a sibling having run first.
+# This pass includes the scenario corpus goldens at parallelism 1 and 4 and
+# the artifact schema/bounds/registry suite (internal/harness).
+stage shuffle go test -shuffle=on ./...
+
+# /metrics + /v1/stats consistency: concurrent scrapes while predicts relay.
+stage scrape-serve go test -race ./internal/serve/ -run 'TestStatsConsistentUnderLoad|TestMetricsEndpoint' -count=1
+stage scrape-obs go test -race ./internal/obs/ -run 'TestConcurrentUpdatesAndScrapes' -count=1
+# Hot swap + online adaptation: predicts hammer the server while bundles
+# swap; the induced-shift coverage restoration runs twice for determinism.
+stage swap go test -race ./internal/serve/ -run 'TestSwapUnderConcurrentPredictLoad|TestAdaptationRestoresCoverage|TestAdaptationDeterministic' -count=1
+# Checked-in fuzz corpora as ordinary tests (no fuzzing engine); explore
+# with `go test ./internal/serve/ -fuzz FuzzFrames|FuzzParseFrames` or
+# `go test ./internal/scenario/ -fuzz FuzzScenarioParse`.
+stage fuzz-serve go test ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus' -count=1
+stage fuzz-scenario go test ./internal/scenario/ -run 'Fuzz|TestFuzzSeedCorpus' -count=1
+# Frame ingest: push+predict on one session; the ring is written in place.
+stage ingest-race-x10 go test -race ./internal/serve/ -run 'TestConcurrentPushPredictSameSession' -count=10
+# Lock-free predict path: goroutines sharing one model, cameras on distinct
+# sessions with a swap or recalibration landing mid-run, every response
+# equal to a serial replay.
+stage predict-core-x5 go test -race ./internal/core/ -run 'TestConcurrentInferenceSharesModel' -count=5
+stage predict-strategy-x5 go test -race ./internal/strategy/ -run 'TestDecideConcurrentOnSharedBundle' -count=5
+stage predict-serve-x5 go test -race ./internal/serve/ -run 'TestConcurrentPredictMatchesSerial|TestConcurrentRelayMatchesSerial' -count=5
+# Scheduler admission/starvation, cluster ring/leases/remote cache/front/
+# shared swap, and the cascade ladder, uncached under -race.
+stage tiers-race go test -race -count=1 ./internal/fleet/ ./internal/cluster/ ./internal/cascade/
+# Allocation ceilings: frames handler at 1, 250 and 4096 frames; predict.
+stage handler-allocs go test ./internal/serve/ -run 'TestFramesHandlerAllocs|TestPredictHandlerAllocs' -count=1
+# The corpus golden gate through the shipped binary (regeneration hint:
+# eventhitscenario -corpus -regen).
+stage scenario-corpus go run ./cmd/eventhitscenario -corpus
+# The repository benchmark completes: a non-zero exit (a workload that
+# failed or did not finish) fails the gate. Its timings gate nothing here.
+stage bench go run ./bench -seed 1 -seconds 3
+
+# Deterministic experiments: regenerate at two parallelism levels; both must
+# agree, and equal the committed artifact when the entry has one.
+regen() {
+    "$tmpdir/eventhitbench" -exp "$1" -parallelism 1 -out "$tmpdir/$1_p1.json" &&
+        "$tmpdir/eventhitbench" -exp "$1" -parallelism 4 -out "$tmpdir/$1_p4.json" &&
+        cmp "$tmpdir/$1_p1.json" "$tmpdir/$1_p4.json" &&
+        { [ "$2" = - ] || cmp "$tmpdir/$1_p1.json" "$2"; }
+}
+stage build-eventhitbench go build -o "$tmpdir/eventhitbench" ./cmd/eventhitbench
+"$tmpdir/eventhitbench" -list >"$tmpdir/list.txt"
+while read -r name artifact det _; do
+    if [ "$det" = det ]; then
+        stage "exp-$name" regen "$name" "$artifact"
+    fi
+done <"$tmpdir/list.txt"
 
 echo "OK"
