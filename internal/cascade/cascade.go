@@ -3,10 +3,11 @@
 // holds one or more lowered rungs — the same architecture with shrunk
 // hidden widths and a strided collection window, trained once on the same
 // dataset and seed discipline as the full model — below the full bundle.
-// Serving walks the ladder per horizon: the cheapest rung predicts first,
-// and its answer stands when the conformal output is already DECISIVE —
-// every event's two-sided label set (conformal.SetClassifier) is a
-// singleton, and every predicted-positive interval, widened to the
+// Every rung is a calibrated strategy.Bundle and decides through the one
+// Bundle.Decide. Serving walks the ladder per horizon: the cheapest rung
+// decides first, and its answer stands when the conformal output is already
+// DECISIVE — every event's two-sided label set (conformal.SetClassifier) is
+// a singleton, and every predicted-positive interval, widened to the
 // configured coverage, is still narrower than the relay granularity.
 // Anything ambiguous escalates to the next rung; the full rung always
 // decides, with exactly the EHCR semantics of the plain strategy.
@@ -29,7 +30,6 @@ import (
 	"eventhit/internal/metrics"
 	"eventhit/internal/obs"
 	"eventhit/internal/strategy"
-	"eventhit/internal/video"
 )
 
 // Name is the strategy label the cascade reports in comparisons.
@@ -96,9 +96,6 @@ type Config struct {
 	// rungs are charged their weight times this. Zero defaults to
 	// FullPredictMSDefault.
 	FullPredictMS float64
-	// Quantized serves every rung — lowered and full — from its int16
-	// fixed-point twin (core.Quantize), reusing the PR-6 kernels.
-	Quantized bool
 }
 
 // DefaultConfig returns the tiny/medium/full ladder at a strict exit bar.
@@ -167,51 +164,49 @@ func (c Config) Validate(fullWindow int) error {
 	return nil
 }
 
-// predictor is the inference surface a rung serves from (float model or
-// its quantized twin).
-type predictor interface {
-	PredictInto(x [][]float64, out *core.Output)
-}
-
-// rung is one runnable ladder position. The full rung has spec
-// {Name:"full"}, stride 1 and a nil set classifier (it always decides).
+// rung is one ladder position: a calibrated bundle and what one evaluation
+// of it is charged. A lowered rung decides on every stride-th covariate row
+// and carries the negative side of its existence calibration; the full
+// rung is the caller's bundle, unstrided, with a nil set (it always
+// decides).
 type rung struct {
 	spec   RungSpec
-	model  *core.Model
-	pred   predictor
+	bundle *strategy.Bundle
 	set    *conformal.SetClassifier
-	reg    *conformal.Regressor
 	costMS float64
-	window int
-	stride int
 }
 
-// rungView is the per-cascade mutable state of a rung: scratch buffers
-// are never shared across Cascade instances (WithThresholds views share
-// the rungs but get fresh views).
-type rungView struct {
-	*rung
-	scratch core.Output
-	xbuf    [][]float64
+// walk is the memory one ladder walk writes besides its prediction: the
+// decision scratch every rung shares and a lowered rung's strided row view.
+type walk struct {
+	sc   strategy.Scratch
+	rows [][]float64
 }
 
-// predict runs the rung on a full-window record, subsampling rows for
-// strided rungs. The returned Output is the view's scratch.
-func (r *rungView) predict(x [][]float64) core.Output {
-	rows := x
-	if r.stride > 1 {
-		if len(r.xbuf) != r.window {
-			r.xbuf = make([][]float64, r.window)
-		}
-		j := r.window - 1
-		for i := len(x) - 1; i >= 0 && j >= 0; i -= r.stride {
-			r.xbuf[j] = x[i]
-			j--
-		}
-		rows = r.xbuf
+// strided returns the rung's view of a full-window record: every
+// stride-th row, anchored at the most recent one. The rows are no longer
+// consecutive stream frames, so the record's frame identity is dropped.
+func (w *walk) strided(rec dataset.Record, stride int) dataset.Record {
+	if stride <= 1 {
+		return rec
 	}
-	r.pred.PredictInto(rows, &r.scratch)
-	return r.scratch
+	n := stridedLen(len(rec.X), stride)
+	if cap(w.rows) < n {
+		w.rows = make([][]float64, n)
+	}
+	w.rows = w.rows[:n]
+	strideRows(w.rows, rec.X, stride)
+	rec.X, rec.Frame = w.rows, 0
+	return rec
+}
+
+// strideRows fills dst with every stride-th row of x, anchored so the most
+// recent row lands last (the head concatenates it). Rows are shared, never
+// copied.
+func strideRows(dst, x [][]float64, stride int) {
+	for i, j := len(x)-1, len(dst)-1; i >= 0 && j >= 0; i, j = i-stride, j-1 {
+		dst[j] = x[i]
+	}
 }
 
 // Stats is a snapshot of a cascade's serving counters.
@@ -260,17 +255,18 @@ func (s Stats) ComputeFrac() float64 {
 }
 
 // Cascade is a trained, calibrated ladder. It implements
-// strategy.Strategy ("EH-CASC"). A Cascade is NOT safe for concurrent
-// prediction (rungs predict through Model.Predict, whose scratch the model
-// owns); its stats
-// snapshot is independently synchronized so metric scrapes may race with
-// a serving goroutine.
+// strategy.Strategy ("EH-CASC"). Prediction only reads the rung bundles —
+// every walk decides through Bundle.Decide on its own pooled scratch — and
+// the serving counters are mutex-guarded, so any number of goroutines may
+// predict on one Cascade (and on the full bundle it was built under) while
+// metric scrapes run. The exception is Bundle.Decide's: a full bundle
+// serving from a quantized Predictor is single-stream state.
 type Cascade struct {
 	cfg     Config
-	ladder  []*rungView // cheapest first; last is the full rung
-	full    *strategy.Bundle
+	ladder  []*rung // cheapest first; last is the full rung
 	horizon int
 	window  int
+	walks   sync.Pool // *walk
 
 	mu    sync.Mutex
 	stats Stats
@@ -282,10 +278,10 @@ var _ strategy.Strategy = (*Cascade)(nil)
 // lowered rung is built from the bundle's model configuration with scaled
 // hidden widths and a strided window, trained on train (rows subsampled
 // per rung) with tc — callers pass the same TrainConfig discipline the
-// full model was trained with — and calibrated on ccalib/rcalib with the
-// rung's own two-sided set classifier and interval regressor. The full
-// bundle's model and calibrations are reused as the top rung; nothing is
-// retrained there.
+// full model was trained with — and calibrated on ccalib/rcalib exactly as
+// the full bundle was (strategy.Calibrate), plus the negative side of its
+// existence calibration. The full bundle is the top rung as it stands;
+// nothing is retrained or copied there.
 func New(cfg Config, full *strategy.Bundle, train, ccalib, rcalib []dataset.Record, tc core.TrainConfig) (*Cascade, error) {
 	if full == nil || full.Model == nil || full.Classifier == nil || full.Regressor == nil {
 		return nil, fmt.Errorf("cascade: full bundle missing model or calibration")
@@ -298,37 +294,26 @@ func New(cfg Config, full *strategy.Bundle, train, ccalib, rcalib []dataset.Reco
 	if len(train) == 0 || len(ccalib) == 0 || len(rcalib) == 0 {
 		return nil, fmt.Errorf("cascade: empty train or calibration split")
 	}
-	c := &Cascade{cfg: cfg, full: full, horizon: mc.Horizon, window: mc.Window}
+	c := &Cascade{cfg: cfg, horizon: mc.Horizon, window: mc.Window}
 	for _, spec := range cfg.Rungs {
-		r, err := buildRung(spec, cfg, mc, train, ccalib, rcalib, tc)
+		r, err := buildRung(spec, cfg, full, train, ccalib, rcalib, tc)
 		if err != nil {
 			return nil, err
 		}
-		c.ladder = append(c.ladder, &rungView{rung: r})
+		c.ladder = append(c.ladder, r)
 	}
-	fr := &rung{
+	c.ladder = append(c.ladder, &rung{
 		spec:   RungSpec{Name: "full", HiddenScale: 1, WindowStride: 1},
-		model:  full.Model,
-		pred:   full.Model,
-		reg:    full.Regressor,
+		bundle: full,
 		costMS: cfg.FullPredictMS,
-		window: mc.Window,
-		stride: 1,
-	}
-	if cfg.Quantized {
-		q, err := core.Quantize(full.Model)
-		if err != nil {
-			return nil, fmt.Errorf("cascade: quantizing full rung: %w", err)
-		}
-		fr.pred = q
-	}
-	c.ladder = append(c.ladder, &rungView{rung: fr})
+	})
 	c.stats.Exits = make([]int64, len(c.ladder))
 	return c, nil
 }
 
 // buildRung constructs, trains and calibrates one lowered rung.
-func buildRung(spec RungSpec, cfg Config, mc core.Config, train, ccalib, rcalib []dataset.Record, tc core.TrainConfig) (*rung, error) {
+func buildRung(spec RungSpec, cfg Config, full *strategy.Bundle, train, ccalib, rcalib []dataset.Record, tc core.TrainConfig) (*rung, error) {
+	mc := full.Model.Config()
 	rc := mc
 	rc.HiddenLSTM = scaleHidden(mc.HiddenLSTM, spec.HiddenScale)
 	rc.HiddenTrunk = scaleHidden(mc.HiddenTrunk, spec.HiddenScale)
@@ -338,70 +323,31 @@ func buildRung(spec RungSpec, cfg Config, mc core.Config, train, ccalib, rcalib 
 	if err != nil {
 		return nil, fmt.Errorf("cascade: rung %s: %w", spec.Name, err)
 	}
-	strided := strideRecords(train, mc.Window, spec.WindowStride)
-	if _, err := m.Train(strided, tc); err != nil {
+	if _, err := m.Train(strideRecords(train, mc.Window, spec.WindowStride), tc); err != nil {
 		return nil, fmt.Errorf("cascade: training rung %s: %w", spec.Name, err)
 	}
-	r := &rung{
-		spec:   spec,
-		model:  m,
-		pred:   m,
-		costMS: spec.weight(mc.Window) * cfg.FullPredictMS,
-		window: rc.Window,
-		stride: spec.WindowStride,
-	}
-	if cfg.Quantized {
-		q, err := core.Quantize(m)
-		if err != nil {
-			return nil, fmt.Errorf("cascade: quantizing rung %s: %w", spec.Name, err)
-		}
-		r.pred = q
-	}
-
-	// Two-sided existence calibration on the rung's own scores.
 	cc := strideRecords(ccalib, mc.Window, spec.WindowStride)
+	b, err := strategy.Calibrate(m, cc, strideRecords(rcalib, mc.Window, spec.WindowStride))
+	if err != nil {
+		return nil, fmt.Errorf("cascade: calibrating rung %s: %w", spec.Name, err)
+	}
+	b.Tau1, b.Tau2 = full.Tau1, full.Tau2
+
+	// The absent side ranks against the scores C-CLASSIFY discards: the
+	// rung's own b_k on the calibration records where the event is absent.
+	var sc core.Scratch
 	calibB := make([][]float64, len(cc))
 	calibL := make([][]bool, len(cc))
 	for i, rec := range cc {
-		out := m.Predict(rec.X)
-		b := make([]float64, len(out.B))
-		copy(b, out.B)
-		calibB[i] = b
+		calibB[i] = make([]float64, mc.NumEvents)
+		m.Exist(rec.X, 0, &sc, calibB[i])
 		calibL[i] = rec.Label
 	}
-	set, err := conformal.NewSetClassifier(calibB, calibL)
+	set, err := conformal.NewSetClassifier(b.Classifier, calibB, calibL)
 	if err != nil {
 		return nil, fmt.Errorf("cascade: calibrating rung %s existence sets: %w", spec.Name, err)
 	}
-	r.set = set
-
-	// Interval residual calibration, mirroring strategy.Calibrate.
-	k := mc.NumEvents
-	tau2 := 0.5
-	startRes := make([][]float64, k)
-	endRes := make([][]float64, k)
-	for _, rec := range strideRecords(rcalib, mc.Window, spec.WindowStride) {
-		var out core.Output
-		evaluated := false
-		for j := 0; j < k; j++ {
-			if !rec.Label[j] {
-				continue
-			}
-			if !evaluated {
-				out = m.Predict(rec.X)
-				evaluated = true
-			}
-			iv, _ := core.DecodeInterval(out.Theta[j], tau2)
-			startRes[j] = append(startRes[j], math.Abs(float64(iv.Start-rec.OI[j].Start)))
-			endRes[j] = append(endRes[j], math.Abs(float64(iv.End-rec.OI[j].End)))
-		}
-	}
-	reg, err := conformal.NewRegressor(mc.Horizon, startRes, endRes)
-	if err != nil {
-		return nil, fmt.Errorf("cascade: calibrating rung %s intervals: %w", spec.Name, err)
-	}
-	r.reg = reg
-	return r, nil
+	return &rung{spec: spec, bundle: b, set: set, costMS: spec.weight(mc.Window) * cfg.FullPredictMS}, nil
 }
 
 func scaleHidden(h int, scale float64) int {
@@ -413,8 +359,7 @@ func scaleHidden(h int, scale float64) int {
 }
 
 // strideRecords returns copies of recs whose covariate windows are
-// subsampled at the given stride (row slices shared, never copied).
-// Records already at the strided length pass through unchanged.
+// subsampled at the given stride.
 func strideRecords(recs []dataset.Record, fullWindow, stride int) []dataset.Record {
 	if stride <= 1 {
 		return recs
@@ -423,11 +368,7 @@ func strideRecords(recs []dataset.Record, fullWindow, stride int) []dataset.Reco
 	out := make([]dataset.Record, len(recs))
 	for i, r := range recs {
 		rows := make([][]float64, w)
-		j := w - 1
-		for src := len(r.X) - 1; src >= 0 && j >= 0; src -= stride {
-			rows[j] = r.X[src]
-			j--
-		}
+		strideRows(rows, r.X, stride)
 		r.X = rows
 		out[i] = r
 	}
@@ -435,9 +376,7 @@ func strideRecords(recs []dataset.Record, fullWindow, stride int) []dataset.Reco
 }
 
 // WithThresholds returns a view of the cascade at a different exit
-// operating point — shared rung models and calibrations, fresh scratch
-// and fresh stats. Views must not be used concurrently with each other or
-// the parent (the underlying models cache forward activations).
+// operating point — shared rungs (they are only read), fresh stats.
 func (c *Cascade) WithThresholds(exitConfidence, maxWidthFrac float64) (*Cascade, error) {
 	cfg := c.cfg
 	cfg.ExitConfidence = exitConfidence
@@ -445,10 +384,7 @@ func (c *Cascade) WithThresholds(exitConfidence, maxWidthFrac float64) (*Cascade
 	if err := cfg.Validate(c.window); err != nil {
 		return nil, err
 	}
-	v := &Cascade{cfg: cfg, full: c.full, horizon: c.horizon, window: c.window}
-	for _, r := range c.ladder {
-		v.ladder = append(v.ladder, &rungView{rung: r.rung})
-	}
+	v := &Cascade{cfg: cfg, ladder: c.ladder, horizon: c.horizon, window: c.window}
 	v.stats.Exits = make([]int64, len(v.ladder))
 	return v, nil
 }
@@ -459,8 +395,7 @@ func (c *Cascade) Config() Config { return c.cfg }
 // NumRungs returns the ladder length including the full rung.
 func (c *Cascade) NumRungs() int { return len(c.ladder) }
 
-// RungName and RungCostMS describe ladder position i.
-func (c *Cascade) RungName(i int) string     { return c.ladder[i].spec.Name }
+// RungCostMS and RungSpecAt describe ladder position i.
 func (c *Cascade) RungCostMS(i int) float64  { return c.ladder[i].costMS }
 func (c *Cascade) RungSpecAt(i int) RungSpec { return c.ladder[i].spec }
 func (c *Cascade) FullPredictMS() float64    { return c.cfg.FullPredictMS }
@@ -477,68 +412,47 @@ func (c *Cascade) Predict(rec dataset.Record) metrics.Prediction {
 // PredictCosted walks the ladder and returns the prediction together with
 // the charged predict cost in simulated milliseconds: the cumulative cost
 // of every rung that ran. The pipeline charges exactly this instead of
-// its flat PredictMS.
+// its flat PredictMS. The Prediction owns its slices.
 func (c *Cascade) PredictCosted(rec dataset.Record) (metrics.Prediction, float64) {
+	w, _ := c.walks.Get().(*walk)
+	if w == nil {
+		w = new(walk)
+	}
+	defer c.walks.Put(w)
+	var p metrics.Prediction
 	cost := 0.0
-	escalations := int64(0)
-	for i := 0; i < len(c.ladder)-1; i++ {
-		r := c.ladder[i]
+	top := len(c.ladder) - 1
+	for i, r := range c.ladder[:top] {
 		cost += r.costMS
-		out := r.predict(rec.X)
-		if p, ok := c.tryExit(r, out); ok {
-			c.record(i, cost, escalations)
+		if c.exits(r, rec, w, &p) {
+			c.record(i, cost, int64(i))
 			return p, cost
 		}
-		escalations++
 	}
-	fr := c.ladder[len(c.ladder)-1]
-	cost += fr.costMS
-	out := fr.predict(rec.X)
-	p := c.decideFull(out)
-	c.record(len(c.ladder)-1, cost, escalations)
+	// The full rung always decides, with exactly the plain EHCR semantics.
+	full := c.ladder[top]
+	cost += full.costMS
+	full.bundle.Decide(rec, strategy.EHCRRule(c.cfg.Confidence, c.cfg.Coverage), &w.sc, &p)
+	c.record(top, cost, int64(top))
 	return p, cost
 }
 
-// tryExit applies the decisiveness test to a lowered rung's output: every
-// event's label set must be a singleton, and every {occur} singleton's
-// coverage-adjusted interval must fit the relay-granularity bound.
-func (c *Cascade) tryExit(r *rungView, out core.Output) (metrics.Prediction, bool) {
-	k := len(out.B)
+// exits decides rec at lowered rung r — the one EHCR decision, at the exit
+// confidence — and reports whether that decision is decisive enough to
+// stand: every event's two-sided label set must be a singleton (the absent
+// side must disagree with Decide's occur side; both or neither is
+// ambiguity), and every kept interval must fit the relay-granularity bound.
+func (c *Cascade) exits(r *rung, rec dataset.Record, w *walk, p *metrics.Prediction) bool {
+	scores := r.bundle.Decide(w.strided(rec, r.spec.WindowStride),
+		strategy.EHCRRule(c.cfg.ExitConfidence, c.cfg.Coverage), &w.sc, p)
 	maxLen := int(math.Floor(c.cfg.MaxWidthFrac * float64(c.horizon)))
-	p := metrics.Prediction{Occur: make([]bool, k), OI: make([]video.Interval, k)}
-	for j := 0; j < k; j++ {
-		set := r.set.Set(j, out.B[j], c.cfg.ExitConfidence)
-		if !set.Singleton() {
-			return metrics.Prediction{}, false
+	for j, b := range scores {
+		absent := r.set.PValueNeg(j, b) >= 1-c.cfg.ExitConfidence
+		if absent == p.Occur[j] || (p.Occur[j] && p.OI[j].Len() > maxLen) {
+			return false
 		}
-		if !set.Occur {
-			continue
-		}
-		iv, _ := core.DecodeInterval(out.Theta[j], c.full.Tau2)
-		iv = r.reg.Adjust(j, iv, c.cfg.Coverage)
-		if iv.Len() > maxLen {
-			return metrics.Prediction{}, false
-		}
-		p.Occur[j] = true
-		p.OI[j] = iv
 	}
-	return p, true
-}
-
-// decideFull is the plain EHCR decision on the full rung's output.
-func (c *Cascade) decideFull(out core.Output) metrics.Prediction {
-	k := len(out.B)
-	p := metrics.Prediction{Occur: make([]bool, k), OI: make([]video.Interval, k)}
-	occ := c.full.Classifier.Predict(out.B, c.cfg.Confidence)
-	for j := 0; j < k; j++ {
-		if !occ[j] {
-			continue
-		}
-		p.Occur[j] = true
-		iv, _ := core.DecodeInterval(out.Theta[j], c.full.Tau2)
-		p.OI[j] = c.full.Regressor.Adjust(j, iv, c.cfg.Coverage)
-	}
-	return p
+	return true
 }
 
 func (c *Cascade) record(exitAt int, cost float64, escalations int64) {
@@ -558,17 +472,6 @@ func (c *Cascade) Stats() Stats {
 	s := c.stats
 	s.Exits = append([]int64(nil), c.stats.Exits...)
 	return s
-}
-
-// ResetStats zeroes the serving counters (sweep points reuse one ladder).
-func (c *Cascade) ResetStats() {
-	c.mu.Lock()
-	for i := range c.stats.Exits {
-		c.stats.Exits[i] = 0
-	}
-	c.stats.Horizons, c.stats.Escalations = 0, 0
-	c.stats.PredictMS, c.stats.ChargedFullMS = 0, 0
-	c.mu.Unlock()
 }
 
 // Register exposes the cascade's serving counters on reg under the

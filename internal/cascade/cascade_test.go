@@ -6,10 +6,12 @@ import (
 	"sync"
 	"testing"
 
+	"eventhit/internal/conformal"
 	"eventhit/internal/core"
 	"eventhit/internal/dataset"
 	"eventhit/internal/features"
 	"eventhit/internal/mathx"
+	"eventhit/internal/metrics"
 	"eventhit/internal/obs"
 	"eventhit/internal/strategy"
 	"eventhit/internal/video"
@@ -67,6 +69,17 @@ func getFixture(t *testing.T) *fixture {
 		fix = &fixture{splits: splits, bundle: b, casc: c, cfg: cfg.Config}
 	})
 	return fix
+}
+
+// freshView returns the fixture's cascade at its own thresholds with zeroed
+// stats (views share the rungs).
+func freshView(t *testing.T, f *fixture) *Cascade {
+	t.Helper()
+	v, err := f.casc.WithThresholds(f.casc.Config().ExitConfidence, f.casc.Config().MaxWidthFrac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -135,8 +148,8 @@ func TestLadderShape(t *testing.T) {
 	names := []string{"tiny", "medium", "full"}
 	prev := 0.0
 	for i := 0; i < c.NumRungs(); i++ {
-		if c.RungName(i) != names[i] {
-			t.Fatalf("rung %d named %q, want %q", i, c.RungName(i), names[i])
+		if c.RungSpecAt(i).Name != names[i] {
+			t.Fatalf("rung %d named %q, want %q", i, c.RungSpecAt(i).Name, names[i])
 		}
 		if cost := c.RungCostMS(i); cost <= prev {
 			t.Fatalf("rung %d cost %.3f not above previous %.3f", i, cost, prev)
@@ -149,10 +162,10 @@ func TestLadderShape(t *testing.T) {
 	}
 	// The tiny rung sees a strided window and shrunk hiddens.
 	tiny := c.ladder[0]
-	if tiny.window != 3 || tiny.stride != 4 {
-		t.Fatalf("tiny window/stride = %d/%d, want 3/4", tiny.window, tiny.stride)
+	mc := tiny.bundle.Model.Config()
+	if mc.Window != 3 || tiny.spec.WindowStride != 4 {
+		t.Fatalf("tiny window/stride = %d/%d, want 3/4", mc.Window, tiny.spec.WindowStride)
 	}
-	mc := tiny.model.Config()
 	fullC := f.bundle.Model.Config()
 	if mc.HiddenLSTM >= fullC.HiddenLSTM || mc.HiddenLSTM != scaleHidden(fullC.HiddenLSTM, 0.25) {
 		t.Fatalf("tiny hidden %d not the scaled width", mc.HiddenLSTM)
@@ -190,8 +203,7 @@ func TestStrideRecords(t *testing.T) {
 
 func TestPredictCostedAccounting(t *testing.T) {
 	f := getFixture(t)
-	c := f.casc
-	c.ResetStats()
+	c := freshView(t, f)
 	minCost, maxCost := c.RungCostMS(0), 0.0
 	for i := 0; i < c.NumRungs(); i++ {
 		maxCost += c.RungCostMS(i)
@@ -287,8 +299,7 @@ func TestAlwaysEscalateMatchesEHCR(t *testing.T) {
 
 func TestEarlyExitsHappen(t *testing.T) {
 	f := getFixture(t)
-	c := f.casc
-	c.ResetStats()
+	c := freshView(t, f)
 	for _, rec := range f.splits.Test {
 		c.Predict(rec)
 	}
@@ -318,7 +329,7 @@ func TestWithThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.ladder[0].rung != f.casc.ladder[0].rung {
+	if v.ladder[0] != f.casc.ladder[0] {
 		t.Fatal("view must share the trained rungs")
 	}
 	if v.Stats().Horizons != 0 {
@@ -374,47 +385,6 @@ func TestDeterministicRebuild(t *testing.T) {
 	}
 }
 
-func TestQuantizedLadder(t *testing.T) {
-	if testing.Short() {
-		t.Skip("retrains the ladder")
-	}
-	f := getFixture(t)
-	cfg := DefaultConfig()
-	cfg.Quantized = true
-	tc := core.DefaultTrainConfig()
-	tc.Epochs = 8
-	q, err := New(cfg, f.bundle, f.splits.Train, f.splits.CCalib, f.splits.RCalib, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < q.NumRungs(); i++ {
-		if _, isModel := q.ladder[i].pred.(*core.Model); isModel {
-			t.Fatalf("rung %d serves from the float model despite Quantized", i)
-		}
-	}
-	agree := 0
-	for _, rec := range f.splits.Test {
-		a := f.casc.Predict(rec)
-		b := q.Predict(rec)
-		if a.Occur[0] == b.Occur[0] {
-			agree++
-		}
-	}
-	// Quantization perturbs scores near thresholds; decisions must still
-	// agree on the overwhelming majority of horizons.
-	if frac := float64(agree) / float64(len(f.splits.Test)); frac < 0.9 {
-		t.Fatalf("quantized ladder agrees on only %.0f%% of horizons", 100*frac)
-	}
-	s := q.Stats()
-	var sum int64
-	for _, e := range s.Exits {
-		sum += e
-	}
-	if sum != s.Horizons {
-		t.Fatal("quantized exit accounting broken")
-	}
-}
-
 func TestRegisterMetrics(t *testing.T) {
 	f := getFixture(t)
 	c, err := f.casc.WithThresholds(0.98, 0.8)
@@ -445,8 +415,7 @@ func TestRegisterMetrics(t *testing.T) {
 			t.Errorf("scrape missing %q", want)
 		}
 	}
-	// Scrapes must be safe while another goroutine serves (stats are
-	// mutex-guarded even though prediction itself is single-threaded).
+	// Scrapes must be safe while another goroutine serves.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -475,14 +444,13 @@ func TestStatsSnapshotIsolation(t *testing.T) {
 	if c.Stats().Exits[0] == 999 {
 		t.Fatal("Stats returned aliased exit counts")
 	}
-	c.ResetStats()
-	s = c.Stats()
+	s = freshView(t, f).Stats()
 	if s.Horizons != 0 || s.PredictMS != 0 || s.Escalations != 0 {
-		t.Fatal("ResetStats left residue")
+		t.Fatal("a fresh view carries stats residue")
 	}
 	for _, e := range s.Exits {
 		if e != 0 {
-			t.Fatal("ResetStats left exit counts")
+			t.Fatal("a fresh view carries exit counts")
 		}
 	}
 	if s.ComputeFrac() != 1 {
@@ -491,4 +459,186 @@ func TestStatsSnapshotIsolation(t *testing.T) {
 	if s.MeanPredictMS() != 0 {
 		t.Fatal("idle cascade mean cost must be 0")
 	}
+}
+
+// TestExitRule drives one record through a two-rung ladder whose lowered
+// rung is the fixture's tiny model under hand-built calibrations: score
+// populations placed around the record's own score select each label set,
+// and residuals of zero or a whole horizon make the kept interval narrow or
+// too wide. Only a singleton set with a fitting interval may exit; every
+// escalation must return the plain EHCR decision.
+func TestExitRule(t *testing.T) {
+	f := getFixture(t)
+	tiny := f.casc.ladder[0]
+	const q = 0.9 // exit confidence: a label enters the set at p >= 0.1
+	h := f.cfg.Horizon
+
+	// A record whose raw tiny-rung interval is well inside the width bound
+	// (EHO at τ1 = 0 decodes every record's interval, unadjusted).
+	var rec dataset.Record
+	var score float64
+	found := false
+	raw := tiny.bundle.WithTaus(0, tiny.bundle.Tau2)
+	for _, r := range f.splits.Test {
+		var w walk
+		var p metrics.Prediction
+		scores := raw.Decide(w.strided(r, tiny.spec.WindowStride), strategy.Rule{}, &w.sc, &p)
+		if scores[0] > 0 && scores[0] < 1 && p.OI[0].Len() <= h/2 {
+			rec, score, found = r, scores[0], true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("no test record with a short raw tiny-rung interval")
+	}
+	// Nine calibration scores strictly below / above the record's score: a
+	// population below puts p at 0.9 for "occur" and 0 for "absent", one
+	// above the reverse.
+	below, above := make([]float64, 9), make([]float64, 9)
+	for i := range below {
+		below[i] = score * float64(i+1) / 10
+		above[i] = score + (1-score)*float64(i+1)/10
+	}
+	want := f.bundle.EHCR(0.9, 0.9).Predict(rec)
+
+	cases := []struct {
+		name      string
+		pos, neg  []float64
+		residual  float64
+		exit      bool
+		wantOccur bool
+	}{
+		{"occur singleton, narrow interval", below, below, 0, true, true},
+		{"occur singleton, interval too wide", below, below, float64(h), false, false},
+		{"absent singleton", above, above, 0, true, false},
+		{"both labels", below, above, 0, false, false},
+		{"empty set", above, below, 0, false, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var calibB [][]float64
+			var calibL [][]bool
+			for _, v := range tc.pos {
+				calibB, calibL = append(calibB, []float64{v}), append(calibL, []bool{true})
+			}
+			for _, v := range tc.neg {
+				calibB, calibL = append(calibB, []float64{v}), append(calibL, []bool{false})
+			}
+			cls, err := conformal.NewClassifier(calibB, calibL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := conformal.NewSetClassifier(cls, calibB, calibL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg, err := conformal.NewRegressor(h, [][]float64{{tc.residual}}, [][]float64{{tc.residual}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := *tiny.bundle
+			b.Classifier, b.Regressor = cls, reg
+			cfg := f.casc.Config()
+			cfg.ExitConfidence = q
+			c := &Cascade{
+				cfg:     cfg,
+				ladder:  []*rung{{spec: tiny.spec, bundle: &b, set: set, costMS: tiny.costMS}, f.casc.ladder[f.casc.NumRungs()-1]},
+				horizon: h,
+				window:  f.cfg.Window,
+			}
+			c.stats.Exits = make([]int64, 2)
+			p, cost := c.PredictCosted(rec)
+			s := c.Stats()
+			if tc.exit {
+				if s.Exits[0] != 1 || cost != tiny.costMS {
+					t.Fatalf("exits %v cost %v: want an exit at the lowered rung", s.Exits, cost)
+				}
+				if p.Occur[0] != tc.wantOccur {
+					t.Fatalf("exit decided occur=%v, want %v", p.Occur[0], tc.wantOccur)
+				}
+				if p.Occur[0] && p.OI[0].Len() > h/2 {
+					t.Fatalf("exit kept interval %v, raw interval was at most %d long", p.OI[0], h/2)
+				}
+				return
+			}
+			if s.Exits[1] != 1 || s.Escalations != 1 || cost != tiny.costMS+c.FullPredictMS() {
+				t.Fatalf("exits %v escalations %d cost %v: want an escalation to the full rung", s.Exits, s.Escalations, cost)
+			}
+			if p.Occur[0] != want.Occur[0] || p.OI[0] != want.OI[0] {
+				t.Fatalf("escalated decision %+v differs from plain EHCR %+v", p, want)
+			}
+		})
+	}
+}
+
+// TestCascadeConcurrentPredictMatchesSerial: goroutines walking one Cascade
+// — and, beside them, deciding on the full bundle it was built under — must
+// each get the serial walk's predictions and costs, and the counters must
+// account for every horizon exactly once. Run under -race (check.sh).
+func TestCascadeConcurrentPredictMatchesSerial(t *testing.T) {
+	f := getFixture(t)
+	serial := freshView(t, f)
+	type answer struct {
+		p    metrics.Prediction
+		cost float64
+	}
+	want := make([]answer, len(f.splits.Test))
+	for i, rec := range f.splits.Test {
+		want[i].p, want[i].cost = serial.PredictCosted(rec)
+	}
+	plain := make([]metrics.Prediction, len(f.splits.Test))
+	for i, rec := range f.splits.Test {
+		plain[i] = f.bundle.EHCR(0.9, 0.9).Predict(rec)
+	}
+
+	c := freshView(t, f)
+	const workers = 4
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range f.splits.Test {
+				j := (i + g*37) % len(f.splits.Test) // each worker at its own offset
+				p, cost := c.PredictCosted(f.splits.Test[j])
+				if cost != want[j].cost || !samePrediction(p, want[j].p) {
+					t.Errorf("worker %d record %d: concurrent walk differs from the serial one", g, j)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ehcr := f.bundle.EHCR(0.9, 0.9)
+		for i, rec := range f.splits.Test {
+			if !samePrediction(ehcr.Predict(rec), plain[i]) {
+				t.Errorf("record %d: plain EHCR on the shared bundle changed under concurrent walks", i)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+
+	s, ss := c.Stats(), serial.Stats()
+	var exits int64
+	for i, e := range s.Exits {
+		exits += e
+		if e != workers*ss.Exits[i] {
+			t.Errorf("rung %d: %d exits over %d workers, serial walk had %d", i, e, workers, ss.Exits[i])
+		}
+	}
+	if n := int64(workers * len(f.splits.Test)); s.Horizons != n || exits != n {
+		t.Fatalf("horizons %d, exits %d, want %d", s.Horizons, exits, n)
+	}
+}
+
+func samePrediction(a, b metrics.Prediction) bool {
+	for k := range a.Occur {
+		if a.Occur[k] != b.Occur[k] || (a.Occur[k] && a.OI[k] != b.OI[k]) {
+			return false
+		}
+	}
+	return len(a.Occur) == len(b.Occur)
 }

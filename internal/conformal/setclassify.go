@@ -10,78 +10,58 @@ import (
 // against the positive calibration population, which yields a single
 // thresholded bit; a cascade rung must instead know whether a score is
 // DECISIVE — conformally consistent with exactly one of the two labels.
-// SetClassifier therefore calibrates against both populations and returns
-// a conformal label set over {occur, absent}: a label enters the set when
-// the new score is not too nonconforming for that label's calibration
-// records. A singleton set is a confident answer the rung may act on; an
-// empty or two-element set is ambiguity the cascade escalates.
+// SetClassifier therefore adds the negative population to a Classifier and
+// returns a conformal label set over {occur, absent}: a label enters the
+// set when the new score is not too nonconforming for that label's
+// calibration records. A singleton set is a confident answer the rung may
+// act on; an empty or two-element set is ambiguity the cascade escalates.
 type SetClassifier struct {
-	// pos[k] and neg[k] are the existence scores b_k of the calibration
-	// records where event k does / does not occur, sorted ascending.
-	pos [][]float64
+	// occur decides the "occur" label: its p-value ranks a score against
+	// the positive calibration population, which is all C-CLASSIFY keeps.
+	occur *Classifier
+	// neg[k] holds the existence scores b_k of the calibration records
+	// where event k does not occur, sorted ascending.
 	neg [][]float64
 }
 
-// NewSetClassifier calibrates from per-record existence scores and ground
-// truth labels (same inputs as NewClassifier). Every event needs at least
-// one positive AND one negative calibration record — without both
+// NewSetClassifier adds the "absent" side to a calibrated C-CLASSIFY
+// instance, from the per-record existence scores and ground truth labels
+// occur was calibrated on (same inputs as NewClassifier; only the negative
+// records are read). Every event needs at least one negative calibration
+// record — occur already holds a positive one — since without both
 // populations no two-sided p-value is defined.
-func NewSetClassifier(calibB [][]float64, calibLabel [][]bool) (*SetClassifier, error) {
+func NewSetClassifier(occur *Classifier, calibB [][]float64, calibLabel [][]bool) (*SetClassifier, error) {
+	if occur == nil {
+		return nil, fmt.Errorf("conformal: nil classifier")
+	}
 	if len(calibB) == 0 || len(calibB) != len(calibLabel) {
 		return nil, fmt.Errorf("conformal: calibration sets empty or mismatched (%d vs %d)",
 			len(calibB), len(calibLabel))
 	}
-	k := len(calibB[0])
-	c := &SetClassifier{pos: make([][]float64, k), neg: make([][]float64, k)}
+	k := occur.NumEvents()
+	c := &SetClassifier{occur: occur, neg: make([][]float64, k)}
 	for n := range calibB {
 		if len(calibB[n]) != k || len(calibLabel[n]) != k {
 			return nil, fmt.Errorf("conformal: record %d has inconsistent event count", n)
 		}
 		for j := 0; j < k; j++ {
-			if calibLabel[n][j] {
-				c.pos[j] = append(c.pos[j], calibB[n][j])
-			} else {
+			if !calibLabel[n][j] {
 				c.neg[j] = append(c.neg[j], calibB[n][j])
 			}
 		}
 	}
 	for j := 0; j < k; j++ {
-		if len(c.pos[j]) == 0 {
-			return nil, fmt.Errorf("conformal: event %d has no positive calibration records", j)
-		}
 		if len(c.neg[j]) == 0 {
 			return nil, fmt.Errorf("conformal: event %d has no negative calibration records", j)
 		}
-		sort.Float64s(c.pos[j])
 		sort.Float64s(c.neg[j])
 	}
 	return c, nil
 }
 
-// NumEvents returns the number of calibrated events K.
-func (c *SetClassifier) NumEvents() int { return len(c.pos) }
-
-// NumPositives and NumNegatives report the calibration population sizes
-// for event k.
-func (c *SetClassifier) NumPositives(k int) int { return len(c.pos[k]) }
-func (c *SetClassifier) NumNegatives(k int) int { return len(c.neg[k]) }
-
-// PValuePos is the p-value of score b under the "occur" hypothesis for
-// event k: with nonconformity a = 1-b, the fraction of positive
-// calibration scores at or below b (the same statistic Classifier.PValue
-// computes).
-func (c *SetClassifier) PValuePos(k int, b float64) float64 {
-	ps := c.pos[k]
-	cnt := sort.SearchFloat64s(ps, b)
-	for cnt < len(ps) && ps[cnt] == b {
-		cnt++
-	}
-	return float64(cnt) / float64(len(ps)+1)
-}
-
 // PValueNeg is the p-value of score b under the "absent" hypothesis for
 // event k: with nonconformity a = b, the fraction of negative calibration
-// scores at or above b.
+// scores at or above b. (The "occur" hypothesis is Classifier.PValue.)
 func (c *SetClassifier) PValueNeg(k int, b float64) float64 {
 	ns := c.neg[k]
 	// count of sorted scores >= b
@@ -107,7 +87,7 @@ func (s LabelSet) Singleton() bool { return s.Occur != s.Absent }
 // 1-confidence fraction yields a set that excludes "occur".
 func (c *SetClassifier) Set(k int, b, confidence float64) LabelSet {
 	return LabelSet{
-		Occur:  c.PValuePos(k, b) >= 1-confidence,
+		Occur:  c.occur.PValue(k, b) >= 1-confidence,
 		Absent: c.PValueNeg(k, b) >= 1-confidence,
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"eventhit/internal/dataset"
@@ -454,106 +453,6 @@ func TestGRUEncoderVariant(t *testing.T) {
 	}
 	if m2.Predict(rec.X).B[0] != m.Predict(rec.X).B[0] {
 		t.Fatal("gru model did not round-trip")
-	}
-}
-
-func TestEarlyStoppingValidation(t *testing.T) {
-	cfg := tinyConfig()
-	m, _ := New(cfg)
-	rec := tinyRecord(mathx.NewRNG(1), cfg)
-	tc := DefaultTrainConfig()
-	tc.Patience = 2
-	if _, err := m.Train([]dataset.Record{rec}, tc); err == nil {
-		t.Fatal("Patience without Val must error")
-	}
-}
-
-func TestEarlyStoppingStopsAndRestoresBest(t *testing.T) {
-	cfg := tinyConfig()
-	m, _ := New(cfg)
-	g := mathx.NewRNG(7)
-	// Training labels are pure noise relative to features, so validation
-	// loss cannot keep improving: early stopping must trigger.
-	train := make([]dataset.Record, 40)
-	val := make([]dataset.Record, 20)
-	for i := range train {
-		r := tinyRecord(g, cfg)
-		r.Label = []bool{g.Bernoulli(0.5), g.Bernoulli(0.5)}
-		r.OI = []video.Interval{{Start: 1 + g.Intn(3), End: 4}, {Start: 2, End: 5}}
-		train[i] = r
-	}
-	for i := range val {
-		r := tinyRecord(g, cfg)
-		r.Label = []bool{g.Bernoulli(0.5), g.Bernoulli(0.5)}
-		r.OI = []video.Interval{{Start: 1 + g.Intn(3), End: 4}, {Start: 2, End: 5}}
-		val[i] = r
-	}
-	tc := DefaultTrainConfig()
-	tc.Epochs = 60
-	tc.LR = 0.02
-	tc.Val = val
-	tc.Patience = 3
-	stats, err := m.Train(train, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.StoppedEarly {
-		t.Fatal("expected early stop on noise labels")
-	}
-	if len(stats.ValLoss) != len(stats.EpochLoss) {
-		t.Fatal("val loss not tracked per epoch")
-	}
-	if stats.BestEpoch < 0 || stats.BestEpoch >= len(stats.ValLoss) {
-		t.Fatalf("BestEpoch = %d", stats.BestEpoch)
-	}
-	// Restored weights must reproduce the best epoch's validation loss.
-	var got float64
-	for _, r := range val {
-		got += m.Loss(r)
-	}
-	got /= float64(len(val))
-	if math.Abs(got-stats.ValLoss[stats.BestEpoch]) > 1e-9 {
-		t.Fatalf("restored val loss %.6f != best %.6f", got, stats.ValLoss[stats.BestEpoch])
-	}
-}
-
-func TestTrainWithoutPatienceKeepsFinalWeights(t *testing.T) {
-	cfg := tinyConfig()
-	m, _ := New(cfg)
-	g := mathx.NewRNG(9)
-	recs := []dataset.Record{tinyRecord(g, cfg)}
-	tc := DefaultTrainConfig()
-	tc.Epochs = 3
-	stats, err := m.Train(recs, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.StoppedEarly || stats.BestEpoch != -1 || stats.ValLoss != nil {
-		t.Fatalf("unexpected early-stopping state: %+v", stats)
-	}
-}
-
-func TestTrainWithSchedule(t *testing.T) {
-	cfg := tinyConfig()
-	m, _ := New(cfg)
-	g := mathx.NewRNG(3)
-	recs := make([]dataset.Record, 30)
-	for i := range recs {
-		r := tinyRecord(g, cfg)
-		pos := r.X[cfg.Window-1][0] > 0
-		r.Label = []bool{pos, !pos}
-		r.OI = []video.Interval{{Start: 2, End: 4}, {Start: 1, End: 3}}
-		recs[i] = r
-	}
-	tc := DefaultTrainConfig()
-	tc.Epochs = 20
-	tc.Schedule = nn.CosineLR{Base: 0.01, Min: 0.0005, Span: 20}
-	before := meanLoss(m, recs)
-	if _, err := m.Train(recs, tc); err != nil {
-		t.Fatal(err)
-	}
-	if after := meanLoss(m, recs); after >= before {
-		t.Fatalf("scheduled training did not reduce loss: %v -> %v", before, after)
 	}
 }
 

@@ -32,8 +32,8 @@ import (
 //     Dropout.Reseed rather than drawn from one sequential stream, so a
 //     record's masks do not depend on which replica processed it.
 //
-// Per-record losses (training and validation) are likewise written into
-// position-indexed buffers and summed in index order.
+// Per-record losses are likewise written into a position-indexed buffer and
+// summed in index order.
 
 // microBatch is the number of records one worker processes back-to-back
 // before flushing gradients to a reduction slot. It trades scheduling
@@ -41,22 +41,14 @@ import (
 // count, or determinism invariant (1) breaks.
 const microBatch = 4
 
-// maxWorkersFactor bounds the goroutines spawned per training run at this
-// multiple of GOMAXPROCS. Oversubscription beyond that only adds scheduling
-// noise; results are unaffected either way.
-const maxWorkersFactor = 4
-
 // trainParallel is Train's data-parallel engine (tc.Parallelism >= 1).
 // Inputs are already validated.
 func (m *Model) trainParallel(recs []dataset.Record, tc TrainConfig) (TrainStats, error) {
+	// Oversubscribing cores costs sharding overhead and buys nothing
+	// (results are identical at any worker count).
 	workers := tc.Parallelism
-	if g := runtime.GOMAXPROCS(0); !tc.ForceParallelism && workers > g {
-		// Oversubscribing cores costs sharding overhead and buys nothing
-		// (results are identical at any worker count).
+	if g := runtime.GOMAXPROCS(0); workers > g {
 		workers = g
-	}
-	if bound := maxWorkersFactor * runtime.GOMAXPROCS(0); workers > bound {
-		workers = bound
 	}
 	if chunks := (len(recs) + microBatch - 1) / microBatch; workers > chunks {
 		workers = chunks
@@ -86,7 +78,6 @@ func (m *Model) trainParallel(recs []dataset.Record, tc TrainConfig) (TrainStats
 		}
 	}
 	lossBuf := make([]float64, len(recs))
-	valBuf := make([]float64, len(tc.Val))
 
 	opt := nn.NewAdam(m.params, tc.LR)
 	if tc.GradClip > 0 {
@@ -98,9 +89,6 @@ func (m *Model) trainParallel(recs []dataset.Record, tc TrainConfig) (TrainStats
 		order[i] = i
 	}
 	stats := TrainStats{BestEpoch: -1}
-	bestVal := 0.0
-	var bestWeights [][]float64
-	sinceBest := 0
 	for _, r := range reps {
 		r.drop.SetTraining(true)
 	}
@@ -111,11 +99,6 @@ func (m *Model) trainParallel(recs []dataset.Record, tc TrainConfig) (TrainStats
 	}()
 
 	for epoch := 0; epoch < tc.Epochs; epoch++ {
-		if tc.Schedule != nil {
-			if lr := tc.Schedule.LR(epoch); lr > 0 {
-				opt.SetLR(lr)
-			}
-		}
 		g.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for start := 0; start < len(order); start += tc.BatchSize {
 			end := start + tc.BatchSize
@@ -169,37 +152,9 @@ func (m *Model) trainParallel(recs []dataset.Record, tc TrainConfig) (TrainStats
 		}
 		mean := epochLoss / float64(len(recs))
 		stats.EpochLoss = append(stats.EpochLoss, mean)
-		var val float64
-		if len(tc.Val) > 0 {
-			val = evalLossParallel(reps, tc.Val, valBuf, dLogits)
-			stats.ValLoss = append(stats.ValLoss, val)
-		}
 		if tc.Log != nil {
-			if len(tc.Val) > 0 {
-				fmt.Fprintf(tc.Log, "epoch %2d/%d  loss %.4f  val %.4f\n", epoch+1, tc.Epochs, mean, val)
-			} else {
-				fmt.Fprintf(tc.Log, "epoch %2d/%d  loss %.4f\n", epoch+1, tc.Epochs, mean)
-			}
+			fmt.Fprintf(tc.Log, "epoch %2d/%d  loss %.4f\n", epoch+1, tc.Epochs, mean)
 		}
-		if tc.Patience > 0 {
-			if stats.BestEpoch < 0 || val < bestVal {
-				bestVal = val
-				stats.BestEpoch = epoch
-				sinceBest = 0
-				bestWeights = snapshotWeights(m.params)
-			} else if sinceBest++; sinceBest >= tc.Patience {
-				stats.StoppedEarly = true
-				restoreWeights(m.params, bestWeights)
-				if tc.Log != nil {
-					fmt.Fprintf(tc.Log, "early stop at epoch %d, best epoch %d (val %.4f)\n",
-						epoch+1, stats.BestEpoch+1, bestVal)
-				}
-				return stats, nil
-			}
-		}
-	}
-	if tc.Patience > 0 && bestWeights != nil {
-		restoreWeights(m.params, bestWeights)
 	}
 	return stats, nil
 }
@@ -208,37 +163,4 @@ func (m *Model) trainParallel(recs []dataset.Record, tc TrainConfig) (TrainStats
 // in the epoch's shuffled order).
 func recSeed(seed int64, epoch, pos int) int64 {
 	return int64(mathx.HashU64(uint64(seed), uint64(epoch)+1, uint64(pos)+1))
-}
-
-// evalLossParallel computes the mean validation loss by sharding records
-// across the replicas (whose weights are in sync after the epoch's last
-// optimizer step), writing per-record losses into buf and summing them in
-// index order. Dropout is disabled on every replica for the duration, so
-// no randomness is consumed and the result is independent of the sharding.
-func evalLossParallel(reps []*Model, val []dataset.Record, buf []float64, dLogits [][][]float64) float64 {
-	for _, r := range reps {
-		r.drop.SetTraining(false)
-	}
-	workers := len(reps)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rep := reps[w]
-			for i := w; i < len(val); i += workers {
-				logits := rep.rawForward(val[i].X)
-				buf[i] = rep.recordLoss(logits, val[i], dLogits[w])
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, r := range reps {
-		r.drop.SetTraining(true)
-	}
-	var sum float64
-	for _, l := range buf {
-		sum += l
-	}
-	return sum / float64(len(val))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"eventhit/internal/dataset"
@@ -9,7 +10,7 @@ import (
 
 // parallelFixture builds a small training problem with dropout enabled, so
 // the determinism tests also exercise the counter-based mask streams.
-func parallelFixture(t *testing.T) (Config, []dataset.Record, []dataset.Record) {
+func parallelFixture(t *testing.T) (Config, []dataset.Record) {
 	t.Helper()
 	cfg := tinyConfig()
 	cfg.Dropout = 0.25
@@ -18,28 +19,32 @@ func parallelFixture(t *testing.T) (Config, []dataset.Record, []dataset.Record) 
 	for i := range train {
 		train[i] = tinyRecord(g, cfg)
 	}
-	val := make([]dataset.Record, 7)
-	for i := range val {
-		val[i] = tinyRecord(g, cfg)
+	return cfg, train
+}
+
+func snapshotWeights(m *Model) [][]float64 {
+	out := make([][]float64, len(m.params))
+	for i, p := range m.params {
+		out[i] = append([]float64(nil), p.W...)
 	}
-	return cfg, train, val
+	return out
 }
 
 func trainWithParallelism(t *testing.T, p int) (TrainStats, [][]float64) {
 	t.Helper()
-	cfg, train, val := parallelFixture(t)
+	cfg, train := parallelFixture(t)
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats, err := m.Train(train, TrainConfig{
 		Epochs: 4, BatchSize: 8, LR: 3e-3, GradClip: 5, Seed: 7,
-		Val: val, Parallelism: p,
+		Parallelism: p,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stats, snapshotWeights(m.params)
+	return stats, snapshotWeights(m)
 }
 
 // TestTrainParallelDeterminism is the parity check behind the Parallelism
@@ -47,18 +52,14 @@ func trainWithParallelism(t *testing.T, p int) (TrainStats, [][]float64) {
 // final weights for a given seed.
 func TestTrainParallelDeterminism(t *testing.T) {
 	baseStats, baseW := trainWithParallelism(t, 1)
-	if len(baseStats.EpochLoss) != 4 || len(baseStats.ValLoss) != 4 {
-		t.Fatalf("unexpected trajectory lengths: %d train, %d val",
-			len(baseStats.EpochLoss), len(baseStats.ValLoss))
+	if len(baseStats.EpochLoss) != 4 {
+		t.Fatalf("unexpected trajectory length %d", len(baseStats.EpochLoss))
 	}
 	for _, p := range []int{2, 4} {
 		stats, w := trainWithParallelism(t, p)
 		for e := range baseStats.EpochLoss {
 			if stats.EpochLoss[e] != baseStats.EpochLoss[e] {
 				t.Errorf("P=%d epoch %d loss %v, P=1 got %v", p, e, stats.EpochLoss[e], baseStats.EpochLoss[e])
-			}
-			if stats.ValLoss[e] != baseStats.ValLoss[e] {
-				t.Errorf("P=%d epoch %d val %v, P=1 got %v", p, e, stats.ValLoss[e], baseStats.ValLoss[e])
 			}
 		}
 		for i := range baseW {
@@ -92,16 +93,16 @@ func TestTrainParallelRerunStable(t *testing.T) {
 }
 
 // TestTrainParallelLearns checks the parallel engine actually optimizes:
-// loss falls over a few epochs, and early stopping still works.
+// loss falls over a few epochs.
 func TestTrainParallelLearns(t *testing.T) {
-	cfg, train, val := parallelFixture(t)
+	cfg, train := parallelFixture(t)
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats, err := m.Train(train, TrainConfig{
 		Epochs: 8, BatchSize: 8, LR: 5e-3, GradClip: 5, Seed: 7,
-		Val: val, Patience: 6, Parallelism: 4,
+		Parallelism: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,13 +112,10 @@ func TestTrainParallelLearns(t *testing.T) {
 	if !(last < first) {
 		t.Fatalf("parallel training did not reduce loss: first %v, last %v", first, last)
 	}
-	if stats.BestEpoch < 0 {
-		t.Fatal("early stopping bookkeeping inactive despite Patience > 0")
-	}
 }
 
 func TestTrainParallelismValidation(t *testing.T) {
-	cfg, train, _ := parallelFixture(t)
+	cfg, train := parallelFixture(t)
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -148,27 +146,30 @@ func TestModelClone(t *testing.T) {
 	}
 }
 
-// TestForceParallelismBitIdentical: the default GOMAXPROCS clamp and the
-// explicit override must produce bit-identical results — the clamp is a
-// pure wall-clock optimization.
-func TestForceParallelismBitIdentical(t *testing.T) {
-	cfg, train, val := parallelFixture(t)
-	run := func(force bool) (TrainStats, [][]float64) {
+// TestOversubscribedWorkersBitIdentical: the engine clamps workers to
+// GOMAXPROCS; the clamped run and a run with 16 schedulable workers (the
+// test raises GOMAXPROCS for its duration, so it must not run in parallel
+// with other tests) must produce bit-identical results — the clamp is a pure
+// wall-clock optimization.
+func TestOversubscribedWorkersBitIdentical(t *testing.T) {
+	cfg, train := parallelFixture(t)
+	run := func() (TrainStats, [][]float64) {
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stats, err := m.Train(train, TrainConfig{
 			Epochs: 3, BatchSize: 8, LR: 3e-3, GradClip: 5, Seed: 7,
-			Val: val, Parallelism: 16, ForceParallelism: force,
+			Parallelism: 16,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stats, snapshotWeights(m.params)
+		return stats, snapshotWeights(m)
 	}
-	clampedStats, clampedW := run(false)
-	forcedStats, forcedW := run(true)
+	clampedStats, clampedW := run()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
+	forcedStats, forcedW := run()
 	for e := range clampedStats.EpochLoss {
 		if clampedStats.EpochLoss[e] != forcedStats.EpochLoss[e] {
 			t.Fatalf("epoch %d loss differs: clamped %v forced %v",

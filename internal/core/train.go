@@ -25,35 +25,18 @@ type TrainConfig struct {
 	Seed int64
 	// Log, when non-nil, receives one line per epoch.
 	Log io.Writer
-	// Val, when non-empty, is evaluated (loss, dropout off) after each
-	// epoch; together with Patience it enables early stopping.
-	Val []dataset.Record
-	// Patience stops training after this many consecutive epochs without
-	// validation improvement and restores the best weights; 0 disables
-	// early stopping. Requires Val.
-	Patience int
-	// Schedule, when non-nil, overrides LR per epoch (LR is still
-	// validated and used as epoch 0's rate when the schedule yields 0).
-	Schedule nn.Schedule
 	// Parallelism selects the training engine. 0 (the default) runs the
 	// original single-goroutine loop. n >= 1 runs the data-parallel engine:
-	// each minibatch is sharded across up to n workers, each owning a model
-	// replica, and replica gradients are reduced into the primary in fixed
-	// micro-batch order. The engine is bit-deterministic in n — any value
+	// each minibatch is sharded across up to min(n, GOMAXPROCS) workers —
+	// more than the box has cores only pays sharding overhead — each owning
+	// a model replica, and replica gradients are reduced into the primary
+	// in fixed micro-batch order. The engine is bit-deterministic in n — any value
 	// >= 1 produces identical weights and losses for a given Seed (see
 	// DESIGN.md "Data-parallel training") — but its results differ in the
 	// last bits from the Parallelism == 0 loop, whose gradient reduction
 	// associates record by record and whose dropout masks come from one
 	// sequential stream.
 	Parallelism int
-	// ForceParallelism lifts the default clamp of effective workers to
-	// runtime.GOMAXPROCS(0). By default requesting more workers than the
-	// box has cores silently runs with fewer — on a 1-CPU machine the
-	// extra goroutines only pay sharding overhead (0.89x measured)
-	// without changing results (the engine is
-	// bit-deterministic in the worker count). Set this to measure
-	// oversubscription deliberately.
-	ForceParallelism bool
 }
 
 // DefaultTrainConfig returns settings that converge on the simulated
@@ -66,12 +49,13 @@ func DefaultTrainConfig() TrainConfig {
 type TrainStats struct {
 	// EpochLoss is the mean per-record loss after each epoch.
 	EpochLoss []float64
-	// ValLoss is the validation loss after each epoch (when Val is set).
-	ValLoss []float64
-	// BestEpoch is the 0-based epoch whose weights were kept (when early
-	// stopping is active); -1 otherwise.
-	BestEpoch int
-	// StoppedEarly reports whether Patience cut training short.
+	// ValLoss, BestEpoch and StoppedEarly are what the removed early-stopping
+	// option reported when it was off: nil, -1, false. Nothing sets or reads
+	// them any more, but bench/offline.go (frozen) hashes fmt's %v of this
+	// struct into offline_repro's decisions_digest, so the shape stays until
+	// a [benchmark] PR digests EpochLoss instead.
+	ValLoss      []float64
+	BestEpoch    int
 	StoppedEarly bool
 }
 
@@ -85,9 +69,6 @@ func (m *Model) Train(recs []dataset.Record, tc TrainConfig) (TrainStats, error)
 	}
 	if tc.Parallelism < 0 {
 		return TrainStats{}, fmt.Errorf("core: invalid train config Parallelism=%d", tc.Parallelism)
-	}
-	if tc.Patience > 0 && len(tc.Val) == 0 {
-		return TrainStats{}, fmt.Errorf("core: Patience requires a validation set")
 	}
 	for i, r := range recs {
 		if len(r.X) != m.cfg.Window {
@@ -114,17 +95,9 @@ func (m *Model) Train(recs []dataset.Record, tc TrainConfig) (TrainStats, error)
 		order[i] = i
 	}
 	stats := TrainStats{BestEpoch: -1}
-	bestVal := 0.0
-	var bestWeights [][]float64
-	sinceBest := 0
 	m.drop.SetTraining(true)
 	defer m.drop.SetTraining(false)
 	for epoch := 0; epoch < tc.Epochs; epoch++ {
-		if tc.Schedule != nil {
-			if lr := tc.Schedule.LR(epoch); lr > 0 {
-				opt.SetLR(lr)
-			}
-		}
 		g.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var epochLoss float64
 		inBatch := 0
@@ -146,58 +119,11 @@ func (m *Model) Train(recs []dataset.Record, tc TrainConfig) (TrainStats, error)
 		}
 		mean := epochLoss / float64(len(recs))
 		stats.EpochLoss = append(stats.EpochLoss, mean)
-		var val float64
-		if len(tc.Val) > 0 {
-			m.drop.SetTraining(false)
-			for _, r := range tc.Val {
-				val += m.Loss(r)
-			}
-			m.drop.SetTraining(true)
-			val /= float64(len(tc.Val))
-			stats.ValLoss = append(stats.ValLoss, val)
-		}
 		if tc.Log != nil {
-			if len(tc.Val) > 0 {
-				fmt.Fprintf(tc.Log, "epoch %2d/%d  loss %.4f  val %.4f\n", epoch+1, tc.Epochs, mean, val)
-			} else {
-				fmt.Fprintf(tc.Log, "epoch %2d/%d  loss %.4f\n", epoch+1, tc.Epochs, mean)
-			}
+			fmt.Fprintf(tc.Log, "epoch %2d/%d  loss %.4f\n", epoch+1, tc.Epochs, mean)
 		}
-		if tc.Patience > 0 {
-			if stats.BestEpoch < 0 || val < bestVal {
-				bestVal = val
-				stats.BestEpoch = epoch
-				sinceBest = 0
-				bestWeights = snapshotWeights(m.params)
-			} else if sinceBest++; sinceBest >= tc.Patience {
-				stats.StoppedEarly = true
-				restoreWeights(m.params, bestWeights)
-				if tc.Log != nil {
-					fmt.Fprintf(tc.Log, "early stop at epoch %d, best epoch %d (val %.4f)\n",
-						epoch+1, stats.BestEpoch+1, bestVal)
-				}
-				return stats, nil
-			}
-		}
-	}
-	if tc.Patience > 0 && bestWeights != nil {
-		restoreWeights(m.params, bestWeights)
 	}
 	return stats, nil
-}
-
-func snapshotWeights(params []*nn.Param) [][]float64 {
-	out := make([][]float64, len(params))
-	for i, p := range params {
-		out[i] = append([]float64(nil), p.W...)
-	}
-	return out
-}
-
-func restoreWeights(params []*nn.Param, snap [][]float64) {
-	for i, p := range params {
-		copy(p.W, snap[i])
-	}
 }
 
 func scaleGrads(params []*nn.Param, s float64) {

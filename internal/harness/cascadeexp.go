@@ -141,11 +141,11 @@ func NewCascade(env *Env, cfg cascade.Config) (*cascade.Cascade, error) {
 
 // CascadeSweep trains the task once, then evaluates every ladder shape
 // over the decisiveness grid. Ladders are independent pool cells (each
-// cell clones the bundle — training and Model.Predict write state the
-// model owns — and trains its own lowered rungs), so the result is
-// byte-identical at any harness parallelism. Nil ladder/grid arguments
-// take the package defaults. It fails rather than publishes when no
-// point meets both pinned selection bars.
+// trains its own lowered rungs; the full bundle is only read, so every
+// cell shares it), so the result is byte-identical at any harness
+// parallelism. Nil ladder/grid arguments take the package defaults. It
+// fails rather than publishes when no point meets both pinned selection
+// bars.
 func CascadeSweep(taskName string, opt Options, ladders [][]cascade.RungSpec, exitConfs, widthFracs []float64, seed int64, w io.Writer) (*CascadeResult, error) {
 	if ladders == nil {
 		ladders = CascadeLadders()
@@ -182,18 +182,12 @@ func CascadeSweep(taskName string, opt Options, ladders [][]cascade.RungSpec, ex
 
 	cells := make([][]CascadePoint, len(ladders))
 	err = forEachCell(len(ladders), func(li int) error {
-		// Each cell owns its models: a bundle clone for the full rung and
-		// freshly trained lowered rungs (deterministic given the shared
-		// seed, so cells are order-independent).
-		bundle := env.Bundle.Clone()
+		// Lowered rungs are deterministic given the shared seed, so cells
+		// are order-independent.
 		cfg := cascade.DefaultConfig()
 		cfg.Rungs = ladders[li]
 		cfg.Confidence, cfg.Coverage = cascadeConfidence, cascadeConfidence
-		tc := core.DefaultTrainConfig()
-		tc.Epochs = env.Opt.Epochs
-		tc.Seed = bundle.Model.Config().Seed
-		tc.Parallelism = env.Opt.TrainParallelism
-		casc, err := cascade.New(cfg, bundle, env.Splits.Train, env.Splits.CCalib, env.Splits.RCalib, tc)
+		casc, err := NewCascade(env, cfg)
 		if err != nil {
 			return err
 		}

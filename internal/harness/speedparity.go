@@ -37,9 +37,9 @@ type SpeedParity struct {
 	// CovariatesIdentical: cached windows deep-equal recomputed ones at
 	// every probed anchor.
 	CovariatesIdentical bool `json:"covariates_identical"`
-	// ReportsByteIdentical: the full pipeline run with quantization off
-	// and the incremental cache on serializes byte-for-byte identically
-	// to the seed path; ReportHash fingerprints both.
+	// ReportsByteIdentical: the full pipeline run over the cached source
+	// (float model) serializes byte-for-byte identically to the run over
+	// the plain extractor; ReportHash fingerprints both.
 	ReportsByteIdentical bool   `json:"reports_byte_identical"`
 	ReportHash           string `json:"report_hash"`
 	// MaxProbDelta is the worst per-logit probability difference between
@@ -103,13 +103,11 @@ func SpeedParityCheck(taskName string, opt Options, seed int64) (*SpeedParity, e
 		return nil, fmt.Errorf("harness: incremental covariates differ from recomputation")
 	}
 
-	// (2) With quantization off, the incremental pipeline run serializes
-	// byte-identically to the seed path.
-	runPipeline := func(incremental bool) ([]byte, error) {
+	// (2) The pipeline run over the cached source serializes
+	// byte-identically to the run over the plain extractor.
+	runPipeline := func(src dataset.Source) ([]byte, error) {
 		ci := cloud.NewService(env.Stream, cloud.RekognitionPricing(), cloud.DefaultLatency())
-		costs := pipeline.EventHitCosts(env.Cfg.Window)
-		costs.Incremental = incremental
-		m, err := pipeline.New(env.Ex, env.Bundle.EHCR(speedConfidence, speedConfidence), ci, env.Cfg, costs)
+		m, err := pipeline.New(src, env.Bundle.EHCR(speedConfidence, speedConfidence), ci, env.Cfg, pipeline.EventHitCosts(env.Cfg.Window))
 		if err != nil {
 			return nil, err
 		}
@@ -124,11 +122,11 @@ func SpeedParityCheck(taskName string, opt Options, seed int64) (*SpeedParity, e
 			Preds []metrics.Prediction
 		}{rep, recs, preds})
 	}
-	plain, err := runPipeline(false)
+	plain, err := runPipeline(env.Ex)
 	if err != nil {
 		return nil, err
 	}
-	incr, err := runPipeline(true)
+	incr, err := runPipeline(cs)
 	if err != nil {
 		return nil, err
 	}
@@ -164,11 +162,12 @@ func SpeedParityCheck(taskName string, opt Options, seed int64) (*SpeedParity, e
 		return nil, fmt.Errorf("harness: quantized per-logit delta %.4g exceeds pinned bound %.4g",
 			p.MaxProbDelta, p.ProbBound)
 	}
-	floatEH := env.Bundle.EHCR(speedConfidence, speedConfidence)
-	quantEH, err := floatEH.(strategy.Quantizable).Quantized()
+	qb, err := env.Bundle.WithQuantized()
 	if err != nil {
 		return nil, err
 	}
+	floatEH := env.Bundle.EHCR(speedConfidence, speedConfidence)
+	quantEH := qb.EHCR(speedConfidence, speedConfidence)
 	p.RECFloat, err = metrics.REC(env.Splits.Test, strategy.PredictAll(floatEH, env.Splits.Test))
 	if err != nil {
 		return nil, err

@@ -1,4 +1,4 @@
-package tune
+package harness
 
 import (
 	"bytes"
@@ -32,13 +32,13 @@ func tuneFixture(t *testing.T) (core.Config, *dataset.Splits) {
 	return cfg, splits
 }
 
-func TestSearchFindsWorkingConfig(t *testing.T) {
+func TestTuneSearchFindsWorkingConfig(t *testing.T) {
 	cfg, splits := tuneFixture(t)
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = 4
-	grid := Grid{Betas: []float64{0.5, 2}, Gammas: []float64{1}}
+	grid := tuneGrid{Betas: []float64{0.5, 2}, Gammas: []float64{1}}
 	var log bytes.Buffer
-	results, best, err := Search(cfg, tc, grid, nil,
+	results, best, err := tuneSearch(cfg, tc, grid,
 		splits.Train, splits.CCalib, splits.RCalib, splits.Test, &log)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestSearchFindsWorkingConfig(t *testing.T) {
 	if best == nil {
 		t.Fatal("no best bundle")
 	}
-	top, err := Best(results)
+	top, err := tuneBest(results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSearchFindsWorkingConfig(t *testing.T) {
 		t.Fatal("log not written")
 	}
 	// The best config must actually work on validation data.
-	score, err := DefaultObjective(best, splits.Test, cfg.Horizon)
+	score, err := tuneObjective(best, splits.Test, cfg.Horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,20 +71,20 @@ func TestSearchFindsWorkingConfig(t *testing.T) {
 	}
 }
 
-func TestSearchValidation(t *testing.T) {
+func TestTuneSearchValidation(t *testing.T) {
 	cfg, splits := tuneFixture(t)
 	tc := core.DefaultTrainConfig()
-	if _, _, err := Search(cfg, tc, Grid{}, nil,
+	if _, _, err := tuneSearch(cfg, tc, tuneGrid{},
 		splits.Train, splits.CCalib, splits.RCalib, splits.Test, nil); err == nil {
 		t.Fatal("expected error for empty grid")
 	}
-	if _, err := Best(nil); err == nil {
+	if _, err := tuneBest(nil); err == nil {
 		t.Fatal("expected error for no results")
 	}
 }
 
-func TestDefaultGrid(t *testing.T) {
-	g := DefaultGrid()
+func TestTuneDefaultGrid(t *testing.T) {
+	g := defaultTuneGrid()
 	if len(g.Betas) == 0 || len(g.Gammas) == 0 {
 		t.Fatal("empty default grid")
 	}

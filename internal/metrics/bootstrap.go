@@ -75,9 +75,3 @@ func bootstrapCI(recs []dataset.Record, preds []Prediction, fn metricFn,
 func RECBootstrap(recs []dataset.Record, preds []Prediction, resamples int, level float64, seed int64) (CI, error) {
 	return bootstrapCI(recs, preds, REC, resamples, level, mathx.NewRNG(seed))
 }
-
-// SPLBootstrap returns SPL with a bootstrap confidence interval.
-func SPLBootstrap(recs []dataset.Record, preds []Prediction, horizon, resamples int, level float64, seed int64) (CI, error) {
-	fn := func(r []dataset.Record, p []Prediction) (float64, error) { return SPL(r, p, horizon) }
-	return bootstrapCI(recs, preds, fn, resamples, level, mathx.NewRNG(seed))
-}

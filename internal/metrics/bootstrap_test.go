@@ -66,17 +66,6 @@ func TestBootstrapWidthShrinksWithN(t *testing.T) {
 	}
 }
 
-func TestSPLBootstrap(t *testing.T) {
-	recs, preds := bootstrapFixture(200, 4)
-	ci, err := SPLBootstrap(recs, preds, 100, 300, 0.95, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Point < 0 || ci.Lo > ci.Point || ci.Hi < ci.Point {
-		t.Fatalf("SPL CI inconsistent: %v", ci)
-	}
-}
-
 func TestBootstrapValidation(t *testing.T) {
 	recs, preds := bootstrapFixture(20, 6)
 	if _, err := RECBootstrap(recs, preds, 5, 0.95, 1); err == nil {

@@ -268,19 +268,6 @@ func TestBCEWithLogitsStableAtExtremes(t *testing.T) {
 	}
 }
 
-func TestSGDStepDirection(t *testing.T) {
-	p := NewParam("p", 1)
-	p.W[0] = 1
-	p.G[0] = 0.5
-	NewSGD([]*Param{p}, 0.1, 0).Step()
-	if math.Abs(p.W[0]-0.95) > 1e-12 {
-		t.Fatalf("W = %v, want 0.95", p.W[0])
-	}
-	if p.G[0] != 0 {
-		t.Fatal("Step must clear gradients")
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w-3)^2 from w=0.
 	p := NewParam("p", 1)
@@ -445,71 +432,6 @@ func TestGRUSaveLoad(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("GRU weights did not round-trip")
 		}
-	}
-}
-
-func TestSchedules(t *testing.T) {
-	if ConstantLR(0.1).LR(99) != 0.1 {
-		t.Fatal("ConstantLR")
-	}
-	s := StepLR{Base: 1, StepSize: 10, Gamma: 0.5}
-	if s.LR(0) != 1 || s.LR(9) != 1 || s.LR(10) != 0.5 || s.LR(25) != 0.25 {
-		t.Fatalf("StepLR: %v %v %v %v", s.LR(0), s.LR(9), s.LR(10), s.LR(25))
-	}
-	if (StepLR{Base: 2}).LR(5) != 2 {
-		t.Fatal("StepLR zero StepSize must hold base")
-	}
-	c := CosineLR{Base: 1, Min: 0.1, Span: 10}
-	if c.LR(0) != 1 {
-		t.Fatalf("cosine start %v", c.LR(0))
-	}
-	if math.Abs(c.LR(5)-0.55) > 1e-12 {
-		t.Fatalf("cosine midpoint %v", c.LR(5))
-	}
-	if c.LR(10) != 0.1 || c.LR(100) != 0.1 {
-		t.Fatal("cosine tail")
-	}
-	prev := math.Inf(1)
-	for e := 0; e <= 10; e++ {
-		if c.LR(e) > prev {
-			t.Fatal("cosine not monotone")
-		}
-		prev = c.LR(e)
-	}
-	w := WarmupLR{Warmup: 4, Inner: ConstantLR(1)}
-	if w.LR(0) >= w.LR(1) || w.LR(3) >= 1 || w.LR(4) != 1 || w.LR(9) != 1 {
-		t.Fatalf("warmup: %v %v %v %v", w.LR(0), w.LR(3), w.LR(4), w.LR(9))
-	}
-}
-
-func TestAdamWeightDecayShrinksWeights(t *testing.T) {
-	p := NewParam("p", 1)
-	p.W[0] = 10
-	opt := NewAdam([]*Param{p}, 0.01)
-	opt.SetWeightDecay(0.1)
-	for i := 0; i < 100; i++ {
-		p.G[0] = 0 // no task gradient: decay alone must shrink the weight
-		opt.Step()
-	}
-	if math.Abs(p.W[0]) >= 10 {
-		t.Fatalf("weight decay had no effect: %v", p.W[0])
-	}
-}
-
-func TestSGDMomentumAccelerates(t *testing.T) {
-	// With a constant gradient, momentum accumulates larger steps than
-	// plain SGD.
-	plain := NewParam("a", 1)
-	mom := NewParam("b", 1)
-	so := NewSGD([]*Param{plain}, 0.1, 0)
-	mo := NewSGD([]*Param{mom}, 0.1, 0.9)
-	for i := 0; i < 10; i++ {
-		plain.G[0], mom.G[0] = 1, 1
-		so.Step()
-		mo.Step()
-	}
-	if math.Abs(mom.W[0]) <= math.Abs(plain.W[0]) {
-		t.Fatalf("momentum did not accelerate: %v vs %v", mom.W[0], plain.W[0])
 	}
 }
 

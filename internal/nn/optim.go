@@ -2,63 +2,17 @@ package nn
 
 import "math"
 
-// Optimizer consumes accumulated gradients and updates weights. Step both
-// applies the update and clears the gradients.
-type Optimizer interface {
-	Step()
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	params   []*Param
-	lr       float64
-	momentum float64
-	vel      [][]float64
-}
-
-// NewSGD returns an SGD optimizer over params.
-func NewSGD(params []*Param, lr, momentum float64) *SGD {
-	s := &SGD{params: params, lr: lr, momentum: momentum}
-	if momentum != 0 {
-		s.vel = make([][]float64, len(params))
-		for i, p := range params {
-			s.vel[i] = make([]float64, len(p.W))
-		}
-	}
-	return s
-}
-
-// Step applies one update and zeroes the gradients.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		if s.vel != nil {
-			v := s.vel[i]
-			for j := range p.W {
-				v[j] = s.momentum*v[j] - s.lr*p.G[j]
-				p.W[j] += v[j]
-				p.G[j] = 0
-			}
-		} else {
-			for j := range p.W {
-				p.W[j] -= s.lr * p.G[j]
-				p.G[j] = 0
-			}
-		}
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba 2015) with bias
 // correction.
 type Adam struct {
-	params     []*Param
-	lr         float64
-	beta1      float64
-	beta2      float64
-	eps        float64
-	t          int
-	m, v       [][]float64
-	gradClip   float64 // if > 0, per-element clamp on gradients
-	weightDecs float64 // decoupled weight decay (AdamW style); 0 disables
+	params   []*Param
+	lr       float64
+	beta1    float64
+	beta2    float64
+	eps      float64
+	t        int
+	m, v     [][]float64
+	gradClip float64 // if > 0, per-element clamp on gradients
 }
 
 // NewAdam returns an Adam optimizer over params with the standard defaults
@@ -76,12 +30,6 @@ func NewAdam(params []*Param, lr float64) *Adam {
 
 // SetGradClip sets a symmetric per-element gradient clamp; 0 disables.
 func (a *Adam) SetGradClip(c float64) { a.gradClip = c }
-
-// SetWeightDecay enables decoupled (AdamW-style) weight decay.
-func (a *Adam) SetWeightDecay(wd float64) { a.weightDecs = wd }
-
-// SetLR changes the learning rate (for schedules).
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
 
 // Step applies one Adam update and zeroes the gradients.
 func (a *Adam) Step() {
@@ -104,9 +52,6 @@ func (a *Adam) Step() {
 			mHat := m[j] / c1
 			vHat := v[j] / c2
 			p.W[j] -= a.lr * mHat / (math.Sqrt(vHat) + a.eps)
-			if a.weightDecs > 0 {
-				p.W[j] -= a.lr * a.weightDecs * p.W[j]
-			}
 			p.G[j] = 0
 		}
 	}

@@ -74,13 +74,15 @@ func TestCascadeChargesRungWeightedPredict(t *testing.T) {
 	f := getCascade(t)
 	ex, ci, cfg := setup(t)
 	costs := EventHitCosts(cfg.Window)
-	costs.Cascade = f.casc
 	costs.Metrics = obs.NewRegistry()
-	m, err := New(ex, nil, ci, cfg, costs)
+	casc, err := f.casc.WithThresholds(f.casc.Config().ExitConfidence, f.casc.Config().MaxWidthFrac)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.casc.ResetStats()
+	m, err := New(ex, casc, ci, cfg, costs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep, recs, preds, err := m.Run(0, 30000)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +90,7 @@ func TestCascadeChargesRungWeightedPredict(t *testing.T) {
 	if rep.Horizons == 0 || len(recs) != rep.Horizons || len(preds) != rep.Horizons {
 		t.Fatalf("horizons=%d recs=%d preds=%d", rep.Horizons, len(recs), len(preds))
 	}
-	s := f.casc.Stats()
+	s := casc.Stats()
 	if s.Horizons != int64(rep.Horizons) {
 		t.Fatalf("cascade served %d horizons, pipeline ran %d", s.Horizons, rep.Horizons)
 	}
@@ -110,9 +112,8 @@ func TestCascadeRunMatchesDirectWalk(t *testing.T) {
 	f := getCascade(t)
 	ex, ci, cfg := setup(t)
 	costs := EventHitCosts(cfg.Window)
-	costs.Cascade = f.casc
 	costs.Metrics = obs.NewRegistry()
-	m, err := New(ex, nil, ci, cfg, costs)
+	m, err := New(ex, f.casc, ci, cfg, costs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,16 +132,17 @@ func TestCascadeRunMatchesDirectWalk(t *testing.T) {
 	}
 }
 
-// TestCascadeMetricsOnPipelineRegistry: the run's registry carries the
-// eventhit_cascade_* families alongside the pipeline families.
+// TestCascadeMetricsOnPipelineRegistry: a cascade the caller registered on
+// the run's registry shows its eventhit_cascade_* families alongside the
+// pipeline families.
 func TestCascadeMetricsOnPipelineRegistry(t *testing.T) {
 	f := getCascade(t)
 	ex, ci, cfg := setup(t)
 	reg := obs.NewRegistry()
 	costs := EventHitCosts(cfg.Window)
-	costs.Cascade = f.casc
 	costs.Metrics = reg
-	m, err := New(ex, nil, ci, cfg, costs)
+	f.casc.Register(reg, nil)
+	m, err := New(ex, f.casc, ci, cfg, costs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,25 +160,5 @@ func TestCascadeMetricsOnPipelineRegistry(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("registry missing %q", want)
 		}
-	}
-}
-
-func TestCascadeCostsValidation(t *testing.T) {
-	f := getCascade(t)
-	ex, ci, cfg := setup(t)
-	costs := EventHitCosts(cfg.Window)
-	costs.Cascade = f.casc
-	costs.Quantized = true
-	costs.Metrics = obs.NewRegistry()
-	if _, err := New(ex, nil, ci, cfg, costs); err == nil {
-		t.Fatal("Cascade+Quantized accepted")
-	}
-	costs.Quantized = false
-	if _, err := New(ex, f.bundle.EHCR(0.9, 0.9), ci, cfg, costs); err == nil {
-		t.Fatal("competing strategy and cascade accepted")
-	}
-	// Passing the cascade itself as the strategy is redundant but coherent.
-	if _, err := New(ex, f.casc, ci, cfg, costs); err != nil {
-		t.Fatalf("cascade-as-strategy rejected: %v", err)
 	}
 }

@@ -79,14 +79,21 @@ func (m *Marshaller) clamp(start, end int) (int, int) {
 	return start, end
 }
 
+// costedPredictor is a strategy that knows what each of its predictions
+// cost (cascade.Cascade: the rungs that ran); step charges that in place of
+// the flat Costs.PredictMS.
+type costedPredictor interface {
+	PredictCosted(rec dataset.Record) (metrics.Prediction, float64)
+}
+
 // step is the one marshalling step both modes share: build the record
 // anchored at t, predict, charge the scan and predict stages (flat
-// Costs.PredictMS, or the ladder's actual rung cost under Costs.Cascade)
-// into tl, and append one relay request per predicted event, keyed when
-// Costs.Cache is set. It returns the requests this horizon released (a
-// suffix of tl.Requests) and the horizon's scan+predict time. What happens
-// to the requests is the caller's business: RunDetailed serves them
-// through the resilient client, Collect leaves them captured in tl.
+// Costs.PredictMS, or the strategy's own per-prediction cost when it
+// reports one) into tl, and append one relay request per predicted event,
+// keyed when Costs.Cache is set. It returns the requests this horizon
+// released (a suffix of tl.Requests) and the horizon's scan+predict time.
+// What happens to the requests is the caller's business: RunDetailed serves
+// them through the resilient client, Collect leaves them captured in tl.
 func (m *Marshaller) step(t int, tl *Timeline) ([]RelayRequest, float64, error) {
 	rec, err := dataset.BuildRecord(m.ex, t, m.cfg)
 	if err != nil {
@@ -94,8 +101,8 @@ func (m *Marshaller) step(t int, tl *Timeline) ([]RelayRequest, float64, error) 
 	}
 	var pred metrics.Prediction
 	predictMS := m.costs.PredictMS
-	if m.casc != nil {
-		pred, predictMS = m.casc.PredictCosted(rec)
+	if cp, ok := m.strat.(costedPredictor); ok {
+		pred, predictMS = cp.PredictCosted(rec)
 	} else {
 		pred = m.strat.Predict(rec)
 	}

@@ -2,12 +2,10 @@ package pipeline
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"eventhit/internal/cicache"
 	"eventhit/internal/obs"
-	"eventhit/internal/resilience"
 	"eventhit/internal/strategy"
 )
 
@@ -86,10 +84,8 @@ func TestCollectAccountingMatchesRunDetailed(t *testing.T) {
 			c.Cache = &cc
 			return c
 		}, func() strategy.Strategy { return f.bundle.EHCR(0.9, 0.9) }},
-		{"cascade", func(c Costs) Costs {
-			c.Cascade = f.casc
-			return c
-		}, func() strategy.Strategy { return nil }},
+		{"cascade", func(c Costs) Costs { return c },
+			func() strategy.Strategy { return f.casc }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,33 +158,5 @@ func TestCollectReleaseTimesMonotone(t *testing.T) {
 	}
 	if got := tl.LocalMS(); got != float64(tl.Horizons)*perHorizon {
 		t.Fatalf("LocalMS = %v, want %v", got, float64(tl.Horizons)*perHorizon)
-	}
-}
-
-// TestCostsRejectRetriesWithResilience: setting both retry knobs is a
-// configuration error, not a silent preference.
-func TestCostsRejectRetriesWithResilience(t *testing.T) {
-	ex, ci, cfg := setup(t)
-	costs := EventHitCosts(cfg.Window)
-	costs.CIRetries = 2
-	rcfg := resilience.DefaultConfig(1)
-	costs.Resilience = &rcfg
-	_, err := New(ex, strategy.Opt{}, ci, cfg, costs)
-	if err == nil {
-		t.Fatal("New accepted CIRetries together with Resilience")
-	}
-	if !strings.Contains(err.Error(), "CIRetries") {
-		t.Fatalf("error does not name the conflict: %v", err)
-	}
-
-	// Each knob alone is still fine.
-	costs.Resilience = nil
-	if _, err := New(ex, strategy.Opt{}, ci, cfg, costs); err != nil {
-		t.Fatalf("CIRetries alone rejected: %v", err)
-	}
-	costs.CIRetries = 0
-	costs.Resilience = &rcfg
-	if _, err := New(ex, strategy.Opt{}, ci, cfg, costs); err != nil {
-		t.Fatalf("Resilience alone rejected: %v", err)
 	}
 }

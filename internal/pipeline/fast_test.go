@@ -5,20 +5,27 @@ import (
 	"testing"
 
 	"eventhit/internal/dataset"
+	"eventhit/internal/features"
 	"eventhit/internal/metrics"
 	"eventhit/internal/strategy"
-	"eventhit/internal/video"
 )
 
-// TestIncrementalReportIdentity: with quantization off, the incremental
-// covariate path must reproduce the plain run exactly — report, records
-// (including every covariate matrix) and predictions.
+// TestIncrementalReportIdentity: a run over the incremental covariate
+// source (features.CachedSource wrapped around the extractor) must
+// reproduce the plain run exactly — report, records (including every
+// covariate matrix) and predictions.
 func TestIncrementalReportIdentity(t *testing.T) {
 	run := func(incremental bool) (Report, []dataset.Record, []metrics.Prediction) {
 		ex, ci, cfg := setup(t)
-		costs := EventHitCosts(cfg.Window)
-		costs.Incremental = incremental
-		m, err := New(ex, strategy.Opt{}, ci, cfg, costs)
+		var src dataset.Source = ex
+		if incremental {
+			cs, err := features.NewCachedSource(ex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src = cs
+		}
+		m, err := New(src, strategy.Opt{}, ci, cfg, EventHitCosts(cfg.Window))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,40 +47,3 @@ func TestIncrementalReportIdentity(t *testing.T) {
 		t.Fatal("predictions differ between plain and incremental runs")
 	}
 }
-
-// TestQuantizedRequiresQuantizableStrategy: the knob must fail loudly for
-// strategies without a fixed-point twin instead of silently serving the
-// float path.
-func TestQuantizedRequiresQuantizableStrategy(t *testing.T) {
-	ex, ci, cfg := setup(t)
-	costs := EventHitCosts(cfg.Window)
-	costs.Quantized = true
-	if _, err := New(ex, strategy.Opt{}, ci, cfg, costs); err == nil {
-		t.Fatal("Quantized with a non-quantizable strategy must error")
-	}
-}
-
-// TestIncrementalRequiresFrameSource: sources without per-frame extraction
-// cannot be cached and must be rejected.
-func TestIncrementalRequiresFrameSource(t *testing.T) {
-	ex, ci, cfg := setup(t)
-	costs := EventHitCosts(cfg.Window)
-	costs.Incremental = true
-	if _, err := New(opaque{ex}, strategy.Opt{}, ci, cfg, costs); err == nil {
-		t.Fatal("Incremental with an opaque source must error")
-	}
-	// The real extractor is cacheable.
-	if _, err := New(ex, strategy.Opt{}, ci, cfg, costs); err != nil {
-		t.Fatalf("Incremental with the standard extractor: %v", err)
-	}
-}
-
-// opaque hides the embedded source's FrameVector method set behind a plain
-// dataset.Source surface.
-type opaque struct{ src dataset.Source }
-
-func (o opaque) Covariates(t, m int) ([][]float64, error) { return o.src.Covariates(t, m) }
-func (o opaque) Dim() int                                 { return o.src.Dim() }
-func (o opaque) NumEvents() int                           { return o.src.NumEvents() }
-func (o opaque) Events() []int                            { return o.src.Events() }
-func (o opaque) Stream() *video.Stream                    { return o.src.Stream() }

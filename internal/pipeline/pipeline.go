@@ -21,11 +21,9 @@ package pipeline
 import (
 	"fmt"
 
-	"eventhit/internal/cascade"
 	"eventhit/internal/cicache"
 	"eventhit/internal/cloud"
 	"eventhit/internal/dataset"
-	"eventhit/internal/features"
 	"eventhit/internal/metrics"
 	"eventhit/internal/obs"
 	"eventhit/internal/resilience"
@@ -47,16 +45,13 @@ type Costs struct {
 	// Scan is the filter's frame-scanning profile.
 	Scan ScanProfile
 	// PredictMS is the per-horizon cost of the predictor itself (EventHit
-	// forward pass, Cox scan, ...).
+	// forward pass, Cox scan, ...). A strategy that reports what each
+	// prediction cost (the cascade: the rungs that ran) is charged that
+	// instead.
 	PredictMS float64
-	// CIRetries is the number of times a failed CI request is retried
-	// before the relay is abandoned (transient cloud outages); 0 means no
-	// retries. Setting it together with Resilience is a configuration
-	// error rejected by New: Resilience.MaxAttempts owns the retry budget.
-	CIRetries int
-	// Resilience, when non-nil, fully specifies the CI client's retry/
-	// backoff/timeout/breaker policy. Nil derives a policy from CIRetries
-	// (MaxAttempts = CIRetries+1) with the default backoff and breaker.
+	// Resilience, when non-nil, specifies the CI client's retry/backoff/
+	// timeout/breaker policy. Nil is resilience.DefaultConfig(0) with a
+	// single attempt: no retries.
 	Resilience *resilience.Config
 	// Degrade enables graceful degradation: relays the resilient client
 	// cannot serve are recorded as deferred (Report.CIDeferred, the
@@ -69,29 +64,6 @@ type Costs struct {
 	// milliseconds the run already computed — recording them touches no RNG
 	// and no clock, so instrumented and bare runs are byte-identical.
 	Metrics *obs.Registry
-	// Quantized serves predictions from the int16 fixed-point twin of the
-	// strategy's model (LUT sigmoid/tanh, zero-allocation forward). The
-	// strategy must implement strategy.Quantizable (the EventHit variants
-	// do) or New fails. Per-logit probability deltas against the float
-	// path are bounded by core.QuantProbTol; decode thresholds can tip on
-	// records within that band, so reports are near- but not bit-identical.
-	Quantized bool
-	// Incremental caches per-frame covariate extraction in a per-stream
-	// ring (features.CachedSource): advancing the collection window costs
-	// only the new frames instead of a full re-extraction. Feature rows
-	// are counter-based, so the cached windows are bit-identical to
-	// recomputation and the run's report is byte-identical to the
-	// uncached run. The source must expose per-frame extraction
-	// (features.FrameSource) or New fails.
-	Incremental bool
-	// Cascade, when non-nil, serves predictions from an early-inference
-	// model ladder (internal/cascade) instead of the strategy argument,
-	// which must then be nil (or the cascade itself). Each horizon is
-	// charged the cascade's ACTUAL rung-weighted predict cost in place of
-	// the flat PredictMS, so Figure-9's local-compute share reflects where
-	// the ladder really stopped. Mutually exclusive with Quantized — the
-	// cascade's own Quantized knob owns per-rung quantization.
-	Cascade *cascade.Cascade
 	// Cache, when non-nil, interposes a content-addressed CI result cache
 	// (internal/cicache) in front of the backend: relays are keyed by a
 	// quantized signature of the covariate window and a hit is served from
@@ -109,10 +81,6 @@ const FeatureMSDefault = 10.0
 // specialized filter network (very cheap).
 const SpecializedMSDefault = 4.0
 
-// ActionDetMSDefault is the per-frame cost of an action-detection model
-// (~25 fps), what APP-VAE's feature extraction needs (§VI.D footnote).
-const ActionDetMSDefault = 40.0
-
 // EventHitCosts returns the cost profile of the EventHit variants and Cox:
 // scan the M-frame collection window with the lightweight detector.
 func EventHitCosts(window int) Costs {
@@ -128,16 +96,6 @@ func VQSCosts(horizon int) Costs {
 	return Costs{
 		Scan:      ScanProfile{FramesPerHorizon: horizon, PerFrameMS: SpecializedMSDefault},
 		PredictMS: 1,
-	}
-}
-
-// AppVAECosts returns the cost profile of APP-VAE with history window m:
-// action-unit detection over the whole window (§VI.D: ~7 s at M=200, ~1
-// min at M=1500), plus ~100 ms for the encoder/generator.
-func AppVAECosts(window int) Costs {
-	return Costs{
-		Scan:      ScanProfile{FramesPerHorizon: window, PerFrameMS: ActionDetMSDefault},
-		PredictMS: 100,
 	}
 }
 
@@ -247,9 +205,6 @@ type Marshaller struct {
 	// cached is the dedup layer in front of ci (nil when Costs.Cache is
 	// unset); the resilient client calls through it.
 	cached *cloud.CachedBackend
-	// casc is Costs.Cascade; when set it is also strat, and per-horizon
-	// predict charges come from PredictCosted instead of Costs.PredictMS.
-	casc *cascade.Cascade
 
 	// Stage histograms and run counters (see Costs.Metrics). The stage label
 	// matches Figure 10's decomposition: scan, predict, relay.
@@ -259,9 +214,12 @@ type Marshaller struct {
 	cacheHitsC, cacheSavedC        *obs.Counter
 }
 
-// New assembles a marshaller. ci is any CI backend: the bare simulated
-// service, or a fault-injecting wrapper (cloud.Inject) for resilience
-// experiments.
+// New assembles a marshaller over exactly the source and strategy it is
+// handed: a caller that wants incremental covariates, quantized inference
+// or the early-exit ladder passes features.NewCachedSource(ex), a strategy
+// of bundle.WithQuantized(), or the cascade itself. ci is any CI backend:
+// the bare simulated service, or a fault-injecting wrapper (cloud.Inject)
+// for resilience experiments.
 func New(ex dataset.Source, s strategy.Strategy, ci cloud.Backend, cfg dataset.Config, costs Costs) (*Marshaller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -269,52 +227,11 @@ func New(ex dataset.Source, s strategy.Strategy, ci cloud.Backend, cfg dataset.C
 	if costs.Scan.FramesPerHorizon < 0 || costs.Scan.PerFrameMS < 0 || costs.PredictMS < 0 {
 		return nil, fmt.Errorf("pipeline: negative costs %+v", costs)
 	}
-	if costs.CIRetries < 0 {
-		return nil, fmt.Errorf("pipeline: negative CIRetries %d", costs.CIRetries)
-	}
-	if costs.CIRetries > 0 && costs.Resilience != nil {
-		// Both knobs configure the same retry budget; silently preferring
-		// Resilience (the old behaviour) hid caller bugs where a tuned
-		// CIRetries value did nothing.
-		return nil, fmt.Errorf("pipeline: CIRetries (%d) and Resilience both set; Resilience.MaxAttempts owns the retry budget", costs.CIRetries)
-	}
-	var rcfg resilience.Config
+	// Without a policy the CI client makes one attempt per relay.
+	rcfg := resilience.DefaultConfig(0)
+	rcfg.MaxAttempts = 1
 	if costs.Resilience != nil {
 		rcfg = *costs.Resilience
-	} else {
-		rcfg = resilience.DefaultConfig(0)
-		rcfg.MaxAttempts = costs.CIRetries + 1
-	}
-	// Fast-path knobs: both swap a component for a faithful faster twin
-	// and fail loudly when the component cannot provide one.
-	src := ex
-	if costs.Incremental {
-		cs, err := features.NewCachedSource(src)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: incremental covariates: %w", err)
-		}
-		src = cs
-	}
-	strat := s
-	if costs.Cascade != nil {
-		if costs.Quantized {
-			return nil, fmt.Errorf("pipeline: Cascade and Quantized both set; Cascade.Quantized owns per-rung quantization")
-		}
-		if s != nil && s != strategy.Strategy(costs.Cascade) {
-			return nil, fmt.Errorf("pipeline: both a strategy (%s) and a cascade configured", s.Name())
-		}
-		strat = costs.Cascade
-	}
-	if costs.Quantized {
-		q, ok := s.(strategy.Quantizable)
-		if !ok {
-			return nil, fmt.Errorf("pipeline: strategy %s does not support quantized inference", s.Name())
-		}
-		qs, err := q.Quantized()
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: quantized inference: %w", err)
-		}
-		strat = qs
 	}
 	// The cache wraps the backend BELOW the resilient client: a hit is an
 	// instantly successful zero-latency attempt (no billing, no busy time,
@@ -334,16 +251,13 @@ func New(ex dataset.Source, s strategy.Strategy, ci cloud.Backend, cfg dataset.C
 	if reg == nil {
 		reg = obs.Default()
 	}
-	if costs.Cascade != nil {
-		costs.Cascade.Register(reg, nil)
-	}
 	stageH := func(stage string) *obs.Histogram {
 		return reg.Histogram("eventhit_pipeline_stage_ms",
 			"simulated per-stage time per horizon (relay: per CI call)",
 			obs.MSBuckets(), obs.Labels{"stage": stage})
 	}
 	return &Marshaller{
-		ex: src, strat: strat, ci: ci, cached: cached, casc: costs.Cascade,
+		ex: ex, strat: s, ci: ci, cached: cached,
 		res:   resilience.NewClient(backend, rcfg, clock),
 		clock: clock,
 		cfg:   cfg, costs: costs,

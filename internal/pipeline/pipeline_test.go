@@ -118,10 +118,6 @@ func TestCostProfiles(t *testing.T) {
 	if v.Scan.FramesPerHorizon != 500 || v.Scan.PerFrameMS != SpecializedMSDefault {
 		t.Fatalf("VQSCosts = %+v", v)
 	}
-	a := AppVAECosts(1500)
-	if a.Scan.FramesPerHorizon != 1500 || a.Scan.PerFrameMS != ActionDetMSDefault {
-		t.Fatalf("AppVAECosts = %+v", a)
-	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -160,6 +156,15 @@ func TestReportZeroValue(t *testing.T) {
 	}
 }
 
+// withRetries gives costs the default resilience policy with n retries per
+// relay.
+func withRetries(c Costs, n int) Costs {
+	rcfg := resilience.DefaultConfig(0)
+	rcfg.MaxAttempts = n + 1
+	c.Resilience = &rcfg
+	return c
+}
+
 func TestRunRetriesTransientCIFailures(t *testing.T) {
 	ex, ci, cfg := setup(t)
 	// Every third request fails once.
@@ -169,8 +174,7 @@ func TestRunRetriesTransientCIFailures(t *testing.T) {
 		}
 		return nil
 	})
-	costs := EventHitCosts(cfg.Window)
-	costs.CIRetries = 2
+	costs := withRetries(EventHitCosts(cfg.Window), 2)
 	m, _ := New(ex, strategy.Opt{}, ci, cfg, costs)
 	rep, recs, _, err := m.Run(0, 30000)
 	if err != nil {
@@ -190,8 +194,7 @@ func TestRunRetriesTransientCIFailures(t *testing.T) {
 func TestRunSurfacesPersistentCIFailure(t *testing.T) {
 	ex, ci, cfg := setup(t)
 	ci.SetFault(func(int64) error { return cloud.ErrUnavailable })
-	costs := EventHitCosts(cfg.Window)
-	costs.CIRetries = 1
+	costs := withRetries(EventHitCosts(cfg.Window), 1)
 	m, _ := New(ex, strategy.BF{Horizon: cfg.Horizon}, ci, cfg, costs)
 	_, _, _, err := m.Run(0, 10000)
 	if err == nil {
@@ -278,8 +281,7 @@ func TestZeroFaultParity(t *testing.T) {
 func TestDegradeContinuesThroughOutage(t *testing.T) {
 	ex, ci, cfg := setup(t)
 	backend := cloud.Inject(ci, cloud.FaultPlan{Seed: 1, TransientRate: 1, FailLatencyMS: 10})
-	costs := EventHitCosts(cfg.Window)
-	costs.CIRetries = 1
+	costs := withRetries(EventHitCosts(cfg.Window), 1)
 	costs.Degrade = true
 	m, _ := New(ex, strategy.Opt{}, backend, cfg, costs)
 	rep, recs, preds, outs, err := m.RunDetailed(0, 30000)

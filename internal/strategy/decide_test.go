@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"eventhit/internal/core"
+	"eventhit/internal/dataset"
+	"eventhit/internal/features"
 	"eventhit/internal/metrics"
 	"eventhit/internal/video"
 )
@@ -137,4 +139,37 @@ func TestDecideConcurrentOnSharedBundle(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPredictStepAllocs pins the per-frame step of the live regime —
+// assemble the stride-1 window from the incremental source, predict — on
+// the float model and the quantized twin: the window matrix and the
+// returned Prediction are the step's own, while rows, activations and scores
+// must come from the ring and the strategy's scratch.
+func TestPredictStepAllocs(t *testing.T) {
+	f := getFixture(t)
+	qb, err := f.bundle.WithQuantized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for engine, b := range map[string]*Bundle{"float": f.bundle, "quant": qb} {
+		src, err := features.NewCachedSource(f.ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strat := b.EHCR(0.9, 0.9)
+		at := f.cfg.Window - 1
+		step := func() {
+			x, err := src.Covariates(at, f.cfg.Window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			strat.Predict(dataset.Record{Frame: at, X: x})
+			at++
+		}
+		step() // warm the ring and the scratch
+		if n := testing.AllocsPerRun(50, step); n > 8 {
+			t.Errorf("%s: predict step allocates %.1f per frame, want <= 8", engine, n)
+		}
+	}
 }

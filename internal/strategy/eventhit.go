@@ -295,16 +295,6 @@ func (b *Bundle) EHCRAdaptive(c, alpha float64) Strategy {
 // Name implements Strategy.
 func (s *eh) Name() string { return s.name }
 
-// Quantized implements Quantizable: the same variant, same calibration,
-// served by the fixed-point model twin.
-func (s *eh) Quantized() (Strategy, error) {
-	qb, err := s.b.WithQuantized()
-	if err != nil {
-		return nil, err
-	}
-	return &eh{b: qb, rule: s.rule, name: s.name}, nil
-}
-
 // Predict implements Strategy. The Prediction owns its slices.
 func (s *eh) Predict(rec dataset.Record) metrics.Prediction {
 	var p metrics.Prediction

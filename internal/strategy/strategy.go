@@ -21,15 +21,6 @@ type Strategy interface {
 	Predict(rec dataset.Record) metrics.Prediction
 }
 
-// Quantizable is implemented by strategies that can serve the same
-// predictions from an int16 fixed-point model twin (the EventHit variants;
-// see Bundle.WithQuantized). Quantized returns a new independent instance
-// — the receiver keeps its float path.
-type Quantizable interface {
-	Strategy
-	Quantized() (Strategy, error)
-}
-
 // Opt is the theoretically optimal approach: full knowledge of the true
 // event intervals, relaying exactly the event frames (§VI.B item 5).
 type Opt struct{}

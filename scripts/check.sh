@@ -31,6 +31,16 @@ gofmt_clean() {
     [ -z "$out" ] || { echo "gofmt needed on:" "$out"; return 1; }
 }
 
+# The three numbers ROADMAP aim 2 tracks, for CHANGES.md entries to quote.
+# Informational: printed past the stage's capture, never a failure.
+size() {
+    printf 'non-test Go lines in cmd+internal: %s, internal packages: %s, binaries: %s\n' \
+        "$(find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" \
+        "$(ls internal | wc -l)" "$(ls cmd | wc -l)" >&3
+}
+
+exec 3>&1
+stage size size
 stage gofmt gofmt_clean
 stage vet go vet ./...
 stage build go build ./...
@@ -60,7 +70,8 @@ stage predict-core-x5 go test -race ./internal/core/ -run 'TestConcurrentInferen
 stage predict-strategy-x5 go test -race ./internal/strategy/ -run 'TestDecideConcurrentOnSharedBundle' -count=5
 stage predict-serve-x5 go test -race ./internal/serve/ -run 'TestConcurrentPredictMatchesSerial|TestConcurrentRelayMatchesSerial' -count=5
 # Scheduler admission/starvation, cluster ring/leases/remote cache/front/
-# shared swap, and the cascade ladder, uncached under -race.
+# shared swap, and the cascade ladder (goroutines walking one Cascade and
+# its shared full bundle against a serial walk), uncached under -race.
 stage tiers-race go test -race -count=1 ./internal/fleet/ ./internal/cluster/ ./internal/cascade/
 # Allocation ceilings: frames handler at 1, 250 and 4096 frames; predict.
 stage handler-allocs go test ./internal/serve/ -run 'TestFramesHandlerAllocs|TestPredictHandlerAllocs' -count=1
