@@ -62,7 +62,6 @@
 //	resilience   BENCH_resilience.json  det  -    TA10,seed=5,quick  CI fault-rate sweep against the resilient client
 //	fleet        BENCH_fleet.json       det  -    TA10,seed=5,quick  3 streams x 20000 frames on one budgeted CI
 //	cache        BENCH_cache.json       det  -    TA10,seed=5,quick  CI result cache epsilon x TTL sweep, 4 streams x 12000 frames
-//	cluster      BENCH_cluster.json     det  -    TA10,seed=5,quick  fleet sharded over 1/2/4 simulated workers, 8 streams x 12000 frames
 //	cascade      BENCH_cascade.json     det  -    TA1,seed=1,quick   early-inference ladder x exit-policy sweep
 //	speedparity  -                      det  -    TA1,seed=1,quick   float-vs-quantized and incremental-vs-recompute parity block
 package main

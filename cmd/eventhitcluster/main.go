@@ -7,8 +7,8 @@
 //	eventhitcluster -workers 4
 //	eventhitcluster -workers 4 -addr :8080 -budget 2 -quick
 //
-// The simulated sweep behind BENCH_cluster.json (the fleet benchmark
-// sharded over in-process workers) is `eventhitbench -exp cluster`.
+// There is no simulated mode: the tier's throughput is what bench/'s
+// cluster_predict workload measures against serve_predict.
 package main
 
 import (

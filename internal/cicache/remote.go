@@ -7,8 +7,9 @@ import "eventhit/internal/obs"
 // tier implements it over HTTP against a coordinator-hosted cache, so ε=0
 // cross-stream dedup still fires when twin cameras land on different
 // workers. Config must report the effective configuration (callers sign
-// windows with its Epsilon); Stats may be approximate for remote
-// implementations (a point-in-time fetch), exact for local ones.
+// windows with its Epsilon). Stats is the whole cache's meters for a local
+// cache; a remote handle reports only the lookups made through it, so
+// handles on one hosted cache add up instead of each repeating its totals.
 type Remote interface {
 	Get(k Key, nowFrame int) (Verdict, bool)
 	Put(k Key, v Verdict, nowFrame int)

@@ -320,8 +320,11 @@ type WorkerStats struct {
 }
 
 // ClusterStats is the GET /v1/stats body: the fleet total plus the
-// per-worker breakdown. Totals sum the additive counters; knobs that are
-// per-worker (breaker state, generation) stay in the breakdown only.
+// per-worker breakdown. Totals sum the additive counters — with a
+// coordinator-hosted cache each worker reports the lookups it made itself,
+// so the cache counters add up too — and derive the cache hit ratio from
+// the summed hits and misses; knobs that are per-worker (breaker state,
+// generation, budget) stay in the breakdown only.
 type ClusterStats struct {
 	Workers   int           `json:"workers"`
 	Totals    serve.Stats   `json:"totals"`
@@ -354,13 +357,17 @@ func (f *Front) fanStats() []WorkerStats {
 // Stats aggregates the fleet's counters.
 func (f *Front) Stats() ClusterStats {
 	per := f.fanStats()
-	cs := ClusterStats{Workers: len(per), PerWorker: per, Routed: f.Routed()}
+	return ClusterStats{Workers: len(per), Totals: totalsOf(per), PerWorker: per, Routed: f.Routed()}
+}
+
+// totalsOf sums the additive counters of every worker that answered.
+func totalsOf(per []WorkerStats) serve.Stats {
+	var t serve.Stats
 	for _, ws := range per {
 		if ws.Err != "" {
 			continue
 		}
 		s := ws.Stats
-		t := &cs.Totals
 		t.FramesIngested += s.FramesIngested
 		t.Predictions += s.Predictions
 		t.Relays += s.Relays
@@ -384,6 +391,8 @@ func (f *Front) Stats() ClusterStats {
 		t.CacheEnabled = t.CacheEnabled || s.CacheEnabled
 		t.CacheHits += s.CacheHits
 		t.CacheMisses += s.CacheMisses
+		t.CacheEntries += s.CacheEntries
+		t.CacheEvictions += s.CacheEvictions
 		t.CacheSavedUSD += s.CacheSavedUSD
 		t.AdaptEnabled = t.AdaptEnabled || s.AdaptEnabled
 		t.AdminSwaps += s.AdminSwaps
@@ -396,7 +405,10 @@ func (f *Front) Stats() ClusterStats {
 		t.SharedSwapsPublished += s.SharedSwapsPublished
 		t.SharedSwapAdoptions += s.SharedSwapAdoptions
 	}
-	return cs
+	if n := t.CacheHits + t.CacheMisses; n > 0 {
+		t.CacheHitRatio = float64(t.CacheHits) / float64(n)
+	}
+	return t
 }
 
 func (f *Front) handleStats(w http.ResponseWriter, _ *http.Request) {

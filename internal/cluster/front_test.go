@@ -6,12 +6,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"eventhit/internal/cicache"
+	"eventhit/internal/cloud"
 	"eventhit/internal/core"
 	"eventhit/internal/dataset"
 	"eventhit/internal/features"
@@ -93,8 +97,15 @@ type frontFixture struct {
 
 func newFrontFixture(t *testing.T, nWorkers int) *frontFixture {
 	t.Helper()
+	return newFrontFixtureWith(t, nWorkers, CoordinatorConfig{BudgetUSD: 1, PerFrameUSD: 0.001}, baseServeConfig)
+}
+
+// newFrontFixtureWith is newFrontFixture over a chosen coordinator and
+// per-worker serve config (called once per worker: a CI is not shared).
+func newFrontFixtureWith(t *testing.T, nWorkers int, ccfg CoordinatorConfig, serveCfg func(*clusterBundle) serve.Config) *frontFixture {
+	t.Helper()
 	bw := getClusterBundle(t)
-	coord, err := NewCoordinator(CoordinatorConfig{BudgetUSD: 1, PerFrameUSD: 0.001})
+	coord, err := NewCoordinator(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +116,7 @@ func newFrontFixture(t *testing.T, nWorkers int) *frontFixture {
 	var refs []WorkerRef
 	for i := 0; i < nWorkers; i++ {
 		id := fmt.Sprintf("worker-%d", i)
-		w, err := NewWorker(WorkerConfig{ID: id, Coordinator: coordTS.URL, Serve: baseServeConfig(bw)})
+		w, err := NewWorker(WorkerConfig{ID: id, Coordinator: coordTS.URL, Serve: serveCfg(bw)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,6 +286,26 @@ func TestFrontSessionListAndStats(t *testing.T) {
 		t.Fatalf("total sessions %d, want %d routed + 2 defaults", cs.Totals.Sessions, len(ids))
 	}
 
+	checkTotals(t, cs.Totals, cs.PerWorker)
+	// The live fixture leaves most counters at zero, where a dropped field
+	// sums correctly by accident: fill every field of two synthetic workers
+	// with distinct non-zero values and total those too.
+	synth := make([]WorkerStats, 2)
+	for w := range synth {
+		v := reflect.ValueOf(&synth[w].Stats).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); {
+			case f.CanInt():
+				f.SetInt(int64((i + 1) * (w + 1)))
+			case f.CanUint():
+				f.SetUint(uint64((i + 1) * (w + 1)))
+			case f.CanFloat():
+				f.SetFloat(float64(i+1) * (float64(w) + 0.5))
+			}
+		}
+	}
+	checkTotals(t, totalsOf(synth), synth)
+
 	// The same body over HTTP.
 	var over ClusterStats
 	resp, err := fx.frontTS.Client().Get(fx.frontTS.URL + "/v1/stats")
@@ -288,6 +319,133 @@ func TestFrontSessionListAndStats(t *testing.T) {
 	if over.Totals.Predictions != cs.Totals.Predictions {
 		t.Fatalf("HTTP stats disagree with direct: %d vs %d", over.Totals.Predictions, cs.Totals.Predictions)
 	}
+}
+
+// perWorkerOnly names the numeric serve.Stats fields the front's totals do
+// not sum: a worker-local generation counter, the one global budget every
+// worker repeats, and the hit ratio, which the totals derive from the summed
+// hits and misses. Any other numeric field must add up.
+var perWorkerOnly = map[string]bool{
+	"ModelGeneration": true,
+	"BudgetUSD":       true,
+	"CacheHitRatio":   true,
+}
+
+// checkTotals walks serve.Stats by reflection so a counter added to serve
+// cannot vanish at the front: every numeric field of totals equals the sum
+// over the workers, or is on the perWorkerOnly list.
+func checkTotals(t *testing.T, totals serve.Stats, per []WorkerStats) {
+	t.Helper()
+	num := func(v reflect.Value) (float64, bool) {
+		switch {
+		case v.CanInt():
+			return float64(v.Int()), true
+		case v.CanUint():
+			return float64(v.Uint()), true
+		case v.CanFloat():
+			return v.Float(), true
+		}
+		return 0, false
+	}
+	tv := reflect.ValueOf(totals)
+	for i := 0; i < tv.NumField(); i++ {
+		name := tv.Type().Field(i).Name
+		got, ok := num(tv.Field(i))
+		if !ok || perWorkerOnly[name] {
+			continue
+		}
+		var want float64
+		for _, ws := range per {
+			x, _ := num(reflect.ValueOf(ws.Stats).Field(i))
+			want += x
+		}
+		if math.Abs(got-want) > 1e-9*math.Abs(want) {
+			t.Errorf("totals.%s = %v, per-worker sum %v", name, got, want)
+		}
+	}
+	if n := totals.CacheHits + totals.CacheMisses; n > 0 {
+		if want := float64(totals.CacheHits) / float64(n); totals.CacheHitRatio != want {
+			t.Errorf("totals.CacheHitRatio = %v, want hits/(hits+misses) = %v", totals.CacheHitRatio, want)
+		}
+	}
+}
+
+// TestFrontStatsSharedCacheCountsOnce: with a coordinator-hosted cache a
+// lookup shows up once in the front's totals — at the worker that made it.
+// Twin cameras on worker-0 relay identical windows (the second is a hit at
+// epsilon 0); worker-1 is idle and must report no lookups, and the totals
+// must equal the coordinator cache's own meters.
+func TestFrontStatsSharedCacheCountsOnce(t *testing.T) {
+	bw := getClusterBundle(t)
+	cacheCfg := cicache.DefaultConfig()
+	fx := newFrontFixtureWith(t, 2, CoordinatorConfig{Cache: &cacheCfg}, func(bw *clusterBundle) serve.Config {
+		cfg := baseServeConfig(bw)
+		cfg.CI = cloud.NewService(bw.st, cloud.RekognitionPricing(), cloud.DefaultLatency())
+		return cfg
+	})
+
+	// Straight to worker-0, past the front's hashing: the twins push the
+	// same frames and predict at the same anchors.
+	c0 := serve.NewClient(fx.urls[0], nil)
+	twins := []string{"cam-a", "cam-b"}
+	for _, id := range twins {
+		if _, err := c0.CreateSession(tctx, id, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	for step, misses := 0, int64(0); step < 40 && misses < 3; step++ {
+		frames := make([][]float64, 0, 50)
+		for ; len(frames) < cap(frames); next++ {
+			frames = append(frames, bw.ex.FrameVector(next, nil))
+		}
+		for _, id := range twins {
+			if _, err := c0.PushFramesSession(tctx, id, frames); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c0.PredictSession(tctx, id, 0.99, 0.9); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := c0.Stats(tctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		misses = st.CacheMisses
+	}
+	// The operator's view of the shared cache: the coordinator's endpoint.
+	var shared cicache.Stats
+	resp, err := fx.coordTS.Client().Get(fx.coordTS.URL + "/v1/cluster/cache/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&shared); err != nil {
+		t.Fatal(err)
+	}
+	if shared.Misses < 3 || shared.Hits == 0 {
+		t.Fatalf("fixture relayed too little: coordinator cache %+v", shared)
+	}
+
+	cs := fx.front.Stats()
+	for _, ws := range cs.PerWorker {
+		if ws.Err != "" {
+			t.Fatalf("worker %s stats error: %s", ws.ID, ws.Err)
+		}
+	}
+	busy, idle := cs.PerWorker[0].Stats, cs.PerWorker[1].Stats
+	if !idle.CacheEnabled || idle.CacheHits != 0 || idle.CacheMisses != 0 {
+		t.Errorf("idle worker reports lookups it never made: hits %d misses %d", idle.CacheHits, idle.CacheMisses)
+	}
+	if busy.CacheHits != shared.Hits || busy.CacheMisses != shared.Misses {
+		t.Errorf("busy worker hits/misses %d/%d, coordinator cache %d/%d",
+			busy.CacheHits, busy.CacheMisses, shared.Hits, shared.Misses)
+	}
+	if cs.Totals.CacheHits != shared.Hits || cs.Totals.CacheMisses != shared.Misses {
+		t.Errorf("totals hits/misses %d/%d, coordinator cache %d/%d",
+			cs.Totals.CacheHits, cs.Totals.CacheMisses, shared.Hits, shared.Misses)
+	}
+	checkTotals(t, cs.Totals, cs.PerWorker)
 }
 
 // TestFrontModelBroadcast: POST /v1/model through the front lands the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync/atomic"
 
 	"eventhit/internal/cicache"
 )
@@ -18,6 +19,8 @@ type RemoteCache struct {
 	base string
 	hc   *http.Client
 	cfg  cicache.Config
+	// hits and misses count the lookups made through this handle.
+	hits, misses atomic.Int64
 }
 
 // DialRemoteCache connects to the coordinator at base (e.g.
@@ -72,10 +75,12 @@ func (r *RemoteCache) post(path string, req, out interface{}) error {
 // Get looks key up in the coordinator cache; errors are misses.
 func (r *RemoteCache) Get(k cicache.Key, nowFrame int) (cicache.Verdict, bool) {
 	var out cacheGetResponse
-	if err := r.post("/v1/cluster/cache/get", cacheGetRequest{Key: k, NowFrame: nowFrame}, &out); err != nil {
+	if err := r.post("/v1/cluster/cache/get", cacheGetRequest{Key: k, NowFrame: nowFrame}, &out); err != nil || !out.Found {
+		r.misses.Add(1)
 		return cicache.Verdict{}, false
 	}
-	return out.Verdict, out.Found
+	r.hits.Add(1)
+	return out.Verdict, true
 }
 
 // Put inserts into the coordinator cache; errors are dropped.
@@ -92,17 +97,13 @@ func (r *RemoteCache) Contains(k cicache.Key, nowFrame int) bool {
 	return out.Found
 }
 
-// Stats fetches a point-in-time snapshot of the coordinator cache's
-// meters (zero value on error).
+// Stats reports the lookups made through this handle — this worker's own
+// hits and misses, not the shared cache's meters. Every worker holds a
+// handle on the same hosted cache, so the coordinator's counters
+// (GET /v1/cluster/cache/stats, its /metrics) are not additive across
+// workers; these are, and reading them costs no round-trip. Inserts,
+// evictions and entries are known only to the coordinator and stay zero.
 func (r *RemoteCache) Stats() cicache.Stats {
-	resp, err := r.hc.Get(r.base + "/v1/cluster/cache/stats")
-	if err != nil {
-		return cicache.Stats{}
-	}
-	defer resp.Body.Close()
-	var s cicache.Stats
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&s) != nil {
-		return cicache.Stats{}
-	}
-	return s
+	h, m := r.hits.Load(), r.misses.Load()
+	return cicache.Stats{Lookups: h + m, Hits: h, Misses: m}
 }

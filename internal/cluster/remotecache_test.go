@@ -48,9 +48,12 @@ func TestRemoteCacheRoundTrip(t *testing.T) {
 	if !rc2.Contains(k, 120) {
 		t.Fatal("contains missed a live entry")
 	}
-	st := rc.Stats()
-	if st.Inserts != 1 || st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats %+v, want 1 insert / 1 hit / 1 miss", st)
+	// Each handle counts the lookups made through it, not the shared total.
+	if st := rc.Stats(); st != (cicache.Stats{Lookups: 1, Misses: 1}) {
+		t.Fatalf("first handle stats %+v, want its own 1 miss", st)
+	}
+	if st := rc2.Stats(); st != (cicache.Stats{Lookups: 1, Hits: 1}) {
+		t.Fatalf("second handle stats %+v, want its own 1 hit", st)
 	}
 }
 
@@ -83,8 +86,9 @@ func TestRemoteCacheFailsOpen(t *testing.T) {
 	if rc.Contains(k, 0) {
 		t.Fatal("dead coordinator contains = true")
 	}
-	if st := rc.Stats(); st != (cicache.Stats{}) {
-		t.Fatalf("dead coordinator stats = %+v, want zero", st)
+	// The failed lookup was a miss to this worker and is counted as one.
+	if st := rc.Stats(); st != (cicache.Stats{Lookups: 1, Misses: 1}) {
+		t.Fatalf("dead coordinator stats = %+v, want the one failed lookup as a miss", st)
 	}
 	// Config stays available — it was fetched at dial time.
 	if rc.Config().Capacity == 0 {

@@ -3,10 +3,9 @@
 // leases the global spend budget out in integer-frame chunks (so the
 // fleet-wide cap holds without a shared lock on the billing path), and a
 // coordinator-hosted result cache keeps ε=0 cross-stream dedup alive when
-// twin cameras land on different workers. A simulated mode (RunSim) shards
-// fleet timeline computation across in-process worker servers and funnels
-// the results through fleet.RunTimelines, so the distributed report is
-// byte-identical to the single-process one at any worker count.
+// twin cameras land on different workers. What the tier costs and buys is
+// measured, not modelled: bench/'s cluster_predict workload drives front +
+// 2 workers + coordinator with serve_predict's traffic.
 package cluster
 
 import (
@@ -123,26 +122,4 @@ func (r *Ring) Lookup(key string) string {
 		i = 0
 	}
 	return r.points[i].node
-}
-
-// LookupBounded is Lookup with a per-node load cap (consistent hashing
-// with bounded loads): it walks clockwise past nodes already at maxLoad in
-// load. The caller owns the load map and increments it per placement.
-// RunSim uses this to shard streams so every worker carries exactly
-// ceil(n/W) or floor(n/W) streams — the balanced assignment the capacity
-// claim needs — while keeping placement a pure function of (membership,
-// keys, order).
-func (r *Ring) LookupBounded(key string, load map[string]int, maxLoad int) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	h := ringHash(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	for off := 0; off < len(r.points); off++ {
-		p := r.points[(start+off)%len(r.points)]
-		if load[p.node] < maxLoad {
-			return p.node
-		}
-	}
-	return ""
 }

@@ -2,9 +2,10 @@ package cluster
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 )
+
+func workerName(i int) string { return fmt.Sprintf("w%03d", i) }
 
 func ringKeys(n int) []string {
 	keys := make([]string, n)
@@ -22,7 +23,7 @@ func TestRingDistribution(t *testing.T) {
 	for _, workers := range []int{2, 3, 4, 8} {
 		r := NewRing(0)
 		for w := 0; w < workers; w++ {
-			r.Add(simWorkerID(w))
+			r.Add(workerName(w))
 		}
 		keys := ringKeys(20_000)
 		load := make(map[string]int)
@@ -35,10 +36,10 @@ func TestRingDistribution(t *testing.T) {
 		}
 		uniform := float64(len(keys)) / float64(workers)
 		for w := 0; w < workers; w++ {
-			got := float64(load[simWorkerID(w)])
+			got := float64(load[workerName(w)])
 			if got < 0.8*uniform || got > 1.2*uniform {
 				t.Fatalf("%d workers: %s carries %.0f keys, uniform %.0f (outside ±20%%): %v",
-					workers, simWorkerID(w), got, uniform, load)
+					workers, workerName(w), got, uniform, load)
 			}
 		}
 	}
@@ -53,13 +54,13 @@ func TestRingJoinMovesBoundedKeys(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		r := NewRing(0)
 		for w := 0; w < workers; w++ {
-			r.Add(simWorkerID(w))
+			r.Add(workerName(w))
 		}
 		before := make(map[string]string, len(keys))
 		for _, k := range keys {
 			before[k] = r.Lookup(k)
 		}
-		joined := simWorkerID(workers)
+		joined := workerName(workers)
 		r.Add(joined)
 		moved := 0
 		for _, k := range keys {
@@ -84,13 +85,13 @@ func TestRingLeaveMovesOnlyOrphans(t *testing.T) {
 	keys := ringKeys(20_000)
 	r := NewRing(0)
 	for w := 0; w < 4; w++ {
-		r.Add(simWorkerID(w))
+		r.Add(workerName(w))
 	}
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
 		before[k] = r.Lookup(k)
 	}
-	gone := simWorkerID(2)
+	gone := workerName(2)
 	r.Remove(gone)
 	for _, k := range keys {
 		after := r.Lookup(k)
@@ -119,38 +120,6 @@ func TestRingLookupDeterministic(t *testing.T) {
 		if a.Lookup(k) != b.Lookup(k) {
 			t.Fatalf("key %s routes differently under permuted membership", k)
 		}
-	}
-}
-
-// TestAssignStreamsBalanced: bounded lookup yields ceil/floor loads and a
-// reproducible assignment.
-func TestAssignStreamsBalanced(t *testing.T) {
-	ids := ringKeys(10)
-	for _, workers := range []int{1, 2, 3, 4, 7} {
-		a, err := AssignStreams(ids, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		load := make(map[string]int)
-		for _, w := range a {
-			load[w]++
-		}
-		maxLoad := (len(ids) + workers - 1) / workers
-		for w, n := range load {
-			if n > maxLoad {
-				t.Fatalf("%d workers: %s carries %d streams, cap %d", workers, w, n, maxLoad)
-			}
-		}
-		b, err := AssignStreams(ids, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("assignment not deterministic at %d workers", workers)
-		}
-	}
-	if _, err := AssignStreams(ids, 0); err == nil {
-		t.Fatal("expected error for 0 workers")
 	}
 }
 

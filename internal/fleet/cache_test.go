@@ -198,7 +198,7 @@ func TestServeCachedBadHit(t *testing.T) {
 	if sch.cacheBadHits != 1 {
 		t.Fatalf("bad hit not flagged: %d", sch.cacheBadHits)
 	}
-	if len(s0.unserved) != 1 || s0.unserved[0] != [2]int{0, 0} {
+	if len(s0.unserved) != 1 || s0.unserved[0] != (pipeline.RelayOutcome{Deferred: true}) {
 		t.Fatalf("bad hit not excluded from realized recall: %v", s0.unserved)
 	}
 	// An honest empty hit (window with genuinely nothing) is not a bad hit.

@@ -234,65 +234,6 @@ func (r *Report) MetricsSummary() map[string]float64 {
 	return out
 }
 
-// TimelineStream is one stream whose phase-A timeline has already been
-// computed — possibly on another process. The cluster tier's workers
-// compute timelines remotely and ship them back over HTTP; the front then
-// feeds them through RunTimelines, the exact serial arbitration fleet.Run
-// uses, which is what makes a distributed simulated run byte-identical to
-// the single-process one.
-type TimelineStream struct {
-	// ID labels the stream in reports and metrics.
-	ID string
-	// Svc is the stream's oracle CI backend (bad-hit auditing peeks at
-	// ground truth through it). It must be built over the same generated
-	// stream the timeline was collected against.
-	Svc *cloud.Service
-	// TL is the collected timeline: relay requests with release times,
-	// records and predictions for scoring.
-	TL pipeline.Timeline
-}
-
-// CheckIDs rejects an empty or repeated stream ID: reports, metrics labels
-// and the cluster tier's stream-to-worker assignment all key on it.
-func CheckIDs(n int, idOf func(i int) string) error {
-	seen := make(map[string]bool, n)
-	for i := 0; i < n; i++ {
-		id := idOf(i)
-		if id == "" {
-			return fmt.Errorf("fleet: stream %d has no ID", i)
-		}
-		if seen[id] {
-			return fmt.Errorf("fleet: duplicate stream ID %q", id)
-		}
-		seen[id] = true
-	}
-	return nil
-}
-
-// Collect is phase A for one stream: its oracle backend and its timeline
-// under cfg. Run calls it on Parallelism workers and the cluster tier's
-// workers call it remotely; sharing it is what keeps a sharded run's
-// requests keyed exactly like the single-process run's.
-func Collect(s Stream, cfg Config) (TimelineStream, error) {
-	if cfg.Cache != nil {
-		// The fleet cache owns the keying: requests must be signed with the
-		// fleet's quantization, not whatever the stream carried. Signing is
-		// pure (no RNG, no clock), so the timeline is unchanged apart from
-		// the Key fields.
-		s.Costs.Cache = cfg.Cache
-	}
-	svc := cloud.NewService(s.Source.Stream(), cfg.Pricing, cfg.Latency)
-	m, err := pipeline.New(s.Source, s.Strategy, svc, s.Cfg, s.Costs)
-	if err != nil {
-		return TimelineStream{}, fmt.Errorf("fleet: stream %s: %w", s.ID, err)
-	}
-	tl, err := m.Collect(s.Start, s.End)
-	if err != nil {
-		return TimelineStream{}, fmt.Errorf("fleet: stream %s: %w", s.ID, err)
-	}
-	return TimelineStream{ID: s.ID, Svc: svc, TL: tl}, nil
-}
-
 // Run admits the streams and marshals them against one shared CI backend.
 // Phase A computes each stream's timeline (records, predictions, relay
 // requests with release times) on Config.Parallelism workers, slotted by
@@ -305,13 +246,43 @@ func Run(streams []Stream, cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// Fail fast on bad IDs before burning phase-A compute; RunTimelines
-	// re-checks for callers that skip Run.
-	if err := CheckIDs(len(streams), func(i int) string { return streams[i].ID }); err != nil {
-		return nil, err
+	// Reports and metrics labels key on the stream ID.
+	seen := make(map[string]bool, len(streams))
+	for i, s := range streams {
+		if s.ID == "" {
+			return nil, fmt.Errorf("fleet: stream %d has no ID", i)
+		}
+		if seen[s.ID] {
+			return nil, fmt.Errorf("fleet: duplicate stream ID %q", s.ID)
+		}
+		seen[s.ID] = true
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry()
+	}
+	var cache *cicache.Cache
+	if cfg.Cache != nil {
+		var err error
+		cache, err = cicache.New(*cfg.Cache)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: %w", err)
+		}
 	}
 
-	cells := make([]TimelineStream, len(streams))
+	sch := newScheduler(cfg, cache)
+	if err := collect(sch, streams, cfg); err != nil {
+		return nil, err
+	}
+	sch.run()
+	return score(sch, cfg)
+}
+
+// collect is phase A: every stream's oracle backend and timeline, computed
+// on cfg.Parallelism workers and added to the scheduler in input order
+// (scheduler tie-breaks depend on insertion order).
+func collect(sch *scheduler, streams []Stream, cfg Config) error {
+	svcs := make([]*cloud.Service, len(streams))
+	tls := make([]pipeline.Timeline, len(streams))
 	errs := make([]error, len(streams))
 	workers := cfg.Parallelism
 	if workers < 1 {
@@ -331,67 +302,48 @@ func Run(streams []Stream, cfg Config) (*Report, error) {
 				if i >= len(streams) {
 					return
 				}
-				cells[i], errs[i] = Collect(streams[i], cfg)
+				svcs[i], tls[i], errs[i] = collectStream(streams[i], cfg)
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("fleet: stream %s: %w", streams[i].ID, err)
 		}
 	}
-	return RunTimelines(cells, cfg)
+	for i, s := range streams {
+		sch.addStream(s.ID, svcs[i], tls[i])
+	}
+	return nil
 }
 
-// RunTimelines is phase B alone: serial arbitration plus scoring over
-// timelines somebody else already collected. fleet.Run calls it after its
-// in-process phase A; cluster.RunSim calls it at the front after N worker
-// processes computed the timelines over HTTP. Identical inputs produce a
-// byte-identical report either way — arbitration order, cache consultation
-// and every meter are pure functions of (timelines, cfg).
-func RunTimelines(streams []TimelineStream, cfg Config) (*Report, error) {
-	if len(streams) == 0 {
-		return nil, fmt.Errorf("fleet: no streams")
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if err := CheckIDs(len(streams), func(i int) string { return streams[i].ID }); err != nil {
-		return nil, err
-	}
-	for _, s := range streams {
-		if s.Svc == nil {
-			return nil, fmt.Errorf("fleet: stream %q has no oracle service", s.ID)
-		}
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
-	}
-	var cache *cicache.Cache
+func collectStream(s Stream, cfg Config) (*cloud.Service, pipeline.Timeline, error) {
 	if cfg.Cache != nil {
-		var err error
-		cache, err = cicache.New(*cfg.Cache)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: %w", err)
-		}
+		// The fleet cache owns the keying: requests must be signed with the
+		// fleet's quantization, not whatever the stream carried. Signing is
+		// pure (no RNG, no clock), so the timeline is unchanged apart from
+		// the Key fields.
+		s.Costs.Cache = cfg.Cache
 	}
-
-	// Serial arbitration over the shared clock.
-	sch := newScheduler(cfg, cache)
-	for i := range streams {
-		sch.addStream(streams[i].ID, streams[i].Svc, streams[i].TL)
+	svc := cloud.NewService(s.Source.Stream(), cfg.Pricing, cfg.Latency)
+	m, err := pipeline.New(s.Source, s.Strategy, svc, s.Cfg, s.Costs)
+	if err != nil {
+		return nil, pipeline.Timeline{}, err
 	}
-	sch.run()
+	tl, err := m.Collect(s.Start, s.End)
+	return svc, tl, err
+}
 
-	// Score each stream: model recall vs realized recall on the relays
-	// that actually reached the backend.
+// score turns the drained scheduler into the report: per stream, model
+// recall vs realized recall on the relays that actually reached the
+// backend.
+func score(sch *scheduler, cfg Config) (*Report, error) {
 	rep := &Report{BudgetUSD: cfg.GlobalBudgetUSD, registry: cfg.Metrics}
-	for i := range streams {
-		st := sch.streams[i]
+	for _, st := range sch.streams {
 		u := st.svc.Usage()
 		sr := StreamReport{
-			ID:         streams[i].ID,
+			ID:         st.id,
 			Horizons:   st.tl.Horizons,
 			Relays:     len(st.tl.Requests),
 			Served:     st.served,
@@ -413,11 +365,11 @@ func RunTimelines(streams []TimelineStream, cfg Config) (*Report, error) {
 		if len(st.tl.Records) > 0 {
 			rec, err := metrics.REC(st.tl.Records, st.tl.Preds)
 			if err != nil {
-				return nil, fmt.Errorf("fleet: scoring %s: %w", streams[i].ID, err)
+				return nil, fmt.Errorf("fleet: scoring %s: %w", st.id, err)
 			}
-			realized, err := metrics.REC(st.tl.Records, dropUnserved(st.tl.Preds, st.unserved))
+			realized, err := metrics.REC(st.tl.Records, pipeline.DropDeferred(st.tl.Preds, st.unserved))
 			if err != nil {
-				return nil, fmt.Errorf("fleet: scoring %s: %w", streams[i].ID, err)
+				return nil, fmt.Errorf("fleet: scoring %s: %w", st.id, err)
 			}
 			sr.REC, sr.RealizedREC = rec, realized
 		}
@@ -441,31 +393,11 @@ func RunTimelines(streams []TimelineStream, cfg Config) (*Report, error) {
 	// Savings are priced with the same single multiply as the spend totals.
 	rep.CacheSavedUSD = float64(sch.cacheSavedFrames) * cfg.Pricing.PerFrameUSD
 	rep.CacheBadHits = sch.cacheBadHits
-	if cache != nil {
-		rep.cacheStats = cache.Stats()
+	if sch.cache != nil {
+		rep.cacheStats = sch.cache.Stats()
 	}
 	if sch.ciFreeMS > rep.MakespanMS {
 		rep.MakespanMS = sch.ciFreeMS
 	}
 	return rep, nil
-}
-
-// dropUnserved returns a copy of preds with every unserved (deferred or
-// shed) relay's occurrence bit cleared — those frames never reached the
-// CI, so honest recall accounting must not credit them. The same rule as
-// harness.DropDeferred, keyed by (horizon, event).
-func dropUnserved(preds []metrics.Prediction, unserved [][2]int) []metrics.Prediction {
-	out := make([]metrics.Prediction, len(preds))
-	for i, p := range preds {
-		out[i] = metrics.Prediction{
-			Occur: append([]bool(nil), p.Occur...),
-			OI:    append(p.OI[:0:0], p.OI...),
-		}
-	}
-	for _, u := range unserved {
-		if u[0] < len(out) {
-			out[u[0]].Occur[u[1]] = false
-		}
-	}
-	return out
 }

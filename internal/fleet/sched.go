@@ -29,9 +29,13 @@ type schedStream struct {
 	served, deferred, shed int
 	detections             int
 	waitSumMS, maxWaitMS   float64
-	// unserved lists (horizon, event) of deferred and shed relays for the
-	// realized-recall accounting.
-	unserved [][2]int
+	// unserved lists the deferred and shed relays (and bad cache hits) for
+	// the realized-recall accounting.
+	unserved []pipeline.RelayOutcome
+}
+
+func (st *schedStream) markUnserved(r pipeline.RelayRequest) {
+	st.unserved = append(st.unserved, pipeline.RelayOutcome{Horizon: r.Horizon, Event: r.Event, Deferred: true})
 }
 
 // pendingReq is one queued relay.
@@ -189,7 +193,7 @@ func (s *scheduler) admit() {
 			s.pending = s.pending[:len(s.pending)-1]
 			st := s.streams[victim.stream]
 			st.shed++
-			st.unserved = append(st.unserved, [2]int{victim.req.Horizon, victim.req.Event})
+			st.markUnserved(victim.req)
 			s.shedC.Inc()
 		}
 	}
@@ -356,7 +360,7 @@ func (s *scheduler) serveCached(p pendingReq, v cicache.Verdict, serveStart floa
 	if len(found) == 0 && len(st.svc.Peek(p.req.EventType, p.req.Win)) > 0 {
 		s.cacheBadHits++
 		s.cacheBadHitsC.Inc()
-		st.unserved = append(st.unserved, [2]int{p.req.Horizon, p.req.Event})
+		st.markUnserved(p.req)
 	}
 }
 
@@ -364,6 +368,6 @@ func (s *scheduler) serveCached(p pendingReq, v cicache.Verdict, serveStart floa
 func (s *scheduler) defer_(p pendingReq) {
 	st := s.streams[p.stream]
 	st.deferred++
-	st.unserved = append(st.unserved, [2]int{p.req.Horizon, p.req.Event})
+	st.markUnserved(p.req)
 	s.deferredC.Inc()
 }

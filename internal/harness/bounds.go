@@ -83,38 +83,6 @@ func cacheBounds(r *CacheResult) error {
 	return nil
 }
 
-// clusterBounds: sharding changes capacity, never decisions or spend — at
-// least 3x aggregate capacity at 4 workers, every row byte-identical to
-// single-process fleet.Run, spend at the baseline's and within the cap.
-func clusterBounds(r *ClusterResult) error {
-	var cap1, cap4 float64
-	for _, row := range r.Rows {
-		if !row.ReportIdentical {
-			return fmt.Errorf("%d-worker report not byte-identical to fleet.Run", row.Workers)
-		}
-		if row.TotalSpentUSD > r.BudgetUSD || row.TotalSpentUSD != r.Report.TotalSpentUSD {
-			return fmt.Errorf("%d workers spent $%v (baseline $%v, cap $%v)",
-				row.Workers, row.TotalSpentUSD, r.Report.TotalSpentUSD, r.BudgetUSD)
-		}
-		if row.MakespanMS <= 0 || row.CapacityFPS <= 0 || len(row.BusyMS) != row.Workers {
-			return fmt.Errorf("degenerate capacity row %+v", row)
-		}
-		switch row.Workers {
-		case 1:
-			cap1 = row.CapacityFPS
-		case 4:
-			cap4 = row.CapacityFPS
-		}
-	}
-	if cap1 == 0 || cap4 == 0 {
-		return fmt.Errorf("missing the 1-worker or 4-worker row")
-	}
-	if cap4 < 3*cap1 {
-		return fmt.Errorf("4-worker capacity %.0f fps under 3x the 1-worker %.0f fps", cap4, cap1)
-	}
-	return nil
-}
-
 // cascadeBounds: the selected point holds EventHit's recall within
 // CascadeRECTol at a compute cut of at least CascadeMinComputeCut, and at
 // every point the integer exits sum to the horizons (so exit rates and

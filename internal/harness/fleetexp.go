@@ -33,13 +33,12 @@ type FleetResult struct {
 }
 
 // fleetConfidence is the EHCR(c, alpha) operating point every camera of
-// the fleet, cache and cluster experiments runs at.
+// the fleet and cache experiments runs at.
 const fleetConfidence = 0.9
 
-// quickFleetPolicy is the scheduler policy behind BENCH_fleet.json and
-// BENCH_cluster.json, sized for Quick() streams: a cap well below the
-// unconstrained spend, and per-stream metering on, so the budget and
-// admission machinery engage.
+// quickFleetPolicy is the scheduler policy behind BENCH_fleet.json, sized
+// for Quick() streams: a cap well below the unconstrained spend, and
+// per-stream metering on, so the budget and admission machinery engage.
 func quickFleetPolicy() fleet.Config {
 	cfg := fleet.DefaultConfig()
 	cfg.GlobalBudgetUSD = 0.5
@@ -49,12 +48,12 @@ func quickFleetPolicy() fleet.Config {
 }
 
 // fleetStreams builds the n camera streams the fleet experiments marshal:
-// one per cell, slotted by index, each with its own model replica
-// (Model.Predict reuses forward caches, and timelines are computed
-// concurrently). The conformal layers are read-only after calibration and
-// stay shared. Camera i watches scene sceneOf(i): cameras on one scene
-// share its generation seed, hence identical covariate timelines and
-// identical relays — the repetition a content-addressed cache is for.
+// one per cell, slotted by index, all deciding through the shared
+// env.Bundle (Bundle.Decide only reads it; each strategy owns its scratch,
+// so timelines can be computed concurrently). Camera i watches scene
+// sceneOf(i): cameras on one scene share its generation seed, hence
+// identical covariate timelines and identical relays — the repetition a
+// content-addressed cache is for.
 // Rebuild the streams for every run — a used stream carries warmed caches
 // that a byte-identity comparison must not see.
 func fleetStreams(env *Env, n, frames int, seed int64, sceneOf func(i int) int) ([]fleet.Stream, error) {
@@ -67,8 +66,6 @@ func fleetStreams(env *Env, n, frames int, seed int64, sceneOf func(i int) int) 
 		if err != nil {
 			return fmt.Errorf("harness: fleet stream %d: %w", i, err)
 		}
-		sb := *env.Bundle
-		sb.Model = env.Bundle.Model.Clone()
 		end := st.N - 1
 		if frames > 0 && frames < end {
 			end = frames
@@ -76,7 +73,7 @@ func fleetStreams(env *Env, n, frames int, seed int64, sceneOf func(i int) int) 
 		streams[i] = fleet.Stream{
 			ID:       fmt.Sprintf("cam-%02d", i),
 			Source:   ex,
-			Strategy: sb.EHCR(fleetConfidence, fleetConfidence),
+			Strategy: env.Bundle.EHCR(fleetConfidence, fleetConfidence),
 			Cfg:      env.Cfg,
 			Costs:    pipeline.EventHitCosts(env.Cfg.Window),
 			Start:    0,

@@ -194,12 +194,6 @@ func Experiments() []Experiment {
 				return CacheSweep(p.Task, p.Options(), 4, 12_000, CacheFleetPolicy(Parallelism()), nil, nil, p.Seed, w)
 			},
 			Check: checked(cacheBounds)},
-		{Name: "cluster", Doc: "fleet sharded over 1/2/4 simulated workers, 8 streams x 12000 frames", Params: quickTA10,
-			Artifact: "BENCH_cluster.json", Deterministic: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) {
-				return ClusterSweep(p.Task, p.Options(), 8, 12_000, quickFleetPolicy(), nil, p.Seed, w)
-			},
-			Check: checked(clusterBounds)},
 		{Name: "cascade", Doc: "early-inference ladder x exit-policy sweep", Params: quickTA1,
 			Artifact: "BENCH_cascade.json", Deterministic: true,
 			Run: func(p Params, w io.Writer) (interface{}, error) {

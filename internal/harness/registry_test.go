@@ -11,23 +11,6 @@ import (
 	"eventhit/internal/fleet"
 )
 
-// goldenFleetReport is the fleet.Report shared by the fleet and cluster
-// schema fixtures.
-func goldenFleetReport(budget float64, cacheHits, savedFrames int64, savedUSD float64) fleet.Report {
-	return fleet.Report{
-		Streams: []fleet.StreamReport{{
-			ID: "cam-00", Horizons: 3, Relays: 2, Served: 1, Deferred: 1, Shed: 0,
-			Detections: 1, Frames: 40, SpentUSD: 0.04, REC: 1, RealizedREC: 0.5,
-			LocalMS: 100, AvgWaitMS: 5, MaxWaitMS: 5,
-		}},
-		Served: 1, Deferred: 1, Shed: 0,
-		TotalFrames: 40, TotalSpentUSD: 0.04, BudgetUSD: budget,
-		Batches: 1, AvgBatchSize: 1, MaxQueueDepth: 2,
-		CacheHits: cacheHits, CacheSavedFrames: savedFrames, CacheSavedUSD: savedUSD, CacheBadHits: 0,
-		MakespanMS: 250,
-	}
-}
-
 // schemaFixtures holds one hand-built result per artifact entry, keyed by
 // experiment name. Values are fixed so testdata/NAME_golden.json only moves
 // when the schema — field names, order, nesting — does.
@@ -60,7 +43,18 @@ func schemaFixtures() map[string]interface{} {
 		"fleet": FleetResult{
 			Task: "TA10", Seed: 7, Streams: 1, Frames: 1000,
 			Confidence: 0.9, Coverage: 0.9,
-			Report: goldenFleetReport(1, 3, 60, 0.06),
+			Report: fleet.Report{
+				Streams: []fleet.StreamReport{{
+					ID: "cam-00", Horizons: 3, Relays: 2, Served: 1, Deferred: 1, Shed: 0,
+					Detections: 1, Frames: 40, SpentUSD: 0.04, REC: 1, RealizedREC: 0.5,
+					LocalMS: 100, AvgWaitMS: 5, MaxWaitMS: 5,
+				}},
+				Served: 1, Deferred: 1, Shed: 0,
+				TotalFrames: 40, TotalSpentUSD: 0.04, BudgetUSD: 1,
+				Batches: 1, AvgBatchSize: 1, MaxQueueDepth: 2,
+				CacheHits: 3, CacheSavedFrames: 60, CacheSavedUSD: 0.06, CacheBadHits: 0,
+				MakespanMS: 250,
+			},
 			Metrics: map[string]float64{
 				"eventhit_fleet_cache_hits_total":    3,
 				"eventhit_fleet_ci_frames_total":     40,
@@ -79,21 +73,6 @@ func schemaFixtures() map[string]interface{} {
 				Served: 20, Deferred: 0, Shed: 0,
 				RealizedREC: 0.75, RECDelta: 0,
 			}},
-		},
-		"cluster": ClusterResult{
-			Task: "TA10", Seed: 5, Streams: 2, Frames: 1000,
-			Confidence: 0.9, Coverage: 0.9, BudgetUSD: 0.5,
-			Rows: []ClusterRow{{
-				Workers: 2, StreamsPerWorker: 1,
-				BusyMS:     map[string]float64{"w000": 100, "w001": 100},
-				MakespanMS: 100, CapacityFPS: 20000, Speedup: 2,
-				ReportIdentical: true, TotalSpentUSD: 0.04,
-			}},
-			Report: goldenFleetReport(0.5, 0, 0, 0),
-			Metrics: map[string]float64{
-				"eventhit_fleet_ci_frames_total":     40,
-				"eventhit_fleet_served_relays_total": 1,
-			},
 		},
 		"cascade": CascadeResult{
 			Task: "TA1", Window: 25, Horizon: 500, Seed: 1,
@@ -186,7 +165,6 @@ func TestArtifactBoundsReject(t *testing.T) {
 			Streams: []fleet.StreamReport{{ID: "cam-00", Relays: 3, Served: 1}},
 		}},
 		"cache":   CacheResult{Points: []CachePoint{{Epsilon: 0, RECDelta: 0.01}}},
-		"cluster": ClusterResult{Rows: []ClusterRow{{Workers: 1, ReportIdentical: false}}},
 		"cascade": CascadeResult{RECTol: CascadeRECTol, MinComputeCut: CascadeMinComputeCut},
 	}
 	for _, e := range artifactEntries(t) {

@@ -141,7 +141,7 @@ func resilienceCell(env *Env, rate float64, seed int64) (ResiliencePoint, error)
 	if err != nil {
 		return ResiliencePoint{}, err
 	}
-	realized, err := metrics.REC(recs, DropDeferred(preds, outs))
+	realized, err := metrics.REC(recs, pipeline.DropDeferred(preds, outs))
 	if err != nil {
 		return ResiliencePoint{}, err
 	}
@@ -160,23 +160,4 @@ func resilienceCell(env *Env, rate float64, seed int64) (ResiliencePoint, error)
 		BackoffMS:      rep.CIBackoffMS,
 		BreakerTrips:   rep.BreakerTrips,
 	}, nil
-}
-
-// DropDeferred returns a copy of preds with every deferred relay's
-// occurrence bit cleared: those frames never reached the CI, so honest
-// recall accounting must not credit them.
-func DropDeferred(preds []metrics.Prediction, outs []pipeline.RelayOutcome) []metrics.Prediction {
-	out := make([]metrics.Prediction, len(preds))
-	for i, p := range preds {
-		out[i] = metrics.Prediction{
-			Occur: append([]bool(nil), p.Occur...),
-			OI:    append(p.OI[:0:0], p.OI...),
-		}
-	}
-	for _, o := range outs {
-		if o.Deferred && o.Horizon < len(out) {
-			out[o.Horizon].Occur[o.Event] = false
-		}
-	}
-	return out
 }

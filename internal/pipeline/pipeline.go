@@ -157,6 +157,26 @@ func Relays(preds []metrics.Prediction) int {
 	return n
 }
 
+// DropDeferred returns a copy of preds with the occurrence bit of every
+// deferred outcome cleared: those frames never reached the CI, so honest
+// recall accounting must not credit them. The one rule behind the harness,
+// scenario and fleet realized-REC columns.
+func DropDeferred(preds []metrics.Prediction, outs []RelayOutcome) []metrics.Prediction {
+	out := make([]metrics.Prediction, len(preds))
+	for i, p := range preds {
+		out[i] = metrics.Prediction{
+			Occur: append([]bool(nil), p.Occur...),
+			OI:    append(p.OI[:0:0], p.OI...),
+		}
+	}
+	for _, o := range outs {
+		if o.Deferred && o.Horizon < len(out) {
+			out[o.Horizon].Occur[o.Event] = false
+		}
+	}
+	return out
+}
+
 // TotalMS returns the simulated end-to-end processing time.
 func (r Report) TotalMS() float64 { return r.ScanMS + r.PredictMS + r.CIMS }
 

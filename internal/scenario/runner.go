@@ -27,8 +27,8 @@ import (
 //
 // Determinism contract: stages run serially; a parallel task group runs its
 // members concurrently with results slotted by index; every task rebuilds
-// its cameras from the same seeds (extractors are stateful, models are
-// cloned per camera). Each executor is itself deterministic at any
+// its cameras from the same seeds (extractors are stateful; the bundle is
+// shared read-only). Each executor is itself deterministic at any
 // parallelism — fleet.Run by its two-phase design, the others because they
 // are single-goroutine over seeded inputs — so MarshalReport output is
 // byte-identical at any Run parallelism. The corpus golden tests hold the
@@ -166,8 +166,8 @@ func resolveCamera(cams []camera, id string) (camera, error) {
 
 // buildCamera generates one camera's stream and extractor and wraps them as
 // a fleet.Stream (the pipeline executors reuse the same bundle). Rebuilt
-// fresh for every task: extractors are stateful and the cloned model keeps
-// forward caches.
+// fresh for every task: extractors are stateful. Every camera shares
+// env.Bundle — deciding only reads it, and each strategy owns its scratch.
 func buildCamera(env *harness.Env, spec *Spec, cam camera) (fleet.Stream, error) {
 	g := cam.group
 	proc := video.PoissonArrivals
@@ -198,8 +198,6 @@ func buildCamera(env *harness.Env, spec *Spec, cam camera) (fleet.Stream, error)
 	if err != nil {
 		return fleet.Stream{}, fmt.Errorf("scenario: camera %s: %w", cam.id, err)
 	}
-	sb := *env.Bundle
-	sb.Model = env.Bundle.Model.Clone()
 	end := st.N - 1
 	if spec.Frames > 0 && spec.Frames < end {
 		end = spec.Frames
@@ -207,7 +205,7 @@ func buildCamera(env *harness.Env, spec *Spec, cam camera) (fleet.Stream, error)
 	return fleet.Stream{
 		ID:       cam.id,
 		Source:   ex,
-		Strategy: sb.EHCR(spec.Confidence, spec.Coverage),
+		Strategy: env.Bundle.EHCR(spec.Confidence, spec.Coverage),
 		Cfg:      env.Cfg,
 		Costs:    pipeline.EventHitCosts(env.Cfg.Window),
 		Start:    0,
@@ -452,7 +450,7 @@ func runPipelineTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec) (
 	if err != nil {
 		return nil, err
 	}
-	realized, err := metrics.REC(recs, harness.DropDeferred(preds, outs))
+	realized, err := metrics.REC(recs, pipeline.DropDeferred(preds, outs))
 	if err != nil {
 		return nil, err
 	}
@@ -502,10 +500,8 @@ func runDriftTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec) (*Dr
 	}
 	// The drift walk is a model-coverage readout, not a marshalling run:
 	// predictions come straight from the existence strategy (no CI, no
-	// billing). The model is the camera's clone from buildCamera.
-	sb := *env.Bundle
-	sb.Model = env.Bundle.Model.Clone()
-	ehc := sb.EHC(spec.Confidence)
+	// billing).
+	ehc := env.Bundle.EHC(spec.Confidence)
 	out := &DriftOut{
 		Stream: cam.id, SwitchFrame: cam.group.Drift.AtFrame,
 		MonitorWindow: window, MonitorDelta: delta, DetectFrame: -1,

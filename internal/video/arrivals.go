@@ -1,6 +1,10 @@
 package video
 
-import "eventhit/internal/mathx"
+import (
+	"fmt"
+
+	"eventhit/internal/mathx"
+)
 
 // ArrivalProcess selects the inter-event gap distribution. §I of the
 // paper motivates i.i.d. arrivals "such as Poisson ... or geometric";
@@ -67,7 +71,7 @@ func GenerateWith(spec DatasetSpec, proc ArrivalProcess, shiftAt int, rateScale 
 func generateTypeWith(k int, ev EventSpec, n int, proc ArrivalProcess, shiftAt int, rateScale float64, g *mathx.RNG) []Instance {
 	meanGap := float64(n)/float64(ev.Occurrences) - ev.MeanDur
 	if meanGap <= 1 {
-		panic("video: event too dense for stream length")
+		panic(fmt.Sprintf("video: event %s too dense for stream length %d", ev.Name, n))
 	}
 	var out []Instance
 	t := 0

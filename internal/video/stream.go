@@ -1,7 +1,6 @@
 package video
 
 import (
-	"fmt"
 	"sort"
 
 	"eventhit/internal/mathx"
@@ -26,38 +25,7 @@ type Stream struct {
 // never overlap (the generator schedules the next arrival after the
 // previous instance ends). Generation is deterministic given g.
 func Generate(spec DatasetSpec, g *mathx.RNG) *Stream {
-	s := &Stream{Spec: spec, N: spec.StreamLen, ByType: make([][]Instance, len(spec.Events))}
-	for k, ev := range spec.Events {
-		s.ByType[k] = generateType(k, ev, spec.StreamLen, g.Split(int64(ev.ID)))
-	}
-	return s
-}
-
-func generateType(k int, ev EventSpec, n int, g *mathx.RNG) []Instance {
-	meanGap := float64(n)/float64(ev.Occurrences) - ev.MeanDur
-	if meanGap <= 1 {
-		panic(fmt.Sprintf("video: event %s too dense for stream length %d", ev.Name, n))
-	}
-	rate := 1 / meanGap
-	var out []Instance
-	t := 0
-	for {
-		gap := int(g.Exponential(rate))
-		start := t + gap
-		dur := int(sampleDuration(ev, g))
-		end := start + dur - 1
-		if end >= n {
-			break
-		}
-		pre := int(g.TruncNormal(ev.PrecursorMean, ev.PrecursorStd, 1, ev.PrecursorMean+4*ev.PrecursorStd))
-		ps := start - pre
-		if ps < 0 {
-			ps = 0
-		}
-		out = append(out, Instance{Type: k, OI: Interval{Start: start, End: end}, PrecursorStart: ps})
-		t = end + 1
-	}
-	return out
+	return GenerateWith(spec, PoissonArrivals, 0, 1, g)
 }
 
 // sampleDuration draws an instance duration matching the Table I mean/std.
