@@ -192,8 +192,12 @@ func (f *Front) Routed() map[string]int64 {
 // body, streaming the response back verbatim — the front adds routing, not
 // semantics, to the data path.
 func (f *Front) proxy(w http.ResponseWriter, r *http.Request, wr WorkerRef, body io.Reader) {
+	// NewRequest reads the length off a bytes.Reader but cannot see the
+	// incoming body's: say it, or the worker gets a chunked request of
+	// unknown length and cannot presize its ingest buffer.
+	length := int64(-1)
 	if body == nil {
-		body = r.Body
+		body, length = r.Body, r.ContentLength
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), f.cfg.Timeout)
 	defer cancel()
@@ -205,6 +209,9 @@ func (f *Front) proxy(w http.ResponseWriter, r *http.Request, wr WorkerRef, body
 	if err != nil {
 		clusterError(w, http.StatusInternalServerError, "%v", err)
 		return
+	}
+	if length >= 0 {
+		req.ContentLength = length
 	}
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		req.Header.Set("Content-Type", ct)

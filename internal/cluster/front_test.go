@@ -220,6 +220,43 @@ func TestFrontRoutesAndProxies(t *testing.T) {
 	}
 }
 
+// TestFrontProxyForwardsContentLength: a proxied request reaches the worker
+// with the length the client declared, not re-framed as a chunked body of
+// unknown length (which costs the worker its ingest presize and a chunk
+// decoder per push); a body-less predict stays body-less.
+func TestFrontProxyForwardsContentLength(t *testing.T) {
+	type framing struct {
+		length int64
+		te     []string
+	}
+	got := make(chan framing, 1)
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		got <- framing{r.ContentLength, r.TransferEncoding}
+	}))
+	defer worker.Close()
+	front, err := NewFront(FrontConfig{Workers: []WorkerRef{{ID: "w0", URL: worker.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontTS := httptest.NewServer(front)
+	defer frontTS.Close()
+	for _, c := range []struct{ path, body string }{
+		{"/v1/sessions/cam-1/frames", `{"frames":[[0.5,0.25,0.125]]}`},
+		{"/v1/sessions/cam-1/predict", ""},
+	} {
+		resp, err := http.Post(frontTS.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if f := <-got; f.length != int64(len(c.body)) || len(f.te) != 0 {
+			t.Errorf("%s: worker saw Content-Length %d, Transfer-Encoding %v; client sent %d bytes",
+				c.path, f.length, f.te, len(c.body))
+		}
+	}
+}
+
 // TestFrontSessionListAndStats: the fan-out surfaces — the merged session
 // list hides per-worker default sessions, and /v1/stats totals are the sum
 // of the workers' counters.

@@ -15,6 +15,13 @@ func inferModel(t testing.TB, enc string, w int, seed int64) (*Model, [][]float6
 	t.Helper()
 	cfg := DefaultConfig(4, 7, 11, 3)
 	cfg.Encoder, cfg.HiddenLSTM, cfg.HiddenTrunk, cfg.HiddenHead, cfg.Seed = enc, w, w, w, seed
+	return inferModelOf(t, cfg)
+}
+
+// inferModelOf is inferModel for any configuration.
+func inferModelOf(t testing.TB, cfg Config) (*Model, [][]float64) {
+	t.Helper()
+	seed := cfg.Seed
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -26,14 +33,7 @@ func inferModel(t testing.TB, enc string, w int, seed int64) (*Model, [][]float6
 			p.W[i] += 0.1 * (g.Float64() - 0.5)
 		}
 	}
-	x := make([][]float64, cfg.Window)
-	for i := range x {
-		x[i] = make([]float64, cfg.InputDim)
-		for j := range x[i] {
-			x[i][j] = g.Float64()*2 - 1
-		}
-	}
-	return m, x
+	return m, camera(g, cfg.Window, cfg.InputDim)
 }
 
 // refLogits is the training forward pass with dropout off, copied out of
@@ -222,6 +222,17 @@ func BenchmarkInference(b *testing.B) {
 	b.Run("exist", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m.Exist(x, 0, &sc, scores)
+		}
+	})
+	// A stride-1 stream under its frame numbers: 24 of 25 input projections
+	// come from the scratch's ring.
+	b.Run("exist-stream", func(b *testing.B) {
+		cam := camera(g, 1024, 12)
+		for i := 0; i < b.N; i++ {
+			for j := range x {
+				x[j] = cam[(i+j)%len(cam)]
+			}
+			m.Exist(x, 25+i, &sc, scores)
 		}
 	})
 	b.Run("exist+theta1", func(b *testing.B) {

@@ -107,12 +107,12 @@ type head struct {
 
 // Model is a trained or trainable EventHit network.
 //
-// Inference through Exist and Theta only reads the weights and writes the
-// caller's Scratch, so any number of goroutines may share one Model as
-// long as each brings its own Scratch and nothing trains or loads weights
-// meanwhile. Predict, PredictInto and Logits run on a scratch the Model
-// owns, and training caches activations in the layers: those are for one
-// goroutine at a time.
+// Inference through Exist, ThetaRows and Theta only reads the weights and
+// writes the caller's Scratch, so any number of goroutines may share one
+// Model as long as each brings its own Scratch and nothing trains or loads
+// weights meanwhile. Predict, PredictInto and Logits run on a scratch the
+// Model owns, and training caches activations in the layers: those are for
+// one goroutine at a time.
 type Model struct {
 	cfg      Config
 	lstm     *nn.LSTM   // nil unless the encoder is "lstm"
@@ -124,6 +124,9 @@ type Model struct {
 	drop     *nn.Dropout
 	heads    []*head
 	params   []*nn.Param
+	// trains counts Train calls: a Scratch that kept projections under
+	// earlier weights drops them.
+	trains int
 
 	// scratch reused across training forward passes
 	zcat    []float64
@@ -275,15 +278,18 @@ func (m *Model) encodeForward(x [][]float64) []float64 {
 }
 
 // Scratch is the memory one inference writes: every activation between the
-// covariate window and the head logits. The zero value is ready; it sizes
-// itself to the model it is used with and regrows when a later model is
-// wider (a hot swap may change the hidden widths). One Scratch serves one
-// inference at a time.
+// covariate window and the head logits, plus — once an Exist names a stream
+// frame — that stream's input-projection ring (see projRing), which makes a
+// Scratch worth keeping per stream. The zero value is ready; it sizes itself
+// to the model it is used with and regrows when a later model is wider (a
+// hot swap may change the hidden widths). One Scratch serves one inference
+// at a time.
 type Scratch struct {
 	buf []float64
 	// owner is the model of the last Exist: Theta reads the activations
 	// that pass left behind, so it must follow on the same pair.
 	owner *Model
+	ring  projRing
 }
 
 // encLen is how many scratch floats the shared encoder needs.
@@ -322,8 +328,9 @@ func relu(x []float64) {
 
 // hidden runs the shared sub-network and every head's hidden layer with
 // dropout off — rawForward's arithmetic up to the last layer, reading the
-// weights and writing only sc.
-func (m *Model) hidden(x [][]float64, sc *Scratch) {
+// weights and writing only sc. frame > 0 names the stream frame of x's last
+// row and lets the LSTM encoder take Wx·x_t from sc's ring.
+func (m *Model) hidden(x [][]float64, frame int, sc *Scratch) {
 	if len(x) != m.cfg.Window {
 		panic(fmt.Sprintf("core: covariates have %d rows, model window is %d", len(x), m.cfg.Window))
 	}
@@ -331,6 +338,8 @@ func (m *Model) hidden(x [][]float64, sc *Scratch) {
 	sc.owner = m
 	var h []float64
 	switch {
+	case m.lstm != nil && frame > 0:
+		h = m.lstm.InferProjected(sc.ring.project(m, x, frame), enc)
 	case m.lstm != nil:
 		h = m.lstm.Infer(x, enc)
 	case m.gru != nil:
@@ -373,12 +382,15 @@ func (m *Model) headLogits(k int, sc *Scratch, lo int, dst []float64) {
 
 // Exist is the first phase of inference: it runs the network up to every
 // head's hidden layer and writes the K existence probabilities b_k into b.
-// frame is ignored (the float encoder keeps no per-stream state; the
-// parameter matches QuantModel.Exist). What the decision does not read is
-// not computed: Θ_k, 1+H output rows and H sigmoids per head, waits for
-// Theta.
+// frame > 0 says x's last row is that frame of the stream sc is kept for
+// (row i is frame frame-M+1+i): the LSTM encoder then reuses the input
+// projections sc holds of frames it saw in earlier windows, each verified
+// against the row presented, so b is bit-identical whatever frame says;
+// frame <= 0 means no identity and recomputes everything. What the decision
+// does not read is not computed: Θ_k, H output rows and H sigmoids per
+// head, waits for ThetaRows.
 func (m *Model) Exist(x [][]float64, frame int, sc *Scratch, b []float64) {
-	m.hidden(x, sc)
+	m.hidden(x, frame, sc)
 	for k := range m.heads {
 		var l [1]float64
 		m.headLogits(k, sc, 0, l[:])
@@ -386,16 +398,20 @@ func (m *Model) Exist(x [][]float64, frame int, sc *Scratch, b []float64) {
 	}
 }
 
-// Theta is the second phase: the H per-frame occurrence probabilities of
-// head k, from the activations the last Exist left in sc. Each value is
-// bit-identical to what a full forward pass computes, whichever heads are
-// asked for and in whatever order.
-func (m *Model) Theta(k int, sc *Scratch, theta []float64) {
-	m.headLogits(k, sc, 1, theta)
-	for v, l := range theta {
-		theta[v] = mathx.Sigmoid(l)
+// ThetaRows is the second phase: dst receives θ_{k,lo+1} … θ_{k,lo+len(dst)},
+// rows [lo, lo+len(dst)) of head k's per-frame occurrence probabilities,
+// from the activations the last Exist left in sc. Each value is
+// bit-identical to what a full forward pass computes, whichever heads and
+// rows are asked for and in whatever order.
+func (m *Model) ThetaRows(k int, sc *Scratch, lo int, dst []float64) {
+	m.headLogits(k, sc, 1+lo, dst)
+	for v, l := range dst {
+		dst[v] = mathx.Sigmoid(l)
 	}
 }
+
+// Theta is ThetaRows over all H rows.
+func (m *Model) Theta(k int, sc *Scratch, theta []float64) { m.ThetaRows(k, sc, 0, theta) }
 
 // Predict runs inference (dropout disabled) on one covariate window and
 // returns probabilities. The Output owns its slices; it survives any later
@@ -429,7 +445,7 @@ func (m *Model) Logits(x [][]float64) [][]float64 {
 			m.logits[k] = make([]float64, 1+m.cfg.Horizon)
 		}
 	}
-	m.hidden(x, &m.sc)
+	m.hidden(x, 0, &m.sc)
 	for k, lk := range m.logits {
 		m.headLogits(k, &m.sc, 0, lk)
 	}
@@ -484,6 +500,58 @@ func DecodeInterval(theta []float64, tau2 float64) (iv video.Interval, threshold
 		return video.Interval{Start: best + 1, End: best + 1}, false
 	}
 	return video.Interval{Start: lo + 1, End: hi + 1}, true
+}
+
+// ThetaRower is the row-range view of Θ that DecodeEdges reads; *Model and
+// *QuantModel implement it.
+type ThetaRower interface {
+	ThetaRows(k int, sc *Scratch, lo int, dst []float64)
+}
+
+// edgeBlock is how many rows of Θ DecodeEdges asks for at a time: a
+// multiple of the four- and eight-row passes of the float and fixed-point
+// output layers.
+const edgeBlock = 16
+
+// DecodeEdges is DecodeInterval(Θ_k, tau2) computing only the rows the
+// answer depends on: blocks from the left until the first θ >= tau2, then
+// from the right until the last; rows between the two are never looked at
+// by Equations (5)-(6), so they are not computed. When no row reaches tau2
+// every row has been computed and the argmax fallback sees all of Θ_k.
+// theta is H floats of scratch; only the rows computed are written.
+func DecodeEdges(p ThetaRower, k int, sc *Scratch, theta []float64, tau2 float64) (iv video.Interval, thresholdMet bool) {
+	H := len(theta)
+	first, done := -1, 0 // rows [0, done) are computed
+	for first < 0 && done < H {
+		hi := min(done+edgeBlock, H)
+		p.ThetaRows(k, sc, done, theta[done:hi])
+		for v := done; v < hi; v++ {
+			if theta[v] >= tau2 {
+				first = v
+				break
+			}
+		}
+		done = hi
+	}
+	if first < 0 {
+		best := mathx.MaxIdx(theta)
+		return video.Interval{Start: best + 1, End: best + 1}, false
+	}
+	for top := H; top > done; {
+		lo := max(top-edgeBlock, done)
+		p.ThetaRows(k, sc, lo, theta[lo:top])
+		for v := top - 1; v >= lo; v-- {
+			if theta[v] >= tau2 {
+				return video.Interval{Start: first + 1, End: v + 1}, true
+			}
+		}
+		top = lo
+	}
+	last := done - 1 // the right scan met the left one: the last hit is at or above first
+	for !(theta[last] >= tau2) {
+		last--
+	}
+	return video.Interval{Start: first + 1, End: last + 1}, true
 }
 
 // DecodeIntervals is the multi-instance extension of Equation (6) the

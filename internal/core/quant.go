@@ -128,14 +128,18 @@ func (q *QuantModel) Exist(x [][]float64, frame int, sc *Scratch, b []float64) {
 	q.exist(b)
 }
 
-// Theta mirrors Model.Theta: head k's H per-frame probabilities from the
-// hidden vector the last Exist or Predict left in the twin.
-func (q *QuantModel) Theta(k int, sc *Scratch, theta []float64) {
+// ThetaRows mirrors Model.ThetaRows: rows [lo, lo+len(dst)) of head k's
+// per-frame probabilities from the hidden vector the last Exist or Predict
+// left in the twin.
+func (q *QuantModel) ThetaRows(k int, sc *Scratch, lo int, dst []float64) {
 	hd := &q.heads[k]
-	for v, l := range hd.fc2.ForwardQRows(hd.a, 1, 1+q.cfg.Horizon) {
-		theta[v] = nn.DequantGate(nn.SigmoidQ(l))
+	for v, l := range hd.fc2.ForwardQRows(hd.a, 1+lo, 1+lo+len(dst)) {
+		dst[v] = nn.DequantGate(nn.SigmoidQ(l))
 	}
 }
+
+// Theta is ThetaRows over all H rows.
+func (q *QuantModel) Theta(k int, sc *Scratch, theta []float64) { q.ThetaRows(k, sc, 0, theta) }
 
 // Predict mirrors Model.Predict on the fixed-point path. The Output owns
 // its slices.

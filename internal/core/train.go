@@ -78,6 +78,7 @@ func (m *Model) Train(recs []dataset.Record, tc TrainConfig) (TrainStats, error)
 			return TrainStats{}, fmt.Errorf("core: record %d has %d events, model expects %d", i, len(r.Label), m.cfg.NumEvents)
 		}
 	}
+	m.trains++
 	if tc.Parallelism > 0 {
 		return m.trainParallel(recs, tc)
 	}

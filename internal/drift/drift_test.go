@@ -2,6 +2,7 @@ package drift
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"eventhit/internal/conformal"
@@ -312,6 +313,46 @@ func TestRecalibratorRollsOver(t *testing.T) {
 	}
 	if p := c.PValue(0, 24); p != 10.0/11 {
 		t.Fatalf("freshest score p-value %v", p)
+	}
+}
+
+// TestRecalibratorAddInPlace: once the buffer is full Add allocates nothing
+// (it overwrites the oldest slot's memory), and a rebuild after wrap-around
+// equals one from a fresh buffer fed the same surviving records — also on
+// the slots a Reset emptied.
+func TestRecalibratorAddInPlace(t *testing.T) {
+	const capacity, k = 12, 2
+	record := func(i int) ([]float64, []bool) {
+		return []float64{float64(i) / 100, float64(i%7) / 7}, []bool{i%2 == 0, i%3 == 0}
+	}
+	r, _ := NewRecalibrator(capacity, k)
+	for pass := 0; pass < 2; pass++ {
+		n := 100 * pass
+		for end := n + 2*capacity + 5; n < end; n++ {
+			r.Add(record(n))
+		}
+		for _, recent := range []int{capacity, capacity - 3} {
+			fresh, _ := NewRecalibrator(capacity, k)
+			for i := n - recent; i < n; i++ {
+				fresh.Add(record(i))
+			}
+			got, err := r.RebuildRecent(recent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Rebuild()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("pass %d: rebuild of the last %d records differs from a fresh buffer's", pass, recent)
+			}
+		}
+		b, l := record(n)
+		if allocs := testing.AllocsPerRun(50, func() { r.Add(b, l) }); allocs != 0 {
+			t.Fatalf("pass %d: Add on a full buffer allocates %v times, want 0", pass, allocs)
+		}
+		r.Reset()
 	}
 }
 

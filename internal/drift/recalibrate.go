@@ -45,17 +45,18 @@ func NewRecalibrator(capacity, k int) (*Recalibrator, error) {
 }
 
 // Add records one labeled outcome: the model's existence scores b and the
-// realized labels.
+// realized labels, copied. Once the buffer has wrapped a record overwrites
+// the oldest slot's memory in place (a rebuild copies the values it keeps,
+// so nothing else holds a slot).
 func (r *Recalibrator) Add(b []float64, label []bool) error {
 	if len(b) != r.k || len(label) != r.k {
 		return fmt.Errorf("drift: got %d scores / %d labels, want %d", len(b), len(label), r.k)
 	}
-	bc := make([]float64, r.k)
-	lc := make([]bool, r.k)
-	copy(bc, b)
-	copy(lc, label)
-	r.scores[r.head] = bc
-	r.labels[r.head] = lc
+	if r.scores[r.head] == nil {
+		r.scores[r.head], r.labels[r.head] = make([]float64, r.k), make([]bool, r.k)
+	}
+	copy(r.scores[r.head], b)
+	copy(r.labels[r.head], label)
 	r.head = (r.head + 1) % r.capacity
 	if r.filled < r.capacity {
 		r.filled++

@@ -61,8 +61,8 @@ func TestDenseMatchesRowAtATime(t *testing.T) {
 }
 
 // TestLSTMMatchesRowAtATime replays the recurrence with one mathx.Dot per
-// gate row — the pre-blocking arithmetic — and requires Forward and Infer
-// to agree with it bit for bit.
+// gate row — the pre-blocking arithmetic — and requires Forward, Infer and
+// InferProjected over the rows' Project-ions to agree with it bit for bit.
 func TestLSTMMatchesRowAtATime(t *testing.T) {
 	g := mathx.NewRNG(12)
 	const in, T = 5, 9
@@ -83,6 +83,12 @@ func TestLSTMMatchesRowAtATime(t *testing.T) {
 		}
 		sameBits(t, "Forward", l.Forward(xs), h)
 		sameBits(t, "Infer", l.Infer(xs, make([]float64, l.InferLen())), h)
+		axs := make([][]float64, T)
+		for i, x := range xs {
+			axs[i] = make([]float64, 4*H)
+			l.Project(axs[i], x)
+		}
+		sameBits(t, "InferProjected", l.InferProjected(axs, make([]float64, l.InferLen())), h)
 	}
 }
 

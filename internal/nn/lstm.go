@@ -123,6 +123,11 @@ func (l *LSTM) gates(a, ax, x, h []float64) {
 // floats of scratch for the input part.
 func preact(a, ax, wx, wh, b, x, h []float64) {
 	mathx.MatVec(ax, wx, x)
+	recur(a, ax, wh, b, h)
+}
+
+// recur is preact from an input part ax = wx.x computed earlier.
+func recur(a, ax, wh, b, h []float64) {
 	mathx.MatVec(a, wh, h)
 	for j, bj := range b {
 		a[j] = ax[j] + a[j] + bj
@@ -145,16 +150,50 @@ func (l *LSTM) Infer(xs [][]float64, buf []float64) []float64 {
 	mathx.Fill(buf[:2*H], 0)
 	for _, x := range xs {
 		l.gates(a, ax, x, h)
-		for j := 0; j < H; j++ {
-			i := mathx.Sigmoid(a[j])
-			f := mathx.Sigmoid(a[H+j])
-			g := math.Tanh(a[2*H+j])
-			o := mathx.Sigmoid(a[3*H+j])
-			c[j] = f*c[j] + i*g
-			h[j] = o * math.Tanh(c[j])
-		}
+		cell(h, c, a)
 	}
 	return h
+}
+
+// Project fills dst (4*Hidden floats) with Wx*x, the part of a step's gate
+// pre-activations that depends on the input row alone — the same for every
+// window the row appears in.
+func (l *LSTM) Project(dst, x []float64) {
+	if len(x) != l.in {
+		panic(fmt.Sprintf("nn: LSTM %s input width %d, want %d", l.wx.Name, len(x), l.in))
+	}
+	mathx.MatVec(dst, l.wx.W, x)
+}
+
+// InferProjected is Infer over a sequence given as its input parts, axs[t]
+// = Project(x_t). Infer sums ax[j] + a[j] + b[j] with ax computed apart, so
+// where ax came from cannot show: h_n is bit-identical to Infer's.
+func (l *LSTM) InferProjected(axs [][]float64, buf []float64) []float64 {
+	if len(axs) == 0 {
+		panic("nn: LSTM forward on empty sequence")
+	}
+	H := l.hidden
+	h, c, a := buf[:H], buf[H:2*H], buf[2*H:6*H]
+	mathx.Fill(buf[:2*H], 0)
+	for _, ax := range axs {
+		recur(a, ax, l.wh.W, l.b.W, h)
+		cell(h, c, a)
+	}
+	return h
+}
+
+// cell advances the state (h, c) in place through the gate nonlinearities
+// of the stacked pre-activations a.
+func cell(h, c, a []float64) {
+	H := len(h)
+	for j := 0; j < H; j++ {
+		i := mathx.Sigmoid(a[j])
+		f := mathx.Sigmoid(a[H+j])
+		g := math.Tanh(a[2*H+j])
+		o := mathx.Sigmoid(a[3*H+j])
+		c[j] = f*c[j] + i*g
+		h[j] = o * math.Tanh(c[j])
+	}
 }
 
 // Backward runs backpropagation through time given dh, the gradient of the

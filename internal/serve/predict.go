@@ -4,21 +4,22 @@ import (
 	"strconv"
 
 	"eventhit/internal/metrics"
-	"eventhit/internal/strategy"
 )
 
 // predictScratch is the per-request working set of a predict: the window
 // copied out of the session ring (x's rows are fixed views into flat, so a
 // copy into flat is all a request pays), the per-event label slices, the
-// inference scratch and decision, and the response with its encoding.
+// decision with the raw scores copied out of the session's decision scratch
+// (which stays with the session: see session.dec), and the response with
+// its encoding.
 type predictScratch struct {
-	flat                  []float64
-	x                     [][]float64
-	labelKnown, labelTrue []bool
-	dec                   strategy.Scratch
-	pred                  metrics.Prediction
-	resp                  PredictResponse
-	out                   []byte
+	flat                         []float64
+	x                            [][]float64
+	labelKnown, labelTrue, label []bool
+	scores                       []float64
+	pred                         metrics.Prediction
+	resp                         PredictResponse
+	out                          []byte
 }
 
 func newPredictScratch(window, d, k int) *predictScratch {
@@ -27,6 +28,8 @@ func newPredictScratch(window, d, k int) *predictScratch {
 		x:          make([][]float64, window),
 		labelKnown: make([]bool, k),
 		labelTrue:  make([]bool, k),
+		label:      make([]bool, k),
+		scores:     make([]float64, k),
 		resp:       PredictResponse{Decisions: make([]Decision, 0, k)},
 	}
 	for i := range sc.x {

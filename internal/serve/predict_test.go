@@ -259,20 +259,14 @@ func TestTraceFailureKeepsStats(t *testing.T) {
 	}
 }
 
-// TestConcurrentPredictMatchesSerial: cameras on distinct sessions push and
-// predict concurrently against one shared model with no lock around
-// inference (run with -race), and an admin swap to a bundle of different
-// hidden widths lands mid-run. Every response must be what a serial replay
-// answers at that anchor under the old bundle or the new one, and a session
-// that has seen the new bundle never goes back. The quantized variant runs
-// the same traffic through the one twin behind the unit's mutex.
-func TestConcurrentPredictMatchesSerial(t *testing.T) {
-	bw := getBundle(t)
-	// The swapped-in model is narrower, so pooled scratch sized for the boot
-	// model is re-carved mid-run. It is untrained, and its classifier was
-	// calibrated on a single zero score, so it finds every event at every
-	// anchor: the two bundles disagree almost everywhere, and the narrow
-	// model's Θ is computed on every request.
+// narrowBundle is a bundle to swap in over the fixture's: its model is
+// narrower, so scratch sized for the boot model is re-carved (and a
+// session's input-projection ring started over) mid-run. It is untrained,
+// and its classifier was calibrated on a single zero score, so it finds
+// every event at every anchor: the two bundles disagree almost everywhere,
+// and the narrow model's Θ is computed on every request.
+func narrowBundle(t testing.TB, bw *Bundlewrap) *strategy.Bundle {
+	t.Helper()
 	mc := bw.b.Model.Config()
 	mc.HiddenLSTM, mc.HiddenTrunk, mc.HiddenHead, mc.Seed = 7, 5, 9, 99
 	other, err := core.New(mc)
@@ -283,8 +277,20 @@ func TestConcurrentPredictMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swapped := &strategy.Bundle{Model: other, Classifier: always, Regressor: bw.b.Regressor,
+	return &strategy.Bundle{Model: other, Classifier: always, Regressor: bw.b.Regressor,
 		Scaled: bw.b.Scaled, Tau1: bw.b.Tau1, Tau2: bw.b.Tau2}
+}
+
+// TestConcurrentPredictMatchesSerial: cameras on distinct sessions push and
+// predict concurrently against one shared model with no lock around
+// inference (run with -race), and an admin swap to a bundle of different
+// hidden widths lands mid-run. Every response must be what a serial replay
+// answers at that anchor under the old bundle or the new one, and a session
+// that has seen the new bundle never goes back. The quantized variant runs
+// the same traffic through the one twin behind the unit's mutex.
+func TestConcurrentPredictMatchesSerial(t *testing.T) {
+	bw := getBundle(t)
+	swapped := narrowBundle(t, bw)
 
 	const cams, steps, first = 4, 120, 400
 	for _, quantized := range []bool{false, true} {
@@ -391,6 +397,178 @@ func TestConcurrentPredictMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSameSessionPredictMatchesSerial: two goroutines predict on ONE session
+// while a third pushes its frames one at a time, so they share the
+// session's decision scratch and its input-projection ring, meet it at
+// anchors out of order, and have it started over by a swap to a bundle of
+// other hidden widths mid-stream (run with -race). Every response must be
+// what a fresh server answers at that anchor in a serial replay, under the
+// boot bundle or the swapped one, and a predictor that has seen the new
+// bundle never goes back.
+func TestSameSessionPredictMatchesSerial(t *testing.T) {
+	bw := getBundle(t)
+	swapped := narrowBundle(t, bw)
+	const predictors, perPhase = 2, 60
+	// Walk a stretch with no event in sight, where the boot bundle skips and
+	// the swapped one relays: which bundle answered shows in every response.
+	first := -1
+	for prevEnd, i := 0, 0; first < 0; i++ {
+		in := bw.st.ByType[0][i]
+		if in.PrecursorStart-prevEnd > 1500 {
+			first = prevEnd + 300
+		}
+		prevEnd = in.OI.End
+	}
+	for _, quantized := range []bool{false, true} {
+		t.Run(fmt.Sprintf("quantized=%v", quantized), func(t *testing.T) {
+			cfg := Config{Bundle: bw.b, EventNames: []string{"Volleyball Spiking"}, PerFrameUSD: 0.001,
+				DefaultConfidence: 0.9, DefaultCoverage: 0.9, Quantized: quantized}
+			srv := sessionServer(t, &cfg, 1)
+			// The session's frame i — and so anchor i — is the camera's base+i.
+			base := first - srv.window + 1
+			pushTo(t, srv, "c0", bw.ex, base, first)
+
+			// The pusher adds a frame whenever a predict has been answered since
+			// its last push, until perPhase predicts were answered before the
+			// swap and as many after it.
+			var answered, landedAt atomic.Int64
+			tick := make(chan struct{}, 1) // holds at most the one pending wake-up
+			halfway, stop, predictorsGone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			var pushing, predicting sync.WaitGroup
+			pushing.Add(1)
+			go func() {
+				defer pushing.Done()
+				defer close(stop)
+				released := false
+				for a := first + 1; ; a++ {
+					select {
+					case <-tick:
+					case <-predictorsGone:
+						return
+					}
+					if err := pushFrames(srv, "c0", bw.ex, a, a); err != nil {
+						t.Error(err)
+						return
+					}
+					n, at := answered.Load(), landedAt.Load()
+					if n >= perPhase && !released {
+						close(halfway)
+						released = true
+					}
+					if at > 0 && n >= at+perPhase {
+						return
+					}
+				}
+			}()
+			got := make([][]PredictResponse, predictors)
+			for p := range got {
+				predicting.Add(1)
+				go func(p int) {
+					defer predicting.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						r, err := predictSession(srv, "c0")
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						got[p] = append(got[p], r)
+						answered.Add(1)
+						select {
+						case tick <- struct{}{}:
+						default:
+						}
+					}
+				}(p)
+			}
+			go func() { predicting.Wait(); close(predictorsGone) }()
+			select {
+			case <-halfway:
+				if _, err := srv.Swap(swapped, swapOriginAdmin); err != nil {
+					t.Error(err)
+				}
+				landedAt.Store(max(answered.Load(), 1))
+			case <-predictorsGone:
+			}
+			pushing.Wait()
+			<-predictorsGone
+			if t.Failed() {
+				return
+			}
+
+			// Serial replay, one fresh server per bundle, at every anchor seen.
+			last := 0
+			for _, rs := range got {
+				last = max(last, rs[len(rs)-1].Anchor)
+			}
+			swapCfg := cfg
+			swapCfg.Bundle = swapped
+			ref := make([]map[int]PredictResponse, 2)
+			for i, c := range []Config{cfg, swapCfg} {
+				replay := sessionServer(t, &c, 1)
+				pushTo(t, replay, "c0", bw.ex, base, first-1)
+				ref[i] = map[int]PredictResponse{}
+				for a := first; a <= base+last; a++ {
+					rs, err := pushPredict(replay, "c0", bw.ex, a, []int{a})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref[i][a-base] = rs[0]
+				}
+			}
+			onlyOld, onlyNew := 0, 0
+			for p, rs := range got {
+				onNew := false
+				for i, r := range rs {
+					isOld, isNew := reflect.DeepEqual(r, ref[0][r.Anchor]), reflect.DeepEqual(r, ref[1][r.Anchor])
+					switch {
+					case !isOld && !isNew:
+						t.Fatalf("predictor %d response %d: %+v is neither the boot bundle's %+v nor the swapped one's %+v",
+							p, i, r, ref[0][r.Anchor], ref[1][r.Anchor])
+					case onNew && !isNew:
+						t.Fatalf("predictor %d response %d: back on the boot bundle after the swap", p, i)
+					case !isOld:
+						onNew = true
+						onlyNew++
+					case !isNew:
+						onlyOld++
+					}
+				}
+			}
+			if onlyOld == 0 || onlyNew == 0 {
+				t.Fatalf("%d responses only the boot bundle gives, %d only the swapped one: the swap must land mid-stream", onlyOld, onlyNew)
+			}
+		})
+	}
+}
+
+// TestIdleSessionHoldsNoDecisionScratch: the decision scratch, and with it
+// the input-projection ring, is a predicting session's: one that only
+// ingests never allocates it.
+func TestIdleSessionHoldsNoDecisionScratch(t *testing.T) {
+	bw := getBundle(t)
+	srv := sessionServer(t, nil, 2)
+	for _, id := range []string{"c0", "c1"} {
+		pushTo(t, srv, id, bw.ex, 300, 320)
+	}
+	if _, err := predictSession(srv, "c0"); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	predicting, idle := srv.sessions["c0"], srv.sessions["c1"]
+	srv.mu.Unlock()
+	if predicting.dec == nil {
+		t.Error("the predicting session kept no decision scratch")
+	}
+	if idle.dec != nil {
+		t.Error("a session that never predicted holds a decision scratch")
 	}
 }
 

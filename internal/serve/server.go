@@ -150,8 +150,8 @@ type Config struct {
 
 // session is one camera stream's ingest and decision state. All fields are
 // guarded by Server.mu except unit (atomic — the request path loads it
-// lock-free) and ad (touched only under relayMu; its counters are
-// committed into the mu-guarded fields below by handlePredict).
+// lock-free), dec (under decMu) and ad (touched only under relayMu; its
+// counters are committed into the mu-guarded fields below by handlePredict).
 type session struct {
 	id string
 	// scene is the session's scene key ("" = untagged): sessions sharing a
@@ -173,6 +173,14 @@ type session struct {
 	// push) install into every session; the adaptation loop swaps only its
 	// own session's pointer.
 	unit atomic.Pointer[bundleUnit]
+	// dec is the stream's decision scratch: it carries the input projections
+	// of the frames this session's earlier windows presented, which is why
+	// it is the session's and not pooled. Allocated by the first predict, so
+	// a session that only ingests holds none. decMu is held around the
+	// decision and the copy-out of its scores only — a leaf lock, released
+	// before relayMu or mu is taken.
+	decMu sync.Mutex
+	dec   *strategy.Scratch
 	// ad is the online adaptation state (nil unless Config.Adapt is set).
 	ad *adapter
 	// Committed adaptation counters (absolute values copied from ad under
@@ -263,10 +271,10 @@ type Server struct {
 	metrics *obs.Registry
 
 	// scratch pools *predictScratch, everything a predict writes before its
-	// commit: the window copied out of the session's ring under mu (a
-	// concurrent push overwrites ring memory), the activations, the decision
-	// and the encoded response. The served model is only read, so predicts
-	// on different sessions run in parallel.
+	// commit except the model activations (session.dec): the window copied
+	// out of the session's ring under mu (a concurrent push overwrites ring
+	// memory), the decision and the encoded response. The served model is
+	// only read, so predicts on different sessions run in parallel.
 	scratch sync.Pool
 	// eventJSON[k] is EventNames[k] as a JSON string, escaped once.
 	eventJSON [][]byte
@@ -450,6 +458,17 @@ func (s *Server) registerServeMetrics() {
 	s.metrics.GaugeFunc("eventhit_serve_swap_generation",
 		"current model swap generation (boot is 0)", nil,
 		func() float64 { return float64(s.gens.Load()) })
+}
+
+// decide runs u's decision for rec on the session's scratch, leaving the
+// prediction and a copy of the raw scores in sc.
+func (sess *session) decide(u *bundleUnit, rec dataset.Record, conf, cov float64, sc *predictScratch) {
+	sess.decMu.Lock()
+	defer sess.decMu.Unlock()
+	if sess.dec == nil {
+		sess.dec = new(strategy.Scratch)
+	}
+	copy(sc.scores, u.decide(rec, conf, cov, sess.dec, &sc.pred))
 }
 
 // newSessionLocked creates and registers a session. Caller holds mu (or is
@@ -932,10 +951,11 @@ func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Reque
 	// relay labeling, recalibration — sees one consistent model+calibration
 	// pair even if a swap lands mid-request.
 	u := s.resolveUnit(sess)
-	// Inference holds no server lock: it reads the unit and writes sc. The
-	// raw existence scores feed the adaptation buffer below.
-	scores := u.decide(dataset.Record{X: x}, conf, cov, sc)
-	pred := &sc.pred
+	// Inference holds no server lock: it reads the unit and writes sc and
+	// the session's decision scratch, told which stream frame the window
+	// ends at. The raw existence scores feed the adaptation buffer below.
+	sess.decide(u, dataset.Record{X: x, Frame: anchor}, conf, cov, sc)
+	scores, pred := sc.scores, &sc.pred
 	if s.relay != nil {
 		// Hold relayMu across both the Detect calls and the snapshot commit
 		// below, so the committed CI view always corresponds to the
@@ -1057,7 +1077,7 @@ func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Reque
 			}
 		}
 		if anyLabel {
-			lbl := make([]bool, s.k)
+			lbl := sc.label
 			for k := range lbl {
 				// Unknown labels are recorded false: C-CLASSIFY calibrates
 				// on positives only, so an unlabeled (possibly-positive)

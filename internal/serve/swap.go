@@ -33,6 +33,7 @@ import (
 	"eventhit/internal/conformal"
 	"eventhit/internal/dataset"
 	"eventhit/internal/drift"
+	"eventhit/internal/metrics"
 	"eventhit/internal/strategy"
 )
 
@@ -116,14 +117,14 @@ func (s *Server) newUnit(b *strategy.Bundle, gen uint64, origin string) (*bundle
 	}, nil
 }
 
-// decide runs the unit's EHCR decision on rec into sc.pred and returns the
-// raw existence scores (which alias sc). It holds no server lock.
-func (u *bundleUnit) decide(rec dataset.Record, conf, cov float64, sc *predictScratch) []float64 {
+// decide runs the unit's EHCR decision on rec into pred and returns the raw
+// existence scores (which alias dec). It holds no server lock.
+func (u *bundleUnit) decide(rec dataset.Record, conf, cov float64, dec *strategy.Scratch, pred *metrics.Prediction) []float64 {
 	if u.qmu != nil {
 		u.qmu.Lock()
 		defer u.qmu.Unlock()
 	}
-	return u.bundle.Decide(rec, strategy.EHCRRule(conf, cov), &sc.dec, &sc.pred)
+	return u.bundle.Decide(rec, strategy.EHCRRule(conf, cov), dec, pred)
 }
 
 // Swap validates b and atomically installs it as the serving unit of every

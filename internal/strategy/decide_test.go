@@ -114,6 +114,63 @@ func TestDecideMatchesSeedDecision(t *testing.T) {
 	}
 }
 
+// TestDecideOnStreamMatchesSeedDecision: a camera's stride-1 windows decided
+// on one kept Scratch under their frame numbers — the input-projection ring
+// hitting on all but one row, Θ decoded from its edges — equal the decision
+// taken from the full, frameless model output at every anchor, on the float
+// model and the quantized twin, at three τ2, and so do the raw scores. The
+// walk crosses an event, so present and absent decisions both occur.
+func TestDecideOnStreamMatchesSeedDecision(t *testing.T) {
+	f := getFixture(t)
+	start := -1
+	for _, rec := range f.splits.Test {
+		if rec.Label[0] && rec.Frame > 400 {
+			start = rec.Frame - 150
+			break
+		}
+	}
+	if start < 0 {
+		t.Fatal("no positive test record to walk across")
+	}
+	rule := EHCRRule(0.9, 0.9)
+	for _, tau2 := range []float64{0.1, 0.5, 0.9} {
+		fb := f.bundle.WithTaus(0.5, tau2)
+		qb, err := fb.WithQuantized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := map[string]func(x [][]float64) core.Output{
+			"float": fb.Model.Predict,
+			"quant": qb.Predictor.(*core.QuantModel).Predict,
+		}
+		for engine, b := range map[string]*Bundle{"float": fb, "quant": qb} {
+			var sc Scratch
+			var got metrics.Prediction
+			present, absent := 0, 0
+			for at := start; at < start+300; at++ {
+				x, err := f.ex.Covariates(at, f.cfg.Window)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := full[engine](x)
+				want := seedDecide(b, out, rule)
+				scores := b.Decide(dataset.Record{Frame: at, X: x}, rule, &sc, &got)
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(scores, out.B) {
+					t.Fatalf("%s tau2=%v frame %d: Decide %+v %v, seed decision %+v %v", engine, tau2, at, got, scores, want, out.B)
+				}
+				if want.Occur[0] {
+					present++
+				} else {
+					absent++
+				}
+			}
+			if present == 0 || absent == 0 {
+				t.Fatalf("%s tau2=%v: %d present, %d absent decisions — the walk must cross an event", engine, tau2, present, absent)
+			}
+		}
+	}
+}
+
 // TestDecideConcurrentOnSharedBundle: goroutines decide on one float bundle
 // at once, each with its own Scratch (run with -race), and every decision
 // equals the serial one.

@@ -36,13 +36,15 @@ type Bundle struct {
 
 // Predictor is the two-phase inference surface Decide runs on, implemented
 // by *core.Model and *core.QuantModel: Exist scores every event's existence
-// for the covariate window x whose last row is stream frame `frame` (a
-// predictor may use frame identity to reuse work across overlapping
-// windows, never to change a result); Theta then yields the per-frame
-// scores of one head, for the heads the decision goes on to read.
+// for the covariate window x whose last row is stream frame `frame` of the
+// stream sc is kept for (both predictors reuse the input projections of
+// frames an earlier window presented, verified against the rows, so frame
+// identity never changes a result; frame <= 0 means none); ThetaRows then
+// yields rows [lo, lo+len(dst)) of one head's per-frame scores, for the
+// heads and rows the decision goes on to read.
 type Predictor interface {
 	Exist(x [][]float64, frame int, sc *core.Scratch, b []float64)
-	Theta(k int, sc *core.Scratch, theta []float64)
+	core.ThetaRower
 }
 
 // predictor returns the active inference engine.
@@ -196,8 +198,10 @@ func EHCRRule(c, alpha float64) Rule {
 }
 
 // Scratch is the memory one Decide writes besides its result: the model
-// activations, the raw existence scores and the one Θ vector in flight.
-// The zero value is ready; one Scratch serves one Decide at a time.
+// activations, the raw existence scores and the one Θ vector in flight —
+// and, between Decides, the input projections of the stream it is kept for
+// (core.Scratch), so give each stream its own. The zero value is ready; one
+// Scratch serves one Decide at a time.
 type Scratch struct {
 	core  core.Scratch
 	b     []float64
@@ -207,8 +211,10 @@ type Scratch struct {
 // Decide is the one marshalling decision every EventHit variant and every
 // serving path runs: existence scores, the rule's existence test per event
 // and — only for events found to occur — Θ_k, the decoded interval and its
-// conformal adjustment. An absent event's Θ_k is never read by any rule, so
-// not computing it changes nothing. The decision lands in p, whose slices
+// conformal adjustment. An absent event's Θ_k is never read by any rule, nor
+// are a present event's rows between the first and last above τ2
+// (core.DecodeEdges), so not computing them changes nothing. The decision
+// lands in p, whose slices
 // are reused when long enough; the returned raw scores b_k alias sc and
 // hold until its next Decide.
 //
@@ -238,8 +244,7 @@ func (b *Bundle) Decide(rec dataset.Record, r Rule, sc *Scratch, p *metrics.Pred
 		if !p.Occur[j] {
 			continue
 		}
-		pr.Theta(j, &sc.core, theta)
-		iv, _ := core.DecodeInterval(theta, b.Tau2)
+		iv, _ := core.DecodeEdges(pr, j, &sc.core, theta, b.Tau2)
 		if r.ConformalInterval {
 			if r.Adaptive {
 				iv = b.Scaled.Adjust(j, iv, r.Coverage, float64(iv.Len()))
@@ -332,7 +337,7 @@ func (b *Bundle) PredictRuns(rec dataset.Record, confidence float64, mergeGap in
 		if !(b.Classifier.PValue(k, bk) >= 1-confidence) {
 			continue
 		}
-		pr.Theta(k, &sc, theta)
+		pr.ThetaRows(k, &sc, 0, theta)
 		rs := core.DecodeIntervals(theta, b.Tau2, mergeGap)
 		if len(rs) == 0 {
 			iv, _ := core.DecodeInterval(theta, b.Tau2)

@@ -65,10 +65,14 @@ stage fuzz-scenario go test ./internal/scenario/ -run 'Fuzz|TestFuzzSeedCorpus' 
 stage ingest-race-x10 go test -race ./internal/serve/ -run 'TestConcurrentPushPredictSameSession' -count=10
 # Lock-free predict path: goroutines sharing one model, cameras on distinct
 # sessions with a swap or recalibration landing mid-run, every response
-# equal to a serial replay.
+# equal to a serial replay; and two predictors sharing one session's
+# decision scratch through a swap.
 stage predict-core-x5 go test -race ./internal/core/ -run 'TestConcurrentInferenceSharesModel' -count=5
 stage predict-strategy-x5 go test -race ./internal/strategy/ -run 'TestDecideConcurrentOnSharedBundle' -count=5
-stage predict-serve-x5 go test -race ./internal/serve/ -run 'TestConcurrentPredictMatchesSerial|TestConcurrentRelayMatchesSerial' -count=5
+stage predict-serve-x5 go test -race ./internal/serve/ -run 'TestConcurrentPredictMatchesSerial|TestConcurrentRelayMatchesSerial|TestSameSessionPredictMatchesSerial' -count=5
+# Streaming kernel: the per-stream input-projection ring and edges-in Θ
+# decoding against full recomputation, bit for bit.
+stage stream-kernel-x5 go test -race -count=5 ./internal/core/ ./internal/strategy/ -run 'TestStreamRing|TestDecodeEdges|FuzzDecodeEdges|TestDecideOnStreamMatchesSeedDecision'
 # Scheduler admission/starvation, cluster ring/leases/remote cache/front/
 # shared swap, and the cascade ladder (goroutines walking one Cascade and
 # its shared full bundle against a serial walk), uncached under -race.
