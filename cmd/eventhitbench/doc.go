@@ -47,7 +47,7 @@
 //	fig8         -                      -    all  TA1,seed=1         Figure 8: monetary case study
 //	fig9         -                      -    all  TA1,seed=1         Figure 9: REC vs end-to-end FPS
 //	fig10        -                      -    all  TA1,seed=1         Figure 10: stage time shares
-//	resources    -                      -    all  TA1,seed=1         model size and training/inference resources
+//	resources    -                      -    all  TA1,seed=1         model size and training-job size
 //	loss         -                      -    -    TA1,seed=1         training loss curve
 //	ablation     -                      -    all  TA1,seed=1         design-choice ablations
 //	drift        -                      -    all  TA1,seed=1         drift detection and recalibration

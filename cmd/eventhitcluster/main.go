@@ -51,10 +51,7 @@ func main() {
 	if *workers < 1 {
 		fatal(fmt.Errorf("-workers must be >= 1, got %d", *workers))
 	}
-	opt := harness.DefaultOptions()
-	if *quick {
-		opt = harness.Quick()
-	}
+	opt := harness.Params{Quick: *quick}.Options()
 
 	// One bundle, then coordinator + N workers + front in this process, each
 	// on its own loopback listener, with the front on -addr. One process

@@ -32,10 +32,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opt := harness.DefaultOptions()
-	if *quick {
-		opt = harness.Quick()
-	}
+	opt := harness.Params{Quick: *quick}.Options()
 	opt.Epochs = *epochs
 	opt.TrainParallelism = *parallelism
 

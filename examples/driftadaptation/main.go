@@ -19,7 +19,11 @@ import (
 
 func main() {
 	fmt.Println("training EventHit on a clean stream, then degrading the detector mid-stream...")
-	res, err := harness.DriftExperiment("TA10", harness.DefaultOptions(), 0.9, 7, os.Stdout)
+	task, err := harness.TaskByName("TA10")
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := harness.DriftExperiment(task, harness.DefaultOptions(), 0.9, 7, os.Stdout)
 	if err != nil {
 		log.Fatal(err)
 	}

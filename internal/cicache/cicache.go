@@ -17,10 +17,8 @@
 // hit at a different absolute position re-anchors cleanly.
 //
 // The store is a sharded LRU with deterministic eviction (pure function of
-// the Get/Put sequence), per-entry TTL measured in simulated frames (video
-// drifts; a verdict about frame 1000 says little about frame 500_000), and
-// a doorkeeper admission policy that skips caching one-off signatures so
-// unrepetitive streams cannot churn the working set.
+// the Get/Put sequence) and per-entry TTL measured in simulated frames (video
+// drifts; a verdict about frame 1000 says little about frame 500_000).
 package cicache
 
 import (
@@ -50,11 +48,6 @@ type Config struct {
 	// Shards is the number of independently locked LRU shards. 0 uses
 	// DefaultShards.
 	Shards int
-	// AdmitMinSeen is the doorkeeper threshold: a verdict is only stored
-	// once its key has been offered AdmitMinSeen times (<= 1 admits
-	// everything). One-off signatures never enter the LRU, so they cannot
-	// evict entries that will repeat.
-	AdmitMinSeen int
 }
 
 // Defaults for the zero Config knobs.
@@ -64,9 +57,9 @@ const (
 )
 
 // DefaultConfig returns an exact-match cache: ε=0, a 30k-frame TTL
-// (~1000 s at 30 fps), default capacity and sharding, admit-on-first-offer.
+// (~1000 s at 30 fps), default capacity and sharding.
 func DefaultConfig() Config {
-	return Config{Epsilon: 0, TTLFrames: 30_000, Capacity: DefaultCapacity, Shards: DefaultShards, AdmitMinSeen: 1}
+	return Config{Epsilon: 0, TTLFrames: 30_000, Capacity: DefaultCapacity, Shards: DefaultShards}
 }
 
 // Validate rejects malformed configurations.
@@ -82,9 +75,6 @@ func (c Config) Validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("cicache: negative Shards %d", c.Shards)
-	}
-	if c.AdmitMinSeen < 0 {
-		return fmt.Errorf("cicache: negative AdmitMinSeen %d", c.AdmitMinSeen)
 	}
 	return nil
 }
@@ -218,7 +208,6 @@ type Stats struct {
 	Hits        int64 `json:"hits"`
 	Misses      int64 `json:"misses"`
 	Inserts     int64 `json:"inserts"`
-	AdmitSkips  int64 `json:"admit_skips"`
 	Evictions   int64 `json:"evictions"`
 	Expirations int64 `json:"expirations"`
 	Entries     int   `json:"entries"`
@@ -239,21 +228,15 @@ type entry struct {
 }
 
 // shard is one independently locked LRU. Eviction order is a pure function
-// of the Get/Put call sequence: list recency plus the FIFO doorkeeper ring,
-// no clocks, no randomness.
+// of the Get/Put call sequence: list recency, no clocks, no randomness.
 type shard struct {
 	mu    sync.Mutex
 	elems map[Key]*list.Element
 	lru   *list.List // front = most recently used
 	cap   int
-	// Doorkeeper: key -> times offered, bounded by a FIFO ring so the
-	// memory of one-off signatures is itself bounded.
-	seen      map[Key]int
-	seenRing  []Key
-	seenBound int
 
-	lookups, hits, misses, inserts     int64
-	admitSkips, evictions, expirations int64
+	lookups, hits, misses, inserts int64
+	evictions, expirations         int64
 }
 
 // Cache is a sharded, deterministically evicting, TTL-bounded LRU of CI
@@ -283,11 +266,9 @@ func New(cfg Config) (*Cache, error) {
 	c := &Cache{cfg: cfg, shards: make([]*shard, cfg.Shards)}
 	for i := range c.shards {
 		c.shards[i] = &shard{
-			elems:     make(map[Key]*list.Element),
-			lru:       list.New(),
-			cap:       perShard,
-			seen:      make(map[Key]int),
-			seenBound: 4 * perShard,
+			elems: make(map[Key]*list.Element),
+			lru:   list.New(),
+			cap:   perShard,
 		}
 	}
 	return c, nil
@@ -342,8 +323,7 @@ func (c *Cache) Contains(k Key, nowFrame int) bool {
 	return c.cfg.TTLFrames <= 0 || nowFrame-e.born <= c.cfg.TTLFrames
 }
 
-// Put offers (k, v) for caching at simulated frame nowFrame. The
-// doorkeeper may skip the insert (one-off signatures); an existing entry is
+// Put caches (k, v) at simulated frame nowFrame; an existing entry is
 // refreshed in place. Over-capacity shards evict their least recently used
 // entry.
 func (c *Cache) Put(k Key, v Verdict, nowFrame int) {
@@ -355,26 +335,6 @@ func (c *Cache) Put(k Key, v Verdict, nowFrame int) {
 		e.v, e.born = v, nowFrame
 		sh.lru.MoveToFront(el)
 		return
-	}
-	if c.cfg.AdmitMinSeen > 1 {
-		n := sh.seen[k] + 1
-		if n < c.cfg.AdmitMinSeen {
-			if n == 1 {
-				sh.seenRing = append(sh.seenRing, k)
-				if len(sh.seenRing) > sh.seenBound {
-					// Forget the oldest doorkeeper observation. Its count may
-					// have grown past 1; dropping it only delays admission,
-					// never corrupts the LRU.
-					old := sh.seenRing[0]
-					sh.seenRing = sh.seenRing[1:]
-					delete(sh.seen, old)
-				}
-			}
-			sh.seen[k] = n
-			sh.admitSkips++
-			return
-		}
-		delete(sh.seen, k)
 	}
 	sh.elems[k] = sh.lru.PushFront(&entry{key: k, v: v, born: nowFrame})
 	sh.inserts++
@@ -395,7 +355,6 @@ func (c *Cache) Stats() Stats {
 		s.Hits += sh.hits
 		s.Misses += sh.misses
 		s.Inserts += sh.inserts
-		s.AdmitSkips += sh.admitSkips
 		s.Evictions += sh.evictions
 		s.Expirations += sh.expirations
 		s.Entries += sh.lru.Len()

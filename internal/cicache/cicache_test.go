@@ -23,7 +23,6 @@ func TestConfigValidate(t *testing.T) {
 		{TTLFrames: -1},
 		{Capacity: -1},
 		{Shards: -2},
-		{AdmitMinSeen: -3},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -95,7 +94,7 @@ func TestVerdictMaterializeReanchorsAndClips(t *testing.T) {
 }
 
 func TestCacheHitMissAndTTL(t *testing.T) {
-	c := mustNew(t, Config{TTLFrames: 100, Capacity: 8, Shards: 1, AdmitMinSeen: 1})
+	c := mustNew(t, Config{TTLFrames: 100, Capacity: 8, Shards: 1})
 	k := ExactKey(0, video.Interval{Start: 0, End: 9})
 	v := Verdict{Rel: []video.Interval{{Start: 1, End: 3}}}
 	if _, ok := c.Get(k, 0); ok {
@@ -130,7 +129,7 @@ func TestCacheLRUEvictionDeterministic(t *testing.T) {
 		keys[i] = ExactKey(i, video.Interval{Start: 0, End: 9})
 	}
 	run := func() []bool {
-		c := mustNew(t, Config{Capacity: 3, Shards: 1, AdmitMinSeen: 1})
+		c := mustNew(t, Config{Capacity: 3, Shards: 1})
 		for _, k := range keys[:3] {
 			c.Put(k, Verdict{}, 0)
 		}
@@ -156,25 +155,8 @@ func TestCacheLRUEvictionDeterministic(t *testing.T) {
 	}
 }
 
-func TestCacheAdmissionDoorkeeper(t *testing.T) {
-	c := mustNew(t, Config{Capacity: 8, Shards: 1, AdmitMinSeen: 2})
-	k := ExactKey(7, video.Interval{Start: 0, End: 9})
-	c.Put(k, Verdict{}, 0)
-	if _, ok := c.Get(k, 0); ok {
-		t.Fatal("one-off signature was cached")
-	}
-	c.Put(k, Verdict{}, 0)
-	if _, ok := c.Get(k, 0); !ok {
-		t.Fatal("second offer not admitted")
-	}
-	st := c.Stats()
-	if st.AdmitSkips != 1 || st.Inserts != 1 {
-		t.Fatalf("doorkeeper meters wrong: %+v", st)
-	}
-}
-
 func TestCacheShardingCoversAllShards(t *testing.T) {
-	c := mustNew(t, Config{Capacity: 1024, Shards: 8, AdmitMinSeen: 1})
+	c := mustNew(t, Config{Capacity: 1024, Shards: 8})
 	for i := 0; i < 64; i++ {
 		c.Put(ExactKey(i, video.Interval{Start: i, End: i + 9}), Verdict{}, 0)
 	}
@@ -194,7 +176,7 @@ func TestCacheShardingCoversAllShards(t *testing.T) {
 
 func TestCacheRegisterExposition(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := mustNew(t, Config{Capacity: 8, Shards: 1, AdmitMinSeen: 1})
+	c := mustNew(t, Config{Capacity: 8, Shards: 1})
 	c.Register(reg, nil)
 	k := ExactKey(0, video.Interval{Start: 0, End: 9})
 	c.Put(k, Verdict{}, 0)

@@ -19,8 +19,6 @@ type FrontConfig struct {
 	// Workers is the initial worker set. The ring can be grown/shrunk later
 	// with AddWorker/RemoveWorker.
 	Workers []WorkerRef
-	// VNodes is the virtual-node count per worker (0 = DefaultVNodes).
-	VNodes int
 	// Timeout bounds every proxied request (0 = 30s). The front sheds a
 	// hung worker by deadline, never by hanging its own caller.
 	Timeout time.Duration
@@ -60,7 +58,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		cfg:     cfg,
 		hc:      &http.Client{Timeout: cfg.Timeout},
 		metrics: obs.NewRegistry(),
-		ring:    NewRing(cfg.VNodes),
+		ring:    NewRing(DefaultVNodes),
 		workers: make(map[string]WorkerRef),
 		routed:  make(map[string]int64),
 	}

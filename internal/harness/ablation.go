@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"eventhit/internal/core"
+	"eventhit/internal/strategy"
 )
 
 // AblationRow is one design variant's operating points.
@@ -28,11 +29,7 @@ type AblationRow struct {
 //   - tau-sweep: no conformal layers at all, just sweeping the raw
 //     thresholds τ1 = τ2 (what conformal calibration buys beyond threshold
 //     tuning is visible in MaxREC / SPL@0.9).
-func Ablations(taskName string, opt Options, seed int64, w io.Writer) ([]AblationRow, error) {
-	task, err := TaskByName(taskName)
-	if err != nil {
-		return nil, err
-	}
+func Ablations(task Task, opt Options, seed int64, w io.Writer) ([]AblationRow, error) {
 	variants := []struct {
 		name string
 		mod  func(*Options)
@@ -56,67 +53,45 @@ func Ablations(taskName string, opt Options, seed int64, w io.Writer) ([]Ablatio
 		if v.name == "full" {
 			fullEnv = env
 		}
-		eho, err := env.Eval(env.Bundle.EHO(), 0)
+		eho, ehcr, curve, err := env.headline()
 		if err != nil {
 			return nil, err
 		}
-		ehcr, err := env.Eval(env.Bundle.EHCR(0.9, 0.9), 0.9)
-		if err != nil {
-			return nil, err
-		}
-		curve, err := env.CurveEHCR(ConfidenceLevels())
-		if err != nil {
-			return nil, err
-		}
-		row := AblationRow{Variant: v.name, EHO: eho, EHCR: ehcr}
-		for _, p := range curve {
-			if p.REC > row.MaxREC {
-				row.MaxREC = p.REC
-			}
-		}
-		if spl, ok := MinSPLAtREC(curve, 0.9); ok {
-			row.SPLAt09 = spl
-		} else {
-			row.SPLAt09 = -1
-		}
-		rows = append(rows, row)
+		rows = append(rows, AblationRow{Variant: v.name, EHO: eho, EHCR: ehcr,
+			MaxREC: maxREC(curve).REC, SPLAt09: splAt09(curve)})
 	}
 
 	// tau-sweep: the conformal-free alternative, swept over raw thresholds
 	// on the full model.
-	tauRow := AblationRow{Variant: "tau-sweep", SPLAt09: -1}
-	var tauCurve []Point
-	for _, tau := range []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7} {
-		p, err := fullEnv.Eval(fullEnv.Bundle.WithTaus(tau, tau).EHO(), tau)
-		if err != nil {
-			return nil, err
-		}
-		tauCurve = append(tauCurve, p)
-		if p.REC > tauRow.MaxREC {
-			tauRow.MaxREC = p.REC
-		}
+	tauCurve, err := fullEnv.sweep([]float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7},
+		func(tau float64) strategy.Strategy { return fullEnv.Bundle.WithTaus(tau, tau).EHO() })
+	if err != nil {
+		return nil, err
 	}
-	if spl, ok := MinSPLAtREC(tauCurve, 0.9); ok {
-		tauRow.SPLAt09 = spl
-	}
-	tauRow.EHO = tauCurve[len(tauCurve)/2]
-	rows = append(rows, tauRow)
+	rows = append(rows, AblationRow{Variant: "tau-sweep", EHO: tauCurve[len(tauCurve)/2],
+		MaxREC: maxREC(tauCurve).REC, SPLAt09: splAt09(tauCurve)})
 
-	if w != nil {
-		t := NewTable(fmt.Sprintf("Ablations on %s (seed %d)", taskName, seed),
-			"variant", "EHO REC", "EHO SPL", "EHCR(.9) REC", "EHCR(.9) SPL", "max REC", "SPL@REC>=0.9")
-		for _, r := range rows {
-			at09 := "unreached"
-			if r.SPLAt09 >= 0 {
-				at09 = fmt.Sprintf("%.3f", r.SPLAt09)
-			}
-			if r.Variant == "tau-sweep" {
-				t.Addf(r.Variant, r.EHO.REC, r.EHO.SPL, "-", "-", r.MaxREC, at09)
-				continue
-			}
-			t.Addf(r.Variant, r.EHO.REC, r.EHO.SPL, r.EHCR.REC, r.EHCR.SPL, r.MaxREC, at09)
+	t := NewTable(fmt.Sprintf("Ablations on %s (seed %d)", task.Name, seed),
+		"variant", "EHO REC", "EHO SPL", "EHCR(.9) REC", "EHCR(.9) SPL", "max REC", "SPL@REC>=0.9")
+	for _, r := range rows {
+		at09 := "unreached"
+		if r.SPLAt09 >= 0 {
+			at09 = fmt.Sprintf("%.3f", r.SPLAt09)
 		}
-		t.Render(w)
+		if r.Variant == "tau-sweep" {
+			t.Addf(r.Variant, r.EHO.REC, r.EHO.SPL, "-", "-", r.MaxREC, at09)
+			continue
+		}
+		t.Addf(r.Variant, r.EHO.REC, r.EHO.SPL, r.EHCR.REC, r.EHCR.SPL, r.MaxREC, at09)
 	}
+	t.Render(w)
 	return rows, nil
+}
+
+// splAt09 is the smallest SPL among the points reaching REC >= 0.9, or -1.
+func splAt09(curve []Point) float64 {
+	if spl, ok := MinSPLAtREC(curve, 0.9); ok {
+		return spl
+	}
+	return -1
 }

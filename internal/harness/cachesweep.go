@@ -54,11 +54,11 @@ type CacheResult struct {
 	Points              []CachePoint `json:"points"`
 }
 
-// CacheEpsilons returns the default signature-tolerance sweep. 0 is the
+// CacheEpsilons returns the signature-tolerance sweep. 0 is the
 // exact-match control whose recall delta must be exactly zero.
 func CacheEpsilons() []float64 { return []float64{0, 0.25, 1.0} }
 
-// CacheTTLs returns the default entry-lifetime sweep in simulated frames.
+// CacheTTLs returns the entry-lifetime sweep in simulated frames.
 func CacheTTLs() []int { return []int{2_000, 30_000} }
 
 // CacheFleetPolicy is the scheduler policy the cache sweep runs under:
@@ -96,21 +96,8 @@ func meanRealizedREC(rep *fleet.Report) float64 {
 // the shared CI result cache on. Every cell rebuilds its streams from the
 // same seeds, so the only varying input is the cache config; at Epsilon 0
 // the delta is pure savings — coalesced twin relays — with zero recall
-// cost. frames <= 0 marshals whole streams; n <= 0 defaults to 4.
-func CacheSweep(taskName string, opt Options, n, frames int, fcfg fleet.Config, epsilons []float64, ttls []int, seed int64, w io.Writer) (*CacheResult, error) {
-	task, err := TaskByName(taskName)
-	if err != nil {
-		return nil, err
-	}
-	if n <= 0 {
-		n = 4
-	}
-	if len(epsilons) == 0 {
-		epsilons = CacheEpsilons()
-	}
-	if len(ttls) == 0 {
-		ttls = CacheTTLs()
-	}
+// cost. frames <= 0 marshals whole streams.
+func CacheSweep(task Task, opt Options, n, frames int, fcfg fleet.Config, seed int64, w io.Writer) (*CacheResult, error) {
 	env, err := NewEnv(task, opt, seed)
 	if err != nil {
 		return nil, err
@@ -119,25 +106,16 @@ func CacheSweep(taskName string, opt Options, n, frames int, fcfg fleet.Config, 
 		eps float64
 		ttl int
 	}
-	grid := make([]cell, 0, len(epsilons)*len(ttls))
-	for _, e := range epsilons {
-		for _, ttl := range ttls {
+	var grid []cell
+	for _, e := range CacheEpsilons() {
+		for _, ttl := range CacheTTLs() {
 			grid = append(grid, cell{e, ttl})
 		}
-	}
-	res := &CacheResult{
-		Task: task.Name, Seed: seed, Streams: n, Scenes: (n + 1) / 2,
-		Frames: frames, Confidence: fleetConfidence, Coverage: fleetConfidence,
-		Points: make([]CachePoint, len(grid)),
 	}
 	// Cell 0 is the uncached baseline; cells 1.. are the grid. Each cell
 	// rebuilds its streams (extractors are stateful) and runs with a fresh
 	// run-scoped registry (Config.Metrics nil).
-	if err := forEachCell(1+len(grid), func(i int) error {
-		streams, err := fleetStreams(env, n, frames, seed, pairedScene)
-		if err != nil {
-			return err
-		}
+	reps, err := cells(1+len(grid), func(i int) (*fleet.Report, error) {
 		cfg := fcfg
 		cfg.Metrics = nil
 		if i > 0 {
@@ -146,45 +124,42 @@ func CacheSweep(taskName string, opt Options, n, frames int, fcfg fleet.Config, 
 			cc.TTLFrames = grid[i-1].ttl
 			cfg.Cache = &cc
 		}
-		rep, err := fleet.Run(streams, cfg)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			res.BaselineFrames = rep.TotalFrames
-			res.BaselineSpentUSD = rep.TotalSpentUSD
-			res.BaselineRealizedREC = meanRealizedREC(rep)
-			return nil
-		}
+		return runFleet(env, n, frames, seed, pairedScene, cfg)
+	})
+	if err != nil {
+		return nil, err
+	}
+	base := reps[0]
+	res := &CacheResult{
+		Task: task.Name, Seed: seed, Streams: n, Scenes: (n + 1) / 2,
+		Frames: frames, Confidence: opLevel, Coverage: opLevel,
+		BaselineFrames: base.TotalFrames, BaselineSpentUSD: base.TotalSpentUSD,
+		BaselineRealizedREC: meanRealizedREC(base),
+	}
+	for i, rep := range reps[1:] {
 		cs := rep.CacheStats()
-		res.Points[i-1] = CachePoint{
-			Epsilon: grid[i-1].eps, TTLFrames: grid[i-1].ttl,
+		realized := meanRealizedREC(rep)
+		res.Points = append(res.Points, CachePoint{
+			Epsilon: grid[i].eps, TTLFrames: grid[i].ttl,
 			Hits: rep.CacheHits, Misses: cs.Misses, BadHits: rep.CacheBadHits,
 			Evictions:   cs.Evictions,
 			SavedFrames: rep.CacheSavedFrames, SavedUSD: rep.CacheSavedUSD,
 			Frames: rep.TotalFrames, SpentUSD: rep.TotalSpentUSD,
 			Served: rep.Served, Deferred: rep.Deferred, Shed: rep.Shed,
-			RealizedREC: meanRealizedREC(rep),
-		}
-		return nil
-	}); err != nil {
-		return nil, err
+			RealizedREC: realized,
+			RECDelta:    res.BaselineRealizedREC - realized,
+		})
 	}
-	for i := range res.Points {
-		res.Points[i].RECDelta = res.BaselineRealizedREC - res.Points[i].RealizedREC
+	t := NewTable(fmt.Sprintf("CI result cache — %d x %s cams over %d scenes, EHCR(c=α=%.2f); baseline $%.2f (%d frames), realized REC %.3f",
+		n, task.Name, res.Scenes, opLevel, res.BaselineSpentUSD, res.BaselineFrames, res.BaselineRealizedREC),
+		"epsilon", "TTL", "hits", "bad", "saved frames", "saved $", "billed $", "REC delta")
+	for _, p := range res.Points {
+		t.Addf(p.Epsilon, p.TTLFrames, p.Hits, p.BadHits, p.SavedFrames,
+			fmt.Sprintf("%.2f", p.SavedUSD), fmt.Sprintf("%.2f", p.SpentUSD),
+			fmt.Sprintf("%+.3f", p.RECDelta))
 	}
-	if w != nil {
-		t := NewTable(fmt.Sprintf("CI result cache — %d x %s cams over %d scenes, EHCR(c=α=%.2f); baseline $%.2f (%d frames), realized REC %.3f",
-			n, task.Name, res.Scenes, fleetConfidence, res.BaselineSpentUSD, res.BaselineFrames, res.BaselineRealizedREC),
-			"epsilon", "TTL", "hits", "bad", "saved frames", "saved $", "billed $", "REC delta")
-		for _, p := range res.Points {
-			t.Addf(p.Epsilon, p.TTLFrames, p.Hits, p.BadHits, p.SavedFrames,
-				fmt.Sprintf("%.2f", p.SavedUSD), fmt.Sprintf("%.2f", p.SpentUSD),
-				fmt.Sprintf("%+.3f", p.RECDelta))
-		}
-		t.Render(w)
-		fmt.Fprintln(w, "epsilon 0 is the exact-match control: savings come from twin-scene coalescing at zero recall cost")
-		fmt.Fprintln(w)
-	}
+	t.Render(w)
+	fmt.Fprintln(w, "epsilon 0 is the exact-match control: savings come from twin-scene coalescing at zero recall cost")
+	fmt.Fprintln(w)
 	return res, nil
 }

@@ -16,7 +16,7 @@ func TestCacheSweepQuick(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	var buf bytes.Buffer
-	res, err := CacheSweep("TA10", Quick(), 4, 12_000, CacheFleetPolicy(1), nil, nil, 5, &buf)
+	res, err := CacheSweep(mustTask("TA10"), Quick(), 4, 12_000, CacheFleetPolicy(1), 5, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +60,7 @@ func TestCacheSweepDeterministicAcrossParallelism(t *testing.T) {
 	run := func(cells, fleetPar int) []byte {
 		old := SetParallelism(cells)
 		defer SetParallelism(old)
-		res, err := CacheSweep("TA10", Quick(), 4, 8_000, CacheFleetPolicy(fleetPar),
-			[]float64{0, 1}, []int{30_000}, 5, io.Discard)
+		res, err := CacheSweep(mustTask("TA10"), Quick(), 4, 8_000, CacheFleetPolicy(fleetPar), 5, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,10 +32,6 @@ const CascadeRECTol = 0.02
 // per-horizon predict compute saving versus the full model alone.
 const CascadeMinComputeCut = 0.30
 
-// cascadeConfidence is the EHCR operating point the cascade's full rung
-// and the baseline both decide at.
-const cascadeConfidence = 0.9
-
 // CascadeRungStat is one ladder position's serving record at a sweep
 // point (the last entry is always the full rung).
 type CascadeRungStat struct {
@@ -113,8 +109,7 @@ func CascadeLadders() [][]cascade.RungSpec {
 	}
 }
 
-// CascadeExitConfidences and CascadeWidthFracs are the default
-// decisiveness grid.
+// CascadeExitConfidences and CascadeWidthFracs are the decisiveness grid.
 func CascadeExitConfidences() []float64 { return []float64{0.90, 0.95, 0.98} }
 func CascadeWidthFracs() []float64      { return []float64{0.6, 0.8, 1.0} }
 
@@ -143,28 +138,16 @@ func NewCascade(env *Env, cfg cascade.Config) (*cascade.Cascade, error) {
 // over the decisiveness grid. Ladders are independent pool cells (each
 // trains its own lowered rungs; the full bundle is only read, so every
 // cell shares it), so the result is byte-identical at any harness
-// parallelism. Nil ladder/grid arguments take the package defaults. It
+// parallelism. It
 // fails rather than publishes when no point meets both pinned selection
 // bars.
-func CascadeSweep(taskName string, opt Options, ladders [][]cascade.RungSpec, exitConfs, widthFracs []float64, seed int64, w io.Writer) (*CascadeResult, error) {
-	if ladders == nil {
-		ladders = CascadeLadders()
-	}
-	if exitConfs == nil {
-		exitConfs = CascadeExitConfidences()
-	}
-	if widthFracs == nil {
-		widthFracs = CascadeWidthFracs()
-	}
-	task, err := TaskByName(taskName)
-	if err != nil {
-		return nil, err
-	}
+func CascadeSweep(task Task, opt Options, seed int64, w io.Writer) (*CascadeResult, error) {
+	ladders, exitConfs, widthFracs := CascadeLadders(), CascadeExitConfidences(), CascadeWidthFracs()
 	env, err := NewEnv(task, opt, seed)
 	if err != nil {
 		return nil, err
 	}
-	baseline, err := env.Eval(env.Bundle.EHCR(cascadeConfidence, cascadeConfidence), 0)
+	baseline, err := env.Eval(env.ehcr90(), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -173,38 +156,38 @@ func CascadeSweep(taskName string, opt Options, ladders [][]cascade.RungSpec, ex
 		Window:     env.Cfg.Window,
 		Horizon:    env.Cfg.Horizon,
 		Seed:       seed,
-		Confidence: cascadeConfidence, Coverage: cascadeConfidence,
+		Confidence: opLevel, Coverage: opLevel,
 		RECTol:        CascadeRECTol,
 		MinComputeCut: CascadeMinComputeCut,
 		BaselineREC:   baseline.REC,
 		BaselineSPL:   baseline.SPL,
 	}
 
-	cells := make([][]CascadePoint, len(ladders))
-	err = forEachCell(len(ladders), func(li int) error {
+	perLadder, err := cells(len(ladders), func(li int) ([]CascadePoint, error) {
 		// Lowered rungs are deterministic given the shared seed, so cells
 		// are order-independent.
 		cfg := cascade.DefaultConfig()
 		cfg.Rungs = ladders[li]
-		cfg.Confidence, cfg.Coverage = cascadeConfidence, cascadeConfidence
+		cfg.Confidence, cfg.Coverage = opLevel, opLevel
 		casc, err := NewCascade(env, cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		name := LadderName(ladders[li])
+		var pts []CascadePoint
 		for _, conf := range exitConfs {
 			for _, frac := range widthFracs {
 				view, err := casc.WithThresholds(conf, frac)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				pt, err := env.Eval(view, 0)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				s := view.Stats()
 				if s.Horizons != int64(len(env.Splits.Test)) {
-					return fmt.Errorf("harness: cascade served %d horizons, test split has %d",
+					return nil, fmt.Errorf("harness: cascade served %d horizons, test split has %d",
 						s.Horizons, len(env.Splits.Test))
 				}
 				cp := CascadePoint{
@@ -236,15 +219,15 @@ func CascadeSweep(taskName string, opt Options, ladders [][]cascade.RungSpec, ex
 					})
 					reached -= s.Exits[i]
 				}
-				cells[li] = append(cells[li], cp)
+				pts = append(pts, cp)
 			}
 		}
-		return nil
+		return pts, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, pts := range cells {
+	for _, pts := range perLadder {
 		res.Points = append(res.Points, pts...)
 	}
 
@@ -263,24 +246,22 @@ func CascadeSweep(taskName string, opt Options, ladders [][]cascade.RungSpec, ex
 	}
 	res.Selected = res.Points[best]
 
-	if w != nil {
-		t := NewTable(fmt.Sprintf("Early-inference cascade — %s (baseline EHCR REC=%.4f SPL=%.4f)",
-			task.Name, baseline.REC, baseline.SPL),
-			"ladder", "exit conf", "width", "REC Δ", "SPL Δ", "ms/horizon", "compute cut", "exit rates")
-		for _, p := range res.Points {
-			rates := make([]string, len(p.Rungs))
-			for i, r := range p.Rungs {
-				rates[i] = fmt.Sprintf("%s %.0f%%", r.Name, 100*r.ExitRate)
-			}
-			t.Addf(p.Ladder, fmt.Sprintf("%.2f", p.ExitConfidence), fmt.Sprintf("%.1f", p.MaxWidthFrac),
-				fmt.Sprintf("%+.4f", p.RECDelta), fmt.Sprintf("%+.4f", p.SPLDelta),
-				fmt.Sprintf("%.3f", p.MeanPredictMS), fmt.Sprintf("%.0f%%", 100*p.ComputeCut),
-				strings.Join(rates, ", "))
+	t := NewTable(fmt.Sprintf("Early-inference cascade — %s (baseline EHCR REC=%.4f SPL=%.4f)",
+		task.Name, baseline.REC, baseline.SPL),
+		"ladder", "exit conf", "width", "REC Δ", "SPL Δ", "ms/horizon", "compute cut", "exit rates")
+	for _, p := range res.Points {
+		rates := make([]string, len(p.Rungs))
+		for i, r := range p.Rungs {
+			rates[i] = fmt.Sprintf("%s %.0f%%", r.Name, 100*r.ExitRate)
 		}
-		t.Render(w)
-		fmt.Fprintf(w, "selected: ladder %s at exit confidence %.2f, width %.1f — REC delta %+.4f, compute cut %.0f%%\n",
-			res.Selected.Ladder, res.Selected.ExitConfidence, res.Selected.MaxWidthFrac,
-			res.Selected.RECDelta, 100*res.Selected.ComputeCut)
+		t.Addf(p.Ladder, fmt.Sprintf("%.2f", p.ExitConfidence), fmt.Sprintf("%.1f", p.MaxWidthFrac),
+			fmt.Sprintf("%+.4f", p.RECDelta), fmt.Sprintf("%+.4f", p.SPLDelta),
+			fmt.Sprintf("%.3f", p.MeanPredictMS), fmt.Sprintf("%.0f%%", 100*p.ComputeCut),
+			strings.Join(rates, ", "))
 	}
+	t.Render(w)
+	fmt.Fprintf(w, "selected: ladder %s at exit confidence %.2f, width %.1f — REC delta %+.4f, compute cut %.0f%%\n",
+		res.Selected.Ladder, res.Selected.ExitConfidence, res.Selected.MaxWidthFrac,
+		res.Selected.RECDelta, 100*res.Selected.ComputeCut)
 	return res, nil
 }

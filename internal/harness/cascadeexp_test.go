@@ -21,7 +21,7 @@ func TestCascadeSweepQuick(t *testing.T) {
 		prev := SetParallelism(par)
 		defer SetParallelism(prev)
 		var buf bytes.Buffer
-		res, err := CascadeSweep("TA1", Quick(), nil, nil, nil, 1, &buf)
+		res, err := CascadeSweep(mustTask("TA1"), Quick(), 1, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,7 @@
 package harness
 
 import (
-	"sort"
-
+	"eventhit/internal/dataset"
 	"eventhit/internal/metrics"
 	"eventhit/internal/strategy"
 )
@@ -20,24 +19,29 @@ type Point struct {
 
 // Eval scores one strategy on the environment's test set.
 func (e *Env) Eval(s strategy.Strategy, knob float64) (Point, error) {
-	preds := strategy.PredictAll(s, e.Splits.Test)
-	return e.score(preds, knob)
+	return e.evalOn(e.Splits.Test, s, knob)
 }
 
-func (e *Env) score(preds []metrics.Prediction, knob float64) (Point, error) {
-	rec, err := metrics.REC(e.Splits.Test, preds)
+// evalOn scores one strategy on any records of the environment's geometry
+// (the test split, a foreign stream's records).
+func (e *Env) evalOn(recs []dataset.Record, s strategy.Strategy, knob float64) (Point, error) {
+	return e.score(recs, strategy.PredictAll(s, recs), knob)
+}
+
+func (e *Env) score(recs []dataset.Record, preds []metrics.Prediction, knob float64) (Point, error) {
+	rec, err := metrics.REC(recs, preds)
 	if err != nil {
 		return Point{}, err
 	}
-	spl, err := metrics.SPL(e.Splits.Test, preds, e.Cfg.Horizon)
+	spl, err := metrics.SPL(recs, preds, e.Cfg.Horizon)
 	if err != nil {
 		return Point{}, err
 	}
-	recc, err := metrics.RECc(e.Splits.Test, preds)
+	recc, err := metrics.RECc(recs, preds)
 	if err != nil {
 		return Point{}, err
 	}
-	recr, err := metrics.RECr(e.Splits.Test, preds)
+	recr, err := metrics.RECr(recs, preds)
 	if err != nil {
 		return Point{}, err
 	}
@@ -45,6 +49,57 @@ func (e *Env) score(preds []metrics.Prediction, knob float64) (Point, error) {
 		Knob: knob, REC: rec, SPL: spl, RECc: recc, RECr: recr,
 		Frames: metrics.FramesSent(preds),
 	}, nil
+}
+
+// existence counts the truly positive (record, event) pairs in recs and how
+// many of them s predicts to occur — REC_c's numerator and denominator.
+func existence(s strategy.Strategy, recs []dataset.Record) (kept, pos int) {
+	preds := strategy.PredictAll(s, recs)
+	for n, r := range recs {
+		for k, lab := range r.Label {
+			if !lab {
+				continue
+			}
+			pos++
+			if preds[n].Occur[k] {
+				kept++
+			}
+		}
+	}
+	return kept, pos
+}
+
+// headlinePoints scores the two operating points every overview row starts
+// from, on recs: EHO (raw thresholds) and EHCR at c = alpha = 0.9.
+func (e *Env) headlinePoints(recs []dataset.Record) (eho, ehcr90 Point, err error) {
+	if eho, err = e.evalOn(recs, e.Bundle.EHO(), 0); err != nil {
+		return eho, ehcr90, err
+	}
+	ehcr90, err = e.evalOn(recs, e.ehcr90(), opLevel)
+	return eho, ehcr90, err
+}
+
+// headline is headlinePoints on the test split plus the EHCR curve over
+// ConfidenceLevels, from which a row reads its best recall (maxREC) and its
+// cost at REC >= 0.9 (MinSPLAtREC).
+func (e *Env) headline() (eho, ehcr90 Point, curve []Point, err error) {
+	if eho, ehcr90, err = e.headlinePoints(e.Splits.Test); err != nil {
+		return eho, ehcr90, nil, err
+	}
+	curve, err = e.CurveEHCR(ConfidenceLevels())
+	return eho, ehcr90, curve, err
+}
+
+// maxREC returns the point of highest recall (the first, on ties); the zero
+// Point when no point has positive recall.
+func maxREC(pts []Point) Point {
+	var best Point
+	for _, p := range pts {
+		if p.REC > best.REC {
+			best = p
+		}
+	}
+	return best
 }
 
 // ConfidenceLevels is the default sweep grid for c and α.
@@ -150,9 +205,4 @@ func MinSPLAtREC(pts []Point, target float64) (float64, bool) {
 		}
 	}
 	return best, found
-}
-
-// SortBySPL orders points by ascending SPL (for readable curve output).
-func SortBySPL(pts []Point) {
-	sort.Slice(pts, func(i, j int) bool { return pts[i].SPL < pts[j].SPL })
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"eventhit/internal/metrics"
-	"eventhit/internal/strategy"
 	"eventhit/internal/video"
 )
 
@@ -33,13 +31,8 @@ func Density(opt Options, multipliers []float64, seed int64, w io.Writer) ([]Den
 	if len(multipliers) == 0 {
 		multipliers = []float64{0.5, 1, 2, 4}
 	}
-	base, err := TaskByName("TA10")
-	if err != nil {
-		return nil, err
-	}
-	// One pool cell per multiplier, slotted by index.
-	rows := make([]DensityRow, len(multipliers))
-	if err := forEachCell(len(multipliers), func(i int) error {
+	base := mustTask("TA10")
+	rows, err := cells(len(multipliers), func(i int) (DensityRow, error) {
 		mult := multipliers[i]
 		spec := base.Dataset
 		evs := make([]video.EventSpec, len(spec.Events))
@@ -56,22 +49,15 @@ func Density(opt Options, multipliers []float64, seed int64, w io.Writer) ([]Den
 
 		env, err := NewEnv(task, opt, seed)
 		if err != nil {
-			return fmt.Errorf("harness: density x%.1f: %w", mult, err)
+			return DensityRow{}, fmt.Errorf("harness: density x%.1f: %w", mult, err)
 		}
-		row := DensityRow{Multiplier: mult}
+		row := DensityRow{Multiplier: mult, SavingsAt90: -1}
 		evFrames := env.Stream.EventFrames(task.EventIdx[0], video.Interval{Start: 0, End: env.Stream.N - 1})
 		row.EventFraction = float64(evFrames) / float64(env.Stream.N)
-		if row.EHO, err = env.Eval(env.Bundle.EHO(), 0); err != nil {
-			return err
+		var curve []Point
+		if row.EHO, row.EHCR90, curve, err = env.headline(); err != nil {
+			return DensityRow{}, err
 		}
-		if row.EHCR90, err = env.Eval(env.Bundle.EHCR(0.9, 0.9), 0.9); err != nil {
-			return err
-		}
-		curve, err := env.CurveEHCR(ConfidenceLevels())
-		if err != nil {
-			return err
-		}
-		row.SavingsAt90 = -1
 		bfFrames := len(env.Splits.Test) * env.Cfg.Horizon * task.NumEvents()
 		bestFrames := -1
 		for _, p := range curve {
@@ -82,26 +68,22 @@ func Density(opt Options, multipliers []float64, seed int64, w io.Writer) ([]Den
 		if bestFrames >= 0 {
 			row.SavingsAt90 = 1 - float64(bestFrames)/float64(bfFrames)
 		}
-		// Score frames-sent on the same test set for the fraction check.
-		_ = metrics.FramesSent(strategy.PredictAll(env.Bundle.EHO(), env.Splits.Test))
-		rows[i] = row
-		return nil
-	}); err != nil {
+		return row, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	if w != nil {
-		t := NewTable("Event-density sensitivity (TA10, occurrence rate scaled)",
-			"multiplier", "event fraction", "EHO REC", "EHO SPL", "savings @ REC>=0.9")
-		for _, r := range rows {
-			sv := "unreached"
-			if r.SavingsAt90 >= 0 {
-				sv = fmt.Sprintf("%.1f%%", 100*r.SavingsAt90)
-			}
-			t.Addf(fmt.Sprintf("x%.1f", r.Multiplier), r.EventFraction, r.EHO.REC, r.EHO.SPL, sv)
+	t := NewTable("Event-density sensitivity (TA10, occurrence rate scaled)",
+		"multiplier", "event fraction", "EHO REC", "EHO SPL", "savings @ REC>=0.9")
+	for _, r := range rows {
+		sv := "unreached"
+		if r.SavingsAt90 >= 0 {
+			sv = fmt.Sprintf("%.1f%%", 100*r.SavingsAt90)
 		}
-		t.Render(w)
-		fmt.Fprintln(w, "sparser events (needle in a haystack) -> larger marshalling savings, as §I argues")
-		fmt.Fprintln(w)
+		t.Addf(fmt.Sprintf("x%.1f", r.Multiplier), r.EventFraction, r.EHO.REC, r.EHO.SPL, sv)
 	}
+	t.Render(w)
+	fmt.Fprintln(w, "sparser events (needle in a haystack) -> larger marshalling savings, as §I argues")
+	fmt.Fprintln(w)
 	return rows, nil
 }

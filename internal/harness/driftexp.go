@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"io"
 
-	"eventhit/internal/core"
 	"eventhit/internal/dataset"
 	"eventhit/internal/drift"
 	"eventhit/internal/features"
-	"eventhit/internal/mathx"
+	"eventhit/internal/metrics"
 	"eventhit/internal/strategy"
-	"eventhit/internal/video"
 )
 
 // DriftResult summarizes the drift-adaptation experiment.
@@ -31,24 +29,16 @@ type DriftResult struct {
 // coverage collapses under the stale calibration, how quickly the
 // monitor raises an alarm, and how much coverage a recalibration from
 // post-shift outcomes restores.
-func DriftExperiment(taskName string, opt Options, confidence float64, seed int64, w io.Writer) (*DriftResult, error) {
-	task, err := TaskByName(taskName)
-	if err != nil {
-		return nil, err
-	}
+func DriftExperiment(task Task, opt Options, confidence float64, seed int64, w io.Writer) (*DriftResult, error) {
 	if task.NumEvents() != 1 {
-		return nil, fmt.Errorf("harness: drift experiment needs a single-event task, %s has %d", taskName, task.NumEvents())
+		return nil, fmt.Errorf("harness: drift experiment needs a single-event task, %s has %d", task.Name, task.NumEvents())
 	}
-	g := mathx.NewRNG(seed)
-	cfg := dataset.Config{Window: task.Dataset.Window, Horizon: task.Dataset.Horizon}
-	st := video.Generate(task.Dataset, g.Split(1))
-
 	// Detector degrades at the start of the final eighth of the stream
 	// (the second half of the test region), leaving the first half of the
 	// test region as the clean pre-shift evaluation set. The degradation
 	// is severe: heavy measurement noise, frequent misses and false
 	// positives — a camera knocked out of position.
-	switchFrame := 7 * st.N / 8
+	switchFrame := 7 * task.Dataset.StreamLen / 8
 	// The degradation must destroy the positive-window signal (missed cues,
 	// washed-out ramps via CueGain) rather than add noise everywhere —
 	// broadband noise or extra false positives push scores up and break
@@ -59,39 +49,19 @@ func DriftExperiment(taskName string, opt Options, confidence float64, seed int6
 		FPRate:   opt.Detector.FPRate,
 		CueGain:  0.25,
 	}
-	ex, err := features.NewDriftingExtractor(st, task.EventIdx, opt.Detector, degraded, switchFrame, seed)
+	env, err := newEnv(task, opt, seed, &degraded, switchFrame)
 	if err != nil {
 		return nil, err
 	}
-	splits, err := dataset.Build(ex, dataset.SampleConfig{
-		Config: cfg,
-		NTrain: opt.NTrain, NCCalib: opt.NCCalib, NRCalib: opt.NRCalib, NTest: opt.NTest,
-		TrainPosFrac: opt.TrainPosFrac,
-	}, g.Split(2))
-	if err != nil {
-		return nil, err
-	}
-	m, err := core.New(core.DefaultConfig(ex.Dim(), cfg.Window, cfg.Horizon, 1))
-	if err != nil {
-		return nil, err
-	}
-	tc := core.DefaultTrainConfig()
-	tc.Epochs = opt.Epochs
-	if _, err := m.Train(splits.Train, tc); err != nil {
-		return nil, err
-	}
-	bundle, err := strategy.Calibrate(m, splits.CCalib, splits.RCalib)
-	if err != nil {
-		return nil, err
-	}
+	cfg, bundle := env.Cfg, env.Bundle
 
-	res := &DriftResult{Task: taskName, Confidence: confidence, OutcomesToAlarm: -1}
+	res := &DriftResult{Task: task.Name, Confidence: confidence, OutcomesToAlarm: -1}
 
 	// Pre-shift coverage: the ordinary test split lies in the third/fourth
 	// quarter; restrict to records whose whole window+horizon precedes the
 	// switch.
 	var preRecs []dataset.Record
-	for _, r := range splits.Test {
+	for _, r := range env.Splits.Test {
 		if r.Frame+cfg.Horizon < switchFrame {
 			preRecs = append(preRecs, r)
 		}
@@ -114,20 +84,24 @@ func DriftExperiment(taskName string, opt Options, confidence float64, seed int6
 	if stride == 0 {
 		stride = 1
 	}
-	for t := switchFrame + cfg.Window; t+cfg.Horizon < st.N; t += stride {
-		rec, err := dataset.BuildRecord(ex, t, cfg)
+	// One decision per anchor serves both consumers: the raw scores feed the
+	// recalibration buffer, the existence verdict feeds the monitor.
+	rule := strategy.Rule{ConformalExistence: true, Confidence: confidence}
+	var sc strategy.Scratch
+	var kept metrics.Prediction
+	for t := switchFrame + cfg.Window; t+cfg.Horizon < env.Stream.N; t += stride {
+		rec, err := dataset.BuildRecord(env.Ex, t, cfg)
 		if err != nil {
 			return nil, err
 		}
 		postRecs = append(postRecs, rec)
-		out := m.Predict(rec.X)
-		if err := recal.Add(out.B, rec.Label); err != nil {
+		scores := bundle.Decide(rec, rule, &sc, &kept)
+		if err := recal.Add(scores, rec.Label); err != nil {
 			return nil, err
 		}
 		if !rec.Label[0] {
 			continue
 		}
-		kept := ehc.Predict(rec)
 		outcomes++
 		if mon.Observe(kept.Occur[0]) && !res.AlarmRaised {
 			res.AlarmRaised = true
@@ -142,46 +116,27 @@ func DriftExperiment(taskName string, opt Options, confidence float64, seed int6
 	if err != nil {
 		return nil, err
 	}
-	kept, pos := 0, 0
-	for _, r := range postRecs {
-		if !r.Label[0] {
-			continue
-		}
-		pos++
-		out := m.Predict(r.X)
-		if cls.Predict(out.B, confidence)[0] {
-			kept++
-		}
+	restored, err := bundle.WithClassifier(cls)
+	if err != nil {
+		return nil, err
 	}
-	if pos > 0 {
-		res.CoverageRestored = float64(kept) / float64(pos)
-	}
+	res.CoverageRestored = positiveCoverage(restored.EHC(confidence), postRecs)
 
-	if w != nil {
-		t := NewTable(fmt.Sprintf("Drift adaptation on %s (c=%.2f, detector degrades at frame %d)",
-			taskName, confidence, switchFrame), "quantity", "value")
-		t.Addf("existence coverage, pre-shift", res.CoverageBefore)
-		t.Addf("existence coverage, post-shift (stale calibration)", res.CoverageAfter)
-		t.Addf("alarm raised", res.AlarmRaised)
-		t.Addf("positive outcomes until alarm", res.OutcomesToAlarm)
-		t.Addf("existence coverage, post-shift (recalibrated)", res.CoverageRestored)
-		t.Render(w)
-	}
+	t := NewTable(fmt.Sprintf("Drift adaptation on %s (c=%.2f, detector degrades at frame %d)",
+		task.Name, confidence, switchFrame), "quantity", "value")
+	t.Addf("existence coverage, pre-shift", res.CoverageBefore)
+	t.Addf("existence coverage, post-shift (stale calibration)", res.CoverageAfter)
+	t.Addf("alarm raised", res.AlarmRaised)
+	t.Addf("positive outcomes until alarm", res.OutcomesToAlarm)
+	t.Addf("existence coverage, post-shift (recalibrated)", res.CoverageRestored)
+	t.Render(w)
 	return res, nil
 }
 
-// positiveCoverage is REC_c of one strategy restricted to positives.
+// positiveCoverage is REC_c of one strategy: existence as a ratio, 0 when
+// recs hold no positive.
 func positiveCoverage(s strategy.Strategy, recs []dataset.Record) float64 {
-	kept, pos := 0, 0
-	for _, r := range recs {
-		if !r.Label[0] {
-			continue
-		}
-		pos++
-		if s.Predict(r).Occur[0] {
-			kept++
-		}
-	}
+	kept, pos := existence(s, recs)
 	if pos == 0 {
 		return 0
 	}

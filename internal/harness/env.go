@@ -68,7 +68,43 @@ type Env struct {
 // and VQS baselines. seed controls everything; distinct seeds are the
 // paper's independent trials.
 func NewEnv(task Task, opt Options, seed int64) (*Env, error) {
+	return newEnv(task, opt, seed, nil, 0)
+}
+
+// newEnv is NewEnv on a camera whose detector degrades to *after at frame
+// driftAt (after nil: never) — the drift experiment's environment.
+func newEnv(task Task, opt Options, seed int64, after *features.DetectorConfig, driftAt int) (*Env, error) {
 	g := mathx.NewRNG(seed)
+	st := video.Generate(task.Dataset, g.Split(1))
+	var ex *features.Extractor
+	var err error
+	if after != nil {
+		ex, err = features.NewDriftingExtractor(st, task.EventIdx, opt.Detector, *after, driftAt, seed)
+	} else {
+		ex, err = features.NewExtractor(st, task.EventIdx, opt.Detector, seed)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s: %w", task.Name, err)
+	}
+	env, err := trainOn(task, opt, seed, ex, g.Split(2))
+	if err != nil {
+		return nil, err
+	}
+	env.Ex = ex
+	env.Cox, err = strategy.FitCox(env.Splits.Train, env.Cfg.Horizon, 0.5, strategy.DefaultCoxConfig())
+	if err != nil {
+		return nil, fmt.Errorf("harness: fitting Cox for %s: %w", task.Name, err)
+	}
+	env.VQS, err = strategy.NewVQS(ex, env.Cfg.Horizon, env.Cfg.Horizon/10)
+	return env, err
+}
+
+// trainOn is the training recipe, with the covariate source and the RNG the
+// record splits are drawn from as arguments: build the splits, train the
+// model (weights and training order seeded by seed) and calibrate both
+// conformal layers. The Env it returns has no Ex and no baselines — those
+// need the default extractor, which is newEnv's business.
+func trainOn(task Task, opt Options, seed int64, src dataset.Source, g *mathx.RNG) (*Env, error) {
 	cfg := dataset.Config{Window: opt.Window, Horizon: opt.Horizon}
 	if cfg.Window == 0 {
 		cfg.Window = task.Dataset.Window
@@ -76,20 +112,15 @@ func NewEnv(task Task, opt Options, seed int64) (*Env, error) {
 	if cfg.Horizon == 0 {
 		cfg.Horizon = task.Dataset.Horizon
 	}
-	st := video.Generate(task.Dataset, g.Split(1))
-	ex, err := features.NewExtractor(st, task.EventIdx, opt.Detector, seed)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", task.Name, err)
-	}
-	splits, err := dataset.Build(ex, dataset.SampleConfig{
+	splits, err := dataset.Build(src, dataset.SampleConfig{
 		Config: cfg,
 		NTrain: opt.NTrain, NCCalib: opt.NCCalib, NRCalib: opt.NRCalib, NTest: opt.NTest,
 		TrainPosFrac: opt.TrainPosFrac,
-	}, g.Split(2))
+	}, g)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", task.Name, err)
 	}
-	mcfg := core.DefaultConfig(ex.Dim(), cfg.Window, cfg.Horizon, task.NumEvents())
+	mcfg := core.DefaultConfig(src.Dim(), cfg.Window, cfg.Horizon, task.NumEvents())
 	mcfg.Seed = seed
 	if opt.Mutate != nil {
 		opt.Mutate(&mcfg)
@@ -109,17 +140,8 @@ func NewEnv(task Task, opt Options, seed int64) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: calibrating %s: %w", task.Name, err)
 	}
-	cox, err := strategy.FitCox(splits.Train, cfg.Horizon, 0.5, strategy.DefaultCoxConfig())
-	if err != nil {
-		return nil, fmt.Errorf("harness: fitting Cox for %s: %w", task.Name, err)
-	}
-	vqs, err := strategy.NewVQS(ex, cfg.Horizon, cfg.Horizon/10)
-	if err != nil {
-		return nil, err
-	}
 	return &Env{
 		Task: task, Opt: opt, Cfg: cfg,
-		Stream: st, Ex: ex, Splits: splits,
-		Bundle: bundle, Cox: cox, VQS: vqs,
+		Stream: src.Stream(), Splits: splits, Bundle: bundle,
 	}, nil
 }

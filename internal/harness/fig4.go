@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"eventhit/internal/cascade"
 	"eventhit/internal/metrics"
@@ -27,80 +26,57 @@ type Fig4Result struct {
 // M=1500) are included; on VIRAT/THUMOS they are omitted exactly as in the
 // paper (event occurrences too sparse for the window APP-VAE needs).
 func Fig4(task Task, opt Options, trials int, seed int64, w io.Writer) (*Fig4Result, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("harness: trials must be positive")
-	}
-	res := &Fig4Result{
-		Task:   task.Name,
-		Trials: trials,
-		Curves: make(map[string][]Point),
-		Points: make(map[string]Point),
-	}
-	// Each trial is one pool cell; its results are collected locally and
-	// merged in trial order below, so the averages match the serial run
-	// bit for bit at any parallelism.
-	type namedCurve struct {
+	// Each trial is one pool cell; a knob-free algorithm is a one-point
+	// curve until the merge below, so both kinds average through
+	// AveragePoints in trial order.
+	type named struct {
 		name string
 		pts  []Point
 	}
-	type namedPoint struct {
-		name string
-		p    Point
-	}
-	type fig4Cell struct {
-		curves []namedCurve
-		points []namedPoint
-	}
-	cells := make([]fig4Cell, trials)
-	err := forEachCell(trials, func(trial int) error {
-		cell := &cells[trial]
-		addCurve := func(name string, pts []Point) { cell.curves = append(cell.curves, namedCurve{name, pts}) }
-		addPoint := func(name string, p Point) { cell.points = append(cell.points, namedPoint{name, p}) }
+	type fig4Cell struct{ curves, points []named }
+	perTrial, err := cells(trials, func(trial int) (cell fig4Cell, err error) {
 		env, err := NewEnv(task, opt, seed+int64(trial))
 		if err != nil {
-			return err
+			return cell, err
 		}
 		levels := ConfidenceLevels()
-		ehc, err := env.CurveEHC(levels)
-		if err != nil {
+		for _, c := range []struct {
+			name  string
+			curve func() ([]Point, error)
+		}{
+			{"EHC", func() ([]Point, error) { return env.CurveEHC(levels) }},
+			{"EHR", func() ([]Point, error) { return env.CurveEHR(levels) }},
+			{"EHCR", func() ([]Point, error) { return env.CurveEHCR(levels) }},
+			{"COX", func() ([]Point, error) { return env.CurveCox(CoxTaus()) }},
+			{"VQS", func() ([]Point, error) { return env.CurveVQS(VQSTaus(env.Cfg.Horizon)) }},
+		} {
+			pts, err := c.curve()
+			if err != nil {
+				return cell, err
+			}
+			cell.curves = append(cell.curves, named{c.name, pts})
+		}
+		addPoint := func(name string, p Point) { cell.points = append(cell.points, named{name, []Point{p}}) }
+		evalPoint := func(name string, s strategy.Strategy, knob float64) error {
+			p, err := env.Eval(s, knob)
+			if err == nil {
+				addPoint(name, p)
+			}
 			return err
 		}
-		addCurve("EHC", ehc)
-		ehr, err := env.CurveEHR(levels)
-		if err != nil {
-			return err
-		}
-		addCurve("EHR", ehr)
-		ehcr, err := env.CurveEHCR(levels)
-		if err != nil {
-			return err
-		}
-		addCurve("EHCR", ehcr)
-		cox, err := env.CurveCox(CoxTaus())
-		if err != nil {
-			return err
-		}
-		addCurve("COX", cox)
-		vqs, err := env.CurveVQS(VQSTaus(env.Cfg.Horizon))
-		if err != nil {
-			return err
-		}
-		addCurve("VQS", vqs)
 
-		eho, err := env.Eval(env.Bundle.EHO(), 0)
-		if err != nil {
-			return err
+		if err := evalPoint("EHO", env.Bundle.EHO(), 0); err != nil {
+			return cell, err
 		}
-		addPoint("EHO", eho)
 		if task.NumEvents() > 1 {
 			preds := strategy.PredictAll(env.Bundle.EHO(), env.Splits.Test)
 			perREC, err := metrics.PerEventREC(env.Splits.Test, preds)
 			if err != nil {
-				return err
+				return cell, err
 			}
 			perSPL, err := metrics.PerEventSPL(env.Splits.Test, preds, env.Cfg.Horizon)
 			if err != nil {
-				return err
+				return cell, err
 			}
 			for j, id := range task.EventIDs {
 				addPoint(fmt.Sprintf("EHO[E%d]", id), Point{REC: perREC[j], SPL: perSPL[j]})
@@ -112,23 +88,16 @@ func Fig4(task Task, opt Options, trials int, seed int64, w io.Writer) (*Fig4Res
 		// enough to leave no negatives simply omit the point (as APP-VAE
 		// is omitted where its window regime does not apply).
 		if casc, err := NewCascade(env, cascade.DefaultConfig()); err == nil {
-			cascPt, err := env.Eval(casc, 0)
-			if err != nil {
-				return err
+			if err := evalPoint(cascade.Name, casc, 0); err != nil {
+				return cell, err
 			}
-			addPoint(cascade.Name, cascPt)
 		}
-		optPt, err := env.Eval(strategy.Opt{}, 0)
-		if err != nil {
-			return err
+		if err := evalPoint("OPT", strategy.Opt{}, 0); err != nil {
+			return cell, err
 		}
-		addPoint("OPT", optPt)
-		bf, err := env.Eval(strategy.BF{Horizon: env.Cfg.Horizon}, 0)
-		if err != nil {
-			return err
+		if err := evalPoint("BF", strategy.BF{Horizon: env.Cfg.Horizon}, 0); err != nil {
+			return cell, err
 		}
-		addPoint("BF", bf)
-
 		if task.Dataset.Name == "Breakfast" {
 			for _, m := range []int{200, 1500} {
 				acfg := strategy.DefaultAppVAEConfig()
@@ -136,51 +105,41 @@ func Fig4(task Task, opt Options, trials int, seed int64, w io.Writer) (*Fig4Res
 				acfg.Seed = seed + int64(trial)
 				av, err := strategy.FitAppVAE(env.Ex, env.Splits.Train, env.Cfg.Horizon, acfg)
 				if err != nil {
-					return err
+					return cell, err
 				}
-				p, err := env.Eval(av, float64(m))
-				if err != nil {
-					return err
+				if err := evalPoint(av.Name(), av, float64(m)); err != nil {
+					return cell, err
 				}
-				addPoint(av.Name(), p)
 			}
 		}
-		return nil
+		return cell, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	curveTrials := map[string][][]Point{}
-	pointTrials := map[string][]Point{}
-	for trial := range cells {
-		for _, c := range cells[trial].curves {
-			curveTrials[c.name] = append(curveTrials[c.name], c.pts)
+	res := &Fig4Result{
+		Task:   task.Name,
+		Trials: trials,
+		Points: make(map[string]Point),
+	}
+	average := func(pick func(fig4Cell) []named) map[string][]Point {
+		byName := map[string][][]Point{}
+		for _, cell := range perTrial {
+			for _, c := range pick(cell) {
+				byName[c.name] = append(byName[c.name], c.pts)
+			}
 		}
-		for _, p := range cells[trial].points {
-			pointTrials[p.name] = append(pointTrials[p.name], p.p)
+		out := make(map[string][]Point, len(byName))
+		for name, trialPts := range byName {
+			out[name] = AveragePoints(trialPts)
 		}
+		return out
 	}
-	for name, trialsPts := range curveTrials {
-		res.Curves[name] = AveragePoints(trialsPts)
+	res.Curves = average(func(c fig4Cell) []named { return c.curves })
+	for name, pts := range average(func(c fig4Cell) []named { return c.points }) {
+		res.Points[name] = pts[0]
 	}
-	for name, pts := range pointTrials {
-		avg := Point{Knob: pts[0].Knob}
-		for _, p := range pts {
-			avg.REC += p.REC
-			avg.SPL += p.SPL
-			avg.RECc += p.RECc
-			avg.RECr += p.RECr
-		}
-		f := float64(len(pts))
-		avg.REC /= f
-		avg.SPL /= f
-		avg.RECc /= f
-		avg.RECr /= f
-		res.Points[name] = avg
-	}
-	if w != nil {
-		res.Render(w)
-	}
+	res.Render(w)
 	return res, nil
 }
 
@@ -195,9 +154,12 @@ func (r *Fig4Result) Render(w io.Writer) {
 		}
 	}
 	// Per-event breakdown for multi-event tasks (§VI.D: the task is bound
-	// by its worst event).
-	for name, p := range r.Points {
-		if strings.HasPrefix(name, "EHO[") {
+	// by its worst event), in the task's event order. An unknown task has
+	// no events to list.
+	task, _ := TaskByName(r.Task)
+	for _, id := range task.EventIDs {
+		name := fmt.Sprintf("EHO[E%d]", id)
+		if p, ok := r.Points[name]; ok {
 			t.Addf(name, p.REC, p.SPL)
 		}
 	}

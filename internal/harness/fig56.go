@@ -5,9 +5,6 @@ import (
 	"io"
 )
 
-// Fig5Tasks returns the four representative tasks of Figures 5 and 6.
-func Fig5Tasks() []string { return []string{"TA1", "TA5", "TA7", "TA10"} }
-
 // Fig56Result holds one task's sweep of a conformal knob: REC, SPL and the
 // relevant component recall at each level.
 type Fig56Result struct {
@@ -19,71 +16,42 @@ type Fig56Result struct {
 // Fig5 reproduces Figure 5: EHC with varying confidence c, reporting REC,
 // SPL and REC_c on the representative tasks.
 func Fig5(opt Options, trials int, seed int64, w io.Writer) ([]Fig56Result, error) {
-	return fig56(opt, trials, seed, w, "c", func(env *Env, levels []float64) ([]Point, error) {
-		return env.CurveEHC(levels)
-	})
+	return fig56(opt, trials, seed, w, "5", "EHC", "c", "REC_c",
+		(*Env).CurveEHC, func(p Point) float64 { return p.RECc })
 }
 
 // Fig6 reproduces Figure 6: EHR with varying coverage α, reporting REC,
 // SPL and REC_r on the representative tasks.
 func Fig6(opt Options, trials int, seed int64, w io.Writer) ([]Fig56Result, error) {
-	return fig56(opt, trials, seed, w, "alpha", func(env *Env, levels []float64) ([]Point, error) {
-		return env.CurveEHR(levels)
-	})
+	return fig56(opt, trials, seed, w, "6", "EHR", "alpha", "REC_r",
+		(*Env).CurveEHR, func(p Point) float64 { return p.RECr })
 }
 
-func fig56(opt Options, trials int, seed int64, w io.Writer, knob string,
-	curve func(*Env, []float64) ([]Point, error)) ([]Fig56Result, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("harness: trials must be positive")
-	}
-	levels := ConfidenceLevels()
-	names := Fig5Tasks()
-	// Flatten the (task, trial) grid into pool cells slotted by position.
-	grid := make([][]Point, len(names)*trials)
-	err := forEachCell(len(grid), func(c int) error {
-		name, trial := names[c/trials], c%trials
-		task, err := TaskByName(name)
+// fig56 sweeps one conformal layer's knob on the representative tasks; part
+// picks the component recall the figure reports beside REC and SPL.
+func fig56(opt Options, trials int, seed int64, w io.Writer, fig, algo, knob, partName string,
+	curve func(*Env, []float64) ([]Point, error), part func(Point) float64) ([]Fig56Result, error) {
+	names := []string{"TA1", "TA5", "TA7", "TA10"} // the four representative tasks of Figures 5 and 6
+	grid, err := trialCells(len(names), trials, func(ti, trial int) ([]Point, error) {
+		env, err := NewEnv(mustTask(names[ti]), opt, seed+int64(trial))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		env, err := NewEnv(task, opt, seed+int64(trial))
-		if err != nil {
-			return err
-		}
-		pts, err := curve(env, levels)
-		if err != nil {
-			return err
-		}
-		grid[c] = pts
-		return nil
+		return curve(env, ConfidenceLevels())
 	})
 	if err != nil {
 		return nil, err
 	}
 	var out []Fig56Result
 	for ti, name := range names {
-		res := Fig56Result{Task: name, Knob: knob, Points: AveragePoints(grid[ti*trials : (ti+1)*trials])}
+		res := Fig56Result{Task: name, Knob: knob, Points: AveragePoints(grid[ti])}
 		out = append(out, res)
-		if w != nil {
-			comp := "REC_c"
-			fig := "5"
-			if knob == "alpha" {
-				comp = "REC_r"
-				fig = "6"
-			}
-			t := NewTable(fmt.Sprintf("Figure %s (%s) — EH%s sweep (avg of %d trials)",
-				fig, name, map[string]string{"c": "C", "alpha": "R"}[knob], trials),
-				knob, "REC", "SPL", comp)
-			for _, p := range res.Points {
-				v := p.RECc
-				if knob == "alpha" {
-					v = p.RECr
-				}
-				t.Addf(p.Knob, p.REC, p.SPL, v)
-			}
-			t.Render(w)
+		t := NewTable(fmt.Sprintf("Figure %s (%s) — %s sweep (avg of %d trials)", fig, name, algo, trials),
+			knob, "REC", "SPL", partName)
+		for _, p := range res.Points {
+			t.Addf(p.Knob, p.REC, p.SPL, part(p))
 		}
+		t.Render(w)
 	}
 	return out, nil
 }

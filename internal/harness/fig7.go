@@ -27,41 +27,26 @@ func Fig7Horizons() []int { return []int{100, 300, 500, 700, 900} }
 // level as the collection window M (varyWindow=true) or the horizon H
 // (varyWindow=false) changes.
 func Fig7(opt Options, varyWindow bool, values []int, trials int, seed int64, w io.Writer) ([]Fig7Row, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("harness: trials must be positive")
-	}
-	task, err := TaskByName("TA1")
-	if err != nil {
-		return nil, err
-	}
-	// The (value, trial) grid is flattened into pool cells; cell results
-	// are slotted by grid position and averaged in trial order.
-	grid := make([][]Point, len(values)*trials)
-	err = forEachCell(len(grid), func(c int) error {
-		v, trial := values[c/trials], c%trials
+	task := mustTask("TA1")
+	grid, err := trialCells(len(values), trials, func(vi, trial int) ([]Point, error) {
 		o := opt
 		if varyWindow {
-			o.Window = v
+			o.Window = values[vi]
 		} else {
-			o.Horizon = v
+			o.Horizon = values[vi]
 		}
 		env, err := NewEnv(task, o, seed+int64(trial))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		pts, err := env.CurveEHCR(ConfidenceLevels())
-		if err != nil {
-			return err
-		}
-		grid[c] = pts
-		return nil
+		return env.CurveEHCR(ConfidenceLevels())
 	})
 	if err != nil {
 		return nil, err
 	}
 	var rows []Fig7Row
 	for vi, v := range values {
-		avg := AveragePoints(grid[vi*trials : (vi+1)*trials])
+		avg := AveragePoints(grid[vi])
 		row := Fig7Row{Value: v, SPLAt: map[float64]float64{}, Reached: map[float64]bool{}}
 		for _, target := range Fig7RECTargets() {
 			spl, ok := MinSPLAtREC(avg, target)
@@ -70,25 +55,23 @@ func Fig7(opt Options, varyWindow bool, values []int, trials int, seed int64, w 
 		}
 		rows = append(rows, row)
 	}
-	if w != nil {
-		what := "H"
-		if varyWindow {
-			what = "M"
-		}
-		t := NewTable(fmt.Sprintf("Figure 7 — SPL of EHCR at REC levels varying %s (TA1, avg of %d trials)", what, trials),
-			what, "SPL@REC>=0.6", "SPL@REC>=0.7", "SPL@REC>=0.8", "SPL@REC>=0.9")
-		for _, r := range rows {
-			cells := []interface{}{r.Value}
-			for _, target := range Fig7RECTargets() {
-				if r.Reached[target] {
-					cells = append(cells, r.SPLAt[target])
-				} else {
-					cells = append(cells, "unreached")
-				}
-			}
-			t.Addf(cells...)
-		}
-		t.Render(w)
+	what := "H"
+	if varyWindow {
+		what = "M"
 	}
+	t := NewTable(fmt.Sprintf("Figure 7 — SPL of EHCR at REC levels varying %s (TA1, avg of %d trials)", what, trials),
+		what, "SPL@REC>=0.6", "SPL@REC>=0.7", "SPL@REC>=0.8", "SPL@REC>=0.9")
+	for _, r := range rows {
+		cells := []interface{}{r.Value}
+		for _, target := range Fig7RECTargets() {
+			if r.Reached[target] {
+				cells = append(cells, r.SPLAt[target])
+			} else {
+				cells = append(cells, "unreached")
+			}
+		}
+		t.Addf(cells...)
+	}
+	t.Render(w)
 	return rows, nil
 }

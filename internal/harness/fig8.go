@@ -22,46 +22,35 @@ type Fig8Point struct {
 // curves, with OPT (true event frames only) and BF (every frame) as the
 // anchors.
 func Fig8(opt Options, trials int, seed int64, w io.Writer) ([]Fig8Point, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("harness: trials must be positive")
-	}
-	task, err := TaskByName("TA1")
-	if err != nil {
-		return nil, err
-	}
+	task := mustTask("TA1")
 	price := cloud.RekognitionPricing().PerFrameUSD
 	type fig8Cell struct {
 		ehcr, cox     []Point
 		optUSD, bfUSD float64
 	}
-	cells := make([]fig8Cell, trials)
-	err = forEachCell(trials, func(trial int) error {
+	perTrial, err := cells(trials, func(trial int) (fig8Cell, error) {
 		env, err := NewEnv(task, opt, seed+int64(trial))
 		if err != nil {
-			return err
+			return fig8Cell{}, err
 		}
 		ehcr, err := env.CurveEHCR(ConfidenceLevels())
 		if err != nil {
-			return err
+			return fig8Cell{}, err
 		}
 		cox, err := env.CurveCox(CoxTaus())
-		if err != nil {
-			return err
-		}
-		cells[trial] = fig8Cell{
+		return fig8Cell{
 			ehcr:   ehcr,
 			cox:    cox,
 			optUSD: float64(metrics.TrueEventFrames(env.Splits.Test)) * price,
 			bfUSD:  float64(len(env.Splits.Test)*env.Cfg.Horizon*task.NumEvents()) * price,
-		}
-		return nil
+		}, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	var ehcrTrials, coxTrials [][]Point
 	var optUSD, bfUSD float64
-	for _, c := range cells {
+	for _, c := range perTrial {
 		ehcrTrials = append(ehcrTrials, c.ehcr)
 		coxTrials = append(coxTrials, c.cox)
 		optUSD += c.optUSD
@@ -83,13 +72,11 @@ func Fig8(opt Options, trials int, seed int64, w io.Writer) ([]Fig8Point, error)
 		out = append(out, Fig8Point{Algorithm: "COX", Knob: p.Knob, REC: p.REC,
 			USD: float64(p.Frames) * price})
 	}
-	if w != nil {
-		t := NewTable(fmt.Sprintf("Figure 8 — REC vs expense on TA1 at $%.3f/frame (avg of %d trials)", price, trials),
-			"algorithm", "knob", "REC", "expense($)")
-		for _, p := range out {
-			t.Addf(p.Algorithm, p.Knob, p.REC, fmt.Sprintf("%.2f", p.USD))
-		}
-		t.Render(w)
+	t := NewTable(fmt.Sprintf("Figure 8 — REC vs expense on TA1 at $%.3f/frame (avg of %d trials)", price, trials),
+		"algorithm", "knob", "REC", "expense($)")
+	for _, p := range out {
+		t.Addf(p.Algorithm, p.Knob, p.REC, fmt.Sprintf("%.2f", p.USD))
 	}
+	t.Render(w)
 	return out, nil
 }

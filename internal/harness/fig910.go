@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"eventhit/internal/cloud"
-	"eventhit/internal/metrics"
 	"eventhit/internal/pipeline"
 	"eventhit/internal/strategy"
 )
@@ -19,9 +17,6 @@ type Fig9Point struct {
 	FPS       float64
 }
 
-// Fig9Tasks returns the two tasks of Figure 9.
-func Fig9Tasks() []string { return []string{"TA10", "TA11"} }
-
 // Fig9 reproduces Figure 9: REC versus simulated end-to-end FPS for EHCR,
 // COX and VQS on TA10 and TA11, sweeping each algorithm's knob and running
 // the full marshalling pipeline (feature extraction + predictor + CI) over
@@ -29,69 +24,51 @@ func Fig9Tasks() []string { return []string{"TA10", "TA11"} }
 func Fig9(opt Options, seed int64, w io.Writer) ([]Fig9Point, error) {
 	// One pool cell per task; each cell sweeps its knobs locally and the
 	// per-task point lists are concatenated in task order.
-	names := Fig9Tasks()
-	cells := make([][]Fig9Point, len(names))
-	if err := forEachCell(len(names), func(ti int) error {
-		name := names[ti]
-		task, err := TaskByName(name)
+	names := []string{"TA10", "TA11"}
+	perTask, err := cells(len(names), func(ti int) ([]Fig9Point, error) {
+		env, err := NewEnv(mustTask(names[ti]), opt, seed)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		env, err := NewEnv(task, opt, seed)
-		if err != nil {
-			return err
-		}
-		start, end := testRegion(env)
+		var pts []Fig9Point
 		run := func(algo string, knob float64, s strategy.Strategy, costs pipeline.Costs) error {
-			ci := cloud.NewService(env.Stream, cloud.RekognitionPricing(), cloud.DefaultLatency())
-			m, err := pipeline.New(env.Ex, s, ci, env.Cfg, costs)
+			sc, err := env.marshal(s, costs, env.ci())
 			if err != nil {
 				return err
 			}
-			rep, recs, preds, err := m.Run(start, end)
-			if err != nil {
-				return err
-			}
-			rec, err := metrics.REC(recs, preds)
-			if err != nil {
-				return err
-			}
-			cells[ti] = append(cells[ti], Fig9Point{Task: name, Algorithm: algo, Knob: knob, REC: rec, FPS: rep.FPS()})
+			pts = append(pts, Fig9Point{Task: names[ti], Algorithm: algo, Knob: knob, REC: sc.REC, FPS: sc.FPS()})
 			return nil
 		}
+		ehCosts := pipeline.EventHitCosts(env.Cfg.Window)
 		for _, level := range ConfidenceLevels() {
-			if err := run("EHCR", level, env.Bundle.EHCR(level, level),
-				pipeline.EventHitCosts(env.Cfg.Window)); err != nil {
-				return err
+			if err := run("EHCR", level, env.Bundle.EHCR(level, level), ehCosts); err != nil {
+				return nil, err
 			}
 		}
 		for _, tau := range CoxTaus() {
-			if err := run("COX", tau, env.Cox.WithTau(tau),
-				pipeline.EventHitCosts(env.Cfg.Window)); err != nil {
-				return err
+			if err := run("COX", tau, env.Cox.WithTau(tau), ehCosts); err != nil {
+				return nil, err
 			}
 		}
 		for _, tau := range VQSTaus(env.Cfg.Horizon) {
-			if err := run("VQS", float64(tau), env.VQS.WithTau(tau),
-				pipeline.VQSCosts(env.Cfg.Horizon)); err != nil {
-				return err
+			if err := run("VQS", float64(tau), env.VQS.WithTau(tau), pipeline.VQSCosts(env.Cfg.Horizon)); err != nil {
+				return nil, err
 			}
 		}
-		return nil
-	}); err != nil {
+		return pts, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	var out []Fig9Point
-	for _, pts := range cells {
+	for _, pts := range perTask {
 		out = append(out, pts...)
 	}
-	if w != nil {
-		t := NewTable("Figure 9 — REC vs simulated FPS", "task", "algorithm", "knob", "REC", "FPS")
-		for _, p := range out {
-			t.Addf(p.Task, p.Algorithm, p.Knob, p.REC, fmt.Sprintf("%.1f", p.FPS))
-		}
-		t.Render(w)
+	t := NewTable("Figure 9 — REC vs simulated FPS", "task", "algorithm", "knob", "REC", "FPS")
+	for _, p := range out {
+		t.Addf(p.Task, p.Algorithm, p.Knob, p.REC, fmt.Sprintf("%.1f", p.FPS))
 	}
+	t.Render(w)
 	return out, nil
 }
 
@@ -110,68 +87,35 @@ type Fig10Result struct {
 // the smallest knob setting reaching REC >= target (the paper uses 0.9;
 // CI time dominates).
 func Fig10(opt Options, target float64, seed int64, w io.Writer) (*Fig10Result, error) {
-	task, err := TaskByName("TA10")
-	if err != nil {
-		return nil, err
-	}
+	task := mustTask("TA10")
 	env, err := NewEnv(task, opt, seed)
 	if err != nil {
 		return nil, err
 	}
-	start, end := testRegion(env)
 	var best *Fig10Result
 	for _, level := range ConfidenceLevels() {
-		ci := cloud.NewService(env.Stream, cloud.RekognitionPricing(), cloud.DefaultLatency())
-		m, err := pipeline.New(env.Ex, env.Bundle.EHCR(level, level), ci, env.Cfg,
-			pipeline.EventHitCosts(env.Cfg.Window))
+		run, err := env.marshal(env.Bundle.EHCR(level, level), pipeline.EventHitCosts(env.Cfg.Window), env.ci())
 		if err != nil {
 			return nil, err
 		}
-		rep, recs, preds, err := m.Run(start, end)
-		if err != nil {
-			return nil, err
-		}
-		rec, err := metrics.REC(recs, preds)
-		if err != nil {
-			return nil, err
-		}
-		if rec < target {
-			continue
-		}
-		scan, pred, cis := rep.StageShares()
-		r := &Fig10Result{
-			Task: task.Name, TargetREC: target, AchievedREC: rec, Knob: level,
-			ScanShare: scan, PredictShare: pred, CIShare: cis, FPS: rep.FPS(),
-		}
-		if best == nil || rep.CIFrames < 0 { // first qualifying level is the cheapest
-			best = r
+		if run.REC >= target { // the first qualifying level is the cheapest
+			scan, pred, cis := run.StageShares()
+			best = &Fig10Result{
+				Task: task.Name, TargetREC: target, AchievedREC: run.REC, Knob: level,
+				ScanShare: scan, PredictShare: pred, CIShare: cis, FPS: run.FPS(),
+			}
 			break
 		}
 	}
 	if best == nil {
 		return nil, fmt.Errorf("harness: EHCR never reached REC >= %.2f on %s", target, task.Name)
 	}
-	if w != nil {
-		t := NewTable(fmt.Sprintf("Figure 10 — stage time shares on %s at REC>=%.2f (achieved %.3f, c=alpha=%.3f)",
-			best.Task, target, best.AchievedREC, best.Knob),
-			"stage", "share")
-		t.Addf("Feature Extraction", fmt.Sprintf("%.1f%%", 100*best.ScanShare))
-		t.Addf("EventHit", fmt.Sprintf("%.1f%%", 100*best.PredictShare))
-		t.Addf("Cloud Infrastructure", fmt.Sprintf("%.1f%%", 100*best.CIShare))
-		t.Render(w)
-	}
+	t := NewTable(fmt.Sprintf("Figure 10 — stage time shares on %s at REC>=%.2f (achieved %.3f, c=alpha=%.3f)",
+		best.Task, target, best.AchievedREC, best.Knob),
+		"stage", "share")
+	t.Addf("Feature Extraction", fmt.Sprintf("%.1f%%", 100*best.ScanShare))
+	t.Addf("EventHit", fmt.Sprintf("%.1f%%", 100*best.PredictShare))
+	t.Addf("Cloud Infrastructure", fmt.Sprintf("%.1f%%", 100*best.CIShare))
+	t.Render(w)
 	return best, nil
-}
-
-// testRegion returns the stream frame range of the test split, so pipeline
-// runs score out-of-sample.
-func testRegion(env *Env) (start, end int) {
-	start = env.Splits.Test[0].Frame
-	end = env.Stream.N - 1
-	for _, r := range env.Splits.Test {
-		if r.Frame < start {
-			start = r.Frame
-		}
-	}
-	return start, end
 }

@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"eventhit/internal/features"
 	"eventhit/internal/fleet"
-	"eventhit/internal/mathx"
-	"eventhit/internal/pipeline"
-	"eventhit/internal/video"
 )
 
 // FleetResult is the machine-readable record emitted as BENCH_fleet.json:
@@ -32,10 +28,6 @@ type FleetResult struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// fleetConfidence is the EHCR(c, alpha) operating point every camera of
-// the fleet and cache experiments runs at.
-const fleetConfidence = 0.9
-
 // quickFleetPolicy is the scheduler policy behind BENCH_fleet.json, sized
 // for Quick() streams: a cap well below the unconstrained spend, and
 // per-stream metering on, so the budget and admission machinery engage.
@@ -47,41 +39,21 @@ func quickFleetPolicy() fleet.Config {
 	return cfg
 }
 
-// fleetStreams builds the n camera streams the fleet experiments marshal:
-// one per cell, slotted by index, all deciding through the shared
-// env.Bundle (Bundle.Decide only reads it; each strategy owns its scratch,
-// so timelines can be computed concurrently). Camera i watches scene
-// sceneOf(i): cameras on one scene share its generation seed, hence
-// identical covariate timelines and identical relays — the repetition a
-// content-addressed cache is for.
-// Rebuild the streams for every run — a used stream carries warmed caches
-// that a byte-identity comparison must not see.
-func fleetStreams(env *Env, n, frames int, seed int64, sceneOf func(i int) int) ([]fleet.Stream, error) {
-	task := env.Task
-	streams := make([]fleet.Stream, n)
-	err := forEachCell(n, func(i int) error {
-		ss := seed + int64(1000*(sceneOf(i)+1))
-		st := video.Generate(task.Dataset, mathx.NewRNG(ss).Split(1))
-		ex, err := features.NewExtractor(st, task.EventIdx, env.Opt.Detector, ss)
-		if err != nil {
-			return fmt.Errorf("harness: fleet stream %d: %w", i, err)
-		}
-		end := st.N - 1
-		if frames > 0 && frames < end {
-			end = frames
-		}
-		streams[i] = fleet.Stream{
-			ID:       fmt.Sprintf("cam-%02d", i),
-			Source:   ex,
-			Strategy: env.Bundle.EHCR(fleetConfidence, fleetConfidence),
-			Cfg:      env.Cfg,
-			Costs:    pipeline.EventHitCosts(env.Cfg.Window),
-			Start:    0,
-			End:      end,
-		}
-		return nil
+// runFleet deploys env on n fresh cameras (built one per cell, rebuilt for
+// every run) and marshals them through the fleet scheduler under cfg. All
+// cameras decide through the shared env.Bundle (Bundle.Decide only reads
+// it; each strategy owns its scratch, so timelines can be computed
+// concurrently). Camera i watches scene sceneOf(i): cameras on one scene
+// share its generation seed, hence identical covariate timelines and
+// identical relays — the repetition a content-addressed cache is for.
+func runFleet(env *Env, n, frames int, seed int64, sceneOf func(i int) int, cfg fleet.Config) (*fleet.Report, error) {
+	streams, err := cells(n, func(i int) (fleet.Stream, error) {
+		return env.camera(fmt.Sprintf("cam-%02d", i), seed+int64(1000*(sceneOf(i)+1)), frames)
 	})
-	return streams, err
+	if err != nil {
+		return nil, err
+	}
+	return fleet.Run(streams, cfg)
 }
 
 // ownScene gives every camera its own scene: n independent streams.
@@ -91,47 +63,33 @@ func ownScene(i int) int { return i }
 // task's dataset (distinct seeds — the paper's independent trials, here
 // playing N cameras running the same deployed model), and marshals the
 // first `frames` frames of each through the fleet scheduler under fcfg.
-// frames <= 0 marshals whole streams; n <= 0 defaults to 4.
-func Fleet(taskName string, opt Options, n, frames int, fcfg fleet.Config, seed int64, w io.Writer) (*FleetResult, error) {
-	task, err := TaskByName(taskName)
-	if err != nil {
-		return nil, err
-	}
-	if n <= 0 {
-		n = 4
-	}
+// frames <= 0 marshals whole streams.
+func Fleet(task Task, opt Options, n, frames int, fcfg fleet.Config, seed int64, w io.Writer) (*FleetResult, error) {
 	env, err := NewEnv(task, opt, seed)
 	if err != nil {
 		return nil, err
 	}
-	streams, err := fleetStreams(env, n, frames, seed, ownScene)
-	if err != nil {
-		return nil, err
-	}
-
-	rep, err := fleet.Run(streams, fcfg)
+	rep, err := runFleet(env, n, frames, seed, ownScene, fcfg)
 	if err != nil {
 		return nil, err
 	}
 	res := &FleetResult{
 		Task: task.Name, Seed: seed, Streams: n, Frames: frames,
-		Confidence: fleetConfidence, Coverage: fleetConfidence,
+		Confidence: opLevel, Coverage: opLevel,
 		Report:  *rep,
 		Metrics: rep.MetricsSummary(),
 	}
-	if w != nil {
-		t := NewTable(fmt.Sprintf("Fleet — %d x %s streams, EHCR(c=α=%.2f), one shared CI (budget $%.2f)",
-			n, task.Name, fleetConfidence, fcfg.GlobalBudgetUSD),
-			"stream", "relays", "served", "deferred", "shed", "REC", "realized", "spent $", "avg wait ms")
-		for _, s := range rep.Streams {
-			t.Addf(s.ID, s.Relays, s.Served, s.Deferred, s.Shed,
-				fmt.Sprintf("%.3f", s.REC), fmt.Sprintf("%.3f", s.RealizedREC),
-				fmt.Sprintf("%.2f", s.SpentUSD), fmt.Sprintf("%.0f", s.AvgWaitMS))
-		}
-		t.Render(w)
-		fmt.Fprintf(w, "served %d / deferred %d / shed %d relays in %d batches (avg %.2f); spent $%.2f of $%.2f; makespan %.0f s\n\n",
-			rep.Served, rep.Deferred, rep.Shed, rep.Batches, rep.AvgBatchSize,
-			rep.TotalSpentUSD, fcfg.GlobalBudgetUSD, rep.MakespanMS/1000)
+	t := NewTable(fmt.Sprintf("Fleet — %d x %s streams, EHCR(c=α=%.2f), one shared CI (budget $%.2f)",
+		n, task.Name, opLevel, fcfg.GlobalBudgetUSD),
+		"stream", "relays", "served", "deferred", "shed", "REC", "realized", "spent $", "avg wait ms")
+	for _, s := range rep.Streams {
+		t.Addf(s.ID, s.Relays, s.Served, s.Deferred, s.Shed,
+			fmt.Sprintf("%.3f", s.REC), fmt.Sprintf("%.3f", s.RealizedREC),
+			fmt.Sprintf("%.2f", s.SpentUSD), fmt.Sprintf("%.0f", s.AvgWaitMS))
 	}
+	t.Render(w)
+	fmt.Fprintf(w, "served %d / deferred %d / shed %d relays in %d batches (avg %.2f); spent $%.2f of $%.2f; makespan %.0f s\n\n",
+		rep.Served, rep.Deferred, rep.Shed, rep.Batches, rep.AvgBatchSize,
+		rep.TotalSpentUSD, fcfg.GlobalBudgetUSD, rep.MakespanMS/1000)
 	return res, nil
 }

@@ -13,7 +13,7 @@ func TestFleetExperimentQuick(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	fcfg := quickFleetPolicy()
-	res, err := Fleet("TA10", Quick(), 3, 20_000, fcfg, 5, &buf)
+	res, err := Fleet(mustTask("TA10"), Quick(), 3, 20_000, fcfg, 5, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFleetExperimentDeterministicAcrossParallelism(t *testing.T) {
 		defer SetParallelism(old)
 		fcfg := quickFleetPolicy()
 		fcfg.Parallelism = fleetPar
-		res, err := Fleet("TA10", Quick(), 2, 10_000, fcfg, 5, io.Discard)
+		res, err := Fleet(mustTask("TA10"), Quick(), 2, 10_000, fcfg, 5, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}

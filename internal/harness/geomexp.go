@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"eventhit/internal/core"
 	"eventhit/internal/dataset"
 	"eventhit/internal/features"
 	"eventhit/internal/mathx"
-	"eventhit/internal/metrics"
-	"eventhit/internal/strategy"
 	"eventhit/internal/video"
 )
 
@@ -28,56 +25,18 @@ type GeomResult struct {
 // — and reports both operating points. It demonstrates that the whole
 // pipeline is feature-family agnostic and quantifies how much signal the
 // geometric channels carry relative to the idealized ramps.
-func GeometricExperiment(taskName string, opt Options, seed int64, w io.Writer) (*GeomResult, error) {
-	task, err := TaskByName(taskName)
-	if err != nil {
-		return nil, err
-	}
+func GeometricExperiment(task Task, opt Options, seed int64, w io.Writer) (*GeomResult, error) {
 	g := mathx.NewRNG(seed)
-	cfg := dataset.Config{Window: task.Dataset.Window, Horizon: task.Dataset.Horizon}
 	st := video.Generate(task.Dataset, g.Split(1))
-
+	// Each family trains on its own splits of the one stream, drawn from
+	// its own split of the seed's RNG.
 	evalOn := func(src dataset.Source, label int64) (eho, ehcr Point, err error) {
-		splits, err := dataset.Build(src, dataset.SampleConfig{
-			Config: cfg,
-			NTrain: opt.NTrain, NCCalib: opt.NCCalib, NRCalib: opt.NRCalib, NTest: opt.NTest,
-			TrainPosFrac: opt.TrainPosFrac,
-		}, g.Split(label))
+		env, err := trainOn(task, opt, seed, src, g.Split(label))
 		if err != nil {
 			return eho, ehcr, err
 		}
-		m, err := core.New(core.DefaultConfig(src.Dim(), cfg.Window, cfg.Horizon, task.NumEvents()))
-		if err != nil {
-			return eho, ehcr, err
-		}
-		tc := core.DefaultTrainConfig()
-		tc.Epochs = opt.Epochs
-		if _, err := m.Train(splits.Train, tc); err != nil {
-			return eho, ehcr, err
-		}
-		b, err := strategy.Calibrate(m, splits.CCalib, splits.RCalib)
-		if err != nil {
-			return eho, ehcr, err
-		}
-		score := func(s strategy.Strategy) (Point, error) {
-			preds := strategy.PredictAll(s, splits.Test)
-			rec, err := metrics.REC(splits.Test, preds)
-			if err != nil {
-				return Point{}, err
-			}
-			spl, err := metrics.SPL(splits.Test, preds, cfg.Horizon)
-			if err != nil {
-				return Point{}, err
-			}
-			return Point{REC: rec, SPL: spl, Frames: metrics.FramesSent(preds)}, nil
-		}
-		if eho, err = score(b.EHO()); err != nil {
-			return eho, ehcr, err
-		}
-		ehcr, err = score(b.EHCR(0.9, 0.9))
-		return eho, ehcr, err
+		return env.headlinePoints(env.Splits.Test)
 	}
-
 	phaseEx, err := features.NewExtractor(st, task.EventIdx, opt.Detector, seed)
 	if err != nil {
 		return nil, err
@@ -86,19 +45,17 @@ func GeometricExperiment(taskName string, opt Options, seed int64, w io.Writer) 
 	if err != nil {
 		return nil, err
 	}
-	res := &GeomResult{Task: taskName}
+	res := &GeomResult{Task: task.Name}
 	if res.PhaseEHO, res.PhaseEHCR, err = evalOn(phaseEx, 10); err != nil {
 		return nil, fmt.Errorf("harness: phase features: %w", err)
 	}
 	if res.GeomEHO, res.GeomEHCR, err = evalOn(geomEx, 11); err != nil {
 		return nil, fmt.Errorf("harness: geometric features: %w", err)
 	}
-	if w != nil {
-		t := NewTable(fmt.Sprintf("Covariate families on %s", taskName),
-			"features", "EHO REC", "EHO SPL", "EHCR(.9) REC", "EHCR(.9) SPL")
-		t.Addf("phase ramps (default)", res.PhaseEHO.REC, res.PhaseEHO.SPL, res.PhaseEHCR.REC, res.PhaseEHCR.SPL)
-		t.Addf("geometric (scene)", res.GeomEHO.REC, res.GeomEHO.SPL, res.GeomEHCR.REC, res.GeomEHCR.SPL)
-		t.Render(w)
-	}
+	t := NewTable(fmt.Sprintf("Covariate families on %s", task.Name),
+		"features", "EHO REC", "EHO SPL", "EHCR(.9) REC", "EHCR(.9) SPL")
+	t.Addf("phase ramps (default)", res.PhaseEHO.REC, res.PhaseEHO.SPL, res.PhaseEHCR.REC, res.PhaseEHCR.SPL)
+	t.Addf("geometric (scene)", res.GeomEHO.REC, res.GeomEHO.SPL, res.GeomEHCR.REC, res.GeomEHCR.SPL)
+	t.Render(w)
 	return res, nil
 }

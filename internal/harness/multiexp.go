@@ -144,8 +144,8 @@ func MultiExperiment(opt Options, seed int64, w io.Writer) (*MultiResult, error)
 			if bestOv <= 0 {
 				continue // missed instance: an existence failure, not a boundary one
 			}
-			runStartRes = append(runStartRes, absF(best.Start-truth.Start))
-			runEndRes = append(runEndRes, absF(best.End-truth.End))
+			runStartRes = append(runStartRes, absDiff(best.Start, truth.Start))
+			runEndRes = append(runEndRes, absDiff(best.End, truth.End))
 		}
 	}
 	if len(runStartRes) == 0 {
@@ -215,30 +215,21 @@ func MultiExperiment(opt Options, seed int64, w io.Writer) (*MultiResult, error)
 		res.Runs = append(res.Runs, rp)
 	}
 
-	if w != nil {
-		t := NewTable(fmt.Sprintf("Multi-instance decoding on the industrial stream (%.2f instances/horizon)",
-			res.MeanInstancesPerHorizon), "alpha", "span coverage", "span frames", "run coverage", "run frames")
-		for i := range alphas {
-			t.Addf(alphas[i], res.Span[i].Coverage, res.Span[i].Frames,
-				res.Runs[i].Coverage, res.Runs[i].Frames)
-		}
-		t.Render(w)
-		for _, target := range []float64{0.75, 0.85} {
-			sf, sok := FramesAtCoverage(res.Span, target)
-			rf, rok := FramesAtCoverage(res.Runs, target)
-			if sok && rok {
-				fmt.Fprintf(w, "coverage >= %.2f: span needs %d frames, per-run %d (%.1f%%)\n",
-					target, sf, rf, 100*float64(rf)/float64(sf))
-			}
-		}
-		fmt.Fprintln(w)
+	t := NewTable(fmt.Sprintf("Multi-instance decoding on the industrial stream (%.2f instances/horizon)",
+		res.MeanInstancesPerHorizon), "alpha", "span coverage", "span frames", "run coverage", "run frames")
+	for i := range alphas {
+		t.Addf(alphas[i], res.Span[i].Coverage, res.Span[i].Frames,
+			res.Runs[i].Coverage, res.Runs[i].Frames)
 	}
+	t.Render(w)
+	for _, target := range []float64{0.75, 0.85} {
+		sf, sok := FramesAtCoverage(res.Span, target)
+		rf, rok := FramesAtCoverage(res.Runs, target)
+		if sok && rok {
+			fmt.Fprintf(w, "coverage >= %.2f: span needs %d frames, per-run %d (%.1f%%)\n",
+				target, sf, rf, 100*float64(rf)/float64(sf))
+		}
+	}
+	fmt.Fprintln(w)
 	return res, nil
-}
-
-func absF(v int) float64 {
-	if v < 0 {
-		v = -v
-	}
-	return float64(v)
 }

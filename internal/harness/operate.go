@@ -6,9 +6,10 @@ import (
 	"io"
 
 	"eventhit/internal/cloud"
-	"eventhit/internal/core"
 	"eventhit/internal/dataset"
 	"eventhit/internal/drift"
+	"eventhit/internal/metrics"
+	"eventhit/internal/strategy"
 	"eventhit/internal/video"
 )
 
@@ -39,21 +40,17 @@ type OperateResult struct {
 // the integration scenario a production adopter runs before going live —
 // everything (training, conformal calibration, pricing, budget, drift
 // handling) exercised together.
-func Operate(taskName string, opt Options, confidence, coverage, budgetUSD float64,
+func Operate(task Task, opt Options, confidence, coverage, budgetUSD float64,
 	seed int64, w io.Writer) (*OperateResult, error) {
-	task, err := TaskByName(taskName)
-	if err != nil {
-		return nil, err
-	}
 	if task.NumEvents() != 1 {
 		return nil, fmt.Errorf("harness: operate supports single-event tasks, %s has %d",
-			taskName, task.NumEvents())
+			task.Name, task.NumEvents())
 	}
 	env, err := NewEnv(task, opt, seed)
 	if err != nil {
 		return nil, err
 	}
-	ci := cloud.NewService(env.Stream, cloud.RekognitionPricing(), cloud.DefaultLatency())
+	ci := env.ci()
 	budget, err := cloud.NewBudget(budgetUSD)
 	if err != nil {
 		return nil, err
@@ -67,7 +64,13 @@ func Operate(taskName string, opt Options, confidence, coverage, budgetUSD float
 		return nil, err
 	}
 
-	cls := env.Bundle.Classifier
+	// The deployed bundle: the trained one until an alarm swaps in a
+	// recalibrated C-CLASSIFY. Every horizon is one Bundle.Decide, whose raw
+	// scores feed the recalibration buffer.
+	bundle := env.Bundle
+	rule := strategy.EHCRRule(confidence, coverage)
+	var sc strategy.Scratch
+	var pred metrics.Prediction
 	res := &OperateResult{}
 	var coveredFrames, trueFrames int64
 	start, end := testRegion(env)
@@ -77,11 +80,11 @@ func Operate(taskName string, opt Options, confidence, coverage, budgetUSD float
 			return nil, err
 		}
 		res.Horizons++
-		out := env.Bundle.Model.Predict(rec.X)
-		if err := recal.Add(out.B, rec.Label); err != nil {
+		scores := bundle.Decide(rec, rule, &sc, &pred)
+		if err := recal.Add(scores, rec.Label); err != nil {
 			return nil, err
 		}
-		occ := cls.Predict(out.B, confidence)[0]
+		occ, iv := pred.Occur[0], pred.OI[0]
 
 		// Ground-truth accounting (post-hoc; the operator sees it later).
 		if rec.Label[0] {
@@ -89,7 +92,9 @@ func Operate(taskName string, opt Options, confidence, coverage, budgetUSD float
 			if mon.Observe(occ) {
 				res.Alarms++
 				if fresh, err := recal.RebuildRecent(400); err == nil {
-					cls = fresh
+					if bundle, err = bundle.WithClassifier(fresh); err != nil {
+						return nil, err
+					}
 					mon.Reset()
 				}
 			}
@@ -97,8 +102,6 @@ func Operate(taskName string, opt Options, confidence, coverage, budgetUSD float
 		if !occ {
 			continue
 		}
-		iv, _ := core.DecodeInterval(out.Theta[0], env.Bundle.Tau2)
-		iv = env.Bundle.Regressor.Adjust(0, iv, coverage)
 		abs := video.Interval{Start: t + iv.Start, End: t + iv.End}
 		cost := ci.CostOf(abs.Len())
 		if err := budget.Charge(cost); err != nil {
@@ -128,19 +131,17 @@ func Operate(taskName string, opt Options, confidence, coverage, budgetUSD float
 	if trueFrames > 0 {
 		res.RecallRealized = float64(coveredFrames) / float64(trueFrames)
 	}
-	if w != nil {
-		tb := NewTable(fmt.Sprintf("Continuous operation on %s (c=%.2f, alpha=%.2f, budget $%.2f)",
-			taskName, confidence, coverage, budgetUSD), "quantity", "value")
-		tb.Addf("horizons processed", res.Horizons)
-		tb.Addf("relays", res.Relays)
-		tb.Addf("CI frames", res.CIFrames)
-		tb.Addf("spend", fmt.Sprintf("$%.2f (budget left $%.2f)", res.SpentUSD, budget.Remaining()))
-		tb.Addf("brute force would spend", fmt.Sprintf("$%.2f", res.BFWouldSpend))
-		tb.Addf("budget exhausted", res.BudgetExhausted)
-		tb.Addf("realized frame recall", res.RecallRealized)
-		tb.Addf("CI-confirmed segments", res.Detections)
-		tb.Addf("drift alarms / recalibrations", res.Alarms)
-		tb.Render(w)
-	}
+	tb := NewTable(fmt.Sprintf("Continuous operation on %s (c=%.2f, alpha=%.2f, budget $%.2f)",
+		task.Name, confidence, coverage, budgetUSD), "quantity", "value")
+	tb.Addf("horizons processed", res.Horizons)
+	tb.Addf("relays", res.Relays)
+	tb.Addf("CI frames", res.CIFrames)
+	tb.Addf("spend", fmt.Sprintf("$%.2f (budget left $%.2f)", res.SpentUSD, budget.Remaining()))
+	tb.Addf("brute force would spend", fmt.Sprintf("$%.2f", res.BFWouldSpend))
+	tb.Addf("budget exhausted", res.BudgetExhausted)
+	tb.Addf("realized frame recall", res.RecallRealized)
+	tb.Addf("CI-confirmed segments", res.Detections)
+	tb.Addf("drift alarms / recalibrations", res.Alarms)
+	tb.Render(w)
 	return res, nil
 }

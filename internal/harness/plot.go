@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"eventhit/internal/mathx"
 )
 
 // Series is one named curve or point set for the ASCII plot.
@@ -27,20 +29,8 @@ func RenderRECSPL(w io.Writer, title string, series []Series) {
 		}
 	}
 	put := func(spl, rec float64, g rune) {
-		if spl < 0 {
-			spl = 0
-		}
-		if spl > 1 {
-			spl = 1
-		}
-		if rec < 0 {
-			rec = 0
-		}
-		if rec > 1 {
-			rec = 1
-		}
-		x := int(spl * float64(width-1))
-		y := height - 1 - int(rec*float64(height-1))
+		x := int(mathx.Clamp(spl, 0, 1) * float64(width-1))
+		y := height - 1 - int(mathx.Clamp(rec, 0, 1)*float64(height-1))
 		if grid[y][x] == ' ' || grid[y][x] == g {
 			grid[y][x] = g
 		} else {

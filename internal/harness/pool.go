@@ -35,14 +35,44 @@ func Parallelism() int { return int(cellParallelism.Load()) }
 // index, so goroutines beyond the core count change nothing but scheduling
 // overhead). All cells run even if some fail; the returned error is the
 // one from the lowest-numbered failing cell, so the outcome does not depend
-// on scheduling. fn must write its result into an index-slotted structure
-// — cells complete in arbitrary order.
+// on scheduling. Cells complete in arbitrary order: experiments take their
+// results from cells, which slots them by index.
 func forEachCell(n int, fn func(i int) error) error {
 	workers := Parallelism()
 	if g := runtime.GOMAXPROCS(0); workers > g {
 		workers = g
 	}
 	return ForEachCellN(n, workers, fn)
+}
+
+// cells is the grid every experiment is written on: fn(i) computes cell i's
+// result, and the results come back in index order whatever order the cells
+// finished in. On failure it reports forEachCell's error and no results.
+func cells[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := forEachCell(n, func(i int) error {
+		var err error
+		out[i], err = fn(i)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// trialCells is cells over a (value x trial) grid, value-major: out[v] holds
+// value v's trial results in trial order, ready to be averaged.
+func trialCells[T any](values, trials int, fn func(v, trial int) (T, error)) ([][]T, error) {
+	flat, err := cells(values*trials, func(c int) (T, error) { return fn(c/trials, c%trials) })
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]T, values)
+	for v := range out {
+		out[v] = flat[v*trials : (v+1)*trials]
+	}
+	return out, nil
 }
 
 // ForEachCellN is forEachCell with an explicit worker count, for callers

@@ -81,9 +81,14 @@ var (
 	quickTA1  = Params{Task: "TA1", Trials: 3, Seed: 1, Quick: true}
 )
 
-// onTask resolves p.Task for the experiments that take a Task value.
+// onTask is how every row runs: Params are validated and p.Task resolved
+// here, once, so an experiment starts from a Task value and a positive trial
+// count whatever the command line said.
 func onTask(run func(t Task, p Params, w io.Writer) (interface{}, error)) func(Params, io.Writer) (interface{}, error) {
 	return func(p Params, w io.Writer) (interface{}, error) {
+		if p.Trials <= 0 {
+			return nil, fmt.Errorf("harness: trials must be positive, got %d", p.Trials)
+		}
 		t, err := TaskByName(p.Task)
 		if err != nil {
 			return nil, err
@@ -97,15 +102,15 @@ func onTask(run func(t Task, p Params, w io.Writer) (interface{}, error)) func(P
 func Experiments() []Experiment {
 	return []Experiment{
 		{Name: "table1", Doc: "Table I: dataset statistics", Params: paperParams, InAll: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) { return Table1(p.Trials, p.Seed, w) }},
+			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) { return Table1(p.Trials, p.Seed, w) })},
 		{Name: "table2", Doc: "Table II: task definitions", Params: paperParams, InAll: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) { return Table2(w), nil }},
+			Run: onTask(func(_ Task, _ Params, w io.Writer) (interface{}, error) { return Table2(w), nil })},
 		{Name: "fig4", Doc: "Figure 4: REC vs SPL of every strategy on one task", Params: paperParams, InAll: true,
 			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
 				return Fig4(t, p.Options(), p.Trials, p.Seed, w)
 			})},
 		{Name: "fig4all", Doc: "Figure 4 on all sixteen tasks", Params: paperParams,
-			Run: func(p Params, w io.Writer) (interface{}, error) {
+			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) {
 				var all []*Fig4Result
 				for _, t := range Tasks() {
 					res, err := Fig4(t, p.Options(), p.Trials, p.Seed, w)
@@ -115,96 +120,100 @@ func Experiments() []Experiment {
 					all = append(all, res)
 				}
 				return all, nil
-			}},
+			})},
 		{Name: "fig5", Doc: "Figure 5: EHC sweep of the confidence c", Params: paperParams, InAll: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) { return Fig5(p.Options(), p.Trials, p.Seed, w) }},
+			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) {
+				return Fig5(p.Options(), p.Trials, p.Seed, w)
+			})},
 		{Name: "fig6", Doc: "Figure 6: EHR sweep of the coverage alpha", Params: paperParams, InAll: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) { return Fig6(p.Options(), p.Trials, p.Seed, w) }},
+			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) {
+				return Fig6(p.Options(), p.Trials, p.Seed, w)
+			})},
 		{Name: "fig7", Doc: "Figure 7: sensitivity to window M and horizon H", Params: paperParams, InAll: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) {
+			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) {
 				byWindow, err := Fig7(p.Options(), true, Fig7Windows(), p.Trials, p.Seed, w)
 				if err != nil {
 					return nil, err
 				}
 				byHorizon, err := Fig7(p.Options(), false, Fig7Horizons(), p.Trials, p.Seed, w)
 				return append(byWindow, byHorizon...), err
-			}},
-		{Name: "fig8", Doc: "Figure 8: monetary case study", Params: paperParams, InAll: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) { return Fig8(p.Options(), p.Trials, p.Seed, w) }},
-		{Name: "fig9", Doc: "Figure 9: REC vs end-to-end FPS", Params: paperParams, InAll: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) { return Fig9(p.Options(), p.Seed, w) }},
-		{Name: "fig10", Doc: "Figure 10: stage time shares", Params: paperParams, InAll: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) { return Fig10(p.Options(), 0.9, p.Seed, w) }},
-		{Name: "resources", Doc: "model size and training/inference resources", Params: paperParams, InAll: true,
-			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
-				return Resources(t, p.Options(), p.Seed, w)
 			})},
+		{Name: "fig8", Doc: "Figure 8: monetary case study", Params: paperParams, InAll: true,
+			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) {
+				return Fig8(p.Options(), p.Trials, p.Seed, w)
+			})},
+		{Name: "fig9", Doc: "Figure 9: REC vs end-to-end FPS", Params: paperParams, InAll: true,
+			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) { return Fig9(p.Options(), p.Seed, w) })},
+		{Name: "fig10", Doc: "Figure 10: stage time shares", Params: paperParams, InAll: true,
+			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) { return Fig10(p.Options(), 0.9, p.Seed, w) })},
+		{Name: "resources", Doc: "model size and training-job size", Params: paperParams, InAll: true,
+			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) { return Resources(t, p.Options(), p.Seed, w) })},
 		{Name: "loss", Doc: "training loss curve", Params: paperParams,
 			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
 				return TrainLossCurve(t, p.Options(), p.Seed, w)
 			})},
 		{Name: "ablation", Doc: "design-choice ablations", Params: paperParams, InAll: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) { return Ablations(p.Task, p.Options(), p.Seed, w) }},
+			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) { return Ablations(t, p.Options(), p.Seed, w) })},
 		{Name: "drift", Doc: "drift detection and recalibration", Params: paperParams, InAll: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) {
-				return DriftExperiment(p.Task, p.Options(), 0.9, p.Seed, w)
-			}},
+			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
+				return DriftExperiment(t, p.Options(), 0.9, p.Seed, w)
+			})},
 		{Name: "multi", Doc: "multi-instance horizons on the industrial stream", Params: paperParams, InAll: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) { return MultiExperiment(p.Options(), p.Seed, w) }},
+			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) {
+				return MultiExperiment(p.Options(), p.Seed, w)
+			})},
 		{Name: "geom", Doc: "covariate-family comparison", Params: paperParams, InAll: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) {
-				return GeometricExperiment(p.Task, p.Options(), p.Seed, w)
-			}},
+			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
+				return GeometricExperiment(t, p.Options(), p.Seed, w)
+			})},
 		{Name: "validity", Doc: "empirical check of Theorems 4.2 and 5.2", Params: paperParams, InAll: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) {
-				return Validity(p.Task, p.Options(), p.Trials, p.Seed, w)
-			}},
+			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
+				return Validity(t, p.Options(), p.Trials, p.Seed, w)
+			})},
 		{Name: "operate", Doc: "continuous operation under a budget", Params: paperParams, InAll: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) {
-				return Operate(p.Task, p.Options(), 0.9, 0.9, 100, p.Seed, w)
-			}},
+			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
+				return Operate(t, p.Options(), 0.9, 0.9, 100, p.Seed, w)
+			})},
 		{Name: "transfer", Doc: "one model across fresh streams", Params: paperParams,
-			Run: func(p Params, w io.Writer) (interface{}, error) { return Transfer(p.Task, p.Options(), 3, p.Seed, w) }},
+			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
+				return Transfer(t, p.Options(), 3, p.Seed, w)
+			})},
 		{Name: "density", Doc: "event-density sensitivity", Params: paperParams,
-			Run: func(p Params, w io.Writer) (interface{}, error) { return Density(p.Options(), nil, p.Seed, w) }},
+			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) { return Density(p.Options(), nil, p.Seed, w) })},
 		{Name: "tune", Doc: "operating-point tuner", Params: paperParams,
-			Run: func(p Params, w io.Writer) (interface{}, error) {
-				return TuneExperiment(p.Task, p.Options(), p.Seed, w)
-			}},
+			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
+				return TuneExperiment(t, p.Options(), p.Seed, w)
+			})},
 		{Name: "summary", Doc: "headline table over all sixteen tasks", Params: paperParams,
-			Run: func(p Params, w io.Writer) (interface{}, error) { return Summary(p.Options(), p.Seed, w) }},
+			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) { return Summary(p.Options(), p.Seed, w) })},
 
 		{Name: "resilience", Doc: "CI fault-rate sweep against the resilient client", Params: quickTA10,
-			Artifact: "BENCH_resilience.json", Deterministic: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) {
-				return Resilience(p.Task, p.Options(), ResilienceRates(), p.Seed, w)
-			},
-			Check: checked(resilienceBounds)},
+			Artifact: "BENCH_resilience.json", Deterministic: true, Check: checked(resilienceBounds),
+			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
+				return Resilience(t, p.Options(), ResilienceRates(), p.Seed, w)
+			})},
 		{Name: "fleet", Doc: "3 streams x 20000 frames on one budgeted CI", Params: quickTA10,
-			Artifact: "BENCH_fleet.json", Deterministic: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) {
+			Artifact: "BENCH_fleet.json", Deterministic: true, Check: checked(fleetBounds),
+			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
 				fcfg := quickFleetPolicy()
 				fcfg.Parallelism = Parallelism()
-				return Fleet(p.Task, p.Options(), 3, 20_000, fcfg, p.Seed, w)
-			},
-			Check: checked(fleetBounds)},
+				return Fleet(t, p.Options(), 3, 20_000, fcfg, p.Seed, w)
+			})},
 		{Name: "cache", Doc: "CI result cache epsilon x TTL sweep, 4 streams x 12000 frames", Params: quickTA10,
-			Artifact: "BENCH_cache.json", Deterministic: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) {
-				return CacheSweep(p.Task, p.Options(), 4, 12_000, CacheFleetPolicy(Parallelism()), nil, nil, p.Seed, w)
-			},
-			Check: checked(cacheBounds)},
+			Artifact: "BENCH_cache.json", Deterministic: true, Check: checked(cacheBounds),
+			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
+				return CacheSweep(t, p.Options(), 4, 12_000, CacheFleetPolicy(Parallelism()), p.Seed, w)
+			})},
 		{Name: "cascade", Doc: "early-inference ladder x exit-policy sweep", Params: quickTA1,
-			Artifact: "BENCH_cascade.json", Deterministic: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) {
-				return CascadeSweep(p.Task, p.Options(), nil, nil, nil, p.Seed, w)
-			},
-			Check: checked(cascadeBounds)},
+			Artifact: "BENCH_cascade.json", Deterministic: true, Check: checked(cascadeBounds),
+			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
+				return CascadeSweep(t, p.Options(), p.Seed, w)
+			})},
 		{Name: "speedparity", Doc: "float-vs-quantized and incremental-vs-recompute parity block", Params: quickTA1,
 			Deterministic: true,
-			Run: func(p Params, w io.Writer) (interface{}, error) {
-				return SpeedParityCheck(p.Task, p.Options(), p.Seed)
-			}},
+			Run: onTask(func(t Task, p Params, _ io.Writer) (interface{}, error) {
+				return SpeedParityCheck(t, p.Options(), p.Seed)
+			})},
 	}
 }
 

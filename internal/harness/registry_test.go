@@ -179,8 +179,9 @@ func TestArtifactBoundsReject(t *testing.T) {
 }
 
 // TestRegistryInvariants: names are unique and usable as -exp values, every
-// artifact is deterministic and committed at the repository root, and
-// Select, "all" and the -list table are views of the same table.
+// artifact is deterministic and committed at the repository root, every row
+// rejects a non-positive trial count and an unknown task, and Select, "all"
+// and the -list table are views of the same table.
 func TestRegistryInvariants(t *testing.T) {
 	exps := Experiments()
 	seen := make(map[string]bool)
@@ -220,6 +221,17 @@ func TestRegistryInvariants(t *testing.T) {
 		sel, err := Select(e.Name)
 		if err != nil || len(sel) != 1 || sel[0].Name != e.Name {
 			t.Fatalf("Select(%q) = %v, %v", e.Name, sel, err)
+		}
+		// Params are validated once, in the row, before any work starts.
+		for _, bad := range []func(*Params){
+			func(p *Params) { p.Trials = 0 },
+			func(p *Params) { p.Task = "TA99" },
+		} {
+			p := e.Params
+			bad(&p)
+			if _, err := e.Run(p, io.Discard); err == nil {
+				t.Fatalf("entry %q ran with %+v", e.Name, p)
+			}
 		}
 	}
 	// Every committed BENCH_*.json has an owner.

@@ -35,8 +35,6 @@ func (t *Table) Addf(cells ...interface{}) {
 		switch v := c.(type) {
 		case float64:
 			row[i] = fmt.Sprintf("%.3f", v)
-		case float32:
-			row[i] = fmt.Sprintf("%.3f", v)
 		default:
 			row[i] = fmt.Sprintf("%v", c)
 		}

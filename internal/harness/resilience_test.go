@@ -22,7 +22,7 @@ func TestResilienceExperimentQuick(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	var buf bytes.Buffer
-	res, err := Resilience("TA10", Quick(), quickRates(), 5, &buf)
+	res, err := Resilience(mustTask("TA10"), Quick(), quickRates(), 5, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestResilienceDeterministicAcrossParallelism(t *testing.T) {
 	run := func(par int) []byte {
 		old := SetParallelism(par)
 		defer SetParallelism(old)
-		res, err := Resilience("TA10", Quick(), quickRates(), 5, io.Discard)
+		res, err := Resilience(mustTask("TA10"), Quick(), quickRates(), 5, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestResilienceZeroFaultParityWithBareService(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	res, err := Resilience("TA10", Quick(), []float64{0}, 5, io.Discard)
+	res, err := Resilience(mustTask("TA10"), Quick(), []float64{0}, 5, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"eventhit/internal/cloud"
-	"eventhit/internal/metrics"
 	"eventhit/internal/pipeline"
 	"eventhit/internal/resilience"
 )
@@ -79,85 +78,49 @@ func resiliencePlan(seed int64, rate float64) cloud.FaultPlan {
 // region with EHCR(0.9, 0.9) against a fault-injected CI with the
 // resilient client and degradation on. It reports recall/cost/latency
 // versus fault rate plus the breaker and retry counters.
-func Resilience(taskName string, opt Options, rates []float64, seed int64, w io.Writer) (*ResilienceResult, error) {
-	task, err := TaskByName(taskName)
+func Resilience(task Task, opt Options, rates []float64, seed int64, w io.Writer) (*ResilienceResult, error) {
+	points, err := cells(len(rates), func(i int) (ResiliencePoint, error) {
+		env, err := NewEnv(task, opt, seed)
+		if err != nil {
+			return ResiliencePoint{}, err
+		}
+		return resilienceCell(env, rates[i], seed)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if len(rates) == 0 {
-		rates = ResilienceRates()
+	res := &ResilienceResult{Task: task.Name, Seed: seed, Confidence: opLevel, Coverage: opLevel, Points: points}
+	t := NewTable(fmt.Sprintf("Resilience — %s, EHCR(c=α=%.2f) vs CI fault rate", task.Name, opLevel),
+		"fault rate", "REC", "realized REC", "deferred", "retried", "failed attempts", "trips", "FPS", "spent $")
+	for _, p := range res.Points {
+		t.Addf(p.FaultRate, p.REC, p.RealizedREC, p.Deferred, p.Retried,
+			p.FailedAttempts, p.BreakerTrips, fmt.Sprintf("%.1f", p.FPS), fmt.Sprintf("%.2f", p.SpentUSD))
 	}
-	const conf, cov = 0.9, 0.9
-	res := &ResilienceResult{
-		Task: task.Name, Seed: seed, Confidence: conf, Coverage: cov,
-		Points: make([]ResiliencePoint, len(rates)),
-	}
-	if err := forEachCell(len(rates), func(i int) error {
-		env, err := NewEnv(task, opt, seed)
-		if err != nil {
-			return err
-		}
-		pt, err := resilienceCell(env, rates[i], seed)
-		if err != nil {
-			return err
-		}
-		res.Points[i] = pt
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if w != nil {
-		t := NewTable(fmt.Sprintf("Resilience — %s, EHCR(c=α=%.2f) vs CI fault rate", task.Name, conf),
-			"fault rate", "REC", "realized REC", "deferred", "retried", "failed attempts", "trips", "FPS", "spent $")
-		for _, p := range res.Points {
-			t.Addf(p.FaultRate, p.REC, p.RealizedREC, p.Deferred, p.Retried,
-				p.FailedAttempts, p.BreakerTrips, fmt.Sprintf("%.1f", p.FPS), fmt.Sprintf("%.2f", p.SpentUSD))
-		}
-		t.Render(w)
-		fmt.Fprintln(w, "realized REC drops only by what degradation deferred; the run itself never aborts")
-		fmt.Fprintln(w)
-	}
+	t.Render(w)
+	fmt.Fprintln(w, "realized REC drops only by what degradation deferred; the run itself never aborts")
+	fmt.Fprintln(w)
 	return res, nil
 }
 
 // resilienceCell runs one fault-rate setting over env's test region.
 func resilienceCell(env *Env, rate float64, seed int64) (ResiliencePoint, error) {
-	start, end := testRegion(env)
-	ci := cloud.NewService(env.Stream, cloud.RekognitionPricing(), cloud.DefaultLatency())
-	backend := cloud.Inject(ci, resiliencePlan(seed+101, rate))
 	costs := pipeline.EventHitCosts(env.Cfg.Window)
 	rcfg := resilience.DefaultConfig(seed)
 	costs.Resilience = &rcfg
 	costs.Degrade = true
-	m, err := pipeline.New(env.Ex, env.Bundle.EHCR(0.9, 0.9), backend, env.Cfg, costs)
-	if err != nil {
-		return ResiliencePoint{}, err
-	}
-	rep, recs, preds, outs, err := m.RunDetailed(start, end)
-	if err != nil {
-		return ResiliencePoint{}, err
-	}
-	rec, err := metrics.REC(recs, preds)
-	if err != nil {
-		return ResiliencePoint{}, err
-	}
-	realized, err := metrics.REC(recs, pipeline.DropDeferred(preds, outs))
-	if err != nil {
-		return ResiliencePoint{}, err
-	}
-	relays := pipeline.Relays(preds)
+	run, err := env.marshal(env.ehcr90(), costs, cloud.Inject(env.ci(), resiliencePlan(seed+101, rate)))
 	return ResiliencePoint{
 		FaultRate:      rate,
-		REC:            rec,
-		RealizedREC:    realized,
-		SpentUSD:       rep.SpentUSD,
-		FPS:            rep.FPS(),
-		CIMS:           rep.CIMS,
-		Relays:         relays,
-		Deferred:       rep.CIDeferred,
-		Retried:        rep.CIRetried,
-		FailedAttempts: rep.CIFailedAttempts,
-		BackoffMS:      rep.CIBackoffMS,
-		BreakerTrips:   rep.BreakerTrips,
-	}, nil
+		REC:            run.REC,
+		RealizedREC:    run.RealizedREC,
+		SpentUSD:       run.SpentUSD,
+		FPS:            run.FPS(),
+		CIMS:           run.CIMS,
+		Relays:         run.Relays,
+		Deferred:       run.CIDeferred,
+		Retried:        run.CIRetried,
+		FailedAttempts: run.CIFailedAttempts,
+		BackoffMS:      run.CIBackoffMS,
+		BreakerTrips:   run.BreakerTrips,
+	}, err
 }

@@ -7,13 +7,11 @@ import (
 	"math"
 	"reflect"
 
-	"eventhit/internal/cloud"
 	"eventhit/internal/core"
 	"eventhit/internal/dataset"
 	"eventhit/internal/features"
 	"eventhit/internal/metrics"
 	"eventhit/internal/pipeline"
-	"eventhit/internal/strategy"
 )
 
 // The predict fast paths — the incremental covariate cache and the int16
@@ -55,18 +53,11 @@ type SpeedParity struct {
 	RECBound float64 `json:"rec_bound"`
 }
 
-// speedConfidence is the EHCR operating point the parity block decides at.
-const speedConfidence = 0.9
-
 // SpeedParityCheck trains the task, verifies the three fast-path invariants
 // and returns the evidence — what `eventhitbench -exp speedparity` emits for
 // the check.sh byte-identity gate. Any violation is an error: a path that
 // changes results beyond its bound must not be served.
-func SpeedParityCheck(taskName string, opt Options, seed int64) (*SpeedParity, error) {
-	task, err := TaskByName(taskName)
-	if err != nil {
-		return nil, err
-	}
+func SpeedParityCheck(task Task, opt Options, seed int64) (*SpeedParity, error) {
 	env, err := NewEnv(task, opt, seed)
 	if err != nil {
 		return nil, err
@@ -106,8 +97,7 @@ func SpeedParityCheck(taskName string, opt Options, seed int64) (*SpeedParity, e
 	// (2) The pipeline run over the cached source serializes
 	// byte-identically to the run over the plain extractor.
 	runPipeline := func(src dataset.Source) ([]byte, error) {
-		ci := cloud.NewService(env.Stream, cloud.RekognitionPricing(), cloud.DefaultLatency())
-		m, err := pipeline.New(src, env.Bundle.EHCR(speedConfidence, speedConfidence), ci, env.Cfg, pipeline.EventHitCosts(env.Cfg.Window))
+		m, err := pipeline.New(src, env.ehcr90(), env.ci(), env.Cfg, pipeline.EventHitCosts(env.Cfg.Window))
 		if err != nil {
 			return nil, err
 		}
@@ -166,16 +156,15 @@ func SpeedParityCheck(taskName string, opt Options, seed int64) (*SpeedParity, e
 	if err != nil {
 		return nil, err
 	}
-	floatEH := env.Bundle.EHCR(speedConfidence, speedConfidence)
-	quantEH := qb.EHCR(speedConfidence, speedConfidence)
-	p.RECFloat, err = metrics.REC(env.Splits.Test, strategy.PredictAll(floatEH, env.Splits.Test))
+	floatPt, err := env.Eval(env.ehcr90(), 0)
 	if err != nil {
 		return nil, err
 	}
-	p.RECQuant, err = metrics.REC(env.Splits.Test, strategy.PredictAll(quantEH, env.Splits.Test))
+	quantPt, err := env.Eval(qb.EHCR(opLevel, opLevel), 0)
 	if err != nil {
 		return nil, err
 	}
+	p.RECFloat, p.RECQuant = floatPt.REC, quantPt.REC
 	p.RECDelta = p.RECQuant - p.RECFloat
 	if math.Abs(p.RECDelta) > p.RECBound {
 		return nil, fmt.Errorf("harness: quantized REC delta %.4f exceeds pinned bound %.4g",

@@ -11,7 +11,7 @@ func TestSpeedParityQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	p, err := SpeedParityCheck("TA1", Quick(), 1)
+	p, err := SpeedParityCheck(mustTask("TA1"), Quick(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,57 +23,31 @@ type SummaryRow struct {
 // EHCR curve — the numbers a reader checks first against Figure 4.
 func Summary(opt Options, seed int64, w io.Writer) ([]SummaryRow, error) {
 	tasks := Tasks()
-	// One pool cell per task, slotted by task index so the row order (and
-	// every number) matches the serial run.
-	rows := make([]SummaryRow, len(tasks))
-	err := forEachCell(len(tasks), func(i int) error {
-		task := tasks[i]
-		env, err := NewEnv(task, opt, seed)
+	rows, err := cells(len(tasks), func(i int) (SummaryRow, error) {
+		env, err := NewEnv(tasks[i], opt, seed)
 		if err != nil {
-			return err
+			return SummaryRow{}, err
 		}
-		eho, err := env.Eval(env.Bundle.EHO(), 0)
+		eho, mid, curve, err := env.headline()
 		if err != nil {
-			return err
+			return SummaryRow{}, err
 		}
 		ehoPreds := strategy.PredictAll(env.Bundle.EHO(), env.Splits.Test)
 		ci, err := metrics.RECBootstrap(env.Splits.Test, ehoPreds, 200, 0.95, seed)
-		if err != nil {
-			return err
-		}
-		mid, err := env.Eval(env.Bundle.EHCR(0.9, 0.9), 0.9)
-		if err != nil {
-			return err
-		}
-		curve, err := env.CurveEHCR(ConfidenceLevels())
-		if err != nil {
-			return err
-		}
-		row := SummaryRow{Task: task.Name, EHO: eho, EHOCI: ci, EHCR90: mid}
-		for _, p := range curve {
-			if p.REC > row.MaxREC {
-				row.MaxREC = p.REC
-				row.SPLAtMax = p.SPL
-			}
-		}
-		rows[i] = row
-		return nil
+		top := maxREC(curve)
+		return SummaryRow{Task: tasks[i].Name, EHO: eho, EHOCI: ci, EHCR90: mid, MaxREC: top.REC, SPLAtMax: top.SPL}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if w != nil {
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s done\n", r.Task)
-		}
+	for _, r := range rows {
+		fmt.Fprintf(w, "%s done\n", r.Task)
 	}
-	if w != nil {
-		t := NewTable(fmt.Sprintf("All-task summary (seed %d, 95%% bootstrap CI on EHO REC)", seed),
-			"task", "EHO REC [95% CI]", "EHO SPL", "EHCR(.9) REC", "EHCR(.9) SPL", "EHCR max REC", "SPL at max")
-		for _, r := range rows {
-			t.Addf(r.Task, r.EHOCI.String(), r.EHO.SPL, r.EHCR90.REC, r.EHCR90.SPL, r.MaxREC, r.SPLAtMax)
-		}
-		t.Render(w)
+	t := NewTable(fmt.Sprintf("All-task summary (seed %d, 95%% bootstrap CI on EHO REC)", seed),
+		"task", "EHO REC [95% CI]", "EHO SPL", "EHCR(.9) REC", "EHCR(.9) SPL", "EHCR max REC", "SPL at max")
+	for _, r := range rows {
+		t.Addf(r.Task, r.EHOCI.String(), r.EHO.SPL, r.EHCR90.REC, r.EHCR90.SPL, r.MaxREC, r.SPLAtMax)
 	}
+	t.Render(w)
 	return rows, nil
 }

@@ -27,31 +27,26 @@ type Table1Row struct {
 // reports occurrence counts and duration statistics next to the paper's
 // targets.
 func Table1(trials int, seed int64, w io.Writer) ([]Table1Row, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("harness: trials must be positive")
-	}
 	var rows []Table1Row
 	specs := []video.DatasetSpec{video.VIRAT(), video.THUMOS(), video.Breakfast()}
 	// One pool cell per (dataset, trial); durations are pooled in trial
 	// order afterwards so the summary statistics match the serial run.
-	grid := make([][][]float64, len(specs)*trials)
-	if err := forEachCell(len(grid), func(c int) error {
-		spec, trial := specs[c/trials], c%trials
+	grid, err := trialCells(len(specs), trials, func(si, trial int) ([][]float64, error) {
+		spec := specs[si]
 		st := video.Generate(spec, mathx.NewRNG(seed+int64(trial)))
 		durs := make([][]float64, len(spec.Events))
 		for k := range spec.Events {
 			durs[k] = st.Durations(k)
 		}
-		grid[c] = durs
-		return nil
-	}); err != nil {
+		return durs, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	for si, spec := range specs {
 		perEvent := make([][]float64, len(spec.Events)) // durations pooled across trials
 		counts := make([]float64, len(spec.Events))
-		for trial := 0; trial < trials; trial++ {
-			durs := grid[si*trials+trial]
+		for _, durs := range grid[si] {
 			for k := range spec.Events {
 				counts[k] += float64(len(durs[k]))
 				perEvent[k] = append(perEvent[k], durs[k]...)
@@ -84,36 +79,25 @@ func Table1(trials int, seed int64, w io.Writer) ([]Table1Row, error) {
 			})
 		}
 	}
-	if w != nil {
-		t := NewTable("Table I — events of interest (paper target vs generated)",
-			"event", "dataset", "occ(paper)", "occ(gen)", "avg(paper)", "avg(gen)", "std(paper)", "std(gen)")
-		for _, r := range rows {
-			t.Addf(fmt.Sprintf("E%d: %s", r.ID, r.Event), r.Dataset,
-				r.WantOcc, fmt.Sprintf("%.1f", r.GotOcc),
-				fmt.Sprintf("%.1f", r.WantMean), fmt.Sprintf("%.1f", r.GotMean),
-				fmt.Sprintf("%.1f", r.WantStd), fmt.Sprintf("%.1f", r.GotStd))
-		}
-		t.Render(w)
+	t := NewTable("Table I — events of interest (paper target vs generated)",
+		"event", "dataset", "occ(paper)", "occ(gen)", "avg(paper)", "avg(gen)", "std(paper)", "std(gen)")
+	for _, r := range rows {
+		t.Addf(fmt.Sprintf("E%d: %s", r.ID, r.Event), r.Dataset,
+			r.WantOcc, fmt.Sprintf("%.1f", r.GotOcc),
+			fmt.Sprintf("%.1f", r.WantMean), fmt.Sprintf("%.1f", r.GotMean),
+			fmt.Sprintf("%.1f", r.WantStd), fmt.Sprintf("%.1f", r.GotStd))
 	}
+	t.Render(w)
 	return rows, nil
 }
 
 // Table2 prints the task definitions of Table II.
 func Table2(w io.Writer) []Task {
 	tasks := Tasks()
-	if w != nil {
-		t := NewTable("Table II — tasks", "task", "events", "dataset", "M", "H")
-		for _, task := range tasks {
-			evs := ""
-			for i, id := range task.EventIDs {
-				if i > 0 {
-					evs += ","
-				}
-				evs += fmt.Sprintf("E%d", id)
-			}
-			t.Addf(task.Name, "{"+evs+"}", task.Dataset.Name, task.Dataset.Window, task.Dataset.Horizon)
-		}
-		t.Render(w)
+	t := NewTable("Table II — tasks", "task", "events", "dataset", "M", "H")
+	for _, task := range tasks {
+		t.Addf(task.Name, task.eventSet(), task.Dataset.Name, task.Dataset.Window, task.Dataset.Horizon)
 	}
+	t.Render(w)
 	return tasks
 }

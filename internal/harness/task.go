@@ -2,6 +2,16 @@
 // experiment drivers that regenerate every table and figure of §VI. Each
 // driver prints the same rows/series the paper reports and returns the
 // numbers in structured form for the benchmark suite.
+//
+// An experiment file contains only what is particular to its experiment.
+// What recurs is said once: the grid of independent cells (cells and
+// trialCells, pool.go), the training recipe (NewEnv over trainOn, env.go,
+// with the scoring and curve reductions in curves.go), the deployed camera
+// (Env.camera) and the scored pipeline run over the test region
+// (Env.marshal, deploy.go). Decisions go through strategy.Bundle.Decide, the
+// path the server runs. Registry rows validate their Params and resolve the
+// task once (onTask); an experiment takes a Task and always renders to the
+// writer it is given — pass io.Discard for none.
 package harness
 
 import (
@@ -26,17 +36,20 @@ type Task struct {
 // NumEvents returns the number of events K in the task.
 func (t Task) NumEvents() int { return len(t.EventIDs) }
 
-// String implements fmt.Stringer.
-func (t Task) String() string {
-	s := t.Name + " {"
+// eventSet renders the task's events the way Table II does: "{E1,E5}".
+func (t Task) eventSet() string {
+	s := "{"
 	for i, id := range t.EventIDs {
 		if i > 0 {
 			s += ","
 		}
 		s += fmt.Sprintf("E%d", id)
 	}
-	return s + "} on " + t.Dataset.Name
+	return s + "}"
 }
+
+// String implements fmt.Stringer.
+func (t Task) String() string { return t.Name + " " + t.eventSet() + " on " + t.Dataset.Name }
 
 // taskEventIDs encodes Table II.
 var taskEventIDs = map[string][]int{
@@ -73,15 +86,21 @@ func TaskByName(name string) (Task, error) {
 	return t, nil
 }
 
+// mustTask resolves a label written in this package — the tasks the paper
+// fixes a figure to — against the static table.
+func mustTask(name string) Task {
+	t, err := TaskByName(name)
+	if err != nil {
+		panic(err) // static table, cannot fail
+	}
+	return t
+}
+
 // Tasks returns all sixteen tasks in paper order.
 func Tasks() []Task {
 	out := make([]Task, 0, len(taskOrder))
 	for _, name := range taskOrder {
-		t, err := TaskByName(name)
-		if err != nil {
-			panic(err) // static table, cannot fail
-		}
-		out = append(out, t)
+		out = append(out, mustTask(name))
 	}
 	return out
 }

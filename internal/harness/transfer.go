@@ -5,11 +5,7 @@ import (
 	"io"
 
 	"eventhit/internal/dataset"
-	"eventhit/internal/features"
 	"eventhit/internal/mathx"
-	"eventhit/internal/metrics"
-	"eventhit/internal/strategy"
-	"eventhit/internal/video"
 )
 
 // TransferRow is the evaluation of one trained bundle on one stream.
@@ -25,30 +21,17 @@ type TransferRow struct {
 // the model was trained on and every other camera watching a similar
 // scene; large degradation here would mean the model memorizes its
 // training stream instead of the event dynamics.
-func Transfer(taskName string, opt Options, streams int, seed int64, w io.Writer) ([]TransferRow, error) {
+func Transfer(task Task, opt Options, streams int, seed int64, w io.Writer) ([]TransferRow, error) {
 	if streams < 1 {
 		return nil, fmt.Errorf("harness: need at least one transfer stream")
-	}
-	task, err := TaskByName(taskName)
-	if err != nil {
-		return nil, err
 	}
 	env, err := NewEnv(task, opt, seed)
 	if err != nil {
 		return nil, err
 	}
 	var rows []TransferRow
-
 	evalStream := func(streamSeed int64, recs []dataset.Record, same bool) error {
-		score := func(s strategy.Strategy) (Point, error) {
-			preds := strategy.PredictAll(s, recs)
-			return scoreRecords(recs, preds, env.Cfg.Horizon)
-		}
-		eho, err := score(env.Bundle.EHO())
-		if err != nil {
-			return err
-		}
-		ehcr, err := score(env.Bundle.EHCR(0.9, 0.9))
+		eho, ehcr, err := env.headlinePoints(recs)
 		if err != nil {
 			return err
 		}
@@ -60,18 +43,19 @@ func Transfer(taskName string, opt Options, streams int, seed int64, w io.Writer
 	}
 	for i := 0; i < streams; i++ {
 		sSeed := seed + 1000 + int64(i)
-		g := mathx.NewRNG(sSeed)
-		st := video.Generate(task.Dataset, g.Split(1))
-		ex, err := features.NewExtractor(st, task.EventIdx, opt.Detector, sSeed)
+		cam, err := env.camera(fmt.Sprintf("foreign-%d", i), sSeed, 0)
 		if err != nil {
 			return nil, err
 		}
 		// Uniform records over the whole foreign stream (no training there,
-		// so no region split is needed).
+		// so no region split is needed), drawn from the stream seed's RNG
+		// after the split that generated the stream.
+		g := mathx.NewRNG(sSeed)
+		g.Split(1)
 		var recs []dataset.Record
-		lo, hi := env.Cfg.Window-1, st.N-env.Cfg.Horizon-1
+		lo, hi := env.Cfg.Window-1, cam.End-env.Cfg.Horizon
 		for len(recs) < opt.NTest {
-			r, err := dataset.BuildRecord(ex, lo+g.Intn(hi-lo+1), env.Cfg)
+			r, err := dataset.BuildRecord(cam.Source, lo+g.Intn(hi-lo+1), env.Cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -81,30 +65,15 @@ func Transfer(taskName string, opt Options, streams int, seed int64, w io.Writer
 			return nil, err
 		}
 	}
-	if w != nil {
-		t := NewTable(fmt.Sprintf("Cross-stream transfer on %s (trained on seed %d only)", taskName, seed),
-			"stream", "EHO REC", "EHO SPL", "EHCR(.9) REC", "EHCR(.9) SPL")
-		for _, r := range rows {
-			name := fmt.Sprintf("foreign (seed %d)", r.StreamSeed)
-			if r.Same {
-				name = "training stream (held-out region)"
-			}
-			t.Addf(name, r.EHO.REC, r.EHO.SPL, r.EHCR.REC, r.EHCR.SPL)
+	t := NewTable(fmt.Sprintf("Cross-stream transfer on %s (trained on seed %d only)", task.Name, seed),
+		"stream", "EHO REC", "EHO SPL", "EHCR(.9) REC", "EHCR(.9) SPL")
+	for _, r := range rows {
+		name := fmt.Sprintf("foreign (seed %d)", r.StreamSeed)
+		if r.Same {
+			name = "training stream (held-out region)"
 		}
-		t.Render(w)
+		t.Addf(name, r.EHO.REC, r.EHO.SPL, r.EHCR.REC, r.EHCR.SPL)
 	}
+	t.Render(w)
 	return rows, nil
-}
-
-// scoreRecords evaluates predictions against records into a Point.
-func scoreRecords(recs []dataset.Record, preds []metrics.Prediction, horizon int) (Point, error) {
-	rec, err := metrics.REC(recs, preds)
-	if err != nil {
-		return Point{}, err
-	}
-	spl, err := metrics.SPL(recs, preds, horizon)
-	if err != nil {
-		return Point{}, err
-	}
-	return Point{REC: rec, SPL: spl}, nil
 }

@@ -12,11 +12,7 @@ import (
 
 // TuneExperiment runs the §III β/γ grid search on one task and reports
 // every grid point's validation objective plus the winner.
-func TuneExperiment(taskName string, opt Options, seed int64, w io.Writer) ([]TuneResult, error) {
-	task, err := TaskByName(taskName)
-	if err != nil {
-		return nil, err
-	}
+func TuneExperiment(task Task, opt Options, seed int64, w io.Writer) ([]TuneResult, error) {
 	env, err := NewEnv(task, opt, seed) // reuse its splits; the search retrains
 	if err != nil {
 		return nil, err
@@ -30,20 +26,18 @@ func TuneExperiment(taskName string, opt Options, seed int64, w io.Writer) ([]Tu
 	if err != nil {
 		return nil, err
 	}
-	if w != nil {
-		t := NewTable(fmt.Sprintf("β/γ grid search on %s (objective: REC - 0.5·SPL of EHO)", taskName),
-			"beta", "gamma", "score")
-		for _, r := range results {
-			t.Addf(r.Beta, r.Gamma, r.Score)
-		}
-		t.Render(w)
-		top, err := tuneBest(results)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "winner: beta=%.2f gamma=%.2f (model %d params)\n\n",
-			top.Beta, top.Gamma, best.Model.NumParams())
+	t := NewTable(fmt.Sprintf("β/γ grid search on %s (objective: REC - 0.5·SPL of EHO)", task.Name),
+		"beta", "gamma", "score")
+	for _, r := range results {
+		t.Addf(r.Beta, r.Gamma, r.Score)
 	}
+	t.Render(w)
+	top, err := tuneBest(results)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "winner: beta=%.2f gamma=%.2f (model %d params)\n\n",
+		top.Beta, top.Gamma, best.Model.NumParams())
 	return results, nil
 }
 

@@ -5,8 +5,6 @@ import (
 	"io"
 
 	"eventhit/internal/core"
-	"eventhit/internal/dataset"
-	"eventhit/internal/strategy"
 )
 
 // ValidityRow is the empirical check of one guarantee level.
@@ -29,14 +27,7 @@ type ValidityRow struct {
 // level. The marginal guarantees hold on average over trials (per-trial
 // numbers fluctuate because records near one instance are correlated —
 // the same caveat the test suite documents).
-func Validity(taskName string, opt Options, trials int, seed int64, w io.Writer) ([]ValidityRow, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("harness: trials must be positive")
-	}
-	task, err := TaskByName(taskName)
-	if err != nil {
-		return nil, err
-	}
+func Validity(task Task, opt Options, trials int, seed int64, w io.Writer) ([]ValidityRow, error) {
 	levels := []float64{0.5, 0.7, 0.8, 0.9, 0.95}
 	rows := make([]ValidityRow, len(levels))
 	for i, l := range levels {
@@ -45,28 +36,15 @@ func Validity(taskName string, opt Options, trials int, seed int64, w io.Writer)
 	// Each trial is one pool cell accumulating into its own row slice; the
 	// per-trial rows are summed in trial order below so the averages match
 	// the serial run exactly.
-	cells := make([][]ValidityRow, trials)
-	if err := forEachCell(trials, func(trial int) error {
+	perTrial, err := cells(trials, func(trial int) ([]ValidityRow, error) {
 		rows := make([]ValidityRow, len(levels))
 		env, err := NewEnv(task, opt, seed+int64(trial))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for i, level := range levels {
 			// Theorem 4.2: existence coverage at confidence c.
-			preds := strategy.PredictAll(env.Bundle.EHC(level), env.Splits.Test)
-			kept, pos := 0, 0
-			for n, r := range env.Splits.Test {
-				for k, lab := range r.Label {
-					if !lab {
-						continue
-					}
-					pos++
-					if preds[n].Occur[k] {
-						kept++
-					}
-				}
-			}
+			kept, pos := existence(env.Bundle.EHC(level), env.Splits.Test)
 			if pos > 0 {
 				rows[i].ExistenceCoverage += float64(kept) / float64(pos)
 			}
@@ -103,13 +81,12 @@ func Validity(taskName string, opt Options, trials int, seed int64, w io.Writer)
 				rows[i].EndCoverage += eCov / float64(bPos)
 			}
 		}
-		_ = dataset.Record{}
-		cells[trial] = rows
-		return nil
-	}); err != nil {
+		return rows, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, cell := range cells {
+	for _, cell := range perTrial {
 		for i := range rows {
 			rows[i].ExistenceCoverage += cell[i].ExistenceCoverage
 			rows[i].StartCoverage += cell[i].StartCoverage
@@ -122,17 +99,15 @@ func Validity(taskName string, opt Options, trials int, seed int64, w io.Writer)
 		rows[i].StartCoverage /= float64(trials)
 		rows[i].EndCoverage /= float64(trials)
 	}
-	if w != nil {
-		t := NewTable(fmt.Sprintf("Conformal validity on %s (Theorems 4.2 and 5.2, avg of %d trials)",
-			taskName, trials),
-			"level", "existence coverage", "start-band coverage", "end-band coverage")
-		for _, r := range rows {
-			t.Addf(r.Level, r.ExistenceCoverage, r.StartCoverage, r.EndCoverage)
-		}
-		t.Render(w)
-		fmt.Fprintln(w, "every coverage column should sit at or above its level (within sampling error)")
-		fmt.Fprintln(w)
+	t := NewTable(fmt.Sprintf("Conformal validity on %s (Theorems 4.2 and 5.2, avg of %d trials)",
+		task.Name, trials),
+		"level", "existence coverage", "start-band coverage", "end-band coverage")
+	for _, r := range rows {
+		t.Addf(r.Level, r.ExistenceCoverage, r.StartCoverage, r.EndCoverage)
 	}
+	t.Render(w)
+	fmt.Fprintln(w, "every coverage column should sit at or above its level (within sampling error)")
+	fmt.Fprintln(w)
 	return rows, nil
 }
 

@@ -391,3 +391,32 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 	m.ciFailedC.Add(float64(rep.CIFailedAttempts))
 	return rep, tl.Records, tl.Preds, outs, nil
 }
+
+// Scored is one marshalling run with its recall. REC credits every relay the
+// strategy released; RealizedREC only those that reached the CI (equal
+// unless Costs.Degrade deferred some); Relays counts the released ones.
+type Scored struct {
+	Report
+	REC, RealizedREC float64
+	Relays           int
+}
+
+// RunScored builds the marshaller New would and runs it over [start, end]:
+// the one "marshal a region and score it" behind the harness figures, the
+// resilience sweep and the scenario pipeline tasks.
+func RunScored(src dataset.Source, s strategy.Strategy, ci cloud.Backend, cfg dataset.Config, costs Costs, start, end int) (Scored, error) {
+	m, err := New(src, s, ci, cfg, costs)
+	if err != nil {
+		return Scored{}, err
+	}
+	rep, recs, preds, outs, err := m.RunDetailed(start, end)
+	if err != nil {
+		return Scored{}, err
+	}
+	out := Scored{Report: rep, Relays: Relays(preds)}
+	if out.REC, err = metrics.REC(recs, preds); err != nil {
+		return Scored{}, err
+	}
+	out.RealizedREC, err = metrics.REC(recs, DropDeferred(preds, outs))
+	return out, err
+}

@@ -11,8 +11,6 @@ import (
 	"eventhit/internal/features"
 	"eventhit/internal/fleet"
 	"eventhit/internal/harness"
-	"eventhit/internal/mathx"
-	"eventhit/internal/metrics"
 	"eventhit/internal/pipeline"
 	"eventhit/internal/resilience"
 	"eventhit/internal/video"
@@ -164,10 +162,10 @@ func resolveCamera(cams []camera, id string) (camera, error) {
 	return camera{}, fmt.Errorf("scenario: unknown camera %q", id)
 }
 
-// buildCamera generates one camera's stream and extractor and wraps them as
-// a fleet.Stream (the pipeline executors reuse the same bundle). Rebuilt
-// fresh for every task: extractors are stateful. Every camera shares
-// env.Bundle — deciding only reads it, and each strategy owns its scratch.
+// buildCamera compiles one camera declaration onto fleet.NewCamera (the
+// pipeline executors reuse the same Stream). Rebuilt fresh for every task:
+// extractors are stateful. Every camera shares env.Bundle — deciding only
+// reads it, and each strategy owns its scratch.
 func buildCamera(env *harness.Env, spec *Spec, cam camera) (fleet.Stream, error) {
 	g := cam.group
 	proc := video.PoissonArrivals
@@ -177,40 +175,27 @@ func buildCamera(env *harness.Env, spec *Spec, cam camera) (fleet.Stream, error)
 	case "regular":
 		proc = video.RegularArrivals
 	}
-	shiftAt, rate := 0, 1.0
+	surgeAt, rate := 0, 1.0
 	if g.Surge != nil {
-		shiftAt, rate = g.Surge.AtFrame, g.Surge.Rate
+		surgeAt, rate = g.Surge.AtFrame, g.Surge.Rate
 	}
-	st := video.GenerateWith(env.Task.Dataset, proc, shiftAt, rate, mathx.NewRNG(cam.seed).Split(1))
-	var ex *features.Extractor
-	var err error
+	after, driftAt := env.Opt.Detector, 0
 	if g.Drift != nil {
-		after := features.DetectorConfig{
+		after = features.DetectorConfig{
 			MissRate: g.Drift.MissRate,
 			FPRate:   g.Drift.FPRate,
 			Jitter:   g.Drift.Jitter,
 			CueGain:  g.Drift.CueGain,
 		}
-		ex, err = features.NewDriftingExtractor(st, env.Task.EventIdx, env.Opt.Detector, after, g.Drift.AtFrame, cam.seed)
-	} else {
-		ex, err = features.NewExtractor(st, env.Task.EventIdx, env.Opt.Detector, cam.seed)
+		driftAt = g.Drift.AtFrame
 	}
+	fs, err := fleet.NewCamera(cam.id, cam.seed, env.Task.Dataset, env.Task.EventIdx,
+		proc, surgeAt, rate, env.Opt.Detector, after, driftAt,
+		spec.Frames, env.Bundle.EHCR(spec.Confidence, spec.Coverage), env.Cfg)
 	if err != nil {
-		return fleet.Stream{}, fmt.Errorf("scenario: camera %s: %w", cam.id, err)
+		return fleet.Stream{}, fmt.Errorf("scenario: %w", err)
 	}
-	end := st.N - 1
-	if spec.Frames > 0 && spec.Frames < end {
-		end = spec.Frames
-	}
-	return fleet.Stream{
-		ID:       cam.id,
-		Source:   ex,
-		Strategy: env.Bundle.EHCR(spec.Confidence, spec.Coverage),
-		Cfg:      env.Cfg,
-		Costs:    pipeline.EventHitCosts(env.Cfg.Window),
-		Start:    0,
-		End:      end,
-	}, nil
+	return fs, nil
 }
 
 // EnvFor trains the spec's environment: the spec's task at quick or full
@@ -221,11 +206,7 @@ func EnvFor(spec *Spec) (*harness.Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := harness.DefaultOptions()
-	if spec.Quick {
-		opt = harness.Quick()
-	}
-	return harness.NewEnv(task, opt, spec.Seed)
+	return harness.NewEnv(task, harness.Params{Quick: spec.Quick}.Options(), spec.Seed)
 }
 
 // Run trains the spec's environment and executes its stages with par
@@ -438,33 +419,21 @@ func runPipelineTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec) (
 		costs.Resilience = &rcfg
 		costs.Degrade = true
 	}
-	m, err := pipeline.New(fs.Source, fs.Strategy, backend, fs.Cfg, costs)
-	if err != nil {
-		return nil, err
-	}
-	rep, recs, preds, outs, err := m.RunDetailed(fs.Start, fs.End)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := metrics.REC(recs, preds)
-	if err != nil {
-		return nil, err
-	}
-	realized, err := metrics.REC(recs, pipeline.DropDeferred(preds, outs))
+	run, err := pipeline.RunScored(fs.Source, fs.Strategy, backend, fs.Cfg, costs, fs.Start, fs.End)
 	if err != nil {
 		return nil, err
 	}
 	return &PipelineOut{
 		Stream:  cam.id,
 		Faulted: ts.Faults,
-		REC:     rec, RealizedREC: realized,
-		Relays:         pipeline.Relays(preds),
-		Deferred:       rep.CIDeferred,
-		Retried:        rep.CIRetried,
-		FailedAttempts: rep.CIFailedAttempts,
-		BreakerTrips:   rep.BreakerTrips,
-		SpentUSD:       rep.SpentUSD,
-		CIMS:           rep.CIMS,
+		REC:     run.REC, RealizedREC: run.RealizedREC,
+		Relays:         run.Relays,
+		Deferred:       run.CIDeferred,
+		Retried:        run.CIRetried,
+		FailedAttempts: run.CIFailedAttempts,
+		BreakerTrips:   run.BreakerTrips,
+		SpentUSD:       run.SpentUSD,
+		CIMS:           run.CIMS,
 	}, nil
 }
 

@@ -102,4 +102,14 @@ while read -r name artifact det _; do
     fi
 done <"$tmpdir/list.txt"
 
+# Every `-exp all` row prints the same bytes at any parallelism: no row
+# prints wall-clock, and every grid merges in cell-index order. No
+# committed bytes — the two runs are compared with each other.
+exp_all_x2() {
+    "$tmpdir/eventhitbench" -exp all -quick -parallelism 1 >"$tmpdir/all_p1.txt" &&
+        "$tmpdir/eventhitbench" -exp all -quick -parallelism 4 >"$tmpdir/all_p4.txt" &&
+        cmp "$tmpdir/all_p1.txt" "$tmpdir/all_p4.txt"
+}
+stage exp-all-x2 exp_all_x2
+
 echo "OK"
