@@ -2,6 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
+	"net/http"
 	"strconv"
 	"sync"
 )
@@ -11,6 +15,95 @@ import (
 // into the session's frameRing. scanFrames accepts exactly one shape; every
 // other body is decoded by encoding/json (see handleFrames), which owns all
 // lenient behaviour and every error string.
+
+// FramesRequest is the POST /v1/frames body.
+type FramesRequest struct {
+	Frames [][]float64 `json:"frames"`
+}
+
+// FramesResponse acknowledges buffered frames.
+type FramesResponse struct {
+	Buffered int `json:"buffered"` // frames currently in the window buffer
+	Next     int `json:"next"`     // absolute index of the next frame
+}
+
+func (s *Server) handleFrames(sess *session, w http.ResponseWriter, r *http.Request) {
+	ib := getIngestBuf()
+	defer putIngestBuf(ib)
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	if n := r.ContentLength; n > 0 {
+		// ReadFrom wants MinRead spare bytes to see EOF; ask for them up
+		// front so a body of known length costs one growth, not a doubling
+		// series. Capped: a declared length commits no more memory than the
+		// pool would keep anyway before the bytes actually arrive.
+		ib.body.Grow(int(min(n, maxPooledIngestBytes)) + bytes.MinRead)
+	}
+	if _, err := ib.body.ReadFrom(body); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "invalid JSON: %v", err)
+		return
+	}
+	// Resolve through the session's atomic unit, not Config.Bundle: the
+	// serving model may have been swapped since boot. (Swap validation
+	// freezes InputDim server-wide, so this is belt and braces — but it
+	// keeps the request path honest about where the model lives.)
+	d := s.resolveUnit(sess).inputDim
+	var rows int
+	var canonical bool
+	ib.vals, rows, canonical = scanFrames(ib.body.Bytes(), d, ib.vals)
+	if !canonical {
+		if rows, canonical = decodeFramesJSON(w, ib, d); !canonical {
+			return
+		}
+	}
+	s.mu.Lock()
+	sess.ring.push(ib.vals)
+	sess.next += rows
+	resp := FramesResponse{Buffered: sess.ring.n, Next: sess.next}
+	s.mu.Unlock()
+	writeJSON(w, resp)
+}
+
+// decodeFramesJSON is the fallback for a body scanFrames declined:
+// encoding/json decides what the body means, and the checks below what is
+// wrong with it — every lenient behaviour and every error string of the
+// frames endpoint lives here. The Decoder reads the first JSON value only,
+// as this endpoint always has. On success the frames are in ib.vals,
+// row-major; otherwise the error response has been written.
+func decodeFramesJSON(w http.ResponseWriter, ib *ingestBuf, d int) (rows int, ok bool) {
+	var req FramesRequest
+	if err := json.NewDecoder(&ib.body).Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+		return 0, false
+	}
+	if len(req.Frames) == 0 {
+		httpError(w, http.StatusBadRequest, "no frames")
+		return 0, false
+	}
+	if len(req.Frames) > MaxFramesPerPush {
+		httpError(w, http.StatusRequestEntityTooLarge, "batch of %d frames exceeds limit %d", len(req.Frames), MaxFramesPerPush)
+		return 0, false
+	}
+	ib.vals = ib.vals[:0]
+	for i, f := range req.Frames {
+		if len(f) != d {
+			httpError(w, http.StatusBadRequest, "frame %d has %d channels, model expects %d", i, len(f), d)
+			return 0, false
+		}
+		for j, v := range f {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				httpError(w, http.StatusBadRequest, "frame %d channel %d is not finite", i, j)
+				return 0, false
+			}
+		}
+		ib.vals = append(ib.vals, f...)
+	}
+	return len(req.Frames), true
+}
 
 // maxPooledIngestBytes caps what an ingestBuf may hold when it goes back to
 // the pool: one MaxBodyBytes request must not pin 8 MiB per pool slot.
