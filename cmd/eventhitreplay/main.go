@@ -1,33 +1,48 @@
-// Command eventhitreplay audits a decision trace written by eventhitserve
-// against the ground-truth stream it marshalled (a JSON stream from
-// eventhitgen): realized frame-level recall, waste and missed horizons —
-// the numbers an operator checks before loosening or tightening the
-// conformal knobs.
+// Command eventhitreplay audits a deployment's marshalling decisions
+// against the ground truth of the stream they were made on: realized
+// frame-level recall, waste and missed horizons — the numbers an operator
+// checks before loosening or tightening the conformal knobs. A camera
+// stream is a pure function of (task, seed), so the ground truth is
+// regenerated from -task/-seed, never shipped.
 //
-//	eventhitgen -dataset THUMOS -seed 99 -out stream.json
+// The decisions come from one of two places. With -server it plays the
+// camera side of Figure 1 itself: it streams the covariates of its local
+// detector to a running eventhitserve, asks for one decision per horizon,
+// and scores what it was told. With -trace it scores the audit trail an
+// eventhitserve -trace wrote for a camera on the same (task, seed).
+//
 //	eventhitserve -task TA10 -trace decisions.jsonl &
-//	eventhitcam -task TA10 -seed 99 -horizons 50
-//	eventhitreplay -trace decisions.jsonl -stream stream.json -task TA10
+//	eventhitreplay -server http://localhost:8080 -task TA10 -seed 99 -horizons 50
+//	eventhitreplay -trace decisions.jsonl -task TA10 -seed 99
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
+	"eventhit/internal/features"
 	"eventhit/internal/harness"
+	"eventhit/internal/mathx"
+	"eventhit/internal/serve"
 	"eventhit/internal/trace"
 	"eventhit/internal/video"
 )
 
 func main() {
 	var (
-		tracePath  = flag.String("trace", "", "JSON-lines decision trace (required)")
-		streamPath = flag.String("stream", "", "ground-truth stream JSON from eventhitgen (required)")
-		task       = flag.String("task", "TA10", "Table II task the trace belongs to")
+		server    = flag.String("server", "", "eventhitserve base URL to stream the camera to")
+		tracePath = flag.String("trace", "", "JSON-lines decision trace written by eventhitserve -trace")
+		task      = flag.String("task", "TA10", "Table II task (must match the server's)")
+		seed      = flag.Int64("seed", 99, "camera stream seed")
+		horizons  = flag.Int("horizons", 20, "with -server: number of horizons to stream")
+		conf      = flag.Float64("confidence", 0, "with -server: override server confidence (0 = server default)")
+		cov       = flag.Float64("coverage", 0, "with -server: override server coverage (0 = server default)")
 	)
 	flag.Parse()
-	if *tracePath == "" || *streamPath == "" {
+	if (*server == "") == (*tracePath == "") {
+		fmt.Fprintln(os.Stderr, "eventhitreplay: give exactly one of -server or -trace")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -35,21 +50,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	tf, err := os.Open(*tracePath)
-	if err != nil {
-		fatal(err)
+	st := video.Generate(t.Dataset, mathx.NewRNG(*seed))
+	var entries []trace.Entry
+	if *server != "" {
+		entries, err = stream(*server, t, st, *seed, *horizons, *conf, *cov)
+	} else {
+		entries, err = readTrace(*tracePath)
 	}
-	defer tf.Close()
-	entries, err := trace.ReadAll(tf)
-	if err != nil {
-		fatal(err)
-	}
-	sf, err := os.Open(*streamPath)
-	if err != nil {
-		fatal(err)
-	}
-	defer sf.Close()
-	st, err := video.ReadJSON(sf)
 	if err != nil {
 		fatal(err)
 	}
@@ -63,6 +70,69 @@ func main() {
 		audit.Recall(), audit.CoveredFrames, audit.TrueFrames)
 	fmt.Printf("  frames relayed:      %d (wasted: %d, %.1f%%)\n",
 		audit.RelayedFrames, audit.WastedFrames, 100*audit.Waste())
+}
+
+// stream is the camera: push the stream's covariates to the server, ask for
+// one decision per horizon, and return the decisions as trace entries.
+func stream(server string, t harness.Task, st *video.Stream, seed int64, horizons int, conf, cov float64) ([]trace.Entry, error) {
+	ex, err := features.NewExtractor(st, t.EventIdx, features.DefaultDetector(), seed)
+	if err != nil {
+		return nil, err
+	}
+	ctx := context.Background()
+	c := serve.NewClient(server, nil)
+	if !c.Healthy(ctx) {
+		return nil, fmt.Errorf("server %s not healthy — is eventhitserve running?", server)
+	}
+	frame := 0
+	push := func(upto int) error {
+		for frame < upto {
+			batch := make([][]float64, 0, 256)
+			for ; frame < upto && len(batch) < cap(batch); frame++ {
+				batch = append(batch, ex.FrameVector(frame, nil))
+			}
+			if _, err := c.PushFrames(ctx, batch); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	horizon := t.Dataset.Horizon
+	if err := push(t.Dataset.Window); err != nil {
+		return nil, err
+	}
+	var entries []trace.Entry
+	for h := 0; h < horizons && frame+horizon < st.N; h++ {
+		resp, err := c.Predict(ctx, conf, cov)
+		if err != nil {
+			return nil, err
+		}
+		for k, d := range resp.Decisions {
+			entries = append(entries, trace.Entry{
+				Anchor: resp.Anchor, Horizon: resp.HorizonEnd - resp.Anchor,
+				Event: d.Event, EventIndex: k, Relay: d.Relay, Start: d.Start, End: d.End,
+			})
+		}
+		if err := push(frame + horizon); err != nil {
+			return nil, err
+		}
+	}
+	stats, err := c.Stats(ctx)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("server stats: %d predictions, %d relays, %d frames to cloud, $%.2f (BF: $%.2f)\n",
+		stats.Predictions, stats.Relays, stats.FramesToCloud, stats.EstimatedUSD, stats.BruteForceUSD)
+	return entries, nil
+}
+
+func readTrace(path string) ([]trace.Entry, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return trace.ReadAll(f)
 }
 
 func fatal(err error) {

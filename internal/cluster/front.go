@@ -365,7 +365,8 @@ func (f *Front) Stats() ClusterStats {
 	return ClusterStats{Workers: len(per), Totals: totalsOf(per), PerWorker: per, Routed: f.Routed()}
 }
 
-// totalsOf sums the additive counters of every worker that answered.
+// totalsOf sums the additive counters of every worker that answered; a
+// feature flag is on in the totals when it is on at any of them.
 func totalsOf(per []WorkerStats) serve.Stats {
 	var t serve.Stats
 	for _, ws := range per {
@@ -400,6 +401,7 @@ func totalsOf(per []WorkerStats) serve.Stats {
 		t.CacheEvictions += s.CacheEvictions
 		t.CacheSavedUSD += s.CacheSavedUSD
 		t.AdaptEnabled = t.AdaptEnabled || s.AdaptEnabled
+		t.QuantizedServing = t.QuantizedServing || s.QuantizedServing
 		t.AdminSwaps += s.AdminSwaps
 		t.RecalibrationSwaps += s.RecalibrationSwaps
 		t.DriftObservations += s.DriftObservations

@@ -324,9 +324,10 @@ func TestFrontSessionListAndStats(t *testing.T) {
 	}
 
 	checkTotals(t, cs.Totals, cs.PerWorker)
-	// The live fixture leaves most counters at zero, where a dropped field
-	// sums correctly by accident: fill every field of two synthetic workers
-	// with distinct non-zero values and total those too.
+	// The live fixture leaves most counters at zero and most flags off, where
+	// a dropped field totals correctly by accident: fill every field of two
+	// synthetic workers with distinct non-zero values, each flag on at
+	// exactly one of them, and total those too.
 	synth := make([]WorkerStats, 2)
 	for w := range synth {
 		v := reflect.ValueOf(&synth[w].Stats).Elem()
@@ -338,6 +339,8 @@ func TestFrontSessionListAndStats(t *testing.T) {
 				f.SetUint(uint64((i + 1) * (w + 1)))
 			case f.CanFloat():
 				f.SetFloat(float64(i+1) * (float64(w) + 0.5))
+			case f.Kind() == reflect.Bool:
+				f.SetBool((i+w)%2 == 0)
 			}
 		}
 	}
@@ -368,9 +371,10 @@ var perWorkerOnly = map[string]bool{
 	"CacheHitRatio":   true,
 }
 
-// checkTotals walks serve.Stats by reflection so a counter added to serve
+// checkTotals walks serve.Stats by reflection so a field added to serve
 // cannot vanish at the front: every numeric field of totals equals the sum
-// over the workers, or is on the perWorkerOnly list.
+// over the workers, or is on the perWorkerOnly list, and every bool field
+// equals the OR over the workers.
 func checkTotals(t *testing.T, totals serve.Stats, per []WorkerStats) {
 	t.Helper()
 	num := func(v reflect.Value) (float64, bool) {
@@ -387,6 +391,16 @@ func checkTotals(t *testing.T, totals serve.Stats, per []WorkerStats) {
 	tv := reflect.ValueOf(totals)
 	for i := 0; i < tv.NumField(); i++ {
 		name := tv.Type().Field(i).Name
+		if tv.Field(i).Kind() == reflect.Bool {
+			want := false
+			for _, ws := range per {
+				want = want || reflect.ValueOf(ws.Stats).Field(i).Bool()
+			}
+			if got := tv.Field(i).Bool(); got != want {
+				t.Errorf("totals.%s = %v, OR over workers %v", name, got, want)
+			}
+			continue
+		}
 		got, ok := num(tv.Field(i))
 		if !ok || perWorkerOnly[name] {
 			continue

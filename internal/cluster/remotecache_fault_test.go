@@ -12,6 +12,7 @@ import (
 	"eventhit/internal/cicache"
 	"eventhit/internal/cloud"
 	"eventhit/internal/mathx"
+	"eventhit/internal/pipeline"
 	"eventhit/internal/resilience"
 	"eventhit/internal/video"
 )
@@ -180,19 +181,22 @@ func TestCachedBackendFaultyCacheBreakerAccounting(t *testing.T) {
 
 	st := video.Generate(video.THUMOS(), mathx.NewRNG(1))
 	inner := cloud.NewService(st, cloud.RekognitionPricing(), cloud.DefaultLatency())
-	cached := cloud.NewCachedBackend(inner, rc, cloud.PerFrameUSDOf(inner))
-	client := resilience.NewClient(cached, resilience.DefaultConfig(1), nil)
+	relay, err := pipeline.NewRelay(inner, rc, cloud.PerFrameUSDOf(inner), resilience.DefaultConfig(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := relay.Client()
 
 	const relays = 5
 	getBefore, putBefore := ft.count(cachePathGet), ft.count(cachePathPut)
 	for i := 0; i < relays; i++ {
 		win := video.Interval{Start: i * 200, End: i*200 + 99}
-		res, err := client.Detect(0, win)
+		out, _, err := relay.Serve(pipeline.RelayRequest{EventType: 0, Win: win})
 		if err != nil {
 			t.Fatalf("relay %d failed through a faulty cache: %v", i, err)
 		}
-		if res.Deferred || res.Attempts != 1 {
-			t.Fatalf("relay %d: %+v, want one clean attempt", i, res)
+		if a := client.Stats().Attempts; out.Deferred || out.Retried || a != int64(i+1) {
+			t.Fatalf("relay %d: %+v after %d attempts, want one clean attempt each", i, out, a)
 		}
 	}
 	cs := client.Stats()

@@ -3,10 +3,8 @@ package pipeline
 import (
 	"fmt"
 
-	"eventhit/internal/cicache"
 	"eventhit/internal/dataset"
 	"eventhit/internal/metrics"
-	"eventhit/internal/video"
 )
 
 // Collect mode: the same marshalling loop as RunDetailed, but the relay
@@ -17,38 +15,6 @@ import (
 // outcomes never feed back into the predictor, the captured timeline is a
 // pure function of the stream: the fleet can replay, reorder and batch it
 // without changing what the stream would have predicted.
-
-// RelayRequest is one captured relay decision: which frames of which event
-// the stream wants the CI to analyse, when the request was released on the
-// stream's local clock, and how urgent it is.
-type RelayRequest struct {
-	// Seq numbers the stream's requests in release order (0-based).
-	Seq int
-	// Horizon indexes the timeline's Records/Preds slices; Event is the
-	// event slot k within the task.
-	Horizon int
-	Event   int
-	// EventType is the stream event type to detect (Source.Events()[Event]).
-	EventType int
-	// Win is the absolute frame range to relay.
-	Win video.Interval
-	// SlackFrames is the conformal urgency: the predicted occurrence
-	// interval's start offset from the anchor — how many frames remain
-	// before the event is predicted to begin. Smaller slack means the relay
-	// must reach the CI sooner to be worth anything.
-	SlackFrames int
-	// ReleaseMS is the stream-local simulated time at which the request was
-	// submitted (scan and predict time of all horizons up to and including
-	// this one).
-	ReleaseMS float64
-	// Key is the content-addressed cache signature of the request (the
-	// quantized covariate window plus the event and the relative range),
-	// populated only when the stream's Costs.Cache is set; Keyed says so. A
-	// scheduler serving keyed requests may dedup them through a shared
-	// cicache.Cache.
-	Key   cicache.Key
-	Keyed bool
-}
 
 // Timeline is one stream's captured marshalling activity over a region.
 type Timeline struct {
@@ -113,25 +79,7 @@ func (m *Marshaller) step(t int, tl *Timeline) ([]RelayRequest, float64, error) 
 	m.scanH.Observe(scanMS)
 	m.predictH.Observe(predictMS)
 	first := len(tl.Requests)
-	for k, occ := range pred.Occur {
-		if !occ {
-			continue
-		}
-		req := RelayRequest{
-			Seq:         len(tl.Requests),
-			Horizon:     len(tl.Records),
-			Event:       k,
-			EventType:   m.ex.Events()[k],
-			Win:         video.Interval{Start: t + pred.OI[k].Start, End: t + pred.OI[k].End},
-			SlackFrames: pred.OI[k].Start,
-			ReleaseMS:   tl.ScanMS + tl.PredMS,
-		}
-		if m.costs.Cache != nil {
-			req.Key = cicache.SignWindow(rec.X, m.ex.Events(), req.EventType, pred.OI[k], m.costs.Cache.Epsilon)
-			req.Keyed = true
-		}
-		tl.Requests = append(tl.Requests, req)
-	}
+	tl.Requests = m.relay.AppendRequests(tl.Requests, rec, m.ex.Events(), &pred, len(tl.Records), tl.ScanMS+tl.PredMS)
 	tl.Records = append(tl.Records, rec)
 	tl.Preds = append(tl.Preds, pred)
 	return tl.Requests[first:], scanMS + predictMS, nil

@@ -199,32 +199,17 @@ func (r Report) StageShares() (scan, predict, ci float64) {
 	return r.ScanMS / t, r.PredictMS / t, r.CIMS / t
 }
 
-// RelayOutcome records the fate of one relayed (horizon, event) decision.
-type RelayOutcome struct {
-	// Horizon indexes the returned records/predictions slices.
-	Horizon int
-	// Event is the event slot k within the task.
-	Event int
-	// Deferred reports that the relay never reached the CI (graceful
-	// degradation). Retried reports a success that needed retries.
-	Deferred bool
-	Retried  bool
-	// Detections is how many true event segments the CI returned.
-	Detections int
-}
-
 // Marshaller drives one strategy over a stream region.
 type Marshaller struct {
 	ex    dataset.Source
 	strat strategy.Strategy
 	ci    cloud.Backend
-	res   *resilience.Client
+	// relay is the CI channel over ci (with Costs.Cache's result cache);
+	// its client runs on clock, which scan and predict time advance too.
+	relay *Relay
 	clock *resilience.Clock
 	cfg   dataset.Config
 	costs Costs
-	// cached is the dedup layer in front of ci (nil when Costs.Cache is
-	// unset); the resilient client calls through it.
-	cached *cloud.CachedBackend
 
 	// Stage histograms and run counters (see Costs.Metrics). The stage label
 	// matches Figure 10's decomposition: scan, predict, relay.
@@ -253,20 +238,19 @@ func New(ex dataset.Source, s strategy.Strategy, ci cloud.Backend, cfg dataset.C
 	if costs.Resilience != nil {
 		rcfg = *costs.Resilience
 	}
-	// The cache wraps the backend BELOW the resilient client: a hit is an
-	// instantly successful zero-latency attempt (no billing, no busy time,
-	// the breaker sees a success), a miss retries like any other request.
-	var cached *cloud.CachedBackend
-	backend := ci
+	var cache cicache.Remote
 	if costs.Cache != nil {
-		cache, err := cicache.New(*costs.Cache)
+		c, err := cicache.New(*costs.Cache)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: %w", err)
 		}
-		cached = cloud.NewCachedBackend(ci, cache, cloud.PerFrameUSDOf(ci))
-		backend = cached
+		cache = c
 	}
 	clock := resilience.NewClock()
+	relay, err := NewRelay(ci, cache, cloud.PerFrameUSDOf(ci), rcfg, clock)
+	if err != nil {
+		return nil, err
+	}
 	reg := costs.Metrics
 	if reg == nil {
 		reg = obs.Default()
@@ -277,10 +261,8 @@ func New(ex dataset.Source, s strategy.Strategy, ci cloud.Backend, cfg dataset.C
 			obs.MSBuckets(), obs.Labels{"stage": stage})
 	}
 	return &Marshaller{
-		ex: ex, strat: s, ci: ci, cached: cached,
-		res:   resilience.NewClient(backend, rcfg, clock),
-		clock: clock,
-		cfg:   cfg, costs: costs,
+		ex: ex, strat: s, ci: ci, relay: relay, clock: clock,
+		cfg: cfg, costs: costs,
 		scanH:    stageH("scan"),
 		predictH: stageH("predict"),
 		relayH:   stageH("relay"),
@@ -324,10 +306,11 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 	// Baselines: the client and CI meters are cumulative across runs of the
 	// same backend; the report and the run counters only take this run's
 	// delta.
-	st0, u0 := m.res.Stats(), m.ci.Usage()
+	cached := m.relay.Cached()
+	st0, u0 := m.relay.Client().Stats(), m.ci.Usage()
 	var sv0 cloud.Savings
-	if m.cached != nil {
-		sv0 = m.cached.Savings()
+	if cached != nil {
+		sv0 = cached.Savings()
 	}
 	for t := start; t+m.cfg.Horizon <= end; t += m.cfg.Horizon {
 		reqs, localMS, err := m.step(t, &tl)
@@ -339,33 +322,24 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 		// activity.
 		m.clock.Advance(localMS)
 		for _, rq := range reqs {
-			var res resilience.Result
-			if rq.Keyed {
-				res, err = m.res.DetectKeyed(rq.Key, rq.EventType, rq.Win)
-			} else {
-				res, err = m.res.Detect(rq.EventType, rq.Win)
-			}
+			out, ms, err := m.relay.Serve(rq)
 			// Deferred calls consumed simulated time too (failed attempts,
 			// backoff); the relay histogram records both outcomes.
-			m.relayH.Observe(res.ElapsedMS)
-			out := RelayOutcome{Horizon: rq.Horizon, Event: rq.Event, Retried: res.Retried, Deferred: res.Deferred}
-			if err != nil {
-				if !m.costs.Degrade || !res.Deferred {
-					return Report{}, nil, nil, nil, fmt.Errorf("pipeline: CI call: %w", err)
-				}
-				rep.CIDeferred++
-				outs = append(outs, out)
-				continue
+			m.relayH.Observe(ms)
+			if err != nil && !m.costs.Degrade {
+				return Report{}, nil, nil, nil, fmt.Errorf("pipeline: CI call: %w", err)
 			}
-			if res.Retried {
+			if out.Deferred {
+				rep.CIDeferred++
+			}
+			if out.Retried {
 				rep.CIRetried++
 			}
-			out.Detections = len(res.Det.Found)
 			rep.Detections += out.Detections
 			outs = append(outs, out)
 		}
 	}
-	st := m.res.Stats()
+	st := m.relay.Client().Stats()
 	u := m.ci.Usage()
 	rep.Horizons = tl.Horizons
 	rep.Frames = tl.Horizons * m.cfg.Horizon
@@ -376,8 +350,8 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 	rep.CIFailedAttempts = st.Failures - st0.Failures
 	rep.CIBackoffMS = st.BackoffMS - st0.BackoffMS
 	rep.BreakerTrips = st.Trips - st0.Trips
-	if m.cached != nil {
-		sv := m.cached.Savings()
+	if cached != nil {
+		sv := cached.Savings()
 		rep.CacheHits = sv.Hits - sv0.Hits
 		rep.CacheSavedFrames = sv.SavedFrames - sv0.SavedFrames
 		rep.CacheSavedUSD = sv.SavedUSD - sv0.SavedUSD

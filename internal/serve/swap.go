@@ -142,18 +142,14 @@ func (s *Server) Swap(b *strategy.Bundle, origin string) (uint64, error) {
 	}
 	// Lock order matches handlePredict: relayMu (serializes the adaptation
 	// state we are about to rebase) before mu (session table).
-	if s.relay != nil {
-		s.relayMu.Lock()
-		defer s.relayMu.Unlock()
-	}
+	s.lockRelay()
+	defer s.unlockRelay()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	gen := s.gens.Add(1)
-	u := *probe
-	u.gen = gen
-	s.unit.Store(&u)
+	u := s.derive(probe, probe.bundle, origin)
+	s.unit.Store(u)
 	for _, sess := range s.sessions {
-		sess.unit.Store(&u)
+		sess.unit.Store(u)
 		if sess.ad != nil {
 			sess.ad.rebase()
 		}
@@ -161,7 +157,14 @@ func (s *Server) Swap(b *strategy.Bundle, origin string) (uint64, error) {
 	if origin == swapOriginAdmin {
 		s.adminSwaps++
 	}
-	return gen, nil
+	return u.gen, nil
+}
+
+// derive returns a copy of u serving b under the next swap generation.
+func (s *Server) derive(u *bundleUnit, b *strategy.Bundle, origin string) *bundleUnit {
+	nu := *u
+	nu.bundle, nu.gen, nu.origin = b, s.gens.Add(1), origin
+	return &nu
 }
 
 // resolveUnit returns the session's current serving unit.
@@ -191,7 +194,8 @@ func (s *Server) handleModelPush(w http.ResponseWriter, r *http.Request) {
 	b, err := strategy.LoadBundle(r.Body)
 	if err != nil {
 		code := http.StatusBadRequest
-		if _, ok := err.(*http.MaxBytesError); ok {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
 			code = http.StatusRequestEntityTooLarge
 		}
 		httpError(w, code, "decoding bundle: %v", err)
@@ -314,12 +318,6 @@ func (a *adapter) rebase() {
 	a.fresh = 0
 }
 
-// observeOutcome feeds one realized coverage outcome (the event truly
-// occurred; kept reports whether the conformal layer relayed it).
-func (a *adapter) observeOutcome(kept bool) {
-	a.mon.Observe(kept)
-}
-
 // noteBuffered records that one labeled score/outcome pair entered the
 // recalibration buffer.
 func (a *adapter) noteBuffered() {
@@ -348,22 +346,17 @@ func (a *adapter) step(s *Server, u *bundleUnit) (*bundleUnit, *conformal.Classi
 	if !a.episodeOpen || a.fresh < s.cfg.Adapt.MinFresh {
 		return nil, nil
 	}
+	// A rebuild that fails defers the attempt and the episode keeps
+	// buffering: drift.ErrInsufficientPositives (the post-alarm window has
+	// no positive for some event yet) is retried by the next labeled
+	// outcome; anything else is unexpected with a non-empty buffer, and
+	// WithClassifier cannot fail on a classifier cut for this model's k.
 	cls, err := a.rec.RebuildRecent(a.fresh)
-	if err != nil {
-		if errors.Is(err, drift.ErrInsufficientPositives) {
-			// Retryable: the post-alarm window has no positive for some
-			// event yet. Keep buffering; the next labeled outcome retries.
-			a.recalDeferred++
-			return nil, nil
-		}
-		// Anything else is unexpected with a non-empty buffer; drop the
-		// attempt and let the episode keep buffering.
-		a.recalDeferred++
-		return nil, nil
+	var nb *strategy.Bundle
+	if err == nil {
+		nb, err = u.bundle.WithClassifier(cls)
 	}
-	nb, err := u.bundle.WithClassifier(cls)
 	if err != nil {
-		// Cannot happen: the classifier was cut for this model's k.
 		a.recalDeferred++
 		return nil, nil
 	}
@@ -371,11 +364,7 @@ func (a *adapter) step(s *Server, u *bundleUnit) (*bundleUnit, *conformal.Classi
 	a.episodeOpen = false
 	a.fresh = 0
 	a.recalibs++
-	nu := *u
-	nu.bundle = nb
-	nu.gen = s.gens.Add(1)
-	nu.origin = swapOriginRecalibration
-	return &nu, cls
+	return s.derive(u, nb, swapOriginRecalibration), cls
 }
 
 // AdoptClassifier installs cls into every session tagged with scene except
@@ -401,10 +390,8 @@ func (s *Server) AdoptClassifier(scene string, cls *conformal.Classifier, except
 	if cn := cls.NumEvents(); cn != s.k {
 		return 0, fmt.Errorf("serve: adopt: classifier covers %d events, server expects %d", cn, s.k)
 	}
-	if s.relay != nil {
-		s.relayMu.Lock()
-		defer s.relayMu.Unlock()
-	}
+	s.lockRelay()
+	defer s.unlockRelay()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	adopted := 0
@@ -418,11 +405,7 @@ func (s *Server) AdoptClassifier(scene string, cls *conformal.Classifier, except
 		if err != nil {
 			return adopted, fmt.Errorf("serve: adopt into session %q: %w", sess.id, err)
 		}
-		nu := *u
-		nu.bundle = nb
-		nu.gen = s.gens.Add(1)
-		nu.origin = swapOriginShared
-		sess.unit.Store(&nu)
+		sess.unit.Store(s.derive(u, nb, swapOriginShared))
 		if sess.ad != nil {
 			sess.ad.rebase()
 		}

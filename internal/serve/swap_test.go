@@ -2,6 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -107,6 +110,31 @@ func TestModelPushRejectsGarbage(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("garbage push returned %d, want 400", resp.StatusCode)
+	}
+}
+
+// zeros is an endless stream of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestModelPushTooLargeIs413: a push past MaxBundleBytes is 413, not 400.
+// The decoders wrap the body's read error with %w, so the status must come
+// from errors.As. The body is a gob length prefix declaring a 100 MiB first
+// message followed by zeros: the decoder keeps reading until the cap stops it.
+func TestModelPushTooLargeIs413(t *testing.T) {
+	srv, _, _ := newSwapServer(t, Config{})
+	const declared = 100 << 20 // > MaxBundleBytes
+	// gob's unsigned encoding: the negated byte count, then big-endian bytes.
+	prefix := binary.BigEndian.AppendUint32([]byte{0xFC}, declared)
+	req := httptest.NewRequest("POST", "/v1/model", io.MultiReader(bytes.NewReader(prefix), zeros{}))
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized push returned %d (%s), want 413", rec.Code, strings.TrimSpace(rec.Body.String()))
 	}
 }
 

@@ -1,9 +1,7 @@
 package video
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -284,48 +282,5 @@ func TestGenerateStdRoughlyMatches(t *testing.T) {
 	std := mathx.Std(s.Durations(idx))
 	if std < 80 || std > 220 {
 		t.Errorf("E5 duration std = %.1f, want in [80,220]", std)
-	}
-}
-
-func TestStreamJSONRoundTrip(t *testing.T) {
-	s := Generate(THUMOS(), mathx.NewRNG(4))
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.N != s.N || s2.Spec.Name != s.Spec.Name || len(s2.ByType) != len(s.ByType) {
-		t.Fatal("header mismatch")
-	}
-	for k := range s.ByType {
-		if len(s2.ByType[k]) != len(s.ByType[k]) {
-			t.Fatalf("type %d instance count mismatch", k)
-		}
-		for i := range s.ByType[k] {
-			if s2.ByType[k][i] != s.ByType[k][i] {
-				t.Fatalf("type %d instance %d differs", k, i)
-			}
-		}
-	}
-}
-
-func TestReadJSONValidates(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("garbage")); err == nil {
-		t.Fatal("expected parse error")
-	}
-	bad := []string{
-		`{"spec":{"Events":[]},"n":0,"byType":[]}`,
-		`{"spec":{"Events":[{"Name":"a"}]},"n":100,"byType":[]}`,
-		`{"spec":{"Events":[{"Name":"a"}]},"n":100,"byType":[[{"Type":0,"OI":{"Start":50,"End":200}}]]}`,
-		`{"spec":{"Events":[{"Name":"a"}]},"n":100,"byType":[[{"Type":0,"OI":{"Start":50,"End":60},"PrecursorStart":70}]]}`,
-		`{"spec":{"Events":[{"Name":"a"}]},"n":100,"byType":[[{"Type":0,"OI":{"Start":50,"End":60}},{"Type":0,"OI":{"Start":55,"End":70}}]]}`,
-	}
-	for i, b := range bad {
-		if _, err := ReadJSON(strings.NewReader(b)); err == nil {
-			t.Errorf("bad stream %d accepted", i)
-		}
 	}
 }

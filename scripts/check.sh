@@ -70,6 +70,9 @@ stage ingest-race-x10 go test -race ./internal/serve/ -run 'TestConcurrentPushPr
 stage predict-core-x5 go test -race ./internal/core/ -run 'TestConcurrentInferenceSharesModel' -count=5
 stage predict-strategy-x5 go test -race ./internal/strategy/ -run 'TestDecideConcurrentOnSharedBundle' -count=5
 stage predict-serve-x5 go test -race ./internal/serve/ -run 'TestConcurrentPredictMatchesSerial|TestConcurrentRelayMatchesSerial|TestSameSessionPredictMatchesSerial' -count=5
+# The one relay path both drivers send decided relays through: served,
+# retried, deferred (outage, open breaker) and cache-hit fates as one table.
+stage relay-contract-x5 go test -race ./internal/pipeline/ -run 'TestRelayServeContract|TestAppendRequests' -count=5
 # Streaming kernel: the per-stream input-projection ring and edges-in Θ
 # decoding against full recomputation, bit for bit.
 stage stream-kernel-x5 go test -race -count=5 ./internal/core/ ./internal/strategy/ -run 'TestStreamRing|TestDecodeEdges|FuzzDecodeEdges|TestDecideOnStreamMatchesSeedDecision'
