@@ -29,14 +29,21 @@ func main() {
 	}
 	fmt.Printf("what happened: coverage promised %.0f%%, delivered %.0f%% pre-shift — then the\n",
 		100*res.Confidence, 100*res.CoverageBefore)
-	fmt.Printf("camera moved and the stale calibration silently delivered %.0f%%. The monitor\n",
+	fmt.Printf("camera moved and the stale calibration silently delivered %.0f%%. The adaptation\n",
 		100*res.CoverageAfter)
-	if res.AlarmRaised {
-		fmt.Printf("alarmed after %d realized positives; recalibrating from post-shift outcomes\n",
-			res.OutcomesToAlarm)
-		fmt.Printf("restored coverage to %.0f%% at the same confidence level.\n",
-			100*res.CoverageRestored)
-	} else {
-		fmt.Println("did not alarm on this seed — rerun with another -seed to see the alarm fire.")
+	fmt.Println("loop serve ships then walked the shift, labelled only by the CI:")
+	for _, a := range res.Arms {
+		fmt.Printf("  auditing %.0f%% of skips (%d audits): ", 100*a.AuditRate, a.Audits)
+		switch {
+		case a.Recalibrations > 0:
+			fmt.Printf("alarmed after %d labelled positives, recalibrated after %d, coverage restored to %.0f%%.\n",
+				a.OutcomesToAlarm, a.OutcomesToRecalibration, 100*a.CoverageRestored)
+		case a.Episodes > 0:
+			fmt.Printf("alarmed after %d labelled positives but never buffered enough to recalibrate.\n",
+				a.OutcomesToAlarm)
+		default:
+			fmt.Printf("only %d labelled positives reached the monitor — no alarm: the shift went unseen.\n",
+				a.Observations)
+		}
 	}
 }

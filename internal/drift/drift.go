@@ -12,6 +12,9 @@
 // be explained by sampling noise at the chosen alarm significance.
 // Recalibrator maintains a rolling buffer of recent labeled records from
 // which a fresh conformal calibration can be cut once the alarm fires.
+// Loop is the adaptation state machine built from the two — episodes,
+// MinFresh, audits — that the server runs per session and the drift and
+// continuous-operation experiments walk.
 package drift
 
 import (
@@ -29,8 +32,8 @@ type Monitor struct {
 	head     int
 	filled   int
 	misses   int
-	episodes int // lifetime alarm episodes (edge-triggered)
-	alarming bool
+	episodes int  // lifetime alarm episodes (edge-triggered)
+	alarming bool // an episode is open (see Observe)
 	observed int
 }
 
@@ -57,12 +60,11 @@ func NewMonitor(c float64, n int, delta float64) (*Monitor, error) {
 // an edge: a sustained shift keeps returning true on every observation).
 //
 // Alarm *episodes* are accounted edge-triggered: the lifetime counter
-// reported by Stats and Episodes increments once when the window first
-// crosses the threshold, and the episode ends when the window drops back
-// below it or on Reset. One sustained shift is one episode, no matter how
-// many observations it spans — so an operator (or the serve adaptation
-// loop) can key recalibration off distinct episodes instead of being
-// retriggered every frame.
+// reported by Stats increments once when the window first crosses the
+// threshold, and the episode ends when the window drops back below it or
+// on Reset. One sustained shift is one episode, no matter how many
+// observations it spans — so an operator (or Loop) can key recalibration
+// off distinct episodes instead of being retriggered every frame.
 func (m *Monitor) Observe(covered bool) bool {
 	if m.filled == m.window {
 		if !m.outcomes[m.head] {
@@ -134,14 +136,3 @@ func (m *Monitor) Reset() {
 // Stats reports lifetime counters: outcomes observed and alarm episodes
 // raised (edge-triggered — see Observe).
 func (m *Monitor) Stats() (observed, episodes int) { return m.observed, m.episodes }
-
-// Episodes returns the lifetime count of distinct alarm episodes.
-func (m *Monitor) Episodes() int { return m.episodes }
-
-// InEpisode reports whether an alarm episode is currently open — the
-// window crossed the threshold and has not yet dropped back below it (or
-// been Reset).
-func (m *Monitor) InEpisode() bool { return m.alarming }
-
-// Window returns the configured sliding-window size.
-func (m *Monitor) Window() int { return m.window }

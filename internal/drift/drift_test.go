@@ -186,9 +186,6 @@ func TestAlarmEpisodesEdgeTriggered(t *testing.T) {
 					m.Reset()
 				}
 			}
-			if got := m.Episodes(); got != tc.wantEpisodes {
-				t.Fatalf("episodes = %d, want %d", got, tc.wantEpisodes)
-			}
 			if _, eps := m.Stats(); eps != tc.wantEpisodes {
 				t.Fatalf("Stats episodes = %d, want %d", eps, tc.wantEpisodes)
 			}
@@ -229,11 +226,11 @@ func TestObserveReturnsLevelNotEdge(t *testing.T) {
 	if trues < 2 {
 		t.Fatalf("sustained shift returned true only %d times; Observe must report the level", trues)
 	}
-	if m.Episodes() != 1 {
-		t.Fatalf("episodes = %d, want 1", m.Episodes())
+	if _, eps := m.Stats(); eps != 1 {
+		t.Fatalf("episodes = %d, want 1", eps)
 	}
-	if !m.InEpisode() {
-		t.Fatal("InEpisode false mid-shift")
+	if !m.alarming {
+		t.Fatal("no episode open mid-shift")
 	}
 }
 
@@ -254,8 +251,8 @@ func TestThresholdEmptyWindowUsesConfigured(t *testing.T) {
 	if got := m.Threshold(); got != full {
 		t.Fatalf("post-Reset threshold %v != configured-window threshold %v", got, full)
 	}
-	if m.Window() != 100 {
-		t.Fatalf("Window() = %d", m.Window())
+	if m.window != 100 {
+		t.Fatalf("window = %d", m.window)
 	}
 }
 
@@ -288,7 +285,7 @@ func TestRecalibratorValidation(t *testing.T) {
 	if err := r.Add([]float64{0.5}, []bool{true, false}); err == nil {
 		t.Fatal("expected shape error")
 	}
-	if _, err := r.Rebuild(); err == nil {
+	if _, err := r.RebuildRecent(100); err == nil {
 		t.Fatal("expected error on empty buffer")
 	}
 }
@@ -300,10 +297,10 @@ func TestRecalibratorRollsOver(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", r.Len())
+	if r.filled != 10 {
+		t.Fatalf("filled = %d, want 10", r.filled)
 	}
-	c, err := r.Rebuild()
+	c, err := r.RebuildRecent(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +337,7 @@ func TestRecalibratorAddInPlace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.Rebuild()
+			want, err := fresh.RebuildRecent(capacity)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -363,7 +360,7 @@ func TestRecalibratorDoesNotAliasInput(t *testing.T) {
 	r.Add(b, l)
 	b[0] = 0.1
 	l[0] = false
-	c, err := r.Rebuild()
+	c, err := r.RebuildRecent(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +413,7 @@ func TestRebuildRecentWindowExcludesPositive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := r.Rebuild(); err != nil {
+	if _, err := r.RebuildRecent(50); err != nil {
 		t.Fatalf("full-buffer rebuild has a positive, got %v", err)
 	}
 	_, err := r.RebuildRecent(10)

@@ -64,26 +64,14 @@ func (r *Recalibrator) Add(b []float64, label []bool) error {
 	return nil
 }
 
-// Len returns the number of buffered records.
-func (r *Recalibrator) Len() int { return r.filled }
-
 // Reset discards every buffered record. Call it when the scoring model
 // changes: scores cut by the old model would poison a rebuild for the new
 // one.
 func (r *Recalibrator) Reset() {
-	for i := range r.scores {
-		r.scores[i] = nil
-		r.labels[i] = nil
-	}
+	clear(r.scores)
+	clear(r.labels)
 	r.head = 0
 	r.filled = 0
-}
-
-// Rebuild cuts a fresh C-CLASSIFY calibration from the whole buffer. It
-// fails (like conformal.NewClassifier) when some event has no buffered
-// positive.
-func (r *Recalibrator) Rebuild() (*conformal.Classifier, error) {
-	return r.RebuildRecent(r.capacity)
 }
 
 // RebuildRecent calibrates from only the n most recently added records —

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"eventhit/internal/drift"
 	"eventhit/internal/metrics"
 	"eventhit/internal/strategy"
 )
@@ -255,12 +256,22 @@ func TestDriftExperiment(t *testing.T) {
 		t.Errorf("degradation did not reduce coverage: %.3f -> %.3f",
 			res.CoverageBefore, res.CoverageAfter)
 	}
-	if !res.AlarmRaised {
-		t.Error("monitor failed to alarm on the coverage collapse")
+	if len(res.Arms) != 2 || res.Arms[0].AuditRate != drift.DefaultConfig().AuditRate || res.Arms[1].AuditRate != 1 {
+		t.Fatalf("arms %+v, want the shipped audit rate then 1", res.Arms)
 	}
-	if res.CoverageRestored <= res.CoverageAfter {
+	// The shipped audit rate is reported as measured; auditing every skip
+	// must see the collapse through the CI's labels alone.
+	t.Logf("arms %+v", res.Arms)
+	full := res.Arms[1]
+	if full.Episodes == 0 || full.OutcomesToAlarm < 0 {
+		t.Error("auditing every skip, the loop failed to alarm on the coverage collapse")
+	}
+	if full.Recalibrations == 0 || full.OutcomesToRecalibration < full.OutcomesToAlarm {
+		t.Errorf("auditing every skip, no recalibration after the alarm: %+v", full)
+	}
+	if full.CoverageRestored <= res.CoverageAfter {
 		t.Errorf("recalibration did not improve coverage: %.3f vs %.3f",
-			res.CoverageRestored, res.CoverageAfter)
+			full.CoverageRestored, res.CoverageAfter)
 	}
 	if !strings.Contains(buf.String(), "Drift adaptation") {
 		t.Fatal("render incomplete")

@@ -8,7 +8,6 @@ import (
 	"eventhit/internal/cloud"
 	"eventhit/internal/dataset"
 	"eventhit/internal/drift"
-	"eventhit/internal/metrics"
 	"eventhit/internal/strategy"
 	"eventhit/internal/video"
 )
@@ -17,14 +16,14 @@ import (
 type OperateResult struct {
 	Horizons        int
 	Relays          int
-	CIFrames        int64
+	CIFrames        int64 // relays and audits
 	SpentUSD        float64
 	BudgetExhausted bool
 	// Detections is the count of true event segments the CI confirmed.
 	Detections int
-	// Alarms is how many times the drift monitor fired (the run
-	// recalibrates on each alarm).
-	Alarms int
+	// Audits, Alarms and Recalibrations are the adaptation loop's audited
+	// skips, alarm episodes and recalibration swaps.
+	Audits, Alarms, Recalibrations int64
 	// RecallRealized is the frame-level recall over the whole run,
 	// computed post-hoc against ground truth.
 	RecallRealized float64
@@ -34,12 +33,12 @@ type OperateResult struct {
 
 // Operate simulates continuous operation of the full Figure 1 deployment
 // over the post-training remainder of a stream: per horizon it predicts
-// with EHCR, charges relays against a hard monthly budget (cloud.Budget),
-// feeds realized outcomes to the drift monitor and the recalibration
-// buffer, and recalibrates C-CLASSIFY whenever the monitor alarms. It is
-// the integration scenario a production adopter runs before going live —
-// everything (training, conformal calibration, pricing, budget, drift
-// handling) exercised together.
+// with EHCR, relays through the CI channel serve uses with every relay and
+// audit charged against a hard monthly budget (cloud.Budget) first, and
+// runs the adaptation loop serve ships (drift.Loop at drift.DefaultConfig)
+// on the CI's labels. It is the integration scenario a production adopter
+// runs before going live — everything (training, conformal calibration,
+// pricing, budget, drift handling) exercised together.
 func Operate(task Task, opt Options, confidence, coverage, budgetUSD float64,
 	seed int64, w io.Writer) (*OperateResult, error) {
 	if task.NumEvents() != 1 {
@@ -50,27 +49,15 @@ func Operate(task Task, opt Options, confidence, coverage, budgetUSD float64,
 	if err != nil {
 		return nil, err
 	}
-	ci := env.ci()
 	budget, err := cloud.NewBudget(budgetUSD)
 	if err != nil {
 		return nil, err
 	}
-	mon, err := drift.NewMonitor(confidence, 80, 0.02)
+	cam, err := newAdaptive(env, drift.DefaultConfig(), strategy.EHCRRule(confidence, coverage))
 	if err != nil {
 		return nil, err
 	}
-	recal, err := drift.NewRecalibrator(1000, 1)
-	if err != nil {
-		return nil, err
-	}
-
-	// The deployed bundle: the trained one until an alarm swaps in a
-	// recalibrated C-CLASSIFY. Every horizon is one Bundle.Decide, whose raw
-	// scores feed the recalibration buffer.
-	bundle := env.Bundle
-	rule := strategy.EHCRRule(confidence, coverage)
-	var sc strategy.Scratch
-	var pred metrics.Prediction
+	cam.budget = budget
 	res := &OperateResult{}
 	var coveredFrames, trueFrames int64
 	start, end := testRegion(env)
@@ -80,54 +67,36 @@ func Operate(task Task, opt Options, confidence, coverage, budgetUSD float64,
 			return nil, err
 		}
 		res.Horizons++
-		scores := bundle.Decide(rec, rule, &sc, &pred)
-		if err := recal.Add(scores, rec.Label); err != nil {
-			return nil, err
-		}
-		occ, iv := pred.Occur[0], pred.OI[0]
-
 		// Ground-truth accounting (post-hoc; the operator sees it later).
 		if rec.Label[0] {
 			trueFrames += int64(rec.OI[0].Len())
-			if mon.Observe(occ) {
-				res.Alarms++
-				if fresh, err := recal.RebuildRecent(400); err == nil {
-					if bundle, err = bundle.WithClassifier(fresh); err != nil {
-						return nil, err
-					}
-					mon.Reset()
-				}
-			}
 		}
-		if !occ {
-			continue
+		det, _, err := cam.step(rec, env.Cfg.Horizon)
+		if errors.Is(err, cloud.ErrBudgetExhausted) {
+			res.BudgetExhausted = true
+			break
 		}
-		abs := video.Interval{Start: t + iv.Start, End: t + iv.End}
-		cost := ci.CostOf(abs.Len())
-		if err := budget.Charge(cost); err != nil {
-			if errors.Is(err, cloud.ErrBudgetExhausted) {
-				res.BudgetExhausted = true
-				break
-			}
-			return nil, err
-		}
-		det, err := ci.Detect(env.Ex.Events()[0], abs)
 		if err != nil {
 			return nil, err
 		}
+		if !cam.pred.Occur[0] {
+			continue
+		}
 		res.Relays++
-		res.Detections += len(det.Found)
+		res.Detections += det
 		if rec.Label[0] {
 			truth := video.Interval{Start: t + rec.OI[0].Start, End: t + rec.OI[0].End}
-			if ov, ok := abs.Intersect(truth); ok {
+			if ov, ok := cam.reqs[0].Win.Intersect(truth); ok {
 				coveredFrames += int64(ov.Len())
 			}
 		}
 	}
-	u := ci.Usage()
+	st := cam.loop.Stats()
+	res.Audits, res.Alarms, res.Recalibrations = st.Audits, st.Episodes, st.Recalibrations
+	u := cam.ci.Usage()
 	res.CIFrames = u.Frames
 	res.SpentUSD = u.SpentUSD
-	res.BFWouldSpend = ci.CostOf(res.Horizons * env.Cfg.Horizon)
+	res.BFWouldSpend = cam.ci.CostOf(res.Horizons * env.Cfg.Horizon)
 	if trueFrames > 0 {
 		res.RecallRealized = float64(coveredFrames) / float64(trueFrames)
 	}
@@ -135,13 +104,15 @@ func Operate(task Task, opt Options, confidence, coverage, budgetUSD float64,
 		task.Name, confidence, coverage, budgetUSD), "quantity", "value")
 	tb.Addf("horizons processed", res.Horizons)
 	tb.Addf("relays", res.Relays)
+	tb.Addf("audits", res.Audits)
 	tb.Addf("CI frames", res.CIFrames)
 	tb.Addf("spend", fmt.Sprintf("$%.2f (budget left $%.2f)", res.SpentUSD, budget.Remaining()))
 	tb.Addf("brute force would spend", fmt.Sprintf("$%.2f", res.BFWouldSpend))
 	tb.Addf("budget exhausted", res.BudgetExhausted)
 	tb.Addf("realized frame recall", res.RecallRealized)
 	tb.Addf("CI-confirmed segments", res.Detections)
-	tb.Addf("drift alarms / recalibrations", res.Alarms)
+	tb.Addf("drift alarm episodes", res.Alarms)
+	tb.Addf("recalibrations", res.Recalibrations)
 	tb.Render(w)
 	return res, nil
 }

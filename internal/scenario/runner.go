@@ -442,7 +442,8 @@ func runPipelineTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec) (
 // the true event?) to the Hoeffding monitor, and records where the alarm
 // fires. The pre-shift anchors both report clean coverage and fill the
 // monitor's window, so the alarm position is meaningful, deterministic and
-// golden-pinnable.
+// golden-pinnable. It is a readout on the bare monitor, not an adaptation
+// loop (drift.Loop): nothing relays, audits or recalibrates.
 func runDriftTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec) (*DriftOut, error) {
 	cam, err := resolveCamera(cams, ts.Stream)
 	if err != nil {

@@ -248,6 +248,80 @@ func TestAdaptationDeterministic(t *testing.T) {
 	}
 }
 
+// scriptedCI is a CI whose every answer the test sets: the event present
+// over the whole requested range, absent, or a failed request.
+type scriptedCI struct{ verdict string }
+
+func (c *scriptedCI) DetectTimed(eventType int, win video.Interval) (cloud.Detection, float64, error) {
+	switch c.verdict {
+	case "present":
+		return cloud.Detection{Event: eventType, Found: []video.Interval{win}}, 0, nil
+	case "absent":
+		return cloud.Detection{Event: eventType}, 0, nil
+	}
+	return cloud.Detection{}, 0, cloud.ErrUnavailable
+}
+func (c *scriptedCI) Usage() cloud.Usage  { return cloud.Usage{} }
+func (c *scriptedCI) PerFrameMS() float64 { return 1 }
+
+// TestRecalibrationsDeferredCountsAttempts: a deferred rebuild is retried by
+// the next labelled outcome only. The window's decision is a skip that every
+// predict audits, so the test scripts each label: the event present until
+// the monitor opens an episode, absent until MinFresh negatives make the
+// rebuild defer, then the CI fails and predicts come back unlabelled. The
+// deferred count must not grow with them (it used to grow by one per
+// predict).
+func TestRecalibrationsDeferredCountsAttempts(t *testing.T) {
+	bw := getBundle(t)
+	ci := &scriptedCI{verdict: "present"}
+	srv, err := New(Config{
+		Bundle: bw.b, EventNames: []string{"Volleyball Spiking"}, PerFrameUSD: 0.001,
+		DefaultConfidence: 0.9, DefaultCoverage: 0.9, CI: ci,
+		Adapt: &AdaptConfig{MonitorWindow: 10, MonitorDelta: 0.05, BufferCap: 64, MinFresh: 10, AuditRate: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushTo(t, srv, DefaultSession, bw.ex, 300, 309)
+	predictUntil := func(phase string, done func(Stats) bool) Stats {
+		t.Helper()
+		for i := 0; i < 50; i++ {
+			resp, err := predictSession(srv, DefaultSession)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Decisions[0].Relay {
+				t.Fatal("the window's decision relays; the test needs a skip")
+			}
+			if st := srv.snapshot(); done(st) {
+				return st
+			}
+		}
+		t.Fatalf("%s: not reached in 50 predicts: %+v", phase, srv.snapshot())
+		return Stats{}
+	}
+	predictUntil("episode", func(st Stats) bool { return st.DriftAlarmEpisodes == 1 })
+	ci.verdict = "absent"
+	st := predictUntil("deferral", func(st Stats) bool { return st.RecalibrationsDeferred > 0 })
+	if st.RecalibrationsDeferred != 1 || st.RecalibrationSwaps != 0 {
+		t.Fatalf("after the first deferral: %+v", st)
+	}
+	ci.verdict = "down"
+	audits := st.DriftAudits
+	for i := 0; i < 20; i++ {
+		if _, err := predictSession(srv, DefaultSession); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st = srv.snapshot()
+	if st.DriftAudits != audits {
+		t.Fatalf("a failing CI still labelled audits: %d -> %d", audits, st.DriftAudits)
+	}
+	if st.RecalibrationsDeferred != 1 {
+		t.Fatalf("20 unlabelled predicts moved RecalibrationsDeferred from 1 to %d", st.RecalibrationsDeferred)
+	}
+}
+
 // TestAdaptConfigValidation: adaptation requires the server to own the
 // relay, sane knobs, and a non-degenerate coverage target.
 func TestAdaptConfigValidation(t *testing.T) {

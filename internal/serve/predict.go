@@ -130,7 +130,7 @@ func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Reque
 	u := s.resolveUnit(sess)
 	// Inference holds no server lock: it reads the unit and writes sc and
 	// the session's decision scratch, told which stream frame the window
-	// ends at. The raw existence scores feed the adaptation buffer below.
+	// ends at. The raw existence scores feed the adaptation loop below.
 	rec := dataset.Record{X: sc.x, Frame: anchor}
 	sess.decide(u, rec, conf, cov, sc)
 	pred := &sc.pred
@@ -190,78 +190,33 @@ func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Reque
 			}
 		} else {
 			c.skipped++
-			if ad := sess.ad; ad != nil {
-				// Audit accumulator: deterministic, not a coin flip. Audits
-				// relay the full horizon purely to label the skip decision;
-				// they bypass the fleet arbiter and the decided-relay frame
-				// tally (they are billed CI spend, surfaced separately as
-				// DriftAuditFrames). Without them the monitor would be blind
-				// to exactly the failure drift causes: skipping real events.
-				ad.auditAcc += s.cfg.Adapt.AuditRate
-				if ad.auditAcc >= 1 {
-					ad.auditAcc--
-					hz := video.Interval{Start: anchor + 1, End: anchor + s.horizon}
-					if out, _, _ := s.relay.Serve(pipeline.RelayRequest{EventType: s.eventSet[k], Win: hz}); !out.Deferred {
-						labelKnown[k], labelTrue[k] = true, out.Detections > 0
-						ad.audits++
-						ad.auditFrames += int64(hz.Len())
-					}
+			if sess.ad != nil && sess.ad.Audit() {
+				// An audit relays the full horizon purely to label the skip;
+				// it bypasses the fleet arbiter and the decided-relay tally.
+				hz := video.Interval{Start: anchor + 1, End: anchor + s.horizon}
+				if out, _, _ := s.relay.Serve(pipeline.RelayRequest{EventType: s.eventSet[k], Win: hz}); !out.Deferred {
+					labelKnown[k], labelTrue[k] = true, out.Detections > 0
 				}
 			}
 		}
 		resp.Decisions = append(resp.Decisions, d)
 	}
+	// Still under relayMu: a recalibration swaps only this session's unit
+	// (drift is per camera). WithClassifier cannot fail on one cut for s.k.
 	if sess.ad != nil {
-		// Still under relayMu: feed the monitor and the recalibration
-		// buffer, then let the episode state machine decide whether a
-		// recalibration is due. A successful rebuild swaps only this
-		// session's unit — drift is per camera; other sessions keep their
-		// calibration.
-		ad := sess.ad
-		anyLabel := false
-		for k := 0; k < s.k; k++ {
-			if !labelKnown[k] {
-				continue
-			}
-			anyLabel = true
-			if labelTrue[k] {
-				// Coverage outcome: the event truly occurred — did the
-				// conformal layer keep it?
-				ad.mon.Observe(pred.Occur[k])
-			}
-		}
-		if anyLabel {
-			lbl := sc.label
-			for k := range lbl {
-				// Unknown labels are recorded false: C-CLASSIFY calibrates
-				// on positives only, so an unlabeled (possibly-positive)
-				// horizon can never corrupt the rebuilt classifier — it is
-				// just not evidence.
-				lbl[k] = labelKnown[k] && labelTrue[k]
-			}
-			if err := ad.rec.Add(sc.scores, lbl); err == nil {
-				ad.noteBuffered()
-			}
-		}
-		if nu, cls := ad.step(s, u); nu != nil {
-			sess.unit.Store(nu)
-			if sess.scene != "" {
-				pub = &sharedPublish{scene: sess.scene, except: sess.id, cls: cls}
+		if cls := sess.ad.Observe(sc.scores, pred.Occur, labelKnown, labelTrue); cls != nil {
+			if nb, err := u.bundle.WithClassifier(cls); err == nil {
+				sess.unit.Store(s.derive(u, nb, swapOriginRecalibration))
+				if sess.scene != "" {
+					pub = &sharedPublish{scene: sess.scene, except: sess.id, cls: cls}
+				}
 			}
 		}
 	}
 	s.mu.Lock()
 	sess.add(c)
 	if sess.ad != nil {
-		// Commit absolute adapter counters so /v1/stats and the metrics
-		// never touch adapter state (which relayMu, not mu, guards).
-		mobs, meps := sess.ad.mon.Stats()
-		sess.driftObs = int64(mobs)
-		sess.driftEpisodes = int64(meps)
-		sess.driftAudits = sess.ad.audits
-		sess.auditFrames = sess.ad.auditFrames
-		sess.recalSwaps = sess.ad.recalibs
-		sess.recalDeferred = sess.ad.recalDeferred
+		sess.adapt = sess.ad.Stats()
 	}
 	if s.relay != nil {
 		s.relaySnap = relaySnapshot{
@@ -307,14 +262,14 @@ func (sess *session) decide(u *bundleUnit, rec dataset.Record, conf, cov float64
 // (which stays with the session: see session.dec), its relay requests, and
 // the response with its encoding.
 type predictScratch struct {
-	flat                         []float64
-	x                            [][]float64
-	labelKnown, labelTrue, label []bool
-	scores                       []float64
-	pred                         metrics.Prediction
-	reqs                         []pipeline.RelayRequest
-	resp                         PredictResponse
-	out                          []byte
+	flat                  []float64
+	x                     [][]float64
+	labelKnown, labelTrue []bool
+	scores                []float64
+	pred                  metrics.Prediction
+	reqs                  []pipeline.RelayRequest
+	resp                  PredictResponse
+	out                   []byte
 }
 
 func newPredictScratch(window, d, k int) *predictScratch {
@@ -323,7 +278,6 @@ func newPredictScratch(window, d, k int) *predictScratch {
 		x:          make([][]float64, window),
 		labelKnown: make([]bool, k),
 		labelTrue:  make([]bool, k),
-		label:      make([]bool, k),
 		scores:     make([]float64, k),
 		reqs:       make([]pipeline.RelayRequest, 0, k),
 		resp:       PredictResponse{Decisions: make([]Decision, 0, k)},

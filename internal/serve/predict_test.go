@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"eventhit/internal/cicache"
 	"eventhit/internal/cloud"
 	"eventhit/internal/conformal"
 	"eventhit/internal/core"
@@ -170,17 +171,55 @@ func predictCall(srv *Server, id string) func() {
 // the pooled scratch.
 const predictHandlerAllocCeiling = 5
 
+// relayPredictAllocCeiling bounds a relay-owning predict whose relay the
+// cache answers and whose labelled outcome feeds a warmed adaptation loop:
+// one more than a bare predict measures (3), on the relay path.
+const relayPredictAllocCeiling = 4
+
 func TestPredictHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds buffers under the race detector")
 	}
 	bw := getBundle(t)
-	srv := sessionServer(t, nil, 1)
-	pushTo(t, srv, "c0", bw.ex, 300, 309)
-	call := predictCall(srv, "c0")
-	call() // size the pooled scratch
-	if got := testing.AllocsPerRun(100, call); got > predictHandlerAllocCeiling {
-		t.Errorf("%.1f allocs per predict, ceiling %d", got, predictHandlerAllocCeiling)
+	// The relay-owning server relays through a result cache and runs the
+	// adaptation loop; its window ends shortly before a true instance, so the
+	// decision relays, the cache answers every repeat, and each predict feeds
+	// the loop a labelled outcome. The buffer is small enough to wrap during
+	// the warm-up.
+	cc := cicache.DefaultConfig()
+	ad := DefaultAdaptConfig()
+	ad.BufferCap, ad.MinFresh = 10, 10
+	relay := &Config{
+		Bundle: bw.b, EventNames: []string{"Volleyball Spiking"}, PerFrameUSD: 0.001,
+		DefaultConfidence: 0.95, DefaultCoverage: 0.9,
+		CI:    cloud.NewService(bw.st, cloud.RekognitionPricing(), cloud.DefaultLatency()),
+		Cache: &cc, Adapt: &ad,
+	}
+	for _, tc := range []struct {
+		name    string
+		cfg     *Config
+		lo, hi  int // stream frames pushed; the relay case keeps the CI aligned from frame 0
+		ceiling float64
+	}{
+		{"bare", nil, 300, 309, predictHandlerAllocCeiling},
+		{"relay+cache+adapt", relay, 0, bw.st.ByType[0][2].OI.Start - 20, relayPredictAllocCeiling},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := sessionServer(t, tc.cfg, 1)
+			pushTo(t, srv, "c0", bw.ex, tc.lo, tc.hi)
+			call := predictCall(srv, "c0")
+			for i := 0; i <= ad.BufferCap; i++ {
+				call() // size the pooled scratch, fill the cache and the buffer
+			}
+			if tc.cfg != nil {
+				if st := srv.snapshot(); st.RelayedOK == 0 || st.DriftObservations == 0 {
+					t.Fatalf("the warm-up did not relay and label: %+v", st)
+				}
+			}
+			if got := testing.AllocsPerRun(100, call); got > tc.ceiling {
+				t.Errorf("%.1f allocs per predict, ceiling %v", got, tc.ceiling)
+			}
+		})
 	}
 }
 

@@ -119,13 +119,14 @@ type Config struct {
 	// at every swap — so a pushed bundle whose encoder cannot be quantized
 	// is rejected at swap time.
 	Quantized bool
-	// Adapt, when non-nil, turns on the per-session online adaptation
-	// loop: served horizons whose ground truth comes back (relayed ones are
-	// CI-labeled for free, skipped ones audited at Adapt.AuditRate) feed a
-	// per-session coverage monitor and recalibration buffer; a sustained
-	// coverage alarm triggers an automatic calibration rebuild and hot swap
-	// for that session. Requires CI — the labels come back from the relay —
-	// and DefaultCoverage < 1 (the monitor needs a nominal miss budget).
+	// Adapt, when non-nil, turns on the per-session online adaptation loop
+	// (drift.Loop): served horizons whose ground truth comes back (relayed
+	// ones are CI-labeled for free, skipped ones audited at Adapt.AuditRate)
+	// feed the session's coverage monitor and recalibration buffer; a
+	// sustained coverage alarm triggers an automatic calibration rebuild and
+	// hot swap for that session. Requires CI — the labels come back from the
+	// relay — and DefaultCoverage < 1 (the monitor needs a nominal miss
+	// budget).
 	Adapt *AdaptConfig
 	// SwapPublisher, when non-nil, is invoked after a session with a
 	// non-empty scene key cuts a recalibration swap: the cluster worker
@@ -307,16 +308,9 @@ func New(cfg Config) (*Server, error) {
 		s.arbiter = arb
 		arb.Register(s.metrics, nil)
 	}
-	if cfg.Adapt != nil {
-		if cfg.CI == nil {
-			return nil, fmt.Errorf("serve: Adapt requires CI (ground-truth labels come back from the relay)")
-		}
-		if err := cfg.Adapt.validate(); err != nil {
-			return nil, err
-		}
-		if cfg.DefaultCoverage >= 1 {
-			return nil, fmt.Errorf("serve: Adapt requires DefaultCoverage < 1 (the monitor needs a nominal miss budget)")
-		}
+	// drift.NewLoop validates the rest of Adapt at the default session.
+	if cfg.Adapt != nil && cfg.CI == nil {
+		return nil, fmt.Errorf("serve: Adapt requires CI (ground-truth labels come back from the relay)")
 	}
 	u, err := s.newUnit(cfg.Bundle, 0, swapOriginBoot)
 	if err != nil {

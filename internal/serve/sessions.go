@@ -7,13 +7,14 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"eventhit/internal/drift"
 	"eventhit/internal/strategy"
 )
 
 // session is one camera stream's ingest and decision state. All fields are
 // guarded by Server.mu except unit (atomic — the request path loads it
 // lock-free), dec (under decMu) and ad (touched only under relayMu; its
-// counters are committed into the mu-guarded fields below by handlePredict).
+// counters are committed into the mu-guarded adapt by handlePredict).
 type session struct {
 	id string
 	// scene is the session's scene key ("" = untagged): sessions sharing a
@@ -37,16 +38,11 @@ type session struct {
 	// before relayMu or mu is taken.
 	decMu sync.Mutex
 	dec   *strategy.Scratch
-	// ad is the online adaptation state (nil unless Config.Adapt is set).
-	ad *adapter
-	// Committed adaptation counters (absolute values copied from ad under
-	// mu at each predict commit, so /v1/stats never reads adapter state).
-	driftObs      int64
-	driftEpisodes int64
-	driftAudits   int64
-	auditFrames   int64
-	recalSwaps    int64
-	recalDeferred int64
+	// ad is the online adaptation loop (nil unless Config.Adapt is set).
+	ad *drift.Loop
+	// adapt is ad's counters as committed under mu at each predict, so
+	// /v1/stats never reads the loop.
+	adapt drift.Stats
 	// sharedAdopted counts classifiers this session adopted from a sibling
 	// session's recalibration (same scene, local or cluster-published).
 	sharedAdopted int64
@@ -77,14 +73,14 @@ func (c *counts) add(d counts) {
 // newSessionLocked creates and registers a session. Caller holds mu (or is
 // still inside New, before the server is shared). The session starts on
 // the globally installed unit and, when adaptation is on, gets its own
-// monitor and recalibration buffer.
+// adaptation loop.
 func (s *Server) newSessionLocked(id, scene string) (*session, error) {
 	sess := &session{id: id, scene: scene, ring: newFrameRing(s.window, s.inputDim)}
 	sess.unit.Store(s.unit.Load())
 	if s.cfg.Adapt != nil {
-		ad, err := newAdapter(*s.cfg.Adapt, s.cfg.DefaultCoverage, s.k)
+		ad, err := drift.NewLoop(*s.cfg.Adapt, s.cfg.DefaultCoverage, s.k)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("serve: adapt: %w", err)
 		}
 		sess.ad = ad
 	}

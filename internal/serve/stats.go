@@ -103,14 +103,15 @@ func (s *Server) snapshot() Stats {
 		st.RelayedOK += sess.relayedOK
 		st.DeferredRelays += sess.deferred
 		st.AdmissionDeferred += sess.admitDef
-		st.RecalibrationSwaps += sess.recalSwaps
-		st.DriftObservations += sess.driftObs
-		st.DriftAlarmEpisodes += sess.driftEpisodes
-		st.DriftAudits += sess.driftAudits
-		st.DriftAuditFrames += sess.auditFrames
-		st.RecalibrationsDeferred += sess.recalDeferred
+		st.RecalibrationSwaps += sess.adapt.Recalibrations
+		st.DriftObservations += sess.adapt.Observations
+		st.DriftAlarmEpisodes += sess.adapt.Episodes
+		st.DriftAudits += sess.adapt.Audits
+		st.RecalibrationsDeferred += sess.adapt.Deferred
 		st.SharedSwapAdoptions += sess.sharedAdopted
 	}
+	// Every audit relays one full horizon.
+	st.DriftAuditFrames = st.DriftAudits * int64(s.horizon)
 	st.EstimatedUSD = float64(st.FramesToCloud) * s.cfg.PerFrameUSD
 	st.BruteForceUSD = float64(st.Predictions) * float64(s.horizon) * float64(s.k) * s.cfg.PerFrameUSD
 	if s.relay != nil {

@@ -13,15 +13,14 @@
 //     server's frozen geometry — input dimensionality, window, horizon,
 //     event count — and rejected at swap time, never as a 500 at the next
 //     frame.
-//   - The per-session adaptation loop: every served horizon whose ground
-//     truth comes back (relayed horizons are CI-labeled for free; skipped
-//     horizons are audited at AuditRate) feeds a drift.Monitor and a
-//     drift.Recalibrator. When a coverage alarm episode opens and enough
-//     post-alarm outcomes have been buffered, RebuildRecent cuts a fresh
-//     C-CLASSIFY calibration, the session's unit is swapped for one
-//     carrying it, and the monitor is Reset. One sustained shift is one
-//     episode is (at most) one recalibration — the edge-triggered episode
-//     accounting in internal/drift is what prevents a recalibration storm.
+//   - The per-session adaptation loop (drift.Loop): every served horizon
+//     whose ground truth comes back (relayed horizons are CI-labeled for
+//     free; skipped horizons are audited at AuditRate) is observed by the
+//     session's loop. When the loop cuts a fresh C-CLASSIFY calibration the
+//     session's unit is swapped for one carrying it. One sustained shift is
+//     one episode is (at most) one recalibration — the edge-triggered
+//     episode accounting in internal/drift is what prevents a recalibration
+//     storm.
 package serve
 
 import (
@@ -151,7 +150,7 @@ func (s *Server) Swap(b *strategy.Bundle, origin string) (uint64, error) {
 	for _, sess := range s.sessions {
 		sess.unit.Store(u)
 		if sess.ad != nil {
-			sess.ad.rebase()
+			sess.ad.Rebase()
 		}
 	}
 	if origin == swapOriginAdmin {
@@ -209,177 +208,30 @@ func (s *Server) handleModelPush(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, ModelResponse{Generation: gen, Params: b.Model.NumParams(), Quantized: s.cfg.Quantized})
 }
 
-// AdaptConfig parametrizes the per-session online adaptation loop. The
-// loop needs the server to own the relay (Config.CI): realized labels come
-// back from the CI itself.
-type AdaptConfig struct {
-	// MonitorWindow and MonitorDelta parametrize the per-session Hoeffding
-	// coverage monitor (drift.NewMonitor): outcomes per sliding window and
-	// alarm significance.
-	MonitorWindow int
-	MonitorDelta  float64
-	// BufferCap bounds the per-session recalibration buffer (labeled
-	// score/outcome pairs).
-	BufferCap int
-	// MinFresh is how many labeled outcomes must be buffered after an
-	// alarm episode opens before a recalibration is attempted. Too small
-	// and the new calibration is cut from noise; too large and the stale
-	// calibration serves longer. Recalibrating at alarm time itself would
-	// calibrate on a pre/post-shift mixture and restore nothing.
-	MinFresh int
-	// AuditRate is the fraction of skipped (not-relayed) horizons whose
-	// ground truth is bought anyway: the full horizon is relayed to the CI
-	// purely to label the decision. Audits are billed CI spend (visible as
-	// DriftAuditFrames) but are not marshalling relays: they bypass the
-	// fleet arbiter and are excluded from EstimatedUSD. 0 disables audits,
-	// which leaves the monitor blind to missed events the model skipped —
-	// fine when relays are frequent, fatal when a shift makes the model
-	// skip everything. The accounting is a deterministic accumulator, not
-	// a coin flip: over n skipped horizons, floor(n*AuditRate)±1 audits.
-	AuditRate float64
-}
+// AdaptConfig parametrizes the per-session online adaptation loop
+// (drift.Loop). The loop needs the server to own the relay (Config.CI):
+// realized labels come back from the CI itself. Audits are billed CI spend
+// (visible as DriftAuditFrames) but are not marshalling relays: they bypass
+// the fleet arbiter and are excluded from EstimatedUSD.
+type AdaptConfig = drift.Config
 
-// DefaultAdaptConfig returns moderate defaults: a 40-outcome window at 5%
+// DefaultAdaptConfig returns drift.DefaultConfig: a 40-outcome window at 5%
 // significance, a 1024-record buffer, 48 post-alarm outcomes before
 // recalibrating, and a 10% audit rate.
-func DefaultAdaptConfig() AdaptConfig {
-	return AdaptConfig{
-		MonitorWindow: 40,
-		MonitorDelta:  0.05,
-		BufferCap:     1024,
-		MinFresh:      48,
-		AuditRate:     0.1,
-	}
-}
-
-func (c AdaptConfig) validate() error {
-	if c.MonitorDelta <= 0 || c.MonitorDelta >= 1 {
-		return fmt.Errorf("serve: adapt MonitorDelta %v must be in (0,1)", c.MonitorDelta)
-	}
-	if c.MonitorWindow < 10 {
-		return fmt.Errorf("serve: adapt MonitorWindow %d too small (min 10)", c.MonitorWindow)
-	}
-	if c.BufferCap < 10 {
-		return fmt.Errorf("serve: adapt BufferCap %d too small (min 10)", c.BufferCap)
-	}
-	if c.MinFresh < 1 || c.MinFresh > c.BufferCap {
-		return fmt.Errorf("serve: adapt MinFresh %d must be in [1, BufferCap=%d]", c.MinFresh, c.BufferCap)
-	}
-	if c.AuditRate < 0 || c.AuditRate > 1 {
-		return fmt.Errorf("serve: adapt AuditRate %v must be in [0,1]", c.AuditRate)
-	}
-	return nil
-}
-
-// adapter is one session's adaptation state. It is only ever touched on
-// the relay path (under relayMu) and by Swap (which also holds relayMu),
-// so it needs no lock of its own; the counters the stats snapshot reads
-// are committed into the session struct under mu by handlePredict.
-type adapter struct {
-	mon *drift.Monitor
-	rec *drift.Recalibrator
-	// auditAcc implements the deterministic audit accumulator: += AuditRate
-	// per skipped horizon, audit and -= 1 when it reaches 1.
-	auditAcc float64
-	// episodeOpen mirrors the monitor's episode state as seen by the loop;
-	// fresh counts labeled outcomes buffered since the episode opened.
-	episodeOpen bool
-	fresh       int
-	// lifetime counters (survive swaps; the monitor's own lifetime
-	// counters survive rebase too, since rebase Resets rather than
-	// replaces it).
-	audits        int64
-	auditFrames   int64
-	recalibs      int64
-	recalDeferred int64
-}
-
-func newAdapter(cfg AdaptConfig, target float64, k int) (*adapter, error) {
-	mon, err := drift.NewMonitor(target, cfg.MonitorWindow, cfg.MonitorDelta)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := drift.NewRecalibrator(cfg.BufferCap, k)
-	if err != nil {
-		return nil, err
-	}
-	return &adapter{mon: mon, rec: rec}, nil
-}
-
-// rebase re-points the adaptation state at a freshly swapped-in model:
-// the monitor's window is cleared (outcomes measured against the old
-// calibration no longer apply; lifetime counters are kept) and the
-// recalibration buffer is replaced — its scores came from the old model
-// and would poison a future rebuild.
-func (a *adapter) rebase() {
-	a.mon.Reset()
-	a.rec.Reset()
-	a.episodeOpen = false
-	a.fresh = 0
-}
-
-// noteBuffered records that one labeled score/outcome pair entered the
-// recalibration buffer.
-func (a *adapter) noteBuffered() {
-	if a.episodeOpen {
-		a.fresh++
-	}
-}
-
-// step advances the episode state machine and attempts a recalibration
-// when due. It returns the freshly built bundle unit to swap in plus the
-// classifier it carries — the classifier is what a scene-tagged session
-// publishes to its fleet siblings (nil, nil when nothing is due or the
-// buffer is not ready yet).
-func (a *adapter) step(s *Server, u *bundleUnit) (*bundleUnit, *conformal.Classifier) {
-	if a.mon.InEpisode() {
-		if !a.episodeOpen {
-			a.episodeOpen = true
-			a.fresh = 0
-		}
-	} else if a.episodeOpen {
-		// The window recovered on its own (transient violation): close the
-		// episode without recalibrating.
-		a.episodeOpen = false
-		a.fresh = 0
-	}
-	if !a.episodeOpen || a.fresh < s.cfg.Adapt.MinFresh {
-		return nil, nil
-	}
-	// A rebuild that fails defers the attempt and the episode keeps
-	// buffering: drift.ErrInsufficientPositives (the post-alarm window has
-	// no positive for some event yet) is retried by the next labeled
-	// outcome; anything else is unexpected with a non-empty buffer, and
-	// WithClassifier cannot fail on a classifier cut for this model's k.
-	cls, err := a.rec.RebuildRecent(a.fresh)
-	var nb *strategy.Bundle
-	if err == nil {
-		nb, err = u.bundle.WithClassifier(cls)
-	}
-	if err != nil {
-		a.recalDeferred++
-		return nil, nil
-	}
-	a.mon.Reset()
-	a.episodeOpen = false
-	a.fresh = 0
-	a.recalibs++
-	return s.derive(u, nb, swapOriginRecalibration), cls
-}
+func DefaultAdaptConfig() AdaptConfig { return drift.DefaultConfig() }
 
 // AdoptClassifier installs cls into every session tagged with scene except
 // exceptSession (the publishing session, which already swapped itself).
 // Each adopting session gets a fresh unit built from its CURRENT bundle
 // with the sibling's calibration grafted on, a new swap generation, and a
-// rebased adaptation state — exactly the rebase a local recalibration
-// performs, because the adopted calibration invalidates buffered scores the
-// same way. Returns how many sessions adopted. Scene-less sessions never
-// adopt: "" is not a scene.
+// rebased adaptation loop — the rebase Swap performs, because the adopted
+// calibration invalidates buffered scores the same way. Returns how many
+// sessions adopted. Scene-less sessions never adopt: "" is not a scene.
 //
 // The cluster tier calls this on sibling WORKERS when a scene-tagged
 // session recalibrates anywhere in the fleet; handlePredict calls it
 // locally on the publishing worker. Lock order matches Swap: relayMu
-// (rebase touches adapter state) before mu (session table walk).
+// (Rebase touches the loop) before mu (session table walk).
 func (s *Server) AdoptClassifier(scene string, cls *conformal.Classifier, exceptSession string) (int, error) {
 	if scene == "" {
 		return 0, fmt.Errorf("serve: adopt: empty scene")
@@ -407,7 +259,7 @@ func (s *Server) AdoptClassifier(scene string, cls *conformal.Classifier, except
 		}
 		sess.unit.Store(s.derive(u, nb, swapOriginShared))
 		if sess.ad != nil {
-			sess.ad.rebase()
+			sess.ad.Rebase()
 		}
 		sess.sharedAdopted++
 		adopted++

@@ -54,8 +54,10 @@ stage shuffle go test -shuffle=on ./...
 stage scrape-serve go test -race ./internal/serve/ -run 'TestStatsConsistentUnderLoad|TestMetricsEndpoint' -count=1
 stage scrape-obs go test -race ./internal/obs/ -run 'TestConcurrentUpdatesAndScrapes' -count=1
 # Hot swap + online adaptation: predicts hammer the server while bundles
-# swap; the induced-shift coverage restoration runs twice for determinism.
-stage swap go test -race ./internal/serve/ -run 'TestSwapUnderConcurrentPredictLoad|TestAdaptationRestoresCoverage|TestAdaptationDeterministic' -count=1
+# swap; the induced-shift coverage restoration runs twice for determinism;
+# the one adaptation loop (drift.Loop) as a state-machine table and as the
+# drift and continuous-operation experiments walk it.
+stage swap go test -race ./internal/serve/ ./internal/drift/ ./internal/harness/ -run 'TestSwapUnderConcurrentPredictLoad|TestAdaptationRestoresCoverage|TestAdaptationDeterministic|TestRecalibrationsDeferred|TestLoop|TestDriftExperiment|TestOperate' -count=1
 # Checked-in fuzz corpora as ordinary tests (no fuzzing engine); explore
 # with `go test ./internal/serve/ -fuzz FuzzFrames|FuzzParseFrames` or
 # `go test ./internal/scenario/ -fuzz FuzzScenarioParse`.
