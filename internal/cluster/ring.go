@@ -24,8 +24,8 @@ const DefaultVNodes = 64
 // route every session identically, which is what lets a restarted front
 // pick up routing without session state.
 //
-// Ring is not safe for concurrent mutation; the front guards it with its
-// own lock.
+// Ring is not safe for concurrent mutation. The front builds a new ring on
+// every membership change and never changes one requests may route on.
 type Ring struct {
 	vnodes int
 	nodes  map[string]bool
