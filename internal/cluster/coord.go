@@ -56,7 +56,8 @@ type Coordinator struct {
 	adopts   int64 // sibling-worker adoptions those publications caused
 }
 
-// WorkerRef names one worker and where to reach it.
+// WorkerRef names one worker and where to reach it: URL is http://host:port,
+// with no path (the front speaks plain HTTP/1.1 to the worker's root).
 type WorkerRef struct {
 	ID  string `json:"id"`
 	URL string `json:"url"`
