@@ -1,7 +1,8 @@
 // Command eventhitbench runs entries of the experiment registry
 // (internal/harness.Experiments): the tables and figures of the paper's
 // evaluation (§VI), this repository's extensions, and the producers of the
-// committed BENCH_*.json artifacts.
+// committed BENCH_*.json artifacts. Fleet-scale workloads — cap, cache and
+// CI-fault sweeps — are scenario specs instead (cmd/eventhitscenario).
 //
 // Usage:
 //
@@ -9,21 +10,21 @@
 //	eventhitbench -exp table1
 //	eventhitbench -exp fig4 -task TA5 -trials 5
 //	eventhitbench -exp all -quick
-//	eventhitbench -exp fleet
-//	eventhitbench -exp fleet -parallelism 1 -out /tmp/fleet.json
+//	eventhitbench -exp cascade
+//	eventhitbench -exp cascade -parallelism 1 -out /tmp/cascade.json
 //
 // With no other flag an experiment runs its canonical configuration (the
 // CONFIG column below); -task, -seed, -quick, -trials, -window and -horizon
-// override it only when given, and sizes no flag reaches — stream and frame
-// counts, budgets, sweep grids — are constants of the registry entry. "all"
-// runs the entries marked all, in table order.
+// override it only when given, and sizes no flag reaches — ladder shapes,
+// sweep grids — are constants of the registry entry. "all" runs the entries
+// marked all, in table order.
 //
 // An entry with an ARTIFACT writes its JSON result to that file in the
 // working directory (-out redirects it) and refuses to write a result
 // outside the entry's acceptance bounds. Entries marked det are
 // deterministic: the result is byte-identical run to run and at any
-// -parallelism, so `eventhitbench -exp fleet` rewrites the committed
-// BENCH_fleet.json byte for byte; scripts/check.sh regenerates every det
+// -parallelism, so `eventhitbench -exp cascade` rewrites the committed
+// BENCH_cascade.json byte for byte; scripts/check.sh regenerates every det
 // entry and compares. speedparity has no file and prints its JSON to
 // stdout. No entry reports a wall-clock number: those come from `go run
 // ./bench` (BENCHMARK.json).
@@ -59,9 +60,6 @@
 //	density      -                      -    -    TA1,seed=1         event-density sensitivity
 //	tune         -                      -    -    TA1,seed=1         operating-point tuner
 //	summary      -                      -    -    TA1,seed=1         headline table over all sixteen tasks
-//	resilience   BENCH_resilience.json  det  -    TA10,seed=5,quick  CI fault-rate sweep against the resilient client
-//	fleet        BENCH_fleet.json       det  -    TA10,seed=5,quick  3 streams x 20000 frames on one budgeted CI
-//	cache        BENCH_cache.json       det  -    TA10,seed=5,quick  CI result cache epsilon x TTL sweep, 4 streams x 12000 frames
 //	cascade      BENCH_cascade.json     det  -    TA1,seed=1,quick   early-inference ladder x exit-policy sweep
 //	speedparity  -                      det  -    TA1,seed=1,quick   float-vs-quantized and incremental-vs-recompute parity block
 package main

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"time"
 
 	"eventhit/internal/cicache"
 	"eventhit/internal/conformal"
@@ -68,7 +69,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.BudgetUSD < 0 || cfg.PerFrameUSD < 0 {
 		return nil, fmt.Errorf("cluster: negative budget config %+v", cfg)
 	}
-	c := &Coordinator{cfg: cfg, metrics: obs.NewRegistry(), hc: &http.Client{}}
+	c := &Coordinator{cfg: cfg, metrics: obs.NewRegistry(), hc: &http.Client{Timeout: callTimeout}}
 	if cfg.BudgetUSD > 0 && cfg.PerFrameUSD > 0 {
 		// Integer search from the float quotient, corrected for rounding in
 		// either direction so the invariant is exact under float64 multiply.
@@ -410,6 +411,16 @@ func (c *Coordinator) handleCacheConfig(w http.ResponseWriter, _ *http.Request) 
 // ---- small HTTP helpers shared by the package ----
 
 const maxClusterBody = 16 << 20
+
+// callTimeout bounds every cluster-internal call made through net/http's
+// client: a worker's lease, remote-cache, readiness, registration and swap
+// calls to the coordinator, and the coordinator's adopt fan-out. Each is
+// one small JSON exchange a healthy peer answers in well under a
+// millisecond, so 2 s is only ever reached by a peer that stopped
+// answering; and a predict that waits it out twice — once on its cache
+// probe, once on its lease, both taken with the relay path held — still
+// answers, deferred, well inside the front's default 30 s proxy timeout.
+const callTimeout = 2 * time.Second
 
 func decodeJSON(r *http.Request, out interface{}) error {
 	defer r.Body.Close()

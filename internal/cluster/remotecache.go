@@ -27,10 +27,11 @@ type RemoteCache struct {
 // "http://127.0.0.1:7070") and fetches the hosted cache's configuration —
 // workers must sign windows with the COORDINATOR's epsilon, not their own,
 // or twin streams on different workers would compute different keys and
-// the shared dedup would silently never fire. httpClient may be nil.
+// the shared dedup would silently never fire. httpClient may be nil (a
+// client with the package's internal-call deadline).
 func DialRemoteCache(base string, httpClient *http.Client) (*RemoteCache, error) {
 	if httpClient == nil {
-		httpClient = &http.Client{}
+		httpClient = &http.Client{Timeout: callTimeout}
 	}
 	rc := &RemoteCache{base: base, hc: httpClient}
 	resp, err := rc.hc.Get(base + "/v1/cluster/cache/config")

@@ -82,7 +82,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("cluster: worker needs an ID")
 	}
-	hc := &http.Client{}
+	hc := &http.Client{Timeout: callTimeout}
 	if cfg.Coordinator != "" {
 		coord := cfg.Coordinator
 		if cfg.Serve.ReadyProbe == nil {

@@ -225,7 +225,7 @@ func (r *Report) CacheStats() cicache.Stats { return r.cacheStats }
 func (r *Report) Registry() *obs.Registry { return r.registry }
 
 // MetricsSummary returns the fleet families of the run registry collapsed
-// to name -> total, the deterministic digest embedded in BENCH_fleet.json.
+// to name -> total: a deterministic digest, identical at any Parallelism.
 func (r *Report) MetricsSummary() map[string]float64 {
 	out := make(map[string]float64)
 	for _, e := range r.registry.Summary() {

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -264,4 +266,64 @@ func CascadeSweep(task Task, opt Options, seed int64, w io.Writer) (*CascadeResu
 		res.Selected.Ladder, res.Selected.ExitConfidence, res.Selected.MaxWidthFrac,
 		res.Selected.RECDelta, 100*res.Selected.ComputeCut)
 	return res, nil
+}
+
+// checked lifts typed acceptance bounds — an invariant of the experiment,
+// not a pinned value — to Experiment.Check: strict decode into the entry's
+// result type, then the bounds.
+func checked[T any](bounds func(*T) error) func([]byte) error {
+	return func(raw []byte) error {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		var res T
+		if err := dec.Decode(&res); err != nil {
+			return fmt.Errorf("does not match the %T schema: %w", res, err)
+		}
+		return bounds(&res)
+	}
+}
+
+// cascadeBounds: the selected point holds EventHit's recall within
+// CascadeRECTol at a compute cut of at least CascadeMinComputeCut, and at
+// every point the integer exits sum to the horizons (so exit rates and
+// compute shares each sum to 1).
+func cascadeBounds(r *CascadeResult) error {
+	if r.RECTol != CascadeRECTol || r.MinComputeCut != CascadeMinComputeCut {
+		return fmt.Errorf("bars (%v, %v) drifted from the pinned constants (%v, %v)",
+			r.RECTol, r.MinComputeCut, CascadeRECTol, CascadeMinComputeCut)
+	}
+	if r.BaselineREC <= 0 || r.BaselineREC > 1 || len(r.Points) == 0 {
+		return fmt.Errorf("degenerate sweep: baseline REC %v, %d points", r.BaselineREC, len(r.Points))
+	}
+	for _, p := range r.Points {
+		at := fmt.Sprintf("point %s conf=%v width=%v", p.Ladder, p.ExitConfidence, p.MaxWidthFrac)
+		if p.Horizons <= 0 || len(p.Rungs) < 2 || p.Rungs[len(p.Rungs)-1].Name != "full" {
+			return fmt.Errorf("%s: degenerate ladder %+v", at, p.Rungs)
+		}
+		var exits int64
+		rateSum, shareSum := 0.0, 0.0
+		for _, rung := range p.Rungs {
+			if rung.Exits < 0 || rung.CostMS <= 0 {
+				return fmt.Errorf("%s: degenerate rung %+v", at, rung)
+			}
+			exits += rung.Exits
+			rateSum += rung.ExitRate
+			shareSum += rung.ComputeShare
+		}
+		if exits != p.Horizons || math.Abs(rateSum-1) > 1e-9 || math.Abs(shareSum-1) > 1e-9 {
+			return fmt.Errorf("%s: exits %d of %d horizons, exit rates sum to %v, compute shares to %v",
+				at, exits, p.Horizons, rateSum, shareSum)
+		}
+		if math.Abs((1-p.ComputeFrac)-p.ComputeCut) > 1e-9 {
+			return fmt.Errorf("%s: compute cut %v inconsistent with frac %v", at, p.ComputeCut, p.ComputeFrac)
+		}
+	}
+	sel := r.Selected
+	if math.Abs(sel.RECDelta) > r.RECTol {
+		return fmt.Errorf("selected point REC delta %.4f exceeds the %.2f bound", sel.RECDelta, r.RECTol)
+	}
+	if sel.ComputeCut < r.MinComputeCut {
+		return fmt.Errorf("selected point compute cut %.2f below the %.0f%% bound", sel.ComputeCut, 100*r.MinComputeCut)
+	}
+	return nil
 }

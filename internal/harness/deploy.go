@@ -8,9 +8,9 @@ import (
 	"eventhit/internal/video"
 )
 
-// A trained Env deployed: as a camera on a fresh stream (the fleet, cache
-// and transfer experiments) or marshalling its own stream's held-out region
-// against a CI (Figures 9 and 10, the resilience sweep).
+// A trained Env deployed: as a camera on a fresh stream (the transfer
+// experiment) or marshalling its own stream's held-out region against a CI
+// (Figures 9 and 10).
 
 // opLevel is the operating point of every experiment that fixes one: EHCR
 // at c = alpha = 0.9.

@@ -76,9 +76,7 @@ type Experiment struct {
 
 var (
 	paperParams = Params{Task: "TA1", Trials: 3, Seed: 1}
-	// quickTA10 is the configuration behind the fleet-family artifacts.
-	quickTA10 = Params{Task: "TA10", Trials: 3, Seed: 5, Quick: true}
-	quickTA1  = Params{Task: "TA1", Trials: 3, Seed: 1, Quick: true}
+	quickTA1    = Params{Task: "TA1", Trials: 3, Seed: 1, Quick: true}
 )
 
 // onTask is how every row runs: Params are validated and p.Task resolved
@@ -187,23 +185,6 @@ func Experiments() []Experiment {
 		{Name: "summary", Doc: "headline table over all sixteen tasks", Params: paperParams,
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) { return Summary(p.Options(), p.Seed, w) })},
 
-		{Name: "resilience", Doc: "CI fault-rate sweep against the resilient client", Params: quickTA10,
-			Artifact: "BENCH_resilience.json", Deterministic: true, Check: checked(resilienceBounds),
-			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
-				return Resilience(t, p.Options(), ResilienceRates(), p.Seed, w)
-			})},
-		{Name: "fleet", Doc: "3 streams x 20000 frames on one budgeted CI", Params: quickTA10,
-			Artifact: "BENCH_fleet.json", Deterministic: true, Check: checked(fleetBounds),
-			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
-				fcfg := quickFleetPolicy()
-				fcfg.Parallelism = Parallelism()
-				return Fleet(t, p.Options(), 3, 20_000, fcfg, p.Seed, w)
-			})},
-		{Name: "cache", Doc: "CI result cache epsilon x TTL sweep, 4 streams x 12000 frames", Params: quickTA10,
-			Artifact: "BENCH_cache.json", Deterministic: true, Check: checked(cacheBounds),
-			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
-				return CacheSweep(t, p.Options(), 4, 12_000, CacheFleetPolicy(Parallelism()), p.Seed, w)
-			})},
 		{Name: "cascade", Doc: "early-inference ladder x exit-policy sweep", Params: quickTA1,
 			Artifact: "BENCH_cascade.json", Deterministic: true, Check: checked(cascadeBounds),
 			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"eventhit/internal/fleet"
 )
 
 // schemaFixtures holds one hand-built result per artifact entry, keyed by
@@ -31,49 +29,6 @@ func schemaFixtures() map[string]interface{} {
 		},
 	}
 	return map[string]interface{}{
-		"resilience": ResilienceResult{
-			Task: "TA10", Seed: 5, Confidence: 0.9, Coverage: 0.9,
-			Points: []ResiliencePoint{{
-				FaultRate: 0.1, REC: 0.5, RealizedREC: 0.25,
-				SpentUSD: 1.5, FPS: 24.5, CIMS: 1000,
-				Relays: 7, Deferred: 2, Retried: 1,
-				FailedAttempts: 3, BackoffMS: 150, BreakerTrips: 1,
-			}},
-		},
-		"fleet": FleetResult{
-			Task: "TA10", Seed: 7, Streams: 1, Frames: 1000,
-			Confidence: 0.9, Coverage: 0.9,
-			Report: fleet.Report{
-				Streams: []fleet.StreamReport{{
-					ID: "cam-00", Horizons: 3, Relays: 2, Served: 1, Deferred: 1, Shed: 0,
-					Detections: 1, Frames: 40, SpentUSD: 0.04, REC: 1, RealizedREC: 0.5,
-					LocalMS: 100, AvgWaitMS: 5, MaxWaitMS: 5,
-				}},
-				Served: 1, Deferred: 1, Shed: 0,
-				TotalFrames: 40, TotalSpentUSD: 0.04, BudgetUSD: 1,
-				Batches: 1, AvgBatchSize: 1, MaxQueueDepth: 2,
-				CacheHits: 3, CacheSavedFrames: 60, CacheSavedUSD: 0.06, CacheBadHits: 0,
-				MakespanMS: 250,
-			},
-			Metrics: map[string]float64{
-				"eventhit_fleet_cache_hits_total":    3,
-				"eventhit_fleet_ci_frames_total":     40,
-				"eventhit_fleet_served_relays_total": 1,
-			},
-		},
-		"cache": CacheResult{
-			Task: "TA10", Seed: 5, Streams: 4, Scenes: 2, Frames: 12000,
-			Confidence: 0.9, Coverage: 0.9,
-			BaselineFrames: 400, BaselineSpentUSD: 0.4, BaselineRealizedREC: 0.75,
-			Points: []CachePoint{{
-				Epsilon: 0, TTLFrames: 30000,
-				Hits: 10, Misses: 10, BadHits: 0, Evictions: 0,
-				SavedFrames: 200, SavedUSD: 0.2,
-				Frames: 200, SpentUSD: 0.2,
-				Served: 20, Deferred: 0, Shed: 0,
-				RealizedREC: 0.75, RECDelta: 0,
-			}},
-		},
 		"cascade": CascadeResult{
 			Task: "TA1", Window: 25, Horizon: 500, Seed: 1,
 			Confidence: 0.9, Coverage: 0.9,
@@ -160,11 +115,6 @@ func TestArtifactBoundsReject(t *testing.T) {
 		}
 	}
 	broken := map[string]interface{}{
-		"resilience": ResilienceResult{Points: []ResiliencePoint{{REC: 0.5, RealizedREC: 0.6}}},
-		"fleet": FleetResult{Streams: 1, Report: fleet.Report{
-			Streams: []fleet.StreamReport{{ID: "cam-00", Relays: 3, Served: 1}},
-		}},
-		"cache":   CacheResult{Points: []CachePoint{{Epsilon: 0, RECDelta: 0.01}}},
 		"cascade": CascadeResult{RECTol: CascadeRECTol, MinComputeCut: CascadeMinComputeCut},
 	}
 	for _, e := range artifactEntries(t) {
@@ -286,9 +236,9 @@ func TestProduce(t *testing.T) {
 	e := Experiment{
 		Name: "fake", Deterministic: true,
 		Run: func(Params, io.Writer) (interface{}, error) {
-			return CacheResult{Points: []CachePoint{{BadHits: 1}}}, nil
+			return CascadeResult{RECTol: CascadeRECTol, MinComputeCut: CascadeMinComputeCut}, nil
 		},
-		Check: checked(cacheBounds),
+		Check: checked(cascadeBounds),
 	}
 	if _, err := e.Produce(Params{}, out, io.Discard); err == nil {
 		t.Fatal("Produce wrote a result outside its bounds")
@@ -305,7 +255,7 @@ func TestProduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := MarshalResult(CacheResult{Points: []CachePoint{{BadHits: 1}}}); !bytes.Equal(raw, want) {
+	if want, _ := MarshalResult(CascadeResult{RECTol: CascadeRECTol, MinComputeCut: CascadeMinComputeCut}); !bytes.Equal(raw, want) {
 		t.Fatalf("Produce wrote %s", raw)
 	}
 }

@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
 	"math"
 	"testing"
 
@@ -13,94 +10,31 @@ import (
 	"eventhit/internal/resilience"
 )
 
-// quickRates keeps the sweep cheap in tests: the zero-fault control plus
-// one aggressive setting.
-func quickRates() []float64 { return []float64{0, 0.3} }
-
-func TestResilienceExperimentQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model")
-	}
-	var buf bytes.Buffer
-	res, err := Resilience(mustTask("TA10"), Quick(), quickRates(), 5, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 2 || res.Task != "TA10" {
-		t.Fatalf("result = %+v", res)
-	}
-	zero, faulty := res.Points[0], res.Points[1]
-	// The zero-fault control must look like a clean run.
-	if zero.Deferred != 0 || zero.FailedAttempts != 0 || zero.BreakerTrips != 0 || zero.BackoffMS != 0 {
-		t.Fatalf("zero-fault point shows fault activity: %+v", zero)
-	}
-	if zero.RealizedREC != zero.REC {
-		t.Fatalf("zero-fault realized REC %v != REC %v", zero.RealizedREC, zero.REC)
-	}
-	if zero.REC <= 0 || zero.REC > 1 || zero.Relays == 0 {
-		t.Fatalf("zero-fault point implausible: %+v", zero)
-	}
-	// The faulty point must show the machinery working: failures absorbed,
-	// some relays deferred (the outage window guarantees breaker pressure),
-	// and honest accounting (realized recall never above model recall).
-	if faulty.FailedAttempts == 0 {
-		t.Fatalf("fault point saw no failures: %+v", faulty)
-	}
-	if faulty.RealizedREC > faulty.REC+1e-12 {
-		t.Fatalf("realized REC %v above model REC %v", faulty.RealizedREC, faulty.REC)
-	}
-	if faulty.Deferred == 0 {
-		t.Fatalf("40-request outage deferred nothing: %+v", faulty)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("experiment rendered no table")
-	}
-}
-
-// TestResilienceDeterministicAcrossParallelism: the sweep's JSON is
-// byte-identical whether cells run serially or concurrently.
-func TestResilienceDeterministicAcrossParallelism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains models twice")
-	}
-	run := func(par int) []byte {
-		old := SetParallelism(par)
-		defer SetParallelism(old)
-		res, err := Resilience(mustTask("TA10"), Quick(), quickRates(), 5, io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	serial := run(1)
-	parallel := run(4)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("sweep differs across parallelism:\n p=1: %s\n p=4: %s", serial, parallel)
-	}
-}
-
-// TestResilienceZeroFaultParityWithBareService: the sweep's zero-fault
-// control equals a run with no fault wrapper and no resilience config at
-// all — wrapping is observationally free when nothing misbehaves.
+// TestResilienceZeroFaultParityWithBareService: the marshalling pipeline
+// behind the resilient client, with degradation on and an inactive fault
+// plan injected, equals a run with no fault wrapper and no resilience
+// config at all — wrapping is observationally free when nothing misbehaves.
+// This is what makes a fault sweep's clean row (the bare CI) its zero-fault
+// control.
 func TestResilienceZeroFaultParityWithBareService(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	res, err := Resilience(mustTask("TA10"), Quick(), []float64{0}, 5, io.Discard)
+	env := quickEnv(t)
+	start, end := testRegion(env)
+	newCI := func() *cloud.Service {
+		return cloud.NewService(env.Stream, cloud.RekognitionPricing(), cloud.DefaultLatency())
+	}
+	costs := pipeline.EventHitCosts(env.Cfg.Window)
+	rcfg := resilience.DefaultConfig(5)
+	costs.Resilience = &rcfg
+	costs.Degrade = true
+	pt, err := pipeline.RunScored(env.Ex, env.Bundle.EHCR(0.9, 0.9), cloud.Inject(newCI(), cloud.FaultPlan{}), env.Cfg, costs, start, end)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := res.Points[0]
 
-	// quickEnv is NewEnv(TA10, Quick(), 5) — the same env the cell built.
-	env := quickEnv(t)
-	start, end := testRegion(env)
-	ci := cloud.NewService(env.Stream, cloud.RekognitionPricing(), cloud.DefaultLatency())
-	m, err := pipeline.New(env.Ex, env.Bundle.EHCR(0.9, 0.9), ci, env.Cfg, pipeline.EventHitCosts(env.Cfg.Window))
+	m, err := pipeline.New(env.Ex, env.Bundle.EHCR(0.9, 0.9), newCI(), env.Cfg, pipeline.EventHitCosts(env.Cfg.Window))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +47,11 @@ func TestResilienceZeroFaultParityWithBareService(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pt.REC != rec || pt.RealizedREC != rec {
-		t.Fatalf("REC parity broken: point %v/%v, bare %v", pt.REC, pt.RealizedREC, rec)
+		t.Fatalf("REC parity broken: wrapped %v/%v, bare %v", pt.REC, pt.RealizedREC, rec)
 	}
-	if pt.SpentUSD != rep.SpentUSD || pt.CIMS != rep.CIMS || pt.FPS != rep.FPS() {
-		t.Fatalf("cost/latency parity broken:\npoint: %+v\n bare: spent=%v ci=%v fps=%v", pt, rep.SpentUSD, rep.CIMS, rep.FPS())
+	if pt.SpentUSD != rep.SpentUSD || pt.CIMS != rep.CIMS || pt.FPS() != rep.FPS() {
+		t.Fatalf("cost/latency parity broken:\nwrapped: spent=%v ci=%v fps=%v\n   bare: spent=%v ci=%v fps=%v",
+			pt.SpentUSD, pt.CIMS, pt.FPS(), rep.SpentUSD, rep.CIMS, rep.FPS())
 	}
 }
 
@@ -133,7 +68,11 @@ func TestResilienceConformalCoverageUnderFaults(t *testing.T) {
 	start, end := testRegion(env)
 	const conf = 0.9
 	ci := cloud.NewService(env.Stream, cloud.RekognitionPricing(), cloud.DefaultLatency())
-	backend := cloud.Inject(ci, resiliencePlan(106, 0.25))
+	backend := cloud.Inject(ci, cloud.FaultPlan{
+		Seed: 106, TransientRate: 0.25, SpikeRate: 0.125, SpikeMS: 8000, FailLatencyMS: 25,
+		// One hard outage early in the run, long enough to trip the breaker.
+		Outages: []cloud.ReqWindow{{Start: 25, End: 60}},
+	})
 	costs := pipeline.EventHitCosts(env.Cfg.Window)
 	rcfg := resilience.DefaultConfig(5)
 	costs.Resilience = &rcfg

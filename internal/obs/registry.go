@@ -320,8 +320,8 @@ type SummaryEntry struct {
 // Summary returns one entry per family, sorted by name: the registry's
 // top-level totals with label dimensions collapsed. Like WriteText it is a
 // read-only snapshot (func-backed series are evaluated once), so a registry
-// with fixed contents summarizes identically every time — the fleet report
-// embeds it in BENCH_fleet.json under that guarantee.
+// with fixed contents summarizes identically every time — the fleet report's
+// MetricsSummary digest relies on that guarantee.
 func (r *Registry) Summary() []SummaryEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -376,8 +376,8 @@ type Scored struct {
 }
 
 // RunScored builds the marshaller New would and runs it over [start, end]:
-// the one "marshal a region and score it" behind the harness figures, the
-// resilience sweep and the scenario pipeline tasks.
+// the one "marshal a region and score it" behind the harness figures and
+// the scenario pipeline tasks.
 func RunScored(src dataset.Source, s strategy.Strategy, ci cloud.Backend, cfg dataset.Config, costs Costs, start, end int) (Scored, error) {
 	m, err := New(src, s, ci, cfg, costs)
 	if err != nil {

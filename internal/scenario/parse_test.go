@@ -150,22 +150,24 @@ func TestParseRejects(t *testing.T) {
 		{name: "fleet-batch-zero", src: yamlSrc(headOK, streamsOK, []string{"fleet:", "  batch_max: 0"}, stagesOK),
 			at: "batch_max: 0", want: "fleet.batch_max: must be >= 1"},
 
-		// Cache.
-		{name: "cache-ttl-missing", src: yamlSrc(headOK, streamsOK, []string{"cache:", "  epsilon: 0.5"}, stagesOK),
-			at: "epsilon: 0.5", want: "cache.ttl_frames: must be >= 1"},
+		// Task cache blocks.
+		{name: "cache-ttl-missing",
+			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: fleet", "cache:", "  epsilon: 0.5")),
+			at:  "epsilon: 0.5", want: "stages[0].run.cache.ttl_frames: must be >= 1"},
 		{name: "cache-epsilon-negative",
-			src: yamlSrc(headOK, streamsOK, []string{"cache:", "  epsilon: -0.5", "  ttl_frames: 10"}, stagesOK),
-			at:  "epsilon: -0.5", want: "cache.epsilon: must be a finite value >= 0"},
+			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: fleet", "cache:", "  epsilon: -0.5", "  ttl_frames: 10")),
+			at:  "epsilon: -0.5", want: "stages[0].run.cache.epsilon: must be a finite value >= 0"},
 
-		// Faults.
-		{name: "faults-rate-high", src: yamlSrc(headOK, streamsOK, []string{"faults:", "  transient_rate: 1.5"}, stagesOK),
-			at: "transient_rate: 1.5", want: "faults.transient_rate: out of range"},
+		// Task fault blocks.
+		{name: "faults-rate-high",
+			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: pipeline", "faults:", "  transient_rate: 1.5")),
+			at:  "transient_rate: 1.5", want: "stages[0].run.faults.transient_rate: out of range"},
 		{name: "faults-rate-limit-negative",
-			src: yamlSrc(headOK, streamsOK, []string{"faults:", "  rate_limit_every: -1"}, stagesOK),
-			at:  "rate_limit_every: -1", want: "faults.rate_limit_every: must be >= 0"},
+			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: pipeline", "faults:", "  rate_limit_every: -1")),
+			at:  "rate_limit_every: -1", want: "stages[0].run.faults.rate_limit_every: must be >= 0"},
 		{name: "outage-empty-window",
-			src: yamlSrc(headOK, streamsOK, []string{"faults:", "  outages:", "    - start: 5", "      end: 5"}, stagesOK),
-			at:  "- start: 5", want: "faults.outages[0]: need 0 <= start < end"},
+			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: pipeline", "faults:", "  outages:", "    - start: 5", "      end: 5")),
+			at:  "- start: 5", want: "stages[0].run.faults.outages[0]: need 0 <= start < end"},
 
 		// Stages and tasks.
 		{name: "stages-missing", src: yamlSrc(headOK, streamsOK),
@@ -190,12 +192,15 @@ func TestParseRejects(t *testing.T) {
 			at: "name: t", want: "stages[0].run.kind: required"},
 		{name: "task-kind-unknown", src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: magic")),
 			at: "kind: magic", want: "must be fleet, pipeline or drift"},
+		// A cache or fault plan is a block on the task that uses it: a
+		// scalar in its place, a `cached:` key or a spec-level section is
+		// refused where it stands.
 		{name: "cached-needs-cache-section",
-			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: fleet", "cached: true")),
-			at:  "cached: true", want: "cached: requires a top-level cache section"},
+			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: fleet", "cache: true")),
+			at:  "cache: true", want: "stages[0].run.cache: expected a mapping, got scalar"},
 		{name: "cached-on-pipeline",
-			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: pipeline", "cached: true")),
-			at:  "cached: true", want: "cached: only valid on fleet tasks"},
+			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: pipeline", "cache:", "  ttl_frames: 10")),
+			at:  "cache:", want: "cache: only valid on fleet tasks"},
 		{name: "budget-on-pipeline",
 			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: pipeline", "budget_usd: 1")),
 			at:  "budget_usd: 1", want: "budget_usd: only valid on fleet tasks"},
@@ -206,11 +211,17 @@ func TestParseRejects(t *testing.T) {
 			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: pipeline", "stream: ghost-00")),
 			at:  "stream: ghost-00", want: `stream: unknown camera "ghost-00"`},
 		{name: "faults-on-fleet",
-			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: fleet", "faults: true")),
-			at:  "faults: true", want: "faults: only valid on pipeline tasks"},
+			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: fleet", "faults:", "  transient_rate: 0.1")),
+			at:  "faults:", want: "faults: only valid on pipeline tasks"},
 		{name: "faults-need-section",
 			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: pipeline", "faults: true")),
-			at:  "faults: true", want: "faults: requires a top-level faults section"},
+			at:  "faults: true", want: "stages[0].run.faults: expected a mapping, got scalar"},
+		{name: "cached-key-removed",
+			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: fleet", "cached: true")),
+			at:  "cached: true", want: "stages[0].run.cached: unknown field"},
+		{name: "top-level-cache-removed",
+			src: yamlSrc(headOK, streamsOK, []string{"cache:", "  ttl_frames: 10"}, stagesOK),
+			at:  "cache:", want: "cache: unknown field"},
 		{name: "monitor-window-on-fleet",
 			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: fleet", "monitor_window: 20")),
 			at:  "monitor_window: 20", want: "monitor_window: only valid on drift tasks"},
@@ -293,11 +304,10 @@ func TestParseDefaults(t *testing.T) {
 		spec.Fleet.BatchFramesMax != nil || spec.Fleet.CallOverheadMS != nil {
 		t.Errorf("absent fleet overrides decoded non-nil: %+v", spec.Fleet)
 	}
-	if spec.Cache != nil || spec.Faults != nil {
-		t.Errorf("absent cache/faults decoded non-nil: %+v / %+v", spec.Cache, spec.Faults)
-	}
 	if len(spec.Stages) != 1 || spec.Stages[0].Run == nil || len(spec.Stages[0].Tasks()) != 1 {
 		t.Errorf("Stages = %+v, want one run stage", spec.Stages)
+	} else if task := spec.Stages[0].Run; task.Cache != nil || task.Faults != nil {
+		t.Errorf("absent cache/faults decoded non-nil: %+v / %+v", task.Cache, task.Faults)
 	}
 }
 

@@ -19,9 +19,12 @@ import (
 // The staged runner compiles a validated Spec onto the existing machinery:
 // one trained environment (harness.NewEnv, keyed by the spec seed), camera
 // streams generated per task from scene-keyed seeds, and one executor per
-// task kind — fleet.Run for whole-fleet marshalling, pipeline.RunDetailed
-// for single-camera runs (optionally against the spec's fault plan through
-// the resilient client), and a coverage-monitor walk for drift tasks.
+// task kind — fleet.Run for whole-fleet marshalling (optionally with the
+// task's cache), pipeline.RunScored for single-camera runs (optionally
+// against the task's fault plan through the resilient client), and a
+// coverage-monitor walk for drift tasks. Every outcome must pass the
+// accounting identities of TaskOut.accountingErr before it enters the
+// report; a task that breaks one fails the run.
 //
 // Determinism contract: stages run serially; a parallel task group runs its
 // members concurrently with results slotted by index; every task rebuilds
@@ -76,11 +79,14 @@ type TaskOut struct {
 }
 
 // FleetOut is a fleet task's outcome: the scheduler report plus
-// cross-stream recall means.
+// cross-stream recall means and, for a cached task, the rest of the cache
+// meter (fleet.Report.CacheStats, which the report keeps out of its JSON).
 type FleetOut struct {
 	fleet.Report
 	MeanREC         float64 `json:"mean_rec"`
 	MeanRealizedREC float64 `json:"mean_realized_rec"`
+	CacheMisses     int64   `json:"cache_misses,omitempty"`
+	CacheEvictions  int64   `json:"cache_evictions,omitempty"`
 }
 
 // PipelineOut is a single-camera end-to-end marshalling outcome.
@@ -257,6 +263,9 @@ func RunWithEnv(spec *Spec, env *harness.Env, par int) (*Report, error) {
 		runStage := func() error {
 			return harness.ForEachCellN(len(tasks), workers, func(i int) error {
 				out, err := runTask(spec, env, cams, tasks[i], par)
+				if err == nil {
+					err = out.accountingErr()
+				}
 				if err != nil {
 					return fmt.Errorf("scenario: stage %s task %s: %w", st.Name, tasks[i].Name, err)
 				}
@@ -290,6 +299,47 @@ func RunWithEnv(spec *Spec, env *harness.Env, par int) (*Report, error) {
 		rep.Stages = append(rep.Stages, so)
 	}
 	return rep, nil
+}
+
+// accountingErr checks the identities every task outcome satisfies,
+// whatever its workload, and names the first one broken: a fleet's relays
+// are partitioned into served, deferred and shed per stream and in total, a
+// capped fleet never overspends, a pipeline defers at most its relays, and
+// realized recall never exceeds model recall.
+func (o TaskOut) accountingErr() error {
+	const tol = 1e-9
+	if f := o.Fleet; f != nil {
+		relays := 0
+		for _, s := range f.Streams {
+			relays += s.Relays
+			if s.Served+s.Deferred+s.Shed != s.Relays {
+				return fmt.Errorf("stream %s: served %d + deferred %d + shed %d != relays %d",
+					s.ID, s.Served, s.Deferred, s.Shed, s.Relays)
+			}
+			if s.RealizedREC > s.REC+tol {
+				return fmt.Errorf("stream %s: realized REC %v above model REC %v", s.ID, s.RealizedREC, s.REC)
+			}
+		}
+		if f.Served+f.Deferred+f.Shed != relays {
+			return fmt.Errorf("fleet totals: served %d + deferred %d + shed %d != relays %d",
+				f.Served, f.Deferred, f.Shed, relays)
+		}
+		if f.BudgetUSD > 0 && f.TotalSpentUSD > f.BudgetUSD {
+			return fmt.Errorf("spent $%v over the $%v cap", f.TotalSpentUSD, f.BudgetUSD)
+		}
+		if f.MeanRealizedREC > f.MeanREC+tol {
+			return fmt.Errorf("mean realized REC %v above mean model REC %v", f.MeanRealizedREC, f.MeanREC)
+		}
+	}
+	if p := o.Pipeline; p != nil {
+		if p.Deferred > p.Relays {
+			return fmt.Errorf("deferred %d > relays %d", p.Deferred, p.Relays)
+		}
+		if p.RealizedREC > p.REC+tol {
+			return fmt.Errorf("realized REC %v above model REC %v", p.RealizedREC, p.REC)
+		}
+	}
+	return nil
 }
 
 func runTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec, par int) (TaskOut, error) {
@@ -332,10 +382,10 @@ func fleetConfig(spec *Spec, ts TaskSpec, par int) fleet.Config {
 	if ts.BudgetUSD != nil {
 		cfg.GlobalBudgetUSD = *ts.BudgetUSD
 	}
-	if ts.Cached {
+	if ts.Cache != nil {
 		cc := cicache.DefaultConfig()
-		cc.Epsilon = spec.Cache.Epsilon
-		cc.TTLFrames = spec.Cache.TTLFrames
+		cc.Epsilon = ts.Cache.Epsilon
+		cc.TTLFrames = ts.Cache.TTLFrames
 		cfg.Cache = &cc
 	}
 	return cfg
@@ -361,7 +411,8 @@ func runFleetTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec, par 
 	if err != nil {
 		return nil, err
 	}
-	out := &FleetOut{Report: *rep}
+	cs := rep.CacheStats()
+	out := &FleetOut{Report: *rep, CacheMisses: cs.Misses, CacheEvictions: cs.Evictions}
 	if len(rep.Streams) > 0 {
 		var rec, realized float64
 		for _, s := range rep.Streams {
@@ -374,11 +425,10 @@ func runFleetTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec, par 
 	return out, nil
 }
 
-// faultPlan compiles the spec's fault section to a cloud.FaultPlan; a zero
-// plan seed inherits the spec seed so the whole scenario stays one-knob
+// faultPlan compiles a task's fault block to a cloud.FaultPlan; a zero plan
+// seed inherits the spec seed so the whole scenario stays one-knob
 // reproducible.
-func faultPlan(spec *Spec) cloud.FaultPlan {
-	fs := spec.Faults
+func faultPlan(spec *Spec, fs *FaultSpec) cloud.FaultPlan {
 	plan := cloud.FaultPlan{
 		Seed:           fs.Seed,
 		TransientRate:  fs.TransientRate,
@@ -409,8 +459,8 @@ func runPipelineTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec) (
 	ci := cloud.NewService(fs.Source.Stream(), cloud.RekognitionPricing(), cloud.DefaultLatency())
 	var backend cloud.Backend = ci
 	costs := fs.Costs
-	if ts.Faults {
-		plan := faultPlan(spec)
+	if ts.Faults != nil {
+		plan := faultPlan(spec, ts.Faults)
 		if err := plan.Validate(); err != nil {
 			return nil, err
 		}
@@ -425,7 +475,7 @@ func runPipelineTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec) (
 	}
 	return &PipelineOut{
 		Stream:  cam.id,
-		Faulted: ts.Faults,
+		Faulted: ts.Faults != nil,
 		REC:     run.REC, RealizedREC: run.RealizedREC,
 		Relays:         run.Relays,
 		Deferred:       run.CIDeferred,

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"eventhit/internal/fleet"
 )
 
 // -update-schema rewrites the report schema golden from the shape test's
@@ -195,10 +198,54 @@ func pipelineOuts(rep *Report) map[string]*PipelineOut {
 	return out
 }
 
-// TestCorpusInvariants checks the paper's accounting identities on the
-// committed goldens: relay partitioning, budget never overshot, deferred
-// relays accounted against realized recall, and the epsilon=0 cache leaving
-// recall untouched while halving the twin workload's frame bill.
+// stageOuts returns a report's task outcomes of one stage, in declared
+// order, with the spec's task declarations beside them.
+func stageOuts(t *testing.T, rep *Report, spec *Spec, stage string) ([]TaskOut, []TaskSpec) {
+	t.Helper()
+	var outs []TaskOut
+	var decl []TaskSpec
+	for _, st := range rep.Stages {
+		if st.Name == stage {
+			outs = st.Tasks
+		}
+	}
+	for _, st := range spec.Stages {
+		if st.Name == stage {
+			decl = st.Tasks()
+		}
+	}
+	if len(outs) < 2 || len(outs) != len(decl) {
+		t.Fatalf("%s stage %s: %d outcomes for %d declared tasks, want a group of >= 2", rep.Name, stage, len(outs), len(decl))
+	}
+	return outs, decl
+}
+
+// exactCacheErr: an epsilon-0 cached run over the same workload as base
+// hits, never lies, leaves realized recall untouched, and bills exactly the
+// baseline's frames minus the ones it saved.
+func exactCacheErr(base, cached *FleetOut) error {
+	switch {
+	case base.CacheHits != 0:
+		return fmt.Errorf("uncached baseline recorded %d cache hits", base.CacheHits)
+	case cached.CacheHits == 0:
+		return fmt.Errorf("cached run over scene twins recorded no hits")
+	case cached.CacheBadHits != 0:
+		return fmt.Errorf("%d bad hits; exact matching must never lie", cached.CacheBadHits)
+	case cached.MeanRealizedREC != base.MeanRealizedREC:
+		return fmt.Errorf("realized recall moved: %v vs baseline %v", cached.MeanRealizedREC, base.MeanRealizedREC)
+	case cached.TotalFrames+cached.CacheSavedFrames != base.TotalFrames:
+		return fmt.Errorf("savings unaccounted: %d billed + %d saved != baseline %d billed",
+			cached.TotalFrames, cached.CacheSavedFrames, base.TotalFrames)
+	}
+	return nil
+}
+
+// TestCorpusInvariants holds every committed golden to the runner's
+// accounting identities (without re-running anything, so in -short mode
+// too) and checks the claims each regime exists to pin, which compare the
+// tasks of one scenario: shedding under burst, the exact-match cache, the
+// price of CI faults, the budget cliff, the drift alarm, and the recall a
+// fleet buys with its cap.
 func TestCorpusInvariants(t *testing.T) {
 	reports := loadGoldenReports(t)
 	entries, _ := Corpus()
@@ -206,55 +253,12 @@ func TestCorpusInvariants(t *testing.T) {
 	for _, e := range entries {
 		specs[e.Name] = e.Spec
 	}
-
 	for name, rep := range reports {
-		spec := specs[name]
-		if rep.Name != name || rep.Task != spec.Task || rep.Seed != spec.Seed {
-			t.Errorf("%s: golden header %s/%s/%d does not match its spec", name, rep.Name, rep.Task, rep.Seed)
-		}
-		if len(rep.Cameras) == 0 {
-			t.Errorf("%s: no cameras recorded", name)
-		}
-		if len(rep.Stages) != len(spec.Stages) {
-			t.Errorf("%s: %d stages recorded, spec declares %d", name, len(rep.Stages), len(spec.Stages))
-			continue
-		}
-		for i, st := range rep.Stages {
-			if want := len(spec.Stages[i].Tasks()); len(st.Tasks) != want {
-				t.Errorf("%s/%s: %d task outcomes, spec declares %d", name, st.Name, len(st.Tasks), want)
-			}
-		}
-		for key, f := range fleetOuts(rep) {
-			relays := 0
-			for _, s := range f.Streams {
-				relays += s.Relays
-				if s.Served+s.Deferred+s.Shed != s.Relays {
-					t.Errorf("%s %s stream %s: served %d + deferred %d + shed %d != relays %d",
-						name, key, s.ID, s.Served, s.Deferred, s.Shed, s.Relays)
+		for _, st := range rep.Stages {
+			for _, task := range st.Tasks {
+				if err := task.accountingErr(); err != nil {
+					t.Errorf("%s %s/%s: %v", name, st.Name, task.Name, err)
 				}
-				if s.RealizedREC > s.REC+1e-9 {
-					t.Errorf("%s %s stream %s: realized REC %v exceeds oracle REC %v",
-						name, key, s.ID, s.RealizedREC, s.REC)
-				}
-			}
-			if f.Served+f.Deferred+f.Shed != relays {
-				t.Errorf("%s %s: fleet totals %d+%d+%d do not partition %d relays",
-					name, key, f.Served, f.Deferred, f.Shed, relays)
-			}
-			if f.BudgetUSD > 0 && f.TotalSpentUSD > f.BudgetUSD+1e-9 {
-				t.Errorf("%s %s: spent %v overshoots budget %v", name, key, f.TotalSpentUSD, f.BudgetUSD)
-			}
-			if f.MeanRealizedREC > f.MeanREC+1e-9 {
-				t.Errorf("%s %s: mean realized REC %v exceeds mean REC %v",
-					name, key, f.MeanRealizedREC, f.MeanREC)
-			}
-		}
-		for key, p := range pipelineOuts(rep) {
-			if p.RealizedREC > p.REC+1e-9 {
-				t.Errorf("%s %s: realized REC %v exceeds REC %v", name, key, p.RealizedREC, p.REC)
-			}
-			if p.Deferred > p.Relays {
-				t.Errorf("%s %s: %d deferred out of %d relays", name, key, p.Deferred, p.Relays)
 			}
 		}
 	}
@@ -275,22 +279,74 @@ func TestCorpusInvariants(t *testing.T) {
 		if base == nil || cached == nil {
 			t.Fatal("retail-flash-crowd golden lacks compare/baseline or compare/cached")
 		}
-		if base.CacheHits != 0 {
-			t.Errorf("uncached baseline recorded %d cache hits", base.CacheHits)
+		if err := exactCacheErr(base, cached); err != nil {
+			t.Errorf("epsilon=0 cache: %v", err)
 		}
-		if cached.CacheHits == 0 {
-			t.Error("cached run over scene twins recorded no hits")
+	})
+
+	t.Run("cache-sweep", func(t *testing.T) {
+		outs, decl := stageOuts(t, reports["cache-sweep"], specs["cache-sweep"], "sweep")
+		base := outs[0].Fleet
+		if decl[0].Cache != nil || base == nil {
+			t.Fatal("cache-sweep's first task must be the uncached fleet baseline")
 		}
-		if cached.CacheBadHits != 0 {
-			t.Errorf("epsilon=0 cache recorded %d bad hits; exact matching must never lie", cached.CacheBadHits)
+		for i, out := range outs[1:] {
+			c, f := decl[i+1].Cache, out.Fleet
+			if c == nil || f == nil {
+				t.Fatalf("point %s is not a cached fleet task", out.Name)
+			}
+			if f.CacheBadHits != 0 {
+				t.Errorf("point %s: %d bad hits", out.Name, f.CacheBadHits)
+			}
+			if c.Epsilon != 0 {
+				continue
+			}
+			if err := exactCacheErr(base, f); err != nil {
+				t.Errorf("point %s: %v", out.Name, err)
+			}
 		}
-		if cached.MeanRealizedREC != base.MeanRealizedREC {
-			t.Errorf("epsilon=0 cache moved realized recall: %v vs baseline %v",
-				cached.MeanRealizedREC, base.MeanRealizedREC)
+	})
+
+	t.Run("ci-fault-sweep", func(t *testing.T) {
+		rows, decl := stageOuts(t, reports["ci-fault-sweep"], specs["ci-fault-sweep"], "sweep")
+		clean := rows[0].Pipeline
+		if clean == nil || clean.Faulted || clean.FailedAttempts != 0 || clean.Deferred != 0 {
+			t.Fatalf("clean row is not a clean pipeline run: %+v", clean)
 		}
-		if cached.TotalFrames+cached.CacheSavedFrames != base.TotalFrames {
-			t.Errorf("cache savings unaccounted: %d billed + %d saved != baseline %d billed",
-				cached.TotalFrames, cached.CacheSavedFrames, base.TotalFrames)
+		for i, row := range rows[1:] {
+			p, prev := row.Pipeline, rows[i].Pipeline
+			if p == nil || !p.Faulted || decl[i+1].Faults == nil {
+				t.Fatalf("row %s is not a faulted pipeline run", row.Name)
+			}
+			if i > 0 && decl[i+1].Faults.TransientRate <= decl[i].Faults.TransientRate {
+				t.Fatalf("row %s: fault rates are not declared in ascending order", row.Name)
+			}
+			if p.Deferred == 0 {
+				t.Errorf("row %s deferred nothing; degradation never engaged", row.Name)
+			}
+			if p.RealizedREC > prev.RealizedREC {
+				t.Errorf("row %s: realized REC rises from %v to %v with the fault rate", row.Name, prev.RealizedREC, p.RealizedREC)
+			}
+		}
+	})
+
+	t.Run("fleet-cap-sweep", func(t *testing.T) {
+		caps, _ := stageOuts(t, reports["fleet-cap-sweep"], specs["fleet-cap-sweep"], "caps")
+		for i, c := range caps {
+			f := c.Fleet
+			if f == nil || f.BudgetUSD <= 0 || (i > 0 && f.BudgetUSD <= caps[i-1].Fleet.BudgetUSD) {
+				t.Fatalf("task %s is not a fleet under an ascending cap", c.Name)
+			}
+			if i > 0 && f.MeanRealizedREC < caps[i-1].Fleet.MeanRealizedREC {
+				t.Errorf("cap $%v: realized REC falls from %v to %v as the cap grows",
+					f.BudgetUSD, caps[i-1].Fleet.MeanRealizedREC, f.MeanRealizedREC)
+			}
+		}
+		if ample := caps[len(caps)-1].Fleet; ample.MeanRealizedREC != ample.MeanREC {
+			t.Errorf("ample cap $%v: realized REC %v short of model REC %v", ample.BudgetUSD, ample.MeanRealizedREC, ample.MeanREC)
+		}
+		if cheap := caps[0].Fleet; cheap.Deferred == 0 {
+			t.Errorf("cheapest cap $%v deferred nothing", cheap.BudgetUSD)
 		}
 	})
 
@@ -357,6 +413,61 @@ func TestCorpusInvariants(t *testing.T) {
 	})
 }
 
+// TestRunnerRejectsBrokenAccounting: the runner's per-task check passes
+// sound fleet and pipeline outcomes (an uncapped fleet may spend anything)
+// and refuses each hand-built outcome that breaks exactly one identity,
+// naming it.
+func TestRunnerRejectsBrokenAccounting(t *testing.T) {
+	fleetOut := func(edit func(*FleetOut)) TaskOut {
+		f := &FleetOut{MeanREC: 0.9, MeanRealizedREC: 0.45}
+		f.Streams = []fleet.StreamReport{{ID: "cam-00", Relays: 4, Served: 2, Deferred: 1, Shed: 1, REC: 0.9, RealizedREC: 0.45}}
+		f.Served, f.Deferred, f.Shed = 2, 1, 1
+		f.BudgetUSD, f.TotalSpentUSD = 1, 0.5
+		edit(f)
+		return TaskOut{Name: "t", Kind: KindFleet, Fleet: f}
+	}
+	pipelineOut := func(edit func(*PipelineOut)) TaskOut {
+		p := &PipelineOut{Relays: 4, Deferred: 1, REC: 0.9, RealizedREC: 0.6}
+		edit(p)
+		return TaskOut{Name: "t", Kind: KindPipeline, Pipeline: p}
+	}
+	for _, ok := range []TaskOut{
+		fleetOut(func(*FleetOut) {}),
+		fleetOut(func(f *FleetOut) { f.BudgetUSD, f.TotalSpentUSD = 0, 99 }),
+		pipelineOut(func(*PipelineOut) {}),
+		{Name: "t", Kind: KindDrift, Drift: &DriftOut{}},
+	} {
+		if err := ok.accountingErr(); err != nil {
+			t.Errorf("sound %s outcome refused: %v", ok.Kind, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		out  TaskOut
+		want string
+	}{
+		{"stream-partition", fleetOut(func(f *FleetOut) { f.Streams[0].Shed = 0 }),
+			"stream cam-00: served 2 + deferred 1 + shed 0 != relays 4"},
+		{"fleet-partition", fleetOut(func(f *FleetOut) { f.Shed = 0 }),
+			"fleet totals: served 2 + deferred 1 + shed 0 != relays 4"},
+		{"over-cap", fleetOut(func(f *FleetOut) { f.TotalSpentUSD = 1.5 }),
+			"spent $1.5 over the $1 cap"},
+		{"stream-recall", fleetOut(func(f *FleetOut) { f.Streams[0].RealizedREC = 0.95 }),
+			"stream cam-00: realized REC 0.95 above model REC 0.9"},
+		{"mean-recall", fleetOut(func(f *FleetOut) { f.MeanRealizedREC = 0.95 }),
+			"mean realized REC 0.95 above mean model REC 0.9"},
+		{"pipeline-deferred", pipelineOut(func(p *PipelineOut) { p.Deferred = 5 }),
+			"deferred 5 > relays 4"},
+		{"pipeline-recall", pipelineOut(func(p *PipelineOut) { p.RealizedREC = 0.95 }),
+			"realized REC 0.95 above model REC 0.9"},
+	} {
+		err := tc.out.accountingErr()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: got %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestScenarioReportShape pins the report schema itself: a hand-built
 // report covering all three task outcomes must marshal to the committed
 // schema golden, so renaming or retyping a field is a reviewed diff even
@@ -373,7 +484,7 @@ func TestScenarioReportShape(t *testing.T) {
 		Stages: []StageOut{
 			{Name: "marshal", Parallel: true, Tasks: []TaskOut{
 				{Name: "fleet", Kind: KindFleet, Fleet: &FleetOut{
-					MeanREC: 0.9, MeanRealizedREC: 0.85,
+					MeanREC: 0.9, MeanRealizedREC: 0.85, CacheMisses: 7, CacheEvictions: 2,
 				}},
 				{Name: "solo", Kind: KindPipeline, Pipeline: &PipelineOut{
 					Stream: "cam-00", Faulted: true, REC: 0.9, RealizedREC: 0.8,

@@ -89,44 +89,6 @@ func Marshal(s *Spec) []byte {
 			w.kv(1, "call_overhead_ms", num(*f.CallOverheadMS))
 		}
 	}
-	if c := s.Cache; c != nil {
-		w.key(0, "cache")
-		if c.Epsilon != 0 {
-			w.kv(1, "epsilon", num(c.Epsilon))
-		}
-		w.kv(1, "ttl_frames", strconv.Itoa(c.TTLFrames))
-	}
-	if fp := s.Faults; fp != nil {
-		w.key(0, "faults")
-		if fp.Seed != 0 {
-			w.kv(1, "seed", strconv.FormatInt(fp.Seed, 10))
-		}
-		if fp.TransientRate != 0 {
-			w.kv(1, "transient_rate", num(fp.TransientRate))
-		}
-		if fp.SpikeRate != 0 {
-			w.kv(1, "spike_rate", num(fp.SpikeRate))
-		}
-		if fp.SpikeMS != 0 {
-			w.kv(1, "spike_ms", num(fp.SpikeMS))
-		}
-		if fp.RateLimitEvery != 0 {
-			w.kv(1, "rate_limit_every", strconv.Itoa(fp.RateLimitEvery))
-		}
-		if fp.RateLimitBurst != 0 {
-			w.kv(1, "rate_limit_burst", strconv.Itoa(fp.RateLimitBurst))
-		}
-		if fp.FailLatencyMS != 0 {
-			w.kv(1, "fail_latency_ms", num(fp.FailLatencyMS))
-		}
-		if len(fp.Outages) > 0 {
-			w.key(1, "outages")
-			for _, o := range fp.Outages {
-				w.item(2, "start", strconv.FormatInt(o.Start, 10))
-				w.kv(3, "end", strconv.FormatInt(o.End, 10))
-			}
-		}
-	}
 	w.key(0, "stages")
 	for _, st := range s.Stages {
 		w.item(1, "name", str(st.Name))
@@ -156,8 +118,12 @@ func writeTask(w *specWriter, depth int, t TaskSpec, asItem bool) {
 		w.kv(depth, "name", str(t.Name))
 	}
 	w.kv(depth, "kind", str(t.Kind))
-	if t.Cached {
-		w.kv(depth, "cached", "true")
+	if c := t.Cache; c != nil {
+		w.key(depth, "cache")
+		if c.Epsilon != 0 {
+			w.kv(depth+1, "epsilon", num(c.Epsilon))
+		}
+		w.kv(depth+1, "ttl_frames", strconv.Itoa(c.TTLFrames))
 	}
 	if t.BudgetUSD != nil {
 		w.kv(depth, "budget_usd", num(*t.BudgetUSD))
@@ -165,8 +131,37 @@ func writeTask(w *specWriter, depth int, t TaskSpec, asItem bool) {
 	if t.Stream != "" {
 		w.kv(depth, "stream", str(t.Stream))
 	}
-	if t.Faults {
-		w.kv(depth, "faults", "true")
+	if fp := t.Faults; fp != nil {
+		d := depth + 1
+		w.key(depth, "faults")
+		if fp.Seed != 0 {
+			w.kv(d, "seed", strconv.FormatInt(fp.Seed, 10))
+		}
+		if fp.TransientRate != 0 {
+			w.kv(d, "transient_rate", num(fp.TransientRate))
+		}
+		if fp.SpikeRate != 0 {
+			w.kv(d, "spike_rate", num(fp.SpikeRate))
+		}
+		if fp.SpikeMS != 0 {
+			w.kv(d, "spike_ms", num(fp.SpikeMS))
+		}
+		if fp.RateLimitEvery != 0 {
+			w.kv(d, "rate_limit_every", strconv.Itoa(fp.RateLimitEvery))
+		}
+		if fp.RateLimitBurst != 0 {
+			w.kv(d, "rate_limit_burst", strconv.Itoa(fp.RateLimitBurst))
+		}
+		if fp.FailLatencyMS != 0 {
+			w.kv(d, "fail_latency_ms", num(fp.FailLatencyMS))
+		}
+		if len(fp.Outages) > 0 {
+			w.key(d, "outages")
+			for _, o := range fp.Outages {
+				w.item(d+1, "start", strconv.FormatInt(o.Start, 10))
+				w.kv(d+2, "end", strconv.FormatInt(o.End, 10))
+			}
+		}
 	}
 	if t.MonitorWindow != 0 {
 		w.kv(depth, "monitor_window", strconv.Itoa(t.MonitorWindow))

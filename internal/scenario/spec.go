@@ -4,14 +4,16 @@
 // arrivals, degraded CI, budget cliffs — but until now each regime was an
 // ad-hoc flag combination on three binaries. A scenario spec (YAML subset,
 // parsed in-repo, stdlib-only) declares streams, scene mixes, arrival
-// surges, drift schedules, fault plans, budgets and cache settings, plus a
-// staged runner program: named stages executed serially, each stage either
-// one task or a parallel group (bashful-style task/task_group), where every
-// task compiles onto the existing harness/fleet/pipeline machinery. Task
-// results are slotted by index and the fleet's two-phase determinism is
-// preserved, so a scenario report is byte-identical at any parallelism —
-// which is what lets the committed corpus under corpus/ pin golden reports
-// in testdata/ and gate every future PR on all regimes at once.
+// surges, drift schedules and budgets, plus a staged runner program: named
+// stages executed serially, each stage either one task or a parallel group
+// (bashful-style task/task_group), where every task compiles onto the
+// existing harness/fleet/pipeline machinery and may carry its own cache or
+// fault plan — a sweep is a parallel group of tasks that differ in one
+// block. Task results are slotted by index and the fleet's two-phase
+// determinism is preserved, so a scenario report is byte-identical at any
+// parallelism — which is what lets the committed corpus under corpus/ pin
+// golden reports in testdata/ and gate every future PR on all regimes at
+// once.
 package scenario
 
 import (
@@ -47,12 +49,6 @@ type Spec struct {
 	Streams []StreamGroup
 	// Fleet is the shared-backend scheduler policy (zero value = defaults).
 	Fleet FleetSpec
-	// Cache, when present, is the shared CI result cache configuration;
-	// only tasks with `cached: true` attach it.
-	Cache *CacheSpec
-	// Faults, when present, is the CI fault plan; only pipeline tasks with
-	// `faults: true` inject it.
-	Faults *FaultSpec
 	// Stages is the runner program, executed in order.
 	Stages []Stage
 }
@@ -170,15 +166,17 @@ type TaskSpec struct {
 	// plan); "drift" streams one drifting camera through the coverage
 	// monitor and records the detection frame.
 	Kind string
-	// Cached (fleet) attaches the spec's cache to the scheduler.
-	Cached bool
+	// Cache (fleet), when present, attaches a shared CI result cache with
+	// this configuration to the scheduler.
+	Cache *CacheSpec
 	// BudgetUSD (fleet) overrides the fleet budget for this task only.
 	BudgetUSD *float64
 	// Stream (pipeline/drift) is the camera ID to marshal; defaults to the
 	// first declared camera.
 	Stream string
-	// Faults (pipeline) injects the spec's fault plan in front of the CI.
-	Faults bool
+	// Faults (pipeline), when present, injects this fault plan in front of
+	// the CI, behind the resilient client with graceful degradation.
+	Faults *FaultSpec
 	// MonitorWindow / MonitorDelta (drift) parametrize the coverage
 	// monitor; defaults 40 and 0.05.
 	MonitorWindow int
@@ -260,12 +258,6 @@ func Parse(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	if err := decodeFleet(&r, spec); err != nil {
-		return nil, err
-	}
-	if err := decodeCache(&r, spec); err != nil {
-		return nil, err
-	}
-	if err := decodeFaults(&r, spec); err != nil {
 		return nil, err
 	}
 	if err := decodeStages(&r, spec); err != nil {
@@ -465,64 +457,66 @@ func decodeFleet(r *reader, spec *Spec) error {
 	return f.finish()
 }
 
-func decodeCache(r *reader, spec *Spec) error {
+// decodeCache decodes a task's `cache:` block; nil when absent.
+func decodeCache(r *reader) (*CacheSpec, error) {
 	sub, ok := r.optChild("cache")
 	if !ok {
-		return nil
+		return nil, nil
 	}
-	c := reader{n: sub, path: "cache"}
+	c := reader{n: sub, path: r.fieldPath("cache")}
 	if c.n.kind != mapNode {
-		return errAt(sub.line, "cache: expected a mapping, got %s", sub.kind)
+		return nil, errAt(sub.line, "%s: expected a mapping, got %s", c.path, sub.kind)
 	}
-	spec.Cache = &CacheSpec{}
+	cs := &CacheSpec{}
 	if v, ok, err := c.optFloat("epsilon"); err != nil {
-		return err
+		return nil, err
 	} else if ok {
 		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return c.fieldErr("epsilon", "must be a finite value >= 0, got %v", v)
+			return nil, c.fieldErr("epsilon", "must be a finite value >= 0, got %v", v)
 		}
-		spec.Cache.Epsilon = v
+		cs.Epsilon = v
 	}
 	if v, ok, err := c.optInt("ttl_frames"); err != nil {
-		return err
+		return nil, err
 	} else if !ok || v < 1 {
-		return c.fieldErr("ttl_frames", "must be >= 1, got %d", v)
+		return nil, c.fieldErr("ttl_frames", "must be >= 1, got %d", v)
 	} else {
-		spec.Cache.TTLFrames = int(v)
+		cs.TTLFrames = int(v)
 	}
-	return c.finish()
+	return cs, c.finish()
 }
 
-func decodeFaults(r *reader, spec *Spec) error {
+// decodeFaults decodes a task's `faults:` block; nil when absent.
+func decodeFaults(r *reader) (*FaultSpec, error) {
 	sub, ok := r.optChild("faults")
 	if !ok {
-		return nil
+		return nil, nil
 	}
-	f := reader{n: sub, path: "faults"}
+	f := reader{n: sub, path: r.fieldPath("faults")}
 	if f.n.kind != mapNode {
-		return errAt(sub.line, "faults: expected a mapping, got %s", sub.kind)
+		return nil, errAt(sub.line, "%s: expected a mapping, got %s", f.path, sub.kind)
 	}
-	spec.Faults = &FaultSpec{}
+	fs := &FaultSpec{}
 	if v, ok, err := f.optInt("seed"); err != nil {
-		return err
+		return nil, err
 	} else if ok {
-		spec.Faults.Seed = v
+		fs.Seed = v
 	}
 	for _, fd := range []struct {
 		key string
 		dst *float64
 		max float64
 	}{
-		{"transient_rate", &spec.Faults.TransientRate, 1},
-		{"spike_rate", &spec.Faults.SpikeRate, 1},
-		{"spike_ms", &spec.Faults.SpikeMS, math.Inf(1)},
-		{"fail_latency_ms", &spec.Faults.FailLatencyMS, math.Inf(1)},
+		{"transient_rate", &fs.TransientRate, 1},
+		{"spike_rate", &fs.SpikeRate, 1},
+		{"spike_ms", &fs.SpikeMS, math.Inf(1)},
+		{"fail_latency_ms", &fs.FailLatencyMS, math.Inf(1)},
 	} {
 		if v, ok, err := f.optFloat(fd.key); err != nil {
-			return err
+			return nil, err
 		} else if ok {
 			if v < 0 || v > fd.max || math.IsNaN(v) || math.IsInf(v, 0) {
-				return f.fieldErr(fd.key, "out of range, got %v", v)
+				return nil, f.fieldErr(fd.key, "out of range, got %v", v)
 			}
 			*fd.dst = v
 		}
@@ -530,44 +524,44 @@ func decodeFaults(r *reader, spec *Spec) error {
 	for _, fd := range []struct {
 		key string
 		dst *int
-	}{{"rate_limit_every", &spec.Faults.RateLimitEvery}, {"rate_limit_burst", &spec.Faults.RateLimitBurst}} {
+	}{{"rate_limit_every", &fs.RateLimitEvery}, {"rate_limit_burst", &fs.RateLimitBurst}} {
 		if v, ok, err := f.optInt(fd.key); err != nil {
-			return err
+			return nil, err
 		} else if ok {
 			if v < 0 {
-				return f.fieldErr(fd.key, "must be >= 0, got %d", v)
+				return nil, f.fieldErr(fd.key, "must be >= 0, got %d", v)
 			}
 			*fd.dst = int(v)
 		}
 	}
 	if list, ok := f.optChild("outages"); ok {
 		if list.kind != listNode {
-			return errAt(list.line, "faults.outages: expected a list, got %s", list.kind)
+			return nil, errAt(list.line, "%s.outages: expected a list, got %s", f.path, list.kind)
 		}
 		for i, item := range list.items {
-			o := reader{n: item, path: fmt.Sprintf("faults.outages[%d]", i)}
+			o := reader{n: item, path: fmt.Sprintf("%s.outages[%d]", f.path, i)}
 			if o.n.kind != mapNode {
-				return errAt(item.line, "%s: expected a mapping, got %s", o.path, item.kind)
+				return nil, errAt(item.line, "%s: expected a mapping, got %s", o.path, item.kind)
 			}
 			var w OutageSpec
 			var okS, okE bool
 			var err error
 			if w.Start, okS, err = o.optInt("start"); err != nil {
-				return err
+				return nil, err
 			}
 			if w.End, okE, err = o.optInt("end"); err != nil {
-				return err
+				return nil, err
 			}
 			if !okS || !okE || w.Start < 0 || w.End <= w.Start {
-				return errAt(item.line, "%s: need 0 <= start < end, got [%d,%d)", o.path, w.Start, w.End)
+				return nil, errAt(item.line, "%s: need 0 <= start < end, got [%d,%d)", o.path, w.Start, w.End)
 			}
 			if err := o.finish(); err != nil {
-				return err
+				return nil, err
 			}
-			spec.Faults.Outages = append(spec.Faults.Outages, w)
+			fs.Outages = append(fs.Outages, w)
 		}
 	}
-	return f.finish()
+	return fs, f.finish()
 }
 
 func decodeStages(r *reader, spec *Spec) error {
@@ -664,16 +658,10 @@ func decodeTask(spec *Spec, n *node, path string) (TaskSpec, error) {
 	default:
 		return TaskSpec{}, t.fieldErr("kind", "must be fleet, pipeline or drift, got %q", ts.Kind)
 	}
-	if v, ok, err := t.optBool("cached"); err != nil {
+	if ts.Cache, err = decodeCache(&t); err != nil {
 		return TaskSpec{}, err
-	} else if ok && v {
-		if ts.Kind != KindFleet {
-			return TaskSpec{}, t.fieldErr("cached", "only valid on fleet tasks")
-		}
-		if spec.Cache == nil {
-			return TaskSpec{}, t.fieldErr("cached", "requires a top-level cache section")
-		}
-		ts.Cached = true
+	} else if ts.Cache != nil && ts.Kind != KindFleet {
+		return TaskSpec{}, t.fieldErr("cache", "only valid on fleet tasks")
 	}
 	if v, ok, err := t.optFloat("budget_usd"); err != nil {
 		return TaskSpec{}, err
@@ -697,16 +685,10 @@ func decodeTask(spec *Spec, n *node, path string) (TaskSpec, error) {
 		}
 		ts.Stream = v
 	}
-	if v, ok, err := t.optBool("faults"); err != nil {
+	if ts.Faults, err = decodeFaults(&t); err != nil {
 		return TaskSpec{}, err
-	} else if ok && v {
-		if ts.Kind != KindPipeline {
-			return TaskSpec{}, t.fieldErr("faults", "only valid on pipeline tasks")
-		}
-		if spec.Faults == nil {
-			return TaskSpec{}, t.fieldErr("faults", "requires a top-level faults section")
-		}
-		ts.Faults = true
+	} else if ts.Faults != nil && ts.Kind != KindPipeline {
+		return TaskSpec{}, t.fieldErr("faults", "only valid on pipeline tasks")
 	}
 	if v, ok, err := t.optInt("monitor_window"); err != nil {
 		return TaskSpec{}, err

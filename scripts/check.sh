@@ -97,9 +97,16 @@ stage front-hop-x5 go test -race -count=5 ./internal/cluster/ -run 'TestFrontPro
 # Allocation ceilings: frames handler at 1, 250 and 4096 frames; predict;
 # a predict proxied through the front.
 stage handler-allocs go test ./internal/serve/ ./internal/cluster/ -run 'TestFramesHandlerAllocs|TestPredictHandlerAllocs|TestFrontProxyAllocs' -count=1
-# The corpus golden gate through the shipped binary (regeneration hint:
-# eventhitscenario -corpus -regen).
-stage scenario-corpus go run ./cmd/eventhitscenario -corpus
+# The corpus golden gate through the shipped binary, at two parallelism
+# levels: every report must equal its golden at both. The fleet cap, cache
+# and CI-fault sweeps are corpus scenarios, so this is their regeneration
+# gate (regeneration hint: eventhitscenario -corpus -regen).
+scenario_corpus() {
+    go build -o "$tmpdir/eventhitscenario" ./cmd/eventhitscenario &&
+        "$tmpdir/eventhitscenario" -corpus -parallelism 1 &&
+        "$tmpdir/eventhitscenario" -corpus -parallelism 4
+}
+stage scenario-corpus scenario_corpus
 # The repository benchmark completes: a non-zero exit (a workload that
 # failed or did not finish) fails the gate. Its timings gate nothing here.
 stage bench go run ./bench -seed 1 -seconds 3
