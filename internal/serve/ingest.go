@@ -10,11 +10,12 @@ import (
 	"sync"
 )
 
-// The ingest data path: a frames POST is read into a pooled buffer, scanned
-// by scanFrames straight into a pooled flat []float64, and copied in place
-// into the session's frameRing. scanFrames accepts exactly one shape; every
-// other body is decoded by encoding/json (see handleFrames), which owns all
-// lenient behaviour and every error string.
+// The ingest data path: a frames POST is read into a pooled buffer and
+// scanned by scanFrames, which checks every row but converts only the rows
+// the session's frameRing can still hold into a pooled flat []float64; those
+// are copied in place into the ring. scanFrames accepts exactly one shape;
+// every other body is decoded by encoding/json (see handleFrames), which
+// owns all lenient behaviour and every error string.
 
 // FramesRequest is the POST /v1/frames body.
 type FramesRequest struct {
@@ -52,9 +53,8 @@ func (s *Server) handleFrames(sess *session, w http.ResponseWriter, r *http.Requ
 	// freezes InputDim server-wide, so this is belt and braces — but it
 	// keeps the request path honest about where the model lives.)
 	d := s.resolveUnit(sess).inputDim
-	var rows int
-	var canonical bool
-	ib.vals, rows, canonical = scanFrames(ib.body.Bytes(), d, ib.vals)
+	// ring.rows is fixed when the session is made, so it needs no mu.
+	rows, canonical := ib.scanFrames(ib.body.Bytes(), d, sess.ring.rows)
 	if !canonical {
 		if rows, canonical = decodeFramesJSON(w, ib, d); !canonical {
 			return
@@ -111,9 +111,13 @@ const maxPooledIngestBytes = 1 << 20
 
 // ingestBuf is the per-request scratch of handleFrames.
 type ingestBuf struct {
-	body bytes.Buffer
-	vals []float64
+	body  bytes.Buffer
+	vals  []float64
+	spans []span // scanFrames' ring of the kept rows' number tokens
 }
+
+// span is one number token's byte range in the body; 16 bytes.
+type span struct{ lo, hi int }
 
 var ingestPool = sync.Pool{New: func() interface{} { return new(ingestBuf) }}
 
@@ -122,11 +126,12 @@ func getIngestBuf() *ingestBuf { return ingestPool.Get().(*ingestBuf) }
 // putIngestBuf returns b to the pool unless it grew past the cap, in which
 // case it is left to the collector.
 func putIngestBuf(b *ingestBuf) {
-	if b.body.Cap() > maxPooledIngestBytes || cap(b.vals)*8 > maxPooledIngestBytes {
+	if b.body.Cap() > maxPooledIngestBytes || cap(b.vals)*8 > maxPooledIngestBytes || cap(b.spans)*16 > maxPooledIngestBytes {
 		return
 	}
 	b.body.Reset()
 	b.vals = b.vals[:0]
+	b.spans = b.spans[:0]
 	ingestPool.Put(b)
 }
 
@@ -149,9 +154,19 @@ func skipSpace(b []byte, i int) int {
 	return i
 }
 
+// maxFiniteMag: a number below 10^maxFiniteMag in magnitude is below
+// math.MaxFloat64 (≈ 1.8e308), so ParseFloat converts it without a range
+// error.
+const maxFiniteMag = 308
+
 // scanNumber returns the end of the JSON number starting at i, or i when
-// the bytes there do not match -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
-func scanNumber(b []byte, i int) int {
+// the bytes there do not match -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+// and mag: the integer part's digit count (0 for a lone "0") plus the
+// signed exponent, so |number| < 10^mag. The exponent stops growing past
+// 10 000 so it cannot wrap; saturated, mag is still ≥ 10 000 when the
+// exponent is positive and only looser when it is negative, so
+// mag ≤ maxFiniteMag keeps proving the number finite.
+func scanNumber(b []byte, i int) (end, mag int) {
 	start := i
 	if at(b, i) == '-' {
 		i++
@@ -160,31 +175,42 @@ func scanNumber(b []byte, i int) int {
 	case c == '0':
 		i++
 	case '1' <= c && c <= '9':
+		digits := i
 		for i++; isDigit(at(b, i)); i++ {
 		}
+		mag = i - digits
 	default:
-		return start
+		return start, 0
 	}
 	if at(b, i) == '.' {
 		i++
 		if !isDigit(at(b, i)) {
-			return start
+			return start, 0
 		}
 		for i++; isDigit(at(b, i)); i++ {
 		}
 	}
 	if c := at(b, i); c == 'e' || c == 'E' {
 		i++
+		sign := 1
 		if c := at(b, i); c == '+' || c == '-' {
+			if c == '-' {
+				sign = -1
+			}
 			i++
 		}
 		if !isDigit(at(b, i)) {
-			return start
+			return start, 0
 		}
-		for i++; isDigit(at(b, i)); i++ {
+		e := 0
+		for ; isDigit(at(b, i)); i++ {
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			}
 		}
+		mag += sign * e
 	}
-	return i
+	return i, mag
 }
 
 var framesKey = []byte(`"frames"`)
@@ -195,61 +221,79 @@ var framesKey = []byte(`"frames"`)
 //
 // — JSON whitespace allowed between tokens, the single key spelled exactly
 // "frames", between 1 and MaxFramesPerPush rows of exactly d numbers each,
-// nothing but whitespace after the closing brace — appending the values
-// row-major to dst[:0]. Numbers are checked against the JSON number grammar
-// and converted by strconv.ParseFloat, the conversion encoding/json uses,
-// so every value is bit-identical to what json.Unmarshal would store; a
-// range error declines, which is why an accepted value is always finite.
+// nothing but whitespace after the closing brace — and leaves in ib.vals,
+// row-major, the values of the last min(rows, keep) rows only: what a ring
+// of keep frames (keep ≥ 1) still holds after the push. rows counts every
+// row.
+//
+// Every row is checked, kept or not, so the accepted bodies do not depend
+// on keep. A number must match the JSON number grammar and be finite:
+// scanNumber's magnitude bound settles finiteness for anything below 1e308,
+// and a strconv.ParseFloat range error declines the rest. The kept rows'
+// tokens wait in ib.spans, a ring of keep rows, and are converted only once
+// the whole body is accepted — by strconv.ParseFloat, the conversion
+// encoding/json uses, so every value is bit-identical to what
+// json.Unmarshal would store.
 //
 // ok false means "not the canonical shape", never "invalid": the caller
-// decodes the body with encoding/json instead. The returned slice is dst's
-// (possibly regrown) backing array either way, so the caller keeps it.
-func scanFrames(b []byte, d int, dst []float64) (vals []float64, rows int, ok bool) {
-	vals = dst[:0]
+// decodes the body with encoding/json instead.
+func (ib *ingestBuf) scanFrames(b []byte, d, keep int) (rows int, ok bool) {
+	ib.vals, ib.spans = ib.vals[:0], ib.spans[:0]
 	i := skipSpace(b, 0)
 	if at(b, i) != '{' {
-		return vals, 0, false
+		return 0, false
 	}
 	i = skipSpace(b, i+1)
 	if !bytes.HasPrefix(b[i:], framesKey) {
-		return vals, 0, false
+		return 0, false
 	}
 	i = skipSpace(b, i+len(framesKey))
 	if at(b, i) != ':' {
-		return vals, 0, false
+		return 0, false
 	}
 	i = skipSpace(b, i+1)
 	if at(b, i) != '[' {
-		return vals, 0, false
+		return 0, false
 	}
 	i = skipSpace(b, i+1)
+	// next is where the next row's spans go. It wraps at keep rows, so once
+	// the ring has filled it is also where the oldest kept row is.
+	next := 0
 	for {
 		if at(b, i) != '[' || rows == MaxFramesPerPush {
-			return vals, 0, false
+			return 0, false
 		}
 		i = skipSpace(b, i+1)
-		for j := 0; j < d; j++ {
+		if rows < keep {
+			ib.spans = append(ib.spans, make([]span, d)...)
+		}
+		row := ib.spans[next : next+d]
+		for j := range row {
 			if j > 0 {
 				if at(b, i) != ',' {
-					return vals, 0, false
+					return 0, false
 				}
 				i = skipSpace(b, i+1)
 			}
-			end := scanNumber(b, i)
+			end, mag := scanNumber(b, i)
 			if end == i {
-				return vals, 0, false
+				return 0, false
 			}
-			v, err := strconv.ParseFloat(string(b[i:end]), 64)
-			if err != nil {
-				return vals, 0, false
+			if mag > maxFiniteMag {
+				if _, err := strconv.ParseFloat(string(b[i:end]), 64); err != nil {
+					return 0, false
+				}
 			}
-			vals = append(vals, v)
+			row[j] = span{i, end}
 			i = skipSpace(b, end)
 		}
 		if at(b, i) != ']' {
-			return vals, 0, false
+			return 0, false
 		}
 		rows++
+		if next += d; next == keep*d {
+			next = 0
+		}
 		i = skipSpace(b, i+1)
 		if at(b, i) == ',' {
 			i = skipSpace(b, i+1)
@@ -258,16 +302,27 @@ func scanFrames(b []byte, d int, dst []float64) (vals []float64, rows int, ok bo
 		break
 	}
 	if at(b, i) != ']' {
-		return vals, 0, false
+		return 0, false
 	}
 	i = skipSpace(b, i+1)
 	if at(b, i) != '}' {
-		return vals, 0, false
+		return 0, false
 	}
 	if skipSpace(b, i+1) != len(b) {
-		return vals, 0, false
+		return 0, false
 	}
-	return vals, rows, true
+	// Oldest kept row first. A ring that never filled has next at its end,
+	// so its first part is empty.
+	for _, part := range [2][]span{ib.spans[next:], ib.spans[:next]} {
+		for _, s := range part {
+			v, err := strconv.ParseFloat(string(b[s.lo:s.hi]), 64)
+			if err != nil {
+				return 0, false
+			}
+			ib.vals = append(ib.vals, v)
+		}
+	}
+	return rows, true
 }
 
 // frameRing is one session's sliding window: the last `rows` frames,

@@ -36,6 +36,14 @@ func frameCorpus(d int) []corpusEntry {
 	syntax := func(tok, where string) string {
 		return "invalid JSON: invalid character " + tok + " " + where
 	}
+	// dropped puts v in row 0 of a MaxFramesPerPush-row body: a row no
+	// window keeps, so the scanner checks it without converting it.
+	dropped := func(v string) string {
+		return `{"frames":[` + row(v) + strings.Repeat(","+one, MaxFramesPerPush-1) + `]}`
+	}
+	rangeErr := func(v string) string {
+		return "invalid JSON: json: cannot unmarshal number " + v + " into Go struct field FramesRequest.frames of type float64"
+	}
 	return []corpusEntry{
 		// The canonical shape and the number forms inside it.
 		{name: "canonical", body: `{"frames":[` + one + `]}`, code: 200, rows: 1, fast: true},
@@ -53,10 +61,8 @@ func frameCorpus(d int) []corpusEntry {
 
 		// Numbers JSON does not have: the scanner declines, encoding/json
 		// words the complaint.
-		{name: "range-error", body: `{"frames":[` + row("1e999") + `]}`, code: 400,
-			err: "invalid JSON: json: cannot unmarshal number 1e999 into Go struct field FramesRequest.frames of type float64"},
-		{name: "negative-range-error", body: `{"frames":[` + row("-1e999") + `]}`, code: 400,
-			err: "invalid JSON: json: cannot unmarshal number -1e999 into Go struct field FramesRequest.frames of type float64"},
+		{name: "range-error", body: `{"frames":[` + row("1e999") + `]}`, code: 400, err: rangeErr("1e999")},
+		{name: "negative-range-error", body: `{"frames":[` + row("-1e999") + `]}`, code: 400, err: rangeErr("-1e999")},
 		{name: "hex", body: `{"frames":[` + row("0x10") + `]}`, code: 400, err: syntax("'x'", "after array element")},
 		{name: "underscore", body: `{"frames":[` + row("1_0") + `]}`, code: 400, err: syntax("'_'", "after array element")},
 		{name: "leading-plus", body: `{"frames":[` + row("+1") + `]}`, code: 400, err: syntax("'+'", "looking for beginning of value")},
@@ -72,6 +78,20 @@ func frameCorpus(d int) []corpusEntry {
 		{name: "infinity", body: `{"frames":[` + row("Infinity") + `]}`, code: 400, err: syntax("'I'", "looking for beginning of value")},
 		{name: "string-number", body: `{"frames":[` + row(`"1"`) + `]}`, code: 400,
 			err: "invalid JSON: json: cannot unmarshal string into Go struct field FramesRequest.frames of type float64"},
+
+		// Finiteness in a row the ring drops: checked, never converted.
+		// The magnitude bound (integer digits + exponent ≤ 308) settles the
+		// plain cases; past it strconv.ParseFloat decides.
+		{name: "dropped-range-error", body: dropped("1e999"), code: 400, err: rangeErr("1e999")},
+		{name: "dropped-negative-range-error", body: dropped("-1e999"), code: 400, err: rangeErr("-1e999")},
+		{name: "dropped-rounds-to-inf", body: dropped("1.7976931348623159e308"), code: 400, err: rangeErr("1.7976931348623159e308")},
+		{name: "dropped-exponent-past-int64", body: dropped("1e99999999999999999999999"), code: 400, err: rangeErr("1e99999999999999999999999")},
+		// 2^64+1: an exponent accumulator that wrapped would read 1.
+		{name: "dropped-exponent-wraps-int64", body: dropped("1e18446744073709551617"), code: 400, err: rangeErr("1e18446744073709551617")},
+		{name: "dropped-max-float", body: dropped("1.7976931348623157e308"), code: 200, rows: MaxFramesPerPush, fast: true},
+		{name: "dropped-bound-fallback", body: dropped("0.00000000001e315"), code: 200, rows: MaxFramesPerPush, fast: true},
+		{name: "dropped-underflow-past-int64", body: dropped("1e-99999999999999999999"), code: 200, rows: MaxFramesPerPush, fast: true},
+		{name: "dropped-negative-zero", body: dropped("-0"), code: 200, rows: MaxFramesPerPush, fast: true},
 
 		// Shapes only encoding/json takes.
 		{name: "null-value", body: `{"frames":[` + row("null") + `]}`, code: 200, rows: 1},

@@ -16,12 +16,22 @@ import (
 	"testing"
 )
 
+// scan runs the ingest scanner on a fresh buffer.
+func scan(body []byte, d, keep int) (vals []float64, rows int, ok bool) {
+	var ib ingestBuf
+	rows, ok = ib.scanFrames(body, d, keep)
+	return ib.vals, rows, ok
+}
+
 // FuzzParseFrames is the differential check of the ingest scanner against
 // encoding/json: whatever scanFrames accepts, json.Unmarshal must decode to
-// the same rows, value for value by bit pattern. Declining is always
-// allowed — the handler then asks encoding/json — so the property is
-// one-sided; TestFramesHandlerCorpus and TestClientEncodingRoundTrip pin
-// which bodies must NOT be declined.
+// the same rows, and the scanner's values must be the last min(rows, keep)
+// of them, value for value by bit pattern. Across keep the property is
+// two-sided: the scanner converts only the kept rows but checks all of
+// them, so keep 1 and 2 accept exactly what keep MaxFramesPerPush (every
+// row converted) accepts. Declining is always allowed — the handler then
+// asks encoding/json; TestFramesHandlerCorpus and TestClientEncodingRoundTrip
+// pin which bodies must NOT be declined.
 func FuzzParseFrames(f *testing.F) {
 	for _, d := range []int{1, 6} {
 		for _, e := range frameCorpus(d) {
@@ -32,28 +42,40 @@ func FuzzParseFrames(f *testing.F) {
 		if d < 0 || d > 16 {
 			return
 		}
-		vals, rows, ok := scanFrames(body, d, nil)
-		if !ok {
-			return
-		}
+		_, _, ok := scan(body, d, MaxFramesPerPush)
 		var req FramesRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			t.Fatalf("scanner accepted %q, encoding/json says %v", body, err)
-		}
-		if rows < 1 || rows > MaxFramesPerPush || rows != len(req.Frames) || len(vals) != rows*d {
-			t.Fatalf("scanner: %d rows, %d values at d=%d; encoding/json: %d rows (%q)", rows, len(vals), d, len(req.Frames), body)
-		}
-		for i, fr := range req.Frames {
-			if len(fr) != d {
-				t.Fatalf("scanner accepted a row of %d channels at d=%d (%q)", len(fr), d, body)
+		if ok {
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatalf("scanner accepted %q, encoding/json says %v", body, err)
 			}
-			for j, want := range fr {
-				got := vals[i*d+j]
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("frame %d channel %d: scanner %x, encoding/json %x (%q)", i, j, math.Float64bits(got), math.Float64bits(want), body)
+			if len(req.Frames) < 1 || len(req.Frames) > MaxFramesPerPush {
+				t.Fatalf("scanner accepted %d rows (%q)", len(req.Frames), body)
+			}
+		}
+		for _, keep := range []int{1, 2, MaxFramesPerPush} {
+			vals, rows, accepted := scan(body, d, keep)
+			if accepted != ok {
+				t.Fatalf("keep %d accepts %v, keep %d accepts %v (%q)", keep, accepted, MaxFramesPerPush, ok, body)
+			}
+			if !ok {
+				continue
+			}
+			kept := req.Frames[len(req.Frames)-min(len(req.Frames), keep):]
+			if rows != len(req.Frames) || len(vals) != len(kept)*d {
+				t.Fatalf("keep %d: scanner %d rows, %d values at d=%d; encoding/json: %d rows (%q)", keep, rows, len(vals), d, len(req.Frames), body)
+			}
+			for i, fr := range kept {
+				if len(fr) != d {
+					t.Fatalf("scanner accepted a row of %d channels at d=%d (%q)", len(fr), d, body)
 				}
-				if math.IsNaN(got) || math.IsInf(got, 0) {
-					t.Fatalf("scanner accepted non-finite %v (%q)", got, body)
+				for j, want := range fr {
+					got := vals[i*d+j]
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("keep %d, kept frame %d channel %d: scanner %x, encoding/json %x (%q)", keep, i, j, math.Float64bits(got), math.Float64bits(want), body)
+					}
+					if math.IsNaN(got) || math.IsInf(got, 0) {
+						t.Fatalf("scanner accepted non-finite %v (%q)", got, body)
+					}
 				}
 			}
 		}
@@ -69,16 +91,16 @@ func postFrames(srv *Server, body io.Reader) (int, string) {
 
 // TestFramesHandlerCorpus pins, for every corpus body, the status code and
 // the exact response the handler gave before the scanner existed, and which
-// of the two decoders the body takes.
+// of the two decoders the body takes at the server's window.
 func TestFramesHandlerCorpus(t *testing.T) {
 	bw := getBundle(t)
 	d := bw.b.Model.Config().InputDim
 	for _, e := range frameCorpus(d) {
 		t.Run(e.name, func(t *testing.T) {
-			if _, _, ok := scanFrames([]byte(e.body), d, nil); ok != e.fast {
+			srv, _ := bareServer(t)
+			if _, _, ok := scan([]byte(e.body), d, srv.window); ok != e.fast {
 				t.Errorf("scanFrames ok = %v, want %v", ok, e.fast)
 			}
-			srv, _ := bareServer(t)
 			want := fmt.Sprintf("{\"error\":%q}\n", e.err)
 			if e.err == "" {
 				want = fmt.Sprintf("{\"buffered\":%d,\"next\":%d}\n", min(e.rows, srv.window), e.rows)
@@ -129,14 +151,18 @@ func TestIngestPoolCap(t *testing.T) {
 	// A Put on this P is what the next Gets on this P see first, so an
 	// oversized buffer that went back would surface here.
 	for i := 0; i < 32; i++ {
-		if ib := getIngestBuf(); ib.body.Cap() > maxPooledIngestBytes || cap(ib.vals)*8 > maxPooledIngestBytes {
-			t.Fatalf("pool handed out a buffer of %d body bytes, %d values", ib.body.Cap(), cap(ib.vals))
+		if ib := getIngestBuf(); ib.body.Cap() > maxPooledIngestBytes || cap(ib.vals)*8 > maxPooledIngestBytes || cap(ib.spans)*16 > maxPooledIngestBytes {
+			t.Fatalf("pool handed out a buffer of %d body bytes, %d values, %d spans", ib.body.Cap(), cap(ib.vals), cap(ib.spans))
 		}
 	}
-	ib := &ingestBuf{vals: make([]float64, 0, maxPooledIngestBytes/8+1)}
-	putIngestBuf(ib)
-	if got := getIngestBuf(); got == ib {
-		t.Fatal("oversized value buffer was pooled")
+	for name, ib := range map[string]*ingestBuf{
+		"value": {vals: make([]float64, 0, maxPooledIngestBytes/8+1)},
+		"span":  {spans: make([]span, 0, maxPooledIngestBytes/16+1)},
+	} {
+		putIngestBuf(ib)
+		if got := getIngestBuf(); got == ib {
+			t.Fatalf("oversized %s buffer was pooled", name)
+		}
 	}
 }
 
@@ -419,7 +445,7 @@ func TestClientEncodingRoundTrip(t *testing.T) {
 	}
 	wire, _ := io.ReadAll(body)
 	body.Close()
-	vals, rows, ok := scanFrames(wire, d, nil)
+	vals, rows, ok := scan(wire, d, MaxFramesPerPush)
 	if !ok || rows != len(frames) {
 		t.Fatalf("scanner declined the client's own encoding (ok=%v rows=%d): %.120s", ok, rows, wire)
 	}

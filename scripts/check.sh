@@ -65,10 +65,16 @@ stage scrape-obs go test -race ./internal/obs/ -run 'TestConcurrentUpdatesAndScr
 # the one adaptation loop (drift.Loop) as a state-machine table and as the
 # drift and continuous-operation experiments walk it.
 stage swap go test -race ./internal/serve/ ./internal/drift/ ./internal/harness/ -run 'TestSwapUnderConcurrentPredictLoad|TestAdaptationRestoresCoverage|TestAdaptationDeterministic|TestRecalibrationsDeferred|TestLoop|TestDriftExperiment|TestOperate' -count=1
-# Checked-in fuzz corpora as ordinary tests (no fuzzing engine); explore
-# with `go test ./internal/serve/ -fuzz FuzzFrames|FuzzParseFrames` or
-# `go test ./internal/scenario/ -fuzz FuzzScenarioParse`.
-stage fuzz-serve go test ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus' -count=1
+# Checked-in fuzz corpora as ordinary tests; explore further with
+# `go test ./internal/serve/ -fuzz FuzzFrames|FuzzParseFrames` or
+# `go test ./internal/scenario/ -fuzz FuzzScenarioParse`. The ingest scanner
+# also gets a bounded live run: it converts only the rows the ring keeps, so
+# only the across-keep accept-set property guards the rows it skips.
+fuzz_serve() {
+    go test ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus' -count=1 &&
+        go test ./internal/serve/ -run '^$' -fuzz '^FuzzParseFrames$' -fuzztime 15s
+}
+stage fuzz-serve fuzz_serve
 stage fuzz-scenario go test ./internal/scenario/ -run 'Fuzz|TestFuzzSeedCorpus' -count=1
 # Frame ingest: push+predict on one session; the ring is written in place.
 stage ingest-race-x10 go test -race ./internal/serve/ -run 'TestConcurrentPushPredictSameSession' -count=10
