@@ -1,13 +1,24 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
+	_ "unsafe" // go:linkname
 
+	"eventhit/internal/dataset"
 	"eventhit/internal/mathx"
+	"eventhit/internal/video"
 )
+
+// vectorKernels is mathx's unexported switch between its AVX2 kernels and
+// their scalar twins.
+//
+//go:linkname vectorKernels eventhit/internal/mathx.vector
+var vectorKernels bool
 
 // inferModel builds an untrained model of the given encoder whose three
 // hidden widths are all w, and a random window for it.
@@ -165,6 +176,71 @@ func TestConcurrentInferenceSharesModel(t *testing.T) {
 	wg.Wait()
 }
 
+// outputBits is every existence score and every θ of m on window x,
+// through sc under frame number frame.
+func outputBits(m *Model, x [][]float64, frame int, sc *Scratch) []uint64 {
+	cfg := m.Config()
+	b, theta := make([]float64, cfg.NumEvents), make([]float64, cfg.Horizon)
+	m.Exist(x, frame, sc, b)
+	var out []uint64
+	for k := range b {
+		out = append(out, math.Float64bits(b[k]))
+		m.Theta(k, sc, theta)
+		for _, v := range theta {
+			out = append(out, math.Float64bits(v))
+		}
+	}
+	return out
+}
+
+func sameOutputs(t *testing.T, what string, got, want []uint64) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: output %d is %v, want %v", what, i, math.Float64frombits(got[i]), math.Float64frombits(want[i]))
+		}
+	}
+}
+
+// TestPackedWhFollowsWeights: the packed Wh a Model keeps for its LSTM
+// cannot go stale. A model that predicted, then trained, predicts what a
+// Clone of its new weights (packed afresh) predicts, on the frameless and
+// the stream path; and a model saved and loaded decides bit-identically to
+// the one saved.
+func TestPackedWhFollowsWeights(t *testing.T) {
+	m, x := inferModel(t, "lstm", 24, 8)
+	const frame = 50
+	var sc Scratch
+	before := outputBits(m, x, 0, &sc)
+	outputBits(m, x, frame, &sc)
+	recs := make([]dataset.Record, 8)
+	for i := range recs {
+		recs[i] = dataset.Record{X: x, Label: []bool{true, false, i%2 == 0},
+			OI: []video.Interval{{Start: 2, End: 5}, {}, {Start: 1, End: 3}}, Censored: make([]bool, 3)}
+	}
+	tc := DefaultTrainConfig()
+	tc.Epochs = 2
+	if _, err := m.Train(recs, tc); err != nil {
+		t.Fatal(err)
+	}
+	want := outputBits(m.Clone(), x, 0, new(Scratch))
+	if got := outputBits(m, x, 0, &sc); slices.Equal(got, before) {
+		t.Fatal("training changed no output: the test cannot see a stale Wh")
+	}
+	sameOutputs(t, "frameless, after Train", outputBits(m, x, 0, &sc), want)
+	sameOutputs(t, "stream, after Train", outputBits(m, x, frame, &sc), want)
+
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameOutputs(t, "loaded", outputBits(loaded, x, frame, new(Scratch)), want)
+}
+
 // TestQuantTwoPhaseMatchesPredict: the fixed-point twin's Exist/Theta equal
 // its own full pass exactly, for every subset of heads, through the frame
 // path the strategies use.
@@ -219,22 +295,35 @@ func BenchmarkInference(b *testing.B) {
 			m.PredictInto(x, &out)
 		}
 	})
-	b.Run("exist", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.Exist(x, 0, &sc, scores)
+	// exist and exist-stream on both kernel paths: "scalar" is the path
+	// every CPU without AVX2 and FMA takes.
+	saved := vectorKernels
+	defer func() { vectorKernels = saved }()
+	cam := camera(g, 1024, 12)
+	for _, vector := range []bool{true, false} {
+		if vector && !saved {
+			continue
 		}
-	})
-	// A stride-1 stream under its frame numbers: 24 of 25 input projections
-	// come from the scratch's ring.
-	b.Run("exist-stream", func(b *testing.B) {
-		cam := camera(g, 1024, 12)
-		for i := 0; i < b.N; i++ {
-			for j := range x {
-				x[j] = cam[(i+j)%len(cam)]
+		path := map[bool]string{true: "vector", false: "scalar"}[vector]
+		vectorKernels = vector
+		b.Run("exist/"+path, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.Exist(x, 0, &sc, scores)
 			}
-			m.Exist(x, 25+i, &sc, scores)
-		}
-	})
+		})
+		// A stride-1 stream under its frame numbers: 24 of 25 input
+		// projections come from the scratch's ring.
+		stream := make([][]float64, 25)
+		b.Run("exist-stream/"+path, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j := range stream {
+					stream[j] = cam[(i+j)%len(cam)]
+				}
+				m.Exist(stream, 25+i, &sc, scores)
+			}
+		})
+	}
+	vectorKernels = saved
 	b.Run("exist+theta1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m.Exist(x, 0, &sc, scores)

@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"eventhit/internal/mathx"
 	"eventhit/internal/nn"
@@ -125,8 +126,11 @@ type Model struct {
 	heads    []*head
 	params   []*nn.Param
 	// trains counts Train calls: a Scratch that kept projections under
-	// earlier weights drops them.
+	// earlier weights drops them, and so does whp.
 	trains int
+	// whp is the LSTM's Wh packed for inference, built by the first one
+	// under the current weights and shared by every Scratch.
+	whp atomic.Pointer[packedWh]
 
 	// scratch reused across training forward passes
 	zcat    []float64
@@ -339,9 +343,9 @@ func (m *Model) hidden(x [][]float64, frame int, sc *Scratch) {
 	var h []float64
 	switch {
 	case m.lstm != nil && frame > 0:
-		h = m.lstm.InferProjected(sc.ring.project(m, x, frame), enc)
+		h = m.lstm.InferProjected(sc.ring.project(m, x, frame), m.packedWh(), enc)
 	case m.lstm != nil:
-		h = m.lstm.Infer(x, enc)
+		h = m.lstm.Infer(x, m.packedWh(), enc)
 	case m.gru != nil:
 		h = m.gru.Infer(x, enc)
 	case m.conv != nil:
@@ -367,6 +371,24 @@ func (m *Model) hidden(x [][]float64, frame int, sc *Scratch) {
 		hd.fc1.ApplyRows(a, zcat, 0)
 		relu(a)
 	}
+}
+
+// packedWh is nn.LSTM.PackWh stamped with the Train count it was packed
+// under.
+type packedWh struct {
+	trains int
+	w      []float64
+}
+
+// packedWh returns the LSTM's Wh packed under the current weights, packing
+// it first if they changed. Racing first callers pack the same weights.
+func (m *Model) packedWh() []float64 {
+	p := m.whp.Load()
+	if p == nil || p.trains != m.trains {
+		p = &packedWh{m.trains, m.lstm.PackWh()}
+		m.whp.Store(p)
+	}
+	return p.w
 }
 
 // headLogits computes rows [lo, lo+len(dst)) of head k's output layer from
@@ -405,9 +427,7 @@ func (m *Model) Exist(x [][]float64, frame int, sc *Scratch, b []float64) {
 // rows are asked for and in whatever order.
 func (m *Model) ThetaRows(k int, sc *Scratch, lo int, dst []float64) {
 	m.headLogits(k, sc, 1+lo, dst)
-	for v, l := range dst {
-		dst[v] = mathx.Sigmoid(l)
-	}
+	mathx.SigmoidInto(dst, dst)
 }
 
 // Theta is ThetaRows over all H rows.

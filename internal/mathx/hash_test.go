@@ -55,9 +55,3 @@ func TestHashNormalMoments(t *testing.T) {
 		t.Errorf("HashNormal variance = %v", variance)
 	}
 }
-
-func TestTanhReexport(t *testing.T) {
-	if Tanh(0.5) != math.Tanh(0.5) {
-		t.Fatal("Tanh re-export broken")
-	}
-}

@@ -152,9 +152,6 @@ func LogSigmoid(x float64) float64 {
 	return x - math.Log1p(math.Exp(x))
 }
 
-// Tanh is math.Tanh; re-exported so nn has a single numeric dependency.
-func Tanh(x float64) float64 { return math.Tanh(x) }
-
 // Logit is the inverse of Sigmoid. p is clamped away from {0,1} to keep the
 // result finite.
 func Logit(p float64) float64 {

@@ -208,4 +208,19 @@ func BenchmarkMatVec(b *testing.B) {
 			}
 		}
 	})
+	// MatVecPacked over the same matrix, on both kernel paths.
+	wp := PackRows4(w, n)
+	saved := vector
+	defer func() { vector = saved }()
+	for _, v := range []bool{true, false} {
+		if v && !saved {
+			continue
+		}
+		vector = v
+		b.Run("packed/"+map[bool]string{true: "vector", false: "scalar"}[v], func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatVecPacked(dst, wp, x)
+			}
+		})
+	}
 }

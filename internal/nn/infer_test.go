@@ -1,11 +1,34 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"eventhit/internal/mathx"
 )
+
+// vectorKernels is mathx's unexported switch between its AVX2 kernels and
+// their scalar twins.
+//
+//go:linkname vectorKernels eventhit/internal/mathx.vector
+var vectorKernels bool
+
+// onPaths runs f on every kernel path this machine has: the vector path if
+// mathx selected it, then the forced-scalar path.
+func onPaths(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	saved := vectorKernels
+	defer func() { vectorKernels = saved }()
+	for _, v := range []bool{true, false} {
+		if v && !saved {
+			continue
+		}
+		vectorKernels = v
+		t.Run(fmt.Sprintf("vector=%v", v), f)
+	}
+}
 
 func randSeq(g *mathx.RNG, t, d int) [][]float64 {
 	xs := make([][]float64, t)
@@ -60,13 +83,20 @@ func TestDenseMatchesRowAtATime(t *testing.T) {
 	}
 }
 
+// lstmWidths are blockWidths plus the cascade rungs' hidden widths (6 and
+// 12) and a single four-row block (1 unit); with 4H gate rows, H = 1, 3, 5
+// and 33 leave len%4 tails in the H-wide vector cell steps.
+var lstmWidths = []int{1, 3, 4, 5, 6, 12, 24, 33}
+
 // TestLSTMMatchesRowAtATime replays the recurrence with one mathx.Dot per
-// gate row — the pre-blocking arithmetic — and requires Forward, Infer and
-// InferProjected over the rows' Project-ions to agree with it bit for bit.
+// gate row and the scalar mathx.Sigmoid and math.Tanh per unit — the
+// arithmetic before the mat-vec was blocked and the cell vectorized — and
+// requires Forward, Infer and InferProjected over the rows' Project-ions to
+// agree with it bit for bit, on every kernel path.
 func TestLSTMMatchesRowAtATime(t *testing.T) {
 	g := mathx.NewRNG(12)
 	const in, T = 5, 9
-	for _, H := range blockWidths {
+	for _, H := range lstmWidths {
 		l := NewLSTM("l", in, H, g.Split(int64(H)))
 		xs := randSeq(g, T, in)
 		h, c, a := make([]float64, H), make([]float64, H), make([]float64, 4*H)
@@ -81,14 +111,54 @@ func TestLSTMMatchesRowAtATime(t *testing.T) {
 				h[j] = o * math.Tanh(c[j])
 			}
 		}
-		sameBits(t, "Forward", l.Forward(xs), h)
-		sameBits(t, "Infer", l.Infer(xs, make([]float64, l.InferLen())), h)
 		axs := make([][]float64, T)
 		for i, x := range xs {
 			axs[i] = make([]float64, 4*H)
 			l.Project(axs[i], x)
 		}
-		sameBits(t, "InferProjected", l.InferProjected(axs, make([]float64, l.InferLen())), h)
+		onPaths(t, func(t *testing.T) {
+			sameBits(t, "Forward", l.Forward(xs), h)
+			sameBits(t, "Infer", l.Infer(xs, l.PackWh(), make([]float64, l.InferLen())), h)
+			sameBits(t, "InferProjected", l.InferProjected(axs, l.PackWh(), make([]float64, l.InferLen())), h)
+		})
+	}
+}
+
+// TestLSTMVectorMatchesScalar: Infer and InferProjected on the vector path
+// equal the forced-scalar path bit for bit at the serving window length,
+// on a dirty buffer, with inputs scaled so that some gate pre-activations
+// leave the vector exp's range and take the scalar fallback.
+func TestLSTMVectorMatchesScalar(t *testing.T) {
+	if !vectorKernels {
+		t.Skip("mathx did not select its vector kernels on this machine")
+	}
+	defer func() { vectorKernels = true }()
+	g := mathx.NewRNG(15)
+	const in, T = 12, 25
+	for _, H := range lstmWidths {
+		for _, scale := range []float64{1, 400} {
+			l := NewLSTM("l", in, H, g.Split(int64(H)))
+			xs := randSeq(g, T, in)
+			axs := make([][]float64, T)
+			for i, x := range xs {
+				mathx.Scale(scale, x)
+				axs[i] = make([]float64, 4*H)
+				l.Project(axs[i], x)
+			}
+			whp := l.PackWh()
+			run := func(vector bool) (h, hp []float64) {
+				vectorKernels = vector
+				buf := make([]float64, l.InferLen())
+				mathx.Fill(buf, math.NaN())
+				h = append([]float64(nil), l.Infer(xs, whp, buf)...)
+				return h, l.InferProjected(axs, whp, buf)
+			}
+			h, hp := run(true)
+			hs, hps := run(false)
+			what := fmt.Sprintf("H=%d scale=%v", H, scale)
+			sameBits(t, what+" Infer", h, hs)
+			sameBits(t, what+" InferProjected", hp, hps)
+		}
 	}
 }
 

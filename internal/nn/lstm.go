@@ -21,14 +21,13 @@ type LSTM struct {
 	wx, wh, b  *Param
 
 	// caches from the last Forward, one entry per timestep
-	xs         [][]float64
-	hs, cs     [][]float64 // hs[0]/cs[0] are the zero initial state
-	ig, fg, gg [][]float64 // post-activation gates
-	og         [][]float64
+	xs     [][]float64
+	hs, cs [][]float64 // hs[0]/cs[0] are the zero initial state
+	gs     [][]float64 // post-activation gates, stacked like the pre-activations
 
 	// scratch reused across calls so the training hot path allocates
 	// nothing per step
-	a, ax             []float64   // gate pre-activations, input part (Forward)
+	ax                []float64   // gate pre-activations, input part (Forward)
 	hOut              []float64   // copy of h_n returned by Forward
 	dxs               [][]float64 // per-step input gradients (Backward)
 	dhCur, dc, dhPrev []float64   // BPTT state (Backward)
@@ -45,7 +44,6 @@ func NewLSTM(name string, in, hidden int, g *mathx.RNG) *LSTM {
 		wx:     NewParam(name+".wx", 4*hidden*in),
 		wh:     NewParam(name+".wh", 4*hidden*hidden),
 		b:      NewParam(name+".b", 4*hidden),
-		a:      make([]float64, 4*hidden),
 		ax:     make([]float64, 4*hidden),
 		hOut:   make([]float64, hidden),
 		dhCur:  make([]float64, hidden),
@@ -83,65 +81,49 @@ func (l *LSTM) Forward(xs [][]float64) []float64 {
 	l.xs = xs
 	l.hs = grow2d(l.hs, T+1, H)
 	l.cs = grow2d(l.cs, T+1, H)
-	l.ig = grow2d(l.ig, T, H)
-	l.fg = grow2d(l.fg, T, H)
-	l.gg = grow2d(l.gg, T, H)
-	l.og = grow2d(l.og, T, H)
+	l.gs = grow2d(l.gs, T, 4*H)
 	mathx.Fill(l.hs[0], 0)
 	mathx.Fill(l.cs[0], 0)
-
-	a := l.a
-	for t := 0; t < T; t++ {
-		hPrev, cPrev := l.hs[t], l.cs[t]
-		l.gates(a, l.ax, xs[t], hPrev)
-		h, c := l.hs[t+1], l.cs[t+1]
-		for j := 0; j < H; j++ {
-			i := mathx.Sigmoid(a[j])
-			f := mathx.Sigmoid(a[H+j])
-			g := math.Tanh(a[2*H+j])
-			o := mathx.Sigmoid(a[3*H+j])
-			l.ig[t][j], l.fg[t][j], l.gg[t][j], l.og[t][j] = i, f, g, o
-			c[j] = f*cPrev[j] + i*g
-			h[j] = o * math.Tanh(c[j])
-		}
+	for t, x := range xs {
+		l.Project(l.ax, x)
+		mathx.MatVec(l.gs[t], l.wh.W, l.hs[t]) // weights change every step: not packed
+		addInput(l.gs[t], l.ax, l.b.W)
+		copy(l.cs[t+1], l.cs[t])
+		cell(l.hs[t+1], l.cs[t+1], l.gs[t])
 	}
 	copy(l.hOut, l.hs[T])
 	return l.hOut
 }
 
-// gates fills a with the stacked pre-activations Wx*x + Wh*h + b; ax is
-// 4H floats of scratch for the input part. Weights are only read.
-func (l *LSTM) gates(a, ax, x, h []float64) {
-	if len(x) != l.in {
-		panic(fmt.Sprintf("nn: LSTM %s input width %d, want %d", l.wx.Name, len(x), l.in))
-	}
-	preact(a, ax, l.wx.W, l.wh.W, l.b.W, x, h)
-}
-
 // preact fills a[j] = wx_j.x + wh_j.h + b[j] for the len(a) stacked gate
-// rows of a recurrent layer, summed in exactly that order; ax is len(a)
-// floats of scratch for the input part.
+// rows of a recurrent layer (the GRU's), summed in exactly that order; ax
+// is len(a) floats of scratch for the input part.
 func preact(a, ax, wx, wh, b, x, h []float64) {
 	mathx.MatVec(ax, wx, x)
-	recur(a, ax, wh, b, h)
+	mathx.MatVec(a, wh, h)
+	addInput(a, ax, b)
 }
 
-// recur is preact from an input part ax = wx.x computed earlier.
-func recur(a, ax, wh, b, h []float64) {
-	mathx.MatVec(a, wh, h)
+// addInput completes a = wh.h into ax + wh.h + b, preact's sum.
+func addInput(a, ax, b []float64) {
 	for j, bj := range b {
 		a[j] = ax[j] + a[j] + bj
 	}
 }
 
+// PackWh returns a copy of the recurrent weights Wh in mathx.PackRows4's
+// layout, as Infer and InferProjected take them.
+func (l *LSTM) PackWh() []float64 { return mathx.PackRows4(l.wh.W, l.hidden) }
+
 // InferLen returns how many floats of scratch Infer needs.
 func (l *LSTM) InferLen() int { return 10 * l.hidden }
 
-// Infer is Forward for inference: it reads the weights, keeps every
-// activation in buf (at least InferLen floats) and caches nothing for a
-// Backward, so concurrent callers with their own buf may share one layer.
-// The returned h_n aliases buf and is bit-identical to Forward's.
-func (l *LSTM) Infer(xs [][]float64, buf []float64) []float64 {
+// Infer is Forward for inference over whp = PackWh(): it reads the
+// weights, keeps every activation in buf (at least InferLen floats) and
+// caches nothing for a Backward, so concurrent callers with their own buf
+// may share one layer. The returned h_n aliases buf and is bit-identical to
+// Forward's.
+func (l *LSTM) Infer(xs [][]float64, whp, buf []float64) []float64 {
 	if len(xs) == 0 {
 		panic("nn: LSTM forward on empty sequence")
 	}
@@ -149,8 +131,8 @@ func (l *LSTM) Infer(xs [][]float64, buf []float64) []float64 {
 	h, c, a, ax := buf[:H], buf[H:2*H], buf[2*H:6*H], buf[6*H:10*H]
 	mathx.Fill(buf[:2*H], 0)
 	for _, x := range xs {
-		l.gates(a, ax, x, h)
-		cell(h, c, a)
+		l.Project(ax, x)
+		l.step(h, c, a, ax, whp)
 	}
 	return h
 }
@@ -168,7 +150,7 @@ func (l *LSTM) Project(dst, x []float64) {
 // InferProjected is Infer over a sequence given as its input parts, axs[t]
 // = Project(x_t). Infer sums ax[j] + a[j] + b[j] with ax computed apart, so
 // where ax came from cannot show: h_n is bit-identical to Infer's.
-func (l *LSTM) InferProjected(axs [][]float64, buf []float64) []float64 {
+func (l *LSTM) InferProjected(axs [][]float64, whp, buf []float64) []float64 {
 	if len(axs) == 0 {
 		panic("nn: LSTM forward on empty sequence")
 	}
@@ -176,23 +158,34 @@ func (l *LSTM) InferProjected(axs [][]float64, buf []float64) []float64 {
 	h, c, a := buf[:H], buf[H:2*H], buf[2*H:6*H]
 	mathx.Fill(buf[:2*H], 0)
 	for _, ax := range axs {
-		recur(a, ax, l.wh.W, l.b.W, h)
-		cell(h, c, a)
+		l.step(h, c, a, ax, whp)
 	}
 	return h
 }
 
+// step advances (h, c) by one input part ax: the pre-activations through
+// the packed mat-vec (bit-identical to preact's), then the cell.
+func (l *LSTM) step(h, c, a, ax, whp []float64) {
+	mathx.MatVecPacked(a, whp, h)
+	addInput(a, ax, l.b.W)
+	cell(h, c, a)
+}
+
 // cell advances the state (h, c) in place through the gate nonlinearities
-// of the stacked pre-activations a.
+// of the stacked pre-activations a, leaving the activated gates in a:
+// c = f*c + i*g and h = o*tanh(c), unit by unit as the scalar functions.
 func cell(h, c, a []float64) {
 	H := len(h)
-	for j := 0; j < H; j++ {
-		i := mathx.Sigmoid(a[j])
-		f := mathx.Sigmoid(a[H+j])
-		g := math.Tanh(a[2*H+j])
-		o := mathx.Sigmoid(a[3*H+j])
-		c[j] = f*c[j] + i*g
-		h[j] = o * math.Tanh(c[j])
+	i, f, g, o := a[:H], a[H:2*H], a[2*H:3*H], a[3*H:4*H]
+	mathx.SigmoidInto(a[:2*H], a[:2*H])
+	mathx.TanhInto(g, g)
+	mathx.SigmoidInto(o, o)
+	for j := range c {
+		c[j] = f[j]*c[j] + i[j]*g[j]
+	}
+	mathx.TanhInto(h, c)
+	for j := range h {
+		h[j] = o[j] * h[j]
 	}
 }
 
@@ -211,9 +204,9 @@ func (l *LSTM) Backward(dh []float64) [][]float64 {
 	copy(dhCur, dh)
 	mathx.Fill(dc, 0)
 	for t := T - 1; t >= 0; t-- {
-		x, hPrev, cPrev, c := l.xs[t], l.hs[t], l.cs[t], l.cs[t+1]
+		x, hPrev, cPrev, c, gs := l.xs[t], l.hs[t], l.cs[t], l.cs[t+1], l.gs[t]
 		for j := 0; j < H; j++ {
-			i, f, g, o := l.ig[t][j], l.fg[t][j], l.gg[t][j], l.og[t][j]
+			i, f, g, o := gs[j], gs[H+j], gs[2*H+j], gs[3*H+j]
 			tc := math.Tanh(c[j])
 			dcj := dc[j] + dhCur[j]*o*(1-tc*tc)
 			da[j] = dcj * g * i * (1 - i)          // input gate

@@ -192,7 +192,7 @@ func (q *QuantLSTM) EnableFrameCache(slots int) {
 	q.pslots = slots
 	q.pframes = make([]int, slots)
 	for i := range q.pframes {
-		q.pframes[i] = -1 << 62
+		q.pframes[i] = math.MinInt
 	}
 	q.px = make([]int16, slots*q.in)
 	q.pa = make([]int32, slots*4*q.hidden)

@@ -31,11 +31,13 @@ gofmt_clean() {
     [ -z "$out" ] || { echo "gofmt needed on:" "$out"; return 1; }
 }
 
-# The three numbers ROADMAP aim 2 tracks, for CHANGES.md entries to quote.
-# Informational: printed past the stage's capture, never a failure.
+# The numbers ROADMAP aim 2 tracks, for CHANGES.md entries to quote; the
+# assembly is counted apart so it does not hide. Informational: printed past
+# the stage's capture, never a failure.
 size() {
-    printf 'non-test Go lines in cmd+internal: %s, internal packages: %s, binaries: %s\n' \
+    printf 'non-test Go lines in cmd+internal: %s, assembly lines: %s, internal packages: %s, binaries: %s\n' \
         "$(find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" \
+        "$(find cmd internal -name '*.s' | xargs cat | wc -l)" \
         "$(ls internal | wc -l)" "$(ls cmd | wc -l)" >&3
 }
 
@@ -45,12 +47,31 @@ stage gofmt gofmt_clean
 stage vet go vet ./...
 stage build go build ./...
 # The front's idle-connection check is built for unix only, with a fallback
-# elsewhere: a Windows and a macOS build keep both sides compiling.
+# elsewhere: a Windows and a macOS build keep both sides compiling. The mathx
+# kernels are amd64 assembly with a pure-Go fallback: an arm64 and a 386
+# build keep the fallback compiling.
 cross_build() {
     GOOS=windows go build ./cmd/... ./internal/... &&
-        GOOS=darwin go build ./cmd/... ./internal/...
+        GOOS=darwin go build ./cmd/... ./internal/... &&
+        GOARCH=arm64 go build ./cmd/... ./internal/... &&
+        GOARCH=386 go build ./cmd/... ./internal/...
 }
 stage cross-build cross_build
+# The AVX2 kernels against their scalar twins, bit for bit: the mathx, nn
+# and core tests compiled for the baseline and for x86-64-v3 (the compiler
+# still fuses no multiply-add there), then with GODEBUG turning FMA off
+# (math.Exp's non-FMA path: the init self-check must refuse the kernels) and
+# AVX2 off, where TestKernelPath requires the scalar path. Then a bounded
+# live fuzz run.
+kernel_bits() {
+    pkgs="./internal/mathx/ ./internal/nn/ ./internal/core/"
+    GOAMD64=v1 go test -count=1 $pkgs &&
+        GOAMD64=v3 go test -count=1 $pkgs &&
+        GODEBUG=cpu.fma=off go test -count=1 $pkgs &&
+        GODEBUG=cpu.avx2=off go test -count=1 $pkgs &&
+        go test ./internal/mathx/ -run '^$' -fuzz '^FuzzKernelBits$' -fuzztime 15s
+}
+stage kernel-bits kernel_bits
 stage race go test -race ./...
 # Randomized test order: no test may depend on a sibling having run first.
 # This pass includes the scenario corpus goldens at parallelism 1 and 4 and
