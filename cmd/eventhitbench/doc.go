@@ -21,12 +21,10 @@
 //
 // An entry with an ARTIFACT writes its JSON result to that file in the
 // working directory (-out redirects it) and refuses to write a result
-// outside the entry's acceptance bounds. Entries marked det are
-// deterministic: the result is byte-identical run to run and at any
-// -parallelism, so `eventhitbench -exp cascade` rewrites the committed
-// BENCH_cascade.json byte for byte; scripts/check.sh regenerates every det
-// entry and compares. speedparity has no file and prints its JSON to
-// stdout. No entry reports a wall-clock number: those come from `go run
+// outside the entry's acceptance bounds. The result is byte-identical run
+// to run and at any -parallelism, so `eventhitbench -exp cascade` rewrites
+// the committed BENCH_cascade.json byte for byte; scripts/check.sh
+// regenerates every artifact entry and compares. No entry reports a wall-clock number: those come from `go run
 // ./bench` (BENCHMARK.json).
 //
 // Experiments whose trials (or tasks, or sweep settings) are independent
@@ -37,29 +35,28 @@
 // The registry (this table is generated: `go test ./cmd/eventhitbench
 // -update` rewrites it from the code, and the test fails when it drifts):
 //
-//	NAME         ARTIFACT               DET  ALL  CONFIG             DESCRIPTION
-//	table1       -                      -    all  TA1,seed=1         Table I: dataset statistics
-//	table2       -                      -    all  TA1,seed=1         Table II: task definitions
-//	fig4         -                      -    all  TA1,seed=1         Figure 4: REC vs SPL of every strategy on one task
-//	fig4all      -                      -    -    TA1,seed=1         Figure 4 on all sixteen tasks
-//	fig5         -                      -    all  TA1,seed=1         Figure 5: EHC sweep of the confidence c
-//	fig6         -                      -    all  TA1,seed=1         Figure 6: EHR sweep of the coverage alpha
-//	fig7         -                      -    all  TA1,seed=1         Figure 7: sensitivity to window M and horizon H
-//	fig8         -                      -    all  TA1,seed=1         Figure 8: monetary case study
-//	fig9         -                      -    all  TA1,seed=1         Figure 9: REC vs end-to-end FPS
-//	fig10        -                      -    all  TA1,seed=1         Figure 10: stage time shares
-//	resources    -                      -    all  TA1,seed=1         model size and training-job size
-//	loss         -                      -    -    TA1,seed=1         training loss curve
-//	ablation     -                      -    all  TA1,seed=1         design-choice ablations
-//	drift        -                      -    all  TA1,seed=1         drift detection and recalibration
-//	multi        -                      -    all  TA1,seed=1         multi-instance horizons on the industrial stream
-//	geom         -                      -    all  TA1,seed=1         covariate-family comparison
-//	validity     -                      -    all  TA1,seed=1         empirical check of Theorems 4.2 and 5.2
-//	operate      -                      -    all  TA1,seed=1         continuous operation under a budget
-//	transfer     -                      -    -    TA1,seed=1         one model across fresh streams
-//	density      -                      -    -    TA1,seed=1         event-density sensitivity
-//	tune         -                      -    -    TA1,seed=1         operating-point tuner
-//	summary      -                      -    -    TA1,seed=1         headline table over all sixteen tasks
-//	cascade      BENCH_cascade.json     det  -    TA1,seed=1,quick   early-inference ladder x exit-policy sweep
-//	speedparity  -                      det  -    TA1,seed=1,quick   float-vs-quantized and incremental-vs-recompute parity block
+//	NAME         ARTIFACT               ALL  CONFIG             DESCRIPTION
+//	table1       -                      all  TA1,seed=1         Table I: dataset statistics
+//	table2       -                      all  TA1,seed=1         Table II: task definitions
+//	fig4         -                      all  TA1,seed=1         Figure 4: REC vs SPL of every strategy on one task
+//	fig4all      -                      -    TA1,seed=1         Figure 4 on all sixteen tasks
+//	fig5         -                      all  TA1,seed=1         Figure 5: EHC sweep of the confidence c
+//	fig6         -                      all  TA1,seed=1         Figure 6: EHR sweep of the coverage alpha
+//	fig7         -                      all  TA1,seed=1         Figure 7: sensitivity to window M and horizon H
+//	fig8         -                      all  TA1,seed=1         Figure 8: monetary case study
+//	fig9         -                      all  TA1,seed=1         Figure 9: REC vs end-to-end FPS
+//	fig10        -                      all  TA1,seed=1         Figure 10: stage time shares
+//	resources    -                      all  TA1,seed=1         model size and training-job size
+//	loss         -                      -    TA1,seed=1         training loss curve
+//	ablation     -                      all  TA1,seed=1         design-choice ablations
+//	drift        -                      all  TA1,seed=1         drift detection and recalibration
+//	multi        -                      all  TA1,seed=1         multi-instance horizons on the industrial stream
+//	geom         -                      all  TA1,seed=1         covariate-family comparison
+//	validity     -                      all  TA1,seed=1         empirical check of Theorems 4.2 and 5.2
+//	operate      -                      all  TA1,seed=1         continuous operation under a budget
+//	transfer     -                      -    TA1,seed=1         one model across fresh streams
+//	density      -                      -    TA1,seed=1         event-density sensitivity
+//	tune         -                      -    TA1,seed=1         operating-point tuner
+//	summary      -                      -    TA1,seed=1         headline table over all sixteen tasks
+//	cascade      BENCH_cascade.json     -    TA1,seed=1,quick   early-inference ladder x exit-policy sweep
 package main

@@ -53,7 +53,6 @@ func main() {
 		streamBurst = flag.Float64("streamburst", 0, "per-session burst headroom in billed frames (0 = one second of -streamrate)")
 		adaptOn     = flag.Bool("adapt", false, "per-session drift monitoring + automatic recalibration swaps (server-owned relay)")
 		auditRate   = flag.Float64("auditrate", 0.1, "fraction of skipped horizons ground-truthed by audit relays (with -adapt)")
-		quantized   = flag.Bool("quantized", false, "serve through the int16 quantized twin (built at boot and at every swap)")
 		drain       = flag.Duration("drain", 10*time.Second, "max time to drain in-flight requests on SIGINT/SIGTERM")
 	)
 	flag.Parse()
@@ -111,7 +110,6 @@ func main() {
 		DefaultConfidence: *confidence,
 		DefaultCoverage:   *coverage,
 		EnablePprof:       *pprofOn,
-		Quantized:         *quantized,
 	}
 	if *cacheOn {
 		// The cache interposes on the server-owned relay, which needs the

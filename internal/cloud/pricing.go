@@ -5,84 +5,6 @@ import (
 	"sync"
 )
 
-// Tier is one volume band of a tiered price list: frames up to UpTo
-// (cumulative, 0 = unbounded) bill at PerFrameUSD.
-type Tier struct {
-	UpTo        int64 // cumulative frame count where this tier ends; 0 = no cap
-	PerFrameUSD float64
-}
-
-// TieredPricing is a volume-discount price list in the style of the real
-// Amazon Rekognition rate card (first million images at one rate, the
-// next nine million cheaper, and so on).
-type TieredPricing struct {
-	Tiers []Tier
-}
-
-// RekognitionTiers returns a rate card shaped like Rekognition's image
-// API: $0.001/frame for the first million, $0.0008 up to ten million,
-// $0.0006 beyond.
-func RekognitionTiers() TieredPricing {
-	return TieredPricing{Tiers: []Tier{
-		{UpTo: 1_000_000, PerFrameUSD: 0.001},
-		{UpTo: 10_000_000, PerFrameUSD: 0.0008},
-		{UpTo: 0, PerFrameUSD: 0.0006},
-	}}
-}
-
-// Validate checks the tier structure: strictly increasing caps, an
-// unbounded final tier, non-negative prices.
-func (p TieredPricing) Validate() error {
-	if len(p.Tiers) == 0 {
-		return fmt.Errorf("cloud: empty price list")
-	}
-	prev := int64(0)
-	for i, t := range p.Tiers {
-		if t.PerFrameUSD < 0 {
-			return fmt.Errorf("cloud: tier %d has negative price", i)
-		}
-		last := i == len(p.Tiers)-1
-		if last {
-			if t.UpTo != 0 {
-				return fmt.Errorf("cloud: final tier must be unbounded (UpTo=0)")
-			}
-			continue
-		}
-		if t.UpTo <= prev {
-			return fmt.Errorf("cloud: tier %d cap %d not above previous %d", i, t.UpTo, prev)
-		}
-		prev = t.UpTo
-	}
-	return nil
-}
-
-// Cost returns the bill for processing n more frames when used frames
-// were already billed this cycle.
-func (p TieredPricing) Cost(used, n int64) float64 {
-	var total float64
-	pos := used
-	remaining := n
-	for _, t := range p.Tiers {
-		if remaining <= 0 {
-			break
-		}
-		if t.UpTo != 0 && pos >= t.UpTo {
-			continue
-		}
-		inTier := remaining
-		if t.UpTo != 0 {
-			room := t.UpTo - pos
-			if inTier > room {
-				inTier = room
-			}
-		}
-		total += float64(inTier) * t.PerFrameUSD
-		pos += inTier
-		remaining -= inTier
-	}
-	return total
-}
-
 // Budget guards a Service with a spending cap: Charge returns an error
 // once a request would push cumulative spend past the cap, letting an
 // operator bound worst-case monthly cost regardless of marshalling

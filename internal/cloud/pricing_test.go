@@ -2,128 +2,9 @@ package cloud
 
 import (
 	"errors"
-	"math"
 	"sync"
 	"testing"
-	"testing/quick"
 )
-
-func TestTieredPricingValidate(t *testing.T) {
-	if err := RekognitionTiers().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []TieredPricing{
-		{},
-		{Tiers: []Tier{{UpTo: 10, PerFrameUSD: 1}}},                               // bounded final tier
-		{Tiers: []Tier{{UpTo: 10, PerFrameUSD: 1}, {UpTo: 5, PerFrameUSD: 1}}},    // non-increasing (and bounded last)
-		{Tiers: []Tier{{UpTo: 10, PerFrameUSD: -1}, {UpTo: 0, PerFrameUSD: 1}}},   // negative price
-		{Tiers: []Tier{{UpTo: 10, PerFrameUSD: 1}, {UpTo: 10, PerFrameUSD: 0.5}}}, // equal caps
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad pricing %d validated", i)
-		}
-	}
-}
-
-func TestTieredCostSingleTier(t *testing.T) {
-	p := TieredPricing{Tiers: []Tier{{UpTo: 0, PerFrameUSD: 0.002}}}
-	if c := p.Cost(0, 1000); math.Abs(c-2.0) > 1e-12 {
-		t.Fatalf("Cost = %v", c)
-	}
-	if c := p.Cost(123456, 1000); math.Abs(c-2.0) > 1e-12 {
-		t.Fatal("flat pricing must not depend on prior usage")
-	}
-}
-
-func TestTieredCostCrossesBoundary(t *testing.T) {
-	p := RekognitionTiers()
-	// 500k at tier 1 + 500k at tier 1 = full first million.
-	first := p.Cost(0, 1_000_000)
-	if math.Abs(first-1000) > 1e-9 {
-		t.Fatalf("first million = %v, want 1000", first)
-	}
-	// Next million entirely at $0.0008.
-	second := p.Cost(1_000_000, 1_000_000)
-	if math.Abs(second-800) > 1e-9 {
-		t.Fatalf("second million = %v, want 800", second)
-	}
-	// Straddling: 500k in tier 1 + 500k in tier 2.
-	straddle := p.Cost(500_000, 1_000_000)
-	if math.Abs(straddle-(500+400)) > 1e-9 {
-		t.Fatalf("straddle = %v, want 900", straddle)
-	}
-	// Deep usage lands in the cheapest tier.
-	deep := p.Cost(20_000_000, 1_000_000)
-	if math.Abs(deep-600) > 1e-9 {
-		t.Fatalf("deep = %v, want 600", deep)
-	}
-}
-
-// TestTieredCostExactBoundaries pins the marginal-rate semantics at the
-// exact tier edges: a batch landing precisely on UpTo never leaks into the
-// next tier, the first frame past a cap bills at the next rate, and
-// cumulative usage straddling two tiers splits frame-exactly.
-func TestTieredCostExactBoundaries(t *testing.T) {
-	p := RekognitionTiers()
-	cases := []struct {
-		name    string
-		used, n int64
-		want    float64
-	}{
-		{"zero frames", 0, 0, 0},
-		{"zero frames deep in tier 2", 5_000_000, 0, 0},
-		{"batch lands exactly on tier 1 cap", 0, 1_000_000, 1000},
-		{"last frame of tier 1", 999_999, 1, 0.001},
-		{"first frame of tier 2", 1_000_000, 1, 0.0008},
-		{"batch lands exactly on tier 2 cap", 0, 10_000_000, 1000 + 9_000_000*0.0008},
-		{"last frame of tier 2", 9_999_999, 1, 0.0008},
-		{"first frame of tier 3", 10_000_000, 1, 0.0006},
-		{"one frame each side of tier 1 cap", 999_999, 2, 0.001 + 0.0008},
-		{"one frame each side of tier 2 cap", 9_999_999, 2, 0.0008 + 0.0006},
-		{"cumulative straddle of tiers 1+2", 500_000, 600_000, 500_000*0.001 + 100_000*0.0008},
-		{"cumulative straddle of tiers 2+3", 9_500_000, 1_000_000, 500_000*0.0008 + 500_000*0.0006},
-		{"batch spanning all three tiers", 0, 11_000_000, 1000 + 9_000_000*0.0008 + 1_000_000*0.0006},
-		{"usage already past every cap", 10_000_000, 2_000_000, 2_000_000 * 0.0006},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := p.Cost(tc.used, tc.n); math.Abs(got-tc.want) > 1e-9 {
-				t.Fatalf("Cost(%d, %d) = %v, want %v", tc.used, tc.n, got, tc.want)
-			}
-		})
-	}
-}
-
-func TestTieredCostAdditive(t *testing.T) {
-	// Cost(u, a+b) == Cost(u, a) + Cost(u+a, b): billing is path-independent.
-	p := RekognitionTiers()
-	f := func(uRaw, aRaw, bRaw uint32) bool {
-		u := int64(uRaw % 3_000_000)
-		a := int64(aRaw % 2_000_000)
-		b := int64(bRaw % 2_000_000)
-		whole := p.Cost(u, a+b)
-		split := p.Cost(u, a) + p.Cost(u+a, b)
-		return math.Abs(whole-split) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTieredCostMonotoneInUsage(t *testing.T) {
-	// With decreasing tier prices, the same batch gets cheaper (or equal)
-	// the more you have already used.
-	p := RekognitionTiers()
-	prev := math.Inf(1)
-	for used := int64(0); used <= 12_000_000; used += 500_000 {
-		c := p.Cost(used, 750_000)
-		if c > prev+1e-9 {
-			t.Fatalf("cost increased with usage at %d: %v > %v", used, c, prev)
-		}
-		prev = c
-	}
-}
 
 func TestBudgetChargeAndExhaustion(t *testing.T) {
 	b, err := NewBudget(10)

@@ -403,7 +403,6 @@ func totalsOf(per []WorkerStats) serve.Stats {
 		t.CacheEvictions += s.CacheEvictions
 		t.CacheSavedUSD += s.CacheSavedUSD
 		t.AdaptEnabled = t.AdaptEnabled || s.AdaptEnabled
-		t.QuantizedServing = t.QuantizedServing || s.QuantizedServing
 		t.AdminSwaps += s.AdminSwaps
 		t.RecalibrationSwaps += s.RecalibrationSwaps
 		t.DriftObservations += s.DriftObservations

@@ -455,8 +455,8 @@ func (m *Model) PredictInto(x [][]float64, out *Output) {
 }
 
 // Logits runs inference and returns the raw per-head logit vectors
-// (length 1+H) before the sigmoid — the quantization parity tests compare
-// these directly. The slices are the model's scratch: valid until the next
+// (length 1+H) before the sigmoid; the inference tests compare them bit
+// for bit against a reference forward pass. The slices are the model's scratch: valid until the next
 // Logits through m.
 func (m *Model) Logits(x [][]float64) [][]float64 {
 	if m.logits == nil {

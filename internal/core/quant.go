@@ -12,13 +12,16 @@ import (
 // and the per-activation error bounds). It shares no state with the source
 // model and is inference-only.
 //
+// Nothing serves through the twin: on CPUs with the float SIMD kernel it is
+// the slower path. It stays as the reference the repository benchmark times
+// (core.forward_quant_us, core.forward_quant_frame_us and
+// strategy.predict_quant_us in bench/).
+//
 // Accuracy contract: per-logit probability error against the float model
 // is bounded by QuantProbTol — pinned here and enforced on trained models
-// by the core tests and the harness parity block (`eventhitbench -exp
-// speedparity` reports the measured value). Unlike Model, a QuantModel is single-stream state:
-// its activations and the encoder's frame-keyed projection ring live in the
-// twin itself, so one goroutine at a time may use it (internal/serve keeps
-// a mutex next to the twin it serves).
+// by the core tests. Unlike Model, a QuantModel is single-stream state: its
+// activations and the encoder's frame-keyed projection ring live in the
+// twin itself, so one goroutine at a time may use it.
 type QuantModel struct {
 	cfg   Config
 	lstm  *nn.QuantLSTM
@@ -38,8 +41,7 @@ type quantHead struct {
 // stacks weight quantization (step/2 per weight through ~2H-term dots),
 // activation quantization (2^-13 per step through the recurrence) and the
 // LUT error (1e-4); empirically trained TA-task models stay under 6e-3,
-// so 0.02 holds a 3x margin. Verified by core's TestQuantModelParity and
-// the harness speed parity sweep.
+// so 0.02 holds a 3x margin. Verified by core's TestQuantModelParity*.
 const QuantProbTol = 0.02
 
 // Quantize builds the fixed-point twin of m. Only the paper's primary
@@ -172,22 +174,4 @@ func (q *QuantModel) predictInto(x [][]float64, end int, frames bool, out *Outpu
 	for k := range q.heads {
 		q.Theta(k, nil, out.Theta[k])
 	}
-}
-
-// Logits returns the dequantized per-head logit vectors (length 1+H), the
-// fixed-point counterpart of Model.Logits for parity measurement. The
-// returned slices are freshly allocated.
-func (q *QuantModel) Logits(x [][]float64) [][]float64 {
-	out := make([][]float64, len(q.heads))
-	q.hidden(x, 0, false)
-	for k := range q.heads {
-		hd := &q.heads[k]
-		logits := hd.fc2.ForwardQ(hd.a)
-		lk := make([]float64, len(logits))
-		for i, v := range logits {
-			lk[i] = nn.DequantAct(v)
-		}
-		out[k] = lk
-	}
-	return out
 }

@@ -54,14 +54,11 @@ type Experiment struct {
 	// configuration that reproduces the committed bytes.
 	Params Params
 	// Artifact is the committed file at the repository root the result is
-	// written to, "" when there is none.
+	// written to, "" when there is none. Entries with an Artifact publish
+	// their result: its indented JSON is byte-identical run to run and at
+	// any parallelism, and scripts/check.sh regenerates it and compares. The
+	// others are stdout-only: the tables Run prints are the output.
 	Artifact string
-	// Deterministic entries publish their result: its indented JSON is
-	// byte-identical run to run and at any parallelism, and scripts/check.sh
-	// regenerates it and compares (against Artifact when there is one,
-	// otherwise against a second run). The others are stdout-only: the
-	// tables Run prints are the output.
-	Deterministic bool
 	// InAll marks the entries `-exp all` runs.
 	InAll bool
 	// Run executes the experiment, rendering its tables to w, and returns
@@ -186,14 +183,9 @@ func Experiments() []Experiment {
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) { return Summary(p.Options(), p.Seed, w) })},
 
 		{Name: "cascade", Doc: "early-inference ladder x exit-policy sweep", Params: quickTA1,
-			Artifact: "BENCH_cascade.json", Deterministic: true, Check: checked(cascadeBounds),
+			Artifact: "BENCH_cascade.json", Check: checked(cascadeBounds),
 			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
 				return CascadeSweep(t, p.Options(), p.Seed, w)
-			})},
-		{Name: "speedparity", Doc: "float-vs-quantized and incremental-vs-recompute parity block", Params: quickTA1,
-			Deterministic: true,
-			Run: onTask(func(t Task, p Params, _ io.Writer) (interface{}, error) {
-				return SpeedParityCheck(t, p.Options(), p.Seed)
 			})},
 	}
 }
@@ -217,9 +209,8 @@ func Select(name string) ([]Experiment, error) {
 }
 
 // ListExperiments prints the registry as the table `eventhitbench -list`
-// shows and scripts/check.sh reads (first three columns: name, artifact or
-// "-", "det" for deterministic entries; CONFIG is the canonical task, seed
-// and sizing).
+// shows and scripts/check.sh reads (first two columns: name, artifact or
+// "-"; CONFIG is the canonical task, seed and sizing).
 func ListExperiments(w io.Writer) {
 	mark := func(on bool, s string) string {
 		if on {
@@ -227,14 +218,14 @@ func ListExperiments(w io.Writer) {
 		}
 		return "-"
 	}
-	fmt.Fprintf(w, "%-12s %-22s %-4s %-4s %-18s %s\n", "NAME", "ARTIFACT", "DET", "ALL", "CONFIG", "DESCRIPTION")
+	fmt.Fprintf(w, "%-12s %-22s %-4s %-18s %s\n", "NAME", "ARTIFACT", "ALL", "CONFIG", "DESCRIPTION")
 	for _, e := range Experiments() {
 		cfg := fmt.Sprintf("%s,seed=%d", e.Params.Task, e.Params.Seed)
 		if e.Params.Quick {
 			cfg += ",quick"
 		}
-		fmt.Fprintf(w, "%-12s %-22s %-4s %-4s %-18s %s\n", e.Name,
-			mark(e.Artifact != "", e.Artifact), mark(e.Deterministic, "det"), mark(e.InAll, "all"), cfg, e.Doc)
+		fmt.Fprintf(w, "%-12s %-22s %-4s %-18s %s\n", e.Name,
+			mark(e.Artifact != "", e.Artifact), mark(e.InAll, "all"), cfg, e.Doc)
 	}
 }
 
@@ -248,16 +239,16 @@ func MarshalResult(v interface{}) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Produce runs e under p with tables rendered to w and, for a
-// Deterministic entry, delivers the result as JSON: to the file out, or
-// e.Artifact when out is empty, or w when there is neither. A result that
-// fails e.Check is not written. It returns the path written, "" for none.
+// Produce runs e under p with tables rendered to w and, for an entry with
+// an Artifact, writes the result as JSON to the file out, or to e.Artifact
+// when out is empty. A result that fails e.Check is not written. It returns
+// the path written, "" for none.
 func (e Experiment) Produce(p Params, out string, w io.Writer) (string, error) {
-	if out != "" && !e.Deterministic {
+	if out != "" && e.Artifact == "" {
 		return "", fmt.Errorf("-out given, but %s only prints tables", e.Name)
 	}
 	res, err := e.Run(p, w)
-	if err != nil || !e.Deterministic {
+	if err != nil || e.Artifact == "" {
 		return "", err
 	}
 	raw, err := MarshalResult(res)
@@ -271,10 +262,6 @@ func (e Experiment) Produce(p Params, out string, w io.Writer) (string, error) {
 	}
 	if out == "" {
 		out = e.Artifact
-	}
-	if out == "" {
-		_, err := w.Write(raw)
-		return "", err
 	}
 	// os.WriteFile reports the Close error: a short write must not pass for
 	// a regenerated artifact.

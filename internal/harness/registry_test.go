@@ -129,7 +129,7 @@ func TestArtifactBoundsReject(t *testing.T) {
 }
 
 // TestRegistryInvariants: names are unique and usable as -exp values, every
-// artifact is deterministic and committed at the repository root, every row
+// artifact is committed at the repository root, every row
 // rejects a non-positive trial count and an unknown task, and Select, "all"
 // and the -list table are views of the same table.
 func TestRegistryInvariants(t *testing.T) {
@@ -151,9 +151,6 @@ func TestRegistryInvariants(t *testing.T) {
 			t.Fatalf("entry %q is missing its doc, Run or canonical task", e.Name)
 		}
 		if e.Artifact != "" {
-			if !e.Deterministic {
-				t.Fatalf("entry %q commits %s but is not deterministic", e.Name, e.Artifact)
-			}
 			if e.Artifact != "BENCH_"+e.Name+".json" {
 				t.Fatalf("entry %q writes %s, want BENCH_%s.json", e.Name, e.Artifact, e.Name)
 			}
@@ -165,7 +162,7 @@ func TestRegistryInvariants(t *testing.T) {
 			inAll = append(inAll, e.Name)
 		}
 		fields := strings.Fields(lines[i+1])
-		if fields[0] != e.Name || (fields[2] == "det") != e.Deterministic || (fields[3] == "all") != e.InAll {
+		if fields[0] != e.Name || (fields[1] != "-") != (e.Artifact != "") || (fields[2] == "all") != e.InAll {
 			t.Fatalf("-list row %q does not describe entry %q", lines[i+1], e.Name)
 		}
 		sel, err := Select(e.Name)
@@ -234,7 +231,7 @@ func TestProduce(t *testing.T) {
 		t.Fatal("tables-only entry accepted -out")
 	}
 	e := Experiment{
-		Name: "fake", Deterministic: true,
+		Name: "fake", Artifact: "BENCH_fake.json",
 		Run: func(Params, io.Writer) (interface{}, error) {
 			return CascadeResult{RECTol: CascadeRECTol, MinComputeCut: CascadeMinComputeCut}, nil
 		},

@@ -13,9 +13,10 @@ import (
 // TestIncrementalReportIdentity: a run over the incremental covariate
 // source (features.CachedSource wrapped around the extractor) must
 // reproduce the plain run exactly — report, records (including every
-// covariate matrix) and predictions.
+// covariate matrix) and predictions — under the oracle and under the
+// trained bundle's EHCR, the decision path serve runs.
 func TestIncrementalReportIdentity(t *testing.T) {
-	run := func(incremental bool) (Report, []dataset.Record, []metrics.Prediction) {
+	run := func(s strategy.Strategy, incremental bool) (Report, []dataset.Record, []metrics.Prediction) {
 		ex, ci, cfg := setup(t)
 		var src dataset.Source = ex
 		if incremental {
@@ -25,7 +26,7 @@ func TestIncrementalReportIdentity(t *testing.T) {
 			}
 			src = cs
 		}
-		m, err := New(src, strategy.Opt{}, ci, cfg, EventHitCosts(cfg.Window))
+		m, err := New(src, s, ci, cfg, EventHitCosts(cfg.Window))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,15 +36,17 @@ func TestIncrementalReportIdentity(t *testing.T) {
 		}
 		return rep, recs, preds
 	}
-	repA, recsA, predsA := run(false)
-	repB, recsB, predsB := run(true)
-	if !reflect.DeepEqual(repA, repB) {
-		t.Fatalf("reports differ:\n  plain:       %+v\n  incremental: %+v", repA, repB)
-	}
-	if !reflect.DeepEqual(recsA, recsB) {
-		t.Fatal("records (covariate windows included) differ between plain and incremental runs")
-	}
-	if !reflect.DeepEqual(predsA, predsB) {
-		t.Fatal("predictions differ between plain and incremental runs")
+	for _, s := range []strategy.Strategy{strategy.Opt{}, getCascade(t).bundle.EHCR(0.9, 0.9)} {
+		repA, recsA, predsA := run(s, false)
+		repB, recsB, predsB := run(s, true)
+		if !reflect.DeepEqual(repA, repB) {
+			t.Fatalf("%s: reports differ:\n  plain:       %+v\n  incremental: %+v", s.Name(), repA, repB)
+		}
+		if !reflect.DeepEqual(recsA, recsB) {
+			t.Fatalf("%s: records (covariate windows included) differ between plain and incremental runs", s.Name())
+		}
+		if !reflect.DeepEqual(predsA, predsB) {
+			t.Fatalf("%s: predictions differ between plain and incremental runs", s.Name())
+		}
 	}
 }

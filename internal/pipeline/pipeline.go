@@ -220,9 +220,8 @@ type Marshaller struct {
 }
 
 // New assembles a marshaller over exactly the source and strategy it is
-// handed: a caller that wants incremental covariates, quantized inference
-// or the early-exit ladder passes features.NewCachedSource(ex), a strategy
-// of bundle.WithQuantized(), or the cascade itself. ci is any CI backend:
+// handed: a caller that wants incremental covariates or the early-exit
+// ladder passes features.NewCachedSource(ex) or the cascade itself. ci is any CI backend:
 // the bare simulated service, or a fault-injecting wrapper (cloud.Inject)
 // for resilience experiments.
 func New(ex dataset.Source, s strategy.Strategy, ci cloud.Backend, cfg dataset.Config, costs Costs) (*Marshaller, error) {

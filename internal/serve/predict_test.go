@@ -325,117 +325,117 @@ func narrowBundle(t testing.TB, bw *Bundlewrap) *strategy.Bundle {
 // inference (run with -race), and an admin swap to a bundle of different
 // hidden widths lands mid-run. Every response must be what a serial replay
 // answers at that anchor under the old bundle or the new one, and a session
-// that has seen the new bundle never goes back. The quantized variant runs
-// the same traffic through the one twin behind the unit's mutex.
+// that has seen the new bundle never goes back. The subtest keeps the name
+// it had beside the former quantized serving variant.
 func TestConcurrentPredictMatchesSerial(t *testing.T) {
+	t.Run("quantized=false", concurrentPredictMatchesSerial)
+}
+
+func concurrentPredictMatchesSerial(t *testing.T) {
 	bw := getBundle(t)
 	swapped := narrowBundle(t, bw)
 
 	const cams, steps, first = 4, 120, 400
-	for _, quantized := range []bool{false, true} {
-		t.Run(fmt.Sprintf("quantized=%v", quantized), func(t *testing.T) {
-			cfg := Config{Bundle: bw.b, EventNames: []string{"Volleyball Spiking"}, PerFrameUSD: 0.001,
-				DefaultConfidence: 0.9, DefaultCoverage: 0.9, Quantized: quantized}
-			srv := sessionServer(t, &cfg, cams)
-			// A camera starts with its window one frame short of full, then
-			// pushes one frame and predicts until more says stop.
-			camera := func(srv *Server, id string, g int, more func(step int) bool) ([]PredictResponse, error) {
-				next := first + 900*g
-				if err := pushFrames(srv, id, bw.ex, next-srv.window+1, next-1); err != nil {
-					return nil, err
+	cfg := Config{Bundle: bw.b, EventNames: []string{"Volleyball Spiking"}, PerFrameUSD: 0.001,
+		DefaultConfidence: 0.9, DefaultCoverage: 0.9}
+	srv := sessionServer(t, &cfg, cams)
+	// A camera starts with its window one frame short of full, then
+	// pushes one frame and predicts until more says stop.
+	camera := func(srv *Server, id string, g int, more func(step int) bool) ([]PredictResponse, error) {
+		next := first + 900*g
+		if err := pushFrames(srv, id, bw.ex, next-srv.window+1, next-1); err != nil {
+			return nil, err
+		}
+		var out []PredictResponse
+		for more(len(out)) {
+			r, err := pushPredict(srv, id, bw.ex, next, []int{next})
+			if err != nil {
+				return out, err
+			}
+			next++
+			out = append(out, r...)
+		}
+		return out, nil
+	}
+	// The swap is released once half the planned predicts are done;
+	// every camera then keeps going until it has predicted a few more
+	// times with the swap installed, however the scheduler spread
+	// the cameras out.
+	var done, landed atomic.Int64
+	halfway, finished := make(chan struct{}), make(chan struct{})
+	got := make([][]PredictResponse, cams)
+	var wg sync.WaitGroup
+	for g := 0; g < cams; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			after := 0
+			var err error
+			got[g], err = camera(srv, fmt.Sprintf("c%d", g), g, func(step int) bool {
+				if step > 0 && done.Add(1) == cams*steps/2 {
+					close(halfway)
 				}
-				var out []PredictResponse
-				for more(len(out)) {
-					r, err := pushPredict(srv, id, bw.ex, next, []int{next})
-					if err != nil {
-						return out, err
-					}
-					next++
-					out = append(out, r...)
+				if landed.Load() != 0 {
+					after++
 				}
-				return out, nil
-			}
-			// The swap is released once half the planned predicts are done;
-			// every camera then keeps going until it has predicted a few more
-			// times with the swap installed, however the scheduler spread
-			// the cameras out.
-			var done, landed atomic.Int64
-			halfway, finished := make(chan struct{}), make(chan struct{})
-			got := make([][]PredictResponse, cams)
-			var wg sync.WaitGroup
-			for g := 0; g < cams; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					after := 0
-					var err error
-					got[g], err = camera(srv, fmt.Sprintf("c%d", g), g, func(step int) bool {
-						if step > 0 && done.Add(1) == cams*steps/2 {
-							close(halfway)
-						}
-						if landed.Load() != 0 {
-							after++
-						}
-						return step < steps || after <= 5
-					})
-					if err != nil {
-						t.Error(err)
-					}
-				}(g)
-			}
-			go func() { wg.Wait(); close(finished) }()
-			select {
-			case <-halfway:
-			case <-finished:
-				t.Fatal("the cameras stopped before the swap")
-			}
-			_, err := srv.Swap(swapped, swapOriginAdmin)
-			landed.Store(1)
+				return step < steps || after <= 5
+			})
 			if err != nil {
 				t.Error(err)
 			}
-			<-finished
-			if t.Failed() {
-				return
-			}
+		}(g)
+	}
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-halfway:
+	case <-finished:
+		t.Fatal("the cameras stopped before the swap")
+	}
+	_, err := srv.Swap(swapped, swapOriginAdmin)
+	landed.Store(1)
+	if err != nil {
+		t.Error(err)
+	}
+	<-finished
+	if t.Failed() {
+		return
+	}
 
-			swapCfg := cfg
-			swapCfg.Bundle = swapped
-			for g := 0; g < cams; g++ {
-				n := len(got[g])
-				var ref [2][]PredictResponse
-				for i, c := range []Config{cfg, swapCfg} {
-					ref[i], err = camera(sessionServer(t, &c, 1), "c0", g, func(step int) bool { return step < n })
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				before, after := ref[0], ref[1]
-				onNew, differ := false, 0
-				for i, r := range got[g] {
-					isOld, isNew := reflect.DeepEqual(r, before[i]), reflect.DeepEqual(r, after[i])
-					if !isOld && !isNew {
-						t.Fatalf("camera %d step %d: %+v is neither the boot bundle's %+v nor the swapped one's %+v",
-							g, i, r, before[i], after[i])
-					}
-					if !isOld {
-						onNew = true
-					}
-					if onNew && !isNew {
-						t.Fatalf("camera %d step %d: back on the boot bundle after the swap", g, i)
-					}
-					if isOld != isNew {
-						differ++
-					}
-				}
-				if !reflect.DeepEqual(got[g][n-1], after[n-1]) {
-					t.Fatalf("camera %d: last response is not the swapped bundle's", g)
-				}
-				if differ == 0 {
-					t.Fatalf("camera %d: the two bundles never disagree; the swap is invisible", g)
-				}
+	swapCfg := cfg
+	swapCfg.Bundle = swapped
+	for g := 0; g < cams; g++ {
+		n := len(got[g])
+		var ref [2][]PredictResponse
+		for i, c := range []Config{cfg, swapCfg} {
+			ref[i], err = camera(sessionServer(t, &c, 1), "c0", g, func(step int) bool { return step < n })
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
+		}
+		before, after := ref[0], ref[1]
+		onNew, differ := false, 0
+		for i, r := range got[g] {
+			isOld, isNew := reflect.DeepEqual(r, before[i]), reflect.DeepEqual(r, after[i])
+			if !isOld && !isNew {
+				t.Fatalf("camera %d step %d: %+v is neither the boot bundle's %+v nor the swapped one's %+v",
+					g, i, r, before[i], after[i])
+			}
+			if !isOld {
+				onNew = true
+			}
+			if onNew && !isNew {
+				t.Fatalf("camera %d step %d: back on the boot bundle after the swap", g, i)
+			}
+			if isOld != isNew {
+				differ++
+			}
+		}
+		if !reflect.DeepEqual(got[g][n-1], after[n-1]) {
+			t.Fatalf("camera %d: last response is not the swapped bundle's", g)
+		}
+		if differ == 0 {
+			t.Fatalf("camera %d: the two bundles never disagree; the swap is invisible", g)
+		}
 	}
 }
 
@@ -446,8 +446,13 @@ func TestConcurrentPredictMatchesSerial(t *testing.T) {
 // other hidden widths mid-stream (run with -race). Every response must be
 // what a fresh server answers at that anchor in a serial replay, under the
 // boot bundle or the swapped one, and a predictor that has seen the new
-// bundle never goes back.
+// bundle never goes back. The subtest keeps the name it had beside the
+// former quantized serving variant.
 func TestSameSessionPredictMatchesSerial(t *testing.T) {
+	t.Run("quantized=false", sameSessionPredictMatchesSerial)
+}
+
+func sameSessionPredictMatchesSerial(t *testing.T) {
 	bw := getBundle(t)
 	swapped := narrowBundle(t, bw)
 	const predictors, perPhase = 2, 60
@@ -461,130 +466,126 @@ func TestSameSessionPredictMatchesSerial(t *testing.T) {
 		}
 		prevEnd = in.OI.End
 	}
-	for _, quantized := range []bool{false, true} {
-		t.Run(fmt.Sprintf("quantized=%v", quantized), func(t *testing.T) {
-			cfg := Config{Bundle: bw.b, EventNames: []string{"Volleyball Spiking"}, PerFrameUSD: 0.001,
-				DefaultConfidence: 0.9, DefaultCoverage: 0.9, Quantized: quantized}
-			srv := sessionServer(t, &cfg, 1)
-			// The session's frame i — and so anchor i — is the camera's base+i.
-			base := first - srv.window + 1
-			pushTo(t, srv, "c0", bw.ex, base, first)
+	cfg := Config{Bundle: bw.b, EventNames: []string{"Volleyball Spiking"}, PerFrameUSD: 0.001,
+		DefaultConfidence: 0.9, DefaultCoverage: 0.9}
+	srv := sessionServer(t, &cfg, 1)
+	// The session's frame i — and so anchor i — is the camera's base+i.
+	base := first - srv.window + 1
+	pushTo(t, srv, "c0", bw.ex, base, first)
 
-			// The pusher adds a frame whenever a predict has been answered since
-			// its last push, until perPhase predicts were answered before the
-			// swap and as many after it.
-			var answered, landedAt atomic.Int64
-			tick := make(chan struct{}, 1) // holds at most the one pending wake-up
-			halfway, stop, predictorsGone := make(chan struct{}), make(chan struct{}), make(chan struct{})
-			var pushing, predicting sync.WaitGroup
-			pushing.Add(1)
-			go func() {
-				defer pushing.Done()
-				defer close(stop)
-				released := false
-				for a := first + 1; ; a++ {
-					select {
-					case <-tick:
-					case <-predictorsGone:
-						return
-					}
-					if err := pushFrames(srv, "c0", bw.ex, a, a); err != nil {
-						t.Error(err)
-						return
-					}
-					n, at := answered.Load(), landedAt.Load()
-					if n >= perPhase && !released {
-						close(halfway)
-						released = true
-					}
-					if at > 0 && n >= at+perPhase {
-						return
-					}
-				}
-			}()
-			got := make([][]PredictResponse, predictors)
-			for p := range got {
-				predicting.Add(1)
-				go func(p int) {
-					defer predicting.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						r, err := predictSession(srv, "c0")
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						got[p] = append(got[p], r)
-						answered.Add(1)
-						select {
-						case tick <- struct{}{}:
-						default:
-						}
-					}
-				}(p)
-			}
-			go func() { predicting.Wait(); close(predictorsGone) }()
+	// The pusher adds a frame whenever a predict has been answered since
+	// its last push, until perPhase predicts were answered before the
+	// swap and as many after it.
+	var answered, landedAt atomic.Int64
+	tick := make(chan struct{}, 1) // holds at most the one pending wake-up
+	halfway, stop, predictorsGone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var pushing, predicting sync.WaitGroup
+	pushing.Add(1)
+	go func() {
+		defer pushing.Done()
+		defer close(stop)
+		released := false
+		for a := first + 1; ; a++ {
 			select {
-			case <-halfway:
-				if _, err := srv.Swap(swapped, swapOriginAdmin); err != nil {
-					t.Error(err)
-				}
-				landedAt.Store(max(answered.Load(), 1))
+			case <-tick:
 			case <-predictorsGone:
-			}
-			pushing.Wait()
-			<-predictorsGone
-			if t.Failed() {
 				return
 			}
+			if err := pushFrames(srv, "c0", bw.ex, a, a); err != nil {
+				t.Error(err)
+				return
+			}
+			n, at := answered.Load(), landedAt.Load()
+			if n >= perPhase && !released {
+				close(halfway)
+				released = true
+			}
+			if at > 0 && n >= at+perPhase {
+				return
+			}
+		}
+	}()
+	got := make([][]PredictResponse, predictors)
+	for p := range got {
+		predicting.Add(1)
+		go func(p int) {
+			defer predicting.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r, err := predictSession(srv, "c0")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[p] = append(got[p], r)
+				answered.Add(1)
+				select {
+				case tick <- struct{}{}:
+				default:
+				}
+			}
+		}(p)
+	}
+	go func() { predicting.Wait(); close(predictorsGone) }()
+	select {
+	case <-halfway:
+		if _, err := srv.Swap(swapped, swapOriginAdmin); err != nil {
+			t.Error(err)
+		}
+		landedAt.Store(max(answered.Load(), 1))
+	case <-predictorsGone:
+	}
+	pushing.Wait()
+	<-predictorsGone
+	if t.Failed() {
+		return
+	}
 
-			// Serial replay, one fresh server per bundle, at every anchor seen.
-			last := 0
-			for _, rs := range got {
-				last = max(last, rs[len(rs)-1].Anchor)
+	// Serial replay, one fresh server per bundle, at every anchor seen.
+	last := 0
+	for _, rs := range got {
+		last = max(last, rs[len(rs)-1].Anchor)
+	}
+	swapCfg := cfg
+	swapCfg.Bundle = swapped
+	ref := make([]map[int]PredictResponse, 2)
+	for i, c := range []Config{cfg, swapCfg} {
+		replay := sessionServer(t, &c, 1)
+		pushTo(t, replay, "c0", bw.ex, base, first-1)
+		ref[i] = map[int]PredictResponse{}
+		for a := first; a <= base+last; a++ {
+			rs, err := pushPredict(replay, "c0", bw.ex, a, []int{a})
+			if err != nil {
+				t.Fatal(err)
 			}
-			swapCfg := cfg
-			swapCfg.Bundle = swapped
-			ref := make([]map[int]PredictResponse, 2)
-			for i, c := range []Config{cfg, swapCfg} {
-				replay := sessionServer(t, &c, 1)
-				pushTo(t, replay, "c0", bw.ex, base, first-1)
-				ref[i] = map[int]PredictResponse{}
-				for a := first; a <= base+last; a++ {
-					rs, err := pushPredict(replay, "c0", bw.ex, a, []int{a})
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref[i][a-base] = rs[0]
-				}
+			ref[i][a-base] = rs[0]
+		}
+	}
+	onlyOld, onlyNew := 0, 0
+	for p, rs := range got {
+		onNew := false
+		for i, r := range rs {
+			isOld, isNew := reflect.DeepEqual(r, ref[0][r.Anchor]), reflect.DeepEqual(r, ref[1][r.Anchor])
+			switch {
+			case !isOld && !isNew:
+				t.Fatalf("predictor %d response %d: %+v is neither the boot bundle's %+v nor the swapped one's %+v",
+					p, i, r, ref[0][r.Anchor], ref[1][r.Anchor])
+			case onNew && !isNew:
+				t.Fatalf("predictor %d response %d: back on the boot bundle after the swap", p, i)
+			case !isOld:
+				onNew = true
+				onlyNew++
+			case !isNew:
+				onlyOld++
 			}
-			onlyOld, onlyNew := 0, 0
-			for p, rs := range got {
-				onNew := false
-				for i, r := range rs {
-					isOld, isNew := reflect.DeepEqual(r, ref[0][r.Anchor]), reflect.DeepEqual(r, ref[1][r.Anchor])
-					switch {
-					case !isOld && !isNew:
-						t.Fatalf("predictor %d response %d: %+v is neither the boot bundle's %+v nor the swapped one's %+v",
-							p, i, r, ref[0][r.Anchor], ref[1][r.Anchor])
-					case onNew && !isNew:
-						t.Fatalf("predictor %d response %d: back on the boot bundle after the swap", p, i)
-					case !isOld:
-						onNew = true
-						onlyNew++
-					case !isNew:
-						onlyOld++
-					}
-				}
-			}
-			if onlyOld == 0 || onlyNew == 0 {
-				t.Fatalf("%d responses only the boot bundle gives, %d only the swapped one: the swap must land mid-stream", onlyOld, onlyNew)
-			}
-		})
+		}
+	}
+	if onlyOld == 0 || onlyNew == 0 {
+		t.Fatalf("%d responses only the boot bundle gives, %d only the swapped one: the swap must land mid-stream", onlyOld, onlyNew)
 	}
 }
 

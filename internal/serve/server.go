@@ -114,11 +114,6 @@ type Config struct {
 	// default: profiling endpoints expose goroutine stacks and should only
 	// be reachable on operator-trusted listeners.
 	EnablePprof bool
-	// Quantized serves predictions through the bundle's int16 quantized
-	// twin. The twin is built whenever a bundle is installed — at boot and
-	// at every swap — so a pushed bundle whose encoder cannot be quantized
-	// is rejected at swap time.
-	Quantized bool
 	// Adapt, when non-nil, turns on the per-session online adaptation loop
 	// (drift.Loop): served horizons whose ground truth comes back (relayed
 	// ones are CI-labeled for free, skipped ones audited at Adapt.AuditRate)

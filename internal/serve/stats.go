@@ -62,7 +62,6 @@ type Stats struct {
 	// are zero unless Config.Adapt is set (AdaptEnabled distinguishes
 	// "adaptation off" from "on, nothing observed yet").
 	AdaptEnabled           bool   `json:"adaptEnabled"`
-	QuantizedServing       bool   `json:"quantizedServing"`
 	ModelGeneration        uint64 `json:"modelGeneration"`
 	AdminSwaps             int64  `json:"adminSwaps"`
 	RecalibrationSwaps     int64  `json:"recalibrationSwaps"`
@@ -89,7 +88,6 @@ func (s *Server) snapshot() Stats {
 		RelayEnabled:         s.relay != nil,
 		FleetEnabled:         s.arbiter != nil,
 		AdaptEnabled:         s.cfg.Adapt != nil,
-		QuantizedServing:     s.cfg.Quantized,
 		ModelGeneration:      s.gens.Load(),
 		AdminSwaps:           s.adminSwaps,
 		SharedSwapsPublished: s.sharedPublished,

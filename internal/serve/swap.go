@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"eventhit/internal/conformal"
 	"eventhit/internal/dataset"
@@ -49,17 +48,12 @@ const (
 	swapOriginShared        = "shared"
 )
 
-// bundleUnit is the atomically swappable serving state: the bundle view
-// requests predict through (the float bundle, or its quantized twin when
-// Config.Quantized is set) plus the frozen geometry every unit must agree
+// bundleUnit is the atomically swappable serving state: the bundle
+// requests predict through plus the frozen geometry every unit must agree
 // on. Units are immutable once published — a swap builds a new unit and
 // stores the pointer, it never touches a published one.
 type bundleUnit struct {
-	bundle *strategy.Bundle
-	// qmu guards the quantized twin in bundle (single-stream state); nil on
-	// the float path, where deciding only reads. A pointer: units derived
-	// from this one (a recalibration keeps the twin) share the lock.
-	qmu      *sync.Mutex
+	bundle   *strategy.Bundle
 	inputDim int
 	window   int
 	horizon  int
@@ -69,9 +63,7 @@ type bundleUnit struct {
 }
 
 // newUnit validates a bundle against the server's frozen geometry and
-// wraps it as a serving unit. With Config.Quantized the int16 twin is
-// built here — so a bundle whose encoder has no quantized kernel is
-// rejected at swap time too.
+// wraps it as a serving unit.
 func (s *Server) newUnit(b *strategy.Bundle, gen uint64, origin string) (*bundleUnit, error) {
 	if b == nil || b.Model == nil {
 		return nil, fmt.Errorf("serve: nil bundle")
@@ -95,18 +87,8 @@ func (s *Server) newUnit(b *strategy.Bundle, gen uint64, origin string) (*bundle
 	if cn := b.Classifier.NumEvents(); cn != mc.NumEvents {
 		return nil, fmt.Errorf("serve: classifier covers %d events, model has %d", cn, mc.NumEvents)
 	}
-	serving := b
-	var qmu *sync.Mutex
-	if s.cfg.Quantized {
-		qb, err := b.WithQuantized()
-		if err != nil {
-			return nil, fmt.Errorf("serve: quantized twin: %w", err)
-		}
-		serving, qmu = qb, new(sync.Mutex)
-	}
 	return &bundleUnit{
-		bundle:   serving,
-		qmu:      qmu,
+		bundle:   b,
 		inputDim: mc.InputDim,
 		window:   mc.Window,
 		horizon:  mc.Horizon,
@@ -117,12 +99,9 @@ func (s *Server) newUnit(b *strategy.Bundle, gen uint64, origin string) (*bundle
 }
 
 // decide runs the unit's EHCR decision on rec into pred and returns the raw
-// existence scores (which alias dec). It holds no server lock.
+// existence scores (which alias dec). It holds no lock: deciding only
+// reads the unit.
 func (u *bundleUnit) decide(rec dataset.Record, conf, cov float64, dec *strategy.Scratch, pred *metrics.Prediction) []float64 {
-	if u.qmu != nil {
-		u.qmu.Lock()
-		defer u.qmu.Unlock()
-	}
 	return u.bundle.Decide(rec, strategy.EHCRRule(conf, cov), dec, pred)
 }
 
@@ -179,14 +158,12 @@ func (s *Server) resolveUnit(sess *session) *bundleUnit {
 type ModelResponse struct {
 	Generation uint64 `json:"generation"`
 	Params     int    `json:"params"`
-	Quantized  bool   `json:"quantized"`
 }
 
 // handleModelPush is POST /v1/model: the body is a bundle in
 // strategy.Bundle.Save format (the eventhittrain artifact). A bundle that
 // decodes but does not fit the server — wrong input dimensionality,
-// window, horizon or event count, or no quantized kernel on a quantized
-// server — is rejected here with 422, so a bad push can never become a
+// window, horizon or event count — is rejected here with 422, so a bad push can never become a
 // 500 at the next frame.
 func (s *Server) handleModelPush(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxBundleBytes)
@@ -205,7 +182,7 @@ func (s *Server) handleModelPush(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	writeJSON(w, ModelResponse{Generation: gen, Params: b.Model.NumParams(), Quantized: s.cfg.Quantized})
+	writeJSON(w, ModelResponse{Generation: gen, Params: b.Model.NumParams()})
 }
 
 // AdaptConfig parametrizes the per-session online adaptation loop

@@ -237,26 +237,3 @@ func TestSwapUnderConcurrentPredictLoad(t *testing.T) {
 		t.Fatalf("generation/adminSwaps = %d/%d, want %d", st.ModelGeneration, st.AdminSwaps, swaps)
 	}
 }
-
-// TestQuantizedServingSwap: with Config.Quantized the twin is built at
-// every install, and serving still works across a swap.
-func TestQuantizedServingSwap(t *testing.T) {
-	srv, c, bw := newSwapServer(t, Config{Quantized: true})
-	fillWindow(t, c, bw, 300)
-	if _, err := c.Predict(tctx, 0.9, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Swap(bw.b.Clone(), swapOriginAdmin); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Predict(tctx, 0.9, 0.9); err != nil {
-		t.Fatalf("predict after quantized swap: %v", err)
-	}
-	st, err := c.Stats(tctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.QuantizedServing || st.ModelGeneration != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
