@@ -329,94 +329,6 @@ func TestRegressorSaveLoad(t *testing.T) {
 	}
 }
 
-func TestNewScaledRegressorValidation(t *testing.T) {
-	if _, err := NewScaledRegressor(0, [][]float64{{1}}, [][]float64{{1}}, [][]float64{{1}}); err == nil {
-		t.Fatal("expected error for horizon 0")
-	}
-	if _, err := NewScaledRegressor(10, nil, nil, nil); err == nil {
-		t.Fatal("expected error for empty sets")
-	}
-	if _, err := NewScaledRegressor(10, [][]float64{{1, 2}}, [][]float64{{1, 2}}, [][]float64{{1}}); err == nil {
-		t.Fatal("expected error for inconsistent sizes")
-	}
-}
-
-func TestScaledRegressorAdaptivity(t *testing.T) {
-	// Residuals proportional to scale: normalized residuals are constant,
-	// so the band is exactly proportional to the new record's scale.
-	starts := []float64{10, 20, 40}
-	ends := []float64{5, 10, 20}
-	scales := []float64{10, 20, 40}
-	r, err := NewScaledRegressor(1000, [][]float64{starts}, [][]float64{ends}, [][]float64{scales})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qsSmall, qeSmall := r.Quantiles(0, 0.9, 10)
-	qsBig, qeBig := r.Quantiles(0, 0.9, 40)
-	if math.Abs(qsBig-4*qsSmall) > 1e-9 || math.Abs(qeBig-4*qeSmall) > 1e-9 {
-		t.Fatalf("band not proportional to scale: (%v,%v) vs (%v,%v)", qsSmall, qeSmall, qsBig, qeBig)
-	}
-	// With perfectly proportional residuals the normalized quantile is the
-	// shared ratio: q_s = 1*scale, q_e = 0.5*scale.
-	if qsSmall != 10 || qeSmall != 5 {
-		t.Fatalf("Quantiles = %v %v, want 10 5", qsSmall, qeSmall)
-	}
-}
-
-func TestScaledRegressorScaleFloor(t *testing.T) {
-	r, _ := NewScaledRegressor(100, [][]float64{{10}}, [][]float64{{10}}, [][]float64{{0}})
-	// Calibration scale 0 floors to 1, so normalized residual is 10; a new
-	// record with scale 0 also floors to 1.
-	qs, _ := r.Quantiles(0, 1, 0)
-	if qs != 10 {
-		t.Fatalf("qs = %v, want 10", qs)
-	}
-}
-
-func TestScaledRegressorCoverageGuarantee(t *testing.T) {
-	// Heteroscedastic data: residual magnitude ~ scale. Normalized
-	// conformal must keep marginal coverage at alpha.
-	g := mathx.NewRNG(13)
-	const horizon = 1000
-	nCalib, nTest := 800, 4000
-	starts := make([]float64, nCalib)
-	ends := make([]float64, nCalib)
-	scales := make([]float64, nCalib)
-	for i := range starts {
-		s := 5 + 95*g.Float64()
-		scales[i] = s
-		starts[i] = math.Abs(g.Normal(0, s/4))
-		ends[i] = math.Abs(g.Normal(0, s/4))
-	}
-	r, err := NewScaledRegressor(horizon, [][]float64{starts}, [][]float64{ends}, [][]float64{scales})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alpha := range []float64{0.5, 0.9} {
-		covered := 0
-		for i := 0; i < nTest; i++ {
-			s := 5 + 95*g.Float64()
-			res := math.Abs(g.Normal(0, s/4))
-			qs, _ := r.Quantiles(0, alpha, s)
-			if res <= qs {
-				covered++
-			}
-		}
-		cov := float64(covered) / float64(nTest)
-		if cov < alpha-0.03 {
-			t.Errorf("alpha=%v scaled coverage %.3f below guarantee", alpha, cov)
-		}
-	}
-}
-
-func TestScaledAdjustClamps(t *testing.T) {
-	r, _ := NewScaledRegressor(100, [][]float64{{50}}, [][]float64{{50}}, [][]float64{{1}})
-	got := r.Adjust(0, video.Interval{Start: 10, End: 90}, 1, 2)
-	if got != (video.Interval{Start: 1, End: 100}) {
-		t.Fatalf("Adjust = %v", got)
-	}
-}
-
 // Under exchangeability conformal p-values are (super-)uniform:
 // P(p <= t) <= t for every t. Checked empirically over many calibration
 // draws.

@@ -69,37 +69,3 @@ func LoadRegressor(rd io.Reader) (*Regressor, error) {
 	// no-op for well-formed snapshots).
 	return NewRegressor(s.Horizon, s.StartRes, s.EndRes)
 }
-
-// scaledState is the gob form of a ScaledRegressor.
-type scaledState struct {
-	Horizon   int
-	NormStart [][]float64
-	NormEnd   [][]float64
-}
-
-// Save writes the calibration state to w.
-func (r *ScaledRegressor) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(scaledState{
-		Horizon: r.horizon, NormStart: r.normStart, NormEnd: r.normEnd,
-	})
-}
-
-// LoadScaledRegressor reads a ScaledRegressor written by Save.
-func LoadScaledRegressor(rd io.Reader) (*ScaledRegressor, error) {
-	if _, ok := rd.(io.ByteReader); !ok {
-		rd = bufio.NewReader(rd)
-	}
-	var s scaledState
-	if err := gob.NewDecoder(rd).Decode(&s); err != nil {
-		return nil, fmt.Errorf("conformal: decode scaled regressor: %w", err)
-	}
-	if s.Horizon <= 0 || len(s.NormStart) == 0 || len(s.NormStart) != len(s.NormEnd) {
-		return nil, fmt.Errorf("conformal: invalid scaled regressor snapshot")
-	}
-	for k := range s.NormStart {
-		if len(s.NormStart[k]) == 0 || len(s.NormEnd[k]) == 0 {
-			return nil, fmt.Errorf("conformal: scaled snapshot event %d empty", k)
-		}
-	}
-	return &ScaledRegressor{horizon: s.Horizon, normStart: s.NormStart, normEnd: s.NormEnd}, nil
-}

@@ -317,7 +317,7 @@ func narrowBundle(t testing.TB, bw *Bundlewrap) *strategy.Bundle {
 		t.Fatal(err)
 	}
 	return &strategy.Bundle{Model: other, Classifier: always, Regressor: bw.b.Regressor,
-		Scaled: bw.b.Scaled, Tau1: bw.b.Tau1, Tau2: bw.b.Tau2}
+		Tau1: bw.b.Tau1, Tau2: bw.b.Tau2}
 }
 
 // TestConcurrentPredictMatchesSerial: cameras on distinct sessions push and

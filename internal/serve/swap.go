@@ -87,6 +87,9 @@ func (s *Server) newUnit(b *strategy.Bundle, gen uint64, origin string) (*bundle
 	if cn := b.Classifier.NumEvents(); cn != mc.NumEvents {
 		return nil, fmt.Errorf("serve: classifier covers %d events, model has %d", cn, mc.NumEvents)
 	}
+	if rn := b.Regressor.NumEvents(); rn != mc.NumEvents {
+		return nil, fmt.Errorf("serve: regressor covers %d events, model has %d", rn, mc.NumEvents)
+	}
 	return &bundleUnit{
 		bundle:   b,
 		inputDim: mc.InputDim,

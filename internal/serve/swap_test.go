@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"eventhit/internal/conformal"
 	"eventhit/internal/core"
 	"eventhit/internal/strategy"
 )
@@ -139,28 +140,40 @@ func TestModelPushTooLargeIs413(t *testing.T) {
 }
 
 // TestSwapRejectsMismatchedGeometry: a bundle whose model disagrees with
-// the server's frozen geometry must be rejected at swap time — never
-// installed to fail as a 500 at the next frame.
+// the server's frozen geometry, or whose interval calibration covers
+// another event count than its model (regK), must be rejected at swap time
+// — never installed to fail at the next frame.
 func TestSwapRejectsMismatchedGeometry(t *testing.T) {
 	srv, c, bw := newSwapServer(t, Config{})
 	d := bw.ex.Dim()
 	cases := []struct {
-		name             string
-		dim, win, hor, k int
-		wantErr          string
+		name                   string
+		dim, win, hor, k, regK int
+		wantErr                string
 	}{
-		{"input dim", d + 1, 10, 200, 1, "input dim"},
-		{"window", d, 12, 200, 1, "window"},
-		{"horizon", d, 10, 100, 1, "horizon"},
+		{"input dim", d + 1, 10, 200, 1, 0, "input dim"},
+		{"window", d, 12, 200, 1, 0, "window"},
+		{"horizon", d, 10, 100, 1, 0, "horizon"},
+		{"regressor events", d, 10, 200, 1, 2, "regressor"},
 	}
 	for _, tc := range cases {
 		m2, err := core.New(core.DefaultConfig(tc.dim, tc.win, tc.hor, tc.k))
 		if err != nil {
 			t.Fatal(err)
 		}
+		reg := bw.b.Regressor
+		if tc.regK > 0 {
+			res := make([][]float64, tc.regK)
+			for i := range res {
+				res[i] = []float64{1}
+			}
+			if reg, err = conformal.NewRegressor(tc.hor, res, res); err != nil {
+				t.Fatal(err)
+			}
+		}
 		bad := &strategy.Bundle{
-			Model: m2, Classifier: bw.b.Classifier, Regressor: bw.b.Regressor,
-			Scaled: bw.b.Scaled, Tau1: bw.b.Tau1, Tau2: bw.b.Tau2,
+			Model: m2, Classifier: bw.b.Classifier, Regressor: reg,
+			Tau1: bw.b.Tau1, Tau2: bw.b.Tau2,
 		}
 		if _, err := srv.Swap(bad, swapOriginAdmin); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Fatalf("%s: Swap error = %v, want %q", tc.name, err, tc.wantErr)

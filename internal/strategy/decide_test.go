@@ -29,11 +29,7 @@ func seedDecide(b *Bundle, out core.Output, r Rule) metrics.Prediction {
 		p.Occur[j] = true
 		iv, _ := core.DecodeInterval(out.Theta[j], b.Tau2)
 		if r.ConformalInterval {
-			if r.Adaptive {
-				iv = b.Scaled.Adjust(j, iv, r.Coverage, float64(iv.Len()))
-			} else {
-				iv = b.Regressor.Adjust(j, iv, r.Coverage)
-			}
+			iv = b.Regressor.Adjust(j, iv, r.Coverage)
 		}
 		p.OI[j] = iv
 	}
@@ -48,14 +44,11 @@ func seedDecide(b *Bundle, out core.Output, r Rule) metrics.Prediction {
 // records, so a stale interval of an earlier record would show.
 func TestDecideMatchesSeedDecision(t *testing.T) {
 	f := getFixture(t)
-	adaptive := EHCRRule(0.9, 0.9)
-	adaptive.Adaptive = true
 	rules := map[string]Rule{
-		"EHO":    {},
-		"EHC":    {ConformalExistence: true, Confidence: 0.9},
-		"EHR":    {ConformalInterval: true, Coverage: 0.9},
-		"EHCR":   EHCRRule(0.9, 0.9),
-		"EHCR-A": adaptive,
+		"EHO":  {},
+		"EHC":  {ConformalExistence: true, Confidence: 0.9},
+		"EHR":  {ConformalInterval: true, Coverage: 0.9},
+		"EHCR": EHCRRule(0.9, 0.9),
 	}
 	for _, tau2 := range []float64{0.5, 0.9999999} {
 		fb := f.bundle.WithTaus(0.5, tau2)

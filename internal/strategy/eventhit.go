@@ -21,9 +21,6 @@ type Bundle struct {
 	Model      *core.Model
 	Classifier *conformal.Classifier
 	Regressor  *conformal.Regressor
-	// Scaled is the normalized-conformal variant of the regressor
-	// (record-adaptive bands); used by EHCRAdaptive.
-	Scaled *conformal.ScaledRegressor
 	// Tau1 and Tau2 are the decoding thresholds of Equations (4)-(5); the
 	// paper fixes both to 0.5.
 	Tau1, Tau2 float64
@@ -131,7 +128,6 @@ func Calibrate(m *core.Model, ccalib, rcalib []dataset.Record) (*Bundle, error) 
 	}
 	startRes := make([][]float64, k)
 	endRes := make([][]float64, k)
-	scales := make([][]float64, k)
 	for _, r := range rcalib {
 		var out core.Output
 		evaluated := false
@@ -146,7 +142,6 @@ func Calibrate(m *core.Model, ccalib, rcalib []dataset.Record) (*Bundle, error) 
 			iv, _ := core.DecodeInterval(out.Theta[j], b.Tau2)
 			startRes[j] = append(startRes[j], absInt(iv.Start-r.OI[j].Start))
 			endRes[j] = append(endRes[j], absInt(iv.End-r.OI[j].End))
-			scales[j] = append(scales[j], float64(iv.Len()))
 		}
 	}
 	reg, err := conformal.NewRegressor(m.Config().Horizon, startRes, endRes)
@@ -154,11 +149,6 @@ func Calibrate(m *core.Model, ccalib, rcalib []dataset.Record) (*Bundle, error) 
 		return nil, fmt.Errorf("strategy: calibrating C-REGRESS: %w", err)
 	}
 	b.Regressor = reg
-	scaled, err := conformal.NewScaledRegressor(m.Config().Horizon, startRes, endRes, scales)
-	if err != nil {
-		return nil, fmt.Errorf("strategy: calibrating scaled C-REGRESS: %w", err)
-	}
-	b.Scaled = scaled
 	return b, nil
 }
 
@@ -187,9 +177,9 @@ type Rule struct {
 	// τ1 threshold (Eq. 4).
 	ConformalExistence bool
 	// ConformalInterval selects C-REGRESS (Eq. 11) at Coverage over the raw
-	// decoded interval (Eq. 6); Adaptive its normalized variant.
-	ConformalInterval, Adaptive bool
-	Confidence, Coverage        float64
+	// decoded interval (Eq. 6).
+	ConformalInterval    bool
+	Confidence, Coverage float64
 }
 
 // EHCRRule is the rule EHCR applies: C-CLASSIFY at confidence c and
@@ -247,11 +237,7 @@ func (b *Bundle) Decide(rec dataset.Record, r Rule, sc *Scratch, p *metrics.Pred
 		}
 		iv, _ := core.DecodeEdges(pr, j, &sc.core, theta, b.Tau2)
 		if r.ConformalInterval {
-			if r.Adaptive {
-				iv = b.Scaled.Adjust(j, iv, r.Coverage, float64(iv.Len()))
-			} else {
-				iv = b.Regressor.Adjust(j, iv, r.Coverage)
-			}
+			iv = b.Regressor.Adjust(j, iv, r.Coverage)
 		}
 		p.OI[j] = iv
 	}
@@ -285,17 +271,6 @@ func (b *Bundle) EHR(alpha float64) Strategy {
 // EHCR combines C-CLASSIFY and C-REGRESS.
 func (b *Bundle) EHCR(c, alpha float64) Strategy {
 	return &eh{b: b, rule: EHCRRule(c, alpha), name: "EHCR"}
-}
-
-// EHCRAdaptive is EHCR with normalized (record-adaptive) conformal
-// regression: the band around each predicted interval scales with the
-// interval's own length, so short confident events pay less spillage than
-// long fuzzy ones at the same coverage level. An extension beyond the
-// paper (same marginal guarantee).
-func (b *Bundle) EHCRAdaptive(c, alpha float64) Strategy {
-	r := EHCRRule(c, alpha)
-	r.Adaptive = true
-	return &eh{b: b, rule: r, name: "EHCR-A"}
 }
 
 // Name implements Strategy.
@@ -361,14 +336,12 @@ func (b *Bundle) Save(w io.Writer) error {
 	if err := b.Regressor.Save(w); err != nil {
 		return err
 	}
-	if err := b.Scaled.Save(w); err != nil {
-		return err
-	}
 	return gob.NewEncoder(w).Encode(struct{ Tau1, Tau2 float64 }{b.Tau1, b.Tau2})
 }
 
 // LoadBundle reads a bundle written by Save. The reader is normalized to
-// an io.ByteReader once so the four concatenated gob streams decode
+// an io.ByteReader once so the concatenated gob streams — the model's,
+// then one each for C-CLASSIFY, C-REGRESS and the thresholds — decode
 // exactly.
 func LoadBundle(r io.Reader) (*Bundle, error) {
 	if _, ok := r.(io.ByteReader); !ok {
@@ -386,17 +359,14 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 	if err != nil {
 		return nil, err
 	}
-	scaled, err := conformal.LoadScaledRegressor(r)
-	if err != nil {
-		return nil, err
-	}
 	var taus struct{ Tau1, Tau2 float64 }
 	if err := gob.NewDecoder(r).Decode(&taus); err != nil {
-		return nil, fmt.Errorf("strategy: decode thresholds: %w", err)
+		// Model and calibrations decoded, so the layout is what differs.
+		return nil, fmt.Errorf("strategy: decode thresholds: %w (a bundle saved in an older layout must be retrained)", err)
 	}
 	if cls.NumEvents() != m.Config().NumEvents || reg.NumEvents() != m.Config().NumEvents {
 		return nil, fmt.Errorf("strategy: bundle event counts disagree (model %d, classifier %d, regressor %d)",
 			m.Config().NumEvents, cls.NumEvents(), reg.NumEvents())
 	}
-	return &Bundle{Model: m, Classifier: cls, Regressor: reg, Scaled: scaled, Tau1: taus.Tau1, Tau2: taus.Tau2}, nil
+	return &Bundle{Model: m, Classifier: cls, Regressor: reg, Tau1: taus.Tau1, Tau2: taus.Tau2}, nil
 }

@@ -2,8 +2,11 @@ package strategy
 
 import (
 	"bytes"
+	"encoding/gob"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -505,6 +508,36 @@ func TestLoadBundleRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestLoadBundleRejectsLegacyScaledStream: bundles once carried a second,
+// length-normalized interval calibration between the regressor and the
+// thresholds. Such a file must fail to load, not load with its thresholds
+// misread.
+func TestLoadBundleRejectsLegacyScaledStream(t *testing.T) {
+	f := getFixture(t)
+	var buf bytes.Buffer
+	for _, save := range []func(io.Writer) error{f.bundle.Model.Save, f.bundle.Classifier.Save, f.bundle.Regressor.Save} {
+		if err := save(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacy := []any{
+		struct {
+			Horizon            int
+			NormStart, NormEnd [][]float64
+		}{f.cfg.Horizon, [][]float64{{0.5}}, [][]float64{{0.5}}},
+		struct{ Tau1, Tau2 float64 }{f.bundle.Tau1, f.bundle.Tau2},
+	}
+	for _, v := range legacy {
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := LoadBundle(&buf)
+	if err == nil || !strings.Contains(err.Error(), "older layout") {
+		t.Fatalf("legacy bundle: err = %v, want the older-layout decode error", err)
+	}
+}
+
 func TestBundleSaveLoadThroughFile(t *testing.T) {
 	// gob decoders over-read from plain files unless loaders normalize the
 	// reader; this guards the fix with a real *os.File round-trip.
@@ -530,56 +563,12 @@ func TestBundleSaveLoadThroughFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := f.splits.Test[0]
-	a := f.bundle.EHCRAdaptive(0.9, 0.9).Predict(rec)
-	b := b2.EHCRAdaptive(0.9, 0.9).Predict(rec)
+	a := f.bundle.EHCR(0.9, 0.9).Predict(rec)
+	b := b2.EHCR(0.9, 0.9).Predict(rec)
 	for k := range a.Occur {
 		if a.Occur[k] != b.Occur[k] || a.OI[k] != b.OI[k] {
 			t.Fatal("file round-trip changed predictions")
 		}
-	}
-}
-
-func TestEHCRAdaptiveBandsScaleWithInterval(t *testing.T) {
-	f := getFixture(t)
-	adaptive := PredictAll(f.bundle.EHCRAdaptive(0.9, 0.9), f.splits.Test)
-	uniform := PredictAll(f.bundle.EHCR(0.9, 0.9), f.splits.Test)
-	recA, _ := metrics.REC(f.splits.Test, adaptive)
-	recU, _ := metrics.REC(f.splits.Test, uniform)
-	t.Logf("EHCR REC=%.3f frames=%d  EHCR-A REC=%.3f frames=%d",
-		recU, metrics.FramesSent(uniform), recA, metrics.FramesSent(adaptive))
-	if f.bundle.EHCRAdaptive(0.9, 0.9).Name() != "EHCR-A" {
-		t.Fatal("name")
-	}
-	// Same existence decisions as EHCR (same classifier).
-	for i := range adaptive {
-		for k := range adaptive[i].Occur {
-			if adaptive[i].Occur[k] != uniform[i].Occur[k] {
-				t.Fatal("adaptive variant changed existence decisions")
-			}
-		}
-	}
-	// The adaptive band must actually vary across records (that's its
-	// point); measure expansion = adjusted len - raw len.
-	varied := false
-	first := -1
-	for _, rec := range f.splits.Test {
-		out := f.bundle.Model.Predict(rec.X)
-		occ := f.bundle.Classifier.Predict(out.B, 0.9)
-		if !occ[0] {
-			continue
-		}
-		iv, _ := core.DecodeInterval(out.Theta[0], f.bundle.Tau2)
-		adj := f.bundle.Scaled.Adjust(0, iv, 0.9, float64(iv.Len()))
-		expansion := adj.Len() - iv.Len()
-		if first < 0 {
-			first = expansion
-		} else if expansion != first {
-			varied = true
-			break
-		}
-	}
-	if !varied {
-		t.Fatal("adaptive expansion is constant across records")
 	}
 }
 
@@ -614,7 +603,7 @@ func TestCalibrateMultiEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Classifier.NumEvents() != 2 || b.Regressor.NumEvents() != 2 || b.Scaled.NumEvents() != 2 {
+	if b.Classifier.NumEvents() != 2 || b.Regressor.NumEvents() != 2 {
 		t.Fatal("per-event calibration incomplete")
 	}
 	// Round-trip the two-event bundle.
