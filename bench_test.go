@@ -2,7 +2,7 @@ package eventhit_test
 
 // One benchmark per registry experiment (reduced sizes), plus on-demand
 // micro-benchmarks of what bench/probes.go does not time: the nn layers,
-// stream generation and the training engines. Run:
+// stream generation and the training loop. Run:
 //
 //	go test -bench=. -benchmem -benchtime=1x
 //	go test -bench='Experiments/fig5$' -benchtime=1x
@@ -12,7 +12,6 @@ package eventhit_test
 
 import (
 	"io"
-	"runtime"
 	"testing"
 
 	"eventhit/internal/core"
@@ -86,45 +85,6 @@ func BenchmarkDenseBackward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Backward(dy)
-	}
-}
-
-// BenchmarkTrainParallel times one epoch of the data-parallel engine at
-// GOMAXPROCS workers over a small training problem. On a multicore machine
-// ns/op should drop roughly with the worker count; the results themselves
-// are identical for every Parallelism >= 1.
-func BenchmarkTrainParallel(b *testing.B) {
-	cfg := core.DefaultConfig(12, 25, 200, 1)
-	g := mathx.NewRNG(1)
-	recs := make([]dataset.Record, 64)
-	for r := range recs {
-		x := make([][]float64, 25)
-		for i := range x {
-			x[i] = make([]float64, 12)
-			for j := range x[i] {
-				x[i][j] = g.Float64()
-			}
-		}
-		recs[r] = dataset.Record{
-			X:        x,
-			Label:    []bool{r%2 == 0},
-			OI:       []video.Interval{{Start: 50 + r, End: 120 + r}},
-			Censored: []bool{false},
-		}
-	}
-	tc := core.DefaultTrainConfig()
-	tc.Epochs = 1
-	tc.BatchSize = 16
-	tc.Parallelism = runtime.GOMAXPROCS(0)
-	m, err := core.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Train(recs, tc); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"eventhit/internal/harness"
 	"eventhit/internal/strategy"
@@ -19,12 +18,11 @@ import (
 
 func main() {
 	var (
-		task        = flag.String("task", "TA1", "Table II task to train")
-		out         = flag.String("out", "", "output model file (optional)")
-		epochs      = flag.Int("epochs", 12, "training epochs")
-		seed        = flag.Int64("seed", 1, "random seed")
-		quick       = flag.Bool("quick", false, "use reduced dataset sizes")
-		parallelism = flag.Int("parallelism", runtime.NumCPU(), "data-parallel training workers (results are identical for any value >= 1; 0 forces the serial loop)")
+		task   = flag.String("task", "TA1", "Table II task to train")
+		out    = flag.String("out", "", "output model file (optional)")
+		epochs = flag.Int("epochs", 12, "training epochs")
+		seed   = flag.Int64("seed", 1, "random seed")
+		quick  = flag.Bool("quick", false, "use reduced dataset sizes")
 	)
 	flag.Parse()
 
@@ -34,7 +32,6 @@ func main() {
 	}
 	opt := harness.Params{Quick: *quick}.Options()
 	opt.Epochs = *epochs
-	opt.TrainParallelism = *parallelism
 
 	fmt.Printf("task %s: %s\n", t.Name, t.String())
 	env, err := harness.NewEnv(t, opt, *seed)

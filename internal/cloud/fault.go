@@ -161,9 +161,6 @@ func Inject(s *Service, plan FaultPlan) *Faulty {
 	return &Faulty{inner: s, plan: plan}
 }
 
-// Plan returns the wrapper's fault plan.
-func (f *Faulty) Plan() FaultPlan { return f.plan }
-
 // DetectTimed implements Backend. The request index used for the fault
 // draw counts every call, failed or not.
 func (f *Faulty) DetectTimed(eventType int, win video.Interval) (Detection, float64, error) {

@@ -161,6 +161,86 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
+// TestTrainParallelismValidation: one loop trains, so any Parallelism but 0
+// is refused, not ignored.
+func TestTrainParallelismValidation(t *testing.T) {
+	cfg := tinyConfig()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := tinyRecord(mathx.NewRNG(1), cfg)
+	for _, p := range []int{-1, 1, 4} {
+		tc := DefaultTrainConfig()
+		tc.Parallelism = p
+		if _, err := m.Train([]dataset.Record{rec}, tc); err == nil {
+			t.Fatalf("Parallelism=%d should be rejected", p)
+		}
+	}
+}
+
+// TestTrainRerunStable: two fresh models from one configuration and seed,
+// trained on the same records, end with bit-identical weights and loss
+// trajectories. Dropout is on, so the masks' stream is covered too, and the
+// record count is not a multiple of the batch size, so the short last batch
+// is too.
+func TestTrainRerunStable(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Dropout = 0.25
+	g := mathx.NewRNG(11)
+	recs := make([]dataset.Record, 26)
+	for i := range recs {
+		recs[i] = tinyRecord(g, cfg)
+	}
+	run := func() (TrainStats, *Model) {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := m.Train(recs, TrainConfig{Epochs: 4, BatchSize: 8, LR: 3e-3, GradClip: 5, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats, m
+	}
+	s1, m1 := run()
+	s2, m2 := run()
+	if len(s1.EpochLoss) != 4 {
+		t.Fatalf("trajectory length %d, want 4", len(s1.EpochLoss))
+	}
+	for e := range s1.EpochLoss {
+		if s1.EpochLoss[e] != s2.EpochLoss[e] {
+			t.Errorf("epoch %d loss differs across reruns: %v vs %v", e, s1.EpochLoss[e], s2.EpochLoss[e])
+		}
+	}
+	for i := range m1.params {
+		for j, w := range m1.params[i].W {
+			if w != m2.params[i].W[j] {
+				t.Fatalf("param %s[%d] differs across reruns: %v vs %v", m1.params[i].Name, j, w, m2.params[i].W[j])
+			}
+		}
+	}
+}
+
+// TestModelClone checks the clone contract: identical outputs, fully
+// independent parameter storage.
+func TestModelClone(t *testing.T) {
+	cfg := tinyConfig()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := tinyRecord(mathx.NewRNG(9), cfg)
+	c := m.Clone()
+	if want, got := m.Loss(rec), c.Loss(rec); want != got {
+		t.Fatalf("clone loss %v differs from original %v", got, want)
+	}
+	c.params[0].W[0] += 1
+	if m.params[0].W[0] == c.params[0].W[0] {
+		t.Fatal("clone shares weight storage with the original")
+	}
+}
+
 func TestPredictShapesAndRanges(t *testing.T) {
 	cfg := tinyConfig()
 	m, _ := New(cfg)

@@ -189,9 +189,7 @@ func (m *Model) Config() Config { return m.cfg }
 // Clone returns a structurally identical model carrying a copy of m's
 // current weights. Nothing is shared: the clone has its own layer caches,
 // gradient accumulators and dropout stream, so it can run forward/backward
-// concurrently with m. The data-parallel trainer gives every worker a
-// clone (a model replica) and re-syncs the weights after each optimizer
-// step.
+// concurrently with m. strategy.Bundle.Clone builds on it.
 func (m *Model) Clone() *Model {
 	c, err := New(m.cfg)
 	if err != nil {

@@ -25,17 +25,9 @@ type TrainConfig struct {
 	Seed int64
 	// Log, when non-nil, receives one line per epoch.
 	Log io.Writer
-	// Parallelism selects the training engine. 0 (the default) runs the
-	// original single-goroutine loop. n >= 1 runs the data-parallel engine:
-	// each minibatch is sharded across up to min(n, GOMAXPROCS) workers —
-	// more than the box has cores only pays sharding overhead — each owning
-	// a model replica, and replica gradients are reduced into the primary
-	// in fixed micro-batch order. The engine is bit-deterministic in n — any value
-	// >= 1 produces identical weights and losses for a given Seed (see
-	// DESIGN.md "Data-parallel training") — but its results differ in the
-	// last bits from the Parallelism == 0 loop, whose gradient reduction
-	// associates record by record and whose dropout masks come from one
-	// sequential stream.
+	// Parallelism must be 0; Train rejects any other value. It selected the
+	// removed data-parallel engine and stays only because bench/probes.go
+	// (frozen) still assigns it; it goes when that assignment does.
 	Parallelism int
 }
 
@@ -67,8 +59,8 @@ func (m *Model) Train(recs []dataset.Record, tc TrainConfig) (TrainStats, error)
 	if tc.Epochs <= 0 || tc.BatchSize <= 0 || tc.LR <= 0 {
 		return TrainStats{}, fmt.Errorf("core: invalid train config Epochs=%d BatchSize=%d LR=%v", tc.Epochs, tc.BatchSize, tc.LR)
 	}
-	if tc.Parallelism < 0 {
-		return TrainStats{}, fmt.Errorf("core: invalid train config Parallelism=%d", tc.Parallelism)
+	if tc.Parallelism != 0 {
+		return TrainStats{}, fmt.Errorf("core: invalid train config Parallelism=%d, must be 0", tc.Parallelism)
 	}
 	for i, r := range recs {
 		if len(r.X) != m.cfg.Window {
@@ -79,9 +71,6 @@ func (m *Model) Train(recs []dataset.Record, tc TrainConfig) (TrainStats, error)
 		}
 	}
 	m.trains++
-	if tc.Parallelism > 0 {
-		return m.trainParallel(recs, tc)
-	}
 	opt := nn.NewAdam(m.params, tc.LR)
 	if tc.GradClip > 0 {
 		opt.SetGradClip(tc.GradClip)

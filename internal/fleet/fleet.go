@@ -29,6 +29,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -166,7 +167,8 @@ type StreamReport struct {
 	Frames   int64   `json:"frames"`
 	SpentUSD float64 `json:"spent_usd"`
 	// REC assumes every relay landed; RealizedREC zeroes out unserved
-	// relays — the recall the operator actually got.
+	// relays — the recall the operator actually got. Both are UndefinedREC
+	// when no event occurred in the stream's region.
 	REC         float64 `json:"rec"`
 	RealizedREC float64 `json:"realized_rec"`
 	// LocalMS is the stream's scan+predict time; AvgWaitMS/MaxWaitMS are
@@ -175,6 +177,11 @@ type StreamReport struct {
 	AvgWaitMS float64 `json:"avg_wait_ms"`
 	MaxWaitMS float64 `json:"max_wait_ms"`
 }
+
+// UndefinedREC is StreamReport.REC and RealizedREC for a stream whose
+// region held no event occurrence, following metrics.PerEventREC's
+// convention for an event with no positive record.
+const UndefinedREC float64 = -1
 
 // Report is the fleet run outcome.
 type Report struct {
@@ -362,11 +369,15 @@ func score(sch *scheduler, cfg Config) (*Report, error) {
 		if st.served > 0 {
 			sr.AvgWaitMS = st.waitSumMS / float64(st.served)
 		}
-		if len(st.tl.Records) > 0 {
-			rec, err := metrics.REC(st.tl.Records, st.tl.Preds)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: scoring %s: %w", st.id, err)
-			}
+		rec, err := metrics.REC(st.tl.Records, st.tl.Preds)
+		switch {
+		case errors.Is(err, metrics.ErrNoPositives):
+			// An idle stream: no event occurred in its region, so its
+			// recall is undefined, not a failure of the fleet.
+			sr.REC, sr.RealizedREC = UndefinedREC, UndefinedREC
+		case err != nil:
+			return nil, fmt.Errorf("fleet: scoring %s: %w", st.id, err)
+		default:
 			realized, err := metrics.REC(st.tl.Records, pipeline.DropDeferred(st.tl.Preds, st.unserved))
 			if err != nil {
 				return nil, fmt.Errorf("fleet: scoring %s: %w", st.id, err)

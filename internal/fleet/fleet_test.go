@@ -113,6 +113,38 @@ func TestFleetServesEverythingWhenUnconstrained(t *testing.T) {
 	}
 }
 
+// TestFleetIdleStream: a stream whose region holds no event occurrence has
+// no recall to score. The fleet still runs, reports that stream's REC and
+// RealizedREC as UndefinedREC, and scores the other streams as usual.
+func TestFleetIdleStream(t *testing.T) {
+	streams := testStreams(t, 3, 30_000)
+	idle := testStream(t, "cam-idle", 9, 30_000)
+	// Erase the ground truth: no event ever occurs on this camera.
+	gt := idle.Source.(*features.Extractor).Stream()
+	for k := range gt.ByType {
+		gt.ByType[k] = nil
+	}
+	streams = append(streams[:1], idle, streams[1], streams[2])
+	rep, err := Run(streams, DefaultConfig())
+	if err != nil {
+		t.Fatalf("fleet with an idle stream failed: %v", err)
+	}
+	for _, s := range rep.Streams {
+		if s.ID == "cam-idle" {
+			if s.REC != UndefinedREC || s.RealizedREC != UndefinedREC {
+				t.Fatalf("idle stream REC %v, realized %v; want both %v", s.REC, s.RealizedREC, UndefinedREC)
+			}
+			if s.Horizons == 0 {
+				t.Fatal("idle stream scanned no horizons")
+			}
+			continue
+		}
+		if s.REC != 1 {
+			t.Fatalf("OPT stream %s REC = %v", s.ID, s.REC)
+		}
+	}
+}
+
 // TestFleetGlobalBudgetCap is the acceptance property: total billed CI
 // frames never exceed the configured global cap, and the overflow is
 // recorded as deferred rather than silently dropped.

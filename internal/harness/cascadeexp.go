@@ -125,14 +125,13 @@ func LadderName(rungs []cascade.RungSpec) string {
 }
 
 // NewCascade builds a cascade under an environment's trained bundle with
-// the environment's own training discipline (epochs, seed, parallelism),
-// so rung training follows the same reproducibility rules as the full
-// model. Fig4 uses it for the EH-CASC entrant.
+// the environment's own training discipline (epochs, seed), so rung
+// training follows the same reproducibility rules as the full model. Fig4
+// uses it for the EH-CASC entrant.
 func NewCascade(env *Env, cfg cascade.Config) (*cascade.Cascade, error) {
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = env.Opt.Epochs
 	tc.Seed = env.Bundle.Model.Config().Seed
-	tc.Parallelism = env.Opt.TrainParallelism
 	return cascade.New(cfg, env.Bundle, env.Splits.Train, env.Splits.CCalib, env.Splits.RCalib, tc)
 }
 

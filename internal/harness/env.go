@@ -19,10 +19,9 @@ type Options struct {
 	Epochs                          int
 	TrainPosFrac                    float64
 	Detector                        features.DetectorConfig
-	// TrainParallelism is copied to core.TrainConfig.Parallelism: 0 keeps
-	// the legacy serial trainer, n >= 1 selects the deterministic
-	// data-parallel engine (whose results are identical for every n >= 1
-	// but differ in the last bits from the serial loop — see DESIGN.md).
+	// TrainParallelism must be 0. Nothing in cmd or internal reads it; it
+	// stays only because bench/probes.go (frozen) copies it into
+	// core.TrainConfig.Parallelism, which Train rejects unless 0.
 	TrainParallelism int
 	// Mutate, when non-nil, adjusts the model configuration before
 	// training (used by the ablation experiments, e.g. to swap the encoder
@@ -132,7 +131,6 @@ func trainOn(task Task, opt Options, seed int64, src dataset.Source, g *mathx.RN
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = opt.Epochs
 	tc.Seed = seed
-	tc.Parallelism = opt.TrainParallelism
 	if _, err := m.Train(splits.Train, tc); err != nil {
 		return nil, fmt.Errorf("harness: training %s: %w", task.Name, err)
 	}

@@ -18,12 +18,6 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
-// Reseed restarts the stream from seed in place, without allocating a new
-// generator. It enables counter-based use of an RNG: reseeding with a key
-// derived from (component, step) yields the same draws no matter what the
-// stream produced before.
-func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
-
 // Split derives an independent child stream. The child's seed mixes the
 // parent stream and the supplied label so distinct labels give distinct
 // streams deterministically.

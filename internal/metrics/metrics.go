@@ -6,12 +6,17 @@
 package metrics
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"eventhit/internal/dataset"
 	"eventhit/internal/video"
 )
+
+// ErrNoPositives is what REC and RECc return for records holding no true
+// (record, event) occurrence, on which recall is undefined.
+var ErrNoPositives = errors.New("metrics: no positive (record,event) pairs in test set")
 
 // Prediction is one algorithm's output for one record: per task event,
 // whether the event is predicted to occur in the horizon and, if so, the
@@ -66,7 +71,7 @@ func REC(recs []dataset.Record, preds []Prediction) (float64, error) {
 		}
 	}
 	if den == 0 {
-		return 0, fmt.Errorf("metrics: no positive (record,event) pairs in test set")
+		return 0, ErrNoPositives
 	}
 	return num / den, nil
 }
@@ -133,7 +138,7 @@ func RECc(recs []dataset.Record, preds []Prediction) (float64, error) {
 		}
 	}
 	if den == 0 {
-		return 0, fmt.Errorf("metrics: no positive (record,event) pairs in test set")
+		return 0, ErrNoPositives
 	}
 	return num / den, nil
 }

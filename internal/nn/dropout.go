@@ -24,12 +24,6 @@ func NewDropout(p float64, g *mathx.RNG) *Dropout {
 // SetTraining toggles training mode.
 func (d *Dropout) SetTraining(on bool) { d.train = on }
 
-// Reseed restarts the mask stream from seed. The data-parallel trainer
-// keys every record's masks by (seed, epoch, position) instead of drawing
-// them from one sequential stream, so the masks a record receives do not
-// depend on how the batch was sharded across workers.
-func (d *Dropout) Reseed(seed int64) { d.g.Reseed(seed) }
-
 // Params implements Layer (dropout has none).
 func (d *Dropout) Params() []*Param { return nil }
 

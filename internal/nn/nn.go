@@ -78,42 +78,6 @@ func CopyParams(dst, src []*Param) {
 	}
 }
 
-// FlattenGrads concatenates the gradients of ps into buf in parameter
-// order, growing buf when needed, and returns the filled slice (length
-// NumParams(ps)). The data-parallel trainer uses it to flush one
-// micro-batch's replica gradients into a reduction slot.
-func FlattenGrads(buf []float64, ps []*Param) []float64 {
-	n := NumParams(ps)
-	if cap(buf) < n {
-		buf = make([]float64, n)
-	}
-	buf = buf[:n]
-	off := 0
-	for _, p := range ps {
-		copy(buf[off:off+len(p.G)], p.G)
-		off += len(p.G)
-	}
-	return buf
-}
-
-// AddFlatGrads accumulates a gradient vector produced by FlattenGrads into
-// ps: ps[...].G[j] += buf[...]. Element order is the parameter order, so
-// repeated calls realize a reduction whose floating-point association is
-// fixed by the call sequence alone.
-func AddFlatGrads(ps []*Param, buf []float64) {
-	if n := NumParams(ps); len(buf) != n {
-		panic(fmt.Sprintf("nn: AddFlatGrads: buffer length %d, want %d", len(buf), n))
-	}
-	off := 0
-	for _, p := range ps {
-		g := p.G
-		for j := range g {
-			g[j] += buf[off+j]
-		}
-		off += len(g)
-	}
-}
-
 // CollectParams concatenates the parameters of several layers, checking for
 // duplicate names (which would break serialization).
 func CollectParams(layers ...Layer) []*Param {

@@ -81,6 +81,7 @@ type TaskOut struct {
 // FleetOut is a fleet task's outcome: the scheduler report plus
 // cross-stream recall means and, for a cached task, the rest of the cache
 // meter (fleet.Report.CacheStats, which the report keeps out of its JSON).
+// The means skip streams whose REC is fleet.UndefinedREC (meanRECs).
 type FleetOut struct {
 	fleet.Report
 	MeanREC         float64 `json:"mean_rec"`
@@ -413,16 +414,25 @@ func runFleetTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec, par 
 	}
 	cs := rep.CacheStats()
 	out := &FleetOut{Report: *rep, CacheMisses: cs.Misses, CacheEvictions: cs.Evictions}
-	if len(rep.Streams) > 0 {
-		var rec, realized float64
-		for _, s := range rep.Streams {
+	out.MeanREC, out.MeanRealizedREC = meanRECs(rep.Streams)
+	return out, nil
+}
+
+// meanRECs averages REC and RealizedREC over the streams whose REC is
+// defined; with none, both means are fleet.UndefinedREC.
+func meanRECs(streams []fleet.StreamReport) (rec, realized float64) {
+	n := 0
+	for _, s := range streams {
+		if s.REC != fleet.UndefinedREC {
 			rec += s.REC
 			realized += s.RealizedREC
+			n++
 		}
-		out.MeanREC = rec / float64(len(rep.Streams))
-		out.MeanRealizedREC = realized / float64(len(rep.Streams))
 	}
-	return out, nil
+	if n == 0 {
+		return fleet.UndefinedREC, fleet.UndefinedREC
+	}
+	return rec / float64(n), realized / float64(n)
 }
 
 // faultPlan compiles a task's fault block to a cloud.FaultPlan; a zero plan

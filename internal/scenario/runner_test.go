@@ -468,6 +468,27 @@ func TestRunnerRejectsBrokenAccounting(t *testing.T) {
 	}
 }
 
+// TestMeanRECsSkipsIdleStreams: a stream with an undefined REC (no event
+// in its region) is left out of the fleet means rather than averaged in as
+// -1; with every stream idle the means are undefined too.
+func TestMeanRECsSkipsIdleStreams(t *testing.T) {
+	u := fleet.UndefinedREC
+	for _, tc := range []struct {
+		name          string
+		streams       []fleet.StreamReport
+		rec, realized float64
+	}{
+		{"none-idle", []fleet.StreamReport{{REC: 0.75, RealizedREC: 0.5}, {REC: 0.25, RealizedREC: 0.25}}, 0.5, 0.375},
+		{"one-idle", []fleet.StreamReport{{REC: 0.75, RealizedREC: 0.5}, {REC: u, RealizedREC: u}, {REC: 0.25, RealizedREC: 0.25}}, 0.5, 0.375},
+		{"all-idle", []fleet.StreamReport{{REC: u, RealizedREC: u}}, u, u},
+	} {
+		rec, realized := meanRECs(tc.streams)
+		if rec != tc.rec || realized != tc.realized {
+			t.Errorf("%s: means %v, %v; want %v, %v", tc.name, rec, realized, tc.rec, tc.realized)
+		}
+	}
+}
+
 // TestScenarioReportShape pins the report schema itself: a hand-built
 // report covering all three task outcomes must marshal to the committed
 // schema golden, so renaming or retyping a field is a reviewed diff even

@@ -137,6 +137,9 @@ stage scenario-corpus scenario_corpus
 # The repository benchmark completes: a non-zero exit (a workload that
 # failed or did not finish) fails the gate. Its timings gate nothing here.
 stage bench go run ./bench -seed 1 -seconds 3
+# A seed whose fleet rounds include a camera that saw no event: its recall is
+# undefined, and the fleet must report it so rather than fail the round.
+stage bench-idle-camera go run ./bench -workload offline_repro -seed 511 -seconds 1
 
 # Artifact experiments: regenerate at two parallelism levels; both must
 # agree with each other and with the committed artifact.
