@@ -49,12 +49,9 @@
 //	resources    -                      all  TA1,seed=1         model size and training-job size
 //	loss         -                      -    TA1,seed=1         training loss curve
 //	ablation     -                      all  TA1,seed=1         design-choice ablations
-//	drift        -                      all  TA1,seed=1         drift detection and recalibration
 //	multi        -                      all  TA1,seed=1         multi-instance horizons on the industrial stream
 //	geom         -                      all  TA1,seed=1         covariate-family comparison
 //	validity     -                      all  TA1,seed=1         empirical check of Theorems 4.2 and 5.2
-//	operate      -                      all  TA1,seed=1         continuous operation under a budget
-//	transfer     -                      -    TA1,seed=1         one model across fresh streams
 //	density      -                      -    TA1,seed=1         event-density sensitivity
 //	tune         -                      -    TA1,seed=1         operating-point tuner
 //	summary      -                      -    TA1,seed=1         headline table over all sixteen tasks

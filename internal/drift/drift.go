@@ -5,7 +5,7 @@
 // with the calibration set; when the world shifts (a camera is moved, the
 // arrival process changes), realized coverage silently degrades.
 //
-// Monitor watches the stream of realized outcomes (was the true event kept
+// The monitor watches the stream of realized outcomes (was the true event kept
 // by the conformal layer?) over a sliding window and raises an alarm when
 // the empirical miss rate exceeds the nominal rate 1-c by more than a
 // Hoeffding-style slack — i.e. when the observed violation is too large to
@@ -13,8 +13,8 @@
 // Recalibrator maintains a rolling buffer of recent labeled records from
 // which a fresh conformal calibration can be cut once the alarm fires.
 // Loop is the adaptation state machine built from the two — episodes,
-// MinFresh, audits — that the server runs per session and the drift and
-// continuous-operation experiments walk.
+// MinFresh, audits — that the server runs per session and the scenario
+// engine's drift tasks walk.
 package drift
 
 import (
@@ -22,9 +22,9 @@ import (
 	"math"
 )
 
-// Monitor is a sliding-window coverage monitor. The zero value is not
-// usable; see NewMonitor.
-type Monitor struct {
+// monitor is a sliding-window coverage monitor. The zero value is not
+// usable; see newMonitor.
+type monitor struct {
 	target   float64 // nominal coverage c
 	window   int
 	delta    float64 // alarm significance
@@ -37,10 +37,10 @@ type Monitor struct {
 	observed int
 }
 
-// NewMonitor watches coverage against the nominal level c over a sliding
+// newMonitor watches coverage against the nominal level c over a sliding
 // window of n outcomes, raising alarms at significance delta (smaller
 // delta = fewer false alarms, slower detection).
-func NewMonitor(c float64, n int, delta float64) (*Monitor, error) {
+func newMonitor(c float64, n int, delta float64) (*monitor, error) {
 	if c <= 0 || c >= 1 {
 		return nil, fmt.Errorf("drift: coverage target %v must be in (0,1)", c)
 	}
@@ -50,7 +50,7 @@ func NewMonitor(c float64, n int, delta float64) (*Monitor, error) {
 	if delta <= 0 || delta >= 1 {
 		return nil, fmt.Errorf("drift: significance %v must be in (0,1)", delta)
 	}
-	return &Monitor{target: c, window: n, delta: delta, outcomes: make([]bool, n)}, nil
+	return &monitor{target: c, window: n, delta: delta, outcomes: make([]bool, n)}, nil
 }
 
 // Observe records one realized outcome — covered reports whether the
@@ -65,7 +65,7 @@ func NewMonitor(c float64, n int, delta float64) (*Monitor, error) {
 // on Reset. One sustained shift is one episode, no matter how many
 // observations it spans — so an operator (or Loop) can key recalibration
 // off distinct episodes instead of being retriggered every frame.
-func (m *Monitor) Observe(covered bool) bool {
+func (m *monitor) Observe(covered bool) bool {
 	if m.filled == m.window {
 		if !m.outcomes[m.head] {
 			m.misses--
@@ -88,7 +88,7 @@ func (m *Monitor) Observe(covered bool) bool {
 }
 
 // MissRate returns the current window's empirical miss rate.
-func (m *Monitor) MissRate() float64 {
+func (m *monitor) MissRate() float64 {
 	if m.filled == 0 {
 		return 0
 	}
@@ -102,7 +102,7 @@ func (m *Monitor) MissRate() float64 {
 // against once it fills — rather than a misleading 0-observation (n=1)
 // slack that would make a stats readout look like the monitor demands a
 // near-total collapse.
-func (m *Monitor) Threshold() float64 {
+func (m *monitor) Threshold() float64 {
 	n := m.filled
 	if n == 0 {
 		n = m.window
@@ -115,7 +115,7 @@ func (m *Monitor) Threshold() float64 {
 // trip it — which also means the monitor is blind for the first window/2
 // observations after construction or Reset: no alarm can fire during that
 // refill period regardless of the outcomes observed.
-func (m *Monitor) Alarming() bool {
+func (m *monitor) Alarming() bool {
 	if m.filled < m.window/2 {
 		return false
 	}
@@ -128,11 +128,11 @@ func (m *Monitor) Alarming() bool {
 // they are the monitor's history, not its state. After Reset the monitor
 // re-enters its blind period: Alarming stays false until the window is at
 // least half filled again (see Alarming).
-func (m *Monitor) Reset() {
+func (m *monitor) Reset() {
 	m.head, m.filled, m.misses = 0, 0, 0
 	m.alarming = false
 }
 
 // Stats reports lifetime counters: outcomes observed and alarm episodes
 // raised (edge-triggered — see Observe).
-func (m *Monitor) Stats() (observed, episodes int) { return m.observed, m.episodes }
+func (m *monitor) Stats() (observed, episodes int) { return m.observed, m.episodes }

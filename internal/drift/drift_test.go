@@ -10,22 +10,22 @@ import (
 )
 
 func TestNewMonitorValidation(t *testing.T) {
-	if _, err := NewMonitor(0, 100, 0.05); err == nil {
+	if _, err := newMonitor(0, 100, 0.05); err == nil {
 		t.Fatal("expected error for c=0")
 	}
-	if _, err := NewMonitor(1, 100, 0.05); err == nil {
+	if _, err := newMonitor(1, 100, 0.05); err == nil {
 		t.Fatal("expected error for c=1")
 	}
-	if _, err := NewMonitor(0.9, 5, 0.05); err == nil {
+	if _, err := newMonitor(0.9, 5, 0.05); err == nil {
 		t.Fatal("expected error for tiny window")
 	}
-	if _, err := NewMonitor(0.9, 100, 0); err == nil {
+	if _, err := newMonitor(0.9, 100, 0); err == nil {
 		t.Fatal("expected error for delta=0")
 	}
 }
 
 func TestMonitorStationaryNoAlarm(t *testing.T) {
-	m, err := NewMonitor(0.9, 200, 0.01)
+	m, err := newMonitor(0.9, 200, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestMonitorStationaryNoAlarm(t *testing.T) {
 }
 
 func TestMonitorDetectsCoverageCollapse(t *testing.T) {
-	m, err := NewMonitor(0.9, 200, 0.01)
+	m, err := newMonitor(0.9, 200, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestMonitorDetectsCoverageCollapse(t *testing.T) {
 }
 
 func TestMonitorResetClearsWindow(t *testing.T) {
-	m, _ := NewMonitor(0.9, 100, 0.05)
+	m, _ := newMonitor(0.9, 100, 0.05)
 	for i := 0; i < 100; i++ {
 		m.Observe(false)
 	}
@@ -91,7 +91,7 @@ func TestMonitorResetClearsWindow(t *testing.T) {
 }
 
 func TestMonitorHalfWindowGuard(t *testing.T) {
-	m, _ := NewMonitor(0.9, 100, 0.05)
+	m, _ := newMonitor(0.9, 100, 0.05)
 	// A handful of early misses must not alarm before the window is half
 	// full.
 	for i := 0; i < 49; i++ {
@@ -102,7 +102,7 @@ func TestMonitorHalfWindowGuard(t *testing.T) {
 }
 
 func TestMonitorSlidingEviction(t *testing.T) {
-	m, _ := NewMonitor(0.5, 10, 0.5)
+	m, _ := newMonitor(0.5, 10, 0.5)
 	for i := 0; i < 10; i++ {
 		m.Observe(false)
 	}
@@ -172,7 +172,7 @@ func TestAlarmEpisodesEdgeTriggered(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := NewMonitor(0.9, 100, 0.05)
+			m, err := newMonitor(0.9, 100, 0.05)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +213,7 @@ func concat(parts ...[]string) []string {
 // alarming" — it keeps returning true for every observation of a sustained
 // shift even though only one episode is counted.
 func TestObserveReturnsLevelNotEdge(t *testing.T) {
-	m, _ := NewMonitor(0.9, 100, 0.05)
+	m, _ := newMonitor(0.9, 100, 0.05)
 	for i := 0; i < 100; i++ {
 		m.Observe(true)
 	}
@@ -238,7 +238,7 @@ func TestObserveReturnsLevelNotEdge(t *testing.T) {
 // must report the alarm line for its configured window, not a misleading
 // n=1 slack.
 func TestThresholdEmptyWindowUsesConfigured(t *testing.T) {
-	m, _ := NewMonitor(0.9, 100, 0.05)
+	m, _ := newMonitor(0.9, 100, 0.05)
 	empty := m.Threshold()
 	for i := 0; i < 100; i++ {
 		m.Observe(true)
@@ -259,7 +259,7 @@ func TestThresholdEmptyWindowUsesConfigured(t *testing.T) {
 // TestResetBlindPeriod: after Reset no alarm can fire until the window is
 // half filled again, even on an all-miss stream.
 func TestResetBlindPeriod(t *testing.T) {
-	m, _ := NewMonitor(0.9, 100, 0.05)
+	m, _ := newMonitor(0.9, 100, 0.05)
 	for i := 0; i < 100; i++ {
 		m.Observe(false)
 	}
@@ -441,7 +441,7 @@ func TestDriftDetectAndRecalibrate(t *testing.T) {
 		t.Fatal(err)
 	}
 	const c = 0.9
-	mon, _ := NewMonitor(c, 150, 0.01)
+	mon, _ := newMonitor(c, 150, 0.01)
 	rec, _ := NewRecalibrator(300, 1)
 
 	// Phase 1: stationary — coverage holds, no alarm.

@@ -9,7 +9,7 @@ import (
 // Config parametrizes the adaptation loop.
 type Config struct {
 	// MonitorWindow and MonitorDelta parametrize the Hoeffding coverage
-	// monitor (NewMonitor): outcomes per sliding window and alarm
+	// monitor (newMonitor): outcomes per sliding window and alarm
 	// significance.
 	MonitorWindow int
 	MonitorDelta  float64
@@ -44,7 +44,7 @@ type Stats struct {
 	Observations, Episodes, Audits, Recalibrations, Deferred int64
 }
 
-// Loop is the adaptation state machine of one camera stream: a Monitor and
+// Loop is the adaptation state machine of one camera stream: a monitor and
 // a Recalibrator fed its labeled outcomes, the alarm episode they are in
 // and the audit accumulator. It is pure and clock-free — the caller relays,
 // labels and swaps — and not safe for concurrent use. Per horizon the
@@ -54,7 +54,7 @@ type Stats struct {
 // an episode opened: one sustained shift is at most one recalibration.
 type Loop struct {
 	cfg   Config
-	mon   *Monitor
+	mon   *monitor
 	rec   *Recalibrator
 	label []bool // Observe's buffered labels
 	// auditAcc += AuditRate per skipped decision; an audit is due, and 1
@@ -70,7 +70,7 @@ type Loop struct {
 // NewLoop validates cfg and returns a loop watching coverage against the
 // nominal level target over k events.
 func NewLoop(cfg Config, target float64, k int) (*Loop, error) {
-	mon, err := NewMonitor(target, cfg.MonitorWindow, cfg.MonitorDelta)
+	mon, err := newMonitor(target, cfg.MonitorWindow, cfg.MonitorDelta)
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ var loopOutcomes = map[string]loopOutcome{
 // the 5th outcome after a Reset) and recalibrates after 6 fresh outcomes.
 var loopTestConfig = Config{MonitorWindow: 10, MonitorDelta: 0.05, BufferCap: 64, MinFresh: 6}
 
-// TestLoop walks the adaptation state machine over a real Monitor and
+// TestLoop walks the adaptation state machine over a real monitor and
 // Recalibrator: each case feeds outcomes ("rebase" calls Rebase) and checks
 // the lifetime counters, the feed indices whose Observe cut a
 // recalibration, and the fresh count left over.

@@ -19,13 +19,7 @@ type Point struct {
 
 // Eval scores one strategy on the environment's test set.
 func (e *Env) Eval(s strategy.Strategy, knob float64) (Point, error) {
-	return e.evalOn(e.Splits.Test, s, knob)
-}
-
-// evalOn scores one strategy on any records of the environment's geometry
-// (the test split, a foreign stream's records).
-func (e *Env) evalOn(recs []dataset.Record, s strategy.Strategy, knob float64) (Point, error) {
-	return e.score(recs, strategy.PredictAll(s, recs), knob)
+	return e.score(e.Splits.Test, strategy.PredictAll(s, e.Splits.Test), knob)
 }
 
 func (e *Env) score(recs []dataset.Record, preds []metrics.Prediction, knob float64) (Point, error) {
@@ -70,20 +64,20 @@ func existence(s strategy.Strategy, recs []dataset.Record) (kept, pos int) {
 }
 
 // headlinePoints scores the two operating points every overview row starts
-// from, on recs: EHO (raw thresholds) and EHCR at c = alpha = 0.9.
-func (e *Env) headlinePoints(recs []dataset.Record) (eho, ehcr90 Point, err error) {
-	if eho, err = e.evalOn(recs, e.Bundle.EHO(), 0); err != nil {
+// from, on the test split: EHO (raw thresholds) and EHCR at c = alpha = 0.9.
+func (e *Env) headlinePoints() (eho, ehcr90 Point, err error) {
+	if eho, err = e.Eval(e.Bundle.EHO(), 0); err != nil {
 		return eho, ehcr90, err
 	}
-	ehcr90, err = e.evalOn(recs, e.ehcr90(), opLevel)
+	ehcr90, err = e.Eval(e.ehcr90(), opLevel)
 	return eho, ehcr90, err
 }
 
-// headline is headlinePoints on the test split plus the EHCR curve over
+// headline is headlinePoints plus the EHCR curve over
 // ConfidenceLevels, from which a row reads its best recall (maxREC) and its
 // cost at REC >= 0.9 (MinSPLAtREC).
 func (e *Env) headline() (eho, ehcr90 Point, curve []Point, err error) {
-	if eho, ehcr90, err = e.headlinePoints(e.Splits.Test); err != nil {
+	if eho, ehcr90, err = e.headlinePoints(); err != nil {
 		return eho, ehcr90, nil, err
 	}
 	curve, err = e.CurveEHCR(ConfidenceLevels())

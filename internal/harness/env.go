@@ -67,21 +67,9 @@ type Env struct {
 // and VQS baselines. seed controls everything; distinct seeds are the
 // paper's independent trials.
 func NewEnv(task Task, opt Options, seed int64) (*Env, error) {
-	return newEnv(task, opt, seed, nil, 0)
-}
-
-// newEnv is NewEnv on a camera whose detector degrades to *after at frame
-// driftAt (after nil: never) — the drift experiment's environment.
-func newEnv(task Task, opt Options, seed int64, after *features.DetectorConfig, driftAt int) (*Env, error) {
 	g := mathx.NewRNG(seed)
 	st := video.Generate(task.Dataset, g.Split(1))
-	var ex *features.Extractor
-	var err error
-	if after != nil {
-		ex, err = features.NewDriftingExtractor(st, task.EventIdx, opt.Detector, *after, driftAt, seed)
-	} else {
-		ex, err = features.NewExtractor(st, task.EventIdx, opt.Detector, seed)
-	}
+	ex, err := features.NewExtractor(st, task.EventIdx, opt.Detector, seed)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", task.Name, err)
 	}
@@ -102,7 +90,7 @@ func newEnv(task Task, opt Options, seed int64, after *features.DetectorConfig, 
 // record splits are drawn from as arguments: build the splits, train the
 // model (weights and training order seeded by seed) and calibrate both
 // conformal layers. The Env it returns has no Ex and no baselines — those
-// need the default extractor, which is newEnv's business.
+// need the default extractor, which is NewEnv's business.
 func trainOn(task Task, opt Options, seed int64, src dataset.Source, g *mathx.RNG) (*Env, error) {
 	cfg := dataset.Config{Window: opt.Window, Horizon: opt.Horizon}
 	if cfg.Window == 0 {

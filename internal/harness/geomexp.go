@@ -35,7 +35,7 @@ func GeometricExperiment(task Task, opt Options, seed int64, w io.Writer) (*Geom
 		if err != nil {
 			return eho, ehcr, err
 		}
-		return env.headlinePoints(env.Splits.Test)
+		return env.headlinePoints()
 	}
 	phaseEx, err := features.NewExtractor(st, task.EventIdx, opt.Detector, seed)
 	if err != nil {

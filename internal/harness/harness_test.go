@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"eventhit/internal/drift"
 	"eventhit/internal/metrics"
 	"eventhit/internal/strategy"
 )
@@ -243,44 +242,6 @@ func TestAblationsRun(t *testing.T) {
 	}
 }
 
-func TestDriftExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := DriftExperiment(mustTask("TA10"), Quick(), 0.9, 5, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CoverageBefore < 0.7 {
-		t.Errorf("pre-shift coverage %.3f suspiciously low", res.CoverageBefore)
-	}
-	if res.CoverageAfter >= res.CoverageBefore {
-		t.Errorf("degradation did not reduce coverage: %.3f -> %.3f",
-			res.CoverageBefore, res.CoverageAfter)
-	}
-	if len(res.Arms) != 2 || res.Arms[0].AuditRate != drift.DefaultConfig().AuditRate || res.Arms[1].AuditRate != 1 {
-		t.Fatalf("arms %+v, want the shipped audit rate then 1", res.Arms)
-	}
-	// The shipped audit rate is reported as measured; auditing every skip
-	// must see the collapse through the CI's labels alone.
-	t.Logf("arms %+v", res.Arms)
-	full := res.Arms[1]
-	if full.Episodes == 0 || full.OutcomesToAlarm < 0 {
-		t.Error("auditing every skip, the loop failed to alarm on the coverage collapse")
-	}
-	if full.Recalibrations == 0 || full.OutcomesToRecalibration < full.OutcomesToAlarm {
-		t.Errorf("auditing every skip, no recalibration after the alarm: %+v", full)
-	}
-	if full.CoverageRestored <= res.CoverageAfter {
-		t.Errorf("recalibration did not improve coverage: %.3f vs %.3f",
-			full.CoverageRestored, res.CoverageAfter)
-	}
-	if !strings.Contains(buf.String(), "Drift adaptation") {
-		t.Fatal("render incomplete")
-	}
-	if _, err := DriftExperiment(mustTask("TA7"), Quick(), 0.9, 5, io.Discard); err == nil {
-		t.Fatal("expected error for multi-event task")
-	}
-}
-
 func TestMultiExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	res, err := MultiExperiment(Quick(), 5, &buf)
@@ -442,52 +403,6 @@ func TestMultiEventBoundedByWorst(t *testing.T) {
 	}
 }
 
-func TestOperateEndToEnd(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := Operate(mustTask("TA10"), Quick(), 0.9, 0.9, 100, 5, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Horizons < 50 {
-		t.Fatalf("too few horizons: %d", res.Horizons)
-	}
-	if res.SpentUSD <= 0 || res.SpentUSD >= res.BFWouldSpend {
-		t.Fatalf("spend %v not inside (0, BF=%v)", res.SpentUSD, res.BFWouldSpend)
-	}
-	if res.RecallRealized < 0.5 {
-		t.Errorf("realized recall %.3f too low", res.RecallRealized)
-	}
-	if res.BudgetExhausted {
-		t.Error("ample budget should not exhaust")
-	}
-	if !strings.Contains(buf.String(), "Continuous operation") {
-		t.Fatal("render incomplete")
-	}
-}
-
-func TestOperateBudgetCutsOff(t *testing.T) {
-	// A budget far below the required spend must stop relays cleanly.
-	res, err := Operate(mustTask("TA10"), Quick(), 0.95, 0.95, 0.50, 5, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.BudgetExhausted {
-		t.Fatal("tiny budget did not exhaust")
-	}
-	if res.SpentUSD > 0.5+1e-9 {
-		t.Fatalf("spend %v exceeded the cap", res.SpentUSD)
-	}
-}
-
-func TestOperateValidation(t *testing.T) {
-	if _, err := Operate(mustTask("TA7"), Quick(), 0.9, 0.9, 100, 5, io.Discard); err == nil {
-		t.Fatal("expected error for multi-event task")
-	}
-	if _, err := Operate(mustTask("TA10"), Quick(), 0.9, 0.9, 0, 5, io.Discard); err == nil {
-		t.Fatal("expected error for zero budget")
-	}
-}
-
 func TestDensityTrend(t *testing.T) {
 	rows, err := Density(Quick(), []float64{1, 4}, 5, io.Discard)
 	if err != nil {
@@ -538,29 +453,5 @@ func TestFig4RenderDeterministic(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), first.Bytes()) {
 			t.Fatalf("render %d differs from the first:\n%s\nvs\n%s", i, buf.String(), out)
 		}
-	}
-}
-
-func TestTransferGeneralizes(t *testing.T) {
-	var buf bytes.Buffer
-	rows, err := Transfer(mustTask("TA10"), Quick(), 2, 5, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 || !rows[0].Same || rows[1].Same {
-		t.Fatalf("rows = %+v", rows)
-	}
-	home := rows[0].EHCR.REC
-	for _, r := range rows[1:] {
-		if r.EHCR.REC < home-0.25 {
-			t.Errorf("foreign stream seed %d EHCR REC %.3f far below home %.3f — model memorized its stream",
-				r.StreamSeed, r.EHCR.REC, home)
-		}
-	}
-	if !strings.Contains(buf.String(), "transfer") {
-		t.Fatal("render incomplete")
-	}
-	if _, err := Transfer(mustTask("TA10"), Quick(), 0, 5, io.Discard); err == nil {
-		t.Fatal("expected streams validation error")
 	}
 }

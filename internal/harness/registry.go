@@ -149,10 +149,6 @@ func Experiments() []Experiment {
 			})},
 		{Name: "ablation", Doc: "design-choice ablations", Params: paperParams, InAll: true,
 			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) { return Ablations(t, p.Options(), p.Seed, w) })},
-		{Name: "drift", Doc: "drift detection and recalibration", Params: paperParams, InAll: true,
-			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
-				return DriftExperiment(t, p.Options(), 0.9, p.Seed, w)
-			})},
 		{Name: "multi", Doc: "multi-instance horizons on the industrial stream", Params: paperParams, InAll: true,
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) {
 				return MultiExperiment(p.Options(), p.Seed, w)
@@ -164,14 +160,6 @@ func Experiments() []Experiment {
 		{Name: "validity", Doc: "empirical check of Theorems 4.2 and 5.2", Params: paperParams, InAll: true,
 			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
 				return Validity(t, p.Options(), p.Trials, p.Seed, w)
-			})},
-		{Name: "operate", Doc: "continuous operation under a budget", Params: paperParams, InAll: true,
-			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
-				return Operate(t, p.Options(), 0.9, 0.9, 100, p.Seed, w)
-			})},
-		{Name: "transfer", Doc: "one model across fresh streams", Params: paperParams,
-			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
-				return Transfer(t, p.Options(), 3, p.Seed, w)
 			})},
 		{Name: "density", Doc: "event-density sensitivity", Params: paperParams,
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) { return Density(p.Options(), nil, p.Seed, w) })},

@@ -203,7 +203,7 @@ func TestParseRejects(t *testing.T) {
 			at:  "cache:", want: "cache: only valid on fleet tasks"},
 		{name: "budget-on-pipeline",
 			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: pipeline", "budget_usd: 1")),
-			at:  "budget_usd: 1", want: "budget_usd: only valid on fleet tasks"},
+			at:  "budget_usd: 1", want: "budget_usd: only valid on fleet/drift tasks"},
 		{name: "stream-on-fleet",
 			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: fleet", "stream: cam-00")),
 			at:  "stream: cam-00", want: "stream: only valid on pipeline/drift tasks"},
@@ -222,18 +222,32 @@ func TestParseRejects(t *testing.T) {
 		{name: "top-level-cache-removed",
 			src: yamlSrc(headOK, streamsOK, []string{"cache:", "  ttl_frames: 10"}, stagesOK),
 			at:  "cache:", want: "cache: unknown field"},
+		// The monitor's window and significance are drift.DefaultConfig's;
+		// no key sets them.
 		{name: "monitor-window-on-fleet",
 			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: fleet", "monitor_window: 20")),
-			at:  "monitor_window: 20", want: "monitor_window: only valid on drift tasks"},
+			at:  "monitor_window: 20", want: "stages[0].run.monitor_window: unknown field"},
 		{name: "monitor-window-small",
 			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: drift", "monitor_window: 5")),
-			at:  "monitor_window: 5", want: "monitor_window: must be >= 10"},
+			at:  "monitor_window: 5", want: "stages[0].run.monitor_window: unknown field"},
 		{name: "monitor-delta-high",
 			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: drift", "monitor_delta: 1")),
-			at:  "monitor_delta: 1", want: "monitor_delta: must be in (0,1)"},
-		{name: "drift-task-without-schedule",
-			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: drift")),
-			at:  "name: t", want: `drift task targets camera "cam-00" which has no drift schedule`},
+			at:  "monitor_delta: 1", want: "stages[0].run.monitor_delta: unknown field"},
+		{name: "audit-rate-high",
+			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: drift", "audit_rate: 1.5")),
+			at:  "audit_rate: 1.5", want: "audit_rate: must be in [0,1], got 1.5"},
+		{name: "audit-rate-negative",
+			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: drift", "audit_rate: -0.1")),
+			at:  "audit_rate: -0.1", want: "audit_rate: must be in [0,1], got -0.1"},
+		{name: "audit-rate-nan",
+			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: drift", "audit_rate: NaN")),
+			at:  "audit_rate: NaN", want: "audit_rate: must be in [0,1], got NaN"},
+		{name: "audit-rate-on-pipeline",
+			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: pipeline", "audit_rate: 0.5")),
+			at:  "audit_rate: 0.5", want: "audit_rate: only valid on drift tasks"},
+		{name: "drift-multi-event-task",
+			src: yamlSrc([]string{"name: x", "task: TA7"}, streamsOK, stagesRun("name: t", "kind: drift")),
+			at:  "kind: drift", want: "stages[0].run.kind: drift needs a single-event task, TA7 has 2 events"},
 		{name: "duplicate-task-in-group",
 			src: yamlSrc(headOK, streamsOK, []string{
 				"stages:", "  - name: s", "    parallel:",
@@ -312,10 +326,12 @@ func TestParseDefaults(t *testing.T) {
 }
 
 // TestParseExplicitZeroOverrides checks that pointer fields distinguish an
-// explicit zero from an absent key (queue_max: 0 means unbounded).
+// explicit zero from an absent key (queue_max: 0 means unbounded,
+// audit_rate: 0 never audits).
 func TestParseExplicitZeroOverrides(t *testing.T) {
 	spec, err := Parse(yamlSrc(headOK, streamsOK,
-		[]string{"fleet:", "  queue_max: 0", "  call_overhead_ms: 0"}, stagesOK))
+		[]string{"fleet:", "  queue_max: 0", "  call_overhead_ms: 0"},
+		stagesRun("name: t", "kind: drift", "audit_rate: 0")))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -324,6 +340,26 @@ func TestParseExplicitZeroOverrides(t *testing.T) {
 	}
 	if spec.Fleet.CallOverheadMS == nil || *spec.Fleet.CallOverheadMS != 0 {
 		t.Errorf("call_overhead_ms: 0 decoded as %v, want explicit 0", spec.Fleet.CallOverheadMS)
+	}
+	if r := spec.Stages[0].Run.AuditRate; r == nil || *r != 0 {
+		t.Errorf("audit_rate: 0 decoded as %v, want explicit 0", r)
+	}
+}
+
+// TestParseDriftTask: a drift task needs no drifting camera (a steady one
+// under the loop is continuous operation), takes a budget, and leaves the
+// audit rate to drift.DefaultConfig when the key is absent.
+func TestParseDriftTask(t *testing.T) {
+	spec, err := Parse(yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: drift", "budget_usd: 0.5")))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	task := spec.Stages[0].Run
+	if task.BudgetUSD == nil || *task.BudgetUSD != 0.5 {
+		t.Errorf("budget_usd decoded as %v, want 0.5", task.BudgetUSD)
+	}
+	if task.AuditRate != nil {
+		t.Errorf("absent audit_rate decoded as %v, want nil", *task.AuditRate)
 	}
 }
 

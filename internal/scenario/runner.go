@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"eventhit/internal/cicache"
@@ -11,8 +13,10 @@ import (
 	"eventhit/internal/features"
 	"eventhit/internal/fleet"
 	"eventhit/internal/harness"
+	"eventhit/internal/metrics"
 	"eventhit/internal/pipeline"
 	"eventhit/internal/resilience"
+	"eventhit/internal/strategy"
 	"eventhit/internal/video"
 )
 
@@ -22,7 +26,7 @@ import (
 // task kind — fleet.Run for whole-fleet marshalling (optionally with the
 // task's cache), pipeline.RunScored for single-camera runs (optionally
 // against the task's fault plan through the resilient client), and a
-// coverage-monitor walk for drift tasks. Every outcome must pass the
+// drift.Loop walk for drift tasks. Every outcome must pass the
 // accounting identities of TaskOut.accountingErr before it enters the
 // report; a task that breaks one fails the run.
 //
@@ -105,21 +109,35 @@ type PipelineOut struct {
 	CIMS           float64 `json:"ci_ms"`
 }
 
-// DriftOut is a coverage-monitor walk over a drifting camera. DetectFrame
-// is the absolute anchor frame of the first alarm (-1 = never raised);
-// OutcomesToAlarm counts positive outcomes observed up to and including it.
+// DriftOut is one camera walked under the adaptation loop serve ships.
+// Relays are the decided relays, Audits the skips the loop bought the truth
+// of, and Positives the labelled positives it observed; OutcomesToAlarm and
+// OutcomesToRecalibration are Positives when the first episode opened and
+// when the first recalibration was cut, and DetectFrame the anchor of the
+// first episode (-1: never). Coverage is REC_c against ground truth: the
+// deployed calibration's before the shift at SwitchFrame (0 for a steady
+// camera, all of whose positives count as before) and after it, and the
+// last cut calibration's after it (0: none was cut). BudgetUSD 0 is
+// uncapped.
 type DriftOut struct {
-	Stream          string  `json:"stream"`
-	SwitchFrame     int     `json:"switch_frame"`
-	MonitorWindow   int     `json:"monitor_window"`
-	MonitorDelta    float64 `json:"monitor_delta"`
-	Anchors         int     `json:"anchors"`
-	Positives       int     `json:"positives"`
-	AlarmRaised     bool    `json:"alarm_raised"`
-	DetectFrame     int     `json:"detect_frame"`
-	OutcomesToAlarm int     `json:"outcomes_to_alarm"`
-	CoveragePre     float64 `json:"coverage_pre"`
-	CoveragePost    float64 `json:"coverage_post"`
+	Stream                  string  `json:"stream"`
+	SwitchFrame             int     `json:"switch_frame"`
+	AuditRate               float64 `json:"audit_rate"`
+	BudgetUSD               float64 `json:"budget_usd"`
+	Anchors                 int     `json:"anchors"`
+	Relays                  int     `json:"relays"`
+	Audits                  int64   `json:"audits"`
+	Positives               int64   `json:"positives"`
+	Episodes                int64   `json:"episodes"`
+	Recalibrations          int64   `json:"recalibrations"`
+	OutcomesToAlarm         int64   `json:"outcomes_to_alarm"`
+	OutcomesToRecalibration int64   `json:"outcomes_to_recalibration"`
+	DetectFrame             int     `json:"detect_frame"`
+	CoveragePre             float64 `json:"coverage_pre"`
+	CoveragePost            float64 `json:"coverage_post"`
+	CoverageRestored        float64 `json:"coverage_restored"`
+	SpentUSD                float64 `json:"spent_usd"`
+	BudgetExhausted         bool    `json:"budget_exhausted"`
 }
 
 // camera is one compiled camera declaration.
@@ -305,8 +323,10 @@ func RunWithEnv(spec *Spec, env *harness.Env, par int) (*Report, error) {
 // accountingErr checks the identities every task outcome satisfies,
 // whatever its workload, and names the first one broken: a fleet's relays
 // are partitioned into served, deferred and shed per stream and in total, a
-// capped fleet never overspends, a pipeline defers at most its relays, and
-// realized recall never exceeds model recall.
+// capped fleet or drift walk never overspends, a pipeline defers at most its
+// relays, realized recall never exceeds model recall, a drift walk cuts at
+// most one recalibration per episode and sends at most one relay or audit
+// per anchor.
 func (o TaskOut) accountingErr() error {
 	const tol = 1e-9
 	if f := o.Fleet; f != nil {
@@ -338,6 +358,17 @@ func (o TaskOut) accountingErr() error {
 		}
 		if p.RealizedREC > p.REC+tol {
 			return fmt.Errorf("realized REC %v above model REC %v", p.RealizedREC, p.REC)
+		}
+	}
+	if d := o.Drift; d != nil {
+		if d.Recalibrations > d.Episodes {
+			return fmt.Errorf("recalibrations %d > episodes %d", d.Recalibrations, d.Episodes)
+		}
+		if d.BudgetUSD > 0 && d.SpentUSD > d.BudgetUSD {
+			return fmt.Errorf("spent $%v over the $%v cap", d.SpentUSD, d.BudgetUSD)
+		}
+		if int64(d.Relays)+d.Audits > int64(d.Anchors) {
+			return fmt.Errorf("relays %d + audits %d > anchors %d", d.Relays, d.Audits, d.Anchors)
 		}
 	}
 	return nil
@@ -497,83 +528,138 @@ func runPipelineTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec) (
 	}, nil
 }
 
-// runDriftTask walks anchors over a drifting camera at stride Horizon/4,
-// feeding every positive outcome's coverage bit (did the existence set keep
-// the true event?) to the Hoeffding monitor, and records where the alarm
-// fires. The pre-shift anchors both report clean coverage and fill the
-// monitor's window, so the alarm position is meaningful, deterministic and
-// golden-pinnable. It is a readout on the bare monitor, not an adaptation
-// loop (drift.Loop): nothing relays, audits or recalibrates.
+// runDriftTask walks one camera under drift.Loop at drift.DefaultConfig and
+// the task's audit rate, the way a serve session adapts: every anchor at
+// stride Horizon/4 is decided with EHCR, a kept decision relays its range
+// through pipeline.Relay to a CI over the camera's stream, a skip relays the
+// whole horizon when the loop audits it, the CI's verdict labels the
+// outcome, and every calibration the loop cuts is swapped in. The clean
+// anchors before a shift fill the monitor window, so the alarm position is
+// deterministic and golden-pinnable. A task budget is charged before every
+// relay; running out ends the walk.
 func runDriftTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec) (*DriftOut, error) {
 	cam, err := resolveCamera(cams, ts.Stream)
 	if err != nil {
 		return nil, err
 	}
-	if cam.group.Drift == nil {
-		return nil, fmt.Errorf("camera %s has no drift schedule", cam.id)
-	}
 	fs, err := buildCamera(env, spec, cam)
 	if err != nil {
 		return nil, err
 	}
-	window := ts.MonitorWindow
-	if window == 0 {
-		window = defaultMonitorWindow
+	cfg := drift.DefaultConfig()
+	if ts.AuditRate != nil {
+		cfg.AuditRate = *ts.AuditRate
 	}
-	delta := ts.MonitorDelta
-	if delta == 0 {
-		delta = defaultMonitorDelta
-	}
-	mon, err := drift.NewMonitor(spec.Confidence, window, delta)
+	loop, err := drift.NewLoop(cfg, spec.Confidence, 1)
 	if err != nil {
 		return nil, err
 	}
-	// The drift walk is a model-coverage readout, not a marshalling run:
-	// predictions come straight from the existence strategy (no CI, no
-	// billing).
-	ehc := env.Bundle.EHC(spec.Confidence)
+	// A fault-free CI never needs the client's retries.
+	ci := cloud.NewService(fs.Source.Stream(), cloud.RekognitionPricing(), cloud.DefaultLatency())
+	relay, err := pipeline.NewRelay(ci, nil, 0, resilience.DefaultConfig(spec.Seed), nil)
+	if err != nil {
+		return nil, err
+	}
 	out := &DriftOut{
-		Stream: cam.id, SwitchFrame: cam.group.Drift.AtFrame,
-		MonitorWindow: window, MonitorDelta: delta, DetectFrame: -1,
+		Stream: cam.id, AuditRate: cfg.AuditRate,
+		OutcomesToAlarm: -1, OutcomesToRecalibration: -1, DetectFrame: -1,
 	}
-	stride := fs.Cfg.Horizon / 4
-	if stride == 0 {
-		stride = 1
+	var budget *cloud.Budget
+	if ts.BudgetUSD != nil && *ts.BudgetUSD > 0 {
+		out.BudgetUSD = *ts.BudgetUSD
+		if budget, err = cloud.NewBudget(out.BudgetUSD); err != nil {
+			return nil, err
+		}
 	}
-	var keptPre, posPre, keptPost, posPost int
-	for t := fs.Cfg.Window; t+fs.Cfg.Horizon <= fs.End; t += stride {
+	shift := math.MaxInt
+	if d := cam.group.Drift; d != nil {
+		out.SwitchFrame, shift = d.AtFrame, d.AtFrame
+	}
+	var (
+		bundle       = env.Bundle
+		rule         = strategy.EHCRRule(spec.Confidence, spec.Coverage)
+		events       = fs.Source.Events()
+		horizon      = fs.Cfg.Horizon
+		sc           strategy.Scratch
+		pred         metrics.Prediction
+		reqs         []pipeline.RelayRequest
+		known, truth = make([]bool, 1), make([]bool, 1)
+		pre, post    []dataset.Record // the positives before and after the shift
+	)
+walk:
+	for t := fs.Cfg.Window; t+horizon <= fs.End; t += max(horizon/4, 1) {
 		rec, err := dataset.BuildRecord(fs.Source, t, fs.Cfg)
 		if err != nil {
 			return nil, err
 		}
 		out.Anchors++
-		if !rec.Label[0] {
-			continue
+		// Ground truth scores coverage post hoc; the loop sees only the
+		// CI's verdicts.
+		if rec.Label[0] && t+horizon < shift {
+			pre = append(pre, rec)
+		} else if rec.Label[0] && t >= shift {
+			post = append(post, rec)
 		}
-		kept := ehc.Predict(rec).Occur[0]
-		out.Positives++
-		if t+fs.Cfg.Horizon < out.SwitchFrame {
-			posPre++
-			if kept {
-				keptPre++
+		scores := bundle.Decide(rec, rule, &sc, &pred)
+		reqs = relay.AppendRequests(reqs[:0], rec, events, &pred, 0, 0)
+		if len(reqs) == 0 && loop.Audit() {
+			hz := video.Interval{Start: rec.Frame + 1, End: rec.Frame + horizon}
+			reqs = append(reqs, pipeline.RelayRequest{EventType: events[0], Win: hz})
+		}
+		known[0], truth[0] = false, false
+		for _, rq := range reqs {
+			if budget != nil {
+				if err := budget.Charge(ci.CostOf(rq.Win.Len())); errors.Is(err, cloud.ErrBudgetExhausted) {
+					out.BudgetExhausted = true
+					break walk
+				} else if err != nil {
+					return nil, err
+				}
 			}
-		} else if t >= out.SwitchFrame {
-			posPost++
-			if kept {
-				keptPost++
+			o, _, err := relay.Serve(rq)
+			if err != nil {
+				return nil, err
+			}
+			known[0], truth[0] = !o.Deferred, o.Detections > 0
+			if pred.Occur[0] {
+				out.Relays++
 			}
 		}
-		if mon.Observe(kept) && !out.AlarmRaised {
-			out.AlarmRaised = true
-			out.DetectFrame = t
-			out.OutcomesToAlarm = out.Positives
+		if cls := loop.Observe(scores, pred.Occur, known, truth); cls != nil {
+			if bundle, err = bundle.WithClassifier(cls); err != nil {
+				return nil, err
+			}
+			if out.OutcomesToRecalibration < 0 {
+				out.OutcomesToRecalibration = loop.Stats().Observations
+			}
+		}
+		if st := loop.Stats(); out.DetectFrame < 0 && st.Episodes > 0 {
+			out.DetectFrame, out.OutcomesToAlarm = t, st.Observations
 		}
 	}
-	if posPre > 0 {
-		out.CoveragePre = float64(keptPre) / float64(posPre)
+	st := loop.Stats()
+	out.Audits, out.Positives = st.Audits, st.Observations
+	out.Episodes, out.Recalibrations = st.Episodes, st.Recalibrations
+	stale := env.Bundle.EHC(spec.Confidence)
+	out.CoveragePre, out.CoveragePost = coverage(stale, pre), coverage(stale, post)
+	if st.Recalibrations > 0 {
+		out.CoverageRestored = coverage(bundle.EHC(spec.Confidence), post)
 	}
-	if posPost > 0 {
-		out.CoveragePost = float64(keptPost) / float64(posPost)
-	}
+	out.SpentUSD = ci.Usage().SpentUSD
 	return out, nil
+}
+
+// coverage is REC_c of s over single-event positives: the share it keeps,
+// 0 when there is none.
+func coverage(s strategy.Strategy, positives []dataset.Record) float64 {
+	if len(positives) == 0 {
+		return 0
+	}
+	kept := 0
+	for _, rec := range positives {
+		if s.Predict(rec).Occur[0] {
+			kept++
+		}
+	}
+	return float64(kept) / float64(len(positives))
 }

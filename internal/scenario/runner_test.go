@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"testing"
 
+	"eventhit/internal/cloud"
+	"eventhit/internal/drift"
 	"eventhit/internal/fleet"
 )
 
@@ -78,32 +80,20 @@ func TestCorpusGoldens(t *testing.T) {
 	}
 }
 
-// TestDriftShiftDetection is the end-to-end drift satellite: the
-// camera-drift scenario induces a detector shift at frame 20000 mid-run and
-// the monitor's detection frame must land after the shift, identically at
-// any parallelism.
+// TestDriftShiftDetection is the end-to-end drift walk: the camera-drift
+// scenario induces a detector shift at frame 20000 mid-run, and the
+// adaptation loop auditing every skip must alarm after the shift,
+// identically at any parallelism.
 func TestDriftShiftDetection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a quick env")
 	}
-	entries, err := Corpus()
-	if err != nil {
-		t.Fatalf("Corpus: %v", err)
-	}
-	var spec *Spec
-	for _, e := range entries {
-		if e.Name == "camera-drift" {
-			spec = e.Spec
-		}
-	}
-	if spec == nil {
-		t.Fatal("camera-drift scenario missing from corpus")
-	}
-	// Run only the monitor stage: same spec, trimmed program.
+	spec := corpusSpec(t, "camera-drift")
+	// Run only the drift stage: same spec, trimmed program.
 	trimmed := *spec
 	trimmed.Stages = nil
 	for _, st := range spec.Stages {
-		if st.Run != nil && st.Run.Kind == KindDrift {
+		if st.Tasks()[0].Kind == KindDrift {
 			trimmed.Stages = append(trimmed.Stages, st)
 		}
 	}
@@ -114,24 +104,20 @@ func TestDriftShiftDetection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EnvFor: %v", err)
 	}
-	var outs []*DriftOut
+	var outs [][]TaskOut
 	for _, par := range []int{1, 3} {
 		rep, err := RunWithEnv(&trimmed, env, par)
 		if err != nil {
 			t.Fatalf("RunWithEnv(par=%d): %v", par, err)
 		}
-		d := rep.Stages[0].Tasks[0].Drift
-		if d == nil {
-			t.Fatalf("par=%d: drift task produced no drift outcome", par)
-		}
-		outs = append(outs, d)
+		outs = append(outs, rep.Stages[0].Tasks)
 	}
 	if !reflect.DeepEqual(outs[0], outs[1]) {
-		t.Fatalf("drift outcome differs across parallelism:\npar=1: %+v\npar=3: %+v", outs[0], outs[1])
+		t.Fatalf("drift outcomes differ across parallelism:\npar=1: %+v\npar=3: %+v", outs[0], outs[1])
 	}
-	d := outs[0]
-	if !d.AlarmRaised {
-		t.Fatalf("monitor never raised on a 90%%-miss detector shift: %+v", d)
+	d := auditEverySkip(t, outs[0], trimmed.Stages[0].Tasks())
+	if d.Episodes == 0 {
+		t.Fatalf("loop never alarmed on a 90%%-miss detector shift: %+v", d)
 	}
 	if d.SwitchFrame != 20000 {
 		t.Errorf("SwitchFrame = %d, want 20000 (from the spec's drift schedule)", d.SwitchFrame)
@@ -144,6 +130,65 @@ func TestDriftShiftDetection(t *testing.T) {
 	}
 	if d.CoveragePost >= d.CoveragePre {
 		t.Errorf("post-shift coverage %v did not drop below pre-shift %v", d.CoveragePost, d.CoveragePre)
+	}
+}
+
+// corpusSpec returns the committed spec of one corpus scenario.
+func corpusSpec(t *testing.T, name string) *Spec {
+	t.Helper()
+	entries, err := Corpus()
+	if err != nil {
+		t.Fatalf("Corpus: %v", err)
+	}
+	for _, e := range entries {
+		if e.Name == name {
+			return e.Spec
+		}
+	}
+	t.Fatalf("%s scenario missing from corpus", name)
+	return nil
+}
+
+// auditEverySkip returns the outcome of the one drift task among outs that
+// audits every skip (audit_rate: 1).
+func auditEverySkip(t *testing.T, outs []TaskOut, decl []TaskSpec) *DriftOut {
+	t.Helper()
+	var d *DriftOut
+	for i, ts := range decl {
+		if ts.Kind == KindDrift && ts.AuditRate != nil && *ts.AuditRate == 1 {
+			if d != nil {
+				t.Fatal("more than one drift task audits every skip")
+			}
+			d = outs[i].Drift
+		}
+	}
+	if d == nil {
+		t.Fatal("no drift outcome audits every skip")
+	}
+	return d
+}
+
+// TestDriftBudgetCutsOff: a drift task whose budget is far below what the
+// walk would spend stops cleanly when the budget runs out, within the cap.
+func TestDriftBudgetCutsOff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a quick env")
+	}
+	spec, err := Parse(yamlSrc([]string{"name: x", "task: TA10", "quick: true", "frames: 20000"}, streamsOK,
+		stagesRun("name: t", "kind: drift", "budget_usd: 0.5")))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	rep, err := Run(spec, 1)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	d := rep.Stages[0].Tasks[0].Drift
+	if !d.BudgetExhausted {
+		t.Fatalf("tiny budget did not exhaust: %+v", d)
+	}
+	if d.SpentUSD > 0.5 {
+		t.Fatalf("spend %v exceeded the cap", d.SpentUSD)
 	}
 }
 
@@ -392,29 +437,106 @@ func TestCorpusInvariants(t *testing.T) {
 	})
 
 	t.Run("camera-drift-alarm", func(t *testing.T) {
-		rep := reports["camera-drift"]
-		var d *DriftOut
-		for _, st := range rep.Stages {
-			for _, task := range st.Tasks {
-				if task.Drift != nil {
-					d = task.Drift
-				}
+		outs, decl := stageOuts(t, reports["camera-drift"], specs["camera-drift"], "watch")
+		d := auditEverySkip(t, outs, decl)
+		if d.Episodes == 0 || d.DetectFrame < d.SwitchFrame {
+			t.Errorf("pinned alarm wrong: episodes=%d detect=%d switch=%d", d.Episodes, d.DetectFrame, d.SwitchFrame)
+		}
+		for i, out := range outs {
+			if d := out.Drift; cameraDrifts(specs["camera-drift"], decl[i].Stream) && d.CoveragePost >= d.CoveragePre {
+				t.Errorf("%s: pinned coverage did not drop: pre %v post %v", out.Name, d.CoveragePre, d.CoveragePost)
 			}
 		}
-		if d == nil {
-			t.Fatal("camera-drift golden lacks a drift outcome")
+	})
+
+	// The drifting camera under the shipped audit rate and auditing every
+	// skip: only the second sees the collapse through the CI's labels, and
+	// its recalibration restores coverage above the stale calibration's.
+	t.Run("camera-drift-adapts", func(t *testing.T) {
+		outs, decl := stageOuts(t, reports["camera-drift"], specs["camera-drift"], "watch")
+		if decl[0].AuditRate != nil || outs[0].Drift.AuditRate != drift.DefaultConfig().AuditRate {
+			t.Errorf("first arm %+v, want the shipped audit rate", outs[0].Drift)
 		}
-		if !d.AlarmRaised || d.DetectFrame < d.SwitchFrame {
-			t.Errorf("pinned alarm wrong: raised=%v detect=%d switch=%d", d.AlarmRaised, d.DetectFrame, d.SwitchFrame)
+		d := auditEverySkip(t, outs, decl)
+		if d.CoveragePre < 0.7 {
+			t.Errorf("pre-shift coverage %.3f suspiciously low", d.CoveragePre)
 		}
-		if d.CoveragePost >= d.CoveragePre {
-			t.Errorf("pinned coverage did not drop: pre %v post %v", d.CoveragePre, d.CoveragePost)
+		if d.Episodes == 0 || d.OutcomesToAlarm < 0 {
+			t.Error("auditing every skip, the loop failed to alarm on the coverage collapse")
+		}
+		if d.Recalibrations == 0 || d.OutcomesToRecalibration < d.OutcomesToAlarm {
+			t.Errorf("auditing every skip, no recalibration after the alarm: %+v", d)
+		}
+		if d.CoverageRestored <= d.CoveragePost {
+			t.Errorf("recalibration did not improve coverage: %.3f vs %.3f", d.CoverageRestored, d.CoveragePost)
+		}
+	})
+
+	// The steady camera under the loop and an ample hard budget: continuous
+	// operation buys coverage for less than brute force, and neither runs out
+	// nor alarms.
+	t.Run("camera-drift-operate", func(t *testing.T) {
+		spec := specs["camera-drift"]
+		outs, decl := stageOuts(t, reports["camera-drift"], spec, "watch")
+		var d *DriftOut
+		for i, out := range outs {
+			if out.Drift != nil && !cameraDrifts(spec, decl[i].Stream) {
+				d = out.Drift
+			}
+		}
+		if d == nil || d.BudgetUSD <= 0 {
+			t.Fatal("camera-drift's watch stage lacks a steady camera under a budget")
+		}
+		bf := float64(spec.Frames) * cloud.RekognitionPricing().PerFrameUSD
+		if d.SpentUSD <= 0 || d.SpentUSD >= bf {
+			t.Errorf("spend %v not inside (0, BF=%v)", d.SpentUSD, bf)
+		}
+		if d.BudgetExhausted {
+			t.Error("ample budget should not exhaust")
+		}
+		if d.CoveragePre < 0.5 {
+			t.Errorf("coverage %.3f too low", d.CoveragePre)
+		}
+		if d.Episodes != 0 {
+			t.Errorf("steady camera raised %d alarm episodes", d.Episodes)
+		}
+	})
+
+	// One model marshals fresh cameras of its dataset about as well as its
+	// own stream's held-out region; far worse would mean it memorized its
+	// training stream.
+	t.Run("camera-transfer", func(t *testing.T) {
+		spec := specs["camera-transfer"]
+		env, err := EnvFor(spec)
+		if err != nil {
+			t.Fatalf("EnvFor: %v", err)
+		}
+		home, err := env.Eval(env.Bundle.EHCR(spec.Confidence, spec.Coverage), spec.Confidence)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs, _ := stageOuts(t, reports["camera-transfer"], spec, "transfer")
+		for _, out := range outs {
+			if p := out.Pipeline; p == nil || p.REC < home.REC-0.25 {
+				t.Errorf("foreign camera %s: %+v, want REC >= home %.3f - 0.25", out.Name, p, home.REC)
+			}
 		}
 	})
 }
 
+// cameraDrifts reports whether the camera's group has a drift schedule.
+func cameraDrifts(spec *Spec, id string) bool {
+	for _, c := range compileCameras(spec) {
+		if c.id == id {
+			return c.group.Drift != nil
+		}
+	}
+	return false
+}
+
 // TestRunnerRejectsBrokenAccounting: the runner's per-task check passes
-// sound fleet and pipeline outcomes (an uncapped fleet may spend anything)
+// sound fleet, pipeline and drift outcomes (an uncapped one may spend
+// anything)
 // and refuses each hand-built outcome that breaks exactly one identity,
 // naming it.
 func TestRunnerRejectsBrokenAccounting(t *testing.T) {
@@ -431,11 +553,17 @@ func TestRunnerRejectsBrokenAccounting(t *testing.T) {
 		edit(p)
 		return TaskOut{Name: "t", Kind: KindPipeline, Pipeline: p}
 	}
+	driftOut := func(edit func(*DriftOut)) TaskOut {
+		d := &DriftOut{Anchors: 10, Relays: 3, Audits: 2, Episodes: 1, Recalibrations: 1, BudgetUSD: 1, SpentUSD: 0.5}
+		edit(d)
+		return TaskOut{Name: "t", Kind: KindDrift, Drift: d}
+	}
 	for _, ok := range []TaskOut{
 		fleetOut(func(*FleetOut) {}),
 		fleetOut(func(f *FleetOut) { f.BudgetUSD, f.TotalSpentUSD = 0, 99 }),
 		pipelineOut(func(*PipelineOut) {}),
-		{Name: "t", Kind: KindDrift, Drift: &DriftOut{}},
+		driftOut(func(*DriftOut) {}),
+		driftOut(func(d *DriftOut) { d.BudgetUSD, d.SpentUSD = 0, 99 }),
 	} {
 		if err := ok.accountingErr(); err != nil {
 			t.Errorf("sound %s outcome refused: %v", ok.Kind, err)
@@ -460,6 +588,12 @@ func TestRunnerRejectsBrokenAccounting(t *testing.T) {
 			"deferred 5 > relays 4"},
 		{"pipeline-recall", pipelineOut(func(p *PipelineOut) { p.RealizedREC = 0.95 }),
 			"realized REC 0.95 above model REC 0.9"},
+		{"drift-recalibrations", driftOut(func(d *DriftOut) { d.Recalibrations = 2 }),
+			"recalibrations 2 > episodes 1"},
+		{"drift-over-cap", driftOut(func(d *DriftOut) { d.SpentUSD = 1.5 }),
+			"spent $1.5 over the $1 cap"},
+		{"drift-anchors", driftOut(func(d *DriftOut) { d.Audits = 8 }),
+			"relays 3 + audits 8 > anchors 10"},
 	} {
 		err := tc.out.accountingErr()
 		if err == nil || err.Error() != tc.want {
@@ -515,9 +649,11 @@ func TestScenarioReportShape(t *testing.T) {
 			}},
 			{Name: "watch", Tasks: []TaskOut{
 				{Name: "monitor", Kind: KindDrift, Drift: &DriftOut{
-					Stream: "cam-01", SwitchFrame: 400, MonitorWindow: 40,
-					MonitorDelta: 0.05, Anchors: 20, Positives: 5, AlarmRaised: true,
-					DetectFrame: 700, OutcomesToAlarm: 4, CoveragePre: 0.9, CoveragePost: 0.4,
+					Stream: "cam-01", SwitchFrame: 400, AuditRate: 1, BudgetUSD: 2,
+					Anchors: 20, Relays: 6, Audits: 14, Positives: 5, Episodes: 1,
+					Recalibrations: 1, OutcomesToAlarm: 4, OutcomesToRecalibration: 5,
+					DetectFrame: 700, CoveragePre: 0.9, CoveragePost: 0.4,
+					CoverageRestored: 0.8, SpentUSD: 2, BudgetExhausted: true,
 				}},
 			}},
 		},

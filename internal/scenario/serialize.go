@@ -163,11 +163,8 @@ func writeTask(w *specWriter, depth int, t TaskSpec, asItem bool) {
 			}
 		}
 	}
-	if t.MonitorWindow != 0 {
-		w.kv(depth, "monitor_window", strconv.Itoa(t.MonitorWindow))
-	}
-	if t.MonitorDelta != 0 {
-		w.kv(depth, "monitor_delta", num(t.MonitorDelta))
+	if t.AuditRate != nil {
+		w.kv(depth, "audit_rate", num(*t.AuditRate))
 	}
 }
 

@@ -163,13 +163,15 @@ type TaskSpec struct {
 	// Kind selects the machinery: "fleet" marshals every declared camera
 	// through the shared-backend scheduler; "pipeline" marshals one camera
 	// through the end-to-end pipeline loop (optionally against the fault
-	// plan); "drift" streams one drifting camera through the coverage
-	// monitor and records the detection frame.
+	// plan); "drift" walks one camera under the adaptation loop serve ships
+	// (drift.Loop), relaying to a CI whose verdicts label its outcomes.
 	Kind string
 	// Cache (fleet), when present, attaches a shared CI result cache with
 	// this configuration to the scheduler.
 	Cache *CacheSpec
-	// BudgetUSD (fleet) overrides the fleet budget for this task only.
+	// BudgetUSD overrides the fleet budget for a fleet task; on a drift task
+	// it is a hard cloud.Budget charged before every relay and audit, whose
+	// exhaustion ends the walk. 0 is uncapped on both.
 	BudgetUSD *float64
 	// Stream (pipeline/drift) is the camera ID to marshal; defaults to the
 	// first declared camera.
@@ -177,10 +179,9 @@ type TaskSpec struct {
 	// Faults (pipeline), when present, injects this fault plan in front of
 	// the CI, behind the resilient client with graceful degradation.
 	Faults *FaultSpec
-	// MonitorWindow / MonitorDelta (drift) parametrize the coverage
-	// monitor; defaults 40 and 0.05.
-	MonitorWindow int
-	MonitorDelta  float64
+	// AuditRate (drift) is the loop's drift.Config.AuditRate, in [0,1];
+	// nil is drift.DefaultConfig's.
+	AuditRate *float64
 }
 
 // Task kinds.
@@ -192,10 +193,8 @@ const (
 
 // Defaults applied during decoding.
 const (
-	defaultConfidence    = 0.9
-	defaultCoverage      = 0.9
-	defaultMonitorWindow = 40
-	defaultMonitorDelta  = 0.05
+	defaultConfidence = 0.9
+	defaultCoverage   = 0.9
 )
 
 // Parse decodes and validates a scenario spec. Every error is positional:
@@ -666,8 +665,8 @@ func decodeTask(spec *Spec, n *node, path string) (TaskSpec, error) {
 	if v, ok, err := t.optFloat("budget_usd"); err != nil {
 		return TaskSpec{}, err
 	} else if ok {
-		if ts.Kind != KindFleet {
-			return TaskSpec{}, t.fieldErr("budget_usd", "only valid on fleet tasks")
+		if ts.Kind == KindPipeline {
+			return TaskSpec{}, t.fieldErr("budget_usd", "only valid on fleet/drift tasks")
 		}
 		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			return TaskSpec{}, t.fieldErr("budget_usd", "must be a finite value >= 0, got %v", v)
@@ -690,35 +689,21 @@ func decodeTask(spec *Spec, n *node, path string) (TaskSpec, error) {
 	} else if ts.Faults != nil && ts.Kind != KindPipeline {
 		return TaskSpec{}, t.fieldErr("faults", "only valid on pipeline tasks")
 	}
-	if v, ok, err := t.optInt("monitor_window"); err != nil {
+	if v, ok, err := t.optFloat("audit_rate"); err != nil {
 		return TaskSpec{}, err
 	} else if ok {
 		if ts.Kind != KindDrift {
-			return TaskSpec{}, t.fieldErr("monitor_window", "only valid on drift tasks")
+			return TaskSpec{}, t.fieldErr("audit_rate", "only valid on drift tasks")
 		}
-		if v < 10 {
-			return TaskSpec{}, t.fieldErr("monitor_window", "must be >= 10, got %d", v)
+		if !(v >= 0 && v <= 1) {
+			return TaskSpec{}, t.fieldErr("audit_rate", "must be in [0,1], got %v", v)
 		}
-		ts.MonitorWindow = int(v)
-	}
-	if v, ok, err := t.optFloat("monitor_delta"); err != nil {
-		return TaskSpec{}, err
-	} else if ok {
-		if ts.Kind != KindDrift {
-			return TaskSpec{}, t.fieldErr("monitor_delta", "only valid on drift tasks")
-		}
-		if !(v > 0 && v < 1) {
-			return TaskSpec{}, t.fieldErr("monitor_delta", "must be in (0,1), got %v", v)
-		}
-		ts.MonitorDelta = v
+		ts.AuditRate = &v
 	}
 	if ts.Kind == KindDrift {
-		cam := ts.Stream
-		if cam == "" && len(spec.Streams) > 0 {
-			cam = fmt.Sprintf("%s-00", spec.Streams[0].ID)
-		}
-		if g := cameraGroup(spec, cam); g == nil || g.Drift == nil {
-			return TaskSpec{}, errAt(n.line, "%s: drift task targets camera %q which has no drift schedule", path, cam)
+		// The loop watches one event's coverage.
+		if task, _ := harness.TaskByName(spec.Task); task.NumEvents() != 1 {
+			return TaskSpec{}, t.fieldErr("kind", "drift needs a single-event task, %s has %d events", spec.Task, task.NumEvents())
 		}
 	}
 	if err := t.finish(); err != nil {
@@ -727,20 +712,18 @@ func decodeTask(spec *Spec, n *node, path string) (TaskSpec, error) {
 	return ts, nil
 }
 
-// cameraGroup resolves a camera ID ("<group>-<ii>") to its declaring group.
-func cameraGroup(spec *Spec, id string) *StreamGroup {
-	for gi := range spec.Streams {
-		g := &spec.Streams[gi]
+// cameraExists reports whether a group declares the camera ID
+// ("<group>-<ii>").
+func cameraExists(spec *Spec, id string) bool {
+	for _, g := range spec.Streams {
 		for i := 0; i < g.Count; i++ {
 			if fmt.Sprintf("%s-%02d", g.ID, i) == id {
-				return g
+				return true
 			}
 		}
 	}
-	return nil
+	return false
 }
-
-func cameraExists(spec *Spec, id string) bool { return cameraGroup(spec, id) != nil }
 
 // reader wraps a mapping node with typed, positional field access and
 // unknown-key rejection.

@@ -84,8 +84,8 @@ stage scrape-obs go test -race ./internal/obs/ -run 'TestConcurrentUpdatesAndScr
 # Hot swap + online adaptation: predicts hammer the server while bundles
 # swap; the induced-shift coverage restoration runs twice for determinism;
 # the one adaptation loop (drift.Loop) as a state-machine table and as the
-# drift and continuous-operation experiments walk it.
-stage swap go test -race ./internal/serve/ ./internal/drift/ ./internal/harness/ -run 'TestSwapUnderConcurrentPredictLoad|TestAdaptationRestoresCoverage|TestAdaptationDeterministic|TestRecalibrationsDeferred|TestLoop|TestDriftExperiment|TestOperate' -count=1
+# scenario engine's drift tasks walk it (alarm after a shift, budget cut-off).
+stage swap go test -race ./internal/serve/ ./internal/drift/ ./internal/scenario/ -run 'TestSwapUnderConcurrentPredictLoad|TestAdaptationRestoresCoverage|TestAdaptationDeterministic|TestRecalibrationsDeferred|TestLoop|TestDriftShiftDetection|TestDriftBudgetCutsOff' -count=1
 # Checked-in fuzz corpora as ordinary tests; explore further with
 # `go test ./internal/serve/ -fuzz FuzzFrames|FuzzParseFrames` or
 # `go test ./internal/scenario/ -fuzz FuzzScenarioParse`. The ingest scanner
