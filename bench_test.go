@@ -61,9 +61,10 @@ func BenchmarkLSTMForward(b *testing.B) {
 			seq[i][j] = g.Normal(0, 1)
 		}
 	}
+	p := l.Pack()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Forward(seq)
+		l.Forward(seq, p)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"eventhit/internal/dataset"
@@ -71,11 +72,15 @@ func TestModelGradCheck(t *testing.T) {
 	for k := range dLogits {
 		dLogits[k] = make([]float64, 1+cfg.Horizon)
 	}
+	// The checker writes the weights between calls, as an optimizer step
+	// does: each pass must declare it, or the LSTM runs on a stale pack.
 	loss := func() float64 {
+		m.weightsChanged()
 		logits := m.rawForward(rec.X)
 		return m.recordLoss(logits, rec, dLogits)
 	}
 	backward := func() {
+		m.weightsChanged()
 		logits := m.rawForward(rec.X)
 		m.recordLoss(logits, rec, dLogits)
 		m.backward(dLogits)
@@ -222,7 +227,165 @@ func TestTrainRerunStable(t *testing.T) {
 	}
 }
 
-// TestModelClone checks the clone contract: identical outputs, fully
+// trainRecords returns n records for cfg with covariates scaled by scale,
+// every event present in some of them with an interval inside the horizon.
+func trainRecords(g *mathx.RNG, cfg Config, n int, scale float64) []dataset.Record {
+	recs := make([]dataset.Record, n)
+	for i := range recs {
+		x := camera(g, cfg.Window, cfg.InputDim)
+		for _, row := range x {
+			mathx.Scale(scale, row)
+		}
+		r := dataset.Record{X: x, Label: make([]bool, cfg.NumEvents), OI: make([]video.Interval, cfg.NumEvents), Censored: make([]bool, cfg.NumEvents)}
+		for k := range r.Label {
+			if r.Label[k] = g.Intn(2) == 0; r.Label[k] {
+				start := 1 + g.Intn(cfg.Horizon)
+				r.OI[k] = video.Interval{Start: start, End: start + g.Intn(cfg.Horizon-start+1)}
+			}
+		}
+		recs[i] = r
+	}
+	return recs
+}
+
+// TestTrainVectorMatchesScalar: Train on mathx's vector kernels ends with
+// every weight and every epoch loss bit-identical to Train on the forced
+// scalar path — dropout on, a short last batch, covariates ×1 and ×400 (so
+// some gates saturate and leave the vector exp's range), at the default
+// widths and at widths that leave len%4 tails everywhere.
+func TestTrainVectorMatchesScalar(t *testing.T) {
+	if !vectorKernels {
+		t.Skip("mathx did not select its vector kernels on this machine")
+	}
+	defer func() { vectorKernels = true }()
+	odd := Config{InputDim: 5, Window: 6, Horizon: 9, NumEvents: 2, HiddenLSTM: 5, HiddenTrunk: 7, HiddenHead: 9, Dropout: 0.2, Seed: 4}
+	def := DefaultConfig(12, 8, 30, 2)
+	def.Dropout = 0.25
+	for _, cfg := range []Config{odd, def} {
+		for _, scale := range []float64{1, 400} {
+			recs := trainRecords(mathx.NewRNG(int64(cfg.InputDim)), cfg, 21, scale)
+			run := func(vector bool) (TrainStats, *Model) {
+				vectorKernels = vector
+				m, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats, err := m.Train(recs, TrainConfig{Epochs: 3, BatchSize: 8, LR: 3e-3, GradClip: 5, Seed: 9})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return stats, m
+			}
+			sv, mv := run(true)
+			ss, ms := run(false)
+			what := fmt.Sprintf("D=%d scale=%v", cfg.InputDim, scale)
+			for e := range ss.EpochLoss {
+				if !bitsEqual(sv.EpochLoss[e], ss.EpochLoss[e]) {
+					t.Fatalf("%s: epoch %d loss %v on the vector path, %v on the scalar path", what, e, sv.EpochLoss[e], ss.EpochLoss[e])
+				}
+			}
+			for i, p := range ms.params {
+				for j, w := range p.W {
+					if !bitsEqual(mv.params[i].W[j], w) {
+						t.Fatalf("%s: %s[%d] = %v on the vector path, %v on the scalar path", what, p.Name, j, mv.params[i].W[j], w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTrainRepacksAfterEveryStep: Train equals its own loop replayed with
+// the LSTM's weights packed afresh before every record, so no forward pass
+// inside Train reads a pack made before an optimizer step.
+func TestTrainRepacksAfterEveryStep(t *testing.T) {
+	cfg := DefaultConfig(12, 8, 30, 2)
+	cfg.Dropout = 0.25
+	recs := trainRecords(mathx.NewRNG(12), cfg, 21, 1)
+	tc := TrainConfig{Epochs: 2, BatchSize: 8, LR: 3e-3, GradClip: 5, Seed: 9}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := m.Train(recs, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ref, _ := New(cfg)
+	opt := nn.NewAdam(ref.params, tc.LR)
+	opt.SetGradClip(tc.GradClip)
+	g := mathx.NewRNG(tc.Seed)
+	dLogits := make([][]float64, cfg.NumEvents)
+	for k := range dLogits {
+		dLogits[k] = make([]float64, 1+cfg.Horizon)
+	}
+	order := make([]int, len(recs))
+	for i := range order {
+		order[i] = i
+	}
+	ref.drop.SetTraining(true)
+	for epoch := 0; epoch < tc.Epochs; epoch++ {
+		g.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		var loss float64
+		inBatch := 0
+		step := func() {
+			scaleGrads(ref.params, 1/float64(inBatch))
+			opt.Step()
+			inBatch = 0
+		}
+		for _, idx := range order {
+			ref.weightsChanged()
+			loss += ref.recordLoss(ref.rawForward(recs[idx].X), recs[idx], dLogits)
+			ref.backward(dLogits)
+			if inBatch++; inBatch == tc.BatchSize {
+				step()
+			}
+		}
+		if inBatch > 0 {
+			step()
+		}
+		if want := loss / float64(len(recs)); !bitsEqual(stats.EpochLoss[epoch], want) {
+			t.Fatalf("epoch %d loss %v, replay %v", epoch, stats.EpochLoss[epoch], want)
+		}
+	}
+	for i, p := range ref.params {
+		for j, w := range p.W {
+			if !bitsEqual(m.params[i].W[j], w) {
+				t.Fatalf("%s[%d] = %v, replay %v", p.Name, j, m.params[i].W[j], w)
+			}
+		}
+	}
+}
+
+// TestTrainStepAllocs pins one record's training pass — forward, loss and
+// backward, as Train runs them between optimizer steps — at zero
+// allocations once the layers' scratch is warm.
+func TestTrainStepAllocs(t *testing.T) {
+	cfg := DefaultConfig(12, 25, 40, 2)
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := trainRecords(mathx.NewRNG(6), cfg, 2, 1)
+	dLogits := make([][]float64, cfg.NumEvents)
+	for k := range dLogits {
+		dLogits[k] = make([]float64, 1+cfg.Horizon)
+	}
+	m.drop.SetTraining(true)
+	step := func() {
+		for _, rec := range recs {
+			m.recordLoss(m.rawForward(rec.X), rec, dLogits)
+			m.backward(dLogits)
+		}
+	}
+	step() // warm the layer caches
+	if n := testing.AllocsPerRun(20, step); n != 0 {
+		t.Errorf("a training pass over %d records allocates %.1f per run, want 0", len(recs), n)
+	}
+}
+
+// TestModelClone checks the clone contract// TestModelClone checks the clone contract: identical outputs, fully
 // independent parameter storage.
 func TestModelClone(t *testing.T) {
 	cfg := tinyConfig()

@@ -125,16 +125,17 @@ type Model struct {
 	drop     *nn.Dropout
 	heads    []*head
 	params   []*nn.Param
-	// trains counts Train calls: a Scratch that kept projections under
-	// earlier weights drops them, and so does whp.
-	trains int
-	// whp is the LSTM's Wh packed for inference, built by the first one
-	// under the current weights and shared by every Scratch.
-	whp atomic.Pointer[packedWh]
+	// version counts weight changes (Train bumps it after every optimizer
+	// step): a Scratch that kept projections under an earlier version drops
+	// them, and so does packed.
+	version int
+	// packed is the LSTM's weights packed under version, built by the first
+	// forward pass under it and shared by training and every Scratch.
+	packed atomic.Pointer[packedLSTM]
 
-	// scratch reused across training forward passes
-	zcat    []float64
-	headOut [][]float64
+	// scratch reused across training passes
+	zcat, dzcat []float64
+	headOut     [][]float64
 
 	// sc and logits back Predict, PredictInto and Logits.
 	sc     Scratch
@@ -154,6 +155,7 @@ func New(cfg Config) (*Model, error) {
 		trunkAct: nn.NewReLU(),
 		drop:     nn.NewDropout(cfg.Dropout, g.Split(3)),
 		zcat:     make([]float64, cfg.HiddenTrunk+cfg.InputDim),
+		dzcat:    make([]float64, cfg.HiddenTrunk+cfg.InputDim),
 	}
 	var layers []nn.Layer
 	switch cfg.Encoder {
@@ -238,7 +240,8 @@ func (m *Model) rawForward(x [][]float64) [][]float64 {
 // backward propagates per-head logit gradients through the whole network,
 // accumulating parameter gradients.
 func (m *Model) backward(dLogits [][]float64) {
-	dzcat := make([]float64, len(m.zcat))
+	dzcat := m.dzcat
+	mathx.Fill(dzcat, 0)
 	for k, hd := range m.heads {
 		da := hd.fc2.Backward(dLogits[k])
 		da = hd.act.Backward(da)
@@ -263,7 +266,7 @@ func (m *Model) backward(dLogits [][]float64) {
 // encodeForward runs the configured shared encoder over the window.
 func (m *Model) encodeForward(x [][]float64) []float64 {
 	if m.lstm != nil {
-		return m.lstm.Forward(x)
+		return m.lstm.Forward(x, m.packedLSTM())
 	}
 	if m.gru != nil {
 		return m.gru.Forward(x)
@@ -341,9 +344,9 @@ func (m *Model) hidden(x [][]float64, frame int, sc *Scratch) {
 	var h []float64
 	switch {
 	case m.lstm != nil && frame > 0:
-		h = m.lstm.InferProjected(sc.ring.project(m, x, frame), m.packedWh(), enc)
+		h = m.lstm.InferProjected(sc.ring.project(m, x, frame), m.packedLSTM(), enc)
 	case m.lstm != nil:
-		h = m.lstm.Infer(x, m.packedWh(), enc)
+		h = m.lstm.Infer(x, m.packedLSTM(), enc)
 	case m.gru != nil:
 		h = m.gru.Infer(x, enc)
 	case m.conv != nil:
@@ -371,23 +374,28 @@ func (m *Model) hidden(x [][]float64, frame int, sc *Scratch) {
 	}
 }
 
-// packedWh is nn.LSTM.PackWh stamped with the Train count it was packed
+// packedLSTM is nn.LSTM.Pack stamped with the weight version it was packed
 // under.
-type packedWh struct {
-	trains int
-	w      []float64
+type packedLSTM struct {
+	version int
+	w       *nn.Packed
 }
 
-// packedWh returns the LSTM's Wh packed under the current weights, packing
-// it first if they changed. Racing first callers pack the same weights.
-func (m *Model) packedWh() []float64 {
-	p := m.whp.Load()
-	if p == nil || p.trains != m.trains {
-		p = &packedWh{m.trains, m.lstm.PackWh()}
-		m.whp.Store(p)
+// packedLSTM returns the LSTM's weights packed under the current version,
+// packing them first if they changed. Racing first callers pack the same
+// weights.
+func (m *Model) packedLSTM() *nn.Packed {
+	p := m.packed.Load()
+	if p == nil || p.version != m.version {
+		p = &packedLSTM{m.version, m.lstm.Pack()}
+		m.packed.Store(p)
 	}
 	return p.w
 }
+
+// weightsChanged records that the weights were written: every packed copy
+// and projection ring made before is stale from here on.
+func (m *Model) weightsChanged() { m.version++ }
 
 // headLogits computes rows [lo, lo+len(dst)) of head k's output layer from
 // the hidden vector the last hidden pass left in sc.

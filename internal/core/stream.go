@@ -10,10 +10,10 @@ import "math"
 // rule nn.QuantLSTM's ring follows): a wrong or reused frame number costs a
 // recomputation, never a result.
 type projRing struct {
-	// m and trains name the weights the entries were projected with; any
+	// m and version name the weights the entries were projected with; any
 	// other model, or the same one trained since, starts the ring over.
-	m      *Model
-	trains int
+	m       *Model
+	version int
 
 	frames []int       // per slot: the stream frame cached, noFrame if none
 	rows   []float64   // per slot: the D covariates the projection was computed from
@@ -41,13 +41,13 @@ func (r *projRing) reset(m *Model) {
 	for i := range r.frames {
 		r.frames[i] = noFrame
 	}
-	r.m, r.trains = m, m.trains
+	r.m, r.version = m, m.version
 }
 
 // project returns the input projections of window x, whose last row is
 // stream frame `frame`, computing only those the ring does not hold.
 func (r *projRing) project(m *Model, x [][]float64, frame int) [][]float64 {
-	if r.m != m || r.trains != m.trains {
+	if r.m != m || r.version != m.version {
 		r.reset(m)
 	}
 	M, D, G := len(x), m.cfg.InputDim, 4*m.cfg.HiddenLSTM
@@ -59,7 +59,7 @@ func (r *projRing) project(m *Model, x [][]float64, frame int) [][]float64 {
 		f := frame - M + 1 + i
 		kept, ax := r.rows[slot*D:(slot+1)*D], r.ax[slot*G:(slot+1)*G]
 		if r.frames[slot] != f || !sameBits(kept, row) {
-			m.lstm.Project(ax, row) // panics on a row of the wrong width before anything is cached
+			m.lstm.Project(ax, row, m.packedLSTM()) // panics on a row of the wrong width before anything is cached
 			copy(kept, row)
 			r.frames[slot] = f
 		}

@@ -70,7 +70,6 @@ func (m *Model) Train(recs []dataset.Record, tc TrainConfig) (TrainStats, error)
 			return TrainStats{}, fmt.Errorf("core: record %d has %d events, model expects %d", i, len(r.Label), m.cfg.NumEvents)
 		}
 	}
-	m.trains++
 	opt := nn.NewAdam(m.params, tc.LR)
 	if tc.GradClip > 0 {
 		opt.SetGradClip(tc.GradClip)
@@ -100,12 +99,14 @@ func (m *Model) Train(recs []dataset.Record, tc TrainConfig) (TrainStats, error)
 			if inBatch == tc.BatchSize {
 				scaleGrads(m.params, 1/float64(inBatch))
 				opt.Step()
+				m.weightsChanged()
 				inBatch = 0
 			}
 		}
 		if inBatch > 0 {
 			scaleGrads(m.params, 1/float64(inBatch))
 			opt.Step()
+			m.weightsChanged()
 		}
 		mean := epochLoss / float64(len(recs))
 		stats.EpochLoss = append(stats.EpochLoss, mean)

@@ -59,9 +59,11 @@ func PackRows4(w []float64, n int) []float64 {
 		panic(fmt.Sprintf("mathx: PackRows4 %d weights in rows of %d", len(w), n))
 	}
 	wp := make([]float64, len(w))
-	for k := range wp {
-		b, i, l := k/(4*n), k/4%n, k%4
-		wp[k] = w[(4*b+l)*n+i]
+	for r := 0; r < len(w)/n; r += 4 {
+		blk, w0, w1, w2, w3 := wp[r*n:(r+4)*n], w[r*n:][:n], w[(r+1)*n:][:n], w[(r+2)*n:][:n], w[(r+3)*n:][:n]
+		for i := range w0 {
+			blk[4*i], blk[4*i+1], blk[4*i+2], blk[4*i+3] = w0[i], w1[i], w2[i], w3[i]
+		}
 	}
 	return wp
 }
@@ -91,5 +93,39 @@ func MatVecPacked(dst, wp, x []float64) {
 			w = w[4:]
 		}
 		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
+	}
+}
+
+// BackRows is the backward pass of the mat-vec a = W·x over the row-major
+// matrix w of len(da) rows and n = len(x) columns, given da = dL/da: for
+// each row j with da[j] != 0, in j order, it adds da[j]*x[k] to g[j*n+k]
+// (dL/dW) and da[j]*w[j*n+k] to dx[k] (dL/dx) for every k. A zero row is
+// skipped, so -0 in g or dx stays -0; a NaN row is not. Each element gets
+// the scalar loop's operations in its order, every product rounded before
+// it is added, so the vector path is bit-identical to it. g and dx must
+// not overlap each other or w, da and x. It panics on a shape mismatch.
+func BackRows(g, w, da, x, dx []float64) {
+	n := len(x)
+	if len(w) != len(da)*n || len(g) != len(w) || len(dx) != n {
+		panic(fmt.Sprintf("mathx: BackRows %d weights, %d gradients for %d rows of %d, dx %d", len(w), len(g), len(da), n, len(dx)))
+	}
+	k0 := 0
+	if vector && n >= 4 {
+		// Columns [0, n&^3) on the vector path; each column's sum runs over
+		// the rows in order either way, so the tail may follow on its own.
+		backRowsAVX2(g, w, da, x, dx)
+		if k0 = n &^ 3; k0 == n {
+			return
+		}
+	}
+	for j, d := range da {
+		if d == 0 {
+			continue
+		}
+		wr, gr := w[j*n+k0:(j+1)*n], g[j*n+k0:(j+1)*n]
+		for k, xv := range x[k0:] {
+			gr[k] += d * xv
+			dx[k0+k] += d * wr[k]
+		}
 	}
 }

@@ -8,10 +8,11 @@ import (
 
 // Implemented in kernel_amd64.s. The slice kernels do whole chunks of four
 // from the start and return how many values they wrote (see vectorPart);
-// exp4 is math.Exp on four arguments in [-708, 708].
+// backRowsAVX2 does BackRows' columns [0, len(x)&^3); exp4 is math.Exp on four arguments in [-708, 708].
 func sigmoidAVX2(dst, src []float64) int
 func tanhAVX2(dst, src []float64) int
 func matVecPackedAVX2(dst, wp, x []float64)
+func backRowsAVX2(g, w, da, x, dx []float64)
 func exp4(x *[4]float64)
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() uint32

@@ -273,6 +273,132 @@ done:
 	VZEROUPPER
 	RET
 
+// func backRowsAVX2(g, w, da, x, dx []float64)
+//
+// BackRows' columns [0, len(x)&^3), sixteen at a time and then four: a
+// block's x and dx stay in registers while every row passes over it in
+// order. A row whose da is ±0 (all bits but the sign clear) is skipped;
+// otherwise da is broadcast and each chunk of four takes g += da*x and
+// dx += da*w, products rounded first.
+//
+// DI, SI, R10, R11: the block's first column in g, w, x and dx; DX: vector
+// columns left; R8: bytes per row; BX..R12: da. Per row: R9 in da, R13 and
+// AX the row's block in g and w.
+#define BACKROW(skip) \
+	MOVQ         (R9), CX; \
+	SHLQ         $1, CX; \
+	JEQ          skip; \
+	VBROADCASTSD (R9), Y0
+
+TEXT ·backRowsAVX2(SB), NOSPLIT, $0-120
+	MOVQ g_base+0(FP), DI
+	MOVQ w_base+24(FP), SI
+	MOVQ da_base+48(FP), BX
+	MOVQ da_len+56(FP), R12
+	MOVQ x_base+72(FP), R10
+	MOVQ x_len+80(FP), DX
+	MOVQ dx_base+96(FP), R11
+	MOVQ DX, R8
+	SHLQ $3, R8             // bytes per row
+	ANDQ $-4, DX            // vector columns
+	LEAQ (BX)(R12*8), R12   // end of da
+
+quadblock:
+	CMPQ    DX, $16
+	JLT     singleblock
+	VMOVUPD (R10), Y8
+	VMOVUPD 32(R10), Y9
+	VMOVUPD 64(R10), Y10
+	VMOVUPD 96(R10), Y11
+	VMOVUPD (R11), Y12
+	VMOVUPD 32(R11), Y13
+	VMOVUPD 64(R11), Y14
+	VMOVUPD 96(R11), Y15
+	MOVQ    BX, R9
+	MOVQ    DI, R13
+	MOVQ    SI, AX
+
+quadrow:
+	CMPQ    R9, R12
+	JEQ     quadstore
+	BACKROW(quadnext)
+	VMULPD  Y8, Y0, Y1 // da*x
+	VADDPD  (R13), Y1, Y1
+	VMOVUPD Y1, (R13)
+	VMULPD  Y9, Y0, Y2
+	VADDPD  32(R13), Y2, Y2
+	VMOVUPD Y2, 32(R13)
+	VMULPD  Y10, Y0, Y3
+	VADDPD  64(R13), Y3, Y3
+	VMOVUPD Y3, 64(R13)
+	VMULPD  Y11, Y0, Y4
+	VADDPD  96(R13), Y4, Y4
+	VMOVUPD Y4, 96(R13)
+	VMULPD  (AX), Y0, Y5 // da*w
+	VADDPD  Y5, Y12, Y12
+	VMULPD  32(AX), Y0, Y6
+	VADDPD  Y6, Y13, Y13
+	VMULPD  64(AX), Y0, Y7
+	VADDPD  Y7, Y14, Y14
+	VMULPD  96(AX), Y0, Y5
+	VADDPD  Y5, Y15, Y15
+
+quadnext:
+	ADDQ $8, R9
+	ADDQ R8, R13
+	ADDQ R8, AX
+	JMP  quadrow
+
+quadstore:
+	VMOVUPD Y12, (R11)
+	VMOVUPD Y13, 32(R11)
+	VMOVUPD Y14, 64(R11)
+	VMOVUPD Y15, 96(R11)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	ADDQ    $128, R10
+	ADDQ    $128, R11
+	SUBQ    $16, DX
+	JMP     quadblock
+
+singleblock:
+	TESTQ   DX, DX
+	JEQ     backdone
+	VMOVUPD (R10), Y8
+	VMOVUPD (R11), Y12
+	MOVQ    BX, R9
+	MOVQ    DI, R13
+	MOVQ    SI, AX
+
+singlerow:
+	CMPQ    R9, R12
+	JEQ     singlestore
+	BACKROW(singlenext)
+	VMULPD  Y8, Y0, Y1
+	VADDPD  (R13), Y1, Y1
+	VMOVUPD Y1, (R13)
+	VMULPD  (AX), Y0, Y5
+	VADDPD  Y5, Y12, Y12
+
+singlenext:
+	ADDQ $8, R9
+	ADDQ R8, R13
+	ADDQ R8, AX
+	JMP  singlerow
+
+singlestore:
+	VMOVUPD Y12, (R11)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, R10
+	ADDQ    $32, R11
+	SUBQ    $4, DX
+	JMP     singleblock
+
+backdone:
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -209,6 +209,99 @@ func TestMatVecPackedPanicsOnShape(t *testing.T) {
 	}
 }
 
+// backRowsRef is BackRows' loop as the LSTM and Dense backward passes had
+// it inline: the oracle both paths are held to.
+func backRowsRef(g, w, da, x, dx []float64) {
+	n := len(x)
+	for j, d := range da {
+		if d == 0 {
+			continue
+		}
+		for k, xv := range x {
+			g[j*n+k] += d * xv
+			dx[k] += d * w[j*n+k]
+		}
+	}
+}
+
+// checkBackRows runs BackRows on copies of g and dx laid at offset off in
+// fresh backing arrays and requires both to equal backRowsRef's bit for bit.
+func checkBackRows(t *testing.T, what string, g, w, da, x, dx []float64, off int) {
+	t.Helper()
+	wantG, wantDx := append([]float64(nil), g...), append([]float64(nil), dx...)
+	backRowsRef(wantG, w, da, x, wantDx)
+	gotG := append(make([]float64, off), g...)[off:]
+	gotDx := append(make([]float64, off), dx...)[off:]
+	BackRows(gotG, w, da, x, gotDx)
+	for i := range wantG {
+		if math.Float64bits(gotG[i]) != math.Float64bits(wantG[i]) {
+			t.Fatalf("%s: g[%d] = %v, want %v", what, i, gotG[i], wantG[i])
+		}
+	}
+	for k := range wantDx {
+		if math.Float64bits(gotDx[k]) != math.Float64bits(wantDx[k]) {
+			t.Fatalf("%s: dx[%d] = %v, want %v", what, k, gotDx[k], wantDx[k])
+		}
+	}
+}
+
+// TestBackRowsBits: widths on both sides of the four-lane chunk, rows whose
+// da is +0 or -0 (skipped, so a -0 already in g or dx survives), specials
+// but no NaN (see TestMatVecPackedBits) in every operand, and unaligned
+// subslices, each result bit-identical to the scalar loop.
+func TestBackRowsBits(t *testing.T) {
+	g := NewRNG(35)
+	var sp []float64
+	for _, v := range specials() {
+		if !math.IsNaN(v) {
+			sp = append(sp, v)
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	paths(t, func(t *testing.T) {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 24, 32, 36} {
+			for _, rows := range []int{1, 5, 12} {
+				for trial := 0; trial < 3; trial++ {
+					fill := func(v []float64) []float64 {
+						for i := range v {
+							v[i] = g.Float64()*2 - 1
+							if trial == 1 && g.Intn(4) == 0 {
+								v[i] = sp[g.Intn(len(sp))]
+							}
+							if trial == 2 && g.Intn(3) == 0 {
+								v[i] = negZero
+							}
+						}
+						return v
+					}
+					w, x := fill(make([]float64, rows*n)), fill(make([]float64, n))
+					gr, dx := fill(make([]float64, rows*n)), fill(make([]float64, n))
+					da := fill(make([]float64, rows))
+					da[0] = 0
+					if rows > 1 {
+						da[rows-1] = negZero
+					}
+					what := fmt.Sprintf("n=%d rows=%d trial=%d", n, rows, trial)
+					checkBackRows(t, what, gr, w, da, x, dx, trial+1)
+				}
+			}
+		}
+	})
+}
+
+func TestBackRowsPanicsOnShape(t *testing.T) {
+	for _, c := range []struct{ g, w, da, x, dx int }{{6, 6, 2, 3, 2}, {5, 6, 2, 3, 3}, {6, 7, 2, 3, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("BackRows accepted shapes %+v", c)
+				}
+			}()
+			BackRows(make([]float64, c.g), make([]float64, c.w), make([]float64, c.da), make([]float64, c.x), make([]float64, c.dx))
+		}()
+	}
+}
+
 // FuzzKernelBits: any bytes, read as float64s, through every kernel on both
 // paths, at an unaligned offset and in place, against the scalar functions.
 func FuzzKernelBits(f *testing.F) {
@@ -245,6 +338,13 @@ func FuzzKernelBits(f *testing.F) {
 					t.Fatalf("MatVecPacked row %d of %d x %d: %v, Dot %v", r, rows, n, dst[r], want)
 				}
 			}
+			// BackRows reads the same matrix with its rows as gradients:
+			// da from w's first column, g and dx from the bytes again.
+			da := make([]float64, rows)
+			for r := range da {
+				da[r] = w[r*n]
+			}
+			checkBackRows(t, "BackRows", w, w, da, x, vals[:n], int(off%4))
 		})
 	})
 }

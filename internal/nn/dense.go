@@ -72,18 +72,7 @@ func (d *Dense) Backward(dy []float64) []float64 {
 		panic(fmt.Sprintf("nn: Dense %s grad %d, want %d", d.w.Name, len(dy), d.out))
 	}
 	mathx.Fill(d.dx, 0)
-	for o := 0; o < d.out; o++ {
-		g := dy[o]
-		if g == 0 {
-			continue
-		}
-		row := d.w.W[o*d.in : (o+1)*d.in]
-		grow := d.w.G[o*d.in : (o+1)*d.in]
-		for i, xi := range d.x {
-			grow[i] += g * xi
-			d.dx[i] += g * row[i]
-		}
-		d.b.G[o] += g
-	}
+	mathx.BackRows(d.w.G, d.w.W, dy, d.x, d.dx)
+	addBiasGrad(d.b.G, dy)
 	return d.dx
 }

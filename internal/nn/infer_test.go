@@ -111,15 +111,16 @@ func TestLSTMMatchesRowAtATime(t *testing.T) {
 				h[j] = o * math.Tanh(c[j])
 			}
 		}
+		p := l.Pack()
 		axs := make([][]float64, T)
 		for i, x := range xs {
 			axs[i] = make([]float64, 4*H)
-			l.Project(axs[i], x)
+			l.Project(axs[i], x, p)
 		}
 		onPaths(t, func(t *testing.T) {
-			sameBits(t, "Forward", l.Forward(xs), h)
-			sameBits(t, "Infer", l.Infer(xs, l.PackWh(), make([]float64, l.InferLen())), h)
-			sameBits(t, "InferProjected", l.InferProjected(axs, l.PackWh(), make([]float64, l.InferLen())), h)
+			sameBits(t, "Forward", l.Forward(xs, p), h)
+			sameBits(t, "Infer", l.Infer(xs, p, make([]float64, l.InferLen())), h)
+			sameBits(t, "InferProjected", l.InferProjected(axs, p, make([]float64, l.InferLen())), h)
 		})
 	}
 }
@@ -138,20 +139,20 @@ func TestLSTMVectorMatchesScalar(t *testing.T) {
 	for _, H := range lstmWidths {
 		for _, scale := range []float64{1, 400} {
 			l := NewLSTM("l", in, H, g.Split(int64(H)))
+			p := l.Pack()
 			xs := randSeq(g, T, in)
 			axs := make([][]float64, T)
 			for i, x := range xs {
 				mathx.Scale(scale, x)
 				axs[i] = make([]float64, 4*H)
-				l.Project(axs[i], x)
+				l.Project(axs[i], x, p)
 			}
-			whp := l.PackWh()
 			run := func(vector bool) (h, hp []float64) {
 				vectorKernels = vector
 				buf := make([]float64, l.InferLen())
 				mathx.Fill(buf, math.NaN())
-				h = append([]float64(nil), l.Infer(xs, whp, buf)...)
-				return h, l.InferProjected(axs, whp, buf)
+				h = append([]float64(nil), l.Infer(xs, p, buf)...)
+				return h, l.InferProjected(axs, p, buf)
 			}
 			h, hp := run(true)
 			hs, hps := run(false)

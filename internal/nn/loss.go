@@ -2,8 +2,7 @@ package nn
 
 import (
 	"fmt"
-
-	"eventhit/internal/mathx"
+	"math"
 )
 
 // BCEWithLogits computes the weighted binary cross-entropy of logits z
@@ -27,18 +26,31 @@ func BCEWithLogits(z, y, weights, dz []float64) float64 {
 		if weights != nil {
 			w = weights[i]
 		}
-		yi := y[i]
-		// y*log(sigma(z)) + (1-y)*log(1-sigma(z)) with 1-sigma(z)=sigma(-z).
-		loss -= w * (yi*mathx.LogSigmoid(zi) + (1-yi)*mathx.LogSigmoid(-zi))
-		dz[i] = w * (mathx.Sigmoid(zi) - yi)
+		l, d := BCEWithLogitsScalar(zi, y[i], w)
+		loss += l
+		dz[i] = d
 	}
 	return loss
 }
 
-// BCEWithLogitsScalar is the single-output convenience form; it returns the
-// loss and dL/dz.
+// BCEWithLogitsScalar is the single-output form; it returns the weighted
+// loss -w*(y*LogSigmoid(z) + (1-y)*LogSigmoid(-z)) and dL/dz =
+// w*(Sigmoid(z) - y). The three functions exponentiate the same e =
+// exp(-|z|) and take log1p(e), so both are computed once and each
+// function's branch finishes from them: every result is bit-identical to
+// calling mathx.LogSigmoid and mathx.Sigmoid for any z but a NaN. At z = ±0
+// both LogSigmoid(z) and LogSigmoid(-z) take their x >= 0 branch.
 func BCEWithLogitsScalar(z, y, weight float64) (loss, dz float64) {
-	loss = -weight * (y*mathx.LogSigmoid(z) + (1-y)*mathx.LogSigmoid(-z))
-	dz = weight * (mathx.Sigmoid(z) - y)
+	e := math.Exp(-math.Abs(z))
+	lp := math.Log1p(e)
+	logSig, logSigNeg, sig := -lp, -lp, 1/(1+e)
+	if z < 0 {
+		logSig, sig = z-lp, e/(1+e)
+	}
+	if z > 0 {
+		logSigNeg = -z - lp
+	}
+	loss = -weight * (y*logSig + (1-y)*logSigNeg)
+	dz = weight * (sig - y)
 	return loss, dz
 }

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"eventhit/internal/mathx"
 )
@@ -24,6 +23,7 @@ type LSTM struct {
 	xs     [][]float64
 	hs, cs [][]float64 // hs[0]/cs[0] are the zero initial state
 	gs     [][]float64 // post-activation gates, stacked like the pre-activations
+	tcs    [][]float64 // tanh(c_t), which Backward reads back
 
 	// scratch reused across calls so the training hot path allocates
 	// nothing per step
@@ -68,11 +68,21 @@ func (l *LSTM) Hidden() int { return l.hidden }
 // Params implements Layer.
 func (l *LSTM) Params() []*Param { return []*Param{l.wx, l.wh, l.b} }
 
-// Forward processes the sequence xs (each element length D) and returns
-// the final hidden state h_n. The sequence must be non-empty. The returned
-// slice is reused by the next Forward; copy it if it must survive that
-// call.
-func (l *LSTM) Forward(xs [][]float64) []float64 {
+// Packed is a copy of an LSTM's input and recurrent weights in
+// mathx.PackRows4's layout, the form every forward pass reads them in. It
+// is a snapshot: after the weights change, Pack again.
+type Packed struct{ wx, wh []float64 }
+
+// Pack returns the layer's current weights packed.
+func (l *LSTM) Pack() *Packed {
+	return &Packed{mathx.PackRows4(l.wx.W, l.in), mathx.PackRows4(l.wh.W, l.hidden)}
+}
+
+// Forward processes the sequence xs (each element length D) over p, which
+// must be Pack() of the current weights, and returns the final hidden
+// state h_n. The sequence must be non-empty. The returned slice is reused
+// by the next Forward; copy it if it must survive that call.
+func (l *LSTM) Forward(xs [][]float64, p *Packed) []float64 {
 	if len(xs) == 0 {
 		panic("nn: LSTM forward on empty sequence")
 	}
@@ -82,14 +92,15 @@ func (l *LSTM) Forward(xs [][]float64) []float64 {
 	l.hs = grow2d(l.hs, T+1, H)
 	l.cs = grow2d(l.cs, T+1, H)
 	l.gs = grow2d(l.gs, T, 4*H)
+	l.tcs = grow2d(l.tcs, T, H)
 	mathx.Fill(l.hs[0], 0)
 	mathx.Fill(l.cs[0], 0)
 	for t, x := range xs {
-		l.Project(l.ax, x)
-		mathx.MatVec(l.gs[t], l.wh.W, l.hs[t]) // weights change every step: not packed
+		l.Project(l.ax, x, p)
+		mathx.MatVecPacked(l.gs[t], p.wh, l.hs[t])
 		addInput(l.gs[t], l.ax, l.b.W)
 		copy(l.cs[t+1], l.cs[t])
-		cell(l.hs[t+1], l.cs[t+1], l.gs[t])
+		cell(l.hs[t+1], l.cs[t+1], l.gs[t], l.tcs[t])
 	}
 	copy(l.hOut, l.hs[T])
 	return l.hOut
@@ -111,19 +122,15 @@ func addInput(a, ax, b []float64) {
 	}
 }
 
-// PackWh returns a copy of the recurrent weights Wh in mathx.PackRows4's
-// layout, as Infer and InferProjected take them.
-func (l *LSTM) PackWh() []float64 { return mathx.PackRows4(l.wh.W, l.hidden) }
-
 // InferLen returns how many floats of scratch Infer needs.
 func (l *LSTM) InferLen() int { return 10 * l.hidden }
 
-// Infer is Forward for inference over whp = PackWh(): it reads the
-// weights, keeps every activation in buf (at least InferLen floats) and
-// caches nothing for a Backward, so concurrent callers with their own buf
-// may share one layer. The returned h_n aliases buf and is bit-identical to
-// Forward's.
-func (l *LSTM) Infer(xs [][]float64, whp, buf []float64) []float64 {
+// Infer is Forward for inference: it reads the weights (p and the bias),
+// keeps every activation in buf (at least InferLen floats) and caches
+// nothing for a Backward, so concurrent callers with their own buf may
+// share one layer and one p. The returned h_n aliases buf and is
+// bit-identical to Forward's.
+func (l *LSTM) Infer(xs [][]float64, p *Packed, buf []float64) []float64 {
 	if len(xs) == 0 {
 		panic("nn: LSTM forward on empty sequence")
 	}
@@ -131,26 +138,26 @@ func (l *LSTM) Infer(xs [][]float64, whp, buf []float64) []float64 {
 	h, c, a, ax := buf[:H], buf[H:2*H], buf[2*H:6*H], buf[6*H:10*H]
 	mathx.Fill(buf[:2*H], 0)
 	for _, x := range xs {
-		l.Project(ax, x)
-		l.step(h, c, a, ax, whp)
+		l.Project(ax, x, p)
+		l.step(h, c, a, ax, p)
 	}
 	return h
 }
 
-// Project fills dst (4*Hidden floats) with Wx*x, the part of a step's gate
-// pre-activations that depends on the input row alone — the same for every
-// window the row appears in.
-func (l *LSTM) Project(dst, x []float64) {
+// Project fills dst (4*Hidden floats) with Wx*x over p, the part of a
+// step's gate pre-activations that depends on the input row alone — the
+// same for every window the row appears in.
+func (l *LSTM) Project(dst, x []float64, p *Packed) {
 	if len(x) != l.in {
 		panic(fmt.Sprintf("nn: LSTM %s input width %d, want %d", l.wx.Name, len(x), l.in))
 	}
-	mathx.MatVec(dst, l.wx.W, x)
+	mathx.MatVecPacked(dst, p.wx, x)
 }
 
 // InferProjected is Infer over a sequence given as its input parts, axs[t]
 // = Project(x_t). Infer sums ax[j] + a[j] + b[j] with ax computed apart, so
 // where ax came from cannot show: h_n is bit-identical to Infer's.
-func (l *LSTM) InferProjected(axs [][]float64, whp, buf []float64) []float64 {
+func (l *LSTM) InferProjected(axs [][]float64, p *Packed, buf []float64) []float64 {
 	if len(axs) == 0 {
 		panic("nn: LSTM forward on empty sequence")
 	}
@@ -158,23 +165,24 @@ func (l *LSTM) InferProjected(axs [][]float64, whp, buf []float64) []float64 {
 	h, c, a := buf[:H], buf[H:2*H], buf[2*H:6*H]
 	mathx.Fill(buf[:2*H], 0)
 	for _, ax := range axs {
-		l.step(h, c, a, ax, whp)
+		l.step(h, c, a, ax, p)
 	}
 	return h
 }
 
 // step advances (h, c) by one input part ax: the pre-activations through
 // the packed mat-vec (bit-identical to preact's), then the cell.
-func (l *LSTM) step(h, c, a, ax, whp []float64) {
-	mathx.MatVecPacked(a, whp, h)
+func (l *LSTM) step(h, c, a, ax []float64, p *Packed) {
+	mathx.MatVecPacked(a, p.wh, h)
 	addInput(a, ax, l.b.W)
-	cell(h, c, a)
+	cell(h, c, a, h)
 }
 
 // cell advances the state (h, c) in place through the gate nonlinearities
-// of the stacked pre-activations a, leaving the activated gates in a:
-// c = f*c + i*g and h = o*tanh(c), unit by unit as the scalar functions.
-func cell(h, c, a []float64) {
+// of the stacked pre-activations a, leaving the activated gates in a and
+// tanh(c) in tc (which may be h): c = f*c + i*g and h = o*tanh(c), unit by
+// unit as the scalar functions.
+func cell(h, c, a, tc []float64) {
 	H := len(h)
 	i, f, g, o := a[:H], a[H:2*H], a[2*H:3*H], a[3*H:4*H]
 	mathx.SigmoidInto(a[:2*H], a[:2*H])
@@ -183,9 +191,9 @@ func cell(h, c, a []float64) {
 	for j := range c {
 		c[j] = f[j]*c[j] + i[j]*g[j]
 	}
-	mathx.TanhInto(h, c)
+	mathx.TanhInto(tc, c)
 	for j := range h {
-		h[j] = o[j] * h[j]
+		h[j] = o[j] * tc[j]
 	}
 }
 
@@ -204,10 +212,10 @@ func (l *LSTM) Backward(dh []float64) [][]float64 {
 	copy(dhCur, dh)
 	mathx.Fill(dc, 0)
 	for t := T - 1; t >= 0; t-- {
-		x, hPrev, cPrev, c, gs := l.xs[t], l.hs[t], l.cs[t], l.cs[t+1], l.gs[t]
+		x, hPrev, cPrev, tcs, gs := l.xs[t], l.hs[t], l.cs[t], l.tcs[t], l.gs[t]
 		for j := 0; j < H; j++ {
 			i, f, g, o := gs[j], gs[H+j], gs[2*H+j], gs[3*H+j]
-			tc := math.Tanh(c[j])
+			tc := tcs[j]
 			dcj := dc[j] + dhCur[j]*o*(1-tc*tc)
 			da[j] = dcj * g * i * (1 - i)          // input gate
 			da[H+j] = dcj * cPrev[j] * f * (1 - f) // forget gate
@@ -215,31 +223,27 @@ func (l *LSTM) Backward(dh []float64) [][]float64 {
 			da[3*H+j] = dhCur[j] * tc * o * (1 - o)
 			dc[j] = dcj * f
 		}
+		// The Wx and Wh passes write disjoint arrays, so running one after
+		// the other instead of row by row interleaved changes no bit.
 		dx := dxs[t]
 		mathx.Fill(dx, 0)
 		mathx.Fill(dhPrev, 0)
-		for j := 0; j < 4*H; j++ {
-			g := da[j]
-			if g == 0 {
-				continue
-			}
-			wxRow := l.wx.W[j*l.in : (j+1)*l.in]
-			gxRow := l.wx.G[j*l.in : (j+1)*l.in]
-			for k, xv := range x {
-				gxRow[k] += g * xv
-				dx[k] += g * wxRow[k]
-			}
-			whRow := l.wh.W[j*H : (j+1)*H]
-			ghRow := l.wh.G[j*H : (j+1)*H]
-			for k, hv := range hPrev {
-				ghRow[k] += g * hv
-				dhPrev[k] += g * whRow[k]
-			}
-			l.b.G[j] += g
-		}
+		mathx.BackRows(l.wx.G, l.wx.W, da, x, dx)
+		mathx.BackRows(l.wh.G, l.wh.W, da, hPrev, dhPrev)
+		addBiasGrad(l.b.G, da)
 		copy(dhCur, dhPrev)
 	}
 	return dxs
+}
+
+// addBiasGrad adds the non-zero entries of da to the bias gradient gb, with
+// mathx.BackRows' skip, so a -0 in gb stays -0.
+func addBiasGrad(gb, da []float64) {
+	for j, g := range da {
+		if g != 0 {
+			gb[j] += g
+		}
+	}
 }
 
 // grow2d reuses buf if it is large enough, otherwise allocates rows x cols.

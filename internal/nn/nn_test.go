@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 
@@ -173,13 +174,14 @@ func TestLSTMGradCheck(t *testing.T) {
 	y := []float64{1, 0}
 	dz := make([]float64, 2)
 	params := CollectParams(l, head)
+	// The checker perturbs the weights between calls: pack them every time.
 	loss := func() float64 {
-		h := l.Forward(seq)
+		h := l.Forward(seq, l.Pack())
 		z := head.Forward(h)
 		return BCEWithLogits(z, y, nil, dz)
 	}
 	backward := func() {
-		h := l.Forward(seq)
+		h := l.Forward(seq, l.Pack())
 		z := head.Forward(h)
 		BCEWithLogits(z, y, nil, dz)
 		dh := head.Backward(dz)
@@ -196,8 +198,8 @@ func TestLSTMDeterministicGivenWeights(t *testing.T) {
 	g := mathx.NewRNG(5)
 	l := NewLSTM("l", 2, 3, g)
 	seq := [][]float64{{1, 2}, {3, 4}}
-	h1 := l.Forward(seq)
-	h2 := l.Forward(seq)
+	h1 := l.Forward(seq, l.Pack())
+	h2 := l.Forward(seq, l.Pack())
 	for i := range h1 {
 		if h1[i] != h2[i] {
 			t.Fatal("LSTM forward is not deterministic")
@@ -211,7 +213,8 @@ func TestLSTMForwardEmptyPanics(t *testing.T) {
 			t.Fatal("expected panic on empty sequence")
 		}
 	}()
-	NewLSTM("l", 2, 2, mathx.NewRNG(1)).Forward(nil)
+	l := NewLSTM("l", 2, 2, mathx.NewRNG(1))
+	l.Forward(nil, l.Pack())
 }
 
 func TestLSTMHiddenBounded(t *testing.T) {
@@ -222,7 +225,7 @@ func TestLSTMHiddenBounded(t *testing.T) {
 	for i := range seq {
 		seq[i] = []float64{g.Normal(0, 10), g.Normal(0, 10)}
 	}
-	h := l.Forward(seq)
+	h := l.Forward(seq, l.Pack())
 	for _, v := range h {
 		if math.Abs(v) >= 1 {
 			t.Fatalf("hidden state out of (-1,1): %v", v)
@@ -290,6 +293,51 @@ func TestAdamGradClip(t *testing.T) {
 	// With clip the first update magnitude is ~lr (bias-corrected m/sqrt(v)=1).
 	if math.Abs(p.W[0]) > 0.0011 {
 		t.Fatalf("clipped step too large: %v", p.W[0])
+	}
+}
+
+// TestSaveParamsDeterministic: the same weights saved twice are the same
+// bytes (a gob map would come out in random order).
+func TestSaveParamsDeterministic(t *testing.T) {
+	g := mathx.NewRNG(9)
+	ps := CollectParams(NewDense("a", 3, 2, g), NewLSTM("b", 2, 3, g), NewDense("c", 4, 5, g))
+	var first bytes.Buffer
+	if err := SaveParams(&first, ps); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		var again bytes.Buffer
+		if err := SaveParams(&again, ps); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), first.Bytes()) {
+			t.Fatalf("save %d differs from the first", i+1)
+		}
+	}
+}
+
+// TestLoadParamsMapForm: a snapshot in the older map form still loads.
+func TestLoadParamsMapForm(t *testing.T) {
+	g := mathx.NewRNG(10)
+	src := CollectParams(NewDense("d", 3, 2, g), NewLSTM("l", 3, 2, g))
+	old := snapshot{Weights: map[string][]float64{}}
+	for _, p := range src {
+		old.Weights[p.Name] = p.W
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	dst := CollectParams(NewDense("d", 3, 2, mathx.NewRNG(99)), NewLSTM("l", 3, 2, mathx.NewRNG(99)))
+	if err := LoadParams(&buf, dst); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range src {
+		for j, w := range p.W {
+			if dst[i].W[j] != w {
+				t.Fatalf("%s[%d] = %v, want %v", p.Name, j, dst[i].W[j], w)
+			}
+		}
 	}
 }
 

@@ -156,7 +156,7 @@ func TestQuantLSTMMatchesFloat(t *testing.T) {
 			}
 			xs[t2] = row
 		}
-		want := l.Forward(xs)
+		want := l.Forward(xs, l.Pack())
 		got := q.Forward(xs)
 		for j := range want {
 			if d := math.Abs(got[j] - want[j]); d > 0.02 {

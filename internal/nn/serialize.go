@@ -7,31 +7,49 @@ import (
 	"io"
 )
 
-// snapshot is the on-disk form: parameter name -> weights.
+// snapshot is the on-disk form. SaveParams writes Params, the weights in
+// model order, so equal weights encode to equal bytes; files written before
+// that hold the Weights map instead, whose gob order is random. Gob matches
+// fields by name, so one struct reads both.
 type snapshot struct {
 	Weights map[string][]float64
+	Params  []namedWeights
+}
+
+// namedWeights is one parameter of a snapshot.
+type namedWeights struct {
+	Name string
+	W    []float64
 }
 
 // SaveParams writes the weights of params to w in gob format.
 func SaveParams(w io.Writer, params []*Param) error {
-	s := snapshot{Weights: make(map[string][]float64, len(params))}
-	for _, p := range params {
-		if _, dup := s.Weights[p.Name]; dup {
+	s := snapshot{Params: make([]namedWeights, len(params))}
+	seen := make(map[string]bool, len(params))
+	for i, p := range params {
+		if seen[p.Name] {
 			return fmt.Errorf("nn: duplicate parameter name %q", p.Name)
 		}
-		s.Weights[p.Name] = p.W
+		seen[p.Name] = true
+		s.Params[i] = namedWeights{p.Name, p.W}
 	}
 	return gob.NewEncoder(w).Encode(s)
 }
 
-// LoadParams reads weights written by SaveParams into params, matching by
-// name. Every parameter must be present with an identical length. When
-// reading several gob streams from one reader (as core.Load does), pass a
-// reader implementing io.ByteReader.
+// LoadParams reads weights written by SaveParams, in either form, into
+// params, matching by name. Every parameter must be present with an
+// identical length. When reading several gob streams from one reader (as
+// core.Load does), pass a reader implementing io.ByteReader.
 func LoadParams(r io.Reader, params []*Param) error {
 	var s snapshot
 	if err := gob.NewDecoder(byteReader(r)).Decode(&s); err != nil {
 		return fmt.Errorf("nn: decode params: %w", err)
+	}
+	if s.Weights == nil {
+		s.Weights = make(map[string][]float64, len(s.Params))
+		for _, p := range s.Params {
+			s.Weights[p.Name] = p.W
+		}
 	}
 	for _, p := range params {
 		w, ok := s.Weights[p.Name]

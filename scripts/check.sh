@@ -62,14 +62,19 @@ stage cross-build cross_build
 # still fuses no multiply-add there), then with GODEBUG turning FMA off
 # (math.Exp's non-FMA path: the init self-check must refuse the kernels) and
 # AVX2 off, where TestKernelPath requires the scalar path. Then a bounded
-# live fuzz run.
+# live fuzz run, and end to end: a bundle trained on the default path and
+# one trained with AVX2 off must be the same bytes.
 kernel_bits() {
     pkgs="./internal/mathx/ ./internal/nn/ ./internal/core/"
     GOAMD64=v1 go test -count=1 $pkgs &&
         GOAMD64=v3 go test -count=1 $pkgs &&
         GODEBUG=cpu.fma=off go test -count=1 $pkgs &&
         GODEBUG=cpu.avx2=off go test -count=1 $pkgs &&
-        go test ./internal/mathx/ -run '^$' -fuzz '^FuzzKernelBits$' -fuzztime 15s
+        go test ./internal/mathx/ -run '^$' -fuzz '^FuzzKernelBits$' -fuzztime 15s &&
+        go build -o "$tmpdir/eventhittrain" ./cmd/eventhittrain &&
+        "$tmpdir/eventhittrain" -task TA1 -quick -out "$tmpdir/ta1.bundle" &&
+        GODEBUG=cpu.avx2=off "$tmpdir/eventhittrain" -task TA1 -quick -out "$tmpdir/ta1_scalar.bundle" &&
+        cmp "$tmpdir/ta1.bundle" "$tmpdir/ta1_scalar.bundle"
 }
 stage kernel-bits kernel_bits
 stage race go test -race ./...
