@@ -576,159 +576,3 @@ func TestDecodeIntervalsCoverDecodedSpan(t *testing.T) {
 		}
 	}
 }
-
-func TestMeanEncoderVariant(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Encoder = "mean"
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := tinyRecord(mathx.NewRNG(5), cfg)
-	out := m.Predict(rec.X)
-	if len(out.B) != cfg.NumEvents {
-		t.Fatal("mean encoder predict failed")
-	}
-	// Gradcheck the mean-encoder path too.
-	dLogits := make([][]float64, cfg.NumEvents)
-	for k := range dLogits {
-		dLogits[k] = make([]float64, 1+cfg.Horizon)
-	}
-	loss := func() float64 {
-		logits := m.rawForward(rec.X)
-		return m.recordLoss(logits, rec, dLogits)
-	}
-	backward := func() {
-		logits := m.rawForward(rec.X)
-		m.recordLoss(logits, rec, dLogits)
-		m.backward(dLogits)
-	}
-	worst, err := nn.CheckGradients(loss, backward, m.params, 1e-5, 5e-4)
-	if err != nil {
-		t.Fatalf("mean encoder gradcheck worst=%g: %v", worst, err)
-	}
-}
-
-func TestMeanEncoderSaveLoad(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Encoder = "mean"
-	m, _ := New(cfg)
-	rec := tinyRecord(mathx.NewRNG(6), cfg)
-	want := m.Predict(rec.X)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m2.Predict(rec.X)
-	if got.B[0] != want.B[0] {
-		t.Fatal("mean encoder model did not round-trip")
-	}
-}
-
-func TestEncoderValidation(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Encoder = "transformer"
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("expected error for unknown encoder")
-	}
-}
-
-func TestMeanEncoderIsOrderInvariant(t *testing.T) {
-	// The ablation's defining property: permuting the window changes
-	// nothing (unlike the LSTM).
-	cfg := tinyConfig()
-	cfg.Encoder = "mean"
-	m, _ := New(cfg)
-	rec := tinyRecord(mathx.NewRNG(8), cfg)
-	a := m.Predict(rec.X)
-	rev := make([][]float64, len(rec.X))
-	for i := range rec.X {
-		rev[i] = rec.X[len(rec.X)-1-i]
-	}
-	// Keep the last frame identical (it is concatenated into zcat).
-	rev[len(rev)-1] = rec.X[len(rec.X)-1]
-	rev[0] = rec.X[0]
-	// swap middle rows only
-	rev[1], rev[2] = rec.X[2], rec.X[1]
-	b := m.Predict(rev)
-	if a.B[0] != b.B[0] {
-		t.Fatalf("mean encoder should ignore frame order: %v vs %v", a.B[0], b.B[0])
-	}
-}
-
-func TestGRUEncoderVariant(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Encoder = "gru"
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := tinyRecord(mathx.NewRNG(5), cfg)
-	dLogits := make([][]float64, cfg.NumEvents)
-	for k := range dLogits {
-		dLogits[k] = make([]float64, 1+cfg.Horizon)
-	}
-	loss := func() float64 {
-		logits := m.rawForward(rec.X)
-		return m.recordLoss(logits, rec, dLogits)
-	}
-	backward := func() {
-		logits := m.rawForward(rec.X)
-		m.recordLoss(logits, rec, dLogits)
-		m.backward(dLogits)
-	}
-	worst, err := nn.CheckGradients(loss, backward, m.params, 1e-5, 5e-4)
-	if err != nil {
-		t.Fatalf("GRU encoder gradcheck worst=%g: %v", worst, err)
-	}
-	// Save/load round-trip through the gru parameter names.
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Predict(rec.X).B[0] != m.Predict(rec.X).B[0] {
-		t.Fatal("gru model did not round-trip")
-	}
-}
-
-func TestConvEncoderVariant(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Encoder = "conv"
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := tinyRecord(mathx.NewRNG(5), cfg)
-	dLogits := make([][]float64, cfg.NumEvents)
-	for k := range dLogits {
-		dLogits[k] = make([]float64, 1+cfg.Horizon)
-	}
-	loss := func() float64 {
-		logits := m.rawForward(rec.X)
-		return m.recordLoss(logits, rec, dLogits)
-	}
-	backward := func() {
-		logits := m.rawForward(rec.X)
-		m.recordLoss(logits, rec, dLogits)
-		m.backward(dLogits)
-	}
-	worst, err := nn.CheckGradients(loss, backward, m.params, 1e-5, 5e-4)
-	if err != nil {
-		t.Fatalf("conv encoder gradcheck worst=%g: %v", worst, err)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -20,12 +20,12 @@ import (
 //go:linkname vectorKernels eventhit/internal/mathx.vector
 var vectorKernels bool
 
-// inferModel builds an untrained model of the given encoder whose three
-// hidden widths are all w, and a random window for it.
-func inferModel(t testing.TB, enc string, w int, seed int64) (*Model, [][]float64) {
+// inferModel builds an untrained model whose three hidden widths are all
+// w, and a random window for it.
+func inferModel(t testing.TB, w int, seed int64) (*Model, [][]float64) {
 	t.Helper()
 	cfg := DefaultConfig(4, 7, 11, 3)
-	cfg.Encoder, cfg.HiddenLSTM, cfg.HiddenTrunk, cfg.HiddenHead, cfg.Seed = enc, w, w, w, seed
+	cfg.HiddenLSTM, cfg.HiddenTrunk, cfg.HiddenHead, cfg.Seed = w, w, w, seed
 	return inferModelOf(t, cfg)
 }
 
@@ -60,61 +60,59 @@ func refLogits(m *Model, x [][]float64) [][]float64 {
 
 func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestTwoPhaseMatchesForward: for every encoder and hidden widths on both
-// sides of the four-row block, Exist and Theta reproduce the full forward
-// pass bit for bit — whichever subset of heads Θ is asked for — and so do
-// Logits and PredictInto. One Scratch serves every model in turn, so it is
+// TestTwoPhaseMatchesForward: for hidden widths on both sides of the
+// four-row block, Exist and Theta reproduce the full forward pass bit for
+// bit — whichever subset of heads Θ is asked for — and so do Logits and
+// PredictInto. One Scratch serves every model in turn, so it is
 // resized up and down across the widths.
 func TestTwoPhaseMatchesForward(t *testing.T) {
 	var sc Scratch
-	for _, enc := range []string{"lstm", "gru", "conv", "mean"} {
-		for _, w := range []int{1, 3, 5, 24, 33} {
-			t.Run(fmt.Sprintf("%s/%d", enc, w), func(t *testing.T) {
-				m, x := inferModel(t, enc, w, int64(w))
-				cfg := m.Config()
-				ref := refLogits(m, x)
-				b := make([]float64, cfg.NumEvents)
-				theta := make([]float64, cfg.Horizon)
-				for subset := 0; subset < 1<<cfg.NumEvents; subset++ {
-					m.Exist(x, 0, &sc, b)
-					for k := range b {
-						if want := mathx.Sigmoid(ref[k][0]); !bitsEqual(b[k], want) {
-							t.Fatalf("subset %03b: b[%d] = %v, want %v", subset, k, b[k], want)
-						}
+	for _, w := range []int{1, 3, 5, 24, 33} {
+		t.Run(fmt.Sprintf("lstm/%d", w), func(t *testing.T) {
+			m, x := inferModel(t, w, int64(w))
+			cfg := m.Config()
+			ref := refLogits(m, x)
+			b := make([]float64, cfg.NumEvents)
+			theta := make([]float64, cfg.Horizon)
+			for subset := 0; subset < 1<<cfg.NumEvents; subset++ {
+				m.Exist(x, 0, &sc, b)
+				for k := range b {
+					if want := mathx.Sigmoid(ref[k][0]); !bitsEqual(b[k], want) {
+						t.Fatalf("subset %03b: b[%d] = %v, want %v", subset, k, b[k], want)
 					}
-					// Highest head first: the order must not matter either.
-					for k := cfg.NumEvents - 1; k >= 0; k-- {
-						if subset&(1<<k) == 0 {
-							continue
-						}
-						m.Theta(k, &sc, theta)
-						for v := range theta {
-							if want := mathx.Sigmoid(ref[k][1+v]); !bitsEqual(theta[v], want) {
-								t.Fatalf("subset %03b: theta[%d][%d] = %v, want %v", subset, k, v, theta[v], want)
-							}
+				}
+				// Highest head first: the order must not matter either.
+				for k := cfg.NumEvents - 1; k >= 0; k-- {
+					if subset&(1<<k) == 0 {
+						continue
+					}
+					m.Theta(k, &sc, theta)
+					for v := range theta {
+						if want := mathx.Sigmoid(ref[k][1+v]); !bitsEqual(theta[v], want) {
+							t.Fatalf("subset %03b: theta[%d][%d] = %v, want %v", subset, k, v, theta[v], want)
 						}
 					}
 				}
-				for k, lk := range m.Logits(x) {
-					for i := range lk {
-						if !bitsEqual(lk[i], ref[k][i]) {
-							t.Fatalf("Logits[%d][%d] = %v, want %v", k, i, lk[i], ref[k][i])
-						}
+			}
+			for k, lk := range m.Logits(x) {
+				for i := range lk {
+					if !bitsEqual(lk[i], ref[k][i]) {
+						t.Fatalf("Logits[%d][%d] = %v, want %v", k, i, lk[i], ref[k][i])
 					}
 				}
-				out := m.Predict(x)
-				for k := range ref {
-					if !bitsEqual(out.B[k], mathx.Sigmoid(ref[k][0])) {
-						t.Fatalf("Predict B[%d] = %v", k, out.B[k])
-					}
-					for v := range out.Theta[k] {
-						if !bitsEqual(out.Theta[k][v], mathx.Sigmoid(ref[k][1+v])) {
-							t.Fatalf("Predict Theta[%d][%d] = %v", k, v, out.Theta[k][v])
-						}
+			}
+			out := m.Predict(x)
+			for k := range ref {
+				if !bitsEqual(out.B[k], mathx.Sigmoid(ref[k][0])) {
+					t.Fatalf("Predict B[%d] = %v", k, out.B[k])
+				}
+				for v := range out.Theta[k] {
+					if !bitsEqual(out.Theta[k][v], mathx.Sigmoid(ref[k][1+v])) {
+						t.Fatalf("Predict Theta[%d][%d] = %v", k, v, out.Theta[k][v])
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -123,8 +121,8 @@ func TestTwoPhaseMatchesForward(t *testing.T) {
 // the other's leftovers, and Theta refuses a scratch whose last Exist ran
 // on another model.
 func TestScratchAcrossModels(t *testing.T) {
-	wide, xw := inferModel(t, "lstm", 33, 1)
-	narrow, xn := inferModel(t, "gru", 3, 2)
+	wide, xw := inferModel(t, 33, 1)
+	narrow, xn := inferModel(t, 3, 2)
 	var sc Scratch
 	for round := 0; round < 3; round++ {
 		for _, c := range []struct {
@@ -153,7 +151,7 @@ func TestScratchAcrossModels(t *testing.T) {
 // Model, each with its own Scratch (run with -race), and all get the serial
 // answer.
 func TestConcurrentInferenceSharesModel(t *testing.T) {
-	m, x := inferModel(t, "lstm", 24, 5)
+	m, x := inferModel(t, 24, 5)
 	ref := refLogits(m, x)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -208,7 +206,7 @@ func sameOutputs(t *testing.T, what string, got, want []uint64) {
 // the stream path; and a model saved and loaded decides bit-identically to
 // the one saved.
 func TestPackedWhFollowsWeights(t *testing.T) {
-	m, x := inferModel(t, "lstm", 24, 8)
+	m, x := inferModel(t, 24, 8)
 	const frame = 50
 	var sc Scratch
 	before := outputBits(m, x, 0, &sc)
@@ -245,7 +243,7 @@ func TestPackedWhFollowsWeights(t *testing.T) {
 // its own full pass exactly, for every subset of heads, through the frame
 // path the strategies use.
 func TestQuantTwoPhaseMatchesPredict(t *testing.T) {
-	m, x := inferModel(t, "lstm", 24, 7)
+	m, x := inferModel(t, 24, 7)
 	q, err := Quantize(m)
 	if err != nil {
 		t.Fatal(err)

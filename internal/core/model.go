@@ -44,11 +44,6 @@ type Config struct {
 	HiddenHead int
 	// Dropout is the drop probability applied to z during training.
 	Dropout float64
-	// Encoder selects the shared temporal encoder: "lstm" (default, the
-	// paper's architecture), "gru" (the lighter recurrent alternative),
-	// "conv" (temporal convolution + pooling, NoScope-style) or "mean"
-	// (mean-pool + projection, the no-temporal-modeling ablation).
-	Encoder string
 
 	// Beta and Gamma are the per-event loss weights β_k and γ_k (§III);
 	// nil means all ones.
@@ -93,8 +88,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Beta has %d weights, want %d", len(c.Beta), c.NumEvents)
 	case c.Gamma != nil && len(c.Gamma) != c.NumEvents:
 		return fmt.Errorf("core: Gamma has %d weights, want %d", len(c.Gamma), c.NumEvents)
-	case c.Encoder != "" && c.Encoder != "lstm" && c.Encoder != "gru" && c.Encoder != "conv" && c.Encoder != "mean":
-		return fmt.Errorf("core: unknown encoder %q (want lstm, gru, conv or mean)", c.Encoder)
 	}
 	return nil
 }
@@ -116,10 +109,7 @@ type head struct {
 // one goroutine at a time.
 type Model struct {
 	cfg      Config
-	lstm     *nn.LSTM   // nil unless the encoder is "lstm"
-	gru      *nn.GRU    // nil unless the encoder is "gru"
-	conv     *nn.Conv1D // nil unless the encoder is "conv"
-	meanProj *nn.Dense  // nil unless the encoder is "mean"
+	lstm     *nn.LSTM
 	trunk    *nn.Dense
 	trunkAct *nn.ReLU
 	drop     *nn.Dropout
@@ -157,21 +147,11 @@ func New(cfg Config) (*Model, error) {
 		zcat:     make([]float64, cfg.HiddenTrunk+cfg.InputDim),
 		dzcat:    make([]float64, cfg.HiddenTrunk+cfg.InputDim),
 	}
-	var layers []nn.Layer
-	switch cfg.Encoder {
-	case "mean":
-		m.meanProj = nn.NewDense("shared.meanproj", cfg.InputDim, cfg.HiddenLSTM, g.Split(1))
-		layers = append(layers, m.meanProj, m.trunk)
-	case "gru":
-		m.gru = nn.NewGRU("shared.gru", cfg.InputDim, cfg.HiddenLSTM, g.Split(1))
-		layers = append(layers, m.gru, m.trunk)
-	case "conv":
-		m.conv = nn.NewConv1D("shared.conv", cfg.InputDim, cfg.HiddenLSTM, 5, g.Split(1))
-		layers = append(layers, m.conv, m.trunk)
-	default:
-		m.lstm = nn.NewLSTM("shared.lstm", cfg.InputDim, cfg.HiddenLSTM, g.Split(1))
-		layers = append(layers, m.lstm, m.trunk)
-	}
+	// Split advances g: the encoder's stream is drawn third, after the
+	// trunk's and dropout's. Reordering the draws changes every seed's
+	// weights.
+	m.lstm = nn.NewLSTM("shared.lstm", cfg.InputDim, cfg.HiddenLSTM, g.Split(1))
+	layers := []nn.Layer{m.lstm, m.trunk}
 	for k := 0; k < cfg.NumEvents; k++ {
 		h := &head{
 			fc1: nn.NewDense(fmt.Sprintf("head%d.fc1", k), cfg.HiddenTrunk+cfg.InputDim, cfg.HiddenHead, g.Split(int64(10+2*k))),
@@ -219,7 +199,7 @@ func (m *Model) rawForward(x [][]float64) [][]float64 {
 	if len(x) != m.cfg.Window {
 		panic(fmt.Sprintf("core: covariates have %d rows, model window is %d", len(x), m.cfg.Window))
 	}
-	h := m.encodeForward(x)
+	h := m.lstm.Forward(x, m.packedLSTM())
 	z := m.trunk.Forward(h)
 	z = m.trunkAct.Forward(z)
 	z = m.drop.Forward(z)
@@ -250,36 +230,7 @@ func (m *Model) backward(dLogits [][]float64) {
 	dz := dzcat[:m.cfg.HiddenTrunk]
 	dz = m.drop.Backward(dz)
 	dz = m.trunkAct.Backward(dz)
-	dh := m.trunk.Backward(dz)
-	switch {
-	case m.lstm != nil:
-		m.lstm.Backward(dh)
-	case m.gru != nil:
-		m.gru.Backward(dh)
-	case m.conv != nil:
-		m.conv.Backward(dh)
-	default:
-		m.meanProj.Backward(dh)
-	}
-}
-
-// encodeForward runs the configured shared encoder over the window.
-func (m *Model) encodeForward(x [][]float64) []float64 {
-	if m.lstm != nil {
-		return m.lstm.Forward(x, m.packedLSTM())
-	}
-	if m.gru != nil {
-		return m.gru.Forward(x)
-	}
-	if m.conv != nil {
-		return m.conv.Forward(x)
-	}
-	mean := make([]float64, m.cfg.InputDim)
-	for _, row := range x {
-		mathx.Axpy(1, row, mean)
-	}
-	mathx.Scale(1/float64(len(x)), mean)
-	return m.meanProj.Forward(mean)
+	m.lstm.Backward(m.trunk.Backward(dz))
 }
 
 // Scratch is the memory one inference writes: every activation between the
@@ -297,23 +248,10 @@ type Scratch struct {
 	ring  projRing
 }
 
-// encLen is how many scratch floats the shared encoder needs.
-func (m *Model) encLen() int {
-	switch {
-	case m.lstm != nil:
-		return m.lstm.InferLen()
-	case m.gru != nil:
-		return m.gru.InferLen()
-	case m.conv != nil:
-		return m.cfg.HiddenLSTM
-	}
-	return m.cfg.InputDim + m.cfg.HiddenLSTM
-}
-
 // carve sizes sc for m and returns its three regions: encoder state,
 // [z ; X_n] and the K post-ReLU head hidden vectors.
 func (m *Model) carve(sc *Scratch) (enc, zcat, hid []float64) {
-	ne := m.encLen()
+	ne := m.lstm.InferLen()
 	nz := ne + m.cfg.HiddenTrunk + m.cfg.InputDim
 	n := nz + m.cfg.NumEvents*m.cfg.HiddenHead
 	if len(sc.buf) < n {
@@ -334,7 +272,7 @@ func relu(x []float64) {
 // hidden runs the shared sub-network and every head's hidden layer with
 // dropout off — rawForward's arithmetic up to the last layer, reading the
 // weights and writing only sc. frame > 0 names the stream frame of x's last
-// row and lets the LSTM encoder take Wx·x_t from sc's ring.
+// row and lets the encoder take Wx·x_t from sc's ring.
 func (m *Model) hidden(x [][]float64, frame int, sc *Scratch) {
 	if len(x) != m.cfg.Window {
 		panic(fmt.Sprintf("core: covariates have %d rows, model window is %d", len(x), m.cfg.Window))
@@ -342,25 +280,10 @@ func (m *Model) hidden(x [][]float64, frame int, sc *Scratch) {
 	enc, zcat, hid := m.carve(sc)
 	sc.owner = m
 	var h []float64
-	switch {
-	case m.lstm != nil && frame > 0:
+	if frame > 0 {
 		h = m.lstm.InferProjected(sc.ring.project(m, x, frame), m.packedLSTM(), enc)
-	case m.lstm != nil:
+	} else {
 		h = m.lstm.Infer(x, m.packedLSTM(), enc)
-	case m.gru != nil:
-		h = m.gru.Infer(x, enc)
-	case m.conv != nil:
-		h = enc
-		m.conv.Infer(x, h)
-	default:
-		mean := enc[:m.cfg.InputDim]
-		mathx.Fill(mean, 0)
-		for _, row := range x {
-			mathx.Axpy(1, row, mean)
-		}
-		mathx.Scale(1/float64(len(x)), mean)
-		h = enc[m.cfg.InputDim:]
-		m.meanProj.ApplyRows(h, mean, 0)
 	}
 	z := zcat[:m.cfg.HiddenTrunk]
 	m.trunk.ApplyRows(z, h, 0)

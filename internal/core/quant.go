@@ -44,17 +44,9 @@ type quantHead struct {
 // so 0.02 holds a 3x margin. Verified by core's TestQuantModelParity*.
 const QuantProbTol = 0.02
 
-// Quantize builds the fixed-point twin of m. Only the paper's primary
-// architecture (the LSTM encoder) has a quantized kernel; other encoders
-// return an error so callers can fall back to the float path explicitly.
+// Quantize builds the fixed-point twin of m. It never fails; the error
+// result is kept for the callers that already check it.
 func Quantize(m *Model) (*QuantModel, error) {
-	if m.lstm == nil {
-		enc := m.cfg.Encoder
-		if enc == "" {
-			enc = "lstm"
-		}
-		return nil, fmt.Errorf("core: quantized inference supports only the lstm encoder (model uses %q)", enc)
-	}
 	q := &QuantModel{
 		cfg:   m.cfg,
 		lstm:  nn.QuantizeLSTM(m.lstm),

@@ -9,20 +9,6 @@ import (
 	"eventhit/internal/video"
 )
 
-func TestQuantizeRejectsNonLSTM(t *testing.T) {
-	for _, enc := range []string{"gru", "conv", "mean"} {
-		cfg := tinyConfig()
-		cfg.Encoder = enc
-		m, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Quantize(m); err == nil {
-			t.Errorf("Quantize accepted encoder %q, want error", enc)
-		}
-	}
-}
-
 // maxProbDelta runs both models over recs and returns the worst per-logit
 // probability difference (existence scores and every θ).
 func maxProbDelta(t *testing.T, m *Model, q *QuantModel, recs []dataset.Record) float64 {

@@ -54,7 +54,7 @@ func sameAsFresh(t *testing.T, what string, m *Model, x [][]float64, frame int, 
 // skipping, jumping back, lying — and requires the output of each to be
 // what a fresh scratch computes: the ring can only change wall-clock.
 func TestStreamRingMatchesFreshScratch(t *testing.T) {
-	m, _ := inferModel(t, "lstm", 24, 3)
+	m, _ := inferModel(t, 24, 3)
 	M, D := m.Config().Window, m.Config().InputDim
 	g := mathx.NewRNG(9)
 	cam, other := camera(g, 300, D), camera(g, 300, D)
@@ -109,7 +109,7 @@ func TestStreamRingMatchesFreshScratch(t *testing.T) {
 // hits. A corrupted projection of a frame the next window shares must show
 // in that window's output, and a fresh scratch must not see it.
 func TestStreamRingIsLive(t *testing.T) {
-	m, _ := inferModel(t, "lstm", 24, 3)
+	m, _ := inferModel(t, 24, 3)
 	cfg := m.Config()
 	M := cfg.Window
 	cam := camera(mathx.NewRNG(10), 60, cfg.InputDim)

@@ -21,8 +21,6 @@ type AblationRow struct {
 // task:
 //
 //   - full: the paper's architecture as implemented;
-//   - mean-encoder: LSTM replaced by mean-pooling (value of temporal
-//     modeling);
 //   - no-dropout: regularization removed;
 //   - uniform-sampling: training records drawn uniformly instead of
 //     stratified toward positives;
@@ -35,9 +33,6 @@ func Ablations(task Task, opt Options, seed int64, w io.Writer) ([]AblationRow, 
 		mod  func(*Options)
 	}{
 		{"full", func(*Options) {}},
-		{"gru-encoder", func(o *Options) { o.Mutate = func(c *core.Config) { c.Encoder = "gru" } }},
-		{"conv-encoder", func(o *Options) { o.Mutate = func(c *core.Config) { c.Encoder = "conv" } }},
-		{"mean-encoder", func(o *Options) { o.Mutate = func(c *core.Config) { c.Encoder = "mean" } }},
 		{"no-dropout", func(o *Options) { o.Mutate = func(c *core.Config) { c.Dropout = 0 } }},
 		{"uniform-sampling", func(o *Options) { o.TrainPosFrac = 0 }},
 	}

@@ -24,8 +24,7 @@ type Options struct {
 	// core.TrainConfig.Parallelism, which Train rejects unless 0.
 	TrainParallelism int
 	// Mutate, when non-nil, adjusts the model configuration before
-	// training (used by the ablation experiments, e.g. to swap the encoder
-	// or disable dropout).
+	// training (the no-dropout ablation sets Dropout to 0).
 	Mutate func(*core.Config)
 }
 

@@ -222,8 +222,8 @@ func TestAblationsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 7 {
-		t.Fatalf("rows = %d, want 7", len(rows))
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(rows))
 	}
 	names := map[string]bool{}
 	for _, r := range rows {
@@ -232,7 +232,7 @@ func TestAblationsRun(t *testing.T) {
 			t.Fatalf("%s max REC = %v", r.Variant, r.MaxREC)
 		}
 	}
-	for _, want := range []string{"full", "gru-encoder", "conv-encoder", "mean-encoder", "no-dropout", "uniform-sampling", "tau-sweep"} {
+	for _, want := range []string{"full", "no-dropout", "uniform-sampling", "tau-sweep"} {
 		if !names[want] {
 			t.Fatalf("missing variant %s", want)
 		}

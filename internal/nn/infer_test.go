@@ -163,24 +163,6 @@ func TestLSTMVectorMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestInferMatchesForward: the read-only inference passes of the other two
-// encoders against their training forward, on a dirty scratch buffer.
-func TestInferMatchesForward(t *testing.T) {
-	g := mathx.NewRNG(13)
-	const in, T = 5, 9
-	for _, H := range blockWidths {
-		xs := randSeq(g, T, in)
-		u := NewGRU("u", in, H, g.Split(int64(H)))
-		buf := make([]float64, u.InferLen())
-		mathx.Fill(buf, math.NaN())
-		sameBits(t, "GRU.Infer", u.Infer(xs, buf), u.Forward(xs))
-		c := NewConv1D("c", in, H, 5, g.Split(int64(100+H)))
-		y := make([]float64, H)
-		c.Infer(xs, y)
-		sameBits(t, "Conv1D.Infer", y, c.Forward(xs))
-	}
-}
-
 // TestQuantDenseRowsMatchFull: any row range of the fixed-point layer holds
 // the integers the full pass computes.
 func TestQuantDenseRowsMatchFull(t *testing.T) {

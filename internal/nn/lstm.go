@@ -106,16 +106,7 @@ func (l *LSTM) Forward(xs [][]float64, p *Packed) []float64 {
 	return l.hOut
 }
 
-// preact fills a[j] = wx_j.x + wh_j.h + b[j] for the len(a) stacked gate
-// rows of a recurrent layer (the GRU's), summed in exactly that order; ax
-// is len(a) floats of scratch for the input part.
-func preact(a, ax, wx, wh, b, x, h []float64) {
-	mathx.MatVec(ax, wx, x)
-	mathx.MatVec(a, wh, h)
-	addInput(a, ax, b)
-}
-
-// addInput completes a = wh.h into ax + wh.h + b, preact's sum.
+// addInput completes a = wh.h into ax + wh.h + b, summed in that order.
 func addInput(a, ax, b []float64) {
 	for j, bj := range b {
 		a[j] = ax[j] + a[j] + bj
@@ -171,7 +162,7 @@ func (l *LSTM) InferProjected(axs [][]float64, p *Packed, buf []float64) []float
 }
 
 // step advances (h, c) by one input part ax: the pre-activations through
-// the packed mat-vec (bit-identical to preact's), then the cell.
+// the packed mat-vec, then the cell.
 func (l *LSTM) step(h, c, a, ax []float64, p *Packed) {
 	mathx.MatVecPacked(a, p.wh, h)
 	addInput(a, ax, l.b.W)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"strings"
 	"testing"
 
 	"eventhit/internal/mathx"
@@ -379,6 +380,38 @@ func TestLoadParamsMissingParam(t *testing.T) {
 	}
 }
 
+// TestLoadParamsRefusesMalformed: a snapshot naming a parameter the model
+// lacks, or naming one twice, is refused with an error that names it, in
+// the slice form and in the older map form alike.
+func TestLoadParamsRefusesMalformed(t *testing.T) {
+	d := NewDense("d", 2, 2, mathx.NewRNG(8))
+	w, b := namedWeights{"d.w", d.w.W}, namedWeights{"d.b", d.b.W}
+	extra := namedWeights{"e.w", []float64{1}}
+	for _, c := range []struct {
+		name string
+		snap snapshot
+		want string // "" loads; else the error names this parameter
+	}{
+		{"slice", snapshot{Params: []namedWeights{w, b}}, ""},
+		{"slice unknown", snapshot{Params: []namedWeights{w, b, extra}}, `"e.w"`},
+		{"slice duplicate", snapshot{Params: []namedWeights{w, b, w}}, `"d.w"`},
+		{"map", snapshot{Weights: map[string][]float64{"d.w": w.W, "d.b": b.W}}, ""},
+		{"map unknown", snapshot{Weights: map[string][]float64{"d.w": w.W, "d.b": b.W, "e.w": extra.W}}, `"e.w"`},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(c.snap); err != nil {
+			t.Fatal(err)
+		}
+		err := LoadParams(&buf, NewDense("d", 2, 2, mathx.NewRNG(99)).Params())
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one naming %s", c.name, err, c.want)
+		}
+	}
+}
+
 func TestLoadParamsSizeMismatch(t *testing.T) {
 	g := mathx.NewRNG(8)
 	d := NewDense("d", 2, 2, g)
@@ -404,138 +437,5 @@ func TestXavierInitRange(t *testing.T) {
 	}
 	if mathx.Std(w) < limit/4 {
 		t.Fatal("weights suspiciously concentrated")
-	}
-}
-
-func TestGRUGradCheck(t *testing.T) {
-	g := mathx.NewRNG(20)
-	u := NewGRU("g", 3, 4, g)
-	head := NewDense("ghead", 4, 2, g)
-	seq := make([][]float64, 5)
-	for i := range seq {
-		seq[i] = []float64{g.Normal(0, 1), g.Normal(0, 1), g.Normal(0, 1)}
-	}
-	y := []float64{1, 0}
-	dz := make([]float64, 2)
-	params := CollectParams(u, head)
-	loss := func() float64 {
-		h := u.Forward(seq)
-		z := head.Forward(h)
-		return BCEWithLogits(z, y, nil, dz)
-	}
-	backward := func() {
-		h := u.Forward(seq)
-		z := head.Forward(h)
-		BCEWithLogits(z, y, nil, dz)
-		dh := head.Backward(dz)
-		u.Backward(dh)
-	}
-	worst, err := CheckGradients(loss, backward, params, 1e-5, 2e-4)
-	if err != nil {
-		t.Fatalf("worst=%g: %v", worst, err)
-	}
-	t.Logf("GRU gradcheck worst relative error: %g", worst)
-}
-
-func TestGRUForwardShapes(t *testing.T) {
-	g := mathx.NewRNG(21)
-	u := NewGRU("g", 2, 3, g)
-	if u.In() != 2 || u.Hidden() != 3 {
-		t.Fatal("dims")
-	}
-	h := u.Forward([][]float64{{1, 2}, {3, 4}})
-	if len(h) != 3 {
-		t.Fatalf("hidden len %d", len(h))
-	}
-	for _, v := range h {
-		if math.Abs(v) >= 1 {
-			t.Fatalf("GRU hidden out of (-1,1): %v", v)
-		}
-	}
-}
-
-func TestGRUEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewGRU("g", 2, 2, mathx.NewRNG(1)).Forward(nil)
-}
-
-func TestGRUSaveLoad(t *testing.T) {
-	g := mathx.NewRNG(22)
-	u1 := NewGRU("g", 2, 3, g)
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, u1.Params()); err != nil {
-		t.Fatal(err)
-	}
-	u2 := NewGRU("g", 2, 3, mathx.NewRNG(99))
-	if err := LoadParams(&buf, u2.Params()); err != nil {
-		t.Fatal(err)
-	}
-	seq := [][]float64{{0.5, -0.5}, {1, 1}}
-	a, b := u1.Forward(seq), u2.Forward(seq)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("GRU weights did not round-trip")
-		}
-	}
-}
-
-func TestConv1DGradCheck(t *testing.T) {
-	g := mathx.NewRNG(23)
-	c := NewConv1D("c", 3, 4, 3, g)
-	head := NewDense("chead", 4, 2, g)
-	seq := make([][]float64, 6)
-	for i := range seq {
-		seq[i] = []float64{g.Normal(0, 1), g.Normal(0, 1), g.Normal(0, 1)}
-	}
-	y := []float64{1, 0}
-	dz := make([]float64, 2)
-	params := CollectParams(c, head)
-	loss := func() float64 {
-		h := c.Forward(seq)
-		z := head.Forward(h)
-		return BCEWithLogits(z, y, nil, dz)
-	}
-	backward := func() {
-		h := c.Forward(seq)
-		z := head.Forward(h)
-		BCEWithLogits(z, y, nil, dz)
-		dh := head.Backward(dz)
-		c.Backward(dh)
-	}
-	worst, err := CheckGradients(loss, backward, params, 1e-5, 5e-4)
-	if err != nil {
-		t.Fatalf("worst=%g: %v", worst, err)
-	}
-	t.Logf("Conv1D gradcheck worst relative error: %g", worst)
-}
-
-func TestConv1DValidation(t *testing.T) {
-	g := mathx.NewRNG(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for even kernel")
-		}
-	}()
-	NewConv1D("c", 2, 2, 4, g)
-}
-
-func TestConv1DShapes(t *testing.T) {
-	g := mathx.NewRNG(2)
-	c := NewConv1D("c", 2, 3, 3, g)
-	if c.In() != 2 || c.Out() != 3 {
-		t.Fatal("dims")
-	}
-	y := c.Forward([][]float64{{1, 0}, {0, 1}, {1, 1}})
-	if len(y) != 3 {
-		t.Fatalf("output len %d", len(y))
-	}
-	for _, v := range y {
-		if v < 0 {
-			t.Fatalf("ReLU-pooled output must be non-negative: %v", v)
-		}
 	}
 }

@@ -193,16 +193,14 @@ func TestQuantWeightsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuantForwardAllocs pins the quantized hot path, plus the Conv1D and
-// GRU float paths, at zero allocations per forward after warmup.
+// TestQuantForwardAllocs pins the quantized hot path at zero allocations
+// per forward.
 func TestQuantForwardAllocs(t *testing.T) {
 	g := mathx.NewRNG(5)
 	l := NewLSTM("t.lstm", 6, 16, g)
 	ql := QuantizeLSTM(l)
 	d := NewDense("t.fc", 16, 12, g)
 	qd := QuantizeDense(d)
-	conv := NewConv1D("t.conv", 6, 16, 5, g)
-	gru := NewGRU("t.gru", 6, 16, g)
 	xs := make([][]float64, 25)
 	for i := range xs {
 		xs[i] = make([]float64, 6)
@@ -211,14 +209,9 @@ func TestQuantForwardAllocs(t *testing.T) {
 		}
 	}
 	xq := make([]int32, 16)
-	// Warm up float-layer scratch that grows on first use.
-	conv.Forward(xs)
-	gru.Forward(xs)
 	for name, fn := range map[string]func(){
 		"QuantLSTM.ForwardQ":  func() { ql.ForwardQ(xs) },
 		"QuantDense.ForwardQ": func() { qd.ForwardQ(xq) },
-		"Conv1D.Forward":      func() { conv.Forward(xs) },
-		"GRU.Forward":         func() { gru.Forward(xs) },
 	} {
 		if n := testing.AllocsPerRun(50, fn); n != 0 {
 			t.Errorf("%s allocates %.1f per run, want 0", name, n)

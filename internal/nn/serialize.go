@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // snapshot is the on-disk form. SaveParams writes Params, the weights in
@@ -37,9 +38,10 @@ func SaveParams(w io.Writer, params []*Param) error {
 }
 
 // LoadParams reads weights written by SaveParams, in either form, into
-// params, matching by name. Every parameter must be present with an
-// identical length. When reading several gob streams from one reader (as
-// core.Load does), pass a reader implementing io.ByteReader.
+// params, matching by name. The snapshot must hold every parameter once,
+// with an identical length, and nothing else. When reading several gob
+// streams from one reader (as core.Load does), pass a reader implementing
+// io.ByteReader.
 func LoadParams(r io.Reader, params []*Param) error {
 	var s snapshot
 	if err := gob.NewDecoder(byteReader(r)).Decode(&s); err != nil {
@@ -48,8 +50,25 @@ func LoadParams(r io.Reader, params []*Param) error {
 	if s.Weights == nil {
 		s.Weights = make(map[string][]float64, len(s.Params))
 		for _, p := range s.Params {
+			if _, dup := s.Weights[p.Name]; dup {
+				return fmt.Errorf("nn: snapshot lists parameter %q twice", p.Name)
+			}
 			s.Weights[p.Name] = p.W
 		}
+	}
+	known := make(map[string]bool, len(params))
+	for _, p := range params {
+		known[p.Name] = true
+	}
+	var unknown []string
+	for name := range s.Weights {
+		if !known[name] {
+			unknown = append(unknown, name)
+		}
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		return fmt.Errorf("nn: snapshot has parameter %q the model lacks", unknown[0])
 	}
 	for _, p := range params {
 		w, ok := s.Weights[p.Name]

@@ -54,9 +54,8 @@ func (b *Bundle) predictor() Predictor {
 
 // WithQuantized returns a copy of the bundle whose inference runs on the
 // int16 fixed-point twin of the model (see core.Quantize); calibration
-// state and thresholds are shared. It fails for encoders without a
-// quantized kernel. Nothing serves through it: the twin is the reference
-// the repository benchmark times against the float path.
+// state and thresholds are shared. Nothing serves through it: the twin is
+// the reference the repository benchmark times against the float path.
 func (b *Bundle) WithQuantized() (*Bundle, error) {
 	q, err := core.Quantize(b.Model)
 	if err != nil {

@@ -32,11 +32,12 @@ gofmt_clean() {
 }
 
 # The numbers ROADMAP aim 2 tracks, for CHANGES.md entries to quote; the
-# assembly is counted apart so it does not hide. Informational: printed past
-# the stage's capture, never a failure.
+# assembly and the tests are counted apart so neither hides. Informational:
+# printed past the stage's capture, never a failure.
 size() {
-    printf 'non-test Go lines in cmd+internal: %s, assembly lines: %s, internal packages: %s, binaries: %s\n' \
+    printf 'non-test Go lines in cmd+internal: %s, test Go lines: %s, assembly lines: %s, internal packages: %s, binaries: %s\n' \
         "$(find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" \
+        "$(find cmd internal -name '*_test.go' | xargs cat | wc -l)" \
         "$(find cmd internal -name '*.s' | xargs cat | wc -l)" \
         "$(ls internal | wc -l)" "$(ls cmd | wc -l)" >&3
 }
