@@ -50,7 +50,6 @@
 //	loss         -                      -    TA1,seed=1         training loss curve
 //	ablation     -                      all  TA1,seed=1         design-choice ablations
 //	multi        -                      all  TA1,seed=1         multi-instance horizons on the industrial stream
-//	geom         -                      all  TA1,seed=1         covariate-family comparison
 //	validity     -                      all  TA1,seed=1         empirical check of Theorems 4.2 and 5.2
 //	density      -                      -    TA1,seed=1         event-density sensitivity
 //	tune         -                      -    TA1,seed=1         operating-point tuner

@@ -20,9 +20,8 @@ import (
 	"eventhit/internal/video"
 )
 
-// Source is the feature provider the dataset builders consume. Both
-// features.Extractor (phase-ramp channels) and features.GeometricExtractor
-// (scene-derived channels) satisfy it.
+// Source is the feature provider the dataset builders consume.
+// features.Extractor satisfies it, and so does features.CachedSource.
 type Source interface {
 	// Covariates returns the M x D matrix for the window ending at t.
 	Covariates(t, m int) ([][]float64, error)

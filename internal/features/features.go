@@ -117,16 +117,6 @@ func (e *Extractor) Dim() int { return ChannelsPerEvent*len(e.events) + GlobalCh
 // NumEvents returns the number of task events K.
 func (e *Extractor) NumEvents() int { return len(e.events) }
 
-// ChannelNames returns human-readable names for the D channels, in order.
-func (e *Extractor) ChannelNames() []string {
-	names := make([]string, 0, e.Dim())
-	for _, k := range e.events {
-		ev := e.stream.Spec.Events[k].Name
-		names = append(names, "cue:"+ev, "proximity:"+ev, "active:"+ev)
-	}
-	return append(names, "objectCount", "motionEnergy", "clutter")
-}
-
 // FrameVector extracts the D-dimensional feature vector of frame t,
 // appending into dst (which may be nil).
 func (e *Extractor) FrameVector(t int, dst []float64) []float64 {
@@ -211,18 +201,6 @@ func (e *Extractor) Covariates(t, m int) ([][]float64, error) {
 		out[i] = e.FrameVector(t-m+1+i, nil)
 	}
 	return out, nil
-}
-
-// ObjectPresence reports the detector's binary object/action reading for
-// task event ci at frame t — the signal the VQS baseline thresholds on.
-func (e *Extractor) ObjectPresence(ci, t int) bool {
-	k := e.events[ci]
-	cfg := e.configAt(t)
-	phase, _ := e.stream.PhaseAt(k, t)
-	if phase == video.Active {
-		return mathx.Hash01(e.seed, uint64(t), uint64(ci), 5) >= cfg.MissRate
-	}
-	return mathx.Hash01(e.seed, uint64(t), uint64(ci), 5) < cfg.FPRate
 }
 
 // bgObjectRate is the probability that the objects associated with an

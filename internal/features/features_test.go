@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"eventhit/internal/dataset"
 	"eventhit/internal/mathx"
 	"eventhit/internal/video"
 )
@@ -30,9 +31,11 @@ func TestNewExtractorValidation(t *testing.T) {
 	if e.NumEvents() != 2 {
 		t.Fatalf("NumEvents = %d", e.NumEvents())
 	}
-	if got := len(e.ChannelNames()); got != e.Dim() {
-		t.Fatalf("ChannelNames len = %d, want %d", got, e.Dim())
-	}
+}
+
+func TestSourceInterfaceSatisfied(t *testing.T) {
+	var _ dataset.Source = (*Extractor)(nil)
+	var _ dataset.Source = (*CachedSource)(nil)
 }
 
 func TestFrameVectorDeterministic(t *testing.T) {
@@ -167,39 +170,34 @@ func TestCovariatesRowsMatchFrameVector(t *testing.T) {
 	}
 }
 
-func TestObjectPresenceMatchesActiveChannel(t *testing.T) {
-	s := testStream()
-	cfg := DetectorConfig{MissRate: 0.1, FPRate: 0.03, Jitter: 0.05}
-	e, _ := NewExtractor(s, []int{0, 1}, cfg, 6)
-	for f := 0; f < 3000; f += 13 {
-		v := e.FrameVector(f, nil)
-		for ci := 0; ci < 2; ci++ {
-			want := v[ci*ChannelsPerEvent+2] == 1
-			if e.ObjectPresence(ci, f) != want {
-				t.Fatalf("ObjectPresence(%d,%d) inconsistent with active channel", ci, f)
-			}
-		}
-	}
-}
-
 func TestPrecursorPhaseObjectPresenceUsesFPRate(t *testing.T) {
-	// During the precursor the event itself has not started, so the VQS
-	// object reading must behave like idle (only false positives).
+	// The active channel is the detector's binary object/action reading.
+	// During the precursor the event itself has not started, so it must
+	// behave like idle (only false positives); while the event is active it
+	// fires unless missed.
 	s := testStream()
-	cfg := DetectorConfig{MissRate: 0, FPRate: 0.1, Jitter: 0}
-	e, _ := NewExtractor(s, []int{0}, cfg, 11)
-	var hits, n int
-	for f := 0; f < s.N; f++ {
-		if phase, _ := s.PhaseAt(0, f); phase == video.Precursor {
-			n++
-			if e.ObjectPresence(0, f) {
-				hits++
+	cfg := DetectorConfig{MissRate: 0.2, FPRate: 0.1, Jitter: 0}
+	const ci = 0
+	e, _ := NewExtractor(s, []int{ci}, cfg, 11)
+	for _, tc := range []struct {
+		phase video.Phase
+		want  float64
+	}{
+		{video.Precursor, cfg.FPRate},
+		{video.Active, 1 - cfg.MissRate},
+	} {
+		var hits, n int
+		for f := 0; f < s.N; f++ {
+			if phase, _ := s.PhaseAt(0, f); phase == tc.phase {
+				n++
+				if e.FrameVector(f, nil)[ci*ChannelsPerEvent+2] == 1 {
+					hits++
+				}
 			}
 		}
-	}
-	rate := float64(hits) / float64(n)
-	if math.Abs(rate-0.1) > 0.03 {
-		t.Errorf("precursor presence rate = %.3f, want ~0.10", rate)
+		if rate := float64(hits) / float64(n); math.Abs(rate-tc.want) > 0.03 {
+			t.Errorf("phase %v: active-channel rate = %.3f over %d frames, want ~%.2f", tc.phase, rate, n, tc.want)
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package features
 
-import (
-	"fmt"
-
-	"eventhit/internal/video"
-)
+import "fmt"
 
 // Incremental covariate assembly. Because feature values are counter-based
 // (keyed on stream seed, frame and channel), a frame's vector is identical
@@ -28,36 +24,13 @@ import (
 //     steady-state stream costs one bulk allocation per arenaFrames frames
 //     instead of one per frame.
 
-// FrameSource yields single-frame feature vectors — the per-frame surface
-// both Extractor and GeometricExtractor expose. FrameVector must be a pure
-// function of t (counter-based randomness, no mutable state), which is
-// what makes cached rows bit-identical to recomputed ones.
-type FrameSource interface {
-	// FrameVector appends frame t's D-dimensional vector into dst (which
-	// may be nil) and returns the extended slice.
-	FrameVector(t int, dst []float64) []float64
-	// Dim returns the feature dimensionality D.
-	Dim() int
-}
-
-// Source is the covariate-provider surface the pipeline consumes,
-// structurally identical to dataset.Source (declared here so this package
-// does not depend on dataset).
-type Source interface {
-	Covariates(t, m int) ([][]float64, error)
-	Dim() int
-	NumEvents() int
-	Events() []int
-	Stream() *video.Stream
-}
-
 // arenaFrames is the number of rows carved per arena chunk.
 const arenaFrames = 256
 
 // WindowCache is the per-stream ring buffer of per-frame feature rows. Not
 // safe for concurrent use; give each stream (each marshaller) its own.
 type WindowCache struct {
-	src    FrameSource
+	src    *Extractor
 	dim    int
 	slots  int
 	rows   [][]float64
@@ -70,7 +43,7 @@ type WindowCache struct {
 // NewWindowCache returns a cache sized for windows of length window frames
 // (the ring keeps 2x that, so adjacent windows and small rewinds stay
 // resident).
-func NewWindowCache(src FrameSource, window int) *WindowCache {
+func NewWindowCache(src *Extractor, window int) *WindowCache {
 	if window <= 0 {
 		panic(fmt.Sprintf("features: window cache size %d must be positive", window))
 	}
@@ -142,30 +115,26 @@ func (c *WindowCache) Reset() {
 // Stats returns cumulative (hits, misses) — extraction work saved vs done.
 func (c *WindowCache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
-// CachedSource wraps a covariate source with a WindowCache so that
-// successive Covariates calls share per-frame extraction work. It is a
-// drop-in Source: same window bounds errors, bit-identical matrices. Not
-// safe for concurrent use.
+// CachedSource wraps an Extractor with a WindowCache so that successive
+// Covariates calls share per-frame extraction work. It is a drop-in for the
+// extractor: same window bounds errors, bit-identical matrices. Not safe
+// for concurrent use.
 type CachedSource struct {
-	Source
-	fs     FrameSource
+	*Extractor
 	cache  *WindowCache
 	window int
 }
 
-// NewCachedSource wraps src. It fails when src does not expose per-frame
-// extraction (the FrameSource surface), since then there is nothing to
-// cache.
-func NewCachedSource(src Source) (*CachedSource, error) {
-	fs, ok := src.(FrameSource)
-	if !ok {
-		return nil, fmt.Errorf("features: source %T does not expose per-frame extraction", src)
+// NewCachedSource wraps ex. It refuses a nil extractor.
+func NewCachedSource(ex *Extractor) (*CachedSource, error) {
+	if ex == nil {
+		return nil, fmt.Errorf("features: nil extractor")
 	}
-	return &CachedSource{Source: src, fs: fs}, nil
+	return &CachedSource{Extractor: ex}, nil
 }
 
-// Covariates implements Source through the ring. The returned matrix is
-// freshly allocated per call (records retain it); only the row contents
+// Covariates is Extractor.Covariates through the ring. The returned matrix
+// is freshly allocated per call (records retain it); only the row contents
 // are shared, and rows are immutable (see the ring-buffer invariants).
 func (s *CachedSource) Covariates(t, m int) ([][]float64, error) {
 	if m <= 0 {
@@ -176,7 +145,7 @@ func (s *CachedSource) Covariates(t, m int) ([][]float64, error) {
 	}
 	if s.cache == nil || s.window != m {
 		// First use, or a window-size change: start a fresh ring.
-		s.cache = NewWindowCache(s.fs, m)
+		s.cache = NewWindowCache(s.Extractor, m)
 		s.window = m
 	}
 	return s.cache.Window(t, m, make([][]float64, 0, m))

@@ -3,13 +3,11 @@ package features
 import (
 	"reflect"
 	"testing"
-
-	"eventhit/internal/video"
 )
 
 // freshWindow is the recompute-from-scratch reference the cache must match
 // bit for bit.
-func freshWindow(e FrameSource, t, m int) [][]float64 {
+func freshWindow(e *Extractor, t, m int) [][]float64 {
 	out := make([][]float64, m)
 	for i := 0; i < m; i++ {
 		out[i] = e.FrameVector(t-m+1+i, nil)
@@ -154,19 +152,22 @@ func TestRowImmutableUnderEviction(t *testing.T) {
 }
 
 // TestCachedSourceMatchesExtractor: the wrapped source must be a bitwise
-// drop-in for the raw extractor, including its error cases, for both
-// extractor families.
+// drop-in for the raw extractor, including its error cases — for a steady
+// detector and for a drifting one whose switch frame falls inside a tested
+// window (the source the camera-drift scenario walks).
 func TestCachedSourceMatchesExtractor(t *testing.T) {
 	s := testStream()
 	ex, err := NewExtractor(s, []int{0, 1}, DefaultDetector(), 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	geo, err := NewGeometricExtractor(s, []int{0, 1}, DefaultDetector(), 21)
+	const switchFrame = 490 // inside the windows ending at 500 and 501
+	drift, err := NewDriftingExtractor(s, []int{0, 1}, DefaultDetector(),
+		DetectorConfig{MissRate: 0.25, FPRate: 0.1, Jitter: 0.3, CueGain: 0.4}, switchFrame, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, src := range map[string]Source{"extractor": ex, "geometric": geo} {
+	for name, src := range map[string]*Extractor{"extractor": ex, "drifting": drift} {
 		cs, err := NewCachedSource(src)
 		if err != nil {
 			t.Fatal(err)
@@ -207,23 +208,22 @@ func TestCachedSourceMatchesExtractor(t *testing.T) {
 			t.Fatalf("%s: negative window must error", name)
 		}
 	}
-}
-
-// TestNewCachedSourceRejectsOpaqueSource: a source without per-frame
-// extraction cannot be cached.
-func TestNewCachedSourceRejectsOpaqueSource(t *testing.T) {
-	if _, err := NewCachedSource(opaqueSource{}); err == nil {
-		t.Fatal("expected error for source without FrameVector")
+	// The drifting windows straddle a real switch: the steady extractor's
+	// rows differ from the drifting one's at and after the switch frame.
+	a, _ := ex.Covariates(500, 25)
+	b, _ := drift.Covariates(500, 25)
+	if i := switchFrame - (500 - 25 + 1); !reflect.DeepEqual(a[:i], b[:i]) || reflect.DeepEqual(a[i:], b[i:]) {
+		t.Fatal("window ending at 500 does not straddle the detector switch")
 	}
 }
 
-type opaqueSource struct{}
-
-func (opaqueSource) Covariates(t, m int) ([][]float64, error) { return nil, nil }
-func (opaqueSource) Dim() int                                 { return 1 }
-func (opaqueSource) NumEvents() int                           { return 1 }
-func (opaqueSource) Events() []int                            { return []int{0} }
-func (opaqueSource) Stream() *video.Stream                    { return nil }
+// TestNewCachedSourceRejectsNilExtractor: there is nothing to cache
+// without an extractor.
+func TestNewCachedSourceRejectsNilExtractor(t *testing.T) {
+	if _, err := NewCachedSource(nil); err == nil {
+		t.Fatal("expected error for a nil extractor")
+	}
+}
 
 // TestWindowAssemblyAllocs pins warm window assembly at zero allocations
 // per call.

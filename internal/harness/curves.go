@@ -63,21 +63,15 @@ func existence(s strategy.Strategy, recs []dataset.Record) (kept, pos int) {
 	return kept, pos
 }
 
-// headlinePoints scores the two operating points every overview row starts
-// from, on the test split: EHO (raw thresholds) and EHCR at c = alpha = 0.9.
-func (e *Env) headlinePoints() (eho, ehcr90 Point, err error) {
-	if eho, err = e.Eval(e.Bundle.EHO(), 0); err != nil {
-		return eho, ehcr90, err
-	}
-	ehcr90, err = e.Eval(e.ehcr90(), opLevel)
-	return eho, ehcr90, err
-}
-
-// headline is headlinePoints plus the EHCR curve over
-// ConfidenceLevels, from which a row reads its best recall (maxREC) and its
-// cost at REC >= 0.9 (MinSPLAtREC).
+// headline scores the two operating points every overview row starts from,
+// on the test split — EHO (raw thresholds) and EHCR at c = alpha = 0.9 —
+// plus the EHCR curve over ConfidenceLevels, from which a row reads its
+// best recall (maxREC) and its cost at REC >= 0.9 (MinSPLAtREC).
 func (e *Env) headline() (eho, ehcr90 Point, curve []Point, err error) {
-	if eho, ehcr90, err = e.headlinePoints(); err != nil {
+	if eho, err = e.Eval(e.Bundle.EHO(), 0); err != nil {
+		return eho, ehcr90, nil, err
+	}
+	if ehcr90, err = e.Eval(e.ehcr90(), opLevel); err != nil {
 		return eho, ehcr90, nil, err
 	}
 	curve, err = e.CurveEHCR(ConfidenceLevels())

@@ -62,9 +62,10 @@ type Env struct {
 }
 
 // NewEnv generates a stream for the task, builds record splits, trains
-// EventHit end-to-end, calibrates both conformal layers and fits the Cox
-// and VQS baselines. seed controls everything; distinct seeds are the
-// paper's independent trials.
+// EventHit end-to-end (weights and training order seeded by seed),
+// calibrates both conformal layers and fits the Cox and VQS baselines.
+// seed controls everything; distinct seeds are the paper's independent
+// trials.
 func NewEnv(task Task, opt Options, seed int64) (*Env, error) {
 	g := mathx.NewRNG(seed)
 	st := video.Generate(task.Dataset, g.Split(1))
@@ -72,25 +73,6 @@ func NewEnv(task Task, opt Options, seed int64) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", task.Name, err)
 	}
-	env, err := trainOn(task, opt, seed, ex, g.Split(2))
-	if err != nil {
-		return nil, err
-	}
-	env.Ex = ex
-	env.Cox, err = strategy.FitCox(env.Splits.Train, env.Cfg.Horizon, 0.5, strategy.DefaultCoxConfig())
-	if err != nil {
-		return nil, fmt.Errorf("harness: fitting Cox for %s: %w", task.Name, err)
-	}
-	env.VQS, err = strategy.NewVQS(ex, env.Cfg.Horizon, env.Cfg.Horizon/10)
-	return env, err
-}
-
-// trainOn is the training recipe, with the covariate source and the RNG the
-// record splits are drawn from as arguments: build the splits, train the
-// model (weights and training order seeded by seed) and calibrate both
-// conformal layers. The Env it returns has no Ex and no baselines — those
-// need the default extractor, which is NewEnv's business.
-func trainOn(task Task, opt Options, seed int64, src dataset.Source, g *mathx.RNG) (*Env, error) {
 	cfg := dataset.Config{Window: opt.Window, Horizon: opt.Horizon}
 	if cfg.Window == 0 {
 		cfg.Window = task.Dataset.Window
@@ -98,15 +80,15 @@ func trainOn(task Task, opt Options, seed int64, src dataset.Source, g *mathx.RN
 	if cfg.Horizon == 0 {
 		cfg.Horizon = task.Dataset.Horizon
 	}
-	splits, err := dataset.Build(src, dataset.SampleConfig{
+	splits, err := dataset.Build(ex, dataset.SampleConfig{
 		Config: cfg,
 		NTrain: opt.NTrain, NCCalib: opt.NCCalib, NRCalib: opt.NRCalib, NTest: opt.NTest,
 		TrainPosFrac: opt.TrainPosFrac,
-	}, g)
+	}, g.Split(2))
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", task.Name, err)
 	}
-	mcfg := core.DefaultConfig(src.Dim(), cfg.Window, cfg.Horizon, task.NumEvents())
+	mcfg := core.DefaultConfig(ex.Dim(), cfg.Window, cfg.Horizon, task.NumEvents())
 	mcfg.Seed = seed
 	if opt.Mutate != nil {
 		opt.Mutate(&mcfg)
@@ -125,8 +107,17 @@ func trainOn(task Task, opt Options, seed int64, src dataset.Source, g *mathx.RN
 	if err != nil {
 		return nil, fmt.Errorf("harness: calibrating %s: %w", task.Name, err)
 	}
+	cox, err := strategy.FitCox(splits.Train, cfg.Horizon, 0.5, strategy.DefaultCoxConfig())
+	if err != nil {
+		return nil, fmt.Errorf("harness: fitting Cox for %s: %w", task.Name, err)
+	}
+	vqs, err := strategy.NewVQS(ex, cfg.Horizon, cfg.Horizon/10)
+	if err != nil {
+		return nil, err
+	}
 	return &Env{
 		Task: task, Opt: opt, Cfg: cfg,
-		Stream: src.Stream(), Splits: splits, Bundle: bundle,
+		Stream: st, Ex: ex, Splits: splits, Bundle: bundle,
+		Cox: cox, VQS: vqs,
 	}, nil
 }

@@ -277,31 +277,6 @@ func TestMultiExperiment(t *testing.T) {
 	}
 }
 
-func TestGeometricExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := GeometricExperiment(mustTask("TA10"), Quick(), 5, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, p := range map[string]Point{
-		"phase EHO": res.PhaseEHO, "geom EHO": res.GeomEHO,
-		"phase EHCR": res.PhaseEHCR, "geom EHCR": res.GeomEHCR,
-	} {
-		if p.REC <= 0.2 || p.REC > 1 || p.SPL < 0 || p.SPL > 1 {
-			t.Errorf("%s implausible: %+v", name, p)
-		}
-	}
-	// Geometric covariates must be competitive: within 0.25 REC of the
-	// idealized ramps for EHCR.
-	if res.GeomEHCR.REC < res.PhaseEHCR.REC-0.25 {
-		t.Errorf("geometric EHCR REC %.3f far below phase %.3f",
-			res.GeomEHCR.REC, res.PhaseEHCR.REC)
-	}
-	if !strings.Contains(buf.String(), "Covariate families") {
-		t.Fatal("render incomplete")
-	}
-}
-
 func TestTuneExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	opt := Quick()

@@ -153,10 +153,6 @@ func Experiments() []Experiment {
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) {
 				return MultiExperiment(p.Options(), p.Seed, w)
 			})},
-		{Name: "geom", Doc: "covariate-family comparison", Params: paperParams, InAll: true,
-			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
-				return GeometricExperiment(t, p.Options(), p.Seed, w)
-			})},
 		{Name: "validity", Doc: "empirical check of Theorems 4.2 and 5.2", Params: paperParams, InAll: true,
 			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
 				return Validity(t, p.Options(), p.Trials, p.Seed, w)

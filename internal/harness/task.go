@@ -5,7 +5,7 @@
 //
 // An experiment file contains only what is particular to its experiment.
 // What recurs is said once: the grid of independent cells (cells and
-// trialCells, pool.go), the training recipe (NewEnv over trainOn, env.go,
+// trialCells, pool.go), the training recipe (NewEnv, env.go,
 // with the scoring and curve reductions in curves.go), the deployed camera
 // (Env.camera) and the scored pipeline run over the test region
 // (Env.marshal, deploy.go). Decisions go through strategy.Bundle.Decide, the

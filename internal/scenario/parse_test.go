@@ -139,6 +139,8 @@ func TestParseRejects(t *testing.T) {
 			at: "at: 0", want: "streams[0].drift.at: must be >= 1"},
 		{name: "drift-miss-rate-high", src: yamlSrc(headOK, stream1("drift:", "  at: 5", "  miss_rate: 1.5"), stagesOK),
 			at: "miss_rate: 1.5", want: "streams[0].drift.miss_rate: out of range"},
+		{name: "drift-cue-gain-zero", src: yamlSrc(headOK, stream1("drift:", "  at: 5", "  cue_gain: 0"), stagesOK),
+			at: "cue_gain: 0", want: "streams[0].drift.cue_gain: must be > 0"},
 		{name: "drift-jitter-inf", src: yamlSrc(headOK, stream1("drift:", "  at: 5", "  jitter: +inf"), stagesOK),
 			at: "jitter: +inf", want: "streams[0].drift.jitter: out of range"},
 

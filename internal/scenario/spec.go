@@ -84,8 +84,9 @@ type SurgeSpec struct {
 
 // DriftSpec is a detector degradation: from AtFrame on the camera's
 // detector runs with the given noise profile (fields mirror
-// features.DetectorConfig; CueGain 0 is treated as 1 there, so a washed-out
-// camera needs an explicit small positive value).
+// features.DetectorConfig). A written cue_gain must lie in (0,1]; leaving
+// it out keeps full signal (CueGain 0, which features.DetectorConfig reads
+// as 1).
 type DriftSpec struct {
 	AtFrame  int
 	MissRate float64
@@ -369,17 +370,21 @@ func decodeStreams(r *reader, spec *Spec) error {
 				key string
 				dst *float64
 				max float64
+				pos bool // 0 is refused: the detector would read it as 1
 			}{
-				{"miss_rate", &sg.Drift.MissRate, 1},
-				{"fp_rate", &sg.Drift.FPRate, 1},
-				{"cue_gain", &sg.Drift.CueGain, 1},
-				{"jitter", &sg.Drift.Jitter, math.Inf(1)},
+				{"miss_rate", &sg.Drift.MissRate, 1, false},
+				{"fp_rate", &sg.Drift.FPRate, 1, false},
+				{"cue_gain", &sg.Drift.CueGain, 1, true},
+				{"jitter", &sg.Drift.Jitter, math.Inf(1), false},
 			} {
 				if v, ok, err := d.optFloat(f.key); err != nil {
 					return err
 				} else if ok {
 					if v < 0 || v > f.max || math.IsNaN(v) || math.IsInf(v, 0) {
 						return d.fieldErr(f.key, "out of range, got %v", v)
+					}
+					if f.pos && v == 0 {
+						return d.fieldErr(f.key, "must be > 0 (leave it out for full signal), got %v", v)
 					}
 					*f.dst = v
 				}

@@ -47,6 +47,26 @@ stage size size
 stage gofmt gofmt_clean
 stage vet go vet ./...
 stage build go build ./...
+# Every -run pattern in this file still names tests that exist: go test
+# passes with "no tests to run" when a pinned name stops matching, and the
+# stage would silently check nothing. Each |-alternative (but ^$) must match
+# a name `go test -list` prints.
+run_patterns() {
+    go test -list . ./... | grep -E '^(Test|Fuzz|Benchmark|Example)' >"$tmpdir/tests.txt" || return 1
+    q="'"
+    grep -o -e "-run $q[^$q]*$q" "$0" | sed "s/^-run $q//; s/$q\$//" | tr '|' '\n' | sort -u >"$tmpdir/alts.txt"
+    [ -s "$tmpdir/alts.txt" ] || { echo "no -run pattern found in $0"; return 1; }
+    missing=0
+    while read -r alt; do
+        [ "$alt" = '^$' ] && continue
+        grep -Eq -e "$alt" "$tmpdir/tests.txt" || {
+            echo "no test matches the -run alternative $alt"
+            missing=1
+        }
+    done <"$tmpdir/alts.txt"
+    [ "$missing" = 0 ]
+}
+stage run-patterns run_patterns
 # The front's idle-connection check is built for unix only, with a fallback
 # elsewhere: a Windows and a macOS build keep both sides compiling. The mathx
 # kernels are amd64 assembly with a pure-Go fallback: an arm64 and a 386
