@@ -62,15 +62,17 @@ func BenchmarkLSTMForward(b *testing.B) {
 		}
 	}
 	p := l.Pack()
+	var tp nn.LSTMTape
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Forward(seq, p)
+		l.Forward(&tp, seq, p)
 	}
 }
 
 // BenchmarkDenseBackward measures one dense-layer backward pass (128x64,
-// the trunk's shape class). Run with -benchmem: forward and backward reuse
-// the layer's scratch buffers, so steady state allocates nothing.
+// the trunk's shape class): dL/dx, then the weight gradients. Run with
+// -benchmem: the buffers are the caller's, so steady state allocates
+// nothing.
 func BenchmarkDenseBackward(b *testing.B) {
 	g := mathx.NewRNG(1)
 	d := nn.NewDense("d", 128, 64, g)
@@ -82,10 +84,12 @@ func BenchmarkDenseBackward(b *testing.B) {
 	for i := range dy {
 		dy[i] = g.Normal(0, 1)
 	}
-	d.Forward(x)
+	dx := make([]float64, 128)
+	dys, xs := [][]float64{dy}, [][]float64{x}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Backward(dy)
+		d.Backward(dx, dy)
+		d.AccumulateGrads(dys, xs, 0, 64)
 	}
 }
 

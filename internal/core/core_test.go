@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"eventhit/internal/dataset"
@@ -44,6 +45,8 @@ func TestConfigValidate(t *testing.T) {
 		{}, // all zero
 		func() Config { c := tinyConfig(); c.Horizon = 0; return c }(),
 		func() Config { c := tinyConfig(); c.Dropout = 1; return c }(),
+		func() Config { c := tinyConfig(); c.Dropout = -0.1; return c }(),
+		func() Config { c := tinyConfig(); c.Dropout = math.NaN(); return c }(),
 		func() Config { c := tinyConfig(); c.Beta = []float64{1}; return c }(),
 		func() Config { c := tinyConfig(); c.Gamma = []float64{1, 2, 3}; return c }(),
 		func() Config { c := tinyConfig(); c.HiddenHead = 0; return c }(),
@@ -68,22 +71,17 @@ func TestModelGradCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := tinyRecord(mathx.NewRNG(5), cfg)
-	dLogits := make([][]float64, cfg.NumEvents)
-	for k := range dLogits {
-		dLogits[k] = make([]float64, 1+cfg.Horizon)
-	}
+	tr := m.newTrainer([]dataset.Record{rec}, DefaultTrainConfig())
+	defer tr.stop()
 	// The checker writes the weights between calls, as an optimizer step
 	// does: each pass must declare it, or the LSTM runs on a stale pack.
 	loss := func() float64 {
 		m.weightsChanged()
-		logits := m.rawForward(rec.X)
-		return m.recordLoss(logits, rec, dLogits)
+		return m.Loss(rec)
 	}
 	backward := func() {
 		m.weightsChanged()
-		logits := m.rawForward(rec.X)
-		m.recordLoss(logits, rec, dLogits)
-		m.backward(dLogits)
+		tr.accumulate([]int{0})
 	}
 	worst, err := nn.CheckGradients(loss, backward, m.params, 1e-5, 5e-4)
 	if err != nil {
@@ -153,10 +151,22 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := m.Train([]dataset.Record{bad}, DefaultTrainConfig()); err == nil {
 		t.Fatal("expected error on window mismatch")
 	}
-	tc := DefaultTrainConfig()
-	tc.LR = 0
-	if _, err := m.Train([]dataset.Record{rec}, tc); err == nil {
-		t.Fatal("expected error on zero LR")
+	for _, c := range []struct {
+		what         string
+		lr, gradClip float64
+	}{
+		{"zero LR", 0, 5},
+		{"negative LR", -1e-3, 5},
+		{"NaN LR", math.NaN(), 5},
+		{"infinite LR", math.Inf(1), 5},
+		{"negative GradClip", 3e-3, -1},
+		{"NaN GradClip", 3e-3, math.NaN()},
+	} {
+		tc := DefaultTrainConfig()
+		tc.LR, tc.GradClip = c.lr, c.gradClip
+		if _, err := m.Train([]dataset.Record{rec}, tc); err == nil {
+			t.Errorf("expected error on %s", c.what)
+		}
 	}
 	short := rec
 	short.Label = []bool{true}
@@ -295,9 +305,25 @@ func TestTrainVectorMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestTrainRepacksAfterEveryStep: Train equals its own loop replayed with
-// the LSTM's weights packed afresh before every record, so no forward pass
-// inside Train reads a pack made before an optimizer step.
+// addGrads adds one record's weight gradients, as tp's backward pass left
+// them, to the parameters' G over every row: a training step's
+// accumulation for a minibatch of that one record.
+func addGrads(m *Model, tp *tape) {
+	one := func(v []float64) [][]float64 { return [][]float64{v} }
+	das, xs, hs := tp.lstm.AppendSteps(nil, nil, nil)
+	m.lstm.AccumulateGrads(das, xs, hs, 0, 4*m.cfg.HiddenLSTM)
+	m.trunk.AccumulateGrads(one(tp.dzcat[:m.cfg.HiddenTrunk]), one(tp.h), 0, m.cfg.HiddenTrunk)
+	for k, hd := range m.heads {
+		hd.fc1.AccumulateGrads(one(tp.dhid[k]), one(tp.zcat), 0, m.cfg.HiddenHead)
+		hd.fc2.AccumulateGrads(one(tp.out[k]), one(tp.hid[k]), 0, 1+m.cfg.Horizon)
+	}
+}
+
+// TestTrainRepacksAfterEveryStep: Train equals its own loop replayed one
+// record at a time on one goroutine — mask, forward with the LSTM's weights
+// packed afresh, loss, backward, gradients added — so no forward pass
+// inside Train reads a pack made before an optimizer step, and the
+// minibatch's parallel phases change no bit of the serial order.
 func TestTrainRepacksAfterEveryStep(t *testing.T) {
 	cfg := DefaultConfig(12, 8, 30, 2)
 	cfg.Dropout = 0.25
@@ -316,28 +342,29 @@ func TestTrainRepacksAfterEveryStep(t *testing.T) {
 	opt := nn.NewAdam(ref.params, tc.LR)
 	opt.SetGradClip(tc.GradClip)
 	g := mathx.NewRNG(tc.Seed)
-	dLogits := make([][]float64, cfg.NumEvents)
-	for k := range dLogits {
-		dLogits[k] = make([]float64, 1+cfg.Horizon)
-	}
+	tp := ref.newTape()
 	order := make([]int, len(recs))
 	for i := range order {
 		order[i] = i
 	}
-	ref.drop.SetTraining(true)
 	for epoch := 0; epoch < tc.Epochs; epoch++ {
 		g.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var loss float64
 		inBatch := 0
 		step := func() {
-			scaleGrads(ref.params, 1/float64(inBatch))
+			for _, p := range ref.params {
+				mathx.Scale(1/float64(inBatch), p.G)
+			}
 			opt.Step()
 			inBatch = 0
 		}
 		for _, idx := range order {
-			ref.weightsChanged()
-			loss += ref.recordLoss(ref.rawForward(recs[idx].X), recs[idx], dLogits)
-			ref.backward(dLogits)
+			rec := recs[idx]
+			ref.drop.Mask(tp.mask)
+			ref.forward(tp, rec.X, nil, ref.lstm.Pack())
+			loss += ref.recordLoss(tp.out, rec, tp.out)
+			ref.backward(tp)
+			addGrads(ref, tp)
 			if inBatch++; inBatch == tc.BatchSize {
 				step()
 			}
@@ -358,30 +385,80 @@ func TestTrainRepacksAfterEveryStep(t *testing.T) {
 	}
 }
 
-// TestTrainStepAllocs pins one record's training pass — forward, loss and
-// backward, as Train runs them between optimizer steps — at zero
-// allocations once the layers' scratch is warm.
+// TestAbsentHeadLogitsSkipped: a minibatch whose records leave events
+// absent — where training computes only b_k's logit of that head —
+// accumulates every gradient bit-identical to full forward passes over
+// all 1+H logits, and Loss equals the full pass's loss.
+func TestAbsentHeadLogitsSkipped(t *testing.T) {
+	cfg := DefaultConfig(12, 8, 30, 3)
+	recs := trainRecords(mathx.NewRNG(13), cfg, 9, 1)
+	absent := 0
+	for _, r := range recs {
+		for _, l := range r.Label {
+			if !l {
+				absent++
+			}
+		}
+	}
+	if absent == 0 || absent == len(recs)*cfg.NumEvents {
+		t.Fatalf("%d of %d events absent: the test needs both", absent, len(recs)*cfg.NumEvents)
+	}
+	m, _ := New(cfg)
+	ref, _ := New(cfg)
+	tr := m.newTrainer(recs, TrainConfig{Epochs: 1, BatchSize: len(recs), LR: 3e-3})
+	defer tr.stop()
+	batch := make([]int, len(recs))
+	for i := range batch {
+		batch[i] = i
+	}
+	tr.accumulate(batch)
+	tp := ref.newTape()
+	for i, rec := range recs {
+		ref.drop.Mask(tp.mask)
+		ref.forward(tp, rec.X, nil, ref.packedLSTM())
+		full := ref.recordLoss(tp.out, rec, tp.out)
+		if !bitsEqual(tr.tapes[i].loss, full) {
+			t.Fatalf("record %d: loss %v, full forward %v", i, tr.tapes[i].loss, full)
+		}
+		ref.backward(tp)
+		addGrads(ref, tp)
+		if got := m.Loss(rec); !bitsEqual(got, ref.Loss(rec)) {
+			t.Fatalf("record %d: Loss %v differs between identical models", i, got)
+		}
+	}
+	for i, p := range ref.params {
+		for j, g := range p.G {
+			if !bitsEqual(m.params[i].G[j], g) {
+				t.Fatalf("%s[%d] gradient %v, full forward %v", p.Name, j, m.params[i].G[j], g)
+			}
+		}
+	}
+	// Loss with dropout off, against a full pass without a mask.
+	tp.mask = nil
+	for i, rec := range recs {
+		ref.forward(tp, rec.X, nil, ref.packedLSTM())
+		if want := ref.recordLoss(tp.out, rec, tp.out); !bitsEqual(m.Loss(rec), want) {
+			t.Fatalf("record %d: Loss %v, full forward %v", i, m.Loss(rec), want)
+		}
+	}
+}
+
+// TestTrainStepAllocs pins one warm minibatch — dispatch to the workers,
+// dropout masks, forward, loss, backward, gradient accumulation and the
+// Adam step — at zero allocations.
 func TestTrainStepAllocs(t *testing.T) {
 	cfg := DefaultConfig(12, 25, 40, 2)
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := trainRecords(mathx.NewRNG(6), cfg, 2, 1)
-	dLogits := make([][]float64, cfg.NumEvents)
-	for k := range dLogits {
-		dLogits[k] = make([]float64, 1+cfg.Horizon)
-	}
-	m.drop.SetTraining(true)
-	step := func() {
-		for _, rec := range recs {
-			m.recordLoss(m.rawForward(rec.X), rec, dLogits)
-			m.backward(dLogits)
-		}
-	}
-	step() // warm the layer caches
-	if n := testing.AllocsPerRun(20, step); n != 0 {
-		t.Errorf("a training pass over %d records allocates %.1f per run, want 0", len(recs), n)
+	recs := trainRecords(mathx.NewRNG(6), cfg, 8, 1)
+	tr := m.newTrainer(recs, TrainConfig{Epochs: 1, BatchSize: len(recs), LR: 3e-3, GradClip: 5})
+	defer tr.stop()
+	batch := []int{3, 1, 4, 0, 5, 2, 6, 7}
+	tr.minibatch(batch) // warm the tapes and the gradient lists
+	if n := testing.AllocsPerRun(20, func() { tr.minibatch(batch) }); n != 0 {
+		t.Errorf("a minibatch of %d records with %d helpers allocates %.1f per run, want 0", len(batch), tr.helpers, n)
 	}
 }
 

@@ -47,13 +47,16 @@ func inferModelOf(t testing.TB, cfg Config) (*Model, [][]float64) {
 	return m, camera(g, cfg.Window, cfg.InputDim)
 }
 
-// refLogits is the training forward pass with dropout off, copied out of
-// the layers' scratch: the values inference had before it was split.
+// refLogits is the training forward pass with dropout off and every logit
+// computed, copied out of its tape: the values inference had before it was
+// split.
 func refLogits(m *Model, x [][]float64) [][]float64 {
-	raw := m.rawForward(x)
-	out := make([][]float64, len(raw))
-	for k := range raw {
-		out[k] = mathx.Clone(raw[k])
+	tp := m.newTape()
+	tp.mask = nil
+	m.forward(tp, x, nil, m.packedLSTM())
+	out := make([][]float64, len(tp.out))
+	for k := range tp.out {
+		out[k] = mathx.Clone(tp.out[k])
 	}
 	return out
 }

@@ -6,7 +6,8 @@ import (
 )
 
 // recordLoss computes L1 + L2 for one record from the per-head logits and
-// fills dLogits (same shape) with the gradients. Loss terms follow §III:
+// fills dLogits (same shape) with the gradients; dLogits may be logits,
+// each logit read before its gradient replaces it. Loss terms follow §III:
 //
 //	L1: cross-entropy between b_k and 1[E_k ∈ L_n], weighted β_k;
 //	L2: only for events with E_k ∈ L_n, per-frame cross-entropy where
@@ -87,14 +88,14 @@ func (m *Model) recordLoss(logits [][]float64, rec dataset.Record, dLogits [][]f
 	return total
 }
 
-// Loss evaluates L1+L2 on a record without touching gradients (used by
-// tests and validation monitoring). Dropout must already be in the desired
-// mode.
+// Loss evaluates L1+L2 on a record with dropout off, touching no
+// gradient (used by tests and validation monitoring). Like training it
+// computes a head's occurrence logits only when its event is present.
 func (m *Model) Loss(rec dataset.Record) float64 {
-	logits := m.rawForward(rec.X)
-	d := make([][]float64, len(logits))
-	for k := range d {
-		d[k] = make([]float64, 1+m.cfg.Horizon)
+	if m.lossTape == nil {
+		m.lossTape = m.newTape()
+		m.lossTape.mask = nil
 	}
-	return m.recordLoss(logits, rec, d)
+	m.forward(m.lossTape, rec.X, rec.Label, m.packedLSTM())
+	return m.recordLoss(m.lossTape.out, rec, m.lossTape.out)
 }

@@ -82,7 +82,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: NumEvents %d must be positive", c.NumEvents)
 	case c.HiddenLSTM <= 0 || c.HiddenTrunk <= 0 || c.HiddenHead <= 0:
 		return fmt.Errorf("core: hidden sizes must be positive")
-	case c.Dropout < 0 || c.Dropout >= 1:
+	case !(c.Dropout >= 0 && c.Dropout < 1):
 		return fmt.Errorf("core: Dropout %v must be in [0,1)", c.Dropout)
 	case c.Beta != nil && len(c.Beta) != c.NumEvents:
 		return fmt.Errorf("core: Beta has %d weights, want %d", len(c.Beta), c.NumEvents)
@@ -92,10 +92,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// head is one event-specific sub-network: zcat -> hidden -> 1+H logits.
+// head is one event-specific sub-network: zcat -> ReLU(hidden) -> 1+H
+// logits.
 type head struct {
 	fc1 *nn.Dense
-	act *nn.ReLU
 	fc2 *nn.Dense
 }
 
@@ -104,17 +104,17 @@ type head struct {
 // Inference through Exist, ThetaRows and Theta only reads the weights and
 // writes the caller's Scratch, so any number of goroutines may share one
 // Model as long as each brings its own Scratch and nothing trains or loads
-// weights meanwhile. Predict, PredictInto and Logits run on a scratch the
-// Model owns, and training caches activations in the layers: those are for
-// one goroutine at a time.
+// weights meanwhile. Predict, PredictInto, Logits and Loss run on scratch
+// the Model owns, and Train writes the weights (its workers keep their
+// activations in tapes of their own): those are for one goroutine at a
+// time.
 type Model struct {
-	cfg      Config
-	lstm     *nn.LSTM
-	trunk    *nn.Dense
-	trunkAct *nn.ReLU
-	drop     *nn.Dropout
-	heads    []*head
-	params   []*nn.Param
+	cfg    Config
+	lstm   *nn.LSTM
+	trunk  *nn.Dense
+	drop   *nn.Dropout
+	heads  []*head
+	params []*nn.Param
 	// version counts weight changes (Train bumps it after every optimizer
 	// step): a Scratch that kept projections under an earlier version drops
 	// them, and so does packed.
@@ -123,13 +123,11 @@ type Model struct {
 	// forward pass under it and shared by training and every Scratch.
 	packed atomic.Pointer[packedLSTM]
 
-	// scratch reused across training passes
-	zcat, dzcat []float64
-	headOut     [][]float64
-
-	// sc and logits back Predict, PredictInto and Logits.
-	sc     Scratch
-	logits [][]float64
+	// sc and logits back Predict, PredictInto and Logits; lossTape backs
+	// Loss.
+	sc       Scratch
+	logits   [][]float64
+	lossTape *tape
 }
 
 // New constructs an EventHit model from cfg with freshly initialized
@@ -140,12 +138,9 @@ func New(cfg Config) (*Model, error) {
 	}
 	g := mathx.NewRNG(cfg.Seed)
 	m := &Model{
-		cfg:      cfg,
-		trunk:    nn.NewDense("shared.trunk", cfg.HiddenLSTM, cfg.HiddenTrunk, g.Split(2)),
-		trunkAct: nn.NewReLU(),
-		drop:     nn.NewDropout(cfg.Dropout, g.Split(3)),
-		zcat:     make([]float64, cfg.HiddenTrunk+cfg.InputDim),
-		dzcat:    make([]float64, cfg.HiddenTrunk+cfg.InputDim),
+		cfg:   cfg,
+		trunk: nn.NewDense("shared.trunk", cfg.HiddenLSTM, cfg.HiddenTrunk, g.Split(2)),
+		drop:  nn.NewDropout(cfg.Dropout, g.Split(3)),
 	}
 	// Split advances g: the encoder's stream is drawn third, after the
 	// trunk's and dropout's. Reordering the draws changes every seed's
@@ -155,7 +150,6 @@ func New(cfg Config) (*Model, error) {
 	for k := 0; k < cfg.NumEvents; k++ {
 		h := &head{
 			fc1: nn.NewDense(fmt.Sprintf("head%d.fc1", k), cfg.HiddenTrunk+cfg.InputDim, cfg.HiddenHead, g.Split(int64(10+2*k))),
-			act: nn.NewReLU(),
 			fc2: nn.NewDense(fmt.Sprintf("head%d.fc2", k), cfg.HiddenHead, 1+cfg.Horizon, g.Split(int64(11+2*k))),
 		}
 		m.heads = append(m.heads, h)
@@ -169,8 +163,8 @@ func New(cfg Config) (*Model, error) {
 func (m *Model) Config() Config { return m.cfg }
 
 // Clone returns a structurally identical model carrying a copy of m's
-// current weights. Nothing is shared: the clone has its own layer caches,
-// gradient accumulators and dropout stream, so it can run forward/backward
+// current weights. Nothing is shared: the clone has its own scratch,
+// gradient accumulators and dropout stream, so it can predict or train
 // concurrently with m. strategy.Bundle.Clone builds on it.
 func (m *Model) Clone() *Model {
 	c, err := New(m.cfg)
@@ -193,44 +187,113 @@ type Output struct {
 	Theta [][]float64
 }
 
-// rawForward runs the shared trunk and all heads, returning per-head logit
-// vectors of length 1+H. Layer caches stay valid for a following backward.
-func (m *Model) rawForward(x [][]float64) [][]float64 {
+// tape is one record's pass through the network in training: every
+// activation its backward pass reads, the gradients it leaves for the
+// weight update, and its loss. Workers fill distinct tapes from the same
+// weights, so records of a minibatch run concurrently.
+type tape struct {
+	lstm nn.LSTMTape
+	h    []float64   // h_n, the trunk's input (in lstm)
+	z    []float64   // the trunk's output after the ReLU
+	mask []float64   // the dropout mask over z; nil without dropout
+	zcat []float64   // [dropout(z) ; X_n], every head's input
+	hid  [][]float64 // per head: the hidden layer after the ReLU
+	// out holds per head the 1+H logits (see forward) until recordLoss
+	// replaces them with dL/dlogits.
+	out   [][]float64
+	dhid  [][]float64 // per head: dL/dhidden, gated by the ReLU
+	dzk   []float64   // one head's dL/dzcat
+	dzcat []float64   // dL/dzcat over the heads; [:HiddenTrunk] ends as the trunk's dL/dy
+	dh    []float64   // dL/dh_n
+	loss  float64
+}
+
+// newTape returns a tape sized for m, its buffers carved from one
+// allocation (see nn.LSTMTape); dropout gives it a mask.
+func (m *Model) newTape() *tape {
+	c := m.cfg
+	nz, k := c.HiddenTrunk+c.InputDim, c.NumEvents
+	buf := make([]float64, 2*c.HiddenTrunk+3*nz+c.HiddenLSTM+k*(2*c.HiddenHead+1+c.Horizon))
+	take := func(n int) []float64 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
+	rows := func(w int) [][]float64 {
+		out := make([][]float64, k)
+		for i := range out {
+			out[i] = take(w)
+		}
+		return out
+	}
+	tp := &tape{
+		z:     take(c.HiddenTrunk),
+		zcat:  take(nz),
+		hid:   rows(c.HiddenHead),
+		out:   rows(1 + c.Horizon),
+		dhid:  rows(c.HiddenHead),
+		dzk:   take(nz),
+		dzcat: take(nz),
+		dh:    take(c.HiddenLSTM),
+	}
+	if mask := take(c.HiddenTrunk); c.Dropout > 0 {
+		tp.mask = mask
+	}
+	return tp
+}
+
+// forward runs x through the network over p (the LSTM packed under the
+// current weights) into tp, dropping out z under tp.mask when there is one.
+// Every head gets its hidden layer and b_k's logit; the H occurrence logits
+// follow where want is nil or want[k] holds. recordLoss reads nothing more
+// of a head whose event is absent, and each logit is its own row of fc2,
+// so what it reads is the same either way.
+func (m *Model) forward(tp *tape, x [][]float64, want []bool, p *nn.Packed) {
 	if len(x) != m.cfg.Window {
 		panic(fmt.Sprintf("core: covariates have %d rows, model window is %d", len(x), m.cfg.Window))
 	}
-	h := m.lstm.Forward(x, m.packedLSTM())
-	z := m.trunk.Forward(h)
-	z = m.trunkAct.Forward(z)
-	z = m.drop.Forward(z)
-	copy(m.zcat[:m.cfg.HiddenTrunk], z)
-	copy(m.zcat[m.cfg.HiddenTrunk:], x[len(x)-1])
-	if len(m.headOut) != len(m.heads) {
-		m.headOut = make([][]float64, len(m.heads))
+	tp.h = m.lstm.Forward(&tp.lstm, x, p)
+	m.trunk.ApplyRows(tp.z, tp.h, 0)
+	nn.ReLU(tp.z)
+	z := tp.zcat[:m.cfg.HiddenTrunk]
+	if tp.mask != nil {
+		nn.ApplyMask(z, tp.z, tp.mask)
+	} else {
+		copy(z, tp.z)
 	}
-	out := m.headOut
+	copy(tp.zcat[m.cfg.HiddenTrunk:], x[len(x)-1])
 	for k, hd := range m.heads {
-		a := hd.fc1.Forward(m.zcat)
-		a = hd.act.Forward(a)
-		out[k] = hd.fc2.Forward(a)
+		hd.fc1.ApplyRows(tp.hid[k], tp.zcat, 0)
+		nn.ReLU(tp.hid[k])
+		if want == nil || want[k] {
+			hd.fc2.ApplyRows(tp.out[k], tp.hid[k], 0)
+		} else {
+			hd.fc2.ApplyRows(tp.out[k][:1], tp.hid[k], 0)
+		}
 	}
-	return out
 }
 
-// backward propagates per-head logit gradients through the whole network,
-// accumulating parameter gradients.
-func (m *Model) backward(dLogits [][]float64) {
-	dzcat := m.dzcat
+// backward propagates the logits' gradients in tp.out down to every
+// layer's output gradient, leaving in tp what the weight update sums (see
+// trainer.collect). It reads the weights and writes only tp. A head whose
+// event is absent has zero gradient past b_k's logit, whose rows the
+// backward kernels skip.
+func (m *Model) backward(tp *tape) {
+	dzcat := tp.dzcat
 	mathx.Fill(dzcat, 0)
 	for k, hd := range m.heads {
-		da := hd.fc2.Backward(dLogits[k])
-		da = hd.act.Backward(da)
-		mathx.Axpy(1, hd.fc1.Backward(da), dzcat)
+		hd.fc2.Backward(tp.dhid[k], tp.out[k])
+		nn.ReLUGrad(tp.dhid[k], tp.hid[k])
+		hd.fc1.Backward(tp.dzk, tp.dhid[k])
+		mathx.Axpy(1, tp.dzk, dzcat)
 	}
 	dz := dzcat[:m.cfg.HiddenTrunk]
-	dz = m.drop.Backward(dz)
-	dz = m.trunkAct.Backward(dz)
-	m.lstm.Backward(m.trunk.Backward(dz))
+	if tp.mask != nil {
+		nn.MaskGrad(dz, tp.mask)
+	}
+	nn.ReLUGrad(dz, tp.z)
+	m.trunk.Backward(tp.dh, dz)
+	m.lstm.Backward(&tp.lstm, tp.dh, nil)
 }
 
 // Scratch is the memory one inference writes: every activation between the
@@ -260,17 +323,8 @@ func (m *Model) carve(sc *Scratch) (enc, zcat, hid []float64) {
 	return sc.buf[:ne], sc.buf[ne:nz], sc.buf[nz:n]
 }
 
-// relu clamps x to max(0, x) in place, with nn.ReLU's comparison.
-func relu(x []float64) {
-	for i, v := range x {
-		if !(v > 0) {
-			x[i] = 0
-		}
-	}
-}
-
 // hidden runs the shared sub-network and every head's hidden layer with
-// dropout off — rawForward's arithmetic up to the last layer, reading the
+// dropout off — forward's arithmetic up to the last layer, reading the
 // weights and writing only sc. frame > 0 names the stream frame of x's last
 // row and lets the encoder take Wx·x_t from sc's ring.
 func (m *Model) hidden(x [][]float64, frame int, sc *Scratch) {
@@ -287,13 +341,13 @@ func (m *Model) hidden(x [][]float64, frame int, sc *Scratch) {
 	}
 	z := zcat[:m.cfg.HiddenTrunk]
 	m.trunk.ApplyRows(z, h, 0)
-	relu(z)
+	nn.ReLU(z)
 	copy(zcat[m.cfg.HiddenTrunk:], x[len(x)-1])
 	hh := m.cfg.HiddenHead
 	for k, hd := range m.heads {
 		a := hid[k*hh : (k+1)*hh]
 		hd.fc1.ApplyRows(a, zcat, 0)
-		relu(a)
+		nn.ReLU(a)
 	}
 }
 

@@ -8,11 +8,15 @@ import (
 
 // Implemented in kernel_amd64.s. The slice kernels do whole chunks of four
 // from the start and return how many values they wrote (see vectorPart);
-// backRowsAVX2 does BackRows' columns [0, len(x)&^3); exp4 is math.Exp on four arguments in [-708, 708].
+// backRowsXAVX2 and backRowsGAVX2 do BackRowsX's and BackRowsG's columns
+// [0, n&^3), adamAVX2 AdamUpdate's elements [0, len(w)&^3); exp4 is
+// math.Exp on four arguments in [-708, 708].
 func sigmoidAVX2(dst, src []float64) int
 func tanhAVX2(dst, src []float64) int
 func matVecPackedAVX2(dst, wp, x []float64)
-func backRowsAVX2(g, w, da, x, dx []float64)
+func backRowsXAVX2(w, da, dx []float64)
+func backRowsGAVX2(g []float64, n, lo int, das, xs [][]float64)
+func adamAVX2(w, g, m, v []float64, s *AdamStep)
 func exp4(x *[4]float64)
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() uint32

@@ -57,6 +57,7 @@ GLOBL kc<>(SB), RODATA, $832
 
 // Comparison predicates for VCMPPD (ordered: false on NaN).
 #define EQ 0x00
+#define LT 0x11
 #define LE 0x12
 #define GE 0x1d
 #define GT 0x1e
@@ -273,129 +274,579 @@ done:
 	VZEROUPPER
 	RET
 
-// func backRowsAVX2(g, w, da, x, dx []float64)
-//
-// BackRows' columns [0, len(x)&^3), sixteen at a time and then four: a
-// block's x and dx stay in registers while every row passes over it in
-// order. A row whose da is ±0 (all bits but the sign clear) is skipped;
-// otherwise da is broadcast and each chunk of four takes g += da*x and
-// dx += da*w, products rounded first.
-//
-// DI, SI, R10, R11: the block's first column in g, w, x and dx; DX: vector
-// columns left; R8: bytes per row; BX..R12: da. Per row: R9 in da, R13 and
-// AX the row's block in g and w.
+// BACKROW loads the next row's da at R9, skips the row when it is ±0 (all
+// bits but the sign clear) and otherwise broadcasts it into Y0.
 #define BACKROW(skip) \
 	MOVQ         (R9), CX; \
 	SHLQ         $1, CX; \
 	JEQ          skip; \
 	VBROADCASTSD (R9), Y0
 
-TEXT ·backRowsAVX2(SB), NOSPLIT, $0-120
-	MOVQ g_base+0(FP), DI
-	MOVQ w_base+24(FP), SI
-	MOVQ da_base+48(FP), BX
-	MOVQ da_len+56(FP), R12
-	MOVQ x_base+72(FP), R10
-	MOVQ x_len+80(FP), DX
-	MOVQ dx_base+96(FP), R11
-	MOVQ DX, R8
-	SHLQ $3, R8             // bytes per row
-	ANDQ $-4, DX            // vector columns
-	LEAQ (BX)(R12*8), R12   // end of da
+// XACC adds da*w for the four columns at off in the row's block of w (AX)
+// to acc, the product rounded first.
+#define XACC(off, t, acc) \
+	VMULPD off(AX), Y0, t; \
+	VADDPD t, acc, acc
 
-quadblock:
-	CMPQ    DX, $16
-	JLT     singleblock
-	VMOVUPD (R10), Y8
-	VMOVUPD 32(R10), Y9
-	VMOVUPD 64(R10), Y10
-	VMOVUPD 96(R10), Y11
-	VMOVUPD (R11), Y12
-	VMOVUPD 32(R11), Y13
-	VMOVUPD 64(R11), Y14
-	VMOVUPD 96(R11), Y15
+// func backRowsXAVX2(w, da, dx []float64)
+//
+// BackRowsX's columns [0, len(dx)&^3) in blocks of 32, then one each of 24,
+// 16, 8 and 4 as they fit: a block's dx stays in registers while every row
+// passes over it in order, so each column's sum is one chain, and a wide
+// block keeps enough chains in flight to cover the add latency.
+//
+// SI, R11: the block's first column in w and dx; DX: vector columns left;
+// R8: bytes per row; BX, R12: da and its end. Per row: R9 in da, AX the
+// row's block in w.
+TEXT ·backRowsXAVX2(SB), NOSPLIT, $0-72
+	MOVQ w_base+0(FP), SI
+	MOVQ da_base+24(FP), BX
+	MOVQ da_len+32(FP), R12
+	MOVQ dx_base+48(FP), R11
+	MOVQ dx_len+56(FP), DX
+	MOVQ DX, R8
+	SHLQ $3, R8           // bytes per row
+	ANDQ $-4, DX          // vector columns
+	LEAQ (BX)(R12*8), R12 // end of da
+
+x32:
+	CMPQ    DX, $32
+	JLT     x24
+	VMOVUPD (R11), Y8
+	VMOVUPD 32(R11), Y9
+	VMOVUPD 64(R11), Y10
+	VMOVUPD 96(R11), Y11
+	VMOVUPD 128(R11), Y12
+	VMOVUPD 160(R11), Y13
+	VMOVUPD 192(R11), Y14
+	VMOVUPD 224(R11), Y15
 	MOVQ    BX, R9
-	MOVQ    DI, R13
 	MOVQ    SI, AX
 
-quadrow:
-	CMPQ    R9, R12
-	JEQ     quadstore
-	BACKROW(quadnext)
-	VMULPD  Y8, Y0, Y1 // da*x
-	VADDPD  (R13), Y1, Y1
-	VMOVUPD Y1, (R13)
-	VMULPD  Y9, Y0, Y2
-	VADDPD  32(R13), Y2, Y2
-	VMOVUPD Y2, 32(R13)
-	VMULPD  Y10, Y0, Y3
-	VADDPD  64(R13), Y3, Y3
-	VMOVUPD Y3, 64(R13)
-	VMULPD  Y11, Y0, Y4
-	VADDPD  96(R13), Y4, Y4
-	VMOVUPD Y4, 96(R13)
-	VMULPD  (AX), Y0, Y5 // da*w
-	VADDPD  Y5, Y12, Y12
-	VMULPD  32(AX), Y0, Y6
-	VADDPD  Y6, Y13, Y13
-	VMULPD  64(AX), Y0, Y7
-	VADDPD  Y7, Y14, Y14
-	VMULPD  96(AX), Y0, Y5
-	VADDPD  Y5, Y15, Y15
+x32row:
+	CMPQ R9, R12
+	JEQ  x32store
+	BACKROW(x32next)
+	XACC(0, Y1, Y8)
+	XACC(32, Y2, Y9)
+	XACC(64, Y3, Y10)
+	XACC(96, Y4, Y11)
+	XACC(128, Y5, Y12)
+	XACC(160, Y6, Y13)
+	XACC(192, Y7, Y14)
+	XACC(224, Y1, Y15)
 
-quadnext:
+x32next:
 	ADDQ $8, R9
-	ADDQ R8, R13
 	ADDQ R8, AX
-	JMP  quadrow
+	JMP  x32row
 
-quadstore:
-	VMOVUPD Y12, (R11)
-	VMOVUPD Y13, 32(R11)
-	VMOVUPD Y14, 64(R11)
-	VMOVUPD Y15, 96(R11)
-	ADDQ    $128, DI
+x32store:
+	VMOVUPD Y8, (R11)
+	VMOVUPD Y9, 32(R11)
+	VMOVUPD Y10, 64(R11)
+	VMOVUPD Y11, 96(R11)
+	VMOVUPD Y12, 128(R11)
+	VMOVUPD Y13, 160(R11)
+	VMOVUPD Y14, 192(R11)
+	VMOVUPD Y15, 224(R11)
+	ADDQ    $256, SI
+	ADDQ    $256, R11
+	SUBQ    $32, DX
+	JMP     x32
+
+x24:
+	CMPQ    DX, $24
+	JLT     x16
+	VMOVUPD (R11), Y8
+	VMOVUPD 32(R11), Y9
+	VMOVUPD 64(R11), Y10
+	VMOVUPD 96(R11), Y11
+	VMOVUPD 128(R11), Y12
+	VMOVUPD 160(R11), Y13
+	MOVQ    BX, R9
+	MOVQ    SI, AX
+
+x24row:
+	CMPQ R9, R12
+	JEQ  x24store
+	BACKROW(x24next)
+	XACC(0, Y1, Y8)
+	XACC(32, Y2, Y9)
+	XACC(64, Y3, Y10)
+	XACC(96, Y4, Y11)
+	XACC(128, Y5, Y12)
+	XACC(160, Y6, Y13)
+
+x24next:
+	ADDQ $8, R9
+	ADDQ R8, AX
+	JMP  x24row
+
+x24store:
+	VMOVUPD Y8, (R11)
+	VMOVUPD Y9, 32(R11)
+	VMOVUPD Y10, 64(R11)
+	VMOVUPD Y11, 96(R11)
+	VMOVUPD Y12, 128(R11)
+	VMOVUPD Y13, 160(R11)
+	ADDQ    $192, SI
+	ADDQ    $192, R11
+	SUBQ    $24, DX
+
+x16:
+	CMPQ    DX, $16
+	JLT     x8
+	VMOVUPD (R11), Y8
+	VMOVUPD 32(R11), Y9
+	VMOVUPD 64(R11), Y10
+	VMOVUPD 96(R11), Y11
+	MOVQ    BX, R9
+	MOVQ    SI, AX
+
+x16row:
+	CMPQ R9, R12
+	JEQ  x16store
+	BACKROW(x16next)
+	XACC(0, Y1, Y8)
+	XACC(32, Y2, Y9)
+	XACC(64, Y3, Y10)
+	XACC(96, Y4, Y11)
+
+x16next:
+	ADDQ $8, R9
+	ADDQ R8, AX
+	JMP  x16row
+
+x16store:
+	VMOVUPD Y8, (R11)
+	VMOVUPD Y9, 32(R11)
+	VMOVUPD Y10, 64(R11)
+	VMOVUPD Y11, 96(R11)
 	ADDQ    $128, SI
-	ADDQ    $128, R10
 	ADDQ    $128, R11
 	SUBQ    $16, DX
-	JMP     quadblock
 
-singleblock:
-	TESTQ   DX, DX
-	JEQ     backdone
-	VMOVUPD (R10), Y8
-	VMOVUPD (R11), Y12
+x8:
+	CMPQ    DX, $8
+	JLT     x4
+	VMOVUPD (R11), Y8
+	VMOVUPD 32(R11), Y9
 	MOVQ    BX, R9
-	MOVQ    DI, R13
 	MOVQ    SI, AX
 
-singlerow:
-	CMPQ    R9, R12
-	JEQ     singlestore
-	BACKROW(singlenext)
-	VMULPD  Y8, Y0, Y1
-	VADDPD  (R13), Y1, Y1
-	VMOVUPD Y1, (R13)
-	VMULPD  (AX), Y0, Y5
-	VADDPD  Y5, Y12, Y12
+x8row:
+	CMPQ R9, R12
+	JEQ  x8store
+	BACKROW(x8next)
+	XACC(0, Y1, Y8)
+	XACC(32, Y2, Y9)
 
-singlenext:
+x8next:
 	ADDQ $8, R9
-	ADDQ R8, R13
 	ADDQ R8, AX
-	JMP  singlerow
+	JMP  x8row
 
-singlestore:
-	VMOVUPD Y12, (R11)
+x8store:
+	VMOVUPD Y8, (R11)
+	VMOVUPD Y9, 32(R11)
+	ADDQ    $64, SI
+	ADDQ    $64, R11
+	SUBQ    $8, DX
+
+x4:
+	TESTQ   DX, DX
+	JEQ     xdone
+	VMOVUPD (R11), Y8
+	MOVQ    BX, R9
+	MOVQ    SI, AX
+
+x4row:
+	CMPQ R9, R12
+	JEQ  x4store
+	BACKROW(x4next)
+	XACC(0, Y1, Y8)
+
+x4next:
+	ADDQ $8, R9
+	ADDQ R8, AX
+	JMP  x4row
+
+x4store:
+	VMOVUPD Y8, (R11)
+
+xdone:
+	VZEROUPPER
+	RET
+
+// GLOAD and GSTORE move the four rows of a tile's column chunk at off
+// (R9: the tile's first row; R8: bytes per row; DX: its third row)
+// between g and four accumulators.
+#define GLOAD(off, a0, a1, a2, a3) \
+	VMOVUPD off(R9), a0; \
+	VMOVUPD off(R9)(R8*1), a1; \
+	VMOVUPD off(DX), a2; \
+	VMOVUPD off(DX)(R8*1), a3
+
+#define GSTORE(off, a0, a1, a2, a3) \
+	VMOVUPD a0, off(R9); \
+	VMOVUPD a1, off(R9)(R8*1); \
+	VMOVUPD a2, off(DX); \
+	VMOVUPD a3, off(DX)(R8*1)
+
+// GTILE points R9 at the tile's first row in g (DI plus the column offset
+// R10) and DX at its third.
+#define GTILE \
+	LEAQ (DI)(R10*1), R9; \
+	LEAQ (R9)(R8*2), DX
+
+// GPAIR points R9 at das[p][lo+row] and DX at xs[p][col] for the pair
+// whose slice headers AX and BX address.
+#define GPAIR \
+	MOVQ (AX), R9; \
+	ADDQ R13, R9; \
+	MOVQ (BX), DX; \
+	ADDQ R10, DX
+
+// GTEST jumps to slow when any of the tile's four da (at R9) is ±0: those
+// rows are skipped one by one there. Y2 holds zeros; NaN compares unequal,
+// so a NaN row is not skipped.
+#define GTEST(slow) \
+	VMOVUPD   (R9), Y3; \
+	VCMPPD    $EQ, Y2, Y3, Y3; \
+	VMOVMSKPD Y3, CX; \
+	TESTL     CX, CX; \
+	JNE       slow
+
+// GSKIP jumps to skip when the da at off(R9) is ±0.
+#define GSKIP(off, skip) \
+	MOVQ off(R9), CX; \
+	SHLQ $1, CX; \
+	JEQ  skip
+
+// GROW3, GROW2 and GROW1 add da (the row's at off(R9), broadcast) times
+// the pair's 12, 8 or 4 columns of x (DX) to the row's accumulators, each
+// product rounded first.
+#define GROW3(off, a0, a1, a2) \
+	VBROADCASTSD off(R9), Y0; \
+	VMULPD       (DX), Y0, Y1; \
+	VADDPD       Y1, a0, a0; \
+	VMULPD       32(DX), Y0, Y3; \
+	VADDPD       Y3, a1, a1; \
+	VMULPD       64(DX), Y0, Y1; \
+	VADDPD       Y1, a2, a2
+
+#define GROW2(off, a0, a1) \
+	VBROADCASTSD off(R9), Y0; \
+	VMULPD       (DX), Y0, Y1; \
+	VADDPD       Y1, a0, a0; \
+	VMULPD       32(DX), Y0, Y3; \
+	VADDPD       Y3, a1, a1
+
+#define GROW1(off, a0) \
+	VBROADCASTSD off(R9), Y0; \
+	VMULPD       (DX), Y0, Y1; \
+	VADDPD       Y1, a0, a0
+
+// GNEXT advances AX and BX to the next pair's slice headers.
+#define GNEXT \
+	ADDQ $24, AX; \
+	ADDQ $24, BX
+
+// GADVANCE moves DI and R13 to the next tile of four rows.
+#define GADVANCE \
+	LEAQ (DI)(R8*4), DI; \
+	ADDQ $32, R13
+
+// func backRowsGAVX2(g []float64, n, lo int, das, xs [][]float64)
+//
+// BackRowsG's rows [0, rows&^3) of g and columns [0, n&^3), in tiles of
+// four rows by twelve columns (then eight, then four): the tile's sums
+// stay in registers while every pair passes over it in order, so each
+// element takes the pairs' additions in order and g is read and written
+// once per tile, not once per pair. A pair whose four da are all non-zero
+// (the common case, one vector compare) takes the tile's rows straight;
+// otherwise each row is tested and a ±0 one skipped.
+//
+// DI: the tile's first row in g; SI: the end of g's last whole tile;
+// R8: bytes per row; R10: the column block's byte offset; R11: vector
+// columns in bytes; R13: the tile's first row's byte offset in das[p].
+// Per pair: AX and BX the slice headers of das[p] and xs[p], R12 the end
+// of das; R9 and DX das[p] and xs[p] at the tile, CX the zero test.
+TEXT ·backRowsGAVX2(SB), NOSPLIT, $0-88
+
+// GSTART resets the tile walk to g's first row for a new column block;
+// GPAIRS points AX and BX at the first pair's slice headers.
+#define GSTART \
+	MOVQ g_base+0(FP), DI; \
+	MOVQ lo+32(FP), R13; \
+	SHLQ $3, R13
+
+#define GPAIRS \
+	MOVQ das_base+40(FP), AX; \
+	MOVQ xs_base+64(FP), BX
+
+	MOVQ   g_len+8(FP), AX
+	MOVQ   n+24(FP), R8
+	XORQ   DX, DX
+	DIVQ   R8                // AX = rows
+	ANDQ   $-4, AX           // rows in whole tiles
+	IMULQ  R8, AX
+	SHLQ   $3, AX
+	MOVQ   g_base+0(FP), SI
+	ADDQ   AX, SI            // end of the whole tiles
+	MOVQ   R8, R11
+	ANDQ   $-4, R11
+	SHLQ   $3, R11           // vector columns, bytes
+	SHLQ   $3, R8            // bytes per row
+	MOVQ   das_len+48(FP), R12
+	LEAQ   (R12)(R12*2), R12
+	SHLQ   $3, R12
+	ADDQ   das_base+40(FP), R12 // end of das
+	XORQ   R10, R10
+	VXORPD Y2, Y2, Y2
+
+gcol:
+	MOVQ R11, CX
+	SUBQ R10, CX
+	CMPQ CX, $12*8
+	JLT  gcol8
+	GSTART
+
+g12tile:
+	CMPQ DI, SI
+	JEQ  g12next
+	GTILE
+	GLOAD(0, Y4, Y7, Y10, Y13)
+	GLOAD(32, Y5, Y8, Y11, Y14)
+	GLOAD(64, Y6, Y9, Y12, Y15)
+	GPAIRS
+
+g12pair:
+	CMPQ AX, R12
+	JEQ  g12store
+	GPAIR
+	GTEST(g12slow)
+	GROW3(0, Y4, Y5, Y6)
+	GROW3(8, Y7, Y8, Y9)
+	GROW3(16, Y10, Y11, Y12)
+	GROW3(24, Y13, Y14, Y15)
+
+g12next_pair:
+	GNEXT
+	JMP g12pair
+
+g12slow:
+	GSKIP(0, g12s1)
+	GROW3(0, Y4, Y5, Y6)
+
+g12s1:
+	GSKIP(8, g12s2)
+	GROW3(8, Y7, Y8, Y9)
+
+g12s2:
+	GSKIP(16, g12s3)
+	GROW3(16, Y10, Y11, Y12)
+
+g12s3:
+	GSKIP(24, g12next_pair)
+	GROW3(24, Y13, Y14, Y15)
+	JMP g12next_pair
+
+g12store:
+	GTILE
+	GSTORE(0, Y4, Y7, Y10, Y13)
+	GSTORE(32, Y5, Y8, Y11, Y14)
+	GSTORE(64, Y6, Y9, Y12, Y15)
+	GADVANCE
+	JMP g12tile
+
+g12next:
+	ADDQ $96, R10
+	JMP  gcol
+
+gcol8:
+	CMPQ CX, $8*8
+	JLT  gcol4
+	GSTART
+
+g8tile:
+	CMPQ DI, SI
+	JEQ  g8next
+	GTILE
+	GLOAD(0, Y4, Y6, Y8, Y10)
+	GLOAD(32, Y5, Y7, Y9, Y11)
+	GPAIRS
+
+g8pair:
+	CMPQ AX, R12
+	JEQ  g8store
+	GPAIR
+	GTEST(g8slow)
+	GROW2(0, Y4, Y5)
+	GROW2(8, Y6, Y7)
+	GROW2(16, Y8, Y9)
+	GROW2(24, Y10, Y11)
+
+g8next_pair:
+	GNEXT
+	JMP g8pair
+
+g8slow:
+	GSKIP(0, g8s1)
+	GROW2(0, Y4, Y5)
+
+g8s1:
+	GSKIP(8, g8s2)
+	GROW2(8, Y6, Y7)
+
+g8s2:
+	GSKIP(16, g8s3)
+	GROW2(16, Y8, Y9)
+
+g8s3:
+	GSKIP(24, g8next_pair)
+	GROW2(24, Y10, Y11)
+	JMP g8next_pair
+
+g8store:
+	GTILE
+	GSTORE(0, Y4, Y6, Y8, Y10)
+	GSTORE(32, Y5, Y7, Y9, Y11)
+	GADVANCE
+	JMP g8tile
+
+g8next:
+	ADDQ $64, R10
+	JMP  gcol
+
+gcol4:
+	TESTQ CX, CX
+	JEQ   gdone
+	GSTART
+
+g4tile:
+	CMPQ DI, SI
+	JEQ  gdone
+	GTILE
+	GLOAD(0, Y4, Y5, Y6, Y7)
+	GPAIRS
+
+g4pair:
+	CMPQ AX, R12
+	JEQ  g4store
+	GPAIR
+	GTEST(g4slow)
+	GROW1(0, Y4)
+	GROW1(8, Y5)
+	GROW1(16, Y6)
+	GROW1(24, Y7)
+
+g4next_pair:
+	GNEXT
+	JMP g4pair
+
+g4slow:
+	GSKIP(0, g4s1)
+	GROW1(0, Y4)
+
+g4s1:
+	GSKIP(8, g4s2)
+	GROW1(8, Y5)
+
+g4s2:
+	GSKIP(16, g4s3)
+	GROW1(16, Y6)
+
+g4s3:
+	GSKIP(24, g4next_pair)
+	GROW1(24, Y7)
+	JMP g4next_pair
+
+g4store:
+	GTILE
+	GSTORE(0, Y4, Y5, Y6, Y7)
+	GADVANCE
+	JMP g4tile
+
+gdone:
+	VZEROUPPER
+	RET
+
+// func adamAVX2(w, g, m, v []float64, s *AdamStep)
+//
+// AdamUpdate's elements [0, len(w)&^3), four at a time, each lane taking
+// the scalar loop's IEEE operations in its order (mul, add, div and sqrt
+// are correctly rounded, so a lane equals the scalar value). The clamp
+// blends in clip where g > clip, then -clip where g < -clip, both ordered
+// compares, so NaN passes through as in the scalar comparisons.
+//
+// DI, SI, DX, BX: w, g, m, v; CX: elements left; R8: 1 when clip > 0.
+// Y15..Y8: β1, 1-β1, β2, 1-β2, c1, c2, lr, eps; Y7, Y6: clip, -clip;
+// Y5: zeros.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-104
+	MOVQ         w_base+0(FP), DI
+	MOVQ         w_len+8(FP), CX
+	MOVQ         g_base+24(FP), SI
+	MOVQ         m_base+48(FP), DX
+	MOVQ         v_base+72(FP), BX
+	MOVQ         s+96(FP), AX
+	ANDQ         $-4, CX
+	VBROADCASTSD 0(AX), Y15
+	VBROADCASTSD 16(AX), Y14
+	VBROADCASTSD 8(AX), Y13
+	VBROADCASTSD 24(AX), Y12
+	VBROADCASTSD 32(AX), Y11
+	VBROADCASTSD 40(AX), Y10
+	VBROADCASTSD 48(AX), Y9
+	VBROADCASTSD 56(AX), Y8
+	VBROADCASTSD 64(AX), Y7
+	VXORPD       Y5, Y5, Y5
+	VSUBPD       Y7, Y5, Y6
+	XORQ         R8, R8
+	UCOMISD      X5, X7
+	JBE          adamloop // clip <= 0 or NaN: no clamp
+	MOVQ         $1, R8
+
+adamloop:
+	TESTQ   CX, CX
+	JEQ     adamdone
+	VMOVUPD (SI), Y0
+	TESTQ   R8, R8
+	JEQ     adammoments
+	VCMPPD    $GT, Y7, Y0, Y1
+	VBLENDVPD Y1, Y7, Y0, Y0
+	VCMPPD    $LT, Y6, Y0, Y1
+	VBLENDVPD Y1, Y6, Y0, Y0
+
+adammoments:
+	VMULPD  (DX), Y15, Y1 // β1*m
+	VMULPD  Y0, Y14, Y2   // (1-β1)*g
+	VADDPD  Y2, Y1, Y1
+	VMOVUPD Y1, (DX)
+	VMULPD  Y0, Y12, Y2   // (1-β2)*g
+	VMULPD  Y0, Y2, Y2    // ((1-β2)*g)*g
+	VMULPD  (BX), Y13, Y3 // β2*v
+	VADDPD  Y2, Y3, Y3
+	VMOVUPD Y3, (BX)
+	VDIVPD  Y11, Y1, Y1   // mHat = m/c1
+	VDIVPD  Y10, Y3, Y3   // vHat = v/c2
+	VSQRTPD Y3, Y3
+	VADDPD  Y8, Y3, Y3    // sqrt(vHat)+eps
+	VMULPD  Y1, Y9, Y1    // lr*mHat
+	VDIVPD  Y3, Y1, Y1
+	VMOVUPD (DI), Y4
+	VSUBPD  Y1, Y4, Y4
+	VMOVUPD Y4, (DI)
+	VMOVUPD Y5, (SI)
 	ADDQ    $32, DI
 	ADDQ    $32, SI
-	ADDQ    $32, R10
-	ADDQ    $32, R11
-	SUBQ    $4, DX
-	JMP     singleblock
+	ADDQ    $32, DX
+	ADDQ    $32, BX
+	SUBQ    $4, CX
+	JMP     adamloop
 
-backdone:
+adamdone:
 	VZEROUPPER
 	RET
 

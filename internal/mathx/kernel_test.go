@@ -141,7 +141,7 @@ func TestPackRows4Layout(t *testing.T) {
 	for i := range w {
 		w[i] = float64(i)
 	}
-	wp := PackRows4(w, n)
+	wp := PackRows4(nil, w, n)
 	for b := 0; b < rows/4; b++ {
 		for i := 0; i < n; i++ {
 			for l := 0; l < 4; l++ {
@@ -184,7 +184,7 @@ func TestMatVecPackedBits(t *testing.T) {
 						}
 					}
 					dst := make([]float64, rows)
-					MatVecPacked(dst, PackRows4(w, n), x)
+					MatVecPacked(dst, PackRows4(nil, w, n), x)
 					for r := range dst {
 						if want := Dot(w[r*n:(r+1)*n], x); math.Float64bits(dst[r]) != math.Float64bits(want) {
 							t.Fatalf("n=%d rows=%d row %d: %v, Dot %v", n, rows, r, dst[r], want)
@@ -209,8 +209,9 @@ func TestMatVecPackedPanicsOnShape(t *testing.T) {
 	}
 }
 
-// backRowsRef is BackRows' loop as the LSTM and Dense backward passes had
-// it inline: the oracle both paths are held to.
+// backRowsRef is the backward loop of a mat-vec as the LSTM and Dense
+// backward passes had it inline, weight and input gradients interleaved
+// row by row: the oracle both halves and both paths are held to.
 func backRowsRef(g, w, da, x, dx []float64) {
 	n := len(x)
 	for j, d := range da {
@@ -224,31 +225,48 @@ func backRowsRef(g, w, da, x, dx []float64) {
 	}
 }
 
-// checkBackRows runs BackRows on copies of g and dx laid at offset off in
-// fresh backing arrays and requires both to equal backRowsRef's bit for bit.
-func checkBackRows(t *testing.T, what string, g, w, da, x, dx []float64, off int) {
+// checkBackRowsX runs BackRowsX on a copy of dx laid at offset off in a
+// fresh backing array and requires it to equal backRowsRef's bit for bit.
+func checkBackRowsX(t *testing.T, what string, w, da, dx []float64, off int) {
 	t.Helper()
-	wantG, wantDx := append([]float64(nil), g...), append([]float64(nil), dx...)
-	backRowsRef(wantG, w, da, x, wantDx)
-	gotG := append(make([]float64, off), g...)[off:]
-	gotDx := append(make([]float64, off), dx...)[off:]
-	BackRows(gotG, w, da, x, gotDx)
-	for i := range wantG {
-		if math.Float64bits(gotG[i]) != math.Float64bits(wantG[i]) {
-			t.Fatalf("%s: g[%d] = %v, want %v", what, i, gotG[i], wantG[i])
-		}
-	}
-	for k := range wantDx {
-		if math.Float64bits(gotDx[k]) != math.Float64bits(wantDx[k]) {
-			t.Fatalf("%s: dx[%d] = %v, want %v", what, k, gotDx[k], wantDx[k])
+	n := len(dx)
+	want := append([]float64(nil), dx...)
+	backRowsRef(make([]float64, len(w)), w, da, make([]float64, n), want)
+	got := append(make([]float64, off), dx...)[off:]
+	BackRowsX(w, da, got)
+	for k := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Fatalf("%s: dx[%d] = %v, want %v", what, k, got[k], want[k])
 		}
 	}
 }
 
-// TestBackRowsBits: widths on both sides of the four-lane chunk, rows whose
-// da is +0 or -0 (skipped, so a -0 already in g or dx survives), specials
-// but no NaN (see TestMatVecPackedBits) in every operand, and unaligned
-// subslices, each result bit-identical to the scalar loop.
+// checkBackRowsG runs BackRowsG over rows [lo, lo+len(g)/n) of the pairs on
+// a copy of g laid at offset off and requires it to equal backRowsRef run
+// pair after pair over those rows, bit for bit.
+func checkBackRowsG(t *testing.T, what string, g []float64, lo int, das, xs [][]float64, off int) {
+	t.Helper()
+	n := len(xs[0])
+	rows := len(g) / n
+	want := append([]float64(nil), g...)
+	for p, x := range xs {
+		backRowsRef(want, make([]float64, len(g)), das[p][lo:lo+rows], x, make([]float64, n))
+	}
+	got := append(make([]float64, off), g...)[off:]
+	BackRowsG(got, lo, das, xs)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: g[%d] (row %d) = %v, want %v", what, i, lo+i/n, got[i], want[i])
+		}
+	}
+}
+
+// TestBackRowsBits: widths on both sides of every column block, row counts
+// on both sides of the four-row tile, row ranges starting inside the
+// matrix, one to several pairs, rows whose da is +0 or -0 (skipped, so a
+// -0 already in g or dx survives), specials but no NaN (see
+// TestMatVecPackedBits) in every operand, and unaligned subslices, each
+// half bit-identical to the interleaved scalar loop.
 func TestBackRowsBits(t *testing.T) {
 	g := NewRNG(35)
 	var sp []float64
@@ -259,8 +277,8 @@ func TestBackRowsBits(t *testing.T) {
 	}
 	negZero := math.Copysign(0, -1)
 	paths(t, func(t *testing.T) {
-		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 24, 32, 36} {
-			for _, rows := range []int{1, 5, 12} {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 20, 24, 28, 32, 36, 44, 60, 68} {
+			for _, rows := range []int{1, 4, 5, 8, 12, 15} {
 				for trial := 0; trial < 3; trial++ {
 					fill := func(v []float64) []float64 {
 						for i := range v {
@@ -274,15 +292,26 @@ func TestBackRowsBits(t *testing.T) {
 						}
 						return v
 					}
-					w, x := fill(make([]float64, rows*n)), fill(make([]float64, n))
-					gr, dx := fill(make([]float64, rows*n)), fill(make([]float64, n))
-					da := fill(make([]float64, rows))
-					da[0] = 0
-					if rows > 1 {
-						da[rows-1] = negZero
+					grad := func() []float64 {
+						da := fill(make([]float64, rows))
+						da[0] = 0
+						if rows > 1 {
+							da[rows-1] = negZero
+						}
+						return da
 					}
 					what := fmt.Sprintf("n=%d rows=%d trial=%d", n, rows, trial)
-					checkBackRows(t, what, gr, w, da, x, dx, trial+1)
+					checkBackRowsX(t, what, fill(make([]float64, rows*n)), grad(), fill(make([]float64, n)), trial+1)
+					pairs := 1 + 3*trial
+					das, xs := make([][]float64, pairs), make([][]float64, pairs)
+					for p := range das {
+						das[p], xs[p] = grad(), fill(make([]float64, n))
+					}
+					for lo := 0; lo < rows; lo += 1 + rows/2 {
+						for hi := lo + 1; hi <= rows; hi += 1 + (rows-lo)/3 {
+							checkBackRowsG(t, fmt.Sprintf("%s rows [%d,%d)", what, lo, hi), fill(make([]float64, (hi-lo)*n)), lo, das, xs, trial+1)
+						}
+					}
 				}
 			}
 		}
@@ -290,14 +319,43 @@ func TestBackRowsBits(t *testing.T) {
 }
 
 func TestBackRowsPanicsOnShape(t *testing.T) {
-	for _, c := range []struct{ g, w, da, x, dx int }{{6, 6, 2, 3, 2}, {5, 6, 2, 3, 3}, {6, 7, 2, 3, 3}} {
+	for _, c := range []struct{ w, da, dx int }{{6, 2, 2}, {7, 2, 3}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("BackRows accepted shapes %+v", c)
+					t.Errorf("BackRowsX accepted shapes %+v", c)
 				}
 			}()
-			BackRows(make([]float64, c.g), make([]float64, c.w), make([]float64, c.da), make([]float64, c.x), make([]float64, c.dx))
+			BackRowsX(make([]float64, c.w), make([]float64, c.da), make([]float64, c.dx))
+		}()
+	}
+	for _, c := range []struct {
+		g, lo int
+		das   []int
+		xs    []int
+	}{
+		{5, 0, []int{2}, []int{3}},       // g not whole rows
+		{6, 1, []int{2}, []int{3}},       // rows past da
+		{6, -1, []int{2}, []int{3}},      // negative lo
+		{6, 0, []int{2, 2}, []int{3, 4}}, // input widths differ
+		{6, 0, []int{2, 1}, []int{3, 3}}, // a short da
+		{6, 0, []int{2}, []int{3, 3}},    // pair counts differ
+		{3, 0, []int{1, 1}, []int{0, 0}}, // empty inputs
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("BackRowsG accepted shapes %+v", c)
+				}
+			}()
+			das, xs := make([][]float64, len(c.das)), make([][]float64, len(c.xs))
+			for p, l := range c.das {
+				das[p] = make([]float64, l)
+			}
+			for p, l := range c.xs {
+				xs[p] = make([]float64, l)
+			}
+			BackRowsG(make([]float64, c.g), c.lo, das, xs)
 		}()
 	}
 }
@@ -332,19 +390,96 @@ func FuzzKernelBits(f *testing.F) {
 				}
 			}
 			dst := make([]float64, rows)
-			MatVecPacked(dst, PackRows4(w, n), x)
+			MatVecPacked(dst, PackRows4(nil, w, n), x)
 			for r := range dst {
 				if want := Dot(w[r*n:(r+1)*n], x); math.Float64bits(dst[r]) != math.Float64bits(want) {
 					t.Fatalf("MatVecPacked row %d of %d x %d: %v, Dot %v", r, rows, n, dst[r], want)
 				}
 			}
-			// BackRows reads the same matrix with its rows as gradients:
-			// da from w's first column, g and dx from the bytes again.
+			// BackRowsX reads the same matrix with its rows as gradients: da
+			// from w's first column, dx from the bytes again; BackRowsG
+			// takes w as its gradient, rows [1, rows) of two pairs.
 			da := make([]float64, rows)
 			for r := range da {
 				da[r] = w[r*n]
 			}
-			checkBackRows(t, "BackRows", w, w, da, x, vals[:n], int(off%4))
+			checkBackRowsX(t, "BackRowsX", w, da, vals[:n], int(off%4))
+			checkBackRowsG(t, "BackRowsG", w[n:], 1, [][]float64{da, w[:rows]}, [][]float64{x, vals[:n]}, int(off%4))
 		})
+	})
+}
+
+// adamRef is nn.Adam's per-element update as it was written inline: the
+// oracle AdamUpdate is held to on both paths.
+func adamRef(w, g, m, v []float64, lr, clip float64, t int) {
+	b1, b2, eps := 0.9, 0.999, 1e-8
+	c1 := 1 - math.Pow(b1, float64(t))
+	c2 := 1 - math.Pow(b2, float64(t))
+	for j := range w {
+		gj := g[j]
+		if clip > 0 {
+			if gj > clip {
+				gj = clip
+			} else if gj < -clip {
+				gj = -clip
+			}
+		}
+		m[j] = b1*m[j] + (1-b1)*gj
+		v[j] = b2*v[j] + (1-b2)*gj*gj
+		mHat := m[j] / c1
+		vHat := v[j] / c2
+		w[j] -= lr * mHat / (math.Sqrt(vHat) + eps)
+		g[j] = 0
+	}
+}
+
+// TestAdamUpdateBits: lengths on both sides of the four-lane chunk,
+// gradients beyond the clamp on both sides, clamp off, on and NaN,
+// specials in every operand and negative second moments (sqrt of a
+// negative), each element of w, g, m and v bit-identical to the inline
+// loop. NaN results only have to be NaN: which operand's payload an
+// operation keeps is the instruction's, not the arithmetic's.
+func TestAdamUpdateBits(t *testing.T) {
+	g := NewRNG(36)
+	sp := specials()
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	paths(t, func(t *testing.T) {
+		for _, n := range []int{1, 3, 4, 5, 8, 13, 64} {
+			for _, clip := range []float64{0, 5, 0.25, math.NaN(), -1} {
+				for trial := 0; trial < 4; trial++ {
+					fill := func(scale float64) []float64 {
+						v := make([]float64, n)
+						for i := range v {
+							v[i] = (g.Float64()*2 - 1) * scale
+							if trial >= 2 && g.Intn(3) == 0 {
+								v[i] = sp[g.Intn(len(sp))]
+							}
+						}
+						return v
+					}
+					w, gr, m, v := fill(1), fill(10), fill(1), fill(1)
+					if trial%2 == 0 {
+						for i := range v {
+							v[i] = math.Abs(v[i])
+						}
+					}
+					ww, wg, wm, wv := append([]float64(nil), w...), append([]float64(nil), gr...), append([]float64(nil), m...), append([]float64(nil), v...)
+					step := 1 + trial*7
+					adamRef(ww, wg, wm, wv, 3e-3, clip, step)
+					b1, b2 := 0.9, 0.999
+					s := AdamStep{B1: b1, B2: b2, OneMinusB1: 1 - b1, OneMinusB2: 1 - b2,
+						C1: 1 - math.Pow(b1, float64(step)), C2: 1 - math.Pow(b2, float64(step)), LR: 3e-3, Eps: 1e-8, Clip: clip}
+					AdamUpdate(w, gr, m, v, &s)
+					for i := range w {
+						if !same(w[i], ww[i]) || !same(gr[i], wg[i]) || !same(m[i], wm[i]) || !same(v[i], wv[i]) {
+							t.Fatalf("n=%d clip=%v trial=%d [%d]: w, g, m, v = %v %v %v %v, want %v %v %v %v",
+								n, clip, trial, i, w[i], gr[i], m[i], v[i], ww[i], wg[i], wm[i], wv[i])
+						}
+					}
+				}
+			}
+		}
 	})
 }

@@ -209,7 +209,7 @@ func BenchmarkMatVec(b *testing.B) {
 		}
 	})
 	// MatVecPacked over the same matrix, on both kernel paths.
-	wp := PackRows4(w, n)
+	wp := PackRows4(nil, w, n)
 	saved := vector
 	defer func() { vector = saved }()
 	for _, v := range []bool{true, false} {

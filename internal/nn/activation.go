@@ -1,50 +1,21 @@
 package nn
 
-// ReLU is a rectified linear activation. It caches the sign pattern of its
-// last Forward input for Backward.
-type ReLU struct {
-	mask []bool
-	y    []float64 // output buffer, reused across Forward calls
-}
-
-// NewReLU returns a ReLU activation.
-func NewReLU() *ReLU { return &ReLU{} }
-
-// Params implements Layer (ReLU has none).
-func (r *ReLU) Params() []*Param { return nil }
-
-// Forward returns max(0, x) elementwise. The returned slice is reused by
-// the next Forward; copy it if it must survive that call.
-func (r *ReLU) Forward(x []float64) []float64 {
-	if cap(r.mask) < len(x) {
-		r.mask = make([]bool, len(x))
-	}
-	r.mask = r.mask[:len(x)]
-	if cap(r.y) < len(x) {
-		r.y = make([]float64, len(x))
-	}
-	y := r.y[:len(x)]
-	for i := range y {
-		y[i] = 0
-	}
+// ReLU clamps x to max(0, x) in place: every value that is not above 0,
+// NaN included, becomes 0.
+func ReLU(x []float64) {
 	for i, v := range x {
-		if v > 0 {
-			y[i] = v
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
+		if !(v > 0) {
+			x[i] = 0
 		}
 	}
-	return y
 }
 
-// Backward gates dy by the cached sign pattern. dy is modified in place and
-// returned.
-func (r *ReLU) Backward(dy []float64) []float64 {
-	for i := range dy {
-		if !r.mask[i] {
+// ReLUGrad gates dy in place by the ReLU output y it flows back through:
+// where y is not above 0 the unit was clamped and its gradient is 0.
+func ReLUGrad(dy, y []float64) {
+	for i, v := range y {
+		if !(v > 0) {
 			dy[i] = 0
 		}
 	}
-	return dy
 }

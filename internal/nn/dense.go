@@ -7,13 +7,12 @@ import (
 )
 
 // Dense is a fully connected layer computing y = W*x + b with W of shape
-// out x in (row-major).
+// out x in (row-major). It holds only its parameters: ApplyRows and
+// Backward read the weights and write the caller's buffers, and
+// AccumulateGrads sums a batch's parameter gradients.
 type Dense struct {
 	in, out int
 	w, b    *Param
-	x       []float64 // cached input from the last Forward
-	y       []float64 // output buffer, reused across Forward calls
-	dx      []float64 // scratch for Backward
 }
 
 // NewDense returns a Dense layer with Xavier-initialized weights and zero
@@ -25,8 +24,6 @@ func NewDense(name string, in, out int, g *mathx.RNG) *Dense {
 		out: out,
 		w:   NewParam(name+".w", in*out),
 		b:   NewParam(name+".b", out),
-		y:   make([]float64, out),
-		dx:  make([]float64, in),
 	}
 	XavierInit(d.w.W, in, out, g)
 	return d
@@ -41,18 +38,10 @@ func (d *Dense) Out() int { return d.out }
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 
-// Forward computes W*x + b and caches x for Backward. The returned slice
-// is reused by the next Forward; copy it if it must survive that call.
-func (d *Dense) Forward(x []float64) []float64 {
-	d.ApplyRows(d.y, x, 0)
-	d.x = x
-	return d.y
-}
-
 // ApplyRows computes output rows [lo, lo+len(y)) of W*x + b into y. It
 // reads the weights and writes only y, so any number of goroutines may run
-// it on one layer at once; Forward is ApplyRows over all rows plus the
-// cache Backward needs, so training and inference share one arithmetic.
+// it on one layer at once; training and inference share this arithmetic,
+// and each row is the same whichever rows are asked for.
 func (d *Dense) ApplyRows(y, x []float64, lo int) {
 	if len(x) != d.in {
 		panic(fmt.Sprintf("nn: Dense %s input %d, want %d", d.w.Name, len(x), d.in))
@@ -64,15 +53,23 @@ func (d *Dense) ApplyRows(y, x []float64, lo int) {
 	}
 }
 
-// Backward accumulates dL/dW and dL/db from dy (= dL/dy) and returns
-// dL/dx. The returned slice is reused across calls; copy it if it must
-// survive the next Backward.
-func (d *Dense) Backward(dy []float64) []float64 {
-	if len(dy) != d.out {
-		panic(fmt.Sprintf("nn: Dense %s grad %d, want %d", d.w.Name, len(dy), d.out))
+// Backward writes dL/dx into dx given dy = dL/dy. It reads the weights
+// and writes only dx.
+func (d *Dense) Backward(dx, dy []float64) {
+	if len(dy) != d.out || len(dx) != d.in {
+		panic(fmt.Sprintf("nn: Dense %s grad %d, dx %d, want %d and %d", d.w.Name, len(dy), len(dx), d.out, d.in))
 	}
-	mathx.Fill(d.dx, 0)
-	mathx.BackRows(d.w.G, d.w.W, dy, d.x, d.dx)
-	addBiasGrad(d.b.G, dy)
-	return d.dx
+	mathx.Fill(dx, 0)
+	mathx.BackRowsX(d.w.W, dy, dx)
+}
+
+// AccumulateGrads adds to rows [lo, hi) of dL/dW and dL/db the gradients of
+// the listed (dy, x) pairs: each element takes the pairs' products in list
+// order, zero entries of dy skipped, so calls on disjoint row ranges may
+// run concurrently and together equal one call over every row.
+func (d *Dense) AccumulateGrads(dys, xs [][]float64, lo, hi int) {
+	mathx.BackRowsG(d.w.G[lo*d.in:hi*d.in], lo, dys, xs)
+	for _, dy := range dys {
+		addBiasGrad(d.b.G[lo:hi], dy[lo:hi])
+	}
 }

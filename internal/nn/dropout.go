@@ -4,67 +4,57 @@ import "eventhit/internal/mathx"
 
 // Dropout is inverted dropout: at training time each unit is zeroed with
 // probability p and survivors are scaled by 1/(1-p), so inference needs no
-// rescaling. Outside training mode it is the identity.
+// rescaling and skips the layer. The layer owns the stream the masks are
+// drawn from; a mask, once drawn, is applied by ApplyMask and MaskGrad.
 type Dropout struct {
-	p     float64
-	train bool
-	g     *mathx.RNG
-	mask  []float64
-	y     []float64 // output buffer, reused across training Forward calls
+	p float64
+	g *mathx.RNG
 }
 
 // NewDropout returns a dropout layer with drop probability p in [0, 1).
 func NewDropout(p float64, g *mathx.RNG) *Dropout {
-	if p < 0 || p >= 1 {
+	if !(p >= 0 && p < 1) {
 		panic("nn: dropout probability must be in [0,1)")
 	}
 	return &Dropout{p: p, g: g}
 }
 
-// SetTraining toggles training mode.
-func (d *Dropout) SetTraining(on bool) { d.train = on }
-
 // Params implements Layer (dropout has none).
 func (d *Dropout) Params() []*Param { return nil }
 
-// Forward applies the mask in training mode, identity otherwise. The
-// returned slice is reused by the next training-mode Forward; copy it if
-// it must survive that call.
-func (d *Dropout) Forward(x []float64) []float64 {
-	if !d.train || d.p == 0 {
-		d.mask = nil
-		return x
+// Mask draws the next mask from the layer's stream, one draw per unit in
+// order: 1/(1-p) for a kept unit, 0 for a dropped one. With p = 0 every
+// unit is kept at scale 1 and nothing is drawn.
+func (d *Dropout) Mask(mask []float64) {
+	if d.p == 0 {
+		mathx.Fill(mask, 1)
+		return
 	}
-	if cap(d.mask) < len(x) {
-		d.mask = make([]float64, len(x))
-	}
-	d.mask = d.mask[:len(x)]
 	keep := 1 - d.p
-	if cap(d.y) < len(x) {
-		d.y = make([]float64, len(x))
-	}
-	y := d.y[:len(x)]
-	for i := range y {
-		y[i] = 0
-	}
-	for i, v := range x {
+	for i := range mask {
 		if d.g.Float64() < keep {
-			d.mask[i] = 1 / keep
-			y[i] = v * d.mask[i]
+			mask[i] = 1 / keep
 		} else {
-			d.mask[i] = 0
+			mask[i] = 0
 		}
 	}
-	return y
 }
 
-// Backward applies the same mask to dy in place and returns it.
-func (d *Dropout) Backward(dy []float64) []float64 {
-	if d.mask == nil {
-		return dy
+// ApplyMask sets y to x under mask: x[i]*mask[i] for a kept unit, 0 for a
+// dropped one.
+func ApplyMask(y, x, mask []float64) {
+	for i, m := range mask {
+		if m != 0 {
+			y[i] = x[i] * m
+		} else {
+			y[i] = 0
+		}
 	}
-	for i := range dy {
-		dy[i] *= d.mask[i]
+}
+
+// MaskGrad scales dy in place by the mask its forward pass applied.
+func MaskGrad(dy, mask []float64) {
+	for i, m := range mask {
+		dy[i] *= m
 	}
-	return dy
 }

@@ -57,7 +57,7 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 // 1 (after one block), 0 and 1 (after eight).
 var blockWidths = []int{1, 3, 5, 24, 33}
 
-// TestDenseMatchesRowAtATime pins Forward and ApplyRows to the arithmetic
+// TestDenseMatchesRowAtATime pins ApplyRows to the arithmetic
 // the layer had before the mat-vec was row-blocked: one mathx.Dot per row,
 // then the bias.
 func TestDenseMatchesRowAtATime(t *testing.T) {
@@ -72,7 +72,7 @@ func TestDenseMatchesRowAtATime(t *testing.T) {
 		for o := range want {
 			want[o] = mathx.Dot(d.w.W[o*7:(o+1)*7], x) + d.b.W[o]
 		}
-		sameBits(t, "Forward", d.Forward(x), want)
+		sameBits(t, "ApplyRows", forward(d, x), want)
 		for lo := 0; lo < out; lo++ {
 			for hi := lo; hi <= out; hi++ {
 				y := make([]float64, hi-lo)
@@ -118,7 +118,7 @@ func TestLSTMMatchesRowAtATime(t *testing.T) {
 			l.Project(axs[i], x, p)
 		}
 		onPaths(t, func(t *testing.T) {
-			sameBits(t, "Forward", l.Forward(xs, p), h)
+			sameBits(t, "Forward", l.Forward(&LSTMTape{}, xs, p), h)
 			sameBits(t, "Infer", l.Infer(xs, p, make([]float64, l.InferLen())), h)
 			sameBits(t, "InferProjected", l.InferProjected(axs, p, make([]float64, l.InferLen())), h)
 		})

@@ -8,9 +8,12 @@ import (
 
 // LSTM is a single-layer long short-term memory encoder (Hochreiter &
 // Schmidhuber 1997), the temporal backbone of EventHit's shared sub-network
-// (§III). Forward consumes a whole sequence and returns the final hidden
-// state h_n; Backward runs truncated-nothing BPTT over the full cached
-// sequence given the gradient of the loss with respect to h_n.
+// (§III). Forward consumes a whole sequence into an LSTMTape and returns
+// the final hidden state h_n; Backward runs full BPTT over a tape given the
+// gradient of the loss with respect to h_n; AccumulateGrads sums the
+// parameter gradients of a batch of backward passes. The layer itself
+// holds only its parameters, so any number of goroutines may run Forward
+// and Backward on one layer with their own tapes.
 //
 // Gate pre-activations are stacked in the order input, forget, candidate,
 // output: a_t = Wx*x_t + Wh*h_{t-1} + b, with Wx of shape 4H x D and Wh of
@@ -18,20 +21,51 @@ import (
 type LSTM struct {
 	in, hidden int
 	wx, wh, b  *Param
+}
 
-	// caches from the last Forward, one entry per timestep
-	xs     [][]float64
+// LSTMTape is one sequence's pass through an LSTM: what Forward computes,
+// one entry per timestep, and the gate gradients Backward derives from it.
+// The zero value is ready; it sizes itself on Forward and keeps its memory
+// for the next sequence.
+type LSTMTape struct {
+	xs     [][]float64 // the input sequence
 	hs, cs [][]float64 // hs[0]/cs[0] are the zero initial state
-	gs     [][]float64 // post-activation gates, stacked like the pre-activations
 	tcs    [][]float64 // tanh(c_t), which Backward reads back
+	ax     []float64   // gate pre-activations, input part (Forward)
+	// ga holds step t's post-activation gates, stacked like the
+	// pre-activations, until Backward replaces them with dL/da_t, the gate
+	// gradients AccumulateGrads reads.
+	ga [][]float64
 
-	// scratch reused across calls so the training hot path allocates
-	// nothing per step
-	ax                []float64   // gate pre-activations, input part (Forward)
-	hOut              []float64   // copy of h_n returned by Forward
-	dxs               [][]float64 // per-step input gradients (Backward)
-	dhCur, dc, dhPrev []float64   // BPTT state (Backward)
-	da                []float64   // gate gradients (Backward)
+	dhCur, dc, dhPrev []float64 // BPTT state (Backward)
+	steps, width      int       // the T and H the buffers are carved for
+}
+
+// carve sizes tp for T steps of an H-wide layer, keeping its buffers when
+// they fit. They come from one allocation, so tapes that different
+// goroutines fill share no cache line but at the ends of their blocks.
+func (tp *LSTMTape) carve(T, H int) {
+	if tp.steps == T && tp.width == H {
+		return
+	}
+	buf := make([]float64, 2*(T+1)*H+T*H+T*4*H+7*H)
+	rows := make([][]float64, 2*(T+1)+2*T)
+	take := func(n int) []float64 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
+	split := func(r, w int) [][]float64 {
+		out := rows[:r:r]
+		rows = rows[r:]
+		for i := range out {
+			out[i] = take(w)
+		}
+		return out
+	}
+	tp.hs, tp.cs, tp.tcs, tp.ga = split(T+1, H), split(T+1, H), split(T, H), split(T, 4*H)
+	tp.ax, tp.dhCur, tp.dc, tp.dhPrev = take(4*H), take(H), take(H), take(H)
+	tp.steps, tp.width = T, H
 }
 
 // NewLSTM returns an LSTM with Xavier-initialized input and recurrent
@@ -44,12 +78,6 @@ func NewLSTM(name string, in, hidden int, g *mathx.RNG) *LSTM {
 		wx:     NewParam(name+".wx", 4*hidden*in),
 		wh:     NewParam(name+".wh", 4*hidden*hidden),
 		b:      NewParam(name+".b", 4*hidden),
-		ax:     make([]float64, 4*hidden),
-		hOut:   make([]float64, hidden),
-		dhCur:  make([]float64, hidden),
-		dc:     make([]float64, hidden),
-		dhPrev: make([]float64, hidden),
-		da:     make([]float64, 4*hidden),
 	}
 	XavierInit(l.wx.W, in, hidden, g)
 	XavierInit(l.wh.W, hidden, hidden, g)
@@ -75,35 +103,39 @@ type Packed struct{ wx, wh []float64 }
 
 // Pack returns the layer's current weights packed.
 func (l *LSTM) Pack() *Packed {
-	return &Packed{mathx.PackRows4(l.wx.W, l.in), mathx.PackRows4(l.wh.W, l.hidden)}
+	p := &Packed{}
+	l.PackInto(p)
+	return p
+}
+
+// PackInto packs the layer's current weights into p, reusing its memory.
+func (l *LSTM) PackInto(p *Packed) {
+	p.wx, p.wh = mathx.PackRows4(p.wx, l.wx.W, l.in), mathx.PackRows4(p.wh, l.wh.W, l.hidden)
 }
 
 // Forward processes the sequence xs (each element length D) over p, which
-// must be Pack() of the current weights, and returns the final hidden
-// state h_n. The sequence must be non-empty. The returned slice is reused
-// by the next Forward; copy it if it must survive that call.
-func (l *LSTM) Forward(xs [][]float64, p *Packed) []float64 {
+// must be Pack() of the current weights, recording every activation in tp,
+// and returns the final hidden state h_n. The sequence must be non-empty;
+// tp keeps a reference to it for Backward and AccumulateGrads. The returned
+// slice is tp's: it lives until tp's next Forward.
+func (l *LSTM) Forward(tp *LSTMTape, xs [][]float64, p *Packed) []float64 {
 	if len(xs) == 0 {
 		panic("nn: LSTM forward on empty sequence")
 	}
 	H := l.hidden
 	T := len(xs)
-	l.xs = xs
-	l.hs = grow2d(l.hs, T+1, H)
-	l.cs = grow2d(l.cs, T+1, H)
-	l.gs = grow2d(l.gs, T, 4*H)
-	l.tcs = grow2d(l.tcs, T, H)
-	mathx.Fill(l.hs[0], 0)
-	mathx.Fill(l.cs[0], 0)
+	tp.xs = xs
+	tp.carve(T, H)
+	mathx.Fill(tp.hs[0], 0)
+	mathx.Fill(tp.cs[0], 0)
 	for t, x := range xs {
-		l.Project(l.ax, x, p)
-		mathx.MatVecPacked(l.gs[t], p.wh, l.hs[t])
-		addInput(l.gs[t], l.ax, l.b.W)
-		copy(l.cs[t+1], l.cs[t])
-		cell(l.hs[t+1], l.cs[t+1], l.gs[t], l.tcs[t])
+		l.Project(tp.ax, x, p)
+		mathx.MatVecPacked(tp.ga[t], p.wh, tp.hs[t])
+		addInput(tp.ga[t], tp.ax, l.b.W)
+		copy(tp.cs[t+1], tp.cs[t])
+		cell(tp.hs[t+1], tp.cs[t+1], tp.ga[t], tp.tcs[t])
 	}
-	copy(l.hOut, l.hs[T])
-	return l.hOut
+	return tp.hs[T]
 }
 
 // addInput completes a = wh.h into ax + wh.h + b, summed in that order.
@@ -188,22 +220,24 @@ func cell(h, c, a, tc []float64) {
 	}
 }
 
-// Backward runs backpropagation through time given dh, the gradient of the
-// loss with respect to the final hidden state, accumulating parameter
-// gradients. It returns per-step input gradients (reused across calls).
-func (l *LSTM) Backward(dh []float64) [][]float64 {
+// Backward runs backpropagation through time over the pass tp recorded,
+// given dh, the gradient of the loss with respect to the final hidden
+// state: it leaves every step's gate gradients dL/da_t in tp for
+// AccumulateGrads, in place of the gates it reads once, and, when dxs is
+// non-nil, writes the input gradients dL/dx_t into dxs[t]. It runs once per
+// Forward, reads the weights and writes only tp and dxs.
+func (l *LSTM) Backward(tp *LSTMTape, dh []float64, dxs [][]float64) {
 	H := l.hidden
 	if len(dh) != H {
 		panic(fmt.Sprintf("nn: LSTM %s grad width %d, want %d", l.wx.Name, len(dh), H))
 	}
-	T := len(l.xs)
-	l.dxs = grow2d(l.dxs, T, l.in)
-	dxs := l.dxs
-	dhCur, dc, da, dhPrev := l.dhCur, l.dc, l.da, l.dhPrev
+	T := len(tp.xs)
+	dhCur, dc, dhPrev := tp.dhCur, tp.dc, tp.dhPrev
 	copy(dhCur, dh)
 	mathx.Fill(dc, 0)
 	for t := T - 1; t >= 0; t-- {
-		x, hPrev, cPrev, tcs, gs := l.xs[t], l.hs[t], l.cs[t], l.tcs[t], l.gs[t]
+		// Unit j's four gradients replace its four gates, read first.
+		cPrev, tcs, gs, da := tp.cs[t], tp.tcs[t], tp.ga[t], tp.ga[t]
 		for j := 0; j < H; j++ {
 			i, f, g, o := gs[j], gs[H+j], gs[2*H+j], gs[3*H+j]
 			tc := tcs[j]
@@ -214,38 +248,49 @@ func (l *LSTM) Backward(dh []float64) [][]float64 {
 			da[3*H+j] = dhCur[j] * tc * o * (1 - o)
 			dc[j] = dcj * f
 		}
-		// The Wx and Wh passes write disjoint arrays, so running one after
-		// the other instead of row by row interleaved changes no bit.
-		dx := dxs[t]
-		mathx.Fill(dx, 0)
-		mathx.Fill(dhPrev, 0)
-		mathx.BackRows(l.wx.G, l.wx.W, da, x, dx)
-		mathx.BackRows(l.wh.G, l.wh.W, da, hPrev, dhPrev)
-		addBiasGrad(l.b.G, da)
-		copy(dhCur, dhPrev)
+		if dxs != nil {
+			mathx.Fill(dxs[t], 0)
+			mathx.BackRowsX(l.wx.W, da, dxs[t])
+		}
+		if t > 0 {
+			mathx.Fill(dhPrev, 0)
+			mathx.BackRowsX(l.wh.W, da, dhPrev)
+			copy(dhCur, dhPrev)
+		}
 	}
-	return dxs
+}
+
+// AppendSteps appends the steps of tp's last Backward in the order their
+// gradients are summed, t = T-1 down to 0: the gate gradients to das, the
+// inputs x_t to xs and the previous hidden states h_{t-1} to hs. A batch's
+// lists, tape after tape, are what AccumulateGrads reads.
+func (tp *LSTMTape) AppendSteps(das, xs, hs [][]float64) ([][]float64, [][]float64, [][]float64) {
+	for t := len(tp.xs) - 1; t >= 0; t-- {
+		das, xs, hs = append(das, tp.ga[t]), append(xs, tp.xs[t]), append(hs, tp.hs[t])
+	}
+	return das, xs, hs
+}
+
+// AccumulateGrads adds the parameter gradients of the listed steps (see
+// AppendSteps) to gate rows [lo, hi) of Wx, Wh and b. Each gradient element
+// takes its steps' products in list order, zero gate gradients skipped —
+// the order of one backward pass after another, each running over its
+// steps from the last — so calls on disjoint row ranges may run
+// concurrently and together equal one call over every row.
+func (l *LSTM) AccumulateGrads(das, xs, hs [][]float64, lo, hi int) {
+	mathx.BackRowsG(l.wx.G[lo*l.in:hi*l.in], lo, das, xs)
+	mathx.BackRowsG(l.wh.G[lo*l.hidden:hi*l.hidden], lo, das, hs)
+	for _, da := range das {
+		addBiasGrad(l.b.G[lo:hi], da[lo:hi])
+	}
 }
 
 // addBiasGrad adds the non-zero entries of da to the bias gradient gb, with
-// mathx.BackRows' skip, so a -0 in gb stays -0.
+// mathx.BackRowsG's skip, so a -0 in gb stays -0.
 func addBiasGrad(gb, da []float64) {
 	for j, g := range da {
 		if g != 0 {
 			gb[j] += g
 		}
 	}
-}
-
-// grow2d reuses buf if it is large enough, otherwise allocates rows x cols.
-func grow2d(buf [][]float64, rows, cols int) [][]float64 {
-	if len(buf) >= rows && len(buf[0]) == cols {
-		return buf[:rows]
-	}
-	out := make([][]float64, rows)
-	flat := make([]float64, rows*cols)
-	for i := range out {
-		out[i], flat = flat[:cols], flat[cols:]
-	}
-	return out
 }

@@ -1,13 +1,17 @@
 // Package nn is a small, dependency-free neural network library: dense and
 // LSTM layers with hand-written backpropagation, inverted dropout, a fused
-// sigmoid + binary-cross-entropy loss, Xavier initialization, SGD and Adam
-// optimizers, numerical gradient checking, and gob serialization.
+// sigmoid + binary-cross-entropy loss, Xavier initialization, the Adam
+// optimizer, numerical gradient checking, and gob serialization.
 //
-// The package works on one sample at a time: each layer caches whatever its
-// last Forward needs for the matching Backward, and gradients accumulate
-// into Param.G until an optimizer step consumes them. That per-sample,
-// accumulate-then-step design is all EventHit's training loop (§III of the
-// paper) requires, and it keeps every layer a few dozen lines of plain Go.
+// Layers hold only their parameters. A forward pass writes its activations
+// where the caller says (the LSTM's into an LSTMTape), and backward comes
+// in two halves: Backward derives one sample's input and output gradients
+// from its activations, reading the weights and writing only the caller's
+// buffers, so samples run concurrently on one layer; AccumulateGrads sums
+// a batch of samples' weight gradients into Param.G, each element in list
+// order, and splits into row ranges that run concurrently. An optimizer
+// step then consumes G. That is all EventHit's minibatch training loop
+// (§III of the paper) requires.
 package nn
 
 import "fmt"

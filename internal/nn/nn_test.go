@@ -46,7 +46,7 @@ func TestDenseForwardKnownValues(t *testing.T) {
 	d := NewDense("d", 2, 2, g)
 	copy(d.w.W, []float64{1, 2, 3, 4}) // rows: [1 2], [3 4]
 	copy(d.b.W, []float64{10, 20})
-	y := d.Forward([]float64{1, 1})
+	y := forward(d, []float64{1, 1})
 	if y[0] != 13 || y[1] != 27 {
 		t.Fatalf("Forward = %v, want [13 27]", y)
 	}
@@ -59,15 +59,15 @@ func TestDenseGradCheck(t *testing.T) {
 	y := []float64{1, 0, 1}
 	dz := make([]float64, 3)
 	loss := func() float64 {
-		z := d.Forward(x)
+		z := forward(d, x)
 		return BCEWithLogits(z, y, nil, dz)
 	}
-	backward := func() {
-		z := d.Forward(x)
+	backwardPass := func() {
+		z := forward(d, x)
 		BCEWithLogits(z, y, nil, dz)
-		d.Backward(dz)
+		backward(d, x, dz)
 	}
-	worst, err := CheckGradients(loss, backward, d.Params(), 1e-5, 1e-5)
+	worst, err := CheckGradients(loss, backwardPass, d.Params(), 1e-5, 1e-5)
 	if err != nil {
 		t.Fatalf("worst=%g: %v", worst, err)
 	}
@@ -81,13 +81,13 @@ func TestDenseBackwardInputGrad(t *testing.T) {
 	y := []float64{1, 0}
 	dz := make([]float64, 2)
 	lossAt := func(xv []float64) float64 {
-		z := d.Forward(xv)
+		z := forward(d, xv)
 		return BCEWithLogits(z, y, nil, dz)
 	}
 	lossAt(x)
-	z := d.Forward(x)
+	z := forward(d, x)
 	BCEWithLogits(z, y, nil, dz)
-	dx := mathx.Clone(d.Backward(dz))
+	dx := backward(d, x, dz)
 	const eps = 1e-6
 	for i := range x {
 		xp := mathx.Clone(x)
@@ -102,36 +102,48 @@ func TestDenseBackwardInputGrad(t *testing.T) {
 }
 
 func TestReLU(t *testing.T) {
-	r := NewReLU()
-	y := r.Forward([]float64{-1, 0, 2})
-	if y[0] != 0 || y[1] != 0 || y[2] != 2 {
+	y := []float64{-1, 0, 2, math.NaN()}
+	ReLU(y)
+	if y[0] != 0 || y[1] != 0 || y[2] != 2 || y[3] != 0 {
 		t.Fatalf("ReLU forward = %v", y)
 	}
-	dy := r.Backward([]float64{5, 5, 5})
-	if dy[0] != 0 || dy[1] != 0 || dy[2] != 5 {
+	dy := []float64{5, 5, 5, 5}
+	ReLUGrad(dy, y)
+	if dy[0] != 0 || dy[1] != 0 || dy[2] != 5 || dy[3] != 0 {
 		t.Fatalf("ReLU backward = %v", dy)
 	}
 }
 
+// TestDropoutInference: without dropout (p = 0, as a model configured
+// without it, and as inference, which skips the layer) the mask is the
+// identity and draws nothing from the stream.
 func TestDropoutInference(t *testing.T) {
-	d := NewDropout(0.5, mathx.NewRNG(1))
-	x := []float64{1, 2, 3}
-	y := d.Forward(x)
+	d := NewDropout(0, mathx.NewRNG(1))
+	x := []float64{1, -2, 3}
+	mask := make([]float64, len(x))
+	d.Mask(mask)
+	y := make([]float64, len(x))
+	ApplyMask(y, x, mask)
 	for i := range x {
 		if y[i] != x[i] {
 			t.Fatal("dropout must be identity outside training")
 		}
 	}
+	if d.g.Float64() != mathx.NewRNG(1).Float64() {
+		t.Fatal("a p = 0 mask drew from the stream")
+	}
 }
 
 func TestDropoutTrainingPreservesExpectation(t *testing.T) {
 	d := NewDropout(0.3, mathx.NewRNG(7))
-	d.SetTraining(true)
 	x := []float64{1}
+	y, mask := make([]float64, 1), make([]float64, 1)
 	var sum float64
 	n := 20000
 	for i := 0; i < n; i++ {
-		sum += d.Forward(x)[0]
+		d.Mask(mask)
+		ApplyMask(y, x, mask)
+		sum += y[0]
 	}
 	if mean := sum / float64(n); math.Abs(mean-1) > 0.03 {
 		t.Fatalf("inverted dropout mean = %v, want ~1", mean)
@@ -140,14 +152,15 @@ func TestDropoutTrainingPreservesExpectation(t *testing.T) {
 
 func TestDropoutBackwardMatchesMask(t *testing.T) {
 	d := NewDropout(0.5, mathx.NewRNG(9))
-	d.SetTraining(true)
 	x := []float64{1, 1, 1, 1, 1, 1, 1, 1}
-	y := d.Forward(x)
-	dy := make([]float64, len(x))
-	for i := range dy {
-		dy[i] = 1
+	mask, y := make([]float64, len(x)), make([]float64, len(x))
+	d.Mask(mask)
+	ApplyMask(y, x, mask)
+	dx := make([]float64, len(x))
+	for i := range dx {
+		dx[i] = 1
 	}
-	dx := d.Backward(dy)
+	MaskGrad(dx, mask)
 	for i := range x {
 		if (y[i] == 0) != (dx[i] == 0) {
 			t.Fatalf("mask mismatch at %d: y=%v dx=%v", i, y[i], dx[i])
@@ -176,19 +189,19 @@ func TestLSTMGradCheck(t *testing.T) {
 	dz := make([]float64, 2)
 	params := CollectParams(l, head)
 	// The checker perturbs the weights between calls: pack them every time.
+	var tp LSTMTape
 	loss := func() float64 {
-		h := l.Forward(seq, l.Pack())
-		z := head.Forward(h)
+		h := l.Forward(&tp, seq, l.Pack())
+		z := forward(head, h)
 		return BCEWithLogits(z, y, nil, dz)
 	}
-	backward := func() {
-		h := l.Forward(seq, l.Pack())
-		z := head.Forward(h)
+	backwardPass := func() {
+		h := l.Forward(&tp, seq, l.Pack())
+		z := forward(head, h)
 		BCEWithLogits(z, y, nil, dz)
-		dh := head.Backward(dz)
-		l.Backward(dh)
+		lstmBackward(l, &tp, backward(head, h, dz))
 	}
-	worst, err := CheckGradients(loss, backward, params, 1e-5, 2e-4)
+	worst, err := CheckGradients(loss, backwardPass, params, 1e-5, 2e-4)
 	if err != nil {
 		t.Fatalf("worst=%g: %v", worst, err)
 	}
@@ -199,8 +212,8 @@ func TestLSTMDeterministicGivenWeights(t *testing.T) {
 	g := mathx.NewRNG(5)
 	l := NewLSTM("l", 2, 3, g)
 	seq := [][]float64{{1, 2}, {3, 4}}
-	h1 := l.Forward(seq, l.Pack())
-	h2 := l.Forward(seq, l.Pack())
+	h1 := l.Forward(&LSTMTape{}, seq, l.Pack())
+	h2 := l.Forward(&LSTMTape{}, seq, l.Pack())
 	for i := range h1 {
 		if h1[i] != h2[i] {
 			t.Fatal("LSTM forward is not deterministic")
@@ -215,7 +228,7 @@ func TestLSTMForwardEmptyPanics(t *testing.T) {
 		}
 	}()
 	l := NewLSTM("l", 2, 2, mathx.NewRNG(1))
-	l.Forward(nil, l.Pack())
+	l.Forward(&LSTMTape{}, nil, l.Pack())
 }
 
 func TestLSTMHiddenBounded(t *testing.T) {
@@ -226,7 +239,7 @@ func TestLSTMHiddenBounded(t *testing.T) {
 	for i := range seq {
 		seq[i] = []float64{g.Normal(0, 10), g.Normal(0, 10)}
 	}
-	h := l.Forward(seq, l.Pack())
+	h := l.Forward(&LSTMTape{}, seq, l.Pack())
 	for _, v := range h {
 		if math.Abs(v) >= 1 {
 			t.Fatalf("hidden state out of (-1,1): %v", v)
@@ -294,6 +307,32 @@ func TestAdamGradClip(t *testing.T) {
 	// With clip the first update magnitude is ~lr (bias-corrected m/sqrt(v)=1).
 	if math.Abs(p.W[0]) > 0.0011 {
 		t.Fatalf("clipped step too large: %v", p.W[0])
+	}
+}
+
+// TestAdamReset: an optimizer that ran, clamped, and was Reset onto other
+// parameters steps them exactly as a fresh NewAdam does.
+func TestAdamReset(t *testing.T) {
+	run := func(opt *Adam, p *Param) []float64 {
+		for i := 0; i < 5; i++ {
+			for j := range p.G {
+				p.G[j] = float64(j+1) * (p.W[j] - 3)
+			}
+			opt.Step()
+		}
+		return p.W
+	}
+	used := NewParam("used", 6)
+	opt := NewAdam([]*Param{used}, 0.5)
+	opt.SetGradClip(0.1)
+	run(opt, used)
+	a, b := NewParam("a", 6), NewParam("b", 6)
+	opt.Reset([]*Param{a}, 0.01)
+	got, want := run(opt, a), run(NewAdam([]*Param{b}, 0.01), b)
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("w[%d] = %v after Reset, %v fresh", j, got[j], want[j])
+		}
 	}
 }
 

@@ -127,7 +127,7 @@ func TestQuantDenseMatchesFloat(t *testing.T) {
 			x[i] = g.Float64()*2 - 1
 			xq[i] = QuantAct(x[i])
 		}
-		want := d.Forward(x)
+		want := forward(d, x)
 		got := q.ForwardQ(xq)
 		for o := range want {
 			if d := math.Abs(DequantAct(got[o]) - want[o]); d > 2e-3 {
@@ -156,7 +156,7 @@ func TestQuantLSTMMatchesFloat(t *testing.T) {
 			}
 			xs[t2] = row
 		}
-		want := l.Forward(xs, l.Pack())
+		want := l.Forward(&LSTMTape{}, xs, l.Pack())
 		got := q.Forward(xs)
 		for j := range want {
 			if d := math.Abs(got[j] - want[j]); d > 0.02 {

@@ -8,17 +8,46 @@ import (
 	"eventhit/internal/mathx"
 )
 
+// forward is ApplyRows over every row of d into a fresh slice.
+func forward(d *Dense, x []float64) []float64 {
+	y := make([]float64, d.out)
+	d.ApplyRows(y, x, 0)
+	return y
+}
+
+// backward is one record's Dense backward pass: its weight gradients added
+// to G, dL/dx returned.
+func backward(d *Dense, x, dy []float64) []float64 {
+	dx := make([]float64, d.in)
+	d.Backward(dx, dy)
+	d.AccumulateGrads([][]float64{dy}, [][]float64{x}, 0, d.out)
+	return dx
+}
+
+// lstmBackward is one sequence's LSTM backward pass over tp: its weight
+// gradients added to G, the per-step input gradients returned.
+func lstmBackward(l *LSTM, tp *LSTMTape, dh []float64) [][]float64 {
+	dxs := make([][]float64, len(tp.xs))
+	for t := range dxs {
+		dxs[t] = make([]float64, l.in)
+	}
+	l.Backward(tp, dh, dxs)
+	das, xs, hs := tp.AppendSteps(nil, nil, nil)
+	l.AccumulateGrads(das, xs, hs, 0, 4*l.hidden)
+	return dxs
+}
+
 // lstmBackwardRef is LSTM.Backward as it was written before BackRows: per
 // step, math.Tanh(c_t) recomputed, then the gate rows in order, each row's
-// Wx, Wh and bias updates interleaved. It reads the caches of the last
+// Wx, Wh and bias updates interleaved. It reads the tape of the last
 // Forward and accumulates into gx, gh and gb; it returns the per-step input
 // gradients.
-func lstmBackwardRef(l *LSTM, dh, gx, gh, gb []float64) [][]float64 {
-	H, D, T := l.hidden, l.in, len(l.xs)
+func lstmBackwardRef(l *LSTM, tp *LSTMTape, dh, gx, gh, gb []float64) [][]float64 {
+	H, D, T := l.hidden, l.in, len(tp.xs)
 	dxs := make([][]float64, T)
 	dhCur, dc, da := append([]float64(nil), dh...), make([]float64, H), make([]float64, 4*H)
 	for t := T - 1; t >= 0; t-- {
-		x, hPrev, cPrev, c, gs := l.xs[t], l.hs[t], l.cs[t], l.cs[t+1], l.gs[t]
+		x, hPrev, cPrev, c, gs := tp.xs[t], tp.hs[t], tp.cs[t], tp.cs[t+1], tp.ga[t]
 		for j := 0; j < H; j++ {
 			i, f, g, o := gs[j], gs[H+j], gs[2*H+j], gs[3*H+j]
 			tc := math.Tanh(c[j])
@@ -65,15 +94,16 @@ func TestLSTMBackwardMatchesRef(t *testing.T) {
 				l := NewLSTM("l", in, H, g.Split(int64(H)))
 				dh := randSeq(g, 1, H)[0]
 				var gx, gh, gb []float64
+				var tp LSTMTape
 				for rec := 0; rec < 2; rec++ {
 					xs := randSeq(g, T, in)
 					for _, x := range xs {
 						mathx.Scale(scale, x)
 					}
-					l.Forward(xs, l.Pack())
+					l.Forward(&tp, xs, l.Pack())
 					gx, gh, gb = append(gx[:0], l.wx.G...), append(gh[:0], l.wh.G...), append(gb[:0], l.b.G...)
-					want := lstmBackwardRef(l, dh, gx, gh, gb)
-					got := l.Backward(dh)
+					want := lstmBackwardRef(l, &tp, dh, gx, gh, gb)
+					got := lstmBackward(l, &tp, dh)
 					for s := range want {
 						sameBits(t, fmt.Sprintf("%s dx[%d]", what, s), got[s], want[s])
 					}
@@ -98,7 +128,6 @@ func TestDenseBackwardMatchesRef(t *testing.T) {
 				dy := randSeq(g, 1, out)[0]
 				dy[0] = 0
 				mathx.Fill(d.w.G, 0.25)
-				d.Forward(x)
 				gw, gb := append([]float64(nil), d.w.G...), append([]float64(nil), d.b.G...)
 				dx := make([]float64, in)
 				for o, gy := range dy {
@@ -112,7 +141,7 @@ func TestDenseBackwardMatchesRef(t *testing.T) {
 					gb[o] += gy
 				}
 				what := fmt.Sprintf("in=%d out=%d", in, out)
-				sameBits(t, what+" dx", d.Backward(dy), dx)
+				sameBits(t, what+" dx", backward(d, x, dy), dx)
 				sameBits(t, what+" dW", d.w.G, gw)
 				sameBits(t, what+" db", d.b.G, gb)
 			})
@@ -158,5 +187,46 @@ func TestBCEWithLogitsScalarBits(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAccumulateGradsRowRanges: a batch's weight gradients summed over
+// disjoint row ranges, in any order, equal one call over every row, bit
+// for bit, for the LSTM (weights and bias) and Dense.
+func TestAccumulateGradsRowRanges(t *testing.T) {
+	g := mathx.NewRNG(19)
+	const in, H, T, batch = 5, 6, 4, 3
+	l := NewLSTM("l", in, H, g.Split(1))
+	d := NewDense("d", in, 2*H+1, g.Split(2))
+	var das, xs, hs, dys, dxs [][]float64
+	for r := 0; r < batch; r++ {
+		var tp LSTMTape
+		seq := randSeq(g, T, in)
+		l.Forward(&tp, seq, l.Pack())
+		l.Backward(&tp, randSeq(g, 1, H)[0], nil)
+		das, xs, hs = tp.AppendSteps(das, xs, hs)
+		dy := randSeq(g, 1, 2*H+1)[0]
+		dy[r] = 0
+		dys, dxs = append(dys, dy), append(dxs, seq[0])
+	}
+	grads := func() []float64 {
+		var out []float64
+		for _, p := range CollectParams(l, d) {
+			out = append(out, p.G...)
+			p.ZeroGrad()
+		}
+		return out
+	}
+	l.AccumulateGrads(das, xs, hs, 0, 4*H)
+	d.AccumulateGrads(dys, dxs, 0, 2*H+1)
+	want := grads()
+	for _, cut := range [][]int{{0, 5, 9, 4 * H}, {0, 4, 8, 20, 4 * H}} {
+		for i := len(cut) - 2; i >= 0; i-- { // last range first
+			l.AccumulateGrads(das, xs, hs, cut[i], cut[i+1])
+		}
+		for lo := 2*H + 1; lo > 0; lo -= 4 {
+			d.AccumulateGrads(dys, dxs, max(lo-4, 0), lo)
+		}
+		sameBits(t, fmt.Sprintf("cut %v", cut), grads(), want)
 	}
 }

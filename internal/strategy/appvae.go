@@ -120,13 +120,14 @@ func FitAppVAE(ex *features.Extractor, train []dataset.Record, horizon int, cfg 
 		psis[i] = encodeHistory(ex, r.Frame, cfg.Window)
 	}
 	opt := nn.NewAdam(params, cfg.LR)
+	out := make([]float64, 3)
 	order := g.Perm(len(train))
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		g.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, i := range order {
 			r := train[i]
 			for j := 0; j < k; j++ {
-				out := a.heads[j].Forward(psis[i])
+				a.heads[j].ApplyRows(out, psis[i], 0)
 				logit, mu, logSigma := out[0], out[1], mathx.Clamp(out[2], -4, 2)
 				d := make([]float64, 3)
 				y := 0.0
@@ -145,7 +146,7 @@ func FitAppVAE(ex *features.Extractor, train []dataset.Record, horizon int, cfg 
 						d[2] = 0 // clamped: no gradient through logSigma
 					}
 				}
-				a.heads[j].Backward(d)
+				a.heads[j].AccumulateGrads([][]float64{d}, [][]float64{psis[i]}, 0, 3)
 			}
 			opt.Step()
 		}
@@ -165,7 +166,8 @@ func (a *AppVAE) Predict(rec dataset.Record) metrics.Prediction {
 	k := len(a.heads)
 	p := metrics.Prediction{Occur: make([]bool, k), OI: make([]video.Interval, k)}
 	for j := 0; j < k; j++ {
-		out := a.heads[j].Forward(psi)
+		var out [3]float64
+		a.heads[j].ApplyRows(out[:], psi, 0)
 		if mathx.Sigmoid(out[0]) < 0.5 {
 			continue
 		}

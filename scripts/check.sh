@@ -83,8 +83,9 @@ stage cross-build cross_build
 # still fuses no multiply-add there), then with GODEBUG turning FMA off
 # (math.Exp's non-FMA path: the init self-check must refuse the kernels) and
 # AVX2 off, where TestKernelPath requires the scalar path. Then a bounded
-# live fuzz run, and end to end: a bundle trained on the default path and
-# one trained with AVX2 off must be the same bytes.
+# live fuzz run, and end to end: a bundle trained on the default path, one
+# trained with AVX2 off and one trained on a single P (training's workers
+# are one per P) must be the same bytes.
 kernel_bits() {
     pkgs="./internal/mathx/ ./internal/nn/ ./internal/core/"
     GOAMD64=v1 go test -count=1 $pkgs &&
@@ -95,9 +96,15 @@ kernel_bits() {
         go build -o "$tmpdir/eventhittrain" ./cmd/eventhittrain &&
         "$tmpdir/eventhittrain" -task TA1 -quick -out "$tmpdir/ta1.bundle" &&
         GODEBUG=cpu.avx2=off "$tmpdir/eventhittrain" -task TA1 -quick -out "$tmpdir/ta1_scalar.bundle" &&
-        cmp "$tmpdir/ta1.bundle" "$tmpdir/ta1_scalar.bundle"
+        cmp "$tmpdir/ta1.bundle" "$tmpdir/ta1_scalar.bundle" &&
+        GOMAXPROCS=1 "$tmpdir/eventhittrain" -task TA1 -quick -out "$tmpdir/ta1_p1.bundle" &&
+        cmp "$tmpdir/ta1.bundle" "$tmpdir/ta1_p1.bundle"
 }
 stage kernel-bits kernel_bits
+# Batch-synchronous training: workers fill per-record tapes and sum
+# gradient rows concurrently; ten race-detector passes over the training
+# tests (the pinned digests at GOMAXPROCS 1, 2, 3 and 8 among them).
+stage train-race-x10 go test -race -count=10 ./internal/core/ ./internal/nn/ -run 'TestTrain'
 stage race go test -race ./...
 # Randomized test order: no test may depend on a sibling having run first.
 # This pass includes the scenario corpus goldens at parallelism 1 and 4 and
