@@ -14,7 +14,6 @@ func main() {
 	var (
 		exp         = flag.String("exp", "", "experiment to run: a name from -list, or \"all\"")
 		list        = flag.Bool("list", false, "print the experiment registry and exit")
-		out         = flag.String("out", "", "write the experiment's JSON result here instead of its committed artifact path (or stdout)")
 		task        = flag.String("task", "", "override the experiment's task")
 		trials      = flag.Int("trials", 0, "override the independent trials averaged (the paper uses 10)")
 		seed        = flag.Int64("seed", 0, "override the base random seed")
@@ -64,14 +63,11 @@ func main() {
 			}
 		})
 		t0 := time.Now()
-		wrote, err := e.Produce(p, *out, os.Stdout)
+		_, err := e.Run(p, os.Stdout)
 		fmt.Fprintf(os.Stderr, "[%s done in %s]\n", e.Name, time.Since(t0).Round(time.Millisecond))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "eventhitbench: %s: %v\n", e.Name, err)
 			os.Exit(1)
-		}
-		if wrote != "" {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", wrote)
 		}
 	}
 	if *metricsOut != "" {

@@ -10,13 +10,15 @@
 // a singleton, and every predicted-positive interval, widened to the
 // configured coverage, is still narrower than the relay granularity.
 // Anything ambiguous escalates to the next rung; the full rung always
-// decides, with exactly the EHCR semantics of the plain strategy.
+// decides, with exactly the EHCR semantics of the plain strategy. The
+// conformal exit rule bounds the recall give-up: among exchangeable
+// positives, at most a 1-confidence fraction can be wrongly auto-rejected
+// by a rung's singleton {absent} set.
 //
-// Because easy horizons dominate sparse event streams (most windows are
-// confidently empty), the mean charged predict cost drops well below the
-// full model's flat cost while the conformal exit rule bounds the recall
-// give-up: among exchangeable positives, at most a 1-confidence fraction
-// can be wrongly auto-rejected by a rung's singleton {absent} set.
+// No shipped binary links the ladder. It stays as a reference the
+// repository benchmark (bench/) walks and times, where it loses to a plain
+// predict: its lowered rungs rarely exit, and a walk that escalates runs
+// every rung (DESIGN.md "Early-inference cascade").
 package cascade
 
 import (
@@ -28,47 +30,34 @@ import (
 	"eventhit/internal/core"
 	"eventhit/internal/dataset"
 	"eventhit/internal/metrics"
-	"eventhit/internal/obs"
 	"eventhit/internal/strategy"
 )
 
 // Name is the strategy label the cascade reports in comparisons.
 const Name = "EH-CASC"
 
-// FullPredictMSDefault matches pipeline.EventHitCosts' flat per-horizon
-// predict charge, so rung-weighted costs are directly comparable to the
-// uncascaded pipeline's accounting.
-const FullPredictMSDefault = 2.0
-
 // RungSpec shapes one lowered rung.
 type RungSpec struct {
-	// Name labels the rung in stats, metrics and sweep artifacts.
-	Name string `json:"name"`
+	// Name labels the rung.
+	Name string
 	// HiddenScale in (0,1) scales the full model's three hidden widths
 	// (floored at 2 units each).
-	HiddenScale float64 `json:"hidden_scale"`
+	HiddenScale float64
 	// WindowStride subsamples the collection window: the rung sees every
 	// stride-th covariate row, anchored so the most recent row is always
 	// included (the head concatenates it). 1 keeps the full window.
-	WindowStride int `json:"window_stride"`
+	WindowStride int
 }
 
-// weight is the rung's predict cost relative to the full model: window
-// fraction times the quadratic hidden-width saving.
+// weight is the rung's size relative to the full model, the order Validate
+// holds the ladder to: window fraction times the quadratic hidden-width
+// saving.
 func (s RungSpec) weight(fullWindow int) float64 {
 	rw := stridedLen(fullWindow, s.WindowStride)
 	return float64(rw) / float64(fullWindow) * s.HiddenScale * s.HiddenScale
 }
 
 func stridedLen(window, stride int) int { return (window + stride - 1) / stride }
-
-// DefaultLadder is the tiny/medium shape below the implicit full rung.
-func DefaultLadder() []RungSpec {
-	return []RungSpec{
-		{Name: "tiny", HiddenScale: 0.25, WindowStride: 4},
-		{Name: "medium", HiddenScale: 0.5, WindowStride: 2},
-	}
-}
 
 // Config parametrizes a cascade.
 type Config struct {
@@ -92,21 +81,19 @@ type Config struct {
 	// against. Zero values default to 0.9.
 	Confidence float64
 	Coverage   float64
-	// FullPredictMS is the charged cost of one full-rung predict; lowered
-	// rungs are charged their weight times this. Zero defaults to
-	// FullPredictMSDefault.
-	FullPredictMS float64
 }
 
 // DefaultConfig returns the tiny/medium/full ladder at a strict exit bar.
 func DefaultConfig() Config {
 	return Config{
-		Rungs:          DefaultLadder(),
+		Rungs: []RungSpec{
+			{Name: "tiny", HiddenScale: 0.25, WindowStride: 4},
+			{Name: "medium", HiddenScale: 0.5, WindowStride: 2},
+		},
 		ExitConfidence: 0.98,
 		MaxWidthFrac:   0.8,
 		Confidence:     0.9,
 		Coverage:       0.9,
-		FullPredictMS:  FullPredictMSDefault,
 	}
 }
 
@@ -116,9 +103,6 @@ func (c *Config) normalize() {
 	}
 	if c.Coverage == 0 {
 		c.Coverage = 0.9
-	}
-	if c.FullPredictMS == 0 {
-		c.FullPredictMS = FullPredictMSDefault
 	}
 }
 
@@ -142,10 +126,10 @@ func (c Config) Validate(fullWindow int) error {
 		}
 		w := r.weight(fullWindow)
 		if w <= prev {
-			return fmt.Errorf("cascade: rung %s: cost weight %.3f not above the previous rung's %.3f (order cheapest first)", r.Name, w, prev)
+			return fmt.Errorf("cascade: rung %s: weight %.3f not above the previous rung's %.3f (order cheapest first)", r.Name, w, prev)
 		}
 		if w >= 1 {
-			return fmt.Errorf("cascade: rung %s: cost weight %.3f not below the full model", r.Name, w)
+			return fmt.Errorf("cascade: rung %s: weight %.3f not below the full model", r.Name, w)
 		}
 		prev = w
 	}
@@ -158,22 +142,17 @@ func (c Config) Validate(fullWindow int) error {
 	if !(c.Confidence > 0 && c.Confidence < 1) || !(c.Coverage > 0 && c.Coverage < 1) {
 		return fmt.Errorf("cascade: confidence/coverage (%v, %v) outside (0,1)", c.Confidence, c.Coverage)
 	}
-	if c.FullPredictMS <= 0 {
-		return fmt.Errorf("cascade: full predict cost %v must be positive", c.FullPredictMS)
-	}
 	return nil
 }
 
-// rung is one ladder position: a calibrated bundle and what one evaluation
-// of it is charged. A lowered rung decides on every stride-th covariate row
-// and carries the negative side of its existence calibration; the full
-// rung is the caller's bundle, unstrided, with a nil set (it always
-// decides).
+// rung is one ladder position: a calibrated bundle. A lowered rung decides
+// on every stride-th covariate row and carries the negative side of its
+// existence calibration; the full rung is the caller's bundle, unstrided,
+// with a nil set (it always decides).
 type rung struct {
 	spec   RungSpec
 	bundle *strategy.Bundle
 	set    *conformal.SetClassifier
-	costMS float64
 }
 
 // walk is the memory one ladder walk writes besides its prediction: the
@@ -216,12 +195,6 @@ type Stats struct {
 	// Exits[i] counts horizons answered at ladder position i (the last
 	// position is the full rung); the exits always sum to Horizons.
 	Exits []int64
-	// Escalations counts rung evaluations that declined to exit.
-	Escalations int64
-	// PredictMS is the total charged predict cost; ChargedFullMS is what
-	// the same horizons would have cost on the full model alone.
-	PredictMS     float64
-	ChargedFullMS float64
 }
 
 // ExitRates returns Exits normalized by Horizons (all zeros before the
@@ -237,35 +210,17 @@ func (s Stats) ExitRates() []float64 {
 	return out
 }
 
-// MeanPredictMS is the mean charged predict cost per horizon.
-func (s Stats) MeanPredictMS() float64 {
-	if s.Horizons == 0 {
-		return 0
-	}
-	return s.PredictMS / float64(s.Horizons)
-}
-
-// ComputeFrac is the charged cost as a fraction of the full-model-only
-// cost (1 before the first prediction, so an idle cascade reads neutral).
-func (s Stats) ComputeFrac() float64 {
-	if s.ChargedFullMS == 0 {
-		return 1
-	}
-	return s.PredictMS / s.ChargedFullMS
-}
-
 // Cascade is a trained, calibrated ladder. It implements
 // strategy.Strategy ("EH-CASC"). Prediction only reads the rung bundles —
 // every walk decides through Bundle.Decide on its own pooled scratch — and
 // the serving counters are mutex-guarded, so any number of goroutines may
-// predict on one Cascade (and on the full bundle it was built under) while
-// metric scrapes run. The exception is Bundle.Decide's: a full bundle
-// serving from a quantized Predictor is single-stream state.
+// predict on one Cascade (and on the full bundle it was built under). The
+// exception is Bundle.Decide's: a full bundle serving from a quantized
+// Predictor is single-stream state.
 type Cascade struct {
 	cfg     Config
 	ladder  []*rung // cheapest first; last is the full rung
 	horizon int
-	window  int
 	walks   sync.Pool // *walk
 
 	mu    sync.Mutex
@@ -294,9 +249,9 @@ func New(cfg Config, full *strategy.Bundle, train, ccalib, rcalib []dataset.Reco
 	if len(train) == 0 || len(ccalib) == 0 || len(rcalib) == 0 {
 		return nil, fmt.Errorf("cascade: empty train or calibration split")
 	}
-	c := &Cascade{cfg: cfg, horizon: mc.Horizon, window: mc.Window}
+	c := &Cascade{cfg: cfg, horizon: mc.Horizon}
 	for _, spec := range cfg.Rungs {
-		r, err := buildRung(spec, cfg, full, train, ccalib, rcalib, tc)
+		r, err := buildRung(spec, full, train, ccalib, rcalib, tc)
 		if err != nil {
 			return nil, err
 		}
@@ -305,14 +260,13 @@ func New(cfg Config, full *strategy.Bundle, train, ccalib, rcalib []dataset.Reco
 	c.ladder = append(c.ladder, &rung{
 		spec:   RungSpec{Name: "full", HiddenScale: 1, WindowStride: 1},
 		bundle: full,
-		costMS: cfg.FullPredictMS,
 	})
 	c.stats.Exits = make([]int64, len(c.ladder))
 	return c, nil
 }
 
 // buildRung constructs, trains and calibrates one lowered rung.
-func buildRung(spec RungSpec, cfg Config, full *strategy.Bundle, train, ccalib, rcalib []dataset.Record, tc core.TrainConfig) (*rung, error) {
+func buildRung(spec RungSpec, full *strategy.Bundle, train, ccalib, rcalib []dataset.Record, tc core.TrainConfig) (*rung, error) {
 	mc := full.Model.Config()
 	rc := mc
 	rc.HiddenLSTM = scaleHidden(mc.HiddenLSTM, spec.HiddenScale)
@@ -347,7 +301,7 @@ func buildRung(spec RungSpec, cfg Config, full *strategy.Bundle, train, ccalib, 
 	if err != nil {
 		return nil, fmt.Errorf("cascade: calibrating rung %s existence sets: %w", spec.Name, err)
 	}
-	return &rung{spec: spec, bundle: b, set: set, costMS: spec.weight(mc.Window) * cfg.FullPredictMS}, nil
+	return &rung{spec: spec, bundle: b, set: set}, nil
 }
 
 func scaleHidden(h int, scale float64) int {
@@ -375,66 +329,30 @@ func strideRecords(recs []dataset.Record, fullWindow, stride int) []dataset.Reco
 	return out
 }
 
-// WithThresholds returns a view of the cascade at a different exit
-// operating point — shared rungs (they are only read), fresh stats.
-func (c *Cascade) WithThresholds(exitConfidence, maxWidthFrac float64) (*Cascade, error) {
-	cfg := c.cfg
-	cfg.ExitConfidence = exitConfidence
-	cfg.MaxWidthFrac = maxWidthFrac
-	if err := cfg.Validate(c.window); err != nil {
-		return nil, err
-	}
-	v := &Cascade{cfg: cfg, ladder: c.ladder, horizon: c.horizon, window: c.window}
-	v.stats.Exits = make([]int64, len(v.ladder))
-	return v, nil
-}
-
-// Config returns the cascade's configuration (rungs aliased, not copied).
-func (c *Cascade) Config() Config { return c.cfg }
-
-// NumRungs returns the ladder length including the full rung.
-func (c *Cascade) NumRungs() int { return len(c.ladder) }
-
-// RungCostMS and RungSpecAt describe ladder position i.
-func (c *Cascade) RungCostMS(i int) float64  { return c.ladder[i].costMS }
-func (c *Cascade) RungSpecAt(i int) RungSpec { return c.ladder[i].spec }
-func (c *Cascade) FullPredictMS() float64    { return c.cfg.FullPredictMS }
-
 // Name implements strategy.Strategy.
 func (c *Cascade) Name() string { return Name }
 
-// Predict implements strategy.Strategy.
+// Predict implements strategy.Strategy: it walks the ladder cheapest rung
+// first until a rung's decision is decisive; the full rung always decides.
+// The Prediction owns its slices.
 func (c *Cascade) Predict(rec dataset.Record) metrics.Prediction {
-	p, _ := c.PredictCosted(rec)
-	return p
-}
-
-// PredictCosted walks the ladder and returns the prediction together with
-// the charged predict cost in simulated milliseconds: the cumulative cost
-// of every rung that ran. The pipeline charges exactly this instead of
-// its flat PredictMS. The Prediction owns its slices.
-func (c *Cascade) PredictCosted(rec dataset.Record) (metrics.Prediction, float64) {
 	w, _ := c.walks.Get().(*walk)
 	if w == nil {
 		w = new(walk)
 	}
 	defer c.walks.Put(w)
 	var p metrics.Prediction
-	cost := 0.0
 	top := len(c.ladder) - 1
 	for i, r := range c.ladder[:top] {
-		cost += r.costMS
 		if c.exits(r, rec, w, &p) {
-			c.record(i, cost, int64(i))
-			return p, cost
+			c.record(i)
+			return p
 		}
 	}
 	// The full rung always decides, with exactly the plain EHCR semantics.
-	full := c.ladder[top]
-	cost += full.costMS
-	full.bundle.Decide(rec, strategy.EHCRRule(c.cfg.Confidence, c.cfg.Coverage), &w.sc, &p)
-	c.record(top, cost, int64(top))
-	return p, cost
+	c.ladder[top].bundle.Decide(rec, strategy.EHCRRule(c.cfg.Confidence, c.cfg.Coverage), &w.sc, &p)
+	c.record(top)
+	return p
 }
 
 // exits decides rec at lowered rung r — the one EHCR decision, at the exit
@@ -455,13 +373,10 @@ func (c *Cascade) exits(r *rung, rec dataset.Record, w *walk, p *metrics.Predict
 	return true
 }
 
-func (c *Cascade) record(exitAt int, cost float64, escalations int64) {
+func (c *Cascade) record(exitAt int) {
 	c.mu.Lock()
 	c.stats.Horizons++
 	c.stats.Exits[exitAt]++
-	c.stats.Escalations += escalations
-	c.stats.PredictMS += cost
-	c.stats.ChargedFullMS += c.cfg.FullPredictMS
 	c.mu.Unlock()
 }
 
@@ -472,45 +387,4 @@ func (c *Cascade) Stats() Stats {
 	s := c.stats
 	s.Exits = append([]int64(nil), c.stats.Exits...)
 	return s
-}
-
-// Register exposes the cascade's serving counters on reg under the
-// eventhit_cascade_* families. Per-rung series carry a "rung" label; the
-// scalar families aggregate the whole ladder. Values are read at scrape
-// time from the synchronized stats, so recording is determinism-neutral
-// and scrapes may race with serving.
-func (c *Cascade) Register(reg *obs.Registry, labels obs.Labels) {
-	rungLabels := func(name string) obs.Labels {
-		l := obs.Labels{"rung": name}
-		for k, v := range labels {
-			l[k] = v
-		}
-		return l
-	}
-	for i := range c.ladder {
-		i := i
-		l := rungLabels(c.ladder[i].spec.Name)
-		reg.CounterFunc("eventhit_cascade_exits_total",
-			"horizons answered at this cascade rung", l,
-			func() float64 { return float64(c.Stats().Exits[i]) })
-		reg.GaugeFunc("eventhit_cascade_exit_rate",
-			"fraction of horizons answered at this cascade rung", l,
-			func() float64 { return c.Stats().ExitRates()[i] })
-		costMS := c.ladder[i].costMS
-		reg.GaugeFunc("eventhit_cascade_rung_cost_ms",
-			"charged predict cost of one evaluation of this rung", l,
-			func() float64 { return costMS })
-	}
-	reg.CounterFunc("eventhit_cascade_horizons_total",
-		"predictions served by the cascade", labels,
-		func() float64 { return float64(c.Stats().Horizons) })
-	reg.CounterFunc("eventhit_cascade_escalations_total",
-		"rung evaluations that declined to exit", labels,
-		func() float64 { return float64(c.Stats().Escalations) })
-	reg.CounterFunc("eventhit_cascade_predict_ms_total",
-		"total charged cascade predict cost (simulated ms)", labels,
-		func() float64 { return c.Stats().PredictMS })
-	reg.GaugeFunc("eventhit_cascade_compute_share",
-		"charged predict cost as a fraction of full-model-only cost", labels,
-		func() float64 { return c.Stats().ComputeFrac() })
 }

@@ -2,7 +2,6 @@ package cascade
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
 
@@ -12,7 +11,6 @@ import (
 	"eventhit/internal/features"
 	"eventhit/internal/mathx"
 	"eventhit/internal/metrics"
-	"eventhit/internal/obs"
 	"eventhit/internal/strategy"
 	"eventhit/internal/video"
 )
@@ -71,15 +69,19 @@ func getFixture(t *testing.T) *fixture {
 	return fix
 }
 
-// freshView returns the fixture's cascade at its own thresholds with zeroed
-// stats (views share the rungs).
-func freshView(t *testing.T, f *fixture) *Cascade {
-	t.Helper()
-	v, err := f.casc.WithThresholds(f.casc.Config().ExitConfidence, f.casc.Config().MaxWidthFrac)
-	if err != nil {
-		t.Fatal(err)
-	}
+// view returns the fixture's cascade at the given exit operating point with
+// zeroed stats; views share the trained rungs, which walks only read.
+func view(f *fixture, exitConfidence, maxWidthFrac float64) *Cascade {
+	cfg := f.casc.cfg
+	cfg.ExitConfidence, cfg.MaxWidthFrac = exitConfidence, maxWidthFrac
+	v := &Cascade{cfg: cfg, ladder: f.casc.ladder, horizon: f.casc.horizon}
+	v.stats.Exits = make([]int64, len(v.ladder))
 	return v
+}
+
+// freshView is the fixture's cascade at its own thresholds, zeroed stats.
+func freshView(f *fixture) *Cascade {
+	return view(f, f.casc.cfg.ExitConfidence, f.casc.cfg.MaxWidthFrac)
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -105,7 +107,6 @@ func TestConfigValidation(t *testing.T) {
 		{"width frac above one", func(c *Config) { c.MaxWidthFrac = 1.5 }},
 		{"confidence one", func(c *Config) { c.Confidence = 1 }},
 		{"coverage one", func(c *Config) { c.Coverage = 1 }},
-		{"negative predict cost", func(c *Config) { c.FullPredictMS = -1 }},
 	}
 	for _, tc := range cases {
 		c := base
@@ -142,23 +143,17 @@ func TestLadderShape(t *testing.T) {
 	if c.Name() != Name || Name != "EH-CASC" {
 		t.Fatalf("name %q", c.Name())
 	}
-	if c.NumRungs() != 3 {
-		t.Fatalf("NumRungs = %d, want 3", c.NumRungs())
-	}
 	names := []string{"tiny", "medium", "full"}
-	prev := 0.0
-	for i := 0; i < c.NumRungs(); i++ {
-		if c.RungSpecAt(i).Name != names[i] {
-			t.Fatalf("rung %d named %q, want %q", i, c.RungSpecAt(i).Name, names[i])
-		}
-		if cost := c.RungCostMS(i); cost <= prev {
-			t.Fatalf("rung %d cost %.3f not above previous %.3f", i, cost, prev)
-		} else {
-			prev = cost
+	if len(c.ladder) != len(names) {
+		t.Fatalf("%d rungs, want %d", len(c.ladder), len(names))
+	}
+	for i, r := range c.ladder {
+		if r.spec.Name != names[i] {
+			t.Fatalf("rung %d named %q, want %q", i, r.spec.Name, names[i])
 		}
 	}
-	if c.RungCostMS(2) != c.FullPredictMS() {
-		t.Fatalf("full rung charged %.3f, want %.3f", c.RungCostMS(2), c.FullPredictMS())
+	if c.ladder[2].bundle != f.bundle {
+		t.Fatal("the full rung must be the caller's bundle")
 	}
 	// The tiny rung sees a strided window and shrunk hiddens.
 	tiny := c.ladder[0]
@@ -201,20 +196,42 @@ func TestStrideRecords(t *testing.T) {
 	}
 }
 
-func TestPredictCostedAccounting(t *testing.T) {
+// TestAlwaysEscalateMatchesEHCR: at a vanishing exit confidence only
+// p-values >= 1-epsilon admit a label, so every lowered rung yields the
+// empty (non-singleton) set, every horizon escalates to the top, and the
+// cascade must reproduce the plain EHCR decision bit-for-bit.
+func TestAlwaysEscalateMatchesEHCR(t *testing.T) {
 	f := getFixture(t)
-	c := freshView(t, f)
-	minCost, maxCost := c.RungCostMS(0), 0.0
-	for i := 0; i < c.NumRungs(); i++ {
-		maxCost += c.RungCostMS(i)
-	}
-	total := 0.0
+	v := view(f, 1e-6, f.casc.cfg.MaxWidthFrac)
+	ehcr := f.bundle.EHCR(0.9, 0.9)
 	for _, rec := range f.splits.Test {
-		p, cost := c.PredictCosted(rec)
-		if cost < minCost-1e-12 || cost > maxCost+1e-12 {
-			t.Fatalf("charged %.3f outside [%.3f, %.3f]", cost, minCost, maxCost)
+		p := v.Predict(rec)
+		want := ehcr.Predict(rec)
+		for k := range p.Occur {
+			if p.Occur[k] != want.Occur[k] || (p.Occur[k] && p.OI[k] != want.OI[k]) {
+				t.Fatal("full-rung decision differs from plain EHCR")
+			}
 		}
-		total += cost
+	}
+	s := v.Stats()
+	top := len(v.ladder) - 1
+	for i := 0; i < top; i++ {
+		if s.Exits[i] != 0 {
+			t.Fatalf("lowered rung %d claimed %d exits under forced escalation", i, s.Exits[i])
+		}
+	}
+	if s.Exits[top] != s.Horizons {
+		t.Fatal("full rung must absorb every horizon")
+	}
+}
+
+// TestPredictAccounting: every prediction is a valid decision, and the
+// counters account for every horizon exactly once.
+func TestPredictAccounting(t *testing.T) {
+	f := getFixture(t)
+	c := freshView(f)
+	for _, rec := range f.splits.Test {
+		p := c.Predict(rec)
 		for k, occ := range p.Occur {
 			if occ && (p.OI[k].Start < 1 || p.OI[k].End > f.cfg.Horizon || p.OI[k].Len() == 0) {
 				t.Fatalf("invalid interval %v", p.OI[k])
@@ -232,122 +249,44 @@ func TestPredictCostedAccounting(t *testing.T) {
 	if exitSum != s.Horizons {
 		t.Fatalf("exits sum %d != horizons %d", exitSum, s.Horizons)
 	}
-	rates := s.ExitRates()
 	rateSum := 0.0
-	for _, r := range rates {
+	for _, r := range s.ExitRates() {
 		rateSum += r
 	}
 	if math.Abs(rateSum-1) > 1e-12 {
 		t.Fatalf("exit rates sum to %v, want 1", rateSum)
 	}
-	if math.Abs(s.PredictMS-total) > 1e-9 {
-		t.Fatalf("stats PredictMS %.3f != charged total %.3f", s.PredictMS, total)
-	}
-	if s.ChargedFullMS != float64(s.Horizons)*c.FullPredictMS() {
-		t.Fatal("full-model counterfactual cost wrong")
-	}
-	if got := s.MeanPredictMS(); math.Abs(got-total/float64(s.Horizons)) > 1e-12 {
-		t.Fatalf("MeanPredictMS = %v", got)
-	}
-	if cf := s.ComputeFrac(); cf <= 0 || cf != s.PredictMS/s.ChargedFullMS {
-		t.Fatalf("ComputeFrac = %v", cf)
-	}
-	t.Logf("exit rates %v, compute frac %.3f", rates, s.ComputeFrac())
-}
-
-// TestAlwaysEscalateMatchesEHCR: at a vanishing exit confidence only
-// p-values >= 1-epsilon admit a label, so every lowered rung yields the
-// empty (non-singleton) set, every horizon escalates to the top, and the
-// cascade must reproduce the plain EHCR decision bit-for-bit while
-// charging the whole ladder.
-func TestAlwaysEscalateMatchesEHCR(t *testing.T) {
-	f := getFixture(t)
-	v, err := f.casc.WithThresholds(1e-6, f.casc.Config().MaxWidthFrac)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCost := 0.0
-	for i := 0; i < v.NumRungs(); i++ {
-		wantCost += v.RungCostMS(i)
-	}
-	ehcr := f.bundle.EHCR(0.9, 0.9)
-	for _, rec := range f.splits.Test {
-		p, cost := v.PredictCosted(rec)
-		if math.Abs(cost-wantCost) > 1e-12 {
-			t.Fatalf("escalating horizon charged %.3f, want full ladder %.3f", cost, wantCost)
-		}
-		want := ehcr.Predict(rec)
-		for k := range p.Occur {
-			if p.Occur[k] != want.Occur[k] || (p.Occur[k] && p.OI[k] != want.OI[k]) {
-				t.Fatal("full-rung decision differs from plain EHCR")
-			}
-		}
-	}
-	s := v.Stats()
-	for i := 0; i < v.NumRungs()-1; i++ {
-		if s.Exits[i] != 0 {
-			t.Fatalf("lowered rung %d claimed %d exits under forced escalation", i, s.Exits[i])
-		}
-	}
-	if s.Exits[v.NumRungs()-1] != s.Horizons {
-		t.Fatal("full rung must absorb every horizon")
-	}
-	if s.Escalations != s.Horizons*int64(v.NumRungs()-1) {
-		t.Fatalf("Escalations = %d, want %d", s.Escalations, s.Horizons*int64(v.NumRungs()-1))
-	}
 }
 
 func TestEarlyExitsHappen(t *testing.T) {
 	f := getFixture(t)
-	c := freshView(t, f)
+	c := freshView(f)
 	for _, rec := range f.splits.Test {
 		c.Predict(rec)
 	}
 	s := c.Stats()
 	var early int64
-	for i := 0; i < c.NumRungs()-1; i++ {
-		early += s.Exits[i]
+	for _, e := range s.Exits[:len(s.Exits)-1] {
+		early += e
 	}
 	if early == 0 {
-		t.Fatal("cascade never exited early on the test split — ladder is useless")
+		t.Fatal("cascade never exited early on the test split")
 	}
-	if cf := s.ComputeFrac(); cf >= 1 {
-		t.Fatalf("compute fraction %.3f not below full-model cost", cf)
-	}
-	t.Logf("early exits %d/%d, compute frac %.3f", early, s.Horizons, s.ComputeFrac())
+	t.Logf("early exits %d/%d", early, s.Horizons)
 }
 
-func TestWithThresholds(t *testing.T) {
+// TestWidthBoundMonotone: views at the fixture's own thresholds decide as
+// the fixture does, and a stricter width bound can only push exits upward
+// (more escalation).
+func TestWidthBoundMonotone(t *testing.T) {
 	f := getFixture(t)
-	if _, err := f.casc.WithThresholds(1.5, 0.8); err == nil {
-		t.Fatal("invalid exit confidence accepted")
-	}
-	if _, err := f.casc.WithThresholds(0.9, 0); err == nil {
-		t.Fatal("invalid width fraction accepted")
-	}
-	v, err := f.casc.WithThresholds(f.casc.Config().ExitConfidence, f.casc.Config().MaxWidthFrac)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.ladder[0] != f.casc.ladder[0] {
-		t.Fatal("view must share the trained rungs")
-	}
-	if v.Stats().Horizons != 0 {
-		t.Fatal("view must start with fresh stats")
-	}
-	// Same thresholds, same decisions (serial use).
+	v := freshView(f)
 	for _, rec := range f.splits.Test[:50] {
-		a := f.casc.Predict(rec)
-		b := v.Predict(rec)
-		for k := range a.Occur {
-			if a.Occur[k] != b.Occur[k] || (a.Occur[k] && a.OI[k] != b.OI[k]) {
-				t.Fatal("same-threshold view predicts differently")
-			}
+		if !samePrediction(f.casc.Predict(rec), v.Predict(rec)) {
+			t.Fatal("same-threshold view predicts differently")
 		}
 	}
-	// A stricter width bound can only push exits upward (more escalation).
-	loose, _ := f.casc.WithThresholds(0.98, 1.0)
-	tight, _ := f.casc.WithThresholds(0.98, 0.2)
+	loose, tight := view(f, 0.98, 1.0), view(f, 0.98, 0.2)
 	for _, rec := range f.splits.Test {
 		loose.Predict(rec)
 		tight.Predict(rec)
@@ -372,92 +311,23 @@ func TestDeterministicRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range f.splits.Test {
-		a, costA := f.casc.PredictCosted(rec)
-		b, costB := c2.PredictCosted(rec)
-		if costA != costB {
-			t.Fatal("rebuild charges different costs")
-		}
-		for k := range a.Occur {
-			if a.Occur[k] != b.Occur[k] || (a.Occur[k] && a.OI[k] != b.OI[k]) {
-				t.Fatal("rebuild predicts differently — rung training is not seed-deterministic")
-			}
+		if !samePrediction(f.casc.Predict(rec), c2.Predict(rec)) {
+			t.Fatal("rebuild predicts differently — rung training is not seed-deterministic")
 		}
 	}
-}
-
-func TestRegisterMetrics(t *testing.T) {
-	f := getFixture(t)
-	c, err := f.casc.WithThresholds(0.98, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	c.Register(reg, obs.Labels{"task": "thumos"})
-	for _, rec := range f.splits.Test[:100] {
-		c.Predict(rec)
-	}
-	var b strings.Builder
-	if err := reg.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	text := b.String()
-	for _, want := range []string{
-		`eventhit_cascade_exits_total{rung="tiny",task="thumos"}`,
-		`eventhit_cascade_exits_total{rung="full",task="thumos"}`,
-		`eventhit_cascade_exit_rate{rung="medium",task="thumos"}`,
-		`eventhit_cascade_rung_cost_ms{rung="tiny",task="thumos"}`,
-		`eventhit_cascade_horizons_total{task="thumos"} 100`,
-		"eventhit_cascade_escalations_total",
-		"eventhit_cascade_predict_ms_total",
-		"eventhit_cascade_compute_share",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("scrape missing %q", want)
-		}
-	}
-	// Scrapes must be safe while another goroutine serves.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, rec := range f.splits.Test[100:200] {
-			c.Predict(rec)
-		}
-	}()
-	for i := 0; i < 50; i++ {
-		var sb strings.Builder
-		if err := reg.WriteText(&sb); err != nil {
-			t.Fatal(err)
-		}
-	}
-	<-done
 }
 
 func TestStatsSnapshotIsolation(t *testing.T) {
 	f := getFixture(t)
-	c, err := f.casc.WithThresholds(0.98, 0.8)
-	if err != nil {
-		t.Fatal(err)
+	c := freshView(f)
+	if rates := c.Stats().ExitRates(); len(rates) != len(c.ladder) || rates[0] != 0 {
+		t.Fatalf("idle cascade exit rates %v", rates)
 	}
 	c.Predict(f.splits.Test[0])
 	s := c.Stats()
 	s.Exits[0] = 999
 	if c.Stats().Exits[0] == 999 {
 		t.Fatal("Stats returned aliased exit counts")
-	}
-	s = freshView(t, f).Stats()
-	if s.Horizons != 0 || s.PredictMS != 0 || s.Escalations != 0 {
-		t.Fatal("a fresh view carries stats residue")
-	}
-	for _, e := range s.Exits {
-		if e != 0 {
-			t.Fatal("a fresh view carries exit counts")
-		}
-	}
-	if s.ComputeFrac() != 1 {
-		t.Fatal("idle cascade must read a neutral compute fraction")
-	}
-	if s.MeanPredictMS() != 0 {
-		t.Fatal("idle cascade mean cost must be 0")
 	}
 }
 
@@ -538,20 +408,19 @@ func TestExitRule(t *testing.T) {
 			}
 			b := *tiny.bundle
 			b.Classifier, b.Regressor = cls, reg
-			cfg := f.casc.Config()
+			cfg := f.casc.cfg
 			cfg.ExitConfidence = q
 			c := &Cascade{
 				cfg:     cfg,
-				ladder:  []*rung{{spec: tiny.spec, bundle: &b, set: set, costMS: tiny.costMS}, f.casc.ladder[f.casc.NumRungs()-1]},
+				ladder:  []*rung{{spec: tiny.spec, bundle: &b, set: set}, f.casc.ladder[len(f.casc.ladder)-1]},
 				horizon: h,
-				window:  f.cfg.Window,
 			}
 			c.stats.Exits = make([]int64, 2)
-			p, cost := c.PredictCosted(rec)
+			p := c.Predict(rec)
 			s := c.Stats()
 			if tc.exit {
-				if s.Exits[0] != 1 || cost != tiny.costMS {
-					t.Fatalf("exits %v cost %v: want an exit at the lowered rung", s.Exits, cost)
+				if s.Exits[0] != 1 {
+					t.Fatalf("exits %v: want an exit at the lowered rung", s.Exits)
 				}
 				if p.Occur[0] != tc.wantOccur {
 					t.Fatalf("exit decided occur=%v, want %v", p.Occur[0], tc.wantOccur)
@@ -561,8 +430,8 @@ func TestExitRule(t *testing.T) {
 				}
 				return
 			}
-			if s.Exits[1] != 1 || s.Escalations != 1 || cost != tiny.costMS+c.FullPredictMS() {
-				t.Fatalf("exits %v escalations %d cost %v: want an escalation to the full rung", s.Exits, s.Escalations, cost)
+			if s.Exits[1] != 1 {
+				t.Fatalf("exits %v: want an escalation to the full rung", s.Exits)
 			}
 			if p.Occur[0] != want.Occur[0] || p.OI[0] != want.OI[0] {
 				t.Fatalf("escalated decision %+v differs from plain EHCR %+v", p, want)
@@ -573,25 +442,21 @@ func TestExitRule(t *testing.T) {
 
 // TestCascadeConcurrentPredictMatchesSerial: goroutines walking one Cascade
 // — and, beside them, deciding on the full bundle it was built under — must
-// each get the serial walk's predictions and costs, and the counters must
-// account for every horizon exactly once. Run under -race (check.sh).
+// each get the serial walk's predictions, and the counters must account
+// for every horizon exactly once. Run under -race (check.sh).
 func TestCascadeConcurrentPredictMatchesSerial(t *testing.T) {
 	f := getFixture(t)
-	serial := freshView(t, f)
-	type answer struct {
-		p    metrics.Prediction
-		cost float64
-	}
-	want := make([]answer, len(f.splits.Test))
+	serial := freshView(f)
+	want := make([]metrics.Prediction, len(f.splits.Test))
 	for i, rec := range f.splits.Test {
-		want[i].p, want[i].cost = serial.PredictCosted(rec)
+		want[i] = serial.Predict(rec)
 	}
 	plain := make([]metrics.Prediction, len(f.splits.Test))
 	for i, rec := range f.splits.Test {
 		plain[i] = f.bundle.EHCR(0.9, 0.9).Predict(rec)
 	}
 
-	c := freshView(t, f)
+	c := freshView(f)
 	const workers = 4
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -600,8 +465,7 @@ func TestCascadeConcurrentPredictMatchesSerial(t *testing.T) {
 			defer wg.Done()
 			for i := range f.splits.Test {
 				j := (i + g*37) % len(f.splits.Test) // each worker at its own offset
-				p, cost := c.PredictCosted(f.splits.Test[j])
-				if cost != want[j].cost || !samePrediction(p, want[j].p) {
+				if !samePrediction(c.Predict(f.splits.Test[j]), want[j]) {
 					t.Errorf("worker %d record %d: concurrent walk differs from the serial one", g, j)
 					return
 				}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"eventhit/internal/cascade"
 	"eventhit/internal/metrics"
 	"eventhit/internal/strategy"
 )
@@ -80,16 +79,6 @@ func Fig4(task Task, opt Options, trials int, seed int64, w io.Writer) (*Fig4Res
 			}
 			for j, id := range task.EventIDs {
 				addPoint(fmt.Sprintf("EHO[E%d]", id), Point{REC: perREC[j], SPL: perSPL[j]})
-			}
-		}
-		// EH-CASC: the early-inference ladder at its default operating
-		// point. The two-sided exit sets need both label populations per
-		// event in the calibration split; tasks where an event is dense
-		// enough to leave no negatives simply omit the point (as APP-VAE
-		// is omitted where its window regime does not apply).
-		if casc, err := NewCascade(env, cascade.DefaultConfig()); err == nil {
-			if err := evalPoint(cascade.Name, casc, 0); err != nil {
-				return cell, err
 			}
 		}
 		if err := evalPoint("OPT", strategy.Opt{}, 0); err != nil {

@@ -1,23 +1,18 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 )
 
-// The experiment registry: every table, figure, extension and committed
-// BENCH_*.json artifact is one row of Experiments, and everything that used
-// to restate the list — cmd/eventhitbench's dispatch, its usage text and
-// package doc, `-exp all`, scripts/check.sh's regeneration gates, the
-// artifact schema and bounds tests, the root benchmarks — iterates it.
+// The experiment registry: every table, figure and extension is one row of
+// Experiments, and everything that used to restate the list —
+// cmd/eventhitbench's dispatch, its usage text and package doc, `-exp all`,
+// the root benchmarks — iterates it.
 //
-// The rule the registry enforces: BENCH_*.json files hold deterministic
-// bytes only, produced by `eventhitbench -exp NAME` with no other flag and
-// byte-identical at any -parallelism; every wall-clock number lives in
-// bench/ (see DESIGN.md "Experiment registry").
+// Every row prints tables only, byte-identical at any -parallelism; every
+// wall-clock number lives in bench/ (see DESIGN.md "Experiment registry").
 
 // Params is what eventhitbench's flags can vary about an experiment. Sizes
 // no flag reaches (stream counts, frame counts, budgets, sweep grids) are
@@ -50,31 +45,16 @@ type Experiment struct {
 	// Doc is the one-line description `-list` prints.
 	Doc string
 	// Params is the canonical configuration: what `-exp Name` runs when no
-	// other flag is given. For an entry with an Artifact it is the
-	// configuration that reproduces the committed bytes.
+	// other flag is given.
 	Params Params
-	// Artifact is the committed file at the repository root the result is
-	// written to, "" when there is none. Entries with an Artifact publish
-	// their result: its indented JSON is byte-identical run to run and at
-	// any parallelism, and scripts/check.sh regenerates it and compares. The
-	// others are stdout-only: the tables Run prints are the output.
-	Artifact string
 	// InAll marks the entries `-exp all` runs.
 	InAll bool
 	// Run executes the experiment, rendering its tables to w, and returns
 	// its typed result.
 	Run func(p Params, w io.Writer) (interface{}, error)
-	// Check decodes a result's JSON strictly (unknown fields are errors)
-	// and applies the entry's acceptance bounds; nil when there are none.
-	// Produce refuses to write a result that fails it, and the artifact
-	// tests hold the committed files to it.
-	Check func(raw []byte) error
 }
 
-var (
-	paperParams = Params{Task: "TA1", Trials: 3, Seed: 1}
-	quickTA1    = Params{Task: "TA1", Trials: 3, Seed: 1, Quick: true}
-)
+var paperParams = Params{Task: "TA1", Trials: 3, Seed: 1}
 
 // onTask is how every row runs: Params are validated and p.Task resolved
 // here, once, so an experiment starts from a Task value and a positive trial
@@ -165,12 +145,6 @@ func Experiments() []Experiment {
 			})},
 		{Name: "summary", Doc: "headline table over all sixteen tasks", Params: paperParams,
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) { return Summary(p.Options(), p.Seed, w) })},
-
-		{Name: "cascade", Doc: "early-inference ladder x exit-policy sweep", Params: quickTA1,
-			Artifact: "BENCH_cascade.json", Check: checked(cascadeBounds),
-			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
-				return CascadeSweep(t, p.Options(), p.Seed, w)
-			})},
 	}
 }
 
@@ -193,61 +167,15 @@ func Select(name string) ([]Experiment, error) {
 }
 
 // ListExperiments prints the registry as the table `eventhitbench -list`
-// shows and scripts/check.sh reads (first two columns: name, artifact or
-// "-"; CONFIG is the canonical task, seed and sizing).
+// shows (CONFIG is the canonical task, seed and sizing).
 func ListExperiments(w io.Writer) {
-	mark := func(on bool, s string) string {
-		if on {
-			return s
-		}
-		return "-"
-	}
-	fmt.Fprintf(w, "%-12s %-22s %-4s %-18s %s\n", "NAME", "ARTIFACT", "ALL", "CONFIG", "DESCRIPTION")
+	fmt.Fprintf(w, "%-12s %-4s %-11s %s\n", "NAME", "ALL", "CONFIG", "DESCRIPTION")
 	for _, e := range Experiments() {
 		cfg := fmt.Sprintf("%s,seed=%d", e.Params.Task, e.Params.Seed)
-		if e.Params.Quick {
-			cfg += ",quick"
+		all := "-"
+		if e.InAll {
+			all = "all"
 		}
-		fmt.Fprintf(w, "%-12s %-22s %-4s %-18s %s\n", e.Name,
-			mark(e.Artifact != "", e.Artifact), mark(e.InAll, "all"), cfg, e.Doc)
+		fmt.Fprintf(w, "%-12s %-4s %-11s %s\n", e.Name, all, cfg, e.Doc)
 	}
-}
-
-// MarshalResult is the one encoding of an experiment result: two-space
-// indented JSON and a trailing newline — the bytes of every BENCH_*.json.
-func MarshalResult(v interface{}) ([]byte, error) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// Produce runs e under p with tables rendered to w and, for an entry with
-// an Artifact, writes the result as JSON to the file out, or to e.Artifact
-// when out is empty. A result that fails e.Check is not written. It returns
-// the path written, "" for none.
-func (e Experiment) Produce(p Params, out string, w io.Writer) (string, error) {
-	if out != "" && e.Artifact == "" {
-		return "", fmt.Errorf("-out given, but %s only prints tables", e.Name)
-	}
-	res, err := e.Run(p, w)
-	if err != nil || e.Artifact == "" {
-		return "", err
-	}
-	raw, err := MarshalResult(res)
-	if err != nil {
-		return "", err
-	}
-	if e.Check != nil {
-		if err := e.Check(raw); err != nil {
-			return "", fmt.Errorf("result outside its acceptance bounds, not written: %w", err)
-		}
-	}
-	if out == "" {
-		out = e.Artifact
-	}
-	// os.WriteFile reports the Close error: a short write must not pass for
-	// a regenerated artifact.
-	return out, os.WriteFile(out, raw, 0o644)
 }

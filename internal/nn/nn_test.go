@@ -436,6 +436,10 @@ func TestLoadParamsRefusesMalformed(t *testing.T) {
 		{"slice duplicate", snapshot{Params: []namedWeights{w, b, w}}, `"d.w"`},
 		{"map", snapshot{Weights: map[string][]float64{"d.w": w.W, "d.b": b.W}}, ""},
 		{"map unknown", snapshot{Weights: map[string][]float64{"d.w": w.W, "d.b": b.W, "e.w": extra.W}}, `"e.w"`},
+		{"slice NaN", snapshot{Params: []namedWeights{w, {"d.b", []float64{0, math.NaN()}}}}, `"d.b"`},
+		{"slice +Inf", snapshot{Params: []namedWeights{{"d.w", []float64{0, 0, math.Inf(1), 0}}, b}}, `"d.w"`},
+		{"map NaN", snapshot{Weights: map[string][]float64{"d.w": {math.NaN(), 0, 0, 0}, "d.b": b.W}}, `"d.w"`},
+		{"map -Inf", snapshot{Weights: map[string][]float64{"d.w": w.W, "d.b": {math.Inf(-1), 0}}}, `"d.b"`},
 	} {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(c.snap); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 )
 
@@ -39,9 +40,9 @@ func SaveParams(w io.Writer, params []*Param) error {
 
 // LoadParams reads weights written by SaveParams, in either form, into
 // params, matching by name. The snapshot must hold every parameter once,
-// with an identical length, and nothing else. When reading several gob
-// streams from one reader (as core.Load does), pass a reader implementing
-// io.ByteReader.
+// with an identical length and only finite weights, and nothing else. When
+// reading several gob streams from one reader (as core.Load does), pass a
+// reader implementing io.ByteReader.
 func LoadParams(r io.Reader, params []*Param) error {
 	var s snapshot
 	if err := gob.NewDecoder(byteReader(r)).Decode(&s); err != nil {
@@ -78,6 +79,11 @@ func LoadParams(r io.Reader, params []*Param) error {
 		if len(w) != len(p.W) {
 			return fmt.Errorf("nn: parameter %q has %d weights, snapshot has %d",
 				p.Name, len(p.W), len(w))
+		}
+		for i, v := range w {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("nn: parameter %q weight %d is %v", p.Name, i, v)
+			}
 		}
 		copy(p.W, w)
 	}

@@ -67,25 +67,22 @@ func TestCollectMatchesRun(t *testing.T) {
 
 // TestCollectAccountingMatchesRunDetailed: both modes go through the one
 // marshalling step, so over the same region they charge the same stages and
-// decide the same horizons under every cost model — flat EHCR costs, keyed
-// (cached) relays, and the cascade's rung-weighted predict cost, which
-// Collect used to replace with the flat figure.
+// decide the same horizons under every cost model — flat EHCR costs and
+// keyed (cached) relays.
 func TestCollectAccountingMatchesRunDetailed(t *testing.T) {
-	f := getCascade(t)
+	b := getBundle(t)
 	cases := []struct {
 		name  string
 		costs func(Costs) Costs
 		strat func() strategy.Strategy
 	}{
 		{"plain", func(c Costs) Costs { return c },
-			func() strategy.Strategy { return f.bundle.EHCR(0.9, 0.9) }},
+			func() strategy.Strategy { return b.EHCR(0.9, 0.9) }},
 		{"cached", func(c Costs) Costs {
 			cc := cicache.DefaultConfig()
 			c.Cache = &cc
 			return c
-		}, func() strategy.Strategy { return f.bundle.EHCR(0.9, 0.9) }},
-		{"cascade", func(c Costs) Costs { return c },
-			func() strategy.Strategy { return f.casc }},
+		}, func() strategy.Strategy { return b.EHCR(0.9, 0.9) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

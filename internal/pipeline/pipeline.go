@@ -45,9 +45,7 @@ type Costs struct {
 	// Scan is the filter's frame-scanning profile.
 	Scan ScanProfile
 	// PredictMS is the per-horizon cost of the predictor itself (EventHit
-	// forward pass, Cox scan, ...). A strategy that reports what each
-	// prediction cost (the cascade: the rungs that ran) is charged that
-	// instead.
+	// forward pass, Cox scan, ...).
 	PredictMS float64
 	// Resilience, when non-nil, specifies the CI client's retry/backoff/
 	// timeout/breaker policy. Nil is resilience.DefaultConfig(0) with a
@@ -220,10 +218,10 @@ type Marshaller struct {
 }
 
 // New assembles a marshaller over exactly the source and strategy it is
-// handed: a caller that wants incremental covariates or the early-exit
-// ladder passes features.NewCachedSource(ex) or the cascade itself. ci is any CI backend:
-// the bare simulated service, or a fault-injecting wrapper (cloud.Inject)
-// for resilience experiments.
+// handed: a caller that wants incremental covariates passes
+// features.NewCachedSource(ex). ci is any CI backend: the bare simulated
+// service, or a fault-injecting wrapper (cloud.Inject) for resilience
+// experiments.
 func New(ex dataset.Source, s strategy.Strategy, ci cloud.Backend, cfg dataset.Config, costs Costs) (*Marshaller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

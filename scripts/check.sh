@@ -4,10 +4,6 @@
 # Every stage runs through `stage NAME cmd...`, which prints one line
 #     NAME  <seconds>s  PASS|FAIL
 # and, on FAIL, the stage's captured output; the first failure ends the gate.
-# Artifact gates are not spelled here: the loop at the bottom asks
-# `eventhitbench -list` for the experiments with an artifact and regenerates
-# each at -parallelism 1 and 4. A new artifact is a registry entry
-# (internal/harness/registry.go), not a new stanza.
 set -eu
 
 tmpdir=$(mktemp -d)
@@ -108,7 +104,7 @@ stage train-race-x10 go test -race -count=10 ./internal/core/ ./internal/nn/ -ru
 stage race go test -race ./...
 # Randomized test order: no test may depend on a sibling having run first.
 # This pass includes the scenario corpus goldens at parallelism 1 and 4 and
-# the artifact schema/bounds/registry suite (internal/harness).
+# the experiment registry suite (internal/harness).
 stage shuffle go test -shuffle=on ./...
 
 # /metrics + /v1/stats consistency: concurrent scrapes while predicts relay.
@@ -147,7 +143,9 @@ stage relay-contract-x5 go test -race ./internal/pipeline/ -run 'TestRelayServeC
 stage stream-kernel-x5 go test -race -count=5 ./internal/core/ ./internal/strategy/ -run 'TestStreamRing|TestDecodeEdges|FuzzDecodeEdges|TestDecideOnStreamMatchesSeedDecision'
 # Scheduler admission/starvation, cluster ring/leases/remote cache/front/
 # shared swap, and the cascade ladder (goroutines walking one Cascade and
-# its shared full bundle against a serial walk), uncached under -race.
+# its shared full bundle against a serial walk), uncached under -race. No
+# binary links ./internal/cascade/; it stays only as the reference ladder
+# bench/ walks.
 stage tiers-race go test -race -count=1 ./internal/fleet/ ./internal/cluster/ ./internal/cascade/
 # The front's hop to its workers: the proxy contract against a direct twin
 # worker, hung, cancelled and restarted workers, refused URLs, expired idle
@@ -174,21 +172,7 @@ stage bench go run ./bench -seed 1 -seconds 3
 # undefined, and the fleet must report it so rather than fail the round.
 stage bench-idle-camera go run ./bench -workload offline_repro -seed 511 -seconds 1
 
-# Artifact experiments: regenerate at two parallelism levels; both must
-# agree with each other and with the committed artifact.
-regen() {
-    "$tmpdir/eventhitbench" -exp "$1" -parallelism 1 -out "$tmpdir/$1_p1.json" &&
-        "$tmpdir/eventhitbench" -exp "$1" -parallelism 4 -out "$tmpdir/$1_p4.json" &&
-        cmp "$tmpdir/$1_p1.json" "$tmpdir/$1_p4.json" &&
-        cmp "$tmpdir/$1_p1.json" "$2"
-}
 stage build-eventhitbench go build -o "$tmpdir/eventhitbench" ./cmd/eventhitbench
-"$tmpdir/eventhitbench" -list >"$tmpdir/list.txt"
-while read -r name artifact _; do
-    if [ "$name" != NAME ] && [ "$artifact" != - ]; then
-        stage "exp-$name" regen "$name" "$artifact"
-    fi
-done <"$tmpdir/list.txt"
 
 # Every `-exp all` row prints the same bytes at any parallelism: no row
 # prints wall-clock, and every grid merges in cell-index order. No
