@@ -80,7 +80,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		bundle, err = strategy.LoadBundle(f)
+		var fi os.FileInfo
+		if fi, err = f.Stat(); err == nil {
+			bundle, err = strategy.LoadBundle(f, fi.Size())
+		}
 		f.Close()
 		if err != nil {
 			fatal(err)

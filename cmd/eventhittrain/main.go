@@ -74,7 +74,11 @@ func main() {
 			fatal(err)
 		}
 		defer rf.Close()
-		if _, err := strategy.LoadBundle(rf); err != nil {
+		fi, err := rf.Stat()
+		if err != nil {
+			fatal(err)
+		}
+		if _, err := strategy.LoadBundle(rf, fi.Size()); err != nil {
 			fatal(fmt.Errorf("saved bundle does not load back: %w", err))
 		}
 	}

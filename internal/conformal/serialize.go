@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 )
 
 // classifierState is the gob form of a Classifier.
@@ -25,6 +26,9 @@ func LoadClassifier(r io.Reader) (*Classifier, error) {
 	var s classifierState
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("conformal: decode classifier: %w", err)
+	}
+	if err := checkFinite("classifier score", s.PosScores); err != nil {
+		return nil, err
 	}
 	if len(s.PosScores) == 0 {
 		return nil, fmt.Errorf("conformal: classifier snapshot has no events")
@@ -65,7 +69,27 @@ func LoadRegressor(rd io.Reader) (*Regressor, error) {
 	if err := gob.NewDecoder(rd).Decode(&s); err != nil {
 		return nil, fmt.Errorf("conformal: decode regressor: %w", err)
 	}
+	if err := checkFinite("regressor start residual", s.StartRes); err != nil {
+		return nil, err
+	}
+	if err := checkFinite("regressor end residual", s.EndRes); err != nil {
+		return nil, err
+	}
 	// Re-validate through the public constructor (it re-sorts, which is a
 	// no-op for well-formed snapshots).
 	return NewRegressor(s.Horizon, s.StartRes, s.EndRes)
+}
+
+// checkFinite returns an error naming the first NaN or ±Inf in sets, one
+// set per event. A snapshot is outside input: a NaN score or residual would
+// sort and compare as no calibrated value does.
+func checkFinite(what string, sets [][]float64) error {
+	for k, set := range sets {
+		for i, v := range set {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("conformal: %s %d of event %d is %v", what, i, k, v)
+			}
+		}
+	}
+	return nil
 }

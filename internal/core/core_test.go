@@ -551,7 +551,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Load(&buf)
+	m2, err := Load(&buf, int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +572,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a model"))); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("not a model")), 1<<20); err == nil {
 		t.Fatal("expected decode error")
 	}
 }

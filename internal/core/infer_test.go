@@ -235,7 +235,7 @@ func TestPackedWhFollowsWeights(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(&buf, int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}

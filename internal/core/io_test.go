@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -79,7 +81,8 @@ func TestLoadLegacyBundles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, enc := range []string{"", "lstm"} {
-		got, err := Load(legacyBundle(t, cfg, enc, m.params))
+		legacy := legacyBundle(t, cfg, enc, m.params)
+		got, err := Load(legacy, int64(legacy.Len()))
 		if err != nil {
 			t.Fatalf("encoder %q: %v", enc, err)
 		}
@@ -107,9 +110,61 @@ func TestLoadLegacyBundles(t *testing.T) {
 	} {
 		// The LSTM's three weights lead m.params; the rest are shared.
 		params := append(c.params, m.params[3:]...)
-		_, err := Load(legacyBundle(t, cfg, c.enc, params))
+		legacy := legacyBundle(t, cfg, c.enc, params)
+		_, err := Load(legacy, int64(legacy.Len()))
 		if err == nil || !strings.Contains(err.Error(), "shared."+c.enc) {
 			t.Errorf("encoder %q: Load returned %v, want an error naming its weights", c.enc, err)
+		}
+	}
+}
+
+// TestLoadRefusesOversizedConfig: Load checks the weights a config asks for
+// against its byte limit before it builds the model. The limit is exact at
+// 8 bytes per parameter, and a config whose count overflows is refused, not
+// wrapped.
+func TestLoadRefusesOversizedConfig(t *testing.T) {
+	cfg := tinyConfig()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := m.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	need := int64(8 * m.NumParams())
+	if got, ok := cfg.weightBytes(); !ok || got != uint64(need) {
+		t.Fatalf("weightBytes = %d, %v; the model has %d bytes of weights", got, ok, need)
+	}
+	if _, err := Load(bytes.NewReader(saved.Bytes()), need); err != nil {
+		t.Fatalf("limit = the weights' size: %v", err)
+	}
+	if _, err := Load(bytes.NewReader(saved.Bytes()), need-1); err == nil || !strings.Contains(err.Error(), "bytes allowed for weights") {
+		t.Fatalf("limit one byte short: %v, want a refusal", err)
+	}
+	for _, c := range []struct {
+		name      string
+		d, h, hor int
+	}{
+		{"wide", 2048, 2048, 6},
+		{"count-overflows", math.MaxInt, math.MaxInt, 6},
+		{"horizon-overflows", 3, 3, math.MaxInt},
+	} {
+		big := cfg
+		big.InputDim, big.HiddenLSTM, big.Horizon = c.d, c.h, c.hor
+		var body bytes.Buffer
+		if err := gob.NewEncoder(&body).Encode(big); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Load(&body, 64<<20)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "bytes allowed for weights") {
+			t.Errorf("%s: Load = %v, want a refusal", c.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: allocated %d bytes before refusing", c.name, got)
 		}
 	}
 }

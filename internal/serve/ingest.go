@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -154,6 +156,74 @@ func skipSpace(b []byte, i int) int {
 	return i
 }
 
+// The scanner reads the body a word at a time: 8 bytes in a uint64, b[i]
+// in the low byte. nonDigits marks the bytes of a word that are not digits
+// with their high bit, so one TrailingZeros64 finds where a digit run ends.
+const (
+	lsbs = 0x0101010101010101
+	msbs = 0x8080808080808080
+)
+
+// digitRun returns the length of the run of ASCII digits at b[i:] and the
+// byte after it (0 past the end of b): a word at a time while 8 bytes are
+// left, then a byte at a time.
+func digitRun(b []byte, i int) (n int, next byte) {
+	for ; i+n+8 <= len(b); n += 8 {
+		w := binary.LittleEndian.Uint64(b[i+n:])
+		if k := bits.TrailingZeros64(nonDigits(w)) >> 3; k < 8 {
+			return n + k, byte(w >> (8 * k))
+		}
+	}
+	for ; isDigit(at(b, i+n)); n++ {
+	}
+	return n, at(b, i+n)
+}
+
+// fastNumber returns the end of the number at b[i:] when it has one of
+// the shapes clients send — a single digit, or "0." and 14 to 21 digits,
+// which is how strconv's shortest 'g' form writes a float64 in (0, 1) with
+// full precision — and sep follows it directly; otherwise it returns i.
+// Such a number is finite, so no magnitude check is needed. It reads three
+// words, so the last few numbers of a body go to scanNumber.
+//
+// A stream mixes "0", "1" and long fractions in no order a branch
+// predictor could learn, so fastNumber picks the shape without a branch:
+// the end comes from byte 1 (sep or not) and the digit count of the third
+// word, and the next number waits on nothing else. Whether the shape
+// really holds is tested beside it and decides a branch that goes the same
+// way for every number of a well-formed body.
+func fastNumber(b []byte, i int, sep byte) int {
+	if i+24 > len(b) {
+		return i
+	}
+	t := b[i : i+24 : i+24]
+	w0 := binary.LittleEndian.Uint64(t)
+	w2 := binary.LittleEndian.Uint64(t[16:])
+	k := bits.TrailingZeros64(nonDigits(w2)|1<<63) >> 3
+	// long is all ones when byte 1 is not sep, and 0 when it is.
+	long := -((uint64(byte(w0>>8)^sep) + 0xff) >> 8)
+	x0 := nonDigits(w0)
+	// Each test is zero when its shape holds. A digit, then sep; or "0.",
+	// 6 digits, 8 digits, then k < 8 more and sep. (k counts byte 7 of w2
+	// as no digit, so TrailingZeros64 needs no zero check; a run that
+	// fills w2 then ends on a digit, and a digit is no sep.)
+	bad := x0&0x80&^long | long&(uint64(uint16(w0)^('0'|'.'<<8))|x0&^0x8080|
+		nonDigits(binary.LittleEndian.Uint64(t[8:]))|uint64(byte(w2>>(8*k&63))^sep))
+	if bad != 0 {
+		return i
+	}
+	return i + 1 + int(long&uint64(15+k))
+}
+
+// nonDigits returns the high bit of every byte of w that is not an ASCII
+// digit. With the high bits cleared no byte exceeds 0x7f, so adding 0x50
+// or 0x46 to each byte carries into no neighbour, and sets the byte's high
+// bit exactly when it is ≥ '0' or > '9'.
+func nonDigits(w uint64) uint64 {
+	lo := w &^ msbs
+	return (^(lo + (0x80-'0')*lsbs) | (lo + (0x80-'9'-1)*lsbs) | w) & msbs
+}
+
 // maxFiniteMag: a number below 10^maxFiniteMag in magnitude is below
 // math.MaxFloat64 (≈ 1.8e308), so ParseFloat converts it without a range
 // error.
@@ -162,55 +232,58 @@ const maxFiniteMag = 308
 // scanNumber returns the end of the JSON number starting at i, or i when
 // the bytes there do not match -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
 // and mag: the integer part's digit count (0 for a lone "0") plus the
-// signed exponent, so |number| < 10^mag. The exponent stops growing past
-// 10 000 so it cannot wrap; saturated, mag is still ≥ 10 000 when the
+// signed exponent, so |number| < 10^mag. Digit runs are word scans; only a
+// sign or an exponent takes a byte at a time. The exponent stops growing
+// past 10 000 so it cannot wrap; saturated, mag is still ≥ 10 000 when the
 // exponent is positive and only looser when it is negative, so
-// mag ≤ maxFiniteMag keeps proving the number finite.
+// mag ≤ maxFiniteMag keeps proving the number finite. A leading zero
+// followed by digits ("01") is declined here; a number cannot be followed
+// by a digit anyway.
 func scanNumber(b []byte, i int) (end, mag int) {
 	start := i
-	if at(b, i) == '-' {
-		i++
-	}
-	switch c := at(b, i); {
-	case c == '0':
-		i++
-	case '1' <= c && c <= '9':
-		digits := i
-		for i++; isDigit(at(b, i)); i++ {
+	n, c := digitRun(b, i)
+	if n == 0 {
+		if c != '-' {
+			return start, 0
 		}
-		mag = i - digits
-	default:
+		i++
+		if n, c = digitRun(b, i); n == 0 {
+			return start, 0
+		}
+	}
+	if b[i] != '0' {
+		mag = n
+	} else if n > 1 {
 		return start, 0
 	}
-	if at(b, i) == '.' {
-		i++
-		if !isDigit(at(b, i)) {
+	i += n
+	if c == '.' {
+		if n, c = digitRun(b, i+1); n == 0 {
 			return start, 0
 		}
-		for i++; isDigit(at(b, i)); i++ {
-		}
+		i += 1 + n
 	}
-	if c := at(b, i); c == 'e' || c == 'E' {
+	if c != 'e' && c != 'E' {
+		return i, mag
+	}
+	i++
+	sign := 1
+	if c := at(b, i); c == '+' || c == '-' {
+		if c == '-' {
+			sign = -1
+		}
 		i++
-		sign := 1
-		if c := at(b, i); c == '+' || c == '-' {
-			if c == '-' {
-				sign = -1
-			}
-			i++
-		}
-		if !isDigit(at(b, i)) {
-			return start, 0
-		}
-		e := 0
-		for ; isDigit(at(b, i)); i++ {
-			if e < 10000 {
-				e = e*10 + int(b[i]-'0')
-			}
-		}
-		mag += sign * e
 	}
-	return i, mag
+	if n, _ = digitRun(b, i); n == 0 {
+		return start, 0
+	}
+	e := 0
+	for _, x := range b[i : i+n] {
+		if e < 10000 {
+			e = e*10 + int(x-'0')
+		}
+	}
+	return i + n, mag + sign*e
 }
 
 var framesKey = []byte(`"frames"`)
@@ -228,8 +301,10 @@ var framesKey = []byte(`"frames"`)
 //
 // Every row is checked, kept or not, so the accepted bodies do not depend
 // on keep. A number must match the JSON number grammar and be finite:
-// scanNumber's magnitude bound settles finiteness for anything below 1e308,
-// and a strconv.ParseFloat range error declines the rest. The kept rows'
+// fastNumber takes the shapes clients send, which are finite, and
+// scanNumber every other token; its magnitude bound settles finiteness for
+// anything below 1e308, and a strconv.ParseFloat range error declines the
+// rest. The kept rows'
 // tokens wait in ib.spans, a ring of keep rows, and are converted only once
 // the whole body is accepted — by strconv.ParseFloat, the conversion
 // encoding/json uses, so every value is bit-identical to what
@@ -269,12 +344,16 @@ func (ib *ingestBuf) scanFrames(b []byte, d, keep int) (rows int, ok bool) {
 		}
 		row := ib.spans[next : next+d]
 		for j := range row {
-			if j > 0 {
-				if at(b, i) != ',' {
-					return 0, false
-				}
-				i = skipSpace(b, i+1)
+			sep := byte(',')
+			if j == len(row)-1 {
+				sep = ']'
 			}
+			if end := fastNumber(b, i, sep); end > i {
+				row[j] = span{i, end}
+				i = end + 1
+				continue
+			}
+			i = skipSpace(b, i)
 			end, mag := scanNumber(b, i)
 			if end == i {
 				return 0, false
@@ -285,17 +364,22 @@ func (ib *ingestBuf) scanFrames(b []byte, d, keep int) (rows int, ok bool) {
 				}
 			}
 			row[j] = span{i, end}
-			i = skipSpace(b, end)
+			if i = skipSpace(b, end); at(b, i) != sep {
+				return 0, false
+			}
+			i++
 		}
-		if at(b, i) != ']' {
-			return 0, false
+		if d == 0 {
+			if at(b, i) != ']' {
+				return 0, false
+			}
+			i++
 		}
 		rows++
 		if next += d; next == keep*d {
 			next = 0
 		}
-		i = skipSpace(b, i+1)
-		if at(b, i) == ',' {
+		if i = skipSpace(b, i); at(b, i) == ',' {
 			i = skipSpace(b, i+1)
 			continue
 		}

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -538,5 +539,266 @@ func TestRequestCounterSeries(t *testing.T) {
 	}
 	if n := strings.Count(got, "eventhit_http_requests_total{"); n != 3 {
 		t.Errorf("%d request counter samples, want 3:\n%s", n, got)
+	}
+}
+
+// The byte walk the word-at-a-time scanner replaced, kept as its oracle:
+// scanFramesByteWalk is the former scanFrames, one byte at a time through
+// at and isDigit, and byteWalkNumber the former scanNumber. Same accepted
+// language, same kept rows, same conversion.
+
+func byteWalkNumber(b []byte, i int) (end, mag int) {
+	start := i
+	if at(b, i) == '-' {
+		i++
+	}
+	switch c := at(b, i); {
+	case c == '0':
+		i++
+	case '1' <= c && c <= '9':
+		digits := i
+		for i++; isDigit(at(b, i)); i++ {
+		}
+		mag = i - digits
+	default:
+		return start, 0
+	}
+	if at(b, i) == '.' {
+		i++
+		if !isDigit(at(b, i)) {
+			return start, 0
+		}
+		for i++; isDigit(at(b, i)); i++ {
+		}
+	}
+	if c := at(b, i); c == 'e' || c == 'E' {
+		i++
+		sign := 1
+		if c := at(b, i); c == '+' || c == '-' {
+			if c == '-' {
+				sign = -1
+			}
+			i++
+		}
+		if !isDigit(at(b, i)) {
+			return start, 0
+		}
+		e := 0
+		for ; isDigit(at(b, i)); i++ {
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		mag += sign * e
+	}
+	return i, mag
+}
+
+func (ib *ingestBuf) scanFramesByteWalk(b []byte, d, keep int) (rows int, ok bool) {
+	ib.vals, ib.spans = ib.vals[:0], ib.spans[:0]
+	i := skipSpace(b, 0)
+	if at(b, i) != '{' {
+		return 0, false
+	}
+	i = skipSpace(b, i+1)
+	if !bytes.HasPrefix(b[i:], framesKey) {
+		return 0, false
+	}
+	i = skipSpace(b, i+len(framesKey))
+	if at(b, i) != ':' {
+		return 0, false
+	}
+	i = skipSpace(b, i+1)
+	if at(b, i) != '[' {
+		return 0, false
+	}
+	i = skipSpace(b, i+1)
+	next := 0
+	for {
+		if at(b, i) != '[' || rows == MaxFramesPerPush {
+			return 0, false
+		}
+		i = skipSpace(b, i+1)
+		if rows < keep {
+			ib.spans = append(ib.spans, make([]span, d)...)
+		}
+		row := ib.spans[next : next+d]
+		for j := range row {
+			if j > 0 {
+				if at(b, i) != ',' {
+					return 0, false
+				}
+				i = skipSpace(b, i+1)
+			}
+			end, mag := byteWalkNumber(b, i)
+			if end == i {
+				return 0, false
+			}
+			if mag > maxFiniteMag {
+				if _, err := strconv.ParseFloat(string(b[i:end]), 64); err != nil {
+					return 0, false
+				}
+			}
+			row[j] = span{i, end}
+			i = skipSpace(b, end)
+		}
+		if at(b, i) != ']' {
+			return 0, false
+		}
+		rows++
+		if next += d; next == keep*d {
+			next = 0
+		}
+		i = skipSpace(b, i+1)
+		if at(b, i) == ',' {
+			i = skipSpace(b, i+1)
+			continue
+		}
+		break
+	}
+	if at(b, i) != ']' {
+		return 0, false
+	}
+	i = skipSpace(b, i+1)
+	if at(b, i) != '}' {
+		return 0, false
+	}
+	if skipSpace(b, i+1) != len(b) {
+		return 0, false
+	}
+	for _, part := range [2][]span{ib.spans[next:], ib.spans[:next]} {
+		for _, s := range part {
+			v, err := strconv.ParseFloat(string(b[s.lo:s.hi]), 64)
+			if err != nil {
+				return 0, false
+			}
+			ib.vals = append(ib.vals, v)
+		}
+	}
+	return rows, true
+}
+
+// ta9Body renders rows frames of d channels in the client's encoding with
+// the value mix of a TA9 push: about a third exact zeros, a sixth exact
+// ones, the rest fractions in [0, 1) of 16–18 characters, and one small
+// value that 'g' writes with an exponent.
+func ta9Body(rows, d int, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	frames := make([][]float64, rows)
+	for i := range frames {
+		frames[i] = make([]float64, d)
+		for j := range frames[i] {
+			switch u := rng.Float64(); {
+			case u < 0.33:
+			case u < 0.48:
+				frames[i][j] = 1
+			default:
+				frames[i][j] = rng.Float64()
+			}
+		}
+	}
+	frames[rows/2][d/2] = 3.0517578125e-05
+	body, err := encodeFrames(frames)
+	if err != nil {
+		panic(err)
+	}
+	defer body.Close()
+	b, _ := io.ReadAll(body)
+	return b
+}
+
+// FuzzScanMatchesByteWalk is the differential check of the word-at-a-time
+// scanner against the byte walk it replaced: at every keep, the two must
+// accept and decline the same bodies, count the same rows and convert the
+// same values, bit for bit. The seeds put every token start and the body's
+// end at each residue mod 8 (the scanner reads 8-byte words), and carry the
+// number shapes the fast path takes next to the ones it must leave to the
+// per-token walk.
+func FuzzScanMatchesByteWalk(f *testing.F) {
+	f.Add(ta9Body(250, 12, 1), 12)
+	tokens := []string{
+		"0", "1", "7", "-0", "-1", "1e999", "-1e999", "0.00000000001e315", "1e-999", "01", "-01", "1.", ".5", "-.5", "1e", "1e+",
+		"1E+2", "1e-07", "0.5", "12.5", "0.1234567", "0.12345678", "0.123456789", "0.1234567890123456", "0.12345678901234567",
+		"0.123456789012345678901", "0.1234567890123456789012", "1234567", "12345678", "123456789", "1234567890123456",
+		"12345678901234567", "123456789012345678901234567", "0.6046602879796196", "3.0517578125e-05", "1.7976931348623159e308",
+		"0.12345\x80678901234", "0.1234567890\x001234", "1\x80", "\xff", "0.\x0012345678901234", "0..1234567890123456",
+		"0.12345678901234.5", "00.123456789012345", "0.123456789012345e", "0.12345678901234567e-3",
+	}
+	for _, tok := range tokens {
+		for lead := 0; lead < 8; lead++ {
+			pad := strings.Repeat(" ", lead)
+			body := pad + `{"frames":[[` + tok + `,1,` + tok + `],[0,` + tok + `,0.12345678901234567]]}`
+			f.Add([]byte(body), 3)
+			f.Add([]byte(pad+`{"frames":[[`+tok+`]]}`+pad), 1)
+		}
+		f.Add([]byte("{ \"frames\" : [ [ "+tok+" , 0.12345678901234567 ] , [ 1 ,\t"+tok+"\n] ] }"), 2)
+		f.Add([]byte(`{"frames":[[`+tok+`,`+tok+`],[`+tok+`,`+tok+`],[`+tok+`,`+tok+`]]}`), 2)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, d int) {
+		if d < 0 || d > 16 {
+			return
+		}
+		for _, keep := range []int{1, 2, 25, MaxFramesPerPush} {
+			var words, walk ingestBuf
+			rows, ok := words.scanFrames(body, d, keep)
+			wantRows, wantOK := walk.scanFramesByteWalk(body, d, keep)
+			if ok != wantOK || rows != wantRows || len(words.vals) != len(walk.vals) {
+				t.Fatalf("keep %d: scanner (%d rows, %v, %d values), byte walk (%d rows, %v, %d values) on %q",
+					keep, rows, ok, len(words.vals), wantRows, wantOK, len(walk.vals), body)
+			}
+			for k, v := range words.vals {
+				if math.Float64bits(v) != math.Float64bits(walk.vals[k]) {
+					t.Fatalf("keep %d, value %d: scanner %x, byte walk %x (%q)", keep, k, math.Float64bits(v), math.Float64bits(walk.vals[k]), body)
+				}
+			}
+		}
+	})
+}
+
+var scanSink float64
+
+// BenchmarkScanFrames times the scanner alone, against the byte walk it
+// replaced, on a TA9-shaped push (250 rows of 12, a 25-frame window) and
+// on a long push of narrow frames (4 096 rows of 6, the same window).
+func BenchmarkScanFrames(b *testing.B) {
+	for _, shape := range []struct {
+		name          string
+		rows, d, keep int
+	}{
+		{"ta9-d12x250", 250, 12, 25},
+		{"d6x4096", MaxFramesPerPush, 6, 25},
+	} {
+		// Distinct bodies in turn: a branch predictor that met one body
+		// thousands of times would have learnt its sequence of number
+		// shapes, which no live stream repeats.
+		bodies := make([][]byte, 16)
+		size := 0
+		for k := range bodies {
+			bodies[k] = ta9Body(shape.rows, shape.d, int64(k+1))
+			size += len(bodies[k])
+		}
+		for _, walk := range []struct {
+			name string
+			scan func(*ingestBuf, []byte, int, int) (int, bool)
+		}{
+			{"bytewalk", (*ingestBuf).scanFramesByteWalk},
+			{"words", (*ingestBuf).scanFrames},
+		} {
+			b.Run(shape.name+"/"+walk.name, func(b *testing.B) {
+				var ib ingestBuf
+				for _, body := range bodies {
+					if rows, ok := walk.scan(&ib, body, shape.d, shape.keep); !ok || rows != shape.rows {
+						b.Fatalf("declined its own body (%d rows, %v)", rows, ok)
+					}
+				}
+				b.SetBytes(int64(size / len(bodies)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					walk.scan(&ib, bodies[i%len(bodies)], shape.d, shape.keep)
+				}
+				scanSink = ib.vals[0]
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.rows*shape.d), "ns/number")
+			})
+		}
 	}
 }

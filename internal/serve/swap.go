@@ -35,9 +35,10 @@ import (
 	"eventhit/internal/strategy"
 )
 
-// MaxBundleBytes caps a POST /v1/model body. Bundles are gob-encoded
-// float64 weights plus calibration state; even generously sized models fit
-// well under this.
+// MaxBundleBytes caps a POST /v1/model body, and the bytes of weights the
+// body's model config may ask for before a weight is read. Bundles are
+// gob-encoded float64 weights plus calibration state; even generously
+// sized models fit well under this.
 const MaxBundleBytes = 64 << 20
 
 // Swap origins, recorded on each unit and split out in the counters.
@@ -170,7 +171,7 @@ type ModelResponse struct {
 // 500 at the next frame.
 func (s *Server) handleModelPush(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxBundleBytes)
-	b, err := strategy.LoadBundle(r.Body)
+	b, err := strategy.LoadBundle(r.Body, MaxBundleBytes)
 	if err != nil {
 		code := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError

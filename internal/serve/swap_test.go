@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -136,6 +138,33 @@ func TestModelPushTooLargeIs413(t *testing.T) {
 	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized push returned %d (%s), want 413", rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+}
+
+// TestModelPushRefusesOversizedConfig: a bundle is believed only as far
+// as the push's byte budget. A body of a few hundred bytes whose model
+// config asks for a 2048-wide input and LSTM (4H(D+H) ≈ 33.5M weights)
+// must be refused before the model is built: without the check it
+// allocated 512 MiB and only then failed on the missing weights.
+func TestModelPushRefusesOversizedConfig(t *testing.T) {
+	srv, _, bw := newSwapServer(t, Config{})
+	cfg := bw.b.Model.Config()
+	cfg.InputDim, cfg.HiddenLSTM = 2048, 2048
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(cfg); err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest("POST", "/v1/model", bytes.NewReader(body.Bytes()))
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("%d-byte push returned %d (%s), want 400", body.Len(), rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("%d-byte push allocated %d bytes before it was refused, want ≤ 1 MiB", body.Len(), got)
 	}
 }
 

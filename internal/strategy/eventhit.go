@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"eventhit/internal/conformal"
 	"eventhit/internal/core"
@@ -338,15 +339,17 @@ func (b *Bundle) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(struct{ Tau1, Tau2 float64 }{b.Tau1, b.Tau2})
 }
 
-// LoadBundle reads a bundle written by Save. The reader is normalized to
-// an io.ByteReader once so the concatenated gob streams — the model's,
-// then one each for C-CLASSIFY, C-REGRESS and the thresholds — decode
-// exactly.
-func LoadBundle(r io.Reader) (*Bundle, error) {
+// LoadBundle reads a bundle written by Save, refusing one whose model
+// weights would take more than maxBytes (see core.Load) and one whose
+// thresholds or calibration values are not finite. The reader is
+// normalized to an io.ByteReader once so the concatenated gob streams — the
+// model's, then one each for C-CLASSIFY, C-REGRESS and the thresholds —
+// decode exactly.
+func LoadBundle(r io.Reader, maxBytes int64) (*Bundle, error) {
 	if _, ok := r.(io.ByteReader); !ok {
 		r = bufio.NewReader(r)
 	}
-	m, err := core.Load(r)
+	m, err := core.Load(r, maxBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -362,6 +365,16 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 	if err := gob.NewDecoder(r).Decode(&taus); err != nil {
 		// Model and calibrations decoded, so the layout is what differs.
 		return nil, fmt.Errorf("strategy: decode thresholds: %w (a bundle saved in an older layout must be retrained)", err)
+	}
+	// A NaN τ1 would make every existence test false: a server that never
+	// relays, and says nothing.
+	for _, tau := range []struct {
+		name string
+		v    float64
+	}{{"Tau1", taus.Tau1}, {"Tau2", taus.Tau2}} {
+		if math.IsNaN(tau.v) || math.IsInf(tau.v, 0) {
+			return nil, fmt.Errorf("strategy: bundle threshold %s is %v", tau.name, tau.v)
+		}
 	}
 	if cls.NumEvents() != m.Config().NumEvents || reg.NumEvents() != m.Config().NumEvents {
 		return nil, fmt.Errorf("strategy: bundle event counts disagree (model %d, classifier %d, regressor %d)",

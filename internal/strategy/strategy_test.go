@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -483,7 +484,7 @@ func TestBundleSaveLoadRoundTrip(t *testing.T) {
 	if err := f.bundle.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	b2, err := LoadBundle(&buf)
+	b2, err := LoadBundle(&buf, int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +504,7 @@ func TestBundleSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadBundleRejectsGarbage(t *testing.T) {
-	if _, err := LoadBundle(bytes.NewReader([]byte("definitely not a bundle"))); err == nil {
+	if _, err := LoadBundle(bytes.NewReader([]byte("definitely not a bundle")), 1<<20); err == nil {
 		t.Fatal("expected decode error")
 	}
 }
@@ -532,9 +533,53 @@ func TestLoadBundleRejectsLegacyScaledStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err := LoadBundle(&buf)
+	_, err := LoadBundle(&buf, int64(buf.Len()))
 	if err == nil || !strings.Contains(err.Error(), "older layout") {
 		t.Fatalf("legacy bundle: err = %v, want the older-layout decode error", err)
+	}
+}
+
+// TestLoadBundleRefusesNonFinite: a threshold, classifier score or
+// regressor residual that is NaN or ±Inf is refused with an error naming
+// it. A NaN τ1 would otherwise load and make the bundle never relay.
+func TestLoadBundleRefusesNonFinite(t *testing.T) {
+	f := getFixture(t)
+	b := f.bundle
+	var model bytes.Buffer
+	if err := b.Model.Save(&model); err != nil {
+		t.Fatal(err)
+	}
+	type classifier struct{ PosScores [][]float64 }
+	type regressor struct {
+		Horizon          int
+		StartRes, EndRes [][]float64
+	}
+	type thresholds struct{ Tau1, Tau2 float64 }
+	scores := [][]float64{{0.2, 0.5, 0.9}}
+	res := [][]float64{{1, 2, 3}}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name    string
+		streams []any
+		want    string
+	}{
+		{"tau1-nan", []any{classifier{scores}, regressor{f.cfg.Horizon, res, res}, thresholds{nan, b.Tau2}}, "threshold Tau1 is NaN"},
+		{"tau2-inf", []any{classifier{scores}, regressor{f.cfg.Horizon, res, res}, thresholds{b.Tau1, inf}}, "threshold Tau2 is +Inf"},
+		{"score-nan", []any{classifier{[][]float64{{0.2, nan}}}, regressor{f.cfg.Horizon, res, res}, thresholds{b.Tau1, b.Tau2}}, "classifier score 1 of event 0 is NaN"},
+		{"start-residual-inf", []any{classifier{scores}, regressor{f.cfg.Horizon, [][]float64{{inf}}, res}, thresholds{b.Tau1, b.Tau2}}, "regressor start residual 0 of event 0 is +Inf"},
+		{"end-residual-neg-inf", []any{classifier{scores}, regressor{f.cfg.Horizon, res, [][]float64{{1, -inf}}}, thresholds{b.Tau1, b.Tau2}}, "regressor end residual 1 of event 0 is -Inf"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			buf := bytes.NewBuffer(bytes.Clone(model.Bytes()))
+			for _, v := range c.streams {
+				if err := gob.NewEncoder(buf).Encode(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := LoadBundle(buf, int64(buf.Len())); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("LoadBundle = %v, want an error containing %q", err, c.want)
+			}
+		})
 	}
 }
 
@@ -558,7 +603,11 @@ func TestBundleSaveLoadThroughFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer in.Close()
-	b2, err := LoadBundle(in)
+	fi, err := in.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := LoadBundle(in, fi.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +660,7 @@ func TestCalibrateMultiEvent(t *testing.T) {
 	if err := b.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	b2, err := LoadBundle(&buf)
+	b2, err := LoadBundle(&buf, int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
