@@ -108,15 +108,9 @@ func TestCachedErrorNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := 0
-	svc.SetFault(func(i int64) error {
-		calls++
-		if calls == 1 {
-			return ErrUnavailable
-		}
-		return nil
-	})
-	b := NewCachedBackend(svc, cache, PerFrameUSDOf(svc))
+	// The first request falls in an outage; the rest are served.
+	faulty := Inject(svc, FaultPlan{Outages: []ReqWindow{{Start: 0, End: 1}}})
+	b := NewCachedBackend(faulty, cache, PerFrameUSDOf(faulty))
 	win := video.Interval{Start: 100, End: 199}
 	if _, _, err := b.DetectTimed(0, win); err == nil {
 		t.Fatal("injected fault did not surface")

@@ -63,11 +63,6 @@ type Service struct {
 	stream  *video.Stream
 	pricing Pricing
 	latency Latency
-	// fault, when non-nil, is consulted per request; returning an error
-	// fails the request before any processing or billing (transient cloud
-	// outages, throttling).
-	fault    func(requestIndex int64) error
-	failures int64
 
 	frames    int64   // frames processed
 	spentUSD  float64 // money spent
@@ -81,23 +76,9 @@ func NewService(stream *video.Stream, p Pricing, l Latency) *Service {
 	return &Service{stream: stream, pricing: p, latency: l}
 }
 
-// ErrUnavailable is wrapped by transient request failures injected via
-// SetFault.
+// ErrUnavailable is wrapped by transient request failures injected by
+// Faulty.
 var ErrUnavailable = fmt.Errorf("cloud: service unavailable")
-
-// SetFault installs a fault injector consulted once per Detect call with a
-// monotonically increasing request index; a non-nil return fails the
-// request with no billing. Pass nil to clear. Typical injectors:
-//
-//	ci.SetFault(func(i int64) error {          // every 5th request fails
-//		if i%5 == 4 { return cloud.ErrUnavailable }
-//		return nil
-//	})
-func (s *Service) SetFault(f func(requestIndex int64) error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fault = f
-}
 
 // Detect processes the frames in win (absolute indices) looking for the
 // given stream event type, charging for every frame. It returns the exact
@@ -106,18 +87,6 @@ func (s *Service) SetFault(f func(requestIndex int64) error) {
 func (s *Service) Detect(eventType int, win video.Interval) (Detection, error) {
 	if eventType < 0 || eventType >= s.stream.NumTypes() {
 		return Detection{}, fmt.Errorf("cloud: unknown event type %d", eventType)
-	}
-	s.mu.Lock()
-	idx := s.requests + s.failures
-	f := s.fault
-	s.mu.Unlock()
-	if f != nil {
-		if err := f(idx); err != nil {
-			s.mu.Lock()
-			s.failures++
-			s.mu.Unlock()
-			return Detection{}, fmt.Errorf("cloud: request %d: %w", idx, err)
-		}
 	}
 	n := win.Len()
 	if n == 0 {
@@ -142,8 +111,7 @@ func (s *Service) Detect(eventType int, win video.Interval) (Detection, error) {
 }
 
 // DetectTimed implements Backend: Detect plus the request's simulated
-// latency (frames x PerFrameMS; zero when the request fails before
-// processing, as injected faults do).
+// latency (frames x PerFrameMS; zero when the request fails).
 func (s *Service) DetectTimed(eventType int, win video.Interval) (Detection, float64, error) {
 	det, err := s.Detect(eventType, win)
 	if err != nil {
@@ -173,7 +141,6 @@ func (s *Service) Peek(eventType int, win video.Interval) []video.Interval {
 // Usage is a snapshot of the CI meter.
 type Usage struct {
 	Requests  int64
-	Failures  int64
 	Frames    int64
 	HitFrames int64
 	SpentUSD  float64
@@ -186,7 +153,6 @@ func (s *Service) Usage() Usage {
 	defer s.mu.Unlock()
 	return Usage{
 		Requests:  s.requests,
-		Failures:  s.failures,
 		Frames:    s.frames,
 		HitFrames: s.hitFrames,
 		SpentUSD:  s.spentUSD,
@@ -198,7 +164,7 @@ func (s *Service) Usage() Usage {
 func (s *Service) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.requests, s.failures, s.frames, s.hitFrames, s.spentUSD, s.busyMS = 0, 0, 0, 0, 0, 0
+	s.requests, s.frames, s.hitFrames, s.spentUSD, s.busyMS = 0, 0, 0, 0, 0
 }
 
 // CostOf returns the price of processing n frames without processing them.

@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -109,35 +108,5 @@ func TestConcurrentMetering(t *testing.T) {
 	wg.Wait()
 	if u := s.Usage(); u.Frames != 20*50*10 {
 		t.Fatalf("frames = %d, want %d", u.Frames, 20*50*10)
-	}
-}
-
-func TestFaultInjection(t *testing.T) {
-	s := NewService(testStream(), RekognitionPricing(), DefaultLatency())
-	s.SetFault(func(i int64) error {
-		if i == 0 {
-			return ErrUnavailable
-		}
-		return nil
-	})
-	_, err := s.Detect(0, video.Interval{Start: 0, End: 9})
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("expected ErrUnavailable, got %v", err)
-	}
-	// Failed request billed nothing.
-	if u := s.Usage(); u.Frames != 0 || u.Failures != 1 {
-		t.Fatalf("usage after failure: %+v", u)
-	}
-	// Next request (index 1) succeeds.
-	if _, err := s.Detect(0, video.Interval{Start: 0, End: 9}); err != nil {
-		t.Fatal(err)
-	}
-	if u := s.Usage(); u.Requests != 1 || u.Frames != 10 {
-		t.Fatalf("usage after recovery: %+v", u)
-	}
-	// Clearing the injector restores normal service.
-	s.SetFault(nil)
-	if _, err := s.Detect(0, video.Interval{Start: 0, End: 9}); err != nil {
-		t.Fatal(err)
 	}
 }

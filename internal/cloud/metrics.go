@@ -9,7 +9,6 @@ import "eventhit/internal/obs"
 // Families:
 //
 //	eventhit_cloud_requests_total       requests the CI processed
-//	eventhit_cloud_failures_total       requests failed by fault injection
 //	eventhit_cloud_billed_frames_total  frames processed (and billed)
 //	eventhit_cloud_hit_frames_total     billed frames inside true events
 //	eventhit_cloud_spent_usd_total      accumulated bill
@@ -20,7 +19,6 @@ func RegisterUsage(r *obs.Registry, labels obs.Labels, b Backend) {
 		get        func(Usage) float64
 	}{
 		{"eventhit_cloud_requests_total", "CI requests processed", func(u Usage) float64 { return float64(u.Requests) }},
-		{"eventhit_cloud_failures_total", "CI requests failed before processing", func(u Usage) float64 { return float64(u.Failures) }},
 		{"eventhit_cloud_billed_frames_total", "frames processed and billed by the CI", func(u Usage) float64 { return float64(u.Frames) }},
 		{"eventhit_cloud_hit_frames_total", "billed frames that belonged to a true event", func(u Usage) float64 { return float64(u.HitFrames) }},
 		{"eventhit_cloud_spent_usd_total", "accumulated CI bill in USD", func(u Usage) float64 { return u.SpentUSD }},

@@ -8,51 +8,55 @@ import (
 // Budget guards a Service with a spending cap: Charge returns an error
 // once a request would push cumulative spend past the cap, letting an
 // operator bound worst-case monthly cost regardless of marshalling
-// quality. It is safe for concurrent use.
+// quality. It meters integer frames and prices the running total with one
+// multiply, as fleet.Arbiter does, so a charge that brings spend to
+// exactly the cap fits however it was split (summing per-charge dollars
+// would refuse it: 0.1+0.1+0.1 > 0.3). It is safe for concurrent use.
 type Budget struct {
-	mu    sync.Mutex
-	capUS float64
-	spent float64
+	mu          sync.Mutex
+	capUSD      float64
+	perFrameUSD float64
+	frames      int64
 }
 
-// NewBudget returns a budget of capUSD dollars. capUSD must be positive.
-func NewBudget(capUSD float64) (*Budget, error) {
+// NewBudget returns a budget of capUSD dollars over frames priced at
+// perFrameUSD. capUSD must be positive, perFrameUSD non-negative.
+func NewBudget(capUSD, perFrameUSD float64) (*Budget, error) {
 	if capUSD <= 0 {
 		return nil, fmt.Errorf("cloud: budget cap %v must be positive", capUSD)
 	}
-	return &Budget{capUS: capUSD}, nil
+	if perFrameUSD < 0 {
+		return nil, fmt.Errorf("cloud: negative frame price %v", perFrameUSD)
+	}
+	return &Budget{capUSD: capUSD, perFrameUSD: perFrameUSD}, nil
 }
 
 // ErrBudgetExhausted is returned (wrapped) when a charge would exceed the
 // cap.
 var ErrBudgetExhausted = fmt.Errorf("cloud: budget exhausted")
 
-// Charge records usd of spend, failing without recording when it would
+// Charge records frames of spend, failing without recording when it would
 // exceed the cap.
-func (b *Budget) Charge(usd float64) error {
-	if usd < 0 {
-		return fmt.Errorf("cloud: negative charge %v", usd)
+func (b *Budget) Charge(frames int) error {
+	if frames < 0 {
+		return fmt.Errorf("cloud: negative charge of %d frames", frames)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.spent+usd > b.capUS {
-		return fmt.Errorf("%w: %.2f spent of %.2f cap, charge %.2f refused",
-			ErrBudgetExhausted, b.spent, b.capUS, usd)
+	if float64(b.frames+int64(frames))*b.perFrameUSD > b.capUSD {
+		return fmt.Errorf("%w: %.2f spent of %.2f cap, charge of %d frames refused",
+			ErrBudgetExhausted, float64(b.frames)*b.perFrameUSD, b.capUSD, frames)
 	}
-	b.spent += usd
+	b.frames += int64(frames)
 	return nil
 }
 
 // Remaining returns the unspent budget.
-func (b *Budget) Remaining() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.capUS - b.spent
-}
+func (b *Budget) Remaining() float64 { return b.capUSD - b.Spent() }
 
 // Spent returns the cumulative spend.
 func (b *Budget) Spent() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.spent
+	return float64(b.frames) * b.perFrameUSD
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestBudgetChargeAndExhaustion(t *testing.T) {
-	b, err := NewBudget(10)
+	b, err := NewBudget(10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,18 +34,44 @@ func TestBudgetChargeAndExhaustion(t *testing.T) {
 	}
 }
 
+// TestBudgetFitsExactCap: three 100-frame relays at Rekognition's $0.001
+// per frame spend exactly a $0.30 cap. Summing per-charge dollars refuses
+// the third (0.1+0.1+0.1 = 0.30000000000000004 > 0.3); pricing the frame
+// total with one multiply admits it, and the next frame is refused.
+func TestBudgetFitsExactCap(t *testing.T) {
+	price := RekognitionPricing().PerFrameUSD
+	b, err := NewBudget(0.30, price)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := b.Charge(100); err != nil {
+			t.Fatalf("charge %d of 100 frames: %v", i+1, err)
+		}
+	}
+	if got := b.Spent(); got != 0.30 {
+		t.Fatalf("spent = %v, want 0.30", got)
+	}
+	if err := b.Charge(1); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("a frame past the cap: got %v, want ErrBudgetExhausted", err)
+	}
+}
+
 func TestBudgetValidation(t *testing.T) {
-	if _, err := NewBudget(0); err == nil {
+	if _, err := NewBudget(0, 1); err == nil {
 		t.Fatal("expected error for zero cap")
 	}
-	b, _ := NewBudget(1)
+	if _, err := NewBudget(1, -1); err == nil {
+		t.Fatal("expected error for a negative frame price")
+	}
+	b, _ := NewBudget(1, 1)
 	if err := b.Charge(-1); err == nil {
 		t.Fatal("expected error for negative charge")
 	}
 }
 
 func TestBudgetConcurrent(t *testing.T) {
-	b, _ := NewBudget(1000)
+	b, _ := NewBudget(1000, 1)
 	var wg sync.WaitGroup
 	granted := make([]int, 20)
 	for i := 0; i < 20; i++ {

@@ -1,13 +1,11 @@
 // The coordinator is the cluster's tiny consistency core: the one process
-// that owns the global spend cap, the shared result cache, and the
-// scene-swap fan-out registry. Everything it owns is deliberately cheap —
-// an integer ledger, an LRU, a worker list — so it never sits on the
-// per-frame hot path: workers talk to it only when a lease chunk runs dry,
-// on cache lookups for decided relays, and when a recalibration fires.
+// that owns the global spend cap and the shared result cache. Both are
+// deliberately cheap — an integer ledger and an LRU — so it never sits on
+// the per-frame hot path: workers talk to it only when a lease chunk runs
+// dry and on cache lookups for decided relays.
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,7 +14,6 @@ import (
 	"time"
 
 	"eventhit/internal/cicache"
-	"eventhit/internal/conformal"
 	"eventhit/internal/obs"
 )
 
@@ -32,7 +29,7 @@ type CoordinatorConfig struct {
 	Cache *cicache.Config
 }
 
-// Coordinator implements the lease, cache and swap endpoints. Create with
+// Coordinator implements the lease and cache endpoints. Create with
 // NewCoordinator; it is an http.Handler.
 type Coordinator struct {
 	cfg CoordinatorConfig
@@ -45,16 +42,12 @@ type Coordinator struct {
 	maxFrames int64
 	cache     *cicache.Cache
 	metrics   *obs.Registry
-	hc        *http.Client
 
 	mu       sync.Mutex
 	granted  int64 // frames currently out on lease (net of returns)
 	totalOut int64 // lifetime frames granted
 	returned int64 // lifetime frames returned
 	denied   int64 // lease requests trimmed or refused by the cap
-	workers  []WorkerRef
-	swaps    int64 // swap publications fanned out
-	adopts   int64 // sibling-worker adoptions those publications caused
 }
 
 // WorkerRef names one worker and where to reach it: URL is http://host:port,
@@ -69,7 +62,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.BudgetUSD < 0 || cfg.PerFrameUSD < 0 {
 		return nil, fmt.Errorf("cluster: negative budget config %+v", cfg)
 	}
-	c := &Coordinator{cfg: cfg, metrics: obs.NewRegistry(), hc: &http.Client{Timeout: callTimeout}}
+	c := &Coordinator{cfg: cfg, metrics: obs.NewRegistry()}
 	if cfg.BudgetUSD > 0 && cfg.PerFrameUSD > 0 {
 		// Integer search from the float quotient, corrected for rounding in
 		// either direction so the invariant is exact under float64 multiply.
@@ -94,8 +87,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		nil, func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.granted) })
 	c.metrics.CounterFunc("eventhit_cluster_lease_frames_granted_total", "lifetime frames granted to workers",
 		nil, func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.totalOut) })
-	c.metrics.CounterFunc("eventhit_cluster_swap_publications_total", "scene recalibrations fanned out",
-		nil, func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.swaps) })
 
 	m := http.NewServeMux()
 	m.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "ok\n") })
@@ -103,9 +94,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	m.HandleFunc("POST /v1/cluster/lease", c.handleLease)
 	m.HandleFunc("POST /v1/cluster/lease/return", c.handleLeaseReturn)
 	m.HandleFunc("GET /v1/cluster/budget", c.handleBudget)
-	m.HandleFunc("POST /v1/cluster/workers", c.handleWorkerRegister)
-	m.HandleFunc("GET /v1/cluster/workers", c.handleWorkerList)
-	m.HandleFunc("POST /v1/cluster/swap", c.handleSwap)
 	m.HandleFunc("POST /v1/cluster/cache/get", c.handleCacheGet)
 	m.HandleFunc("POST /v1/cluster/cache/put", c.handleCachePut)
 	m.HandleFunc("POST /v1/cluster/cache/contains", c.handleCacheContains)
@@ -217,119 +205,6 @@ func (c *Coordinator) handleBudget(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, c.Budget())
 }
 
-// RegisterWorker adds (or re-registers) a worker for swap fan-out.
-func (c *Coordinator) RegisterWorker(ref WorkerRef) error {
-	if ref.ID == "" || ref.URL == "" {
-		return fmt.Errorf("cluster: worker registration needs id and url, got %+v", ref)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, wr := range c.workers {
-		if wr.ID == ref.ID {
-			c.workers[i] = ref
-			return nil
-		}
-	}
-	c.workers = append(c.workers, ref)
-	return nil
-}
-
-// Workers lists registered workers in registration order.
-func (c *Coordinator) Workers() []WorkerRef {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]WorkerRef(nil), c.workers...)
-}
-
-func (c *Coordinator) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
-	var ref WorkerRef
-	if err := decodeJSON(r, &ref); err != nil {
-		clusterError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := c.RegisterWorker(ref); err != nil {
-		clusterError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, c.Workers())
-}
-
-func (c *Coordinator) handleWorkerList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, c.Workers())
-}
-
-// swapEnvelope carries one published recalibration: the scene key, the
-// publishing worker (skipped on fan-out — its sessions already adopted
-// locally), and the classifier in conformal gob format (base64 in JSON).
-type swapEnvelope struct {
-	Scene      string `json:"scene"`
-	FromWorker string `json:"from_worker"`
-	Classifier []byte `json:"classifier"`
-}
-
-// SwapResult is the POST /v1/cluster/swap response.
-type SwapResult struct {
-	WorkersNotified int `json:"workers_notified"`
-	Adoptions       int `json:"adoptions"`
-}
-
-// PublishSwap fans a classifier out to every registered worker except the
-// origin. Fan-out is synchronous and best-effort: a worker that errors is
-// skipped (it will recalibrate on its own drift signal) — the origin
-// worker's publish must never fail because a sibling is mid-restart.
-func (c *Coordinator) PublishSwap(scene, fromWorker string, cls []byte) SwapResult {
-	c.mu.Lock()
-	targets := make([]WorkerRef, 0, len(c.workers))
-	for _, wr := range c.workers {
-		if wr.ID != fromWorker {
-			targets = append(targets, wr)
-		}
-	}
-	c.swaps++
-	c.mu.Unlock()
-
-	var res SwapResult
-	for _, wr := range targets {
-		body, err := json.Marshal(adoptRequest{Scene: scene, Classifier: cls})
-		if err != nil {
-			continue
-		}
-		resp, err := c.hc.Post(wr.URL+"/v1/cluster/adopt", "application/json", bytes.NewReader(body))
-		if err != nil {
-			continue
-		}
-		var ar adoptResponse
-		ok := resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&ar) == nil
-		resp.Body.Close()
-		if ok {
-			res.WorkersNotified++
-			res.Adoptions += ar.Adopted
-		}
-	}
-	c.mu.Lock()
-	c.adopts += int64(res.Adoptions)
-	c.mu.Unlock()
-	return res
-}
-
-func (c *Coordinator) handleSwap(w http.ResponseWriter, r *http.Request) {
-	var env swapEnvelope
-	if err := decodeJSON(r, &env); err != nil {
-		clusterError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if env.Scene == "" {
-		clusterError(w, http.StatusBadRequest, "swap publication needs a scene key")
-		return
-	}
-	// Validate the payload decodes before bothering any worker.
-	if _, err := conformal.LoadClassifier(bytes.NewReader(env.Classifier)); err != nil {
-		clusterError(w, http.StatusUnprocessableEntity, "classifier payload: %v", err)
-		return
-	}
-	writeJSON(w, c.PublishSwap(env.Scene, env.FromWorker, env.Classifier))
-}
-
 // ---- hosted cache endpoints ----
 
 type cacheGetRequest struct {
@@ -413,9 +288,8 @@ func (c *Coordinator) handleCacheConfig(w http.ResponseWriter, _ *http.Request) 
 const maxClusterBody = 16 << 20
 
 // callTimeout bounds every cluster-internal call made through net/http's
-// client: a worker's lease, remote-cache, readiness, registration and swap
-// calls to the coordinator, and the coordinator's adopt fan-out. Each is
-// one small JSON exchange a healthy peer answers in well under a
+// client: a worker's lease, remote-cache and readiness calls to the
+// coordinator. Each is one small JSON exchange a healthy peer answers in well under a
 // millisecond, so 2 s is only ever reached by a peer that stopped
 // answering; and a predict that waits it out twice — once on its cache
 // probe, once on its lease, both taken with the relay path held — still

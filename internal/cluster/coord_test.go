@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -168,47 +167,6 @@ func TestLeaseHTTPValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("lease %q -> %d, want 400", body, resp.StatusCode)
 		}
-	}
-}
-
-// TestWorkerRegistry: registration is idempotent by ID and listable over
-// HTTP.
-func TestWorkerRegistry(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(coord)
-	defer ts.Close()
-	post := func(ref WorkerRef) int {
-		b, _ := json.Marshal(ref)
-		resp, err := ts.Client().Post(ts.URL+"/v1/cluster/workers", "application/json", bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		return resp.StatusCode
-	}
-	if code := post(WorkerRef{ID: "w0", URL: "http://127.0.0.1:1"}); code != http.StatusOK {
-		t.Fatalf("register -> %d", code)
-	}
-	if code := post(WorkerRef{ID: "w0", URL: "http://127.0.0.1:2"}); code != http.StatusOK {
-		t.Fatalf("re-register -> %d", code)
-	}
-	if code := post(WorkerRef{ID: "", URL: "x"}); code != http.StatusBadRequest {
-		t.Fatalf("bad register -> %d", code)
-	}
-	var list []WorkerRef
-	resp, err := ts.Client().Get(ts.URL + "/v1/cluster/workers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 1 || list[0].URL != "http://127.0.0.1:2" {
-		t.Fatalf("registry = %+v, want one re-registered entry", list)
 	}
 }
 

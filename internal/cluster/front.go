@@ -117,8 +117,6 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		{"eventhit_cluster_estimated_usd", "estimated CI spend across all workers", func(s serve.Stats) float64 { return s.EstimatedUSD }},
 		{"eventhit_cluster_sessions", "sessions across all workers (incl. each worker's default)", func(s serve.Stats) float64 { return float64(s.Sessions) }},
 		{"eventhit_cluster_admission_deferred_total", "relays deferred by fleet admission across all workers", func(s serve.Stats) float64 { return float64(s.AdmissionDeferred) }},
-		{"eventhit_cluster_shared_swaps_published_total", "scene recalibrations published across all workers", func(s serve.Stats) float64 { return float64(s.SharedSwapsPublished) }},
-		{"eventhit_cluster_shared_swaps_adopted_total", "scene recalibrations adopted across all workers", func(s serve.Stats) float64 { return float64(s.SharedSwapAdoptions) }},
 	} {
 		get := fam.get
 		f.metrics.GaugeFunc(fam.name, fam.help, nil, func() float64 {
@@ -410,8 +408,6 @@ func totalsOf(per []WorkerStats) serve.Stats {
 		t.DriftAudits += s.DriftAudits
 		t.DriftAuditFrames += s.DriftAuditFrames
 		t.RecalibrationsDeferred += s.RecalibrationsDeferred
-		t.SharedSwapsPublished += s.SharedSwapsPublished
-		t.SharedSwapAdoptions += s.SharedSwapAdoptions
 	}
 	if n := t.CacheHits + t.CacheMisses; n > 0 {
 		t.CacheHitRatio = float64(t.CacheHits) / float64(n)

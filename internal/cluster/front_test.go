@@ -151,7 +151,7 @@ func TestFrontRoutesAndProxies(t *testing.T) {
 	// Create sessions through the front (server-generated IDs).
 	var ids []string
 	for i := 0; i < 32; i++ {
-		id, err := fc.CreateSession(tctx, "", "")
+		id, err := fc.CreateSession(tctx, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func TestFrontSessionListAndStats(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 6; i++ {
-		id, err := fc.CreateSession(tctx, "", "")
+		id, err := fc.CreateSession(tctx, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,7 +440,7 @@ func TestFrontStatsSharedCacheCountsOnce(t *testing.T) {
 	c0 := serve.NewClient(fx.urls[0], nil)
 	twins := []string{"cam-a", "cam-b"}
 	for _, id := range twins {
-		if _, err := c0.CreateSession(tctx, id, ""); err != nil {
+		if _, err := c0.CreateSession(tctx, id); err != nil {
 			t.Fatal(err)
 		}
 	}

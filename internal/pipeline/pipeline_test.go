@@ -167,15 +167,10 @@ func withRetries(c Costs, n int) Costs {
 
 func TestRunRetriesTransientCIFailures(t *testing.T) {
 	ex, ci, cfg := setup(t)
-	// Every third request fails once.
-	ci.SetFault(func(i int64) error {
-		if i%3 == 0 {
-			return cloud.ErrUnavailable
-		}
-		return nil
-	})
+	// Every third attempt is throttled, so no request fails twice running.
+	backend := cloud.Inject(ci, cloud.FaultPlan{RateLimitEvery: 3, RateLimitBurst: 1})
 	costs := withRetries(EventHitCosts(cfg.Window), 2)
-	m, _ := New(ex, strategy.Opt{}, ci, cfg, costs)
+	m, _ := New(ex, strategy.Opt{}, backend, cfg, costs)
 	rep, recs, _, err := m.Run(0, 30000)
 	if err != nil {
 		t.Fatal(err)
@@ -186,16 +181,16 @@ func TestRunRetriesTransientCIFailures(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("no horizons processed")
 	}
-	if u := ci.Usage(); u.Failures == 0 {
-		t.Fatal("service did not record failures")
+	if fs := backend.FaultStats(); fs.Throttles == 0 {
+		t.Fatal("fault layer injected no failures")
 	}
 }
 
 func TestRunSurfacesPersistentCIFailure(t *testing.T) {
 	ex, ci, cfg := setup(t)
-	ci.SetFault(func(int64) error { return cloud.ErrUnavailable })
+	backend := cloud.Inject(ci, cloud.FaultPlan{TransientRate: 1})
 	costs := withRetries(EventHitCosts(cfg.Window), 1)
-	m, _ := New(ex, strategy.BF{Horizon: cfg.Horizon}, ci, cfg, costs)
+	m, _ := New(ex, strategy.BF{Horizon: cfg.Horizon}, backend, cfg, costs)
 	_, _, _, err := m.Run(0, 10000)
 	if err == nil {
 		t.Fatal("persistent CI outage must fail the run")

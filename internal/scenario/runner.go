@@ -567,7 +567,7 @@ func runDriftTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec) (*Dr
 	var budget *cloud.Budget
 	if ts.BudgetUSD != nil && *ts.BudgetUSD > 0 {
 		out.BudgetUSD = *ts.BudgetUSD
-		if budget, err = cloud.NewBudget(out.BudgetUSD); err != nil {
+		if budget, err = cloud.NewBudget(out.BudgetUSD, cloud.RekognitionPricing().PerFrameUSD); err != nil {
 			return nil, err
 		}
 	}
@@ -609,7 +609,7 @@ walk:
 		known[0], truth[0] = false, false
 		for _, rq := range reqs {
 			if budget != nil {
-				if err := budget.Charge(ci.CostOf(rq.Win.Len())); errors.Is(err, cloud.ErrBudgetExhausted) {
+				if err := budget.Charge(rq.Win.Len()); errors.Is(err, cloud.ErrBudgetExhausted) {
 					out.BudgetExhausted = true
 					break walk
 				} else if err != nil {

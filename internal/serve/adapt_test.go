@@ -10,15 +10,17 @@ import (
 	"eventhit/internal/video"
 )
 
-// adaptFixture is one full induced-shift scenario: a server that owns the
-// CI relay with adaptation on, fed by a drifting extractor over the shared
-// test stream.
+// adaptFixture is one session of a full induced-shift scenario: a server
+// that owns the CI relay with adaptation on, fed by a drifting extractor
+// over the shared test stream (the default session), or by the clean one
+// (a bystander).
 type adaptFixture struct {
-	t    *testing.T
-	c    *Client
-	bw   *Bundlewrap
-	ex   *features.Extractor
-	next int // absolute index of the next frame to push
+	t       *testing.T
+	c       *Client
+	bw      *Bundlewrap
+	ex      *features.Extractor
+	session string
+	next    int // absolute index of the next frame to push
 }
 
 const adaptSwitchFrame = 20000
@@ -64,7 +66,19 @@ func newAdaptFixture(t *testing.T) *adaptFixture {
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return &adaptFixture{t: t, c: NewClient(ts.URL, ts.Client()), bw: bw, ex: ex}
+	return &adaptFixture{t: t, c: NewClient(ts.URL, ts.Client()), bw: bw, ex: ex, session: DefaultSession}
+}
+
+// bystander opens a second session on fx's server, fed the clean stream
+// from frame 0 through 999.
+func (fx *adaptFixture) bystander() *adaptFixture {
+	fx.t.Helper()
+	if _, err := fx.c.CreateSession(tctx, "bystander"); err != nil {
+		fx.t.Fatal(err)
+	}
+	by := &adaptFixture{t: fx.t, c: fx.c, bw: fx.bw, ex: fx.bw.ex, session: "bystander"}
+	by.advance(999)
+	return by
 }
 
 // advance pushes every frame from the current position through frame `to`
@@ -81,7 +95,7 @@ func (fx *adaptFixture) advance(to int) {
 		for f := fx.next; f <= hi; f++ {
 			frames = append(frames, fx.ex.FrameVector(f, nil))
 		}
-		if _, err := fx.c.PushFrames(tctx, frames); err != nil {
+		if _, err := fx.c.PushFramesSession(tctx, fx.session, frames); err != nil {
 			fx.t.Fatal(err)
 		}
 		fx.next = hi + 1
@@ -98,7 +112,7 @@ func (fx *adaptFixture) walk(n, stride int) (coverage float64, occurred int, tra
 	for i := 0; i < n; i++ {
 		anchor := fx.next - 1 + stride
 		fx.advance(anchor)
-		resp, err := fx.c.Predict(tctx, 0, 0)
+		resp, err := fx.c.PredictSession(tctx, fx.session, 0, 0)
 		if err != nil {
 			fx.t.Fatal(err)
 		}
@@ -121,12 +135,17 @@ func (fx *adaptFixture) walk(n, stride int) (coverage float64, occurred int, tra
 type adaptOutcome struct {
 	covClean, covShift, covRestored float64
 	transcript                      []bool
-	stats                           Stats
+	// bystander is the decision transcript of a second session on the same
+	// server, fed the clean stream one anchor per phase-2 step and 40 more
+	// after phase 3: it decides while the drifting session recalibrates.
+	bystander []bool
+	stats     Stats
 }
 
 func runAdaptScenario(t *testing.T) adaptOutcome {
 	t.Helper()
 	fx := newAdaptFixture(t)
+	by := fx.bystander()
 	var out adaptOutcome
 
 	// Phase 1 — clean regime: coverage near nominal, no alarms.
@@ -155,6 +174,8 @@ func runAdaptScenario(t *testing.T) adaptOutcome {
 		out.transcript = append(out.transcript, step...)
 		occurred += occ
 		kept += int(cov * float64(occ))
+		_, _, step = by.walk(1, 50)
+		out.bystander = append(out.bystander, step...)
 		st, err = fx.c.Stats(tctx)
 		if err != nil {
 			t.Fatal(err)
@@ -184,6 +205,8 @@ func runAdaptScenario(t *testing.T) adaptOutcome {
 	// Phase 3 — still degraded, now on the recalibrated bundle.
 	out.covRestored, _, tr = fx.walk(100, 50)
 	out.transcript = append(out.transcript, tr...)
+	_, _, tr = by.walk(40, 50)
+	out.bystander = append(out.bystander, tr...)
 	out.stats, err = fx.c.Stats(tctx)
 	if err != nil {
 		t.Fatal(err)
@@ -217,6 +240,16 @@ func TestAdaptationRestoresCoverage(t *testing.T) {
 	}
 	if out.stats.DriftAlarmEpisodes != 1 {
 		t.Fatalf("episodes grew after recalibration: %+v", out.stats)
+	}
+	// One camera's drift never moves another's calibration: the bystander
+	// decided on the clean stream while the drifting session recalibrated,
+	// and a fresh server fed the same frames decides exactly as it did.
+	_, _, want := newAdaptFixture(t).bystander().walk(len(out.bystander), 50)
+	for i := range want {
+		if out.bystander[i] != want[i] {
+			t.Fatalf("bystander decision %d of %d is %v beside the recalibrating session, %v on a fresh server",
+				i, len(want), out.bystander[i], want[i])
+		}
 	}
 }
 

@@ -178,11 +178,10 @@ func predictQuery(confidence, coverage float64) string {
 }
 
 // CreateSession registers a new session and returns its id. An empty id
-// asks the server to generate one; a non-empty scene tags the session with
-// a scene key so fleet-wide classifier swaps can find its siblings.
-func (c *Client) CreateSession(ctx context.Context, id, scene string) (string, error) {
+// asks the server to generate one.
+func (c *Client) CreateSession(ctx context.Context, id string) (string, error) {
 	var out SessionRequest
-	err := c.post(ctx, "/v1/sessions", SessionRequest{ID: id, Scene: scene}, &out)
+	err := c.post(ctx, "/v1/sessions", SessionRequest{ID: id}, &out)
 	return out.ID, err
 }
 

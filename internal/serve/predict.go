@@ -5,7 +5,6 @@ import (
 	"net/url"
 	"strconv"
 
-	"eventhit/internal/conformal"
 	"eventhit/internal/dataset"
 	"eventhit/internal/fleet"
 	"eventhit/internal/metrics"
@@ -42,37 +41,11 @@ type PredictResponse struct {
 	Decisions  []Decision `json:"decisions"`
 }
 
-// sharedPublish is a recalibration swap awaiting scene-wide propagation:
-// local sibling sessions adopt it directly, the cluster hears about it
-// through Config.SwapPublisher.
-type sharedPublish struct {
-	scene  string
-	except string // the origin session — already carries the classifier
-	cls    *conformal.Classifier
-}
-
 func (s *Server) handlePredict(sess *session, w http.ResponseWriter, r *http.Request) {
 	sc := s.scratch.Get().(*predictScratch)
 	defer s.scratch.Put(sc)
-	pub, ok := s.predictCore(sess, w, r, sc)
-	if !ok {
+	if !s.predictCore(sess, w, r, sc) {
 		return // predictCore already wrote the error
-	}
-	if pub != nil {
-		// Propagate the fresh classifier before answering, with NO server
-		// lock held (predictCore released relayMu on return): sibling
-		// sessions on this server adopt directly; the publisher ships it to
-		// the coordinator for sibling workers. Publishing before the response
-		// makes the propagation observable: when the predict response
-		// arrives, scene siblings are already on the new calibration.
-		if _, err := s.AdoptClassifier(pub.scene, pub.cls, pub.except); err == nil {
-			if s.cfg.SwapPublisher != nil {
-				s.cfg.SwapPublisher(pub.scene, pub.cls)
-				s.mu.Lock()
-				s.sharedPublished++
-				s.mu.Unlock()
-			}
-		}
 	}
 	sc.out = appendPredictResponse(sc.out[:0], &sc.resp, s.eventJSON)
 	w.Header().Set("Content-Type", "application/json")
@@ -97,26 +70,25 @@ func predictKnob(w http.ResponseWriter, q url.Values, name string, def float64) 
 }
 
 // predictCore runs one predict request end to end on sc and commits its
-// counters, leaving the response in sc.resp. ok is false when an HTTP error
-// was already written. When this request's adaptation step cut a
-// recalibration swap on a scene-tagged session it also returns the publish
-// work the wrapper performs after every lock is released.
-func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Request, sc *predictScratch) (pub *sharedPublish, ok bool) {
+// counters, leaving the response in sc.resp. It returns false when an HTTP
+// error was already written.
+func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Request, sc *predictScratch) bool {
 	conf, cov := s.cfg.DefaultConfidence, s.cfg.DefaultCoverage
 	if r.URL.RawQuery != "" {
 		q := r.URL.Query()
+		var ok bool
 		if conf, ok = predictKnob(w, q, "confidence", conf); !ok {
-			return nil, false
+			return false
 		}
 		if cov, ok = predictKnob(w, q, "coverage", cov); !ok {
-			return nil, false
+			return false
 		}
 	}
 	s.mu.Lock()
 	if n := sess.ring.n; n < s.window {
 		s.mu.Unlock()
 		httpError(w, http.StatusConflict, "window not full: %d of %d frames buffered", n, s.window)
-		return nil, false
+		return false
 	}
 	// The ring is written in place, so the window must be copied out before
 	// mu is released; everything below reads the private copy.
@@ -207,9 +179,6 @@ func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Reque
 		if cls := sess.ad.Observe(sc.scores, pred.Occur, labelKnown, labelTrue); cls != nil {
 			if nb, err := u.bundle.WithClassifier(cls); err == nil {
 				sess.unit.Store(s.derive(u, nb, swapOriginRecalibration))
-				if sess.scene != "" {
-					pub = &sharedPublish{scene: sess.scene, except: sess.id, cls: cls}
-				}
 			}
 		}
 	}
@@ -237,11 +206,11 @@ func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Reque
 				Confidence: conf, Coverage: cov,
 			}); err != nil {
 				httpError(w, http.StatusInternalServerError, "trace append: %v", err)
-				return nil, false
+				return false
 			}
 		}
 	}
-	return pub, true
+	return true
 }
 
 // decide runs u's decision for rec on the session's scratch, leaving the

@@ -18,7 +18,7 @@
 //
 //	POST   /v1/frames   {"frames": [[...],[...]]}     -> {"buffered": n, "next": absIndex}
 //	POST   /v1/predict  ?confidence=0.9&coverage=0.9  -> per-event decisions
-//	POST   /v1/sessions {"id": "cam-7", "scene": ""}  -> {"id": ...} (both optional)
+//	POST   /v1/sessions {"id": "cam-7"}               -> {"id": ...} (id optional)
 //	GET    /v1/sessions                               -> per-session counters
 //	DELETE /v1/sessions/{id}                          -> 204; frees the session and its rate bucket
 //	POST   /v1/sessions/{id}/frames                   -> as /v1/frames, for one session
@@ -43,7 +43,6 @@ import (
 
 	"eventhit/internal/cicache"
 	"eventhit/internal/cloud"
-	"eventhit/internal/conformal"
 	"eventhit/internal/fleet"
 	"eventhit/internal/obs"
 	"eventhit/internal/pipeline"
@@ -123,15 +122,6 @@ type Config struct {
 	// relay — and DefaultCoverage < 1 (the monitor needs a nominal miss
 	// budget).
 	Adapt *AdaptConfig
-	// SwapPublisher, when non-nil, is invoked after a session with a
-	// non-empty scene key cuts a recalibration swap: the cluster worker
-	// posts the fresh classifier to the coordinator, which fans it out to
-	// sibling workers watching the same scene. Called without any server
-	// lock held (it may block on HTTP) but before the predict response is
-	// written, so a caller observing the response can rely on the publish
-	// having happened. Sessions with the same scene on THIS server adopt
-	// the classifier directly, publisher or not.
-	SwapPublisher func(scene string, cls *conformal.Classifier)
 	// ReadyProbe, when non-nil, adds an external condition to GET /readyz:
 	// cluster workers probe their coordinator here, so a worker whose
 	// budget/cache backend vanished drops out of the routing ring instead
@@ -154,9 +144,6 @@ type Server struct {
 	unit       atomic.Pointer[bundleUnit]
 	gens       atomic.Uint64
 	adminSwaps int64
-	// sharedPublished counts recalibrations published to the cluster via
-	// Config.SwapPublisher; guarded by mu.
-	sharedPublished int64
 
 	// draining flips /readyz to 503 (SetDraining): the front tier stops
 	// routing new sessions here while in-flight traffic completes.
@@ -312,7 +299,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.unit.Store(u)
-	if _, err := s.newSessionLocked(DefaultSession, ""); err != nil {
+	if _, err := s.newSessionLocked(DefaultSession); err != nil {
 		return nil, err
 	}
 	s.registerServeMetrics()

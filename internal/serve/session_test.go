@@ -42,15 +42,15 @@ func newFleetServer(t *testing.T, fc *fleet.ArbiterConfig) (*Client, *Bundlewrap
 
 func TestSessionLifecycle(t *testing.T) {
 	c, bw := newFleetServer(t, nil)
-	id, err := c.CreateSession(tctx, "cam-1", "")
+	id, err := c.CreateSession(tctx, "cam-1")
 	if err != nil || id != "cam-1" {
 		t.Fatalf("create = %q, %v", id, err)
 	}
-	gen, err := c.CreateSession(tctx, "", "")
+	gen, err := c.CreateSession(tctx, "")
 	if err != nil || gen == "" || gen == "cam-1" {
 		t.Fatalf("generated id = %q, %v", gen, err)
 	}
-	if _, err := c.CreateSession(tctx, "cam-1", ""); err == nil || !strings.Contains(err.Error(), "already exists") {
+	if _, err := c.CreateSession(tctx, "cam-1"); err == nil || !strings.Contains(err.Error(), "already exists") {
 		t.Fatalf("duplicate accepted: %v", err)
 	}
 
@@ -169,7 +169,7 @@ func TestSessionDelete(t *testing.T) {
 		SessionRatePerSec: 1,
 		SessionBurst:      100000,
 	})
-	if id, err := c.CreateSession(tctx, "cam-1", ""); err != nil || id != "cam-1" {
+	if id, err := c.CreateSession(tctx, "cam-1"); err != nil || id != "cam-1" {
 		t.Fatalf("create = %q, %v", id, err)
 	}
 	if _, err := c.PushFramesSession(tctx, "cam-1", relayWindow(bw)); err != nil {
@@ -186,7 +186,7 @@ func TestSessionDelete(t *testing.T) {
 		t.Fatalf("deleted session still listed: %+v", list)
 	}
 	// A fresh session under the same id has no leftover buffer.
-	if _, err := c.CreateSession(tctx, "cam-1", ""); err != nil {
+	if _, err := c.CreateSession(tctx, "cam-1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.PredictSession(tctx, "cam-1", 0.95, 0.9); err == nil ||
@@ -224,7 +224,7 @@ func TestSessionDeleteReleasesBucket(t *testing.T) {
 		}
 		return resp.Decisions[0]
 	}
-	if _, err := c.CreateSession(tctx, "cam-1", ""); err != nil {
+	if _, err := c.CreateSession(tctx, "cam-1"); err != nil {
 		t.Fatal(err)
 	}
 	if d := predictOnce(); !d.Relay || d.Deferred {
@@ -236,7 +236,7 @@ func TestSessionDeleteReleasesBucket(t *testing.T) {
 	if err := c.DeleteSession(tctx, "cam-1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateSession(tctx, "cam-1", ""); err != nil {
+	if _, err := c.CreateSession(tctx, "cam-1"); err != nil {
 		t.Fatal(err)
 	}
 	if d := predictOnce(); !d.Relay || d.Deferred {

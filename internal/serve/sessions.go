@@ -16,14 +16,9 @@ import (
 // lock-free), dec (under decMu) and ad (touched only under relayMu; its
 // counters are committed into the mu-guarded adapt by handlePredict).
 type session struct {
-	id string
-	// scene is the session's scene key ("" = untagged): sessions sharing a
-	// scene see the same physical setting, so a recalibration cut for one
-	// is adopted by the others (locally and, through SwapPublisher, across
-	// the cluster).
-	scene string
-	ring  frameRing // the last `window` frames
-	next  int       // absolute index of the next frame to arrive
+	id   string
+	ring frameRing // the last `window` frames
+	next int       // absolute index of the next frame to arrive
 	counts
 
 	// unit is the session's serving bundle. Global swaps (boot, admin
@@ -43,9 +38,6 @@ type session struct {
 	// adapt is ad's counters as committed under mu at each predict, so
 	// /v1/stats never reads the loop.
 	adapt drift.Stats
-	// sharedAdopted counts classifiers this session adopted from a sibling
-	// session's recalibration (same scene, local or cluster-published).
-	sharedAdopted int64
 }
 
 // counts are a session's marshalling counters. A predict tallies its own
@@ -74,8 +66,8 @@ func (c *counts) add(d counts) {
 // still inside New, before the server is shared). The session starts on
 // the globally installed unit and, when adaptation is on, gets its own
 // adaptation loop.
-func (s *Server) newSessionLocked(id, scene string) (*session, error) {
-	sess := &session{id: id, scene: scene, ring: newFrameRing(s.window, s.inputDim)}
+func (s *Server) newSessionLocked(id string) (*session, error) {
+	sess := &session{id: id, ring: newFrameRing(s.window, s.inputDim)}
 	sess.unit.Store(s.unit.Load())
 	if s.cfg.Adapt != nil {
 		ad, err := drift.NewLoop(*s.cfg.Adapt, s.cfg.DefaultCoverage, s.k)
@@ -110,25 +102,20 @@ func (s *Server) forSession(pathParam string, h func(*session, http.ResponseWrit
 }
 
 // SessionRequest is the POST /v1/sessions body. ID is optional; the server
-// generates s1, s2, ... when absent. Scene is an optional scene key:
-// sessions sharing one adopt each other's recalibration swaps (see
-// Config.SwapPublisher).
+// generates s1, s2, ... when absent.
 type SessionRequest struct {
-	ID    string `json:"id"`
-	Scene string `json:"scene,omitempty"`
+	ID string `json:"id"`
 }
 
 // SessionInfo is one session's row in GET /v1/sessions.
 type SessionInfo struct {
 	ID                string `json:"id"`
-	Scene             string `json:"scene,omitempty"`
 	FramesIngested    int    `json:"framesIngested"`
 	Predictions       int64  `json:"predictions"`
 	Relays            int64  `json:"relays"`
 	RelayedOK         int64  `json:"relayedOK"`
 	DeferredRelays    int64  `json:"deferredRelays"`
 	AdmissionDeferred int64  `json:"admissionDeferred"`
-	SharedAdoptions   int64  `json:"sharedAdoptions,omitempty"`
 }
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
@@ -140,10 +127,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.ID) > MaxSessionID {
 		httpError(w, http.StatusBadRequest, "session id longer than %d bytes", MaxSessionID)
-		return
-	}
-	if len(req.Scene) > MaxSessionID {
-		httpError(w, http.StatusBadRequest, "scene key longer than %d bytes", MaxSessionID)
 		return
 	}
 	s.mu.Lock()
@@ -166,14 +149,14 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "session %q already exists", id)
 		return
 	}
-	if _, err := s.newSessionLocked(id, req.Scene); err != nil {
+	if _, err := s.newSessionLocked(id); err != nil {
 		s.mu.Unlock()
 		httpError(w, http.StatusInternalServerError, "creating session: %v", err)
 		return
 	}
 	s.mu.Unlock()
 	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, SessionRequest{ID: id, Scene: req.Scene})
+	writeJSON(w, SessionRequest{ID: id})
 }
 
 func (s *Server) handleSessionList(w http.ResponseWriter, _ *http.Request) {
@@ -183,14 +166,12 @@ func (s *Server) handleSessionList(w http.ResponseWriter, _ *http.Request) {
 		sess := s.sessions[id]
 		out = append(out, SessionInfo{
 			ID:                sess.id,
-			Scene:             sess.scene,
 			FramesIngested:    sess.next,
 			Predictions:       sess.predicts,
 			Relays:            sess.relays,
 			RelayedOK:         sess.relayedOK,
 			DeferredRelays:    sess.deferred,
 			AdmissionDeferred: sess.admitDef,
-			SharedAdoptions:   sess.sharedAdopted,
 		})
 	}
 	s.mu.Unlock()

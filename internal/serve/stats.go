@@ -70,11 +70,6 @@ type Stats struct {
 	DriftAudits            int64  `json:"driftAudits"`
 	DriftAuditFrames       int64  `json:"driftAuditFrames"`
 	RecalibrationsDeferred int64  `json:"recalibrationsDeferred"`
-	// Fleet-wide shared swap: recalibrations published to the cluster
-	// (SwapPublisher invoked) and classifiers adopted into sessions from a
-	// sibling's recalibration (same scene key, local or cluster-delivered).
-	SharedSwapsPublished int64 `json:"sharedSwapsPublished"`
-	SharedSwapAdoptions  int64 `json:"sharedSwapAdoptions"`
 }
 
 // snapshot assembles Stats from one critical section. The relay/CI fields
@@ -84,13 +79,12 @@ type Stats struct {
 func (s *Server) snapshot() Stats {
 	s.mu.Lock()
 	st := Stats{
-		Sessions:             len(s.sessions),
-		RelayEnabled:         s.relay != nil,
-		FleetEnabled:         s.arbiter != nil,
-		AdaptEnabled:         s.cfg.Adapt != nil,
-		ModelGeneration:      s.gens.Load(),
-		AdminSwaps:           s.adminSwaps,
-		SharedSwapsPublished: s.sharedPublished,
+		Sessions:        len(s.sessions),
+		RelayEnabled:    s.relay != nil,
+		FleetEnabled:    s.arbiter != nil,
+		AdaptEnabled:    s.cfg.Adapt != nil,
+		ModelGeneration: s.gens.Load(),
+		AdminSwaps:      s.adminSwaps,
 	}
 	for _, sess := range s.sessions {
 		st.FramesIngested += sess.next
@@ -106,7 +100,6 @@ func (s *Server) snapshot() Stats {
 		st.DriftAlarmEpisodes += sess.adapt.Episodes
 		st.DriftAudits += sess.adapt.Audits
 		st.RecalibrationsDeferred += sess.adapt.Deferred
-		st.SharedSwapAdoptions += sess.sharedAdopted
 	}
 	// Every audit relays one full horizon.
 	st.DriftAuditFrames = st.DriftAudits * int64(s.horizon)
@@ -173,8 +166,6 @@ func (s *Server) registerServeMetrics() {
 		{"eventhit_serve_drift_audits_total", "skipped horizons ground-truthed by audit relays", func(st Stats) float64 { return float64(st.DriftAudits) }},
 		{"eventhit_serve_drift_audit_frames_total", "frames relayed for audits (CI-billed, not marshalling)", func(st Stats) float64 { return float64(st.DriftAuditFrames) }},
 		{"eventhit_serve_drift_recalibrations_deferred_total", "recalibration attempts deferred for lack of post-shift positives", func(st Stats) float64 { return float64(st.RecalibrationsDeferred) }},
-		{"eventhit_serve_swap_shared_published_total", "recalibrations published to the cluster for scene siblings", func(st Stats) float64 { return float64(st.SharedSwapsPublished) }},
-		{"eventhit_serve_swap_shared_adopted_total", "classifiers adopted from a sibling session's recalibration", func(st Stats) float64 { return float64(st.SharedSwapAdoptions) }},
 	}
 	for _, f := range fields {
 		get := f.get

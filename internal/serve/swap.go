@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"eventhit/internal/conformal"
 	"eventhit/internal/dataset"
 	"eventhit/internal/drift"
 	"eventhit/internal/metrics"
@@ -46,7 +45,6 @@ const (
 	swapOriginBoot          = "boot"
 	swapOriginAdmin         = "admin"
 	swapOriginRecalibration = "recalibration"
-	swapOriginShared        = "shared"
 )
 
 // bundleUnit is the atomically swappable serving state: the bundle
@@ -200,50 +198,3 @@ type AdaptConfig = drift.Config
 // significance, a 1024-record buffer, 48 post-alarm outcomes before
 // recalibrating, and a 10% audit rate.
 func DefaultAdaptConfig() AdaptConfig { return drift.DefaultConfig() }
-
-// AdoptClassifier installs cls into every session tagged with scene except
-// exceptSession (the publishing session, which already swapped itself).
-// Each adopting session gets a fresh unit built from its CURRENT bundle
-// with the sibling's calibration grafted on, a new swap generation, and a
-// rebased adaptation loop — the rebase Swap performs, because the adopted
-// calibration invalidates buffered scores the same way. Returns how many
-// sessions adopted. Scene-less sessions never adopt: "" is not a scene.
-//
-// The cluster tier calls this on sibling WORKERS when a scene-tagged
-// session recalibrates anywhere in the fleet; handlePredict calls it
-// locally on the publishing worker. Lock order matches Swap: relayMu
-// (Rebase touches the loop) before mu (session table walk).
-func (s *Server) AdoptClassifier(scene string, cls *conformal.Classifier, exceptSession string) (int, error) {
-	if scene == "" {
-		return 0, fmt.Errorf("serve: adopt: empty scene")
-	}
-	if cls == nil {
-		return 0, fmt.Errorf("serve: adopt: nil classifier")
-	}
-	if cn := cls.NumEvents(); cn != s.k {
-		return 0, fmt.Errorf("serve: adopt: classifier covers %d events, server expects %d", cn, s.k)
-	}
-	s.lockRelay()
-	defer s.unlockRelay()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	adopted := 0
-	for _, id := range s.order {
-		sess := s.sessions[id]
-		if sess.scene != scene || sess.id == exceptSession {
-			continue
-		}
-		u := s.resolveUnit(sess)
-		nb, err := u.bundle.WithClassifier(cls)
-		if err != nil {
-			return adopted, fmt.Errorf("serve: adopt into session %q: %w", sess.id, err)
-		}
-		sess.unit.Store(s.derive(u, nb, swapOriginShared))
-		if sess.ad != nil {
-			sess.ad.Rebase()
-		}
-		sess.sharedAdopted++
-		adopted++
-	}
-	return adopted, nil
-}

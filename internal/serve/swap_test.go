@@ -91,7 +91,7 @@ func TestModelPushRoundTrip(t *testing.T) {
 		t.Fatalf("swap stats = %+v", st)
 	}
 	// New sessions start on the swapped-in unit.
-	if _, err := c.CreateSession(tctx, "cam-2", ""); err != nil {
+	if _, err := c.CreateSession(tctx, "cam-2"); err != nil {
 		t.Fatal(err)
 	}
 	mr2, err := c.PushModel(tctx, bw.b)

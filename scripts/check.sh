@@ -146,11 +146,11 @@ stage relay-contract-x5 go test -race ./internal/pipeline/ -run 'TestRelayServeC
 # Streaming kernel: the per-stream input-projection ring and edges-in Θ
 # decoding against full recomputation, bit for bit.
 stage stream-kernel-x5 go test -race -count=5 ./internal/core/ ./internal/strategy/ -run 'TestStreamRing|TestDecodeEdges|FuzzDecodeEdges|TestDecideOnStreamMatchesSeedDecision'
-# Scheduler admission/starvation, cluster ring/leases/remote cache/front/
-# shared swap, and the cascade ladder (goroutines walking one Cascade and
-# its shared full bundle against a serial walk), uncached under -race. No
-# binary links ./internal/cascade/; it stays only as the reference ladder
-# bench/ walks.
+# Scheduler admission/starvation, cluster ring/leases/remote cache/front,
+# and the cascade ladder (goroutines walking one Cascade and its shared
+# full bundle against a serial walk), uncached under -race. No binary
+# links ./internal/cascade/; it stays only as the reference ladder bench/
+# walks.
 stage tiers-race go test -race -count=1 ./internal/fleet/ ./internal/cluster/ ./internal/cascade/
 # The front's hop to its workers: the proxy contract against a direct twin
 # worker, hung, cancelled and restarted workers, refused URLs, expired idle
