@@ -2,6 +2,8 @@ package cascade
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -505,4 +507,29 @@ func samePrediction(a, b metrics.Prediction) bool {
 		}
 	}
 	return len(a.Occur) == len(b.Occur)
+}
+
+// TestCascadePredictAllMatchesSerial: strategy.PredictAll walks the ladder
+// on GOMAXPROCS workers; at GOMAXPROCS 1, 2, 3 and 8 it returns the serial
+// walk's predictions in record order, and each pass adds the serial walk's
+// exits to the counters.
+func TestCascadePredictAllMatchesSerial(t *testing.T) {
+	f := getFixture(t)
+	serial := freshView(f)
+	want := make([]metrics.Prediction, len(f.splits.Test))
+	for i, rec := range f.splits.Test {
+		want[i] = serial.Predict(rec)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	for _, p := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(p)
+		c := freshView(f)
+		if got := strategy.PredictAll(c, f.splits.Test); !reflect.DeepEqual(got, want) {
+			t.Fatalf("GOMAXPROCS=%d: predictions differ from the serial walk's", p)
+		}
+		if s, ss := c.Stats(), serial.Stats(); !reflect.DeepEqual(s, ss) {
+			t.Fatalf("GOMAXPROCS=%d: counters %+v, serial walk %+v", p, s, ss)
+		}
+	}
 }

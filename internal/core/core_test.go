@@ -362,7 +362,7 @@ func TestTrainRepacksAfterEveryStep(t *testing.T) {
 			rec := recs[idx]
 			ref.drop.Mask(tp.mask)
 			ref.forward(tp, rec.X, nil, ref.lstm.Pack())
-			loss += ref.recordLoss(tp.out, rec, tp.out)
+			loss += ref.recordLoss(tp, rec)
 			ref.backward(tp)
 			addGrads(ref, tp)
 			if inBatch++; inBatch == tc.BatchSize {
@@ -416,7 +416,7 @@ func TestAbsentHeadLogitsSkipped(t *testing.T) {
 	for i, rec := range recs {
 		ref.drop.Mask(tp.mask)
 		ref.forward(tp, rec.X, nil, ref.packedLSTM())
-		full := ref.recordLoss(tp.out, rec, tp.out)
+		full := ref.recordLoss(tp, rec)
 		if !bitsEqual(tr.tapes[i].loss, full) {
 			t.Fatalf("record %d: loss %v, full forward %v", i, tr.tapes[i].loss, full)
 		}
@@ -437,7 +437,7 @@ func TestAbsentHeadLogitsSkipped(t *testing.T) {
 	tp.mask = nil
 	for i, rec := range recs {
 		ref.forward(tp, rec.X, nil, ref.packedLSTM())
-		if want := ref.recordLoss(tp.out, rec, tp.out); !bitsEqual(m.Loss(rec), want) {
+		if want := ref.recordLoss(tp, rec); !bitsEqual(m.Loss(rec), want) {
 			t.Fatalf("record %d: Loss %v, full forward %v", i, m.Loss(rec), want)
 		}
 	}

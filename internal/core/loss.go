@@ -5,18 +5,18 @@ import (
 	"eventhit/internal/nn"
 )
 
-// recordLoss computes L1 + L2 for one record from the per-head logits and
-// fills dLogits (same shape) with the gradients; dLogits may be logits,
-// each logit read before its gradient replaces it. Loss terms follow §III:
+// recordLoss computes L1 + L2 for one record from the per-head logits in
+// tp.out and replaces them with their gradients, each logit read before
+// its gradient replaces it. Loss terms follow §III:
 //
 //	L1: cross-entropy between b_k and 1[E_k ∈ L_n], weighted β_k;
 //	L2: only for events with E_k ∈ L_n, per-frame cross-entropy where
 //	    frames inside the occurrence interval carry weight γ_k/|inside|
 //	    and frames outside carry γ_k/|outside|.
 //
-// The per-record loss is returned; the 1/|P| averaging happens in the
-// training loop.
-func (m *Model) recordLoss(logits [][]float64, rec dataset.Record, dLogits [][]float64) float64 {
+// The per-record loss is returned, its terms summed head by head and frame
+// by frame; the 1/|P| averaging happens in the training loop.
+func (m *Model) recordLoss(tp *tape, rec dataset.Record) float64 {
 	h := m.cfg.Horizon
 	var total float64
 	for k := range m.heads {
@@ -27,7 +27,7 @@ func (m *Model) recordLoss(logits [][]float64, rec dataset.Record, dLogits [][]f
 		if m.cfg.Gamma != nil {
 			gamma = m.cfg.Gamma[k]
 		}
-		lk, dk := logits[k], dLogits[k]
+		lk := tp.out[k]
 
 		// L1: existence.
 		yb := 0.0
@@ -36,7 +36,7 @@ func (m *Model) recordLoss(logits [][]float64, rec dataset.Record, dLogits [][]f
 		}
 		l, d := nn.BCEWithLogitsScalar(lk[0], yb, beta)
 		total += l
-		dk[0] = d
+		lk[0] = d
 
 		// L2: per-frame occurrence, positives only. With multi-instance
 		// ground truth (Record.AllOI, §II footnote 1) the per-frame target
@@ -44,7 +44,7 @@ func (m *Model) recordLoss(logits [][]float64, rec dataset.Record, dLogits [][]f
 		// interval, exactly as in the paper.
 		if !rec.Label[k] {
 			for v := 1; v <= h; v++ {
-				dk[v] = 0
+				lk[v] = 0
 			}
 			continue
 		}
@@ -74,16 +74,13 @@ func (m *Model) recordLoss(logits [][]float64, rec dataset.Record, dLogits [][]f
 			wOut = gamma / float64(outside)
 		}
 		for v := 1; v <= h; v++ {
-			var y, w float64
 			if contains(v) {
-				y, w = 1, wIn
+				tp.target[v-1], tp.weight[v-1] = 1, wIn
 			} else {
-				y, w = 0, wOut
+				tp.target[v-1], tp.weight[v-1] = 0, wOut
 			}
-			l, d := nn.BCEWithLogitsScalar(lk[v], y, w)
-			total += l
-			dk[v] = d
 		}
+		total = nn.BCEWithLogitsRow(total, lk[1:], tp.target, tp.weight, lk[1:])
 	}
 	return total
 }
@@ -97,5 +94,5 @@ func (m *Model) Loss(rec dataset.Record) float64 {
 		m.lossTape.mask = nil
 	}
 	m.forward(m.lossTape, rec.X, rec.Label, m.packedLSTM())
-	return m.recordLoss(m.lossTape.out, rec, m.lossTape.out)
+	return m.recordLoss(m.lossTape, rec)
 }

@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"eventhit/internal/mathx"
@@ -131,28 +132,39 @@ type Model struct {
 }
 
 // New constructs an EventHit model from cfg with freshly initialized
-// weights.
+// weights. Each layer draws from a stream of its own, split off the seed's
+// in a fixed order: the streams are split first, and the layers then
+// initialize on runtime.GOMAXPROCS(0) workers, so the weights are the
+// serial construction's.
 func New(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	g := mathx.NewRNG(cfg.Seed)
-	m := &Model{
-		cfg:   cfg,
-		trunk: nn.NewDense("shared.trunk", cfg.HiddenLSTM, cfg.HiddenTrunk, g.Split(2)),
-		drop:  nn.NewDropout(cfg.Dropout, g.Split(3)),
+	// Split advances g: the trunk's stream is drawn first, then dropout's,
+	// the encoder's, and each head's fc1 and fc2 in head order. Reordering
+	// the draws changes every seed's weights.
+	trunkG, dropG, lstmG := g.Split(2), g.Split(3), g.Split(1)
+	m := &Model{cfg: cfg, drop: nn.NewDropout(cfg.Dropout, dropG)}
+	inits := []func(){
+		func() { m.trunk = nn.NewDense("shared.trunk", cfg.HiddenLSTM, cfg.HiddenTrunk, trunkG) },
+		func() { m.lstm = nn.NewLSTM("shared.lstm", cfg.InputDim, cfg.HiddenLSTM, lstmG) },
 	}
-	// Split advances g: the encoder's stream is drawn third, after the
-	// trunk's and dropout's. Reordering the draws changes every seed's
-	// weights.
-	m.lstm = nn.NewLSTM("shared.lstm", cfg.InputDim, cfg.HiddenLSTM, g.Split(1))
-	layers := []nn.Layer{m.lstm, m.trunk}
 	for k := 0; k < cfg.NumEvents; k++ {
-		h := &head{
-			fc1: nn.NewDense(fmt.Sprintf("head%d.fc1", k), cfg.HiddenTrunk+cfg.InputDim, cfg.HiddenHead, g.Split(int64(10+2*k))),
-			fc2: nn.NewDense(fmt.Sprintf("head%d.fc2", k), cfg.HiddenHead, 1+cfg.Horizon, g.Split(int64(11+2*k))),
-		}
+		h, fc1G, fc2G := new(head), g.Split(int64(10+2*k)), g.Split(int64(11+2*k))
 		m.heads = append(m.heads, h)
+		inits = append(inits,
+			func() {
+				h.fc1 = nn.NewDense(fmt.Sprintf("head%d.fc1", k), cfg.HiddenTrunk+cfg.InputDim, cfg.HiddenHead, fc1G)
+			},
+			func() { h.fc2 = nn.NewDense(fmt.Sprintf("head%d.fc2", k), cfg.HiddenHead, 1+cfg.Horizon, fc2G) })
+	}
+	_ = mathx.ForEach(len(inits), runtime.GOMAXPROCS(0), func(i int) error { // fn never fails
+		inits[i]()
+		return nil
+	})
+	layers := []nn.Layer{m.lstm, m.trunk}
+	for _, h := range m.heads {
 		layers = append(layers, h.fc1, h.fc2)
 	}
 	m.params = nn.CollectParams(layers...)
@@ -205,7 +217,10 @@ type tape struct {
 	dzk   []float64   // one head's dL/dzcat
 	dzcat []float64   // dL/dzcat over the heads; [:HiddenTrunk] ends as the trunk's dL/dy
 	dh    []float64   // dL/dh_n
-	loss  float64
+	// target and weight hold one head's H per-frame targets and loss
+	// weights (see recordLoss).
+	target, weight []float64
+	loss           float64
 }
 
 // newTape returns a tape sized for m, its buffers carved from one
@@ -213,7 +228,7 @@ type tape struct {
 func (m *Model) newTape() *tape {
 	c := m.cfg
 	nz, k := c.HiddenTrunk+c.InputDim, c.NumEvents
-	buf := make([]float64, 2*c.HiddenTrunk+3*nz+c.HiddenLSTM+k*(2*c.HiddenHead+1+c.Horizon))
+	buf := make([]float64, 2*c.HiddenTrunk+3*nz+c.HiddenLSTM+k*(2*c.HiddenHead+1+c.Horizon)+2*c.Horizon)
 	take := func(n int) []float64 {
 		s := buf[:n:n]
 		buf = buf[n:]
@@ -227,14 +242,16 @@ func (m *Model) newTape() *tape {
 		return out
 	}
 	tp := &tape{
-		z:     take(c.HiddenTrunk),
-		zcat:  take(nz),
-		hid:   rows(c.HiddenHead),
-		out:   rows(1 + c.Horizon),
-		dhid:  rows(c.HiddenHead),
-		dzk:   take(nz),
-		dzcat: take(nz),
-		dh:    take(c.HiddenLSTM),
+		z:      take(c.HiddenTrunk),
+		zcat:   take(nz),
+		hid:    rows(c.HiddenHead),
+		out:    rows(1 + c.Horizon),
+		dhid:   rows(c.HiddenHead),
+		dzk:    take(nz),
+		dzcat:  take(nz),
+		dh:     take(c.HiddenLSTM),
+		target: take(c.Horizon),
+		weight: take(c.Horizon),
 	}
 	if mask := take(c.HiddenTrunk); c.Dropout > 0 {
 		tp.mask = mask

@@ -381,7 +381,7 @@ func (t *trainer) work() {
 		case passes:
 			tp, rec := t.tapes[i], t.recs[t.batch[i]]
 			m.forward(tp, rec.X, rec.Label, t.packed)
-			tp.loss = m.recordLoss(tp.out, rec, tp.out)
+			tp.loss = m.recordLoss(tp, rec)
 			m.backward(tp)
 		case grads:
 			j := t.gradJobs[i]

@@ -22,6 +22,8 @@ import (
 
 // Source is the feature provider the dataset builders consume.
 // features.Extractor satisfies it, and so does features.CachedSource.
+// Covariates may be called concurrently (the marshaller builds a run's
+// records on every core), and the other methods only read.
 type Source interface {
 	// Covariates returns the M x D matrix for the window ending at t.
 	Covariates(t, m int) ([][]float64, error)

@@ -1,6 +1,9 @@
 package features
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Incremental covariate assembly. Because feature values are counter-based
 // (keyed on stream seed, frame and channel), a frame's vector is identical
@@ -117,10 +120,11 @@ func (c *WindowCache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
 // CachedSource wraps an Extractor with a WindowCache so that successive
 // Covariates calls share per-frame extraction work. It is a drop-in for the
-// extractor: same window bounds errors, bit-identical matrices. Not safe
-// for concurrent use.
+// extractor: same window bounds errors, bit-identical matrices. Concurrent
+// Covariates calls take turns on the ring.
 type CachedSource struct {
 	*Extractor
+	mu     sync.Mutex
 	cache  *WindowCache
 	window int
 }
@@ -143,6 +147,8 @@ func (s *CachedSource) Covariates(t, m int) ([][]float64, error) {
 	if n := s.Stream().N; t-m+1 < 0 || t >= n {
 		return nil, fmt.Errorf("features: window [%d,%d] outside stream of %d frames", t-m+1, t, n)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.cache == nil || s.window != m {
 		// First use, or a window-size change: start a fresh ring.
 		s.cache = NewWindowCache(s.Extractor, m)
@@ -152,5 +158,9 @@ func (s *CachedSource) Covariates(t, m int) ([][]float64, error) {
 }
 
 // Cache exposes the underlying ring (nil before the first Covariates
-// call) for stats and tests.
-func (s *CachedSource) Cache() *WindowCache { return s.cache }
+// call) for stats and tests; read it while no Covariates call runs.
+func (s *CachedSource) Cache() *WindowCache {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cache
+}

@@ -31,12 +31,11 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"eventhit/internal/cicache"
 	"eventhit/internal/cloud"
 	"eventhit/internal/dataset"
+	"eventhit/internal/mathx"
 	"eventhit/internal/metrics"
 	"eventhit/internal/obs"
 	"eventhit/internal/pipeline"
@@ -290,34 +289,14 @@ func Run(streams []Stream, cfg Config) (*Report, error) {
 func collect(sch *scheduler, streams []Stream, cfg Config) error {
 	svcs := make([]*cloud.Service, len(streams))
 	tls := make([]pipeline.Timeline, len(streams))
-	errs := make([]error, len(streams))
-	workers := cfg.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(streams) {
-		workers = len(streams)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(streams) {
-					return
-				}
-				svcs[i], tls[i], errs[i] = collectStream(streams[i], cfg)
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
+	if err := mathx.ForEach(len(streams), cfg.Parallelism, func(i int) error {
+		var err error
+		if svcs[i], tls[i], err = collectStream(streams[i], cfg); err != nil {
 			return fmt.Errorf("fleet: stream %s: %w", streams[i].ID, err)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	for i, s := range streams {
 		sch.addStream(s.ID, svcs[i], tls[i])

@@ -2,8 +2,9 @@ package harness
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
+
+	"eventhit/internal/mathx"
 )
 
 // The experiment cell pool. Every figure and table in this package is a
@@ -77,43 +78,10 @@ func trialCells[T any](values, trials int, fn func(v, trial int) (T, error)) ([]
 
 // ForEachCellN is forEachCell with an explicit worker count, for callers
 // that carry their own parallelism knob instead of the package-level
-// setting (the scenario runner's parallel stage groups). The same contract
-// holds: every cell runs, results must be slotted by index, and the
-// returned error is the lowest-numbered failing cell's — so outcomes are
-// identical at any workers >= 1.
+// setting (the scenario runner's parallel stage groups). It is
+// mathx.ForEach: results must be slotted by index, and the returned error
+// is the lowest-numbered failing cell's — so outcomes are identical at any
+// workers >= 1.
 func ForEachCellN(n, workers int, fn func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return mathx.ForEach(n, workers, fn)
 }

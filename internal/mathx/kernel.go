@@ -29,6 +29,36 @@ func TanhInto(dst, src []float64) {
 	}
 }
 
+// ExpLog1p sets e[i] = math.Exp(-|z[i]|) and lp[i] = math.Log1p(e[i]): the
+// two transcendental parts of the logistic loss at logit z[i]
+// (nn.BCEWithLogitsRow). The vector path takes whole chunks of four with
+// the exp and log1p kernels; a chunk where -|z| is out of the vector exp's
+// range, or where the vector log1p leaves a lane, and the tail go through
+// the scalar functions, so each value is theirs bit for bit. It panics
+// unless the three lengths are equal.
+func ExpLog1p(e, lp, z []float64) {
+	if len(e) != len(z) || len(lp) != len(z) {
+		panic(fmt.Sprintf("mathx: ExpLog1p %d and %d outputs for %d inputs", len(e), len(lp), len(z)))
+	}
+	i := 0
+	for vector && len(z)-i >= 4 {
+		if i += expLog1pAVX2(e[i:], lp[i:], z[i:]); len(z)-i < 4 {
+			break
+		}
+		expLog1p(e[i:i+4], lp[i:i+4], z[i:i+4])
+		i += 4
+	}
+	expLog1p(e[i:], lp[i:], z[i:])
+}
+
+// expLog1p is ExpLog1p's scalar loop.
+func expLog1p(e, lp, z []float64) {
+	for i, x := range z {
+		e[i] = math.Exp(-math.Abs(x))
+		lp[i] = math.Log1p(e[i])
+	}
+}
+
 // vectorPart does the whole chunks of four at the front of src on the
 // vector path and returns how many values it set. vec stops at a chunk
 // holding a value its exp cannot take without a special case (an infinity,

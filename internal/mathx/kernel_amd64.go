@@ -10,21 +10,33 @@ import (
 // from the start and return how many values they wrote (see vectorPart);
 // backRowsXAVX2 and backRowsGAVX2 do BackRowsX's and BackRowsG's columns
 // [0, n&^3), adamAVX2 AdamUpdate's elements [0, len(w)&^3); exp4 is
-// math.Exp on four arguments in [-708, 708].
+// math.Exp on four arguments in [-708, 708], and expLog1pAVX2 does
+// ExpLog1p's whole chunks until one it cannot take. log1p4 is math.Log1p
+// on the lanes it does not return set (those it leaves as they were): the
+// tests run the vector log1p through it on any input.
 func sigmoidAVX2(dst, src []float64) int
 func tanhAVX2(dst, src []float64) int
 func matVecPackedAVX2(dst, wp, x []float64)
 func backRowsXAVX2(w, da, dx []float64)
 func backRowsGAVX2(g []float64, n, lo int, das, xs [][]float64)
 func adamAVX2(w, g, m, v []float64, s *AdamStep)
+
+//go:noescape
 func exp4(x *[4]float64)
+
+//go:noescape
+func log1p4(x *[4]float64) int
+
+//go:noescape
+func expLog1pAVX2(e, lp, z []float64) int
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() uint32
 
 // vectorSupported reports whether the AVX2 kernels may run: the CPU has
 // them, GODEBUG leaves the runtime's avx, avx2 and fma switches on (math.Exp
 // takes its FMA path under the same condition), and on the probes the
-// kernels equal math.Exp, Sigmoid and math.Tanh bit for bit.
+// kernels equal math.Exp, Sigmoid, math.Tanh and (ExpLog1p's kernel)
+// math.Log1p bit for bit.
 func vectorSupported() bool {
 	return cpuHasAVX2FMA() && !godebugOff(os.Getenv("GODEBUG")) && selfCheck()
 }
@@ -68,11 +80,26 @@ var probes = [12]float64{
 	-3.5, 20, 44.014845965556525, -300,
 }
 
+// logitProbes take exp(-|z|) into each of the vector log1p's paths: its
+// k != 0 branch (with the k++ rescaling), its k = 0 one, x-x*x*0.5 below
+// 2**-29 and x itself below 2**-54.
+var logitProbes = [8]float64{0.3, -0.5, 0.88, -0.89, 2.5, -21, 38, -700}
+
 // selfCheck compares each vector kernel with its scalar function on probes.
 func selfCheck() bool {
 	var sig, tanh [len(probes)]float64
 	if sigmoidAVX2(sig[:], probes[:]) != len(probes) || tanhAVX2(tanh[:], probes[:]) != len(probes) {
 		return false
+	}
+	var e, lp [len(logitProbes)]float64
+	if expLog1pAVX2(e[:], lp[:], logitProbes[:]) != len(logitProbes) {
+		return false
+	}
+	for i, z := range logitProbes {
+		we := math.Exp(-math.Abs(z))
+		if math.Float64bits(e[i]) != math.Float64bits(we) || math.Float64bits(lp[i]) != math.Float64bits(math.Log1p(we)) {
+			return false
+		}
 	}
 	for i := 0; i < len(probes); i += 4 {
 		e := [4]float64(probes[i : i+4])

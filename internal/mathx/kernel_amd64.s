@@ -198,6 +198,201 @@ tanhdone:
 	MOVQ AX, ret+48(FP)
 	RET
 
+// math.log1p's constants (src/math/log1p.go) as their float64 bits, four
+// copies each like kc<>'s, and the integer masks LOG1P works with.
+#define LROW(off, v) DATA lc<>+off(SB)/8, v; DATA lc<>+off+8(SB)/8, v; DATA lc<>+off+16(SB)/8, v; DATA lc<>+off+24(SB)/8, v
+LROW(0, $0x3fda827999fcef32)   // Sqrt2M1
+LROW(32, $0xbfd2bec333018867)  // Sqrt2HalfM1
+LROW(64, $0x3e20000000000000)  // Small, 2**-29
+LROW(96, $0x3c90000000000000)  // Tiny, 2**-54
+LROW(128, $0x4340000000000000) // Two53
+LROW(160, $0xbff0000000000000) // -1
+LROW(192, $0x3fe62e42fee00000) // Ln2Hi
+LROW(224, $0x3dea39ef35793c76) // Ln2Lo
+LROW(256, $0x3fe5555555555593) // Lp1
+LROW(288, $0x3fd999999997fa04) // Lp2
+LROW(320, $0x3fd2492494229359) // Lp3
+LROW(352, $0x3fcc71c51d8e78af) // Lp4
+LROW(384, $0x3fc7466496cb03de) // Lp5
+LROW(416, $0x3fc39a09d078c69f) // Lp6
+LROW(448, $0x3fc2f112df3e5244) // Lp7
+LROW(480, $0x000fffffffffffff) // the mantissa bits
+LROW(512, $0x0006a09e667f3bcd) // the mantissa of Sqrt(2)
+LROW(544, $0x0010000000000000) // 2**52, int64 lanes
+// An exponent field E (int64 lanes) OR 2**52's bits is the float64
+// 2**52+E; minus 2**52+1023 that is E-1023 exactly.
+LROW(576, $0x4330000000000000)
+LROW(608, $0x43300000000003ff)
+GLOBL lc<>(SB), RODATA, $640
+
+#define HALF kc<>+320(SB)
+#define SQRT2M1 lc<>+0(SB)
+#define SQRT2HM1 lc<>+32(SB)
+#define SMALL lc<>+64(SB)
+#define TINY lc<>+96(SB)
+#define TWO53 lc<>+128(SB)
+#define MINUSONE lc<>+160(SB)
+#define LN2HI lc<>+192(SB)
+#define LN2LO lc<>+224(SB)
+#define LP1 lc<>+256(SB)
+#define LP2 lc<>+288(SB)
+#define LP3 lc<>+320(SB)
+#define LP4 lc<>+352(SB)
+#define LP5 lc<>+384(SB)
+#define LP6 lc<>+416(SB)
+#define LP7 lc<>+448(SB)
+#define MANT lc<>+480(SB)
+#define SQRT2MANT lc<>+512(SB)
+#define ONE52 lc<>+544(SB)
+#define EXPBITS lc<>+576(SB)
+#define EXPBIAS lc<>+608(SB)
+
+// LOG1P sets Y14 = log1p(Y0) per lane, taking math.log1p's IEEE operations
+// (src/math/log1p.go) in its order, on every lane whose argument is in
+// (-1, 2**53), and sets those lanes in Y10; a lane left out (or one whose
+// k != 0 branch reaches log1p's iu == 0 case) keeps its argument. Per lane:
+// |x| < 2**-29 is x-x*x*0.5, or x itself below 2**-54. Otherwise both the
+// k = 0 branch (f = x, where Sqrt(2)/2-1 < x < Sqrt(2)-1) and the k != 0
+// one are computed and blended: u = 1+x, k = exponent(u)-1023, c = (k > 0
+// ? 1-(u-x) : x-(u-1))/u; then by u's mantissa iu, below Sqrt(2)'s u = 1.iu,
+// else k++, u = 0.5*1.iu and iu = (2**52-iu)>>2; f = u-1. Then hfsq =
+// 0.5*f*f, s = f/(2+f), z = s*s, R = z*(Lp1+z*(...+z*Lp7)), and the result
+// is f-(hfsq-s*(hfsq+R)) where k == 0, else
+// k*Ln2Hi-((hfsq-(s*(hfsq+R)+(k*Ln2Lo+c)))-f). k is carried as a float64
+// (an exponent field OR 2**52's bits, minus 2**52+1023). Y0 is kept;
+// clobbers Y1-Y15.
+//
+// Y1: |x|; Y3: k; Y4: c; Y7: f; Y8: hfsq; Y12: s; Y13: z; Y15: zeros.
+#define LOG1P \
+	VXORPD      Y15, Y15, Y15; \
+	VANDPD      ABS, Y0, Y1; \
+	VCMPPD      $GT, MINUSONE, Y0, Y10; \
+	VCMPPD      $LT, TWO53, Y0, Y11; \
+	VANDPD      Y11, Y10, Y10; \
+	VADDPD      ONE, Y0, Y2; \
+	VPSRLQ      $52, Y2, Y3; \
+	VPOR        EXPBITS, Y3, Y3; \
+	VSUBPD      EXPBIAS, Y3, Y3; \
+	VSUBPD      Y0, Y2, Y4; \
+	VMOVUPD     ONE, Y5; \
+	VSUBPD      Y4, Y5, Y4; \
+	VSUBPD      ONE, Y2, Y5; \
+	VSUBPD      Y5, Y0, Y5; \
+	VCMPPD      $GT, Y15, Y3, Y6; \
+	VBLENDVPD   Y6, Y4, Y5, Y4; \
+	VDIVPD      Y2, Y4, Y4; \
+	VPAND       MANT, Y2, Y5; \
+	VMOVDQU     SQRT2MANT, Y6; \
+	VPCMPGTQ    Y5, Y6, Y6; \
+	VPOR        ONE, Y5, Y7; \
+	VPOR        HALF, Y5, Y8; \
+	VBLENDVPD   Y6, Y7, Y8, Y7; \
+	VANDNPD     ONE, Y6, Y8; \
+	VADDPD      Y8, Y3, Y3; \
+	VMOVDQU     ONE52, Y9; \
+	VPSUBQ      Y5, Y9, Y9; \
+	VPSRLQ      $2, Y9, Y9; \
+	VBLENDVPD   Y6, Y5, Y9, Y9; \
+	VPCMPEQQ    Y15, Y9, Y9; \
+	VSUBPD      ONE, Y7, Y7; \
+	VCMPPD      $LT, SQRT2M1, Y1, Y11; \
+	VCMPPD      $GT, SQRT2HM1, Y0, Y12; \
+	VANDPD      Y12, Y11, Y11; \
+	VBLENDVPD   Y11, Y0, Y7, Y7; \
+	VANDNPD     Y3, Y11, Y3; \
+	VANDNPD     Y9, Y11, Y9; \
+	VANDNPD     Y10, Y9, Y10; \
+	VMULPD      HALF, Y7, Y8; \
+	VMULPD      Y7, Y8, Y8; \
+	VADDPD      TWO, Y7, Y12; \
+	VDIVPD      Y12, Y7, Y12; \
+	VMULPD      Y12, Y12, Y13; \
+	VMULPD      LP7, Y13, Y14; \
+	VADDPD      LP6, Y14, Y14; \
+	VMULPD      Y13, Y14, Y14; \
+	VADDPD      LP5, Y14, Y14; \
+	VMULPD      Y13, Y14, Y14; \
+	VADDPD      LP4, Y14, Y14; \
+	VMULPD      Y13, Y14, Y14; \
+	VADDPD      LP3, Y14, Y14; \
+	VMULPD      Y13, Y14, Y14; \
+	VADDPD      LP2, Y14, Y14; \
+	VMULPD      Y13, Y14, Y14; \
+	VADDPD      LP1, Y14, Y14; \
+	VMULPD      Y13, Y14, Y14; \
+	VADDPD      Y14, Y8, Y14; \
+	VMULPD      Y14, Y12, Y14; \
+	VSUBPD      Y14, Y8, Y13; \
+	VSUBPD      Y13, Y7, Y13; \
+	VMULPD      LN2LO, Y3, Y12; \
+	VADDPD      Y4, Y12, Y12; \
+	VADDPD      Y12, Y14, Y12; \
+	VSUBPD      Y12, Y8, Y12; \
+	VSUBPD      Y7, Y12, Y12; \
+	VMULPD      LN2HI, Y3, Y14; \
+	VSUBPD      Y12, Y14, Y14; \
+	VCMPPD      $EQ, Y15, Y3, Y12; \
+	VBLENDVPD   Y12, Y13, Y14, Y14; \
+	VMULPD      Y0, Y0, Y13; \
+	VMULPD      HALF, Y13, Y13; \
+	VSUBPD      Y13, Y0, Y13; \
+	VCMPPD      $LT, TINY, Y1, Y12; \
+	VBLENDVPD   Y12, Y0, Y13, Y13; \
+	VCMPPD      $LT, SMALL, Y1, Y12; \
+	VBLENDVPD   Y12, Y13, Y14, Y14; \
+	VBLENDVPD   Y10, Y14, Y0, Y14
+
+// func log1p4(x *[4]float64) int
+//
+// LOG1P on the four lanes at x; it returns the lanes it left as a bit mask.
+TEXT ·log1p4(SB), NOSPLIT, $0-16
+	MOVQ      x+0(FP), DI
+	VMOVUPD   (DI), Y0
+	LOG1P
+	VMOVUPD   Y14, (DI)
+	VMOVMSKPD Y10, AX
+	XORQ      $15, AX
+	VZEROUPPER
+	MOVQ      AX, ret+8(FP)
+	RET
+
+// func expLog1pAVX2(e, lp, z []float64) int
+//
+// ExpLog1p's whole chunks of four from the start: e = exp(-|z|), then lp =
+// LOG1P(e). It stops at a chunk where -|z| is outside [-708, 0] (or NaN)
+// or LOG1P leaves a lane, and returns how many values it set.
+TEXT ·expLog1pAVX2(SB), NOSPLIT, $0-80
+	MOVQ e_base+0(FP), DI
+	MOVQ lp_base+24(FP), R8
+	MOVQ z_base+48(FP), SI
+	MOVQ z_len+56(FP), CX
+	XORQ AX, AX
+
+elloop:
+	LEAQ      4(AX), DX
+	CMPQ      DX, CX
+	JGT       eldone
+	VMOVUPD   (SI)(AX*8), Y0
+	VORPD     SIGN, Y0, Y0 // -|z|
+	VCMPPD    $GE, SIGLO, Y0, Y5
+	VMOVMSKPD Y5, DX
+	CMPQ      DX, $15
+	JNE       eldone
+	EXP
+	LOG1P
+	VMOVMSKPD Y10, DX
+	CMPQ      DX, $15
+	JNE       eldone
+	VMOVUPD   Y0, (DI)(AX*8)
+	VMOVUPD   Y14, (R8)(AX*8)
+	ADDQ      $4, AX
+	JMP       elloop
+
+eldone:
+	VZEROUPPER
+	MOVQ AX, ret+72(FP)
+	RET
+
 // func matVecPackedAVX2(dst, wp, x []float64)
 //
 // Four blocks of four rows at a time, one accumulator lane per row, so each

@@ -7,8 +7,8 @@ import (
 )
 
 // TestKernelPath: GODEBUG's avx, avx2 and fma switches select the scalar
-// path, and with math.Exp on its non-FMA path (cpu.fma=off) the self-check
-// alone rejects the vector kernels. scripts/check.sh runs the kernel tests
+// path, with math.Exp on its non-FMA path (cpu.fma=off) the self-check
+// alone rejects the vector kernels, and otherwise the self-check passes. scripts/check.sh runs the kernel tests
 // under both switches.
 func TestKernelPath(t *testing.T) {
 	env := os.Getenv("GODEBUG")
@@ -23,6 +23,12 @@ func TestKernelPath(t *testing.T) {
 	t.Logf("math.Exp(%v) equals the vector exp: %v", probes[0], fmaExp)
 	if !fmaExp && selfCheck() {
 		t.Fatal("the self-check passed although math.Exp takes its non-FMA path")
+	}
+	// Otherwise a kernel that disagrees with its scalar function would
+	// only switch the vector path off, and the bit tests would pass on the
+	// scalar one.
+	if fmaExp && !godebugOff(env) && !vector {
+		t.Fatal("the self-check refused the vector kernels on a CPU and runtime that should run them")
 	}
 }
 
@@ -79,5 +85,43 @@ func TestExp4MatchesMathExp(t *testing.T) {
 				t.Fatalf("exp4 lane %d: exp(%v) = %v, want %v", l, x[l], e[l], want)
 			}
 		}
+	}
+}
+
+// TestLog1p4TakesItsRange: the vector log1p leaves no lane of its range
+// to the scalar function but those math.log1p's iu == 0 case takes, and
+// the row kernel no logit in the vector exp's range, so the bit-identity
+// tests exercise the vector arithmetic and not the fallback.
+func TestLog1p4TakesItsRange(t *testing.T) {
+	if !cpuHasAVX2FMA() || !vector {
+		t.Skip("no vector path on this CPU or runtime")
+	}
+	g := NewRNG(45)
+	for i := 0; i < 1<<16; i++ {
+		var x [4]float64
+		for l := range x {
+			if l%2 == 0 {
+				x[l] = g.Float64()*(1-0x1p-20) - 1 + 0x1p-20
+			} else {
+				x[l] = g.Float64() * math.Ldexp(1, g.Intn(80)-28)
+			}
+		}
+		in := x
+		if left := log1p4(&x); left != 0 {
+			t.Fatalf("log1p4(%v) left lanes %04b", in, left)
+		}
+	}
+	x := [4]float64{1, 3, -0.5, 0x1p53}
+	if left := log1p4(&x); left != 15 || x != [4]float64{1, 3, -0.5, 0x1p53} {
+		t.Fatalf("log1p4 on its iu == 0 cases and 2**53: left %04b, lanes %v", left, x)
+	}
+	// Logits: every nonzero one in the vector exp's range is taken.
+	z := make([]float64, 1<<12)
+	for i := range z {
+		z[i] = (g.Float64()*2 - 1) * 700
+	}
+	e, lp := make([]float64, len(z)), make([]float64, len(z))
+	if n := expLog1pAVX2(e, lp, z); n != len(z) {
+		t.Fatalf("expLog1pAVX2 stopped at logit %d of %d, %v", n, len(z), z[n:n+4])
 	}
 }

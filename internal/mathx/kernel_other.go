@@ -13,3 +13,6 @@ func backRowsGAVX2(g []float64, n, lo int, das, xs [][]float64) {
 	panic("mathx: no vector kernels")
 }
 func adamAVX2(w, g, m, v []float64, s *AdamStep) { panic("mathx: no vector kernels") }
+func exp4(x *[4]float64)                         { panic("mathx: no vector kernels") }
+func log1p4(x *[4]float64) int                   { panic("mathx: no vector kernels") }
+func expLog1pAVX2(e, lp, z []float64) int        { panic("mathx: no vector kernels") }

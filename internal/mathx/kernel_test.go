@@ -125,6 +125,111 @@ func TestKernelBitsSpecials(t *testing.T) {
 	})
 }
 
+// log1pSpecials are the inputs where log1p4 switches behaviour: its
+// domain's ends -1 and 2**53, math.log1p's branch points Sqrt(2)-1,
+// Sqrt(2)/2-1, 2**-29 and 2**-54, the arguments whose 1+x has Sqrt(2)'s
+// mantissa, the iu == 0 cases (1+x a power of two), and the neighbours of
+// each.
+func log1pSpecials() []float64 {
+	sqrt2u := math.Float64frombits(0x3ff6a09e667f3bcd)
+	var out []float64
+	for _, x := range []float64{
+		-1, 0x1p53, 4.142135623730950488017e-01, -2.928932188134524755992e-01,
+		0x1p-29, -0x1p-29, 0x1p-54, -0x1p-54, sqrt2u - 1, sqrt2u/2 - 1,
+		1, 3, -0.5, -0.75, 0.5, 1e300,
+	} {
+		out = append(out, x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1)))
+	}
+	return append(out, specials()...)
+}
+
+// log1pLanes sets x[l] = math.Log1p(x[l]) for each lane: through log1p4 on
+// the vector path, then the scalar function on the lanes it left.
+func log1pLanes(x *[4]float64) {
+	left := 15
+	if vector {
+		left = log1p4(x)
+	}
+	for l := range x {
+		if left>>l&1 != 0 {
+			x[l] = math.Log1p(x[l])
+		}
+	}
+}
+
+// checkLog1pLanes requires log1pLanes(x) to equal math.Log1p lane by lane.
+func checkLog1pLanes(t *testing.T, x [4]float64) {
+	t.Helper()
+	got := x
+	log1pLanes(&got)
+	for l := range x {
+		if want := math.Log1p(x[l]); math.Float64bits(got[l]) != math.Float64bits(want) {
+			t.Fatalf("log1p lane %d of %v = %v (%#x), want %v (%#x)", l, x, got[l], math.Float64bits(got[l]), want, math.Float64bits(want))
+		}
+	}
+}
+
+// checkExpLog1p requires ExpLog1p(z) to equal the scalar calls.
+func checkExpLog1p(t *testing.T, z []float64) {
+	t.Helper()
+	e, lp := make([]float64, len(z)), make([]float64, len(z))
+	ExpLog1p(e, lp, z)
+	for i := range z {
+		we := math.Exp(-math.Abs(z[i]))
+		if wl := math.Log1p(we); math.Float64bits(e[i]) != math.Float64bits(we) || math.Float64bits(lp[i]) != math.Float64bits(wl) {
+			t.Fatalf("ExpLog1p [%d of %d] z %v: %v, %v, want %v, %v", i, len(z), z[i], e[i], lp[i], we, wl)
+		}
+	}
+}
+
+// TestLog1pBits: log1p on random bit patterns, on random values across
+// each of its branches, and on every special in every lane; ExpLog1p on
+// rows of random logits and the same specials in every position of rows of
+// each length 0-9. Both paths, bit for bit.
+func TestLog1pBits(t *testing.T) {
+	n := 1 << 18
+	if testing.Short() {
+		n = 1 << 12
+	}
+	g := NewRNG(44)
+	paths(t, func(t *testing.T) {
+		z := make([]float64, 4*n)
+		for i := 0; i < n; i++ {
+			var x [4]float64
+			for l := range x {
+				switch (i + l) % 4 {
+				case 0:
+					x[l] = math.Float64frombits(HashU64(44, uint64(4*i+l)))
+				case 1:
+					x[l] = g.Float64()*1.5 - 1
+				case 2:
+					x[l] = g.Float64() * math.Ldexp(1, g.Intn(60))
+				default:
+					x[l] = (g.Float64()*2 - 1) * math.Ldexp(1, -g.Intn(64))
+				}
+				z[4*i+l] = (g.Float64()*2 - 1) * math.Ldexp(1, g.Intn(12)-2)
+			}
+			checkLog1pLanes(t, x)
+		}
+		checkExpLog1p(t, z)
+		for _, s := range log1pSpecials() {
+			for lane := 0; lane < 4; lane++ {
+				x := [4]float64{0.1, -0.2, 0.7, 2.5}
+				x[lane] = s
+				checkLog1pLanes(t, x)
+			}
+			for n := 1; n <= 9; n++ {
+				for pos := 0; pos < n; pos++ {
+					z := []float64{0.1, -2, 3.5, -0.7, 1.25, -40, 8, 0.01, -300}[:n]
+					z[pos] = s
+					checkExpLog1p(t, z)
+				}
+			}
+		}
+		checkExpLog1p(t, nil)
+	})
+}
+
 func TestKernelPanicsOnLength(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -361,7 +466,8 @@ func TestBackRowsPanicsOnShape(t *testing.T) {
 }
 
 // FuzzKernelBits: any bytes, read as float64s, through every kernel on both
-// paths, at an unaligned offset and in place, against the scalar functions.
+// paths, at an unaligned offset and in place, against the scalar functions;
+// log1p takes them four at a time.
 func FuzzKernelBits(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, off uint8) {
 		vals := make([]float64, len(data)/8)
@@ -369,6 +475,10 @@ func FuzzKernelBits(f *testing.F) {
 			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 		}
 		paths(t, func(t *testing.T) {
+			for i := 0; i+4 <= len(vals); i += 4 {
+				checkLog1pLanes(t, [4]float64(vals[i:i+4]))
+			}
+			checkExpLog1p(t, vals)
 			for _, k := range kernels {
 				back := make([]float64, len(vals)+3)
 				dst := back[off%4 : int(off%4)+len(vals)]

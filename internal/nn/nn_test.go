@@ -482,3 +482,75 @@ func TestXavierInitRange(t *testing.T) {
 		t.Fatal("weights suspiciously concentrated")
 	}
 }
+
+// TestBCEWithLogitsRowMatchesScalar: the row form against the scalar loop
+// it replaces in training's L2 loss — every gradient and the running sum
+// bit for bit — on both kernel paths: random logits (values and bit
+// patterns), every length 0-9 plus a horizon-long row, a nonzero starting
+// sum, in place, and each special logit in every lane position.
+func TestBCEWithLogitsRowMatchesScalar(t *testing.T) {
+	ref := func(acc float64, z, y, w, dz []float64) float64 {
+		for i := range z {
+			l, d := BCEWithLogitsScalar(z[i], y[i], w[i])
+			acc += l
+			dz[i] = d
+		}
+		return acc
+	}
+	check := func(t *testing.T, acc float64, z, y, w []float64) {
+		t.Helper()
+		wantDz := make([]float64, len(z))
+		want := ref(acc, z, y, w, wantDz)
+		gotDz := make([]float64, len(z))
+		got := BCEWithLogitsRow(acc, z, y, w, gotDz)
+		inPlace := append([]float64(nil), z...)
+		gotIn := BCEWithLogitsRow(acc, inPlace, y, w, inPlace)
+		for i := range z {
+			if math.Float64bits(gotDz[i]) != math.Float64bits(wantDz[i]) || math.Float64bits(inPlace[i]) != math.Float64bits(wantDz[i]) {
+				t.Fatalf("z[%d] = %v of %v: dz %v (in place %v), scalar %v", i, z[i], z, gotDz[i], inPlace[i], wantDz[i])
+			}
+		}
+		if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(gotIn) != math.Float64bits(want) {
+			t.Fatalf("z %v: sum %v (in place %v), scalar %v", z, got, gotIn, want)
+		}
+	}
+	g := mathx.NewRNG(46)
+	row := func(n int) (z, y, w []float64) {
+		z, y, w = make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range z {
+			switch i % 3 {
+			case 0:
+				z[i] = g.Normal(0, 4)
+			case 1:
+				z[i] = (g.Float64()*2 - 1) * math.Ldexp(1, g.Intn(14)-4)
+			default:
+				z[i] = math.Float64frombits(mathx.HashU64(46, uint64(i)))
+			}
+			y[i] = float64(g.Intn(2))
+			if i%5 == 0 {
+				y[i] = g.Float64()
+			}
+			w[i] = g.Float64() * 2
+		}
+		return z, y, w
+	}
+	specials := []float64{0, math.Copysign(0, -1), 708, -708, 709, -709, 20.1, -20.1, 38, -38,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	onPaths(t, func(t *testing.T) {
+		for trial := 0; trial < 200; trial++ {
+			for n := 0; n <= 9; n++ {
+				z, y, w := row(n)
+				check(t, float64(trial)*0.37, z, y, w)
+			}
+			z, y, w := row(500)
+			check(t, 1.5, z, y, w)
+		}
+		for _, s := range specials {
+			for lane := 0; lane < 9; lane++ {
+				z, y, w := row(9)
+				z[lane] = s
+				check(t, 0, z, y, w)
+			}
+		}
+	})
+}

@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"fmt"
+	"runtime"
 
 	"eventhit/internal/dataset"
+	"eventhit/internal/mathx"
 	"eventhit/internal/metrics"
 )
 
@@ -45,19 +47,44 @@ func (m *Marshaller) clamp(start, end int) (int, int) {
 	return start, end
 }
 
-// step is the one marshalling step both modes share: build the record
-// anchored at t, predict, charge the scan and predict stages (the flat
-// Costs.PredictMS) into tl, and append one relay request per predicted
-// event, keyed when Costs.Cache is set. It returns the requests this horizon
-// released (a suffix of tl.Requests) and the horizon's scan+predict time.
-// What happens to the requests is the caller's business: RunDetailed serves
-// them through the resilient client, Collect leaves them captured in tl.
-func (m *Marshaller) step(t int, tl *Timeline) ([]RelayRequest, float64, error) {
-	rec, err := dataset.BuildRecord(m.ex, t, m.cfg)
-	if err != nil {
-		return nil, 0, fmt.Errorf("pipeline: anchor %d: %w", t, err)
+// decide is the decide stage both modes share: it builds the record
+// anchored at every horizon start in [start, end] and decides it, on
+// runtime.GOMAXPROCS(0) workers (dataset.Source.Covariates and
+// strategy.Strategy.Predict are safe for concurrent use, and a relay's
+// outcome never reaches a decision), each record and prediction at its
+// horizon's index. A failing anchor fails the stage with the lowest failing
+// anchor's error.
+func (m *Marshaller) decide(start, end int) ([]dataset.Record, []metrics.Prediction, error) {
+	n := 0
+	if end-start >= m.cfg.Horizon {
+		n = (end - start) / m.cfg.Horizon
 	}
-	pred := m.strat.Predict(rec)
+	recs := make([]dataset.Record, n)
+	preds := make([]metrics.Prediction, n)
+	err := mathx.ForEach(n, runtime.GOMAXPROCS(0), func(i int) error {
+		t := start + i*m.cfg.Horizon
+		rec, err := dataset.BuildRecord(m.ex, t, m.cfg)
+		if err != nil {
+			return fmt.Errorf("pipeline: anchor %d: %w", t, err)
+		}
+		recs[i], preds[i] = rec, m.strat.Predict(rec)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return recs, preds, nil
+}
+
+// account is the rest of the marshalling step both modes share, taken for
+// the decided horizons in order: it charges horizon i's scan and predict
+// stages (the flat Costs.PredictMS) into tl and appends one relay request
+// per predicted event, keyed when Costs.Cache is set. It returns the
+// requests this horizon released (a suffix of tl.Requests) and the
+// horizon's scan+predict time. What happens to the requests is the
+// caller's business: RunDetailed serves them through the resilient client,
+// Collect leaves them captured in tl.
+func (m *Marshaller) account(tl *Timeline, i int) ([]RelayRequest, float64) {
 	predictMS := m.costs.PredictMS
 	scanMS := float64(m.costs.Scan.FramesPerHorizon) * m.costs.Scan.PerFrameMS
 	tl.Horizons++
@@ -66,24 +93,24 @@ func (m *Marshaller) step(t int, tl *Timeline) ([]RelayRequest, float64, error) 
 	m.scanH.Observe(scanMS)
 	m.predictH.Observe(predictMS)
 	first := len(tl.Requests)
-	tl.Requests = m.relay.AppendRequests(tl.Requests, rec, m.ex.Events(), &pred, len(tl.Records), tl.ScanMS+tl.PredMS)
-	tl.Records = append(tl.Records, rec)
-	tl.Preds = append(tl.Preds, pred)
-	return tl.Requests[first:], scanMS + predictMS, nil
+	tl.Requests = m.relay.AppendRequests(tl.Requests, tl.Records[i], m.ex.Events(), &tl.Preds[i], i, tl.ScanMS+tl.PredMS)
+	return tl.Requests[first:], scanMS + predictMS
 }
 
 // Collect runs the marshalling loop over [start, end] and captures the
 // relay requests instead of serving them. The stage accounting (scan,
-// predict, the local clock) is RunDetailed's — both go through step; no CI
-// call is made, nothing is billed, and the Marshaller's resilient client
-// is untouched.
+// predict, the local clock) is RunDetailed's — both go through decide and
+// account; no CI call is made, nothing is billed, and the Marshaller's
+// resilient client is untouched.
 func (m *Marshaller) Collect(start, end int) (Timeline, error) {
 	start, end = m.clamp(start, end)
-	var tl Timeline
-	for t := start; t+m.cfg.Horizon <= end; t += m.cfg.Horizon {
-		if _, _, err := m.step(t, &tl); err != nil {
-			return Timeline{}, err
-		}
+	recs, preds, err := m.decide(start, end)
+	if err != nil {
+		return Timeline{}, err
+	}
+	tl := Timeline{Records: recs, Preds: preds}
+	for i := range recs {
+		m.account(&tl, i)
 	}
 	tl.Frames = tl.Horizons * m.cfg.Horizon
 	m.horizonsC.Add(float64(tl.Horizons))

@@ -294,11 +294,13 @@ func (m *Marshaller) Run(start, end int) (Report, []dataset.Record, []metrics.Pr
 
 // RunDetailed is Run plus the per-relay outcomes, so callers can score
 // recall on exactly the horizons whose relays reached the CI (deferred
-// relays deliver no frames and must not count as recalled).
+// relays deliver no frames and must not count as recalled). Every horizon
+// is decided first, on every core (decide); the stage accounting, clock and
+// relays then follow horizon by horizon, in order, so the run is the serial
+// loop's. A run that fails to decide an anchor serves nothing.
 func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []metrics.Prediction, []RelayOutcome, error) {
 	start, end = m.clamp(start, end)
 	var rep Report
-	var tl Timeline
 	var outs []RelayOutcome
 	// Baselines: the client and CI meters are cumulative across runs of the
 	// same backend; the report and the run counters only take this run's
@@ -309,11 +311,13 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 	if cached != nil {
 		sv0 = cached.Savings()
 	}
-	for t := start; t+m.cfg.Horizon <= end; t += m.cfg.Horizon {
-		reqs, localMS, err := m.step(t, &tl)
-		if err != nil {
-			return Report{}, nil, nil, nil, err
-		}
+	recs, preds, err := m.decide(start, end)
+	if err != nil {
+		return Report{}, nil, nil, nil, err
+	}
+	tl := Timeline{Records: recs, Preds: preds}
+	for i := range recs {
+		reqs, localMS := m.account(&tl, i)
 		// Scan and predict advance the shared clock too, so breaker
 		// cooldowns elapse on the pipeline's timeline, not only during CI
 		// activity.

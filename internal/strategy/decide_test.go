@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -220,6 +221,53 @@ func TestPredictStepAllocs(t *testing.T) {
 		step() // warm the ring and the scratch
 		if n := testing.AllocsPerRun(50, step); n > 8 {
 			t.Errorf("%s: predict step allocates %.1f per frame, want <= 8", engine, n)
+		}
+	}
+}
+
+// TestPredictAllMatchesSerial: PredictAll spreads the records over
+// GOMAXPROCS workers and stores each prediction at its record's index; at
+// GOMAXPROCS 1, 2, 3 and 8 it returns what a serial Predict loop returns,
+// for every strategy: the four EventHit variants on the float model (their
+// pooled scratch keeps stream rings from any earlier record), EHCR on the
+// quantized twin (decisions take turns), OPT, BF, Cox, VQS and APP-VAE.
+func TestPredictAllMatchesSerial(t *testing.T) {
+	f := getFixture(t)
+	qb, err := f.bundle.WithQuantized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cox, err := FitCox(f.splits.Train, f.cfg.Horizon, 0.5, DefaultCoxConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vqs, err := NewVQS(f.ex, f.cfg.Horizon, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acfg := DefaultAppVAEConfig()
+	acfg.Epochs = 5
+	app, err := FitAppVAE(f.ex, f.splits.Train, f.cfg.Horizon, acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strats := []Strategy{
+		f.bundle.EHO(), f.bundle.EHC(0.9), f.bundle.EHR(0.9), f.bundle.EHCR(0.9, 0.9), qb.EHCR(0.9, 0.9),
+		Opt{}, BF{Horizon: f.cfg.Horizon}, cox, vqs, app,
+	}
+	recs := f.splits.Test
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	for _, s := range strats {
+		want := make([]metrics.Prediction, len(recs))
+		for i, r := range recs {
+			want[i] = s.Predict(r)
+		}
+		for _, p := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(p)
+			if got := PredictAll(s, recs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s GOMAXPROCS=%d: PredictAll differs from the serial loop", s.Name(), p)
+			}
 		}
 	}
 }

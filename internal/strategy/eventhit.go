@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"eventhit/internal/conformal"
 	"eventhit/internal/core"
@@ -245,12 +246,15 @@ func (b *Bundle) Decide(rec dataset.Record, r Rule, sc *Scratch, p *metrics.Pred
 }
 
 // eh is the shared implementation of the EventHit variants: a rule over a
-// bundle, with the scratch its Predict decides on.
+// bundle. Each Predict decides on a Scratch from the pool, so any number of
+// goroutines may predict at once; on a quantized Predictor, single-stream
+// state, they take turns.
 type eh struct {
-	b    *Bundle
-	rule Rule
-	name string
-	sc   Scratch
+	b       *Bundle
+	rule    Rule
+	name    string
+	scratch sync.Pool // *Scratch
+	quant   sync.Mutex
 }
 
 // EHO uses only EventHit's output: τ1 for existence, τ2 decoding for the
@@ -278,16 +282,25 @@ func (s *eh) Name() string { return s.name }
 
 // Predict implements Strategy. The Prediction owns its slices.
 func (s *eh) Predict(rec dataset.Record) metrics.Prediction {
+	sc, _ := s.scratch.Get().(*Scratch)
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	var p metrics.Prediction
-	s.b.Decide(rec, s.rule, &s.sc, &p)
+	if s.b.Predictor != nil {
+		s.quant.Lock()
+		defer s.quant.Unlock()
+	}
+	s.b.Decide(rec, s.rule, sc, &p)
+	s.scratch.Put(sc)
 	return p
 }
 
 // PredictScored runs the EHCR decision (C-CLASSIFY at confidence,
 // C-REGRESS at coverage) and also returns the raw existence scores b_k the
-// decision was computed from — the values an online recalibration loop
-// buffers against realized labels (drift.Recalibrator). One model forward
-// pass serves both; the caller owns everything returned.
+// decision was computed from. One model forward pass serves both; the
+// caller owns everything returned. Only the repository benchmark calls it
+// (its strategy.predict_scored_us probe and its traced run).
 func (b *Bundle) PredictScored(rec dataset.Record, confidence, coverage float64) (metrics.Prediction, []float64) {
 	var sc Scratch
 	var p metrics.Prediction

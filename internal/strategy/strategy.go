@@ -8,7 +8,10 @@
 package strategy
 
 import (
+	"runtime"
+
 	"eventhit/internal/dataset"
+	"eventhit/internal/mathx"
 	"eventhit/internal/metrics"
 	"eventhit/internal/video"
 )
@@ -17,7 +20,9 @@ import (
 type Strategy interface {
 	// Name returns the paper's label for the algorithm.
 	Name() string
-	// Predict maps a record to per-event occurrence predictions.
+	// Predict maps a record to per-event occurrence predictions. It is safe
+	// for concurrent use, and a record's prediction does not depend on what
+	// was predicted before it or alongside it.
 	Predict(rec dataset.Record) metrics.Prediction
 }
 
@@ -60,11 +65,14 @@ func (b BF) Predict(rec dataset.Record) metrics.Prediction {
 	return p
 }
 
-// PredictAll runs s over every record.
+// PredictAll runs s over every record on runtime.GOMAXPROCS(0) workers,
+// each prediction stored at its record's index: the serial loop's result
+// at any worker count.
 func PredictAll(s Strategy, recs []dataset.Record) []metrics.Prediction {
 	out := make([]metrics.Prediction, len(recs))
-	for i, r := range recs {
-		out[i] = s.Predict(r)
-	}
+	_ = mathx.ForEach(len(recs), runtime.GOMAXPROCS(0), func(i int) error { // fn never fails
+		out[i] = s.Predict(recs[i])
+		return nil
+	})
 	return out
 }

@@ -131,6 +131,18 @@ fuzz_serve() {
 }
 stage fuzz-serve fuzz_serve
 stage fuzz-scenario go test ./internal/scenario/ -run 'Fuzz|TestFuzzSeedCorpus' -count=1
+# Bundles are untrusted bytes: LoadBundle and the two calibration decoders
+# never panic, allocate at most a multiple of their input plus encoding/gob's
+# read-ahead chunk, and what they load saves to bytes that load and save to
+# themselves. The seeds (a TA1 -quick bundle and its truncations) as tests,
+# then bounded live runs.
+fuzz_bundle() {
+    go test ./internal/strategy/ ./internal/conformal/ -run 'FuzzBundleLoad|FuzzClassifierLoad|FuzzRegressorLoad' -count=1 &&
+        go test ./internal/strategy/ -run '^$' -fuzz '^FuzzBundleLoad$' -fuzztime 15s -fuzzminimizetime 1s &&
+        go test ./internal/conformal/ -run '^$' -fuzz '^FuzzClassifierLoad$' -fuzztime 5s &&
+        go test ./internal/conformal/ -run '^$' -fuzz '^FuzzRegressorLoad$' -fuzztime 5s
+}
+stage fuzz-bundle fuzz_bundle
 # Frame ingest: push+predict on one session; the ring is written in place.
 stage ingest-race-x10 go test -race ./internal/serve/ -run 'TestConcurrentPushPredictSameSession' -count=10
 # Lock-free predict path: goroutines sharing one model, cameras on distinct
@@ -139,6 +151,10 @@ stage ingest-race-x10 go test -race ./internal/serve/ -run 'TestConcurrentPushPr
 # decision scratch through a swap.
 stage predict-core-x5 go test -race ./internal/core/ -run 'TestConcurrentInferenceSharesModel' -count=5
 stage predict-strategy-x5 go test -race ./internal/strategy/ -run 'TestDecideConcurrentOnSharedBundle' -count=5
+# Decide loops on every core: PredictAll for every strategy (the cascade
+# included), and the marshaller's decide stage under RunDetailed and
+# Collect, against the serial loop at GOMAXPROCS 1, 2, 3 and 8.
+stage decide-parallel-x5 go test -race -count=5 ./internal/strategy/ ./internal/pipeline/ ./internal/cascade/ -run 'TestPredictAllMatchesSerial|TestDecideParallelMatchesSerial|TestDecideReturnsLowestAnchorError|TestCascadePredictAllMatchesSerial'
 stage predict-serve-x5 go test -race ./internal/serve/ -run 'TestConcurrentPredictMatchesSerial|TestConcurrentRelayMatchesSerial|TestSameSessionPredictMatchesSerial' -count=5
 # The one relay path both drivers send decided relays through: served,
 # retried, deferred (outage, open breaker) and cache-hit fates as one table.
