@@ -67,7 +67,19 @@ func (s *Server) handleFrames(sess *session, w http.ResponseWriter, r *http.Requ
 	sess.next += rows
 	resp := FramesResponse{Buffered: sess.ring.n, Next: sess.next}
 	s.mu.Unlock()
-	writeJSON(w, resp)
+	ib.out = appendFramesResponse(ib.out[:0], resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(ib.out)
+}
+
+// appendFramesResponse appends resp to dst byte for byte as
+// json.NewEncoder(w).Encode(resp) writes it, trailing newline included.
+func appendFramesResponse(dst []byte, resp FramesResponse) []byte {
+	dst = append(dst, `{"buffered":`...)
+	dst = strconv.AppendInt(dst, int64(resp.Buffered), 10)
+	dst = append(dst, `,"next":`...)
+	dst = strconv.AppendInt(dst, int64(resp.Next), 10)
+	return append(dst, "}\n"...)
 }
 
 // decodeFramesJSON is the fallback for a body scanFrames declined:
@@ -116,6 +128,7 @@ type ingestBuf struct {
 	body  bytes.Buffer
 	vals  []float64
 	spans []span // scanFrames' ring of the kept rows' number tokens
+	out   []byte // the acknowledgement
 }
 
 // span is one number token's byte range in the body; 16 bytes.
@@ -306,8 +319,9 @@ var framesKey = []byte(`"frames"`)
 // anything below 1e308, and a strconv.ParseFloat range error declines the
 // rest. The kept rows'
 // tokens wait in ib.spans, a ring of keep rows, and are converted only once
-// the whole body is accepted — by strconv.ParseFloat, the conversion
-// encoding/json uses, so every value is bit-identical to what
+// the whole body is accepted: by fastFloat when the token has a shape it
+// takes, else by strconv.ParseFloat, the conversion encoding/json uses.
+// Both round correctly, so every value is bit-identical to what
 // json.Unmarshal would store.
 //
 // ok false means "not the canonical shape", never "invalid": the caller
@@ -399,9 +413,13 @@ func (ib *ingestBuf) scanFrames(b []byte, d, keep int) (rows int, ok bool) {
 	// so its first part is empty.
 	for _, part := range [2][]span{ib.spans[next:], ib.spans[:next]} {
 		for _, s := range part {
-			v, err := strconv.ParseFloat(string(b[s.lo:s.hi]), 64)
-			if err != nil {
-				return 0, false
+			tok := b[s.lo:s.hi]
+			v, fast := fastFloat(tok)
+			if !fast {
+				var err error
+				if v, err = strconv.ParseFloat(string(tok), 64); err != nil {
+					return 0, false
+				}
 			}
 			ib.vals = append(ib.vals, v)
 		}

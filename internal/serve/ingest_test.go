@@ -197,11 +197,26 @@ func framesCall(t testing.TB, srv *Server, bw *Bundlewrap, n int) func() {
 	}
 }
 
+// TestFramesResponseEncoding: appendFramesResponse writes the bytes
+// json.NewEncoder does, trailing newline included.
+func TestFramesResponseEncoding(t *testing.T) {
+	for _, r := range []FramesResponse{{}, {Buffered: 25, Next: 500}, {Buffered: -1, Next: math.MaxInt}, {Buffered: math.MinInt, Next: 7}} {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(r); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendFramesResponse([]byte("kept:"), r); string(got) != "kept:"+want.String() {
+			t.Errorf("got %q, want %q", got, "kept:"+want.String())
+		}
+	}
+}
+
 // framesHandlerAllocCeiling bounds the allocations of one frames POST —
-// the request wrapper, the response header and the JSON encoder of the
-// acknowledgement — and is the same at every batch size: nothing on the
-// ingest path allocates per frame.
-const framesHandlerAllocCeiling = 6
+// the status-capturing writer, the body's MaxBytesReader and the response
+// header's value; the acknowledgement is appended into the pooled buffer —
+// and is the same at every batch size: nothing on the ingest path
+// allocates per frame.
+const framesHandlerAllocCeiling = 3
 
 func TestFramesHandlerAllocs(t *testing.T) {
 	if raceEnabled {
@@ -758,7 +773,8 @@ func FuzzScanMatchesByteWalk(f *testing.F) {
 var scanSink float64
 
 // BenchmarkScanFrames times the scanner alone, against the byte walk it
-// replaced, on a TA9-shaped push (250 rows of 12, a 25-frame window) and
+// replaced, on a TA9-shaped push (250 rows of 12, a 25-frame window), on
+// the same push with every row kept (so the conversion's share shows) and
 // on a long push of narrow frames (4 096 rows of 6, the same window).
 func BenchmarkScanFrames(b *testing.B) {
 	for _, shape := range []struct {
@@ -766,6 +782,7 @@ func BenchmarkScanFrames(b *testing.B) {
 		rows, d, keep int
 	}{
 		{"ta9-d12x250", 250, 12, 25},
+		{"ta9-d12x250-keepall", 250, 12, MaxFramesPerPush},
 		{"d6x4096", MaxFramesPerPush, 6, 25},
 	} {
 		// Distinct bodies in turn: a branch predictor that met one body

@@ -67,14 +67,15 @@ stage run-patterns run_patterns
 # elsewhere: a Windows and a macOS build keep both sides compiling. The mathx
 # kernels are amd64 assembly with a pure-Go fallback: an arm64 and a 386
 # build keep the fallback compiling. The ingest scanner reads the body in
-# 64-bit words: its fuzz seeds, handler corpus and ring tests also run as a
-# 386 binary, where a word is two registers.
+# 64-bit words and its converter multiplies them (and takes bits.Mul64):
+# its fuzz seeds, handler corpus, ring tests and the converter's boundary
+# table also run as a 386 binary, where a word is two registers.
 cross_build() {
     GOOS=windows go build ./cmd/... ./internal/... &&
         GOOS=darwin go build ./cmd/... ./internal/... &&
         GOARCH=arm64 go build ./cmd/... ./internal/... &&
         GOARCH=386 go build ./cmd/... ./internal/... &&
-        GOARCH=386 go test -count=1 ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus|TestRingMatchesSlidingWindow'
+        GOARCH=386 go test -count=1 ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus|TestRingMatchesSlidingWindow|TestFastFloatBoundaries'
 }
 stage cross-build cross_build
 # The AVX2 kernels against their scalar twins, bit for bit: the mathx, nn
@@ -123,11 +124,13 @@ stage swap go test -race ./internal/serve/ ./internal/drift/ ./internal/scenario
 # `go test ./internal/scenario/ -fuzz FuzzScenarioParse`. The ingest scanner
 # also gets two bounded live runs: against encoding/json (it converts only
 # the rows the ring keeps, so only the across-keep accept-set property
-# guards the rows it skips) and against the byte walk it replaced.
+# guards the rows it skips) and against the byte walk it replaced; and its
+# number converter one against strconv.ParseFloat.
 fuzz_serve() {
     go test ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus' -count=1 &&
         go test ./internal/serve/ -run '^$' -fuzz '^FuzzParseFrames$' -fuzztime 15s &&
-        go test ./internal/serve/ -run '^$' -fuzz '^FuzzScanMatchesByteWalk$' -fuzztime 15s
+        go test ./internal/serve/ -run '^$' -fuzz '^FuzzScanMatchesByteWalk$' -fuzztime 15s &&
+        go test ./internal/serve/ -run '^$' -fuzz '^FuzzFastFloat$' -fuzztime 10s
 }
 stage fuzz-serve fuzz_serve
 stage fuzz-scenario go test ./internal/scenario/ -run 'Fuzz|TestFuzzSeedCorpus' -count=1
