@@ -319,11 +319,20 @@ func addGrads(m *Model, tp *tape) {
 	}
 }
 
+// freshPack returns m's current weights packed anew, past the pack the
+// model keeps.
+func freshPack(m *Model) *packed {
+	p := new(packed)
+	m.pack(p)
+	return p
+}
+
 // TestTrainRepacksAfterEveryStep: Train equals its own loop replayed one
-// record at a time on one goroutine — mask, forward with the LSTM's weights
-// packed afresh, loss, backward, gradients added — so no forward pass
-// inside Train reads a pack made before an optimizer step, and the
-// minibatch's parallel phases change no bit of the serial order.
+// record at a time on one goroutine — mask, forward with every weight
+// matrix (the LSTM's and each Dense layer's) packed afresh, loss, backward,
+// gradients added — so no forward pass inside Train reads a pack made
+// before an optimizer step, and the minibatch's parallel phases change no
+// bit of the serial order.
 func TestTrainRepacksAfterEveryStep(t *testing.T) {
 	cfg := DefaultConfig(12, 8, 30, 2)
 	cfg.Dropout = 0.25
@@ -361,7 +370,7 @@ func TestTrainRepacksAfterEveryStep(t *testing.T) {
 		for _, idx := range order {
 			rec := recs[idx]
 			ref.drop.Mask(tp.mask)
-			ref.forward(tp, rec.X, nil, ref.lstm.Pack())
+			ref.forward(tp, rec.X, nil, freshPack(ref))
 			loss += ref.recordLoss(tp, rec)
 			ref.backward(tp)
 			addGrads(ref, tp)
@@ -415,7 +424,7 @@ func TestAbsentHeadLogitsSkipped(t *testing.T) {
 	tp := ref.newTape()
 	for i, rec := range recs {
 		ref.drop.Mask(tp.mask)
-		ref.forward(tp, rec.X, nil, ref.packedLSTM())
+		ref.forward(tp, rec.X, nil, ref.packs())
 		full := ref.recordLoss(tp, rec)
 		if !bitsEqual(tr.tapes[i].loss, full) {
 			t.Fatalf("record %d: loss %v, full forward %v", i, tr.tapes[i].loss, full)
@@ -436,7 +445,7 @@ func TestAbsentHeadLogitsSkipped(t *testing.T) {
 	// Loss with dropout off, against a full pass without a mask.
 	tp.mask = nil
 	for i, rec := range recs {
-		ref.forward(tp, rec.X, nil, ref.packedLSTM())
+		ref.forward(tp, rec.X, nil, ref.packs())
 		if want := ref.recordLoss(tp, rec); !bitsEqual(m.Loss(rec), want) {
 			t.Fatalf("record %d: Loss %v, full forward %v", i, m.Loss(rec), want)
 		}
@@ -462,7 +471,38 @@ func TestTrainStepAllocs(t *testing.T) {
 	}
 }
 
-// TestModelClone checks the clone contract// TestModelClone checks the clone contract: identical outputs, fully
+// BenchmarkTrain times offline_repro's training phase alone: a fresh model
+// at the TA9 -quick shape (D=12, M=25, H=500, K=3, default widths) trained
+// on 32 records for 2 epochs in minibatches of 32, the round's core.train,
+// on both kernel paths ("scalar" is what a CPU without AVX2 and FMA takes).
+func BenchmarkTrain(b *testing.B) {
+	cfg := DefaultConfig(12, 25, 500, 3)
+	recs := trainRecords(mathx.NewRNG(4), cfg, 32, 1)
+	tc := DefaultTrainConfig()
+	tc.Epochs = 2
+	saved := vectorKernels
+	defer func() { vectorKernels = saved }()
+	for _, vector := range []bool{true, false} {
+		if vector && !saved {
+			continue
+		}
+		vectorKernels = vector
+		b.Run(map[bool]string{true: "vector", false: "scalar"}[vector], func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = int64(i%8 + 1)
+				m, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := m.Train(recs, tc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestModelClone checks the clone contract: identical outputs, fully
 // independent parameter storage.
 func TestModelClone(t *testing.T) {
 	cfg := tinyConfig()

@@ -53,7 +53,7 @@ func inferModelOf(t testing.TB, cfg Config) (*Model, [][]float64) {
 func refLogits(m *Model, x [][]float64) [][]float64 {
 	tp := m.newTape()
 	tp.mask = nil
-	m.forward(tp, x, nil, m.packedLSTM())
+	m.forward(tp, x, nil, m.packs())
 	out := make([][]float64, len(tp.out))
 	for k := range tp.out {
 		out[k] = mathx.Clone(tp.out[k])
@@ -203,11 +203,13 @@ func sameOutputs(t *testing.T, what string, got, want []uint64) {
 	}
 }
 
-// TestPackedWhFollowsWeights: the packed Wh a Model keeps for its LSTM
-// cannot go stale. A model that predicted, then trained, predicts what a
-// Clone of its new weights (packed afresh) predicts, on the frameless and
-// the stream path; and a model saved and loaded decides bit-identically to
-// the one saved.
+// TestPackedWhFollowsWeights: the packs a Model keeps — the LSTM's pair and
+// every Dense layer's — cannot go stale. A model that predicted, then
+// trained, predicts what a Clone of its new weights (packed afresh)
+// predicts, on the frameless and the stream path; so does a model whose
+// current pack is the one training repacked in place after a step, which
+// the trainer takes back when it stops; and a model saved and loaded
+// decides bit-identically to the one saved.
 func TestPackedWhFollowsWeights(t *testing.T) {
 	m, x := inferModel(t, 24, 8)
 	const frame = 50
@@ -230,6 +232,25 @@ func TestPackedWhFollowsWeights(t *testing.T) {
 	}
 	sameOutputs(t, "frameless, after Train", outputBits(m, x, 0, &sc), want)
 	sameOutputs(t, "stream, after Train", outputBits(m, x, frame, &sc), want)
+
+	// Step by step: after each optimizer step the trainer repacks its own
+	// pack in place and publishes it, and inference reads that pack.
+	tr := m.newTrainer(recs, tc)
+	for step := 0; step < 3; step++ {
+		tr.minibatch([]int{0, 1, 2, 3, 4, 5, 6, 7})
+		tr.pack()
+		if m.packed.Load() != tr.own {
+			t.Fatalf("step %d: the trainer's repacked weights are not the model's pack", step)
+		}
+		want := outputBits(m.Clone(), x, 0, new(Scratch))
+		sameOutputs(t, fmt.Sprintf("frameless, through the trainer's pack after step %d", step), outputBits(m, x, 0, &sc), want)
+		sameOutputs(t, fmt.Sprintf("stream, through the trainer's pack after step %d", step), outputBits(m, x, frame, &sc), want)
+	}
+	tr.stop()
+	if m.packed.Load() != nil {
+		t.Fatal("the stopped trainer's pack is still the model's: the next Train call would repack it under another model")
+	}
+	want = outputBits(m.Clone(), x, 0, new(Scratch))
 
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -274,7 +295,9 @@ func TestQuantTwoPhaseMatchesPredict(t *testing.T) {
 }
 
 // BenchmarkInference times the float kernel at the TA9 serving shape: the
-// full pass, existence only, and existence plus one head's Θ.
+// full pass, existence only, and existence plus one head's Θ; and, on both
+// kernel paths, the Dense layers alone: the trunk, then per head fc1 and
+// all 1+H rows of fc2, as a full pass runs them.
 func BenchmarkInference(b *testing.B) {
 	m, err := New(DefaultConfig(12, 25, 500, 3))
 	if err != nil {
@@ -307,6 +330,20 @@ func BenchmarkInference(b *testing.B) {
 		}
 		path := map[bool]string{true: "vector", false: "scalar"}[vector]
 		vectorKernels = vector
+		p := m.packs()
+		z, zcat, hid, logits := make([]float64, 24), make([]float64, 36), make([]float64, 32), make([]float64, 501)
+		copy(zcat, x[0])
+		copy(zcat[12:], x[1])
+		copy(zcat[24:], x[24])
+		b.Run("dense/"+path, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.trunk.ApplyRows(z, zcat[:24], 0, &p.trunk)
+				for k, hd := range m.heads {
+					hd.fc1.ApplyRows(hid, zcat, 0, &p.fc1[k])
+					hd.fc2.ApplyRows(logits, hid, 0, &p.fc2[k])
+				}
+			}
+		})
 		b.Run("exist/"+path, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.Exist(x, 0, &sc, scores)

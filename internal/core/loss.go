@@ -93,6 +93,6 @@ func (m *Model) Loss(rec dataset.Record) float64 {
 		m.lossTape = m.newTape()
 		m.lossTape.mask = nil
 	}
-	m.forward(m.lossTape, rec.X, rec.Label, m.packedLSTM())
+	m.forward(m.lossTape, rec.X, rec.Label, m.packs())
 	return m.recordLoss(m.lossTape, rec)
 }

@@ -120,9 +120,10 @@ type Model struct {
 	// step): a Scratch that kept projections under an earlier version drops
 	// them, and so does packed.
 	version int
-	// packed is the LSTM's weights packed under version, built by the first
-	// forward pass under it and shared by training and every Scratch.
-	packed atomic.Pointer[packedLSTM]
+	// packed is every forward weight matrix packed under version, built by
+	// the first forward pass under it and shared by training and every
+	// Scratch.
+	packed atomic.Pointer[packed]
 
 	// sc and logits back Predict, PredictInto and Logits; lossTape backs
 	// Loss.
@@ -259,18 +260,18 @@ func (m *Model) newTape() *tape {
 	return tp
 }
 
-// forward runs x through the network over p (the LSTM packed under the
-// current weights) into tp, dropping out z under tp.mask when there is one.
+// forward runs x through the network over p (the weights packed under the
+// current version) into tp, dropping out z under tp.mask when there is one.
 // Every head gets its hidden layer and b_k's logit; the H occurrence logits
 // follow where want is nil or want[k] holds. recordLoss reads nothing more
 // of a head whose event is absent, and each logit is its own row of fc2,
 // so what it reads is the same either way.
-func (m *Model) forward(tp *tape, x [][]float64, want []bool, p *nn.Packed) {
+func (m *Model) forward(tp *tape, x [][]float64, want []bool, p *packed) {
 	if len(x) != m.cfg.Window {
 		panic(fmt.Sprintf("core: covariates have %d rows, model window is %d", len(x), m.cfg.Window))
 	}
-	tp.h = m.lstm.Forward(&tp.lstm, x, p)
-	m.trunk.ApplyRows(tp.z, tp.h, 0)
+	tp.h = m.lstm.Forward(&tp.lstm, x, &p.lstm)
+	m.trunk.ApplyRows(tp.z, tp.h, 0, &p.trunk)
 	nn.ReLU(tp.z)
 	z := tp.zcat[:m.cfg.HiddenTrunk]
 	if tp.mask != nil {
@@ -280,12 +281,12 @@ func (m *Model) forward(tp *tape, x [][]float64, want []bool, p *nn.Packed) {
 	}
 	copy(tp.zcat[m.cfg.HiddenTrunk:], x[len(x)-1])
 	for k, hd := range m.heads {
-		hd.fc1.ApplyRows(tp.hid[k], tp.zcat, 0)
+		hd.fc1.ApplyRows(tp.hid[k], tp.zcat, 0, &p.fc1[k])
 		nn.ReLU(tp.hid[k])
 		if want == nil || want[k] {
-			hd.fc2.ApplyRows(tp.out[k], tp.hid[k], 0)
+			hd.fc2.ApplyRows(tp.out[k], tp.hid[k], 0, &p.fc2[k])
 		} else {
-			hd.fc2.ApplyRows(tp.out[k][:1], tp.hid[k], 0)
+			hd.fc2.ApplyRows(tp.out[k][:1], tp.hid[k], 0, &p.fc2[k])
 		}
 	}
 }
@@ -349,42 +350,61 @@ func (m *Model) hidden(x [][]float64, frame int, sc *Scratch) {
 		panic(fmt.Sprintf("core: covariates have %d rows, model window is %d", len(x), m.cfg.Window))
 	}
 	enc, zcat, hid := m.carve(sc)
+	p := m.packs()
 	sc.owner = m
 	var h []float64
 	if frame > 0 {
-		h = m.lstm.InferProjected(sc.ring.project(m, x, frame), m.packedLSTM(), enc)
+		h = m.lstm.InferProjected(sc.ring.project(m, x, frame, &p.lstm), &p.lstm, enc)
 	} else {
-		h = m.lstm.Infer(x, m.packedLSTM(), enc)
+		h = m.lstm.Infer(x, &p.lstm, enc)
 	}
 	z := zcat[:m.cfg.HiddenTrunk]
-	m.trunk.ApplyRows(z, h, 0)
+	m.trunk.ApplyRows(z, h, 0, &p.trunk)
 	nn.ReLU(z)
 	copy(zcat[m.cfg.HiddenTrunk:], x[len(x)-1])
 	hh := m.cfg.HiddenHead
 	for k, hd := range m.heads {
 		a := hid[k*hh : (k+1)*hh]
-		hd.fc1.ApplyRows(a, zcat, 0)
+		hd.fc1.ApplyRows(a, zcat, 0, &p.fc1[k])
 		nn.ReLU(a)
 	}
 }
 
-// packedLSTM is nn.LSTM.Pack stamped with the weight version it was packed
-// under.
-type packedLSTM struct {
-	version int
-	w       *nn.Packed
+// packed is every forward weight matrix of a model — the LSTM's pair, the
+// trunk and each head's fc1 and fc2 — packed under one weight version, the
+// form every forward pass reads them in.
+type packed struct {
+	version  int
+	lstm     nn.Packed
+	trunk    nn.PackedDense
+	fc1, fc2 []nn.PackedDense
 }
 
-// packedLSTM returns the LSTM's weights packed under the current version,
-// packing them first if they changed. Racing first callers pack the same
-// weights.
-func (m *Model) packedLSTM() *nn.Packed {
+// pack packs the current weights into p, reusing its memory, and stamps it
+// with the current version.
+func (m *Model) pack(p *packed) {
+	m.lstm.PackInto(&p.lstm)
+	m.trunk.PackInto(&p.trunk)
+	if len(p.fc1) != len(m.heads) {
+		p.fc1, p.fc2 = make([]nn.PackedDense, len(m.heads)), make([]nn.PackedDense, len(m.heads))
+	}
+	for k, hd := range m.heads {
+		hd.fc1.PackInto(&p.fc1[k])
+		hd.fc2.PackInto(&p.fc2[k])
+	}
+	p.version = m.version
+}
+
+// packs returns the weights packed under the current version, packing them
+// first if they changed. Racing first callers pack the same weights.
+func (m *Model) packs() *packed {
 	p := m.packed.Load()
 	if p == nil || p.version != m.version {
-		p = &packedLSTM{m.version, m.lstm.Pack()}
+		p = new(packed)
+		m.pack(p)
 		m.packed.Store(p)
 	}
-	return p.w
+	return p
 }
 
 // weightsChanged records that the weights were written: every packed copy
@@ -399,7 +419,7 @@ func (m *Model) headLogits(k int, sc *Scratch, lo int, dst []float64) {
 	}
 	_, _, hid := m.carve(sc)
 	hh := m.cfg.HiddenHead
-	m.heads[k].fc2.ApplyRows(dst, hid[k*hh:(k+1)*hh], lo)
+	m.heads[k].fc2.ApplyRows(dst, hid[k*hh:(k+1)*hh], lo, &m.packs().fc2[k])
 }
 
 // Exist is the first phase of inference: it runs the network up to every

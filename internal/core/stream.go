@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"eventhit/internal/nn"
+)
 
 // projRing is the per-stream cache of the LSTM encoder's input projections
 // Wx·x_t: slot f mod M holds stream frame f's row and its projection. A
@@ -45,8 +49,9 @@ func (r *projRing) reset(m *Model) {
 }
 
 // project returns the input projections of window x, whose last row is
-// stream frame `frame`, computing only those the ring does not hold.
-func (r *projRing) project(m *Model, x [][]float64, frame int) [][]float64 {
+// stream frame `frame`, computing only those the ring does not hold over p,
+// m's LSTM packed under the current version.
+func (r *projRing) project(m *Model, x [][]float64, frame int, p *nn.Packed) [][]float64 {
 	if r.m != m || r.version != m.version {
 		r.reset(m)
 	}
@@ -59,7 +64,7 @@ func (r *projRing) project(m *Model, x [][]float64, frame int) [][]float64 {
 		f := frame - M + 1 + i
 		kept, ax := r.rows[slot*D:(slot+1)*D], r.ax[slot*G:(slot+1)*G]
 		if r.frames[slot] != f || !sameBits(kept, row) {
-			m.lstm.Project(ax, row, m.packedLSTM()) // panics on a row of the wrong width before anything is cached
+			m.lstm.Project(ax, row, p) // panics on a row of the wrong width before anything is cached
 			copy(kept, row)
 			r.frames[slot] = f
 		}

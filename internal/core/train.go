@@ -160,19 +160,20 @@ const (
 // trainer is one Train call's state: the optimizer, a tape per minibatch
 // slot, the minibatch's gradient terms listed in summation order, and the
 // workers. The caller's goroutine is worker 0 and helpers goroutines join
-// it for each phase. All but the model, the records and the published
-// pack is kept for the next call of the same shape (spareTrainers).
+// it for each phase. All but the model and the records is kept for the
+// next call of the same shape (spareTrainers).
 type trainer struct {
 	shape  shape
 	m      *Model
 	recs   []dataset.Record
 	opt    *nn.Adam
 	tapes  []*tape
-	batch  []int      // the minibatch: indices into recs, in order
-	packed *nn.Packed // the LSTM's weights for this minibatch
+	batch  []int   // the minibatch: indices into recs, in order
+	packed *packed // the weights this minibatch's passes read
 	// own is the pack the trainer publishes as the model's after each
-	// step, repacked in place: nothing else reads it while Train runs.
-	own *packedLSTM
+	// step, repacked in place: nothing else reads it while Train runs, and
+	// stop takes it back.
+	own *packed
 
 	// The minibatch's terms of each weight gradient, record by record:
 	// (dL/dy, x) pairs, the LSTM's step by step from the last.
@@ -229,9 +230,9 @@ func (m *Model) newTrainer(recs []dataset.Record, tc TrainConfig) *trainer {
 	if tc.GradClip > 0 {
 		t.opt.SetGradClip(tc.GradClip)
 	}
-	// The pack is published as the model's: it outlives the call, so each
-	// call has its own.
-	t.own = &packedLSTM{w: &nn.Packed{}}
+	if t.own == nil {
+		t.own = new(packed)
+	}
 	t.helpers = min(runtime.GOMAXPROCS(0), slots) - 1
 	t.wake = nil
 	if t.helpers > 0 {
@@ -283,11 +284,18 @@ func (m *Model) allocTrainer() *trainer {
 }
 
 // stop ends the helpers and leaves the trainer for the next Train call.
+// The pack stays with the trainer: Train's last minibatch ends with a
+// weight change, so nothing reads the pack as current any more, and
+// unpublishing it lets the next call repack the same memory. A pack the
+// model does not hold (never published, or replaced since) is dropped.
 func (t *trainer) stop() {
 	if t.wake != nil {
 		close(t.wake)
 	}
-	t.m, t.recs, t.own, t.packed = nil, nil, nil, nil
+	if !t.m.packed.CompareAndSwap(t.own, nil) {
+		t.own = nil
+	}
+	t.m, t.recs, t.packed = nil, nil, nil
 	spareTrainers.Put(t)
 }
 
@@ -323,19 +331,18 @@ func (t *trainer) sum(batch []int) {
 	t.run(grads, len(t.gradJobs))
 }
 
-// pack points t.packed at the LSTM's weights packed under the current
-// version: the model's pack when it is current, else the trainer's own,
-// repacked and published as the model's.
+// pack points t.packed at the weights packed under the current version:
+// the model's pack when it is current, else the trainer's own, repacked
+// and published as the model's.
 func (t *trainer) pack() {
 	m := t.m
 	if p := m.packed.Load(); p != nil && p.version == m.version {
-		t.packed = p.w
+		t.packed = p
 		return
 	}
-	m.lstm.PackInto(t.own.w)
-	t.own.version = m.version
+	m.pack(t.own)
 	m.packed.Store(t.own)
-	t.packed = t.own.w
+	t.packed = t.own
 }
 
 // collect lists the minibatch's gradient terms in record order.

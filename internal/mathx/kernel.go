@@ -103,29 +103,63 @@ func PackRows4(dst, w []float64, n int) []float64 {
 	return wp
 }
 
-// MatVecPacked is MatVec over PackRows4(w, len(x)): dst[r] is bit-identical
-// to Dot(w[r*n:(r+1)*n], x), one accumulator per row summed in index order,
-// each product rounded before it is added. It panics unless len(dst) is a
-// multiple of four and wp holds len(dst)*len(x) weights.
-func MatVecPacked(dst, wp, x []float64) {
-	if len(dst)%4 != 0 || len(wp) != len(dst)*len(x) {
-		panic(fmt.Sprintf("mathx: MatVecPacked %d weights for %d rows of %d", len(wp), len(dst), len(x)))
+// MatVecPacked is the mat-vec over wp = PackRows4(w, len(x)) with two
+// optional addends, each row finished before it is stored: dst[r] =
+// (a1[r] + Dot(w[r*n:(r+1)*n], x)) + a2[r], an empty a1 or a2 left out.
+// The dot product is Dot's bit for bit, one accumulator per row summed in
+// index order, each product rounded before it is added; each addend is one
+// IEEE addition after it. It panics unless len(dst) is a multiple of four,
+// wp holds len(dst)*len(x) weights and a1 and a2 are each empty or
+// len(dst) long.
+func MatVecPacked(dst, wp, x, a1, a2 []float64) {
+	if len(dst)%4 != 0 || len(wp) != len(dst)*len(x) || len(a1) != 0 && len(a1) != len(dst) || len(a2) != 0 && len(a2) != len(dst) {
+		panic(fmt.Sprintf("mathx: MatVecPacked %d weights for %d rows of %d, addends %d and %d", len(wp), len(dst), len(x), len(a1), len(a2)))
 	}
 	if vector {
-		matVecPackedAVX2(dst, wp, x)
+		matVecPackedAVX2(dst, wp, x, a1, a2)
 		return
 	}
 	for r := 0; r < len(dst); r += 4 {
 		w := wp[r*len(x) : (r+4)*len(x)]
 		var s0, s1, s2, s3 float64
+		// Four columns a pass, then the rest one by one; each accumulator
+		// still adds its products in index order. Unrolled, the loop keeps
+		// up with a row-major one (without, it is half again as slow).
 		// len(w) == 4*len(x); testing both drops the bounds checks.
-		for i := 0; len(w) >= 4 && i < len(x); i++ {
+		i := 0
+		for ; len(w) >= 16 && i+3 < len(x); i += 4 {
+			v0, v1, v2, v3 := x[i], x[i+1], x[i+2], x[i+3]
+			s0 += w[0] * v0
+			s1 += w[1] * v0
+			s2 += w[2] * v0
+			s3 += w[3] * v0
+			s0 += w[4] * v1
+			s1 += w[5] * v1
+			s2 += w[6] * v1
+			s3 += w[7] * v1
+			s0 += w[8] * v2
+			s1 += w[9] * v2
+			s2 += w[10] * v2
+			s3 += w[11] * v2
+			s0 += w[12] * v3
+			s1 += w[13] * v3
+			s2 += w[14] * v3
+			s3 += w[15] * v3
+			w = w[16:]
+		}
+		for ; len(w) >= 4 && i < len(x); i++ {
 			v := x[i]
 			s0 += w[0] * v
 			s1 += w[1] * v
 			s2 += w[2] * v
 			s3 += w[3] * v
 			w = w[4:]
+		}
+		if a := a1; len(a) > 0 {
+			s0, s1, s2, s3 = a[r]+s0, a[r+1]+s1, a[r+2]+s2, a[r+3]+s3
+		}
+		if a := a2; len(a) > 0 {
+			s0, s1, s2, s3 = s0+a[r], s1+a[r+1], s2+a[r+2], s3+a[r+3]
 		}
 		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
 	}

@@ -13,12 +13,26 @@ import (
 // math.Exp on four arguments in [-708, 708], and expLog1pAVX2 does
 // ExpLog1p's whole chunks until one it cannot take. log1p4 is math.Log1p
 // on the lanes it does not return set (those it leaves as they were): the
-// tests run the vector log1p through it on any input.
+// tests run the vector log1p through it on any input. None of them keeps
+// a pointer it is given, and each says so (go:noescape): otherwise every
+// caller's stack array that reaches one would be moved to the heap.
+//
+//go:noescape
 func sigmoidAVX2(dst, src []float64) int
+
+//go:noescape
 func tanhAVX2(dst, src []float64) int
-func matVecPackedAVX2(dst, wp, x []float64)
+
+//go:noescape
+func matVecPackedAVX2(dst, wp, x, a1, a2 []float64)
+
+//go:noescape
 func backRowsXAVX2(w, da, dx []float64)
+
+//go:noescape
 func backRowsGAVX2(g []float64, n, lo int, das, xs [][]float64)
+
+//go:noescape
 func adamAVX2(w, g, m, v []float64, s *AdamStep)
 
 //go:noescape

@@ -393,16 +393,22 @@ eldone:
 	MOVQ AX, ret+72(FP)
 	RET
 
-// func matVecPackedAVX2(dst, wp, x []float64)
+// func matVecPackedAVX2(dst, wp, x, a1, a2 []float64)
 //
 // Four blocks of four rows at a time, one accumulator lane per row, so each
 // broadcast x[i] feeds sixteen rows; then the remaining blocks one by one.
-TEXT ·matVecPackedAVX2(SB), NOSPLIT, $0-72
+// A block leaves finished: a1's rows are added to its sums, then a2's, each
+// unless that slice is empty, and the results are stored.
+TEXT ·matVecPackedAVX2(SB), NOSPLIT, $0-120
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ wp_base+24(FP), SI
 	MOVQ x_base+48(FP), BX
 	MOVQ x_len+56(FP), DX
+	MOVQ a1_base+72(FP), R10
+	MOVQ a1_len+80(FP), R12
+	MOVQ a2_base+96(FP), R11
+	MOVQ a2_len+104(FP), R13
 	MOVQ DX, R8
 	SHLQ $5, R8         // bytes per block
 	LEAQ (R8)(R8*2), R9 // bytes per three blocks
@@ -434,6 +440,24 @@ quadcol:
 	JMP          quadcol
 
 quadstore:
+	TESTQ  R12, R12
+	JEQ    quada2
+	VADDPD (R10), Y0, Y0
+	VADDPD 32(R10), Y1, Y1
+	VADDPD 64(R10), Y2, Y2
+	VADDPD 96(R10), Y3, Y3
+	ADDQ   $128, R10
+
+quada2:
+	TESTQ  R13, R13
+	JEQ    quadput
+	VADDPD (R11), Y0, Y0
+	VADDPD 32(R11), Y1, Y1
+	VADDPD 64(R11), Y2, Y2
+	VADDPD 96(R11), Y3, Y3
+	ADDQ   $128, R11
+
+quadput:
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
@@ -460,6 +484,18 @@ singlecol:
 	JMP          singlecol
 
 singlestore:
+	TESTQ  R12, R12
+	JEQ    singlea2
+	VADDPD (R10), Y0, Y0
+	ADDQ   $32, R10
+
+singlea2:
+	TESTQ  R13, R13
+	JEQ    singleput
+	VADDPD (R11), Y0, Y0
+	ADDQ   $32, R11
+
+singleput:
 	VMOVUPD Y0, (DI)
 	ADDQ    $32, DI
 	DECQ    CX

@@ -258,13 +258,56 @@ func TestPackRows4Layout(t *testing.T) {
 	}
 }
 
-// TestMatVecPackedBits: every row count from 4 to 96 at widths 1, 3, 24 and
-// 33, on random values and on specials (infinities, subnormals, signed
-// zeros), each row bit-identical to Dot on the unpacked row.
+// addendCases are MatVecPacked's addend pairs over rows rows: neither,
+// each alone and both, drawn at random and, for every third row, from
+// specials with NaN among them.
+func addendCases(g *RNG, rows int) [][2][]float64 {
+	sp := specials()
+	draw := func() []float64 {
+		a := make([]float64, rows)
+		for r := range a {
+			a[r] = g.Float64()*2 - 1
+			if r%3 == 0 {
+				a[r] = sp[g.Intn(len(sp))]
+			}
+		}
+		return a
+	}
+	return [][2][]float64{{nil, nil}, {draw(), nil}, {nil, draw()}, {draw(), draw()}}
+}
+
+// checkMatVecPacked requires MatVecPacked over PackRows4(w) to store in each
+// row (a1 + Dot(row, x)) + a2, bit for bit, an empty addend left out. A NaN
+// result only has to be NaN: which payload an addition of two NaNs keeps
+// depends on operand order, which neither side promises.
+func checkMatVecPacked(t *testing.T, w, x, a1, a2 []float64) {
+	t.Helper()
+	n := len(x)
+	dst := make([]float64, len(w)/n)
+	MatVecPacked(dst, PackRows4(nil, w, n), x, a1, a2)
+	for r := range dst {
+		want := Dot(w[r*n:(r+1)*n], x)
+		if len(a1) > 0 {
+			want = a1[r] + want
+		}
+		if len(a2) > 0 {
+			want += a2[r]
+		}
+		if math.Float64bits(dst[r]) != math.Float64bits(want) && !(math.IsNaN(dst[r]) && math.IsNaN(want)) {
+			t.Fatalf("%d x %d row %d, addends %d and %d: %v, want %v", len(dst), n, r, len(a1), len(a2), dst[r], want)
+		}
+	}
+}
+
+// TestMatVecPackedBits: every row count from 4 to 96 at widths 1, 3, 6, 24
+// and 33 (the scalar loop's four-column passes with every remainder), on
+// random values and on specials (infinities, subnormals, signed zeros),
+// each row bit-identical to Dot on the unpacked row, with each addend pair
+// of addendCases (±0, ±Inf and NaN among them) added after it.
 func TestMatVecPackedBits(t *testing.T) {
 	g := NewRNG(32)
-	// No NaN inputs: which payload a product of two NaNs keeps depends on
-	// operand order, which neither Dot nor the kernels promise.
+	// No NaN in w or x: which payload a product of two NaNs keeps depends
+	// on operand order, which neither Dot nor the kernels promise.
 	var sp []float64
 	for _, v := range specials() {
 		if !math.IsNaN(v) {
@@ -272,7 +315,7 @@ func TestMatVecPackedBits(t *testing.T) {
 		}
 	}
 	paths(t, func(t *testing.T) {
-		for _, n := range []int{1, 3, 24, 33} {
+		for _, n := range []int{1, 3, 6, 24, 33} {
 			for rows := 4; rows <= 96; rows += 4 {
 				for trial := 0; trial < 2; trial++ {
 					w, x := make([]float64, rows*n), make([]float64, n)
@@ -288,12 +331,8 @@ func TestMatVecPackedBits(t *testing.T) {
 							x[i] = sp[g.Intn(len(sp))]
 						}
 					}
-					dst := make([]float64, rows)
-					MatVecPacked(dst, PackRows4(nil, w, n), x)
-					for r := range dst {
-						if want := Dot(w[r*n:(r+1)*n], x); math.Float64bits(dst[r]) != math.Float64bits(want) {
-							t.Fatalf("n=%d rows=%d row %d: %v, Dot %v", n, rows, r, dst[r], want)
-						}
+					for _, a := range addendCases(g, rows) {
+						checkMatVecPacked(t, w, x, a[0], a[1])
 					}
 				}
 			}
@@ -302,14 +341,14 @@ func TestMatVecPackedBits(t *testing.T) {
 }
 
 func TestMatVecPackedPanicsOnShape(t *testing.T) {
-	for _, c := range []struct{ rows, w, n int }{{3, 9, 3}, {4, 11, 3}} {
+	for _, c := range []struct{ rows, w, n, a1, a2 int }{{3, 9, 3, 0, 0}, {4, 11, 3, 0, 0}, {4, 12, 3, 3, 0}, {4, 12, 3, 0, 5}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("MatVecPacked accepted %d rows of %d with %d weights", c.rows, c.n, c.w)
+					t.Errorf("MatVecPacked accepted %d rows of %d with %d weights, addends %d and %d", c.rows, c.n, c.w, c.a1, c.a2)
 				}
 			}()
-			MatVecPacked(make([]float64, c.rows), make([]float64, c.w), make([]float64, c.n))
+			MatVecPacked(make([]float64, c.rows), make([]float64, c.w), make([]float64, c.n), make([]float64, c.a1), make([]float64, c.a2))
 		}()
 	}
 }
@@ -467,7 +506,8 @@ func TestBackRowsPanicsOnShape(t *testing.T) {
 
 // FuzzKernelBits: any bytes, read as float64s, through every kernel on both
 // paths, at an unaligned offset and in place, against the scalar functions;
-// log1p takes them four at a time.
+// log1p takes them four at a time, and the packed mat-vec takes them with
+// and without its addends.
 func FuzzKernelBits(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, off uint8) {
 		vals := make([]float64, len(data)/8)
@@ -499,13 +539,13 @@ func FuzzKernelBits(f *testing.F) {
 					return // NaN payloads: see TestMatVecPackedBits
 				}
 			}
-			dst := make([]float64, rows)
-			MatVecPacked(dst, PackRows4(nil, w, n), x)
-			for r := range dst {
-				if want := Dot(w[r*n:(r+1)*n], x); math.Float64bits(dst[r]) != math.Float64bits(want) {
-					t.Fatalf("MatVecPacked row %d of %d x %d: %v, Dot %v", r, rows, n, dst[r], want)
-				}
-			}
+			// The addends: the bytes again, NaNs and all, from the start and
+			// from the end.
+			a1, a2 := vals[:rows], vals[len(vals)-rows:]
+			checkMatVecPacked(t, w, x, nil, nil)
+			checkMatVecPacked(t, w, x, a1, nil)
+			checkMatVecPacked(t, w, x, nil, a2)
+			checkMatVecPacked(t, w, x, a1, a2)
 			// BackRowsX reads the same matrix with its rows as gradients: da
 			// from w's first column, dx from the bytes again; BackRowsG
 			// takes w as its gradient, rows [1, rows) of two pairs.

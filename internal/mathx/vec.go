@@ -26,37 +26,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// MatVec computes dst[r] = Dot(w[r*n:(r+1)*n], x) for every row r of the
-// row-major len(dst) x n matrix w, with n = len(x). Rows are taken four at a
-// time so each loaded x element feeds four independent accumulators; every
-// row still has its own accumulator summed in index order, so each dst[r]
-// is bit-identical to Dot on that row. It panics if w is not len(dst)*n
-// long.
-func MatVec(dst, w, x []float64) {
-	n := len(x)
-	if len(w) != len(dst)*n {
-		panic(fmt.Sprintf("mathx: MatVec %d weights for %d rows of %d", len(w), len(dst), n))
-	}
-	r := 0
-	for ; r+4 <= len(dst); r += 4 {
-		w0 := w[r*n:][:len(x)]
-		w1 := w[(r+1)*n:][:len(x)]
-		w2 := w[(r+2)*n:][:len(x)]
-		w3 := w[(r+3)*n:][:len(x)]
-		var s0, s1, s2, s3 float64
-		for i, v := range x {
-			s0 += w0[i] * v
-			s1 += w1[i] * v
-			s2 += w2[i] * v
-			s3 += w3[i] * v
-		}
-		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
-	}
-	for ; r < len(dst); r++ {
-		dst[r] = Dot(w[r*n:r*n+n], x)
-	}
-}
-
 // Axpy computes y += alpha*x in place. It panics if the lengths differ.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {

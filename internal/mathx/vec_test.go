@@ -152,41 +152,9 @@ func TestSumAndClone(t *testing.T) {
 	}
 }
 
-// TestMatVecBitIdenticalToDot: every row count around the four-row block
-// (including the scalar tail) and a few widths, compared by Float64bits.
-func TestMatVecBitIdenticalToDot(t *testing.T) {
-	g := NewRNG(7)
-	for _, n := range []int{0, 1, 3, 12, 33} {
-		for rows := 0; rows <= 9; rows++ {
-			w := make([]float64, rows*n)
-			x := make([]float64, n)
-			for i := range w {
-				w[i] = g.Float64()*2 - 1
-			}
-			for i := range x {
-				x[i] = g.Float64()*2 - 1
-			}
-			dst := make([]float64, rows)
-			MatVec(dst, w, x)
-			for r := range dst {
-				want := Dot(w[r*n:(r+1)*n], x)
-				if math.Float64bits(dst[r]) != math.Float64bits(want) {
-					t.Fatalf("n=%d rows=%d row %d: MatVec %v, Dot %v", n, rows, r, dst[r], want)
-				}
-			}
-		}
-	}
-}
-
-func TestMatVecPanicsOnShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MatVec did not panic on a shape mismatch")
-		}
-	}()
-	MatVec(make([]float64, 2), make([]float64, 5), make([]float64, 3))
-}
-
+// BenchmarkMatVec times a 96 x 24 mat-vec, the LSTM's Wh·h at the default
+// width: row by row through Dot (what a Dense row outside a packed block
+// takes) and packed, on both kernel paths.
 func BenchmarkMatVec(b *testing.B) {
 	const rows, n = 96, 24
 	w, x, dst := make([]float64, rows*n), make([]float64, n), make([]float64, rows)
@@ -196,11 +164,6 @@ func BenchmarkMatVec(b *testing.B) {
 	for i := range x {
 		x[i] = float64(i%5) - 2
 	}
-	b.Run("blocked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MatVec(dst, w, x)
-		}
-	})
 	b.Run("dot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for r := range dst {
@@ -208,7 +171,6 @@ func BenchmarkMatVec(b *testing.B) {
 			}
 		}
 	})
-	// MatVecPacked over the same matrix, on both kernel paths.
 	wp := PackRows4(nil, w, n)
 	saved := vector
 	defer func() { vector = saved }()
@@ -219,7 +181,7 @@ func BenchmarkMatVec(b *testing.B) {
 		vector = v
 		b.Run("packed/"+map[bool]string{true: "vector", false: "scalar"}[v], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				MatVecPacked(dst, wp, x)
+				MatVecPacked(dst, wp, x, nil, nil)
 			}
 		})
 	}

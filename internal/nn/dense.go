@@ -15,6 +15,15 @@ type Dense struct {
 	w, b    *Param
 }
 
+// PackedDense is a copy of rows [out%4, out) of a Dense layer's W in
+// mathx.PackRows4's layout, the form ApplyRows reads them in; the first
+// out%4 rows are read row-major from the layer. Packing from the end keeps
+// the rows after a layer's first out%4 on whole four-row blocks: an
+// EventHit head's 1+H output rows, with H a multiple of four, pack Θ's H
+// rows and leave b_k's. It is a snapshot: after the weights change, Pack
+// again.
+type PackedDense struct{ wp []float64 }
+
 // NewDense returns a Dense layer with Xavier-initialized weights and zero
 // biases. name must be unique within a model (it prefixes the parameter
 // names used for serialization).
@@ -38,18 +47,44 @@ func (d *Dense) Out() int { return d.out }
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 
-// ApplyRows computes output rows [lo, lo+len(y)) of W*x + b into y. It
-// reads the weights and writes only y, so any number of goroutines may run
-// it on one layer at once; training and inference share this arithmetic,
-// and each row is the same whichever rows are asked for.
-func (d *Dense) ApplyRows(y, x []float64, lo int) {
+// Pack returns the layer's current weights packed.
+func (d *Dense) Pack() *PackedDense {
+	p := &PackedDense{}
+	d.PackInto(p)
+	return p
+}
+
+// PackInto packs the layer's current weights into p, reusing its memory.
+func (d *Dense) PackInto(p *PackedDense) {
+	p.wp = mathx.PackRows4(p.wp, d.w.W[d.out%4*d.in:], d.in)
+}
+
+// ApplyRows computes output rows [lo, lo+len(y)) of W*x + b into y over p,
+// which must be Pack() of the current weights. Each row is mathx.Dot of its
+// weight row and x, plus its bias, bit for bit: the rows on whole packed
+// blocks in one mathx.MatVecPacked that adds the biases as it stores, the
+// others (the first out%4, and the ends of a range that cuts a block) one
+// Dot each. It reads the weights and p and writes only y, so any number of
+// goroutines may run it on one layer at once; training and inference share
+// this arithmetic, and each row is the same whichever rows are asked for.
+func (d *Dense) ApplyRows(y, x []float64, lo int, p *PackedDense) {
 	if len(x) != d.in {
 		panic(fmt.Sprintf("nn: Dense %s input %d, want %d", d.w.Name, len(x), d.in))
 	}
-	hi := lo + len(y)
-	mathx.MatVec(y, d.w.W[lo*d.in:hi*d.in], x)
-	for i, b := range d.b.W[lo:hi] {
-		y[i] += b
+	n, r0, hi := d.in, d.out%4, lo+len(y)
+	// Rows [a, b) are the whole packed blocks in [lo, hi); &^3 rounds a
+	// negative count down too.
+	a := min(hi, r0+(max(lo-r0, 0)+3)&^3)
+	b := max(a, r0+(hi-r0)&^3)
+	row := func(r int) { y[r-lo] = mathx.Dot(d.w.W[r*n:(r+1)*n], x) + d.b.W[r] }
+	for r := lo; r < a; r++ {
+		row(r)
+	}
+	if a < b {
+		mathx.MatVecPacked(y[a-lo:b-lo], p.wp[(a-r0)*n:(b-r0)*n], x, nil, d.b.W[a:b])
+	}
+	for r := b; r < hi; r++ {
+		row(r)
 	}
 }
 

@@ -53,8 +53,8 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// blockWidths straddle the four-row block of mathx.MatVec: remainders 1, 3,
-// 1 (after one block), 0 and 1 (after eight).
+// blockWidths straddle the four-row block of mathx.MatVecPacked:
+// remainders 1, 3, 1 (after one block), 0 and 1 (after eight).
 var blockWidths = []int{1, 3, 5, 24, 33}
 
 // TestDenseMatchesRowAtATime pins ApplyRows to the arithmetic
@@ -73,14 +73,71 @@ func TestDenseMatchesRowAtATime(t *testing.T) {
 			want[o] = mathx.Dot(d.w.W[o*7:(o+1)*7], x) + d.b.W[o]
 		}
 		sameBits(t, "ApplyRows", forward(d, x), want)
+		p := d.Pack()
 		for lo := 0; lo < out; lo++ {
 			for hi := lo; hi <= out; hi++ {
 				y := make([]float64, hi-lo)
-				d.ApplyRows(y, x, lo)
+				d.ApplyRows(y, x, lo, p)
 				sameBits(t, "ApplyRows", y, want[lo:hi])
 			}
 		}
 	}
+}
+
+// rowCuts are the range ends TestDensePackedRowsMatchDot tries over out
+// rows: all of them up to 64 rows; beyond, the first and last six, every
+// 13th, and 1+16m, where the ranges DecodeEdges asks of a head's Θ rows
+// start and end.
+func rowCuts(out int) []int {
+	var cuts []int
+	for r := 0; r <= out; r++ {
+		if out <= 64 || r < 6 || r > out-6 || r%13 == 0 || r%16 == 1 {
+			cuts = append(cuts, r)
+		}
+	}
+	return cuts
+}
+
+// TestDensePackedRowsMatchDot: at every out%4 — 1, 2, 3, 5, 6, 24, 32 and
+// 501 output rows — and input widths 1, 3, 24 and 36, every row range
+// [lo, hi) between two rowCuts of ApplyRows over a pack equals mathx.Dot of
+// each weight row plus its bias, bit for bit, on every kernel path; and
+// repacking into the same PackedDense after the weights change follows
+// them.
+func TestDensePackedRowsMatchDot(t *testing.T) {
+	g := mathx.NewRNG(46)
+	onPaths(t, func(t *testing.T) {
+		for _, out := range []int{1, 2, 3, 5, 6, 24, 32, 501} {
+			cuts := rowCuts(out)
+			for _, in := range []int{1, 3, 24, 36} {
+				d := NewDense("d", in, out, g.Split(int64(out*in)))
+				var p PackedDense
+				for round := 0; round < 2; round++ {
+					for i := range d.b.W {
+						d.b.W[i] = g.Float64() - 0.5
+					}
+					if round == 1 {
+						for i := range d.w.W {
+							d.w.W[i] += g.Float64() - 0.5
+						}
+					}
+					d.PackInto(&p)
+					x := randSeq(g, 1, in)[0]
+					want := make([]float64, out)
+					for o := range want {
+						want[o] = mathx.Dot(d.w.W[o*in:(o+1)*in], x) + d.b.W[o]
+					}
+					for i, lo := range cuts {
+						for _, hi := range cuts[i:] {
+							y := make([]float64, hi-lo)
+							d.ApplyRows(y, x, lo, &p)
+							sameBits(t, fmt.Sprintf("%dx%d round %d rows [%d, %d)", out, in, round, lo, hi), y, want[lo:hi])
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // lstmWidths are blockWidths plus the cascade rungs' hidden widths (6 and

@@ -130,19 +130,11 @@ func (l *LSTM) Forward(tp *LSTMTape, xs [][]float64, p *Packed) []float64 {
 	mathx.Fill(tp.cs[0], 0)
 	for t, x := range xs {
 		l.Project(tp.ax, x, p)
-		mathx.MatVecPacked(tp.ga[t], p.wh, tp.hs[t])
-		addInput(tp.ga[t], tp.ax, l.b.W)
+		mathx.MatVecPacked(tp.ga[t], p.wh, tp.hs[t], tp.ax, l.b.W)
 		copy(tp.cs[t+1], tp.cs[t])
 		cell(tp.hs[t+1], tp.cs[t+1], tp.ga[t], tp.tcs[t])
 	}
 	return tp.hs[T]
-}
-
-// addInput completes a = wh.h into ax + wh.h + b, summed in that order.
-func addInput(a, ax, b []float64) {
-	for j, bj := range b {
-		a[j] = ax[j] + a[j] + bj
-	}
 }
 
 // InferLen returns how many floats of scratch Infer needs.
@@ -174,12 +166,12 @@ func (l *LSTM) Project(dst, x []float64, p *Packed) {
 	if len(x) != l.in {
 		panic(fmt.Sprintf("nn: LSTM %s input width %d, want %d", l.wx.Name, len(x), l.in))
 	}
-	mathx.MatVecPacked(dst, p.wx, x)
+	mathx.MatVecPacked(dst, p.wx, x, nil, nil)
 }
 
 // InferProjected is Infer over a sequence given as its input parts, axs[t]
-// = Project(x_t). Infer sums ax[j] + a[j] + b[j] with ax computed apart, so
-// where ax came from cannot show: h_n is bit-identical to Infer's.
+// = Project(x_t). Infer sums (ax[j] + Wh·h[j]) + b[j] with ax computed
+// apart, so where ax came from cannot show: h_n is bit-identical to Infer's.
 func (l *LSTM) InferProjected(axs [][]float64, p *Packed, buf []float64) []float64 {
 	if len(axs) == 0 {
 		panic("nn: LSTM forward on empty sequence")
@@ -193,11 +185,10 @@ func (l *LSTM) InferProjected(axs [][]float64, p *Packed, buf []float64) []float
 	return h
 }
 
-// step advances (h, c) by one input part ax: the pre-activations through
-// the packed mat-vec, then the cell.
+// step advances (h, c) by one input part ax: the pre-activations (ax +
+// Wh·h) + b through the packed mat-vec, then the cell.
 func (l *LSTM) step(h, c, a, ax []float64, p *Packed) {
-	mathx.MatVecPacked(a, p.wh, h)
-	addInput(a, ax, l.b.W)
+	mathx.MatVecPacked(a, p.wh, h, ax, l.b.W)
 	cell(h, c, a, h)
 }
 

@@ -8,10 +8,11 @@ import (
 	"eventhit/internal/mathx"
 )
 
-// forward is ApplyRows over every row of d into a fresh slice.
+// forward is ApplyRows over every row of d, its weights packed afresh,
+// into a fresh slice.
 func forward(d *Dense, x []float64) []float64 {
 	y := make([]float64, d.out)
-	d.ApplyRows(y, x, 0)
+	d.ApplyRows(y, x, 0, d.Pack())
 	return y
 }
 

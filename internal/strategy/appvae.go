@@ -25,8 +25,9 @@ type AppVAE struct {
 	ex      *features.Extractor
 	window  int // history window M (200 or 1500 in the paper)
 	horizon int
-	heads   []*nn.Dense // per event: history -> (logit, mu, logSigma)
-	meanDur []float64   // per event, learned from training positives
+	heads   []*nn.Dense      // per event: history -> (logit, mu, logSigma)
+	packs   []nn.PackedDense // heads' fitted weights packed, as Predict reads them
+	meanDur []float64        // per event, learned from training positives
 }
 
 // AppVAEConfig controls fitting.
@@ -96,6 +97,7 @@ func FitAppVAE(ex *features.Extractor, train []dataset.Record, horizon int, cfg 
 		window:  cfg.Window,
 		horizon: horizon,
 		heads:   make([]*nn.Dense, k),
+		packs:   make([]nn.PackedDense, k),
 		meanDur: make([]float64, k),
 	}
 	var params []*nn.Param
@@ -127,7 +129,8 @@ func FitAppVAE(ex *features.Extractor, train []dataset.Record, horizon int, cfg 
 		for _, i := range order {
 			r := train[i]
 			for j := 0; j < k; j++ {
-				a.heads[j].ApplyRows(out, psis[i], 0)
+				a.heads[j].PackInto(&a.packs[j]) // the weights moved at the last step
+				a.heads[j].ApplyRows(out, psis[i], 0, &a.packs[j])
 				logit, mu, logSigma := out[0], out[1], mathx.Clamp(out[2], -4, 2)
 				d := make([]float64, 3)
 				y := 0.0
@@ -151,6 +154,9 @@ func FitAppVAE(ex *features.Extractor, train []dataset.Record, horizon int, cfg 
 			opt.Step()
 		}
 	}
+	for j, h := range a.heads {
+		h.PackInto(&a.packs[j])
+	}
 	return a, nil
 }
 
@@ -167,7 +173,7 @@ func (a *AppVAE) Predict(rec dataset.Record) metrics.Prediction {
 	p := metrics.Prediction{Occur: make([]bool, k), OI: make([]video.Interval, k)}
 	for j := 0; j < k; j++ {
 		var out [3]float64
-		a.heads[j].ApplyRows(out[:], psi, 0)
+		a.heads[j].ApplyRows(out[:], psi, 0, &a.packs[j])
 		if mathx.Sigmoid(out[0]) < 0.5 {
 			continue
 		}

@@ -78,16 +78,18 @@ cross_build() {
         GOARCH=386 go test -count=1 ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus|TestRingMatchesSlidingWindow|TestFastFloatBoundaries'
 }
 stage cross-build cross_build
-# The AVX2 kernels against their scalar twins, bit for bit: the mathx, nn
-# and core tests compiled for the baseline and for x86-64-v3 (the compiler
-# still fuses no multiply-add there), then with GODEBUG turning FMA off
+# The AVX2 kernels against their scalar twins, bit for bit: the mathx, nn,
+# core and strategy tests (the last pin the seed bundle's decisions and the
+# AppVAE baseline's Dense heads) compiled for the baseline and for
+# x86-64-v3 (the compiler still fuses no multiply-add there), then with
+# GODEBUG turning FMA off
 # (math.Exp's non-FMA path: the init self-check must refuse the kernels) and
 # AVX2 off, where TestKernelPath requires the scalar path. Then a bounded
 # live fuzz run, and end to end: a bundle trained on the default path, one
 # trained with AVX2 off and one trained on a single P (training's workers
 # are one per P) must be the same bytes.
 kernel_bits() {
-    pkgs="./internal/mathx/ ./internal/nn/ ./internal/core/"
+    pkgs="./internal/mathx/ ./internal/nn/ ./internal/core/ ./internal/strategy/"
     GOAMD64=v1 go test -count=1 $pkgs &&
         GOAMD64=v3 go test -count=1 $pkgs &&
         GODEBUG=cpu.fma=off go test -count=1 $pkgs &&
