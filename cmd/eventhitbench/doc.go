@@ -23,8 +23,7 @@
 //
 // Experiments whose trials (or tasks, or sweep settings) are independent
 // run them on -parallelism concurrent workers; results are bit-identical at
-// any setting. -metricsout dumps the process metrics registry after the
-// run.
+// any setting.
 //
 // The registry (this table is generated: `go test ./cmd/eventhitbench
 // -update` rewrites it from the code, and the test fails when it drifts):

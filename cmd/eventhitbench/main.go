@@ -21,7 +21,6 @@ func main() {
 		window      = flag.Int("window", 0, "override collection window M (0 = dataset default)")
 		horizon     = flag.Int("horizon", 0, "override time horizon H (0 = dataset default)")
 		parallelism = flag.Int("parallelism", runtime.NumCPU(), "concurrent experiment cells (trials/tasks/settings); results are identical at any value")
-		metricsOut  = flag.String("metricsout", "", "after all experiments, dump the process metrics registry (Prometheus text) to this file")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "Usage: eventhitbench -exp NAME [overrides]\n\n")
@@ -69,20 +68,5 @@ func main() {
 			fmt.Fprintf(os.Stderr, "eventhitbench: %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
-	}
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err == nil {
-			err = harness.DumpMetrics(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "eventhitbench: metricsout: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *metricsOut)
-		harness.MetricsDigest(os.Stdout)
 	}
 }

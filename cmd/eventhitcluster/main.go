@@ -99,7 +99,6 @@ func main() {
 			scfg.Fleet = &fleet.ArbiterConfig{
 				PerFrameUSD:       scfg.PerFrameUSD,
 				SessionRatePerSec: *streamRate,
-				SessionBurst:      *streamRate, // one second of burst headroom
 			}
 		}
 		id := fmt.Sprintf("worker-%d", i)

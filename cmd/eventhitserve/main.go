@@ -154,18 +154,14 @@ func main() {
 			ac.MonitorWindow, ac.MonitorDelta, ac.MinFresh, ac.AuditRate)
 	}
 	if *budget > 0 || *streamRate > 0 {
-		burst := *streamBurst
-		if burst == 0 {
-			burst = *streamRate // one second of burst headroom
-		}
 		scfg.Fleet = &fleet.ArbiterConfig{
 			PerFrameUSD:       scfg.PerFrameUSD,
 			GlobalBudgetUSD:   *budget,
 			SessionRatePerSec: *streamRate,
-			SessionBurst:      burst,
+			SessionBurst:      *streamBurst,
 		}
-		log.Printf("fleet arbiter on: budget $%.4f, per-session rate %.1f frames/s, burst %.0f frames",
-			*budget, *streamRate, burst)
+		log.Printf("fleet arbiter on: budget $%.4f, per-session rate %.1f frames/s, burst %.0f frames (0 = one second of rate)",
+			*budget, *streamRate, *streamBurst)
 	}
 	if *tracePath != "" {
 		tf, err := os.OpenFile(*tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -46,7 +46,7 @@ type ArbiterConfig struct {
 	GlobalBudgetUSD float64
 	// SessionRatePerSec and SessionBurst configure each session's token
 	// bucket in frames (wall-clock refill). Rate <= 0 disables per-session
-	// metering.
+	// metering; burst 0 holds one second of rate.
 	SessionRatePerSec float64
 	SessionBurst      float64
 	// Lease, when non-nil, replaces the local GlobalBudgetUSD check with

@@ -140,6 +140,31 @@ func TestArbiterConfigValidate(t *testing.T) {
 	}
 }
 
+// TestArbiterRateWithoutBurst: a session rate with no burst holds one
+// second of rate, so a relay within it is admitted once the bucket has
+// refilled, and one beyond it never is.
+func TestArbiterRateWithoutBurst(t *testing.T) {
+	now := 0.0
+	a, err := newArbiterAt(ArbiterConfig{
+		PerFrameUSD:       0.001,
+		SessionRatePerSec: 600,
+	}, func() float64 { return now })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := a.Admit("s1", 100); v != Admit {
+		t.Fatalf("100-frame relay on a fresh 600 frames/s session = %v", v)
+	}
+	now = 60_000 // a minute idle: the bucket is full again, and no fuller
+	if v := a.Admit("s1", 600); v != Admit {
+		t.Fatalf("one second of rate after a long idle = %v", v)
+	}
+	now = 120_000
+	if v := a.Admit("s1", 601); v != DeferRate {
+		t.Fatalf("relay over one second of rate = %v", v)
+	}
+}
+
 // TestArbiterRelease: deleting a session frees its bucket and the Sessions
 // gauge, keeps the admission history, and a recreated session starts with a
 // fresh burst allowance.

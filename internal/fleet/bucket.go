@@ -14,10 +14,14 @@ type tokenBucket struct {
 }
 
 // newTokenBucket returns a full bucket, or nil (unlimited) when
-// ratePerSec <= 0.
+// ratePerSec <= 0. A burst <= 0 holds one second of rate; any burst is at
+// least one frame.
 func newTokenBucket(ratePerSec, burst float64, nowMS float64) *tokenBucket {
 	if ratePerSec <= 0 {
 		return nil
+	}
+	if burst <= 0 {
+		burst = ratePerSec
 	}
 	if burst < 1 {
 		burst = 1

@@ -37,7 +37,6 @@ import (
 	"eventhit/internal/dataset"
 	"eventhit/internal/mathx"
 	"eventhit/internal/metrics"
-	"eventhit/internal/obs"
 	"eventhit/internal/pipeline"
 	"eventhit/internal/strategy"
 )
@@ -45,7 +44,7 @@ import (
 // Stream is one admitted simulated stream: the existing pipeline loop's
 // ingredients plus the region to marshal.
 type Stream struct {
-	// ID labels the stream in reports and metrics.
+	// ID labels the stream in reports.
 	ID string
 	// Source/Strategy/Cfg/Costs are the pipeline loop's inputs. Costs.CIMS
 	// is owned by the fleet scheduler: only the scan/predict profile is
@@ -79,7 +78,7 @@ type Config struct {
 	// StreamRatePerSec and StreamBurst configure each stream's token
 	// bucket in billed frames: the bucket refills at StreamRatePerSec
 	// frames per simulated second up to StreamBurst. Rate <= 0 disables
-	// per-stream metering.
+	// per-stream metering; burst 0 holds one second of rate.
 	StreamRatePerSec float64
 	StreamBurst      float64
 	// GlobalBudgetUSD caps the fleet's total CI spend; relays that would
@@ -99,11 +98,6 @@ type Config struct {
 	// (phase A). Scheduling itself is serial; results are identical at any
 	// value >= 1.
 	Parallelism int
-	// Metrics receives the scheduler's instrumentation. Unlike the
-	// pipeline, nil does NOT fall back to obs.Default(): the fleet report
-	// embeds the registry summary, so the registry must be run-scoped for
-	// two identical runs to report identically. Run creates a fresh one.
-	Metrics *obs.Registry
 }
 
 // DefaultConfig returns a production-shaped policy: modest batching, a
@@ -213,8 +207,6 @@ type Report struct {
 	// MakespanMS is when the last activity (local or CI) finished.
 	MakespanMS float64 `json:"makespan_ms"`
 
-	// registry is the run-scoped metrics registry (see Config.Metrics).
-	registry *obs.Registry
 	// cacheStats is the shared cache's full meter snapshot (zero value when
 	// Config.Cache was nil).
 	cacheStats cicache.Stats
@@ -225,20 +217,6 @@ type Report struct {
 // JSON report because they differ between cache on/off even when the
 // outcome is identical).
 func (r *Report) CacheStats() cicache.Stats { return r.cacheStats }
-
-// Registry returns the run's metrics registry (queue depth, wait/batch
-// histograms, shed/deferred counters, per-stream spend).
-func (r *Report) Registry() *obs.Registry { return r.registry }
-
-// MetricsSummary returns the fleet families of the run registry collapsed
-// to name -> total: a deterministic digest, identical at any Parallelism.
-func (r *Report) MetricsSummary() map[string]float64 {
-	out := make(map[string]float64)
-	for _, e := range r.registry.Summary() {
-		out[e.Name] = e.Total
-	}
-	return out
-}
 
 // Run admits the streams and marshals them against one shared CI backend.
 // Phase A computes each stream's timeline (records, predictions, relay
@@ -252,7 +230,7 @@ func Run(streams []Stream, cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// Reports and metrics labels key on the stream ID.
+	// Reports key on the stream ID.
 	seen := make(map[string]bool, len(streams))
 	for i, s := range streams {
 		if s.ID == "" {
@@ -262,9 +240,6 @@ func Run(streams []Stream, cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("fleet: duplicate stream ID %q", s.ID)
 		}
 		seen[s.ID] = true
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
 	}
 	var cache *cicache.Cache
 	if cfg.Cache != nil {
@@ -325,7 +300,7 @@ func collectStream(s Stream, cfg Config) (*cloud.Service, pipeline.Timeline, err
 // recall vs realized recall on the relays that actually reached the
 // backend.
 func score(sch *scheduler, cfg Config) (*Report, error) {
-	rep := &Report{BudgetUSD: cfg.GlobalBudgetUSD, registry: cfg.Metrics}
+	rep := &Report{BudgetUSD: cfg.GlobalBudgetUSD}
 	for _, st := range sch.streams {
 		u := st.svc.Usage()
 		sr := StreamReport{

@@ -5,7 +5,6 @@ import (
 
 	"eventhit/internal/cicache"
 	"eventhit/internal/cloud"
-	"eventhit/internal/obs"
 	"eventhit/internal/pipeline"
 	"eventhit/internal/video"
 )
@@ -64,64 +63,17 @@ type scheduler struct {
 	cacheHits        int64
 	cacheSavedFrames int64
 	cacheBadHits     int64
-
-	// Instrumentation (run-scoped registry, serial writes only).
-	depthG         *obs.Gauge
-	depthMaxG      *obs.Gauge
-	waitH          *obs.Histogram
-	batchH         *obs.Histogram
-	servedC, shedC *obs.Counter
-	deferredC      *obs.Counter
-	framesC        *obs.Counter
-	spendByStream  map[int]*obs.Counter
-	servedByStream map[int]*obs.Counter
-	// Cache families are registered whether or not the cache is enabled so
-	// the metrics summary has identical families (all zero when disabled or
-	// never hitting) — part of the byte-identity contract.
-	cacheHitsC        *obs.Counter
-	cacheSavedFramesC *obs.Counter
-	cacheSavedUSDC    *obs.Counter
-	cacheBadHitsC     *obs.Counter
 }
 
 func newScheduler(cfg Config, cache *cicache.Cache) *scheduler {
-	reg := cfg.Metrics
-	return &scheduler{
-		cfg:       cfg,
-		cache:     cache,
-		depthG:    reg.Gauge("eventhit_fleet_queue_depth", "pending relays at the shared CI", nil),
-		depthMaxG: reg.Gauge("eventhit_fleet_queue_depth_max", "high-water mark of the pending queue", nil),
-		waitH: reg.Histogram("eventhit_fleet_wait_ms",
-			"queueing delay between a relay's release and its batch dispatch", obs.MSBuckets(), nil),
-		batchH: reg.Histogram("eventhit_fleet_batch_size",
-			"relays per CI batch call", []float64{1, 2, 4, 8, 16, 32, 64}, nil),
-		servedC:        reg.Counter("eventhit_fleet_served_relays_total", "relays served by the shared CI", nil),
-		shedC:          reg.Counter("eventhit_fleet_shed_relays_total", "relays shed by queue backpressure", nil),
-		deferredC:      reg.Counter("eventhit_fleet_deferred_relays_total", "relays deferred by budget metering", nil),
-		framesC:        reg.Counter("eventhit_fleet_ci_frames_total", "frames billed by the shared CI", nil),
-		spendByStream:  make(map[int]*obs.Counter),
-		servedByStream: make(map[int]*obs.Counter),
-		cacheHitsC: reg.Counter("eventhit_fleet_cache_hits_total",
-			"relays served from the shared CI result cache", nil),
-		cacheSavedFramesC: reg.Counter("eventhit_fleet_cache_saved_frames_total",
-			"billed frames avoided by cache hits", nil),
-		cacheSavedUSDC: reg.Counter("eventhit_fleet_cache_saved_usd_total",
-			"CI spend avoided by cache hits", nil),
-		cacheBadHitsC: reg.Counter("eventhit_fleet_cache_bad_hits_total",
-			"cache hits whose stored verdict hid a true occurrence", nil),
-	}
+	return &scheduler{cfg: cfg, cache: cache}
 }
 
 func (s *scheduler) addStream(id string, svc *cloud.Service, tl pipeline.Timeline) {
-	i := len(s.streams)
 	s.streams = append(s.streams, &schedStream{
 		id: id, svc: svc, tl: tl,
 		bucket: newTokenBucket(s.cfg.StreamRatePerSec, s.cfg.StreamBurst, 0),
 	})
-	s.spendByStream[i] = s.cfg.Metrics.Counter("eventhit_fleet_stream_spent_usd_total",
-		"per-stream CI spend", obs.Labels{"stream": id})
-	s.servedByStream[i] = s.cfg.Metrics.Counter("eventhit_fleet_stream_served_total",
-		"per-stream served relays", obs.Labels{"stream": id})
 }
 
 // effSlack is the aged urgency of a pending request at nowMS: the nominal
@@ -183,7 +135,6 @@ func (s *scheduler) admit() {
 	}
 	if len(s.pending) > s.maxDepth {
 		s.maxDepth = len(s.pending)
-		s.depthMaxG.Set(float64(s.maxDepth))
 	}
 	if s.cfg.QueueMax > 0 && len(s.pending) > s.cfg.QueueMax {
 		// Shed from the low-urgency end until the bound holds.
@@ -194,10 +145,8 @@ func (s *scheduler) admit() {
 			st := s.streams[victim.stream]
 			st.shed++
 			st.markUnserved(victim.req)
-			s.shedC.Inc()
 		}
 	}
-	s.depthG.Set(float64(len(s.pending)))
 }
 
 // run drains every timeline through the shared channel.
@@ -287,7 +236,6 @@ func (s *scheduler) dispatch() {
 		batch = append(batch, p)
 	}
 	s.pending = rest
-	s.depthG.Set(float64(len(s.pending)))
 	if len(batch) == 0 {
 		return // everything was deferred or cache-served; admit/idle again
 	}
@@ -297,7 +245,6 @@ func (s *scheduler) dispatch() {
 	s.framesBilled += int64(batchFrames)
 	s.spentUSD = float64(s.framesBilled) * s.cfg.Pricing.PerFrameUSD
 	s.batches++
-	s.batchH.Observe(float64(len(batch)))
 	dets := make([][]video.Interval, len(batch))
 	for bi, p := range batch {
 		st := s.streams[p.stream]
@@ -318,11 +265,6 @@ func (s *scheduler) dispatch() {
 		if wait > st.maxWaitMS {
 			st.maxWaitMS = wait
 		}
-		s.waitH.Observe(wait)
-		s.servedC.Inc()
-		s.framesC.Add(float64(p.req.Win.Len()))
-		s.spendByStream[p.stream].Add(float64(p.req.Win.Len()) * s.cfg.Pricing.PerFrameUSD)
-		s.servedByStream[p.stream].Inc()
 	}
 	for i, p := range piggy {
 		twin := batch[piggySlot[i]]
@@ -349,17 +291,10 @@ func (s *scheduler) serveCached(p pendingReq, v cicache.Verdict, serveStart floa
 	if wait > st.maxWaitMS {
 		st.maxWaitMS = wait
 	}
-	s.waitH.Observe(wait)
-	s.servedC.Inc()
-	s.servedByStream[p.stream].Inc()
 	s.cacheHits++
 	s.cacheSavedFrames += int64(p.req.Win.Len())
-	s.cacheHitsC.Inc()
-	s.cacheSavedFramesC.Add(float64(p.req.Win.Len()))
-	s.cacheSavedUSDC.Add(float64(p.req.Win.Len()) * s.cfg.Pricing.PerFrameUSD)
 	if len(found) == 0 && len(st.svc.Peek(p.req.EventType, p.req.Win)) > 0 {
 		s.cacheBadHits++
-		s.cacheBadHitsC.Inc()
 		st.markUnserved(p.req)
 	}
 }
@@ -369,5 +304,4 @@ func (s *scheduler) defer_(p pendingReq) {
 	st := s.streams[p.stream]
 	st.deferred++
 	st.markUnserved(p.req)
-	s.deferredC.Inc()
 }

@@ -5,7 +5,6 @@ import (
 
 	"eventhit/internal/cloud"
 	"eventhit/internal/mathx"
-	"eventhit/internal/obs"
 	"eventhit/internal/pipeline"
 	"eventhit/internal/video"
 )
@@ -29,9 +28,6 @@ func synthTimeline(n int, slack int, releaseStepMS float64, frames int) pipeline
 
 func synthScheduler(t *testing.T, cfg Config) (*scheduler, *cloud.Service) {
 	t.Helper()
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
-	}
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func forEachCell(n int, fn func(i int) error) error {
 	if g := runtime.GOMAXPROCS(0); workers > g {
 		workers = g
 	}
-	return ForEachCellN(n, workers, fn)
+	return mathx.ForEach(n, workers, fn)
 }
 
 // cells is the grid every experiment is written on: fn(i) computes cell i's
@@ -74,14 +74,4 @@ func trialCells[T any](values, trials int, fn func(v, trial int) (T, error)) ([]
 		out[v] = flat[v*trials : (v+1)*trials]
 	}
 	return out, nil
-}
-
-// ForEachCellN is forEachCell with an explicit worker count, for callers
-// that carry their own parallelism knob instead of the package-level
-// setting (the scenario runner's parallel stage groups). It is
-// mathx.ForEach: results must be slotted by index, and the returned error
-// is the lowest-numbered failing cell's — so outcomes are identical at any
-// workers >= 1.
-func ForEachCellN(n, workers int, fn func(i int) error) error {
-	return mathx.ForEach(n, workers, fn)
 }

@@ -74,32 +74,6 @@ func (g *RNG) Exponential(rate float64) float64 {
 	return g.r.ExpFloat64() / rate
 }
 
-// Poisson returns a sample from Poisson(lambda). Knuth's product method is
-// used for small lambda and a normal approximation for large lambda; the
-// workloads in this repository only need lambda well under 50.
-func (g *RNG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 50 {
-		v := g.Normal(lambda, math.Sqrt(lambda))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= g.r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Geometric returns the number of failures before the first success for
 // success probability p in (0, 1]; i.e. support {0, 1, 2, ...} with mean
 // (1-p)/p.

@@ -36,30 +36,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestPoissonMoments(t *testing.T) {
-	g := NewRNG(5)
-	for _, lambda := range []float64{0.5, 3, 12, 80} {
-		n := 20000
-		var sum, sumsq float64
-		for i := 0; i < n; i++ {
-			v := float64(g.Poisson(lambda))
-			sum += v
-			sumsq += v * v
-		}
-		mean := sum / float64(n)
-		variance := sumsq/float64(n) - mean*mean
-		if math.Abs(mean-lambda) > 0.05*lambda+0.1 {
-			t.Errorf("Poisson(%v) mean = %v", lambda, mean)
-		}
-		if math.Abs(variance-lambda) > 0.15*lambda+0.3 {
-			t.Errorf("Poisson(%v) variance = %v", lambda, variance)
-		}
-	}
-	if NewRNG(1).Poisson(0) != 0 || NewRNG(1).Poisson(-2) != 0 {
-		t.Error("Poisson of non-positive rate must be 0")
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	g := NewRNG(6)
 	p := 0.25

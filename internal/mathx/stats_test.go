@@ -191,60 +191,3 @@ func TestCeilQuantileAgreesWithSortedIndex(t *testing.T) {
 		}
 	}
 }
-
-func TestPearson(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	if r := Pearson(x, x); math.Abs(r-1) > 1e-12 {
-		t.Fatalf("self correlation = %v", r)
-	}
-	neg := []float64{5, 4, 3, 2, 1}
-	if r := Pearson(x, neg); math.Abs(r+1) > 1e-12 {
-		t.Fatalf("anti correlation = %v", r)
-	}
-	if Pearson(x, []float64{2, 2, 2, 2, 2}) != 0 {
-		t.Fatal("zero-variance input must give 0")
-	}
-	if Pearson(nil, nil) != 0 {
-		t.Fatal("empty input must give 0")
-	}
-}
-
-func TestPearsonPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Pearson([]float64{1}, []float64{1, 2})
-}
-
-func TestPearsonBounded(t *testing.T) {
-	g := NewRNG(15)
-	f := func(seed int64) bool {
-		h := g.Split(seed)
-		n := 2 + h.Intn(50)
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i] = h.Normal(0, 3)
-			y[i] = h.Normal(0, 3)
-		}
-		r := Pearson(x, y)
-		return r >= -1-1e-9 && r <= 1+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPointBiserial(t *testing.T) {
-	x := []float64{0.1, 0.2, 0.9, 0.8}
-	y := []bool{false, false, true, true}
-	if r := PointBiserial(x, y); r < 0.9 {
-		t.Fatalf("point-biserial = %v, want near 1", r)
-	}
-	flipped := []bool{true, true, false, false}
-	if r := PointBiserial(x, flipped); r > -0.9 {
-		t.Fatalf("flipped point-biserial = %v, want near -1", r)
-	}
-}

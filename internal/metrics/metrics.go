@@ -180,12 +180,6 @@ func FramesSent(preds []Prediction) int {
 	return n
 }
 
-// Expense returns the CI bill for the predictions at the given per-frame
-// price (§VI.G).
-func Expense(preds []Prediction, perFrameUSD float64) float64 {
-	return float64(FramesSent(preds)) * perFrameUSD
-}
-
 // TrueEventFrames returns the total true event frames across records — the
 // frames OPT pays for, and the floor of any algorithm's expense at REC=1.
 func TrueEventFrames(recs []dataset.Record) int {

@@ -38,12 +38,6 @@ func NewDense(name string, in, out int, g *mathx.RNG) *Dense {
 	return d
 }
 
-// In returns the input width.
-func (d *Dense) In() int { return d.in }
-
-// Out returns the output width.
-func (d *Dense) Out() int { return d.out }
-
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 

@@ -87,12 +87,6 @@ func NewLSTM(name string, in, hidden int, g *mathx.RNG) *LSTM {
 	return l
 }
 
-// In returns the per-step input width D.
-func (l *LSTM) In() int { return l.in }
-
-// Hidden returns the hidden state width.
-func (l *LSTM) Hidden() int { return l.hidden }
-
 // Params implements Layer.
 func (l *LSTM) Params() []*Param { return []*Param{l.wx, l.wh, l.b} }
 

@@ -38,12 +38,6 @@ func QuantizeDense(d *Dense) *QuantDense {
 	return q
 }
 
-// In returns the input width.
-func (q *QuantDense) In() int { return q.in }
-
-// Out returns the output width.
-func (q *QuantDense) Out() int { return q.out }
-
 // ForwardQ computes W*x + b over Q12 activations. The returned slice is
 // reused by the next ForwardQ.
 func (q *QuantDense) ForwardQ(x []int32) []int32 { return q.ForwardQRows(x, 0, q.out) }
@@ -173,12 +167,6 @@ func QuantizeLSTM(l *LSTM) *QuantLSTM {
 	}
 	return q
 }
-
-// In returns the per-step input width D.
-func (q *QuantLSTM) In() int { return q.in }
-
-// Hidden returns the hidden state width.
-func (q *QuantLSTM) Hidden() int { return q.hidden }
 
 // EnableFrameCache sizes the frame-keyed input-projection ring (0 disables
 // it, the default). Callers that present stride-1 sliding windows via

@@ -1,33 +1,30 @@
 // Package obs is the runtime observability layer: a stdlib-only, race-safe
 // metrics registry with Prometheus text-format exposition. Where
 // internal/trace is the offline audit trail (what was decided, replayable
-// after the fact), obs is the live signal an operator scrapes while the
-// system runs: how many requests, where the simulated milliseconds go per
-// pipeline stage, what the circuit breaker is doing, what the CI bill is.
+// after the fact), obs is the live signal an operator scrapes from a
+// running server's /metrics: how many requests and how fast, what the
+// circuit breaker is doing, what the CI bill is. Offline runs (the
+// pipeline, the fleet simulator, the experiments) record nothing here:
+// their numbers live in their reports.
 //
-// Three metric kinds, mirroring the Prometheus data model:
+// Three series kinds, mirroring the Prometheus data model:
 //
-//   - Counter: a monotonically increasing float64 (requests served, frames
-//     billed, backoff milliseconds waited).
-//   - Gauge: a float64 that can go up and down (breaker state, estimated
-//     spend).
+//   - Counter: a monotonically increasing float64 (requests served), or a
+//     CounterFunc read at scrape time from a component's own cumulative
+//     meters (frames billed, backoff milliseconds waited).
+//   - GaugeFunc: a float64 that can go up and down, read at scrape time
+//     (breaker state, live cache entries).
 //   - Histogram: observations counted into fixed cumulative buckets plus a
-//     running sum and count (per-stage simulated ms, request latencies).
+//     running sum and count (request latencies).
 //
 // All primitives are updated with atomic operations only — no locks on the
-// hot path — so instrumenting a goroutine-parallel experiment cell or a
-// concurrent HTTP handler is race-free by construction. Instrumentation is
-// also determinism-neutral by construction: metrics observe values the
-// system already computed; they never draw randomness, never touch the
-// simulated clock, and never feed back into a decision. The golden BENCH
-// files and every seeded experiment output are byte-identical with metrics
-// enabled (pinned by the pipeline/harness determinism tests).
+// hot path — so instrumenting a concurrent HTTP handler is race-free by
+// construction. Metrics observe values the system already computed; they
+// never draw randomness and never feed back into a decision.
 //
 // Metrics are created through a Registry (get-or-create, keyed by name +
-// label set) and exposed with WriteText / Handler. A process-wide Default
-// registry serves code without an obvious injection point (the pipeline's
-// stage histograms); servers own private registries so concurrent test
-// servers do not share counters.
+// label set) and exposed with WriteText / Handler. Every server owns a
+// private registry, so concurrent test servers do not share counters.
 package obs
 
 import (
@@ -49,8 +46,6 @@ func (f *atomicFloat) add(d float64) {
 		}
 	}
 }
-
-func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
 
 func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
 
@@ -76,20 +71,6 @@ func (c *Counter) Add(d float64) {
 
 // Value returns the current total.
 func (c *Counter) Value() float64 { return c.v.load() }
-
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	v atomicFloat
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.v.store(v) }
-
-// Add adds d (may be negative).
-func (g *Gauge) Add(d float64) { g.v.add(d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v.load() }
 
 // Histogram counts observations into fixed cumulative buckets. Bounds are
 // upper bounds (Prometheus `le` semantics: an observation lands in the
@@ -136,31 +117,8 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.load() }
 
-// MSBuckets is the default bucket layout for simulated-millisecond
-// histograms: the pipeline's stage times span sub-millisecond EventHit
-// inference to multi-minute CI relays, so the bounds are exponential.
-func MSBuckets() []float64 {
-	return []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000}
-}
-
 // SecondsBuckets is the default bucket layout for wall-clock request
 // latencies in seconds.
 func SecondsBuckets() []float64 {
 	return []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-}
-
-// ExpBuckets returns n exponentially spaced bucket bounds starting at
-// start, each factor times the previous. It panics when start <= 0,
-// factor <= 1 or n < 1.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("obs: ExpBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	b := make([]float64, n)
-	v := start
-	for i := range b {
-		b[i] = v
-		v *= factor
-	}
-	return b
 }

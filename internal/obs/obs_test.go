@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"net/http/httptest"
 	"os"
@@ -20,15 +19,6 @@ func TestCounter(t *testing.T) {
 	c.Add(math.NaN()) // ignored: NaN would poison the total
 	if v := c.Value(); v != 3.5 {
 		t.Fatalf("Value = %v, want 3.5", v)
-	}
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(7)
-	g.Add(-2.5)
-	if v := g.Value(); v != 4.5 {
-		t.Fatalf("Value = %v, want 4.5", v)
 	}
 }
 
@@ -79,7 +69,7 @@ func TestRegistryKindClashPanics(t *testing.T) {
 	}()
 	r := NewRegistry()
 	r.Counter("m", "", nil)
-	r.Gauge("m", "", nil)
+	r.GaugeFunc("m", "", nil, func() float64 { return 0 })
 }
 
 func TestInvalidMetricNamePanics(t *testing.T) {
@@ -100,16 +90,6 @@ func TestInvalidLabelNamePanics(t *testing.T) {
 	NewRegistry().Counter("ok", "", Labels{"bad-label": "v"})
 }
 
-func TestExpBuckets(t *testing.T) {
-	b := ExpBuckets(1, 10, 4)
-	want := []float64{1, 10, 100, 1000}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Fatalf("ExpBuckets = %v, want %v", b, want)
-		}
-	}
-}
-
 // TestWriteTextGolden pins the exposition format byte-for-byte: family
 // ordering, HELP/TYPE lines, label rendering and escaping, histogram
 // cumulative buckets, func-backed series.
@@ -118,8 +98,7 @@ func TestWriteTextGolden(t *testing.T) {
 	c := r.Counter("eventhit_requests_total", "requests served", Labels{"endpoint": "/v1/predict", "code": "200"})
 	c.Add(42)
 	r.Counter("eventhit_requests_total", "requests served", Labels{"endpoint": "/v1/frames", "code": "200"}).Add(7)
-	g := r.Gauge("eventhit_breaker_state", "0 closed, 1 open, 2 half-open", nil)
-	g.Set(1)
+	r.GaugeFunc("eventhit_breaker_state", "0 closed, 1 open, 2 half-open", nil, func() float64 { return 1 })
 	h := r.Histogram("eventhit_stage_ms", "per-stage simulated ms", []float64{10, 100, 1000}, Labels{"stage": "scan"})
 	for _, v := range []float64{5, 50, 50, 500, 5000} {
 		h.Observe(v)
@@ -146,7 +125,7 @@ func TestWriteTextGolden(t *testing.T) {
 func TestWriteTextDeterministic(t *testing.T) {
 	r := NewRegistry()
 	for _, stage := range []string{"scan", "predict", "relay"} {
-		r.Histogram("stage_ms", "", MSBuckets(), Labels{"stage": stage}).Observe(12)
+		r.Histogram("stage_ms", "", []float64{1, 10, 100}, Labels{"stage": stage}).Observe(12)
 		r.Counter("runs_total", "", Labels{"stage": stage}).Inc()
 	}
 	var a, b bytes.Buffer
@@ -162,12 +141,13 @@ func TestWriteTextDeterministic(t *testing.T) {
 }
 
 // TestConcurrentUpdatesAndScrapes hammers every primitive from many
-// goroutines while scraping — run with -race; totals must be exact.
+// goroutines while scraping, which also reads a func-backed gauge — run
+// with -race; totals must be exact.
 func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "", nil)
-	g := r.Gauge("g", "", nil)
 	h := r.Histogram("h_ms", "", []float64{1, 10, 100}, nil)
+	r.GaugeFunc("g", "", nil, func() float64 { return float64(h.Count()) })
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -176,7 +156,6 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(float64(i % 200))
 				if i%100 == 0 {
 					var buf bytes.Buffer
@@ -190,9 +169,6 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	wg.Wait()
 	if c.Value() != workers*per {
 		t.Fatalf("counter = %v, want %d", c.Value(), workers*per)
-	}
-	if g.Value() != workers*per {
-		t.Fatalf("gauge = %v, want %d", g.Value(), workers*per)
 	}
 	if h.Count() != workers*per {
 		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*per)
@@ -210,75 +186,5 @@ func TestHandlerServesText(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "up_total 1") {
 		t.Fatalf("body = %q", rec.Body.String())
-	}
-}
-
-// TestSummaryTotals: Summary collapses label dimensions into per-family
-// totals, sorted by name, with histogram count and sum reported separately.
-func TestSummaryTotals(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b_requests_total", "", Labels{"code": "200"}).Add(3)
-	r.Counter("b_requests_total", "", Labels{"code": "500"}).Add(2)
-	r.Gauge("c_depth", "", nil).Set(4)
-	r.CounterFunc("d_spend_usd", "", nil, func() float64 { return 1.25 })
-	h := r.Histogram("a_wait_ms", "", []float64{1, 10}, nil)
-	h.Observe(0.5)
-	h.Observe(20)
-
-	got := r.Summary()
-	want := []SummaryEntry{
-		{Name: "a_wait_ms", Kind: "histogram", Series: 1, Total: 2, Sum: 20.5},
-		{Name: "b_requests_total", Kind: "counter", Series: 2, Total: 5},
-		{Name: "c_depth", Kind: "gauge", Series: 1, Total: 4},
-		{Name: "d_spend_usd", Kind: "counter", Series: 1, Total: 1.25},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("Summary returned %d entries, want %d: %+v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestSummaryStable: two snapshots of an unchanged registry are identical.
-func TestSummaryStable(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x_total", "", Labels{"s": "a"}).Inc()
-	r.Histogram("y_ms", "", []float64{1}, nil).Observe(2)
-	a, b := r.Summary(), r.Summary()
-	if len(a) != len(b) {
-		t.Fatalf("snapshot lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("entry %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
-// TestSummarySeriesOrderIndependent: a family's Total must not depend on
-// map iteration order. Many series holding values whose float sum is
-// order-sensitive (0.1 + 0.2 + ... accumulates differently per permutation)
-// must collapse to one bit-stable total across registries built in
-// different insertion orders and across repeated snapshots.
-func TestSummarySeriesOrderIndependent(t *testing.T) {
-	build := func(reverse bool) *Registry {
-		r := NewRegistry()
-		for i := 0; i < 64; i++ {
-			k := i
-			if reverse {
-				k = 63 - i
-			}
-			r.Counter("spend_total", "", Labels{"s": fmt.Sprintf("cam-%02d", k)}).Add(0.1 + float64(k)*0.01)
-		}
-		return r
-	}
-	want := build(false).Summary()[0].Total
-	for trial := 0; trial < 20; trial++ {
-		if got := build(trial%2 == 1).Summary()[0].Total; got != want {
-			t.Fatalf("trial %d: total %v != %v (summation order leaked)", trial, got, want)
-		}
 	}
 }

@@ -40,7 +40,6 @@ func (k kind) String() string {
 type series struct {
 	labels string // rendered {k="v",...} suffix, "" when unlabelled
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	fn     func() float64
 }
@@ -69,13 +68,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
-
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry, used by instrumentation
-// without a natural injection point (the pipeline's stage histograms when
-// Costs.Metrics is nil). Servers should own private registries instead.
-func Default() *Registry { return defaultRegistry }
 
 // validName reports whether s is a legal Prometheus metric or label name:
 // [a-zA-Z_:][a-zA-Z0-9_:]* (labels additionally may not contain ':', but
@@ -160,20 +152,6 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 		f.series[key] = s
 	}
 	return s.c
-}
-
-// Gauge returns the gauge for (name, labels), creating it on first use.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, help, gaugeKind, nil)
-	key := renderLabels(labels)
-	s, ok := f.series[key]
-	if !ok || s.g == nil {
-		s = &series{labels: key, g: &Gauge{}}
-		f.series[key] = s
-	}
-	return s.g
 }
 
 // Histogram returns the histogram for (name, labels), creating it on
@@ -271,8 +249,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(s.fn()))
 			case s.c != nil:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(s.c.Value()))
-			case s.g != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(s.g.Value()))
 			case s.h != nil:
 				writeHistogram(&b, f.name, s)
 			}
@@ -302,63 +278,6 @@ func writeHistogram(b *strings.Builder, name string, s *series) {
 	fmt.Fprintf(b, "%s_bucket%s %d\n", name, withLe("+Inf"), cum)
 	fmt.Fprintf(b, "%s_sum%s %s\n", name, s.labels, formatFloat(h.Sum()))
 	fmt.Fprintf(b, "%s_count%s %d\n", name, s.labels, h.Count())
-}
-
-// SummaryEntry is one metric family's roll-up in a Summary.
-type SummaryEntry struct {
-	// Name is the family name; Kind is "counter", "gauge" or "histogram".
-	Name string `json:"name"`
-	Kind string `json:"kind"`
-	// Series is the number of label combinations in the family.
-	Series int `json:"series"`
-	// Total is the family's value summed across series. For histograms it
-	// is the total observation count; Sum then carries the summed values.
-	Total float64 `json:"total"`
-	Sum   float64 `json:"sum,omitempty"`
-}
-
-// Summary returns one entry per family, sorted by name: the registry's
-// top-level totals with label dimensions collapsed. Like WriteText it is a
-// read-only snapshot (func-backed series are evaluated once), so a registry
-// with fixed contents summarizes identically every time — the fleet report's
-// MetricsSummary digest relies on that guarantee.
-func (r *Registry) Summary() []SummaryEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]SummaryEntry, 0, len(names))
-	for _, n := range names {
-		f := r.families[n]
-		e := SummaryEntry{Name: f.name, Kind: f.kind.String(), Series: len(f.series)}
-		// Sum in sorted series order: float addition is order-sensitive, and
-		// ranging the map directly would make two identical registries
-		// summarize to different low bits from run to run.
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			s := f.series[k]
-			switch {
-			case s.fn != nil:
-				e.Total += s.fn()
-			case s.c != nil:
-				e.Total += s.c.Value()
-			case s.g != nil:
-				e.Total += s.g.Value()
-			case s.h != nil:
-				e.Total += float64(s.h.Count())
-				e.Sum += s.h.Sum()
-			}
-		}
-		out = append(out, e)
-	}
-	return out
 }
 
 // Handler returns an http.Handler serving the text exposition — mount it

@@ -90,8 +90,6 @@ func (m *Marshaller) account(tl *Timeline, i int) ([]RelayRequest, float64) {
 	tl.Horizons++
 	tl.ScanMS += scanMS
 	tl.PredMS += predictMS
-	m.scanH.Observe(scanMS)
-	m.predictH.Observe(predictMS)
 	first := len(tl.Requests)
 	tl.Requests = m.relay.AppendRequests(tl.Requests, tl.Records[i], m.ex.Events(), &tl.Preds[i], i, tl.ScanMS+tl.PredMS)
 	return tl.Requests[first:], scanMS + predictMS
@@ -113,6 +111,5 @@ func (m *Marshaller) Collect(start, end int) (Timeline, error) {
 		m.account(&tl, i)
 	}
 	tl.Frames = tl.Horizons * m.cfg.Horizon
-	m.horizonsC.Add(float64(tl.Horizons))
 	return tl, nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"eventhit/internal/cicache"
-	"eventhit/internal/obs"
 	"eventhit/internal/strategy"
 )
 
@@ -88,7 +87,6 @@ func TestCollectAccountingMatchesRunDetailed(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ex, ci, cfg := setup(t)
 			costs := tc.costs(EventHitCosts(cfg.Window))
-			costs.Metrics = obs.NewRegistry()
 			mc, err := New(ex, tc.strat(), ci, cfg, costs)
 			if err != nil {
 				t.Fatal(err)

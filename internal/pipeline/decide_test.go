@@ -11,7 +11,6 @@ import (
 	"eventhit/internal/dataset"
 	"eventhit/internal/features"
 	"eventhit/internal/metrics"
-	"eventhit/internal/obs"
 	"eventhit/internal/strategy"
 )
 
@@ -53,7 +52,6 @@ func TestDecideParallelMatchesSerial(t *testing.T) {
 			costs.Degrade = true
 			cc := cicache.DefaultConfig()
 			costs.Cache = &cc
-			costs.Metrics = obs.NewRegistry()
 			backend := cloud.Inject(ci, cloud.FaultPlan{Seed: 7, TransientRate: 0.3, FailLatencyMS: 5})
 			m, err := New(src, s, backend, cfg, costs)
 			if err != nil {

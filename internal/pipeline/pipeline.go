@@ -25,7 +25,6 @@ import (
 	"eventhit/internal/cloud"
 	"eventhit/internal/dataset"
 	"eventhit/internal/metrics"
-	"eventhit/internal/obs"
 	"eventhit/internal/resilience"
 	"eventhit/internal/strategy"
 )
@@ -57,11 +56,6 @@ type Costs struct {
 	// decisions. When false, an unserved relay aborts the run with an
 	// error — the pre-resilience behaviour.
 	Degrade bool
-	// Metrics receives per-stage histograms and run counters; nil uses the
-	// process-wide obs.Default() registry. The observations are simulated
-	// milliseconds the run already computed — recording them touches no RNG
-	// and no clock, so instrumented and bare runs are byte-identical.
-	Metrics *obs.Registry
 	// Cache, when non-nil, interposes a content-addressed CI result cache
 	// (internal/cicache) in front of the backend: relays are keyed by a
 	// quantized signature of the covariate window and a hit is served from
@@ -208,13 +202,6 @@ type Marshaller struct {
 	clock *resilience.Clock
 	cfg   dataset.Config
 	costs Costs
-
-	// Stage histograms and run counters (see Costs.Metrics). The stage label
-	// matches Figure 10's decomposition: scan, predict, relay.
-	scanH, predictH, relayH        *obs.Histogram
-	horizonsC, deferredC           *obs.Counter
-	ciFramesC, ciSpentC, ciFailedC *obs.Counter
-	cacheHitsC, cacheSavedC        *obs.Counter
 }
 
 // New assembles a marshaller over exactly the source and strategy it is
@@ -248,38 +235,9 @@ func New(ex dataset.Source, s strategy.Strategy, ci cloud.Backend, cfg dataset.C
 	if err != nil {
 		return nil, err
 	}
-	reg := costs.Metrics
-	if reg == nil {
-		reg = obs.Default()
-	}
-	stageH := func(stage string) *obs.Histogram {
-		return reg.Histogram("eventhit_pipeline_stage_ms",
-			"simulated per-stage time per horizon (relay: per CI call)",
-			obs.MSBuckets(), obs.Labels{"stage": stage})
-	}
 	return &Marshaller{
 		ex: ex, strat: s, ci: ci, relay: relay, clock: clock,
 		cfg: cfg, costs: costs,
-		scanH:    stageH("scan"),
-		predictH: stageH("predict"),
-		relayH:   stageH("relay"),
-		horizonsC: reg.Counter("eventhit_pipeline_horizons_total",
-			"prediction steps taken", nil),
-		deferredC: reg.Counter("eventhit_pipeline_deferred_relays_total",
-			"relays dropped by graceful degradation", nil),
-		ciFramesC: reg.Counter("eventhit_pipeline_ci_frames_total",
-			"frames relayed to and billed by the CI", nil),
-		ciSpentC: reg.Counter("eventhit_pipeline_ci_spent_usd_total",
-			"CI bill accrued by pipeline runs", nil),
-		ciFailedC: reg.Counter("eventhit_pipeline_ci_failed_attempts_total",
-			"failed CI attempts during pipeline runs", nil),
-		// Registered whether or not the cache is enabled, so the metric
-		// families (and any registry digest) are identical across cache
-		// on/off runs — they just stay zero without hits.
-		cacheHitsC: reg.Counter("eventhit_pipeline_cache_hits_total",
-			"relays answered from the CI result cache", nil),
-		cacheSavedC: reg.Counter("eventhit_pipeline_cache_saved_usd_total",
-			"CI spend avoided by cache hits", nil),
 	}, nil
 }
 
@@ -303,8 +261,7 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 	var rep Report
 	var outs []RelayOutcome
 	// Baselines: the client and CI meters are cumulative across runs of the
-	// same backend; the report and the run counters only take this run's
-	// delta.
+	// same backend; the report only takes this run's delta.
 	cached := m.relay.Cached()
 	st0, u0 := m.relay.Client().Stats(), m.ci.Usage()
 	var sv0 cloud.Savings
@@ -323,10 +280,7 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 		// activity.
 		m.clock.Advance(localMS)
 		for _, rq := range reqs {
-			out, ms, err := m.relay.Serve(rq)
-			// Deferred calls consumed simulated time too (failed attempts,
-			// backoff); the relay histogram records both outcomes.
-			m.relayH.Observe(ms)
+			out, _, err := m.relay.Serve(rq)
 			if err != nil && !m.costs.Degrade {
 				return Report{}, nil, nil, nil, fmt.Errorf("pipeline: CI call: %w", err)
 			}
@@ -356,14 +310,7 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 		rep.CacheHits = sv.Hits - sv0.Hits
 		rep.CacheSavedFrames = sv.SavedFrames - sv0.SavedFrames
 		rep.CacheSavedUSD = sv.SavedUSD - sv0.SavedUSD
-		m.cacheHitsC.Add(float64(rep.CacheHits))
-		m.cacheSavedC.Add(rep.CacheSavedUSD)
 	}
-	m.horizonsC.Add(float64(rep.Horizons))
-	m.deferredC.Add(float64(rep.CIDeferred))
-	m.ciFramesC.Add(float64(rep.CIFrames))
-	m.ciSpentC.Add(rep.SpentUSD)
-	m.ciFailedC.Add(float64(rep.CIFailedAttempts))
 	return rep, tl.Records, tl.Preds, outs, nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"eventhit/internal/features"
 	"eventhit/internal/fleet"
 	"eventhit/internal/harness"
+	"eventhit/internal/mathx"
 	"eventhit/internal/metrics"
 	"eventhit/internal/pipeline"
 	"eventhit/internal/resilience"
@@ -280,7 +281,7 @@ func RunWithEnv(spec *Spec, env *harness.Env, par int) (*Report, error) {
 			workers = par
 		}
 		runStage := func() error {
-			return harness.ForEachCellN(len(tasks), workers, func(i int) error {
+			return mathx.ForEach(len(tasks), workers, func(i int) error {
 				out, err := runTask(spec, env, cams, tasks[i], par)
 				if err == nil {
 					err = out.accountingErr()
@@ -425,7 +426,7 @@ func fleetConfig(spec *Spec, ts TaskSpec, par int) fleet.Config {
 
 func runFleetTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec, par int) (*FleetOut, error) {
 	streams := make([]fleet.Stream, len(cams))
-	if err := harness.ForEachCellN(len(cams), par, func(i int) error {
+	if err := mathx.ForEach(len(cams), par, func(i int) error {
 		s, err := buildCamera(env, spec, cams[i])
 		if err != nil {
 			return err

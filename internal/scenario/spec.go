@@ -102,7 +102,7 @@ type FleetSpec struct {
 	// BudgetUSD caps the fleet's total CI spend (0 = uncapped).
 	BudgetUSD float64
 	// StreamRatePerSec / StreamBurst configure the per-stream token bucket
-	// (0 = unmetered).
+	// (rate 0 = unmetered; burst 0 = one second of rate).
 	StreamRatePerSec float64
 	StreamBurst      float64
 	QueueMax         *int

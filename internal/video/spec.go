@@ -116,15 +116,6 @@ func Breakfast() DatasetSpec {
 	}
 }
 
-// Datasets returns all three dataset specs keyed by name.
-func Datasets() map[string]DatasetSpec {
-	return map[string]DatasetSpec{
-		"VIRAT":     VIRAT(),
-		"THUMOS":    THUMOS(),
-		"Breakfast": Breakfast(),
-	}
-}
-
 // SpecByEventID locates the dataset containing paper event ID (1-12).
 func SpecByEventID(id int) (DatasetSpec, error) {
 	switch {

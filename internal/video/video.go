@@ -71,11 +71,6 @@ func (iv Interval) Intersect(o Interval) (Interval, bool) {
 	return r, true
 }
 
-// Union returns the smallest interval covering both (they need not overlap).
-func (iv Interval) Union(o Interval) Interval {
-	return Interval{Start: min(iv.Start, o.Start), End: max(iv.End, o.End)}
-}
-
 // String implements fmt.Stringer.
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d]", iv.Start, iv.End) }
 

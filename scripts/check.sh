@@ -1,10 +1,21 @@
 #!/usr/bin/env sh
 # check.sh — the full local CI gate. Run from the repository root.
 #
+#     scripts/check.sh              every stage
+#     scripts/check.sh STAGE...     only the named stages, in gate order
+#
 # Every stage runs through `stage NAME cmd...`, which prints one line
 #     NAME  <seconds>s  PASS|FAIL
 # and, on FAIL, the stage's captured output; the first failure ends the gate.
+# A STAGE that names no stage exits 2 before anything runs.
 set -eu
+
+stages=$(sed -n 's/^stage \([^ ]*\) .*/\1/p' "$0")
+for want in "$@"; do
+    printf '%s\n' "$stages" | grep -qxF -e "$want" ||
+        { echo "check.sh: no stage named $want; stages are:" $stages >&2; exit 2; }
+done
+only=" $* "
 
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
@@ -12,6 +23,7 @@ trap 'rm -rf "$tmpdir"' EXIT
 stage() {
     name=$1
     shift
+    case "$only" in "  " | *" $name "*) ;; *) return 0 ;; esac
     start=$(date +%s)
     if "$@" >"$tmpdir/stage.log" 2>&1; then
         printf '%-20s %4ss  PASS\n' "$name" "$(($(date +%s) - start))"
@@ -204,6 +216,7 @@ stage build-eventhitbench go build -o "$tmpdir/eventhitbench" ./cmd/eventhitbenc
 # prints wall-clock, and every grid merges in cell-index order. No
 # committed bytes — the two runs are compared with each other.
 exp_all_x2() {
+    [ -x "$tmpdir/eventhitbench" ] || go build -o "$tmpdir/eventhitbench" ./cmd/eventhitbench
     "$tmpdir/eventhitbench" -exp all -quick -parallelism 1 >"$tmpdir/all_p1.txt" &&
         "$tmpdir/eventhitbench" -exp all -quick -parallelism 4 >"$tmpdir/all_p4.txt" &&
         cmp "$tmpdir/all_p1.txt" "$tmpdir/all_p4.txt"
