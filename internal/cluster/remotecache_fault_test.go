@@ -191,7 +191,7 @@ func TestCachedBackendFaultyCacheBreakerAccounting(t *testing.T) {
 	getBefore, putBefore := ft.count(cachePathGet), ft.count(cachePathPut)
 	for i := 0; i < relays; i++ {
 		win := video.Interval{Start: i * 200, End: i*200 + 99}
-		out, _, err := relay.Serve(pipeline.RelayRequest{EventType: 0, Win: win})
+		out, err := relay.Serve(pipeline.RelayRequest{EventType: 0, Win: win})
 		if err != nil {
 			t.Fatalf("relay %d failed through a faulty cache: %v", i, err)
 		}

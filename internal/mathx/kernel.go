@@ -13,6 +13,11 @@ import (
 // clear it to force the scalar path.
 var vector = vectorSupported()
 
+// Vector reports whether this process selected the AVX2 kernels at
+// start-up. Other packages' AVX2 code dispatches on it, so CPUID, XGETBV
+// and the GODEBUG switches are read in one place.
+func Vector() bool { return vector }
+
 // SigmoidInto sets dst[i] = Sigmoid(src[i]). dst and src may be the same
 // slice; other overlaps are not allowed. It panics if the lengths differ.
 func SigmoidInto(dst, src []float64) {

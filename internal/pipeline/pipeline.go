@@ -280,7 +280,7 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 		// activity.
 		m.clock.Advance(localMS)
 		for _, rq := range reqs {
-			out, _, err := m.relay.Serve(rq)
+			out, err := m.relay.Serve(rq)
 			if err != nil && !m.costs.Degrade {
 				return Report{}, nil, nil, nil, fmt.Errorf("pipeline: CI call: %w", err)
 			}

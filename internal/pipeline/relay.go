@@ -134,11 +134,12 @@ func (r *Relay) AppendRequests(dst []RelayRequest, rec dataset.Record, events []
 }
 
 // Serve sends rq through the resilient client — the keyed (content-
-// addressed) branch if and only if rq is keyed — and returns its outcome
-// with the simulated CI time the call consumed. A request the client could
-// not serve (breaker open, retries exhausted) is Deferred and err says why;
-// its failed attempts are still in elapsedMS.
-func (r *Relay) Serve(rq RelayRequest) (out RelayOutcome, elapsedMS float64, err error) {
+// addressed) branch if and only if rq is keyed — and returns its outcome.
+// The simulated CI time the call consumed lands in the client's
+// Stats().BusyMS. A request the client could not serve (breaker open,
+// retries exhausted) is Deferred and err says why; its failed attempts are
+// still charged to BusyMS.
+func (r *Relay) Serve(rq RelayRequest) (out RelayOutcome, err error) {
 	var res resilience.Result
 	if rq.Keyed {
 		res, err = r.client.DetectKeyed(rq.Key, rq.EventType, rq.Win)
@@ -148,5 +149,5 @@ func (r *Relay) Serve(rq RelayRequest) (out RelayOutcome, elapsedMS float64, err
 	// A deferred Result carries no detection.
 	out = RelayOutcome{Horizon: rq.Horizon, Event: rq.Event, Deferred: res.Deferred, Retried: res.Retried,
 		Detections: len(res.Det.Found)}
-	return out, res.ElapsedMS, err
+	return out, err
 }

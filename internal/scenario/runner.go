@@ -617,7 +617,7 @@ walk:
 					return nil, err
 				}
 			}
-			o, _, err := relay.Serve(rq)
+			o, err := relay.Serve(rq)
 			if err != nil {
 				return nil, err
 			}

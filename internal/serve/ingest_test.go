@@ -212,11 +212,11 @@ func TestFramesResponseEncoding(t *testing.T) {
 }
 
 // framesHandlerAllocCeiling bounds the allocations of one frames POST —
-// the status-capturing writer, the body's MaxBytesReader and the response
-// header's value; the acknowledgement is appended into the pooled buffer —
-// and is the same at every batch size: nothing on the ingest path
-// allocates per frame.
-const framesHandlerAllocCeiling = 3
+// the status-capturing writer and the body's MaxBytesReader; the response
+// header's value is shared and the acknowledgement is appended into the
+// pooled buffer — and is the same at every batch size: nothing on the
+// ingest path allocates per frame.
+const framesHandlerAllocCeiling = 2
 
 func TestFramesHandlerAllocs(t *testing.T) {
 	if raceEnabled {
@@ -693,10 +693,11 @@ func (ib *ingestBuf) scanFramesByteWalk(b []byte, d, keep int) (rows int, ok boo
 	return rows, true
 }
 
-// ta9Body renders rows frames of d channels in the client's encoding with
-// the value mix of a TA9 push: about a third exact zeros, a sixth exact
-// ones, the rest fractions in [0, 1) of 16–18 characters, and one small
-// value that 'g' writes with an exponent.
+// ta9Body renders rows frames of d channels as bench/ sends them
+// (encoding/json, which writes an exponent only below 1e-6) with the value
+// mix of a TA9 push: about a third exact zeros, a sixth exact ones, the
+// rest fractions in [0, 1) of 16–18 characters, and one small value,
+// 3.0517578125e-05, written as a 17-digit fraction.
 func ta9Body(rows, d int, seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	frames := make([][]float64, rows)
@@ -713,24 +714,24 @@ func ta9Body(rows, d int, seed int64) []byte {
 		}
 	}
 	frames[rows/2][d/2] = 3.0517578125e-05
-	body, err := encodeFrames(frames)
+	b, err := json.Marshal(FramesRequest{Frames: frames})
 	if err != nil {
 		panic(err)
 	}
-	defer body.Close()
-	b, _ := io.ReadAll(body)
 	return b
 }
 
-// FuzzScanMatchesByteWalk is the differential check of the word-at-a-time
-// scanner against the byte walk it replaced: at every keep, the two must
-// accept and decline the same bodies, count the same rows and convert the
-// same values, bit for bit. The seeds put every token start and the body's
-// end at each residue mod 8 (the scanner reads 8-byte words), and carry the
-// number shapes the fast path takes next to the ones it must leave to the
-// per-token walk.
+// FuzzScanMatchesByteWalk is the differential check of both scanner paths
+// — the word-at-a-time walk alone, and scanFrames with its vector front end
+// when the machine has one — against the byte walk the word walk replaced:
+// at every keep, each must accept and decline the same bodies, count the
+// same rows and convert the same values, bit for bit. The seeds put every
+// token start and the body's end at each residue mod 8 (the walk reads
+// 8-byte words), and carry the number shapes the fast paths take next to
+// the ones they must leave to the per-token walk.
 func FuzzScanMatchesByteWalk(f *testing.F) {
 	f.Add(ta9Body(250, 12, 1), 12)
+	f.Add(ta9Body(3, 4, 2), 4)
 	tokens := []string{
 		"0", "1", "7", "-0", "-1", "1e999", "-1e999", "0.00000000001e315", "1e-999", "01", "-01", "1.", ".5", "-.5", "1e", "1e+",
 		"1E+2", "1e-07", "0.5", "12.5", "0.1234567", "0.12345678", "0.123456789", "0.1234567890123456", "0.12345678901234567",
@@ -754,33 +755,187 @@ func FuzzScanMatchesByteWalk(f *testing.F) {
 			return
 		}
 		for _, keep := range []int{1, 2, 25, MaxFramesPerPush} {
-			var words, walk ingestBuf
-			rows, ok := words.scanFrames(body, d, keep)
+			var walk ingestBuf
 			wantRows, wantOK := walk.scanFramesByteWalk(body, d, keep)
-			if ok != wantOK || rows != wantRows || len(words.vals) != len(walk.vals) {
-				t.Fatalf("keep %d: scanner (%d rows, %v, %d values), byte walk (%d rows, %v, %d values) on %q",
-					keep, rows, ok, len(words.vals), wantRows, wantOK, len(walk.vals), body)
-			}
-			for k, v := range words.vals {
-				if math.Float64bits(v) != math.Float64bits(walk.vals[k]) {
-					t.Fatalf("keep %d, value %d: scanner %x, byte walk %x (%q)", keep, k, math.Float64bits(v), math.Float64bits(walk.vals[k]), body)
+			for _, p := range scanPaths() {
+				var ib ingestBuf
+				rows, ok := p.scan(&ib, body, d, keep)
+				if ok != wantOK || rows != wantRows || len(ib.vals) != len(walk.vals) {
+					t.Fatalf("keep %d: %s (%d rows, %v, %d values), byte walk (%d rows, %v, %d values) on %q",
+						keep, p.name, rows, ok, len(ib.vals), wantRows, wantOK, len(walk.vals), body)
+				}
+				for k, v := range ib.vals {
+					if math.Float64bits(v) != math.Float64bits(walk.vals[k]) {
+						t.Fatalf("keep %d, value %d: %s %x, byte walk %x (%q)", keep, k, p.name, math.Float64bits(v), math.Float64bits(walk.vals[k]), body)
+					}
 				}
 			}
 		}
 	})
 }
 
+// TestScanVectorMatchesWalk holds scanFrames — with its vector front end
+// where the machine runs one — and the word walk to the byte walk on bodies
+// aimed at the front end's block seams and mask rules: every accepted
+// token shape, "0.", "],[" and "[[" at each offset of a 64-byte block;
+// bodies of 0 to 200 bytes; a byte ≥ 0x80, NUL, whitespace, '-' or 'e' at
+// every position; tokens the front end must leave to the walk ("1.5",
+// "01", "0.", ".5"); MaxFramesPerPush rows and one more; d = 0; and
+// seeded random edits of compact bodies. Each body is read at d-1, d and
+// d+1 and at four keeps, and must give the same rows, ok and values (by
+// bit pattern) on every path. Bodies marked compact must also be taken by
+// the front end itself, so the comparison is not vacuous.
+func TestScanVectorMatchesWalk(t *testing.T) {
+	type probe struct {
+		body    string
+		d       int
+		compact bool
+	}
+	var probes []probe
+	add := func(body string, d int, compact bool) { probes = append(probes, probe{body, d, compact}) }
+	frames := func(rows ...string) string { return `{"frames":[` + strings.Join(rows, ",") + `]}` }
+
+	// Seams: a lead fraction of n digits slides what follows it across
+	// every offset of a block.
+	good := []string{"0", "1", "5", "9", "0.5", "0.0", "0.05", "0.1234567", "0.12345678", "0.12345678901234567",
+		"0.123456789012345678901234", "0.00000000000000000000001"}
+	bad := []string{"-1", "-0", "1e5", "0.5e-3", "1E2", "1.5", "01", "00", "12", "0.", ".5", "0..5", "0.5.5", "0.5.",
+		"", "[1]", "0,", " 1", "1 ", "\x80", "\x001", "1\xff", "\t1", "+1", "0x1"}
+	for n := 1; n <= 64+16; n++ {
+		lead := "0." + strings.Repeat("7", n)
+		for _, tok := range good {
+			add(frames("["+lead+","+tok+",1]", "["+tok+","+tok+",0.5]"), 3, true)
+		}
+		for _, tok := range bad {
+			add(frames("["+lead+","+tok+",1]", "["+tok+","+tok+",0.5]"), 3, false)
+		}
+		add(frames("["+lead+"]", "[1]", "[0]"), 1, true)
+		for _, seam := range []string{"],[[", "]],[", "][", "],,[", ",],[", "],[,", "],[]", "[[", "]]", "], [", "] ,["} {
+			add(`{"frames":[[`+lead+seam+`1]]}`, 1, false)
+		}
+	}
+	// Structure the rules must refuse, in a row no keep of 1 converts.
+	for _, row := range []string{"[1,,]", "[,1,1]", "[1,1,]", "[]", "[1,1]", "[1,1,1,1]", "[1,1.1]", "[1,01,1]", "[[1,1,1]]"} {
+		add(frames(row, "[1,1,1]"), 3, false)
+		add(frames("[0.5,1,0]", row, "[1,1,1]"), 3, false)
+	}
+	// Lengths 0–200: every prefix of a compact body, and compact bodies of
+	// every length a one-row or a [1]-row body can have.
+	long := frames("[0.25,1,0.123456789]", "[0,0.5,1]", "[1,1,1]", "[0.999,0.001,0]", "[0.3333333333333333,0.6666666666666666,0]", "[1,0,1]", "[0.5,0.5,0.5]", "[0.75,0.125,0.0625]")
+	for n := 0; n <= 200 && n <= len(long); n++ {
+		add(long[:n], 3, n == len(long))
+	}
+	for n := 1; n <= 200-17; n++ {
+		add(frames("[0."+strings.Repeat("3", n)+"]"), 1, true)
+		add(frames(strings.Repeat("[1],", n/4)+"[0."+strings.Repeat("6", n%4+1)+"]"), 1, true)
+	}
+	// One byte replaced, or one byte inserted, at every position of a
+	// body of fractions and of one of single digits.
+	const edits = "\x80\xffA\x00 \n\t\r-e+,[].05"
+	for _, p := range []probe{{string(ta9Body(1, 12, 5)), 12, false}, {frames("[1,0,1]", "[0,0,1]", "[1,1,1]"), 3, false}} {
+		for i := 0; i <= len(p.body); i++ {
+			for j := range len(edits) {
+				c := edits[j : j+1]
+				if i < len(p.body) {
+					add(p.body[:i]+c+p.body[i+1:], p.d, false)
+				}
+				add(p.body[:i]+c+p.body[i:], p.d, false)
+			}
+		}
+	}
+	// The row limit, and d = 0.
+	add(frames(strings.Repeat("[1],", MaxFramesPerPush-1)+"[0]"), 1, true)
+	add(frames(strings.Repeat("[1],", MaxFramesPerPush)+"[0]"), 1, false)
+	add(frames(strings.Repeat("[0.5,1],", MaxFramesPerPush-1)+"[0,0.5]"), 2, true)
+	add(frames(strings.Repeat("[0.5,1],", MaxFramesPerPush)+"[0,0.5]"), 2, false)
+	add(`{"frames":[[]]}`, 0, false)
+	add(`{"frames":[[],[]]}`, 0, false)
+	// Random edits of compact bodies, mostly in the shapes' own alphabet.
+	rng := rand.New(rand.NewSource(48))
+	const alphabet = "0123456789,[].,[]0 A-e\x80"
+	for k := 0; k < 3000; k++ {
+		b := []byte(frames("[0.5,1,0.25]", "[0,0.75,1]", "[1,0,0.5]"))
+		if k%3 == 0 {
+			b = ta9Body(1+rng.Intn(4), 3, int64(k))
+		}
+		for e := 0; e <= rng.Intn(3); e++ {
+			i, c := rng.Intn(len(b)), alphabet[rng.Intn(len(alphabet))]
+			switch rng.Intn(3) {
+			case 0:
+				b[i] = c
+			case 1:
+				b = append(b[:i], b[i+1:]...)
+			default:
+				b = append(b[:i], append([]byte{c}, b[i:]...)...)
+			}
+		}
+		add(string(b), 3, false)
+	}
+
+	paths := scanPaths()
+	for _, p := range probes {
+		body := []byte(p.body)
+		for _, d := range []int{p.d - 1, p.d, p.d + 1} {
+			if d < 0 {
+				continue
+			}
+			for _, keep := range []int{1, 2, 25, MaxFramesPerPush} {
+				var ref ingestBuf
+				wantRows, wantOK := ref.scanFramesByteWalk(body, d, keep)
+				for _, path := range paths {
+					var ib ingestBuf
+					rows, ok := path.scan(&ib, body, d, keep)
+					if rows != wantRows || ok != wantOK || len(ib.vals) != len(ref.vals) {
+						t.Fatalf("d %d keep %d: %s (%d rows, %v, %d values), byte walk (%d rows, %v, %d values) on %q",
+							d, keep, path.name, rows, ok, len(ib.vals), wantRows, wantOK, len(ref.vals), body)
+					}
+					for i, v := range ib.vals {
+						if math.Float64bits(v) != math.Float64bits(ref.vals[i]) {
+							t.Fatalf("d %d keep %d value %d: %s %x, byte walk %x on %q", d, keep, i, path.name, math.Float64bits(v), math.Float64bits(ref.vals[i]), body)
+						}
+					}
+				}
+				if p.compact && d == p.d && vectorScan {
+					var ib ingestBuf
+					if _, ok := ib.scanCompact(body, d, keep); !ok {
+						t.Fatalf("d %d keep %d: the vector front end declined compact %q", d, keep, body)
+					}
+				}
+			}
+		}
+	}
+}
+
+// scanPath is one way through the scanner.
+type scanPath struct {
+	name string
+	scan func(*ingestBuf, []byte, int, int) (int, bool)
+}
+
+// scanPaths are the word walk and, on a machine that runs it, scanFrames
+// with its vector front end.
+func scanPaths() []scanPath {
+	paths := []scanPath{{"words", (*ingestBuf).scanWords}}
+	if vectorScan {
+		paths = append(paths, scanPath{"vector", (*ingestBuf).scanFrames})
+	}
+	return paths
+}
+
 var scanSink float64
 
-// BenchmarkScanFrames times the scanner alone, against the byte walk it
-// replaced, on a TA9-shaped push (250 rows of 12, a 25-frame window), on
-// the same push with every row kept (so the conversion's share shows) and
-// on a long push of narrow frames (4 096 rows of 6, the same window).
+// BenchmarkScanFrames times the scanner alone — the byte walk, the word
+// walk and, on a machine that runs it, scanFrames with its vector front end
+// — on a one-frame TA9 push (what the predict workloads send), on a
+// TA9-shaped push (250 rows of 12, a 25-frame window), on the same push
+// with every row kept (so the conversion's share shows) and on a long push
+// of narrow frames (4 096 rows of 6, the same window).
 func BenchmarkScanFrames(b *testing.B) {
 	for _, shape := range []struct {
 		name          string
 		rows, d, keep int
 	}{
+		{"ta9-d12x1", 1, 12, 25},
 		{"ta9-d12x250", 250, 12, 25},
 		{"ta9-d12x250-keepall", 250, 12, MaxFramesPerPush},
 		{"d6x4096", MaxFramesPerPush, 6, 25},
@@ -794,24 +949,18 @@ func BenchmarkScanFrames(b *testing.B) {
 			bodies[k] = ta9Body(shape.rows, shape.d, int64(k+1))
 			size += len(bodies[k])
 		}
-		for _, walk := range []struct {
-			name string
-			scan func(*ingestBuf, []byte, int, int) (int, bool)
-		}{
-			{"bytewalk", (*ingestBuf).scanFramesByteWalk},
-			{"words", (*ingestBuf).scanFrames},
-		} {
-			b.Run(shape.name+"/"+walk.name, func(b *testing.B) {
+		for _, p := range append([]scanPath{{"bytewalk", (*ingestBuf).scanFramesByteWalk}}, scanPaths()...) {
+			b.Run(shape.name+"/"+p.name, func(b *testing.B) {
 				var ib ingestBuf
 				for _, body := range bodies {
-					if rows, ok := walk.scan(&ib, body, shape.d, shape.keep); !ok || rows != shape.rows {
+					if rows, ok := p.scan(&ib, body, shape.d, shape.keep); !ok || rows != shape.rows {
 						b.Fatalf("declined its own body (%d rows, %v)", rows, ok)
 					}
 				}
 				b.SetBytes(int64(size / len(bodies)))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					walk.scan(&ib, bodies[i%len(bodies)], shape.d, shape.keep)
+					p.scan(&ib, bodies[i%len(bodies)], shape.d, shape.keep)
 				}
 				scanSink = ib.vals[0]
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.rows*shape.d), "ns/number")

@@ -48,7 +48,7 @@ func (s *Server) handlePredict(sess *session, w http.ResponseWriter, r *http.Req
 		return // predictCore already wrote the error
 	}
 	sc.out = appendPredictResponse(sc.out[:0], &sc.resp, s.eventJSON)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.Write(sc.out)
 }
 
@@ -148,7 +148,7 @@ func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Reque
 				if s.relay != nil {
 					// Graceful degradation: the decision is served to the
 					// caller either way; an unserved relay is deferred.
-					if out, _, _ := s.relay.Serve(rq); out.Deferred {
+					if out, _ := s.relay.Serve(rq); out.Deferred {
 						d.Deferred = true
 						c.deferred++
 					} else {
@@ -166,7 +166,7 @@ func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Reque
 				// An audit relays the full horizon purely to label the skip;
 				// it bypasses the fleet arbiter and the decided-relay tally.
 				hz := video.Interval{Start: anchor + 1, End: anchor + s.horizon}
-				if out, _, _ := s.relay.Serve(pipeline.RelayRequest{EventType: s.eventSet[k], Win: hz}); !out.Deferred {
+				if out, _ := s.relay.Serve(pipeline.RelayRequest{EventType: s.eventSet[k], Win: hz}); !out.Deferred {
 					labelKnown[k], labelTrue[k] = true, out.Detections > 0
 				}
 			}

@@ -432,7 +432,7 @@ type ReadyResponse struct {
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	ready, reasons := s.Ready()
 	if !ready {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonContentType
 		w.WriteHeader(http.StatusServiceUnavailable)
 		json.NewEncoder(w).Encode(ReadyResponse{Ready: false, Reasons: reasons})
 		return
@@ -449,13 +449,19 @@ func (s *Server) Close() {
 	}
 }
 
+// jsonContentType is the Content-Type of every JSON response, assigned as
+// a shared, already canonical value: Header.Set would allocate a fresh
+// []string per response. net/http only reads a header's values, and an
+// append to this one (cap 1) copies it.
+var jsonContentType = []string{"application/json"}
+
 func httpError(w http.ResponseWriter, code int, format string, args ...interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	json.NewEncoder(w).Encode(v)
 }

@@ -80,14 +80,16 @@ stage run-patterns run_patterns
 # kernels are amd64 assembly with a pure-Go fallback: an arm64 and a 386
 # build keep the fallback compiling. The ingest scanner reads the body in
 # 64-bit words and its converter multiplies them (and takes bits.Mul64):
-# its fuzz seeds, handler corpus, ring tests and the converter's boundary
-# table also run as a 386 binary, where a word is two registers.
+# its fuzz seeds, handler corpus, ring tests, the converter's boundary
+# table and the vector-front-end probes (on the walk alone: the classifier
+# is amd64 assembly) also run as a 386 binary, where a word is two
+# registers.
 cross_build() {
     GOOS=windows go build ./cmd/... ./internal/... &&
         GOOS=darwin go build ./cmd/... ./internal/... &&
         GOARCH=arm64 go build ./cmd/... ./internal/... &&
         GOARCH=386 go build ./cmd/... ./internal/... &&
-        GOARCH=386 go test -count=1 ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus|TestRingMatchesSlidingWindow|TestFastFloatBoundaries'
+        GOARCH=386 go test -count=1 ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus|TestRingMatchesSlidingWindow|TestFastFloatBoundaries|TestScanVectorMatchesWalk'
 }
 stage cross-build cross_build
 # The AVX2 kernels against their scalar twins, bit for bit: the mathx, nn,
@@ -139,9 +141,13 @@ stage swap go test -race ./internal/serve/ ./internal/drift/ ./internal/scenario
 # also gets two bounded live runs: against encoding/json (it converts only
 # the rows the ring keeps, so only the across-keep accept-set property
 # guards the rows it skips) and against the byte walk it replaced; and its
-# number converter one against strconv.ParseFloat.
+# number converter one against strconv.ParseFloat. On an AVX2 machine the
+# scanner takes compact bodies through its vector front end, so the seeds,
+# the handler corpus and the front end's probes run once more with AVX2
+# off, where every body takes the word walk.
 fuzz_serve() {
-    go test ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus' -count=1 &&
+    go test ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus|TestScanVectorMatchesWalk' -count=1 &&
+        GODEBUG=cpu.avx2=off go test ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus|TestScanVectorMatchesWalk' -count=1 &&
         go test ./internal/serve/ -run '^$' -fuzz '^FuzzParseFrames$' -fuzztime 15s &&
         go test ./internal/serve/ -run '^$' -fuzz '^FuzzScanMatchesByteWalk$' -fuzztime 15s &&
         go test ./internal/serve/ -run '^$' -fuzz '^FuzzFastFloat$' -fuzztime 10s
