@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"eventhit/internal/dataset"
@@ -88,6 +89,63 @@ func TestModelGradCheck(t *testing.T) {
 		t.Fatalf("worst=%g: %v", worst, err)
 	}
 	t.Logf("EventHit end-to-end gradcheck worst relative error: %g", worst)
+}
+
+// TestLossTargetsByRange: recordLoss's per-frame targets and weights equal
+// the frame-by-frame membership test they are filled in place of — the
+// first instance's interval, or with AllOI the union of every instance's —
+// on intervals that overlap, nest, touch, run past either end of the
+// horizon, are inverted or lie outside it.
+func TestLossTargetsByRange(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.NumEvents, cfg.Horizon = 1, 12
+	m, _ := New(cfg)
+	h := cfg.Horizon
+	iv := func(s, e int) video.Interval { return video.Interval{Start: s, End: e} }
+	cases := [][]video.Interval{
+		{iv(3, 5)}, {iv(1, h)}, {iv(-2, 4)}, {iv(9, 40)}, {iv(7, 6)}, {iv(13, 15)}, {iv(-5, 0)}, {iv(h, h)},
+		{iv(2, 4), iv(3, 8)}, {iv(2, 9), iv(4, 5)}, {iv(1, 2), iv(3, 4), iv(11, 30)}, {iv(5, 4), iv(6, 6)},
+		{iv(8, 10), iv(1, 3), iv(2, 2)}, {iv(-3, 20), iv(4, 4)},
+	}
+	tp := m.newTape()
+	for _, ivs := range cases {
+		for _, multi := range []bool{false, true} {
+			if !multi && len(ivs) > 1 {
+				continue
+			}
+			rec := tinyRecord(mathx.NewRNG(7), cfg)
+			rec.Label, rec.OI = []bool{true}, ivs[:1]
+			contains := ivs[0].Contains
+			inside := ivs[0].Len()
+			if multi {
+				rec.AllOI = [][]video.Interval{ivs}
+				contains = func(v int) bool {
+					return slices.ContainsFunc(ivs, func(iv video.Interval) bool { return iv.Contains(v) })
+				}
+				inside = 0
+				for v := 1; v <= h; v++ {
+					if contains(v) {
+						inside++
+					}
+				}
+			}
+			wIn, wOut := 1/float64(inside), 0.0
+			if h > inside {
+				wOut = 1 / float64(h-inside)
+			}
+			m.forward(tp, rec.X, nil, m.packs())
+			m.recordLoss(tp, rec)
+			for v := 1; v <= h; v++ {
+				y, w := 0.0, wOut
+				if contains(v) {
+					y, w = 1, wIn
+				}
+				if !bitsEqual(tp.target[v-1], y) || !bitsEqual(tp.weight[v-1], w) {
+					t.Fatalf("intervals %v (AllOI %v), offset %d: target %v weight %v, want %v %v", ivs, multi, v, tp.target[v-1], tp.weight[v-1], y, w)
+				}
+			}
+		}
+	}
 }
 
 func TestLossWeightsScale(t *testing.T) {
@@ -414,8 +472,10 @@ func TestAbsentHeadLogitsSkipped(t *testing.T) {
 	}
 	m, _ := New(cfg)
 	ref, _ := New(cfg)
-	tr := m.newTrainer(recs, TrainConfig{Epochs: 1, BatchSize: len(recs), LR: 3e-3})
+	tc := TrainConfig{Epochs: 1, BatchSize: len(recs), LR: 3e-3}
+	tr := m.newTrainer(recs, tc)
 	defer tr.stop()
+	defer ref.newTrainer(recs, tc).stop() // ref's gradients, for addGrads
 	batch := make([]int, len(recs))
 	for i := range batch {
 		batch[i] = i
@@ -502,6 +562,24 @@ func BenchmarkTrain(b *testing.B) {
 	}
 }
 
+// BenchmarkNew times model construction alone at the TA9 -quick shape
+// BenchmarkTrain trains (D=12, M=25, H=500, K=3, default widths), over the
+// eight seeds offline_repro's rounds use: the seeds split serially, then
+// every layer seeded and Xavier-initialized on GOMAXPROCS workers.
+func BenchmarkNew(b *testing.B) {
+	cfg := DefaultConfig(12, 25, 500, 3)
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i%8 + 1)
+		m, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		newSink = m
+	}
+}
+
+var newSink *Model
+
 // TestModelClone checks the clone contract: identical outputs, fully
 // independent parameter storage.
 func TestModelClone(t *testing.T) {
@@ -518,6 +596,45 @@ func TestModelClone(t *testing.T) {
 	c.params[0].W[0] += 1
 	if m.params[0].W[0] == c.params[0].W[0] {
 		t.Fatal("clone shares weight storage with the original")
+	}
+}
+
+// TestCloneAndTrainGradients: a clone of a trained model carries its
+// weights and the dropout stream New seeds for the configuration (not the
+// original's, advanced by training), and no model holds gradients outside
+// Train.
+func TestCloneAndTrainGradients(t *testing.T) {
+	cfg := DefaultConfig(12, 8, 30, 2)
+	cfg.Dropout = 0.25
+	m, _ := New(cfg)
+	noGrads := func(what string, m *Model) {
+		for _, p := range m.params {
+			if p.G != nil {
+				t.Fatalf("%s: %s holds a gradient", what, p.Name)
+			}
+		}
+	}
+	noGrads("New", m)
+	if _, err := m.Train(trainRecords(mathx.NewRNG(3), cfg, 9, 1), TrainConfig{Epochs: 1, BatchSize: 4, LR: 3e-3, Seed: 2}); err != nil {
+		t.Fatal(err)
+	}
+	noGrads("Train", m)
+	c := m.Clone()
+	noGrads("Clone", c)
+	for i, p := range c.params {
+		for j, w := range p.W {
+			if !bitsEqual(m.params[i].W[j], w) {
+				t.Fatalf("clone %s[%d] = %v, original %v", p.Name, j, w, m.params[i].W[j])
+			}
+		}
+	}
+	fresh, _ := New(cfg)
+	got, want, trained := make([]float64, 64), make([]float64, 64), make([]float64, 64)
+	c.drop.Mask(got)
+	fresh.drop.Mask(want)
+	m.drop.Mask(trained)
+	if !slices.Equal(got, want) || slices.Equal(got, trained) {
+		t.Fatalf("clone's dropout masks %v, New's %v, the trained original's %v", got, want, trained)
 	}
 }
 

@@ -42,10 +42,7 @@ func Load(r io.Reader, maxBytes int64) (*Model, error) {
 		return nil, fmt.Errorf("core: config (InputDim %d, HiddenLSTM %d, HiddenTrunk %d, HiddenHead %d, Horizon %d, NumEvents %d) takes more than the %d bytes allowed for weights",
 			cfg.InputDim, cfg.HiddenLSTM, cfg.HiddenTrunk, cfg.HiddenHead, cfg.Horizon, cfg.NumEvents, maxBytes)
 	}
-	m, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
+	m := build(cfg, false) // LoadParams writes every weight
 	if err := nn.LoadParams(r, m.params); err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"eventhit/internal/dataset"
+	"eventhit/internal/mathx"
 	"eventhit/internal/nn"
+	"eventhit/internal/video"
 )
 
 // recordLoss computes L1 + L2 for one record from the per-head logits in
@@ -48,21 +50,18 @@ func (m *Model) recordLoss(tp *tape, rec dataset.Record) float64 {
 			}
 			continue
 		}
-		contains := rec.OI[k].Contains
-		inside := rec.OI[k].Len()
-		if rec.AllOI != nil && len(rec.AllOI[k]) > 0 {
-			ivs := rec.AllOI[k]
-			contains = func(v int) bool {
-				for _, iv := range ivs {
-					if iv.Contains(v) {
-						return true
-					}
-				}
-				return false
-			}
+		ivs, inside := rec.OI[k:k+1], rec.OI[k].Len()
+		multi := rec.AllOI != nil && len(rec.AllOI[k]) > 0
+		if multi {
+			ivs = rec.AllOI[k]
+		}
+		// Offsets 1..h inside some interval of ivs are target 1, the rest 0.
+		mathx.Fill(tp.target, 0)
+		fillOffsets(tp.target, ivs, 1)
+		if multi {
 			inside = 0
-			for v := 1; v <= h; v++ {
-				if contains(v) {
+			for _, y := range tp.target {
+				if y == 1 {
 					inside++
 				}
 			}
@@ -73,16 +72,21 @@ func (m *Model) recordLoss(tp *tape, rec dataset.Record) float64 {
 		if outside > 0 {
 			wOut = gamma / float64(outside)
 		}
-		for v := 1; v <= h; v++ {
-			if contains(v) {
-				tp.target[v-1], tp.weight[v-1] = 1, wIn
-			} else {
-				tp.target[v-1], tp.weight[v-1] = 0, wOut
-			}
-		}
+		mathx.Fill(tp.weight, wOut)
+		fillOffsets(tp.weight, ivs, wIn)
 		total = nn.BCEWithLogitsRow(total, lk[1:], tp.target, tp.weight, lk[1:])
 	}
 	return total
+}
+
+// fillOffsets sets dst[v-1] to x for every horizon offset v in 1..len(dst)
+// that one of ivs contains.
+func fillOffsets(dst []float64, ivs []video.Interval, x float64) {
+	for _, iv := range ivs {
+		if lo, hi := max(iv.Start, 1), min(iv.End, len(dst)); lo <= hi {
+			mathx.Fill(dst[lo-1:hi], x)
+		}
+	}
 }
 
 // Loss evaluates L1+L2 on a record with dropout off, touching no

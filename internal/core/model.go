@@ -134,31 +134,46 @@ type Model struct {
 
 // New constructs an EventHit model from cfg with freshly initialized
 // weights. Each layer draws from a stream of its own, split off the seed's
-// in a fixed order: the streams are split first, and the layers then
-// initialize on runtime.GOMAXPROCS(0) workers, so the weights are the
-// serial construction's.
+// in a fixed order: the streams' seeds are drawn first, and the layers then
+// seed their streams and initialize on runtime.GOMAXPROCS(0) workers, so
+// the weights are the serial construction's. The model carries no
+// gradients: Train attaches them for the call.
 func New(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return build(cfg, true), nil
+}
+
+// build constructs a model from cfg, which validates, with its weights
+// initialized when init is set and zero otherwise (for Clone and Load,
+// which copy or decode them in). The dropout stream is New's either way.
+func build(cfg Config, init bool) *Model {
 	g := mathx.NewRNG(cfg.Seed)
-	// Split advances g: the trunk's stream is drawn first, then dropout's,
-	// the encoder's, and each head's fc1 and fc2 in head order. Reordering
-	// the draws changes every seed's weights.
-	trunkG, dropG, lstmG := g.Split(2), g.Split(3), g.Split(1)
-	m := &Model{cfg: cfg, drop: nn.NewDropout(cfg.Dropout, dropG)}
+	// SplitSeed advances g: the trunk's stream is drawn first, then
+	// dropout's, the encoder's, and each head's fc1 and fc2 in head order.
+	// Reordering the draws changes every seed's weights.
+	trunkS, dropS, lstmS := g.SplitSeed(2), g.SplitSeed(3), g.SplitSeed(1)
+	stream := func(seed int64) *mathx.RNG {
+		if !init {
+			return nil // nn leaves the weights zero
+		}
+		return mathx.NewRNG(seed)
+	}
+	m := &Model{cfg: cfg}
 	inits := []func(){
-		func() { m.trunk = nn.NewDense("shared.trunk", cfg.HiddenLSTM, cfg.HiddenTrunk, trunkG) },
-		func() { m.lstm = nn.NewLSTM("shared.lstm", cfg.InputDim, cfg.HiddenLSTM, lstmG) },
+		func() { m.drop = nn.NewDropout(cfg.Dropout, mathx.NewRNG(dropS)) },
+		func() { m.trunk = nn.NewDense("shared.trunk", cfg.HiddenLSTM, cfg.HiddenTrunk, stream(trunkS)) },
+		func() { m.lstm = nn.NewLSTM("shared.lstm", cfg.InputDim, cfg.HiddenLSTM, stream(lstmS)) },
 	}
 	for k := 0; k < cfg.NumEvents; k++ {
-		h, fc1G, fc2G := new(head), g.Split(int64(10+2*k)), g.Split(int64(11+2*k))
+		h, fc1S, fc2S := new(head), g.SplitSeed(int64(10+2*k)), g.SplitSeed(int64(11+2*k))
 		m.heads = append(m.heads, h)
 		inits = append(inits,
 			func() {
-				h.fc1 = nn.NewDense(fmt.Sprintf("head%d.fc1", k), cfg.HiddenTrunk+cfg.InputDim, cfg.HiddenHead, fc1G)
+				h.fc1 = nn.NewDense(fmt.Sprintf("head%d.fc1", k), cfg.HiddenTrunk+cfg.InputDim, cfg.HiddenHead, stream(fc1S))
 			},
-			func() { h.fc2 = nn.NewDense(fmt.Sprintf("head%d.fc2", k), cfg.HiddenHead, 1+cfg.Horizon, fc2G) })
+			func() { h.fc2 = nn.NewDense(fmt.Sprintf("head%d.fc2", k), cfg.HiddenHead, 1+cfg.Horizon, stream(fc2S)) })
 	}
 	_ = mathx.ForEach(len(inits), runtime.GOMAXPROCS(0), func(i int) error { // fn never fails
 		inits[i]()
@@ -169,22 +184,18 @@ func New(cfg Config) (*Model, error) {
 		layers = append(layers, h.fc1, h.fc2)
 	}
 	m.params = nn.CollectParams(layers...)
-	return m, nil
+	return m
 }
 
 // Config returns the model configuration.
 func (m *Model) Config() Config { return m.cfg }
 
 // Clone returns a structurally identical model carrying a copy of m's
-// current weights. Nothing is shared: the clone has its own scratch,
-// gradient accumulators and dropout stream, so it can predict or train
-// concurrently with m. strategy.Bundle.Clone builds on it.
+// current weights. Nothing is shared: the clone has its own scratch and
+// dropout stream (the one New(m.Config()) seeds), so it can predict or
+// train concurrently with m. strategy.Bundle.Clone builds on it.
 func (m *Model) Clone() *Model {
-	c, err := New(m.cfg)
-	if err != nil {
-		// m was built from this exact configuration, so it validates.
-		panic(fmt.Sprintf("core: Clone: %v", err))
-	}
+	c := build(m.cfg, false)
 	nn.CopyParams(c.params, m.params)
 	return c
 }

@@ -73,7 +73,11 @@ type TrainStats struct {
 // steps from the last), and each range takes its Adam step as soon as it
 // is summed: the step is element-wise. Each gradient, weight and loss is
 // therefore bit-identical to running the records one by one on one
-// goroutine, at any worker count.
+// goroutine, at any worker count. The same job then repacks the rows it
+// stepped for the next minibatch's forward passes.
+//
+// The parameters' gradients belong to the call: it attaches zeroed ones,
+// and they are gone from the model when it returns.
 func (m *Model) Train(recs []dataset.Record, tc TrainConfig) (TrainStats, error) {
 	if len(recs) == 0 {
 		return TrainStats{}, fmt.Errorf("core: empty training set")
@@ -105,6 +109,7 @@ func (m *Model) Train(recs []dataset.Record, tc TrainConfig) (TrainStats, error)
 		var epochLoss float64
 		for lo := 0; lo < len(order); lo += tc.BatchSize {
 			batch := order[lo:min(lo+tc.BatchSize, len(order))]
+			t.last = epoch == tc.Epochs-1 && lo+tc.BatchSize >= len(order)
 			t.minibatch(batch)
 			for _, tp := range t.tapes[:len(batch)] {
 				epochLoss += tp.loss
@@ -125,12 +130,13 @@ type phase int
 const (
 	passes phase = iota // job i: record i's pass into tapes[i]
 	grads               // job i: gradJobs[i]
+	packs               // job i: gradJobs[i]'s rows packed into own
 )
 
 // gradJob is a row range of one layer: the LSTM's gate rows, the trunk's
-// rows, or head k's fc1 or fc2 rows. The job sums the minibatch's
-// gradients of those rows and then takes the optimizer step on them, the
-// elements steps lists.
+// rows, or head k's fc1 or fc2 rows, on the layer's packed blocks. The job
+// sums the minibatch's gradients of those rows, takes the optimizer step on
+// them, the elements steps lists, and repacks them.
 type gradJob struct {
 	layer  gradLayer
 	k      int
@@ -151,7 +157,7 @@ const (
 type stepJob struct{ i, lo, hi int }
 
 // Rows per job of the LSTM's gates (a multiple of mathx.BackRowsG's
-// four-row tile) and of fc2.
+// four-row tile) and of fc2 (a multiple of the four-row packed blocks).
 const (
 	lstmJobRows = 16
 	fc2JobRows  = 128
@@ -171,9 +177,12 @@ type trainer struct {
 	batch  []int   // the minibatch: indices into recs, in order
 	packed *packed // the weights this minibatch's passes read
 	// own is the pack the trainer publishes as the model's after each
-	// step, repacked in place: nothing else reads it while Train runs, and
-	// stop takes it back.
+	// step, its rows repacked in place by the jobs that stepped them:
+	// nothing else reads it while Train runs, and stop takes it back.
 	own *packed
+	// last says the minibatch is Train's last: its step is not repacked,
+	// since nothing reads own after it.
+	last bool
 
 	// The minibatch's terms of each weight gradient, record by record:
 	// (dL/dy, x) pairs, the LSTM's step by step from the last.
@@ -221,7 +230,7 @@ func (m *Model) newTrainer(recs []dataset.Record, tc TrainConfig) *trainer {
 	for len(t.tapes) < slots {
 		t.tapes = append(t.tapes, m.newTape())
 	}
-	t.m, t.recs = m, recs
+	t.m, t.recs, t.last = m, recs, false
 	if t.opt == nil {
 		t.opt = nn.NewAdam(m.params, tc.LR)
 	} else {
@@ -231,7 +240,10 @@ func (m *Model) newTrainer(recs []dataset.Record, tc TrainConfig) *trainer {
 		t.opt.SetGradClip(tc.GradClip)
 	}
 	if t.own == nil {
+		// Sized for the model's shape, which is all the jobs need: they
+		// overwrite every row before own is published.
 		t.own = new(packed)
+		m.pack(t.own)
 	}
 	t.helpers = min(runtime.GOMAXPROCS(0), slots) - 1
 	t.wake = nil
@@ -273,9 +285,13 @@ func (m *Model) allocTrainer() *trainer {
 		add(m.lstm, n, lstmRows, 0, lo, min(lo+lstmJobRows, n))
 	}
 	for hk, hd := range m.heads {
+		// fc2 packs from row n%4 (see nn.PackedDense): the first job takes
+		// the rows before it too.
 		n := 1 + m.cfg.Horizon
-		for lo := 0; lo < n; lo += fc2JobRows {
-			add(hd.fc2, n, fc2Rows, hk, lo, min(lo+fc2JobRows, n))
+		for lo := 0; lo < n; {
+			hi := min(n%4+(lo/fc2JobRows+1)*fc2JobRows, n)
+			add(hd.fc2, n, fc2Rows, hk, lo, hi)
+			lo = hi
 		}
 		add(hd.fc1, m.cfg.HiddenHead, fc1Rows, hk, 0, m.cfg.HiddenHead)
 	}
@@ -283,15 +299,16 @@ func (m *Model) allocTrainer() *trainer {
 	return t
 }
 
-// stop ends the helpers and leaves the trainer for the next Train call.
-// The pack stays with the trainer: Train's last minibatch ends with a
-// weight change, so nothing reads the pack as current any more, and
-// unpublishing it lets the next call repack the same memory. A pack the
-// model does not hold (never published, or replaced since) is dropped.
+// stop ends the helpers, takes the gradients back from the model's
+// parameters and leaves the trainer for the next Train call. The pack stays
+// with the trainer: unpublishing it lets the next call repack the same
+// memory, and the model packs afresh when it next runs. A pack the model
+// does not hold (never published, or replaced since) is dropped.
 func (t *trainer) stop() {
 	if t.wake != nil {
 		close(t.wake)
 	}
+	t.opt.Release()
 	if !t.m.packed.CompareAndSwap(t.own, nil) {
 		t.own = nil
 	}
@@ -300,12 +317,22 @@ func (t *trainer) stop() {
 }
 
 // minibatch runs one optimizer step on the records batch names, leaving
-// each record's loss in its tape.
+// each record's loss in its tape, and, unless t.last, publishes own, which
+// the step's jobs repacked, as the model's pack.
 func (t *trainer) minibatch(batch []int) {
 	t.scale = 1 / float64(len(batch))
 	t.opt.Begin()
 	t.sum(batch)
 	t.m.weightsChanged()
+	if !t.last {
+		t.publish()
+	}
+}
+
+// publish makes own, packed from the current weights, the model's pack.
+func (t *trainer) publish() {
+	t.own.version = t.m.version
+	t.m.packed.Store(t.own)
 }
 
 // accumulate adds the gradients of batch's records to the parameters' G
@@ -332,16 +359,17 @@ func (t *trainer) sum(batch []int) {
 }
 
 // pack points t.packed at the weights packed under the current version:
-// the model's pack when it is current, else the trainer's own, repacked
-// and published as the model's.
+// the model's pack when it is current (after a step, the trainer's own),
+// else the trainer's own, packed by the workers and published as the
+// model's.
 func (t *trainer) pack() {
 	m := t.m
 	if p := m.packed.Load(); p != nil && p.version == m.version {
 		t.packed = p
 		return
 	}
-	m.pack(t.own)
-	m.packed.Store(t.own)
+	t.run(packs, len(t.gradJobs))
+	t.publish()
 	t.packed = t.own
 }
 
@@ -409,6 +437,26 @@ func (t *trainer) work() {
 				mathx.Scale(t.scale, m.params[st.i].G[st.lo:st.hi])
 				t.opt.Update(st.i, st.lo, st.hi)
 			}
+			if !t.last {
+				t.packRows(j)
+			}
+		case packs:
+			t.packRows(t.gradJobs[i])
 		}
+	}
+}
+
+// packRows packs j's rows of the current weights into own.
+func (t *trainer) packRows(j gradJob) {
+	m, p := t.m, t.own
+	switch j.layer {
+	case lstmRows:
+		m.lstm.PackRowsInto(&p.lstm, j.lo, j.hi)
+	case trunkRows:
+		m.trunk.PackRowsInto(&p.trunk, j.lo, j.hi)
+	case fc1Rows:
+		m.heads[j.k].fc1.PackRowsInto(&p.fc1[j.k], j.lo, j.hi)
+	case fc2Rows:
+		m.heads[j.k].fc2.PackRowsInto(&p.fc2[j.k], j.lo, j.hi)
 	}
 }

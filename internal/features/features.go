@@ -124,12 +124,14 @@ func (e *Extractor) FrameVector(t int, dst []float64) []float64 {
 		dst = make([]float64, 0, e.Dim())
 	}
 	cfg := e.configAt(t)
-	ft := uint64(t)
+	// Every noise draw of the frame hashes (seed, t, ...), and every draw
+	// of an event (seed, t, event, ...): those prefixes are folded once.
+	frame := mathx.HashOf(e.seed, uint64(t))
 	var totalActivity, motion float64
 	for ci, k := range e.events {
 		phase, prog := e.stream.PhaseAt(k, t)
 		cueNoise := e.stream.Spec.Events[k].CueNoise
-		ck := uint64(ci)
+		ev := frame.With(uint64(ci))
 
 		// cue: ramps 0->1 through the precursor, holds 1 while active.
 		var cue float64
@@ -149,25 +151,25 @@ func (e *Extractor) FrameVector(t int, dst []float64) []float64 {
 		}
 		// Intrinsic ambiguity: with probability CueNoise the cue reading is
 		// replaced by an uninformative uniform (a look-alike scene).
-		if mathx.Hash01(e.seed, ft, ck, 0) < cueNoise {
-			cue = mathx.Hash01(e.seed, ft, ck, 1)
-			prox = mathx.Hash01(e.seed, ft, ck, 2)
+		if ev.With(0).Unit() < cueNoise {
+			cue = ev.With(1).Unit()
+			prox = ev.With(2).Unit()
 		}
 		// Signal attenuation (CueGain < 1 pulls cues toward the idle
 		// baseline), then detector jitter on continuous channels.
 		gain := cfg.cueGain()
 		cue *= gain
 		prox = 1 - (1-prox)*gain
-		cue = mathx.Clamp(cue+cfg.Jitter*mathx.HashNormal(e.seed, ft, ck, 3), 0, 1)
-		prox = mathx.Clamp(prox+cfg.Jitter*mathx.HashNormal(e.seed, ft, ck, 4), 0, 1)
+		cue = mathx.Clamp(cue+cfg.Jitter*ev.With(3).Normal(), 0, 1)
+		prox = mathx.Clamp(prox+cfg.Jitter*ev.With(4).Normal(), 0, 1)
 
 		// active: the detector's binary report of the event configuration.
 		active := 0.0
 		if phase == video.Active {
-			if mathx.Hash01(e.seed, ft, ck, 5) >= cfg.MissRate {
+			if ev.With(5).Unit() >= cfg.MissRate {
 				active = 1
 			}
-		} else if mathx.Hash01(e.seed, ft, ck, 5) < cfg.FPRate {
+		} else if ev.With(5).Unit() < cfg.FPRate {
 			active = 1
 		}
 
@@ -177,12 +179,12 @@ func (e *Extractor) FrameVector(t int, dst []float64) []float64 {
 	}
 	kf := float64(len(e.events))
 	// objectCount: activity plus background clutter, normalized to ~[0,1].
-	clutterCount := mathx.Hash01(e.seed, ft, 1000) * 0.3
+	clutterCount := frame.With(1000).Unit() * 0.3
 	dst = append(dst, mathx.Clamp((totalActivity+clutterCount)/(kf+0.3), 0, 1))
 	// motionEnergy: mean cue level with jitter.
-	dst = append(dst, mathx.Clamp(motion/kf+cfg.Jitter*mathx.HashNormal(e.seed, ft, 1001), 0, 1))
+	dst = append(dst, mathx.Clamp(motion/kf+cfg.Jitter*frame.With(1001).Normal(), 0, 1))
 	// clutter: a pure-noise distractor channel.
-	dst = append(dst, mathx.Hash01(e.seed, ft, 1002))
+	dst = append(dst, frame.With(1002).Unit())
 	return dst
 }
 

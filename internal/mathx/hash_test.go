@@ -17,6 +17,27 @@ func TestHashU64Deterministic(t *testing.T) {
 	}
 }
 
+// TestHashFoldsPrefix: a Hash taking its keys in parts, from any split,
+// is HashU64, Hash01 and HashNormal of the whole sequence, bit for bit.
+func TestHashFoldsPrefix(t *testing.T) {
+	for i := 0; i < 2000; i++ {
+		keys := make([]uint64, i%6)
+		for j := range keys {
+			keys[j] = HashU64(uint64(i), uint64(j)) >> (i % 64)
+		}
+		for cut := 0; cut <= len(keys); cut++ {
+			h := HashOf(keys[:cut]...)
+			for _, k := range keys[cut:] {
+				h = h.With(k)
+			}
+			if uint64(h) != HashU64(keys...) || math.Float64bits(h.Unit()) != math.Float64bits(Hash01(keys...)) ||
+				math.Float64bits(h.Normal()) != math.Float64bits(HashNormal(keys...)) {
+				t.Fatalf("keys %v folded from %d: %x, HashU64 %x", keys, cut, uint64(h), HashU64(keys...))
+			}
+		}
+	}
+}
+
 func TestHash01UniformMoments(t *testing.T) {
 	n := 50000
 	var sum, sumsq float64

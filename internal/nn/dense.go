@@ -24,9 +24,9 @@ type Dense struct {
 // again.
 type PackedDense struct{ wp []float64 }
 
-// NewDense returns a Dense layer with Xavier-initialized weights and zero
-// biases. name must be unique within a model (it prefixes the parameter
-// names used for serialization).
+// NewDense returns a Dense layer with Xavier-initialized weights (zero
+// when g is nil) and zero biases. name must be unique within a model (it
+// prefixes the parameter names used for serialization).
 func NewDense(name string, in, out int, g *mathx.RNG) *Dense {
 	d := &Dense{
 		in:  in,
@@ -51,6 +51,22 @@ func (d *Dense) Pack() *PackedDense {
 // PackInto packs the layer's current weights into p, reusing its memory.
 func (d *Dense) PackInto(p *PackedDense) {
 	p.wp = mathx.PackRows4(p.wp, d.w.W[d.out%4*d.in:], d.in)
+}
+
+// PackRowsInto packs the current weights of rows [lo, hi) into p, which a
+// PackInto of this layer sized, and leaves p's other rows as they are. The
+// first out%4 rows are not packed; past them lo and hi must sit on block
+// edges, out%4 plus a multiple of four (or out). Calls on disjoint ranges
+// may run concurrently, and over every row they equal one PackInto.
+func (d *Dense) PackRowsInto(p *PackedDense, lo, hi int) {
+	n, r0 := d.in, d.out%4
+	lo = max(lo, r0)
+	if (lo-r0)%4 != 0 || (hi-r0)%4 != 0 || hi > d.out {
+		panic(fmt.Sprintf("nn: Dense %s PackRowsInto [%d, %d) is not on blocks from row %d", d.w.Name, lo, hi, r0))
+	}
+	if lo < hi {
+		mathx.PackRows4(p.wp[(lo-r0)*n:(hi-r0)*n], d.w.W[lo*n:hi*n], n)
+	}
 }
 
 // ApplyRows computes output rows [lo, lo+len(y)) of W*x + b into y over p,

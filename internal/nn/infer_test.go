@@ -140,6 +140,57 @@ func TestDensePackedRowsMatchDot(t *testing.T) {
 	})
 }
 
+// TestPackRowsIntoMatchesPackInto: packing a layer's rows range by range
+// over its blocks, last range first, gives PackInto's pack of the new
+// weights over a pack of the old ones, for Dense layers of every block
+// remainder and for LSTMs; ranges off the blocks panic.
+func TestPackRowsIntoMatchesPackInto(t *testing.T) {
+	g := mathx.NewRNG(21)
+	for _, out := range append(blockWidths, 501) {
+		d := NewDense("d", 7, out, g.Split(int64(out)))
+		p := d.Pack()
+		XavierInit(d.w.W, 7, out, g)
+		want := d.Pack()
+		r0 := out % 4
+		for hi := out; hi > 0; {
+			lo := max(hi-8, r0)
+			if hi <= r0 {
+				lo = 0
+			}
+			d.PackRowsInto(p, lo, hi)
+			hi = lo
+		}
+		sameBits(t, fmt.Sprintf("Dense out=%d", out), p.wp, want.wp)
+		if out-r0 >= 4 {
+			mustPanic(t, fmt.Sprintf("Dense out=%d rows [%d, %d)", out, r0+1, out), func() { d.PackRowsInto(p, r0+1, out) })
+			mustPanic(t, fmt.Sprintf("Dense out=%d rows [0, %d)", out, r0+1), func() { d.PackRowsInto(p, 0, r0+1) })
+		}
+	}
+	for _, H := range lstmWidths {
+		l := NewLSTM("l", 5, H, g.Split(int64(H)))
+		p := l.Pack()
+		XavierInit(l.wx.W, 5, H, g)
+		XavierInit(l.wh.W, H, H, g)
+		want := l.Pack()
+		for hi := 4 * H; hi > 0; hi -= min(hi, 8) {
+			l.PackRowsInto(p, max(hi-8, 0), hi)
+		}
+		sameBits(t, fmt.Sprintf("LSTM H=%d Wx", H), p.wx, want.wx)
+		sameBits(t, fmt.Sprintf("LSTM H=%d Wh", H), p.wh, want.wh)
+		mustPanic(t, fmt.Sprintf("LSTM H=%d rows [2, 4)", H), func() { l.PackRowsInto(p, 2, 4) })
+	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: no panic", what)
+		}
+	}()
+	f()
+}
+
 // lstmWidths are blockWidths plus the cascade rungs' hidden widths (6 and
 // 12) and a single four-row block (1 unit); with 4H gate rows, H = 1, 3, 5
 // and 33 leave len%4 tails in the H-wide vector cell steps.

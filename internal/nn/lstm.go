@@ -69,8 +69,8 @@ func (tp *LSTMTape) carve(T, H int) {
 }
 
 // NewLSTM returns an LSTM with Xavier-initialized input and recurrent
-// weights and forget-gate biases initialized to 1 (the usual trick that
-// keeps early gradients flowing).
+// weights (zero when g is nil) and forget-gate biases initialized to 1 (the
+// usual trick that keeps early gradients flowing).
 func NewLSTM(name string, in, hidden int, g *mathx.RNG) *LSTM {
 	l := &LSTM{
 		in:     in,
@@ -105,6 +105,20 @@ func (l *LSTM) Pack() *Packed {
 // PackInto packs the layer's current weights into p, reusing its memory.
 func (l *LSTM) PackInto(p *Packed) {
 	p.wx, p.wh = mathx.PackRows4(p.wx, l.wx.W, l.in), mathx.PackRows4(p.wh, l.wh.W, l.hidden)
+}
+
+// PackRowsInto packs the current weights of gate rows [lo, hi) of Wx and Wh
+// into p, which a PackInto of this layer sized, and leaves p's other rows
+// as they are. lo and hi must be multiples of four (or hi 4·Hidden); calls
+// on disjoint ranges may run concurrently, and over every row they equal
+// one PackInto.
+func (l *LSTM) PackRowsInto(p *Packed, lo, hi int) {
+	if lo%4 != 0 || hi%4 != 0 || lo > hi || hi > 4*l.hidden {
+		panic(fmt.Sprintf("nn: LSTM %s PackRowsInto [%d, %d) is not on blocks of four", l.wx.Name, lo, hi))
+	}
+	D, H := l.in, l.hidden
+	mathx.PackRows4(p.wx[lo*D:hi*D], l.wx.W[lo*D:hi*D], D)
+	mathx.PackRows4(p.wh[lo*H:hi*H], l.wh.W[lo*H:hi*H], H)
 }
 
 // Forward processes the sequence xs (each element length D) over p, which

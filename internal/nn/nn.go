@@ -8,9 +8,9 @@
 // in two halves: Backward derives one sample's input and output gradients
 // from its activations, reading the weights and writing only the caller's
 // buffers, so samples run concurrently on one layer; AccumulateGrads sums
-// a batch of samples' weight gradients into Param.G, each element in list
-// order, and splits into row ranges that run concurrently. An optimizer
-// step then consumes G. That is all EventHit's minibatch training loop
+// a batch of samples' weight gradients into Param.G, which the optimizer
+// attaches, each element in list order, and splits into row ranges that
+// run concurrently. An optimizer step then consumes G. That is all EventHit's minibatch training loop
 // (§III of the paper) requires.
 package nn
 
@@ -22,12 +22,15 @@ import "fmt"
 type Param struct {
 	Name string
 	W    []float64 // weights, row-major where 2-D
-	G    []float64 // accumulated gradient, same shape as W
+	// G is the accumulated gradient, shaped as W. The optimizer owns it:
+	// it is nil until NewAdam or Adam.Reset attaches one (zeroed), so a
+	// model that is only run carries no gradient memory.
+	G []float64
 }
 
-// NewParam allocates a zeroed parameter of n weights.
+// NewParam allocates a zeroed parameter of n weights, without a gradient.
 func NewParam(name string, n int) *Param {
-	return &Param{Name: name, W: make([]float64, n), G: make([]float64, n)}
+	return &Param{Name: name, W: make([]float64, n)}
 }
 
 // ZeroGrad clears the accumulated gradient.

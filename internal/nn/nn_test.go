@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 func TestParamZeroGrad(t *testing.T) {
 	p := NewParam("p", 3)
-	p.G[0], p.G[2] = 1, -2
+	p.G = []float64{1, 0, -2}
 	p.ZeroGrad()
 	for _, g := range p.G {
 		if g != 0 {
@@ -67,7 +68,7 @@ func TestDenseGradCheck(t *testing.T) {
 		BCEWithLogits(z, y, nil, dz)
 		backward(d, x, dz)
 	}
-	worst, err := CheckGradients(loss, backwardPass, d.Params(), 1e-5, 1e-5)
+	worst, err := CheckGradients(loss, backwardPass, withGrads(d), 1e-5, 1e-5)
 	if err != nil {
 		t.Fatalf("worst=%g: %v", worst, err)
 	}
@@ -77,6 +78,7 @@ func TestDenseBackwardInputGrad(t *testing.T) {
 	// Check dL/dx numerically.
 	g := mathx.NewRNG(3)
 	d := NewDense("d", 3, 2, g)
+	withGrads(d)
 	x := []float64{0.3, -0.7, 1.2}
 	y := []float64{1, 0}
 	dz := make([]float64, 2)
@@ -187,7 +189,7 @@ func TestLSTMGradCheck(t *testing.T) {
 	}
 	y := []float64{1, 0}
 	dz := make([]float64, 2)
-	params := CollectParams(l, head)
+	params := withGrads(l, head)
 	// The checker perturbs the weights between calls: pack them every time.
 	var tp LSTMTape
 	loss := func() float64 {
@@ -311,7 +313,9 @@ func TestAdamGradClip(t *testing.T) {
 }
 
 // TestAdamReset: an optimizer that ran, clamped, and was Reset onto other
-// parameters steps them exactly as a fresh NewAdam does.
+// parameters steps them exactly as a fresh NewAdam does. The gradients are
+// the optimizer's: attached zeroed by NewAdam and by Reset (over what an
+// accumulation left), and taken back by Release.
 func TestAdamReset(t *testing.T) {
 	run := func(opt *Adam, p *Param) []float64 {
 		for i := 0; i < 5; i++ {
@@ -322,12 +326,27 @@ func TestAdamReset(t *testing.T) {
 		}
 		return p.W
 	}
+	zero := func(what string, p *Param) {
+		if len(p.G) != len(p.W) || slices.ContainsFunc(p.G, func(g float64) bool { return g != 0 }) {
+			t.Fatalf("%s: gradient %v, want %d zeros", what, p.G, len(p.W))
+		}
+	}
 	used := NewParam("used", 6)
+	if used.G != nil {
+		t.Fatal("NewParam attached a gradient")
+	}
 	opt := NewAdam([]*Param{used}, 0.5)
+	zero("NewAdam", used)
 	opt.SetGradClip(0.1)
 	run(opt, used)
+	used.G[2] = 7 // accumulated, never stepped
+	opt.Release()
+	if used.G != nil {
+		t.Fatal("Release left the gradient attached")
+	}
 	a, b := NewParam("a", 6), NewParam("b", 6)
 	opt.Reset([]*Param{a}, 0.01)
+	zero("Reset", a)
 	got, want := run(opt, a), run(NewAdam([]*Param{b}, 0.01), b)
 	for j := range want {
 		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {

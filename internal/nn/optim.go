@@ -7,16 +7,19 @@ import (
 )
 
 // Adam implements the Adam optimizer (Kingma & Ba 2015) with bias
-// correction.
+// correction. It owns its parameters' gradient accumulators: NewAdam and
+// Reset point each parameter's G at a zeroed buffer of the optimizer's, and
+// Release takes them back.
 type Adam struct {
-	params []*Param
-	t      int
-	step   mathx.AdamStep // the constants of step t
-	m, v   [][]float64
+	params  []*Param
+	t       int
+	step    mathx.AdamStep // the constants of step t
+	m, v, g [][]float64
 }
 
 // NewAdam returns an Adam optimizer over params with the standard defaults
-// beta1=0.9, beta2=0.999, eps=1e-8.
+// beta1=0.9, beta2=0.999, eps=1e-8, and attaches a zeroed gradient to
+// every parameter.
 func NewAdam(params []*Param, lr float64) *Adam {
 	// Variables, not constants: 1-β is a float64 subtraction (0.1 as a
 	// constant would be the double nearest 1/10, a different value).
@@ -26,22 +29,36 @@ func NewAdam(params []*Param, lr float64) *Adam {
 	}}
 	a.m = make([][]float64, len(params))
 	a.v = make([][]float64, len(params))
+	a.g = make([][]float64, len(params))
 	for i, p := range params {
 		a.m[i] = make([]float64, len(p.W))
 		a.v[i] = make([]float64, len(p.W))
+		a.g[i] = make([]float64, len(p.W))
+		p.G = a.g[i]
 	}
 	return a
 }
 
 // Reset readies a to optimize params, which must be shaped as the ones it
-// was made for, at learning rate lr, as NewAdam would: step count, moments
-// and clamp start over, the moments' memory is reused.
+// was made for, at learning rate lr, as NewAdam would: step count, moments,
+// gradients and clamp start over, and the memory is reused.
 func (a *Adam) Reset(params []*Param, lr float64) {
 	a.params, a.t, a.step.LR, a.step.Clip = params, 0, lr, 0
-	for i := range a.m {
+	for i, p := range params {
 		clear(a.m[i])
 		clear(a.v[i])
+		clear(a.g[i])
+		p.G = a.g[i]
 	}
+}
+
+// Release detaches the optimizer's gradients from its parameters, whose G
+// become nil, and forgets the parameters; Reset takes a up again.
+func (a *Adam) Release() {
+	for _, p := range a.params {
+		p.G = nil
+	}
+	a.params = nil
 }
 
 // SetGradClip sets a symmetric per-element gradient clamp; 0 disables.

@@ -16,8 +16,16 @@ func forward(d *Dense, x []float64) []float64 {
 	return y
 }
 
+// withGrads attaches zeroed gradients to the parameters of ls, as an
+// optimizer does, and returns the parameters.
+func withGrads(ls ...Layer) []*Param {
+	ps := CollectParams(ls...)
+	NewAdam(ps, 1)
+	return ps
+}
+
 // backward is one record's Dense backward pass: its weight gradients added
-// to G, dL/dx returned.
+// to G (see withGrads), dL/dx returned.
 func backward(d *Dense, x, dy []float64) []float64 {
 	dx := make([]float64, d.in)
 	d.Backward(dx, dy)
@@ -26,7 +34,8 @@ func backward(d *Dense, x, dy []float64) []float64 {
 }
 
 // lstmBackward is one sequence's LSTM backward pass over tp: its weight
-// gradients added to G, the per-step input gradients returned.
+// gradients added to G (see withGrads), the per-step input gradients
+// returned.
 func lstmBackward(l *LSTM, tp *LSTMTape, dh []float64) [][]float64 {
 	dxs := make([][]float64, len(tp.xs))
 	for t := range dxs {
@@ -93,6 +102,7 @@ func TestLSTMBackwardMatchesRef(t *testing.T) {
 			what := fmt.Sprintf("H=%d scale=%v", H, scale)
 			onPaths(t, func(t *testing.T) {
 				l := NewLSTM("l", in, H, g.Split(int64(H)))
+				withGrads(l)
 				dh := randSeq(g, 1, H)[0]
 				var gx, gh, gb []float64
 				var tp LSTMTape
@@ -125,6 +135,7 @@ func TestDenseBackwardMatchesRef(t *testing.T) {
 		for _, out := range blockWidths {
 			onPaths(t, func(t *testing.T) {
 				d := NewDense("d", in, out, g.Split(int64(in*100+out)))
+				withGrads(d)
 				x := randSeq(g, 1, in)[0]
 				dy := randSeq(g, 1, out)[0]
 				dy[0] = 0
@@ -199,6 +210,7 @@ func TestAccumulateGradsRowRanges(t *testing.T) {
 	const in, H, T, batch = 5, 6, 4, 3
 	l := NewLSTM("l", in, H, g.Split(1))
 	d := NewDense("d", in, 2*H+1, g.Split(2))
+	withGrads(l, d)
 	var das, xs, hs, dys, dxs [][]float64
 	for r := 0; r < batch; r++ {
 		var tp LSTMTape

@@ -110,9 +110,9 @@ func (b *framesBody) Close() error {
 }
 
 // encodeFrames writes frames in the canonical {"frames":[[…],…]} shape the
-// server's scanner takes, each value in the shortest form that parses back
-// to the same float64. Like json.Marshal it refuses NaN and ±Inf, which
-// JSON cannot carry.
+// server's scanner takes, each value as encoding/json writes it (see
+// appendFloat). Like json.Marshal it refuses NaN and ±Inf, which JSON
+// cannot carry.
 func encodeFrames(frames [][]float64) (*framesBody, error) {
 	buf := framesBodyPool.Get().(*[]byte)
 	b := append((*buf)[:0], `{"frames":[`...)
@@ -129,7 +129,7 @@ func encodeFrames(frames [][]float64) (*framesBody, error) {
 			if j > 0 {
 				b = append(b, ',')
 			}
-			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+			b = appendFloat(b, v)
 		}
 		b = append(b, ']')
 	}
@@ -138,6 +138,23 @@ func encodeFrames(frames [][]float64) (*framesBody, error) {
 	body := &framesBody{buf: buf}
 	body.Reset(b)
 	return body, nil
+}
+
+// appendFloat appends v as encoding/json writes a float64: the shortest
+// form that parses back to the same bits, without an exponent for
+// 1e-6 <= |v| < 1e21 (so a covariate in [0, 1] is the "0." and digits the
+// scanner's vector front end takes), else with one whose "e-0d" loses the
+// zero.
+func appendFloat(b []byte, v float64) []byte {
+	if a := math.Abs(v); a != 0 && (a < 1e-6 || a >= 1e21) {
+		b = strconv.AppendFloat(b, v, 'e', -1, 64)
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+		return b
+	}
+	return strconv.AppendFloat(b, v, 'f', -1, 64)
 }
 
 // pushFrames posts frames to a frames endpoint.

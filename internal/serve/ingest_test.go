@@ -472,8 +472,11 @@ func TestClientEncodingRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// encoding/json reads the same bytes the same way: old servers and the
-	// fallback see what the scanner sees.
+	// The bytes are encoding/json's, which reads them the same way: old
+	// servers and the fallback see what the scanner sees.
+	if want, _ := json.Marshal(FramesRequest{Frames: frames}); !bytes.Equal(wire, want) {
+		t.Errorf("the client's encoding is not encoding/json's:\n%.200s\n%.200s", wire, want)
+	}
 	var req FramesRequest
 	if err := json.Unmarshal(wire, &req); err != nil || !reflect.DeepEqual(req.Frames, frames) {
 		t.Errorf("encoding/json disagrees with the client encoding: %v", err)
@@ -481,6 +484,41 @@ func TestClientEncodingRoundTrip(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := encodeFrames([][]float64{{1, bad}}); err == nil || !strings.Contains(err.Error(), "frame 0 channel 1 is not finite") {
 			t.Errorf("encodeFrames(%v) = %v, want a not-finite error", bad, err)
+		}
+	}
+}
+
+// TestClientEncodingTakesVectorFrontEnd: a client-encoded TA9 push, small
+// value 3.0517578125e-05 included, is compact — the scanner's vector front
+// end accepts it where the machine has one — and every value scans back to
+// the bits sent.
+func TestClientEncodingTakesVectorFrontEnd(t *testing.T) {
+	const rows, d = 250, 12
+	frames := ta9Frames(rows, d, 1)
+	body, err := encodeFrames(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, _ := io.ReadAll(body)
+	body.Close()
+	if !bytes.Contains(wire, []byte(",0.000030517578125,")) {
+		t.Fatalf("3.0517578125e-05 not written as a fraction: %.200s", wire)
+	}
+	for _, p := range scanPaths() {
+		var ib ingestBuf
+		if n, ok := p.scan(&ib, wire, d, rows); !ok || n != rows {
+			t.Fatalf("%s: declined the client's TA9 body (ok=%v rows=%d)", p.name, ok, n)
+		}
+		for i, v := range ib.vals {
+			if want := frames[i/d][i%d]; math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("%s value %d: %x, sent %x", p.name, i, math.Float64bits(v), math.Float64bits(want))
+			}
+		}
+	}
+	if vectorScan {
+		var ib ingestBuf
+		if _, ok := ib.scanCompact(wire, d, rows); !ok {
+			t.Fatal("the vector front end declined the client's TA9 body")
 		}
 	}
 }
@@ -699,6 +737,15 @@ func (ib *ingestBuf) scanFramesByteWalk(b []byte, d, keep int) (rows int, ok boo
 // rest fractions in [0, 1) of 16–18 characters, and one small value,
 // 3.0517578125e-05, written as a 17-digit fraction.
 func ta9Body(rows, d int, seed int64) []byte {
+	b, err := json.Marshal(FramesRequest{Frames: ta9Frames(rows, d, seed)})
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// ta9Frames are the frames ta9Body renders.
+func ta9Frames(rows, d int, seed int64) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
 	frames := make([][]float64, rows)
 	for i := range frames {
@@ -714,11 +761,7 @@ func ta9Body(rows, d int, seed int64) []byte {
 		}
 	}
 	frames[rows/2][d/2] = 3.0517578125e-05
-	b, err := json.Marshal(FramesRequest{Frames: frames})
-	if err != nil {
-		panic(err)
-	}
-	return b
+	return frames
 }
 
 // FuzzScanMatchesByteWalk is the differential check of both scanner paths

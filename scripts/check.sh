@@ -83,13 +83,15 @@ stage run-patterns run_patterns
 # its fuzz seeds, handler corpus, ring tests, the converter's boundary
 # table and the vector-front-end probes (on the walk alone: the classifier
 # is amd64 assembly) also run as a 386 binary, where a word is two
-# registers.
+# registers. So does mathx.RNG's replay of math/rand against math/rand:
+# there int is 32 bits, and Intn takes Int31n for every bound.
 cross_build() {
     GOOS=windows go build ./cmd/... ./internal/... &&
         GOOS=darwin go build ./cmd/... ./internal/... &&
         GOARCH=arm64 go build ./cmd/... ./internal/... &&
         GOARCH=386 go build ./cmd/... ./internal/... &&
-        GOARCH=386 go test -count=1 ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus|TestRingMatchesSlidingWindow|TestFastFloatBoundaries|TestScanVectorMatchesWalk'
+        GOARCH=386 go test -count=1 ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus|TestRingMatchesSlidingWindow|TestFastFloatBoundaries|TestScanVectorMatchesWalk' &&
+        GOARCH=386 go test -count=1 ./internal/mathx/ -run 'TestRNGReplaysMathRand'
 }
 stage cross-build cross_build
 # The AVX2 kernels against their scalar twins, bit for bit: the mathx, nn,
@@ -98,10 +100,11 @@ stage cross-build cross_build
 # x86-64-v3 (the compiler still fuses no multiply-add there), then with
 # GODEBUG turning FMA off
 # (math.Exp's non-FMA path: the init self-check must refuse the kernels) and
-# AVX2 off, where TestKernelPath requires the scalar path. Then a bounded
-# live fuzz run, and end to end: a bundle trained on the default path, one
-# trained with AVX2 off and one trained on a single P (training's workers
-# are one per P) must be the same bytes.
+# AVX2 off, where TestKernelPath requires the scalar path. Then bounded
+# live fuzz runs of the kernels and of mathx.RNG against math/rand (every
+# initial weight and dropout mask is its draw), and end to end: a bundle
+# trained on the default path, one trained with AVX2 off and one trained on
+# a single P (training's workers are one per P) must be the same bytes.
 kernel_bits() {
     pkgs="./internal/mathx/ ./internal/nn/ ./internal/core/ ./internal/strategy/"
     GOAMD64=v1 go test -count=1 $pkgs &&
@@ -109,6 +112,7 @@ kernel_bits() {
         GODEBUG=cpu.fma=off go test -count=1 $pkgs &&
         GODEBUG=cpu.avx2=off go test -count=1 $pkgs &&
         go test ./internal/mathx/ -run '^$' -fuzz '^FuzzKernelBits$' -fuzztime 15s &&
+        go test ./internal/mathx/ -run '^$' -fuzz '^FuzzRNGReplaysMathRand$' -fuzztime 10s &&
         go build -o "$tmpdir/eventhittrain" ./cmd/eventhittrain &&
         "$tmpdir/eventhittrain" -task TA1 -quick -out "$tmpdir/ta1.bundle" &&
         GODEBUG=cpu.avx2=off "$tmpdir/eventhittrain" -task TA1 -quick -out "$tmpdir/ta1_scalar.bundle" &&
