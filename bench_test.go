@@ -22,13 +22,13 @@ import (
 	"eventhit/internal/video"
 )
 
-// BenchmarkExperiments runs every registry entry once per iteration at its
-// canonical configuration cut to quick sizes and a single trial, so a bench
+// BenchmarkExperiments runs every registry entry once per iteration at
+// harness.DefaultParams cut to quick sizes and a single trial, so a bench
 // run doubles as a smoke-level reproduction of each table and figure.
 func BenchmarkExperiments(b *testing.B) {
 	for _, e := range harness.Experiments() {
 		b.Run(e.Name, func(b *testing.B) {
-			p := e.Params
+			p := harness.DefaultParams
 			p.Quick, p.Trials = true, 1
 			for i := 0; i < b.N; i++ {
 				if _, err := e.Run(p, io.Discard); err != nil {

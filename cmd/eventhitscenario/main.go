@@ -8,10 +8,12 @@
 //	eventhitscenario -corpus                # run the committed corpus against its goldens
 //	eventhitscenario -corpus -regen         # regenerate the committed goldens
 //
-// Reports are byte-identical at any -parallelism (the fleet's two-phase
-// determinism contract, extended to parallel stage groups), which is what
-// makes the corpus a golden-pinned regression suite: -corpus exits non-zero
-// if any report drifts from internal/scenario/testdata.
+// Parallel stage groups, camera builds and fleet timelines use every core
+// (set GOMAXPROCS to limit them). Reports are byte-identical at any
+// GOMAXPROCS (the fleet's two-phase determinism contract, extended to
+// parallel stage groups), which is what makes the corpus a golden-pinned
+// regression suite: -corpus exits non-zero if any report drifts from
+// internal/scenario/testdata.
 package main
 
 import (
@@ -20,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"eventhit/internal/scenario"
@@ -28,13 +29,12 @@ import (
 
 func main() {
 	var (
-		spec        = flag.String("spec", "", "run one scenario spec file")
-		corpus      = flag.Bool("corpus", false, "run the committed corpus and compare against the goldens")
-		regen       = flag.Bool("regen", false, "with -corpus: rewrite the goldens instead of comparing")
-		list        = flag.Bool("list", false, "list the committed corpus scenarios")
-		out         = flag.String("out", "", "with -spec: write the report JSON here (default stdout)")
-		testdata    = flag.String("testdata", filepath.Join("internal", "scenario", "testdata"), "golden directory for -corpus -regen")
-		parallelism = flag.Int("parallelism", runtime.NumCPU(), "workers for parallel stage groups and fleet timelines; reports are identical at any value")
+		spec     = flag.String("spec", "", "run one scenario spec file")
+		corpus   = flag.Bool("corpus", false, "run the committed corpus and compare against the goldens")
+		regen    = flag.Bool("regen", false, "with -corpus: rewrite the goldens instead of comparing")
+		list     = flag.Bool("list", false, "list the committed corpus scenarios")
+		out      = flag.String("out", "", "with -spec: write the report JSON here (default stdout)")
+		testdata = flag.String("testdata", filepath.Join("internal", "scenario", "testdata"), "golden directory for -corpus -regen")
 	)
 	flag.Parse()
 
@@ -57,7 +57,7 @@ func main() {
 			fatal(err)
 		}
 		t0 := time.Now()
-		rep, err := scenario.Run(s, *parallelism)
+		rep, err := scenario.Run(s)
 		if err != nil {
 			fatal(err)
 		}
@@ -81,7 +81,7 @@ func main() {
 		drifted := 0
 		for _, e := range entries {
 			t0 := time.Now()
-			rep, err := scenario.Run(e.Spec, *parallelism)
+			rep, err := scenario.Run(e.Spec)
 			if err != nil {
 				fatal(fmt.Errorf("%s: %w", e.Name, err))
 			}

@@ -31,6 +31,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"eventhit/internal/cicache"
 	"eventhit/internal/cloud"
@@ -95,13 +96,14 @@ type Config struct {
 	// report is byte-identical to the uncached run.
 	Cache *cicache.Config
 	// Parallelism is the number of workers computing stream timelines
-	// (phase A). Scheduling itself is serial; results are identical at any
-	// value >= 1.
+	// (phase A); DefaultConfig sets GOMAXPROCS. Scheduling itself is
+	// serial; results are identical at any value >= 1.
 	Parallelism int
 }
 
 // DefaultConfig returns a production-shaped policy: modest batching, a
-// bounded queue, 30 fps slack decay, unmetered streams and no global cap.
+// bounded queue, 30 fps slack decay, unmetered streams, no global cap, and
+// stream timelines computed on every core.
 func DefaultConfig() Config {
 	return Config{
 		Pricing:        cloud.RekognitionPricing(),
@@ -111,7 +113,7 @@ func DefaultConfig() Config {
 		BatchFramesMax: 4096,
 		QueueMax:       64,
 		FramePeriodMS:  1000.0 / 30,
-		Parallelism:    1,
+		Parallelism:    runtime.GOMAXPROCS(0),
 	}
 }
 

@@ -4,64 +4,18 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
-
-func TestSetParallelism(t *testing.T) {
-	defer SetParallelism(SetParallelism(1))
-	if prev := SetParallelism(4); prev != 1 {
-		t.Fatalf("previous parallelism %d, want 1", prev)
-	}
-	if got := Parallelism(); got != 4 {
-		t.Fatalf("parallelism %d, want 4", got)
-	}
-	SetParallelism(-3)
-	if got := Parallelism(); got != 1 {
-		t.Fatalf("parallelism after negative set %d, want clamp to 1", got)
-	}
-}
-
-func TestForEachCellCoversAll(t *testing.T) {
-	defer SetParallelism(SetParallelism(1))
-	for _, p := range []int{1, 3, 8} {
-		SetParallelism(p)
-		const n = 37
-		var hits [n]atomic.Int64
-		if err := forEachCell(n, func(i int) error {
-			hits[i].Add(1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("P=%d: cell %d ran %d times", p, i, got)
-			}
-		}
-	}
-}
-
-func TestForEachCellReturnsLowestError(t *testing.T) {
-	defer SetParallelism(SetParallelism(4))
-	err := forEachCell(10, func(i int) error {
-		if i == 2 || i == 7 {
-			return fmt.Errorf("cell %d failed", i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "cell 2 failed" {
-		t.Fatalf("got %v, want the lowest-index cell error", err)
-	}
-}
 
 // TestCells: every index runs, results come back in index order whatever
 // order the cells finished in, and the lowest-index error wins — serially
 // and on four workers.
 func TestCells(t *testing.T) {
-	defer SetParallelism(SetParallelism(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, p := range []int{1, 4} {
-		SetParallelism(p)
+		runtime.GOMAXPROCS(p)
 		const n = 37
 		var hits [n]atomic.Int64
 		got, err := cells(n, func(i int) (int, error) {
@@ -103,9 +57,9 @@ func TestCells(t *testing.T) {
 // experiment run serially and with concurrent cells must produce identical
 // results, down to the last bit.
 func TestPoolDeterminism(t *testing.T) {
-	defer SetParallelism(SetParallelism(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
-	SetParallelism(1)
+	runtime.GOMAXPROCS(1)
 	t1, err := Table1(3, 5, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +73,7 @@ func TestPoolDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	SetParallelism(4)
+	runtime.GOMAXPROCS(4)
 	t4, err := Table1(3, 5, io.Discard)
 	if err != nil {
 		t.Fatal(err)

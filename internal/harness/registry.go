@@ -11,7 +11,7 @@ import (
 // cmd/eventhitbench's dispatch, its usage text and package doc, `-exp all`,
 // the root benchmarks — iterates it.
 //
-// Every row prints tables only, byte-identical at any -parallelism; every
+// Every row prints tables only, byte-identical at any GOMAXPROCS; every
 // wall-clock number lives in bench/ (see DESIGN.md "Experiment registry").
 
 // Params is what eventhitbench's flags can vary about an experiment. Sizes
@@ -44,9 +44,6 @@ type Experiment struct {
 	Name string
 	// Doc is the one-line description `-list` prints.
 	Doc string
-	// Params is the canonical configuration: what `-exp Name` runs when no
-	// other flag is given.
-	Params Params
 	// InAll marks the entries `-exp all` runs.
 	InAll bool
 	// Run executes the experiment, rendering its tables to w, and returns
@@ -54,7 +51,8 @@ type Experiment struct {
 	Run func(p Params, w io.Writer) (interface{}, error)
 }
 
-var paperParams = Params{Task: "TA1", Trials: 3, Seed: 1}
+// DefaultParams is what every row runs when no flag overrides it.
+var DefaultParams = Params{Task: "TA1", Trials: 3, Seed: 1}
 
 // onTask is how every row runs: Params are validated and p.Task resolved
 // here, once, so an experiment starts from a Task value and a positive trial
@@ -76,15 +74,15 @@ func onTask(run func(t Task, p Params, w io.Writer) (interface{}, error)) func(P
 // in the order `-exp all` runs them.
 func Experiments() []Experiment {
 	return []Experiment{
-		{Name: "table1", Doc: "Table I: dataset statistics", Params: paperParams, InAll: true,
+		{Name: "table1", Doc: "Table I: dataset statistics", InAll: true,
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) { return Table1(p.Trials, p.Seed, w) })},
-		{Name: "table2", Doc: "Table II: task definitions", Params: paperParams, InAll: true,
+		{Name: "table2", Doc: "Table II: task definitions", InAll: true,
 			Run: onTask(func(_ Task, _ Params, w io.Writer) (interface{}, error) { return Table2(w), nil })},
-		{Name: "fig4", Doc: "Figure 4: REC vs SPL of every strategy on one task", Params: paperParams, InAll: true,
+		{Name: "fig4", Doc: "Figure 4: REC vs SPL of every strategy on one task", InAll: true,
 			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
 				return Fig4(t, p.Options(), p.Trials, p.Seed, w)
 			})},
-		{Name: "fig4all", Doc: "Figure 4 on all sixteen tasks", Params: paperParams,
+		{Name: "fig4all", Doc: "Figure 4 on all sixteen tasks",
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) {
 				var all []*Fig4Result
 				for _, t := range Tasks() {
@@ -96,15 +94,15 @@ func Experiments() []Experiment {
 				}
 				return all, nil
 			})},
-		{Name: "fig5", Doc: "Figure 5: EHC sweep of the confidence c", Params: paperParams, InAll: true,
+		{Name: "fig5", Doc: "Figure 5: EHC sweep of the confidence c", InAll: true,
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) {
 				return Fig5(p.Options(), p.Trials, p.Seed, w)
 			})},
-		{Name: "fig6", Doc: "Figure 6: EHR sweep of the coverage alpha", Params: paperParams, InAll: true,
+		{Name: "fig6", Doc: "Figure 6: EHR sweep of the coverage alpha", InAll: true,
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) {
 				return Fig6(p.Options(), p.Trials, p.Seed, w)
 			})},
-		{Name: "fig7", Doc: "Figure 7: sensitivity to window M and horizon H", Params: paperParams, InAll: true,
+		{Name: "fig7", Doc: "Figure 7: sensitivity to window M and horizon H", InAll: true,
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) {
 				byWindow, err := Fig7(p.Options(), true, Fig7Windows(), p.Trials, p.Seed, w)
 				if err != nil {
@@ -113,37 +111,37 @@ func Experiments() []Experiment {
 				byHorizon, err := Fig7(p.Options(), false, Fig7Horizons(), p.Trials, p.Seed, w)
 				return append(byWindow, byHorizon...), err
 			})},
-		{Name: "fig8", Doc: "Figure 8: monetary case study", Params: paperParams, InAll: true,
+		{Name: "fig8", Doc: "Figure 8: monetary case study", InAll: true,
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) {
 				return Fig8(p.Options(), p.Trials, p.Seed, w)
 			})},
-		{Name: "fig9", Doc: "Figure 9: REC vs end-to-end FPS", Params: paperParams, InAll: true,
+		{Name: "fig9", Doc: "Figure 9: REC vs end-to-end FPS", InAll: true,
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) { return Fig9(p.Options(), p.Seed, w) })},
-		{Name: "fig10", Doc: "Figure 10: stage time shares", Params: paperParams, InAll: true,
+		{Name: "fig10", Doc: "Figure 10: stage time shares", InAll: true,
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) { return Fig10(p.Options(), 0.9, p.Seed, w) })},
-		{Name: "resources", Doc: "model size and training-job size", Params: paperParams, InAll: true,
+		{Name: "resources", Doc: "model size and training-job size", InAll: true,
 			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) { return Resources(t, p.Options(), p.Seed, w) })},
-		{Name: "loss", Doc: "training loss curve", Params: paperParams,
+		{Name: "loss", Doc: "training loss curve",
 			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
 				return TrainLossCurve(t, p.Options(), p.Seed, w)
 			})},
-		{Name: "ablation", Doc: "design-choice ablations", Params: paperParams, InAll: true,
+		{Name: "ablation", Doc: "design-choice ablations", InAll: true,
 			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) { return Ablations(t, p.Options(), p.Seed, w) })},
-		{Name: "multi", Doc: "multi-instance horizons on the industrial stream", Params: paperParams, InAll: true,
+		{Name: "multi", Doc: "multi-instance horizons on the industrial stream", InAll: true,
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) {
 				return MultiExperiment(p.Options(), p.Seed, w)
 			})},
-		{Name: "validity", Doc: "empirical check of Theorems 4.2 and 5.2", Params: paperParams, InAll: true,
+		{Name: "validity", Doc: "empirical check of Theorems 4.2 and 5.2", InAll: true,
 			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
 				return Validity(t, p.Options(), p.Trials, p.Seed, w)
 			})},
-		{Name: "density", Doc: "event-density sensitivity", Params: paperParams,
+		{Name: "density", Doc: "event-density sensitivity",
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) { return Density(p.Options(), nil, p.Seed, w) })},
-		{Name: "tune", Doc: "operating-point tuner", Params: paperParams,
+		{Name: "tune", Doc: "operating-point tuner",
 			Run: onTask(func(t Task, p Params, w io.Writer) (interface{}, error) {
 				return TuneExperiment(t, p.Options(), p.Seed, w)
 			})},
-		{Name: "summary", Doc: "headline table over all sixteen tasks", Params: paperParams,
+		{Name: "summary", Doc: "headline table over all sixteen tasks",
 			Run: onTask(func(_ Task, p Params, w io.Writer) (interface{}, error) { return Summary(p.Options(), p.Seed, w) })},
 	}
 }
@@ -167,15 +165,14 @@ func Select(name string) ([]Experiment, error) {
 }
 
 // ListExperiments prints the registry as the table `eventhitbench -list`
-// shows (CONFIG is the canonical task, seed and sizing).
+// shows.
 func ListExperiments(w io.Writer) {
-	fmt.Fprintf(w, "%-12s %-4s %-11s %s\n", "NAME", "ALL", "CONFIG", "DESCRIPTION")
+	fmt.Fprintf(w, "%-12s %-4s %s\n", "NAME", "ALL", "DESCRIPTION")
 	for _, e := range Experiments() {
-		cfg := fmt.Sprintf("%s,seed=%d", e.Params.Task, e.Params.Seed)
 		all := "-"
 		if e.InAll {
 			all = "all"
 		}
-		fmt.Fprintf(w, "%-12s %-4s %-11s %s\n", e.Name, all, cfg, e.Doc)
+		fmt.Fprintf(w, "%-12s %-4s %s\n", e.Name, all, e.Doc)
 	}
 }

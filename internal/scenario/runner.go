@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
+	"runtime"
 
 	"eventhit/internal/cicache"
 	"eventhit/internal/cloud"
@@ -32,13 +32,13 @@ import (
 // report; a task that breaks one fails the run.
 //
 // Determinism contract: stages run serially; a parallel task group runs its
-// members concurrently with results slotted by index; every task rebuilds
-// its cameras from the same seeds (extractors are stateful; the bundle is
-// shared read-only). Each executor is itself deterministic at any
-// parallelism — fleet.Run by its two-phase design, the others because they
-// are single-goroutine over seeded inputs — so MarshalReport output is
-// byte-identical at any Run parallelism. The corpus golden tests hold the
-// runner to exactly that.
+// members on GOMAXPROCS workers with results slotted by index; every task
+// rebuilds its cameras from the same seeds (extractors are stateful; the
+// bundle is shared read-only). Each executor slots its own concurrent work
+// by index too — fleet.Run's stream timelines by its two-phase design,
+// pipeline's decide stage by anchor, the drift walk runs on one goroutine —
+// so MarshalReport output is byte-identical at any GOMAXPROCS. The corpus
+// golden tests hold the runner to exactly that.
 
 // Report is the scenario outcome, marshalled by MarshalReport and pinned
 // byte-for-byte by the corpus goldens.
@@ -226,7 +226,7 @@ func buildCamera(env *harness.Env, spec *Spec, cam camera) (fleet.Stream, error)
 
 // EnvFor trains the spec's environment: the spec's task at quick or full
 // sizes, keyed by the spec seed. Run uses exactly this env; tests train it
-// once and reuse it across parallelism levels.
+// once and reuse it across GOMAXPROCS settings.
 func EnvFor(spec *Spec) (*harness.Env, error) {
 	task, err := harness.TaskByName(spec.Task)
 	if err != nil {
@@ -235,25 +235,21 @@ func EnvFor(spec *Spec) (*harness.Env, error) {
 	return harness.NewEnv(task, harness.Params{Quick: spec.Quick}.Options(), spec.Seed)
 }
 
-// Run trains the spec's environment and executes its stages with par
-// workers per parallel group (par also becomes fleet.Config.Parallelism).
-// The report is byte-identical at any par >= 1.
-func Run(spec *Spec, par int) (*Report, error) {
+// Run trains the spec's environment and executes its stages. The report
+// is byte-identical at any GOMAXPROCS.
+func Run(spec *Spec) (*Report, error) {
 	env, err := EnvFor(spec)
 	if err != nil {
 		return nil, err
 	}
-	return RunWithEnv(spec, env, par)
+	return RunWithEnv(spec, env)
 }
 
 // RunWithEnv executes the spec's stages against an already-trained
-// environment (tests reuse one env across parallelism levels; the env must
+// environment (tests reuse one env across GOMAXPROCS settings; the env must
 // come from the spec's task, options and seed for reports to be
 // reproducible).
-func RunWithEnv(spec *Spec, env *harness.Env, par int) (*Report, error) {
-	if par < 1 {
-		par = 1
-	}
+func RunWithEnv(spec *Spec, env *harness.Env) (*Report, error) {
 	cams := compileCameras(spec)
 	rep := &Report{
 		Name: spec.Name, Task: spec.Task, Seed: spec.Seed,
@@ -273,47 +269,20 @@ func RunWithEnv(spec *Spec, env *harness.Env, par int) (*Report, error) {
 		}
 		rep.Cameras = append(rep.Cameras, co)
 	}
-	for si, st := range spec.Stages {
+	for _, st := range spec.Stages {
 		tasks := st.Tasks()
 		so := StageOut{Name: st.Name, Parallel: st.Run == nil, Tasks: make([]TaskOut, len(tasks))}
-		workers := 1
-		if so.Parallel {
-			workers = par
-		}
-		runStage := func() error {
-			return mathx.ForEach(len(tasks), workers, func(i int) error {
-				out, err := runTask(spec, env, cams, tasks[i], par)
-				if err == nil {
-					err = out.accountingErr()
-				}
-				if err != nil {
-					return fmt.Errorf("scenario: stage %s task %s: %w", st.Name, tasks[i].Name, err)
-				}
-				so.Tasks[i] = out
-				return nil
-			})
-		}
-		var err error
-		if st.Timeout > 0 {
-			// The timeout is a wall-clock guard on the stage, not a report
-			// input: a stage that finishes in time yields exactly the bytes
-			// it would without one, and an exceeded stage fails the whole
-			// run positionally. The stage goroutine is abandoned on timeout
-			// (executors have no cancellation points); its StageOut is never
-			// read.
-			done := make(chan error, 1)
-			go func() { done <- runStage() }()
-			timer := time.NewTimer(st.Timeout)
-			select {
-			case err = <-done:
-				timer.Stop()
-			case <-timer.C:
-				return nil, fmt.Errorf("scenario: stages[%d] (%s): exceeded wall-clock timeout %s", si, st.Name, st.Timeout)
+		if err := mathx.ForEach(len(tasks), runtime.GOMAXPROCS(0), func(i int) error {
+			out, err := runTask(spec, env, cams, tasks[i])
+			if err == nil {
+				err = out.accountingErr()
 			}
-		} else {
-			err = runStage()
-		}
-		if err != nil {
+			if err != nil {
+				return fmt.Errorf("scenario: stage %s task %s: %w", st.Name, tasks[i].Name, err)
+			}
+			so.Tasks[i] = out
+			return nil
+		}); err != nil {
 			return nil, err
 		}
 		rep.Stages = append(rep.Stages, so)
@@ -375,12 +344,12 @@ func (o TaskOut) accountingErr() error {
 	return nil
 }
 
-func runTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec, par int) (TaskOut, error) {
+func runTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec) (TaskOut, error) {
 	out := TaskOut{Name: ts.Name, Kind: ts.Kind}
 	var err error
 	switch ts.Kind {
 	case KindFleet:
-		out.Fleet, err = runFleetTask(spec, env, cams, ts, par)
+		out.Fleet, err = runFleetTask(spec, env, cams, ts)
 	case KindPipeline:
 		out.Pipeline, err = runPipelineTask(spec, env, cams, ts)
 	case KindDrift:
@@ -393,9 +362,8 @@ func runTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec, par int) 
 
 // fleetConfig compiles the spec's fleet policy (plus per-task overrides)
 // onto fleet.DefaultConfig.
-func fleetConfig(spec *Spec, ts TaskSpec, par int) fleet.Config {
+func fleetConfig(spec *Spec, ts TaskSpec) fleet.Config {
 	cfg := fleet.DefaultConfig()
-	cfg.Parallelism = par
 	f := spec.Fleet
 	cfg.GlobalBudgetUSD = f.BudgetUSD
 	cfg.StreamRatePerSec = f.StreamRatePerSec
@@ -424,9 +392,9 @@ func fleetConfig(spec *Spec, ts TaskSpec, par int) fleet.Config {
 	return cfg
 }
 
-func runFleetTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec, par int) (*FleetOut, error) {
+func runFleetTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec) (*FleetOut, error) {
 	streams := make([]fleet.Stream, len(cams))
-	if err := mathx.ForEach(len(cams), par, func(i int) error {
+	if err := mathx.ForEach(len(cams), runtime.GOMAXPROCS(0), func(i int) error {
 		s, err := buildCamera(env, spec, cams[i])
 		if err != nil {
 			return err
@@ -436,7 +404,7 @@ func runFleetTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec, par 
 	}); err != nil {
 		return nil, err
 	}
-	cfg := fleetConfig(spec, ts, par)
+	cfg := fleetConfig(spec, ts)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"eventhit/internal/cloud"
@@ -21,8 +22,8 @@ import (
 var updateSchema = flag.Bool("update-schema", false, "rewrite testdata/report_schema.golden.json")
 
 // TestCorpusGoldens is the regression gate: every committed scenario runs at
-// Parallelism 1 and 4 against one shared trained environment, must produce
-// byte-identical reports at both levels, and must match the committed golden
+// GOMAXPROCS 1 and 4 against one shared trained environment, must produce
+// byte-identical reports at both, and must match the committed golden
 // exactly. Skipped under -short (it trains one quick env per scenario).
 func TestCorpusGoldens(t *testing.T) {
 	if testing.Short() {
@@ -32,6 +33,7 @@ func TestCorpusGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Corpus: %v", err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, e := range entries {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
@@ -39,24 +41,26 @@ func TestCorpusGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatalf("EnvFor: %v", err)
 			}
-			serial, err := RunWithEnv(e.Spec, env, 1)
+			runtime.GOMAXPROCS(1)
+			serial, err := RunWithEnv(e.Spec, env)
 			if err != nil {
-				t.Fatalf("RunWithEnv(par=1): %v", err)
+				t.Fatalf("RunWithEnv(GOMAXPROCS=1): %v", err)
 			}
 			got, err := MarshalReport(serial)
 			if err != nil {
 				t.Fatalf("MarshalReport: %v", err)
 			}
-			par, err := RunWithEnv(e.Spec, env, 4)
+			runtime.GOMAXPROCS(4)
+			par, err := RunWithEnv(e.Spec, env)
 			if err != nil {
-				t.Fatalf("RunWithEnv(par=4): %v", err)
+				t.Fatalf("RunWithEnv(GOMAXPROCS=4): %v", err)
 			}
 			gotPar, err := MarshalReport(par)
 			if err != nil {
 				t.Fatalf("MarshalReport: %v", err)
 			}
 			if !bytes.Equal(got, gotPar) {
-				t.Fatalf("report differs between Parallelism 1 and 4:\n--- par=1\n%s\n--- par=4\n%s", got, gotPar)
+				t.Fatalf("report differs between GOMAXPROCS 1 and 4:\n--- 1\n%s\n--- 4\n%s", got, gotPar)
 			}
 			want, err := os.ReadFile(filepath.Join("testdata", e.Name+".golden.json"))
 			if err != nil {
@@ -83,7 +87,7 @@ func TestCorpusGoldens(t *testing.T) {
 // TestDriftShiftDetection is the end-to-end drift walk: the camera-drift
 // scenario induces a detector shift at frame 20000 mid-run, and the
 // adaptation loop auditing every skip must alarm after the shift,
-// identically at any parallelism.
+// identically at any GOMAXPROCS.
 func TestDriftShiftDetection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a quick env")
@@ -105,15 +109,17 @@ func TestDriftShiftDetection(t *testing.T) {
 		t.Fatalf("EnvFor: %v", err)
 	}
 	var outs [][]TaskOut
-	for _, par := range []int{1, 3} {
-		rep, err := RunWithEnv(&trimmed, env, par)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, p := range []int{1, 3} {
+		runtime.GOMAXPROCS(p)
+		rep, err := RunWithEnv(&trimmed, env)
 		if err != nil {
-			t.Fatalf("RunWithEnv(par=%d): %v", par, err)
+			t.Fatalf("RunWithEnv(GOMAXPROCS=%d): %v", p, err)
 		}
 		outs = append(outs, rep.Stages[0].Tasks)
 	}
 	if !reflect.DeepEqual(outs[0], outs[1]) {
-		t.Fatalf("drift outcomes differ across parallelism:\npar=1: %+v\npar=3: %+v", outs[0], outs[1])
+		t.Fatalf("drift outcomes differ across GOMAXPROCS:\n1: %+v\n3: %+v", outs[0], outs[1])
 	}
 	d := auditEverySkip(t, outs[0], trimmed.Stages[0].Tasks())
 	if d.Episodes == 0 {
@@ -179,7 +185,7 @@ func TestDriftBudgetCutsOff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	rep, err := Run(spec, 1)
+	rep, err := Run(spec)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -11,7 +11,7 @@
 // fault plan — a sweep is a parallel group of tasks that differ in one
 // block. Task results are slotted by index and the fleet's two-phase
 // determinism is preserved, so a scenario report is byte-identical at any
-// parallelism — which is what lets the committed corpus under corpus/ pin
+// GOMAXPROCS — which is what lets the committed corpus under corpus/ pin
 // golden reports in testdata/ and gate every future PR on all regimes at
 // once.
 package scenario
@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"time"
+	"strings"
 
 	"eventhit/internal/harness"
 )
@@ -138,13 +138,7 @@ type OutageSpec struct {
 // Parallel (a task group whose members run concurrently, results slotted by
 // index) is set.
 type Stage struct {
-	Name string
-	// Timeout, when non-zero, bounds the stage's wall-clock execution time;
-	// a stage that exceeds it fails the run with a positional error. The
-	// timeout never enters the report — a stage either finishes (same bytes
-	// as without a timeout) or the run errors — so report determinism is
-	// unaffected.
-	Timeout  time.Duration
+	Name     string
 	Run      *TaskSpec
 	Parallel []TaskSpec
 }
@@ -590,18 +584,6 @@ func decodeStages(r *reader, spec *Spec) error {
 			return s.fieldErr("name", "duplicate stage %q", st.Name)
 		}
 		stageSeen[st.Name] = true
-		if v, ok, err := s.optString("timeout"); err != nil {
-			return err
-		} else if ok {
-			d, perr := time.ParseDuration(v)
-			if perr != nil {
-				return s.fieldErr("timeout", "expected a duration (e.g. 30s, 2m), got %q", v)
-			}
-			if d <= 0 {
-				return s.fieldErr("timeout", "must be > 0, got %s", d)
-			}
-			st.Timeout = d
-		}
 		runNode, hasRun := s.optChild("run")
 		parNode, hasPar := s.optChild("parallel")
 		if hasRun == hasPar {
@@ -717,14 +699,22 @@ func decodeTask(spec *Spec, n *node, path string) (TaskSpec, error) {
 	return ts, nil
 }
 
-// cameraExists reports whether a group declares the camera ID
-// ("<group>-<ii>").
+// cameraExists reports whether a group declares the camera ID: camera i of
+// group g is "<g>-<ii>" (compileCameras), and the index holds no '-', so
+// the ID splits at its last '-' and is checked in constant time whatever
+// the group's count.
 func cameraExists(spec *Spec, id string) bool {
+	cut := strings.LastIndexByte(id, '-')
+	if cut < 0 {
+		return false
+	}
+	i, err := strconv.Atoi(id[cut+1:])
+	if err != nil || i < 0 {
+		return false
+	}
 	for _, g := range spec.Streams {
-		for i := 0; i < g.Count; i++ {
-			if fmt.Sprintf("%s-%02d", g.ID, i) == id {
-				return true
-			}
+		if g.ID == id[:cut] {
+			return i < g.Count && fmt.Sprintf("%s-%02d", g.ID, i) == id
 		}
 	}
 	return false

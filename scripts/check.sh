@@ -127,7 +127,7 @@ stage kernel-bits kernel_bits
 stage train-race-x10 go test -race -count=10 ./internal/core/ ./internal/nn/ -run 'TestTrain'
 stage race go test -race ./...
 # Randomized test order: no test may depend on a sibling having run first.
-# This pass includes the scenario corpus goldens at parallelism 1 and 4 and
+# This pass includes the scenario corpus goldens at GOMAXPROCS 1 and 4 and
 # the experiment registry suite (internal/harness).
 stage shuffle go test -shuffle=on ./...
 
@@ -203,14 +203,14 @@ stage front-hop-x5 go test -race -count=5 ./internal/cluster/ -run 'TestFrontPro
 # Allocation ceilings: frames handler at 1, 250 and 4096 frames; predict;
 # a predict proxied through the front.
 stage handler-allocs go test ./internal/serve/ ./internal/cluster/ -run 'TestFramesHandlerAllocs|TestPredictHandlerAllocs|TestFrontProxyAllocs' -count=1
-# The corpus golden gate through the shipped binary, at two parallelism
-# levels: every report must equal its golden at both. The fleet cap, cache
+# The corpus golden gate through the shipped binary, at GOMAXPROCS 1 and 4:
+# every report must equal its golden at both. The fleet cap, cache
 # and CI-fault sweeps are corpus scenarios, so this is their regeneration
 # gate (regeneration hint: eventhitscenario -corpus -regen).
 scenario_corpus() {
     go build -o "$tmpdir/eventhitscenario" ./cmd/eventhitscenario &&
-        "$tmpdir/eventhitscenario" -corpus -parallelism 1 &&
-        "$tmpdir/eventhitscenario" -corpus -parallelism 4
+        GOMAXPROCS=1 "$tmpdir/eventhitscenario" -corpus &&
+        GOMAXPROCS=4 "$tmpdir/eventhitscenario" -corpus
 }
 stage scenario-corpus scenario_corpus
 # The repository benchmark completes: a non-zero exit (a workload that
@@ -222,13 +222,13 @@ stage bench-idle-camera go run ./bench -workload offline_repro -seed 511 -second
 
 stage build-eventhitbench go build -o "$tmpdir/eventhitbench" ./cmd/eventhitbench
 
-# Every `-exp all` row prints the same bytes at any parallelism: no row
+# Every `-exp all` row prints the same bytes at any GOMAXPROCS: no row
 # prints wall-clock, and every grid merges in cell-index order. No
 # committed bytes — the two runs are compared with each other.
 exp_all_x2() {
     [ -x "$tmpdir/eventhitbench" ] || go build -o "$tmpdir/eventhitbench" ./cmd/eventhitbench
-    "$tmpdir/eventhitbench" -exp all -quick -parallelism 1 >"$tmpdir/all_p1.txt" &&
-        "$tmpdir/eventhitbench" -exp all -quick -parallelism 4 >"$tmpdir/all_p4.txt" &&
+    GOMAXPROCS=1 "$tmpdir/eventhitbench" -exp all -quick >"$tmpdir/all_p1.txt" &&
+        GOMAXPROCS=4 "$tmpdir/eventhitbench" -exp all -quick >"$tmpdir/all_p4.txt" &&
         cmp "$tmpdir/all_p1.txt" "$tmpdir/all_p4.txt"
 }
 stage exp-all-x2 exp_all_x2
