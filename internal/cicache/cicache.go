@@ -27,7 +27,6 @@ import (
 	"math"
 	"sync"
 
-	"eventhit/internal/obs"
 	"eventhit/internal/video"
 )
 
@@ -361,10 +360,4 @@ func (c *Cache) Stats() Stats {
 		sh.mu.Unlock()
 	}
 	return s
-}
-
-// Register exposes the cache meters on reg as func-backed series: hit/miss
-// /eviction/insert counters plus live-entry and hit-ratio gauges.
-func (c *Cache) Register(reg *obs.Registry, labels obs.Labels) {
-	RegisterStats(reg, labels, c.Stats)
 }

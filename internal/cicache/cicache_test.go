@@ -177,7 +177,7 @@ func TestCacheShardingCoversAllShards(t *testing.T) {
 func TestCacheRegisterExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := mustNew(t, Config{Capacity: 8, Shards: 1})
-	c.Register(reg, nil)
+	RegisterStats(reg, nil, c.Stats)
 	k := ExactKey(0, video.Interval{Start: 0, End: 9})
 	c.Put(k, Verdict{}, 0)
 	c.Get(k, 0)

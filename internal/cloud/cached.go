@@ -88,7 +88,7 @@ func (b *CachedBackend) DetectTimedKeyed(key cicache.Key, eventType int, win vid
 		b.hits++
 		b.savedFrames += int64(win.Len())
 		b.mu.Unlock()
-		return Detection{Event: eventType, Found: v.Materialize(win)}, 0, nil
+		return Detection{Found: v.Materialize(win)}, 0, nil
 	}
 	det, lat, err := b.inner.DetectTimed(eventType, win)
 	if err != nil {

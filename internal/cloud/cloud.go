@@ -36,7 +36,6 @@ func DefaultLatency() Latency { return Latency{PerFrameMS: 40} }
 
 // Detection is the CI's verdict for one frame range of one event type.
 type Detection struct {
-	Event int // task event index
 	// Found lists the portions of requested frames covered by true event
 	// occurrences.
 	Found []video.Interval
@@ -90,9 +89,9 @@ func (s *Service) Detect(eventType int, win video.Interval) (Detection, error) {
 	}
 	n := win.Len()
 	if n == 0 {
-		return Detection{Event: eventType}, nil
+		return Detection{}, nil
 	}
-	det := Detection{Event: eventType}
+	var det Detection
 	hit := 0
 	for _, in := range s.stream.InstancesOverlapping(eventType, win) {
 		if ov, ok := in.OI.Intersect(win); ok {
@@ -158,13 +157,6 @@ func (s *Service) Usage() Usage {
 		SpentUSD:  s.spentUSD,
 		BusyMS:    s.busyMS,
 	}
-}
-
-// Reset clears the meter.
-func (s *Service) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.requests, s.frames, s.hitFrames, s.spentUSD, s.busyMS = 0, 0, 0, 0, 0
 }
 
 // CostOf returns the price of processing n frames without processing them.

@@ -80,13 +80,6 @@ func (p FaultPlan) Validate() error {
 	return nil
 }
 
-// Active reports whether the plan can inject anything at all. An inactive
-// plan makes the Faulty wrapper a pass-through.
-func (p FaultPlan) Active() bool {
-	return p.TransientRate > 0 || (p.SpikeRate > 0 && p.SpikeMS > 0) ||
-		(p.RateLimitEvery > 0 && p.RateLimitBurst > 0) || len(p.Outages) > 0
-}
-
 // Fault is the plan's verdict for one request.
 type Fault struct {
 	// Err, when non-nil, fails the request before any processing or
@@ -137,7 +130,6 @@ type FaultStats struct {
 	Requests   int64
 	Transients int64
 	Throttles  int64
-	OutageHits int64
 	Spikes     int64
 	SpikeMS    float64 // total injected latency
 }
@@ -177,8 +169,6 @@ func (f *Faulty) DetectTimed(eventType int, win video.Interval) (Detection, floa
 		f.stats.Transients++
 	case ft.Err == ErrThrottled:
 		f.stats.Throttles++
-	case ft.Err == ErrOutage:
-		f.stats.OutageHits++
 	}
 	f.mu.Unlock()
 	if ft.Err != nil {

@@ -50,13 +50,3 @@ func (b *Budget) Charge(frames int) error {
 	b.frames += int64(frames)
 	return nil
 }
-
-// Remaining returns the unspent budget.
-func (b *Budget) Remaining() float64 { return b.capUSD - b.Spent() }
-
-// Spent returns the cumulative spend.
-func (b *Budget) Spent() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return float64(b.frames) * b.perFrameUSD
-}

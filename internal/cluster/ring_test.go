@@ -79,32 +79,6 @@ func TestRingJoinMovesBoundedKeys(t *testing.T) {
 	}
 }
 
-// TestRingLeaveMovesOnlyOrphans: removing a worker re-routes exactly the
-// keys it owned; everything else stays put.
-func TestRingLeaveMovesOnlyOrphans(t *testing.T) {
-	keys := ringKeys(20_000)
-	r := NewRing(0)
-	for w := 0; w < 4; w++ {
-		r.Add(workerName(w))
-	}
-	before := make(map[string]string, len(keys))
-	for _, k := range keys {
-		before[k] = r.Lookup(k)
-	}
-	gone := workerName(2)
-	r.Remove(gone)
-	for _, k := range keys {
-		after := r.Lookup(k)
-		if before[k] == gone {
-			if after == gone {
-				t.Fatalf("key %s still routes to removed worker", k)
-			}
-		} else if after != before[k] {
-			t.Fatalf("key %s moved %s -> %s though its owner stayed", k, before[k], after)
-		}
-	}
-}
-
 // TestRingLookupDeterministic: membership + key fully determine the route,
 // independent of insertion order.
 func TestRingLookupDeterministic(t *testing.T) {
@@ -134,7 +108,6 @@ func TestRingEmptyAndDuplicates(t *testing.T) {
 	if r.Len() != 1 || len(r.points) != DefaultVNodes {
 		t.Fatalf("duplicate add changed ring: len %d, points %d", r.Len(), len(r.points))
 	}
-	r.Remove("missing") // no-op
 	if got := r.Lookup("x"); got != "w000" {
 		t.Fatalf("single-node ring lookup = %q", got)
 	}

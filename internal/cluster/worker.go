@@ -109,10 +109,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return &Worker{ID: cfg.ID, srv: srv}, nil
 }
 
-// Server exposes the wrapped serve.Server (tests drain it, the cmd swaps
-// models on it directly).
-func (w *Worker) Server() *serve.Server { return w.srv }
-
 // ServeHTTP serves the worker surface without a listener (in-process
 // tests).
 func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) { w.srv.ServeHTTP(rw, r) }

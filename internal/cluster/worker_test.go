@@ -13,6 +13,9 @@ import (
 	"eventhit/internal/serve"
 )
 
+// Server exposes the wrapped serve.Server, for tests that drain it.
+func (w *Worker) Server() *serve.Server { return w.srv }
+
 // TestWorkerHungCoordinatorDefers: a coordinator that accepts connections
 // and never answers costs a worker's predict at most the internal-call
 // deadline per coordinator call, never forever. The stub answers the

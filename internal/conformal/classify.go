@@ -88,25 +88,6 @@ func (c *Classifier) Predict(b []float64, confidence float64) []bool {
 	return out
 }
 
-// ScoreThreshold returns the smallest existence score that would be
-// predicted positive at the given confidence for event k — useful for
-// understanding what a confidence level means in score space.
-func (c *Classifier) ScoreThreshold(k int, confidence float64) float64 {
-	ps := c.posScores[k]
-	// Need count/(n+1) >= 1-c, i.e. count >= ceil((1-c)*(n+1)).
-	need := int((1 - confidence) * float64(len(ps)+1))
-	if float64(need) < (1-confidence)*float64(len(ps)+1) {
-		need++
-	}
-	if need <= 0 {
-		return 0
-	}
-	if need > len(ps) {
-		return 2 // unreachable score: nothing is ever positive
-	}
-	return ps[need-1]
-}
-
 // Regressor is a calibrated C-REGRESS instance: per event, the sorted
 // absolute residuals of the start and end estimates over positive
 // calibration records (Algorithm 2 lines 5-14).

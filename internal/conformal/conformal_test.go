@@ -129,6 +129,25 @@ func TestClassifierCoverageGuarantee(t *testing.T) {
 	}
 }
 
+// ScoreThreshold returns the smallest existence score that would be
+// predicted positive at the given confidence for event k: an oracle for
+// Predict, from the p-value condition solved in score space.
+func (c *Classifier) ScoreThreshold(k int, confidence float64) float64 {
+	ps := c.posScores[k]
+	// Need count/(n+1) >= 1-c, i.e. count >= ceil((1-c)*(n+1)).
+	need := int((1 - confidence) * float64(len(ps)+1))
+	if float64(need) < (1-confidence)*float64(len(ps)+1) {
+		need++
+	}
+	if need <= 0 {
+		return 0
+	}
+	if need > len(ps) {
+		return 2 // unreachable score: nothing is ever positive
+	}
+	return ps[need-1]
+}
+
 func TestScoreThreshold(t *testing.T) {
 	c, err := NewClassifier(
 		[][]float64{{0.2}, {0.5}, {0.8}},

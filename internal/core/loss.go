@@ -88,15 +88,3 @@ func fillOffsets(dst []float64, ivs []video.Interval, x float64) {
 		}
 	}
 }
-
-// Loss evaluates L1+L2 on a record with dropout off, touching no
-// gradient (used by tests and validation monitoring). Like training it
-// computes a head's occurrence logits only when its event is present.
-func (m *Model) Loss(rec dataset.Record) float64 {
-	if m.lossTape == nil {
-		m.lossTape = m.newTape()
-		m.lossTape.mask = nil
-	}
-	m.forward(m.lossTape, rec.X, rec.Label, m.packs())
-	return m.recordLoss(m.lossTape, rec)
-}

@@ -125,11 +125,8 @@ type Model struct {
 	// Scratch.
 	packed atomic.Pointer[packed]
 
-	// sc and logits back Predict, PredictInto and Logits; lossTape backs
-	// Loss.
-	sc       Scratch
-	logits   [][]float64
-	lossTape *tape
+	// sc backs Predict and PredictInto.
+	sc Scratch
 }
 
 // New constructs an EventHit model from cfg with freshly initialized
@@ -483,24 +480,6 @@ func (m *Model) PredictInto(x [][]float64, out *Output) {
 	for k := range m.heads {
 		m.Theta(k, &m.sc, out.Theta[k])
 	}
-}
-
-// Logits runs inference and returns the raw per-head logit vectors
-// (length 1+H) before the sigmoid; the inference tests compare them bit
-// for bit against a reference forward pass. The slices are the model's scratch: valid until the next
-// Logits through m.
-func (m *Model) Logits(x [][]float64) [][]float64 {
-	if m.logits == nil {
-		m.logits = make([][]float64, len(m.heads))
-		for k := range m.logits {
-			m.logits[k] = make([]float64, 1+m.cfg.Horizon)
-		}
-	}
-	m.hidden(x, 0, &m.sc)
-	for k, lk := range m.logits {
-		m.headLogits(k, &m.sc, 0, lk)
-	}
-	return m.logits
 }
 
 // growOutput sizes out for k events over horizon h, reusing capacity.

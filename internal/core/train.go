@@ -335,13 +335,6 @@ func (t *trainer) publish() {
 	t.m.packed.Store(t.own)
 }
 
-// accumulate adds the gradients of batch's records to the parameters' G
-// and takes no step.
-func (t *trainer) accumulate(batch []int) {
-	t.scale = 0
-	t.sum(batch)
-}
-
 // sum runs batch through the network and sums its gradients, stepping each
 // row range after its sum when t.scale is set: each record's dropout mask
 // drawn in order, the records' passes, then the gradient jobs.

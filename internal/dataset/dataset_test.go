@@ -27,11 +27,11 @@ func fixedStream(t *testing.T) (*video.Stream, *features.Extractor) {
 		N:    spec.StreamLen,
 		ByType: [][]video.Instance{
 			{
-				{Type: 0, OI: video.Interval{Start: 1050, End: 1099}, PrecursorStart: 1000},
-				{Type: 0, OI: video.Interval{Start: 2000, End: 2300}, PrecursorStart: 1900},
+				{OI: video.Interval{Start: 1050, End: 1099}, PrecursorStart: 1000},
+				{OI: video.Interval{Start: 2000, End: 2300}, PrecursorStart: 1900},
 			},
 			{
-				{Type: 1, OI: video.Interval{Start: 1060, End: 1080}, PrecursorStart: 1020},
+				{OI: video.Interval{Start: 1060, End: 1080}, PrecursorStart: 1020},
 			},
 		},
 	}
@@ -306,4 +306,16 @@ func TestBuildRecordMulti(t *testing.T) {
 	if _, err := BuildRecordMulti(ex, 2, cfg); err == nil {
 		t.Fatal("expected range error")
 	}
+}
+
+// PositiveCount returns, per task event, how many records in recs are
+// positive for it.
+func PositiveCount(recs []Record, k int) int {
+	n := 0
+	for _, r := range recs {
+		if r.Label[k] {
+			n++
+		}
+	}
+	return n
 }

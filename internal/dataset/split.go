@@ -118,15 +118,3 @@ func anchorNearInstance(ex Source, cfg Config, reg region, g *mathx.RNG) (int, b
 	}
 	return t, true
 }
-
-// PositiveCount returns, per task event, how many records in recs are
-// positive for it.
-func PositiveCount(recs []Record, k int) int {
-	n := 0
-	for _, r := range recs {
-		if r.Label[k] {
-			n++
-		}
-	}
-	return n
-}

@@ -105,16 +105,6 @@ func (c *WindowCache) Window(t, m int, dst [][]float64) ([][]float64, error) {
 	return dst, nil
 }
 
-// Reset drops every cached row (a stream restart). Retained views stay
-// valid — references are dropped, rows are never scrubbed.
-func (c *WindowCache) Reset() {
-	for i := range c.frames {
-		c.frames[i] = -1
-		c.rows[i] = nil
-	}
-	c.arena = nil
-}
-
 // Stats returns cumulative (hits, misses) — extraction work saved vs done.
 func (c *WindowCache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 

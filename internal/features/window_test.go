@@ -248,3 +248,13 @@ func TestWindowAssemblyAllocs(t *testing.T) {
 		t.Errorf("warm Window allocates %.1f per call, want 0", n)
 	}
 }
+
+// Reset drops every cached row (a stream restart). Retained views stay
+// valid — references are dropped, rows are never scrubbed.
+func (c *WindowCache) Reset() {
+	for i := range c.frames {
+		c.frames[i] = -1
+		c.rows[i] = nil
+	}
+	c.arena = nil
+}

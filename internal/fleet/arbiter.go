@@ -98,9 +98,8 @@ func (v Verdict) String() string {
 	return fmt.Sprintf("verdict(%d)", int(v))
 }
 
-// ArbiterStats is a snapshot of the admission counters. The Lease* fields
-// are zero without a lease: LeasedFrames is the total headroom ever granted
-// by the coordinator, LeaseHeldFrames the granted-but-unspent remainder.
+// ArbiterStats is a snapshot of the admission counters. LeasedFrames, the
+// total headroom the coordinator ever granted, is zero without a lease.
 type ArbiterStats struct {
 	Admitted        int64   `json:"admitted"`
 	DeferredRate    int64   `json:"deferredRate"`
@@ -110,7 +109,6 @@ type ArbiterStats struct {
 	GlobalBudgetUSD float64 `json:"globalBudgetUSD"`
 	Sessions        int     `json:"sessions"`
 	LeasedFrames    int64   `json:"leasedFrames"`
-	LeaseHeldFrames int64   `json:"leaseHeldFrames"`
 }
 
 // Arbiter is safe for concurrent use.
@@ -239,7 +237,6 @@ func (a *Arbiter) Stats() ArbiterStats {
 	defer a.mu.Unlock()
 	s := a.stats
 	s.GlobalBudgetUSD = a.cfg.GlobalBudgetUSD
-	s.LeaseHeldFrames = a.leaseHeld
 	return s
 }
 

@@ -13,9 +13,8 @@ type DensityRow struct {
 	Multiplier float64
 	// EventFraction is the fraction of stream frames inside events.
 	EventFraction float64
-	// EHO is the raw operating point; EHCR90 the conformal point at
-	// c = α = 0.9.
-	EHO, EHCR90 Point
+	// EHO is the raw operating point.
+	EHO Point
 	// SavingsAt90 is 1 - (frames relayed / brute-force frames) for the
 	// cheapest EHCR setting reaching REC >= 0.9 (-1 when unreached).
 	SavingsAt90 float64
@@ -55,7 +54,7 @@ func Density(opt Options, multipliers []float64, seed int64, w io.Writer) ([]Den
 		evFrames := env.Stream.EventFrames(task.EventIdx[0], video.Interval{Start: 0, End: env.Stream.N - 1})
 		row.EventFraction = float64(evFrames) / float64(env.Stream.N)
 		var curve []Point
-		if row.EHO, row.EHCR90, curve, err = env.headline(); err != nil {
+		if row.EHO, _, curve, err = env.headline(); err != nil {
 			return DensityRow{}, err
 		}
 		bfFrames := len(env.Splits.Test) * env.Cfg.Horizon * task.NumEvents()

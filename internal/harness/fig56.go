@@ -5,11 +5,10 @@ import (
 	"io"
 )
 
-// Fig56Result holds one task's sweep of a conformal knob: REC, SPL and the
-// relevant component recall at each level.
+// Fig56Result holds one representative task's sweep of a conformal knob
+// (in the order TA1, TA5, TA7, TA10): REC, SPL and the relevant component
+// recall at each level.
 type Fig56Result struct {
-	Task   string
-	Knob   string // "c" or "alpha"
 	Points []Point
 }
 
@@ -44,7 +43,7 @@ func fig56(opt Options, trials int, seed int64, w io.Writer, fig, algo, knob, pa
 	}
 	var out []Fig56Result
 	for ti, name := range names {
-		res := Fig56Result{Task: name, Knob: knob, Points: AveragePoints(grid[ti])}
+		res := Fig56Result{Points: AveragePoints(grid[ti])}
 		out = append(out, res)
 		t := NewTable(fmt.Sprintf("Figure %s (%s) — %s sweep (avg of %d trials)", fig, name, algo, trials),
 			knob, "REC", "SPL", partName)

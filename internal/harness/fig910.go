@@ -75,11 +75,9 @@ func Fig9(opt Options, seed int64, w io.Writer) ([]Fig9Point, error) {
 // Fig10Result is the per-stage time breakdown of EHCR at a recall target.
 type Fig10Result struct {
 	Task                             string
-	TargetREC                        float64
 	AchievedREC                      float64
 	Knob                             float64
 	ScanShare, PredictShare, CIShare float64
-	FPS                              float64
 }
 
 // Fig10 reproduces Figure 10: the proportion of processing time spent on
@@ -101,8 +99,8 @@ func Fig10(opt Options, target float64, seed int64, w io.Writer) (*Fig10Result, 
 		if run.REC >= target { // the first qualifying level is the cheapest
 			scan, pred, cis := run.StageShares()
 			best = &Fig10Result{
-				Task: task.Name, TargetREC: target, AchievedREC: run.REC, Knob: level,
-				ScanShare: scan, PredictShare: pred, CIShare: cis, FPS: run.FPS(),
+				Task: task.Name, AchievedREC: run.REC, Knob: level,
+				ScanShare: scan, PredictShare: pred, CIShare: cis,
 			}
 			break
 		}

@@ -34,7 +34,6 @@ func IndustrialSpec() video.DatasetSpec {
 // MultiPoint is one operating point of one decoding on the industrial
 // stream.
 type MultiPoint struct {
-	Alpha    float64
 	Coverage float64 // EtaRuns vs all instances, averaged over positives
 	Frames   int
 }
@@ -190,8 +189,7 @@ func MultiExperiment(opt Options, seed int64, w io.Writer) (*MultiResult, error)
 	for _, alpha := range alphas {
 		qs := mathx.CeilQuantile(runStartRes, alpha)
 		qe := mathx.CeilQuantile(runEndRes, alpha)
-		sp := MultiPoint{Alpha: alpha}
-		rp := MultiPoint{Alpha: alpha}
+		var sp, rp MultiPoint
 		for _, ev := range evals {
 			if ev.span.Len() == 0 {
 				continue // existence miss: contributes 0 coverage, 0 frames

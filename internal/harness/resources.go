@@ -13,7 +13,6 @@ import (
 // is measured by bench/ (core.train_s, strategy.calibrate_s,
 // core.forward_us).
 type ResourceReport struct {
-	Task         string
 	Params       int
 	ParamBytes   int
 	TrainRecords int
@@ -30,7 +29,6 @@ func Resources(task Task, opt Options, seed int64, w io.Writer) (*ResourceReport
 	}
 	params := env.Bundle.Model.NumParams()
 	rep := &ResourceReport{
-		Task:         task.Name,
 		Params:       params,
 		ParamBytes:   params * 8,
 		TrainRecords: len(env.Splits.Train),

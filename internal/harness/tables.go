@@ -11,16 +11,15 @@ import (
 // Table1Row is one event's statistics: the Table I targets and what the
 // generator produced.
 type Table1Row struct {
-	Dataset   string
-	Event     string
-	ID        int
-	WantOcc   int
-	WantMean  float64
-	WantStd   float64
-	GotOcc    float64
-	GotMean   float64
-	GotStd    float64
-	GotCensor float64 // fraction of instances longer than the dataset horizon
+	Dataset  string
+	Event    string
+	ID       int
+	WantOcc  int
+	WantMean float64
+	WantStd  float64
+	GotOcc   float64
+	GotMean  float64
+	GotStd   float64
 }
 
 // Table1 regenerates Table I: it generates each dataset `trials` times and
@@ -54,12 +53,6 @@ func Table1(trials int, seed int64, w io.Writer) ([]Table1Row, error) {
 		}
 		for k, ev := range spec.Events {
 			s := mathx.Summarize(perEvent[k])
-			long := 0
-			for _, d := range perEvent[k] {
-				if int(d) > spec.Horizon {
-					long++
-				}
-			}
 			rows = append(rows, Table1Row{
 				Dataset:  spec.Name,
 				Event:    ev.Name,
@@ -70,12 +63,6 @@ func Table1(trials int, seed int64, w io.Writer) ([]Table1Row, error) {
 				GotOcc:   counts[k] / float64(trials),
 				GotMean:  s.Mean,
 				GotStd:   s.Std,
-				GotCensor: func() float64 {
-					if len(perEvent[k]) == 0 {
-						return 0
-					}
-					return float64(long) / float64(len(perEvent[k]))
-				}(),
 			})
 		}
 	}

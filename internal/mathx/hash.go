@@ -39,11 +39,8 @@ func Hash01(keys ...uint64) float64 { return HashOf(keys...).Unit() }
 // Unit is Hash01 of h's keys.
 func (h Hash) Unit() float64 { return float64(uint64(h)>>11) / float64(1<<53) }
 
-// HashNormal maps keys to a standard normal sample via Box-Muller over two
+// Normal maps h to a standard normal sample via Box-Muller over two
 // derived uniforms.
-func HashNormal(keys ...uint64) float64 { return HashOf(keys...).Normal() }
-
-// Normal is HashNormal of h's keys.
 func (h Hash) Normal() float64 {
 	u1 := float64(splitmix64(uint64(h))>>11) / float64(1<<53)
 	u2 := float64(splitmix64(uint64(h)^0xabcdef1234567890)>>11) / float64(1<<53)

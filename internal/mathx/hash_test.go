@@ -18,7 +18,7 @@ func TestHashU64Deterministic(t *testing.T) {
 }
 
 // TestHashFoldsPrefix: a Hash taking its keys in parts, from any split,
-// is HashU64, Hash01 and HashNormal of the whole sequence, bit for bit.
+// is HashU64 and Hash01 of the whole sequence, bit for bit.
 func TestHashFoldsPrefix(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		keys := make([]uint64, i%6)
@@ -30,8 +30,7 @@ func TestHashFoldsPrefix(t *testing.T) {
 			for _, k := range keys[cut:] {
 				h = h.With(k)
 			}
-			if uint64(h) != HashU64(keys...) || math.Float64bits(h.Unit()) != math.Float64bits(Hash01(keys...)) ||
-				math.Float64bits(h.Normal()) != math.Float64bits(HashNormal(keys...)) {
+			if uint64(h) != HashU64(keys...) || math.Float64bits(h.Unit()) != math.Float64bits(Hash01(keys...)) {
 				t.Fatalf("keys %v folded from %d: %x, HashU64 %x", keys, cut, uint64(h), HashU64(keys...))
 			}
 		}
@@ -63,16 +62,16 @@ func TestHashNormalMoments(t *testing.T) {
 	n := 50000
 	var sum, sumsq float64
 	for i := 0; i < n; i++ {
-		v := HashNormal(uint64(i), 13)
+		v := HashOf(uint64(i), 13).Normal()
 		sum += v
 		sumsq += v * v
 	}
 	mean := sum / float64(n)
 	variance := sumsq/float64(n) - mean*mean
 	if math.Abs(mean) > 0.02 {
-		t.Errorf("HashNormal mean = %v", mean)
+		t.Errorf("Normal mean = %v", mean)
 	}
 	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("HashNormal variance = %v", variance)
+		t.Errorf("Normal variance = %v", variance)
 	}
 }

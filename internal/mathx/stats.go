@@ -58,39 +58,6 @@ func CeilQuantile(x []float64, alpha float64) float64 {
 	return sorted[k-1]
 }
 
-// Histogram counts values of x into nbins equal-width bins over [lo, hi].
-// Values outside the range are clamped into the end bins: v <= lo (and
-// -Inf) counts in bin 0, v >= hi (and +Inf) in bin nbins-1 — so a value
-// exactly at hi lands in the last bin, not past it. NaN values are
-// dropped: the previous int((v-lo)/w) conversion sent NaN to a
-// platform-dependent bin; a NaN input is an upstream bug and must not
-// silently skew a bin. It panics when nbins <= 0 or hi <= lo.
-func Histogram(x []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 {
-		panic("mathx: Histogram nbins must be positive")
-	}
-	if hi <= lo {
-		panic(fmt.Sprintf("mathx: Histogram empty range [%g,%g]", lo, hi))
-	}
-	counts := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, v := range x {
-		var b int
-		switch {
-		case math.IsNaN(v):
-			continue
-		case v <= lo:
-			b = 0
-		case v >= hi:
-			b = nbins - 1
-		default:
-			b = ClampInt(int((v-lo)/w), 0, nbins-1)
-		}
-		counts[b]++
-	}
-	return counts
-}
-
 // Summary bundles count, mean and standard deviation of a sample; it is
 // what Table I reports for event durations.
 type Summary struct {

@@ -97,14 +97,6 @@ func TestCeilQuantileMonotoneInAlpha(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0, 0.1, 0.5, 0.9, 1.5, -3}, 0, 1, 2)
-	// -3 clamps to bin 0, 1.5 clamps to bin 1.
-	if h[0] != 3 || h[1] != 3 {
-		t.Fatalf("Histogram = %v, want [3 3]", h)
-	}
-}
-
 // TestStdUsesPopulationDivisor pins the n (population) divisor against a
 // silent switch to the sample n-1: for this data the two differ by far
 // more than float error (2.0 vs ~2.138), and Cox covariate
@@ -124,45 +116,6 @@ func TestStdUsesPopulationDivisor(t *testing.T) {
 	}
 	if math.Abs(Std(x)-sample) < 0.1 {
 		t.Fatalf("Std = %v indistinguishable from sample std %v; pin is vacuous", Std(x), sample)
-	}
-}
-
-// TestHistogramEdgeSemantics pins the clamping contract the obs
-// histograms and Figure plots rely on: exact-hi lands in the last bin,
-// below-lo in the first, infinities clamp, NaN is dropped.
-func TestHistogramEdgeSemantics(t *testing.T) {
-	cases := []struct {
-		name string
-		x    []float64
-		want []int
-	}{
-		{"exactly at hi -> last bin", []float64{10}, []int{0, 0, 0, 1}},
-		{"exactly at lo -> first bin", []float64{0}, []int{1, 0, 0, 0}},
-		{"just below lo -> first bin", []float64{-0.0001}, []int{1, 0, 0, 0}},
-		{"just above hi -> last bin", []float64{10.0001}, []int{0, 0, 0, 1}},
-		{"-Inf -> first bin", []float64{math.Inf(-1)}, []int{1, 0, 0, 0}},
-		{"+Inf -> last bin", []float64{math.Inf(1)}, []int{0, 0, 0, 1}},
-		{"NaN dropped", []float64{math.NaN()}, []int{0, 0, 0, 0}},
-		{"interior boundaries", []float64{2.5, 5, 7.5}, []int{0, 1, 1, 1}},
-		{"mixed", []float64{math.NaN(), -1, 0, 10, 11, 3}, []int{2, 1, 0, 2}},
-	}
-	for _, c := range cases {
-		got := Histogram(c.x, 0, 10, 4)
-		for i := range c.want {
-			if got[i] != c.want[i] {
-				t.Errorf("%s: Histogram = %v, want %v", c.name, got, c.want)
-				break
-			}
-		}
-	}
-	// Total count property: everything but NaN is counted exactly once.
-	x := []float64{math.NaN(), -5, 0, 2, 4, 6, 8, 10, 15, math.Inf(1), math.Inf(-1)}
-	total := 0
-	for _, n := range Histogram(x, 0, 10, 3) {
-		total += n
-	}
-	if total != len(x)-1 {
-		t.Fatalf("counted %d of %d non-NaN values", total, len(x)-1)
 	}
 }
 

@@ -120,11 +120,3 @@ func LogSigmoid(x float64) float64 {
 	}
 	return x - math.Log1p(math.Exp(x))
 }
-
-// Logit is the inverse of Sigmoid. p is clamped away from {0,1} to keep the
-// result finite.
-func Logit(p float64) float64 {
-	const eps = 1e-12
-	p = Clamp(p, eps, 1-eps)
-	return math.Log(p / (1 - p))
-}

@@ -113,27 +113,6 @@ func TestLogSigmoidMatchesLogOfSigmoid(t *testing.T) {
 	}
 }
 
-func TestLogitRoundTrip(t *testing.T) {
-	f := func(x float64) bool {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return true
-		}
-		// Past ~|25| Sigmoid saturates within Logit's eps clamp, so the
-		// round-trip is only exact on the non-saturated range.
-		x = Clamp(x, -20, 20)
-		return math.Abs(Logit(Sigmoid(x))-x) < 1e-5
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLogitFiniteAtBoundaries(t *testing.T) {
-	if math.IsInf(Logit(0), 0) || math.IsInf(Logit(1), 0) {
-		t.Fatal("Logit must stay finite at 0 and 1")
-	}
-}
-
 func TestAxpyPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {

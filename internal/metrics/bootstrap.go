@@ -18,9 +18,6 @@ func (c CI) String() string {
 	return fmt.Sprintf("%.3f [%.3f, %.3f]", c.Point, c.Lo, c.Hi)
 }
 
-// Contains reports whether v lies inside the interval.
-func (c CI) Contains(v float64) bool { return v >= c.Lo && v <= c.Hi }
-
 // metricFn evaluates a metric on a subset of (record, prediction) pairs.
 type metricFn func(recs []dataset.Record, preds []Prediction) (float64, error)
 

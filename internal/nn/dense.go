@@ -41,13 +41,6 @@ func NewDense(name string, in, out int, g *mathx.RNG) *Dense {
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 
-// Pack returns the layer's current weights packed.
-func (d *Dense) Pack() *PackedDense {
-	p := &PackedDense{}
-	d.PackInto(p)
-	return p
-}
-
 // PackInto packs the layer's current weights into p, reusing its memory.
 func (d *Dense) PackInto(p *PackedDense) {
 	p.wp = mathx.PackRows4(p.wp, d.w.W[d.out%4*d.in:], d.in)

@@ -15,7 +15,9 @@ import (
 // The relative error uses the standard normalization
 // |ga-gn| / max(1e-8, |ga|+|gn|).
 func CheckGradients(loss func() float64, backward func(), params []*Param, eps, tol float64) (float64, error) {
-	ZeroGrads(params)
+	for _, p := range params {
+		p.ZeroGrad()
+	}
 	backward()
 	analytic := make([][]float64, len(params))
 	for i, p := range params {
@@ -43,6 +45,8 @@ func CheckGradients(loss func() float64, backward func(), params []*Param, eps, 
 			}
 		}
 	}
-	ZeroGrads(params)
+	for _, p := range params {
+		p.ZeroGrad()
+	}
 	return worst, firstErr
 }

@@ -56,13 +56,6 @@ type Layer interface {
 	Params() []*Param
 }
 
-// ZeroGrads clears the gradients of every parameter in ps.
-func ZeroGrads(ps []*Param) {
-	for _, p := range ps {
-		p.ZeroGrad()
-	}
-}
-
 // NumParams returns the total number of scalar weights in ps.
 func NumParams(ps []*Param) int {
 	n := 0

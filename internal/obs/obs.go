@@ -51,8 +51,7 @@ func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()
 
 // Counter is a monotonically increasing metric. The zero value is ready to
 // use, but counters should be obtained from a Registry so they are
-// exposed. Negative and NaN increments are ignored (a counter never goes
-// down, and NaN would poison the total).
+// exposed.
 type Counter struct {
 	v atomicFloat
 }
@@ -60,24 +59,14 @@ type Counter struct {
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.add(1) }
 
-// Add adds d; d <= 0 or NaN is ignored except that 0 is a no-op by
-// arithmetic anyway.
-func (c *Counter) Add(d float64) {
-	if d < 0 || math.IsNaN(d) {
-		return
-	}
-	c.v.add(d)
-}
-
 // Value returns the current total.
 func (c *Counter) Value() float64 { return c.v.load() }
 
 // Histogram counts observations into fixed cumulative buckets. Bounds are
 // upper bounds (Prometheus `le` semantics: an observation lands in the
 // first bucket whose bound is >= the value); an implicit +Inf bucket
-// catches everything above the last bound. NaN observations are dropped,
-// matching mathx.Histogram's pinned edge semantics — a NaN input is a bug
-// upstream and must not poison the sum.
+// catches everything above the last bound. NaN observations are dropped: a
+// NaN input is a bug upstream and must not poison the sum.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1; last is +Inf

@@ -111,9 +111,6 @@ func NewClient(backend cloud.Backend, cfg Config, clock *Clock) *Client {
 	return &Client{backend: backend, cfg: cfg, clock: clock, breaker: NewBreaker(cfg.Breaker)}
 }
 
-// Clock returns the client's simulated clock.
-func (c *Client) Clock() *Clock { return c.clock }
-
 // BreakerState returns the breaker's current state.
 func (c *Client) BreakerState() State {
 	c.mu.Lock()

@@ -9,6 +9,9 @@ import (
 	"eventhit/internal/video"
 )
 
+// Clock returns the client's simulated clock.
+func (c *Client) Clock() *Clock { return c.clock }
+
 // scriptBackend is a cloud.Backend whose responses follow a fixed script;
 // the last step repeats once the script is exhausted.
 type scriptStep struct {
@@ -29,7 +32,7 @@ func (s *scriptBackend) DetectTimed(eventType int, win video.Interval) (cloud.De
 	}
 	s.calls++
 	st := s.steps[i]
-	return cloud.Detection{Event: eventType}, st.lat, st.err
+	return cloud.Detection{}, st.lat, st.err
 }
 
 func (s *scriptBackend) Usage() cloud.Usage  { return cloud.Usage{} }

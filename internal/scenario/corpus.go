@@ -19,11 +19,10 @@ var corpusFS embed.FS
 //go:embed testdata/*.golden.json
 var goldenFS embed.FS
 
-// Entry is one corpus scenario: the raw committed bytes and the parsed,
-// validated spec.
+// Entry is one corpus scenario: its name and the parsed, validated spec of
+// corpus/<name>.yaml.
 type Entry struct {
 	Name string
-	Raw  []byte
 	Spec *Spec
 }
 
@@ -48,7 +47,7 @@ func Corpus() ([]Entry, error) {
 		if want := spec.Name + ".yaml"; f.Name() != want {
 			return nil, fmt.Errorf("corpus %s: spec is named %q (file should be %s)", f.Name(), spec.Name, want)
 		}
-		out = append(out, Entry{Name: spec.Name, Raw: raw, Spec: spec})
+		out = append(out, Entry{Name: spec.Name, Spec: spec})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil

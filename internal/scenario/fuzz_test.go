@@ -35,7 +35,7 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 		"invalid-top-list":    []byte("- a\n"),
 	}
 	for _, e := range entries {
-		seeds["corpus-"+e.Name] = e.Raw
+		seeds["corpus-"+e.Name] = corpusRaw(e)
 	}
 	return seeds
 }

@@ -44,12 +44,16 @@ var (
 	}
 )
 
-// hugeCountSpec declares one group of 10^12 cameras and a pipeline task on
+// countSpec declares one group of count cameras and a pipeline task on
 // the given stream.
-func hugeCountSpec(stream string) []byte {
-	return yamlSrc(headOK, []string{"streams:", "  - id: big", "    count: 1000000000000"},
+func countSpec(count int64, stream string) []byte {
+	return yamlSrc(headOK, []string{"streams:", "  - id: big", fmt.Sprintf("    count: %d", count)},
 		stagesRun("name: t", "kind: pipeline", "stream: "+stream))
 }
+
+// hugeCountSpec is countSpec at 10^12 cameras: 157 bytes that ask for more
+// cameras than any machine holds.
+func hugeCountSpec(stream string) []byte { return countSpec(1_000_000_000_000, stream) }
 
 // stagesRun builds a single-stage spec tail with the given run-task body.
 func stagesRun(taskLines ...string) []string {
@@ -373,25 +377,38 @@ func TestParseExplicitZeroOverrides(t *testing.T) {
 	}
 }
 
-// TestParseHugeCount: a task's stream: resolves in constant time whatever
-// its group's count, so a 10^12-camera spec is accepted or refused at once.
+// TestParseHugeCount: a spec declares at most maxCameras cameras. A
+// 10^12-camera group is refused at its count within the second, not run
+// out of memory; so is a second group that takes the sum past the bound.
+// At the bound a task's stream: still resolves in constant time.
 func TestParseHugeCount(t *testing.T) {
-	for stream, ok := range map[string]bool{
-		"nosuch": false, "big-00": true, "big-999999999999": true,
-		"big-1000000000000": false, "big-7": false, "big--1": false,
-	} {
+	parse := func(src []byte) error {
 		done := make(chan error, 1)
 		go func() {
-			_, err := Parse(hugeCountSpec(stream))
+			_, err := Parse(src)
 			done <- err
 		}()
 		select {
 		case err := <-done:
-			if (err == nil) != ok {
-				t.Errorf("stream %q: err %v, want accepted=%v", stream, err, ok)
-			}
+			return err
 		case <-time.After(time.Second):
-			t.Fatalf("stream %q: Parse still running after 1s", stream)
+			t.Fatalf("Parse still running after 1s on\n%s", src)
+			return nil
+		}
+	}
+	if err := parse(hugeCountSpec("big-00")); err == nil || !strings.Contains(err.Error(), "streams[0].count: must be <= 1024") {
+		t.Errorf("10^12 cameras: err %v, want a positional count error", err)
+	}
+	twoGroups := yamlSrc(headOK, []string{"streams:", "  - id: a", "    count: 1000", "  - id: b", "    count: 25"}, stagesOK)
+	if err := parse(twoGroups); err == nil || !strings.Contains(err.Error(), "streams[1].count: must be <= 24") {
+		t.Errorf("1025 cameras in two groups: err %v, want a count error at the second", err)
+	}
+	for stream, ok := range map[string]bool{
+		"nosuch": false, "big-00": true, fmt.Sprintf("big-%d", maxCameras-1): true,
+		fmt.Sprintf("big-%d", maxCameras): false, "big-7": false, "big--1": false,
+	} {
+		if err := parse(countSpec(maxCameras, stream)); (err == nil) != ok {
+			t.Errorf("stream %q: err %v, want accepted=%v", stream, err, ok)
 		}
 	}
 }
@@ -413,6 +430,15 @@ func TestParseDriftTask(t *testing.T) {
 	}
 }
 
+// corpusRaw returns the committed bytes of a corpus scenario.
+func corpusRaw(e Entry) []byte {
+	raw, err := corpusFS.ReadFile("corpus/" + e.Name + ".yaml")
+	if err != nil {
+		panic(err)
+	}
+	return raw
+}
+
 // TestCorpusRoundTrip: every committed corpus spec parses to the same spec
 // a second time (decode determinism on the raw bytes).
 func TestCorpusRoundTrip(t *testing.T) {
@@ -426,7 +452,7 @@ func TestCorpusRoundTrip(t *testing.T) {
 	for _, e := range entries {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			twice, err := Parse(e.Raw)
+			twice, err := Parse(corpusRaw(e))
 			if err != nil {
 				t.Fatalf("re-parse raw: %v", err)
 			}

@@ -11,9 +11,7 @@ import (
 // single-line scalars, double-quoted strings with Go escapes, and `#`
 // comments. No anchors, no flow collections, no multi-line scalars, no
 // tabs. Every node carries its source line so decoding errors are
-// positional ("line 12: streams[0].count: ..."), and the canonical
-// serializer in serialize.go emits exactly this subset, which is what makes
-// parse -> serialize -> parse an identity on valid specs.
+// positional ("line 12: streams[0].count: ...").
 
 // maxSpecBytes bounds parser input. List items re-slice their sub-block, so
 // pathological nesting is quadratic in input size; the cap keeps adversarial

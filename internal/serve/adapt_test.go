@@ -288,9 +288,9 @@ type scriptedCI struct{ verdict string }
 func (c *scriptedCI) DetectTimed(eventType int, win video.Interval) (cloud.Detection, float64, error) {
 	switch c.verdict {
 	case "present":
-		return cloud.Detection{Event: eventType, Found: []video.Interval{win}}, 0, nil
+		return cloud.Detection{Found: []video.Interval{win}}, 0, nil
 	case "absent":
-		return cloud.Detection{Event: eventType}, 0, nil
+		return cloud.Detection{}, 0, nil
 	}
 	return cloud.Detection{}, 0, cloud.ErrUnavailable
 }

@@ -11,8 +11,6 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
-
-	"eventhit/internal/strategy"
 )
 
 // Client is a small typed client for the marshalling service. Every method
@@ -202,11 +200,6 @@ func (c *Client) CreateSession(ctx context.Context, id string) (string, error) {
 	return out.ID, err
 }
 
-// DeleteSession removes a session and releases its fleet rate bucket.
-func (c *Client) DeleteSession(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+url.PathEscape(id), "", nil, nil)
-}
-
 // Sessions lists every session's counters in creation order.
 func (c *Client) Sessions(ctx context.Context) ([]SessionInfo, error) {
 	var out []SessionInfo
@@ -226,19 +219,6 @@ func (c *Client) PredictSession(ctx context.Context, id string, confidence, cove
 	return out, err
 }
 
-// PushModel uploads a new bundle to POST /v1/model, atomically hot-swapping
-// the served model+calibration. The server validates the bundle against its
-// frozen geometry and rejects a misfit at swap time.
-func (c *Client) PushModel(ctx context.Context, b *strategy.Bundle) (ModelResponse, error) {
-	var buf bytes.Buffer
-	if err := b.Save(&buf); err != nil {
-		return ModelResponse{}, err
-	}
-	var out ModelResponse
-	err := c.do(ctx, http.MethodPost, "/v1/model", "application/octet-stream", &buf, &out)
-	return out, err
-}
-
 // Stats fetches the server counters.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	var out Stats
@@ -249,11 +229,4 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 // Healthy reports whether the health endpoint answers.
 func (c *Client) Healthy(ctx context.Context) bool {
 	return c.do(ctx, http.MethodGet, "/healthz", "", nil, nil) == nil
-}
-
-// Ready reports whether the server is ready to take traffic (model
-// installed, arbiter live, not draining). A transport error counts as not
-// ready — exactly how a front tier must treat an unreachable worker.
-func (c *Client) Ready(ctx context.Context) bool {
-	return c.do(ctx, http.MethodGet, "/readyz", "", nil, nil) == nil
 }

@@ -163,9 +163,6 @@ func FitAppVAE(ex *features.Extractor, train []dataset.Record, horizon int, cfg 
 // Name implements Strategy.
 func (a *AppVAE) Name() string { return fmt.Sprintf("APP-VAE%d", a.window) }
 
-// Window returns the history window M.
-func (a *AppVAE) Window() int { return a.window }
-
 // Predict implements Strategy.
 func (a *AppVAE) Predict(rec dataset.Record) metrics.Prediction {
 	psi := encodeHistory(a.ex, rec.Frame, a.window)

@@ -396,8 +396,8 @@ func TestAppVAEFitsOnDenseData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Name() != "APP-VAE1500" || a.Window() != 1500 {
-		t.Fatalf("name/window: %s %d", a.Name(), a.Window())
+	if a.Name() != "APP-VAE1500" || a.window != 1500 {
+		t.Fatalf("name/window: %s %d", a.Name(), a.window)
 	}
 	preds := PredictAll(a, splits.Test)
 	rec, err := metrics.REC(splits.Test, preds)

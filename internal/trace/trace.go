@@ -57,7 +57,6 @@ func (e Entry) Validate() error {
 type Writer struct {
 	mu  sync.Mutex
 	enc *json.Encoder
-	n   int
 }
 
 // NewWriter wraps w.
@@ -75,15 +74,7 @@ func (w *Writer) Append(e Entry) error {
 	if err := w.enc.Encode(e); err != nil {
 		return fmt.Errorf("trace: append: %w", err)
 	}
-	w.n++
 	return nil
-}
-
-// Count returns the number of entries written.
-func (w *Writer) Count() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n
 }
 
 // ReadAll parses a JSON-lines trace, validating every entry.

@@ -94,7 +94,7 @@ func generateTypeWith(k int, ev EventSpec, n int, proc ArrivalProcess, shiftAt i
 		if ps < 0 {
 			ps = 0
 		}
-		out = append(out, Instance{Type: k, OI: Interval{Start: start, End: end}, PrecursorStart: ps})
+		out = append(out, Instance{OI: Interval{Start: start, End: end}, PrecursorStart: ps})
 		t = end + 1
 	}
 	return out

@@ -76,8 +76,6 @@ func (iv Interval) String() string { return fmt.Sprintf("[%d,%d]", iv.Start, iv.
 
 // Instance is one occurrence of an event type in a stream.
 type Instance struct {
-	// Type indexes the event within its DatasetSpec.
-	Type int
 	// OI is the occurrence interval in absolute frame indices.
 	OI Interval
 	// PrecursorStart is the absolute frame at which pre-event cues become

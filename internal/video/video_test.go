@@ -170,9 +170,9 @@ func TestFirstOverlappingAndInstancesOverlapping(t *testing.T) {
 		Spec: DatasetSpec{Events: make([]EventSpec, 1)},
 		N:    1000,
 		ByType: [][]Instance{{
-			{Type: 0, OI: Interval{100, 150}, PrecursorStart: 50},
-			{Type: 0, OI: Interval{300, 340}, PrecursorStart: 250},
-			{Type: 0, OI: Interval{600, 700}, PrecursorStart: 500},
+			{OI: Interval{100, 150}, PrecursorStart: 50},
+			{OI: Interval{300, 340}, PrecursorStart: 250},
+			{OI: Interval{600, 700}, PrecursorStart: 500},
 		}},
 	}
 	if in, ok := s.FirstOverlapping(0, Interval{0, 99}); ok {
@@ -197,7 +197,7 @@ func TestPhaseAt(t *testing.T) {
 		Spec: DatasetSpec{Events: make([]EventSpec, 1)},
 		N:    1000,
 		ByType: [][]Instance{{
-			{Type: 0, OI: Interval{100, 199}, PrecursorStart: 50},
+			{OI: Interval{100, 199}, PrecursorStart: 50},
 		}},
 	}
 	if p, _ := s.PhaseAt(0, 10); p != Idle {
@@ -248,8 +248,8 @@ func TestEventFrames(t *testing.T) {
 		Spec: DatasetSpec{Events: make([]EventSpec, 1)},
 		N:    1000,
 		ByType: [][]Instance{{
-			{Type: 0, OI: Interval{100, 149}},
-			{Type: 0, OI: Interval{300, 309}},
+			{OI: Interval{100, 149}},
+			{OI: Interval{300, 309}},
 		}},
 	}
 	if n := s.EventFrames(0, Interval{0, 999}); n != 60 {
