@@ -204,6 +204,11 @@ func main() {
 			log.Printf("drain incomplete: %v", err)
 			hs.Close()
 		}
+		// Keep-alive connections the server took over from net/http are
+		// its own: close them (a busy one after its response) and wait for
+		// them before the deferred trace close, so no decision is written
+		// after the trail is closed.
+		srv.Close()
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fatal(err)
 		}

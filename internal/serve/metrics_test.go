@@ -114,6 +114,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		// HTTP layer
 		`eventhit_http_requests_total{code="200",endpoint="/v1/predict"} 1`,
 		`eventhit_http_request_duration_seconds_bucket{endpoint="/v1/predict",le="+Inf"} 1`,
+		// the client's keep-alive connection, taken over by its first push
+		"eventhit_http_owned_connections 1",
 		// resilience layer
 		"eventhit_resilience_requests_total 1",
 		"eventhit_resilience_breaker_state 0",

@@ -29,6 +29,10 @@
 //	GET    /readyz                                    -> 200/503 (readiness: model installed, arbiter live, not draining)
 //	GET    /metrics                                   -> Prometheus text exposition
 //	GET    /debug/pprof/*                             -> profiling (Config.EnablePprof)
+//
+// Keep-alive clients are served by the same handlers, whether net/http or
+// a connection the server took over answers them (conn.go), and nothing
+// about the wire changes.
 package serve
 
 import (
@@ -203,6 +207,18 @@ type Server struct {
 	eventJSON [][]byte
 
 	mux *http.ServeMux
+	// hot are the instrumented handlers of the hot routes (see strict.go),
+	// which an owned connection runs without the mux (conn.go).
+	hot [4]http.HandlerFunc
+
+	// connMu guards the owned connections (conns), the http.Servers a
+	// shutdown hook is registered with (servers: true once shutting down)
+	// and connsClosed (set by Close). loops counts the running loops.
+	connMu      sync.Mutex
+	conns       map[*ownedConn]struct{}
+	servers     map[*http.Server]bool
+	connsClosed bool
+	loops       sync.WaitGroup
 }
 
 // New validates cfg and returns a ready server.
@@ -230,6 +246,8 @@ func New(cfg Config) (*Server, error) {
 		sessions: make(map[string]*session),
 		metrics:  obs.NewRegistry(),
 		mux:      http.NewServeMux(),
+		conns:    make(map[*ownedConn]struct{}),
+		servers:  make(map[*http.Server]bool),
 	}
 	s.scratch.New = func() interface{} { return newPredictScratch(s.window, s.inputDim, s.k) }
 	for _, name := range cfg.EventNames {
@@ -303,13 +321,19 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.registerServeMetrics()
-	s.mux.HandleFunc("POST /v1/frames", s.instrument("/v1/frames", s.forSession("", s.handleFrames)))
-	s.mux.HandleFunc("POST /v1/predict", s.instrument("/v1/predict", s.forSession("", s.handlePredict)))
+	s.hot = [...]http.HandlerFunc{
+		hotPredict:        s.instrument("/v1/predict", s.forSession("", s.handlePredict)),
+		hotFrames:         s.instrument("/v1/frames", s.forSession("", s.handleFrames)),
+		hotSessionPredict: s.instrument("/v1/sessions/predict", s.forSession("id", s.handlePredict)),
+		hotSessionFrames:  s.instrument("/v1/sessions/frames", s.forSession("id", s.handleFrames)),
+	}
+	s.mux.HandleFunc("POST /v1/frames", s.own(s.hot[hotFrames]))
+	s.mux.HandleFunc("POST /v1/predict", s.own(s.hot[hotPredict]))
 	s.mux.HandleFunc("POST /v1/sessions", s.instrument("/v1/sessions", s.handleSessionCreate))
 	s.mux.HandleFunc("GET /v1/sessions", s.instrument("/v1/sessions", s.handleSessionList))
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.instrument("/v1/sessions", s.handleSessionDelete))
-	s.mux.HandleFunc("POST /v1/sessions/{id}/frames", s.instrument("/v1/sessions/frames", s.forSession("id", s.handleFrames)))
-	s.mux.HandleFunc("POST /v1/sessions/{id}/predict", s.instrument("/v1/sessions/predict", s.forSession("id", s.handlePredict)))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/frames", s.own(s.hot[hotSessionFrames]))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/predict", s.own(s.hot[hotSessionPredict]))
 	s.mux.HandleFunc("POST /v1/model", s.instrument("/v1/model", s.handleModelPush))
 	s.mux.HandleFunc("GET /v1/stats", s.instrument("/v1/stats", s.handleStats))
 	s.mux.HandleFunc("GET /v1/healthz", s.instrument("/v1/healthz", s.handleHealthz))
@@ -440,10 +464,17 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, ReadyResponse{Ready: true})
 }
 
-// Close releases cluster-held resources: unspent lease headroom goes back
-// to the coordinator so a stopped worker's parked budget becomes available
-// to its siblings. Safe to call on any server; a no-op without a lease.
+// Close closes the connections the server owns (an idle one at once, a
+// busy one after its response), waits for their loops to return and takes
+// over no more. It also releases cluster-held resources: unspent lease
+// headroom goes back to the coordinator so a stopped worker's parked budget
+// becomes available to its siblings. Safe to call on any server.
 func (s *Server) Close() {
+	s.connMu.Lock()
+	s.connsClosed = true
+	s.connMu.Unlock()
+	s.shut(nil)
+	s.loops.Wait()
 	if s.arbiter != nil {
 		s.arbiter.ReturnLease()
 	}

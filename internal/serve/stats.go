@@ -171,6 +171,13 @@ func (s *Server) registerServeMetrics() {
 		get := f.get
 		s.metrics.CounterFunc(f.name, f.help, nil, func() float64 { return get(s.snapshot()) })
 	}
+	s.metrics.GaugeFunc("eventhit_http_owned_connections",
+		"keep-alive connections the server answers itself, taken over from net/http by a hot route", nil,
+		func() float64 {
+			s.connMu.Lock()
+			defer s.connMu.Unlock()
+			return float64(len(s.conns))
+		})
 	s.metrics.GaugeFunc("eventhit_serve_swap_generation",
 		"current model swap generation (boot is 0)", nil,
 		func() float64 { return float64(s.gens.Load()) })

@@ -150,16 +150,18 @@ stage swap go test -race ./internal/serve/ ./internal/drift/ ./internal/scenario
 # also gets two bounded live runs: against encoding/json (it converts only
 # the rows the ring keeps, so only the across-keep accept-set property
 # guards the rows it skips) and against the byte walk it replaced; and its
-# number converter one against strconv.ParseFloat. On an AVX2 machine the
-# scanner takes compact bodies through its vector front end, so the seeds,
-# the handler corpus and the front end's probes run once more with AVX2
-# off, where every body takes the word walk.
+# number converter one against strconv.ParseFloat; an owned connection's
+# strict path gets one against net/http on a twin server. On an AVX2
+# machine the scanner takes compact bodies through its vector front end, so
+# the seeds, the handler corpus and the front end's probes run once more
+# with AVX2 off, where every body takes the word walk.
 fuzz_serve() {
     go test ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus|TestScanVectorMatchesWalk' -count=1 &&
         GODEBUG=cpu.avx2=off go test ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus|TestScanVectorMatchesWalk' -count=1 &&
         go test ./internal/serve/ -run '^$' -fuzz '^FuzzParseFrames$' -fuzztime 15s &&
         go test ./internal/serve/ -run '^$' -fuzz '^FuzzScanMatchesByteWalk$' -fuzztime 15s &&
-        go test ./internal/serve/ -run '^$' -fuzz '^FuzzFastFloat$' -fuzztime 10s
+        go test ./internal/serve/ -run '^$' -fuzz '^FuzzFastFloat$' -fuzztime 10s &&
+        go test ./internal/serve/ -run '^$' -fuzz '^FuzzTakeoverMatchesNetHTTP$' -fuzztime 15s
 }
 stage fuzz-serve fuzz_serve
 stage fuzz-scenario go test ./internal/scenario/ -run 'Fuzz|TestFuzzSeedCorpus' -count=1
@@ -187,7 +189,9 @@ stage predict-strategy-x5 go test -race ./internal/strategy/ -run 'TestDecideCon
 # included), and the marshaller's decide stage under RunDetailed and
 # Collect, against the serial loop at GOMAXPROCS 1, 2, 3 and 8.
 stage decide-parallel-x5 go test -race -count=5 ./internal/strategy/ ./internal/pipeline/ ./internal/cascade/ -run 'TestPredictAllMatchesSerial|TestDecideParallelMatchesSerial|TestDecideReturnsLowestAnchorError|TestCascadePredictAllMatchesSerial'
-stage predict-serve-x5 go test -race ./internal/serve/ -run 'TestConcurrentPredictMatchesSerial|TestConcurrentRelayMatchesSerial|TestSameSessionPredictMatchesSerial' -count=5
+# Owned connections: paced_relay's mix of pushes, predicts and scrapes on
+# two taken-over connections, every reply equal to net/http's.
+stage predict-serve-x5 go test -race ./internal/serve/ -run 'TestConcurrentPredictMatchesSerial|TestConcurrentRelayMatchesSerial|TestSameSessionPredictMatchesSerial|TestOwnedConnMixedTraffic' -count=5
 # The one relay path both drivers send decided relays through: served,
 # retried, deferred (outage, open breaker) and cache-hit fates as one table.
 stage relay-contract-x5 go test -race ./internal/pipeline/ -run 'TestRelayServeContract|TestAppendRequests' -count=5
@@ -205,8 +209,9 @@ stage tiers-race go test -race -count=1 ./internal/fleet/ ./internal/cluster/ ./
 # idle connections.
 stage front-hop-x5 go test -race -count=5 ./internal/cluster/ -run 'TestFrontProxyMatchesDirect|TestFrontHopFailures|TestFrontURLs|TestHopExpiresIdleConns'
 # Allocation ceilings: frames handler at 1, 250 and 4096 frames; predict;
-# a predict proxied through the front.
-stage handler-allocs go test ./internal/serve/ ./internal/cluster/ -run 'TestFramesHandlerAllocs|TestPredictHandlerAllocs|TestFrontProxyAllocs' -count=1
+# a push and a predict on an owned connection; a predict proxied through
+# the front.
+stage handler-allocs go test ./internal/serve/ ./internal/cluster/ -run 'TestFramesHandlerAllocs|TestPredictHandlerAllocs|TestOwnedConnAllocs|TestFrontProxyAllocs' -count=1
 # The corpus golden gate through the shipped binary, at GOMAXPROCS 1 and 4:
 # every report must equal its golden at both. The fleet cap, cache
 # and CI-fault sweeps are corpus scenarios, so this is their regeneration
