@@ -182,37 +182,15 @@ func exchange(t *testing.T, h http.Handler, script []byte) []byte {
 	return bytes.Clone(c.out.Bytes())
 }
 
-// strictRun counts the requests at the start of b that the strict parser
-// takes, as the loop meets them, and whether the last of them ends the
-// connection.
-func strictRun(b []byte) (n int) {
-	for n < 4 {
-		i := 0
-		for i < min(len(b), 4) && (b[i] == '\r' || b[i] == '\n') {
-			i++
-		}
-		b = b[i:]
-		hd, head, _ := parseStrict(b[:min(len(b), connBufSize)])
-		if head == 0 {
-			return n
-		}
-		n++
-		if hd.close || int64(len(b)-head) < hd.length {
-			return n
-		}
-		b = b[head+int(hd.length):]
-	}
-	return n
-}
-
-// readResponses splits raw into its responses with Date values blanked.
-func readResponses(t *testing.T, raw []byte, n int) []string {
+// readResponses splits raw into its responses, Date values blanked and
+// the wall-clock lines of a /metrics body left out.
+func readResponses(t *testing.T, raw []byte) []string {
 	br := bufio.NewReader(bytes.NewReader(raw))
 	var out []string
-	for len(out) < n {
+	for {
 		resp, err := http.ReadResponse(br, nil)
 		if err != nil {
-			break
+			return out
 		}
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
@@ -224,19 +202,22 @@ func readResponses(t *testing.T, raw []byte, n int) []string {
 		var b strings.Builder
 		fmt.Fprintf(&b, "%s %s close=%v\n", resp.Proto, resp.Status, resp.Close)
 		resp.Header.Write(&b)
-		b.Write(body)
+		for _, line := range strings.SplitAfter(string(body), "\n") {
+			if !wallClock(line) {
+				b.WriteString(line)
+			}
+		}
 		out = append(out, b.String())
 	}
-	return out
 }
 
 // FuzzTakeoverMatchesNetHTTP: after a hot request has taken a connection
-// over, up to four pipelined requests get, on the strict path, the
-// responses net/http gives the same bytes on a twin server: the same
-// status, headers (Date aside) and body, and the same close or keep-open.
-// A request the strict parser declines is handed to the fallback, and the
-// comparison stops there; the loop must still answer or close without
-// hanging.
+// over, up to four pipelined requests (any bytes) get the responses
+// net/http gives the same bytes on a twin server: the same status, headers
+// (Date aside) and body (/metrics without its wall-clock lines), and the
+// same close or keep-open. That holds for every response of the script:
+// the strict path's, and those net/http gives once the loop has handed the
+// connection back, until a hot POST takes it over again.
 func FuzzTakeoverMatchesNetHTTP(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b, c, d []byte) {
 		reqs := bytes.Join([][]byte{a, b, c, d}, nil)
@@ -247,8 +228,7 @@ func FuzzTakeoverMatchesNetHTTP(f *testing.F) {
 		owned, twin := takeoverFixture(t)
 		got := exchange(t, owned, script)
 		want := exchange(t, netHTTPOnly(twin), script)
-		n := 1 + strictRun(reqs)
-		g, w := readResponses(t, got, n), readResponses(t, want, n)
+		g, w := readResponses(t, got), readResponses(t, want)
 		if len(g) != len(w) {
 			t.Fatalf("%d responses on the owned connection, %d from net/http\nowned:\n%s\nnet/http:\n%s", len(g), len(w), got, want)
 		}
@@ -496,8 +476,8 @@ func (w *gateWriter) Write(p []byte) (int, error) {
 // TestOwnedConnShutdown: http.Server.Shutdown and then Server.Close close an
 // idle owned connection at once, let an owned connection's in-flight
 // predict finish with 200 before closing it, close a connection net/http
-// still serves, and leave no loop goroutine behind. Close on a server that
-// owns nothing returns at once.
+// still serves and one the loop handed back to it, and leave no loop
+// goroutine behind. Close on a server that owns nothing returns at once.
 func TestOwnedConnShutdown(t *testing.T) {
 	bw := getBundle(t)
 	idle, _ := bareServer(t)
@@ -524,14 +504,17 @@ func TestOwnedConnShutdown(t *testing.T) {
 	go func() { hs.Serve(ln); close(served) }()
 	addr := ln.Addr().String()
 	push := rawRequest("POST", "/v1/frames", framesJSON(t, bw, 300, 310))
-	ownedIdle, inFlight, plain := dialConn(t, addr), dialConn(t, addr), dialConn(t, addr)
-	for _, c := range []*clientConn{ownedIdle, inFlight} {
+	ownedIdle, inFlight, plain, handed := dialConn(t, addr), dialConn(t, addr), dialConn(t, addr), dialConn(t, addr)
+	for _, c := range []*clientConn{ownedIdle, inFlight, handed} {
 		if resp, body := c.do(t, push); resp.StatusCode != http.StatusOK {
 			t.Fatalf("push: %s %s", resp.Status, body)
 		}
 	}
 	if resp, _ := plain.do(t, rawRequest("GET", "/healthz", nil)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %s", resp.Status)
+	}
+	if resp, _ := handed.do(t, rawRequest("GET", "/v1/stats", nil)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats: %s", resp.Status)
 	}
 	gate.armed.Store(true)
 	if _, err := inFlight.nc.Write(rawRequest("POST", "/v1/predict", nil)); err != nil {
@@ -560,7 +543,7 @@ func TestOwnedConnShutdown(t *testing.T) {
 	}
 	<-closed
 	<-served
-	for name, c := range map[string]*clientConn{"owned idle": ownedIdle, "owned busy": inFlight, "not owned": plain} {
+	for name, c := range map[string]*clientConn{"owned idle": ownedIdle, "owned busy": inFlight, "not owned": plain, "handed back": handed} {
 		c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 		if n, err := c.br.Read(make([]byte, 1)); err != io.EOF {
 			t.Errorf("%s connection: read %d bytes, %v; want EOF", name, n, err)
@@ -660,11 +643,13 @@ func TestOwnedConnCountsRequests(t *testing.T) {
 		ts := httptest.NewServer(h)
 		c := dialConn(t, ts.Listener.Addr().String())
 		for k := 0; k < n; k++ {
+			// GET /v1/stats hands an owned connection back to net/http; the
+			// push takes it over again, so each round ends on it owned.
 			for _, req := range [][]byte{
+				rawRequest("GET", "/v1/stats", nil),
 				rawRequest("POST", "/v1/sessions/c0/frames", framesJSON(t, bw, 309+k, 310+k)),
 				rawRequest("POST", "/v1/sessions/c0/predict", nil),
 				rawRequest("POST", "/v1/sessions/nobody/predict", nil),
-				rawRequest("GET", "/v1/stats", nil),
 			} {
 				c.do(t, req)
 			}
@@ -693,11 +678,11 @@ func TestOwnedConnCountsRequests(t *testing.T) {
 	}
 }
 
-// TestParseStrict: the strict parser takes the heads gateways send and
-// declines everything else, or asks for more bytes of a head that is not
-// complete yet.
+// TestParseStrict: the strict parser takes the heads gateways and
+// serve.Client send and declines everything else, or asks for more bytes of
+// a head that is not complete yet.
 func TestParseStrict(t *testing.T) {
-	for _, tc := range []struct {
+	type strictCase struct {
 		head       string
 		route      int
 		id         string
@@ -706,7 +691,11 @@ func TestParseStrict(t *testing.T) {
 		close      bool
 		length     int64
 		query, why string
-	}{
+	}
+	client := clientHeads(t)
+	for _, tc := range []strictCase{
+		{head: client[0], route: hotPredict, n: len(client[0]), query: "confidence=0.9", why: "Client.Predict"},
+		{head: client[1], route: hotSessionPredict, id: "cam-1", n: len(client[1]), query: "coverage=0.8", why: "Client.PredictSession"},
 		{head: "POST /v1/predict HTTP/1.1\r\nHost: t\r\n\r\n", route: hotPredict, n: 38},
 		{head: "POST /v1/sessions/cam-1/frames HTTP/1.1\r\nhost: t\r\ncontent-type: application/json\r\nContent-Length: 12\r\nConnection: Close\r\n\r\n{",
 			route: hotSessionFrames, id: "cam-1", n: 123, close: true, length: 12},
@@ -731,6 +720,8 @@ func TestParseStrict(t *testing.T) {
 		{head: "POST /v1/predict/ HTTP/1.1\r\nHost: t\r\n\r\n", why: "trailing slash"},
 		{head: "POST /v1/predict  HTTP/1.1\r\nHost: t\r\n\r\n", why: "two spaces"},
 		{head: "POST /v1/predict HTTP/1.1\r\nHost: t\x7f\r\n\r\n", why: "control byte"},
+		{head: "POST /v1/predict HTTP/1.1\r\nHost: t\r\nUser-Agent: a\r\nUser-Agent: a\r\n\r\n", why: "two User-Agents"},
+		{head: "POST /v1/predict HTTP/1.1\r\nHost: t\r\nAccept-Encoding: gzip\x01\r\n\r\n", why: "control byte in Accept-Encoding"},
 	} {
 		hd, n, more := parseStrict([]byte(tc.head))
 		if n != tc.n || more != tc.more {
@@ -743,6 +734,59 @@ func TestParseStrict(t *testing.T) {
 	}
 }
 
+// recordingListener records the bytes its connections read.
+type recordingListener struct {
+	net.Listener
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *recordingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &recordingConn{Conn: c, l: l}, nil
+}
+
+type recordingConn struct {
+	net.Conn
+	l *recordingListener
+}
+
+func (c *recordingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.l.mu.Lock()
+	c.l.buf.Write(p[:n])
+	c.l.mu.Unlock()
+	return n, err
+}
+
+// clientHeads returns the request heads Client.Predict (confidence 0.9)
+// and Client.PredictSession (session cam-1, coverage 0.8) write through Go's
+// http.Client, as a recording listener reads them.
+func clientHeads(t *testing.T) []string {
+	srv, _ := bareServer(t)
+	ts := httptest.NewUnstartedServer(netHTTPOnly(srv))
+	rl := &recordingListener{Listener: ts.Listener}
+	ts.Listener = rl
+	ts.Start()
+	defer ts.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	cl := NewClient(ts.URL, &http.Client{Transport: tr})
+	// Only the heads matter, not the answers.
+	cl.Predict(context.Background(), 0.9, 0)
+	cl.PredictSession(context.Background(), "cam-1", 0, 0.8)
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	heads := strings.SplitAfter(rl.buf.String(), "\r\n\r\n")
+	if len(heads) < 2 || !strings.Contains(heads[0], "User-Agent: ") || !strings.Contains(heads[0], "Accept-Encoding: gzip") {
+		t.Fatalf("no heads with the headers http.Client adds in %q", heads)
+	}
+	return heads[:2]
+}
+
 // TestWriteTakeoverSeeds regenerates FuzzTakeoverMatchesNetHTTP's committed
 // seeds when TAKEOVER_SEEDS=write is set, and otherwise checks that they
 // are the ones listed here.
@@ -753,18 +797,20 @@ func TestWriteTakeoverSeeds(t *testing.T) {
 	}
 	predict := string(rawRequest("POST", "/v1/predict", nil))
 	seeds := map[string][4]string{
-		"hot-default":      {push("/v1/frames"), predict, predict, ""},
-		"hot-session":      {push("/v1/sessions/cam/frames"), string(rawRequest("POST", "/v1/sessions/cam/predict?confidence=0.5", nil)), string(rawRequest("POST", "/v1/sessions/nobody/predict", nil)), ""},
-		"chunked-push":     {"POST /v1/frames HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n" + fmt.Sprintf("%x\r\n{\"frames\":[%s]}\r\n0\r\n\r\n", len(frame)+13, frame), predict, "", ""},
-		"expect-continue":  {"POST /v1/frames HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\nContent-Length: " + strconv.Itoa(len(frame)+13) + "\r\n\r\n{\"frames\":[" + frame + "]}", predict, "", ""},
-		"connection-close": {push("/v1/frames"), "POST /v1/predict HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n", predict, ""},
-		"http10":           {"POST /v1/predict HTTP/1.0\r\nHost: t\r\n\r\n", predict, "", ""},
-		"oversized-length": {predict, "POST /v1/frames HTTP/1.1\r\nHost: t\r\nContent-Length: 99999999\r\n\r\n{}", "", ""},
-		"bare-lf":          {"POST /v1/predict HTTP/1.1\nHost: t\n\n", predict, "", ""},
-		"duplicate-length": {"POST /v1/frames HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}", predict, "", ""},
-		"get-metrics":      {predict, string(rawRequest("GET", "/metrics", nil)), predict, ""},
-		"delete-204":       {string(rawRequest("DELETE", "/v1/sessions/cam", nil)), string(rawRequest("POST", "/v1/sessions/cam/predict", nil)), "", ""},
-		"truncated-body":   {predict, "POST /v1/frames HTTP/1.1\r\nHost: t\r\nContent-Length: 40\r\n\r\n{\"frames\":", "", ""},
+		"hot-default":       {push("/v1/frames"), predict, predict, ""},
+		"hot-session":       {push("/v1/sessions/cam/frames"), string(rawRequest("POST", "/v1/sessions/cam/predict?confidence=0.5", nil)), string(rawRequest("POST", "/v1/sessions/nobody/predict", nil)), ""},
+		"chunked-push":      {"POST /v1/frames HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n" + fmt.Sprintf("%x\r\n{\"frames\":[%s]}\r\n0\r\n\r\n", len(frame)+13, frame), predict, "", ""},
+		"expect-continue":   {"POST /v1/frames HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\nContent-Length: " + strconv.Itoa(len(frame)+13) + "\r\n\r\n{\"frames\":[" + frame + "]}", predict, "", ""},
+		"connection-close":  {push("/v1/frames"), "POST /v1/predict HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n", predict, ""},
+		"http10":            {"POST /v1/predict HTTP/1.0\r\nHost: t\r\n\r\n", predict, "", ""},
+		"oversized-length":  {predict, "POST /v1/frames HTTP/1.1\r\nHost: t\r\nContent-Length: 99999999\r\n\r\n{}", "", ""},
+		"bare-lf":           {"POST /v1/predict HTTP/1.1\nHost: t\n\n", predict, "", ""},
+		"duplicate-length":  {"POST /v1/frames HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}", predict, "", ""},
+		"get-metrics":       {predict, string(rawRequest("GET", "/metrics", nil)), predict, ""},
+		"delete-204":        {string(rawRequest("DELETE", "/v1/sessions/cam", nil)), string(rawRequest("POST", "/v1/sessions/cam/predict", nil)), "", ""},
+		"truncated-body":    {predict, "POST /v1/frames HTTP/1.1\r\nHost: t\r\nContent-Length: 40\r\n\r\n{\"frames\":", "", ""},
+		"client-head":       {"POST /v1/predict?confidence=0.9 HTTP/1.1\r\nHost: t\r\nUser-Agent: Go-http-client/1.1\r\nContent-Length: 0\r\nContent-Type: application/json\r\nAccept-Encoding: gzip\r\n\r\n", predict, "", ""},
+		"declined-then-hot": {string(rawRequest("GET", "/v1/stats", nil)), predict, push("/v1/frames"), ""},
 	}
 	dir := "testdata/fuzz/FuzzTakeoverMatchesNetHTTP"
 	for name, s := range seeds {

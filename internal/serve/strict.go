@@ -22,8 +22,11 @@ type strictHead struct {
 }
 
 // strictHeaders are the headers a strict head may carry, each at most once:
-// Host (required), Content-Length, Content-Type and Connection.
-var strictHeaders = [...][]byte{[]byte("host"), []byte("content-length"), []byte("content-type"), []byte("connection")}
+// Host (required), Content-Length, Content-Type, Connection, and the
+// User-Agent and Accept-Encoding that Go's http.Client adds (serve.Client,
+// eventhitreplay), which no hot handler reads.
+var strictHeaders = [...][]byte{[]byte("host"), []byte("content-length"), []byte("content-type"), []byte("connection"),
+	[]byte("user-agent"), []byte("accept-encoding")}
 
 // parseStrict parses the request head at the start of b for an owned
 // connection's fast path: a POST to a hot route over HTTP/1.1, CRLF line

@@ -190,8 +190,9 @@ stage predict-strategy-x5 go test -race ./internal/strategy/ -run 'TestDecideCon
 # Collect, against the serial loop at GOMAXPROCS 1, 2, 3 and 8.
 stage decide-parallel-x5 go test -race -count=5 ./internal/strategy/ ./internal/pipeline/ ./internal/cascade/ -run 'TestPredictAllMatchesSerial|TestDecideParallelMatchesSerial|TestDecideReturnsLowestAnchorError|TestCascadePredictAllMatchesSerial'
 # Owned connections: paced_relay's mix of pushes, predicts and scrapes on
-# two taken-over connections, every reply equal to net/http's.
-stage predict-serve-x5 go test -race ./internal/serve/ -run 'TestConcurrentPredictMatchesSerial|TestConcurrentRelayMatchesSerial|TestSameSessionPredictMatchesSerial|TestOwnedConnMixedTraffic' -count=5
+# two taken-over connections, every reply equal to net/http's; and shutdown
+# closing owned connections, busy, idle and handed back to net/http.
+stage predict-serve-x5 go test -race ./internal/serve/ -run 'TestConcurrentPredictMatchesSerial|TestConcurrentRelayMatchesSerial|TestSameSessionPredictMatchesSerial|TestOwnedConnMixedTraffic|TestOwnedConnShutdown' -count=5
 # The one relay path both drivers send decided relays through: served,
 # retried, deferred (outage, open breaker) and cache-hit fates as one table.
 stage relay-contract-x5 go test -race ./internal/pipeline/ -run 'TestRelayServeContract|TestAppendRequests' -count=5
