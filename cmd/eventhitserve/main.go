@@ -150,8 +150,7 @@ func main() {
 		ac := serve.DefaultAdaptConfig()
 		ac.AuditRate = *auditRate
 		scfg.Adapt = &ac
-		log.Printf("online adaptation on: monitor window %d at delta %g, %d post-alarm outcomes before recalibrating, audit rate %g",
-			ac.MonitorWindow, ac.MonitorDelta, ac.MinFresh, ac.AuditRate)
+		log.Printf("online adaptation on: %v", ac)
 	}
 	if *budget > 0 || *streamRate > 0 {
 		scfg.Fleet = &fleet.ArbiterConfig{

@@ -40,25 +40,20 @@ type Config struct {
 	// only served while now - insertedAt <= TTLFrames (both measured as the
 	// signed window's start frame). 0 disables expiry.
 	TTLFrames int
-	// Capacity bounds the total entries across all shards; the least
-	// recently used entry of the overflowing shard is evicted. 0 uses
-	// DefaultCapacity.
-	Capacity int
-	// Shards is the number of independently locked LRU shards. 0 uses
-	// DefaultShards.
-	Shards int
 }
 
-// Defaults for the zero Config knobs.
+// A cache holds at most capacity entries across shards independently
+// locked LRUs; the least recently used entry of the overflowing shard is
+// evicted.
 const (
-	DefaultCapacity = 4096
-	DefaultShards   = 8
+	capacity = 4096
+	shards   = 8
 )
 
-// DefaultConfig returns an exact-match cache: ε=0, a 30k-frame TTL
-// (~1000 s at 30 fps), default capacity and sharding.
+// DefaultConfig returns an exact-match cache: ε=0 and a 30k-frame TTL
+// (~1000 s at 30 fps).
 func DefaultConfig() Config {
-	return Config{Epsilon: 0, TTLFrames: 30_000, Capacity: DefaultCapacity, Shards: DefaultShards}
+	return Config{Epsilon: 0, TTLFrames: 30_000}
 }
 
 // Validate rejects malformed configurations.
@@ -68,12 +63,6 @@ func (c Config) Validate() error {
 	}
 	if c.TTLFrames < 0 {
 		return fmt.Errorf("cicache: negative TTLFrames %d", c.TTLFrames)
-	}
-	if c.Capacity < 0 {
-		return fmt.Errorf("cicache: negative Capacity %d", c.Capacity)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("cicache: negative Shards %d", c.Shards)
 	}
 	return nil
 }
@@ -247,22 +236,17 @@ type Cache struct {
 	shards []*shard
 }
 
-// New builds a cache. cfg is validated; zero Capacity/Shards use defaults.
-func New(cfg Config) (*Cache, error) {
+// New builds a cache. cfg is validated.
+func New(cfg Config) (*Cache, error) { return newCache(cfg, capacity, shards) }
+
+// newCache builds a cache of at most size entries in n shards; this
+// package's tests build small ones.
+func newCache(cfg Config, size, n int) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Capacity == 0 {
-		cfg.Capacity = DefaultCapacity
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = DefaultShards
-	}
-	if cfg.Shards > cfg.Capacity {
-		cfg.Shards = cfg.Capacity
-	}
-	perShard := (cfg.Capacity + cfg.Shards - 1) / cfg.Shards
-	c := &Cache{cfg: cfg, shards: make([]*shard, cfg.Shards)}
+	perShard := (size + n - 1) / n
+	c := &Cache{cfg: cfg, shards: make([]*shard, n)}
 	for i := range c.shards {
 		c.shards[i] = &shard{
 			elems: make(map[Key]*list.Element),
@@ -273,7 +257,7 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// Config returns the cache's effective configuration.
+// Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) shardFor(k Key) *shard {

@@ -8,9 +8,10 @@ import (
 	"eventhit/internal/video"
 )
 
-func mustNew(t *testing.T, cfg Config) *Cache {
+// mustNew builds a cache of at most size entries in n shards.
+func mustNew(t *testing.T, cfg Config, size, n int) *Cache {
 	t.Helper()
-	c, err := New(cfg)
+	c, err := newCache(cfg, size, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,8 +22,6 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Epsilon: -0.1},
 		{TTLFrames: -1},
-		{Capacity: -1},
-		{Shards: -2},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -94,7 +93,7 @@ func TestVerdictMaterializeReanchorsAndClips(t *testing.T) {
 }
 
 func TestCacheHitMissAndTTL(t *testing.T) {
-	c := mustNew(t, Config{TTLFrames: 100, Capacity: 8, Shards: 1})
+	c := mustNew(t, Config{TTLFrames: 100}, 8, 1)
 	k := ExactKey(0, video.Interval{Start: 0, End: 9})
 	v := Verdict{Rel: []video.Interval{{Start: 1, End: 3}}}
 	if _, ok := c.Get(k, 0); ok {
@@ -129,7 +128,7 @@ func TestCacheLRUEvictionDeterministic(t *testing.T) {
 		keys[i] = ExactKey(i, video.Interval{Start: 0, End: 9})
 	}
 	run := func() []bool {
-		c := mustNew(t, Config{Capacity: 3, Shards: 1})
+		c := mustNew(t, Config{}, 3, 1)
 		for _, k := range keys[:3] {
 			c.Put(k, Verdict{}, 0)
 		}
@@ -156,7 +155,7 @@ func TestCacheLRUEvictionDeterministic(t *testing.T) {
 }
 
 func TestCacheShardingCoversAllShards(t *testing.T) {
-	c := mustNew(t, Config{Capacity: 1024, Shards: 8})
+	c := mustNew(t, Config{}, 1024, 8)
 	for i := 0; i < 64; i++ {
 		c.Put(ExactKey(i, video.Interval{Start: i, End: i + 9}), Verdict{}, 0)
 	}
@@ -176,7 +175,7 @@ func TestCacheShardingCoversAllShards(t *testing.T) {
 
 func TestCacheRegisterExposition(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := mustNew(t, Config{Capacity: 8, Shards: 1})
+	c := mustNew(t, Config{}, 8, 1)
 	RegisterStats(reg, nil, c.Stats)
 	k := ExactKey(0, video.Interval{Start: 0, End: 9})
 	c.Put(k, Verdict{}, 0)

@@ -9,14 +9,11 @@ import (
 )
 
 // The fault layer makes the CI misbehave the way a real per-frame-priced
-// cloud service does in production — transient 5xx errors, rate-limit
-// windows, latency spikes and hard outages — while keeping every behaviour
+// cloud service does in production — transient 5xx errors, latency spikes
+// and hard outages — while keeping every behaviour
 // reproducible bit-for-bit. Faults are a pure function of (plan, request
 // index): the plan never keeps RNG state, it hashes the request index, so
 // the i-th request sees the same fate no matter what happened before it.
-
-// ErrThrottled is returned for requests falling into a rate-limit window.
-var ErrThrottled = fmt.Errorf("cloud: rate limited")
 
 // ErrOutage is returned for requests falling into a hard outage window.
 var ErrOutage = fmt.Errorf("cloud: service outage")
@@ -44,11 +41,6 @@ type FaultPlan struct {
 	// SpikeMS * [0.5, 1.5) milliseconds, drawn deterministically.
 	SpikeRate float64
 	SpikeMS   float64
-	// RateLimitEvery/RateLimitBurst model quota windows: of every
-	// RateLimitEvery consecutive requests, the last RateLimitBurst are
-	// throttled with ErrThrottled (the quota ran out near the window's
-	// end). Both must be positive to take effect.
-	RateLimitEvery, RateLimitBurst int
 	// Outages are hard-failure request-index windows (ErrOutage).
 	Outages []ReqWindow
 	// FailLatencyMS is the simulated time a caller spends observing any
@@ -57,7 +49,7 @@ type FaultPlan struct {
 }
 
 // Validate rejects plans that cannot be a deterministic fault schedule:
-// probabilities outside [0,1], negative latencies or quota knobs, and
+// probabilities outside [0,1], negative latencies and
 // malformed outage windows. The zero plan is valid (and inactive).
 func (p FaultPlan) Validate() error {
 	if p.TransientRate < 0 || p.TransientRate > 1 || p.TransientRate != p.TransientRate {
@@ -68,9 +60,6 @@ func (p FaultPlan) Validate() error {
 	}
 	if p.SpikeMS < 0 || p.FailLatencyMS < 0 {
 		return fmt.Errorf("cloud: negative fault latency (SpikeMS %v, FailLatencyMS %v)", p.SpikeMS, p.FailLatencyMS)
-	}
-	if p.RateLimitEvery < 0 || p.RateLimitBurst < 0 {
-		return fmt.Errorf("cloud: negative rate-limit knob (every %d, burst %d)", p.RateLimitEvery, p.RateLimitBurst)
 	}
 	for i, w := range p.Outages {
 		if w.Start < 0 || w.End <= w.Start {
@@ -83,7 +72,7 @@ func (p FaultPlan) Validate() error {
 // Fault is the plan's verdict for one request.
 type Fault struct {
 	// Err, when non-nil, fails the request before any processing or
-	// billing. It wraps one of ErrOutage, ErrThrottled, ErrUnavailable.
+	// billing. It wraps one of ErrOutage, ErrUnavailable.
 	Err error
 	// ExtraMS is added to the request's simulated latency: the spike on a
 	// successful request, or FailLatencyMS on an injected failure.
@@ -98,21 +87,12 @@ const (
 )
 
 // At returns the deterministic fault verdict for request index i.
-// Evaluation order: outage, rate limit, transient error, latency spike —
+// Evaluation order: outage, transient error, latency spike —
 // the first failing rule wins.
 func (p FaultPlan) At(i int64) Fault {
 	for _, w := range p.Outages {
 		if w.Contains(i) {
 			return Fault{Err: ErrOutage, ExtraMS: p.FailLatencyMS}
-		}
-	}
-	if p.RateLimitEvery > 0 && p.RateLimitBurst > 0 {
-		burst := p.RateLimitBurst
-		if burst > p.RateLimitEvery {
-			burst = p.RateLimitEvery
-		}
-		if int(i%int64(p.RateLimitEvery)) >= p.RateLimitEvery-burst {
-			return Fault{Err: ErrThrottled, ExtraMS: p.FailLatencyMS}
 		}
 	}
 	if p.TransientRate > 0 && mathx.Hash01(uint64(p.Seed), uint64(i), saltTransient) < p.TransientRate {
@@ -129,7 +109,6 @@ func (p FaultPlan) At(i int64) Fault {
 type FaultStats struct {
 	Requests   int64
 	Transients int64
-	Throttles  int64
 	Spikes     int64
 	SpikeMS    float64 // total injected latency
 }
@@ -167,8 +146,6 @@ func (f *Faulty) DetectTimed(eventType int, win video.Interval) (Detection, floa
 		f.stats.SpikeMS += ft.ExtraMS
 	case ft.Err == ErrUnavailable:
 		f.stats.Transients++
-	case ft.Err == ErrThrottled:
-		f.stats.Throttles++
 	}
 	f.mu.Unlock()
 	if ft.Err != nil {

@@ -57,25 +57,6 @@ func TestFaultPlanTransientRateRealized(t *testing.T) {
 	}
 }
 
-func TestFaultPlanRateLimitWindows(t *testing.T) {
-	// Quota of 7 requests per 10; the last 3 of each window throttle.
-	p := FaultPlan{RateLimitEvery: 10, RateLimitBurst: 3}
-	for i := int64(0); i < 100; i++ {
-		f := p.At(i)
-		wantThrottle := i%10 >= 7
-		if wantThrottle != errors.Is(f.Err, ErrThrottled) {
-			t.Fatalf("request %d: throttled=%v, want %v", i, f.Err != nil, wantThrottle)
-		}
-	}
-	// Burst larger than the window throttles everything, not panics.
-	all := FaultPlan{RateLimitEvery: 5, RateLimitBurst: 99}
-	for i := int64(0); i < 20; i++ {
-		if !errors.Is(all.At(i).Err, ErrThrottled) {
-			t.Fatalf("request %d escaped a full throttle window", i)
-		}
-	}
-}
-
 func TestFaultPlanOutagePrecedence(t *testing.T) {
 	p := FaultPlan{
 		Seed:          1,

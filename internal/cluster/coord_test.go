@@ -92,7 +92,10 @@ func TestLeaseConcurrentNeverOvershoots(t *testing.T) {
 // the SUM of admitted spend stays under the global cap, and unspent
 // headroom flows back on ReturnLease.
 func TestLeaseHTTPAndArbiters(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{BudgetUSD: 0.2, PerFrameUSD: 0.001})
+	// The cap, 1500 frames, exceeds one 1024-frame lease chunk, so both
+	// arbiters lease a share of it.
+	const capUSD, relay = 1.5, 30
+	coord, err := NewCoordinator(CoordinatorConfig{BudgetUSD: capUSD, PerFrameUSD: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +104,8 @@ func TestLeaseHTTPAndArbiters(t *testing.T) {
 
 	newArb := func() *fleet.Arbiter {
 		a, err := fleet.NewArbiter(fleet.ArbiterConfig{
-			PerFrameUSD:      0.001,
-			Lease:            &coordLease{base: ts.URL, hc: ts.Client()},
-			LeaseChunkFrames: 32,
+			PerFrameUSD: 0.001,
+			Lease:       &coordLease{base: ts.URL, hc: ts.Client()},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +118,7 @@ func TestLeaseHTTPAndArbiters(t *testing.T) {
 	deferred := 0
 	for i := 0; i < 40; i++ {
 		for _, a := range []*fleet.Arbiter{a1, a2} {
-			switch a.Admit("cam", 10) {
+			switch a.Admit("cam", relay) {
 			case fleet.Admit:
 				admitted++
 			case fleet.DeferBudget:
@@ -126,16 +128,19 @@ func TestLeaseHTTPAndArbiters(t *testing.T) {
 			}
 		}
 	}
-	// Cap is 200 frames at 0.001/frame -> 20 admissions of 10 frames
-	// fleet-wide, split across the two arbiters however chunking lands.
-	spend := float64(admitted*10) * 0.001
-	if spend > 0.2 {
-		t.Fatalf("two arbiters admitted %.4f USD over the 0.2 cap", spend)
+	// 80 relays of 30 frames ask for 2400 frames against the 1500 the cap
+	// holds, split across the two arbiters however chunking lands.
+	spend := float64(admitted*relay) * 0.001
+	if spend > capUSD {
+		t.Fatalf("two arbiters admitted %.4f USD over the %v cap", spend, capUSD)
 	}
 	if admitted == 0 || deferred == 0 {
 		t.Fatalf("admitted %d, deferred %d — want both nonzero", admitted, deferred)
 	}
 	st1, st2 := a1.Stats(), a2.Stats()
+	if st1.LeasedFrames == 0 || st2.LeasedFrames == 0 {
+		t.Fatalf("leases %d and %d: want both arbiters holding a share", st1.LeasedFrames, st2.LeasedFrames)
+	}
 	if st1.LeasedFrames+st2.LeasedFrames > coord.Budget().MaxFrames {
 		t.Fatalf("leases %d+%d exceed cap %d", st1.LeasedFrames, st2.LeasedFrames, coord.Budget().MaxFrames)
 	}
@@ -144,9 +149,9 @@ func TestLeaseHTTPAndArbiters(t *testing.T) {
 	a1.ReturnLease()
 	a2.ReturnLease()
 	bs := coord.Budget()
-	if bs.OutFrames != int64(admitted*10) {
+	if bs.OutFrames != int64(admitted*relay) {
 		t.Fatalf("after return, %d frames out; want exactly the spent %d (leased %d+%d)",
-			bs.OutFrames, admitted*10, st1.LeasedFrames, st2.LeasedFrames)
+			bs.OutFrames, admitted*relay, st1.LeasedFrames, st2.LeasedFrames)
 	}
 }
 

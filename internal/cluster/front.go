@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"eventhit/internal/obs"
 	"eventhit/internal/serve"
@@ -19,9 +18,6 @@ import (
 type FrontConfig struct {
 	// Workers is the worker set, fixed for the front's life.
 	Workers []WorkerRef
-	// Timeout bounds every proxied request (0 = 30s). The front sheds a
-	// hung worker by deadline, never by hanging its own caller.
-	Timeout time.Duration
 	// Coordinator, when set, lets /v1/cluster/budget pass through to the
 	// ledger so operators see fleet-wide headroom at the front. Like a
 	// WorkerRef.URL, it is http://host:port.
@@ -59,13 +55,10 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("cluster: front needs at least one worker")
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
-	}
 	f := &Front{cfg: cfg, metrics: obs.NewRegistry(), ring: NewRing(DefaultVNodes), workers: map[string]*upstream{}}
 	if cfg.Coordinator != "" {
 		var err error
-		if f.coord, err = newHop(cfg.Coordinator, cfg.Timeout); err != nil {
+		if f.coord, err = newHop(cfg.Coordinator); err != nil {
 			return nil, err
 		}
 	}
@@ -76,7 +69,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		if _, dup := f.workers[wr.ID]; dup {
 			return nil, fmt.Errorf("cluster: duplicate worker ID %q", wr.ID)
 		}
-		h, err := newHop(wr.URL, cfg.Timeout)
+		h, err := newHop(wr.URL)
 		if err != nil {
 			return nil, err
 		}

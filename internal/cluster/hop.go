@@ -19,6 +19,9 @@ import (
 const (
 	maxIdlePerHop = 32
 	maxIdleTime   = 90 * time.Second
+	// hopTimeout bounds every proxied request: the front sheds a hung
+	// worker by deadline, never by hanging its own caller.
+	hopTimeout = 30 * time.Second
 )
 
 // hop is the front's HTTP/1.1 client for one upstream, a worker or the
@@ -26,8 +29,8 @@ const (
 // exchange in the calling goroutine, where http.Transport would hand request
 // and reply to two goroutines per connection.
 type hop struct {
-	addr    string // host:port, also the Host header
-	timeout time.Duration
+	addr    string        // host:port, also the Host header
+	timeout time.Duration // hopTimeout; this package's tests shorten it
 
 	mu   sync.Mutex
 	idle []*hopConn
@@ -44,12 +47,12 @@ type hopConn struct {
 
 // newHop returns the hop to rawURL. The hop speaks plain HTTP/1.1 to the
 // root of one address, so rawURL must be http://host:port.
-func newHop(rawURL string, timeout time.Duration) (*hop, error) {
+func newHop(rawURL string) (*hop, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil || u.Port() == "" || rawURL != "http://"+u.Host {
 		return nil, fmt.Errorf("cluster: %q is not an http://host:port URL", rawURL)
 	}
-	return &hop{addr: u.Host, timeout: timeout}, nil
+	return &hop{addr: u.Host, timeout: hopTimeout}, nil
 }
 
 // do sends one request, length body bytes or chunked when length < 0, and

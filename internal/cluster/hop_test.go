@@ -155,10 +155,11 @@ func TestFrontHopFailures(t *testing.T) {
 		stub.Start()
 		defer stub.Close()
 		const timeout = 200 * time.Millisecond
-		front, err := NewFront(FrontConfig{Workers: []WorkerRef{{ID: "w0", URL: stub.URL}}, Timeout: timeout})
+		front, err := NewFront(FrontConfig{Workers: []WorkerRef{{ID: "w0", URL: stub.URL}}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		front.workers["w0"].hop.timeout = timeout
 		begin := time.Now()
 		rec := serveFront(front, httptest.NewRequest(http.MethodPost, "/v1/sessions/cam-1/predict?hang=1", nil))
 		if took := time.Since(begin); rec.Code != http.StatusBadGateway || took < timeout || took > timeout+2*time.Second {

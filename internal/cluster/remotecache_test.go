@@ -91,7 +91,7 @@ func TestRemoteCacheFailsOpen(t *testing.T) {
 		t.Fatalf("dead coordinator stats = %+v, want the one failed lookup as a miss", st)
 	}
 	// Config stays available — it was fetched at dial time.
-	if rc.Config().Capacity == 0 {
+	if rc.Config().TTLFrames == 0 {
 		t.Fatal("config lost after coordinator death")
 	}
 }

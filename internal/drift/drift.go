@@ -13,7 +13,7 @@
 // Recalibrator maintains a rolling buffer of recent labeled records from
 // which a fresh conformal calibration can be cut once the alarm fires.
 // Loop is the adaptation state machine built from the two — episodes,
-// MinFresh, audits — that the server runs per session and the scenario
+// fresh outcomes, audits — that the server runs per session and the scenario
 // engine's drift tasks walk.
 package drift
 
@@ -43,12 +43,6 @@ type monitor struct {
 func newMonitor(c float64, n int, delta float64) (*monitor, error) {
 	if c <= 0 || c >= 1 {
 		return nil, fmt.Errorf("drift: coverage target %v must be in (0,1)", c)
-	}
-	if n < 10 {
-		return nil, fmt.Errorf("drift: window %d too small to monitor", n)
-	}
-	if delta <= 0 || delta >= 1 {
-		return nil, fmt.Errorf("drift: significance %v must be in (0,1)", delta)
 	}
 	return &monitor{target: c, window: n, delta: delta, outcomes: make([]bool, n)}, nil
 }

@@ -6,21 +6,21 @@ import (
 	"eventhit/internal/conformal"
 )
 
+// The coverage monitor alarms on a 40-outcome sliding window at 5%
+// significance; the recalibration buffer keeps the last 1024 labeled
+// outcomes; and a recalibration is cut from the 48 or more buffered after
+// an alarm episode opens: fewer cut it from noise, more serve the stale
+// calibration longer, and none (at alarm time) calibrates on a
+// pre/post-shift mixture that restores nothing.
+const (
+	monitorWindow = 40
+	monitorDelta  = 0.05
+	bufferCap     = 1024
+	minFresh      = 48
+)
+
 // Config parametrizes the adaptation loop.
 type Config struct {
-	// MonitorWindow and MonitorDelta parametrize the Hoeffding coverage
-	// monitor (newMonitor): outcomes per sliding window and alarm
-	// significance.
-	MonitorWindow int
-	MonitorDelta  float64
-	// BufferCap bounds the recalibration buffer (labeled score/outcome
-	// pairs).
-	BufferCap int
-	// MinFresh is how many labeled outcomes must be buffered after an alarm
-	// episode opens before a recalibration is attempted: fewer cut it from
-	// noise, more serve the stale calibration longer, and none (at alarm
-	// time) calibrates on a pre/post-shift mixture that restores nothing.
-	MinFresh int
 	// AuditRate is the fraction of skipped decisions whose ground truth is
 	// bought anyway by relaying the full horizon. 0 leaves the monitor blind
 	// to the events a shift makes the model skip. It is a deterministic
@@ -28,11 +28,15 @@ type Config struct {
 	AuditRate float64
 }
 
-// DefaultConfig returns moderate defaults: a 40-outcome window at 5%
-// significance, a 1024-record buffer, 48 post-alarm outcomes before
-// recalibrating, and a 10% audit rate.
+// DefaultConfig returns a 10% audit rate.
 func DefaultConfig() Config {
-	return Config{MonitorWindow: 40, MonitorDelta: 0.05, BufferCap: 1024, MinFresh: 48, AuditRate: 0.1}
+	return Config{AuditRate: 0.1}
+}
+
+// String describes the loop the configuration runs, constants included.
+func (c Config) String() string {
+	return fmt.Sprintf("monitor window %d at delta %g, %d post-alarm outcomes before recalibrating, audit rate %g",
+		monitorWindow, monitorDelta, minFresh, c.AuditRate)
 }
 
 // Stats are a Loop's lifetime counters; Rebase keeps them. Observations
@@ -50,13 +54,16 @@ type Stats struct {
 // labels and swaps — and not safe for concurrent use. Per horizon the
 // caller asks Audit once per skipped decision, labels the relayed and
 // audited decisions from the CI's verdicts and hands them to Observe, which
-// cuts a calibration from only the MinFresh-or-more outcomes buffered since
+// cuts a calibration from only the minFresh-or-more outcomes buffered since
 // an episode opened: one sustained shift is at most one recalibration.
 type Loop struct {
 	cfg   Config
 	mon   *monitor
 	rec   *Recalibrator
 	label []bool // Observe's buffered labels
+	// minFresh holds the package constant; this package's tests shrink it
+	// with the monitor and the buffer.
+	minFresh int
 	// auditAcc += AuditRate per skipped decision; an audit is due, and 1
 	// is taken off, when it reaches 1.
 	auditAcc float64
@@ -70,21 +77,18 @@ type Loop struct {
 // NewLoop validates cfg and returns a loop watching coverage against the
 // nominal level target over k events.
 func NewLoop(cfg Config, target float64, k int) (*Loop, error) {
-	mon, err := newMonitor(target, cfg.MonitorWindow, cfg.MonitorDelta)
+	mon, err := newMonitor(target, monitorWindow, monitorDelta)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := NewRecalibrator(cfg.BufferCap, k)
+	rec, err := NewRecalibrator(bufferCap, k)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MinFresh < 1 || cfg.MinFresh > cfg.BufferCap {
-		return nil, fmt.Errorf("drift: MinFresh %d must be in [1, BufferCap=%d]", cfg.MinFresh, cfg.BufferCap)
 	}
 	if !(cfg.AuditRate >= 0 && cfg.AuditRate <= 1) {
 		return nil, fmt.Errorf("drift: AuditRate %v must be in [0,1]", cfg.AuditRate)
 	}
-	return &Loop{cfg: cfg, mon: mon, rec: rec, label: make([]bool, k)}, nil
+	return &Loop{cfg: cfg, mon: mon, rec: rec, label: make([]bool, k), minFresh: minFresh}, nil
 }
 
 // Audit is called once per skipped decision and reports whether its ground
@@ -139,7 +143,7 @@ func (l *Loop) Observe(scores []float64, kept, known, truth []bool) *conformal.C
 		// way the fresh count restarts.
 		l.episodeOpen, l.fresh = open, 0
 	}
-	if !l.episodeOpen || l.fresh < l.cfg.MinFresh {
+	if !l.episodeOpen || l.fresh < l.minFresh {
 		return nil
 	}
 	cls, err := l.rec.RebuildRecent(l.fresh)

@@ -25,9 +25,26 @@ var loopOutcomes = map[string]loopOutcome{
 	"none": {[]float64{0.5}, []bool{false}, []bool{false}, []bool{false}},
 }
 
-// loopTestConfig alarms on the 5th miss of an all-hit window of 10 (and on
-// the 5th outcome after a Reset) and recalibrates after 6 fresh outcomes.
-var loopTestConfig = Config{MonitorWindow: 10, MonitorDelta: 0.05, BufferCap: 64, MinFresh: 6}
+// newTestLoop returns a loop at cfg that alarms on the 5th miss of an
+// all-hit window of 10 (and on the 5th outcome after a Reset), buffers 64
+// outcomes and recalibrates after 6 fresh ones.
+func newTestLoop(t *testing.T, cfg Config) *Loop {
+	t.Helper()
+	l, err := NewLoop(cfg, 0.9, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.mon, err = newMonitor(0.9, 10, monitorDelta); err != nil {
+		t.Fatal(err)
+	}
+	if l.rec, err = NewRecalibrator(testBufferCap, 1); err != nil {
+		t.Fatal(err)
+	}
+	l.minFresh = 6
+	return l
+}
+
+const testBufferCap = 64
 
 // TestLoop walks the adaptation state machine over a real monitor and
 // Recalibrator: each case feeds outcomes ("rebase" calls Rebase) and checks
@@ -88,10 +105,7 @@ func TestLoop(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			l, err := NewLoop(loopTestConfig, 0.9, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			l := newTestLoop(t, Config{})
 			var recalAt []int
 			for i, f := range tc.feed {
 				if f == "rebase" {
@@ -118,12 +132,7 @@ func TestLoop(t *testing.T) {
 	for _, r := range []float64{0, 0.1, 0.25, 1.0 / 3, 0.5, 1} {
 		for _, n := range []int{1, 9, 100, 1001} {
 			t.Run(fmt.Sprintf("audits r=%.3f n=%d", r, n), func(t *testing.T) {
-				cfg := loopTestConfig
-				cfg.AuditRate = r
-				l, err := NewLoop(cfg, 0.9, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
+				l := newTestLoop(t, Config{AuditRate: r})
 				audits := 0
 				for i := 0; i < n; i++ {
 					if l.Audit() {
@@ -140,13 +149,8 @@ func TestLoop(t *testing.T) {
 
 func TestLoopValidation(t *testing.T) {
 	for name, mut := range map[string]func(*Config){
-		"window":        func(c *Config) { c.MonitorWindow = 5 },
-		"delta":         func(c *Config) { c.MonitorDelta = 0 },
-		"buffer":        func(c *Config) { c.BufferCap = 5 },
-		"min fresh 0":   func(c *Config) { c.MinFresh = 0 },
-		"min fresh cap": func(c *Config) { c.MinFresh = c.BufferCap + 1 },
-		"audit rate":    func(c *Config) { c.AuditRate = 1.5 },
-		"audit NaN":     func(c *Config) { c.AuditRate = math.NaN() },
+		"audit rate": func(c *Config) { c.AuditRate = 1.5 },
+		"audit NaN":  func(c *Config) { c.AuditRate = math.NaN() },
 	} {
 		cfg := DefaultConfig()
 		mut(&cfg)
@@ -165,12 +169,9 @@ func TestLoopValidation(t *testing.T) {
 // TestLoopObserveAllocs: once the buffer has wrapped, a labelled Observe
 // that cuts no recalibration allocates nothing.
 func TestLoopObserveAllocs(t *testing.T) {
-	l, err := NewLoop(loopTestConfig, 0.9, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newTestLoop(t, Config{})
 	o := loopOutcomes["hit"]
-	for i := 0; i <= loopTestConfig.BufferCap; i++ {
+	for i := 0; i <= testBufferCap; i++ {
 		l.Observe(o.scores, o.kept, o.known, o.truth)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { l.Observe(o.scores, o.kept, o.known, o.truth) }); allocs != 0 {

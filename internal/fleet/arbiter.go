@@ -31,11 +31,11 @@ type BudgetLease interface {
 	Return(frames int)
 }
 
-// DefaultLeaseChunkFrames is the lease refill chunk when
-// ArbiterConfig.LeaseChunkFrames is 0: large enough that a busy worker is
-// not round-tripping to the coordinator per relay, small enough that idle
-// workers do not park the whole budget.
-const DefaultLeaseChunkFrames = 1024
+// leaseChunkFrames is the refill chunk requested from a lease: large
+// enough that a busy worker is not round-tripping to the coordinator per
+// relay, small enough that idle workers do not park the whole budget. A
+// relay larger than the chunk requests its exact shortfall instead.
+const leaseChunkFrames = 1024
 
 // ArbiterConfig parametrizes live admission control.
 type ArbiterConfig struct {
@@ -51,25 +51,18 @@ type ArbiterConfig struct {
 	SessionBurst      float64
 	// Lease, when non-nil, replaces the local GlobalBudgetUSD check with
 	// coordinator-leased headroom: admission draws integer frames from a
-	// locally held lease, refilled in LeaseChunkFrames chunks through
+	// locally held lease, refilled in leaseChunkFrames chunks through
 	// Lease.Acquire. A relay that cannot be covered even after a refill is
 	// deferred (DeferBudget). Acquire runs under the arbiter lock, so a
 	// slow lease backend stalls this worker's admissions, never its
 	// correctness.
 	Lease BudgetLease `json:"-"`
-	// LeaseChunkFrames is the refill chunk requested from Lease; 0 uses
-	// DefaultLeaseChunkFrames. A relay larger than the chunk requests its
-	// exact shortfall instead.
-	LeaseChunkFrames int
 }
 
 // Validate rejects malformed configurations.
 func (c ArbiterConfig) Validate() error {
 	if c.PerFrameUSD < 0 || c.GlobalBudgetUSD < 0 || c.SessionRatePerSec < 0 || c.SessionBurst < 0 {
 		return fmt.Errorf("fleet: negative arbiter knob in %+v", c)
-	}
-	if c.LeaseChunkFrames < 0 {
-		return fmt.Errorf("fleet: negative LeaseChunkFrames %d", c.LeaseChunkFrames)
 	}
 	return nil
 }
@@ -155,10 +148,7 @@ func (a *Arbiter) Admit(session string, frames int) Verdict {
 		// for a relay that then fails the rate bucket stays held — leased,
 		// not spent — and covers the next admission.
 		if int64(frames) > a.leaseHeld {
-			chunk := a.cfg.LeaseChunkFrames
-			if chunk <= 0 {
-				chunk = DefaultLeaseChunkFrames
-			}
+			chunk := leaseChunkFrames
 			if need := int64(frames) - a.leaseHeld; int64(chunk) < need {
 				chunk = int(need)
 			}

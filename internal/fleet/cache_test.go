@@ -96,7 +96,7 @@ func TestFleetCacheDedupsTwinStreams(t *testing.T) {
 
 // TestFleetCacheCoalescingBypassesBatchCap: twins released simultaneously
 // always land in the same dispatch round, so they dedup by in-batch
-// coalescing — even at BatchMax 1, where the twin rides as an unbilled
+// coalescing — even at a batch cap of 1, where the twin rides as an unbilled
 // passenger rather than occupying a batch slot. One camera pays, the other
 // pays nothing.
 func TestFleetCacheCoalescingBypassesBatchCap(t *testing.T) {
@@ -104,10 +104,15 @@ func TestFleetCacheCoalescingBypassesBatchCap(t *testing.T) {
 	b := testStream(t, "cam-b", 9, 30_000)
 	cfg := DefaultConfig()
 	cfg.QueueMax = 0
-	cfg.BatchMax = 1
 	c := cicache.DefaultConfig()
 	cfg.Cache = &c
-	rep, err := Run([]Stream{a, b}, cfg)
+	cache, err := cicache.New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := newScheduler(cfg, cache)
+	sch.batchMax = 1
+	rep, err := drive(sch, []Stream{a, b}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +175,7 @@ func TestServeCachedBadHit(t *testing.T) {
 	sch, _ := synthScheduler(t, cfg)
 	sch.cache = cache
 	st := video.Generate(video.THUMOS(), mathx.NewRNG(1))
-	svc := cloud.NewService(st, cfg.Pricing, cfg.Latency)
+	svc := cloud.NewService(st, cloud.RekognitionPricing(), cloud.DefaultLatency())
 	sch.addStream("cam", svc, synthTimeline(1, 0, 10, 100))
 	win := video.Interval{Start: 0, End: 9999}
 	if len(svc.Peek(0, win)) == 0 {

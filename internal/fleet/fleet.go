@@ -58,24 +58,27 @@ type Stream struct {
 	Start, End int
 }
 
-// Config parametrizes the shared backend and the scheduler policy.
-type Config struct {
-	// Pricing and Latency model the shared CI endpoint.
-	Pricing cloud.Pricing
-	Latency cloud.Latency
-	// CallOverheadMS is the fixed simulated cost of one CI batch call on
+// The shared CI endpoint is priced and timed as cloud.RekognitionPricing
+// and cloud.DefaultLatency, and the scheduler's policy is fixed:
+const (
+	// callOverheadMS is the fixed simulated cost of one CI batch call on
 	// top of the per-frame processing time — what batching amortizes.
-	CallOverheadMS float64
-	// BatchMax and BatchFramesMax bound one batch call: at most BatchMax
-	// relays and BatchFramesMax total frames ride together.
-	BatchMax       int
-	BatchFramesMax int
+	callOverheadMS = 120
+	// batchMax and batchFramesMax bound one batch call: at most batchMax
+	// relays and batchFramesMax total frames ride together.
+	batchMax       = 8
+	batchFramesMax = 4096
+	// framePeriodMS converts waiting time into slack decay for the aging
+	// priority: a relay waiting framePeriodMS (one frame at 30 fps) loses
+	// one frame of slack.
+	framePeriodMS = 1000.0 / 30
+)
+
+// Config parametrizes the scheduler's meters and its shared cache.
+type Config struct {
 	// QueueMax bounds the pending queue; beyond it the lowest-urgency
 	// relays are shed (admission control backpressure). 0 means unbounded.
 	QueueMax int
-	// FramePeriodMS converts waiting time into slack decay for the aging
-	// priority: a relay waiting FramePeriodMS loses one frame of slack.
-	FramePeriodMS float64
 	// StreamRatePerSec and StreamBurst configure each stream's token
 	// bucket in billed frames: the bucket refills at StreamRatePerSec
 	// frames per simulated second up to StreamBurst. Rate <= 0 disables
@@ -101,20 +104,11 @@ type Config struct {
 	Parallelism int
 }
 
-// DefaultConfig returns a production-shaped policy: modest batching, a
-// bounded queue, 30 fps slack decay, unmetered streams, no global cap, and
-// stream timelines computed on every core.
+// DefaultConfig returns a production-shaped policy: a bounded queue,
+// unmetered streams, no global cap, and stream timelines computed on every
+// core.
 func DefaultConfig() Config {
-	return Config{
-		Pricing:        cloud.RekognitionPricing(),
-		Latency:        cloud.DefaultLatency(),
-		CallOverheadMS: 120,
-		BatchMax:       8,
-		BatchFramesMax: 4096,
-		QueueMax:       64,
-		FramePeriodMS:  1000.0 / 30,
-		Parallelism:    runtime.GOMAXPROCS(0),
-	}
+	return Config{QueueMax: 64, Parallelism: runtime.GOMAXPROCS(0)}
 }
 
 // Validate reports whether the policy is well-formed without running it —
@@ -123,19 +117,10 @@ func DefaultConfig() Config {
 func (c Config) Validate() error { return c.validate() }
 
 func (c Config) validate() error {
-	if c.BatchMax < 1 {
-		return fmt.Errorf("fleet: BatchMax %d < 1", c.BatchMax)
-	}
-	if c.BatchFramesMax < 1 {
-		return fmt.Errorf("fleet: BatchFramesMax %d < 1", c.BatchFramesMax)
-	}
 	if c.QueueMax < 0 {
 		return fmt.Errorf("fleet: negative QueueMax %d", c.QueueMax)
 	}
-	if !(c.FramePeriodMS > 0) {
-		return fmt.Errorf("fleet: FramePeriodMS must be positive, got %v", c.FramePeriodMS)
-	}
-	if c.CallOverheadMS < 0 || c.GlobalBudgetUSD < 0 || c.StreamRatePerSec < 0 || c.StreamBurst < 0 {
+	if c.GlobalBudgetUSD < 0 || c.StreamRatePerSec < 0 || c.StreamBurst < 0 {
 		return fmt.Errorf("fleet: negative policy knob in %+v", c)
 	}
 	if c.Cache != nil {
@@ -252,7 +237,11 @@ func Run(streams []Stream, cfg Config) (*Report, error) {
 		}
 	}
 
-	sch := newScheduler(cfg, cache)
+	return drive(newScheduler(cfg, cache), streams, cfg)
+}
+
+// drive is Run on a built scheduler: phase A, phase B and the report.
+func drive(sch *scheduler, streams []Stream, cfg Config) (*Report, error) {
 	if err := collect(sch, streams, cfg); err != nil {
 		return nil, err
 	}
@@ -289,7 +278,7 @@ func collectStream(s Stream, cfg Config) (*cloud.Service, pipeline.Timeline, err
 		// the Key fields.
 		s.Costs.Cache = cfg.Cache
 	}
-	svc := cloud.NewService(s.Source.Stream(), cfg.Pricing, cfg.Latency)
+	svc := cloud.NewService(s.Source.Stream(), cloud.RekognitionPricing(), cloud.DefaultLatency())
 	m, err := pipeline.New(s.Source, s.Strategy, svc, s.Cfg, s.Costs)
 	if err != nil {
 		return nil, pipeline.Timeline{}, err
@@ -318,7 +307,7 @@ func score(sch *scheduler, cfg Config) (*Report, error) {
 			// the scheduler enforces it with (u.SpentUSD accumulates
 			// per-call and drifts by float error).
 			Frames:    u.Frames,
-			SpentUSD:  float64(u.Frames) * cfg.Pricing.PerFrameUSD,
+			SpentUSD:  float64(u.Frames) * cloud.RekognitionPricing().PerFrameUSD,
 			LocalMS:   st.tl.LocalMS(),
 			MaxWaitMS: st.maxWaitMS,
 		}
@@ -349,7 +338,7 @@ func score(sch *scheduler, cfg Config) (*Report, error) {
 			rep.MakespanMS = sr.LocalMS
 		}
 	}
-	rep.TotalSpentUSD = float64(rep.TotalFrames) * cfg.Pricing.PerFrameUSD
+	rep.TotalSpentUSD = float64(rep.TotalFrames) * cloud.RekognitionPricing().PerFrameUSD
 	rep.Batches = sch.batches
 	if sch.batches > 0 {
 		rep.AvgBatchSize = float64(rep.Served) / float64(sch.batches)
@@ -358,7 +347,7 @@ func score(sch *scheduler, cfg Config) (*Report, error) {
 	rep.CacheHits = sch.cacheHits
 	rep.CacheSavedFrames = sch.cacheSavedFrames
 	// Savings are priced with the same single multiply as the spend totals.
-	rep.CacheSavedUSD = float64(sch.cacheSavedFrames) * cfg.Pricing.PerFrameUSD
+	rep.CacheSavedUSD = float64(sch.cacheSavedFrames) * cloud.RekognitionPricing().PerFrameUSD
 	rep.CacheBadHits = sch.cacheBadHits
 	if sch.cache != nil {
 		rep.cacheStats = sch.cache.Stats()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"eventhit/internal/cloud"
 	"eventhit/internal/dataset"
 	"eventhit/internal/features"
 	"eventhit/internal/mathx"
@@ -153,7 +154,7 @@ func TestFleetGlobalBudgetCap(t *testing.T) {
 	if rep.TotalSpentUSD > cfg.GlobalBudgetUSD {
 		t.Fatalf("spent %v over cap %v", rep.TotalSpentUSD, cfg.GlobalBudgetUSD)
 	}
-	if got := float64(rep.TotalFrames) * cfg.Pricing.PerFrameUSD; got > cfg.GlobalBudgetUSD {
+	if got := float64(rep.TotalFrames) * cloud.RekognitionPricing().PerFrameUSD; got > cfg.GlobalBudgetUSD {
 		t.Fatalf("billed frames %d (%v USD) over cap %v", rep.TotalFrames, got, cfg.GlobalBudgetUSD)
 	}
 	if rep.Deferred == 0 {
@@ -230,14 +231,9 @@ func TestFleetValidation(t *testing.T) {
 		t.Fatal("duplicate stream ID accepted")
 	}
 	cfg := DefaultConfig()
-	cfg.BatchMax = 0
+	cfg.QueueMax = -1
 	if _, err := Run([]Stream{s}, cfg); err == nil {
-		t.Fatal("BatchMax 0 accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.FramePeriodMS = 0
-	if _, err := Run([]Stream{s}, cfg); err == nil {
-		t.Fatal("FramePeriodMS 0 accepted")
+		t.Fatal("QueueMax -1 accepted")
 	}
 }
 

@@ -46,6 +46,12 @@ type pendingReq struct {
 type scheduler struct {
 	cfg     Config
 	streams []*schedStream
+	// batchMax, callOverheadMS and framePeriodMS hold the package
+	// constants; they are fields so this package's tests can run a serial
+	// channel, free calls or static priorities.
+	batchMax       int
+	callOverheadMS float64
+	framePeriodMS  float64
 
 	pending      []pendingReq
 	nowMS        float64
@@ -66,7 +72,8 @@ type scheduler struct {
 }
 
 func newScheduler(cfg Config, cache *cicache.Cache) *scheduler {
-	return &scheduler{cfg: cfg, cache: cache}
+	return &scheduler{cfg: cfg, cache: cache,
+		batchMax: batchMax, callOverheadMS: callOverheadMS, framePeriodMS: framePeriodMS}
 }
 
 func (s *scheduler) addStream(id string, svc *cloud.Service, tl pipeline.Timeline) {
@@ -82,7 +89,7 @@ func (s *scheduler) addStream(id string, svc *cloud.Service, tl pipeline.Timelin
 // it, which is the starvation-freedom argument — a parked relay's slack
 // falls below any fresh arrival's eventually.
 func (s *scheduler) effSlack(p pendingReq) float64 {
-	return float64(p.req.SlackFrames) - (s.nowMS-p.req.ReleaseMS)/s.cfg.FramePeriodMS
+	return float64(p.req.SlackFrames) - (s.nowMS-p.req.ReleaseMS)/s.framePeriodMS
 }
 
 // less orders pending requests by (aged urgency, stream index, seq) — a
@@ -201,19 +208,19 @@ func (s *scheduler) dispatch() {
 				continue
 			}
 		}
-		if len(batch) >= s.cfg.BatchMax {
+		if len(batch) >= s.batchMax {
 			rest = append(rest, p)
 			continue
 		}
 		frames := p.req.Win.Len()
-		if len(batch) > 0 && batchFrames+frames > s.cfg.BatchFramesMax {
+		if len(batch) > 0 && batchFrames+frames > batchFramesMax {
 			rest = append(rest, p)
 			continue
 		}
 		// The cap is checked on the billed frame count with a single
 		// multiply: accumulating per-relay costs drifts past the cap by
 		// float error.
-		wouldSpend := float64(s.framesBilled+int64(batchFrames+frames)) * s.cfg.Pricing.PerFrameUSD
+		wouldSpend := float64(s.framesBilled+int64(batchFrames+frames)) * cloud.RekognitionPricing().PerFrameUSD
 		if s.cfg.GlobalBudgetUSD > 0 && wouldSpend > s.cfg.GlobalBudgetUSD {
 			// Over the cap: the relay can never be afforded (spend only
 			// grows), so defer it now rather than re-sorting it forever.
@@ -241,9 +248,9 @@ func (s *scheduler) dispatch() {
 	}
 
 	serveStart := s.nowMS
-	latency := s.cfg.CallOverheadMS + float64(batchFrames)*s.cfg.Latency.PerFrameMS
+	latency := s.callOverheadMS + float64(batchFrames)*cloud.DefaultLatency().PerFrameMS
 	s.framesBilled += int64(batchFrames)
-	s.spentUSD = float64(s.framesBilled) * s.cfg.Pricing.PerFrameUSD
+	s.spentUSD = float64(s.framesBilled) * cloud.RekognitionPricing().PerFrameUSD
 	s.batches++
 	dets := make([][]video.Interval, len(batch))
 	for bi, p := range batch {

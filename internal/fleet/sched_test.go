@@ -32,25 +32,25 @@ func synthScheduler(t *testing.T, cfg Config) (*scheduler, *cloud.Service) {
 		t.Fatal(err)
 	}
 	st := video.Generate(video.THUMOS(), mathx.NewRNG(1))
-	svc := cloud.NewService(st, cfg.Pricing, cfg.Latency)
+	svc := cloud.NewService(st, cloud.RekognitionPricing(), cloud.DefaultLatency())
 	return newScheduler(cfg, nil), svc
 }
 
 // TestSchedulerStarvationRegression: a flood of zero-slack relays from one
 // stream must not lock out a low-urgency stream. Aging (waiting shrinks
 // effective slack) guarantees the parked stream is served mid-run; with
-// aging effectively disabled (a huge FramePeriodMS makes slack decay
+// aging effectively disabled (a huge framePeriodMS makes slack decay
 // negligible) the same workload parks it until the flood drains. The
 // regression pins that the aged wait is strictly — and substantially —
 // smaller.
 func TestSchedulerStarvationRegression(t *testing.T) {
-	run := func(framePeriodMS float64) (floodMax, parkedMax float64) {
+	run := func(period float64) (floodMax, parkedMax float64) {
 		cfg := DefaultConfig()
-		cfg.FramePeriodMS = framePeriodMS
-		cfg.BatchMax = 1 // serial channel: maximal contention
 		cfg.QueueMax = 0 // no shedding: starvation must be solved by ordering
-		cfg.CallOverheadMS = 0
 		sch, svc := synthScheduler(t, cfg)
+		sch.framePeriodMS = period
+		sch.batchMax = 1 // serial channel: maximal contention
+		sch.callOverheadMS = 0
 		// Flood: 300 urgent relays, 40 frames each, released at exactly the
 		// channel's service rate (40 x 40 ms = 1.6 s per relay): a fresh
 		// zero-slack arrival is pending at every dispatch for 480 s. Parked:
@@ -66,7 +66,7 @@ func TestSchedulerStarvationRegression(t *testing.T) {
 		}
 		return flood.maxWaitMS, parked.maxWaitMS
 	}
-	_, agedWait := run(DefaultConfig().FramePeriodMS)
+	_, agedWait := run(framePeriodMS)
 	_, starvedWait := run(1e12) // slack decay ~0: pure static priority
 	if agedWait >= starvedWait {
 		t.Fatalf("aging did not help: aged max wait %v >= static %v", agedWait, starvedWait)
@@ -80,13 +80,13 @@ func TestSchedulerStarvationRegression(t *testing.T) {
 // the shed victims are the least urgent relays, not the most urgent.
 func TestSchedulerShedsLowestUrgencyFirst(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.BatchMax = 1
 	// The bound must exceed one stream's backlog (20) for "sheds only the
 	// lazy stream" to be satisfiable: 40 simultaneous arrivals against a
 	// smaller bound force shedding urgent relays too.
 	cfg.QueueMax = 24
-	cfg.CallOverheadMS = 0
 	sch, svc := synthScheduler(t, cfg)
+	sch.batchMax = 1
+	sch.callOverheadMS = 0
 	// Both streams release everything at once; the channel (40ms/frame x
 	// 40 frames) drains far slower than arrivals, so the queue overflows
 	// immediately.
@@ -109,12 +109,12 @@ func TestSchedulerShedsLowestUrgencyFirst(t *testing.T) {
 // shorter than serial dispatch of the same workload, by the per-call
 // overhead saved.
 func TestSchedulerBatchingAmortizesOverhead(t *testing.T) {
-	run := func(batchMax int) (float64, int) {
+	run := func(batch int) (float64, int) {
 		cfg := DefaultConfig()
-		cfg.BatchMax = batchMax
-		cfg.CallOverheadMS = 500
 		cfg.QueueMax = 0
 		sch, svc := synthScheduler(t, cfg)
+		sch.batchMax = batch
+		sch.callOverheadMS = 500
 		sch.addStream("a", svc, synthTimeline(16, 10, 0.001, 10))
 		sch.run()
 		if sch.streams[0].served != 16 {

@@ -167,8 +167,12 @@ func withRetries(c Costs, n int) Costs {
 
 func TestRunRetriesTransientCIFailures(t *testing.T) {
 	ex, ci, cfg := setup(t)
-	// Every third attempt is throttled, so no request fails twice running.
-	backend := cloud.Inject(ci, cloud.FaultPlan{RateLimitEvery: 3, RateLimitBurst: 1})
+	// Every third attempt fails, so no request fails twice running.
+	var plan cloud.FaultPlan
+	for i := int64(2); i < 1<<12; i += 3 {
+		plan.Outages = append(plan.Outages, cloud.ReqWindow{Start: i, End: i + 1})
+	}
+	backend := cloud.Inject(ci, plan)
 	costs := withRetries(EventHitCosts(cfg.Window), 2)
 	m, _ := New(ex, strategy.Opt{}, backend, cfg, costs)
 	rep, recs, _, err := m.Run(0, 30000)
@@ -181,7 +185,7 @@ func TestRunRetriesTransientCIFailures(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("no horizons processed")
 	}
-	if fs := backend.FaultStats(); fs.Throttles == 0 {
+	if rep.CIFailedAttempts == 0 {
 		t.Fatal("fault layer injected no failures")
 	}
 }
@@ -213,8 +217,6 @@ func TestRunChargesFailedAttemptsAndBackoff(t *testing.T) {
 	backend := cloud.Inject(ci, cloud.FaultPlan{Seed: 11, TransientRate: 0.3, FailLatencyMS: failLat})
 	costs := EventHitCosts(cfg.Window)
 	rcfg := resilience.DefaultConfig(7)
-	rcfg.Breaker.FailureThreshold = 0 // isolate retry accounting from the breaker
-	rcfg.TimeoutFactor = 0            // and from timeouts
 	costs.Resilience = &rcfg
 	costs.Degrade = true
 	m, err := New(ex, strategy.BF{Horizon: cfg.Horizon}, backend, cfg, costs)

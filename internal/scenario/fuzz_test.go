@@ -25,6 +25,7 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 	seeds := map[string][]byte{
 		"minimal":             yamlSrc(headOK, streamsOK, stagesOK),
 		"stage-timeout":       yamlSrc(headOK, streamsOK, timeoutStages),
+		"removed-keys":        removedKeysSpec,
 		"huge-count":          hugeCountSpec("nosuch"),
 		"quoted-description":  yamlSrc([]string{"name: x", `description: "café #1: \"quoted\""`, "task: TA1"}, streamsOK, stagesOK),
 		"invalid-tab":         []byte("name: x\n\tbad: 1\n"),

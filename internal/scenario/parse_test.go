@@ -42,6 +42,11 @@ var (
 		"      name: t",
 		"      kind: fleet",
 	}
+	// removedKeysSpec holds every fleet and fault key the scheduler's and
+	// the fault model's constants replaced; the first is an unknown field.
+	removedKeysSpec = yamlSrc(headOK, streamsOK,
+		[]string{"fleet:", "  batch_max: 8", "  batch_frames_max: 4096", "  call_overhead_ms: 120"},
+		stagesRun("name: t", "kind: pipeline", "faults:", "  rate_limit_every: 10", "  rate_limit_burst: 3"))
 )
 
 // countSpec declares one group of count cameras and a pipeline task on
@@ -169,8 +174,14 @@ func TestParseRejects(t *testing.T) {
 			at: "budget_usd: -1", want: "fleet.budget_usd: must be a finite value >= 0"},
 		{name: "fleet-queue-negative", src: yamlSrc(headOK, streamsOK, []string{"fleet:", "  queue_max: -1"}, stagesOK),
 			at: "queue_max: -1", want: "fleet.queue_max: must be >= 0 (0 = unbounded)"},
-		{name: "fleet-batch-zero", src: yamlSrc(headOK, streamsOK, []string{"fleet:", "  batch_max: 0"}, stagesOK),
-			at: "batch_max: 0", want: "fleet.batch_max: must be >= 1"},
+		// The batch bounds and the call overhead are fleet constants; no key
+		// sets them.
+		{name: "fleet-batch-max-removed", src: yamlSrc(headOK, streamsOK, []string{"fleet:", "  batch_max: 8"}, stagesOK),
+			at: "batch_max: 8", want: "fleet.batch_max: unknown field"},
+		{name: "fleet-batch-frames-max-removed", src: yamlSrc(headOK, streamsOK, []string{"fleet:", "  batch_frames_max: 4096"}, stagesOK),
+			at: "batch_frames_max: 4096", want: "fleet.batch_frames_max: unknown field"},
+		{name: "fleet-call-overhead-ms-removed", src: yamlSrc(headOK, streamsOK, []string{"fleet:", "  call_overhead_ms: 120"}, stagesOK),
+			at: "call_overhead_ms: 120", want: "fleet.call_overhead_ms: unknown field"},
 
 		// Task cache blocks.
 		{name: "cache-ttl-missing",
@@ -184,9 +195,13 @@ func TestParseRejects(t *testing.T) {
 		{name: "faults-rate-high",
 			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: pipeline", "faults:", "  transient_rate: 1.5")),
 			at:  "transient_rate: 1.5", want: "stages[0].run.faults.transient_rate: out of range"},
-		{name: "faults-rate-limit-negative",
-			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: pipeline", "faults:", "  rate_limit_every: -1")),
-			at:  "rate_limit_every: -1", want: "stages[0].run.faults.rate_limit_every: must be >= 0"},
+		// The CI fault model has no rate-limit mode.
+		{name: "faults-rate-limit-every-removed",
+			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: pipeline", "faults:", "  rate_limit_every: 10")),
+			at:  "rate_limit_every: 10", want: "stages[0].run.faults.rate_limit_every: unknown field"},
+		{name: "faults-rate-limit-burst-removed",
+			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: pipeline", "faults:", "  rate_limit_burst: 3")),
+			at:  "rate_limit_burst: 3", want: "stages[0].run.faults.rate_limit_burst: unknown field"},
 		{name: "outage-empty-window",
 			src: yamlSrc(headOK, streamsOK, stagesRun("name: t", "kind: pipeline", "faults:", "  outages:", "    - start: 5", "      end: 5")),
 			at:  "- start: 5", want: "stages[0].run.faults.outages[0]: need 0 <= start < end"},
@@ -345,9 +360,8 @@ func TestParseDefaults(t *testing.T) {
 	if len(spec.Streams) != 1 || spec.Streams[0].Count != 1 || spec.Streams[0].Arrivals != "" {
 		t.Errorf("Streams = %+v, want one group, count 1, default arrivals", spec.Streams)
 	}
-	if spec.Fleet.QueueMax != nil || spec.Fleet.BatchMax != nil ||
-		spec.Fleet.BatchFramesMax != nil || spec.Fleet.CallOverheadMS != nil {
-		t.Errorf("absent fleet overrides decoded non-nil: %+v", spec.Fleet)
+	if spec.Fleet.QueueMax != nil {
+		t.Errorf("absent queue_max decoded non-nil: %+v", spec.Fleet)
 	}
 	if len(spec.Stages) != 1 || spec.Stages[0].Run == nil || len(spec.Stages[0].Tasks()) != 1 {
 		t.Errorf("Stages = %+v, want one run stage", spec.Stages)
@@ -361,16 +375,13 @@ func TestParseDefaults(t *testing.T) {
 // audit_rate: 0 never audits).
 func TestParseExplicitZeroOverrides(t *testing.T) {
 	spec, err := Parse(yamlSrc(headOK, streamsOK,
-		[]string{"fleet:", "  queue_max: 0", "  call_overhead_ms: 0"},
+		[]string{"fleet:", "  queue_max: 0"},
 		stagesRun("name: t", "kind: drift", "audit_rate: 0")))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
 	if spec.Fleet.QueueMax == nil || *spec.Fleet.QueueMax != 0 {
 		t.Errorf("queue_max: 0 decoded as %v, want explicit 0", spec.Fleet.QueueMax)
-	}
-	if spec.Fleet.CallOverheadMS == nil || *spec.Fleet.CallOverheadMS != 0 {
-		t.Errorf("call_overhead_ms: 0 decoded as %v, want explicit 0", spec.Fleet.CallOverheadMS)
 	}
 	if r := spec.Stages[0].Run.AuditRate; r == nil || *r != 0 {
 		t.Errorf("audit_rate: 0 decoded as %v, want explicit 0", r)

@@ -371,15 +371,6 @@ func fleetConfig(spec *Spec, ts TaskSpec) fleet.Config {
 	if f.QueueMax != nil {
 		cfg.QueueMax = *f.QueueMax
 	}
-	if f.BatchMax != nil {
-		cfg.BatchMax = *f.BatchMax
-	}
-	if f.BatchFramesMax != nil {
-		cfg.BatchFramesMax = *f.BatchFramesMax
-	}
-	if f.CallOverheadMS != nil {
-		cfg.CallOverheadMS = *f.CallOverheadMS
-	}
 	if ts.BudgetUSD != nil {
 		cfg.GlobalBudgetUSD = *ts.BudgetUSD
 	}
@@ -440,13 +431,11 @@ func meanRECs(streams []fleet.StreamReport) (rec, realized float64) {
 // reproducible.
 func faultPlan(spec *Spec, fs *FaultSpec) cloud.FaultPlan {
 	plan := cloud.FaultPlan{
-		Seed:           fs.Seed,
-		TransientRate:  fs.TransientRate,
-		SpikeRate:      fs.SpikeRate,
-		SpikeMS:        fs.SpikeMS,
-		RateLimitEvery: fs.RateLimitEvery,
-		RateLimitBurst: fs.RateLimitBurst,
-		FailLatencyMS:  fs.FailLatencyMS,
+		Seed:          fs.Seed,
+		TransientRate: fs.TransientRate,
+		SpikeRate:     fs.SpikeRate,
+		SpikeMS:       fs.SpikeMS,
+		FailLatencyMS: fs.FailLatencyMS,
 	}
 	if plan.Seed == 0 {
 		plan.Seed = spec.Seed

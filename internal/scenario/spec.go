@@ -95,9 +95,9 @@ type DriftSpec struct {
 	CueGain  float64
 }
 
-// FleetSpec overrides the fleet scheduler policy. Pointer fields
-// distinguish "absent" (use fleet.DefaultConfig) from an explicit zero
-// (e.g. queue_max: 0 = unbounded queue).
+// FleetSpec sets the fleet scheduler's meters. QueueMax is a pointer to
+// tell "absent" (fleet.DefaultConfig's bound) from an explicit
+// queue_max: 0 (an unbounded queue).
 type FleetSpec struct {
 	// BudgetUSD caps the fleet's total CI spend (0 = uncapped).
 	BudgetUSD float64
@@ -106,9 +106,6 @@ type FleetSpec struct {
 	StreamRatePerSec float64
 	StreamBurst      float64
 	QueueMax         *int
-	BatchMax         *int
-	BatchFramesMax   *int
-	CallOverheadMS   *float64
 }
 
 // CacheSpec configures the shared CI result cache.
@@ -119,14 +116,12 @@ type CacheSpec struct {
 
 // FaultSpec mirrors cloud.FaultPlan. Seed 0 inherits the spec seed.
 type FaultSpec struct {
-	Seed           int64
-	TransientRate  float64
-	SpikeRate      float64
-	SpikeMS        float64
-	RateLimitEvery int
-	RateLimitBurst int
-	FailLatencyMS  float64
-	Outages        []OutageSpec
+	Seed          int64
+	TransientRate float64
+	SpikeRate     float64
+	SpikeMS       float64
+	FailLatencyMS float64
+	Outages       []OutageSpec
 }
 
 // OutageSpec is a half-open request-index window [Start, End).
@@ -442,28 +437,6 @@ func decodeFleet(r *reader, spec *Spec) error {
 		q := int(v)
 		spec.Fleet.QueueMax = &q
 	}
-	for _, fd := range []struct {
-		key string
-		dst **int
-	}{{"batch_max", &spec.Fleet.BatchMax}, {"batch_frames_max", &spec.Fleet.BatchFramesMax}} {
-		if v, ok, err := f.optInt(fd.key); err != nil {
-			return err
-		} else if ok {
-			if v < 1 {
-				return f.fieldErr(fd.key, "must be >= 1, got %d", v)
-			}
-			b := int(v)
-			*fd.dst = &b
-		}
-	}
-	if v, ok, err := f.optFloat("call_overhead_ms"); err != nil {
-		return err
-	} else if ok {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return f.fieldErr("call_overhead_ms", "must be a finite value >= 0, got %v", v)
-		}
-		spec.Fleet.CallOverheadMS = &v
-	}
 	return f.finish()
 }
 
@@ -529,19 +502,6 @@ func decodeFaults(r *reader) (*FaultSpec, error) {
 				return nil, f.fieldErr(fd.key, "out of range, got %v", v)
 			}
 			*fd.dst = v
-		}
-	}
-	for _, fd := range []struct {
-		key string
-		dst *int
-	}{{"rate_limit_every", &fs.RateLimitEvery}, {"rate_limit_burst", &fs.RateLimitBurst}} {
-		if v, ok, err := f.optInt(fd.key); err != nil {
-			return nil, err
-		} else if ok {
-			if v < 0 {
-				return nil, f.fieldErr(fd.key, "must be >= 0, got %d", v)
-			}
-			*fd.dst = int(v)
 		}
 	}
 	if list, ok := f.optChild("outages"); ok {

@@ -53,13 +53,7 @@ func newAdaptFixture(t *testing.T) *adaptFixture {
 		DefaultConfidence: 0.9,
 		DefaultCoverage:   0.9,
 		CI:                ci,
-		Adapt: &AdaptConfig{
-			MonitorWindow: 20,
-			MonitorDelta:  0.05,
-			BufferCap:     512,
-			MinFresh:      30,
-			AuditRate:     1,
-		},
+		Adapt:             &AdaptConfig{AuditRate: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +157,7 @@ func runAdaptScenario(t *testing.T) adaptOutcome {
 
 	// Phase 2 — the detector degrades at adaptSwitchFrame: coverage
 	// collapses under the stale calibration, the monitor opens exactly one
-	// episode, and once MinFresh post-alarm outcomes are buffered the loop
+	// episode, and once 48 post-alarm outcomes are buffered the loop
 	// cuts and swaps a fresh calibration. Walk anchor by anchor until the
 	// swap lands so the shifted-coverage measurement is purely pre-swap.
 	fx.advance(adaptSwitchFrame + 149)
@@ -300,7 +294,7 @@ func (c *scriptedCI) PerFrameMS() float64 { return 1 }
 // TestRecalibrationsDeferredCountsAttempts: a deferred rebuild is retried by
 // the next labelled outcome only. The window's decision is a skip that every
 // predict audits, so the test scripts each label: the event present until
-// the monitor opens an episode, absent until MinFresh negatives make the
+// the monitor opens an episode, absent until 48 negatives make the
 // rebuild defer, then the CI fails and predicts come back unlabelled. The
 // deferred count must not grow with them (it used to grow by one per
 // predict).
@@ -310,7 +304,7 @@ func TestRecalibrationsDeferredCountsAttempts(t *testing.T) {
 	srv, err := New(Config{
 		Bundle: bw.b, EventNames: []string{"Volleyball Spiking"}, PerFrameUSD: 0.001,
 		DefaultConfidence: 0.9, DefaultCoverage: 0.9, CI: ci,
-		Adapt: &AdaptConfig{MonitorWindow: 10, MonitorDelta: 0.05, BufferCap: 64, MinFresh: 10, AuditRate: 1},
+		Adapt: &AdaptConfig{AuditRate: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -379,12 +373,6 @@ func TestAdaptConfigValidation(t *testing.T) {
 	cfg.Adapt = &bad
 	if _, err := New(cfg); err == nil {
 		t.Fatal("AuditRate > 1 accepted")
-	}
-	bad = DefaultAdaptConfig()
-	bad.MinFresh = bad.BufferCap + 1
-	cfg.Adapt = &bad
-	if _, err := New(cfg); err == nil {
-		t.Fatal("MinFresh > BufferCap accepted")
 	}
 	good := DefaultAdaptConfig()
 	cfg.Adapt = &good

@@ -182,7 +182,7 @@ func TestServerCacheHitBypassesArbiter(t *testing.T) {
 // cache as disabled with all counters zero, so dashboards can tell "off"
 // from "on but cold".
 func TestServerCacheOffStatsZero(t *testing.T) {
-	c, bw, _ := newRelayServer(t, cloud.FaultPlan{}, nil)
+	c, bw, _ := newRelayServer(t, cloud.FaultPlan{})
 	pushImminentWindow(t, c, bw)
 	if _, err := c.Predict(tctx, 0.95, 0.9); err != nil {
 		t.Fatal(err)

@@ -39,6 +39,10 @@ const (
 // head must fit in it.
 const connBufSize = 4 << 10
 
+// maxPostHandlerReadBytes is net/http's: a handler that leaves this much of
+// its request body unread has the connection closed after its response.
+const maxPostHandlerReadBytes = 256 << 10
+
 // ownedConn is one connection a hot route took over.
 type ownedConn struct {
 	s     *Server
@@ -241,8 +245,8 @@ func (c *ownedConn) next() bool {
 		err = ib.readBody(c.br, hd.length)
 		c.setBody(r, ib, err)
 	}
-	// As net/http, a body that ends early keeps the connection (its next
-	// read ends it) and any other read error closes it.
+	// As net/http, any body read error but an early end closes the
+	// connection after the response (answer judges an early end).
 	keep := err == nil || err == io.ErrUnexpectedEOF
 	return c.state.CompareAndSwap(connIdle, connBusy) && c.answer(c.s.hot[hp.route], r, keep)
 }
@@ -283,11 +287,20 @@ func (c *ownedConn) setBody(r *http.Request, ib *ingestBuf, err error) {
 }
 
 // answer runs h on r and writes the response, closing the connection
-// after it unless keep is set; false ends the loop.
+// after it unless keep is set; false ends the loop. The loop read the body
+// before h ran, but the connection closes as net/http closes it after h:
+// when h left maxPostHandlerReadBytes or more of the body unread, or the
+// body ended early and h did not read it to its error.
 func (c *ownedConn) answer(h http.HandlerFunc, r *http.Request, keep bool) bool {
 	clear(c.w.h)
 	c.w.code, c.w.body = 0, c.w.body[:0]
 	h(&c.w, r)
+	switch b := r.Body.(type) {
+	case *ownedBody:
+		keep = keep && b.Len() < maxPostHandlerReadBytes
+	case *replayBody:
+		keep = keep && b.err == nil && r.ContentLength-b.Size() < maxPostHandlerReadBytes
+	}
 	keep = keep && !r.Close && c.state.Load() == connBusy
 	c.frame(keep)
 	if _, err := c.pc.Write(c.out.Bytes()); err != nil || !keep {

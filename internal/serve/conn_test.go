@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -238,6 +239,69 @@ func FuzzTakeoverMatchesNetHTTP(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestOwnedConnLargeBody: net/http closes a connection after a response
+// whose handler left 256 KiB or more of the request body unread, and keeps
+// it when the handler read the body; an owned connection, which reads every
+// body before its handler runs, must do the same. Predicts never read their
+// body; a push reads it whole, unless its session is unknown. Each script
+// ends on a predict that only a kept connection answers. A body that ends
+// before its Content-Length keeps the connection only when the handler
+// read it to its error and less than 256 KiB of the declared length is
+// missing. The fixture's sessions hold less than a window, so predicts
+// answer 409 until a push fills one.
+func TestOwnedConnLargeBody(t *testing.T) {
+	bw := getBundle(t)
+	big := bytes.Repeat([]byte("x"), 300<<10)
+	push := framesJSON(t, bw, 100, 100+MaxFramesPerPush)
+	push = append(push, bytes.Repeat([]byte(" "), 1<<20-len(push))...) // 1 MiB, trailing blanks
+	predict := rawRequest("POST", "/v1/predict", nil)
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	// cut is a request for path whose body ends 10 bytes into the n it
+	// declares, at the end of the script.
+	cut := func(path string, n int) []byte {
+		return rawRequest("POST", path, big[:n])[:len(rawRequest("POST", path, nil))+10]
+	}
+	for _, tc := range []struct {
+		name   string
+		script []byte
+		codes  []int // the statuses net/http answers with, one per response
+	}{
+		{"predict with a 300 KiB body", cat(predict, rawRequest("POST", "/v1/predict", big), predict), []int{409, 409}},
+		{"takeover predict with a 300 KiB body", cat(rawRequest("POST", "/v1/predict", big), predict), []int{409}},
+		{"predict with a body just under 256 KiB", cat(predict, rawRequest("POST", "/v1/predict", big[:256<<10-1]), predict), []int{409, 409, 409}},
+		{"unknown-session push with a 300 KiB body", cat(predict, rawRequest("POST", "/v1/sessions/nosuch/frames", big), predict), []int{409, 404}},
+		{"1 MiB push", cat(predict, rawRequest("POST", "/v1/frames", push), predict), []int{409, 200, 200}},
+		{"takeover 1 MiB push", cat(rawRequest("POST", "/v1/frames", push), predict), []int{200, 200}},
+		{"predict whose 300 KiB body ends early", cat(predict, cut("/v1/predict", 300<<10)), []int{409, 409}},
+		{"predict whose 100-byte body ends early", cat(predict, cut("/v1/predict", 100)), []int{409, 409}},
+		{"push whose 100-byte body ends early", cat(predict, cut("/v1/frames", 100)), []int{409, 400}},
+		{"push whose 300 KiB body ends early", cat(predict, cut("/v1/frames", 300<<10)), []int{409, 400}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			owned, twin := takeoverFixture(t)
+			got := exchange(t, owned, tc.script)
+			want := exchange(t, netHTTPOnly(twin), tc.script)
+			g, w := readResponses(t, got), readResponses(t, want)
+			var codes []int
+			for _, r := range w {
+				code, _ := strconv.Atoi(strings.Fields(r)[1])
+				codes = append(codes, code)
+			}
+			if !slices.Equal(codes, tc.codes) {
+				t.Fatalf("net/http answered %v, the test expects %v:\n%s", codes, tc.codes, want)
+			}
+			if len(g) != len(w) {
+				t.Fatalf("%d responses on the owned connection, %d from net/http\nowned:\n%s\nnet/http:\n%s", len(g), len(w), got, want)
+			}
+			for i := range g {
+				if g[i] != w[i] {
+					t.Fatalf("response %d differs\nowned:\n%s\nnet/http:\n%s", i, g[i], w[i])
+				}
+			}
+		})
+	}
 }
 
 // metricLines returns the /metrics sample lines of srv whose name starts

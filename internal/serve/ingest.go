@@ -38,7 +38,7 @@ func (s *Server) handleFrames(sess *session, w http.ResponseWriter, r *http.Requ
 	if ob, ok := r.Body.(*ownedBody); ok {
 		// An owned connection read the body whole, within MaxBodyBytes, and
 		// returns its buffer to the pool.
-		ib = ob.ib
+		ib = ob.take()
 	} else {
 		ib = getIngestBuf()
 		defer putIngestBuf(ib)
@@ -173,6 +173,13 @@ type ownedBody struct {
 func (b *ownedBody) reset(ib *ingestBuf) {
 	b.ib = ib
 	b.Reset(ib.body.Bytes())
+}
+
+// take hands the handler the whole body at once, which reads it as far as
+// the connection is concerned.
+func (b *ownedBody) take() *ingestBuf {
+	b.Reset(nil)
+	return b.ib
 }
 
 func (b *ownedBody) Close() error { return nil }

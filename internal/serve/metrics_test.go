@@ -35,7 +35,7 @@ func getBody(t *testing.T, url string) (string, http.Header) {
 // before this, omitempty made "relay enabled, nothing deferred yet"
 // indistinguishable from "relay disabled".
 func TestStatsJSONShapeWithRelay(t *testing.T) {
-	c, _, _ := newRelayServer(t, cloud.FaultPlan{}, nil)
+	c, _, _ := newRelayServer(t, cloud.FaultPlan{})
 	body, _ := getBody(t, c.base+"/v1/stats")
 	for _, want := range []string{
 		`"relayEnabled":true`,
@@ -91,7 +91,7 @@ var (
 // TestMetricsEndpoint scrapes /metrics after real activity and checks both
 // the Prometheus text framing and that every layer's families showed up.
 func TestMetricsEndpoint(t *testing.T) {
-	c, bw, _ := newRelayServer(t, cloud.FaultPlan{}, nil)
+	c, bw, _ := newRelayServer(t, cloud.FaultPlan{})
 	pushImminentWindow(t, c, bw)
 	if _, err := c.Predict(tctx, 0.95, 0.9); err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestPprofGatedByConfig(t *testing.T) {
 // CI snapshot from another — breaks the equality by at least one relay's
 // worth (>= $0.001), far above float noise.
 func TestStatsConsistentUnderLoad(t *testing.T) {
-	c, bw, _ := newRelayServer(t, cloud.FaultPlan{}, nil)
+	c, bw, _ := newRelayServer(t, cloud.FaultPlan{})
 	pushImminentWindow(t, c, bw)
 	const predictors, scrapers, perG = 4, 4, 6
 	var wg sync.WaitGroup

@@ -184,11 +184,11 @@ func TestPredictHandlerAllocs(t *testing.T) {
 	// The relay-owning server relays through a result cache and runs the
 	// adaptation loop; its window ends shortly before a true instance, so the
 	// decision relays, the cache answers every repeat, and each predict feeds
-	// the loop a labelled outcome. The buffer is small enough to wrap during
-	// the warm-up.
+	// the loop a labelled outcome. The warm-up wraps the loop's 1024-outcome
+	// buffer.
+	const bufferCap = 1024
 	cc := cicache.DefaultConfig()
 	ad := DefaultAdaptConfig()
-	ad.BufferCap, ad.MinFresh = 10, 10
 	relay := &Config{
 		Bundle: bw.b, EventNames: []string{"Volleyball Spiking"}, PerFrameUSD: 0.001,
 		DefaultConfidence: 0.95, DefaultCoverage: 0.9,
@@ -208,7 +208,7 @@ func TestPredictHandlerAllocs(t *testing.T) {
 			srv := sessionServer(t, tc.cfg, 1)
 			pushTo(t, srv, "c0", bw.ex, tc.lo, tc.hi)
 			call := predictCall(srv, "c0")
-			for i := 0; i <= ad.BufferCap; i++ {
+			for i := 0; i <= bufferCap; i++ {
 				call() // size the pooled scratch, fill the cache and the buffer
 			}
 			if tc.cfg != nil {
@@ -633,7 +633,7 @@ func TestConcurrentRelayMatchesSerial(t *testing.T) {
 			Bundle: bw.b, EventNames: []string{"Volleyball Spiking"}, PerFrameUSD: 0.001,
 			DefaultConfidence: 0.9, DefaultCoverage: 0.9,
 			CI:    cloud.NewService(bw.st, cloud.RekognitionPricing(), cloud.DefaultLatency()),
-			Adapt: &AdaptConfig{MonitorWindow: 20, MonitorDelta: 0.05, BufferCap: 512, MinFresh: 30, AuditRate: 1},
+			Adapt: &AdaptConfig{AuditRate: 1},
 		}, sessions)
 	}
 	// Cameras follow the true stream from frame 0 (so relays and audits hit

@@ -93,9 +93,6 @@ type Config struct {
 	// CIEvents maps decision slot k to the CI's stream event type; nil
 	// uses the identity mapping. Only consulted when CI is set.
 	CIEvents []int
-	// Resilience overrides the CI client policy; nil uses
-	// resilience.DefaultConfig(0).
-	Resilience *resilience.Config
 	// Cache, when non-nil, interposes a content-addressed CI result cache
 	// (internal/cicache) between the resilient client and the CI: relays
 	// whose covariate window carries an already-seen quantized signature
@@ -268,10 +265,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: Cache and RemoteCache are mutually exclusive")
 	}
 	if cfg.CI != nil {
-		rcfg := resilience.DefaultConfig(0)
-		if cfg.Resilience != nil {
-			rcfg = *cfg.Resilience
-		}
 		var rc cicache.Remote
 		switch {
 		case cfg.Cache != nil:
@@ -283,7 +276,7 @@ func New(cfg Config) (*Server, error) {
 		case cfg.RemoteCache != nil:
 			rc = cfg.RemoteCache
 		}
-		relay, err := pipeline.NewRelay(cfg.CI, rc, cfg.PerFrameUSD, rcfg, nil)
+		relay, err := pipeline.NewRelay(cfg.CI, rc, cfg.PerFrameUSD, resilience.DefaultConfig(0), nil)
 		if err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}

@@ -194,7 +194,5 @@ func (s *Server) handleModelPush(w http.ResponseWriter, r *http.Request) {
 // the fleet arbiter and are excluded from EstimatedUSD.
 type AdaptConfig = drift.Config
 
-// DefaultAdaptConfig returns drift.DefaultConfig: a 40-outcome window at 5%
-// significance, a 1024-record buffer, 48 post-alarm outcomes before
-// recalibrating, and a 10% audit rate.
+// DefaultAdaptConfig returns drift.DefaultConfig: a 10% audit rate.
 func DefaultAdaptConfig() AdaptConfig { return drift.DefaultConfig() }

@@ -30,18 +30,23 @@ type AppVAE struct {
 	meanDur []float64        // per event, learned from training positives
 }
 
-// AppVAEConfig controls fitting.
+// AppVAEConfig controls fitting: the history window M and the seed of the
+// heads' initial weights and of the epochs' shuffles.
 type AppVAEConfig struct {
 	Window int
-	Epochs int
-	LR     float64
 	Seed   int64
 }
 
 // DefaultAppVAEConfig returns the M=200 variant's settings.
 func DefaultAppVAEConfig() AppVAEConfig {
-	return AppVAEConfig{Window: 200, Epochs: 60, LR: 0.02, Seed: 1}
+	return AppVAEConfig{Window: 200, Seed: 1}
 }
+
+// Fitting runs appVAEEpochs epochs of Adam at step size appVAELR.
+const (
+	appVAEEpochs = 60
+	appVAELR     = 0.02
+)
 
 // historyDim is the encoder feature size: per event (elapsed, count) plus
 // one global activity channel.
@@ -84,10 +89,16 @@ func encodeHistory(ex *features.Extractor, t, window int) []float64 {
 
 // FitAppVAE trains the arrival model on the training records.
 func FitAppVAE(ex *features.Extractor, train []dataset.Record, horizon int, cfg AppVAEConfig) (*AppVAE, error) {
+	return fitAppVAE(ex, train, horizon, cfg, appVAEEpochs)
+}
+
+// fitAppVAE is FitAppVAE for the given number of epochs; this package's
+// tests train shorter.
+func fitAppVAE(ex *features.Extractor, train []dataset.Record, horizon int, cfg AppVAEConfig, epochs int) (*AppVAE, error) {
 	if len(train) == 0 {
 		return nil, fmt.Errorf("strategy: empty APP-VAE training set")
 	}
-	if cfg.Window <= 0 || cfg.Epochs <= 0 || cfg.LR <= 0 {
+	if cfg.Window <= 0 {
 		return nil, fmt.Errorf("strategy: invalid APP-VAE config %+v", cfg)
 	}
 	k := ex.NumEvents()
@@ -121,10 +132,10 @@ func FitAppVAE(ex *features.Extractor, train []dataset.Record, horizon int, cfg 
 	for i, r := range train {
 		psis[i] = encodeHistory(ex, r.Frame, cfg.Window)
 	}
-	opt := nn.NewAdam(params, cfg.LR)
+	opt := nn.NewAdam(params, appVAELR)
 	out := make([]float64, 3)
 	order := g.Perm(len(train))
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		g.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, i := range order {
 			r := train[i]

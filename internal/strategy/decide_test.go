@@ -245,9 +245,7 @@ func TestPredictAllMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acfg := DefaultAppVAEConfig()
-	acfg.Epochs = 5
-	app, err := FitAppVAE(f.ex, f.splits.Train, f.cfg.Horizon, acfg)
+	app, err := fitAppVAE(f.ex, f.splits.Train, f.cfg.Horizon, DefaultAppVAEConfig(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -307,9 +307,6 @@ func TestCoxValidation(t *testing.T) {
 		t.Fatal("expected error on empty training set")
 	}
 	f := getFixture(t)
-	if _, err := FitCox(f.splits.Train, f.cfg.Horizon, 0.5, CoxConfig{}); err == nil {
-		t.Fatal("expected error on zero config")
-	}
 	// All-negative training set: no occurrences to fit.
 	neg := make([]dataset.Record, 0, 16)
 	for _, r := range f.splits.Train {
@@ -391,8 +388,7 @@ func TestAppVAEFitsOnDenseData(t *testing.T) {
 	}
 	acfg := DefaultAppVAEConfig()
 	acfg.Window = 1500
-	acfg.Epochs = 30
-	a, err := FitAppVAE(ex, splits.Train, cfg.Horizon, acfg)
+	a, err := fitAppVAE(ex, splits.Train, cfg.Horizon, acfg, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,8 @@ type node struct {
 
 	edges  []token.Pos        // what its syntax refers to
 	reads  []token.Pos        // fields it reads
-	wholes []types.Type       // values it hands to an encoder or formatter
+	writes []token.Pos        // fields it writes
+	wholes [2][]types.Type    // values it hands to an encoder or formatter (read), a decoder (write)
 	ifaces []*types.Interface // interfaces its syntax spells
 	calls  []call
 	params map[*types.Var]int // a func's parameters, by index
@@ -40,14 +41,20 @@ type callArg struct {
 	param int // the caller's parameter the argument is, or -1
 }
 
+// A sink reads or writes every field of the value handed to it.
+const (
+	readSink  = iota // an encoder or formatter
+	writeSink        // a decoder
+)
+
 // graph holds every declaration of the module, keyed by the position of
 // its name: both checks of a package (with and without its tests) parse
 // the same files, so the key is the same in each.
 type graph struct {
 	*program
 	nodes map[token.Pos]*node
-	// Module functions that hand a parameter to an encoder or formatter.
-	sinks map[token.Pos]map[int]bool
+	// Module functions that hand a parameter to a sink, per kind.
+	sinks [2]map[token.Pos]map[int]bool
 	// Interfaces of the standard library, by method name.
 	stdIfaces map[string][]*types.Interface
 	msets     map[*types.TypeName]*types.MethodSet
@@ -57,7 +64,7 @@ func (p *program) graph() *graph {
 	g := &graph{
 		program: p,
 		nodes:   map[token.Pos]*node{},
-		sinks:   map[token.Pos]map[int]bool{},
+		sinks:   [2]map[token.Pos]map[int]bool{{}, {}},
 		msets:   map[*types.TypeName]*types.MethodSet{},
 	}
 	for _, k := range p.pkgs {
@@ -177,13 +184,33 @@ func (g *graph) addFields(k *pkg, owner *node, typeName string, st *ast.StructTy
 	}
 }
 
-// walk records what the syntax x of declaration n refers to.
+// walk records what the syntax x of declaration n refers to. A field is
+// written by an assignment or inc/dec whose target it is or holds (a
+// sub-field or element of it), by a composite-literal key and by &x.F; an
+// assignment's target alone is not read.
 func (g *graph) walk(x ast.Node, n *node, info *types.Info) {
-	writes := map[*ast.Ident]bool{}
+	targets := map[*ast.Ident]bool{}
+	written := map[*ast.Ident]bool{}
+	held := func(e ast.Expr) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				written[x.Sel] = true
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
 	lhs := func(e ast.Expr) {
 		if s, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-			writes[s.Sel] = true
+			targets[s.Sel] = true
 		}
+		held(e)
 	}
 	ast.Inspect(x, func(x ast.Node) bool {
 		switch x := x.(type) {
@@ -193,11 +220,15 @@ func (g *graph) walk(x ast.Node, n *node, info *types.Info) {
 			}
 		case *ast.IncDecStmt:
 			lhs(x.X)
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				held(x.X)
+			}
 		case *ast.CompositeLit:
 			for _, e := range x.Elts {
 				if kv, ok := e.(*ast.KeyValueExpr); ok {
 					if id, ok := kv.Key.(*ast.Ident); ok {
-						writes[id] = true
+						targets[id], written[id] = true, true
 					}
 				}
 			}
@@ -213,8 +244,11 @@ func (g *graph) walk(x ast.Node, n *node, info *types.Info) {
 				return true
 			}
 			if v, ok := obj.(*types.Var); ok && v.IsField() {
-				if !writes[x] {
+				if !targets[x] {
 					n.reads = append(n.reads, obj.Pos())
+				}
+				if written[x] {
+					n.writes = append(n.writes, obj.Pos())
 				}
 				return true
 			}
@@ -253,21 +287,32 @@ func (g *graph) addCall(c *ast.CallExpr, n *node, info *types.Info) {
 	n.calls = append(n.calls, cl)
 }
 
-// sinkArg reports whether argument i of c reaches an encoder or formatter.
-func (g *graph) sinkArg(c call, i int) bool {
+// sinkArg reports whether argument i of c reaches a sink of the kind: an
+// encoder or formatter, or a json or gob decoder.
+func (g *graph) sinkArg(kind int, c call, i int) bool {
 	fn := c.callee.(*types.Func)
 	sig := fn.Type().(*types.Signature)
 	if fn.Pkg() != nil {
-		switch path, recv := fn.Pkg().Path(), sig.Recv() != nil; {
-		case path == "fmt" || path == "log":
-			return true
-		case path == "encoding/json":
-			return i == 0 && (!recv && (fn.Name() == "Marshal" || fn.Name() == "MarshalIndent") || recv && fn.Name() == "Encode")
-		case path == "encoding/gob":
-			return i == 0 && recv && (fn.Name() == "Encode" || fn.Name() == "EncodeValue")
+		path, recv, name := fn.Pkg().Path(), sig.Recv() != nil, fn.Name()
+		if kind == writeSink {
+			switch path {
+			case "encoding/json":
+				return !recv && name == "Unmarshal" && i == 1 || recv && name == "Decode" && i == 0
+			case "encoding/gob":
+				return recv && name == "Decode" && i == 0
+			}
+		} else {
+			switch path {
+			case "fmt", "log":
+				return true
+			case "encoding/json":
+				return i == 0 && (!recv && (name == "Marshal" || name == "MarshalIndent") || recv && name == "Encode")
+			case "encoding/gob":
+				return i == 0 && recv && (name == "Encode" || name == "EncodeValue")
+			}
 		}
 	}
-	params := g.sinks[fn.Pos()]
+	params := g.sinks[kind][fn.Pos()]
 	if params == nil {
 		return false
 	}
@@ -279,34 +324,37 @@ func (g *graph) sinkArg(c call, i int) bool {
 }
 
 // solveSinks finds, to a fixed point, the module functions that hand an
-// interface-typed parameter to an encoder or formatter, then records the
-// static types each declaration hands to one.
+// interface-typed parameter to a sink, then records the static types each
+// declaration hands to one.
 func (g *graph) solveSinks() {
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.nodes {
-			for _, c := range n.calls {
-				for i, a := range c.args {
-					if a.param < 0 || !g.sinkArg(c, i) {
-						continue
-					}
-					fp := n.pos
-					if g.sinks[fp] == nil {
-						g.sinks[fp] = map[int]bool{}
-					}
-					if !g.sinks[fp][a.param] {
-						g.sinks[fp][a.param] = true
-						changed = true
+	for kind := range g.sinks {
+		sinks := g.sinks[kind]
+		for changed := true; changed; {
+			changed = false
+			for _, n := range g.nodes {
+				for _, c := range n.calls {
+					for i, a := range c.args {
+						if a.param < 0 || !g.sinkArg(kind, c, i) {
+							continue
+						}
+						fp := n.pos
+						if sinks[fp] == nil {
+							sinks[fp] = map[int]bool{}
+						}
+						if !sinks[fp][a.param] {
+							sinks[fp][a.param] = true
+							changed = true
+						}
 					}
 				}
 			}
 		}
-	}
-	for _, n := range g.nodes {
-		for _, c := range n.calls {
-			for i, a := range c.args {
-				if a.typ != nil && !types.IsInterface(a.typ) && g.sinkArg(c, i) {
-					n.wholes = append(n.wholes, a.typ)
+		for _, n := range g.nodes {
+			for _, c := range n.calls {
+				for i, a := range c.args {
+					if a.typ != nil && !types.IsInterface(a.typ) && g.sinkArg(kind, c, i) {
+						n.wholes[kind] = append(n.wholes[kind], a.typ)
+					}
 				}
 			}
 		}
@@ -373,15 +421,20 @@ func (g *graph) reach(roots []*node) map[*node]bool {
 	}
 }
 
-// reads is the set of fields the reached declarations read.
-func (g *graph) reads(reached map[*node]bool) map[token.Pos]bool {
+// fields is the set of fields the reached declarations read (kind
+// readSink) or write (writeSink).
+func (g *graph) fields(kind int, reached map[*node]bool) map[token.Pos]bool {
 	out := map[token.Pos]bool{}
 	seen := map[types.Type]bool{}
 	for n := range reached {
-		for _, r := range n.reads {
+		named := n.reads
+		if kind == writeSink {
+			named = n.writes
+		}
+		for _, r := range named {
 			out[r] = true
 		}
-		for _, t := range n.wholes {
+		for _, t := range n.wholes[kind] {
 			whole(t, seen, out)
 		}
 	}
@@ -419,14 +472,18 @@ type finding struct {
 	Pos     token.Position // Filename relative to the module root
 	Name    string
 	Field   bool
-	Bench   bool     // bench/ reaches (reads) it
-	Testers []string // else the packages whose tests reach (read) it
+	Write   bool     // a field the binaries read and never write
+	Bench   bool     // bench/ reaches (reads, writes) it
+	Testers []string // else the packages whose tests reach (read, write) it
 	own     string   // its package's short name
 }
 
 func (f finding) String() string {
 	verb, verbs := "reach", "reaches"
-	if f.Field {
+	switch {
+	case f.Write:
+		verb, verbs = "write", "writes"
+	case f.Field:
 		verb, verbs = "read", "reads"
 	}
 	var why string
@@ -493,32 +550,25 @@ func (p *program) analyze() []finding {
 			tested[k.short] = g.reach(roots)
 		}
 	}
-	liveReads, benchReads := g.reads(live), g.reads(bench)
-	testReads := map[string]map[token.Pos]bool{}
-	for q, r := range tested {
-		testReads[q] = g.reads(r)
-	}
-
-	byPos := map[token.Pos]finding{}
-	for pos, n := range g.nodes {
-		if n.test || !strings.HasPrefix(n.k.rel, "internal/") {
-			continue
+	var liveFields, benchFields [2]map[token.Pos]bool
+	testFields := [2]map[string]map[token.Pos]bool{{}, {}}
+	for kind := range liveFields {
+		liveFields[kind], benchFields[kind] = g.fields(kind, live), g.fields(kind, bench)
+		for q, r := range tested {
+			testFields[kind][q] = g.fields(kind, r)
 		}
-		f := finding{Name: n.name, Field: n.field, own: n.k.short}
+	}
+	// tiers fills f's tier from what bench/ and each package's tests reach,
+	// or read or write, of kind.
+	tiers := func(f *finding, pos token.Pos, n *node, kind int) {
 		if n.field {
-			if owner := g.nodes[n.owner]; owner == nil || !live[owner] || !n.obj.Exported() || liveReads[pos] {
-				continue
-			}
-			f.Bench = benchReads[pos]
-			for q, r := range testReads {
+			f.Bench = benchFields[kind][pos]
+			for q, r := range testFields[kind] {
 				if r[pos] {
 					f.Testers = append(f.Testers, q)
 				}
 			}
 		} else {
-			if live[n] || n.root {
-				continue
-			}
 			f.Bench = bench[n]
 			for q, r := range tested {
 				if r[n] {
@@ -532,9 +582,37 @@ func (p *program) analyze() []finding {
 		sort.Strings(f.Testers)
 		f.Pos = p.fset.Position(pos)
 		f.Pos.Filename = p.relFile(f.Pos.Filename)
+	}
+
+	byPos := map[token.Pos]finding{}
+	var written []finding
+	for pos, n := range g.nodes {
+		if n.test || !strings.HasPrefix(n.k.rel, "internal/") {
+			continue
+		}
+		f := finding{Name: n.name, Field: n.field, own: n.k.short}
+		switch {
+		case !n.field:
+			if live[n] || n.root {
+				continue
+			}
+			tiers(&f, pos, n, readSink)
+		case !n.obj.Exported() || g.nodes[n.owner] == nil || !live[g.nodes[n.owner]]:
+			continue
+		case !liveFields[readSink][pos]:
+			tiers(&f, pos, n, readSink)
+		case !liveFields[writeSink][pos]:
+			// Read but never written: the binaries see its zero value.
+			f.Write = true
+			tiers(&f, pos, n, writeSink)
+			written = append(written, f)
+			continue
+		default:
+			continue
+		}
 		byPos[pos] = f
 	}
-	var out []finding
+	out := written
 	for pos, f := range byPos {
 		// A method of a reported type goes with it.
 		if owner, ok := byPos[g.nodes[pos].owner]; ok && !f.Field && owner.sameClass(f) {

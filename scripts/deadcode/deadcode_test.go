@@ -15,7 +15,9 @@ const fixture = "testdata/fixture"
 // TestFixtureClassification: every class the gate tells apart, on the
 // fixture. Reached declarations (cmd/app's calls, a method only fmt.Stringer
 // reaches, an assembly stub, fields encoding/json and fmt read, an iota
-// group of which one member is used) are not findings at all.
+// group of which one member is used) are not findings at all; nor are the
+// fields cmd/app writes by assignment, composite-literal key, ++, &, a
+// sub-field, an element or encoding/json's decoder.
 func TestFixtureClassification(t *testing.T) {
 	p, err := load(fixture)
 	if err != nil {
@@ -33,14 +35,18 @@ func TestFixtureClassification(t *testing.T) {
 		"lib.BenchOnly":        "20 lib.BenchOnly: only bench/ reaches it",
 		"lib.Shape.Unused":     "31 lib.Shape.Unused: nothing reaches it",
 		"lib.Report.Unread":    "36 lib.Report.Unread: nothing reads it",
+		"lib.Knobs.Zero":       "63 lib.Knobs.Zero: nothing writes it",
+		"lib.Knobs.BenchSet":   "70 lib.Knobs.BenchSet: only bench/ writes it",
+		"lib.Knobs.TestSet":    "71 lib.Knobs.TestSet: only the tests of lib write it",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("findings:\n%s\nwant:\n%s", lines(got), lines(want))
 	}
 }
 
-// TestFixtureGate: the fixture's allowlist holds the bench-only and the
-// other-package helper; the gate exits 1 naming exactly the rest.
+// TestFixtureGate: the fixture's allowlist holds the bench-only function
+// and field and the other-package helper; the gate exits 1 naming exactly
+// the rest.
 func TestFixtureGate(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run(fixture, &out, &errb); code != 1 {
@@ -49,6 +55,7 @@ func TestFixtureGate(t *testing.T) {
 	for _, allowed := range []string{
 		"lib.SharedTestHelper: only the tests of other reach it  [allowed: test helper for other]",
 		"lib.BenchOnly: only bench/ reaches it  [allowed: bench-held: ROADMAP item 1]",
+		"lib.Knobs.BenchSet: only bench/ writes it  [allowed: bench-held: ROADMAP item 1]",
 	} {
 		if !strings.Contains(out.String(), allowed) {
 			t.Errorf("stdout lacks %q:\n%s", allowed, out.String())
@@ -58,7 +65,8 @@ func TestFixtureGate(t *testing.T) {
 	for _, l := range strings.Split(strings.TrimSpace(errb.String()), "\n") {
 		failed = append(failed, strings.Fields(l)[2])
 	}
-	want := []string{"lib.DeadExported", "lib.deadUnexported", "lib.ownTestHelper", "lib.Shape.Unused", "lib.Report.Unread"}
+	want := []string{"lib.DeadExported", "lib.deadUnexported", "lib.ownTestHelper", "lib.Shape.Unused", "lib.Report.Unread",
+		"lib.Knobs.Zero", "lib.Knobs.TestSet"}
 	if !reflect.DeepEqual(failed, want) {
 		t.Errorf("failed on %v, want %v", failed, want)
 	}

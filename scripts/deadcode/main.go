@@ -1,6 +1,7 @@
 // Command deadcode is the repository's dead-code gate. It lists every
-// declaration in internal/ that no binary reaches, and every exported
-// struct field that no binary reads, and fails on any that
+// declaration in internal/ that no binary reaches, every exported struct
+// field that no binary reads, and every one the binaries read but never
+// write (so they see only its zero value), and fails on any that
 // scripts/deadcode.allow does not name. Run it from the module root; it
 // takes no flags:
 //
@@ -25,11 +26,15 @@
 // code selects it outside an assignment's left side, or passes a value of
 // a type that holds it to encoding/json, encoding/gob, fmt or log
 // (directly, or through a function that hands its interface-typed
-// parameter on).
+// parameter on). A field is written when reached code assigns, increments
+// or decrements it or a sub-field or element of it, names it as a
+// composite-literal key, takes its address, or hands a value of a type
+// that holds it to json.Unmarshal or a json or gob Decoder's Decode.
 //
 // Each finding prints as `file:line name: why`, where why is one of
 // "nothing reaches it", "only bench/ reaches it", "only the tests of P
-// reach it" (fields: "... reads it"). A finding whose name the allowlist
+// reach it" (fields: "... reads it", or "... writes it" for a field the
+// binaries read). A finding whose name the allowlist
 // holds prints its reason after it. The exit status is 1 when a finding is
 // not on the allowlist, or an allowlist line is malformed, names nothing
 // found, or gives a reason the finding contradicts; 2 when the module does

@@ -3,4 +3,8 @@ package main
 
 import "fixture/internal/lib"
 
-func main() { println(lib.BenchOnly()) }
+func main() {
+	var k lib.Knobs
+	k.BenchSet = 1
+	println(lib.BenchOnly(), k.BenchSet)
+}

@@ -57,3 +57,21 @@ const (
 	Second
 	Third
 )
+
+// Knobs has a field of each way to be written; cmd/app reads them all.
+type Knobs struct {
+	Zero      int // nothing writes it
+	Assigned  int
+	Keyed     int
+	Counted   int
+	Addressed int
+	Sub       Summary
+	List      []int
+	BenchSet  int
+	TestSet   int
+}
+
+// Inbound's field is written by encoding/json.
+type Inbound struct {
+	B int
+}

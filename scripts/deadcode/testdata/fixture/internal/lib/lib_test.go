@@ -7,3 +7,10 @@ func TestOwn(t *testing.T) {
 		t.Fatal("ownTestHelper")
 	}
 }
+
+func TestKnobs(t *testing.T) {
+	k := Knobs{TestSet: 1}
+	if k.TestSet != 1 {
+		t.Fatal("TestSet")
+	}
+}

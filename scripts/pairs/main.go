@@ -8,13 +8,21 @@
 //	go run ./scripts/pairs -base REV [-head REV] -workload W -pairs N -seeds FROM
 //
 // -head defaults to the working tree as it stands. Each revision is built
-// from a `git worktree` under a temporary directory, removed afterwards.
-// Pair i runs seed FROM+i for BENCHMARK.json's run_seconds.
+// from a `git archive` copy under a temporary directory, removed
+// afterwards. Pair i runs seed FROM+i for BENCHMARK.json's run_seconds.
 //
 // The verdict is "better" when the head is better on at least 9 of 10
 // pairs and its median is better by more than the base's interquartile
 // range; "worse" when its median is worse by more than the metric's bound
-// (a fraction of the base median); "noise" otherwise. The normalizing
+// (a fraction of the base median); "unresolved" when the base's own
+// interquartile range is wider than that bound and the head does not beat
+// the base in every pair, so the runs cannot tell a regression within the
+// bound from none; "noise" otherwise.
+//
+// Behaviour must not move with speed: for every pair the command also
+// compares the two sides' decisions_digest, request_stream_hash, rec and
+// cost_ratio lines as printed, and reports each as equal in N/N pairs or
+// lists the seeds where they differ. The normalizing
 // reference kernel reads about 10 % slower when the linker places
 // main.(*refMeter).kernel at 32 rather than 0 mod 64, so the command prints
 // each binary's placement (go tool nm), and when the two differ the
@@ -47,12 +55,19 @@ type benchmark struct {
 	EndToEnd   []metric `json:"end_to_end"`
 }
 
-// side is one revision: its binary and every run's readings by name.
+// side is one revision: its binary and every run's readings by name, as
+// numbers and as printed.
 type side struct {
 	label, bin string
 	align      int64
 	runs       []map[string]float64
+	printed    []map[string]string
 }
+
+// behaviour names the lines that must read the same on both sides of a
+// pair: digests of the decisions made and of the requests sent, and the
+// model metrics.
+var behaviour = []string{"decisions_digest", "request_stream_hash", "rec", "cost_ratio"}
 
 func main() {
 	base := flag.String("base", "", "base revision (required)")
@@ -106,11 +121,12 @@ func run(baseRev, headRev, workload string, pairs int, seeds int64) error {
 			order[0], order[1] = order[1], order[0]
 		}
 		for _, s := range order {
-			got, err := runOnce(s.bin, workload, seed, bm.RunSeconds)
+			got, printed, err := runOnce(s.bin, workload, seed, bm.RunSeconds)
 			if err != nil {
 				return fmt.Errorf("%s, seed %d: %w", s.label, seed, err)
 			}
 			s.runs = append(s.runs, got)
+			s.printed = append(s.printed, printed)
 		}
 		fmt.Fprintf(os.Stderr, "pair %d/%d (seed %d) done\n", p+1, pairs, seed)
 	}
@@ -124,10 +140,13 @@ func build(tmp, rev, bin string, i int) error {
 	dir := "."
 	if rev != "" {
 		dir = filepath.Join(tmp, fmt.Sprintf("tree%d", i))
-		if out, err := exec.Command("git", "worktree", "add", "--detach", dir, rev).CombinedOutput(); err != nil {
-			return fmt.Errorf("git worktree add %s: %v\n%s", rev, err, out)
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			return err
 		}
-		defer exec.Command("git", "worktree", "remove", "--force", dir).Run()
+		archive := exec.Command("sh", "-c", `git archive "$0" | tar -x -C "$1"`, rev, dir)
+		if out, err := archive.CombinedOutput(); err != nil {
+			return fmt.Errorf("git archive %s: %v\n%s", rev, err, out)
+		}
 	}
 	cmd := exec.Command("go", "build", "-o", bin, "./bench")
 	cmd.Dir = dir
@@ -153,27 +172,33 @@ func kernelAlign(bin string) (int64, error) {
 }
 
 // runOnce runs one workload and returns its metric lines, "WORKLOAD NAME
-// VALUE UNIT ...", by name. A run that fails or reports itself incorrect
-// is an error.
-func runOnce(bin, workload string, seed int64, seconds float64) (map[string]float64, error) {
+// VALUE UNIT ...", by name: the values that parse as numbers, and every
+// value as printed (a digest is hex, which may or may not parse). A run
+// that fails or reports itself incorrect is an error.
+func runOnce(bin, workload string, seed int64, seconds float64) (map[string]float64, map[string]string, error) {
 	cmd := exec.Command(bin, "-workload", workload, "-seed", strconv.FormatInt(seed, 10),
 		"-seconds", strconv.FormatFloat(seconds, 'g', -1, 64))
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("%v\n%s", err, stderr.Bytes())
+		return nil, nil, fmt.Errorf("%v\n%s", err, stderr.Bytes())
 	}
-	got := map[string]float64{}
+	got, printed := map[string]float64{}, map[string]string{}
 	var last string
 	sc := bufio.NewScanner(bytes.NewReader(out))
 	for sc.Scan() {
 		last = sc.Text()
 		f := strings.Fields(last)
-		if len(f) >= 3 && f[0] == workload {
-			if v, err := strconv.ParseFloat(f[2], 64); err == nil {
-				got[f[1]] = v
-			}
+		if len(f) < 3 || f[0] != workload {
+			continue
+		}
+		printed[f[1]] = f[2]
+		if strings.HasSuffix(f[1], "_digest") || strings.HasSuffix(f[1], "_hash") {
+			continue
+		}
+		if v, err := strconv.ParseFloat(f[2], 64); err == nil {
+			got[f[1]] = v
 		}
 	}
 	var tail struct {
@@ -181,9 +206,9 @@ func runOnce(bin, workload string, seed int64, seconds float64) (map[string]floa
 		Failed  int  `json:"failed"`
 	}
 	if err := json.Unmarshal([]byte(last), &tail); err != nil || !tail.Correct || tail.Failed != 0 {
-		return nil, fmt.Errorf("run not correct: %s", last)
+		return nil, nil, fmt.Errorf("run not correct: %s", last)
 	}
-	return got, nil
+	return got, printed, nil
 }
 
 func report(w *os.File, bm benchmark, workload string, sides []*side, seeds int64) {
@@ -217,6 +242,27 @@ func report(w *os.File, bm benchmark, workload string, sides []*side, seeds int6
 				hq[1]/bq[1], wins(m, b, h), n, verdict)
 		}
 	}
+	for _, name := range behaviour {
+		var differ []string
+		seen := 0
+		for i := 0; i < n; i++ {
+			bv, ok := sides[0].printed[i][name]
+			if !ok {
+				continue
+			}
+			seen++
+			if hv := sides[1].printed[i][name]; hv != bv {
+				differ = append(differ, strconv.FormatInt(seeds+int64(i), 10))
+			}
+		}
+		switch {
+		case seen == 0:
+		case len(differ) == 0:
+			fmt.Fprintf(w, "%-20s equal in %d/%d pairs\n", name, seen, n)
+		default:
+			fmt.Fprintf(w, "%-20s DIFFERS at seeds %s\n", name, strings.Join(differ, " "))
+		}
+	}
 }
 
 // judge gives the verdict on one metric's paired readings.
@@ -226,11 +272,14 @@ func judge(m metric, b, h []float64) string {
 	if m.Better == "lower" {
 		gain = -gain
 	}
+	bound := m.Bound * math.Abs(bq[1])
 	switch {
 	case wins(m, b, h)*10 >= 9*len(b) && gain > bq[2]-bq[0]:
 		return "better"
-	case -gain > m.Bound*math.Abs(bq[1]):
+	case -gain > bound:
 		return "worse"
+	case bq[2]-bq[0] > bound && wins(m, b, h) < len(b):
+		return "unresolved"
 	}
 	return "noise"
 }
