@@ -126,6 +126,15 @@ func quantize(v, eps float64) uint64 {
 // predictions collapse onto one key regardless of their absolute stream
 // position — that is what makes the verdict transferable.
 func SignWindow(x [][]float64, events []int, eventType int, rel video.Interval, eps float64) Key {
+	return SignDecision(x, events, eps).Key(eventType, rel)
+}
+
+// Decision is the part of a SignWindow key that every relay of one
+// decision shares: ε, the window and the event set, hashed once.
+type Decision struct{ h hasher }
+
+// SignDecision hashes what the relays of the decision on window x share.
+func SignDecision(x [][]float64, events []int, eps float64) Decision {
 	h := newHasher(domainWindow)
 	h.word(quantize(eps, 0)) // ε is part of the address space: caches at different ε never alias
 	h.word(uint64(len(x)))
@@ -139,6 +148,12 @@ func SignWindow(x [][]float64, events []int, eventType int, rel video.Interval, 
 	for _, e := range events {
 		h.word(uint64(int64(e)))
 	}
+	return Decision{h}
+}
+
+// Key finishes the SignWindow key of one relayed event.
+func (d Decision) Key(eventType int, rel video.Interval) Key {
+	h := d.h
 	h.word(uint64(int64(eventType)))
 	h.word(uint64(int64(rel.Start)))
 	h.word(uint64(int64(rel.End)))

@@ -72,6 +72,38 @@ func TestSignWindowEpsilonGrid(t *testing.T) {
 	}
 }
 
+// TestSignDecisionKeysPinned: a key finished from one decision's shared
+// hash is the key the whole window was signed to before the split, bit for
+// bit (the values were recorded then), since a key picks the cache shard
+// and the entry it evicts. Two events of one decision share the prefix.
+func TestSignDecisionKeysPinned(t *testing.T) {
+	x := [][]float64{{0, 0.25, 1}, {0.5, 0.125, 0.75}}
+	for _, c := range []struct {
+		events    []int
+		eventType int
+		rel       video.Interval
+		eps       float64
+		want      Key
+	}{
+		{[]int{0, 2}, 0, video.Interval{Start: 10, End: 40}, 0, Key{0xf7067436a6ea2441, 0x2699ce7f97b46469}},
+		{[]int{0, 2}, 2, video.Interval{Start: 3, End: 9}, 0, Key{0x49bf17f7592c79a7, 0x41a8706ef87fd0c}},
+		{[]int{0, 2}, 2, video.Interval{Start: 3, End: 9}, 0.25, Key{0x5443b007bca9fd98, 0x45261ca7d927e1c0}},
+		{[]int{5}, 5, video.Interval{Start: -1, End: 0}, 0.1, Key{0x592001236abd3ea9, 0x58fb828dff37acda}},
+	} {
+		if got := SignDecision(x, c.events, c.eps).Key(c.eventType, c.rel); got != c.want {
+			t.Errorf("events %v type %d %v ε %v: key %#x, pinned %#x", c.events, c.eventType, c.rel, c.eps, got, c.want)
+		}
+		if got := SignWindow(x, c.events, c.eventType, c.rel, c.eps); got != c.want {
+			t.Errorf("SignWindow: key %#x, pinned %#x", got, c.want)
+		}
+	}
+	d := SignDecision(x, []int{0, 2}, 0)
+	if d.Key(0, video.Interval{Start: 10, End: 40}) != (Key{0xf7067436a6ea2441, 0x2699ce7f97b46469}) ||
+		d.Key(2, video.Interval{Start: 3, End: 9}) != (Key{0x49bf17f7592c79a7, 0x41a8706ef87fd0c}) {
+		t.Error("the second key of one decision differs from its own signature")
+	}
+}
+
 func TestVerdictMaterializeReanchorsAndClips(t *testing.T) {
 	src := video.Interval{Start: 100, End: 199}
 	v := Relativize([]video.Interval{{Start: 110, End: 130}, {Start: 180, End: 220}}, src)

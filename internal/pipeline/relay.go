@@ -110,6 +110,9 @@ func (r *Relay) Cached() *cloud.CachedBackend {
 // content signature of rec.X. horizon and releaseMS stamp the requests for
 // a captured timeline. A nil Relay appends unkeyed requests.
 func (r *Relay) AppendRequests(dst []RelayRequest, rec dataset.Record, events []int, pred *metrics.Prediction, horizon int, releaseMS float64) []RelayRequest {
+	// The window is hashed once, for the first event relayed.
+	var sig cicache.Decision
+	signed := false
 	for k, occ := range pred.Occur {
 		if !occ {
 			continue
@@ -125,7 +128,10 @@ func (r *Relay) AppendRequests(dst []RelayRequest, rec dataset.Record, events []
 			ReleaseMS:   releaseMS,
 		}
 		if r.Cached() != nil {
-			req.Key = cicache.SignWindow(rec.X, events, req.EventType, rel, r.eps)
+			if !signed {
+				sig, signed = cicache.SignDecision(rec.X, events, r.eps), true
+			}
+			req.Key = sig.Key(req.EventType, rel)
 			req.Keyed = true
 		}
 		dst = append(dst, req)

@@ -1,8 +1,10 @@
 package serve
 
-// classifyAVX2 is implemented in classify_amd64.s: it sets m[k] to the
-// classes of b[64k : 64k+64] for every k < len(m); b must hold at least
-// 64*len(m) bytes. It runs only when mathx.Vector() holds.
-//
+// The kernels of scanCompact, in classify_amd64.s. They run only when
+// mathx.Vector() holds.
+
 //go:noescape
-func classifyAVX2(m []blockMasks, b []byte)
+func checkRowsAVX2(st *rowState, b []byte, valid uint64, d1 int) (bad uint64)
+
+//go:noescape
+func classifyAVX2(m []uint64, b []byte)

@@ -53,6 +53,7 @@ type ownedConn struct {
 	timed bool // hs sets a read, write or idle timeout
 	req   *http.Request
 	body  ownedBody
+	lazy  lazyBody
 	w     ownedWriter
 	out   bytes.Buffer
 	paths map[string]hotPath // strict targets, their strings interned
@@ -65,24 +66,37 @@ type hotPath struct {
 	id, path string
 }
 
-// own wraps a hot route's handler h: on a connection that may be taken
-// over it reads the body, hijacks the connection and serves it until it
-// closes or goes back to net/http; otherwise h answers as usual.
-func (s *Server) own(h http.HandlerFunc) http.HandlerFunc {
+// own wraps the handler of a hot route: on a connection that may be taken
+// over it hijacks the connection and serves it until it closes or goes back
+// to net/http; otherwise the handler answers as usual. A push's body is
+// read whole first, a predict's as its handler reads it; so a predict that
+// expects 100-continue stays with net/http, which sends the 100 then.
+func (s *Server) own(route int) http.HandlerFunc {
+	h, whole := s.hot[route], wholeBody(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		hj, _ := w.(http.Hijacker)
 		hs, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
 		if hj == nil || hs == nil || !r.ProtoAtLeast(1, 1) || r.Close || r.TLS != nil ||
-			r.ContentLength < 0 || r.ContentLength > MaxBodyBytes {
+			r.ContentLength < 0 || r.ContentLength > MaxBodyBytes || !whole && r.Header.Get("Expect") != "" {
 			h(w, r)
 			return
 		}
 		c := &ownedConn{s: s, hs: hs}
 		ib := getIngestBuf()
-		err := ib.readBody(r.Body, r.ContentLength)
-		c.setBody(r, ib, err)
+		var err error
+		if whole {
+			err = ib.readBody(r.Body, r.ContentLength)
+			c.setBody(r, ib, err)
+		}
 		if err == nil && c.hijack(hj, r) {
 			defer s.release(c)
+			if !whole {
+				if c.timed {
+					c.pc.SetReadDeadline(after(hs.ReadTimeout))
+				}
+				c.lazy = lazyBody{LimitedReader: io.LimitedReader{R: c.br, N: r.ContentLength}}
+				r.Body = &c.lazy
+			}
 			ok := c.answer(h, r, true)
 			putIngestBuf(ib)
 			for ok && c.next() {
@@ -93,6 +107,9 @@ func (s *Server) own(h http.HandlerFunc) http.HandlerFunc {
 		putIngestBuf(ib)
 	}
 }
+
+// wholeBody reports whether a hot route's body is read before its handler.
+func wholeBody(route int) bool { return route == hotFrames || route == hotSessionFrames }
 
 // hijack registers c and takes its connection from net/http, keeping the
 // bytes net/http read past the first request. A connection net/http was
@@ -232,14 +249,15 @@ func (c *ownedConn) next() bool {
 	if string(hd.host) != r.Host {
 		r.Host = string(hd.host)
 	}
-	r.Close, r.ContentLength, r.Body = hd.close, hd.length, http.NoBody
+	c.lazy = lazyBody{LimitedReader: io.LimitedReader{R: c.br, N: hd.length}}
+	r.Close, r.ContentLength, r.Body = hd.close, hd.length, &c.lazy
 	r.SetPathValue("id", hp.id)
 	c.br.Discard(n)
 	if c.timed {
 		c.pc.SetReadDeadline(whole)
 		c.pc.SetWriteDeadline(after(hs.WriteTimeout))
 	}
-	if hd.length > 0 {
+	if hd.length > 0 && wholeBody(hp.route) {
 		ib := getIngestBuf()
 		defer putIngestBuf(ib)
 		err = ib.readBody(c.br, hd.length)
@@ -287,10 +305,11 @@ func (c *ownedConn) setBody(r *http.Request, ib *ingestBuf, err error) {
 }
 
 // answer runs h on r and writes the response, closing the connection
-// after it unless keep is set; false ends the loop. The loop read the body
-// before h ran, but the connection closes as net/http closes it after h:
-// when h left maxPostHandlerReadBytes or more of the body unread, or the
-// body ended early and h did not read it to its error.
+// after it unless keep is set; false ends the loop. The connection closes
+// as net/http closes it after h: when h left maxPostHandlerReadBytes or
+// more of the body unread, or the body ended early and h did not read it
+// to its error. A push's body was read before h ran; what h left of a
+// predict's is read now, as net/http reads it.
 func (c *ownedConn) answer(h http.HandlerFunc, r *http.Request, keep bool) bool {
 	clear(c.w.h)
 	c.w.code, c.w.body = 0, c.w.body[:0]
@@ -300,6 +319,8 @@ func (c *ownedConn) answer(h http.HandlerFunc, r *http.Request, keep bool) bool 
 		keep = keep && b.Len() < maxPostHandlerReadBytes
 	case *replayBody:
 		keep = keep && b.err == nil && r.ContentLength-b.Size() < maxPostHandlerReadBytes
+	case *lazyBody:
+		keep = keep && !r.Close && c.drain(b)
 	}
 	keep = keep && !r.Close && c.state.Load() == connBusy
 	c.frame(keep)
@@ -392,6 +413,41 @@ func (w *ownedWriter) Write(p []byte) (int, error) {
 	w.WriteHeader(http.StatusOK)
 	w.body = append(w.body, p...)
 	return len(p), nil
+}
+
+// lazyBody is a predict's body on an owned connection, which its handler
+// reads from the connection as it would read net/http's.
+type lazyBody struct {
+	io.LimitedReader // N: the declared bytes not read yet
+	err              error
+}
+
+func (b *lazyBody) Read(p []byte) (int, error) {
+	if b.err != nil {
+		return 0, b.err
+	}
+	n, err := b.LimitedReader.Read(p)
+	if err == io.EOF && b.N > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	b.err = err
+	return n, err
+}
+
+func (b *lazyBody) Close() error { return nil }
+
+// drain reads what a handler left of b, as net/http does: false, which
+// closes the connection, when 256 KiB or more is left or the rest does not
+// arrive. Meanwhile the connection is idle: a shutdown closes it.
+func (c *ownedConn) drain(b *lazyBody) bool {
+	if b.N == 0 {
+		return true
+	}
+	if b.err != nil || b.N >= maxPostHandlerReadBytes || !c.state.CompareAndSwap(connBusy, connIdle) {
+		return false
+	}
+	_, err := io.Copy(io.Discard, b)
+	return c.state.CompareAndSwap(connIdle, connBusy) && err == nil
 }
 
 // replayBody gives a handler the body bytes read before err, then err

@@ -58,23 +58,29 @@ func netHTTPOnly(h http.Handler) http.Handler {
 }
 
 // scriptConn is a server-side connection that reads a fixed script and then
-// EOF, records what the server writes, and reports when it is closed.
+// EOF, or with hold set waits after the script until it is closed, records
+// what the server writes, and reports when it is closed.
 type scriptConn struct {
 	in     *bytes.Reader
+	hold   bool
 	mu     sync.Mutex
 	out    bytes.Buffer
 	closed chan struct{}
 	once   sync.Once
 }
 
-func newScriptConn(in []byte) *scriptConn {
-	return &scriptConn{in: bytes.NewReader(in), closed: make(chan struct{})}
+func newScriptConn(in []byte, hold bool) *scriptConn {
+	return &scriptConn{in: bytes.NewReader(in), hold: hold, closed: make(chan struct{})}
 }
 
 func (c *scriptConn) Read(p []byte) (int, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.in.Read(p)
+	n, err := c.in.Read(p)
+	c.mu.Unlock()
+	if err == io.EOF && c.hold {
+		<-c.closed
+	}
+	return n, err
 }
 
 func (c *scriptConn) Write(p []byte) (int, error) {
@@ -167,16 +173,17 @@ func takeoverFixture(t testing.TB) (owned, twin *Server) {
 // at the start of every fuzz script.
 var takeoverHead = rawRequest("POST", "/v1/predict", nil)
 
-// exchange plays script on one connection of h and returns what the server
-// wrote before it closed the connection.
-func exchange(t *testing.T, h http.Handler, script []byte) []byte {
+// exchange plays script on one connection of h, waiting after it when hold
+// is set, and returns what the server wrote before it closed the
+// connection.
+func exchange(t *testing.T, h http.Handler, script []byte, hold bool) []byte {
 	_, l := serveConns(t, h)
-	c := newScriptConn(script)
+	c := newScriptConn(script, hold)
 	l.conns <- c
 	select {
 	case <-c.closed:
 	case <-time.After(10 * time.Second):
-		t.Fatalf("the server did not close the connection; script %q", script)
+		t.Fatalf("the server did not close the connection; script %.200q", script)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -227,8 +234,8 @@ func FuzzTakeoverMatchesNetHTTP(f *testing.F) {
 		}
 		script := append(bytes.Clone(takeoverHead), reqs...)
 		owned, twin := takeoverFixture(t)
-		got := exchange(t, owned, script)
-		want := exchange(t, netHTTPOnly(twin), script)
+		got := exchange(t, owned, script, false)
+		want := exchange(t, netHTTPOnly(twin), script, false)
 		g, w := readResponses(t, got), readResponses(t, want)
 		if len(g) != len(w) {
 			t.Fatalf("%d responses on the owned connection, %d from net/http\nowned:\n%s\nnet/http:\n%s", len(g), len(w), got, want)
@@ -243,13 +250,15 @@ func FuzzTakeoverMatchesNetHTTP(f *testing.F) {
 
 // TestOwnedConnLargeBody: net/http closes a connection after a response
 // whose handler left 256 KiB or more of the request body unread, and keeps
-// it when the handler read the body; an owned connection, which reads every
-// body before its handler runs, must do the same. Predicts never read their
-// body; a push reads it whole, unless its session is unknown. Each script
-// ends on a predict that only a kept connection answers. A body that ends
-// before its Content-Length keeps the connection only when the handler
-// read it to its error and less than 256 KiB of the declared length is
-// missing. The fixture's sessions hold less than a window, so predicts
+// it when the handler read the body; an owned connection, which reads a
+// push's body before its handler runs and a predict's after, must do the
+// same. Predicts never read their body; a push reads it whole, unless its
+// session is unknown. Each script ends on a predict that only a kept
+// connection answers. A body that ends before its Content-Length keeps the
+// connection only when the handler read it to its error and less than 256
+// KiB of the declared length is missing. A predict that declares 8 MiB and
+// sends 300 KiB of it, from a client that then waits, is answered without
+// the rest. The fixture's sessions hold less than a window, so predicts
 // answer 409 until a push fills one.
 func TestOwnedConnLargeBody(t *testing.T) {
 	bw := getBundle(t)
@@ -263,26 +272,33 @@ func TestOwnedConnLargeBody(t *testing.T) {
 	cut := func(path string, n int) []byte {
 		return rawRequest("POST", path, big[:n])[:len(rawRequest("POST", path, nil))+10]
 	}
+	// declared is a predict that declares a MaxBodyBytes body and sends
+	// 300 KiB of it.
+	declared := append([]byte("POST /v1/predict HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\nContent-Length: "+
+		strconv.Itoa(MaxBodyBytes)+"\r\n\r\n"), big...)
 	for _, tc := range []struct {
 		name   string
 		script []byte
+		hold   bool  // the client waits after the script
 		codes  []int // the statuses net/http answers with, one per response
 	}{
-		{"predict with a 300 KiB body", cat(predict, rawRequest("POST", "/v1/predict", big), predict), []int{409, 409}},
-		{"takeover predict with a 300 KiB body", cat(rawRequest("POST", "/v1/predict", big), predict), []int{409}},
-		{"predict with a body just under 256 KiB", cat(predict, rawRequest("POST", "/v1/predict", big[:256<<10-1]), predict), []int{409, 409, 409}},
-		{"unknown-session push with a 300 KiB body", cat(predict, rawRequest("POST", "/v1/sessions/nosuch/frames", big), predict), []int{409, 404}},
-		{"1 MiB push", cat(predict, rawRequest("POST", "/v1/frames", push), predict), []int{409, 200, 200}},
-		{"takeover 1 MiB push", cat(rawRequest("POST", "/v1/frames", push), predict), []int{200, 200}},
-		{"predict whose 300 KiB body ends early", cat(predict, cut("/v1/predict", 300<<10)), []int{409, 409}},
-		{"predict whose 100-byte body ends early", cat(predict, cut("/v1/predict", 100)), []int{409, 409}},
-		{"push whose 100-byte body ends early", cat(predict, cut("/v1/frames", 100)), []int{409, 400}},
-		{"push whose 300 KiB body ends early", cat(predict, cut("/v1/frames", 300<<10)), []int{409, 400}},
+		{"takeover predict declaring 8 MiB, 300 KiB sent", declared, true, []int{409}},
+		{"predict declaring 8 MiB, 300 KiB sent", cat(predict, declared), true, []int{409, 409}},
+		{"predict with a 300 KiB body", cat(predict, rawRequest("POST", "/v1/predict", big), predict), false, []int{409, 409}},
+		{"takeover predict with a 300 KiB body", cat(rawRequest("POST", "/v1/predict", big), predict), false, []int{409}},
+		{"predict with a body just under 256 KiB", cat(predict, rawRequest("POST", "/v1/predict", big[:256<<10-1]), predict), false, []int{409, 409, 409}},
+		{"unknown-session push with a 300 KiB body", cat(predict, rawRequest("POST", "/v1/sessions/nosuch/frames", big), predict), false, []int{409, 404}},
+		{"1 MiB push", cat(predict, rawRequest("POST", "/v1/frames", push), predict), false, []int{409, 200, 200}},
+		{"takeover 1 MiB push", cat(rawRequest("POST", "/v1/frames", push), predict), false, []int{200, 200}},
+		{"predict whose 300 KiB body ends early", cat(predict, cut("/v1/predict", 300<<10)), false, []int{409, 409}},
+		{"predict whose 100-byte body ends early", cat(predict, cut("/v1/predict", 100)), false, []int{409, 409}},
+		{"push whose 100-byte body ends early", cat(predict, cut("/v1/frames", 100)), false, []int{409, 400}},
+		{"push whose 300 KiB body ends early", cat(predict, cut("/v1/frames", 300<<10)), false, []int{409, 400}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			owned, twin := takeoverFixture(t)
-			got := exchange(t, owned, tc.script)
-			want := exchange(t, netHTTPOnly(twin), tc.script)
+			got := exchange(t, owned, tc.script, tc.hold)
+			want := exchange(t, netHTTPOnly(twin), tc.script, tc.hold)
 			g, w := readResponses(t, got), readResponses(t, want)
 			var codes []int
 			for _, r := range w {
@@ -540,8 +556,9 @@ func (w *gateWriter) Write(p []byte) (int, error) {
 // TestOwnedConnShutdown: http.Server.Shutdown and then Server.Close close an
 // idle owned connection at once, let an owned connection's in-flight
 // predict finish with 200 before closing it, close a connection net/http
-// still serves and one the loop handed back to it, and leave no loop
-// goroutine behind. Close on a server that owns nothing returns at once.
+// still serves, one the loop handed back to it and one whose loop waits
+// for the rest of a predict's body, and leave no loop goroutine behind.
+// Close on a server that owns nothing returns at once.
 func TestOwnedConnShutdown(t *testing.T) {
 	bw := getBundle(t)
 	idle, _ := bareServer(t)
@@ -580,6 +597,24 @@ func TestOwnedConnShutdown(t *testing.T) {
 	if resp, _ := handed.do(t, rawRequest("GET", "/v1/stats", nil)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: %s", resp.Status)
 	}
+	// draining's predict declares 100 KiB and sends half. Once its handler
+	// has run (the request counters move), the loop waits for the rest, as
+	// net/http would.
+	draining := dialConn(t, addr)
+	if resp, body := draining.do(t, push); resp.StatusCode != http.StatusOK {
+		t.Fatalf("push: %s %s", resp.Status, body)
+	}
+	counts := metricLines(t, srv, "eventhit_http_requests_total")
+	half := append([]byte("POST /v1/predict HTTP/1.1\r\nHost: t\r\nContent-Length: 102400\r\n\r\n"), make([]byte, 50<<10)...)
+	if _, err := draining.nc.Write(half); err != nil {
+		t.Fatal(err)
+	}
+	for wait := time.Now().Add(5 * time.Second); slices.Equal(metricLines(t, srv, "eventhit_http_requests_total"), counts); {
+		if time.Now().After(wait) {
+			t.Fatal("the predict with half its body never ran")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	gate.armed.Store(true)
 	if _, err := inFlight.nc.Write(rawRequest("POST", "/v1/predict", nil)); err != nil {
 		t.Fatal(err)
@@ -607,7 +642,7 @@ func TestOwnedConnShutdown(t *testing.T) {
 	}
 	<-closed
 	<-served
-	for name, c := range map[string]*clientConn{"owned idle": ownedIdle, "owned busy": inFlight, "not owned": plain, "handed back": handed} {
+	for name, c := range map[string]*clientConn{"owned idle": ownedIdle, "owned busy": inFlight, "not owned": plain, "handed back": handed, "draining": draining} {
 		c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 		if n, err := c.br.Read(make([]byte, 1)); err != io.EOF {
 			t.Errorf("%s connection: read %d bytes, %v; want EOF", name, n, err)

@@ -13,12 +13,6 @@ import (
 // ok false for every other token (a sign, an exponent, an integer part
 // other than "0", 20 or 21 significant digits, any other byte) and when
 // Eisel–Lemire cannot decide; the caller then asks strconv.ParseFloat.
-//
-// The fraction's digits are read 8 at a time into one integer w, so the
-// value is exactly w / 10^m for m fraction digits. When w < 2^53 both
-// operands are exact float64s (10^m is exact for m ≤ 22) and one IEEE division
-// rounds the quotient correctly (Clinger's fast path); otherwise
-// eiselLemire rounds w × 10^-m from a truncated 128-bit power of ten.
 func fastFloat(tok []byte) (float64, bool) {
 	if len(tok) == 1 {
 		if c := tok[0] - '0'; c < 10 {
@@ -26,33 +20,51 @@ func fastFloat(tok []byte) (float64, bool) {
 		}
 		return 0, false
 	}
-	m := len(tok) - 2
-	if m < 1 || m > 21 || tok[0] != '0' || tok[1] != '.' {
+	if len(tok) < 3 || tok[0] != '0' || tok[1] != '.' || !allDigits(tok[2:]) {
 		return 0, false
 	}
+	return fraction(tok)
+}
+
+// allDigits reports whether b holds ASCII digits only, a word at a time.
+func allDigits(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if nonDigits(binary.LittleEndian.Uint64(b)) != 0 {
+			return false
+		}
+	}
+	for _, c := range b {
+		if !isDigit(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// fraction is fastFloat for a token known to be "0." and digits, as
+// scanCompact's are. Its m digits are read 8 at a time into one integer w,
+// so the value is exactly w / 10^m. When w < 2^53 both operands are exact
+// float64s (10^m is for m ≤ 22) and one IEEE division rounds the quotient
+// correctly (Clinger's fast path); otherwise eiselLemire rounds w × 10^-m
+// from a truncated 128-bit power of ten.
+func fraction(tok []byte) (float64, bool) {
+	m := len(tok) - 2
 	frac := tok[2:]
 	// w must stay below 10^19 < 2^64: a 20-digit fraction needs one leading
 	// zero and a 21-digit one two. Each partial sum below is a prefix of
 	// the final w, so none can wrap either.
-	if m > 19 && (frac[0] != '0' || m == 21 && frac[1] != '0') {
+	if m > 21 || m > 19 && (frac[0] != '0' || m == 21 && frac[1] != '0') {
 		return 0, false
 	}
 	var w uint64
 	i := 0
 	for ; i+8 <= m; i += 8 {
-		x := binary.LittleEndian.Uint64(frac[i:])
-		if nonDigits(x) != 0 {
-			return 0, false
-		}
-		w = w*1e8 + eightDigits(x)
+		w = w*1e8 + eightDigits(binary.LittleEndian.Uint64(frac[i:]))
 	}
 	if r := m - i; r > 0 {
 		if len(tok) < 8 {
 			for _, c := range frac[i:] {
-				if c -= '0'; c > 9 {
-					return 0, false
-				}
-				w = w*10 + uint64(c)
+				w = w*10 + uint64(c-'0')
 			}
 		} else {
 			// The token's last word holds the r remaining digits in its
@@ -60,9 +72,6 @@ func fastFloat(tok []byte) (float64, bool) {
 			x := binary.LittleEndian.Uint64(tok[len(tok)-8:])
 			drop := uint(8 * (8 - r))
 			x = x>>drop<<drop | '0'*lsbs&(uint64(1)<<drop-1)
-			if nonDigits(x) != 0 {
-				return 0, false
-			}
 			w = w*pow10Tail[r] + eightDigits(x)
 		}
 	}

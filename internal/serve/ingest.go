@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/bits"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -136,11 +137,10 @@ const maxPooledIngestBytes = 1 << 20
 
 // ingestBuf is the per-request scratch of handleFrames.
 type ingestBuf struct {
-	body   bytes.Buffer
-	vals   []float64
-	spans  []span // scanWords' ring of the kept rows' number tokens
-	starts []int  // scanCompact's ring of the kept rows' starts
-	out    []byte // the acknowledgement
+	body  bytes.Buffer
+	vals  []float64
+	spans []span // scanWords' ring of the kept rows' number tokens
+	out   []byte // the acknowledgement
 }
 
 // readBody reads an n-byte request body into b.body, committing memory
@@ -500,181 +500,112 @@ func (ib *ingestBuf) scanFrames(b []byte, d, keep int) (rows int, ok bool) {
 	return ib.scanWords(b, d, keep)
 }
 
-// blockMasks are the classes of one 64-byte block of a body, bit i for
-// byte i: classifyAVX2's output.
-type blockMasks struct{ digit, comma, open, close, dot, zero uint64 }
-
 var (
 	compactHead = []byte(`{"frames":[`)
 	compactTail = []byte(`]}`)
 )
 
-// scanCompact is scanWords for the compact bodies clients write, checked
-// 64 bytes per step with no per-token chain (the simdjson approach of
-// Langdale and Lemire, VLDB J. 2019). It accepts exactly
+// scanCompact is scanWords for the compact bodies clients write, in two
+// vector passes with no per-byte loop (after simdjson: Langdale and Lemire,
+// VLDB J. 2019). It accepts exactly
 //
 //	{"frames":[[t,…,t],…,[t,…,t]]}
 //
-// with no whitespace anywhere, 1 to MaxFramesPerPush rows of d ≥ 1 tokens,
-// each token a single digit or "0." and one or more digits. Such a body is
-// one scanWords accepts, with the same rows and values; scanCompact
-// declines (ok false) every other body, well-formed or not, and leaves it
-// to scanWords.
+// with no whitespace, 1 to MaxFramesPerPush rows of d ≥ 1 tokens, each a
+// single digit or "0." and digits: bodies scanWords accepts, with the same
+// rows and values. It declines (ok false) every other body, for scanWords.
 //
-// Between the head and the tail, classifyAVX2 turns each block into
-// masks, and the rules below are checked on whole masks. "Before" and
-// "after" are shifts by one bit, carried from block to block; a comma
-// after ']' separates rows (crow), any other separates tokens (ctok):
+// The first pass, checkRowsAVX2, reads the rows 62 bytes per block, each
+// block with the two bytes before it as context, and checks these rules on
+// whole masks ("after" is a shift by one bit; a comma after ']' separates
+// rows, any other separates tokens):
 //
 //   - every byte is a digit, ',', '[', ']' or '.';
-//   - '[' comes first and after crow, and nowhere else;
 //   - after ']' comes ',' (or the end of the rows);
-//   - a token starts after ctok or '[', and is a digit;
-//   - a token's first digit is followed by ',', ']' or '.';
+//   - '[' comes first and after a row comma, and nowhere else;
+//   - after ',' or '[' comes a digit or '[';
+//   - a token's first digit is not followed by a digit;
 //   - '.' follows a token's leading '0' and is followed by a digit.
 //
-// So every digit that does not start a token continues a fraction, and
-// between '[' and ']' lie only tokens joined by ctok: a row of d tokens is
-// d-1 ctok, counted by popcount at each ']'. Every token is a finite JSON
-// number. The start of each row goes to ib.starts, a ring of keep+1 slots,
-// and once the body is accepted the kept rows are cut into tokens and
-// converted as scanWords converts them.
+// So every token is a finite JSON number, and between '[' and ']' lie only
+// tokens joined by token commas. At each ']' the token commas since the
+// row began must be d-1, which the pass counts by popcount. Once the body
+// is accepted, every row holds d tokens, so the kept rows are its last
+// min(rows, keep)·d tokens: cutKept converts them as scanWords does.
 func (ib *ingestBuf) scanCompact(b []byte, d, keep int) (rows int, ok bool) {
 	ib.vals = ib.vals[:0]
 	if d < 1 || !bytes.HasPrefix(b, compactHead) || !bytes.HasSuffix(b, compactTail) {
 		return 0, false
 	}
 	y := b[len(compactHead) : len(b)-len(compactTail)] // the rows
-	if len(y) == 0 || y[len(y)-1] != ']' {
+	if len(y) < 2 || y[0] != '[' || y[len(y)-1] != ']' {
 		return 0, false
 	}
-	// The ring has keep+1 slots: row r starts in slot r mod (keep+1), so
-	// the slot of row rows+1, which no kept row uses, may be written
-	// blindly.
-	if cap(ib.starts) <= keep {
-		ib.starts = make([]int, keep+1)
+	// Block k is x[62k : 62k+64], x[i] being y[i-1]: two bytes of context,
+	// then the 62 it checks, from y[1] on. The blocks x holds whole are
+	// checked in place, the last, partial one from a zeroed copy.
+	x := b[len(compactHead)-1 : len(b)-len(compactTail)]
+	var st rowState
+	whole := (len(x) - 2) / 62
+	bad := checkRowsAVX2(&st, x[:62*whole+2], ^uint64(3), d-1)
+	if r := len(x) - 2 - 62*whole; r > 0 && bad == 0 {
+		var blk [64]byte
+		copy(blk[:], x[62*whole:])
+		bad = checkRowsAVX2(&st, blk[:], (1<<r-1)<<2, d-1)
 	}
-	starts := ib.starts[:keep+1]
-	starts[0] = 0
-	sh := shapeCarry{row: 1} // a virtual "]," before the rows: '[' comes first
-	rc := rowCount{next: 1}
-	var m [16]blockMasks
+	if bad != 0 || st.rows > MaxFramesPerPush {
+		return 0, false
+	}
+	ib.cutKept(y, d*min(st.rows, keep))
+	return st.rows, true
+}
+
+// rowState is what checkRowsAVX2 carries from call to call: the token
+// commas so far, less d-1 for each row ended, and the rows ended.
+type rowState struct{ commas, rows int }
+
+// cutKept converts the last n tokens of the checked rows y into ib.vals,
+// walking back from the end over classifyAVX2's masks of the bytes ',',
+// '[' and ']': a token is a gap of more than one byte between two of them
+// ("],[" leaves gaps of none). A lone digit is its value, and the others
+// go to fraction, else to strconv.ParseFloat, as scanWords converts them.
+func (ib *ingestBuf) cutKept(y []byte, n int) {
+	ib.vals = slices.Grow(ib.vals[:0], n)[:n]
+	var m [16]uint64
 	var tail [64]byte
-	for base := 0; base < len(y); {
-		n := min((len(y)-base)/64, len(m))
-		valid := ^uint64(0)
-		if n > 0 {
-			classifyAVX2(m[:n], y[base:])
-		} else { // the last, partial block, zero-padded
-			copy(tail[:], y[base:])
-			classifyAVX2(m[:1], tail[:])
-			valid = 1<<(len(y)-base) - 1
-			n = 1
+	last, end := (len(y)-1)/64, len(y)
+	for hi := last; hi >= 0; hi -= len(m) {
+		lo := max(0, hi-len(m)+1)
+		k := hi - lo + 1
+		if hi == last && len(y)%64 != 0 {
+			copy(tail[:], y[64*hi:])
+			k--
+			classifyAVX2(m[k:k+1], tail[:])
 		}
-		if sh.check(m[:n], valid)|rc.count(m[:n], starts, d) != 0 || rc.rows > MaxFramesPerPush {
-			return 0, false
-		}
-		base += 64 * n
-	}
-	rows = rc.rows
-	// Accepted. The kept rows run from the oldest kept row's '[' to the end.
-	for i := starts[(rows-min(rows, keep))%(keep+1)] + 1; i < len(y); {
-		end := i + 1
-		if y[end] == '.' {
-			n, _ := digitRun(y, end+1)
-			end += 1 + n
-		}
-		tok := y[i:end]
-		v, fast := fastFloat(tok)
-		if !fast {
-			var err error
-			if v, err = strconv.ParseFloat(string(tok), 64); err != nil {
-				return 0, false
-			}
-		}
-		ib.vals = append(ib.vals, v)
-		if i = end + 1; y[end] == ']' {
-			i += 2 // ",["
-		}
-	}
-	return rows, true
-}
-
-// shapeCarry links the shape rules across blocks: bit 0 of each field
-// says the last byte of the previous block was ']' (close), a
-// row-separating ',' (row), a token-separating ',' or '[' (sep), a token's
-// first digit (tok), such a digit '0' (zero), or '.' (dot).
-type shapeCarry struct{ close, row, sep, tok, zero, dot uint64 }
-
-// check applies scanCompact's shape rules to the blocks of m in order and
-// returns the bytes under valid that break one (0 if none). It leaves each
-// block's ctok in its comma mask, for rowCount.
-func (c *shapeCarry) check(m []blockMasks, valid uint64) (bad uint64) {
-	cClose, cRow, cSep, cTok, cZero, cDot := c.close, c.row, c.sep, c.tok, c.zero, c.dot
-	for j := range m {
-		k := &m[j]
-		afterClose := k.close<<1 | cClose
-		row := k.comma & afterClose
-		ctok := k.comma &^ afterClose
-		tok := (ctok|k.open)<<1 | cSep
-		afterTok := tok<<1 | cTok
-		zero := tok & k.zero
-		bad |= valid & (^(k.digit | k.comma | k.open | k.close | k.dot) |
-			(k.open ^ (row<<1 | cRow)) |
-			afterClose&^k.comma |
-			tok&^k.digit |
-			afterTok&^(k.comma|k.close|k.dot) |
-			k.dot&^(zero<<1|cZero) |
-			(k.dot<<1|cDot)&^k.digit)
-		cClose, cRow, cSep, cTok, cZero, cDot = k.close>>63, row>>63, (ctok|k.open)>>63, tok>>63, zero>>63, k.dot>>63
-		k.comma = ctok
-	}
-	*c = shapeCarry{cClose, cRow, cSep, cTok, cZero, cDot}
-	return bad
-}
-
-// rowCount follows the rows across blocks: the ctok before the current
-// block (commas) and before the last ']' (rowEnd), the rows ended, the
-// ring slot of the next row's start, and the current block's offset.
-type rowCount struct{ commas, rowEnd, rows, next, base int }
-
-// count ends a row at each ']' of m's blocks, whose masks check has left,
-// and returns non-zero if one of them does not hold d tokens, that is,
-// d-1 ctok. At each ']' the next row's start (its '[', two bytes on) goes
-// to its slot in starts, a ring of len(starts) slots. Most blocks hold at
-// most one ']' and take it without a loop, so no branch depends on where
-// rows end.
-func (r *rowCount) count(m []blockMasks, starts []int, d int) (bad uint64) {
-	commas, rowEnd, rows, next, base := r.commas, r.rowEnd, r.rows, r.next, r.base
-	for j := range m {
-		k := &m[j]
-		if k.close&(k.close-1) == 0 {
-			closed := int((k.close | -k.close) >> 63)
-			end := commas + bits.OnesCount64(k.comma&(k.close&-k.close-1))
-			bad |= uint64(end-rowEnd-(d-1)) & -uint64(closed)
-			rowEnd += (end - rowEnd) & -closed
-			rows += closed
-			starts[next] = base + bits.TrailingZeros64(k.close) + 2
-			if next += closed; next == len(starts) {
-				next = 0
-			}
-		} else {
-			for c := k.close; c != 0; c &= c - 1 {
-				end := commas + bits.OnesCount64(k.comma&(c&-c-1))
-				bad |= uint64(end - rowEnd - (d - 1))
-				rowEnd = end
-				rows++
-				starts[next] = base + bits.TrailingZeros64(c) + 2
-				if next++; next == len(starts) {
-					next = 0
+		classifyAVX2(m[:k], y[64*lo:])
+		for j := hi; j >= lo; j-- {
+			for x := m[j-lo]; x != 0; {
+				p := 63 - bits.LeadingZeros64(x)
+				x &^= 1 << p
+				a := 64*j + p
+				if end-a > 1 {
+					tok := y[a+1 : end]
+					v, fast := float64(tok[0]-'0'), true
+					if len(tok) > 1 {
+						v, fast = fraction(tok)
+					}
+					if !fast { // a compact token always parses
+						v, _ = strconv.ParseFloat(string(tok), 64)
+					}
+					n--
+					if ib.vals[n] = v; n == 0 {
+						return
+					}
 				}
+				end = a
 			}
 		}
-		commas += bits.OnesCount64(k.comma)
-		base += 64
 	}
-	*r = rowCount{commas, rowEnd, rows, next, base}
-	return bad
 }
 
 // frameRing is one session's sliding window: the last `rows` frames,

@@ -821,13 +821,15 @@ func FuzzScanMatchesByteWalk(f *testing.F) {
 // where the machine runs one — and the word walk to the byte walk on bodies
 // aimed at the front end's block seams and mask rules: every accepted
 // token shape, "0.", "],[" and "[[" at each offset of a 64-byte block;
-// bodies of 0 to 200 bytes; a byte ≥ 0x80, NUL, whitespace, '-' or 'e' at
-// every position; tokens the front end must leave to the walk ("1.5",
-// "01", "0.", ".5"); MaxFramesPerPush rows and one more; d = 0; and
-// seeded random edits of compact bodies. Each body is read at d-1, d and
-// d+1 and at four keeps, and must give the same rows, ok and values (by
-// bit pattern) on every path. Bodies marked compact must also be taken by
-// the front end itself, so the comparison is not vacuous.
+// rows and kept rows at each offset of the check's and the cut's block and
+// batch grids; bodies of 0 to 200 bytes; a byte ≥ 0x80, NUL, whitespace,
+// '-' or 'e' at every position; tokens the front end must leave to the
+// walk ("1.5", "01", "0.", ".5"); MaxFramesPerPush rows and one more;
+// d = 0; and seeded random edits of compact bodies. Each body is read at
+// d-1, d and d+1 and at keep 1, 2, 25, rows, rows+1 and MaxFramesPerPush,
+// and must give the same rows, ok and values (by bit pattern) on every
+// path. Bodies marked compact must also be taken by the front end itself,
+// so the comparison is not vacuous.
 func TestScanVectorMatchesWalk(t *testing.T) {
 	type probe struct {
 		body    string
@@ -855,6 +857,30 @@ func TestScanVectorMatchesWalk(t *testing.T) {
 		add(frames("["+lead+"]", "[1]", "[0]"), 1, true)
 		for _, seam := range []string{"],[[", "]],[", "][", "],,[", ",],[", "],[,", "],[]", "[[", "]]", "], [", "] ,["} {
 			add(`{"frames":[[`+lead+seam+`1]]}`, 1, false)
+		}
+	}
+	// Block and batch seams. The check reads 62-byte blocks from the first
+	// row on; the cut, 64-byte blocks in batches of 16 (1 024 bytes) back
+	// from the end, the last one zero-padded. A lead token of n digits
+	// slides 1-channel bodies across both grids: 60 short rows of every
+	// accepted token shape over 1 100 offsets, so every ']', ",[" and row
+	// start meets each seam of both grids and the padded last block, and
+	// rows end on every byte of a block; and 40-byte rows over 130 offsets,
+	// whose 25th row from the end starts 999 bytes before it, where the
+	// cut's batch boundary sweeps past it. Every body is read at keep 1, 2,
+	// 25, rows, rows+1 and MaxFramesPerPush below.
+	var short, wide []string
+	for i := range 60 {
+		short = append(short, "["+good[i%len(good)]+"]")
+	}
+	for i := range 30 {
+		wide = append(wide, "[0."+strconv.Itoa(1e9+i)+strings.Repeat("5", 25)+"]")
+	}
+	for n := 1; n <= 1100; n++ {
+		lead := "[0." + strings.Repeat("3", n) + "]"
+		add(frames(append([]string{lead}, short...)...), 1, true)
+		if n <= 130 {
+			add(frames(append([]string{lead}, wide...)...), 1, true)
 		}
 	}
 	// Structure the rules must refuse, in a row no keep of 1 converts.
@@ -922,7 +948,12 @@ func TestScanVectorMatchesWalk(t *testing.T) {
 			if d < 0 {
 				continue
 			}
-			for _, keep := range []int{1, 2, 25, MaxFramesPerPush} {
+			var all ingestBuf
+			rows, _ := all.scanFramesByteWalk(body, d, 1)
+			for _, keep := range []int{1, 2, 25, rows, rows + 1, MaxFramesPerPush} {
+				if keep < 1 {
+					continue
+				}
 				var ref ingestBuf
 				wantRows, wantOK := ref.scanFramesByteWalk(body, d, keep)
 				for _, path := range paths {

@@ -320,13 +320,13 @@ func New(cfg Config) (*Server, error) {
 		hotSessionPredict: s.instrument("/v1/sessions/predict", s.forSession("id", s.handlePredict)),
 		hotSessionFrames:  s.instrument("/v1/sessions/frames", s.forSession("id", s.handleFrames)),
 	}
-	s.mux.HandleFunc("POST /v1/frames", s.own(s.hot[hotFrames]))
-	s.mux.HandleFunc("POST /v1/predict", s.own(s.hot[hotPredict]))
+	s.mux.HandleFunc("POST /v1/frames", s.own(hotFrames))
+	s.mux.HandleFunc("POST /v1/predict", s.own(hotPredict))
 	s.mux.HandleFunc("POST /v1/sessions", s.instrument("/v1/sessions", s.handleSessionCreate))
 	s.mux.HandleFunc("GET /v1/sessions", s.instrument("/v1/sessions", s.handleSessionList))
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.instrument("/v1/sessions", s.handleSessionDelete))
-	s.mux.HandleFunc("POST /v1/sessions/{id}/frames", s.own(s.hot[hotSessionFrames]))
-	s.mux.HandleFunc("POST /v1/sessions/{id}/predict", s.own(s.hot[hotSessionPredict]))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/frames", s.own(hotSessionFrames))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/predict", s.own(hotSessionPredict))
 	s.mux.HandleFunc("POST /v1/model", s.instrument("/v1/model", s.handleModelPush))
 	s.mux.HandleFunc("GET /v1/stats", s.instrument("/v1/stats", s.handleStats))
 	s.mux.HandleFunc("GET /v1/healthz", s.instrument("/v1/healthz", s.handleHealthz))

@@ -60,6 +60,21 @@ stage build go build ./...
 # (bench-held, or a helper another package's tests call); so is every
 # exported field a binary reads. See DESIGN.md, "The dead-code gate".
 stage deadcode go run ./scripts/deadcode
+# Every assembly kernel (a TEXT symbol in internal/**/*.s) names itself,
+# backquoted, in the first cell of a row of DESIGN.md's kernel ledger, so
+# no kernel lands without the row that states what it bought.
+kernel_ledger() {
+    sed -n '/^\*\*Kernel ledger\.\*\*/,/^\*\*Tried, not kept/p' DESIGN.md | grep '^|' | cut -d'|' -f2 >"$tmpdir/ledger.txt"
+    missing=0
+    for kernel in $(find internal -name '*.s' -exec sed -n 's/^TEXT ·\([A-Za-z0-9_]*\)(SB).*/\1/p' {} +); do
+        grep -qF "\`$kernel\`" "$tmpdir/ledger.txt" || {
+            echo "kernel $kernel has no row in DESIGN.md's kernel ledger"
+            missing=1
+        }
+    done
+    [ "$missing" = 0 ]
+}
+stage kernel-ledger kernel_ledger
 # Every -run pattern in this file still names tests that exist: go test
 # passes with "no tests to run" when a pinned name stops matching, and the
 # stage would silently check nothing. Each |-alternative (but ^$) must match
