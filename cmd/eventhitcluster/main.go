@@ -141,6 +141,7 @@ func main() {
 			log.Printf("drain incomplete: %v", err)
 			hs.Close()
 		}
+		front.Close()
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fatal(err)
 		}

@@ -32,6 +32,7 @@ type FrontConfig struct {
 type Front struct {
 	cfg     FrontConfig
 	mux     *http.ServeMux
+	owner   serve.Owner // the client connections the data path took over
 	metrics *obs.Registry
 	coord   *hop // nil without a coordinator
 	nextID  atomic.Int64
@@ -125,8 +126,10 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	m.HandleFunc("POST /v1/sessions", f.handleSessionCreate)
 	m.HandleFunc("GET /v1/sessions", f.handleSessionList)
 	m.HandleFunc("DELETE /v1/sessions/{id}", f.proxySession)
-	m.HandleFunc("POST /v1/sessions/{id}/frames", f.proxySession)
-	m.HandleFunc("POST /v1/sessions/{id}/predict", f.proxySession)
+	// The data path runs on the connections the owner takes over; the hop
+	// streams each body to the worker as it arrives.
+	f.owner.Handle(m, "POST /v1/sessions/{id}/frames", f.proxySession, false)
+	f.owner.Handle(m, "POST /v1/sessions/{id}/predict", f.proxySession, false)
 	m.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, f.stats(r.Context())) })
 	m.HandleFunc("POST /v1/model", f.handleModelBroadcast)
 	m.HandleFunc("GET /v1/cluster/workers", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, f.WorkerRefs()) })
@@ -136,6 +139,11 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 }
 
 func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) { f.mux.ServeHTTP(w, r) }
+
+// Close closes the client connections the front owns (an idle one at once,
+// a busy one after its response) and waits for their loops to return.
+// http.Server's Shutdown closes those it serves; its Close does not.
+func (f *Front) Close() { f.owner.Close() }
 
 // WorkerRefs lists the ring membership in ring (sorted-ID) order.
 func (f *Front) WorkerRefs() []WorkerRef {
@@ -178,13 +186,22 @@ func (f *Front) Routed() map[string]int64 {
 // and copies the reply's status, Content-Type and body back: the front adds
 // routing, not semantics, to the data path. The body keeps its declared
 // length (the worker presizes its ingest buffer by it); -1 goes chunked.
+// The reply's body is read whole before its status is written, so a reply
+// cut short is a 502, never half a body.
 func (f *Front) proxy(w http.ResponseWriter, r *http.Request, u *upstream, body io.Reader, length int64) {
-	err := u.hop.do(r.Context(), r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type"), body, length, func(resp *http.Response) error {
-		if ct := resp.Header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
+	err := u.hop.do(r.Context(), r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type"), body, length, func(rp *reply) error {
+		b := rp.data
+		if b == nil {
+			var err error
+			if b, err = io.ReadAll(rp.body); err != nil {
+				return err
+			}
 		}
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
+		if rp.ctype != nil {
+			w.Header()["Content-Type"] = rp.ctype
+		}
+		w.WriteHeader(rp.status)
+		w.Write(b)
 		return nil
 	})
 	if err != nil {
@@ -244,11 +261,11 @@ func (f *Front) handleSessionList(w http.ResponseWriter, r *http.Request) {
 
 // getJSON GETs path from h and decodes a 200 reply into out.
 func getJSON(ctx context.Context, h *hop, path string, out interface{}) error {
-	return h.do(ctx, http.MethodGet, path, "", nil, 0, func(resp *http.Response) error {
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("HTTP %d", resp.StatusCode)
+	return h.do(ctx, http.MethodGet, path, "", nil, 0, func(rp *reply) error {
+		if rp.status != http.StatusOK {
+			return fmt.Errorf("HTTP %d", rp.status)
 		}
-		return json.NewDecoder(resp.Body).Decode(out)
+		return json.NewDecoder(rp.body).Decode(out)
 	})
 }
 
@@ -377,10 +394,10 @@ func (f *Front) handleModelBroadcast(w http.ResponseWriter, r *http.Request) {
 	failures := 0
 	for _, u := range f.members {
 		pr := pushResult{ID: u.ref.ID}
-		err := u.hop.do(r.Context(), http.MethodPost, "/v1/model", "application/octet-stream", bytes.NewReader(body), int64(len(body)), func(resp *http.Response) error {
-			pr.Status = resp.StatusCode
-			if resp.StatusCode != http.StatusOK {
-				b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		err := u.hop.do(r.Context(), http.MethodPost, "/v1/model", "application/octet-stream", bytes.NewReader(body), int64(len(body)), func(rp *reply) error {
+			pr.Status = rp.status
+			if rp.status != http.StatusOK {
+				b, _ := io.ReadAll(io.LimitReader(rp.body, 4096))
 				pr.Err = string(b)
 			}
 			return nil
@@ -418,10 +435,10 @@ func (f *Front) probeReady(ctx context.Context) []WorkerReady {
 		go func() {
 			defer wg.Done()
 			st := WorkerReady{ID: u.ref.ID}
-			err := u.hop.do(ctx, http.MethodGet, "/readyz", "", nil, 0, func(resp *http.Response) error {
+			err := u.hop.do(ctx, http.MethodGet, "/readyz", "", nil, 0, func(rp *reply) error {
 				var body serve.ReadyResponse
-				json.NewDecoder(resp.Body).Decode(&body)
-				st.Ready = resp.StatusCode == http.StatusOK
+				json.NewDecoder(rp.body).Decode(&body)
+				st.Ready = rp.status == http.StatusOK
 				st.Reasons = body.Reasons
 				return nil
 			})

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -43,6 +44,19 @@ type hopConn struct {
 	idleSince time.Time
 	body      io.Reader // the request body in flight, read through Read,
 	bodyErr   error     // and how reading it ended, io.EOF included
+	rp        reply     // the reply in flight
+	data      bytes.Reader
+}
+
+// reply is an upstream's reply as read gets it: its status, its
+// Content-Type as a header value (nil without one; shared, never written),
+// and its body; data is the whole body when the hop read it ahead, valid
+// until read returns.
+type reply struct {
+	status int
+	ctype  []string
+	body   io.Reader
+	data   []byte
 }
 
 // newHop returns the hop to rawURL. The hop speaks plain HTTP/1.1 to the
@@ -56,11 +70,11 @@ func newHop(rawURL string) (*hop, error) {
 }
 
 // do sends one request, length body bytes or chunked when length < 0, and
-// passes the reply to read; an error not from read means no reply came. The
-// exchange ends at the hop's timeout or when ctx is done. Its connection is
-// pooled again only if the reply's body was read to its end, the upstream
-// did not ask to close, and ctx stayed live.
-func (h *hop) do(ctx context.Context, method, target, contentType string, body io.Reader, length int64, read func(*http.Response) error) error {
+// passes the reply to read; an error not from read means no whole reply
+// came. The exchange ends at the hop's timeout or when ctx is done. Its
+// connection is pooled again only if the reply's body was read to its end,
+// the upstream did not ask to close, and ctx stayed live.
+func (h *hop) do(ctx context.Context, method, target, contentType string, body io.Reader, length int64, read func(*reply) error) error {
 	deadline := time.Now().Add(h.timeout)
 	c, err := h.take(ctx, deadline)
 	if err != nil {
@@ -71,17 +85,22 @@ func (h *hop) do(ctx context.Context, method, target, contentType string, body i
 	c.body, c.bodyErr = body, nil
 	werr := c.send(method, target, h.addr, contentType, length)
 	c.body = nil
-	var resp *http.Response
+	reuse := false
 	if werr == nil || c.bodyErr == nil {
 		// After a failed write the upstream may have answered early (a 413
 		// before the whole body); after a failed body it awaits the rest.
-		resp, err = http.ReadResponse(c.br, nil)
-	}
-	reuse := false
-	if resp != nil {
-		err = read(resp)
-		reuse = resp.Body.Close() == nil && werr == nil && !resp.Close
-	} else if werr != nil {
+		var n int
+		var keep bool
+		if n, keep, err = c.receive(); err == nil {
+			err = read(&c.rp)
+			c.br.Discard(n)
+			if rc, ok := c.rp.body.(io.Closer); ok {
+				keep = rc.Close() == nil && keep
+			}
+			reuse = werr == nil && keep
+		}
+		c.rp.body, c.rp.data = nil, nil
+	} else {
 		err = werr
 	}
 	c.idleSince = time.Now()
@@ -94,6 +113,103 @@ func (h *hop) do(ctx context.Context, method, target, contentType string, body i
 		c.nc.Close()
 	}
 	return err
+}
+
+// receive reads a reply into c.rp: a head parseReply takes, with its body
+// when it fits the buffer, as the n bytes ahead; any other through
+// http.ReadResponse. keep is false when the upstream asked to close.
+func (c *hopConn) receive() (n int, keep bool, err error) {
+	var rh replyHead
+	for {
+		b, _ := c.br.Peek(c.br.Buffered())
+		var more bool
+		if rh, n, more = parseReply(b); !more || len(b) == c.br.Size() {
+			break
+		}
+		if _, err = c.br.Peek(len(b) + 1); err != nil {
+			break
+		}
+	}
+	if n > 0 && n+rh.length <= c.br.Size() {
+		b, err := c.br.Peek(n + rh.length)
+		if err != nil {
+			return 0, false, fmt.Errorf("reply cut short: %w", err)
+		}
+		if ct := c.rp.ctype; len(ct) != 1 || ct[0] != string(rh.ctype) {
+			c.rp.ctype = []string{string(rh.ctype)}
+		}
+		c.data.Reset(b[n:])
+		c.rp.status, c.rp.body, c.rp.data = rh.status, &c.data, b[n:]
+		return n + rh.length, !rh.close, nil
+	}
+	resp, err := http.ReadResponse(c.br, nil)
+	if err != nil {
+		return 0, false, err
+	}
+	c.rp = reply{status: resp.StatusCode, body: resp.Body}
+	if ct := resp.Header.Get("Content-Type"); ct != "" {
+		c.rp.ctype = []string{ct}
+	}
+	return 0, !resp.Close, nil
+}
+
+// replyHead is a reply head parseReply took.
+type replyHead struct {
+	status, length int
+	ctype          []byte
+	close          bool
+}
+
+// replyLines are the header lines of a strict reply head, in order; the
+// last is optional.
+var replyLines = [...]string{"Content-Type: ", "Date: ", "Content-Length: ", "Connection: close"}
+
+// parseReply parses the reply head at the start of b when it is one an
+// owned connection writes (serve's conn.go, frame), which is also what
+// net/http writes for a handler that set only Content-Type and finished
+// within its buffer: a status line with the status's own text, for a status
+// that has a body, then exactly replyLines (a Content-Length of at most 9
+// digits), CRLF line ends and printable ASCII. It returns the head's length;
+// 0 declines the head, and 0 with more set asks for more bytes.
+func parseReply(b []byte) (h replyHead, n int, more bool) {
+	head, body, ok := bytes.Cut(b, []byte("\r\n\r\n"))
+	if !ok {
+		return h, 0, true
+	}
+	const proto = "HTTP/1.1 "
+	line, head, _ := bytes.Cut(head, []byte("\r\n"))
+	if len(line) < len(proto)+4 || string(line[:len(proto)]) != proto || line[len(proto)+3] != ' ' {
+		return h, 0, false
+	}
+	for _, c := range line[len(proto) : len(proto)+3] {
+		if c < '0' || c > '9' {
+			return h, 0, false
+		}
+		h.status = h.status*10 + int(c-'0')
+	}
+	if h.status < 200 || h.status > 599 || h.status == 204 || h.status == 304 || string(line[len(proto)+4:]) != http.StatusText(h.status) {
+		return h, 0, false
+	}
+	var v [len(replyLines)][]byte
+	k := 0
+	for ; k < len(v) && len(head) > 0; k++ {
+		line, head, _ = bytes.Cut(head, []byte("\r\n"))
+		if v[k], ok = bytes.CutPrefix(line, []byte(replyLines[k])); !ok || bytes.ContainsFunc(v[k], func(c rune) bool { return c < ' ' || c > '~' }) {
+			return h, 0, false
+		}
+	}
+	ct, cl := v[0], v[2]
+	if k < 3 || len(head) > 0 || len(v[3]) > 0 || len(ct) == 0 || ct[0] == ' ' || ct[len(ct)-1] == ' ' || len(cl) == 0 || len(cl) > 9 {
+		return h, 0, false
+	}
+	for _, c := range cl {
+		if c < '0' || c > '9' {
+			return h, 0, false
+		}
+		h.length = h.length*10 + int(c-'0')
+	}
+	h.ctype, h.close = ct, k == len(v)
+	return h, len(b) - len(body), false
 }
 
 // Read reads the request body, keeping apart a body that failed from a

@@ -8,21 +8,53 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Owned connections. On a plain HTTP/1.1 keep-alive connection the first
-// POST to a hot route takes the connection over from net/http; from then
-// on one loop reads it. A request the strict parser (strict.go) accepts
-// runs its hot route's handler with the connection's reused request and
-// writer, and its response is buffered whole and framed as net/http frames
-// a response it buffered whole. At any other request the loop hands the
-// connection, behind the bytes it has read ahead, back to the http.Server
-// it was taken from, which serves that request and the ones after it until
-// a hot POST takes the connection over again. Handlers, counters, limits
-// and /metrics series are those of net/http's path.
+// Owner takes keep-alive connections over from net/http for one handler
+// (Server, and the cluster front). On a plain HTTP/1.1 connection the first
+// POST to a hot route registered with Handle takes the connection over; from
+// then on one loop reads it. A request the strict parser (strict.go) accepts
+// runs its route's handler with a reused request and a writer whose
+// response is framed as net/http frames one it buffered whole. At any other
+// request the loop hands the connection, behind the bytes it read ahead,
+// back to the http.Server it was taken from, until a hot POST takes it over
+// again. Handlers, counters, limits and /metrics series are those of
+// net/http's path. Handle is called before any request is served; the zero
+// Owner is ready.
+type Owner struct {
+	hot   [4]http.HandlerFunc // by route; nil where the handler has none
+	whole [4]bool             // the route's body is read before its handler
+
+	// mu guards conns, the http.Servers hooked for shutdown (servers: true
+	// once shutting down) and closed (set by Close); loops counts loops.
+	mu      sync.Mutex
+	conns   map[*ownedConn]struct{}
+	servers map[*http.Server]bool
+	closed  bool
+	loops   sync.WaitGroup
+}
+
+// hotPatterns are the mux patterns of the hot routes, by route.
+var hotPatterns = [...]string{"POST /v1/predict", "POST /v1/frames", "POST /v1/sessions/{id}/predict", "POST /v1/sessions/{id}/frames"}
+
+// Len is the number of connections the owner holds.
+func (o *Owner) Len() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.conns)
+}
+
+// Close closes the owned connections, an idle one at once and a busy one
+// after its response, waits for their loops and takes over no more.
+func (o *Owner) Close() {
+	o.shut(nil)
+	o.loops.Wait()
+}
 
 // An owned connection is idle while it waits for or reads a request and
 // busy from the moment its handler runs until its response is written.
@@ -45,7 +77,7 @@ const maxPostHandlerReadBytes = 256 << 10
 
 // ownedConn is one connection a hot route took over.
 type ownedConn struct {
-	s     *Server
+	o     *Owner
 	hs    *http.Server
 	pc    prefixConn // the connection, behind the bytes net/http read past the takeover request
 	br    *bufio.Reader
@@ -66,14 +98,15 @@ type hotPath struct {
 	id, path string
 }
 
-// own wraps the handler of a hot route: on a connection that may be taken
-// over it hijacks the connection and serves it until it closes or goes back
-// to net/http; otherwise the handler answers as usual. A push's body is
-// read whole first, a predict's as its handler reads it; so a predict that
-// expects 100-continue stays with net/http, which sends the 100 then.
-func (s *Server) own(route int) http.HandlerFunc {
-	h, whole := s.hot[route], wholeBody(route)
-	return func(w http.ResponseWriter, r *http.Request) {
+// Handle registers h on mux for pattern, a hot route's: on a connection
+// that may be taken over the owner hijacks it and serves it until it closes
+// or goes back to net/http; otherwise h answers as usual. With whole set a
+// body is read into a pooled ingest buffer before h runs, else as h reads
+// it, so such a request that expects 100-continue stays with net/http.
+func (o *Owner) Handle(mux *http.ServeMux, pattern string, h http.HandlerFunc, whole bool) {
+	route := slices.Index(hotPatterns[:], pattern)
+	o.hot[route], o.whole[route] = h, whole
+	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		hj, _ := w.(http.Hijacker)
 		hs, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
 		if hj == nil || hs == nil || !r.ProtoAtLeast(1, 1) || r.Close || r.TLS != nil ||
@@ -81,7 +114,7 @@ func (s *Server) own(route int) http.HandlerFunc {
 			h(w, r)
 			return
 		}
-		c := &ownedConn{s: s, hs: hs}
+		c := &ownedConn{o: o, hs: hs}
 		ib := getIngestBuf()
 		var err error
 		if whole {
@@ -89,7 +122,7 @@ func (s *Server) own(route int) http.HandlerFunc {
 			c.setBody(r, ib, err)
 		}
 		if err == nil && c.hijack(hj, r) {
-			defer s.release(c)
+			defer o.release(c)
 			if !whole {
 				if c.timed {
 					c.pc.SetReadDeadline(after(hs.ReadTimeout))
@@ -105,23 +138,20 @@ func (s *Server) own(route int) http.HandlerFunc {
 		}
 		h(w, r)
 		putIngestBuf(ib)
-	}
+	})
 }
-
-// wholeBody reports whether a hot route's body is read before its handler.
-func wholeBody(route int) bool { return route == hotFrames || route == hotSessionFrames }
 
 // hijack registers c and takes its connection from net/http, keeping the
 // bytes net/http read past the first request. A connection net/http was
 // handed back is unwrapped, so wrappers never nest.
 func (c *ownedConn) hijack(hj http.Hijacker, r *http.Request) bool {
 	c.state.Store(connBusy)
-	if !c.s.adopt(c) {
+	if !c.o.adopt(c) {
 		return false
 	}
 	nc, brw, err := hj.Hijack()
 	if err != nil {
-		c.s.release(c)
+		c.o.release(c)
 		return false
 	}
 	pre, _ := brw.Reader.Peek(brw.Reader.Buffered())
@@ -140,45 +170,50 @@ func (c *ownedConn) hijack(hj http.Hijacker, r *http.Request) bool {
 	return true
 }
 
-// adopt registers c, unless the server is closed or c's http.Server is
+// adopt registers c, unless the owner is closed or c's http.Server is
 // shutting down. http.Server.Shutdown neither waits for nor closes
-// hijacked connections, so the Server hooks itself into each one once.
-func (s *Server) adopt(c *ownedConn) bool {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	down, seen := s.servers[c.hs]
-	if s.connsClosed || down {
+// hijacked connections, so the owner hooks itself into each one once.
+func (o *Owner) adopt(c *ownedConn) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	down, seen := o.servers[c.hs]
+	if o.closed || down {
 		return false
+	}
+	if o.conns == nil {
+		o.conns, o.servers = map[*ownedConn]struct{}{}, map[*http.Server]bool{}
 	}
 	if !seen {
 		hs := c.hs
-		s.servers[hs] = false
-		hs.RegisterOnShutdown(func() { s.shut(hs) })
+		o.servers[hs] = false
+		hs.RegisterOnShutdown(func() { o.shut(hs) })
 	}
-	s.conns[c] = struct{}{}
-	s.loops.Add(1)
+	o.conns[c] = struct{}{}
+	o.loops.Add(1)
 	return true
 }
 
-func (s *Server) release(c *ownedConn) {
-	s.connMu.Lock()
-	delete(s.conns, c)
-	s.connMu.Unlock()
+func (o *Owner) release(c *ownedConn) {
+	o.mu.Lock()
+	delete(o.conns, c)
+	o.mu.Unlock()
 	if c.pc.Conn != nil {
 		c.pc.Close()
 	}
-	s.loops.Done()
+	o.loops.Done()
 }
 
-// shut closes the owned connections of hs, or all of them when hs is nil:
-// an idle one now, a busy one after its response.
-func (s *Server) shut(hs *http.Server) {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
+// shut closes the owned connections of hs, or for good all of them when hs
+// is nil: an idle one now, a busy one after its response.
+func (o *Owner) shut(hs *http.Server) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	if hs != nil {
-		s.servers[hs] = true
+		o.servers[hs] = true
+	} else {
+		o.closed = true
 	}
-	for c := range s.conns {
+	for c := range o.conns {
 		for (hs == nil || c.hs == hs) && !c.state.CompareAndSwap(connBusy, connClosing) {
 			if c.state.CompareAndSwap(connIdle, connClosed) {
 				c.pc.Close()
@@ -227,7 +262,7 @@ func (c *ownedConn) next() bool {
 			break
 		}
 	}
-	if n == 0 {
+	if n == 0 || c.o.hot[hd.route] == nil {
 		if err == nil || err == io.EOF { // net/http answers no other read error
 			c.handBack()
 		}
@@ -249,6 +284,9 @@ func (c *ownedConn) next() bool {
 	if string(hd.host) != r.Host {
 		r.Host = string(hd.host)
 	}
+	if string(hd.ctype) != r.Header.Get("Content-Type") {
+		r.Header["Content-Type"] = []string{string(hd.ctype)}
+	}
 	c.lazy = lazyBody{LimitedReader: io.LimitedReader{R: c.br, N: hd.length}}
 	r.Close, r.ContentLength, r.Body = hd.close, hd.length, &c.lazy
 	r.SetPathValue("id", hp.id)
@@ -257,7 +295,7 @@ func (c *ownedConn) next() bool {
 		c.pc.SetReadDeadline(whole)
 		c.pc.SetWriteDeadline(after(hs.WriteTimeout))
 	}
-	if hd.length > 0 && wholeBody(hp.route) {
+	if hd.length > 0 && c.o.whole[hp.route] {
 		ib := getIngestBuf()
 		defer putIngestBuf(ib)
 		err = ib.readBody(c.br, hd.length)
@@ -266,7 +304,7 @@ func (c *ownedConn) next() bool {
 	// As net/http, any body read error but an early end closes the
 	// connection after the response (answer judges an early end).
 	keep := err == nil || err == io.ErrUnexpectedEOF
-	return c.state.CompareAndSwap(connIdle, connBusy) && c.answer(c.s.hot[hp.route], r, keep)
+	return c.state.CompareAndSwap(connIdle, connBusy) && c.answer(c.o.hot[hp.route], r, keep)
 }
 
 // handBack gives the connection, behind the bytes the loop has read ahead,
@@ -274,11 +312,11 @@ func (c *ownedConn) next() bool {
 // first; its Shutdown and Close then cover it as any other connection. It
 // leaves conns first, so shut never closes a connection net/http holds.
 func (c *ownedConn) handBack() {
-	s := c.s
-	s.connMu.Lock()
+	o := c.o
+	o.mu.Lock()
 	ok := c.state.CompareAndSwap(connIdle, connClosed)
-	delete(s.conns, c)
-	s.connMu.Unlock()
+	delete(o.conns, c)
+	o.mu.Unlock()
 	if !ok {
 		return
 	}

@@ -204,18 +204,9 @@ type Server struct {
 	eventJSON [][]byte
 
 	mux *http.ServeMux
-	// hot are the instrumented handlers of the hot routes (see strict.go),
-	// which an owned connection runs without the mux (conn.go).
-	hot [4]http.HandlerFunc
-
-	// connMu guards the owned connections (conns), the http.Servers a
-	// shutdown hook is registered with (servers: true once shutting down)
-	// and connsClosed (set by Close). loops counts the running loops.
-	connMu      sync.Mutex
-	conns       map[*ownedConn]struct{}
-	servers     map[*http.Server]bool
-	connsClosed bool
-	loops       sync.WaitGroup
+	// owner runs the hot routes' instrumented handlers (see strict.go) on
+	// the connections it takes over, without the mux (conn.go).
+	owner Owner
 }
 
 // New validates cfg and returns a ready server.
@@ -243,8 +234,6 @@ func New(cfg Config) (*Server, error) {
 		sessions: make(map[string]*session),
 		metrics:  obs.NewRegistry(),
 		mux:      http.NewServeMux(),
-		conns:    make(map[*ownedConn]struct{}),
-		servers:  make(map[*http.Server]bool),
 	}
 	s.scratch.New = func() interface{} { return newPredictScratch(s.window, s.inputDim, s.k) }
 	for _, name := range cfg.EventNames {
@@ -314,19 +303,14 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.registerServeMetrics()
-	s.hot = [...]http.HandlerFunc{
-		hotPredict:        s.instrument("/v1/predict", s.forSession("", s.handlePredict)),
-		hotFrames:         s.instrument("/v1/frames", s.forSession("", s.handleFrames)),
-		hotSessionPredict: s.instrument("/v1/sessions/predict", s.forSession("id", s.handlePredict)),
-		hotSessionFrames:  s.instrument("/v1/sessions/frames", s.forSession("id", s.handleFrames)),
-	}
-	s.mux.HandleFunc("POST /v1/frames", s.own(hotFrames))
-	s.mux.HandleFunc("POST /v1/predict", s.own(hotPredict))
+	// A push's body is read whole into the ingest buffer its scanner reads.
+	s.owner.Handle(s.mux, "POST /v1/frames", s.instrument("/v1/frames", s.forSession("", s.handleFrames)), true)
+	s.owner.Handle(s.mux, "POST /v1/predict", s.instrument("/v1/predict", s.forSession("", s.handlePredict)), false)
 	s.mux.HandleFunc("POST /v1/sessions", s.instrument("/v1/sessions", s.handleSessionCreate))
 	s.mux.HandleFunc("GET /v1/sessions", s.instrument("/v1/sessions", s.handleSessionList))
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.instrument("/v1/sessions", s.handleSessionDelete))
-	s.mux.HandleFunc("POST /v1/sessions/{id}/frames", s.own(hotSessionFrames))
-	s.mux.HandleFunc("POST /v1/sessions/{id}/predict", s.own(hotSessionPredict))
+	s.owner.Handle(s.mux, "POST /v1/sessions/{id}/frames", s.instrument("/v1/sessions/frames", s.forSession("id", s.handleFrames)), true)
+	s.owner.Handle(s.mux, "POST /v1/sessions/{id}/predict", s.instrument("/v1/sessions/predict", s.forSession("id", s.handlePredict)), false)
 	s.mux.HandleFunc("POST /v1/model", s.instrument("/v1/model", s.handleModelPush))
 	s.mux.HandleFunc("GET /v1/stats", s.instrument("/v1/stats", s.handleStats))
 	s.mux.HandleFunc("GET /v1/healthz", s.instrument("/v1/healthz", s.handleHealthz))
@@ -463,11 +447,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // headroom goes back to the coordinator so a stopped worker's parked budget
 // becomes available to its siblings. Safe to call on any server.
 func (s *Server) Close() {
-	s.connMu.Lock()
-	s.connsClosed = true
-	s.connMu.Unlock()
-	s.shut(nil)
-	s.loops.Wait()
+	s.owner.Close()
 	if s.arbiter != nil {
 		s.arbiter.ReturnLease()
 	}

@@ -173,11 +173,7 @@ func (s *Server) registerServeMetrics() {
 	}
 	s.metrics.GaugeFunc("eventhit_http_owned_connections",
 		"keep-alive connections the server answers itself, taken over from net/http by a hot route", nil,
-		func() float64 {
-			s.connMu.Lock()
-			defer s.connMu.Unlock()
-			return float64(len(s.conns))
-		})
+		func() float64 { return float64(s.owner.Len()) })
 	s.metrics.GaugeFunc("eventhit_serve_swap_generation",
 		"current model swap generation (boot is 0)", nil,
 		func() float64 { return float64(s.gens.Load()) })

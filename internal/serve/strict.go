@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// The hot routes, indexing Server.hot.
+// The hot routes, indexing Owner.hot and hotPatterns.
 const (
 	hotPredict = iota
 	hotFrames
@@ -15,16 +15,16 @@ const (
 
 // strictHead is a request head the strict parser accepted.
 type strictHead struct {
-	route                 int
-	id, path, query, host []byte // query is nil without a '?'
-	length                int64
-	close                 bool
+	route                        int
+	id, path, query, host, ctype []byte // query is nil without a '?'
+	length                       int64
+	close                        bool
 }
 
 // strictHeaders are the headers a strict head may carry, each at most once:
-// Host (required), Content-Length, Content-Type, Connection, and the
-// User-Agent and Accept-Encoding that Go's http.Client adds (serve.Client,
-// eventhitreplay), which no hot handler reads.
+// Host (required), Content-Length, Content-Type (the front passes it on),
+// Connection, and the User-Agent and Accept-Encoding that Go's http.Client
+// adds (serve.Client, eventhitreplay), which no hot handler reads.
 var strictHeaders = [...][]byte{[]byte("host"), []byte("content-length"), []byte("content-type"), []byte("connection"),
 	[]byte("user-agent"), []byte("accept-encoding")}
 
@@ -92,6 +92,8 @@ func parseStrict(b []byte) (h strictHead, n int, more bool) {
 			if h.length > MaxBodyBytes {
 				return h, 0, false
 			}
+		case k == 2:
+			h.ctype = v
 		case k == 3:
 			if h.close = bytes.EqualFold(v, []byte("close")); !h.close && !bytes.EqualFold(v, []byte("keep-alive")) {
 				return h, 0, false

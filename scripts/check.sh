@@ -169,9 +169,16 @@ stage swap go test -race ./internal/serve/ ./internal/drift/ ./internal/scenario
 # strict path gets one against net/http on a twin server. On an AVX2
 # machine the scanner takes compact bodies through its vector front end, so
 # the seeds, the handler corpus and the front end's probes run once more
-# with AVX2 off, where every body takes the word walk.
+# with AVX2 off, where every body takes the word walk. The cluster front's
+# owned connections get their seeds and a bounded live run against a
+# net/http twin front (each script that leaves the front waiting costs a
+# 1 s silence, so minimizing is capped), and its strict reply parser a
+# bounded live run against http.ReadResponse.
 fuzz_serve() {
     go test ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus|TestScanVectorMatchesWalk' -count=1 &&
+        go test ./internal/cluster/ -run 'FuzzFrontTakeoverMatchesNetHTTP|FuzzReplyMatchesReadResponse' -count=1 &&
+        go test ./internal/cluster/ -run '^$' -fuzz '^FuzzFrontTakeoverMatchesNetHTTP$' -fuzztime 15s -fuzzminimizetime 5x &&
+        go test ./internal/cluster/ -run '^$' -fuzz '^FuzzReplyMatchesReadResponse$' -fuzztime 10s &&
         GODEBUG=cpu.avx2=off go test ./internal/serve/ -run 'Fuzz|TestFramesHandlerCorpus|TestScanVectorMatchesWalk' -count=1 &&
         go test ./internal/serve/ -run '^$' -fuzz '^FuzzParseFrames$' -fuzztime 15s &&
         go test ./internal/serve/ -run '^$' -fuzz '^FuzzScanMatchesByteWalk$' -fuzztime 15s &&
@@ -221,13 +228,16 @@ stage stream-kernel-x5 go test -race -count=5 ./internal/core/ ./internal/strate
 # walks.
 stage tiers-race go test -race -count=1 ./internal/fleet/ ./internal/cluster/ ./internal/cascade/
 # The front's hop to its workers: the proxy contract against a direct twin
-# worker, hung, cancelled and restarted workers, refused URLs and expired
-# idle connections.
-stage front-hop-x5 go test -race -count=5 ./internal/cluster/ -run 'TestFrontProxyMatchesDirect|TestFrontHopFailures|TestFrontURLs|TestHopExpiresIdleConns'
+# worker, hung, cancelled, cut-short and restarted workers, refused URLs and
+# expired idle connections; and the front's owned client connections:
+# replies equal a net/http twin front's, shutdown closes them, idle and
+# mid-exchange with a slow worker, and a client gone mid-exchange leaves no
+# goroutine once the worker answers or the hop times out.
+stage front-hop-x5 go test -race -count=5 ./internal/cluster/ -run 'TestFrontProxyMatchesDirect|TestFrontHopFailures|TestFrontURLs|TestHopExpiresIdleConns|FuzzFrontTakeoverMatchesNetHTTP|TestFrontOwnedConnShutdown|TestFrontOwnedConnClientGone'
 # Allocation ceilings: frames handler at 1, 250 and 4096 frames; predict;
 # a push and a predict on an owned connection; a predict proxied through
-# the front.
-stage handler-allocs go test ./internal/serve/ ./internal/cluster/ -run 'TestFramesHandlerAllocs|TestPredictHandlerAllocs|TestOwnedConnAllocs|TestFrontProxyAllocs' -count=1
+# the front, in process and on an owned front connection.
+stage handler-allocs go test ./internal/serve/ ./internal/cluster/ -run 'TestFramesHandlerAllocs|TestPredictHandlerAllocs|TestOwnedConnAllocs|TestFrontProxyAllocs|TestFrontOwnedConnAllocs' -count=1
 # The corpus golden gate through the shipped binary, at GOMAXPROCS 1 and 4:
 # every report must equal its golden at both. The fleet cap, cache
 # and CI-fault sweeps are corpus scenarios, so this is their regeneration
