@@ -92,6 +92,9 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		}
 		return float64(ready)
 	})
+	f.metrics.GaugeFunc("eventhit_http_owned_connections",
+		"client connections the front answers itself, taken over from net/http by a data-path route", nil,
+		func() float64 { return float64(f.owner.Len()) })
 	// Fleet-aggregate families: each scrape fans /v1/stats out to the
 	// workers and sums. Scrape-time aggregation keeps the front stateless —
 	// a restarted front reports the same totals, because the workers own
@@ -128,8 +131,8 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	m.HandleFunc("DELETE /v1/sessions/{id}", f.proxySession)
 	// The data path runs on the connections the owner takes over; the hop
 	// streams each body to the worker as it arrives.
-	f.owner.Handle(m, "POST /v1/sessions/{id}/frames", f.proxySession, false)
-	f.owner.Handle(m, "POST /v1/sessions/{id}/predict", f.proxySession, false)
+	f.owner.Handle(m, "POST /v1/sessions/{id}/frames", f.proxySession)
+	f.owner.Handle(m, "POST /v1/sessions/{id}/predict", f.proxySession)
 	m.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, f.stats(r.Context())) })
 	m.HandleFunc("POST /v1/model", f.handleModelBroadcast)
 	m.HandleFunc("GET /v1/cluster/workers", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, f.WorkerRefs()) })

@@ -336,6 +336,49 @@ func TestFrontOwnedConnShutdown(t *testing.T) {
 	settle(t, base)
 }
 
+// TestFrontOwnedConnGauge: the front's /metrics counts the client
+// connections it took over, 1 while a gateway holds one and 0 once
+// Front.Close has closed it.
+func TestFrontOwnedConnGauge(t *testing.T) {
+	stub := httptest.NewServer(okWorker)
+	defer stub.Close()
+	front, err := NewFront(FrontConfig{Workers: []WorkerRef{{ID: "w0", URL: stub.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs, addr, served := ownedFront(t, front)
+	gauge := func() string {
+		rec := serveFront(front, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if strings.HasPrefix(line, "eventhit_http_owned_connections ") {
+				return line
+			}
+		}
+		t.Fatalf("no eventhit_http_owned_connections in the front's /metrics:\n%s", rec.Body)
+		return ""
+	}
+	if got := gauge(); got != "eventhit_http_owned_connections 0" {
+		t.Fatalf("before any gateway: %q", got)
+	}
+	nc, br := dialFront(t, addr)
+	if resp := roundTrip(t, nc, br, gatewayRequest(http.MethodPost, "/v1/sessions/cam/predict", nil)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("takeover: %s", resp.Status)
+	}
+	if got := gauge(); got != "eventhit_http_owned_connections 1" {
+		t.Fatalf("while a gateway holds a taken-over connection: %q", got)
+	}
+	front.Close()
+	if got := gauge(); got != "eventhit_http_owned_connections 0" {
+		t.Fatalf("after Front.Close: %q", got)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := br.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("the gateway's connection after Front.Close: read %d bytes, %v; want EOF", n, err)
+	}
+	hs.Close()
+	<-served
+}
+
 // TestFrontOwnedConnClientGone: the loop does not read while its handler
 // runs, so a client that closes its owned connection mid-exchange does not
 // cancel the exchange, as it would on net/http's path. The connection
@@ -387,8 +430,10 @@ func TestFrontOwnedConnClientGone(t *testing.T) {
 }
 
 // TestFrontOwnedConnAllocs holds a predict proxied on an owned front
-// connection to frontProxyAllocCeiling, the ceiling of the same predict
-// through the front's handler in process: the loop adds no allocation.
+// connection to frontOwnedConnAllocCeiling: the loop adds no allocation,
+// and the request context, which nothing cancels, costs the exchange no
+// watch, so it is below frontProxyAllocCeiling, the same predict through
+// the front's handler with a live context.
 func TestFrontOwnedConnAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -420,13 +465,18 @@ func TestFrontOwnedConnAllocs(t *testing.T) {
 	if n := front.owner.Len(); n != 1 {
 		t.Fatalf("the front owns %d connections, want 1", n)
 	}
-	if got := testing.AllocsPerRun(200, call); got > frontProxyAllocCeiling {
-		t.Errorf("%.1f allocs per predict proxied on an owned connection, ceiling %v", got, frontProxyAllocCeiling)
+	if got := testing.AllocsPerRun(200, call); got > frontOwnedConnAllocCeiling {
+		t.Errorf("%.1f allocs per predict proxied on an owned connection, ceiling %v", got, frontOwnedConnAllocCeiling)
 	}
 	if n := fails.Load(); n > 0 {
 		t.Fatalf("%d predicts did not answer 200", n)
 	}
 }
+
+// frontOwnedConnAllocCeiling is what TestFrontOwnedConnAllocs measures; it
+// read 26, as the in-process path did, while every exchange registered a
+// context.AfterFunc on a context that never fires.
+const frontOwnedConnAllocCeiling = 20
 
 // readReply reads one Content-Length-framed reply from c into buf and
 // returns its length, without allocating.

@@ -39,6 +39,7 @@ type hop struct {
 
 type hopConn struct {
 	nc        net.Conn
+	check     *idleCheck // see reusable
 	br        *bufio.Reader
 	bw        *bufio.Writer
 	idleSince time.Time
@@ -71,9 +72,10 @@ func newHop(rawURL string) (*hop, error) {
 
 // do sends one request, length body bytes or chunked when length < 0, and
 // passes the reply to read; an error not from read means no whole reply
-// came. The exchange ends at the hop's timeout or when ctx is done. Its
-// connection is pooled again only if the reply's body was read to its end,
-// the upstream did not ask to close, and ctx stayed live.
+// came. The exchange ends at the hop's timeout or when ctx is done (a ctx
+// that cannot be done costs no watch). Its connection is pooled again only
+// if the reply's body was read to its end, the upstream did not ask to
+// close, and ctx stayed live.
 func (h *hop) do(ctx context.Context, method, target, contentType string, body io.Reader, length int64, read func(*reply) error) error {
 	deadline := time.Now().Add(h.timeout)
 	c, err := h.take(ctx, deadline)
@@ -81,7 +83,10 @@ func (h *hop) do(ctx context.Context, method, target, contentType string, body i
 		return err
 	}
 	c.nc.SetDeadline(deadline)
-	stop := context.AfterFunc(ctx, func() { c.nc.SetDeadline(time.Unix(1, 0)) })
+	stop := func() bool { return true }
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, func() { c.nc.SetDeadline(time.Unix(1, 0)) })
+	}
 	c.body, c.bodyErr = body, nil
 	werr := c.send(method, target, h.addr, contentType, length)
 	c.body = nil
@@ -269,7 +274,7 @@ func (h *hop) take(ctx context.Context, deadline time.Time) (*hopConn, error) {
 		c := h.idle[n-1]
 		h.idle[n-1], h.idle = nil, h.idle[:n-1]
 		h.mu.Unlock()
-		if reusable(c.nc, c.idleSince) {
+		if c.reusable() {
 			return c, nil
 		}
 		c.nc.Close()
@@ -280,5 +285,5 @@ func (h *hop) take(ctx context.Context, deadline time.Time) (*hopConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hopConn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}, nil
+	return &hopConn{nc: nc, check: newIdleCheck(nc), br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}, nil
 }

@@ -7,6 +7,10 @@ import (
 	"time"
 )
 
+type idleCheck struct{}
+
+func newIdleCheck(net.Conn) *idleCheck { return nil }
+
 // reusable trusts a connection idle for under a second: without a socket
 // peek, a worker restarted on the same address within it fails one exchange.
-func reusable(_ net.Conn, idleSince time.Time) bool { return time.Since(idleSince) < time.Second }
+func (c *hopConn) reusable() bool { return time.Since(c.idleSince) < time.Second }

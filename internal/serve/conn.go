@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"cmp"
+	"context"
 	"io"
 	"net"
 	"net/http"
@@ -16,19 +17,15 @@ import (
 )
 
 // Owner takes keep-alive connections over from net/http for one handler
-// (Server, and the cluster front). On a plain HTTP/1.1 connection the first
-// POST to a hot route registered with Handle takes the connection over; from
-// then on one loop reads it. A request the strict parser (strict.go) accepts
-// runs its route's handler with a reused request and a writer whose
-// response is framed as net/http frames one it buffered whole. At any other
-// request the loop hands the connection, behind the bytes it read ahead,
-// back to the http.Server it was taken from, until a hot POST takes it over
-// again. Handlers, counters, limits and /metrics series are those of
-// net/http's path. Handle is called before any request is served; the zero
-// Owner is ready.
+// (Server, and the cluster front): on a plain HTTP/1.1 connection the first
+// POST to a hot route registered with Handle hijacks it, and one loop reads
+// it from then on. A request the strict parser (strict.go) accepts runs its
+// route's handler, body and response as net/http would run it; at any other
+// the loop hands the connection, behind the bytes it read ahead, back to its
+// http.Server until a hot POST takes it over again. Handle is called before
+// any request is served; the zero Owner is ready.
 type Owner struct {
-	hot   [4]http.HandlerFunc // by route; nil where the handler has none
-	whole [4]bool             // the route's body is read before its handler
+	hot [4]http.HandlerFunc // by route; nil where the handler has none
 
 	// mu guards conns, the http.Servers hooked for shutdown (servers: true
 	// once shutting down) and closed (set by Close); loops counts loops.
@@ -56,13 +53,13 @@ func (o *Owner) Close() {
 	o.loops.Wait()
 }
 
-// An owned connection is idle while it waits for or reads a request and
-// busy from the moment its handler runs until its response is written.
-// Closing it closes an idle connection at once, a busy one after its
-// response. The loop marks a connection it hands back closed.
+// An owned connection is busy while a handler runs and its response is
+// written (the zero state: the request that takes it over runs first), idle
+// while it waits for a request or a body's bytes. Closing it closes an idle
+// one at once, a busy one after its response; one handed back is closed.
 const (
-	connIdle int32 = iota
-	connBusy
+	connBusy int32 = iota
+	connIdle
 	connClosing
 	connClosed
 )
@@ -84,8 +81,7 @@ type ownedConn struct {
 	state atomic.Int32
 	timed bool // hs sets a read, write or idle timeout
 	req   *http.Request
-	body  ownedBody
-	lazy  lazyBody
+	body  lazyBody
 	w     ownedWriter
 	out   bytes.Buffer
 	paths map[string]hotPath // strict targets, their strings interned
@@ -100,52 +96,34 @@ type hotPath struct {
 
 // Handle registers h on mux for pattern, a hot route's: on a connection
 // that may be taken over the owner hijacks it and serves it until it closes
-// or goes back to net/http; otherwise h answers as usual. With whole set a
-// body is read into a pooled ingest buffer before h runs, else as h reads
-// it, so such a request that expects 100-continue stays with net/http.
-func (o *Owner) Handle(mux *http.ServeMux, pattern string, h http.HandlerFunc, whole bool) {
-	route := slices.Index(hotPatterns[:], pattern)
-	o.hot[route], o.whole[route] = h, whole
+// or goes back to net/http; otherwise h answers as usual. Every body is read
+// as h reads it, so a request that expects 100-continue stays with net/http.
+func (o *Owner) Handle(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
+	o.hot[slices.Index(hotPatterns[:], pattern)] = h
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		hj, _ := w.(http.Hijacker)
 		hs, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
 		if hj == nil || hs == nil || !r.ProtoAtLeast(1, 1) || r.Close || r.TLS != nil ||
-			r.ContentLength < 0 || r.ContentLength > MaxBodyBytes || !whole && r.Header.Get("Expect") != "" {
+			r.ContentLength < 0 || r.ContentLength > MaxBodyBytes || r.Header.Get("Expect") != "" {
 			h(w, r)
 			return
 		}
 		c := &ownedConn{o: o, hs: hs}
-		ib := getIngestBuf()
-		var err error
-		if whole {
-			err = ib.readBody(r.Body, r.ContentLength)
-			c.setBody(r, ib, err)
-		}
-		if err == nil && c.hijack(hj, r) {
-			defer o.release(c)
-			if !whole {
-				if c.timed {
-					c.pc.SetReadDeadline(after(hs.ReadTimeout))
-				}
-				c.lazy = lazyBody{LimitedReader: io.LimitedReader{R: c.br, N: r.ContentLength}}
-				r.Body = &c.lazy
-			}
-			ok := c.answer(h, r, true)
-			putIngestBuf(ib)
-			for ok && c.next() {
-			}
+		if !c.hijack(hj, r) {
+			h(w, r)
 			return
 		}
-		h(w, r)
-		putIngestBuf(ib)
+		defer o.release(c)
+		for ok := c.answer(h, r); ok && c.next(); {
+		}
 	})
 }
 
-// hijack registers c and takes its connection from net/http, keeping the
-// bytes net/http read past the first request. A connection net/http was
-// handed back is unwrapped, so wrappers never nest.
+// hijack registers c, takes its connection from net/http, keeping the bytes
+// net/http read past r, and gives r its body on c. A connection net/http was
+// handed back is unwrapped, so wrappers never nest. The reused request has
+// r's context without its cancellation, which the loop would never signal.
 func (c *ownedConn) hijack(hj http.Hijacker, r *http.Request) bool {
-	c.state.Store(connBusy)
 	if !c.o.adopt(c) {
 		return false
 	}
@@ -161,11 +139,14 @@ func (c *ownedConn) hijack(hj http.Hijacker, r *http.Request) bool {
 	}
 	c.pc = prefixConn{Conn: nc, pre: pre}
 	c.br = bufio.NewReaderSize(&c.pc, connBufSize)
+	c.body = lazyBody{c: c, LimitedReader: io.LimitedReader{R: c.br, N: r.ContentLength}}
+	r.Body = &c.body
 	c.req = (&http.Request{Method: http.MethodPost, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header: http.Header{}, URL: new(url.URL), RemoteAddr: r.RemoteAddr}).WithContext(r.Context())
+		Header: http.Header{}, URL: new(url.URL), RemoteAddr: r.RemoteAddr, Body: &c.body}).WithContext(context.WithoutCancel(r.Context()))
 	c.w.h, c.paths = http.Header{}, map[string]hotPath{}
 	hs := c.hs
 	c.timed = hs.ReadTimeout > 0 || hs.ReadHeaderTimeout > 0 || hs.WriteTimeout > 0 || hs.IdleTimeout > 0
+	nc.SetReadDeadline(after(hs.ReadTimeout))
 	nc.SetWriteDeadline(after(hs.WriteTimeout))
 	return true
 }
@@ -245,10 +226,10 @@ func (c *ownedConn) next() bool {
 		return false
 	}
 	c.br.Discard(len(p) - len(bytes.TrimLeft(p, "\r\n"))) // net/http skips a CR/LF sent after a POST body
-	var whole time.Time
+	var body time.Time
 	if c.timed {
 		c.pc.SetReadDeadline(after(cmp.Or(max(hs.ReadHeaderTimeout, 0), hs.ReadTimeout)))
-		whole = after(hs.ReadTimeout)
+		body = after(hs.ReadTimeout)
 	}
 	var hd strictHead
 	n := 0
@@ -287,24 +268,15 @@ func (c *ownedConn) next() bool {
 	if string(hd.ctype) != r.Header.Get("Content-Type") {
 		r.Header["Content-Type"] = []string{string(hd.ctype)}
 	}
-	c.lazy = lazyBody{LimitedReader: io.LimitedReader{R: c.br, N: hd.length}}
-	r.Close, r.ContentLength, r.Body = hd.close, hd.length, &c.lazy
+	c.body.N, c.body.err = hd.length, nil
+	r.Close, r.ContentLength = hd.close, hd.length
 	r.SetPathValue("id", hp.id)
 	c.br.Discard(n)
 	if c.timed {
-		c.pc.SetReadDeadline(whole)
+		c.pc.SetReadDeadline(body)
 		c.pc.SetWriteDeadline(after(hs.WriteTimeout))
 	}
-	if hd.length > 0 && c.o.whole[hp.route] {
-		ib := getIngestBuf()
-		defer putIngestBuf(ib)
-		err = ib.readBody(c.br, hd.length)
-		c.setBody(r, ib, err)
-	}
-	// As net/http, any body read error but an early end closes the
-	// connection after the response (answer judges an early end).
-	keep := err == nil || err == io.ErrUnexpectedEOF
-	return c.state.CompareAndSwap(connIdle, connBusy) && c.answer(c.o.hot[hp.route], r, keep)
+	return c.state.CompareAndSwap(connIdle, connBusy) && c.answer(c.o.hot[hp.route], r)
 }
 
 // handBack gives the connection, behind the bytes the loop has read ahead,
@@ -329,38 +301,15 @@ func (c *ownedConn) handBack() {
 	}
 }
 
-// setBody gives r the body read into ib or, when the read failed, the bytes
-// read before err and then err, as net/http's body reader would.
-func (c *ownedConn) setBody(r *http.Request, ib *ingestBuf, err error) {
-	if err != nil {
-		rb := &replayBody{err: err}
-		rb.Reset(ib.body.Bytes())
-		r.Body = rb
-		return
-	}
-	c.body.reset(ib)
-	r.Body = &c.body
-}
-
-// answer runs h on r and writes the response, closing the connection
-// after it unless keep is set; false ends the loop. The connection closes
-// as net/http closes it after h: when h left maxPostHandlerReadBytes or
-// more of the body unread, or the body ended early and h did not read it
-// to its error. A push's body was read before h ran; what h left of a
-// predict's is read now, as net/http reads it.
-func (c *ownedConn) answer(h http.HandlerFunc, r *http.Request, keep bool) bool {
+// answer runs h on r and writes the response; false ends the loop. What h
+// left of the body is read first, and the connection closes after the
+// response when r asked to close or drain says so, as net/http closes it.
+func (c *ownedConn) answer(h http.HandlerFunc, r *http.Request) bool {
 	clear(c.w.h)
 	c.w.code, c.w.body = 0, c.w.body[:0]
 	h(&c.w, r)
-	switch b := r.Body.(type) {
-	case *ownedBody:
-		keep = keep && b.Len() < maxPostHandlerReadBytes
-	case *replayBody:
-		keep = keep && b.err == nil && r.ContentLength-b.Size() < maxPostHandlerReadBytes
-	case *lazyBody:
-		keep = keep && !r.Close && c.drain(b)
-	}
-	keep = keep && !r.Close && c.state.Load() == connBusy
+	// A shutdown that began while h ran closes the connection undrained.
+	keep := !r.Close && c.state.Load() == connBusy && c.body.drain() && c.state.Load() == connBusy
 	c.frame(keep)
 	if _, err := c.pc.Write(c.out.Bytes()); err != nil || !keep {
 		return false
@@ -453,9 +402,12 @@ func (w *ownedWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// lazyBody is a predict's body on an owned connection, which its handler
-// reads from the connection as it would read net/http's.
+// lazyBody is a request's body on an owned connection, which its handler
+// reads from the connection as it would read net/http's: the bytes the loop
+// has buffered, then the socket's. While a read waits for the client the
+// connection is idle, so a shutdown closes a connection whose body stalls.
 type lazyBody struct {
+	c                *ownedConn
 	io.LimitedReader // N: the declared bytes not read yet
 	err              error
 }
@@ -464,7 +416,11 @@ func (b *lazyBody) Read(p []byte) (int, error) {
 	if b.err != nil {
 		return 0, b.err
 	}
+	wait := b.N > 0 && b.c.br.Buffered() == 0 && b.c.state.CompareAndSwap(connBusy, connIdle)
 	n, err := b.LimitedReader.Read(p)
+	if wait {
+		b.c.state.CompareAndSwap(connIdle, connBusy) // unless a shutdown closed the connection
+	}
 	if err == io.EOF && b.N > 0 {
 		err = io.ErrUnexpectedEOF
 	}
@@ -475,32 +431,15 @@ func (b *lazyBody) Read(p []byte) (int, error) {
 func (b *lazyBody) Close() error { return nil }
 
 // drain reads what a handler left of b, as net/http does: false, which
-// closes the connection, when 256 KiB or more is left or the rest does not
-// arrive. Meanwhile the connection is idle: a shutdown closes it.
-func (c *ownedConn) drain(b *lazyBody) bool {
-	if b.N == 0 {
-		return true
-	}
-	if b.err != nil || b.N >= maxPostHandlerReadBytes || !c.state.CompareAndSwap(connBusy, connIdle) {
+// closes the connection, when 256 KiB or more is left, the body failed, or
+// it ends early and the handler did not read it to that end.
+func (b *lazyBody) drain() bool {
+	if b.N >= maxPostHandlerReadBytes {
 		return false
 	}
-	_, err := io.Copy(io.Discard, b)
-	return c.state.CompareAndSwap(connIdle, connBusy) && err == nil
-}
-
-// replayBody gives a handler the body bytes read before err, then err
-// once, then EOF, as net/http's body reader does.
-type replayBody struct {
-	bytes.Reader
-	err error
-}
-
-func (b *replayBody) Read(p []byte) (int, error) {
-	n, err := b.Reader.Read(p)
-	if err == io.EOF && b.err != nil {
-		err, b.err = b.err, nil
+	if b.N == 0 || b.err == io.ErrUnexpectedEOF { // read to its end, or to where it ended early
+		return true
 	}
-	return n, err
+	_, err := io.Copy(io.Discard, b)
+	return err == nil
 }
-
-func (b *replayBody) Close() error { return nil }

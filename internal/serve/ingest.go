@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"io"
 	"math"
 	"math/bits"
 	"net/http"
@@ -35,32 +34,27 @@ type FramesResponse struct {
 }
 
 func (s *Server) handleFrames(sess *session, w http.ResponseWriter, r *http.Request) {
-	var ib *ingestBuf
-	if ob, ok := r.Body.(*ownedBody); ok {
-		// An owned connection read the body whole, within MaxBodyBytes, and
-		// returns its buffer to the pool.
-		ib = ob.take()
-	} else {
-		ib = getIngestBuf()
-		defer putIngestBuf(ib)
-		body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-		if n := r.ContentLength; n > 0 {
-			// ReadFrom wants MinRead spare bytes to see EOF; ask for them up
-			// front so a body of known length costs one growth, not a
-			// doubling series. Capped: a declared length commits no more
-			// memory than the pool would keep anyway before the bytes
-			// actually arrive.
-			ib.body.Grow(int(min(n, maxPooledIngestBytes)) + bytes.MinRead)
+	ib := getIngestBuf()
+	defer putIngestBuf(ib)
+	body := r.Body
+	if n := r.ContentLength; n < 0 || n > MaxBodyBytes {
+		// A body of known length within the limit ends at that length.
+		body = http.MaxBytesReader(w, body, MaxBodyBytes)
+	} else if n > 0 {
+		// ReadFrom wants MinRead spare bytes to see EOF; ask for them up
+		// front so a body of known length costs one growth, not a doubling
+		// series. Capped: a declared length commits no more memory than the
+		// pool would keep anyway before the bytes actually arrive.
+		ib.body.Grow(int(min(n, maxPooledIngestBytes)) + bytes.MinRead)
+	}
+	if _, err := ib.body.ReadFrom(body); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
 		}
-		if _, err := ib.body.ReadFrom(body); err != nil {
-			code := http.StatusBadRequest
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				code = http.StatusRequestEntityTooLarge
-			}
-			httpError(w, code, "invalid JSON: %v", err)
-			return
-		}
+		httpError(w, code, "invalid JSON: %v", err)
+		return
 	}
 	// Resolve through the session's atomic unit, not Config.Bundle: the
 	// serving model may have been swapped since boot. (Swap validation
@@ -142,47 +136,6 @@ type ingestBuf struct {
 	spans []span // scanWords' ring of the kept rows' number tokens
 	out   []byte // the acknowledgement
 }
-
-// readBody reads an n-byte request body into b.body, committing memory
-// only as the bytes arrive (at most maxPooledIngestBytes ahead of them).
-func (b *ingestBuf) readBody(r io.Reader, n int64) error {
-	for n > 0 {
-		chunk := min(n, maxPooledIngestBytes)
-		b.body.Grow(int(chunk))
-		p := b.body.AvailableBuffer()[:chunk]
-		m, err := io.ReadFull(r, p)
-		b.body.Write(p[:m])
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		if err != nil {
-			return err
-		}
-		n -= chunk
-	}
-	return nil
-}
-
-// ownedBody is a request body an owned connection read whole into a pooled
-// ingest buffer before the handler ran (see conn.go).
-type ownedBody struct {
-	ib *ingestBuf
-	bytes.Reader
-}
-
-func (b *ownedBody) reset(ib *ingestBuf) {
-	b.ib = ib
-	b.Reset(ib.body.Bytes())
-}
-
-// take hands the handler the whole body at once, which reads it as far as
-// the connection is concerned.
-func (b *ownedBody) take() *ingestBuf {
-	b.Reset(nil)
-	return b.ib
-}
-
-func (b *ownedBody) Close() error { return nil }
 
 // span is one number token's byte range in the body; 16 bytes.
 type span struct{ lo, hi int }

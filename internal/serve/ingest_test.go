@@ -212,11 +212,11 @@ func TestFramesResponseEncoding(t *testing.T) {
 }
 
 // framesHandlerAllocCeiling bounds the allocations of one frames POST —
-// the status-capturing writer and the body's MaxBytesReader; the response
-// header's value is shared and the acknowledgement is appended into the
-// pooled buffer — and is the same at every batch size: nothing on the
-// ingest path allocates per frame.
-const framesHandlerAllocCeiling = 2
+// the status-capturing writer; a body of known length within MaxBodyBytes
+// takes no MaxBytesReader, the response header's value is shared and the
+// acknowledgement is appended into the pooled buffer — and is the same at
+// every batch size: nothing on the ingest path allocates per frame.
+const framesHandlerAllocCeiling = 1
 
 func TestFramesHandlerAllocs(t *testing.T) {
 	if raceEnabled {

@@ -303,14 +303,13 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.registerServeMetrics()
-	// A push's body is read whole into the ingest buffer its scanner reads.
-	s.owner.Handle(s.mux, "POST /v1/frames", s.instrument("/v1/frames", s.forSession("", s.handleFrames)), true)
-	s.owner.Handle(s.mux, "POST /v1/predict", s.instrument("/v1/predict", s.forSession("", s.handlePredict)), false)
+	s.owner.Handle(s.mux, "POST /v1/frames", s.instrument("/v1/frames", s.forSession("", s.handleFrames)))
+	s.owner.Handle(s.mux, "POST /v1/predict", s.instrument("/v1/predict", s.forSession("", s.handlePredict)))
 	s.mux.HandleFunc("POST /v1/sessions", s.instrument("/v1/sessions", s.handleSessionCreate))
 	s.mux.HandleFunc("GET /v1/sessions", s.instrument("/v1/sessions", s.handleSessionList))
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.instrument("/v1/sessions", s.handleSessionDelete))
-	s.owner.Handle(s.mux, "POST /v1/sessions/{id}/frames", s.instrument("/v1/sessions/frames", s.forSession("id", s.handleFrames)), true)
-	s.owner.Handle(s.mux, "POST /v1/sessions/{id}/predict", s.instrument("/v1/sessions/predict", s.forSession("id", s.handlePredict)), false)
+	s.owner.Handle(s.mux, "POST /v1/sessions/{id}/frames", s.instrument("/v1/sessions/frames", s.forSession("id", s.handleFrames)))
+	s.owner.Handle(s.mux, "POST /v1/sessions/{id}/predict", s.instrument("/v1/sessions/predict", s.forSession("id", s.handlePredict)))
 	s.mux.HandleFunc("POST /v1/model", s.instrument("/v1/model", s.handleModelPush))
 	s.mux.HandleFunc("GET /v1/stats", s.instrument("/v1/stats", s.handleStats))
 	s.mux.HandleFunc("GET /v1/healthz", s.instrument("/v1/healthz", s.handleHealthz))

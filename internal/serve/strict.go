@@ -80,16 +80,13 @@ func parseStrict(b []byte) (h strictHead, n int, more bool) {
 				return h, 0, false
 			}
 		case k == 1:
-			if len(v) == 0 || len(v) > 7 {
-				return h, 0, false
-			}
 			for _, c := range v {
-				if !isDigit(c) {
+				if !isDigit(c) || h.length > MaxBodyBytes {
 					return h, 0, false
 				}
 				h.length = h.length*10 + int64(c-'0')
 			}
-			if h.length > MaxBodyBytes {
+			if len(v) == 0 || h.length > MaxBodyBytes {
 				return h, 0, false
 			}
 		case k == 2:

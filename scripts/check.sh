@@ -213,7 +213,8 @@ stage predict-strategy-x5 go test -race ./internal/strategy/ -run 'TestDecideCon
 stage decide-parallel-x5 go test -race -count=5 ./internal/strategy/ ./internal/pipeline/ ./internal/cascade/ -run 'TestPredictAllMatchesSerial|TestDecideParallelMatchesSerial|TestDecideReturnsLowestAnchorError|TestCascadePredictAllMatchesSerial'
 # Owned connections: paced_relay's mix of pushes, predicts and scrapes on
 # two taken-over connections, every reply equal to net/http's; and shutdown
-# closing owned connections, busy, idle and handed back to net/http.
+# closing owned connections, busy, idle, handed back to net/http, and
+# waiting for the rest of a predict's or a push's body.
 stage predict-serve-x5 go test -race ./internal/serve/ -run 'TestConcurrentPredictMatchesSerial|TestConcurrentRelayMatchesSerial|TestSameSessionPredictMatchesSerial|TestOwnedConnMixedTraffic|TestOwnedConnShutdown' -count=5
 # The one relay path both drivers send decided relays through: served,
 # retried, deferred (outage, open breaker) and cache-hit fates as one table.
@@ -231,9 +232,10 @@ stage tiers-race go test -race -count=1 ./internal/fleet/ ./internal/cluster/ ./
 # worker, hung, cancelled, cut-short and restarted workers, refused URLs and
 # expired idle connections; and the front's owned client connections:
 # replies equal a net/http twin front's, shutdown closes them, idle and
-# mid-exchange with a slow worker, and a client gone mid-exchange leaves no
-# goroutine once the worker answers or the hop times out.
-stage front-hop-x5 go test -race -count=5 ./internal/cluster/ -run 'TestFrontProxyMatchesDirect|TestFrontHopFailures|TestFrontURLs|TestHopExpiresIdleConns|FuzzFrontTakeoverMatchesNetHTTP|TestFrontOwnedConnShutdown|TestFrontOwnedConnClientGone'
+# mid-exchange with a slow worker, the front's /metrics gauge counts them,
+# and a client gone mid-exchange leaves no goroutine once the worker answers
+# or the hop times out.
+stage front-hop-x5 go test -race -count=5 ./internal/cluster/ -run 'TestFrontProxyMatchesDirect|TestFrontHopFailures|TestFrontURLs|TestHopExpiresIdleConns|FuzzFrontTakeoverMatchesNetHTTP|TestFrontOwnedConnShutdown|TestFrontOwnedConnGauge|TestFrontOwnedConnClientGone'
 # Allocation ceilings: frames handler at 1, 250 and 4096 frames; predict;
 # a push and a predict on an owned connection; a predict proxied through
 # the front, in process and on an owned front connection.
