@@ -6,10 +6,11 @@
 // regenerated from -task/-seed, never shipped.
 //
 // The decisions come from one of two places. With -server it plays the
-// camera side of Figure 1 itself: it streams the covariates of its local
-// detector to a running eventhitserve, asks for one decision per horizon,
-// and scores what it was told. With -trace it scores the audit trail an
-// eventhitserve -trace wrote for a camera on the same (task, seed).
+// camera side of Figure 1 itself: it creates a session on a running
+// eventhitserve (or an eventhitcluster front), streams the covariates of
+// its local detector to it, asks for one decision per horizon, prints the
+// session's counters, deletes it, and scores what it was told. With -trace it scores the audit trail an eventhitserve
+// -trace wrote for a camera on the same (task, seed).
 //
 //	eventhitserve -task TA10 -trace decisions.jsonl &
 //	eventhitreplay -server http://localhost:8080 -task TA10 -seed 99 -horizons 50
@@ -84,6 +85,13 @@ func stream(server string, t harness.Task, st *video.Stream, seed int64, horizon
 	if !c.Healthy(ctx) {
 		return nil, fmt.Errorf("server %s not healthy — is eventhitserve running?", server)
 	}
+	id, err := c.CreateSession(ctx, "")
+	if err != nil {
+		return nil, err
+	}
+	// The session is the replay's own; the server keeps no camera state
+	// after it.
+	defer c.DeleteSession(ctx, id)
 	frame := 0
 	push := func(upto int) error {
 		for frame < upto {
@@ -91,7 +99,7 @@ func stream(server string, t harness.Task, st *video.Stream, seed int64, horizon
 			for ; frame < upto && len(batch) < cap(batch); frame++ {
 				batch = append(batch, ex.FrameVector(frame, nil))
 			}
-			if _, err := c.PushFrames(ctx, batch); err != nil {
+			if _, err := c.PushFrames(ctx, id, batch); err != nil {
 				return err
 			}
 		}
@@ -103,7 +111,7 @@ func stream(server string, t harness.Task, st *video.Stream, seed int64, horizon
 	}
 	var entries []trace.Entry
 	for h := 0; h < horizons && frame+horizon < st.N; h++ {
-		resp, err := c.Predict(ctx, conf, cov)
+		resp, err := c.Predict(ctx, id, conf, cov)
 		if err != nil {
 			return nil, err
 		}
@@ -117,12 +125,16 @@ func stream(server string, t harness.Task, st *video.Stream, seed int64, horizon
 			return nil, err
 		}
 	}
-	stats, err := c.Stats(ctx)
+	sessions, err := c.Sessions(ctx)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("server stats: %d predictions, %d relays, %d frames to cloud, $%.2f (BF: $%.2f)\n",
-		stats.Predictions, stats.Relays, stats.FramesToCloud, stats.EstimatedUSD, stats.BruteForceUSD)
+	for _, si := range sessions {
+		if si.ID == id {
+			fmt.Printf("session %s: %d frames ingested, %d predictions, %d relays (%d relayed OK, %d deferred, %d admission-deferred)\n",
+				si.ID, si.FramesIngested, si.Predictions, si.Relays, si.RelayedOK, si.DeferredRelays, si.AdmissionDeferred)
+		}
+	}
 	return entries, nil
 }
 

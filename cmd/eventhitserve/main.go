@@ -9,8 +9,9 @@
 // Without -bundle the server trains a fresh model for -task at startup
 // (useful for demos).
 //
-//	curl -s -X POST localhost:8080/v1/frames -d '{"frames": [[...]]}'
-//	curl -s -X POST 'localhost:8080/v1/predict?confidence=0.95'
+//	curl -s -X POST localhost:8080/v1/sessions -d '{"id":"cam-1"}'
+//	curl -s -X POST localhost:8080/v1/sessions/cam-1/frames -d '{"frames": [[...]]}'
+//	curl -s -X POST 'localhost:8080/v1/sessions/cam-1/predict?confidence=0.95'
 //	curl -s localhost:8080/v1/stats
 package main
 

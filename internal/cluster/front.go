@@ -107,7 +107,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		{"eventhit_cluster_relays_total", "relays decided across all workers", func(s serve.Stats) float64 { return float64(s.Relays) }},
 		{"eventhit_cluster_frames_to_cloud_total", "frames relayed to the CI across all workers", func(s serve.Stats) float64 { return float64(s.FramesToCloud) }},
 		{"eventhit_cluster_estimated_usd", "estimated CI spend across all workers", func(s serve.Stats) float64 { return s.EstimatedUSD }},
-		{"eventhit_cluster_sessions", "sessions across all workers (incl. each worker's default)", func(s serve.Stats) float64 { return float64(s.Sessions) }},
+		{"eventhit_cluster_sessions", "sessions across all workers", func(s serve.Stats) float64 { return float64(s.Sessions) }},
 		{"eventhit_cluster_admission_deferred_total", "relays deferred by fleet admission across all workers", func(s serve.Stats) float64 { return float64(s.AdmissionDeferred) }},
 	} {
 		get := fam.get
@@ -131,8 +131,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	m.HandleFunc("DELETE /v1/sessions/{id}", f.proxySession)
 	// The data path runs on the connections the owner takes over; the hop
 	// streams each body to the worker as it arrives.
-	f.owner.Handle(m, "POST /v1/sessions/{id}/frames", f.proxySession)
-	f.owner.Handle(m, "POST /v1/sessions/{id}/predict", f.proxySession)
+	f.owner.Handle(m, f.proxySession, f.proxySession)
 	m.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, f.stats(r.Context())) })
 	m.HandleFunc("POST /v1/model", f.handleModelBroadcast)
 	m.HandleFunc("GET /v1/cluster/workers", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, f.WorkerRefs()) })
@@ -238,26 +237,17 @@ func (f *Front) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	f.proxy(w, r, u, bytes.NewReader(body), int64(len(body)))
 }
 
-// handleSessionList fans GET /v1/sessions out and concatenates, dropping
-// each worker's built-in default session — it exists per worker and is not
-// cluster-routed.
+// handleSessionList fans GET /v1/sessions out and concatenates the
+// workers' lists in ring order.
 func (f *Front) handleSessionList(w http.ResponseWriter, r *http.Request) {
-	var all []serve.SessionInfo
+	all := []serve.SessionInfo{}
 	for _, u := range f.members {
 		var list []serve.SessionInfo
 		if err := getJSON(r.Context(), u.hop, "/v1/sessions", &list); err != nil {
 			clusterError(w, http.StatusBadGateway, "worker %s: %v", u.ref.ID, err)
 			return
 		}
-		for _, si := range list {
-			if si.ID == serve.DefaultSession {
-				continue
-			}
-			all = append(all, si)
-		}
-	}
-	if all == nil {
-		all = []serve.SessionInfo{}
+		all = append(all, list...)
 	}
 	writeJSON(w, all)
 }

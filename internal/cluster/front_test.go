@@ -192,10 +192,10 @@ func TestFrontRoutesAndProxies(t *testing.T) {
 	for i := range frames {
 		frames[i] = bw.ex.FrameVector(1000+i, nil)
 	}
-	if _, err := fc.PushFramesSession(tctx, id, frames); err != nil {
+	if _, err := fc.PushFrames(tctx, id, frames); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := fc.PredictSession(tctx, id, 0, 0)
+	resp, err := fc.Predict(tctx, id, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestFrontRoutesAndProxies(t *testing.T) {
 	}
 
 	// Unknown-session errors pass through verbatim.
-	if _, err := fc.PredictSession(tctx, "no-such-session", 0, 0); err == nil || !strings.Contains(err.Error(), "404") {
+	if _, err := fc.Predict(tctx, "no-such-session", 0, 0); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("unknown session through front: %v", err)
 	}
 
@@ -257,9 +257,69 @@ func TestFrontProxyForwardsContentLength(t *testing.T) {
 	}
 }
 
+// workerStats reads GET /v1/stats from the worker at url.
+func workerStats(t *testing.T, url string) serve.Stats {
+	t.Helper()
+	var st serve.Stats
+	getJSONURL(t, url+"/v1/stats", &st)
+	return st
+}
+
+// getJSONURL GETs url and decodes its 200 reply into out.
+func getJSONURL(t *testing.T, url string, out interface{}) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s", url, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFrontSessionNamedDefault: "default" names a session like any other.
+// Through a two-worker front it is created, listed and counted once, and
+// the /v1/stats totals count what the list holds; POST /v1/frames and
+// /v1/predict, which name no session, are 404.
+func TestFrontSessionNamedDefault(t *testing.T) {
+	fx := newFrontFixture(t, 2)
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := fx.frontTS.Client().Post(fx.frontTS.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post("/v1/sessions", `{"id":"default"}`); code != http.StatusCreated {
+		t.Fatalf("creating session \"default\": %d, want 201", code)
+	}
+	var list []serve.SessionInfo
+	getJSONURL(t, fx.frontTS.URL+"/v1/sessions", &list)
+	if len(list) != 1 || list[0].ID != "default" {
+		t.Fatalf("session list %+v, want session \"default\" alone", list)
+	}
+	var cs ClusterStats
+	getJSONURL(t, fx.frontTS.URL+"/v1/stats", &cs)
+	if cs.Totals.Sessions != len(list) {
+		t.Fatalf("/v1/stats totals count %d sessions, the list %d", cs.Totals.Sessions, len(list))
+	}
+	for _, path := range []string{"/v1/frames", "/v1/predict"} {
+		if code := post(path, `{"frames":[[0.5]]}`); code != http.StatusNotFound {
+			t.Errorf("POST %s: %d, want 404", path, code)
+		}
+	}
+}
+
 // TestFrontSessionListAndStats: the fan-out surfaces — the merged session
-// list hides per-worker default sessions, and /v1/stats totals are the sum
-// of the workers' counters.
+// list holds every routed session, and /v1/stats totals are the sum of the
+// workers' counters.
 func TestFrontSessionListAndStats(t *testing.T) {
 	fx := newFrontFixture(t, 2)
 	bw := getClusterBundle(t)
@@ -278,10 +338,10 @@ func TestFrontSessionListAndStats(t *testing.T) {
 		frames[i] = bw.ex.FrameVector(2000+i, nil)
 	}
 	for _, id := range ids {
-		if _, err := fc.PushFramesSession(tctx, id, frames); err != nil {
+		if _, err := fc.PushFrames(tctx, id, frames); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fc.PredictSession(tctx, id, 0, 0); err != nil {
+		if _, err := fc.Predict(tctx, id, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,11 +352,6 @@ func TestFrontSessionListAndStats(t *testing.T) {
 	}
 	if len(list) != len(ids) {
 		t.Fatalf("merged session list has %d entries, want %d: %+v", len(list), len(ids), list)
-	}
-	for _, si := range list {
-		if si.ID == serve.DefaultSession {
-			t.Fatal("merged list leaked a worker default session")
-		}
 	}
 
 	cs := fx.front.Stats()
@@ -318,9 +373,8 @@ func TestFrontSessionListAndStats(t *testing.T) {
 	if cs.Totals.FramesIngested != sumFrames {
 		t.Fatalf("total frames %d != sum %d", cs.Totals.FramesIngested, sumFrames)
 	}
-	// Each worker's default session counts toward its Sessions gauge.
-	if cs.Totals.Sessions != len(ids)+2 {
-		t.Fatalf("total sessions %d, want %d routed + 2 defaults", cs.Totals.Sessions, len(ids))
+	if cs.Totals.Sessions != len(ids) {
+		t.Fatalf("total sessions %d, want %d", cs.Totals.Sessions, len(ids))
 	}
 
 	checkTotals(t, cs.Totals, cs.PerWorker)
@@ -451,18 +505,14 @@ func TestFrontStatsSharedCacheCountsOnce(t *testing.T) {
 			frames = append(frames, bw.ex.FrameVector(next, nil))
 		}
 		for _, id := range twins {
-			if _, err := c0.PushFramesSession(tctx, id, frames); err != nil {
+			if _, err := c0.PushFrames(tctx, id, frames); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c0.PredictSession(tctx, id, 0.99, 0.9); err != nil {
+			if _, err := c0.Predict(tctx, id, 0.99, 0.9); err != nil {
 				t.Fatal(err)
 			}
 		}
-		st, err := c0.Stats(tctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		misses = st.CacheMisses
+		misses = workerStats(t, fx.urls[0]).CacheMisses
 	}
 	// The operator's view of the shared cache: the coordinator's endpoint.
 	var shared cicache.Stats
@@ -534,11 +584,7 @@ func TestFrontModelBroadcast(t *testing.T) {
 		}
 	}
 	for i := range fx.workers {
-		st, err := serve.NewClient(fx.urls[i], nil).Stats(tctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.AdminSwaps != 1 || st.ModelGeneration == 0 {
+		if st := workerStats(t, fx.urls[i]); st.AdminSwaps != 1 || st.ModelGeneration == 0 {
 			t.Fatalf("worker %d did not swap: %+v", i, st)
 		}
 	}

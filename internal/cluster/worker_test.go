@@ -60,6 +60,9 @@ func TestWorkerHungCoordinatorDefers(t *testing.T) {
 	}
 	t.Cleanup(w.Close)
 	c := serve.NewClient(url, nil)
+	if _, err := c.CreateSession(tctx, "c0"); err != nil {
+		t.Fatal(err)
+	}
 
 	// The ten frames just before an imminent event: EHCR relays.
 	anchor := bw.st.ByType[0][30].OI.Start - 20
@@ -67,7 +70,7 @@ func TestWorkerHungCoordinatorDefers(t *testing.T) {
 	for f := anchor - 9; f <= anchor; f++ {
 		frames = append(frames, bw.ex.FrameVector(f, nil))
 	}
-	if _, err := c.PushFrames(tctx, frames); err != nil {
+	if _, err := c.PushFrames(tctx, "c0", frames); err != nil {
 		t.Fatal(err)
 	}
 	type result struct {
@@ -76,7 +79,7 @@ func TestWorkerHungCoordinatorDefers(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, err := c.Predict(tctx, 0.95, 0.9)
+		resp, err := c.Predict(tctx, "c0", 0.95, 0.9)
 		done <- result{resp, err}
 	}()
 	var r result
@@ -91,11 +94,7 @@ func TestWorkerHungCoordinatorDefers(t *testing.T) {
 	if d := r.resp.Decisions[0]; !d.Relay || !d.Deferred {
 		t.Fatalf("decision %+v, want a deferred relay", d)
 	}
-	st, err := c.Stats(tctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.CacheEnabled || st.CacheHits != 0 || st.AdmissionDeferred != 1 || st.FramesToCloud != 0 {
+	if st := workerStats(t, url); !st.CacheEnabled || st.CacheHits != 0 || st.AdmissionDeferred != 1 || st.FramesToCloud != 0 {
 		t.Fatalf("stats %+v: want the remote cache wired, no hit, one admission deferral, nothing sent", st)
 	}
 	mu.Lock()

@@ -46,7 +46,7 @@ func newAdaptFixture(t *testing.T) *adaptFixture {
 		t.Fatal(err)
 	}
 	ci := cloud.NewService(bw.st, cloud.RekognitionPricing(), cloud.DefaultLatency())
-	srv, err := New(Config{
+	srv := sessionServer(t, &Config{
 		Bundle:            bw.b,
 		EventNames:        []string{"Volleyball Spiking"},
 		PerFrameUSD:       0.001,
@@ -54,13 +54,10 @@ func newAdaptFixture(t *testing.T) *adaptFixture {
 		DefaultCoverage:   0.9,
 		CI:                ci,
 		Adapt:             &AdaptConfig{AuditRate: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 1)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return &adaptFixture{t: t, c: NewClient(ts.URL, ts.Client()), bw: bw, ex: ex, session: DefaultSession}
+	return &adaptFixture{t: t, c: NewClient(ts.URL, ts.Client()), bw: bw, ex: ex, session: "c0"}
 }
 
 // bystander opens a second session on fx's server, fed the clean stream
@@ -89,7 +86,7 @@ func (fx *adaptFixture) advance(to int) {
 		for f := fx.next; f <= hi; f++ {
 			frames = append(frames, fx.ex.FrameVector(f, nil))
 		}
-		if _, err := fx.c.PushFramesSession(tctx, fx.session, frames); err != nil {
+		if _, err := fx.c.PushFrames(tctx, fx.session, frames); err != nil {
 			fx.t.Fatal(err)
 		}
 		fx.next = hi + 1
@@ -106,7 +103,7 @@ func (fx *adaptFixture) walk(n, stride int) (coverage float64, occurred int, tra
 	for i := 0; i < n; i++ {
 		anchor := fx.next - 1 + stride
 		fx.advance(anchor)
-		resp, err := fx.c.PredictSession(tctx, fx.session, 0, 0)
+		resp, err := fx.c.Predict(tctx, fx.session, 0, 0)
 		if err != nil {
 			fx.t.Fatal(err)
 		}
@@ -301,19 +298,16 @@ func (c *scriptedCI) PerFrameMS() float64 { return 1 }
 func TestRecalibrationsDeferredCountsAttempts(t *testing.T) {
 	bw := getBundle(t)
 	ci := &scriptedCI{verdict: "present"}
-	srv, err := New(Config{
+	srv := sessionServer(t, &Config{
 		Bundle: bw.b, EventNames: []string{"Volleyball Spiking"}, PerFrameUSD: 0.001,
 		DefaultConfidence: 0.9, DefaultCoverage: 0.9, CI: ci,
 		Adapt: &AdaptConfig{AuditRate: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pushTo(t, srv, DefaultSession, bw.ex, 300, 309)
+	}, 1)
+	pushTo(t, srv, "c0", bw.ex, 300, 309)
 	predictUntil := func(phase string, done func(Stats) bool) Stats {
 		t.Helper()
 		for i := 0; i < 50; i++ {
-			resp, err := predictSession(srv, DefaultSession)
+			resp, err := predictSession(srv, "c0")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -336,7 +330,7 @@ func TestRecalibrationsDeferredCountsAttempts(t *testing.T) {
 	ci.verdict = "down"
 	audits := st.DriftAudits
 	for i := 0; i < 20; i++ {
-		if _, err := predictSession(srv, DefaultSession); err != nil {
+		if _, err := predictSession(srv, "c0"); err != nil {
 			t.Fatal(err)
 		}
 	}

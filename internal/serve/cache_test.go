@@ -16,7 +16,7 @@ func newCachedRelayServer(t *testing.T) (*Client, *Bundlewrap, *cloud.Faulty) {
 	bw := getBundle(t)
 	ci := cloud.Inject(cloud.NewService(bw.st, cloud.RekognitionPricing(), cloud.DefaultLatency()), cloud.FaultPlan{})
 	cc := cicache.DefaultConfig()
-	srv, err := New(Config{
+	srv := sessionServer(t, &Config{
 		Bundle:            bw.b,
 		EventNames:        []string{"Volleyball Spiking"},
 		PerFrameUSD:       0.001,
@@ -24,10 +24,7 @@ func newCachedRelayServer(t *testing.T) (*Client, *Bundlewrap, *cloud.Faulty) {
 		DefaultCoverage:   0.9,
 		CI:                ci,
 		Cache:             &cc,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 1)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return NewClient(ts.URL, ts.Client()), bw, ci
@@ -58,7 +55,7 @@ func TestServerCacheRequiresCI(t *testing.T) {
 func TestServerCacheHitOnRepeatPredict(t *testing.T) {
 	c, bw, ci := newCachedRelayServer(t)
 	pushImminentWindow(t, c, bw)
-	r1, err := c.Predict(tctx, 0.95, 0.9)
+	r1, err := c.Predict(tctx, "c0", 0.95, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +66,7 @@ func TestServerCacheHitOnRepeatPredict(t *testing.T) {
 	if u1.Frames == 0 {
 		t.Fatal("first relay billed nothing")
 	}
-	r2, err := c.Predict(tctx, 0.95, 0.9)
+	r2, err := c.Predict(tctx, "c0", 0.95, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +118,7 @@ func TestServerCacheHitBypassesArbiter(t *testing.T) {
 	bw := getBundle(t)
 	ci := cloud.Inject(cloud.NewService(bw.st, cloud.RekognitionPricing(), cloud.DefaultLatency()), cloud.FaultPlan{})
 	cc := cicache.DefaultConfig()
-	srv, err := New(Config{
+	srv := sessionServer(t, &Config{
 		Bundle:            bw.b,
 		EventNames:        []string{"Volleyball Spiking"},
 		PerFrameUSD:       0.001,
@@ -132,15 +129,12 @@ func TestServerCacheHitBypassesArbiter(t *testing.T) {
 		// One 200-frame relay costs $0.20: the second uncached attempt
 		// would be declined.
 		Fleet: &fleet.ArbiterConfig{PerFrameUSD: 0.001, GlobalBudgetUSD: 0.25},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 1)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL, ts.Client())
 	pushImminentWindow(t, c, bw)
-	r1, err := c.Predict(tctx, 0.95, 0.9)
+	r1, err := c.Predict(tctx, "c0", 0.95, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +145,7 @@ func TestServerCacheHitBypassesArbiter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c.Predict(tctx, 0.95, 0.9)
+	r2, err := c.Predict(tctx, "c0", 0.95, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +178,7 @@ func TestServerCacheHitBypassesArbiter(t *testing.T) {
 func TestServerCacheOffStatsZero(t *testing.T) {
 	c, bw, _ := newRelayServer(t, cloud.FaultPlan{})
 	pushImminentWindow(t, c, bw)
-	if _, err := c.Predict(tctx, 0.95, 0.9); err != nil {
+	if _, err := c.Predict(tctx, "c0", 0.95, 0.9); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stats(tctx)

@@ -155,26 +155,21 @@ func appendFloat(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'f', -1, 64)
 }
 
-// pushFrames posts frames to a frames endpoint.
-func (c *Client) pushFrames(ctx context.Context, path string, frames [][]float64) (FramesResponse, error) {
+// PushFrames sends covariate vectors to session id.
+func (c *Client) PushFrames(ctx context.Context, id string, frames [][]float64) (FramesResponse, error) {
 	var out FramesResponse
 	body, err := encodeFrames(frames)
 	if err != nil {
 		return out, err
 	}
-	return out, c.do(ctx, http.MethodPost, path, "application/json", body, &out)
+	return out, c.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/frames", "application/json", body, &out)
 }
 
-// PushFrames sends covariate vectors to the server.
-func (c *Client) PushFrames(ctx context.Context, frames [][]float64) (FramesResponse, error) {
-	return c.pushFrames(ctx, "/v1/frames", frames)
-}
-
-// Predict asks for the marshalling decision at the current anchor.
-// confidence/coverage of 0 use the server defaults.
-func (c *Client) Predict(ctx context.Context, confidence, coverage float64) (PredictResponse, error) {
+// Predict asks for session id's marshalling decision at its current
+// anchor. confidence/coverage of 0 use the server defaults.
+func (c *Client) Predict(ctx context.Context, id string, confidence, coverage float64) (PredictResponse, error) {
 	var out PredictResponse
-	err := c.post(ctx, "/v1/predict"+predictQuery(confidence, coverage), nil, &out)
+	err := c.post(ctx, "/v1/sessions/"+url.PathEscape(id)+"/predict"+predictQuery(confidence, coverage), nil, &out)
 	return out, err
 }
 
@@ -200,29 +195,15 @@ func (c *Client) CreateSession(ctx context.Context, id string) (string, error) {
 	return out.ID, err
 }
 
+// DeleteSession removes a session and releases its fleet rate bucket.
+func (c *Client) DeleteSession(ctx context.Context, id string) error {
+	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+url.PathEscape(id), "", nil, nil)
+}
+
 // Sessions lists every session's counters in creation order.
 func (c *Client) Sessions(ctx context.Context) ([]SessionInfo, error) {
 	var out []SessionInfo
 	err := c.get(ctx, "/v1/sessions", &out)
-	return out, err
-}
-
-// PushFramesSession is PushFrames scoped to one session.
-func (c *Client) PushFramesSession(ctx context.Context, id string, frames [][]float64) (FramesResponse, error) {
-	return c.pushFrames(ctx, "/v1/sessions/"+url.PathEscape(id)+"/frames", frames)
-}
-
-// PredictSession is Predict scoped to one session.
-func (c *Client) PredictSession(ctx context.Context, id string, confidence, coverage float64) (PredictResponse, error) {
-	var out PredictResponse
-	err := c.post(ctx, "/v1/sessions/"+url.PathEscape(id)+"/predict"+predictQuery(confidence, coverage), nil, &out)
-	return out, err
-}
-
-// Stats fetches the server counters.
-func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	var out Stats
-	err := c.get(ctx, "/v1/stats", &out)
 	return out, err
 }
 

@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"context"
 	"net/http"
-	"net/url"
 
 	"eventhit/internal/strategy"
 )
 
-// DeleteSession removes a session and releases its fleet rate bucket.
-func (c *Client) DeleteSession(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+url.PathEscape(id), "", nil, nil)
+// Stats fetches the server counters.
+func (c *Client) Stats(ctx context.Context) (Stats, error) {
+	var out Stats
+	err := c.get(ctx, "/v1/stats", &out)
+	return out, err
 }
 
 // PushModel uploads a new bundle to POST /v1/model, atomically hot-swapping
@@ -27,8 +28,8 @@ func (c *Client) PushModel(ctx context.Context, b *strategy.Bundle) (ModelRespon
 	return out, err
 }
 
-// Ready reports whether the server is ready to take traffic (model
-// installed, arbiter live, not draining). A transport error counts as not
+// Ready reports whether the server is ready to take traffic (not
+// draining, its ReadyProbe passing). A transport error counts as not
 // ready — exactly how a front tier must treat an unreachable worker.
 func (c *Client) Ready(ctx context.Context) bool {
 	return c.do(ctx, http.MethodGet, "/readyz", "", nil, nil) == nil

@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -18,14 +17,15 @@ import (
 
 // Owner takes keep-alive connections over from net/http for one handler
 // (Server, and the cluster front): on a plain HTTP/1.1 connection the first
-// POST to a hot route registered with Handle hijacks it, and one loop reads
-// it from then on. A request the strict parser (strict.go) accepts runs its
-// route's handler, body and response as net/http would run it; at any other
-// the loop hands the connection, behind the bytes it read ahead, back to its
-// http.Server until a hot POST takes it over again. Handle is called before
-// any request is served; the zero Owner is ready.
+// POST to a hot route, a session's predict or frames, hijacks it, and one
+// loop reads it from then on. A request the strict parser (strict.go)
+// accepts runs its route's handler, body and response as net/http would
+// run it; at any other the loop hands the connection, behind the bytes it
+// read ahead, back to its http.Server until a hot POST takes it over
+// again. Handle is called before any request is served; the zero Owner is
+// ready.
 type Owner struct {
-	hot [4]http.HandlerFunc // by route; nil where the handler has none
+	hot [len(hotPatterns)]http.HandlerFunc // by route
 
 	// mu guards conns, the http.Servers hooked for shutdown (servers: true
 	// once shutting down) and closed (set by Close); loops counts loops.
@@ -37,7 +37,7 @@ type Owner struct {
 }
 
 // hotPatterns are the mux patterns of the hot routes, by route.
-var hotPatterns = [...]string{"POST /v1/predict", "POST /v1/frames", "POST /v1/sessions/{id}/predict", "POST /v1/sessions/{id}/frames"}
+var hotPatterns = [...]string{"POST /v1/sessions/{id}/predict", "POST /v1/sessions/{id}/frames"}
 
 // Len is the number of connections the owner holds.
 func (o *Owner) Len() int {
@@ -94,29 +94,32 @@ type hotPath struct {
 	id, path string
 }
 
-// Handle registers h on mux for pattern, a hot route's: on a connection
-// that may be taken over the owner hijacks it and serves it until it closes
-// or goes back to net/http; otherwise h answers as usual. Every body is read
-// as h reads it, so a request that expects 100-continue stays with net/http.
-func (o *Owner) Handle(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
-	o.hot[slices.Index(hotPatterns[:], pattern)] = h
-	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		hj, _ := w.(http.Hijacker)
-		hs, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
-		if hj == nil || hs == nil || !r.ProtoAtLeast(1, 1) || r.Close || r.TLS != nil ||
-			r.ContentLength < 0 || r.ContentLength > MaxBodyBytes || r.Header.Get("Expect") != "" {
-			h(w, r)
-			return
-		}
-		c := &ownedConn{o: o, hs: hs}
-		if !c.hijack(hj, r) {
-			h(w, r)
-			return
-		}
-		defer o.release(c)
-		for ok := c.answer(h, r); ok && c.next(); {
-		}
-	})
+// Handle registers predict and frames on mux for the hot routes: on a
+// connection that may be taken over the owner hijacks it and serves it
+// until it closes or goes back to net/http; otherwise the handler answers
+// as usual. Every body is read as its handler reads it, so a request that
+// expects 100-continue stays with net/http.
+func (o *Owner) Handle(mux *http.ServeMux, predict, frames http.HandlerFunc) {
+	o.hot = [...]http.HandlerFunc{predict, frames}
+	for route, h := range o.hot {
+		mux.HandleFunc(hotPatterns[route], func(w http.ResponseWriter, r *http.Request) {
+			hj, _ := w.(http.Hijacker)
+			hs, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
+			if hj == nil || hs == nil || !r.ProtoAtLeast(1, 1) || r.Close || r.TLS != nil ||
+				r.ContentLength < 0 || r.ContentLength > MaxBodyBytes || r.Header.Get("Expect") != "" {
+				h(w, r)
+				return
+			}
+			c := &ownedConn{o: o, hs: hs}
+			if !c.hijack(hj, r) {
+				h(w, r)
+				return
+			}
+			defer o.release(c)
+			for ok := c.answer(h, r); ok && c.next(); {
+			}
+		})
+	}
 }
 
 // hijack registers c, takes its connection from net/http, keeping the bytes
@@ -243,7 +246,7 @@ func (c *ownedConn) next() bool {
 			break
 		}
 	}
-	if n == 0 || c.o.hot[hd.route] == nil {
+	if n == 0 {
 		if err == nil || err == io.EOF { // net/http answers no other read error
 			c.handBack()
 		}

@@ -149,29 +149,28 @@ func serveConns(t testing.TB, h http.Handler) (*http.Server, *connListener) {
 }
 
 // takeoverFixture is a server whose connections may be taken over and a
-// twin in the same state that net/http serves alone: a default session and
-// session "cam", each one frame short of a full window.
+// twin in the same state that net/http serves alone: session "cam", one
+// frame short of a full window.
 func takeoverFixture(t testing.TB) (owned, twin *Server) {
 	bw := getBundle(t)
 	for _, p := range []**Server{&owned, &twin} {
-		srv := sessionServer(t, nil, 0)
-		for _, id := range []string{DefaultSession, "cam"} {
-			if id != DefaultSession {
-				rec := httptest.NewRecorder()
-				srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions", strings.NewReader(`{"id":"cam"}`)))
-			}
-			if err := pushFrames(srv, id, bw.ex, 100, 108); err != nil {
-				t.Fatal(err)
-			}
+		srv, _ := bareServer(t)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions", strings.NewReader(`{"id":"cam"}`)))
+		if err := pushFrames(srv, "cam", bw.ex, 100, 108); err != nil {
+			t.Fatal(err)
 		}
 		*p = srv
 	}
 	return owned, twin
 }
 
-// takeoverHead is the request that takes the owned side's connection over
-// at the start of every fuzz script.
-var takeoverHead = rawRequest("POST", "/v1/predict", nil)
+// camPredict and camFrames are the fixture session's hot routes;
+// camPredict takes the owned side's connection over at the start of every
+// fuzz script.
+const camPredict, camFrames = "/v1/sessions/cam/predict", "/v1/sessions/cam/frames"
+
+var takeoverHead = rawRequest("POST", camPredict, nil)
 
 // exchange plays script on one connection of h, waiting after it when hold
 // is set, and returns what the server wrote before it closed the
@@ -229,8 +228,8 @@ func readResponses(t *testing.T, raw []byte) []string {
 // committed seeds (TestWriteTakeoverSeeds), one push of over 1 MiB is built
 // here, too large to commit.
 func FuzzTakeoverMatchesNetHTTP(f *testing.F) {
-	predict := rawRequest("POST", "/v1/predict", nil)
-	f.Add(predict, rawRequest("POST", "/v1/frames", bigPush(f)), predict, []byte{})
+	predict := rawRequest("POST", camPredict, nil)
+	f.Add(predict, rawRequest("POST", camFrames, bigPush(f)), predict, []byte{})
 	f.Fuzz(func(t *testing.T, a, b, c, d []byte) {
 		reqs := bytes.Join([][]byte{a, b, c, d}, nil)
 		if len(reqs) > 2<<20 {
@@ -268,16 +267,21 @@ func bigPush(t testing.TB) []byte {
 // connection only when the handler read it to its error and less than 256
 // KiB of the declared length is missing. A request its handler does not
 // read, which declares 8 MiB and sends 300 KiB of it from a client that
-// then waits, is answered without the rest. The fixture's sessions hold
-// less than a window, so predicts answer 409 until a push fills one.
+// then waits, is answered without the rest. The fixture's session holds
+// less than a window, so predicts answer 409 until a push fills it. POST
+// /v1/predict and /v1/frames name no session: net/http answers them 404,
+// on a fresh connection and on a taken-over one, which the next predict
+// takes over again.
 func TestOwnedConnLargeBody(t *testing.T) {
 	bw := getBundle(t)
 	big := bytes.Repeat([]byte("x"), 300<<10)
 	push := framesJSON(t, bw, 100, 100+MaxFramesPerPush)
 	push = append(push, bytes.Repeat([]byte(" "), 1<<20-len(push))...) // 1 MiB, trailing blanks
 	const nosuch = "/v1/sessions/nosuch/frames"
-	predict := rawRequest("POST", "/v1/predict", nil)
+	predict := rawRequest("POST", camPredict, nil)
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	// gone posts to the un-prefixed routes, which name no session.
+	gone := cat(rawRequest("POST", "/v1/predict", nil), rawRequest("POST", "/v1/frames", framesJSON(t, bw, 100, 110)))
 	// cut is a request for path whose body ends 10 bytes into the n it
 	// declares, at the end of the script.
 	cut := func(path string, n int) []byte {
@@ -295,24 +299,26 @@ func TestOwnedConnLargeBody(t *testing.T) {
 		hold   bool  // the client waits after the script
 		codes  []int // the statuses net/http answers with, one per response
 	}{
-		{"takeover predict declaring 8 MiB, 300 KiB sent", declared("/v1/predict"), true, []int{409}},
-		{"predict declaring 8 MiB, 300 KiB sent", cat(predict, declared("/v1/predict")), true, []int{409, 409}},
+		{"takeover predict declaring 8 MiB, 300 KiB sent", declared(camPredict), true, []int{409}},
+		{"predict declaring 8 MiB, 300 KiB sent", cat(predict, declared(camPredict)), true, []int{409, 409}},
 		{"takeover unknown-session push declaring 8 MiB, 300 KiB sent", declared(nosuch), true, []int{404}},
 		{"unknown-session push declaring 8 MiB, 300 KiB sent", cat(predict, declared(nosuch)), true, []int{409, 404}},
-		{"predict with a 300 KiB body", cat(predict, rawRequest("POST", "/v1/predict", big), predict), false, []int{409, 409}},
-		{"takeover predict with a 300 KiB body", cat(rawRequest("POST", "/v1/predict", big), predict), false, []int{409}},
-		{"predict with a body just under 256 KiB", cat(predict, rawRequest("POST", "/v1/predict", big[:256<<10-1]), predict), false, []int{409, 409, 409}},
+		{"predict with a 300 KiB body", cat(predict, rawRequest("POST", camPredict, big), predict), false, []int{409, 409}},
+		{"takeover predict with a 300 KiB body", cat(rawRequest("POST", camPredict, big), predict), false, []int{409}},
+		{"predict with a body just under 256 KiB", cat(predict, rawRequest("POST", camPredict, big[:256<<10-1]), predict), false, []int{409, 409, 409}},
 		{"unknown-session push with a 300 KiB body", cat(predict, rawRequest("POST", nosuch, big), predict), false, []int{409, 404}},
 		{"takeover unknown-session push with a 300 KiB body", cat(rawRequest("POST", nosuch, big), predict), false, []int{404}},
 		{"unknown-session push with a body just under 256 KiB", cat(predict, rawRequest("POST", nosuch, big[:256<<10-1]), predict), false, []int{409, 404, 409}},
-		{"1 MiB push", cat(predict, rawRequest("POST", "/v1/frames", push), predict), false, []int{409, 200, 200}},
-		{"takeover 1 MiB push", cat(rawRequest("POST", "/v1/frames", push), predict), false, []int{200, 200}},
-		{"predict whose 300 KiB body ends early", cat(predict, cut("/v1/predict", 300<<10)), false, []int{409, 409}},
-		{"predict whose 100-byte body ends early", cat(predict, cut("/v1/predict", 100)), false, []int{409, 409}},
-		{"push whose 100-byte body ends early", cat(predict, cut("/v1/frames", 100)), false, []int{409, 400}},
-		{"push whose 300 KiB body ends early", cat(predict, cut("/v1/frames", 300<<10)), false, []int{409, 400}},
-		{"takeover push whose 100-byte body ends early", cut("/v1/frames", 100), false, []int{400}},
-		{"takeover push whose 300 KiB body ends early", cut("/v1/frames", 300<<10), false, []int{400}},
+		{"1 MiB push", cat(predict, rawRequest("POST", camFrames, push), predict), false, []int{409, 200, 200}},
+		{"takeover 1 MiB push", cat(rawRequest("POST", camFrames, push), predict), false, []int{200, 200}},
+		{"predict whose 300 KiB body ends early", cat(predict, cut(camPredict, 300<<10)), false, []int{409, 409}},
+		{"predict whose 100-byte body ends early", cat(predict, cut(camPredict, 100)), false, []int{409, 409}},
+		{"push whose 100-byte body ends early", cat(predict, cut(camFrames, 100)), false, []int{409, 400}},
+		{"push whose 300 KiB body ends early", cat(predict, cut(camFrames, 300<<10)), false, []int{409, 400}},
+		{"takeover push whose 100-byte body ends early", cut(camFrames, 100), false, []int{400}},
+		{"takeover push whose 300 KiB body ends early", cut(camFrames, 300<<10), false, []int{400}},
+		{"no default routes", cat(gone, predict), false, []int{404, 404, 409}},
+		{"no default routes after a takeover", cat(predict, gone, predict), false, []int{409, 404, 404, 409}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			owned, twin := takeoverFixture(t)
@@ -428,7 +434,8 @@ func sameReply(t testing.TB, what string, got, want *http.Response, gb, wb []byt
 
 // TestOwnedConnMixedTraffic is paced_relay's traffic on two connections of
 // a relay-owning server (CI, result cache, arbiter, adaptation), 16 sessions
-// each: every session is created after the connection's first hot push, its
+// each: every session is created after the connection's first hot push (to
+// a session "c<g>" made in process), its
 // window filled by 1 000-frame pushes, then ticks of a 1-frame push and a
 // predict with /metrics and /v1/stats scrapes between them. Every reply
 // equals, Date aside, a twin's that net/http serves alone, and /v1/stats
@@ -446,14 +453,8 @@ func TestOwnedConnMixedTraffic(t *testing.T) {
 			Fleet: &fleet.ArbiterConfig{PerFrameUSD: 0.001, GlobalBudgetUSD: 1e9},
 		}
 	}
-	owned, err := New(cfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin, err := New(cfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	oc, tc := cfg(), cfg()
+	owned, twin := sessionServer(t, &oc, 2), sessionServer(t, &tc, 2)
 	ots, tts := httptest.NewServer(owned), httptest.NewServer(netHTTPOnly(twin))
 	defer tts.Close()
 	defer ots.Close()
@@ -482,9 +483,9 @@ func TestOwnedConnMixedTraffic(t *testing.T) {
 		totals.frames += int64(hi - lo)
 	}
 	id := func(g, s int) string { return fmt.Sprintf("cam-%02d-%02d", g, s) }
-	// The default session's first hot push takes each connection over.
+	// A first hot push takes each connection over.
 	for g := range gws {
-		push(g, DefaultSession, 0, 10)
+		push(g, fmt.Sprintf("c%d", g), 0, 10)
 	}
 	if got := metricLines(t, owned, "eventhit_http_owned_connections "); len(got) != 1 || got[0] != "eventhit_http_owned_connections 2" {
 		t.Fatalf("owned connections: %q", got)
@@ -589,13 +590,10 @@ func TestOwnedConnShutdown(t *testing.T) {
 	}
 	base := runtime.NumGoroutine()
 	gate := &gateWriter{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	srv, err := New(Config{
+	srv := sessionServer(t, &Config{
 		Bundle: bw.b, EventNames: []string{"Volleyball Spiking"}, PerFrameUSD: 0.001,
 		DefaultConfidence: 0.9, DefaultCoverage: 0.9, Trace: trace.NewWriter(gate),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 1)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -604,7 +602,7 @@ func TestOwnedConnShutdown(t *testing.T) {
 	served := make(chan struct{})
 	go func() { hs.Serve(ln); close(served) }()
 	addr := ln.Addr().String()
-	push := rawRequest("POST", "/v1/frames", framesJSON(t, bw, 300, 310))
+	push := rawRequest("POST", "/v1/sessions/c0/frames", framesJSON(t, bw, 300, 310))
 	ownedIdle, inFlight, plain, handed, stalled := dialConn(t, addr), dialConn(t, addr), dialConn(t, addr), dialConn(t, addr), dialConn(t, addr)
 	for _, c := range []*clientConn{ownedIdle, inFlight, handed, stalled} {
 		if resp, body := c.do(t, push); resp.StatusCode != http.StatusOK {
@@ -620,7 +618,7 @@ func TestOwnedConnShutdown(t *testing.T) {
 	// stalled's push declares 100 KiB and sends half: its handler reads the
 	// half and waits for the rest, the connection idle meanwhile. The steps
 	// below give the loop ample time to get there.
-	if _, err := stalled.nc.Write(append([]byte("POST /v1/frames HTTP/1.1\r\nHost: t\r\nContent-Length: 102400\r\n\r\n"), make([]byte, 50<<10)...)); err != nil {
+	if _, err := stalled.nc.Write(append([]byte("POST /v1/sessions/c0/frames HTTP/1.1\r\nHost: t\r\nContent-Length: 102400\r\n\r\n"), make([]byte, 50<<10)...)); err != nil {
 		t.Fatal(err)
 	}
 	// draining's predict declares 100 KiB and sends half. Once its handler
@@ -631,7 +629,7 @@ func TestOwnedConnShutdown(t *testing.T) {
 		t.Fatalf("push: %s %s", resp.Status, body)
 	}
 	counts := metricLines(t, srv, "eventhit_http_requests_total")
-	half := append([]byte("POST /v1/predict HTTP/1.1\r\nHost: t\r\nContent-Length: 102400\r\n\r\n"), make([]byte, 50<<10)...)
+	half := append([]byte("POST /v1/sessions/c0/predict HTTP/1.1\r\nHost: t\r\nContent-Length: 102400\r\n\r\n"), make([]byte, 50<<10)...)
 	if _, err := draining.nc.Write(half); err != nil {
 		t.Fatal(err)
 	}
@@ -642,7 +640,7 @@ func TestOwnedConnShutdown(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	gate.armed.Store(true)
-	if _, err := inFlight.nc.Write(rawRequest("POST", "/v1/predict", nil)); err != nil {
+	if _, err := inFlight.nc.Write(rawRequest("POST", "/v1/sessions/c0/predict", nil)); err != nil {
 		t.Fatal(err)
 	}
 	<-gate.entered
@@ -826,34 +824,35 @@ func TestParseStrict(t *testing.T) {
 	}
 	client := clientHeads(t)
 	for _, tc := range []strictCase{
-		{head: client[0], route: hotPredict, n: len(client[0]), query: "confidence=0.9", why: "Client.Predict"},
-		{head: client[1], route: hotSessionPredict, id: "cam-1", n: len(client[1]), query: "coverage=0.8", why: "Client.PredictSession"},
-		{head: "POST /v1/predict HTTP/1.1\r\nHost: t\r\n\r\n", route: hotPredict, n: 38},
+		{head: client[0], route: hotSessionPredict, id: "cam-1", n: len(client[0]), query: "confidence=0.9", why: "Client.Predict"},
+		{head: client[1], route: hotSessionFrames, id: "cam-1", n: len(client[1]), length: int64(len(`{"frames":[[0.5]]}`)), why: "Client.PushFrames"},
 		{head: "POST /v1/sessions/cam-1/frames HTTP/1.1\r\nhost: t\r\ncontent-type: application/json\r\nContent-Length: 12\r\nConnection: Close\r\n\r\n{",
 			route: hotSessionFrames, id: "cam-1", n: 123, close: true, length: 12},
 		{head: "POST /v1/sessions/c/predict?confidence=0.5 HTTP/1.1\r\nHost: t\r\n\r\n", route: hotSessionPredict, id: "c", n: 64, query: "confidence=0.5"},
 		{head: "POS", more: true, why: "a prefix of POST"},
-		{head: "POST /v1/predict HTTP/1.1\r\nHost: t\r\n", more: true, why: "no blank line yet"},
+		{head: "POST /v1/sessions/c/predict HTTP/1.1\r\nHost: t\r\n", more: true, why: "no blank line yet"},
 		{head: "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n", why: "not a POST"},
-		{head: "POST /v1/predict HTTP/1.0\r\nHost: t\r\n\r\n", why: "HTTP/1.0"},
-		{head: "POST /v1/predict HTTP/1.1\nHost: t\n\n", why: "bare LF"},
-		{head: "POST /v1/predict HTTP/1.1\r\n\r\n", why: "no Host"},
-		{head: "POST /v1/predict HTTP/1.1\r\nHost: t\r\nHost: t\r\n\r\n", why: "two Hosts"},
-		{head: "POST /v1/predict HTTP/1.1\r\nHost: t\r\nContent-Length: 1\r\nContent-Length: 1\r\n\r\n", why: "duplicate Content-Length"},
-		{head: "POST /v1/predict HTTP/1.1\r\nHost: t\r\nContent-Length: 8388609\r\n\r\n", why: "over MaxBodyBytes"},
-		{head: "POST /v1/predict HTTP/1.1\r\nHost: t\r\nContent-Length: +1\r\n\r\n", why: "signed length"},
-		{head: "POST /v1/frames HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n", why: "chunked"},
-		{head: "POST /v1/frames HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\n\r\n", why: "Expect"},
-		{head: "POST /v1/frames HTTP/1.1\r\nHost: t\r\nConnection: upgrade\r\n\r\n", why: "another Connection"},
-		{head: "POST /v1/frames HTTP/1.1\r\nHost: t\r\n X: y\r\n\r\n", why: "folded line"},
+		{head: "POST /v1/sessions/c/predict HTTP/1.0\r\nHost: t\r\n\r\n", why: "HTTP/1.0"},
+		{head: "POST /v1/sessions/c/predict HTTP/1.1\nHost: t\n\n", why: "bare LF"},
+		{head: "POST /v1/sessions/c/predict HTTP/1.1\r\n\r\n", why: "no Host"},
+		{head: "POST /v1/sessions/c/predict HTTP/1.1\r\nHost: t\r\nHost: t\r\n\r\n", why: "two Hosts"},
+		{head: "POST /v1/sessions/c/predict HTTP/1.1\r\nHost: t\r\nContent-Length: 1\r\nContent-Length: 1\r\n\r\n", why: "duplicate Content-Length"},
+		{head: "POST /v1/sessions/c/predict HTTP/1.1\r\nHost: t\r\nContent-Length: 8388609\r\n\r\n", why: "over MaxBodyBytes"},
+		{head: "POST /v1/sessions/c/predict HTTP/1.1\r\nHost: t\r\nContent-Length: +1\r\n\r\n", why: "signed length"},
+		{head: "POST /v1/sessions/c/frames HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n", why: "chunked"},
+		{head: "POST /v1/sessions/c/frames HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\n\r\n", why: "Expect"},
+		{head: "POST /v1/sessions/c/frames HTTP/1.1\r\nHost: t\r\nConnection: upgrade\r\n\r\n", why: "another Connection"},
+		{head: "POST /v1/sessions/c/frames HTTP/1.1\r\nHost: t\r\n X: y\r\n\r\n", why: "folded line"},
 		{head: "POST /v1/sessions HTTP/1.1\r\nHost: t\r\n\r\n", why: "not a hot route"},
+		{head: "POST /v1/predict HTTP/1.1\r\nHost: t\r\n\r\n", why: "no route: a predict names its session"},
+		{head: "POST /v1/frames HTTP/1.1\r\nHost: t\r\n\r\n", why: "no route: a push names its session"},
 		{head: "POST /v1/sessions/../predict HTTP/1.1\r\nHost: t\r\n\r\n", why: "unclean path"},
 		{head: "POST /v1/sessions/a%2Fb/predict HTTP/1.1\r\nHost: t\r\n\r\n", why: "escaped id"},
-		{head: "POST /v1/predict/ HTTP/1.1\r\nHost: t\r\n\r\n", why: "trailing slash"},
-		{head: "POST /v1/predict  HTTP/1.1\r\nHost: t\r\n\r\n", why: "two spaces"},
-		{head: "POST /v1/predict HTTP/1.1\r\nHost: t\x7f\r\n\r\n", why: "control byte"},
-		{head: "POST /v1/predict HTTP/1.1\r\nHost: t\r\nUser-Agent: a\r\nUser-Agent: a\r\n\r\n", why: "two User-Agents"},
-		{head: "POST /v1/predict HTTP/1.1\r\nHost: t\r\nAccept-Encoding: gzip\x01\r\n\r\n", why: "control byte in Accept-Encoding"},
+		{head: "POST /v1/sessions/c/predict/ HTTP/1.1\r\nHost: t\r\n\r\n", why: "trailing slash"},
+		{head: "POST /v1/sessions/c/predict  HTTP/1.1\r\nHost: t\r\n\r\n", why: "two spaces"},
+		{head: "POST /v1/sessions/c/predict HTTP/1.1\r\nHost: t\x7f\r\n\r\n", why: "control byte"},
+		{head: "POST /v1/sessions/c/predict HTTP/1.1\r\nHost: t\r\nUser-Agent: a\r\nUser-Agent: a\r\n\r\n", why: "two User-Agents"},
+		{head: "POST /v1/sessions/c/predict HTTP/1.1\r\nHost: t\r\nAccept-Encoding: gzip\x01\r\n\r\n", why: "control byte in Accept-Encoding"},
 	} {
 		hd, n, more := parseStrict([]byte(tc.head))
 		if n != tc.n || more != tc.more {
@@ -895,8 +894,8 @@ func (c *recordingConn) Read(p []byte) (int, error) {
 }
 
 // clientHeads returns the request heads Client.Predict (confidence 0.9)
-// and Client.PredictSession (session cam-1, coverage 0.8) write through Go's
-// http.Client, as a recording listener reads them.
+// and Client.PushFrames (one frame {0.5}) write for session cam-1 through
+// Go's http.Client, as a recording listener reads them.
 func clientHeads(t *testing.T) []string {
 	srv, _ := bareServer(t)
 	ts := httptest.NewUnstartedServer(netHTTPOnly(srv))
@@ -908,8 +907,8 @@ func clientHeads(t *testing.T) []string {
 	defer tr.CloseIdleConnections()
 	cl := NewClient(ts.URL, &http.Client{Transport: tr})
 	// Only the heads matter, not the answers.
-	cl.Predict(context.Background(), 0.9, 0)
-	cl.PredictSession(context.Background(), "cam-1", 0, 0.8)
+	cl.Predict(context.Background(), "cam-1", 0.9, 0)
+	cl.PushFrames(context.Background(), "cam-1", [][]float64{{0.5}})
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	heads := strings.SplitAfter(rl.buf.String(), "\r\n\r\n")
@@ -927,25 +926,26 @@ func TestWriteTakeoverSeeds(t *testing.T) {
 	push := func(path string) string {
 		return string(rawRequest("POST", path, []byte(`{"frames":[`+frame+`]}`)))
 	}
-	predict := string(rawRequest("POST", "/v1/predict", nil))
+	predict := string(rawRequest("POST", camPredict, nil))
 	seeds := map[string][4]string{
-		"hot-default":       {push("/v1/frames"), predict, predict, ""},
+		"hot-default":       {push("/v1/frames"), string(rawRequest("POST", "/v1/predict", nil)), string(rawRequest("POST", "/v1/predict", nil)), ""},
+		"hot-push":          {push(camFrames), predict, predict, ""},
 		"hot-session":       {push("/v1/sessions/cam/frames"), string(rawRequest("POST", "/v1/sessions/cam/predict?confidence=0.5", nil)), string(rawRequest("POST", "/v1/sessions/nobody/predict", nil)), ""},
-		"chunked-push":      {"POST /v1/frames HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n" + fmt.Sprintf("%x\r\n{\"frames\":[%s]}\r\n0\r\n\r\n", len(frame)+13, frame), predict, "", ""},
-		"expect-continue":   {"POST /v1/frames HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\nContent-Length: " + strconv.Itoa(len(frame)+13) + "\r\n\r\n{\"frames\":[" + frame + "]}", predict, "", ""},
-		"connection-close":  {push("/v1/frames"), "POST /v1/predict HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n", predict, ""},
-		"http10":            {"POST /v1/predict HTTP/1.0\r\nHost: t\r\n\r\n", predict, "", ""},
-		"oversized-length":  {predict, "POST /v1/frames HTTP/1.1\r\nHost: t\r\nContent-Length: 99999999\r\n\r\n{}", "", ""},
-		"bare-lf":           {"POST /v1/predict HTTP/1.1\nHost: t\n\n", predict, "", ""},
-		"duplicate-length":  {"POST /v1/frames HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}", predict, "", ""},
+		"chunked-push":      {"POST " + camFrames + " HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n" + fmt.Sprintf("%x\r\n{\"frames\":[%s]}\r\n0\r\n\r\n", len(frame)+13, frame), predict, "", ""},
+		"expect-continue":   {"POST " + camFrames + " HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\nContent-Length: " + strconv.Itoa(len(frame)+13) + "\r\n\r\n{\"frames\":[" + frame + "]}", predict, "", ""},
+		"connection-close":  {push(camFrames), "POST " + camPredict + " HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n", predict, ""},
+		"http10":            {"POST " + camPredict + " HTTP/1.0\r\nHost: t\r\n\r\n", predict, "", ""},
+		"oversized-length":  {predict, "POST " + camFrames + " HTTP/1.1\r\nHost: t\r\nContent-Length: 99999999\r\n\r\n{}", "", ""},
+		"bare-lf":           {"POST " + camPredict + " HTTP/1.1\nHost: t\n\n", predict, "", ""},
+		"duplicate-length":  {"POST " + camFrames + " HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}", predict, "", ""},
 		"get-metrics":       {predict, string(rawRequest("GET", "/metrics", nil)), predict, ""},
 		"delete-204":        {string(rawRequest("DELETE", "/v1/sessions/cam", nil)), string(rawRequest("POST", "/v1/sessions/cam/predict", nil)), "", ""},
-		"truncated-body":    {predict, "POST /v1/frames HTTP/1.1\r\nHost: t\r\nContent-Length: 40\r\n\r\n{\"frames\":", "", ""},
-		"client-head":       {"POST /v1/predict?confidence=0.9 HTTP/1.1\r\nHost: t\r\nUser-Agent: Go-http-client/1.1\r\nContent-Length: 0\r\nContent-Type: application/json\r\nAccept-Encoding: gzip\r\n\r\n", predict, "", ""},
-		"declined-then-hot": {string(rawRequest("GET", "/v1/stats", nil)), predict, push("/v1/frames"), ""},
-		"push-ends-early":   {push("/v1/frames"), push("/v1/sessions/cam/frames")[:len(push("/v1/sessions/cam/frames"))-4], "", ""},
-		"expect-after-back": {string(rawRequest("GET", "/v1/stats", nil)), "POST /v1/sessions/cam/frames HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\nContent-Length: " + strconv.Itoa(len(frame)+13) + "\r\n\r\n{\"frames\":[" + frame + "]}", predict, push("/v1/frames")},
-		"push-over-buffer":  {predict, string(rawRequest("POST", "/v1/frames", []byte(`{"frames":[`+strings.Repeat(frame+",", 200)+frame+`]}`))), predict, ""},
+		"truncated-body":    {predict, "POST " + camFrames + " HTTP/1.1\r\nHost: t\r\nContent-Length: 40\r\n\r\n{\"frames\":", "", ""},
+		"client-head":       {"POST " + camPredict + "?confidence=0.9 HTTP/1.1\r\nHost: t\r\nUser-Agent: Go-http-client/1.1\r\nContent-Length: 0\r\nContent-Type: application/json\r\nAccept-Encoding: gzip\r\n\r\n", predict, "", ""},
+		"declined-then-hot": {string(rawRequest("GET", "/v1/stats", nil)), predict, push(camFrames), ""},
+		"push-ends-early":   {push(camFrames), push(camFrames)[:len(push(camFrames))-4], "", ""},
+		"expect-after-back": {string(rawRequest("GET", "/v1/stats", nil)), "POST /v1/sessions/cam/frames HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\nContent-Length: " + strconv.Itoa(len(frame)+13) + "\r\n\r\n{\"frames\":[" + frame + "]}", predict, push(camFrames)},
+		"push-over-buffer":  {predict, string(rawRequest("POST", camFrames, []byte(`{"frames":[`+strings.Repeat(frame+",", 200)+frame+`]}`))), predict, ""},
 	}
 	dir := "testdata/fuzz/FuzzTakeoverMatchesNetHTTP"
 	for name, s := range seeds {

@@ -19,21 +19,13 @@ import (
 // `go test` (see scripts/check.sh); `go test -fuzz=FuzzFrames` explores
 // further.
 
-// fuzzServer returns a shared handler for fuzzing; its window is pre-filled
-// so predict requests reach the model path, not just the 409 guard.
+// fuzzServer returns a shared handler for fuzzing; session "c0"'s window is
+// pre-filled so predict requests reach the model path, not just the 409
+// guard.
 func fuzzServer(f *testing.F) *Server {
 	f.Helper()
-	srv, bw := bareServer(f)
-	var frames [][]float64
-	for t := 100; t < 110; t++ {
-		frames = append(frames, bw.ex.FrameVector(t, nil))
-	}
-	body, _ := json.Marshal(FramesRequest{Frames: frames})
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/frames", bytes.NewReader(body)))
-	if rec.Code != 200 {
-		f.Fatalf("priming frames failed: %d %s", rec.Code, rec.Body)
-	}
+	srv := sessionServer(f, nil, 1)
+	pushTo(f, srv, "c0", getBundle(f).ex, 100, 109)
 	return srv
 }
 
@@ -55,7 +47,7 @@ func FuzzFrames(f *testing.F) {
 	srv := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/frames", bytes.NewReader(body)))
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions/c0/frames", bytes.NewReader(body)))
 		if rec.Code >= 500 {
 			t.Fatalf("frames returned %d for body %q: %s", rec.Code, body, rec.Body)
 		}
@@ -81,7 +73,7 @@ func FuzzPredict(f *testing.F) {
 			q.Set("coverage", cov)
 		}
 		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/predict?"+q.Encode(), nil))
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions/c0/predict?"+q.Encode(), nil))
 		if rec.Code >= 500 {
 			t.Fatalf("predict returned %d for conf=%q cov=%q: %s", rec.Code, conf, cov, rec.Body)
 		}

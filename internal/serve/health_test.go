@@ -126,16 +126,6 @@ func TestReadyz(t *testing.T) {
 	}
 }
 
-// TestReadyNoModel covers the unit-nil reason directly: New never returns a
-// unitless server, so probe the method on a bare struct.
-func TestReadyNoModel(t *testing.T) {
-	s := &Server{}
-	ready, reasons := s.Ready()
-	if ready || !strings.Contains(fmt.Sprint(reasons), "no model installed") {
-		t.Fatalf("Ready = %v %v, want not-ready with model reason", ready, reasons)
-	}
-}
-
 // TestClientReadyUnreachable: transport errors count as not ready — exactly
 // how a front tier must score a dead worker.
 func TestClientReadyUnreachable(t *testing.T) {

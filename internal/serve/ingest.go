@@ -22,7 +22,7 @@ import (
 // every other body is decoded by encoding/json (see handleFrames), which
 // owns all lenient behaviour and every error string.
 
-// FramesRequest is the POST /v1/frames body.
+// FramesRequest is the POST /v1/sessions/{id}/frames body.
 type FramesRequest struct {
 	Frames [][]float64 `json:"frames"`
 }
@@ -56,15 +56,11 @@ func (s *Server) handleFrames(sess *session, w http.ResponseWriter, r *http.Requ
 		httpError(w, code, "invalid JSON: %v", err)
 		return
 	}
-	// Resolve through the session's atomic unit, not Config.Bundle: the
-	// serving model may have been swapped since boot. (Swap validation
-	// freezes InputDim server-wide, so this is belt and braces — but it
-	// keeps the request path honest about where the model lives.)
-	d := s.resolveUnit(sess).inputDim
-	// ring.rows is fixed when the session is made, so it needs no mu.
-	rows, canonical := ib.scanFrames(ib.body.Bytes(), d, sess.ring.rows)
+	// Swap keeps every unit's input dimension the server's, and ring.rows
+	// is fixed when the session is made, so neither needs a lock.
+	rows, canonical := ib.scanFrames(ib.body.Bytes(), s.inputDim, sess.ring.rows)
 	if !canonical {
-		if rows, canonical = decodeFramesJSON(w, ib, d); !canonical {
+		if rows, canonical = decodeFramesJSON(w, ib, s.inputDim); !canonical {
 			return
 		}
 	}

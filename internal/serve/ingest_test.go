@@ -83,10 +83,11 @@ func FuzzParseFrames(f *testing.F) {
 	})
 }
 
-// postFrames runs one frames POST in process and returns status and body.
+// postFrames runs one frames POST to session "c0" in process and returns
+// status and body.
 func postFrames(srv *Server, body io.Reader) (int, string) {
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/frames", body))
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions/c0/frames", body))
 	return rec.Code, rec.Body.String()
 }
 
@@ -98,7 +99,7 @@ func TestFramesHandlerCorpus(t *testing.T) {
 	d := bw.b.Model.Config().InputDim
 	for _, e := range frameCorpus(d) {
 		t.Run(e.name, func(t *testing.T) {
-			srv, _ := bareServer(t)
+			srv := sessionServer(t, nil, 1)
 			if _, _, ok := scan([]byte(e.body), d, srv.window); ok != e.fast {
 				t.Errorf("scanFrames ok = %v, want %v", ok, e.fast)
 			}
@@ -118,7 +119,7 @@ func TestFramesHandlerCorpus(t *testing.T) {
 // the limit (the streaming decoder used to accept the latter), and a body
 // of exactly MaxBodyBytes still goes through.
 func TestFramesBodyLimit(t *testing.T) {
-	srv, bw := bareServer(t)
+	srv, bw := sessionServer(t, nil, 1), getBundle(t)
 	d := bw.b.Model.Config().InputDim
 	value := `{"frames":[` + corpusRow(d, "1") + `]}`
 	const tooLarge = "{\"error\":\"invalid JSON: http: request body too large\"}\n"
@@ -143,7 +144,7 @@ func TestFramesBodyLimit(t *testing.T) {
 // TestIngestPoolCap: a request whose buffers grew past maxPooledIngestBytes
 // must not park them in the pool.
 func TestIngestPoolCap(t *testing.T) {
-	srv, bw := bareServer(t)
+	srv, bw := sessionServer(t, nil, 1), getBundle(t)
 	d := bw.b.Model.Config().InputDim
 	big := `{"frames":[` + corpusRow(d, "1") + `]}` + strings.Repeat(" ", 2*maxPooledIngestBytes)
 	if code, got := postFrames(srv, strings.NewReader(big)); code != 200 {
@@ -175,7 +176,9 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *discardWriter) WriteHeader(int)             {}
 
-// framesCall returns a reusable in-process POST /v1/frames of n frames.
+// framesCall returns a reusable in-process POST of n frames to session
+// "c0", run by the route's handler as the owned loop runs it: the path
+// value set, without the mux's match.
 func framesCall(t testing.TB, srv *Server, bw *Bundlewrap, n int) func() {
 	t.Helper()
 	frames := make([][]float64, n)
@@ -186,14 +189,15 @@ func framesCall(t testing.TB, srv *Server, bw *Bundlewrap, n int) func() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := httptest.NewRequest("POST", "/v1/frames", nil)
+	req := httptest.NewRequest("POST", "/v1/sessions/c0/frames", nil)
+	req.SetPathValue("id", "c0")
 	req.ContentLength = int64(len(body))
 	rd := bytes.NewReader(body)
 	req.Body = io.NopCloser(rd)
-	w := &discardWriter{h: http.Header{}}
+	w, h := &discardWriter{h: http.Header{}}, srv.owner.hot[hotSessionFrames]
 	return func() {
 		rd.Reset(body)
-		srv.ServeHTTP(w, req)
+		h(w, req)
 	}
 }
 
@@ -222,7 +226,7 @@ func TestFramesHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds buffers under the race detector")
 	}
-	srv, bw := bareServer(t)
+	srv, bw := sessionServer(t, nil, 1), getBundle(t)
 	for _, n := range []int{1, 250, MaxFramesPerPush} {
 		call := framesCall(t, srv, bw, n)
 		call() // grow the pooled buffers to this batch size
@@ -233,7 +237,7 @@ func TestFramesHandlerAllocs(t *testing.T) {
 }
 
 func BenchmarkFramesHandler(b *testing.B) {
-	srv, bw := bareServer(b)
+	srv, bw := sessionServer(b, nil, 1), getBundle(b)
 	for _, n := range []int{1, 250, MaxFramesPerPush} {
 		b.Run(fmt.Sprintf("frames=%d", n), func(b *testing.B) {
 			call := framesCall(b, srv, bw, n)
@@ -254,11 +258,11 @@ func BenchmarkFramesHandler(b *testing.B) {
 // last `window` frames of everything pushed, oldest first, and a predict
 // decides on that window.
 func TestRingMatchesSlidingWindow(t *testing.T) {
-	srv, bw := bareServer(t)
+	srv, bw := sessionServer(t, nil, 1), getBundle(t)
 	win, d := srv.window, srv.inputDim
 	sizes := []int{1, win - 1, win, win + 1, MaxFramesPerPush}
 	rng := rand.New(rand.NewSource(7))
-	sess := srv.sessions[DefaultSession]
+	sess := srv.sessions["c0"]
 	var all [][]float64 // only the tail matters; trimmed as it grows
 	total := 0
 	for step := 0; step < 60; step++ {
@@ -292,7 +296,7 @@ func TestRingMatchesSlidingWindow(t *testing.T) {
 		}
 		// The same window pushed into a fresh server must decide the same,
 		// relative to its own anchor.
-		ref, _ := bareServer(t)
+		ref := sessionServer(t, nil, 1)
 		refBody, _ := json.Marshal(FramesRequest{Frames: all})
 		if code, msg := postFrames(ref, bytes.NewReader(refBody)); code != 200 {
 			t.Fatalf("reference push: %d %s", code, msg)
@@ -310,7 +314,7 @@ func TestRingMatchesSlidingWindow(t *testing.T) {
 func predictOnce(t testing.TB, srv *Server) PredictResponse {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/predict", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions/c0/predict", nil))
 	var resp PredictResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != 200 || err != nil {
 		t.Fatalf("predict: %d %s (%v)", rec.Code, rec.Body, err)
@@ -338,7 +342,7 @@ func relative(r PredictResponse) []Decision {
 // frame prefix answers at that anchor, i.e. each predict saw exactly frames
 // (anchor-window, anchor].
 func TestConcurrentPushPredictSameSession(t *testing.T) {
-	srv, bw := bareServer(t)
+	srv, bw := sessionServer(t, nil, 1), getBundle(t)
 	win := srv.window
 	const pushers, predictors, totalFrames = 3, 3, 600
 	frameAt := func(i int) []float64 { return bw.ex.FrameVector(500+i, nil) }
@@ -390,7 +394,7 @@ func TestConcurrentPushPredictSameSession(t *testing.T) {
 				default:
 				}
 				rec := httptest.NewRecorder()
-				srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/predict", nil))
+				srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions/c0/predict", nil))
 				if rec.Code == http.StatusConflict {
 					continue // window not full yet
 				}
@@ -418,7 +422,7 @@ func TestConcurrentPushPredictSameSession(t *testing.T) {
 		anchors = append(anchors, a)
 	}
 	sort.Ints(anchors)
-	ref, _ := bareServer(t)
+	ref := sessionServer(t, nil, 1)
 	pushed := 0
 	for _, a := range anchors {
 		for ; pushed <= a; pushed++ {
@@ -526,20 +530,20 @@ func TestClientEncodingTakesVectorFrontEnd(t *testing.T) {
 // TestClientPushReachesRing drives the client encoder through real HTTP
 // into the session ring.
 func TestClientPushReachesRing(t *testing.T) {
-	srv, bw := bareServer(t)
+	srv, bw := sessionServer(t, nil, 1), getBundle(t)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := NewClient(ts.URL, ts.Client())
 	frames := relayWindow(bw)
 	frames[0][0] = math.Copysign(0, -1)
 	for i := 0; i < 3; i++ { // the pooled body buffer is reused across calls
-		ack, err := c.PushFrames(tctx, frames)
+		ack, err := c.PushFrames(tctx, "c0", frames)
 		if err != nil || ack.Buffered != srv.window || ack.Next != (i+1)*len(frames) {
 			t.Fatalf("push %d: %+v, %v", i, ack, err)
 		}
 	}
 	got := make([]float64, srv.window*srv.inputDim)
-	srv.sessions[DefaultSession].ring.copyTo(got)
+	srv.sessions["c0"].ring.copyTo(got)
 	for i, f := range frames {
 		for j, want := range f {
 			if g := got[i*srv.inputDim+j]; math.Float64bits(g) != math.Float64bits(want) {
@@ -547,10 +551,10 @@ func TestClientPushReachesRing(t *testing.T) {
 			}
 		}
 	}
-	if _, err := c.PushFrames(tctx, [][]float64{{math.NaN()}}); err == nil {
+	if _, err := c.PushFrames(tctx, "c0", [][]float64{{math.NaN()}}); err == nil {
 		t.Error("NaN frame was sent")
 	}
-	if _, err := c.PushFramesSession(tctx, "nope", frames); err == nil || !strings.Contains(err.Error(), "unknown session") {
+	if _, err := c.PushFrames(tctx, "nope", frames); err == nil || !strings.Contains(err.Error(), "unknown session") {
 		t.Errorf("push to unknown session: %v", err)
 	}
 }
@@ -570,7 +574,10 @@ func TestRequestCounterSeries(t *testing.T) {
 	if body := scrape(); strings.Contains(body, "eventhit_http_requests_total{") {
 		t.Fatalf("request counter sample before any request:\n%s", body)
 	}
-	predictOnce := func() { srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/predict", nil)) }
+	srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/sessions", strings.NewReader(`{"id":"c0"}`)))
+	predictOnce := func() {
+		srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/sessions/c0/predict", nil))
+	}
 	predictOnce() // 409: window not full
 	body, _ := json.Marshal(FramesRequest{Frames: relayWindow(bw)})
 	for i := 0; i < 3; i++ {
@@ -582,16 +589,17 @@ func TestRequestCounterSeries(t *testing.T) {
 	predictOnce()
 	got := scrape()
 	for _, want := range []string{
-		`eventhit_http_requests_total{code="200",endpoint="/v1/frames"} 3`,
-		`eventhit_http_requests_total{code="200",endpoint="/v1/predict"} 2`,
-		`eventhit_http_requests_total{code="409",endpoint="/v1/predict"} 1`,
+		`eventhit_http_requests_total{code="201",endpoint="/v1/sessions"} 1`,
+		`eventhit_http_requests_total{code="200",endpoint="/v1/sessions/frames"} 3`,
+		`eventhit_http_requests_total{code="200",endpoint="/v1/sessions/predict"} 2`,
+		`eventhit_http_requests_total{code="409",endpoint="/v1/sessions/predict"} 1`,
 	} {
 		if !strings.Contains(got, want+"\n") {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	if n := strings.Count(got, "eventhit_http_requests_total{"); n != 3 {
-		t.Errorf("%d request counter samples, want 3:\n%s", n, got)
+	if n := strings.Count(got, "eventhit_http_requests_total{"); n != 4 {
+		t.Errorf("%d request counter samples, want 4:\n%s", n, got)
 	}
 }
 

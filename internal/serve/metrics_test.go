@@ -93,7 +93,7 @@ var (
 func TestMetricsEndpoint(t *testing.T) {
 	c, bw, _ := newRelayServer(t, cloud.FaultPlan{})
 	pushImminentWindow(t, c, bw)
-	if _, err := c.Predict(tctx, 0.95, 0.9); err != nil {
+	if _, err := c.Predict(tctx, "c0", 0.95, 0.9); err != nil {
 		t.Fatal(err)
 	}
 	body, hdr := getBody(t, c.base+"/metrics")
@@ -112,8 +112,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"eventhit_serve_predictions_total 1",
 		"eventhit_serve_relayed_ok_total 1",
 		// HTTP layer
-		`eventhit_http_requests_total{code="200",endpoint="/v1/predict"} 1`,
-		`eventhit_http_request_duration_seconds_bucket{endpoint="/v1/predict",le="+Inf"} 1`,
+		`eventhit_http_requests_total{code="200",endpoint="/v1/sessions/predict"} 1`,
+		`eventhit_http_request_duration_seconds_bucket{endpoint="/v1/sessions/predict",le="+Inf"} 1`,
 		// the client's keep-alive connection, taken over by its first push
 		"eventhit_http_owned_connections 1",
 		// resilience layer
@@ -186,7 +186,7 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
-				if _, err := c.Predict(tctx, 0.95, 0.9); err != nil {
+				if _, err := c.Predict(tctx, "c0", 0.95, 0.9); err != nil {
 					t.Error(err)
 					return
 				}

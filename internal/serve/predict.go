@@ -99,7 +99,7 @@ func (s *Server) predictCore(sess *session, w http.ResponseWriter, r *http.Reque
 	// Resolve the serving unit exactly once: everything below — inference,
 	// relay labeling, recalibration — sees one consistent model+calibration
 	// pair even if a swap lands mid-request.
-	u := s.resolveUnit(sess)
+	u := sess.unit.Load()
 	// Inference holds no server lock: it reads the unit and writes sc and
 	// the session's decision scratch, told which stream frame the window
 	// ends at. The raw existence scores feed the adaptation loop below.

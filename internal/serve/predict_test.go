@@ -265,7 +265,7 @@ func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("trace di
 func TestTraceFailureKeepsStats(t *testing.T) {
 	bw := getBundle(t)
 	ci := cloud.NewService(bw.st, cloud.RekognitionPricing(), cloud.DefaultLatency())
-	srv, err := New(Config{
+	srv := sessionServer(t, &Config{
 		Bundle:            bw.b,
 		EventNames:        []string{"Volleyball Spiking"},
 		PerFrameUSD:       0.001,
@@ -273,14 +273,11 @@ func TestTraceFailureKeepsStats(t *testing.T) {
 		DefaultCoverage:   0.9,
 		CI:                ci,
 		Trace:             trace.NewWriter(failingWriter{}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 1)
 	// Up to shortly before a true instance, so the decision is a relay.
-	pushTo(t, srv, DefaultSession, bw.ex, 0, bw.st.ByType[0][2].OI.Start-20)
+	pushTo(t, srv, "c0", bw.ex, 0, bw.st.ByType[0][2].OI.Start-20)
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/predict", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions/c0/predict", nil))
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("predict with a failing trace: %d %s, want 500", rec.Code, rec.Body)
 	}

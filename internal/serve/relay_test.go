@@ -14,17 +14,14 @@ func newRelayServer(t *testing.T, plan cloud.FaultPlan) (*Client, *Bundlewrap, *
 	t.Helper()
 	bw := getBundle(t)
 	ci := cloud.Inject(cloud.NewService(bw.st, cloud.RekognitionPricing(), cloud.DefaultLatency()), plan)
-	srv, err := New(Config{
+	srv := sessionServer(t, &Config{
 		Bundle:            bw.b,
 		EventNames:        []string{"Volleyball Spiking"},
 		PerFrameUSD:       0.001,
 		DefaultConfidence: 0.9,
 		DefaultCoverage:   0.9,
 		CI:                ci,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 1)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return NewClient(ts.URL, ts.Client()), bw, ci
@@ -47,7 +44,7 @@ func pushImminentWindow(t *testing.T, c *Client, bw *Bundlewrap) {
 		for f := lo; f <= hi; f++ {
 			frames = append(frames, bw.ex.FrameVector(f, nil))
 		}
-		if _, err := c.PushFrames(tctx, frames); err != nil {
+		if _, err := c.PushFrames(tctx, "c0", frames); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,7 +53,7 @@ func pushImminentWindow(t *testing.T, c *Client, bw *Bundlewrap) {
 func TestServerRelaySuccess(t *testing.T) {
 	c, bw, ci := newRelayServer(t, cloud.FaultPlan{})
 	pushImminentWindow(t, c, bw)
-	resp, err := c.Predict(tctx, 0.95, 0.9)
+	resp, err := c.Predict(tctx, "c0", 0.95, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +91,7 @@ func TestServerRelaySuccess(t *testing.T) {
 func TestServerRelayDegradesGracefully(t *testing.T) {
 	c, bw, ci := newRelayServer(t, cloud.FaultPlan{Seed: 2, TransientRate: 1, FailLatencyMS: 5})
 	pushImminentWindow(t, c, bw)
-	resp, err := c.Predict(tctx, 0.95, 0.9)
+	resp, err := c.Predict(tctx, "c0", 0.95, 0.9)
 	if err != nil {
 		t.Fatalf("predict must not fail on CI outage: %v", err)
 	}
@@ -127,7 +124,7 @@ func TestServerRelayBreakerOpens(t *testing.T) {
 	c, bw, ci := newRelayServer(t, cloud.FaultPlan{Seed: 3, TransientRate: 1})
 	pushImminentWindow(t, c, bw)
 	for i := 0; i < 3; i++ {
-		if _, err := c.Predict(tctx, 0.95, 0.9); err != nil {
+		if _, err := c.Predict(tctx, "c0", 0.95, 0.9); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -85,9 +85,10 @@ func bareServer(t testing.TB) (*Server, *Bundlewrap) {
 	return srv, bw
 }
 
+// newTestServer serves sessionServer's session "c0" over HTTP.
 func newTestServer(t *testing.T) (*httptest.Server, *Client, *Bundlewrap) {
 	t.Helper()
-	srv, bw := bareServer(t)
+	srv, bw := sessionServer(t, nil, 1), getBundle(t)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts, NewClient(ts.URL, ts.Client()), bw
@@ -117,7 +118,7 @@ func TestHealthz(t *testing.T) {
 
 func TestPredictBeforeWindowFull(t *testing.T) {
 	_, c, bw := newTestServer(t)
-	if _, err := c.Predict(tctx, 0, 0); err == nil || !strings.Contains(err.Error(), "window not full") {
+	if _, err := c.Predict(tctx, "c0", 0, 0); err == nil || !strings.Contains(err.Error(), "window not full") {
 		t.Fatalf("expected window-not-full error, got %v", err)
 	}
 	// Partially fill.
@@ -125,10 +126,10 @@ func TestPredictBeforeWindowFull(t *testing.T) {
 	for i := range frames {
 		frames[i] = bw.ex.FrameVector(1000+i, nil)
 	}
-	if _, err := c.PushFrames(tctx, frames); err != nil {
+	if _, err := c.PushFrames(tctx, "c0", frames); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Predict(tctx, 0, 0); err == nil {
+	if _, err := c.Predict(tctx, "c0", 0, 0); err == nil {
 		t.Fatal("still expected window-not-full error")
 	}
 }
@@ -143,14 +144,14 @@ func TestPushAndPredictEndToEnd(t *testing.T) {
 	for f := anchorFrame - 9; f <= anchorFrame; f++ {
 		frames = append(frames, bw.ex.FrameVector(f, nil))
 	}
-	ack, err := c.PushFrames(tctx, frames)
+	ack, err := c.PushFrames(tctx, "c0", frames)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ack.Buffered != 10 || ack.Next != 10 {
 		t.Fatalf("ack = %+v", ack)
 	}
-	resp, err := c.Predict(tctx, 0.95, 0.9)
+	resp, err := c.Predict(tctx, "c0", 0.95, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +199,10 @@ func TestSkipDecisionOnQuietWindow(t *testing.T) {
 	for f := quiet - 9; f <= quiet; f++ {
 		frames = append(frames, bw.ex.FrameVector(f, nil))
 	}
-	if _, err := c.PushFrames(tctx, frames); err != nil {
+	if _, err := c.PushFrames(tctx, "c0", frames); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.Predict(tctx, 0.8, 0.8)
+	resp, err := c.Predict(tctx, "c0", 0.8, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,10 +217,10 @@ func TestSkipDecisionOnQuietWindow(t *testing.T) {
 
 func TestFrameValidation(t *testing.T) {
 	_, c, _ := newTestServer(t)
-	if _, err := c.PushFrames(tctx, nil); err == nil {
+	if _, err := c.PushFrames(tctx, "c0", nil); err == nil {
 		t.Fatal("expected error for no frames")
 	}
-	if _, err := c.PushFrames(tctx, [][]float64{{1, 2}}); err == nil {
+	if _, err := c.PushFrames(tctx, "c0", [][]float64{{1, 2}}); err == nil {
 		t.Fatal("expected error for wrong dimensionality")
 	}
 }
@@ -232,11 +233,11 @@ func TestPredictKnobValidation(t *testing.T) {
 	for f := 100; f < 110; f++ {
 		frames = append(frames, bw.ex.FrameVector(f, nil))
 	}
-	cl.PushFrames(tctx, frames)
-	if _, err := cl.Predict(tctx, 1.5, 0.9); err == nil {
+	cl.PushFrames(tctx, "c0", frames)
+	if _, err := cl.Predict(tctx, "c0", 1.5, 0.9); err == nil {
 		t.Fatal("expected error for confidence > 1")
 	}
-	if _, err := cl.Predict(tctx, 0.9, 2); err == nil {
+	if _, err := cl.Predict(tctx, "c0", 0.9, 2); err == nil {
 		t.Fatal("expected error for coverage > 1")
 	}
 }
@@ -247,7 +248,7 @@ func TestSlidingWindowKeepsLatest(t *testing.T) {
 	var last FramesResponse
 	for f := 500; f < 525; f++ {
 		var err error
-		last, err = c.PushFrames(tctx, [][]float64{bw.ex.FrameVector(f, nil)})
+		last, err = c.PushFrames(tctx, "c0", [][]float64{bw.ex.FrameVector(f, nil)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,17 +261,14 @@ func TestSlidingWindowKeepsLatest(t *testing.T) {
 func TestServerWritesTrace(t *testing.T) {
 	bw := getBundle(t)
 	var traceBuf bytes.Buffer
-	srv, err := New(Config{
+	srv := sessionServer(t, &Config{
 		Bundle:            bw.b,
 		EventNames:        []string{"Volleyball Spiking"},
 		PerFrameUSD:       0.001,
 		DefaultConfidence: 0.9,
 		DefaultCoverage:   0.9,
 		Trace:             trace.NewWriter(&traceBuf),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 1)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := NewClient(ts.URL, ts.Client())
@@ -279,10 +277,10 @@ func TestServerWritesTrace(t *testing.T) {
 	for f := in.OI.Start - 29; f <= in.OI.Start-20; f++ {
 		frames = append(frames, bw.ex.FrameVector(f, nil))
 	}
-	if _, err := c.PushFrames(tctx, frames); err != nil {
+	if _, err := c.PushFrames(tctx, "c0", frames); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Predict(tctx, 0, 0); err != nil {
+	if _, err := c.Predict(tctx, "c0", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := trace.ReadAll(&traceBuf)
@@ -312,7 +310,7 @@ func TestConcurrentPredicts(t *testing.T) {
 	for f := 300; f < 310; f++ {
 		frames = append(frames, bw.ex.FrameVector(f, nil))
 	}
-	if _, err := cl.PushFrames(tctx, frames); err != nil {
+	if _, err := cl.PushFrames(tctx, "c0", frames); err != nil {
 		t.Fatal(err)
 	}
 	// Hammer predict from many goroutines: inference only reads the model
@@ -324,7 +322,7 @@ func TestConcurrentPredicts(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := cl.Predict(tctx, 0.9, 0.9)
+			r, err := cl.Predict(tctx, "c0", 0.9, 0.9)
 			if err != nil {
 				t.Error(err)
 				return
@@ -346,7 +344,7 @@ func TestClientErrorDecoding(t *testing.T) {
 	_, c, _ := newTestServer(t)
 	// Server returns a structured error for bad requests; the client must
 	// surface the message.
-	_, err := c.PushFrames(tctx, [][]float64{{1}})
+	_, err := c.PushFrames(tctx, "c0", [][]float64{{1}})
 	if err == nil || !strings.Contains(err.Error(), "channels") {
 		t.Fatalf("error not surfaced: %v", err)
 	}
@@ -360,10 +358,10 @@ func TestClientAgainstDeadServer(t *testing.T) {
 	if _, err := c.Stats(tctx); err == nil {
 		t.Fatal("expected connection error")
 	}
-	if _, err := c.PushFrames(tctx, [][]float64{{1}}); err == nil {
+	if _, err := c.PushFrames(tctx, "c0", [][]float64{{1}}); err == nil {
 		t.Fatal("expected connection error")
 	}
-	if _, err := c.Predict(tctx, 0, 0); err == nil {
+	if _, err := c.Predict(tctx, "c0", 0, 0); err == nil {
 		t.Fatal("expected connection error")
 	}
 }

@@ -10,25 +10,22 @@
 // One server hosts many sessions — one per camera stream — all sharing the
 // model, the resilient CI client and (when Config.Fleet is set) one
 // admission arbiter that meters every session's relays against per-session
-// rate buckets and a global spend cap. The un-prefixed endpoints operate on
-// the built-in "default" session, so single-stream clients need no session
-// bookkeeping.
+// rate buckets and a global spend cap. A camera creates its session once,
+// then pushes and predicts on that session's routes.
 //
 // API (JSON over HTTP):
 //
-//	POST   /v1/frames   {"frames": [[...],[...]]}     -> {"buffered": n, "next": absIndex}
-//	POST   /v1/predict  ?confidence=0.9&coverage=0.9  -> per-event decisions
-//	POST   /v1/sessions {"id": "cam-7"}               -> {"id": ...} (id optional)
-//	GET    /v1/sessions                               -> per-session counters
-//	DELETE /v1/sessions/{id}                          -> 204; frees the session and its rate bucket
-//	POST   /v1/sessions/{id}/frames                   -> as /v1/frames, for one session
-//	POST   /v1/sessions/{id}/predict                  -> as /v1/predict, for one session
-//	POST   /v1/model    (bundle in Save format)       -> {"generation": g}; atomic hot swap
-//	GET    /v1/stats                                  -> counters incl. estimated spend
-//	GET    /healthz (alias /v1/healthz)               -> 200 "ok" (liveness)
-//	GET    /readyz                                    -> 200/503 (readiness: model installed, arbiter live, not draining)
-//	GET    /metrics                                   -> Prometheus text exposition
-//	GET    /debug/pprof/*                             -> profiling (Config.EnablePprof)
+//	POST   /v1/sessions               {"id": "cam-7"} -> 201 {"id": ...} (id optional)
+//	GET    /v1/sessions               -> per-session counters
+//	DELETE /v1/sessions/{id}          -> 204; frees the session and its rate bucket
+//	POST   /v1/sessions/{id}/frames   {"frames": [[...],[...]]} -> {"buffered": n, "next": absIndex}
+//	POST   /v1/sessions/{id}/predict  ?confidence=0.9&coverage=0.9 -> per-event decisions
+//	POST   /v1/model                  (bundle in Save format) -> {"generation": g}; atomic hot swap
+//	GET    /v1/stats                  -> counters incl. estimated spend
+//	GET    /healthz, /v1/healthz      -> 200 "ok" (liveness)
+//	GET    /readyz                    -> 200/503 (readiness: not draining, ReadyProbe passing)
+//	GET    /metrics                   -> Prometheus text exposition
+//	GET    /debug/pprof/*             -> profiling (Config.EnablePprof)
 //
 // Keep-alive clients are served by the same handlers, whether net/http or
 // a connection the server took over answers them (conn.go), and nothing
@@ -47,6 +44,7 @@ import (
 
 	"eventhit/internal/cicache"
 	"eventhit/internal/cloud"
+	"eventhit/internal/drift"
 	"eventhit/internal/fleet"
 	"eventhit/internal/obs"
 	"eventhit/internal/pipeline"
@@ -66,9 +64,6 @@ const (
 	MaxSessions      = 256
 	MaxSessionID     = 64
 )
-
-// DefaultSession is the implicit session behind the un-prefixed endpoints.
-const DefaultSession = "default"
 
 // Config parametrizes the server.
 type Config struct {
@@ -152,7 +147,7 @@ type Server struct {
 
 	mu sync.Mutex
 	// sessions and order (creation order, for deterministic listing) are
-	// guarded by mu. The default session exists from construction.
+	// guarded by mu.
 	sessions map[string]*session
 	order    []string
 	seq      int // generated session id counter
@@ -290,26 +285,27 @@ func New(cfg Config) (*Server, error) {
 		s.arbiter = arb
 		arb.Register(s.metrics, nil)
 	}
-	// drift.NewLoop validates the rest of Adapt at the default session.
-	if cfg.Adapt != nil && cfg.CI == nil {
-		return nil, fmt.Errorf("serve: Adapt requires CI (ground-truth labels come back from the relay)")
+	if cfg.Adapt != nil {
+		if cfg.CI == nil {
+			return nil, fmt.Errorf("serve: Adapt requires CI (ground-truth labels come back from the relay)")
+		}
+		// Sessions build their loops from these arguments when they are
+		// created; a bad config fails here, not at the first session.
+		if _, err := drift.NewLoop(*cfg.Adapt, cfg.DefaultCoverage, mc.NumEvents); err != nil {
+			return nil, fmt.Errorf("serve: adapt: %w", err)
+		}
 	}
 	u, err := s.newUnit(cfg.Bundle, 0, swapOriginBoot)
 	if err != nil {
 		return nil, err
 	}
 	s.unit.Store(u)
-	if _, err := s.newSessionLocked(DefaultSession); err != nil {
-		return nil, err
-	}
 	s.registerServeMetrics()
-	s.owner.Handle(s.mux, "POST /v1/frames", s.instrument("/v1/frames", s.forSession("", s.handleFrames)))
-	s.owner.Handle(s.mux, "POST /v1/predict", s.instrument("/v1/predict", s.forSession("", s.handlePredict)))
 	s.mux.HandleFunc("POST /v1/sessions", s.instrument("/v1/sessions", s.handleSessionCreate))
 	s.mux.HandleFunc("GET /v1/sessions", s.instrument("/v1/sessions", s.handleSessionList))
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.instrument("/v1/sessions", s.handleSessionDelete))
-	s.owner.Handle(s.mux, "POST /v1/sessions/{id}/frames", s.instrument("/v1/sessions/frames", s.forSession("id", s.handleFrames)))
-	s.owner.Handle(s.mux, "POST /v1/sessions/{id}/predict", s.instrument("/v1/sessions/predict", s.forSession("id", s.handlePredict)))
+	s.owner.Handle(s.mux, s.instrument("/v1/sessions/predict", s.forSession(s.handlePredict)),
+		s.instrument("/v1/sessions/frames", s.forSession(s.handleFrames)))
 	s.mux.HandleFunc("POST /v1/model", s.instrument("/v1/model", s.handleModelPush))
 	s.mux.HandleFunc("GET /v1/stats", s.instrument("/v1/stats", s.handleStats))
 	s.mux.HandleFunc("GET /v1/healthz", s.instrument("/v1/healthz", s.handleHealthz))
@@ -396,17 +392,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Ready reports whether the server can take traffic, with the failing
-// conditions when it cannot: a serving model must be installed, the fleet
-// arbiter must be live when one is configured, the optional ReadyProbe
-// must pass, and the server must not be draining.
+// conditions when it cannot: the server must not be draining, and the
+// optional ReadyProbe must pass. New installs the model and the arbiter
+// before it returns.
 func (s *Server) Ready() (bool, []string) {
 	var reasons []string
-	if s.unit.Load() == nil {
-		reasons = append(reasons, "no model installed")
-	}
-	if s.cfg.Fleet != nil && s.arbiter == nil {
-		reasons = append(reasons, "fleet arbiter not live")
-	}
 	if s.draining.Load() {
 		reasons = append(reasons, "draining")
 	}

@@ -21,20 +21,19 @@ func relayWindow(bw *Bundlewrap) [][]float64 {
 	return frames
 }
 
+// newFleetServer serves sessionServer's session "c0" over HTTP, with fc as
+// its fleet arbiter.
 func newFleetServer(t *testing.T, fc *fleet.ArbiterConfig) (*Client, *Bundlewrap) {
 	t.Helper()
 	bw := getBundle(t)
-	srv, err := New(Config{
+	srv := sessionServer(t, &Config{
 		Bundle:            bw.b,
 		EventNames:        []string{"Volleyball Spiking"},
 		PerFrameUSD:       0.001,
 		DefaultConfidence: 0.9,
 		DefaultCoverage:   0.9,
 		Fleet:             fc,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 1)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return NewClient(ts.URL, ts.Client()), bw
@@ -54,26 +53,26 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("duplicate accepted: %v", err)
 	}
 
-	// Feed cam-1 and predict there; the default session must stay empty.
-	if _, err := c.PushFramesSession(tctx, "cam-1", relayWindow(bw)); err != nil {
+	// Feed cam-1 and predict there; c0 must stay empty.
+	if _, err := c.PushFrames(tctx, "cam-1", relayWindow(bw)); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.PredictSession(tctx, "cam-1", 0.95, 0.9)
+	resp, err := c.Predict(tctx, "cam-1", 0.95, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Decisions) != 1 || !resp.Decisions[0].Relay {
 		t.Fatalf("imminent event not relayed on cam-1: %+v", resp.Decisions)
 	}
-	if _, err := c.Predict(tctx, 0.95, 0.9); err == nil || !strings.Contains(err.Error(), "window not full") {
-		t.Fatalf("default session shared cam-1's buffer: %v", err)
+	if _, err := c.Predict(tctx, "c0", 0.95, 0.9); err == nil || !strings.Contains(err.Error(), "window not full") {
+		t.Fatalf("c0 shared cam-1's buffer: %v", err)
 	}
 
 	list, err := c.Sessions(tctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list) != 3 || list[0].ID != DefaultSession || list[1].ID != "cam-1" || list[2].ID != gen {
+	if len(list) != 3 || list[0].ID != "c0" || list[1].ID != "cam-1" || list[2].ID != gen {
 		t.Fatalf("session list = %+v", list)
 	}
 	if list[1].Predictions != 1 || list[1].Relays != 1 || list[0].Predictions != 0 {
@@ -91,10 +90,10 @@ func TestSessionLifecycle(t *testing.T) {
 
 func TestSessionUnknownIs404(t *testing.T) {
 	c, bw := newFleetServer(t, nil)
-	if _, err := c.PushFramesSession(tctx, "ghost", relayWindow(bw)); err == nil || !strings.Contains(err.Error(), "unknown session") {
+	if _, err := c.PushFrames(tctx, "ghost", relayWindow(bw)); err == nil || !strings.Contains(err.Error(), "unknown session") {
 		t.Fatalf("push to unknown session: %v", err)
 	}
-	if _, err := c.PredictSession(tctx, "ghost", 0, 0); err == nil || !strings.Contains(err.Error(), "unknown session") {
+	if _, err := c.Predict(tctx, "ghost", 0, 0); err == nil || !strings.Contains(err.Error(), "unknown session") {
 		t.Fatalf("predict on unknown session: %v", err)
 	}
 }
@@ -107,10 +106,10 @@ func TestFleetAdmissionGate(t *testing.T) {
 		PerFrameUSD:     0.001,
 		GlobalBudgetUSD: 0.0001, // below any non-empty relay
 	})
-	if _, err := c.PushFrames(tctx, relayWindow(bw)); err != nil {
+	if _, err := c.PushFrames(tctx, "c0", relayWindow(bw)); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.Predict(tctx, 0.95, 0.9)
+	resp, err := c.Predict(tctx, "c0", 0.95, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +136,10 @@ func TestFleetAdmissionAllows(t *testing.T) {
 		PerFrameUSD:     0.001,
 		GlobalBudgetUSD: 100,
 	})
-	if _, err := c.PushFrames(tctx, relayWindow(bw)); err != nil {
+	if _, err := c.PushFrames(tctx, "c0", relayWindow(bw)); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.Predict(tctx, 0.95, 0.9)
+	resp, err := c.Predict(tctx, "c0", 0.95, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +160,8 @@ func TestFleetAdmissionAllows(t *testing.T) {
 }
 
 // TestSessionDelete covers the DELETE endpoint: a deleted session vanishes
-// from the list, its buffered frames are gone if recreated, the default
-// session is protected, and unknown ids are 404.
+// from the list, its buffered frames are gone if recreated, and unknown ids
+// are 404.
 func TestSessionDelete(t *testing.T) {
 	c, bw := newFleetServer(t, &fleet.ArbiterConfig{
 		PerFrameUSD:       0.001,
@@ -172,7 +171,7 @@ func TestSessionDelete(t *testing.T) {
 	if id, err := c.CreateSession(tctx, "cam-1"); err != nil || id != "cam-1" {
 		t.Fatalf("create = %q, %v", id, err)
 	}
-	if _, err := c.PushFramesSession(tctx, "cam-1", relayWindow(bw)); err != nil {
+	if _, err := c.PushFrames(tctx, "cam-1", relayWindow(bw)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.DeleteSession(tctx, "cam-1"); err != nil {
@@ -182,25 +181,20 @@ func TestSessionDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list) != 1 || list[0].ID != DefaultSession {
+	if len(list) != 1 || list[0].ID != "c0" {
 		t.Fatalf("deleted session still listed: %+v", list)
 	}
 	// A fresh session under the same id has no leftover buffer.
 	if _, err := c.CreateSession(tctx, "cam-1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PredictSession(tctx, "cam-1", 0.95, 0.9); err == nil ||
+	if _, err := c.Predict(tctx, "cam-1", 0.95, 0.9); err == nil ||
 		!strings.Contains(err.Error(), "window not full") {
 		t.Fatalf("recreated session inherited the old buffer: %v", err)
 	}
-	// Unknown and protected ids.
 	if err := c.DeleteSession(tctx, "never-created"); err == nil || !strings.Contains(err.Error(), "404") &&
 		!strings.Contains(err.Error(), "unknown session") {
 		t.Fatalf("unknown delete = %v", err)
-	}
-	if err := c.DeleteSession(tctx, DefaultSession); err == nil ||
-		!strings.Contains(err.Error(), "cannot be deleted") {
-		t.Fatalf("default delete = %v", err)
 	}
 }
 
@@ -215,10 +209,10 @@ func TestSessionDeleteReleasesBucket(t *testing.T) {
 	})
 	predictOnce := func() Decision {
 		t.Helper()
-		if _, err := c.PushFramesSession(tctx, "cam-1", relayWindow(bw)); err != nil {
+		if _, err := c.PushFrames(tctx, "cam-1", relayWindow(bw)); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := c.PredictSession(tctx, "cam-1", 0.95, 0.9)
+		resp, err := c.Predict(tctx, "cam-1", 0.95, 0.9)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,34 +62,29 @@ func (c *counts) add(d counts) {
 	c.admitDef += d.admitDef
 }
 
-// newSessionLocked creates and registers a session. Caller holds mu (or is
-// still inside New, before the server is shared). The session starts on
-// the globally installed unit and, when adaptation is on, gets its own
-// adaptation loop.
-func (s *Server) newSessionLocked(id string) (*session, error) {
+// newSessionLocked creates and registers a session. Caller holds mu. The
+// session starts on the globally installed unit and, when adaptation is
+// on, gets its own adaptation loop.
+func (s *Server) newSessionLocked(id string) error {
 	sess := &session{id: id, ring: newFrameRing(s.window, s.inputDim)}
 	sess.unit.Store(s.unit.Load())
 	if s.cfg.Adapt != nil {
 		ad, err := drift.NewLoop(*s.cfg.Adapt, s.cfg.DefaultCoverage, s.k)
 		if err != nil {
-			return nil, fmt.Errorf("serve: adapt: %w", err)
+			return fmt.Errorf("serve: adapt: %w", err)
 		}
 		sess.ad = ad
 	}
 	s.sessions[id] = sess
 	s.order = append(s.order, id)
-	return sess, nil
+	return nil
 }
 
-// forSession adapts a session-scoped handler to an endpoint: pathParam ""
-// binds the default session (legacy single-stream endpoints), otherwise the
-// session is resolved from the named path segment and an unknown id is 404.
-func (s *Server) forSession(pathParam string, h func(*session, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+// forSession adapts a session-scoped handler to a session route: the
+// session is the one the {id} path segment names, and an unknown id is 404.
+func (s *Server) forSession(h func(*session, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		id := DefaultSession
-		if pathParam != "" {
-			id = r.PathValue(pathParam)
-		}
+		id := r.PathValue("id")
 		s.mu.Lock()
 		sess := s.sessions[id]
 		s.mu.Unlock()
@@ -149,7 +144,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "session %q already exists", id)
 		return
 	}
-	if _, err := s.newSessionLocked(id); err != nil {
+	if err := s.newSessionLocked(id); err != nil {
 		s.mu.Unlock()
 		httpError(w, http.StatusInternalServerError, "creating session: %v", err)
 		return
@@ -179,14 +174,9 @@ func (s *Server) handleSessionList(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleSessionDelete removes a session: its ingest buffer and counters are
-// dropped and its fleet rate bucket (if any) is released. The default
-// session is not deletable — the un-prefixed endpoints depend on it.
+// dropped and its fleet rate bucket (if any) is released.
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if id == DefaultSession {
-		httpError(w, http.StatusBadRequest, "the %q session cannot be deleted", DefaultSession)
-		return
-	}
 	s.mu.Lock()
 	if s.sessions[id] == nil {
 		s.mu.Unlock()

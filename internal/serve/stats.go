@@ -148,7 +148,7 @@ func (s *Server) registerServeMetrics() {
 		name, help string
 		get        func(Stats) float64
 	}{
-		{"eventhit_serve_frames_ingested_total", "frames pushed via /v1/frames", func(st Stats) float64 { return float64(st.FramesIngested) }},
+		{"eventhit_serve_frames_ingested_total", "frames pushed to the hosted sessions", func(st Stats) float64 { return float64(st.FramesIngested) }},
 		{"eventhit_serve_predictions_total", "marshalling decisions served", func(st Stats) float64 { return float64(st.Predictions) }},
 		{"eventhit_serve_relays_total", "event ranges decided for relay", func(st Stats) float64 { return float64(st.Relays) }},
 		{"eventhit_serve_skipped_horizons_total", "per-event horizons not relayed", func(st Stats) float64 { return float64(st.SkippedHorizons) }},

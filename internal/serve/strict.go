@@ -7,9 +7,7 @@ import (
 
 // The hot routes, indexing Owner.hot and hotPatterns.
 const (
-	hotPredict = iota
-	hotFrames
-	hotSessionPredict
+	hotSessionPredict = iota
 	hotSessionFrames
 )
 
@@ -128,16 +126,9 @@ func cutLine(b []byte) (line, rest []byte, st int) {
 	return b[:i-1], b[i+1:], lineOK
 }
 
-// hotRoute matches a path to a hot route as the mux would: a default
-// session's route, or a session's whose id is one clean segment of
-// unreserved characters.
+// hotRoute matches a path to a hot route as the mux would: a session's
+// route whose id is one clean segment of unreserved characters.
 func hotRoute(path []byte) (route int, id []byte, ok bool) {
-	switch string(path) {
-	case "/v1/predict":
-		return hotPredict, nil, true
-	case "/v1/frames":
-		return hotFrames, nil, true
-	}
 	id, ok = bytes.CutPrefix(path, []byte("/v1/sessions/"))
 	i := bytes.IndexByte(id, '/')
 	if !ok || i <= 0 || string(id[:i]) == "." || string(id[:i]) == ".." {

@@ -147,15 +147,6 @@ func (s *Server) derive(u *bundleUnit, b *strategy.Bundle, origin string) *bundl
 	return &nu
 }
 
-// resolveUnit returns the session's current serving unit.
-func (s *Server) resolveUnit(sess *session) *bundleUnit {
-	if u := sess.unit.Load(); u != nil {
-		return u
-	}
-	// Sessions are always created with a unit; this is only a guard.
-	return s.unit.Load()
-}
-
 // ModelResponse acknowledges a POST /v1/model swap.
 type ModelResponse struct {
 	Generation uint64 `json:"generation"`

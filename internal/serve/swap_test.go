@@ -35,23 +35,20 @@ func newSwapServer(t *testing.T, cfg Config) (*Server, *Client, *Bundlewrap) {
 	if cfg.DefaultCoverage == 0 {
 		cfg.DefaultCoverage = 0.9
 	}
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := sessionServer(t, &cfg, 1)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, NewClient(ts.URL, ts.Client()), bw
 }
 
-// fillWindow pushes one full prediction window for the default session.
+// fillWindow pushes one full prediction window for session "c0".
 func fillWindow(t *testing.T, c *Client, bw *Bundlewrap, start int) {
 	t.Helper()
 	frames := make([][]float64, 0, 10)
 	for f := start; f < start+10; f++ {
 		frames = append(frames, bw.ex.FrameVector(f, nil))
 	}
-	if _, err := c.PushFrames(tctx, frames); err != nil {
+	if _, err := c.PushFrames(tctx, "c0", frames); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -59,7 +56,7 @@ func fillWindow(t *testing.T, c *Client, bw *Bundlewrap, start int) {
 func TestModelPushRoundTrip(t *testing.T) {
 	_, c, bw := newSwapServer(t, Config{})
 	fillWindow(t, c, bw, 300)
-	before, err := c.Predict(tctx, 0.9, 0.9)
+	before, err := c.Predict(tctx, "c0", 0.9, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +72,7 @@ func TestModelPushRoundTrip(t *testing.T) {
 	if mr.Params != bw.b.Model.NumParams() {
 		t.Fatalf("params = %d, want %d", mr.Params, bw.b.Model.NumParams())
 	}
-	after, err := c.Predict(tctx, 0.9, 0.9)
+	after, err := c.Predict(tctx, "c0", 0.9, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +217,7 @@ func TestSwapRejectsMismatchedGeometry(t *testing.T) {
 		t.Fatalf("rejected swaps advanced state: %+v", st)
 	}
 	fillWindow(t, c, bw, 300)
-	if _, err := c.Predict(tctx, 0.9, 0.9); err != nil {
+	if _, err := c.Predict(tctx, "c0", 0.9, 0.9); err != nil {
 		t.Fatalf("predict after rejected swaps: %v", err)
 	}
 }
@@ -233,7 +230,7 @@ func TestSwapRejectsMismatchedGeometry(t *testing.T) {
 func TestSwapUnderConcurrentPredictLoad(t *testing.T) {
 	srv, c, bw := newSwapServer(t, Config{})
 	fillWindow(t, c, bw, 300)
-	want, err := c.Predict(tctx, 0.9, 0.9)
+	want, err := c.Predict(tctx, "c0", 0.9, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +246,7 @@ func TestSwapUnderConcurrentPredictLoad(t *testing.T) {
 					return
 				default:
 				}
-				r, err := c.Predict(tctx, 0.9, 0.9)
+				r, err := c.Predict(tctx, "c0", 0.9, 0.9)
 				if err != nil {
 					t.Error(err)
 					return

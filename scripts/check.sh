@@ -235,7 +235,7 @@ stage tiers-race go test -race -count=1 ./internal/fleet/ ./internal/cluster/ ./
 # mid-exchange with a slow worker, the front's /metrics gauge counts them,
 # and a client gone mid-exchange leaves no goroutine once the worker answers
 # or the hop times out.
-stage front-hop-x5 go test -race -count=5 ./internal/cluster/ -run 'TestFrontProxyMatchesDirect|TestFrontHopFailures|TestFrontURLs|TestHopExpiresIdleConns|FuzzFrontTakeoverMatchesNetHTTP|TestFrontOwnedConnShutdown|TestFrontOwnedConnGauge|TestFrontOwnedConnClientGone'
+stage front-hop-x5 go test -race -count=5 ./internal/cluster/ -run 'TestFrontProxyMatchesDirect|TestFrontHopFailures|TestFrontURLs|TestHopExpiresIdleConns|FuzzFrontTakeoverMatchesNetHTTP|TestFrontOwnedConnShutdown|TestFrontOwnedConnGauge|TestFrontOwnedConnClientGone|TestFrontSessionNamedDefault'
 # Allocation ceilings: frames handler at 1, 250 and 4096 frames; predict;
 # a push and a predict on an owned connection; a predict proxied through
 # the front, in process and on an owned front connection.
