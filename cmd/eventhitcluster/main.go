@@ -78,7 +78,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	coordHS := &http.Server{Handler: coord}
+	coordHS := &http.Server{Handler: coord, ReadHeaderTimeout: serve.ReadHeaderTimeout, IdleTimeout: serve.IdleTimeout}
 	coordURL, err := listenAndServe(coordHS, "127.0.0.1:0")
 	if err != nil {
 		fatal(err)
@@ -124,7 +124,7 @@ func main() {
 		t.Name, *addr, *workers, mc.Window, mc.Horizon, mc.InputDim, *confidence, *coverage)
 	log.Printf("cluster metrics at GET /metrics, fleet stats at GET /v1/stats, budget at GET /v1/cluster/budget")
 
-	hs := &http.Server{Addr: *addr, Handler: front}
+	hs := &http.Server{Addr: *addr, Handler: front, ReadHeaderTimeout: serve.ReadHeaderTimeout, IdleTimeout: serve.IdleTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

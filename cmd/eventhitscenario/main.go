@@ -1,10 +1,10 @@
 // Command eventhitscenario runs declarative workload scenarios (see
-// internal/scenario): a YAML-subset spec describing streams, scene mixes,
+// internal/scenario): a JSON spec describing streams, scene mixes,
 // arrival surges, drift schedules, fault plans, budgets and cache settings,
 // compiled onto the harness/fleet/pipeline machinery by a staged runner.
 //
 //	eventhitscenario -list
-//	eventhitscenario -spec my-scenario.yaml -out report.json
+//	eventhitscenario -spec my-scenario.json -out report.json
 //	eventhitscenario -corpus                # run the committed corpus against its goldens
 //	eventhitscenario -corpus -regen         # regenerate the committed goldens
 //

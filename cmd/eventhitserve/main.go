@@ -187,7 +187,7 @@ func main() {
 	// Serve until SIGINT/SIGTERM, then drain: stop accepting, let in-flight
 	// requests finish (bounded by -drain), and only then exit — a camera
 	// mid-predict gets its decision instead of a reset connection.
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: serve.ReadHeaderTimeout, IdleTimeout: serve.IdleTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

@@ -96,9 +96,11 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		"client connections the front answers itself, taken over from net/http by a data-path route", nil,
 		func() float64 { return float64(f.owner.Len()) })
 	// Fleet-aggregate families: each scrape fans /v1/stats out to the
-	// workers and sums. Scrape-time aggregation keeps the front stateless —
-	// a restarted front reports the same totals, because the workers own
-	// the counters.
+	// workers once, and every family sums that one fan-out. Scrape-time
+	// aggregation keeps the front stateless — a restarted front reports the
+	// same totals, because the workers own the counters.
+	var per []WorkerStats // written and read under the registry's lock
+	f.metrics.OnScrape(func() { per = f.fanStats(context.Background()) })
 	for _, fam := range []struct {
 		name, help string
 		get        func(serve.Stats) float64
@@ -113,7 +115,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		get := fam.get
 		f.metrics.GaugeFunc(fam.name, fam.help, nil, func() float64 {
 			var total float64
-			for _, ws := range f.fanStats(context.Background()) {
+			for _, ws := range per {
 				if ws.Err == "" {
 					total += get(ws.Stats)
 				}
@@ -189,9 +191,13 @@ func (f *Front) Routed() map[string]int64 {
 // routing, not semantics, to the data path. The body keeps its declared
 // length (the worker presizes its ingest buffer by it); -1 goes chunked.
 // The reply's body is read whole before its status is written, so a reply
-// cut short is a 502, never half a body.
-func (f *Front) proxy(w http.ResponseWriter, r *http.Request, u *upstream, body io.Reader, length int64) {
+// cut short is a 502, never half a body. With skipConflict a 409 is not
+// written, and proxy reports it.
+func (f *Front) proxy(w http.ResponseWriter, r *http.Request, u *upstream, body io.Reader, length int64, skipConflict bool) (conflict bool) {
 	err := u.hop.do(r.Context(), r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type"), body, length, func(rp *reply) error {
+		if conflict = skipConflict && rp.status == http.StatusConflict; conflict {
+			return nil
+		}
 		b := rp.data
 		if b == nil {
 			var err error
@@ -208,12 +214,19 @@ func (f *Front) proxy(w http.ResponseWriter, r *http.Request, u *upstream, body 
 	})
 	if err != nil {
 		clusterError(w, http.StatusBadGateway, "worker %s: %v", u.ref.ID, err)
+		return false
 	}
+	return conflict
 }
 
 func (f *Front) proxySession(w http.ResponseWriter, r *http.Request) {
-	f.proxy(w, r, f.routeTo(r.PathValue("id")), r.Body, r.ContentLength)
+	f.proxy(w, r, f.routeTo(r.PathValue("id")), r.Body, r.ContentLength, false)
 }
+
+// maxMintTries bounds the IDs one id-less create tries. A worker answers
+// 409 to a minted ID a client named explicitly or a restarted front minted
+// before; the front then takes the next. The last try's 409 is the reply.
+const maxMintTries = 64
 
 // handleSessionCreate routes POST /v1/sessions: the front owns ID
 // generation (workers would each generate their own namespace) and then
@@ -225,16 +238,20 @@ func (f *Front) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		clusterError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.ID == "" {
-		req.ID = fmt.Sprintf("s-%06d", f.nextID.Add(1))
+	mint := req.ID == ""
+	for try := 1; ; try++ {
+		if mint {
+			req.ID = fmt.Sprintf("s-%06d", f.nextID.Add(1))
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			clusterError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		if !f.proxy(w, r, f.routeTo(req.ID), bytes.NewReader(body), int64(len(body)), mint && try < maxMintTries) {
+			return
+		}
 	}
-	u := f.routeTo(req.ID)
-	body, err := json.Marshal(req)
-	if err != nil {
-		clusterError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	f.proxy(w, r, u, bytes.NewReader(body), int64(len(body)))
 }
 
 // handleSessionList fans GET /v1/sessions out and concatenates the

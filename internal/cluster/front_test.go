@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"eventhit/internal/cicache"
@@ -314,6 +315,44 @@ func TestFrontSessionNamedDefault(t *testing.T) {
 		if code := post(path, `{"frames":[[0.5]]}`); code != http.StatusNotFound {
 			t.Errorf("POST %s: %d, want 404", path, code)
 		}
+	}
+}
+
+// TestFrontMintSkipsTakenIDs: an id-less create skips the IDs the workers
+// already hold. After a client names s-000001, the front's next minted ID
+// is s-000002, and a second front over the same workers (a restarted
+// front, its counter back at zero) skips both.
+func TestFrontMintSkipsTakenIDs(t *testing.T) {
+	fx := newFrontFixture(t, 2)
+	second, err := NewFront(FrontConfig{Workers: fx.front.WorkerRefs()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	secondTS := httptest.NewServer(second)
+	t.Cleanup(secondTS.Close)
+	create := func(base, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out serve.SessionRequest
+		json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, out.ID
+	}
+	if code, id := create(fx.frontTS.URL, `{"id":"s-000001"}`); code != http.StatusCreated || id != "s-000001" {
+		t.Fatalf("explicit s-000001: %d %q, want 201", code, id)
+	}
+	for _, c := range []struct {
+		name, base, want string
+	}{{"first front", fx.frontTS.URL, "s-000002"}, {"second front", secondTS.URL, "s-000003"}} {
+		if code, id := create(c.base, `{}`); code != http.StatusCreated || id != c.want {
+			t.Errorf("%s: id-less create answered %d %q, want 201 %q", c.name, code, id, c.want)
+		}
+	}
+	if code, _ := create(fx.frontTS.URL, `{"id":"s-000002"}`); code != http.StatusConflict {
+		t.Errorf("explicit create of a taken ID answered %d, want 409", code)
 	}
 }
 
@@ -632,6 +671,38 @@ func TestFrontReadyz(t *testing.T) {
 	fx.workers[1].Server().SetDraining(false)
 	if code, _ := get(); code != http.StatusOK {
 		t.Fatalf("cluster not ready after drain cleared: %d", code)
+	}
+}
+
+// TestFrontScrapeFansOutOnce: a /metrics scrape fans /v1/stats out to each
+// worker once, and every eventhit_cluster_* family sums that one reply.
+func TestFrontScrapeFansOutOnce(t *testing.T) {
+	var stats atomic.Int64
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == "/v1/stats" {
+			stats.Add(1)
+			io.WriteString(w, `{"predictions": 3, "relays": 2, "sessions": 1}`)
+			return
+		}
+		io.WriteString(w, `{}`)
+	}))
+	t.Cleanup(stub.Close)
+	front, err := NewFront(FrontConfig{Workers: []WorkerRef{{ID: "w0", URL: stub.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for scrape := int64(1); scrape <= 3; scrape++ {
+		rec := httptest.NewRecorder()
+		front.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		for _, want := range []string{"eventhit_cluster_predictions_total 3", "eventhit_cluster_relays_total 2", "eventhit_cluster_sessions 1"} {
+			if !strings.Contains(rec.Body.String(), want) {
+				t.Fatalf("scrape %d misses %q:\n%s", scrape, want, rec.Body)
+			}
+		}
+		if got := stats.Load(); got != scrape {
+			t.Fatalf("after %d scrapes the worker saw %d GET /v1/stats, want %d", scrape, got, scrape)
+		}
 	}
 }
 

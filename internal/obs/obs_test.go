@@ -192,3 +192,32 @@ func TestHandlerServesText(t *testing.T) {
 		t.Fatalf("body = %q", rec.Body.String())
 	}
 }
+
+// TestOnScrapeCapturesOncePerScrape: the scrape hook runs once per
+// WriteText, before any series is read, so every family that reads its
+// capture reports the same instant.
+func TestOnScrapeCapturesOncePerScrape(t *testing.T) {
+	r := NewRegistry()
+	var live, captured, hooks float64
+	r.OnScrape(func() { hooks++; captured = live })
+	for _, name := range []string{"a_total", "b_total", "c_total"} {
+		r.CounterFunc(name, "", nil, func() float64 { live++; return captured })
+	}
+	for scrape := 1; scrape <= 2; scrape++ {
+		live = float64(10 * scrape)
+		var b strings.Builder
+		if err := r.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		want := strings.Repeat(formatFloat(float64(10*scrape)), 3)
+		var got string
+		for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+			if !strings.HasPrefix(line, "#") {
+				got += line[strings.LastIndexByte(line, ' ')+1:]
+			}
+		}
+		if got != want || hooks != float64(scrape) {
+			t.Fatalf("scrape %d: samples %q after %v hooks, want %q after %d", scrape, got, hooks, want, scrape)
+		}
+	}
+}

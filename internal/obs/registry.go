@@ -62,6 +62,7 @@ type family struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+	scrape   []func()
 }
 
 // NewRegistry returns an empty registry.
@@ -193,6 +194,16 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, f func() float64)
 	r.registerFunc(name, help, gaugeKind, labels, f)
 }
 
+// OnScrape registers f to run at the start of every WriteText, under the
+// registry's lock and before any series is read. Func-backed series that
+// read what f captured report one instant per scrape, at the cost of one
+// capture, however many families share it.
+func (r *Registry) OnScrape(f func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.scrape = append(r.scrape, f)
+}
+
 func (r *Registry) registerFunc(name, help string, k kind, labels Labels, f func() float64) {
 	if f == nil {
 		panic("obs: nil metric func")
@@ -224,6 +235,9 @@ func formatFloat(v float64) string {
 // exposes byte-identical text, which the golden test pins.
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Lock()
+	for _, f := range r.scrape {
+		f()
+	}
 	names := make([]string, 0, len(r.families))
 	for n := range r.families {
 		names = append(names, n)

@@ -13,21 +13,21 @@ import (
 // any working directory; the package tests read the same goldens from disk
 // so a -regen is visible without recompiling.
 
-//go:embed corpus/*.yaml
+//go:embed corpus/*.json
 var corpusFS embed.FS
 
 //go:embed testdata/*.golden.json
 var goldenFS embed.FS
 
 // Entry is one corpus scenario: its name and the parsed, validated spec of
-// corpus/<name>.yaml.
+// corpus/<name>.json.
 type Entry struct {
 	Name string
 	Spec *Spec
 }
 
 // Corpus returns the committed scenarios sorted by name. Every file must
-// parse and must be named after its spec ("<name>.yaml") — a corpus that
+// parse and must be named after its spec ("<name>.json") — a corpus that
 // fails this is a build artifact bug, caught by the package tests.
 func Corpus() ([]Entry, error) {
 	files, err := corpusFS.ReadDir("corpus")
@@ -44,7 +44,7 @@ func Corpus() ([]Entry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("corpus %s: %w", f.Name(), err)
 		}
-		if want := spec.Name + ".yaml"; f.Name() != want {
+		if want := spec.Name + ".json"; f.Name() != want {
 			return nil, fmt.Errorf("corpus %s: spec is named %q (file should be %s)", f.Name(), spec.Name, want)
 		}
 		out = append(out, Entry{Name: spec.Name, Spec: spec})

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -16,24 +17,25 @@ import (
 var updateFuzzSeeds = flag.Bool("update-fuzz-seeds", false, "rewrite the FuzzScenarioParse seed corpus")
 
 // fuzzSeeds is the named seed set: every committed scenario spec plus
-// crafted inputs covering the parser's syntax error paths and quoting.
+// crafted inputs covering JSON syntax errors, escapes and what the token
+// pass refuses (duplicate keys, unknown fields, null).
 func fuzzSeeds(t testing.TB) map[string][]byte {
 	entries, err := Corpus()
 	if err != nil {
 		t.Fatalf("Corpus: %v", err)
 	}
 	seeds := map[string][]byte{
-		"minimal":             yamlSrc(headOK, streamsOK, stagesOK),
-		"stage-timeout":       yamlSrc(headOK, streamsOK, timeoutStages),
+		"minimal":             specSrc(headOK, streamsOK, stagesOK),
+		"stage-timeout":       specSrc(headOK, streamsOK, timeoutStages),
 		"removed-keys":        removedKeysSpec,
 		"huge-count":          hugeCountSpec("nosuch"),
-		"quoted-description":  yamlSrc([]string{"name: x", `description: "café #1: \"quoted\""`, "task: TA1"}, streamsOK, stagesOK),
-		"invalid-tab":         []byte("name: x\n\tbad: 1\n"),
-		"invalid-dup-key":     []byte("name: x\nname: y\n"),
-		"invalid-unknown":     yamlSrc(headOK, []string{"bogus: 1"}, streamsOK, stagesOK),
-		"invalid-missing-val": []byte("name: x\ntask:\nquick: true\n"),
-		"invalid-indent":      []byte("name: x\n      task: TA1\n"),
-		"invalid-top-list":    []byte("- a\n"),
+		"quoted-description":  specSrc(`"name": "x"`, `"description": "café #1: \"quoted\" \u00e9\t<&>"`, `"task": "TA1"`, streamsOK, stagesOK),
+		"invalid-tab":         []byte("{\"name\": \"x\ty\"}\n"),
+		"invalid-dup-key":     []byte(`{"name": "x", "name": "y"}`),
+		"invalid-unknown":     specSrc(headOK, `"bogus": 1`, streamsOK, stagesOK),
+		"invalid-missing-val": []byte(`{"name": "x", "task": , "quick": true}`),
+		"invalid-null":        specSrc(headOK, `"fleet": null`, streamsOK, stagesOK),
+		"invalid-top-list":    []byte(`["a"]`),
 	}
 	for _, e := range entries {
 		seeds["corpus-"+e.Name] = corpusRaw(e)
@@ -77,7 +79,7 @@ func TestFuzzSeedCorpus(t *testing.T) {
 // FuzzScenarioParse holds the parser to its contract on arbitrary input: it
 // must never panic, it returns a spec or an error but not both, errors carry
 // the "scenario:" positional prefix, and accepted bytes parse to the same
-// spec a second time.
+// spec a second time, as does json.Marshal of the spec.
 func FuzzScenarioParse(f *testing.F) {
 	for _, data := range fuzzSeeds(f) {
 		f.Add(data)
@@ -99,6 +101,13 @@ func FuzzScenarioParse(f *testing.F) {
 		again, err := Parse(data)
 		if err != nil || !reflect.DeepEqual(spec, again) {
 			t.Fatalf("second parse differs (err %v)\ninput:\n%s\nfirst:  %+v\nsecond: %+v", err, data, spec, again)
+		}
+		out, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("Marshal: %v", err)
+		}
+		if back, err := Parse(out); err != nil || !reflect.DeepEqual(spec, back) {
+			t.Fatalf("Marshal then Parse differs (err %v)\ninput:\n%s\nmarshalled:\n%s", err, data, out)
 		}
 	})
 }

@@ -180,8 +180,8 @@ func TestDriftBudgetCutsOff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a quick env")
 	}
-	spec, err := Parse(yamlSrc([]string{"name: x", "task: TA10", "quick: true", "frames: 20000"}, streamsOK,
-		stagesRun("name: t", "kind: drift", "budget_usd: 0.5")))
+	spec, err := Parse(specSrc(`"name": "x", "task": "TA10", "quick": true, "frames": 20000`, streamsOK,
+		stagesRun(`"name": "t"`, `"kind": "drift"`, `"budget_usd": 0.5`)))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}

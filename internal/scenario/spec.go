@@ -2,14 +2,14 @@
 // gated artifacts. The paper's marshalling claims (the Fig. 9 cost split,
 // Table 1 REC/SPL) hold across regimes — mostly-idle surveillance, burst
 // arrivals, degraded CI, budget cliffs — but until now each regime was an
-// ad-hoc flag combination on three binaries. A scenario spec (YAML subset,
-// parsed in-repo, stdlib-only) declares streams, scene mixes, arrival
-// surges, drift schedules and budgets, plus a staged runner program: named
-// stages executed serially, each stage either one task or a parallel group
-// (bashful-style task/task_group), where every task compiles onto the
-// existing harness/fleet/pipeline machinery and may carry its own cache or
-// fault plan — a sweep is a parallel group of tasks that differ in one
-// block. Task results are slotted by index and the fleet's two-phase
+// ad-hoc flag combination on three binaries. A scenario spec (a JSON
+// document that encoding/json decodes) declares streams, scene mixes,
+// arrival surges, drift schedules and budgets, plus a staged runner
+// program: named stages executed serially, each stage either one task or a
+// parallel group (bashful-style task/task_group), where every task compiles
+// onto the existing harness/fleet/pipeline machinery and may carry its own
+// cache or fault plan — a sweep is a parallel group of tasks that differ in
+// one block. Task results are slotted by index and the fleet's two-phase
 // determinism is preserved, so a scenario report is byte-identical at any
 // GOMAXPROCS — which is what lets the committed corpus under corpus/ pin
 // golden reports in testdata/ and gate every future PR on all regimes at
@@ -17,69 +17,76 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 
 	"eventhit/internal/harness"
 )
 
-// Spec is one declared scenario.
+// Spec is one declared scenario. The json tags are the spec's keys; a
+// field whose zero value would not parse back (or would mean something
+// else) is omitempty, so json.Marshal of a parsed spec parses to it again.
 type Spec struct {
 	// Name identifies the scenario; it doubles as the corpus filename stem,
 	// so it is restricted to [a-z0-9-].
-	Name string
+	Name string `json:"name"`
 	// Description is free text shown by `eventhitscenario -list`.
-	Description string
+	Description string `json:"description,omitempty"`
 	// Task is the Table II task label the deployed model is trained on.
-	Task string
+	Task string `json:"task"`
 	// Seed keys everything: training, stream generation, detector noise,
 	// fault plans. Defaults to 1.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// Quick selects the reduced training sizes (harness.Quick).
-	Quick bool
+	Quick bool `json:"quick,omitempty"`
 	// Frames bounds the marshalled region per camera (0 = whole stream).
-	Frames int
+	Frames int `json:"frames,omitempty"`
 	// Confidence and Coverage parametrize the deployed EHCR strategy.
 	// Both default to 0.9.
-	Confidence float64
-	Coverage   float64
+	Confidence float64 `json:"confidence"`
+	Coverage   float64 `json:"coverage"`
 	// Streams declares the camera groups of the workload.
-	Streams []StreamGroup
+	Streams []StreamGroup `json:"streams"`
 	// Fleet is the shared-backend scheduler policy (zero value = defaults).
-	Fleet FleetSpec
+	Fleet FleetSpec `json:"fleet"`
 	// Stages is the runner program, executed in order.
-	Stages []Stage
+	Stages []Stage `json:"stages"`
 }
 
 // StreamGroup declares count cameras sharing one workload shape.
 type StreamGroup struct {
 	// ID prefixes the camera IDs: camera i of the group is "<id>-<ii>".
-	ID string
+	ID string `json:"id"`
 	// Count is the number of cameras in the group.
-	Count int
+	Count int `json:"count"`
 	// Scenes is the number of distinct scenes the group's cameras watch;
 	// cameras assigned the same scene share the generation seed and hence
 	// identical covariate timelines (the repetition a content-addressed
 	// cache dedups). 0 gives every camera its own scene.
-	Scenes int
+	Scenes int `json:"scenes,omitempty"`
 	// Arrivals selects the inter-event gap process: "poisson" (default),
 	// "geometric" or "regular".
-	Arrivals string
+	Arrivals string `json:"arrivals,omitempty"`
 	// Surge, when present, multiplies the event arrival rate from a frame
 	// on (burst traffic, flash crowds).
-	Surge *SurgeSpec
+	Surge *SurgeSpec `json:"surge,omitempty"`
 	// Drift, when present, degrades the camera's detector from a frame on
 	// (covariate drift).
-	Drift *DriftSpec
+	Drift *DriftSpec `json:"drift,omitempty"`
 }
 
 // SurgeSpec is an arrival-rate shift: from AtFrame on, events arrive Rate
 // times as often.
 type SurgeSpec struct {
-	AtFrame int
-	Rate    float64
+	AtFrame int     `json:"at"`
+	Rate    float64 `json:"rate"`
 }
 
 // DriftSpec is a detector degradation: from AtFrame on the camera's
@@ -88,11 +95,11 @@ type SurgeSpec struct {
 // it out keeps full signal (CueGain 0, which features.DetectorConfig reads
 // as 1).
 type DriftSpec struct {
-	AtFrame  int
-	MissRate float64
-	FPRate   float64
-	Jitter   float64
-	CueGain  float64
+	AtFrame  int     `json:"at"`
+	MissRate float64 `json:"miss_rate,omitempty"`
+	FPRate   float64 `json:"fp_rate,omitempty"`
+	Jitter   float64 `json:"jitter,omitempty"`
+	CueGain  float64 `json:"cue_gain,omitempty"`
 }
 
 // FleetSpec sets the fleet scheduler's meters. QueueMax is a pointer to
@@ -100,42 +107,43 @@ type DriftSpec struct {
 // queue_max: 0 (an unbounded queue).
 type FleetSpec struct {
 	// BudgetUSD caps the fleet's total CI spend (0 = uncapped).
-	BudgetUSD float64
+	BudgetUSD float64 `json:"budget_usd,omitempty"`
 	// StreamRatePerSec / StreamBurst configure the per-stream token bucket
 	// (rate 0 = unmetered; burst 0 = one second of rate).
-	StreamRatePerSec float64
-	StreamBurst      float64
-	QueueMax         *int
+	StreamRatePerSec float64 `json:"stream_rate,omitempty"`
+	StreamBurst      float64 `json:"stream_burst,omitempty"`
+	QueueMax         *int    `json:"queue_max,omitempty"`
 }
 
 // CacheSpec configures the shared CI result cache.
 type CacheSpec struct {
-	Epsilon   float64
-	TTLFrames int
+	Epsilon   float64 `json:"epsilon,omitempty"`
+	TTLFrames int     `json:"ttl_frames"`
 }
 
 // FaultSpec mirrors cloud.FaultPlan. Seed 0 inherits the spec seed.
 type FaultSpec struct {
-	Seed          int64
-	TransientRate float64
-	SpikeRate     float64
-	SpikeMS       float64
-	FailLatencyMS float64
-	Outages       []OutageSpec
+	Seed          int64        `json:"seed,omitempty"`
+	TransientRate float64      `json:"transient_rate,omitempty"`
+	SpikeRate     float64      `json:"spike_rate,omitempty"`
+	SpikeMS       float64      `json:"spike_ms,omitempty"`
+	FailLatencyMS float64      `json:"fail_latency_ms,omitempty"`
+	Outages       []OutageSpec `json:"outages,omitempty"`
 }
 
 // OutageSpec is a half-open request-index window [Start, End).
 type OutageSpec struct {
-	Start, End int64
+	Start int64 `json:"start"`
+	End   int64 `json:"end"`
 }
 
 // Stage is one named runner step: exactly one of Run (a single task) or
 // Parallel (a task group whose members run concurrently, results slotted by
 // index) is set.
 type Stage struct {
-	Name     string
-	Run      *TaskSpec
-	Parallel []TaskSpec
+	Name     string     `json:"name"`
+	Run      *TaskSpec  `json:"run,omitempty"`
+	Parallel []TaskSpec `json:"parallel,omitempty"`
 }
 
 // Tasks returns the stage's tasks regardless of grouping form.
@@ -149,29 +157,29 @@ func (s Stage) Tasks() []TaskSpec {
 // TaskSpec is one compiled unit of work.
 type TaskSpec struct {
 	// Name labels the task in the report (unique within its stage).
-	Name string
+	Name string `json:"name"`
 	// Kind selects the machinery: "fleet" marshals every declared camera
 	// through the shared-backend scheduler; "pipeline" marshals one camera
 	// through the end-to-end pipeline loop (optionally against the fault
 	// plan); "drift" walks one camera under the adaptation loop serve ships
 	// (drift.Loop), relaying to a CI whose verdicts label its outcomes.
-	Kind string
+	Kind string `json:"kind"`
 	// Cache (fleet), when present, attaches a shared CI result cache with
 	// this configuration to the scheduler.
-	Cache *CacheSpec
+	Cache *CacheSpec `json:"cache,omitempty"`
 	// BudgetUSD overrides the fleet budget for a fleet task; on a drift task
 	// it is a hard cloud.Budget charged before every relay and audit, whose
 	// exhaustion ends the walk. 0 is uncapped on both.
-	BudgetUSD *float64
+	BudgetUSD *float64 `json:"budget_usd,omitempty"`
 	// Stream (pipeline/drift) is the camera ID to marshal; defaults to the
 	// first declared camera.
-	Stream string
+	Stream string `json:"stream,omitempty"`
 	// Faults (pipeline), when present, injects this fault plan in front of
 	// the CI, behind the resilient client with graceful degradation.
-	Faults *FaultSpec
+	Faults *FaultSpec `json:"faults,omitempty"`
 	// AuditRate (drift) is the loop's drift.Config.AuditRate, in [0,1];
 	// nil is drift.DefaultConfig's.
-	AuditRate *float64
+	AuditRate *float64 `json:"audit_rate,omitempty"`
 }
 
 // Task kinds.
@@ -191,79 +199,267 @@ const (
 // Running a spec materializes every camera and builds a stream for each:
 // 1 000 cameras at the corpus's 40 000 frames already hold ≈190 MB of heap
 // and run ≈2 s on two cores, while the corpus declares at most 6 per group.
-// Past the bound a count is an error at its line, where a 157-byte spec
+// Past the bound a count is an error at its line, where a 174-byte spec
 // could otherwise ask for 10^12 cameras (and overflow the sum of counts).
 const maxCameras = 1024
+
+// maxSpecBytes bounds parser input at ~100x any real spec, so an
+// adversarial (fuzzed) input stays cheap: nothing else bounds how many
+// stages or tasks a spec lists.
+const maxSpecBytes = 256 << 10
+
+func errAt(line int, format string, args ...interface{}) error {
+	return fmt.Errorf("scenario: line %d: %s", line, fmt.Sprintf(format, args...))
+}
 
 // Parse decodes and validates a scenario spec. Every error is positional:
 // "scenario: line N: <field>: <problem>".
 func Parse(data []byte) (*Spec, error) {
-	root, err := parseYAML(data)
+	if len(data) > maxSpecBytes {
+		return nil, fmt.Errorf("scenario: spec exceeds %d bytes", maxSpecBytes)
+	}
+	w, err := scan(data)
 	if err != nil {
 		return nil, err
 	}
-	r := reader{n: root, path: ""}
 	spec := &Spec{Seed: 1, Confidence: defaultConfidence, Coverage: defaultCoverage}
-
-	spec.Name, err = r.reqString("name")
-	if err != nil {
-		return nil, err
+	if err := json.Unmarshal(data, spec); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err) // scan refuses first what Unmarshal would
 	}
-	if !validName(spec.Name) {
-		return nil, r.fieldErr("name", "must be non-empty [a-z0-9-], got %q", spec.Name)
-	}
-	if spec.Description, _, err = r.optString("description"); err != nil {
-		return nil, err
-	}
-	if spec.Task, err = r.reqString("task"); err != nil {
-		return nil, err
-	}
-	if _, err := harness.TaskByName(spec.Task); err != nil {
-		return nil, r.fieldErr("task", "%v", err)
-	}
-	if v, ok, err := r.optInt("seed"); err != nil {
-		return nil, err
-	} else if ok {
-		spec.Seed = v
-	}
-	if spec.Quick, _, err = r.optBool("quick"); err != nil {
-		return nil, err
-	}
-	if v, ok, err := r.optInt("frames"); err != nil {
-		return nil, err
-	} else if ok {
-		if v < 0 {
-			return nil, r.fieldErr("frames", "must be >= 0, got %d", v)
-		}
-		spec.Frames = int(v)
-	}
-	for _, f := range []struct {
-		key string
-		dst *float64
-	}{{"confidence", &spec.Confidence}, {"coverage", &spec.Coverage}} {
-		if v, ok, err := r.optFloat(f.key); err != nil {
-			return nil, err
-		} else if ok {
-			if !(v > 0 && v < 1) {
-				return nil, r.fieldErr(f.key, "must be in (0,1), got %v", v)
-			}
-			*f.dst = v
-		}
-	}
-
-	if err := decodeStreams(&r, spec); err != nil {
-		return nil, err
-	}
-	if err := decodeFleet(&r, spec); err != nil {
-		return nil, err
-	}
-	if err := decodeStages(&r, spec); err != nil {
-		return nil, err
-	}
-	if err := r.finish(); err != nil {
+	if err := w.validate(spec); err != nil {
 		return nil, err
 	}
 	return spec, nil
+}
+
+// written maps the path of every value a spec writes ("streams[0].count")
+// to its line: a field's is its key's, a list item's its first token's and
+// the document's ("") its opening brace's. It is what json.Unmarshal
+// forgets: where a value stood, and whether it was there at all.
+type written map[string]int
+
+// scanner is the token pass ahead of json.Unmarshal. It walks the document
+// against the types Unmarshal fills and refuses what Unmarshal would let
+// through or report without a line: unknown (or differently cased) keys,
+// duplicate keys, null, values of the wrong type, trailing data.
+type scanner struct {
+	dec  *json.Decoder
+	data []byte
+	off  int64 // data[:off] holds ln-1 newlines
+	ln   int
+	w    written
+}
+
+func scan(data []byte) (written, error) {
+	if len(bytes.TrimSpace(data)) == 0 {
+		return nil, errors.New("scenario: empty spec")
+	}
+	s := &scanner{dec: json.NewDecoder(bytes.NewReader(data)), data: data, ln: 1, w: written{}}
+	s.dec.UseNumber()
+	if err := s.value(reflect.TypeOf(Spec{}), ""); err != nil {
+		return nil, err
+	}
+	if _, err := s.dec.Token(); err != io.EOF {
+		return nil, errAt(s.lineAt(s.dec.InputOffset()), "unexpected data after the spec")
+	}
+	return s.w, nil
+}
+
+// lineAt is the line of byte offset off; offsets mostly grow, so each call
+// counts only the newlines since the last.
+func (s *scanner) lineAt(off int64) int {
+	off = min(off, int64(len(s.data)))
+	if off < s.off {
+		s.off, s.ln = 0, 1
+	}
+	s.ln += bytes.Count(s.data[s.off:off], []byte{'\n'})
+	s.off = off
+	return s.ln
+}
+
+// token reads the next token and the line it ends on.
+func (s *scanner) token() (json.Token, int, error) {
+	tok, err := s.dec.Token()
+	var syn *json.SyntaxError
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		return nil, 0, errAt(s.lineAt(int64(len(s.data))), "unexpected end of spec")
+	case errors.As(err, &syn):
+		return nil, 0, errAt(s.lineAt(syn.Offset), "%v", err)
+	case err != nil:
+		return nil, 0, fmt.Errorf("scenario: %w", err)
+	}
+	return tok, s.lineAt(s.dec.InputOffset()), nil
+}
+
+// value checks the next value against t, the type Unmarshal decodes it
+// into, recording where it and every field in it stand.
+func (s *scanner) value(t reflect.Type, path string) error {
+	tok, line, err := s.token()
+	if err != nil {
+		return err
+	}
+	if _, ok := s.w[path]; !ok {
+		s.w[path] = line
+	}
+	label := path
+	if label == "" {
+		label = "top level"
+	}
+	if tok == nil {
+		return errAt(line, "%s: null is not a value (leave the field out)", label)
+	}
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	var want string
+	switch n, _ := tok.(json.Number); t.Kind() {
+	case reflect.Struct:
+		if tok == json.Delim('{') {
+			return s.object(t, path)
+		}
+		want = "a mapping"
+	case reflect.Slice:
+		if tok == json.Delim('[') {
+			for i := 0; s.dec.More(); i++ {
+				if err := s.value(t.Elem(), fmt.Sprintf("%s[%d]", path, i)); err != nil {
+					return err
+				}
+			}
+			_, _, err := s.token()
+			return err
+		}
+		want = "a list"
+	case reflect.String:
+		if _, ok := tok.(string); !ok {
+			want = "a string"
+		}
+	case reflect.Bool:
+		if _, ok := tok.(bool); !ok {
+			want = "true or false"
+		}
+	case reflect.Int, reflect.Int64:
+		if _, err := strconv.ParseInt(string(n), 10, t.Bits()); err != nil {
+			want = "an integer"
+		}
+	case reflect.Float64:
+		if _, err := n.Float64(); err != nil {
+			want = "a finite number"
+		}
+	}
+	if want == "" {
+		return nil
+	}
+	got := fmt.Sprint(tok)
+	switch tok {
+	case json.Delim('{'):
+		got = "mapping"
+	case json.Delim('['):
+		got = "list"
+	default:
+		if str, ok := tok.(string); ok {
+			got = strconv.Quote(str)
+		}
+	}
+	return errAt(line, "%s: expected %s, got %s", label, want, got)
+}
+
+// object checks the fields of an object that decodes into struct type t.
+func (s *scanner) object(t reflect.Type, path string) error {
+	for s.dec.More() {
+		tok, line, err := s.token()
+		if err != nil {
+			return err
+		}
+		name := tok.(string) // the decoder returns a string key or an error
+		key := name
+		if path != "" {
+			key = path + "." + name
+		}
+		f, ok := fieldByKey(t, name)
+		if !ok {
+			return errAt(line, "%s: unknown field", key)
+		}
+		if _, dup := s.w[key]; dup {
+			return errAt(line, "%s: duplicate key", key)
+		}
+		s.w[key] = line
+		if err := s.value(f.Type, key); err != nil {
+			return err
+		}
+	}
+	_, _, err := s.token()
+	return err
+}
+
+// fieldByKey finds the field of struct type t whose json tag names key
+// exactly (Unmarshal would also take it in another case).
+func fieldByKey(t reflect.Type, key string) (reflect.StructField, bool) {
+	for i := 0; i < t.NumField(); i++ {
+		if name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ","); name == key {
+			return t.Field(i), true
+		}
+	}
+	return reflect.StructField{}, false
+}
+
+func (w written) has(path string) bool {
+	_, ok := w[path]
+	return ok
+}
+
+// err positions a problem with path at its line, or at the line of its
+// nearest written parent when the spec leaves path out.
+func (w written) err(path, format string, args ...interface{}) error {
+	for p := path; ; p = p[:max(strings.LastIndexAny(p, ".["), 0)] {
+		if line, ok := w[p]; ok {
+			return errAt(line, "%s: %s", path, fmt.Sprintf(format, args...))
+		}
+	}
+}
+
+// name checks a required [a-z0-9-] name.
+func (w written) name(path, v string) error {
+	if !w.has(path) {
+		return w.err(path, "required")
+	}
+	if !validName(v) {
+		return w.err(path, "must be non-empty [a-z0-9-], got %q", v)
+	}
+	return nil
+}
+
+// list checks a required, non-empty list.
+func (w written) list(path string, n int) error {
+	if !w.has(path) {
+		return w.err(path, "required")
+	}
+	if n == 0 {
+		return w.err(path, "must not be empty")
+	}
+	return nil
+}
+
+// bound is one value a block keeps in [0, max].
+type bound struct {
+	key    string
+	v, max float64
+}
+
+func (w written) inRange(path string, bs ...bound) error {
+	for _, b := range bs {
+		if b.v < 0 || b.v > b.max {
+			return w.err(path+"."+b.key, "out of range, got %v", b.v)
+		}
+	}
+	return nil
+}
+
+func (w written) nonNegative(path string, v float64) error {
+	if v < 0 {
+		return w.err(path, "must be a finite value >= 0, got %v", v)
+	}
+	return nil
 }
 
 func validName(s string) bool {
@@ -279,396 +475,211 @@ func validName(s string) bool {
 	return true
 }
 
-func decodeStreams(r *reader, spec *Spec) error {
-	list, err := r.reqList("streams")
+// validate applies every rule the types cannot state. Every float is
+// finite by then: JSON writes no NaN or infinity, and scan refuses a
+// number past float64's range.
+func (w written) validate(s *Spec) error {
+	if err := w.name("name", s.Name); err != nil {
+		return err
+	}
+	if !w.has("task") {
+		return w.err("task", "required")
+	}
+	task, err := harness.TaskByName(s.Task)
 	if err != nil {
+		return w.err("task", "%v", err)
+	}
+	if s.Frames < 0 {
+		return w.err("frames", "must be >= 0, got %d", s.Frames)
+	}
+	if !(s.Confidence > 0 && s.Confidence < 1) {
+		return w.err("confidence", "must be in (0,1), got %v", s.Confidence)
+	}
+	if !(s.Coverage > 0 && s.Coverage < 1) {
+		return w.err("coverage", "must be in (0,1), got %v", s.Coverage)
+	}
+	if err := w.streams(s.Streams); err != nil {
+		return err
+	}
+	for _, f := range []struct {
+		key string
+		v   float64
+	}{{"budget_usd", s.Fleet.BudgetUSD}, {"stream_rate", s.Fleet.StreamRatePerSec}, {"stream_burst", s.Fleet.StreamBurst}} {
+		if err := w.nonNegative("fleet."+f.key, f.v); err != nil {
+			return err
+		}
+	}
+	if q := s.Fleet.QueueMax; q != nil && *q < 0 {
+		return w.err("fleet.queue_max", "must be >= 0 (0 = unbounded), got %d", *q)
+	}
+	if err := w.list("stages", len(s.Stages)); err != nil {
+		return err
+	}
+	stages := map[string]bool{}
+	for i, st := range s.Stages {
+		p := fmt.Sprintf("stages[%d]", i)
+		if err := w.name(p+".name", st.Name); err != nil {
+			return err
+		}
+		if stages[st.Name] {
+			return w.err(p+".name", "duplicate stage %q", st.Name)
+		}
+		stages[st.Name] = true
+		if w.has(p+".run") == w.has(p+".parallel") {
+			return w.err(p, "exactly one of run/parallel required")
+		}
+		if st.Run != nil {
+			if err := w.task(s, task, p+".run", st.Run); err != nil {
+				return err
+			}
+			continue
+		}
+		if len(st.Parallel) == 0 {
+			return w.err(p+".parallel", "empty task group")
+		}
+		tasks := map[string]bool{}
+		for j := range st.Parallel {
+			t, tp := &st.Parallel[j], fmt.Sprintf("%s.parallel[%d]", p, j)
+			if err := w.task(s, task, tp, t); err != nil {
+				return err
+			}
+			if tasks[t.Name] {
+				return w.err(tp+".name", "duplicate task %q", t.Name)
+			}
+			tasks[t.Name] = true
+		}
+	}
+	return nil
+}
+
+func (w written) streams(groups []StreamGroup) error {
+	if err := w.list("streams", len(groups)); err != nil {
 		return err
 	}
 	seen := map[string]bool{}
 	cameras := 0
-	for i, item := range list.items {
-		g := reader{n: item, path: fmt.Sprintf("streams[%d]", i)}
-		if g.n.kind != mapNode {
-			return errAt(item.line, "%s: expected a mapping, got %s", g.path, item.kind)
-		}
-		var sg StreamGroup
-		if sg.ID, err = g.reqString("id"); err != nil {
+	for i, g := range groups {
+		p := fmt.Sprintf("streams[%d]", i)
+		if err := w.name(p+".id", g.ID); err != nil {
 			return err
 		}
-		if !validName(sg.ID) {
-			return g.fieldErr("id", "must be non-empty [a-z0-9-], got %q", sg.ID)
+		if seen[g.ID] {
+			return w.err(p+".id", "duplicate stream group %q", g.ID)
 		}
-		if seen[sg.ID] {
-			return g.fieldErr("id", "duplicate stream group %q", sg.ID)
+		seen[g.ID] = true
+		if g.Count < 1 {
+			return w.err(p+".count", "must be >= 1, got %d", g.Count)
 		}
-		seen[sg.ID] = true
-		if v, ok, err := g.optInt("count"); err != nil {
-			return err
-		} else if !ok || v < 1 {
-			return g.fieldErr("count", "must be >= 1, got %d", v)
-		} else if v > int64(maxCameras-cameras) {
-			return g.fieldErr("count", "must be <= %d, got %d (a spec declares at most %d cameras, %d before this group)", maxCameras-cameras, v, maxCameras, cameras)
-		} else {
-			sg.Count = int(v)
-			cameras += sg.Count
+		if g.Count > maxCameras-cameras {
+			return w.err(p+".count", "must be <= %d, got %d (a spec declares at most %d cameras, %d before this group)", maxCameras-cameras, g.Count, maxCameras, cameras)
 		}
-		if v, ok, err := g.optInt("scenes"); err != nil {
-			return err
-		} else if ok {
-			if v < 0 || int(v) > sg.Count {
-				return g.fieldErr("scenes", "must be in [0,count], got %d", v)
-			}
-			sg.Scenes = int(v)
+		cameras += g.Count
+		if g.Scenes < 0 || g.Scenes > g.Count {
+			return w.err(p+".scenes", "must be in [0,count], got %d", g.Scenes)
 		}
-		if v, ok, err := g.optString("arrivals"); err != nil {
-			return err
-		} else if ok {
-			switch v {
-			case "poisson", "geometric", "regular":
-				sg.Arrivals = v
-			default:
-				return g.fieldErr("arrivals", "must be poisson, geometric or regular, got %q", v)
+		switch g.Arrivals {
+		case "poisson", "geometric", "regular":
+		default:
+			if w.has(p + ".arrivals") {
+				return w.err(p+".arrivals", "must be poisson, geometric or regular, got %q", g.Arrivals)
 			}
 		}
-		if sub, ok := g.optChild("surge"); ok {
-			s := reader{n: sub, path: g.path + ".surge"}
-			if s.n.kind != mapNode {
-				return errAt(sub.line, "%s: expected a mapping, got %s", s.path, sub.kind)
+		if u := g.Surge; u != nil {
+			if u.AtFrame < 1 {
+				return w.err(p+".surge.at", "must be >= 1, got %d", u.AtFrame)
 			}
-			sg.Surge = &SurgeSpec{}
-			if v, ok, err := s.optInt("at"); err != nil {
-				return err
-			} else if !ok || v < 1 {
-				return s.fieldErr("at", "must be >= 1, got %d", v)
-			} else {
-				sg.Surge.AtFrame = int(v)
+			if !(u.Rate > 0) {
+				return w.err(p+".surge.rate", "must be a finite value > 0, got %v", u.Rate)
 			}
-			if v, ok, err := s.optFloat("rate"); err != nil {
-				return err
-			} else if !ok || !(v > 0) || math.IsInf(v, 0) {
-				return s.fieldErr("rate", "must be a finite value > 0, got %v", v)
-			} else {
-				sg.Surge.Rate = v
+		}
+		if d := g.Drift; d != nil {
+			if d.AtFrame < 1 {
+				return w.err(p+".drift.at", "must be >= 1, got %d", d.AtFrame)
 			}
-			if err := s.finish(); err != nil {
+			if err := w.inRange(p+".drift", bound{"miss_rate", d.MissRate, 1}, bound{"fp_rate", d.FPRate, 1},
+				bound{"cue_gain", d.CueGain, 1}, bound{"jitter", d.Jitter, math.Inf(1)}); err != nil {
 				return err
 			}
-		}
-		if sub, ok := g.optChild("drift"); ok {
-			d := reader{n: sub, path: g.path + ".drift"}
-			if d.n.kind != mapNode {
-				return errAt(sub.line, "%s: expected a mapping, got %s", d.path, sub.kind)
-			}
-			sg.Drift = &DriftSpec{}
-			if v, ok, err := d.optInt("at"); err != nil {
-				return err
-			} else if !ok || v < 1 {
-				return d.fieldErr("at", "must be >= 1, got %d", v)
-			} else {
-				sg.Drift.AtFrame = int(v)
-			}
-			for _, f := range []struct {
-				key string
-				dst *float64
-				max float64
-				pos bool // 0 is refused: the detector would read it as 1
-			}{
-				{"miss_rate", &sg.Drift.MissRate, 1, false},
-				{"fp_rate", &sg.Drift.FPRate, 1, false},
-				{"cue_gain", &sg.Drift.CueGain, 1, true},
-				{"jitter", &sg.Drift.Jitter, math.Inf(1), false},
-			} {
-				if v, ok, err := d.optFloat(f.key); err != nil {
-					return err
-				} else if ok {
-					if v < 0 || v > f.max || math.IsNaN(v) || math.IsInf(v, 0) {
-						return d.fieldErr(f.key, "out of range, got %v", v)
-					}
-					if f.pos && v == 0 {
-						return d.fieldErr(f.key, "must be > 0 (leave it out for full signal), got %v", v)
-					}
-					*f.dst = v
-				}
-			}
-			if err := d.finish(); err != nil {
-				return err
+			// 0 is refused: the detector would read it as 1.
+			if d.CueGain == 0 && w.has(p+".drift.cue_gain") {
+				return w.err(p+".drift.cue_gain", "must be > 0 (leave it out for full signal), got 0")
 			}
 		}
-		if err := g.finish(); err != nil {
-			return err
-		}
-		spec.Streams = append(spec.Streams, sg)
 	}
 	return nil
 }
 
-func decodeFleet(r *reader, spec *Spec) error {
-	sub, ok := r.optChild("fleet")
-	if !ok {
-		return nil
-	}
-	f := reader{n: sub, path: "fleet"}
-	if f.n.kind != mapNode {
-		return errAt(sub.line, "fleet: expected a mapping, got %s", sub.kind)
-	}
-	for _, fd := range []struct {
-		key string
-		dst *float64
-	}{
-		{"budget_usd", &spec.Fleet.BudgetUSD},
-		{"stream_rate", &spec.Fleet.StreamRatePerSec},
-		{"stream_burst", &spec.Fleet.StreamBurst},
-	} {
-		if v, ok, err := f.optFloat(fd.key); err != nil {
-			return err
-		} else if ok {
-			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				return f.fieldErr(fd.key, "must be a finite value >= 0, got %v", v)
-			}
-			*fd.dst = v
-		}
-	}
-	if v, ok, err := f.optInt("queue_max"); err != nil {
-		return err
-	} else if ok {
-		if v < 0 {
-			return f.fieldErr("queue_max", "must be >= 0 (0 = unbounded), got %d", v)
-		}
-		q := int(v)
-		spec.Fleet.QueueMax = &q
-	}
-	return f.finish()
-}
-
-// decodeCache decodes a task's `cache:` block; nil when absent.
-func decodeCache(r *reader) (*CacheSpec, error) {
-	sub, ok := r.optChild("cache")
-	if !ok {
-		return nil, nil
-	}
-	c := reader{n: sub, path: r.fieldPath("cache")}
-	if c.n.kind != mapNode {
-		return nil, errAt(sub.line, "%s: expected a mapping, got %s", c.path, sub.kind)
-	}
-	cs := &CacheSpec{}
-	if v, ok, err := c.optFloat("epsilon"); err != nil {
-		return nil, err
-	} else if ok {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, c.fieldErr("epsilon", "must be a finite value >= 0, got %v", v)
-		}
-		cs.Epsilon = v
-	}
-	if v, ok, err := c.optInt("ttl_frames"); err != nil {
-		return nil, err
-	} else if !ok || v < 1 {
-		return nil, c.fieldErr("ttl_frames", "must be >= 1, got %d", v)
-	} else {
-		cs.TTLFrames = int(v)
-	}
-	return cs, c.finish()
-}
-
-// decodeFaults decodes a task's `faults:` block; nil when absent.
-func decodeFaults(r *reader) (*FaultSpec, error) {
-	sub, ok := r.optChild("faults")
-	if !ok {
-		return nil, nil
-	}
-	f := reader{n: sub, path: r.fieldPath("faults")}
-	if f.n.kind != mapNode {
-		return nil, errAt(sub.line, "%s: expected a mapping, got %s", f.path, sub.kind)
-	}
-	fs := &FaultSpec{}
-	if v, ok, err := f.optInt("seed"); err != nil {
-		return nil, err
-	} else if ok {
-		fs.Seed = v
-	}
-	for _, fd := range []struct {
-		key string
-		dst *float64
-		max float64
-	}{
-		{"transient_rate", &fs.TransientRate, 1},
-		{"spike_rate", &fs.SpikeRate, 1},
-		{"spike_ms", &fs.SpikeMS, math.Inf(1)},
-		{"fail_latency_ms", &fs.FailLatencyMS, math.Inf(1)},
-	} {
-		if v, ok, err := f.optFloat(fd.key); err != nil {
-			return nil, err
-		} else if ok {
-			if v < 0 || v > fd.max || math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, f.fieldErr(fd.key, "out of range, got %v", v)
-			}
-			*fd.dst = v
-		}
-	}
-	if list, ok := f.optChild("outages"); ok {
-		if list.kind != listNode {
-			return nil, errAt(list.line, "%s.outages: expected a list, got %s", f.path, list.kind)
-		}
-		for i, item := range list.items {
-			o := reader{n: item, path: fmt.Sprintf("%s.outages[%d]", f.path, i)}
-			if o.n.kind != mapNode {
-				return nil, errAt(item.line, "%s: expected a mapping, got %s", o.path, item.kind)
-			}
-			var w OutageSpec
-			var okS, okE bool
-			var err error
-			if w.Start, okS, err = o.optInt("start"); err != nil {
-				return nil, err
-			}
-			if w.End, okE, err = o.optInt("end"); err != nil {
-				return nil, err
-			}
-			if !okS || !okE || w.Start < 0 || w.End <= w.Start {
-				return nil, errAt(item.line, "%s: need 0 <= start < end, got [%d,%d)", o.path, w.Start, w.End)
-			}
-			if err := o.finish(); err != nil {
-				return nil, err
-			}
-			fs.Outages = append(fs.Outages, w)
-		}
-	}
-	return fs, f.finish()
-}
-
-func decodeStages(r *reader, spec *Spec) error {
-	list, err := r.reqList("stages")
-	if err != nil {
+func (w written) task(s *Spec, task harness.Task, p string, t *TaskSpec) error {
+	if err := w.name(p+".name", t.Name); err != nil {
 		return err
 	}
-	stageSeen := map[string]bool{}
-	for i, item := range list.items {
-		s := reader{n: item, path: fmt.Sprintf("stages[%d]", i)}
-		if s.n.kind != mapNode {
-			return errAt(item.line, "%s: expected a mapping, got %s", s.path, item.kind)
-		}
-		var st Stage
-		if st.Name, err = s.reqString("name"); err != nil {
-			return err
-		}
-		if !validName(st.Name) {
-			return s.fieldErr("name", "must be non-empty [a-z0-9-], got %q", st.Name)
-		}
-		if stageSeen[st.Name] {
-			return s.fieldErr("name", "duplicate stage %q", st.Name)
-		}
-		stageSeen[st.Name] = true
-		runNode, hasRun := s.optChild("run")
-		parNode, hasPar := s.optChild("parallel")
-		if hasRun == hasPar {
-			return errAt(item.line, "%s: exactly one of run/parallel required", s.path)
-		}
-		if hasRun {
-			t, err := decodeTask(spec, runNode, s.path+".run")
-			if err != nil {
-				return err
-			}
-			st.Run = &t
-		} else {
-			if parNode.kind != listNode {
-				return errAt(parNode.line, "%s.parallel: expected a list, got %s", s.path, parNode.kind)
-			}
-			if len(parNode.items) == 0 {
-				return errAt(parNode.line, "%s.parallel: empty task group", s.path)
-			}
-			taskSeen := map[string]bool{}
-			for j, tn := range parNode.items {
-				t, err := decodeTask(spec, tn, fmt.Sprintf("%s.parallel[%d]", s.path, j))
-				if err != nil {
-					return err
-				}
-				if taskSeen[t.Name] {
-					return errAt(tn.line, "%s.parallel[%d].name: duplicate task %q", s.path, j, t.Name)
-				}
-				taskSeen[t.Name] = true
-				st.Parallel = append(st.Parallel, t)
-			}
-		}
-		if err := s.finish(); err != nil {
-			return err
-		}
-		spec.Stages = append(spec.Stages, st)
+	if !w.has(p + ".kind") {
+		return w.err(p+".kind", "required")
 	}
-	return nil
-}
-
-func decodeTask(spec *Spec, n *node, path string) (TaskSpec, error) {
-	t := reader{n: n, path: path}
-	if n.kind != mapNode {
-		return TaskSpec{}, errAt(n.line, "%s: expected a mapping, got %s", path, n.kind)
-	}
-	var ts TaskSpec
-	var err error
-	if ts.Name, err = t.reqString("name"); err != nil {
-		return TaskSpec{}, err
-	}
-	if !validName(ts.Name) {
-		return TaskSpec{}, t.fieldErr("name", "must be non-empty [a-z0-9-], got %q", ts.Name)
-	}
-	if ts.Kind, err = t.reqString("kind"); err != nil {
-		return TaskSpec{}, err
-	}
-	switch ts.Kind {
+	switch t.Kind {
 	case KindFleet, KindPipeline, KindDrift:
 	default:
-		return TaskSpec{}, t.fieldErr("kind", "must be fleet, pipeline or drift, got %q", ts.Kind)
+		return w.err(p+".kind", "must be fleet, pipeline or drift, got %q", t.Kind)
 	}
-	if ts.Cache, err = decodeCache(&t); err != nil {
-		return TaskSpec{}, err
-	} else if ts.Cache != nil && ts.Kind != KindFleet {
-		return TaskSpec{}, t.fieldErr("cache", "only valid on fleet tasks")
-	}
-	if v, ok, err := t.optFloat("budget_usd"); err != nil {
-		return TaskSpec{}, err
-	} else if ok {
-		if ts.Kind == KindPipeline {
-			return TaskSpec{}, t.fieldErr("budget_usd", "only valid on fleet/drift tasks")
+	if c := t.Cache; c != nil {
+		if err := w.nonNegative(p+".cache.epsilon", c.Epsilon); err != nil {
+			return err
 		}
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return TaskSpec{}, t.fieldErr("budget_usd", "must be a finite value >= 0, got %v", v)
+		if c.TTLFrames < 1 {
+			return w.err(p+".cache.ttl_frames", "must be >= 1, got %d", c.TTLFrames)
 		}
-		ts.BudgetUSD = &v
-	}
-	if v, ok, err := t.optString("stream"); err != nil {
-		return TaskSpec{}, err
-	} else if ok {
-		if ts.Kind == KindFleet {
-			return TaskSpec{}, t.fieldErr("stream", "only valid on pipeline/drift tasks")
-		}
-		if !cameraExists(spec, v) {
-			return TaskSpec{}, t.fieldErr("stream", "unknown camera %q", v)
-		}
-		ts.Stream = v
-	}
-	if ts.Faults, err = decodeFaults(&t); err != nil {
-		return TaskSpec{}, err
-	} else if ts.Faults != nil && ts.Kind != KindPipeline {
-		return TaskSpec{}, t.fieldErr("faults", "only valid on pipeline tasks")
-	}
-	if v, ok, err := t.optFloat("audit_rate"); err != nil {
-		return TaskSpec{}, err
-	} else if ok {
-		if ts.Kind != KindDrift {
-			return TaskSpec{}, t.fieldErr("audit_rate", "only valid on drift tasks")
-		}
-		if !(v >= 0 && v <= 1) {
-			return TaskSpec{}, t.fieldErr("audit_rate", "must be in [0,1], got %v", v)
-		}
-		ts.AuditRate = &v
-	}
-	if ts.Kind == KindDrift {
-		// The loop watches one event's coverage.
-		if task, _ := harness.TaskByName(spec.Task); task.NumEvents() != 1 {
-			return TaskSpec{}, t.fieldErr("kind", "drift needs a single-event task, %s has %d events", spec.Task, task.NumEvents())
+		if t.Kind != KindFleet {
+			return w.err(p+".cache", "only valid on fleet tasks")
 		}
 	}
-	if err := t.finish(); err != nil {
-		return TaskSpec{}, err
+	if b := t.BudgetUSD; b != nil {
+		if t.Kind == KindPipeline {
+			return w.err(p+".budget_usd", "only valid on fleet/drift tasks")
+		}
+		if err := w.nonNegative(p+".budget_usd", *b); err != nil {
+			return err
+		}
 	}
-	return ts, nil
+	if w.has(p + ".stream") {
+		if t.Kind == KindFleet {
+			return w.err(p+".stream", "only valid on pipeline/drift tasks")
+		}
+		if !cameraExists(s, t.Stream) {
+			return w.err(p+".stream", "unknown camera %q", t.Stream)
+		}
+	}
+	if f := t.Faults; f != nil {
+		fp := p + ".faults"
+		if err := w.inRange(fp, bound{"transient_rate", f.TransientRate, 1}, bound{"spike_rate", f.SpikeRate, 1},
+			bound{"spike_ms", f.SpikeMS, math.Inf(1)}, bound{"fail_latency_ms", f.FailLatencyMS, math.Inf(1)}); err != nil {
+			return err
+		}
+		if w.has(fp+".outages") && len(f.Outages) == 0 {
+			return w.err(fp+".outages", "must not be empty")
+		}
+		for i, o := range f.Outages {
+			op := fmt.Sprintf("%s.outages[%d]", fp, i)
+			if !w.has(op+".start") || !w.has(op+".end") || o.Start < 0 || o.End <= o.Start {
+				return w.err(op, "need 0 <= start < end, got [%d,%d)", o.Start, o.End)
+			}
+		}
+		if t.Kind != KindPipeline {
+			return w.err(fp, "only valid on pipeline tasks")
+		}
+	}
+	if a := t.AuditRate; a != nil {
+		if t.Kind != KindDrift {
+			return w.err(p+".audit_rate", "only valid on drift tasks")
+		}
+		if !(*a >= 0 && *a <= 1) {
+			return w.err(p+".audit_rate", "must be in [0,1], got %v", *a)
+		}
+	}
+	// The loop watches one event's coverage.
+	if t.Kind == KindDrift && task.NumEvents() != 1 {
+		return w.err(p+".kind", "drift needs a single-event task, %s has %d events", s.Task, task.NumEvents())
+	}
+	return nil
 }
 
 // cameraExists reports whether a group declares the camera ID: camera i of
@@ -690,139 +701,4 @@ func cameraExists(spec *Spec, id string) bool {
 		}
 	}
 	return false
-}
-
-// reader wraps a mapping node with typed, positional field access and
-// unknown-key rejection.
-type reader struct {
-	n    *node
-	path string
-	used map[string]bool
-}
-
-func (r *reader) fieldPath(key string) string {
-	if r.path == "" {
-		return key
-	}
-	return r.path + "." + key
-}
-
-func (r *reader) fieldErr(key, format string, args ...interface{}) error {
-	line := r.n.line
-	if l, ok := r.n.keyLine[key]; ok {
-		line = l
-	}
-	return errAt(line, "%s: %s", r.fieldPath(key), fmt.Sprintf(format, args...))
-}
-
-func (r *reader) take(key string) (*node, bool) {
-	v, ok := r.n.vals[key]
-	if !ok {
-		return nil, false
-	}
-	if r.used == nil {
-		r.used = map[string]bool{}
-	}
-	r.used[key] = true
-	return v, true
-}
-
-func (r *reader) scalar(key string) (*node, string, error) {
-	v, ok := r.take(key)
-	if !ok {
-		return nil, "", nil
-	}
-	if v.kind != scalarNode {
-		return nil, "", r.fieldErr(key, "expected a scalar, got %s", v.kind)
-	}
-	s, err := scalarString(v)
-	if err != nil {
-		return nil, "", err // already positioned at the scalar's line
-	}
-	return v, s, nil
-}
-
-func (r *reader) reqString(key string) (string, error) {
-	v, ok, err := r.optString(key)
-	if err != nil {
-		return "", err
-	}
-	if !ok {
-		return "", errAt(r.n.line, "%s: required", r.fieldPath(key))
-	}
-	return v, nil
-}
-
-func (r *reader) optString(key string) (string, bool, error) {
-	v, s, err := r.scalar(key)
-	if err != nil || v == nil {
-		return "", false, err
-	}
-	return s, true, nil
-}
-
-func (r *reader) optInt(key string) (int64, bool, error) {
-	v, s, err := r.scalar(key)
-	if err != nil || v == nil {
-		return 0, false, err
-	}
-	i, perr := strconv.ParseInt(s, 10, 64)
-	if perr != nil {
-		return 0, false, r.fieldErr(key, "expected an integer, got %q", s)
-	}
-	return i, true, nil
-}
-
-func (r *reader) optFloat(key string) (float64, bool, error) {
-	v, s, err := r.scalar(key)
-	if err != nil || v == nil {
-		return 0, false, err
-	}
-	f, perr := strconv.ParseFloat(s, 64)
-	if perr != nil {
-		return 0, false, r.fieldErr(key, "expected a number, got %q", s)
-	}
-	return f, true, nil
-}
-
-func (r *reader) optBool(key string) (bool, bool, error) {
-	v, s, err := r.scalar(key)
-	if err != nil || v == nil {
-		return false, false, err
-	}
-	switch s {
-	case "true":
-		return true, true, nil
-	case "false":
-		return false, true, nil
-	}
-	return false, false, r.fieldErr(key, "expected true or false, got %q", s)
-}
-
-func (r *reader) optChild(key string) (*node, bool) {
-	return r.take(key)
-}
-
-func (r *reader) reqList(key string) (*node, error) {
-	v, ok := r.take(key)
-	if !ok {
-		return nil, errAt(r.n.line, "%s: required", r.fieldPath(key))
-	}
-	if v.kind != listNode {
-		return nil, r.fieldErr(key, "expected a list, got %s", v.kind)
-	}
-	if len(v.items) == 0 {
-		return nil, r.fieldErr(key, "must not be empty")
-	}
-	return v, nil
-}
-
-// finish rejects unknown keys, pointing at the first unconsumed one.
-func (r *reader) finish() error {
-	for _, k := range r.n.keys {
-		if !r.used[k] {
-			return r.fieldErr(k, "unknown field")
-		}
-	}
-	return nil
 }

@@ -686,6 +686,73 @@ func TestOwnedConnShutdown(t *testing.T) {
 	}
 }
 
+// TestOwnedConnTimeouts: an owned connection keeps its http.Server's
+// ReadHeaderTimeout and IdleTimeout. After a push takes it over, a head
+// stalled halfway and a connection left idle close when their net/http
+// twins do: within half the gap between the two timeouts of each other, so
+// the one that applies is the one net/http applies.
+func TestOwnedConnTimeouts(t *testing.T) {
+	bw := getBundle(t)
+	const header, idle = 300 * time.Millisecond, 900 * time.Millisecond
+	push := rawRequest("POST", "/v1/sessions/c0/frames", framesJSON(t, bw, 300, 310))
+	stall := []byte("POST /v1/sessions/c0/predict HTTP/1.1\r\nHost: t\r\n")
+	cases := []struct {
+		name string
+		send []byte
+	}{{"head stalled", stall}, {"idle", nil}}
+	var wg sync.WaitGroup
+	closedAfter := map[string]map[bool]time.Duration{}
+	var mu sync.Mutex
+	for _, owned := range []bool{true, false} {
+		srv := sessionServer(t, nil, 1)
+		var h http.Handler = srv
+		if !owned {
+			h = netHTTPOnly(srv)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := &http.Server{Handler: h, ReadHeaderTimeout: header, IdleTimeout: idle}
+		go hs.Serve(ln)
+		t.Cleanup(func() { hs.Close(); srv.Close() })
+		for _, tc := range cases {
+			c := dialConn(t, ln.Addr().String())
+			if resp, body := c.do(t, push); resp.StatusCode != http.StatusOK {
+				t.Fatalf("push: %s %s", resp.Status, body)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start := time.Now()
+				if _, err := c.nc.Write(tc.send); err != nil {
+					t.Error(err)
+				}
+				c.nc.SetReadDeadline(start.Add(5 * time.Second))
+				if n, err := c.br.Read(make([]byte, 1)); err != io.EOF {
+					t.Errorf("%s (owned %v): read %d bytes, %v; want EOF", tc.name, owned, n, err)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if closedAfter[tc.name] == nil {
+					closedAfter[tc.name] = map[bool]time.Duration{}
+				}
+				closedAfter[tc.name][owned] = time.Since(start)
+			}()
+		}
+		if n := srv.owner.Len(); owned != (n == len(cases)) {
+			t.Fatalf("owned %v: the server owns %d connections", owned, n)
+		}
+	}
+	wg.Wait()
+	for _, tc := range cases {
+		o, n := closedAfter[tc.name][true], closedAfter[tc.name][false]
+		if d := o - n; d < -(idle-header)/2 || d > (idle-header)/2 {
+			t.Errorf("%s: the owned connection closed after %v, its net/http twin after %v", tc.name, o, n)
+		}
+	}
+}
+
 // TestOwnedConnAllocs holds a 1-frame push and a predict on an owned
 // connection to ownedPairAllocCeiling, one allocation per request (the
 // status-capturing writer): the loop and the body it hands the handler

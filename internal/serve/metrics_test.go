@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"eventhit/internal/cloud"
@@ -224,4 +227,59 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 	if want := int64(predictors * perG); st.Predictions != want || st.RelayedOK != want {
 		t.Fatalf("final stats = %+v, want %d predictions all relayed ok", st, want)
 	}
+}
+
+// TestMetricsScrapeIsOneInstant: a scrape reads one snapshot, which every
+// serve family reports. Each predict decides relay or skip for each of the
+// K events, so under concurrent predicts every exposition must hold
+// relays + skipped horizons = K x predictions.
+func TestMetricsScrapeIsOneInstant(t *testing.T) {
+	bw := getBundle(t)
+	const cams, perCam = 4, 300
+	srv := sessionServer(t, nil, cams)
+	for i := 0; i < cams; i++ {
+		pushTo(t, srv, fmt.Sprintf("c%d", i), bw.ex, 300+i, 309+i)
+	}
+	sample := func(text, name string) float64 {
+		m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindStringSubmatch(text)
+		if m == nil {
+			t.Fatalf("/metrics has no %s sample:\n%s", name, text)
+		}
+		v, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	var running atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < cams; i++ {
+		running.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer running.Add(-1)
+			predict := predictCall(srv, fmt.Sprintf("c%d", i))
+			for j := 0; j < perCam; j++ {
+				predict()
+			}
+		}()
+	}
+	scrapes := 0
+	for running.Load() > 0 || scrapes == 0 {
+		var b strings.Builder
+		srv.metrics.WriteText(&b)
+		text := b.String()
+		preds := sample(text, "eventhit_serve_predictions_total")
+		decided := sample(text, "eventhit_serve_relays_total") + sample(text, "eventhit_serve_skipped_horizons_total")
+		if want := float64(srv.k) * preds; decided != want {
+			t.Fatalf("scrape %d mixes instants: relays + skipped = %v, K x predictions = %v", scrapes, decided, want)
+		}
+		scrapes++
+	}
+	wg.Wait()
+	if st := srv.snapshot(); st.Predictions != cams*perCam {
+		t.Fatalf("%d predictions, want %d", st.Predictions, cams*perCam)
+	}
+	t.Logf("%d scrapes held the identity", scrapes)
 }

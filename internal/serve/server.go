@@ -65,6 +65,16 @@ const (
 	MaxSessionID     = 64
 )
 
+// ReadHeaderTimeout and IdleTimeout are the connection timeouts the
+// binaries set on their http.Servers: a client that connects and sends
+// half a request head, or nothing, is closed after ReadHeaderTimeout, and
+// a keep-alive connection idle between requests after IdleTimeout. A
+// connection an Owner took over keeps both, as net/http applies them.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
 // Config parametrizes the server.
 type Config struct {
 	// Bundle is the trained, calibrated EventHit unit.

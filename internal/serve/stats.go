@@ -141,8 +141,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // registerServeMetrics exposes the marshalling counters as func-backed
-// series. Every value function reads one consistent snapshot, so a scrape
-// costs a mutex acquisition per family and nothing on the request path.
+// series. A scrape takes one snapshot and every family reads it, so the
+// families report one instant, and a scrape costs one pass over the
+// sessions under mu and nothing on the request path.
 func (s *Server) registerServeMetrics() {
 	fields := []struct {
 		name, help string
@@ -167,9 +168,11 @@ func (s *Server) registerServeMetrics() {
 		{"eventhit_serve_drift_audit_frames_total", "frames relayed for audits (CI-billed, not marshalling)", func(st Stats) float64 { return float64(st.DriftAuditFrames) }},
 		{"eventhit_serve_drift_recalibrations_deferred_total", "recalibration attempts deferred for lack of post-shift positives", func(st Stats) float64 { return float64(st.RecalibrationsDeferred) }},
 	}
+	var snap Stats // written and read under the registry's lock
+	s.metrics.OnScrape(func() { snap = s.snapshot() })
 	for _, f := range fields {
 		get := f.get
-		s.metrics.CounterFunc(f.name, f.help, nil, func() float64 { return get(s.snapshot()) })
+		s.metrics.CounterFunc(f.name, f.help, nil, func() float64 { return get(snap) })
 	}
 	s.metrics.GaugeFunc("eventhit_http_owned_connections",
 		"keep-alive connections the server answers itself, taken over from net/http by a hot route", nil,

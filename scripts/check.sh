@@ -151,8 +151,9 @@ stage race go test -race ./...
 # the experiment registry suite (internal/harness).
 stage shuffle go test -shuffle=on ./...
 
-# /metrics + /v1/stats consistency: concurrent scrapes while predicts relay.
-stage scrape-serve go test -race ./internal/serve/ -run 'TestStatsConsistentUnderLoad|TestMetricsEndpoint' -count=1
+# /metrics + /v1/stats consistency: concurrent scrapes while predicts relay,
+# each scrape one snapshot.
+stage scrape-serve go test -race ./internal/serve/ -run 'TestStatsConsistentUnderLoad|TestMetricsEndpoint|TestMetricsScrapeIsOneInstant' -count=1
 stage scrape-obs go test -race ./internal/obs/ -run 'TestConcurrentUpdatesAndScrapes' -count=1
 # Hot swap + online adaptation: predicts hammer the server while bundles
 # swap; the induced-shift coverage restoration runs twice for determinism;
@@ -160,8 +161,7 @@ stage scrape-obs go test -race ./internal/obs/ -run 'TestConcurrentUpdatesAndScr
 # scenario engine's drift tasks walk it (alarm after a shift, budget cut-off).
 stage swap go test -race ./internal/serve/ ./internal/drift/ ./internal/scenario/ -run 'TestSwapUnderConcurrentPredictLoad|TestAdaptationRestoresCoverage|TestAdaptationDeterministic|TestRecalibrationsDeferred|TestLoop|TestDriftShiftDetection|TestDriftBudgetCutsOff' -count=1
 # Checked-in fuzz corpora as ordinary tests; explore further with
-# `go test ./internal/serve/ -fuzz FuzzFrames|FuzzParseFrames` or
-# `go test ./internal/scenario/ -fuzz FuzzScenarioParse`. The ingest scanner
+# `go test ./internal/serve/ -fuzz FuzzFrames|FuzzParseFrames`. The ingest scanner
 # also gets two bounded live runs: against encoding/json (it converts only
 # the rows the ring keeps, so only the across-keep accept-set property
 # guards the rows it skips) and against the byte walk it replaced; and its
@@ -186,7 +186,13 @@ fuzz_serve() {
         go test ./internal/serve/ -run '^$' -fuzz '^FuzzTakeoverMatchesNetHTTP$' -fuzztime 15s
 }
 stage fuzz-serve fuzz_serve
-stage fuzz-scenario go test ./internal/scenario/ -run 'Fuzz|TestFuzzSeedCorpus' -count=1
+# Scenario specs: the seeds (every corpus spec among them) as tests, then a
+# bounded live run against the parse and json.Marshal round trips.
+fuzz_scenario() {
+    go test ./internal/scenario/ -run 'Fuzz|TestFuzzSeedCorpus' -count=1 &&
+        go test ./internal/scenario/ -run '^$' -fuzz '^FuzzScenarioParse$' -fuzztime 10s
+}
+stage fuzz-scenario fuzz_scenario
 # Bundles are untrusted bytes: LoadBundle and the two calibration decoders
 # never panic, allocate at most a multiple of their input plus encoding/gob's
 # read-ahead chunk, and what they load saves to bytes that load and save to
