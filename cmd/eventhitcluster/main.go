@@ -45,8 +45,12 @@ func main() {
 		drain      = flag.Duration("drain", 10*time.Second, "max time to drain in-flight requests on SIGINT/SIGTERM")
 	)
 	flag.Parse()
-	if *budget < 0 {
+	// A NaN budget or rate would pass every > 0 guard below unnoticed.
+	if !(*budget >= 0) {
 		fatal(fmt.Errorf("-budget must be >= 0, got %v", *budget))
+	}
+	if !(*streamRate >= 0) {
+		fatal(fmt.Errorf("-streamrate must be >= 0, got %v", *streamRate))
 	}
 	if *workers < 1 {
 		fatal(fmt.Errorf("-workers must be >= 1, got %d", *workers))

@@ -48,7 +48,6 @@ func main() {
 		tracePath   = flag.String("trace", "", "append a JSON-lines decision audit trail to this file")
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (trusted listeners only)")
 		cacheOn     = flag.Bool("cache", false, "interpose a content-addressed CI result cache on the server-owned relay")
-		cacheEps    = flag.Float64("cacheeps", 0, "cache signature grid tolerance (0 = exact match only)")
 		budget      = flag.Float64("budget", 0, "global CI spend cap in USD across all sessions (0 = no fleet arbiter)")
 		streamRate  = flag.Float64("streamrate", 0, "per-session CI admission rate, billed frames/sec (0 = unmetered)")
 		streamBurst = flag.Float64("streamburst", 0, "per-session burst headroom in billed frames (0 = one second of -streamrate)")
@@ -57,16 +56,16 @@ func main() {
 		drain       = flag.Duration("drain", 10*time.Second, "max time to drain in-flight requests on SIGINT/SIGTERM")
 	)
 	flag.Parse()
-	// A negative budget or rate silently disables the arbiter (the > 0
-	// guards below never fire), which is almost certainly a typo for a cap
-	// the operator wanted. Reject it loudly instead.
-	if *budget < 0 {
+	// A negative or NaN budget or rate silently disables the arbiter (the
+	// > 0 guards below never fire), which is almost certainly a typo for a
+	// cap the operator wanted. Reject it loudly instead.
+	if !(*budget >= 0) {
 		fatal(fmt.Errorf("-budget must be >= 0, got %v", *budget))
 	}
-	if *streamRate < 0 {
+	if !(*streamRate >= 0) {
 		fatal(fmt.Errorf("-streamrate must be >= 0, got %v", *streamRate))
 	}
-	if *streamBurst < 0 {
+	if !(*streamBurst >= 0) {
 		fatal(fmt.Errorf("-streamburst must be >= 0, got %v", *streamBurst))
 	}
 
@@ -122,16 +121,12 @@ func main() {
 		if stream == nil {
 			fatal(fmt.Errorf("-cache requires on-the-fly training (omit -bundle): the simulated CI backend needs the generated stream"))
 		}
-		if *cacheEps < 0 {
-			fatal(fmt.Errorf("-cacheeps must be >= 0, got %v", *cacheEps))
-		}
 		scfg.CI = cloud.NewService(stream, cloud.RekognitionPricing(), cloud.DefaultLatency())
 		scfg.CIEvents = t.EventIdx
 		cc := cicache.DefaultConfig()
-		cc.Epsilon = *cacheEps
 		scfg.Cache = &cc
-		log.Printf("CI result cache on: epsilon %g, TTL %d frames (server-owned relay to a simulated CI)",
-			cc.Epsilon, cc.TTLFrames)
+		log.Printf("CI result cache on: exact match, TTL %d frames (server-owned relay to a simulated CI)",
+			cc.TTLFrames)
 	}
 	if *adaptOn {
 		// The adaptation loop needs ground-truth labels, which come back

@@ -2,19 +2,16 @@
 // layer that turns repetitive video into unbilled hits. Video is
 // overwhelmingly redundant — the observation behind Event Neural Networks
 // and THIA's cost-aware planning — so a relay whose covariate window is
-// (near-)identical to one the CI already judged can be answered from
-// memory: zero billing, zero CI busy time.
+// identical to one the CI already judged can be answered from memory: zero
+// billing, zero CI busy time.
 //
-// The key is a quantized signature of the relay decision's inputs: the
-// covariate window the predictor saw, the task's event set, the event type
-// being relayed, and the predicted occurrence interval relative to the
-// anchor. The grid tolerance ε controls how aggressively near-identical
-// windows collapse onto one key: ε=0 hashes exact float bits (exact-match
-// only — the safe setting, byte-identical to no cache on workloads without
-// exact repeats), ε>0 buckets every channel to round(v/ε) so ε-close
-// windows share a verdict, trading recall honesty for savings. The cached
-// verdict stores occurrence intervals RELATIVE to the signed window, so a
-// hit at a different absolute position re-anchors cleanly.
+// The key is a signature of the relay decision's inputs: the exact float
+// bits of the covariate window the predictor saw, the task's event set, the
+// event type being relayed, and the predicted occurrence interval relative
+// to the anchor. A key matches exactly or not at all, so on a workload
+// without exact repeats a cached run is byte-identical to an uncached one.
+// The cached verdict stores occurrence intervals RELATIVE to the signed
+// window, so a hit at a different absolute position re-anchors cleanly.
 //
 // The store is a sharded LRU with deterministic eviction (pure function of
 // the Get/Put sequence) and per-entry TTL measured in simulated frames (video
@@ -32,10 +29,6 @@ import (
 
 // Config parametrizes a cache.
 type Config struct {
-	// Epsilon is the signature grid tolerance: channel values are bucketed
-	// to round(v/Epsilon) before hashing. 0 means exact-match only (raw
-	// float bits). Negative is invalid.
-	Epsilon float64
 	// TTLFrames bounds an entry's useful life in simulated frames: a hit is
 	// only served while now - insertedAt <= TTLFrames (both measured as the
 	// signed window's start frame). 0 disables expiry.
@@ -50,17 +43,13 @@ const (
 	shards   = 8
 )
 
-// DefaultConfig returns an exact-match cache: ε=0 and a 30k-frame TTL
-// (~1000 s at 30 fps).
+// DefaultConfig returns a cache with a 30k-frame TTL (~1000 s at 30 fps).
 func DefaultConfig() Config {
-	return Config{Epsilon: 0, TTLFrames: 30_000}
+	return Config{TTLFrames: 30_000}
 }
 
 // Validate rejects malformed configurations.
 func (c Config) Validate() error {
-	if c.Epsilon < 0 || math.IsNaN(c.Epsilon) || math.IsInf(c.Epsilon, 0) {
-		return fmt.Errorf("cicache: Epsilon must be a finite value >= 0, got %v", c.Epsilon)
-	}
 	if c.TTLFrames < 0 {
 		return fmt.Errorf("cicache: negative TTLFrames %d", c.TTLFrames)
 	}
@@ -112,36 +101,33 @@ const (
 	domainExact  = 0x4558414354573031 // "EXACTW01"
 )
 
-func quantize(v, eps float64) uint64 {
-	if eps > 0 {
-		return uint64(int64(math.Round(v / eps)))
-	}
-	return math.Float64bits(v)
-}
-
 // SignWindow keys one relay decision by content: the covariate window x
 // (M frames x D channels) the predictor saw, the task's event set, the
 // event type being relayed, and the predicted occurrence interval RELATIVE
-// to the anchor. Two relays with ε-identical windows and identical
+// to the anchor. Two relays with bit-identical windows and identical
 // predictions collapse onto one key regardless of their absolute stream
-// position — that is what makes the verdict transferable.
-func SignWindow(x [][]float64, events []int, eventType int, rel video.Interval, eps float64) Key {
-	return SignDecision(x, events, eps).Key(eventType, rel)
+// position — that is what makes the verdict transferable. The last
+// parameter is ignored (bench/ still passes it; ROADMAP item 1 drops it).
+func SignWindow(x [][]float64, events []int, eventType int, rel video.Interval, _ float64) Key {
+	return SignDecision(x, events).Key(eventType, rel)
 }
 
 // Decision is the part of a SignWindow key that every relay of one
-// decision shares: ε, the window and the event set, hashed once.
+// decision shares: the window and the event set, hashed once.
 type Decision struct{ h hasher }
 
 // SignDecision hashes what the relays of the decision on window x share.
-func SignDecision(x [][]float64, events []int, eps float64) Decision {
+func SignDecision(x [][]float64, events []int) Decision {
 	h := newHasher(domainWindow)
-	h.word(quantize(eps, 0)) // ε is part of the address space: caches at different ε never alias
+	// The leading zero word holds every key to its pinned value
+	// (TestSignDecisionKeysPinned): a key picks its shard and the entry
+	// it evicts.
+	h.word(0)
 	h.word(uint64(len(x)))
 	for _, row := range x {
 		h.word(uint64(len(row)))
 		for _, v := range row {
-			h.word(quantize(v, eps))
+			h.word(math.Float64bits(v))
 		}
 	}
 	h.word(uint64(len(events)))
@@ -192,8 +178,8 @@ func Relativize(found []video.Interval, win video.Interval) Verdict {
 
 // Materialize re-anchors the verdict at win.Start and clips every interval
 // to win — a hit window may differ in length from the window that produced
-// the verdict (ε>0 tolerates that), and the CI contract is that detections
-// never exceed the requested range.
+// the verdict, and the CI contract is that detections never exceed the
+// requested range.
 func (v Verdict) Materialize(win video.Interval) []video.Interval {
 	var out []video.Interval
 	for _, r := range v.Rel {
@@ -271,9 +257,6 @@ func newCache(cfg Config, size, n int) (*Cache, error) {
 	}
 	return c, nil
 }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) shardFor(k Key) *shard {
 	return c.shards[k.Hi%uint64(len(c.shards))]

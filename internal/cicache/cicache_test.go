@@ -1,6 +1,7 @@
 package cicache
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -19,36 +20,24 @@ func mustNew(t *testing.T, cfg Config, size, n int) *Cache {
 }
 
 func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{Epsilon: -0.1},
-		{TTLFrames: -1},
-	}
-	for _, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Fatalf("config %+v validated", cfg)
-		}
+	if err := (Config{TTLFrames: -1}).Validate(); err == nil {
+		t.Fatal("negative TTLFrames validated")
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestSignWindowEpsilonGrid(t *testing.T) {
+// TestSignWindowExactMatch: a key is exact-match only — a window one ulp
+// away signs to another key — and every input perturbs it.
+func TestSignWindowExactMatch(t *testing.T) {
 	x := [][]float64{{1.00, 2.00}, {3.00, 4.00}}
-	y := [][]float64{{1.04, 2.04}, {3.04, 3.96}} // within ε=0.25 buckets of x
-	z := [][]float64{{1.40, 2.00}, {3.00, 4.00}} // channel 0 lands in another bucket
+	y := [][]float64{{1.00, 2.00}, {3.00, math.Nextafter(4, 5)}}
 	ev := []int{0, 2}
 	rel := video.Interval{Start: 10, End: 40}
 
-	if SignWindow(x, ev, 0, rel, 0.25) != SignWindow(y, ev, 0, rel, 0.25) {
-		t.Fatal("ε-close windows did not collapse at ε=0.25")
-	}
-	if SignWindow(x, ev, 0, rel, 0.25) == SignWindow(z, ev, 0, rel, 0.25) {
-		t.Fatal("distinct buckets collided at ε=0.25")
-	}
-	// ε=0 is exact-match only.
 	if SignWindow(x, ev, 0, rel, 0) == SignWindow(y, ev, 0, rel, 0) {
-		t.Fatal("ε=0 collapsed non-identical windows")
+		t.Fatal("non-identical windows collapsed")
 	}
 	if SignWindow(x, ev, 0, rel, 0) != SignWindow(x, ev, 0, rel, 0) {
 		t.Fatal("signature is not deterministic")
@@ -63,9 +52,6 @@ func TestSignWindowEpsilonGrid(t *testing.T) {
 	}
 	if SignWindow(x, ev, 0, video.Interval{Start: 11, End: 40}, 0) == base {
 		t.Fatal("occurrence interval ignored")
-	}
-	if SignWindow(x, ev, 0, rel, 0.5) == base {
-		t.Fatal("ε itself must be part of the address space")
 	}
 	if ExactKey(0, rel) == base {
 		t.Fatal("domain tags did not separate SignWindow from ExactKey")
@@ -82,22 +68,19 @@ func TestSignDecisionKeysPinned(t *testing.T) {
 		events    []int
 		eventType int
 		rel       video.Interval
-		eps       float64
 		want      Key
 	}{
-		{[]int{0, 2}, 0, video.Interval{Start: 10, End: 40}, 0, Key{0xf7067436a6ea2441, 0x2699ce7f97b46469}},
-		{[]int{0, 2}, 2, video.Interval{Start: 3, End: 9}, 0, Key{0x49bf17f7592c79a7, 0x41a8706ef87fd0c}},
-		{[]int{0, 2}, 2, video.Interval{Start: 3, End: 9}, 0.25, Key{0x5443b007bca9fd98, 0x45261ca7d927e1c0}},
-		{[]int{5}, 5, video.Interval{Start: -1, End: 0}, 0.1, Key{0x592001236abd3ea9, 0x58fb828dff37acda}},
+		{[]int{0, 2}, 0, video.Interval{Start: 10, End: 40}, Key{0xf7067436a6ea2441, 0x2699ce7f97b46469}},
+		{[]int{0, 2}, 2, video.Interval{Start: 3, End: 9}, Key{0x49bf17f7592c79a7, 0x41a8706ef87fd0c}},
 	} {
-		if got := SignDecision(x, c.events, c.eps).Key(c.eventType, c.rel); got != c.want {
-			t.Errorf("events %v type %d %v ε %v: key %#x, pinned %#x", c.events, c.eventType, c.rel, c.eps, got, c.want)
+		if got := SignDecision(x, c.events).Key(c.eventType, c.rel); got != c.want {
+			t.Errorf("events %v type %d %v: key %#x, pinned %#x", c.events, c.eventType, c.rel, got, c.want)
 		}
-		if got := SignWindow(x, c.events, c.eventType, c.rel, c.eps); got != c.want {
+		if got := SignWindow(x, c.events, c.eventType, c.rel, 0); got != c.want {
 			t.Errorf("SignWindow: key %#x, pinned %#x", got, c.want)
 		}
 	}
-	d := SignDecision(x, []int{0, 2}, 0)
+	d := SignDecision(x, []int{0, 2})
 	if d.Key(0, video.Interval{Start: 10, End: 40}) != (Key{0xf7067436a6ea2441, 0x2699ce7f97b46469}) ||
 		d.Key(2, video.Interval{Start: 3, End: 9}) != (Key{0x49bf17f7592c79a7, 0x41a8706ef87fd0c}) {
 		t.Error("the second key of one decision differs from its own signature")

@@ -4,18 +4,16 @@ import "eventhit/internal/obs"
 
 // Remote is the cache surface a relay interposer needs, abstracted from
 // where the entries live. *Cache implements it in-process; the cluster
-// tier implements it over HTTP against a coordinator-hosted cache, so ε=0
+// tier implements it over HTTP against a coordinator-hosted cache, so
 // cross-stream dedup still fires when twin cameras land on different
-// workers. Config must report the effective configuration (callers sign
-// windows with its Epsilon). Stats is the whole cache's meters for a local
-// cache; a remote handle reports only the lookups made through it, so
-// handles on one hosted cache add up instead of each repeating its totals.
+// workers. Stats is the whole cache's meters for a local cache; a remote
+// handle reports only the lookups made through it, so handles on one
+// hosted cache add up instead of each repeating its totals.
 type Remote interface {
 	Get(k Key, nowFrame int) (Verdict, bool)
 	Put(k Key, v Verdict, nowFrame int)
 	Contains(k Key, nowFrame int) bool
 	Stats() Stats
-	Config() Config
 }
 
 var _ Remote = (*Cache)(nil)

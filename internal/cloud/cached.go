@@ -14,8 +14,8 @@ import (
 // fresh verdict. Callers that can sign their requests by content (the
 // pipeline's covariate windows) use the KeyedDetector surface; the plain
 // Backend surface falls back to exact (event type, absolute window) dedup,
-// which is sound against a fixed backend at any ε because identical
-// requests always return identical verdicts.
+// which is sound against a fixed backend because identical requests
+// always return identical verdicts.
 
 // KeyedDetector is the content-addressed surface of a caching backend: a
 // DetectTimed whose cache identity is supplied by the caller. The
@@ -24,12 +24,11 @@ type KeyedDetector interface {
 	DetectTimedKeyed(key cicache.Key, eventType int, win video.Interval) (Detection, float64, error)
 }
 
-// Savings is the realized benefit of the cache: what the hits did NOT cost.
+// Savings is the realized benefit of the cache: what the hits did NOT cost
+// (the cache's own Stats count the hits).
 type Savings struct {
-	// Hits is the number of requests answered from the cache.
-	Hits int64
-	// SavedFrames is the frames those requests would have billed;
-	// SavedUSD prices them (single multiply, mirroring the billed-spend
+	// SavedFrames is the frames the hits would have billed; SavedUSD
+	// prices them (single multiply, mirroring the billed-spend
 	// arithmetic everywhere else in the repo).
 	SavedFrames int64
 	SavedUSD    float64
@@ -43,7 +42,6 @@ type CachedBackend struct {
 	perFrameUSD float64
 
 	mu          sync.Mutex
-	hits        int64
 	savedFrames int64
 }
 
@@ -72,7 +70,6 @@ func (b *CachedBackend) Savings() Savings {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return Savings{
-		Hits:        b.hits,
 		SavedFrames: b.savedFrames,
 		SavedUSD:    float64(b.savedFrames) * b.perFrameUSD,
 	}
@@ -85,7 +82,6 @@ func (b *CachedBackend) Savings() Savings {
 func (b *CachedBackend) DetectTimedKeyed(key cicache.Key, eventType int, win video.Interval) (Detection, float64, error) {
 	if v, ok := b.cache.Get(key, win.Start); ok {
 		b.mu.Lock()
-		b.hits++
 		b.savedFrames += int64(win.Len())
 		b.mu.Unlock()
 		return Detection{Found: v.Materialize(win)}, 0, nil

@@ -122,8 +122,9 @@ func (s *Service) DetectTimed(eventType int, win video.Interval) (Detection, flo
 // Peek returns the true occurrences overlapping win WITHOUT billing,
 // metering or simulated latency. It is a simulation-only oracle readout —
 // a real CI has no free path — used to score the honesty of cache hits:
-// an ε-approximate or stale verdict may hide an occurrence the CI would
-// have found, and the recall accounting must see that.
+// a verdict stored for an equal past, or a stale one, may hide an
+// occurrence the CI would have found, and the recall accounting must see
+// that.
 func (s *Service) Peek(eventType int, win video.Interval) []video.Interval {
 	if eventType < 0 || eventType >= s.stream.NumTypes() || win.Len() == 0 {
 		return nil

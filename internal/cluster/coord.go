@@ -59,7 +59,7 @@ type WorkerRef struct {
 
 // NewCoordinator builds the coordinator and its HTTP surface.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	if cfg.BudgetUSD < 0 || cfg.PerFrameUSD < 0 {
+	if !(cfg.BudgetUSD >= 0 && cfg.PerFrameUSD >= 0) {
 		return nil, fmt.Errorf("cluster: negative budget config %+v", cfg)
 	}
 	c := &Coordinator{cfg: cfg, metrics: obs.NewRegistry()}
@@ -98,7 +98,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	m.HandleFunc("POST /v1/cluster/cache/put", c.handleCachePut)
 	m.HandleFunc("POST /v1/cluster/cache/contains", c.handleCacheContains)
 	m.HandleFunc("GET /v1/cluster/cache/stats", c.handleCacheStats)
-	m.HandleFunc("GET /v1/cluster/cache/config", c.handleCacheConfig)
 	c.mux = m
 	return c, nil
 }
@@ -274,13 +273,6 @@ func (c *Coordinator) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, c.cache.Stats())
-}
-
-func (c *Coordinator) handleCacheConfig(w http.ResponseWriter, _ *http.Request) {
-	if !c.requireCache(w) {
-		return
-	}
-	writeJSON(w, c.cache.Config())
 }
 
 // ---- small HTTP helpers shared by the package ----

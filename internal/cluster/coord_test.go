@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -175,6 +176,20 @@ func TestLeaseHTTPValidation(t *testing.T) {
 	}
 }
 
+// TestNewCoordinatorValidation: a negative or NaN budget is refused; a NaN
+// one would compute no frame cap and grant every lease in full.
+func TestNewCoordinatorValidation(t *testing.T) {
+	for _, cfg := range []CoordinatorConfig{
+		{BudgetUSD: -1, PerFrameUSD: 0.001},
+		{BudgetUSD: math.NaN(), PerFrameUSD: 0.001},
+		{BudgetUSD: 1, PerFrameUSD: math.NaN()},
+	} {
+		if _, err := NewCoordinator(cfg); err == nil {
+			t.Errorf("config %+v accepted", cfg)
+		}
+	}
+}
+
 // TestCoordinatorCacheEndpoints: the hosted cache round-trips verdicts
 // over HTTP and 404s when no cache is configured.
 func TestCoordinatorCacheEndpoints(t *testing.T) {
@@ -186,12 +201,8 @@ func TestCoordinatorCacheEndpoints(t *testing.T) {
 	ts := httptest.NewServer(coord)
 	defer ts.Close()
 
-	rc, err := DialRemoteCache(ts.URL, ts.Client())
-	if err != nil {
+	if _, err := DialRemoteCache(ts.URL, ts.Client()); err != nil {
 		t.Fatal(err)
-	}
-	if rc.Config().Epsilon != cacheCfg.Epsilon || rc.Config().TTLFrames != cacheCfg.TTLFrames {
-		t.Fatalf("remote config %+v != hosted %+v", rc.Config(), cacheCfg)
 	}
 
 	// No-cache coordinator: dial fails cleanly.

@@ -18,41 +18,31 @@ import (
 type RemoteCache struct {
 	base string
 	hc   *http.Client
-	cfg  cicache.Config
 	// hits and misses count the lookups made through this handle.
 	hits, misses atomic.Int64
 }
 
 // DialRemoteCache connects to the coordinator at base (e.g.
-// "http://127.0.0.1:7070") and fetches the hosted cache's configuration —
-// workers must sign windows with the COORDINATOR's epsilon, not their own,
-// or twin streams on different workers would compute different keys and
-// the shared dedup would silently never fire. httpClient may be nil (a
-// client with the package's internal-call deadline).
+// "http://127.0.0.1:7070") and checks that it hosts a cache: a coordinator
+// without one answers its stats endpoint 404, and a worker dialed to it
+// would otherwise fail open on every lookup, never deduplicating. httpClient
+// may be nil (a client with the package's internal-call deadline).
 func DialRemoteCache(base string, httpClient *http.Client) (*RemoteCache, error) {
 	if httpClient == nil {
 		httpClient = &http.Client{Timeout: callTimeout}
 	}
-	rc := &RemoteCache{base: base, hc: httpClient}
-	resp, err := rc.hc.Get(base + "/v1/cluster/cache/config")
+	resp, err := httpClient.Get(base + "/v1/cluster/cache/stats")
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dialing remote cache: %w", err)
 	}
-	defer resp.Body.Close()
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: remote cache config: HTTP %d", resp.StatusCode)
+		return nil, fmt.Errorf("cluster: remote cache: HTTP %d", resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&rc.cfg); err != nil {
-		return nil, fmt.Errorf("cluster: remote cache config: %w", err)
-	}
-	return rc, nil
+	return &RemoteCache{base: base, hc: httpClient}, nil
 }
 
 var _ cicache.Remote = (*RemoteCache)(nil)
-
-// Config returns the coordinator cache's effective configuration, fetched
-// once at dial time (it is immutable for the coordinator's lifetime).
-func (r *RemoteCache) Config() cicache.Config { return r.cfg }
 
 func (r *RemoteCache) post(path string, req, out interface{}) error {
 	body, err := json.Marshal(req)

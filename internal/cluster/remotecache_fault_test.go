@@ -181,10 +181,7 @@ func TestCachedBackendFaultyCacheBreakerAccounting(t *testing.T) {
 
 	st := video.Generate(video.THUMOS(), mathx.NewRNG(1))
 	inner := cloud.NewService(st, cloud.RekognitionPricing(), cloud.DefaultLatency())
-	relay, err := pipeline.NewRelay(inner, rc, cloud.PerFrameUSDOf(inner), resilience.DefaultConfig(1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	relay := pipeline.NewRelay(inner, rc, cloud.PerFrameUSDOf(inner), resilience.DefaultConfig(1), nil)
 	client := relay.Client()
 
 	const relays = 5

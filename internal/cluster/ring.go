@@ -2,8 +2,8 @@
 // tier consistent-hashes session IDs onto N serve workers, a coordinator
 // leases the global spend budget out in integer-frame chunks (so the
 // fleet-wide cap holds without a shared lock on the billing path), and a
-// coordinator-hosted result cache keeps ε=0 cross-stream dedup alive when
-// twin cameras land on different workers. What the tier costs and buys is
+// coordinator-hosted result cache keeps cross-stream dedup alive when twin
+// cameras land on different workers. What the tier costs and buys is
 // measured, not modelled: bench/'s cluster_predict workload drives front +
 // 2 workers + coordinator with serve_predict's traffic.
 package cluster

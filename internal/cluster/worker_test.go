@@ -19,7 +19,7 @@ func (w *Worker) Server() *serve.Server { return w.srv }
 // TestWorkerHungCoordinatorDefers: a coordinator that accepts connections
 // and never answers costs a worker's predict at most the internal-call
 // deadline per coordinator call, never forever. The stub answers the
-// dial-time cache-config fetch and then hangs on every other path. A
+// dial-time cache check and then hangs on every other path. A
 // lease-gated, CI-relaying worker's predict that decides a relay waits out
 // the remote-cache probe (which fails open: absent, so the relay is not
 // free) and the lease (which grants nothing), and comes back deferred.
@@ -32,8 +32,8 @@ func TestWorkerHungCoordinatorDefers(t *testing.T) {
 		mu.Lock()
 		seen[r.URL.Path]++
 		mu.Unlock()
-		if r.URL.Path == "/v1/cluster/cache/config" {
-			writeJSON(w, cicache.DefaultConfig())
+		if r.URL.Path == "/v1/cluster/cache/stats" {
+			writeJSON(w, cicache.Stats{})
 			return
 		}
 		select {

@@ -61,7 +61,7 @@ type ArbiterConfig struct {
 
 // Validate rejects malformed configurations.
 func (c ArbiterConfig) Validate() error {
-	if c.PerFrameUSD < 0 || c.GlobalBudgetUSD < 0 || c.SessionRatePerSec < 0 || c.SessionBurst < 0 {
+	if !(c.PerFrameUSD >= 0 && c.GlobalBudgetUSD >= 0 && c.SessionRatePerSec >= 0 && c.SessionBurst >= 0) {
 		return fmt.Errorf("fleet: negative arbiter knob in %+v", c)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -137,6 +138,10 @@ func TestArbiterRegister(t *testing.T) {
 func TestArbiterConfigValidate(t *testing.T) {
 	if _, err := NewArbiter(ArbiterConfig{PerFrameUSD: -1}); err == nil {
 		t.Fatal("negative PerFrameUSD accepted")
+	}
+	// NaN passes every "< 0" test; a NaN cap would admit every relay.
+	if _, err := NewArbiter(ArbiterConfig{PerFrameUSD: 0.001, GlobalBudgetUSD: math.NaN()}); err == nil {
+		t.Fatal("NaN GlobalBudgetUSD accepted")
 	}
 }
 

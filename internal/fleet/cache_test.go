@@ -213,8 +213,8 @@ func TestServeCachedBadHit(t *testing.T) {
 func TestFleetCacheValidation(t *testing.T) {
 	streams := []Stream{testStream(t, "cam", 1, 5_000)}
 	cfg := DefaultConfig()
-	cfg.Cache = &cicache.Config{Epsilon: -1}
+	cfg.Cache = &cicache.Config{TTLFrames: -1}
 	if _, err := Run(streams, cfg); err == nil {
-		t.Fatal("negative epsilon accepted")
+		t.Fatal("negative TTLFrames accepted")
 	}
 }

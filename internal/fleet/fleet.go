@@ -90,13 +90,12 @@ type Config struct {
 	GlobalBudgetUSD float64
 	// Cache, when non-nil, shares one content-addressed CI result cache
 	// (internal/cicache) across every stream in the fleet: relays carrying
-	// the same quantized covariate signature are answered from the stored
+	// the same exact covariate signature are answered from the stored
 	// verdict — or coalesced into one billed call when they land in the
 	// same batch — with zero billing and zero channel time. The cache is
 	// consulted only in the serial arbitration phase, so reports stay
-	// byte-identical at any Parallelism. At Epsilon 0 signatures are
-	// exact-match only: streams without exact repeats hit never, and the
-	// report is byte-identical to the uncached run.
+	// byte-identical at any Parallelism. Streams without exact repeats hit
+	// never, and their report is byte-identical to the uncached run.
 	Cache *cicache.Config
 	// Parallelism is the number of workers computing stream timelines
 	// (phase A); DefaultConfig sets GOMAXPROCS. Scheduling itself is
@@ -120,7 +119,7 @@ func (c Config) validate() error {
 	if c.QueueMax < 0 {
 		return fmt.Errorf("fleet: negative QueueMax %d", c.QueueMax)
 	}
-	if c.GlobalBudgetUSD < 0 || c.StreamRatePerSec < 0 || c.StreamBurst < 0 {
+	if !(c.GlobalBudgetUSD >= 0 && c.StreamRatePerSec >= 0 && c.StreamBurst >= 0) {
 		return fmt.Errorf("fleet: negative policy knob in %+v", c)
 	}
 	if c.Cache != nil {
@@ -180,8 +179,8 @@ type Report struct {
 	AvgBatchSize  float64 `json:"avg_batch_size"`
 	MaxQueueDepth int     `json:"max_queue_depth"`
 	// Cache outcome of the shared CI result cache (Config.Cache). All four
-	// are hit-derived: with the cache off, or on at Epsilon 0 over streams
-	// with no exact repeats, they are zero and the report is byte-identical
+	// are hit-derived: with the cache off, or on over streams with no
+	// exact repeats, they are zero and the report is byte-identical
 	// to the uncached run. CacheBadHits counts hits whose stored verdict
 	// hid a true occurrence the CI would have found; those relays count as
 	// served but not as realized recall. Misses and evictions differ

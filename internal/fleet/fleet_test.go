@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 
 	"eventhit/internal/cloud"
@@ -234,6 +235,11 @@ func TestFleetValidation(t *testing.T) {
 	cfg.QueueMax = -1
 	if _, err := Run([]Stream{s}, cfg); err == nil {
 		t.Fatal("QueueMax -1 accepted")
+	}
+	cfg = DefaultConfig()
+	cfg.GlobalBudgetUSD = math.NaN()
+	if _, err := Run([]Stream{s}, cfg); err == nil {
+		t.Fatal("NaN GlobalBudgetUSD accepted")
 	}
 }
 

@@ -5,15 +5,16 @@ import (
 	"testing"
 
 	"eventhit/internal/cicache"
+	"eventhit/internal/cloud"
 	"eventhit/internal/strategy"
 )
 
-// TestCacheZeroEpsilonParity pins the cache's safety contract: enabling it
-// at Epsilon 0 (exact-match signatures) over a stream whose jittered
-// covariates never repeat exactly yields zero hits and a report deeply
-// equal to the uncached run's.
+// TestCacheZeroEpsilonParity pins the cache's safety contract: enabling
+// the exact-match cache over a stream whose jittered covariates never
+// repeat exactly yields zero hits and a report deeply equal to the
+// uncached run's.
 func TestCacheZeroEpsilonParity(t *testing.T) {
-	run := func(withCache bool) Report {
+	run := func(withCache bool) (Report, *Marshaller) {
 		ex, ci, cfg := setup(t)
 		costs := EventHitCosts(cfg.Window)
 		if withCache {
@@ -28,13 +29,12 @@ func TestCacheZeroEpsilonParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep
+		return rep, m
 	}
-	off := run(false)
-	on := run(true)
-	if on.CacheHits != 0 || on.CacheSavedFrames != 0 || on.CacheSavedUSD != 0 {
-		t.Fatalf("exact-match cache hit on a non-repeating stream: hits=%d frames=%d usd=%v",
-			on.CacheHits, on.CacheSavedFrames, on.CacheSavedUSD)
+	off, _ := run(false)
+	on, m := run(true)
+	if sv := m.relay.Cached().Savings(); sv != (cloud.Savings{}) {
+		t.Fatalf("exact-match cache hit on a non-repeating stream: %+v", sv)
 	}
 	if !reflect.DeepEqual(off, on) {
 		t.Fatalf("cache at eps=0 changed the report:\noff = %+v\non  = %+v", off, on)
@@ -43,7 +43,8 @@ func TestCacheZeroEpsilonParity(t *testing.T) {
 
 // TestCacheRepeatRegionAllHits marshals the same region twice through one
 // cached marshaller: the second pass's relays are answered entirely from
-// the cache — no new billing, no new CI busy time, full savings.
+// the cache — no new billing, no new CI busy time, full savings (the
+// relay's Savings delta over the pass).
 func TestCacheRepeatRegionAllHits(t *testing.T) {
 	ex, ci, cfg := setup(t)
 	costs := EventHitCosts(cfg.Window)
@@ -60,7 +61,7 @@ func TestCacheRepeatRegionAllHits(t *testing.T) {
 	if rep1.CIFrames == 0 {
 		t.Fatal("first pass relayed nothing; the test needs relays")
 	}
-	u1 := ci.Usage()
+	u1, sv1 := ci.Usage(), m.relay.Cached().Savings()
 	rep2, _, _, err := m.Run(0, 40000)
 	if err != nil {
 		t.Fatal(err)
@@ -74,12 +75,12 @@ func TestCacheRepeatRegionAllHits(t *testing.T) {
 		t.Fatalf("second pass reports frames %d usd %v CI ms %v, want zeros",
 			rep2.CIFrames, rep2.SpentUSD, rep2.CIMS)
 	}
-	if rep2.CacheHits == 0 || rep2.CacheSavedFrames != rep1.CIFrames {
-		t.Fatalf("second pass hits=%d savedFrames=%d, want savedFrames=%d",
-			rep2.CacheHits, rep2.CacheSavedFrames, rep1.CIFrames)
+	sv2 := m.relay.Cached().Savings()
+	if frames := sv2.SavedFrames - sv1.SavedFrames; frames != rep1.CIFrames {
+		t.Fatalf("second pass saved %d frames, first pass billed %d", frames, rep1.CIFrames)
 	}
-	if rep2.CacheSavedUSD != rep1.SpentUSD {
-		t.Fatalf("saved %v USD, first pass spent %v", rep2.CacheSavedUSD, rep1.SpentUSD)
+	if usd := sv2.SavedUSD - sv1.SavedUSD; usd != rep1.SpentUSD {
+		t.Fatalf("saved %v USD, first pass spent %v", usd, rep1.SpentUSD)
 	}
 	if rep2.Detections != rep1.Detections {
 		t.Fatalf("cached pass found %d detections, first pass %d", rep2.Detections, rep1.Detections)

@@ -57,11 +57,11 @@ type Costs struct {
 	// error — the pre-resilience behaviour.
 	Degrade bool
 	// Cache, when non-nil, interposes a content-addressed CI result cache
-	// (internal/cicache) in front of the backend: relays are keyed by a
-	// quantized signature of the covariate window and a hit is served from
-	// the stored verdict with zero billing and zero CI busy time. At
-	// Epsilon 0 the signature is exact-match only, so a run over a stream
-	// with no exact repeats is byte-identical to the uncached run.
+	// (internal/cicache) in front of the backend: relays are keyed by an
+	// exact-match signature of the covariate window and a hit is served
+	// from the stored verdict with zero billing and zero CI busy time, so a
+	// run over a stream with no exact repeats is byte-identical to the
+	// uncached run.
 	Cache *cicache.Config
 }
 
@@ -124,13 +124,6 @@ type Report struct {
 	CIBackoffMS      float64
 	// BreakerTrips counts circuit-breaker closed->open transitions.
 	BreakerTrips int64
-	// CacheHits/CacheSavedFrames/CacheSavedUSD are the CI result cache's
-	// realized savings this run (all zero when Costs.Cache is unset):
-	// relays answered from the cache, which billed nothing and added zero
-	// CI time — CIMS and SpentUSD already exclude them.
-	CacheHits        int64
-	CacheSavedFrames int64
-	CacheSavedUSD    float64
 }
 
 // Relays counts the positive occurrence bits across a run's predictions —
@@ -231,10 +224,7 @@ func New(ex dataset.Source, s strategy.Strategy, ci cloud.Backend, cfg dataset.C
 		cache = c
 	}
 	clock := resilience.NewClock()
-	relay, err := NewRelay(ci, cache, cloud.PerFrameUSDOf(ci), rcfg, clock)
-	if err != nil {
-		return nil, err
-	}
+	relay := NewRelay(ci, cache, cloud.PerFrameUSDOf(ci), rcfg, clock)
 	return &Marshaller{
 		ex: ex, strat: s, ci: ci, relay: relay, clock: clock,
 		cfg: cfg, costs: costs,
@@ -262,12 +252,7 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 	var outs []RelayOutcome
 	// Baselines: the client and CI meters are cumulative across runs of the
 	// same backend; the report only takes this run's delta.
-	cached := m.relay.Cached()
 	st0, u0 := m.relay.Client().Stats(), m.ci.Usage()
-	var sv0 cloud.Savings
-	if cached != nil {
-		sv0 = cached.Savings()
-	}
 	recs, preds, err := m.decide(start, end)
 	if err != nil {
 		return Report{}, nil, nil, nil, err
@@ -305,12 +290,6 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 	rep.CIFailedAttempts = st.Failures - st0.Failures
 	rep.CIBackoffMS = st.BackoffMS - st0.BackoffMS
 	rep.BreakerTrips = st.Trips - st0.Trips
-	if cached != nil {
-		sv := cached.Savings()
-		rep.CacheHits = sv.Hits - sv0.Hits
-		rep.CacheSavedFrames = sv.SavedFrames - sv0.SavedFrames
-		rep.CacheSavedUSD = sv.SavedUSD - sv0.SavedUSD
-	}
 	return rep, tl.Records, tl.Preds, outs, nil
 }
 

@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
-
 	"eventhit/internal/cicache"
 	"eventhit/internal/cloud"
 	"eventhit/internal/dataset"
@@ -35,7 +33,7 @@ type RelayRequest struct {
 	// this one).
 	ReleaseMS float64
 	// Key is the content-addressed cache signature of the request (the
-	// quantized covariate window plus the event and the relative range),
+	// exact covariate window plus the event and the relative range),
 	// populated only when the relay has a result cache (offline: the
 	// stream's Costs.Cache is set); Keyed says so. A scheduler serving keyed
 	// requests may dedup them through a shared cicache.Cache.
@@ -67,29 +65,23 @@ type RelayOutcome struct {
 type Relay struct {
 	client *resilience.Client
 	// cached is the dedup layer the client calls through (nil without a
-	// cache); eps is the tolerance requests are signed with.
+	// cache).
 	cached *cloud.CachedBackend
-	eps    float64
 }
 
 // NewRelay assembles the CI channel over ci: cache, when non-nil, is
 // interposed as a cloud.CachedBackend whose savings are priced at
 // perFrameUSD, and the resilient client runs cfg on clock (nil: a private
 // clock).
-func NewRelay(ci cloud.Backend, cache cicache.Remote, perFrameUSD float64, cfg resilience.Config, clock *resilience.Clock) (*Relay, error) {
+func NewRelay(ci cloud.Backend, cache cicache.Remote, perFrameUSD float64, cfg resilience.Config, clock *resilience.Clock) *Relay {
 	r := &Relay{}
 	backend := ci
 	if cache != nil {
-		ccfg := cache.Config()
-		if err := ccfg.Validate(); err != nil {
-			return nil, fmt.Errorf("pipeline: cache config: %w", err)
-		}
-		r.eps = ccfg.Epsilon
 		r.cached = cloud.NewCachedBackend(ci, cache, perFrameUSD)
 		backend = r.cached
 	}
 	r.client = resilience.NewClient(backend, cfg, clock)
-	return r, nil
+	return r
 }
 
 // Client is the resilient client, for its meters and breaker state.
@@ -129,7 +121,7 @@ func (r *Relay) AppendRequests(dst []RelayRequest, rec dataset.Record, events []
 		}
 		if r.Cached() != nil {
 			if !signed {
-				sig, signed = cicache.SignDecision(rec.X, events, r.eps), true
+				sig, signed = cicache.SignDecision(rec.X, events), true
 			}
 			req.Key = sig.Key(req.EventType, rel)
 			req.Keyed = true

@@ -81,10 +81,7 @@ func TestRelayServeContract(t *testing.T) {
 				}
 				cache = c
 			}
-			r, err := NewRelay(ci, cache, cloud.PerFrameUSDOf(ci), resilience.DefaultConfig(1), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := NewRelay(ci, cache, cloud.PerFrameUSDOf(ci), resilience.DefaultConfig(1), nil)
 			for _, b := range tc.before {
 				r.Serve(b)
 			}
@@ -115,8 +112,8 @@ func TestRelayServeContract(t *testing.T) {
 
 // TestAppendRequests: one request per relayed event in event order, the
 // window made absolute at the record's anchor, and a content key exactly
-// when the relay has a cache — signed at the cache's ε, so windows within
-// ε of each other share keys.
+// when the relay has a cache — an exact-match key, so a nearby window
+// signs to another.
 func TestAppendRequests(t *testing.T) {
 	rec := dataset.Record{Frame: 100, X: [][]float64{{0.5, 0.25}}}
 	near := dataset.Record{Frame: 900, X: [][]float64{{0.51, 0.26}}}
@@ -126,22 +123,14 @@ func TestAppendRequests(t *testing.T) {
 		OI:    []video.Interval{{Start: 3, End: 9}, {}, {Start: 1, End: 2}},
 	}
 	svc := cloud.NewService(video.Generate(video.THUMOS(), mathx.NewRNG(1)), cloud.RekognitionPricing(), cloud.DefaultLatency())
-	relay := func(eps float64) *Relay {
-		cache, err := cicache.New(cicache.Config{Epsilon: eps})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewRelay(svc, cache, 0, resilience.DefaultConfig(0), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+	cache, err := cicache.New(cicache.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name      string
-		r         *Relay
-		shareKeys bool
-	}{{"no cache", nil, false}, {"exact cache", relay(0), false}, {"ε=0.1 cache", relay(0.1), true}} {
+		name string
+		r    *Relay
+	}{{"no cache", nil}, {"cache", NewRelay(svc, cache, 0, resilience.DefaultConfig(0), nil)}} {
 		got := tc.r.AppendRequests([]RelayRequest{{}}, rec, events, &pred, 2, 1.5)
 		twins := tc.r.AppendRequests(nil, near, events, &pred, 0, 0)
 		if len(got) != 3 || len(twins) != 2 {
@@ -152,8 +141,8 @@ func TestAppendRequests(t *testing.T) {
 			if rq.Keyed != (tc.r != nil) || (rq.Key == cicache.Key{}) == rq.Keyed {
 				t.Errorf("%s: request %d keyed=%v key=%v", tc.name, i, rq.Keyed, rq.Key)
 			}
-			if same := rq.Keyed && rq.Key == twins[i].Key; same != tc.shareKeys {
-				t.Errorf("%s: request %d shares its key with the nearby window: %v", tc.name, i, same)
+			if rq.Keyed && rq.Key == twins[i].Key {
+				t.Errorf("%s: request %d shares its key with the nearby window", tc.name, i)
 			}
 			rq.Key, rq.Keyed = cicache.Key{}, false
 			want := RelayRequest{Seq: 1 + i, Horizon: 2, Event: k, EventType: events[k],

@@ -25,11 +25,15 @@ const (
 	timeoutStages = `"stages": [{"name": "s",` + "\n" + `"timeout": "30s",` + "\n" + `"run": {"name": "t", "kind": "fleet"}}]`
 )
 
-// removedKeysSpec holds every fleet and fault key the scheduler's and the
-// fault model's constants replaced; the first is an unknown field.
-var removedKeysSpec = specSrc(headOK, streamsOK,
+// removedKeysSpec holds every key a constant replaced: the deployed
+// strategy's confidence and coverage, the scheduler's and the fault
+// model's fleet and fault keys, and the cache's grid tolerance; the first
+// is an unknown field.
+var removedKeysSpec = specSrc(headOK, `"confidence": 0.95`, `"coverage": 0.8`, streamsOK,
 	`"fleet": {"batch_max": 8, "batch_frames_max": 4096, "call_overhead_ms": 120}`,
-	stagesRun(`"name": "t"`, `"kind": "pipeline"`, `"faults": {"rate_limit_every": 10, "rate_limit_burst": 3}`))
+	`"stages": [{"name": "s", "run": {`+"\n"+`"name": "t",`+"\n"+`"kind": "pipeline",`+"\n"+
+		`"faults": {"rate_limit_every": 10, "rate_limit_burst": 3}`+"\n"+`}},`+"\n"+
+		`{"name": "c", "run": {"name": "u", "kind": "fleet", "cache": {"epsilon": 0.25, "ttl_frames": 10}}}]`)
 
 // countSpec declares one group of count cameras and a pipeline task on
 // the given stream.
@@ -116,13 +120,14 @@ func TestParseRejects(t *testing.T) {
 			at: `"quick": "yes"`, want: "quick: expected true or false"},
 		{name: "frames-negative", src: specSrc(headOK, `"frames": -1`, streamsOK, stagesOK),
 			at: `"frames": -1`, want: "frames: must be >= 0"},
+		// Every scenario deploys EHCR at confidence and coverage 0.9: a
+		// spec sets neither, and the key is refused before its value is read.
 		{name: "confidence-high", src: specSrc(headOK, `"confidence": 1`, streamsOK, stagesOK),
-			at: `"confidence": 1`, want: "confidence: must be in (0,1)"},
-		// JSON writes no NaN: a bare one is a syntax error.
+			at: `"confidence": 1`, want: "confidence: unknown field"},
 		{name: "confidence-nan", src: specSrc(headOK, `"confidence": NaN`, streamsOK, stagesOK),
-			at: `"confidence": NaN`, want: "invalid character 'N' looking for beginning of value"},
+			at: `"confidence": NaN`, want: "confidence: unknown field"},
 		{name: "coverage-zero", src: specSrc(headOK, `"coverage": 0`, streamsOK, stagesOK),
-			at: `"coverage": 0`, want: "coverage: must be in (0,1)"},
+			at: `"coverage": 0`, want: "coverage: unknown field"},
 		{name: "unknown-top-level", src: specSrc(headOK, `"bogus": 1`, streamsOK, stagesOK),
 			at: `"bogus": 1`, want: "bogus: unknown field"},
 
@@ -176,11 +181,12 @@ func TestParseRejects(t *testing.T) {
 
 		// Task cache blocks.
 		{name: "cache-ttl-missing",
-			src: specSrc(headOK, streamsOK, stagesRun(`"name": "t"`, `"kind": "fleet"`, `"cache": {"epsilon": 0.5}`)),
-			at:  `"epsilon": 0.5`, want: "stages[0].run.cache.ttl_frames: must be >= 1"},
-		{name: "cache-epsilon-negative",
-			src: specSrc(headOK, streamsOK, stagesRun(`"name": "t"`, `"kind": "fleet"`, `"cache": {"epsilon": -0.5, "ttl_frames": 10}`)),
-			at:  `"epsilon": -0.5`, want: "stages[0].run.cache.epsilon: must be a finite value >= 0"},
+			src: specSrc(headOK, streamsOK, stagesRun(`"name": "t"`, `"kind": "fleet"`, `"cache": {}`)),
+			at:  `"cache": {}`, want: "stages[0].run.cache.ttl_frames: must be >= 1"},
+		// A cache matches exactly: there is no grid tolerance to set.
+		{name: "cache-epsilon-removed",
+			src: specSrc(headOK, streamsOK, stagesRun(`"name": "t"`, `"kind": "fleet"`, `"cache": {"epsilon": 0.5, "ttl_frames": 10}`)),
+			at:  `"epsilon": 0.5`, want: "stages[0].run.cache.epsilon: unknown field"},
 
 		// Task fault blocks.
 		{name: "faults-rate-high",
@@ -346,10 +352,6 @@ func TestParseDefaults(t *testing.T) {
 	}
 	if spec.Seed != 1 {
 		t.Errorf("Seed = %d, want default 1", spec.Seed)
-	}
-	if spec.Confidence != defaultConfidence || spec.Coverage != defaultCoverage {
-		t.Errorf("Confidence/Coverage = %v/%v, want %v/%v",
-			spec.Confidence, spec.Coverage, defaultConfidence, defaultCoverage)
 	}
 	if spec.Quick || spec.Frames != 0 {
 		t.Errorf("Quick/Frames = %v/%d, want false/0", spec.Quick, spec.Frames)

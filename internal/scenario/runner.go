@@ -217,7 +217,7 @@ func buildCamera(env *harness.Env, spec *Spec, cam camera) (fleet.Stream, error)
 	}
 	fs, err := fleet.NewCamera(cam.id, cam.seed, env.Task.Dataset, env.Task.EventIdx,
 		proc, surgeAt, rate, env.Opt.Detector, after, driftAt,
-		spec.Frames, env.Bundle.EHCR(spec.Confidence, spec.Coverage), env.Cfg)
+		spec.Frames, env.Bundle.EHCR(deployedConfidence, deployedCoverage), env.Cfg)
 	if err != nil {
 		return fleet.Stream{}, fmt.Errorf("scenario: %w", err)
 	}
@@ -254,7 +254,7 @@ func RunWithEnv(spec *Spec, env *harness.Env) (*Report, error) {
 	rep := &Report{
 		Name: spec.Name, Task: spec.Task, Seed: spec.Seed,
 		Quick: spec.Quick, Frames: spec.Frames,
-		Confidence: spec.Confidence, Coverage: spec.Coverage,
+		Confidence: deployedConfidence, Coverage: deployedCoverage,
 	}
 	for _, c := range cams {
 		co := CameraOut{ID: c.id, Scene: c.scene, Seed: c.seed, Arrivals: c.group.Arrivals}
@@ -376,7 +376,6 @@ func fleetConfig(spec *Spec, ts TaskSpec) fleet.Config {
 	}
 	if ts.Cache != nil {
 		cc := cicache.DefaultConfig()
-		cc.Epsilon = ts.Cache.Epsilon
 		cc.TTLFrames = ts.Cache.TTLFrames
 		cfg.Cache = &cc
 	}
@@ -508,16 +507,13 @@ func runDriftTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec) (*Dr
 	if ts.AuditRate != nil {
 		cfg.AuditRate = *ts.AuditRate
 	}
-	loop, err := drift.NewLoop(cfg, spec.Confidence, 1)
+	loop, err := drift.NewLoop(cfg, deployedConfidence, 1)
 	if err != nil {
 		return nil, err
 	}
 	// A fault-free CI never needs the client's retries.
 	ci := cloud.NewService(fs.Source.Stream(), cloud.RekognitionPricing(), cloud.DefaultLatency())
-	relay, err := pipeline.NewRelay(ci, nil, 0, resilience.DefaultConfig(spec.Seed), nil)
-	if err != nil {
-		return nil, err
-	}
+	relay := pipeline.NewRelay(ci, nil, 0, resilience.DefaultConfig(spec.Seed), nil)
 	out := &DriftOut{
 		Stream: cam.id, AuditRate: cfg.AuditRate,
 		OutcomesToAlarm: -1, OutcomesToRecalibration: -1, DetectFrame: -1,
@@ -535,7 +531,7 @@ func runDriftTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec) (*Dr
 	}
 	var (
 		bundle       = env.Bundle
-		rule         = strategy.EHCRRule(spec.Confidence, spec.Coverage)
+		rule         = strategy.EHCRRule(deployedConfidence, deployedCoverage)
 		events       = fs.Source.Events()
 		horizon      = fs.Cfg.Horizon
 		sc           strategy.Scratch
@@ -598,10 +594,10 @@ walk:
 	st := loop.Stats()
 	out.Audits, out.Positives = st.Audits, st.Observations
 	out.Episodes, out.Recalibrations = st.Episodes, st.Recalibrations
-	stale := env.Bundle.EHC(spec.Confidence)
+	stale := env.Bundle.EHC(deployedConfidence)
 	out.CoveragePre, out.CoveragePost = coverage(stale, pre), coverage(stale, post)
 	if st.Recalibrations > 0 {
-		out.CoverageRestored = coverage(bundle.EHC(spec.Confidence), post)
+		out.CoverageRestored = coverage(bundle.EHC(deployedConfidence), post)
 	}
 	out.SpentUSD = ci.Usage().SpentUSD
 	return out, nil

@@ -271,7 +271,7 @@ func stageOuts(t *testing.T, rep *Report, spec *Spec, stage string) ([]TaskOut, 
 	return outs, decl
 }
 
-// exactCacheErr: an epsilon-0 cached run over the same workload as base
+// exactCacheErr: a cached run over the same workload as base
 // hits, never lies, leaves realized recall untouched, and bills exactly the
 // baseline's frames minus the ones it saved.
 func exactCacheErr(base, cached *FleetOut) error {
@@ -331,7 +331,7 @@ func TestCorpusInvariants(t *testing.T) {
 			t.Fatal("retail-flash-crowd golden lacks compare/baseline or compare/cached")
 		}
 		if err := exactCacheErr(base, cached); err != nil {
-			t.Errorf("epsilon=0 cache: %v", err)
+			t.Errorf("exact-match cache: %v", err)
 		}
 	})
 
@@ -345,12 +345,6 @@ func TestCorpusInvariants(t *testing.T) {
 			c, f := decl[i+1].Cache, out.Fleet
 			if c == nil || f == nil {
 				t.Fatalf("point %s is not a cached fleet task", out.Name)
-			}
-			if f.CacheBadHits != 0 {
-				t.Errorf("point %s: %d bad hits", out.Name, f.CacheBadHits)
-			}
-			if c.Epsilon != 0 {
-				continue
 			}
 			if err := exactCacheErr(base, f); err != nil {
 				t.Errorf("point %s: %v", out.Name, err)
@@ -517,7 +511,7 @@ func TestCorpusInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("EnvFor: %v", err)
 		}
-		home, err := env.Eval(env.Bundle.EHCR(spec.Confidence, spec.Coverage), spec.Confidence)
+		home, err := env.Eval(env.Bundle.EHCR(deployedConfidence, deployedCoverage), deployedConfidence)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,10 +48,6 @@ type Spec struct {
 	Quick bool `json:"quick,omitempty"`
 	// Frames bounds the marshalled region per camera (0 = whole stream).
 	Frames int `json:"frames,omitempty"`
-	// Confidence and Coverage parametrize the deployed EHCR strategy.
-	// Both default to 0.9.
-	Confidence float64 `json:"confidence"`
-	Coverage   float64 `json:"coverage"`
 	// Streams declares the camera groups of the workload.
 	Streams []StreamGroup `json:"streams"`
 	// Fleet is the shared-backend scheduler policy (zero value = defaults).
@@ -117,8 +113,7 @@ type FleetSpec struct {
 
 // CacheSpec configures the shared CI result cache.
 type CacheSpec struct {
-	Epsilon   float64 `json:"epsilon,omitempty"`
-	TTLFrames int     `json:"ttl_frames"`
+	TTLFrames int `json:"ttl_frames"`
 }
 
 // FaultSpec mirrors cloud.FaultPlan. Seed 0 inherits the spec seed.
@@ -189,10 +184,11 @@ const (
 	KindDrift    = "drift"
 )
 
-// Defaults applied during decoding.
+// The C-CLASSIFY confidence and C-REGRESS coverage of the EHCR strategy
+// every scenario deploys.
 const (
-	defaultConfidence = 0.9
-	defaultCoverage   = 0.9
+	deployedConfidence = 0.9
+	deployedCoverage   = 0.9
 )
 
 // maxCameras bounds the cameras a spec declares across all its groups.
@@ -222,7 +218,7 @@ func Parse(data []byte) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec := &Spec{Seed: 1, Confidence: defaultConfidence, Coverage: defaultCoverage}
+	spec := &Spec{Seed: 1}
 	if err := json.Unmarshal(data, spec); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err) // scan refuses first what Unmarshal would
 	}
@@ -492,12 +488,6 @@ func (w written) validate(s *Spec) error {
 	if s.Frames < 0 {
 		return w.err("frames", "must be >= 0, got %d", s.Frames)
 	}
-	if !(s.Confidence > 0 && s.Confidence < 1) {
-		return w.err("confidence", "must be in (0,1), got %v", s.Confidence)
-	}
-	if !(s.Coverage > 0 && s.Coverage < 1) {
-		return w.err("coverage", "must be in (0,1), got %v", s.Coverage)
-	}
 	if err := w.streams(s.Streams); err != nil {
 		return err
 	}
@@ -622,9 +612,6 @@ func (w written) task(s *Spec, task harness.Task, p string, t *TaskSpec) error {
 		return w.err(p+".kind", "must be fleet, pipeline or drift, got %q", t.Kind)
 	}
 	if c := t.Cache; c != nil {
-		if err := w.nonNegative(p+".cache.epsilon", c.Epsilon); err != nil {
-			return err
-		}
 		if c.TTLFrames < 1 {
 			return w.err(p+".cache.ttl_frames", "must be >= 1, got %d", c.TTLFrames)
 		}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -106,6 +107,15 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Bundle: bw.b, EventNames: []string{"a"},
 		DefaultConfidence: 0, DefaultCoverage: 0.9}); err == nil {
 		t.Fatal("expected error for zero confidence")
+	}
+	// Under a NaN confidence p >= 1-NaN is false and the server never relays.
+	if _, err := New(Config{Bundle: bw.b, EventNames: []string{"a"},
+		DefaultConfidence: math.NaN(), DefaultCoverage: 0.9}); err == nil {
+		t.Fatal("expected error for NaN confidence")
+	}
+	if _, err := New(Config{Bundle: bw.b, EventNames: []string{"a"},
+		DefaultConfidence: 0.9, DefaultCoverage: math.NaN()}); err == nil {
+		t.Fatal("expected error for NaN coverage")
 	}
 }
 

@@ -100,12 +100,12 @@ type Config struct {
 	CIEvents []int
 	// Cache, when non-nil, interposes a content-addressed CI result cache
 	// (internal/cicache) between the resilient client and the CI: relays
-	// whose covariate window carries an already-seen quantized signature
+	// whose covariate window carries an already-seen exact signature
 	// are served from the stored verdict with zero billing and zero CI
 	// latency. Requires CI (the server must own the relay to intercept it).
 	Cache *cicache.Config
 	// RemoteCache interposes a cluster-shared result cache instead of a
-	// locally built one — the coordinator-hosted implementation lets ε=0
+	// locally built one — the coordinator-hosted implementation lets
 	// cross-stream dedup fire even when twin cameras land on different
 	// workers. Requires CI; mutually exclusive with Cache.
 	RemoteCache cicache.Remote
@@ -223,8 +223,8 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.EventNames) != mc.NumEvents {
 		return nil, fmt.Errorf("serve: %d event names for %d events", len(cfg.EventNames), mc.NumEvents)
 	}
-	if cfg.DefaultConfidence <= 0 || cfg.DefaultConfidence > 1 ||
-		cfg.DefaultCoverage <= 0 || cfg.DefaultCoverage > 1 {
+	if !(cfg.DefaultConfidence > 0 && cfg.DefaultConfidence <= 1) ||
+		!(cfg.DefaultCoverage > 0 && cfg.DefaultCoverage <= 1) {
 		return nil, fmt.Errorf("serve: default knobs must be in (0,1]")
 	}
 	if cfg.CIEvents != nil && len(cfg.CIEvents) != mc.NumEvents {
@@ -270,10 +270,7 @@ func New(cfg Config) (*Server, error) {
 		case cfg.RemoteCache != nil:
 			rc = cfg.RemoteCache
 		}
-		relay, err := pipeline.NewRelay(cfg.CI, rc, cfg.PerFrameUSD, resilience.DefaultConfig(0), nil)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
+		relay := pipeline.NewRelay(cfg.CI, rc, cfg.PerFrameUSD, resilience.DefaultConfig(0), nil)
 		s.relay = relay
 		if cached := relay.Cached(); cached != nil {
 			cicache.RegisterStats(s.metrics, nil, rc.Stats)

@@ -40,14 +40,20 @@ gofmt_clean() {
 }
 
 # The numbers ROADMAP aim 2 tracks, for CHANGES.md entries to quote; the
-# assembly and the tests are counted apart so neither hides. Informational:
-# printed past the stage's capture, never a failure.
+# assembly and the tests are counted apart so neither hides. The settable
+# values counted from source are the flags the binaries under cmd/ define
+# and the JSON keys of the scenario spec types. Informational: printed
+# past the stage's capture, never a failure.
 size() {
     printf 'non-test Go lines in cmd+internal: %s, test Go lines: %s, assembly lines: %s, internal packages: %s, binaries: %s\n' \
         "$(find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" \
         "$(find cmd internal -name '*_test.go' | xargs cat | wc -l)" \
         "$(find cmd internal -name '*.s' | xargs cat | wc -l)" \
         "$(ls internal | wc -l)" "$(ls cmd | wc -l)" >&3
+    printf 'settable values: %s flags under cmd, %s scenario spec keys\n' \
+        "$(find cmd -name '*.go' ! -name '*_test.go' | xargs cat |
+            grep -oE '\<flag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Func|BoolFunc|TextVar|[A-Za-z0-9]*Var)\(' | wc -l)" \
+        "$(grep -oE 'json:\"[a-z_]+' internal/scenario/spec.go | wc -l)" >&3
 }
 
 exec 3>&1
